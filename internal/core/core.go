@@ -993,19 +993,17 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	var err error
 	if nv > 0 {
 		orderByLB(order, lbs, sc)
-		var taskNS atomic.Int64
-		err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
+		var busy time.Duration
+		busy, err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
 			j := order[i]
-			t0 := time.Now()
 			d := v.Distance(s.candGraph(view, cands[j]), sigma)
-			taskNS.Add(int64(time.Since(t0)))
 			dists[j] = d
 			if cache != nil && !canceled(done) {
 				cache.put(vcKey{q: qkey, id: cands[j]}, d, sigma)
 			}
 		})
 		if err == nil && !canceled(done) {
-			ewmaObserve(&s.verifyCandNS, float64(taskNS.Load())/float64(nv))
+			ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nv))
 		}
 	}
 	if err != nil {
@@ -1123,7 +1121,7 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 	}
 	sc.vorder = order
 	orderByLB(order, lbs, sc)
-	err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
+	_, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
 		j := order[i]
 		budget := math.Float64frombits(boundBits.Load())
 		if d := v.Distance(s.candGraph(view, cands[j]), budget); !distance.IsInfinite(d) {
@@ -1143,9 +1141,11 @@ const claimPollMask = 15
 // with no goroutines. A close of done drains the pool early (claimed
 // work finishes aborted via the verifier's own done hook). A panic in
 // fn is recovered, aborts every sibling at its next claim, and surfaces
-// as a returned *PanicError holding the first panic value.
-func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) error {
-	var next atomic.Int64
+// as a returned *PanicError holding the first panic value. busy is the
+// time the workers spent in their claim loops, summed: each worker reads
+// the clock twice, not twice per candidate.
+func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (busy time.Duration, err error) {
+	var next, busyNS atomic.Int64
 	var abort atomic.Bool
 	var panicOnce sync.Once
 	var panicked *PanicError
@@ -1159,6 +1159,8 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 		}()
 		v := iso.NewVerifier(q, s.metric)
 		v.SetDone(done)
+		start := time.Now()
+		defer func() { busyNS.Add(int64(time.Since(start))) }()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= nc || abort.Load() {
@@ -1188,9 +1190,9 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 		wg.Wait()
 	}
 	if panicked != nil {
-		return panicked
+		return 0, panicked
 	}
-	return nil
+	return time.Duration(busyNS.Load()), nil
 }
 
 // canceled is a non-blocking poll of a context done channel (nil = never

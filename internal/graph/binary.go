@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 )
 
 // Encoding flags.
@@ -136,9 +135,6 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 	for i, e := range g.edges {
 		g.adj[e.U] = append(g.adj[e.U], int32(i))
 		g.adj[e.V] = append(g.adj[e.V], int32(i))
-	}
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 	}
 	return g, b, nil
 }

@@ -107,3 +107,41 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint is order-insensitive")
 	}
 }
+
+// TestIncidentEdgesAscending pins the invariant every constructor relies
+// on instead of sorting: adjacency lists are filled in edge-index order,
+// so IncidentEdges is ascending for Build, DecodeBinary and Extract.
+func TestIncidentEdgesAscending(t *testing.T) {
+	ascending := func(name string, g *Graph) {
+		t.Helper()
+		for v := 0; v < g.N(); v++ {
+			inc := g.IncidentEdges(v)
+			for i := 1; i < len(inc); i++ {
+				if inc[i-1] >= inc[i] {
+					t.Fatalf("%s: IncidentEdges(%d) = %v, not ascending", name, v, inc)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		g := randomBinGraph(rng, trial%2 == 0)
+		ascending("Build", g)
+		dec, _, err := DecodeBinary(g.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ascending("DecodeBinary", dec)
+		if g.M() == 0 {
+			continue
+		}
+		// Fragment edges in descending host order: Extract numbers its
+		// edges by position in f.Edges, not by host index.
+		var edges []int32
+		for e := g.M() - 1; e >= 0; e -= 1 + rng.Intn(2) {
+			edges = append(edges, int32(e))
+		}
+		sub, _, _ := Fragment{Host: g, Edges: edges}.Extract()
+		ascending("Extract", sub)
+	}
+}

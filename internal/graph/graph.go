@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -255,9 +254,6 @@ func (b *Builder) Build() (*Graph, error) {
 	for i, e := range g.edges {
 		g.adj[e.U] = append(g.adj[e.U], int32(i))
 		g.adj[e.V] = append(g.adj[e.V], int32(i))
-	}
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 	}
 	return g, nil
 }

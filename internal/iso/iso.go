@@ -1,7 +1,7 @@
 // Package iso implements subgraph isomorphism over the labeled graphs of
-// internal/graph: a VF2-style backtracking matcher for structural queries
-// and a branch-and-bound search for the minimum superimposed distance of
-// the PIS paper (Definition 1).
+// internal/graph: one backtracking matcher that serves both structural
+// queries and the branch-and-bound search for the minimum superimposed
+// distance of the PIS paper (Definition 1).
 //
 // Subgraph isomorphism here follows the paper's convention: it considers
 // only the structure (skeleton) of the pattern; labels enter through the
@@ -9,6 +9,10 @@
 // pattern vertices injectively onto host vertices such that every pattern
 // edge has a corresponding host edge (non-induced / monomorphism
 // semantics, which is what substructure search means for molecules).
+//
+// The matcher is table-driven: a pattern is compiled once into one step
+// per depth of its match order, each host is bound as flat neighbor arrays
+// in scratch the Verifier keeps, and the search touches only those.
 package iso
 
 import (
@@ -16,23 +20,55 @@ import (
 	"pis/internal/graph"
 )
 
-// patternPlan is the host-independent half of a VF2 search: the match
-// order of one pattern, computed once and reused against any number of
-// hosts.
-type patternPlan struct {
-	p        *graph.Graph
-	order    []int32 // pattern vertices in match order (connected expansion)
-	porder   []int32 // for order[k], a previously matched neighbor anchor (or -1)
-	pAnchorE []int32 // pattern edge joining order[k] to its anchor (or -1)
+// step is one depth of the compiled match order: the pattern vertex
+// matched there, what superimposing it costs, and its back edges.
+type step struct {
+	pv      int32 // pattern vertex matched at this depth
+	anchor  int32 // earlier-matched neighbor whose host image is expanded (-1 at the root)
+	degree  int32
+	vlabel  graph.VLabel
+	vweight float64
+	// back lists the pattern edges joining pv to earlier-matched vertices,
+	// ascending by pattern edge index: the order costs are summed in.
+	back       []backEdge
+	anchorBack int // position in back of the edge to anchor
 }
 
-// newPatternPlan computes a connected expansion order for the pattern:
-// after the first vertex, each vertex is adjacent to an earlier one.
-// Patterns must be connected and non-empty; the caller enforces it.
-func newPatternPlan(p *graph.Graph) *patternPlan {
-	pl := &patternPlan{p: p}
+// backEdge is a pattern edge from a step's vertex to one matched earlier.
+type backEdge struct {
+	to     int32 // the earlier-matched pattern vertex
+	label  graph.ELabel
+	weight float64
+}
+
+// compile computes a connected expansion order for the pattern — after
+// the first vertex, each vertex is adjacent to an earlier one — and the
+// step table for it. Patterns must be connected and non-empty; the caller
+// enforces it.
+func compile(p *graph.Graph) []step {
 	n := p.N()
 	visited := make([]bool, n)
+	steps := make([]step, 0, n)
+	back := make([]backEdge, 0, p.M())
+	add := func(pv, anchor int32) {
+		st := step{pv: pv, anchor: anchor, degree: int32(p.Degree(int(pv))),
+			vlabel: p.VLabelAt(int(pv)), vweight: p.VWeightAt(int(pv))}
+		lo := len(back)
+		for _, e := range p.IncidentEdges(int(pv)) {
+			w := p.Other(int(e), pv)
+			if !visited[w] {
+				continue
+			}
+			if w == anchor {
+				st.anchorBack = len(back) - lo
+			}
+			pe := p.EdgeAt(int(e))
+			back = append(back, backEdge{to: w, label: pe.Label, weight: pe.Weight})
+		}
+		st.back = back[lo:len(back):len(back)]
+		visited[pv] = true
+		steps = append(steps, st)
+	}
 	// Start from a max-degree vertex: fewer host candidates.
 	start := 0
 	for v := 1; v < n; v++ {
@@ -40,140 +76,153 @@ func newPatternPlan(p *graph.Graph) *patternPlan {
 			start = v
 		}
 	}
-	pl.order = append(pl.order, int32(start))
-	pl.porder = append(pl.porder, -1)
-	pl.pAnchorE = append(pl.pAnchorE, -1)
-	visited[start] = true
-	for len(pl.order) < n {
-		best := int32(-1)
-		var bestAnchor, bestEdge int32
+	add(int32(start), -1)
+	for len(steps) < n {
+		best, bestAnchor := int32(-1), int32(-1)
 		bestDeg := -1
-		for _, u := range pl.order {
+		for i := range steps {
+			u := steps[i].pv
 			for _, e := range p.IncidentEdges(int(u)) {
 				w := p.Other(int(e), u)
 				if !visited[w] && p.Degree(int(w)) > bestDeg {
-					best, bestAnchor, bestEdge, bestDeg = w, u, e, p.Degree(int(w))
+					best, bestAnchor, bestDeg = w, u, p.Degree(int(w))
 				}
 			}
 		}
 		if best < 0 {
 			panic("iso: disconnected pattern")
 		}
-		visited[best] = true
-		pl.order = append(pl.order, best)
-		pl.porder = append(pl.porder, bestAnchor)
-		pl.pAnchorE = append(pl.pAnchorE, bestEdge)
+		add(best, bestAnchor)
 	}
-	return pl
+	return steps
 }
 
-// matcher carries the state of one VF2 search: a pattern plan bound to a
-// host with backtracking buffers.
-type matcher struct {
-	*patternPlan
-	h        *graph.Graph
-	assign   []int32 // pattern vertex -> host vertex (-1 unassigned)
-	usedHost []bool
+// Verifier matches one pattern against many host graphs, amortizing the
+// compiled match order and every search buffer across hosts. One Verifier
+// serves one goroutine; a verification worker pool creates one per worker.
+type Verifier struct {
+	metric distance.Metric
+	blind  bool   // the metric declares VertexCost identically zero
+	steps  []step // nil for the empty pattern: every distance is 0
+	mp     int    // pattern edge count
+
+	// The bound host: the neighbors of host vertex hv sit in slots
+	// off[hv]..off[hv+1], ascending by host edge index; nbrV[s] is the
+	// neighbor, nbrE[s] the edge that reaches it.
+	g          *graph.Graph
+	off        []int32
+	nbrV, nbrE []int32
+	assign     []int32 // pattern vertex -> host vertex; valid for matched depths only
+	// room[hv] is hv's degree while hv is free and -1 while it carries a
+	// pattern vertex: "free and of sufficient degree" is one comparison.
+	room []int32
+
+	// One Distance call's branch-and-bound state.
+	best, limit float64
+	stopped     bool
+
+	// done, when non-nil, aborts in-flight Distance calls once it closes;
+	// polled every abortGranule explored nodes, not per node.
+	done  <-chan struct{}
+	nodes uint64
 }
 
-// bindHost points the matcher at a host, growing and resetting the
-// per-host buffers. Backtracking leaves both buffers clean on unwind, so
-// rebinding after a completed search only needs to handle growth.
-func (m *matcher) bindHost(h *graph.Graph) {
-	m.h = h
-	if cap(m.assign) < m.p.N() {
-		m.assign = make([]int32, m.p.N())
+// abortGranule is the branch-and-bound node count between cancellation
+// polls: large enough to vanish in the profile, small enough that an
+// abort lands within a fraction of a millisecond of search work.
+const abortGranule = 1024
+
+// NewVerifier prepares a verifier for query q under the given metric. q
+// must be connected (or empty).
+func NewVerifier(q *graph.Graph, metric distance.Metric) *Verifier {
+	v := &Verifier{metric: metric, blind: distance.IgnoresVertices(metric), mp: q.M()}
+	if q.N() > 0 {
+		v.steps = compile(q)
+		v.assign = make([]int32, q.N())
 	}
-	m.assign = m.assign[:m.p.N()]
-	for i := range m.assign {
-		m.assign[i] = -1
-	}
-	if cap(m.usedHost) < h.N() {
-		m.usedHost = make([]bool, h.N())
-	}
-	m.usedHost = m.usedHost[:h.N()]
-	for i := range m.usedHost {
-		m.usedHost[i] = false
-	}
+	return v
 }
 
-func newMatcher(p, h *graph.Graph) *matcher {
-	m := &matcher{patternPlan: newPatternPlan(p)}
-	m.bindHost(h)
-	return m
+// bind points the verifier at a host: an O(N+M) copy of its adjacency into
+// the flat neighbor arrays, grown when this host is the largest yet.
+func (v *Verifier) bind(g *graph.Graph) {
+	n := g.N()
+	if cap(v.off) <= n {
+		v.off = make([]int32, n+1)
+		v.room = make([]int32, n)
+	}
+	if cap(v.nbrV) < 2*g.M() {
+		v.nbrV = make([]int32, 2*g.M())
+		v.nbrE = make([]int32, 2*g.M())
+	}
+	v.g = g
+	off, nbrV, nbrE := v.off[:n+1], v.nbrV[:2*g.M()], v.nbrE[:2*g.M()]
+	v.off, v.room = off, v.room[:n]
+	s := int32(0)
+	for hv := 0; hv < n; hv++ {
+		off[hv] = s
+		for _, e := range g.IncidentEdges(hv) {
+			nbrV[s], nbrE[s] = g.Other(int(e), int32(hv)), e
+			s++
+		}
+		v.room[hv] = s - off[hv]
+	}
+	off[n] = s
 }
 
-// feasible checks that mapping pattern vertex pv onto host vertex hv keeps
-// every pattern edge between pv and already-assigned vertices realized.
-func (m *matcher) feasible(pv, hv int32) bool {
-	if m.usedHost[hv] {
-		return false
+// hostEdge scans hv's slots for the host edge to hw; -1 when not adjacent.
+func (v *Verifier) hostEdge(hv, hw int32) int32 {
+	for s := v.off[hv]; s < v.off[hv+1]; s++ {
+		if v.nbrV[s] == hw {
+			return v.nbrE[s]
+		}
 	}
-	if m.p.Degree(int(pv)) > m.h.Degree(int(hv)) {
-		return false
+	return -1
+}
+
+// embed enumerates structural embeddings from depth k on, calling visit
+// with each complete assignment; visit returning false stops the walk.
+func (v *Verifier) embed(k int, visit func(assign []int32) bool) bool {
+	if k == len(v.steps) {
+		return visit(v.assign)
 	}
-	for _, e := range m.p.IncidentEdges(int(pv)) {
-		w := m.p.Other(int(e), pv)
-		hw := m.assign[w]
-		if hw >= 0 && m.h.EdgeBetween(hv, hw) < 0 {
+	st := &v.steps[k]
+	// Host candidates: every vertex at the root, else the anchor's slots.
+	lo, hi := int32(0), int32(len(v.room))
+	if st.anchor >= 0 {
+		ha := v.assign[st.anchor]
+		lo, hi = v.off[ha], v.off[ha+1]
+	}
+next:
+	for s := lo; s < hi; s++ {
+		hv := s
+		if st.anchor >= 0 {
+			hv = v.nbrV[s]
+		}
+		deg := v.room[hv]
+		if st.degree > deg {
+			continue
+		}
+		for i := range st.back {
+			if i != st.anchorBack && v.hostEdge(hv, v.assign[st.back[i].to]) < 0 {
+				continue next
+			}
+		}
+		v.assign[st.pv], v.room[hv] = hv, -1
+		more := v.embed(k+1, visit)
+		v.room[hv] = deg
+		if !more {
 			return false
 		}
 	}
 	return true
 }
 
-// run enumerates embeddings, calling visit with the complete assignment.
-// visit returning false stops the search.
-func (m *matcher) run(visit func(assign []int32) bool) bool {
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(m.order) {
-			return visit(m.assign)
-		}
-		pv := m.order[k]
-		if anchor := m.porder[k]; anchor >= 0 {
-			ha := m.assign[anchor]
-			for _, e := range m.h.IncidentEdges(int(ha)) {
-				hv := m.h.Other(int(e), ha)
-				if m.feasible(pv, hv) {
-					m.assign[pv] = hv
-					m.usedHost[hv] = true
-					if !rec(k + 1) {
-						return false
-					}
-					m.assign[pv] = -1
-					m.usedHost[hv] = false
-				}
-			}
-			return true
-		}
-		for hv := int32(0); hv < int32(m.h.N()); hv++ {
-			if m.feasible(pv, hv) {
-				m.assign[pv] = hv
-				m.usedHost[hv] = true
-				if !rec(k + 1) {
-					return false
-				}
-				m.assign[pv] = -1
-				m.usedHost[hv] = false
-			}
-		}
-		return true
-	}
-	return rec(0)
-}
-
 // HasEmbedding reports whether pattern's structure occurs in host
 // (labels ignored). The empty pattern trivially embeds.
 func HasEmbedding(pattern, host *graph.Graph) bool {
-	if pattern.N() == 0 {
-		return true
-	}
-	if pattern.N() > host.N() || pattern.M() > host.M() {
-		return false
-	}
-	found := false
-	newMatcher(pattern, host).run(func([]int32) bool {
+	found := pattern.N() == 0
+	ForEachEmbedding(pattern, host, func([]int32) bool {
 		found = true
 		return false
 	})
@@ -187,18 +236,9 @@ func ForEachEmbedding(pattern, host *graph.Graph, fn func(assign []int32) bool) 
 	if pattern.N() == 0 || pattern.N() > host.N() || pattern.M() > host.M() {
 		return
 	}
-	newMatcher(pattern, host).run(fn)
-}
-
-// CountEmbeddings returns the number of structural embeddings (counting
-// each injective vertex mapping once).
-func CountEmbeddings(pattern, host *graph.Graph) int {
-	n := 0
-	ForEachEmbedding(pattern, host, func([]int32) bool {
-		n++
-		return true
-	})
-	return n
+	v := NewVerifier(pattern, nil)
+	v.bind(host)
+	v.embed(0, fn)
 }
 
 // SuperpositionCost sums the metric cost of a complete superposition given
@@ -216,39 +256,6 @@ func SuperpositionCost(q, g *graph.Graph, assign []int32, m distance.Metric) flo
 		cost += m.EdgeCost(qe.Label, qe.Weight, he.Label, he.Weight)
 	}
 	return cost
-}
-
-// Verifier computes superimposed distances of one query pattern against
-// many host graphs, amortizing the match-order computation and the
-// backtracking buffers across candidates. One Verifier serves one
-// goroutine; a verification worker pool creates one per worker.
-type Verifier struct {
-	metric distance.Metric
-	m      matcher
-	empty  bool // q has no vertices: every distance is 0
-
-	// done, when non-nil, aborts in-flight Distance calls once it closes.
-	// Polled every abortGranule explored nodes so cancellation costs one
-	// amortized channel poll, not a per-node check.
-	done  <-chan struct{}
-	nodes uint64
-}
-
-// abortGranule is the branch-and-bound node count between cancellation
-// polls: large enough to vanish in the profile, small enough that an
-// abort lands within a fraction of a millisecond of search work.
-const abortGranule = 1024
-
-// NewVerifier prepares a verifier for query q under the given metric. q
-// must be connected (or empty).
-func NewVerifier(q *graph.Graph, metric distance.Metric) *Verifier {
-	v := &Verifier{metric: metric}
-	if q.N() == 0 {
-		v.empty = true
-		return v
-	}
-	v.m.patternPlan = newPatternPlan(q)
-	return v
 }
 
 // SetDone arms cancellation: after done closes, Distance returns
@@ -281,101 +288,93 @@ func (v *Verifier) aborted() bool {
 // occur in G or every superposition costs more than budget. Pass budget
 // < 0 for an unbounded exact minimum.
 func (v *Verifier) Distance(g *graph.Graph, budget float64) float64 {
-	if v.empty {
+	if v.steps == nil {
 		return 0
 	}
-	q := v.m.p
-	if q.N() > g.N() || q.M() > g.M() {
+	if len(v.steps) > g.N() || v.mp > g.M() {
 		return distance.Infinite
 	}
-	limit := distance.Infinite
+	v.limit = distance.Infinite
 	if budget >= 0 {
-		limit = budget
+		v.limit = budget
 	}
-	best := distance.Infinite
-	m := &v.m
-	m.bindHost(g)
-	metric := v.metric
-
-	// Incremental cost per depth: when order[k] is assigned we add its
-	// vertex cost plus the costs of every pattern edge whose other endpoint
-	// is already assigned.
-	stopped := false
-	var rec func(k int, acc float64)
-	rec = func(k int, acc float64) {
-		if stopped {
-			return
-		}
-		if v.aborted() {
-			stopped = true
-			return
-		}
-		if acc > limit || acc >= best {
-			return
-		}
-		if k == len(m.order) {
-			if acc < best {
-				best = acc
-			}
-			return
-		}
-		pv := m.order[k]
-		try := func(hv int32) {
-			if !m.feasible(pv, hv) {
-				return
-			}
-			add := metric.VertexCost(q.VLabelAt(int(pv)), q.VWeightAt(int(pv)),
-				g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
-			for _, e := range q.IncidentEdges(int(pv)) {
-				w := q.Other(int(e), pv)
-				hw := m.assign[w]
-				if hw < 0 {
-					continue
-				}
-				qe := q.EdgeAt(int(e))
-				he := g.EdgeAt(g.EdgeBetween(hv, hw))
-				add += metric.EdgeCost(qe.Label, qe.Weight, he.Label, he.Weight)
-			}
-			next := acc + add
-			if next > limit || next >= best {
-				return
-			}
-			m.assign[pv] = hv
-			m.usedHost[hv] = true
-			rec(k+1, next)
-			m.assign[pv] = -1
-			m.usedHost[hv] = false
-		}
-		if anchor := m.porder[k]; anchor >= 0 {
-			ha := m.assign[anchor]
-			for _, e := range g.IncidentEdges(int(ha)) {
-				try(g.Other(int(e), ha))
-			}
-			return
-		}
-		for hv := int32(0); hv < int32(g.N()); hv++ {
-			try(hv)
-		}
-	}
-	rec(0, 0)
-	if stopped || best > limit {
+	v.best, v.stopped = distance.Infinite, false
+	v.bind(g)
+	v.search(0, 0)
+	if v.stopped || v.best > v.limit {
 		return distance.Infinite
 	}
-	return best
+	return v.best
+}
+
+// search extends a partial superposition of cost acc at depth k.
+func (v *Verifier) search(k int, acc float64) {
+	if v.stopped = v.stopped || v.aborted(); v.stopped {
+		return
+	}
+	if acc > v.limit || acc >= v.best {
+		return
+	}
+	if k == len(v.steps) {
+		v.best = acc
+		return
+	}
+	st := &v.steps[k]
+	room := v.room
+	if st.anchor < 0 {
+		for hv := range room {
+			if st.degree <= room[hv] {
+				v.try(k, st, int32(hv), -1, acc)
+			}
+		}
+		return
+	}
+	// Expanding from the anchor's slots puts the anchor's host edge in hand.
+	ha := v.assign[st.anchor]
+	nbrV, nbrE := v.nbrV, v.nbrE
+	for s, end := v.off[ha], v.off[ha+1]; s < end; s++ {
+		if hv := nbrV[s]; st.degree <= room[hv] {
+			v.try(k, st, hv, nbrE[s], acc)
+		}
+	}
+}
+
+// try maps step k's pattern vertex onto hv, a free host vertex of
+// sufficient degree reached over host edge anchorE, and descends if that
+// is feasible and within the cut. One pass over the back edges settles
+// both. The cost is summed as: vertex cost, then back edges in ascending
+// pattern-edge index, then acc + add once; distances depend on that order
+// bit for bit.
+func (v *Verifier) try(k int, st *step, hv, anchorE int32, acc float64) {
+	g := v.g
+	add := 0.0
+	if !v.blind {
+		add = v.metric.VertexCost(st.vlabel, st.vweight, g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
+	}
+	edges := g.Edges()
+	for i := range st.back {
+		be := &st.back[i]
+		he := anchorE
+		if i != st.anchorBack {
+			if he = v.hostEdge(hv, v.assign[be.to]); he < 0 {
+				return
+			}
+		}
+		e := &edges[he]
+		add += v.metric.EdgeCost(be.label, be.weight, e.Label, e.Weight)
+	}
+	next := acc + add
+	if next > v.limit || next >= v.best {
+		return
+	}
+	deg := v.room[hv]
+	v.assign[st.pv], v.room[hv] = hv, -1
+	v.search(k+1, next)
+	v.room[hv] = deg
 }
 
 // MinSuperimposedDistance is the one-shot form of Verifier.Distance; use a
 // Verifier when checking one query against many graphs.
 func MinSuperimposedDistance(q, g *graph.Graph, metric distance.Metric, budget float64) float64 {
 	return NewVerifier(q, metric).Distance(g, budget)
-}
-
-// Isomorphic reports whether two graphs have identical structure and size
-// (mutual subgraph isomorphism shortcut: same vertex/edge count plus an
-// embedding in one direction).
-func Isomorphic(a, b *graph.Graph) bool {
-	if a.N() != b.N() || a.M() != b.M() {
-		return false
-	}
-	return HasEmbedding(a, b)
 }

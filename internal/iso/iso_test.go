@@ -5,9 +5,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
 )
+
+// CountEmbeddings returns the number of structural embeddings (counting
+// each injective vertex mapping once).
+func CountEmbeddings(pattern, host *graph.Graph) int {
+	n := 0
+	ForEachEmbedding(pattern, host, func([]int32) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// Isomorphic reports whether two graphs have identical structure and size
+// (mutual subgraph isomorphism shortcut: same vertex/edge count plus an
+// embedding in one direction).
+func Isomorphic(a, b *graph.Graph) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	return HasEmbedding(a, b)
+}
 
 func cycle(n int, el graph.ELabel) *graph.Graph {
 	b := graph.NewBuilder(n, n)
@@ -282,3 +304,329 @@ func TestQuickDistanceSymmetryOnIsomorphs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refPlan is the match order of the reference kernel: the closure-based
+// branch and bound this package shipped before the table-driven one,
+// kept verbatim as the oracle the new kernel must equal bit for bit.
+type refPlan struct {
+	p      *graph.Graph
+	order  []int32 // pattern vertices in match order (connected expansion)
+	porder []int32 // for order[k], a previously matched neighbor anchor (or -1)
+}
+
+func newRefPlan(p *graph.Graph) *refPlan {
+	pl := &refPlan{p: p}
+	n := p.N()
+	visited := make([]bool, n)
+	start := 0
+	for v := 1; v < n; v++ {
+		if p.Degree(v) > p.Degree(start) {
+			start = v
+		}
+	}
+	pl.order = append(pl.order, int32(start))
+	pl.porder = append(pl.porder, -1)
+	visited[start] = true
+	for len(pl.order) < n {
+		best := int32(-1)
+		var bestAnchor int32
+		bestDeg := -1
+		for _, u := range pl.order {
+			for _, e := range p.IncidentEdges(int(u)) {
+				w := p.Other(int(e), u)
+				if !visited[w] && p.Degree(int(w)) > bestDeg {
+					best, bestAnchor, bestDeg = w, u, p.Degree(int(w))
+				}
+			}
+		}
+		if best < 0 {
+			panic("iso: disconnected pattern")
+		}
+		visited[best] = true
+		pl.order = append(pl.order, best)
+		pl.porder = append(pl.porder, bestAnchor)
+	}
+	return pl
+}
+
+// referenceDistance is Verifier.Distance as of the parent commit, on a
+// fresh verifier (node counter at zero) with done as its SetDone channel.
+func referenceDistance(q, g *graph.Graph, metric distance.Metric, budget float64, done <-chan struct{}) float64 {
+	if q.N() == 0 {
+		return 0
+	}
+	if q.N() > g.N() || q.M() > g.M() {
+		return distance.Infinite
+	}
+	limit := distance.Infinite
+	if budget >= 0 {
+		limit = budget
+	}
+	best := distance.Infinite
+	pl := newRefPlan(q)
+	assign := make([]int32, q.N())
+	for i := range assign {
+		assign[i] = -1
+	}
+	usedHost := make([]bool, g.N())
+	feasible := func(pv, hv int32) bool {
+		if usedHost[hv] {
+			return false
+		}
+		if q.Degree(int(pv)) > g.Degree(int(hv)) {
+			return false
+		}
+		for _, e := range q.IncidentEdges(int(pv)) {
+			w := q.Other(int(e), pv)
+			hw := assign[w]
+			if hw >= 0 && g.EdgeBetween(hv, hw) < 0 {
+				return false
+			}
+		}
+		return true
+	}
+	var nodes uint64
+	aborted := func() bool {
+		if done == nil {
+			return false
+		}
+		nodes++
+		if nodes&(abortGranule-1) != 0 {
+			return false
+		}
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+
+	stopped := false
+	var rec func(k int, acc float64)
+	rec = func(k int, acc float64) {
+		if stopped {
+			return
+		}
+		if aborted() {
+			stopped = true
+			return
+		}
+		if acc > limit || acc >= best {
+			return
+		}
+		if k == len(pl.order) {
+			if acc < best {
+				best = acc
+			}
+			return
+		}
+		pv := pl.order[k]
+		try := func(hv int32) {
+			if !feasible(pv, hv) {
+				return
+			}
+			add := metric.VertexCost(q.VLabelAt(int(pv)), q.VWeightAt(int(pv)),
+				g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
+			for _, e := range q.IncidentEdges(int(pv)) {
+				w := q.Other(int(e), pv)
+				hw := assign[w]
+				if hw < 0 {
+					continue
+				}
+				qe := q.EdgeAt(int(e))
+				he := g.EdgeAt(g.EdgeBetween(hv, hw))
+				add += metric.EdgeCost(qe.Label, qe.Weight, he.Label, he.Weight)
+			}
+			next := acc + add
+			if next > limit || next >= best {
+				return
+			}
+			assign[pv] = hv
+			usedHost[hv] = true
+			rec(k+1, next)
+			assign[pv] = -1
+			usedHost[hv] = false
+		}
+		if anchor := pl.porder[k]; anchor >= 0 {
+			ha := assign[anchor]
+			for _, e := range g.IncidentEdges(int(ha)) {
+				try(g.Other(int(e), ha))
+			}
+			return
+		}
+		for hv := int32(0); hv < int32(g.N()); hv++ {
+			try(hv)
+		}
+	}
+	rec(0, 0)
+	if stopped || best > limit {
+		return distance.Infinite
+	}
+	return best
+}
+
+// growGraph builds a connected graph with vertex and edge labels in 0..2
+// and weights on both — every input the metrics under test read — from
+// the decisions intn and weight deal. It starts from a relabeled,
+// reweighted copy of sub's structure (nil for none), so a host grown
+// around a query contains the query's rings, then grows to n vertices as
+// a tree and closes up to extra more rings.
+func growGraph(intn func(n int) int, weight func() float64, sub *graph.Graph, n, extra int) *graph.Graph {
+	b := graph.NewBuilder(n, n+extra)
+	for i := 0; i < n; i++ {
+		b.AddWeightedVertex(graph.VLabel(intn(3)), weight())
+	}
+	seen := map[[2]int32]bool{}
+	edge := func(u, v int32) {
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || seen[[2]int32{u, v}] {
+			return
+		}
+		seen[[2]int32{u, v}] = true
+		b.AddWeightedEdge(u, v, graph.ELabel(intn(3)), weight())
+	}
+	first := 1
+	if sub != nil {
+		for _, e := range sub.Edges() {
+			edge(e.U, e.V)
+		}
+		first = sub.N()
+	}
+	for i := first; i < n; i++ {
+		edge(int32(intn(i)), int32(i))
+	}
+	for i := 0; i < extra; i++ {
+		edge(int32(intn(n)), int32(intn(n)))
+	}
+	return b.MustBuild()
+}
+
+// randomWeighted is growGraph on a seeded source with non-integer weights.
+func randomWeighted(rng *rand.Rand, sub *graph.Graph, n, extra int) *graph.Graph {
+	return growGraph(rng.Intn, func() float64 { return rng.Float64() * 3 }, sub, n, extra)
+}
+
+// fractionalMatrix is a mutation score matrix whose sums do not round to
+// the same float64 in every order.
+func fractionalMatrix() *distance.Matrix {
+	m := distance.NewMatrix()
+	m.DefaultCost = 0.7
+	m.SetVertexScore(0, 1, 0.1)
+	m.SetVertexScore(1, 2, 0.35)
+	m.SetEdgeScore(0, 1, 0.2)
+	m.SetEdgeScore(0, 2, 0.3)
+	return m
+}
+
+var (
+	kernelMetrics = []distance.Metric{
+		distance.EdgeMutation{}, distance.FullMutation{}, fractionalMatrix(),
+		distance.Linear{}, distance.Linear{IncludeVertices: true},
+	}
+	kernelBudgets = []float64{-1, 0, 0.5, 1, 2, 4}
+)
+
+// TestDistanceMatchesReferenceKernel is the differential for the
+// table-driven kernel: equal to the closure kernel with == on float64,
+// for every metric family and budget, through verifiers reused across
+// hosts that grow and shrink (scratch reuse) and hosts smaller than the
+// query.
+func TestDistanceMatchesReferenceKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 40; trial++ {
+		q := randomWeighted(rng, nil, 2+rng.Intn(7), rng.Intn(4))
+		hosts := []*graph.Graph{
+			randomWeighted(rng, nil, 6+rng.Intn(6), rng.Intn(4)),
+			randomWeighted(rng, q, 30+rng.Intn(20), 2+rng.Intn(8)),
+			randomWeighted(rng, nil, 1+rng.Intn(q.N()), 0), // may be smaller than q
+			randomWeighted(rng, q, q.N()+rng.Intn(8), rng.Intn(6)),
+			q,
+		}
+		for mi, metric := range kernelMetrics {
+			v := NewVerifier(q, metric)
+			for hi, g := range hosts {
+				for _, budget := range kernelBudgets {
+					got, want := v.Distance(g, budget), referenceDistance(q, g, metric, budget, nil)
+					if got != want {
+						t.Fatalf("trial %d metric %d host %d budget %g: kernel=%v reference=%v\nq=%v\ng=%v",
+							trial, mi, hi, budget, got, want, q, g)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDistanceEmptyQuery(t *testing.T) {
+	empty := graph.NewBuilder(0, 0).MustBuild()
+	if d := NewVerifier(empty, distance.FullMutation{}).Distance(cycle(4, 0), 0); d != 0 {
+		t.Errorf("empty query distance = %v, want 0", d)
+	}
+}
+
+// TestDistanceDoneClosed checks cancellation against the reference: with
+// done closed before the call both kernels poll at the same node, so a
+// search longer than one abortGranule is Infinite and a shorter one still
+// finishes with its exact value.
+func TestDistanceDoneClosed(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	metric := distance.EdgeMutation{}
+	long, short := pathG(9, 0), pathG(2, 0)
+	host := randomWeighted(rand.New(rand.NewSource(3)), nil, 40, 12)
+	for _, q := range []*graph.Graph{long, short} {
+		v := NewVerifier(q, metric)
+		v.SetDone(done)
+		got, want := v.Distance(host, -1), referenceDistance(q, host, metric, -1, done)
+		if got != want {
+			t.Errorf("q with %d edges: kernel=%v reference=%v", q.M(), got, want)
+		}
+	}
+	v := NewVerifier(long, metric)
+	v.SetDone(done)
+	if d := v.Distance(host, -1); !distance.IsInfinite(d) {
+		t.Errorf("canceled long search = %v, want Infinite", d)
+	}
+	if d := NewVerifier(long, metric).Distance(host, -1); distance.IsInfinite(d) {
+		t.Error("the long search must find a superposition when not canceled")
+	}
+}
+
+// BenchmarkVerifierDistance is the iso.Verifier layer benchmark: one Q16
+// query against generated molecules at the repo benchmark's budget,
+// answers and non-answers apart, on a warm verifier (0 allocs/op).
+func BenchmarkVerifierDistance(b *testing.B) {
+	db := chem.Generate(1200, chem.Config{Seed: 1})
+	q := chem.SampleQueries(db, 1, 16, 7)[0]
+	const sigma = 2
+	metric := distance.EdgeMutation{}
+	v := NewVerifier(q, metric)
+	var answers, nonAnswers []*graph.Graph
+	for _, g := range db {
+		if distance.IsInfinite(v.Distance(g, sigma)) {
+			nonAnswers = append(nonAnswers, g)
+		} else {
+			answers = append(answers, g)
+		}
+	}
+	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 {
+		b.Fatalf("hosts: %d answers, %d non-answers", len(answers), len(nonAnswers))
+	}
+	for _, set := range []struct {
+		name  string
+		hosts []*graph.Graph
+	}{{"answers", answers}, {"non-answers", nonAnswers}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(set.hosts)), "hosts")
+			for i := 0; i < b.N; i++ {
+				benchSink = v.Distance(set.hosts[i%len(set.hosts)], sigma)
+			}
+		})
+	}
+}
+
+var benchSink float64
