@@ -1,9 +1,7 @@
 package pis_test
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -401,44 +399,56 @@ func TestOpenRejectsWrongShape(t *testing.T) {
 	sh.Close()
 }
 
-// TestLoadIndexFingerprintMismatch: an index stream paired with a
-// different database must fail descriptively — not load cleanly and
-// return wrong answers. The sharded path names the offending shard.
-func TestLoadIndexFingerprintMismatch(t *testing.T) {
+// TestOpenIndexFingerprintMismatch: an index side file paired with a
+// different database (same graph count, different contents) must fail
+// Open descriptively — not load cleanly and return wrong answers. The
+// sharded path names the offending shard.
+func TestOpenIndexFingerprintMismatch(t *testing.T) {
 	opts := pis.Options{MaxFragmentEdges: 4}
 	graphs := gen.Molecules(20, gen.Config{Seed: 97})
-	other := gen.Molecules(20, gen.Config{Seed: 98}) // same count, different contents
-	db, err := pis.New(graphs, opts)
-	if err != nil {
-		t.Fatal(err)
+	other := gen.Molecules(20, gen.Config{Seed: 98})
+	// swapIndex drops other's shard-0 index file over graphs' one.
+	swapIndex := func(dir, otherDir string) {
+		t.Helper()
+		name := filepath.Join("shard-000", "idx-000001.pisidx3")
+		data, err := os.ReadFile(filepath.Join(otherDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var buf bytes.Buffer
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
+
+	dirs := [2]string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	for i, gs := range [][]*pis.Graph{graphs, other} {
+		db, err := pis.Create(dirs[i], gs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
 	}
-	_, err = pis.LoadIndex(other, bytes.NewReader(buf.Bytes()), opts)
+	swapIndex(dirs[0], dirs[1])
+	_, err := pis.Open(dirs[0], opts)
 	if err == nil {
-		t.Fatal("index loaded against the wrong database")
+		t.Fatal("store opened with another database's index")
 	}
 	if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("mismatch error does not mention the fingerprint: %v", err)
 	}
 
-	sh, err := pis.NewSharded(graphs, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]bytes.Buffer, 2)
-	readers := make([]io.Reader, 2)
-	for i := range bufs {
-		if err := sh.SaveShardIndex(i, &bufs[i]); err != nil {
+	sdirs := [2]string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	for i, gs := range [][]*pis.Graph{graphs, other} {
+		sh, err := pis.CreateSharded(sdirs[i], gs, 2, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		readers[i] = &bufs[i]
+		sh.Close()
 	}
-	_, err = pis.LoadShardedIndex(other, readers, opts)
+	swapIndex(sdirs[0], sdirs[1])
+	_, err = pis.OpenSharded(sdirs[0], opts)
 	if err == nil {
-		t.Fatal("sharded index loaded against the wrong database")
+		t.Fatal("sharded store opened with another database's index")
 	}
 	if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("sharded mismatch error should name the shard and the fingerprint: %v", err)

@@ -1,7 +1,7 @@
 // Package binio implements the primitive layer of the PIS on-disk formats:
 // length-prefixed, CRC32-checksummed sections of little-endian scalars,
-// varints, and flat slabs. The index v2 stream and the store's snapshot
-// and WAL files are all built from these sections, so corruption anywhere
+// varints, and flat slabs. The index image's metadata and the store's
+// snapshot files are built from these sections, so corruption anywhere
 // is detected at the section that holds it instead of surfacing as wrong
 // answers later.
 //
@@ -70,13 +70,6 @@ func (sw *SectionWriter) I32Slab(vals []int32) {
 	}
 }
 
-// U32Slab appends vals as a flat little-endian uint32 slab.
-func (sw *SectionWriter) U32Slab(vals []uint32) {
-	for _, v := range vals {
-		sw.U32(v)
-	}
-}
-
 // F64Slab appends vals as a flat little-endian float64 slab.
 func (sw *SectionWriter) F64Slab(vals []float64) {
 	for _, v := range vals {
@@ -135,6 +128,11 @@ func (sr *SectionReader) Next() error {
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxSectionLen {
 		return fmt.Errorf("binio: section length %d exceeds cap", n)
+	}
+	// A reader that knows what it has left (a bytes.Reader over an
+	// in-memory image) lets a corrupt length fail before it is allocated.
+	if l, ok := sr.r.(interface{ Len() int }); ok && int(n) > l.Len() {
+		return fmt.Errorf("binio: torn section payload: %w", io.ErrUnexpectedEOF)
 	}
 	if cap(sr.buf) < int(n) {
 		sr.buf = make([]byte, n)
@@ -267,19 +265,6 @@ func (sr *SectionReader) I32Slab(n int) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// U32Slab decodes n little-endian uint32 values.
-func (sr *SectionReader) U32Slab(n int) []uint32 {
-	b := sr.take(4*n, "uint32 slab")
-	if b == nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return out
 }

@@ -25,8 +25,9 @@
 // Every test is conservative: a rejected graph provably has d(Q, G) > σ,
 // so the prescreen never changes answers, only skips branch-and-bound
 // work. Fingerprints are computed at index build (postings already say
-// which graph contains which class), persisted in the PISIDX2 stream, and
-// recomputed by EnsureFingerprints for legacy streams.
+// which graph contains which class) and persisted in the image's
+// checksummed fingerprint section; an image written without that section
+// gets them recomputed by EnsureFingerprints.
 
 package index
 
@@ -168,7 +169,8 @@ func (x *Index) computeFingerprints(db []*graph.Graph) {
 }
 
 // FingerprintAt returns graph id's fingerprint, or nil when the index
-// carries none (legacy stream not yet passed through EnsureFingerprints).
+// carries none (image without the section, not yet passed through
+// EnsureFingerprints).
 func (x *Index) FingerprintAt(id int32) *GraphFP {
 	if x.fps == nil {
 		return nil
@@ -180,7 +182,7 @@ func (x *Index) FingerprintAt(id int32) *GraphFP {
 func (x *Index) HasFingerprints() bool { return x.fps != nil }
 
 // EnsureFingerprints computes the fingerprint table if the index has none
-// — the recovery path for streams persisted before fingerprints existed.
+// — the recovery path for images persisted without the section.
 // db must be the exact graph set the index was built over. Not safe for
 // concurrent use; call it before the index starts serving.
 func (x *Index) EnsureFingerprints(db []*graph.Graph) {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestGraphFPPersistRoundTrip: the fingerprint table must survive the
-// PISIDX2 stream byte-exactly — same structural counters, same signature
-// words, same width.
+// image byte-exactly — same structural counters, same signature words,
+// same width.
 func TestGraphFPPersistRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, TrieIndex, metric, 61, 18)
@@ -36,23 +36,29 @@ func TestGraphFPPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnsureFingerprintsLegacyStream: a v2 stream written without the
-// trailing sections (the pre-fingerprint format) loads with no
+// TestEnsureFingerprintsSectionlessImage: an image written without the
+// fingerprint section (the header flag allows it) loads with no
 // fingerprint table; EnsureFingerprints recomputes exactly what a fresh
 // build produces.
-func TestEnsureFingerprintsLegacyStream(t *testing.T) {
+func TestEnsureFingerprintsSectionlessImage(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, db := buildSmall(t, TrieIndex, metric, 62, 18)
+	built := x.fps
+	x.fps = nil // Save omits the section for an index without a table
 	var buf bytes.Buffer
-	if err := x.save(&buf, false); err != nil {
+	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(&buf, metric)
-	if err != nil {
-		t.Fatal(err)
+	load := func() *Index {
+		y, err := Load(bytes.NewReader(buf.Bytes()), metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
 	}
+	y := load()
 	if y.HasFingerprints() {
-		t.Fatal("section-less stream should load without fingerprints")
+		t.Fatal("section-less image should load without fingerprints")
 	}
 	if y.FingerprintAt(0) != nil {
 		t.Fatal("FingerprintAt must return nil without a table")
@@ -61,18 +67,11 @@ func TestEnsureFingerprintsLegacyStream(t *testing.T) {
 	if !y.HasFingerprints() {
 		t.Fatal("EnsureFingerprints did not build the table")
 	}
-	if !reflect.DeepEqual(x.fps, y.fps) {
+	if !reflect.DeepEqual(built, y.fps) {
 		t.Fatal("recomputed fingerprints differ from the built ones")
 	}
 	// Wrong database size must refuse rather than fingerprint garbage.
-	var buf2 bytes.Buffer
-	if err := x.save(&buf2, false); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Load(&buf2, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := load()
 	z.EnsureFingerprints(db[:len(db)-1])
 	if z.HasFingerprints() {
 		t.Fatal("EnsureFingerprints accepted a mismatched database")

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"pis/internal/canon"
 	"pis/internal/distance"
@@ -100,9 +99,9 @@ type Class struct {
 	postings  []int32 // sorted unique graph ids containing the structure
 	fragments int     // total fragment occurrences folded in
 
-	// Mapped (v3, out-of-core) state: the class's stored entries and
-	// posting list live as delta+varint blocks inside the file mapping,
-	// decoded on demand. When mapped is set the heap structures above
+	// Mapped (out-of-core) state: the class's stored entries and posting
+	// list live as delta+varint blocks inside the file mapping, decoded
+	// on demand. When mapped is set the heap structures above
 	// (trie/vp/rt/postings) are nil.
 	mapped    bool
 	entBlock  []byte
@@ -110,8 +109,8 @@ type Class struct {
 	entCount  int
 	postCount int
 
-	// stats feeds the cost-based query planner; computed at build time,
-	// persisted in v2 streams, recomputed for legacy ones (see stats.go).
+	// stats feeds the cost-based query planner; computed at build time
+	// and persisted in the image's directory (see stats.go).
 	stats ClassStats
 }
 
@@ -158,15 +157,15 @@ type Index struct {
 	list    []*Class
 	dbSize  int
 	// fingerprint identifies the exact graph set the index was built
-	// over (graph.Fingerprint); 0 means unknown (legacy v1 streams).
+	// over (graph.Fingerprint).
 	fingerprint uint64
 	// memo caches canonical skeleton codes so structurally identical
 	// fragments — the overwhelming majority of enumerated fragments — are
 	// canonicalized once, at build time and at query time alike.
 	memo *canon.Memo
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
-	// nil on an index loaded from a stream written before fingerprints
-	// existed, until EnsureFingerprints recomputes them.
+	// nil on an index loaded from an image without the fingerprint
+	// section, until EnsureFingerprints recomputes them.
 	fps []GraphFP
 
 	// mapping backs an out-of-core index opened with OpenMapped; nil for
@@ -185,17 +184,8 @@ func (x *Index) Lookup(key string) *Class { return x.classes[key] }
 func (x *Index) DBSize() int { return x.dbSize }
 
 // Fingerprint returns the fingerprint of the graph set the index was
-// built over, or 0 when unknown (an index loaded from a legacy stream).
+// built over (graph.Fingerprint).
 func (x *Index) Fingerprint() uint64 { return x.fingerprint }
-
-// AdoptFingerprint records fp as the index's database fingerprint if it
-// has none. Used when a legacy fingerprint-less stream is attached to a
-// verified graph set, so the next Save writes a protected stream.
-func (x *Index) AdoptFingerprint(fp uint64) {
-	if x.fingerprint == 0 {
-		x.fingerprint = fp
-	}
-}
 
 // Options returns the construction options.
 func (x *Index) Options() Options { return x.opts }
@@ -205,8 +195,15 @@ func (x *Index) MaxFragmentEdges() int { return x.opts.MaxFragmentEdges }
 
 // Build constructs the index: every fragment of every database graph whose
 // skeleton matches a feature is folded into that feature's class index.
+// It is BuildParallel with one worker.
 func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, error) {
-	buildStart := time.Now()
+	return BuildParallel(db, features, opts, 1)
+}
+
+// scaffold validates the build inputs and returns an index holding the
+// empty class directory — codes, automorphism permutations, per-class
+// metadata — that every build path folds fragments into.
+func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 	if opts.Metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
 	}
@@ -224,11 +221,9 @@ func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, 
 	}
 
 	x := &Index{
-		opts:        opts,
-		classes:     make(map[string]*Class, len(features)),
-		dbSize:      len(db),
-		fingerprint: graph.Fingerprint(db),
-		memo:        canon.NewMemo(),
+		opts:    opts,
+		classes: make(map[string]*Class, len(features)),
+		memo:    canon.NewMemo(),
 	}
 	for _, f := range features {
 		if f.Edges > opts.MaxFragmentEdges {
@@ -239,78 +234,44 @@ func Build(db []*graph.Graph, features []mining.Feature, opts Options) (*Index, 
 			cg = f.Code.Graph()
 		}
 		_, embs := canon.MinCodeUnlabeled(cg) // automorphisms of the canonical skeleton
-		c := &Class{
-			ID:        len(x.list),
-			Key:       f.Key,
-			Code:      f.Code,
-			Structure: cg,
-			NumV:      cg.N(),
-			NumE:      cg.M(),
+		vOff := cg.N()
+		if distance.IgnoresVertices(opts.Metric) {
+			vOff = 0
 		}
-		if !distance.IgnoresVertices(opts.Metric) {
-			c.vOff = c.NumV
-		}
-		for _, a := range embs {
-			p := make([]int, c.SeqLen())
-			for k := 0; k < c.vOff; k++ {
-				p[k] = int(a.Vertices[k])
-			}
-			for t := 0; t < c.NumE; t++ {
-				p[c.vOff+t] = c.vOff + int(a.Edges[t])
-			}
-			c.perms = append(c.perms, p)
-		}
-		switch opts.Kind {
-		case TrieIndex:
+		c := newClass(len(x.list), f.Key, f.Code, cg, embs, vOff)
+		if opts.Kind == TrieIndex {
 			c.trie = trie.New(c.SeqLen())
-		case RTreeIndex:
-			// Vector layout mirrors the sequence: vertex weights then edge
-			// weights along canonical order.
-			c.rt = nil // bulk-loaded in finalize
-		case VPTreeIndex:
-			// built in finalize
 		}
 		x.classes[f.Key] = c
 		x.list = append(x.list, c)
 	}
-
-	for id, g := range db {
-		x.insertGraph(int32(id), g)
-	}
-	x.finalize()
-	x.computeStats()
-	x.computeFingerprints(db)
-	mBuildSeconds.ObserveSince(buildStart)
-	mBuildGraphs.Add(int64(len(db)))
 	return x, nil
 }
 
-// insertGraph folds every indexed fragment of g into the class indexes.
-func (x *Index) insertGraph(id int32, g *graph.Graph) {
-	graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		frag := graph.Fragment{Host: g, Edges: edges}
-		sub, _, _ := frag.Extract()
-		code, embs := x.memo.MinCodeUnlabeled(sub)
-		c := x.classes[code.Key()]
-		if c == nil {
-			return true
+// newClass scaffolds class id over its canonical skeleton cg, whose
+// automorphisms embs become the position permutations over the combined
+// (vertex labels ++ edge labels) sequence. Per-class storage stays empty.
+func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon.Embedding, vOff int) *Class {
+	c := &Class{
+		ID:        id,
+		Key:       key,
+		Code:      code,
+		Structure: cg,
+		NumV:      cg.N(),
+		NumE:      cg.M(),
+		vOff:      vOff,
+	}
+	for _, a := range embs {
+		p := make([]int, c.SeqLen())
+		for k := 0; k < c.vOff; k++ {
+			p[k] = int(a.Vertices[k])
 		}
-		c.fragments++
-		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
-			c.postings = append(c.postings, id) // ids arrive ascending
+		for t := 0; t < c.NumE; t++ {
+			p[c.vOff+t] = c.vOff + int(a.Edges[t])
 		}
-		emb := embs[0]
-		switch x.opts.Kind {
-		case TrieIndex:
-			c.trie.Insert(c.canonicalVariant(fragmentSequence(sub, c, emb)), id)
-		case VPTreeIndex:
-			c.vpSeq = append(c.vpSeq, c.canonicalVariant(fragmentSequence(sub, c, emb)))
-			c.vpIDs = append(c.vpIDs, id)
-		case RTreeIndex:
-			c.rtEnt = append(c.rtEnt, rtree.Entry{Point: fragmentWeights(sub, c, emb), Data: id})
-		}
-		return true
-	})
+		c.perms = append(c.perms, p)
+	}
+	return c
 }
 
 // finalize builds the bulk-loaded per-class structures.

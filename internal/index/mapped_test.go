@@ -194,7 +194,7 @@ func TestMappedDifferentialFullMetric(t *testing.T) {
 // offset, so corruption tests can target every region precisely.
 func v3Sections(t *testing.T, data []byte) (sections [][2]int, slabOff int) {
 	t.Helper()
-	off := len(persistMagicV3)
+	off := len(persistMagic)
 	for off < len(data) {
 		if off+4 > len(data) {
 			break
@@ -217,7 +217,8 @@ func v3Sections(t *testing.T, data []byte) (sections [][2]int, slabOff int) {
 }
 
 // TestMappedCorruption flips bits in every section and every per-class
-// slab block and asserts OpenMapped fails with the damaged region named.
+// slab block and asserts OpenMapped and Load fail with the damaged region
+// named.
 func TestMappedCorruption(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, TrieIndex, metric, 5, 25)
@@ -251,6 +252,10 @@ func TestMappedCorruption(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("%s: error %q does not name %q", name, err, wantSub)
+		}
+		// The heap reader shares the mapped reader's prologue: same error.
+		if _, herr := Load(bytes.NewReader(data), metric); herr == nil || herr.Error() != err.Error() {
+			t.Fatalf("%s: Load reports %v, OpenMapped %v", name, herr, err)
 		}
 	}
 

@@ -1,15 +1,18 @@
-// Parallel index construction. Fragment enumeration and canonicalization
-// dominate Build; graphs are independent, so a worker pool computes each
-// graph's insert operations and a sequencer applies them in graph-id order.
-// Sequenced application keeps the result bit-identical to the serial build
-// (postings dedup relies on ascending ids, and tries are order-insensitive
-// but their stats are easier to reason about deterministically).
+// In-memory index construction. Fragment enumeration and canonicalization
+// dominate a build; graphs are independent, so a worker pool computes each
+// graph's insert operations (computeOps) and a sequencer applies them in
+// graph-id order (apply). Sequenced application keeps the result
+// bit-identical for any worker count (postings dedup relies on ascending
+// ids, and tries are order-insensitive but their stats are easier to
+// reason about deterministically); the serial build is the same fold with
+// the one worker inlined.
 
 package index
 
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"pis/internal/graph"
 	"pis/internal/mining"
@@ -24,22 +27,36 @@ type insertOp struct {
 }
 
 // BuildParallel is Build with a worker pool; workers <= 0 uses GOMAXPROCS.
-// The result is identical to Build's on the same inputs.
+// The result is identical for every worker count on the same inputs.
 func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, workers int) (*Index, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(db) < 2*workers {
-		return Build(db, features, opts)
-	}
-	// Set up classes exactly as Build does, without scanning.
-	x, err := Build(nil, features, opts)
+	buildStart := time.Now()
+	x, err := scaffold(features, opts)
 	if err != nil {
 		return nil, err
 	}
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 || len(db) < 2*workers {
+		for id, g := range db {
+			x.apply(int32(id), x.computeOps(g))
+		}
+	} else {
+		x.foldParallel(db, workers)
+	}
+	x.finalize()
+	x.computeStats()
+	x.computeFingerprints(db)
+	mBuildSeconds.ObserveSince(buildStart)
+	mBuildGraphs.Add(int64(len(db)))
+	return x, nil
+}
 
+// foldParallel computes every graph's ops on workers goroutines and
+// applies the batches in ascending graph id.
+func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 	type result struct {
 		id  int32
 		ops []insertOp
@@ -66,27 +83,8 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 		close(results)
 	}()
 
-	// Sequencer: apply op batches in ascending graph id.
 	pending := make(map[int32][]insertOp)
 	next := int32(0)
-	apply := func(id int32, ops []insertOp) {
-		for _, op := range ops {
-			c := op.class
-			c.fragments++
-			if n := len(c.postings); n == 0 || c.postings[n-1] != id {
-				c.postings = append(c.postings, id)
-			}
-			switch x.opts.Kind {
-			case TrieIndex:
-				c.trie.Insert(op.seq, id)
-			case VPTreeIndex:
-				c.vpSeq = append(c.vpSeq, op.seq)
-				c.vpIDs = append(c.vpIDs, id)
-			case RTreeIndex:
-				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: op.vec, Data: id})
-			}
-		}
-	}
 	for res := range results {
 		pending[res.id] = res.ops
 		for {
@@ -94,23 +92,35 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 			if !ok {
 				break
 			}
-			apply(next, ops)
+			x.apply(next, ops)
 			delete(pending, next)
 			next++
 		}
 	}
-	for ; next < int32(len(db)); next++ {
-		if ops, ok := pending[next]; ok {
-			apply(next, ops)
-		}
-	}
-	x.finalize()
-	x.computeStats()
-	x.computeFingerprints(db)
-	return x, nil
 }
 
-// computeOps runs the read-only part of insertGraph: enumerate, extract,
+// apply folds graph id's ops into the class structures. Ids must arrive
+// ascending: the postings dedup compares against the last id only.
+func (x *Index) apply(id int32, ops []insertOp) {
+	for _, op := range ops {
+		c := op.class
+		c.fragments++
+		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
+			c.postings = append(c.postings, id)
+		}
+		switch x.opts.Kind {
+		case TrieIndex:
+			c.trie.Insert(op.seq, id)
+		case VPTreeIndex:
+			c.vpSeq = append(c.vpSeq, op.seq)
+			c.vpIDs = append(c.vpIDs, id)
+		case RTreeIndex:
+			c.rtEnt = append(c.rtEnt, rtree.Entry{Point: op.vec, Data: id})
+		}
+	}
+}
+
+// computeOps runs the read-only part of folding g in: enumerate, extract,
 // canonicalize, and lay out sequences — everything except mutating the
 // shared class structures.
 func (x *Index) computeOps(g *graph.Graph) []insertOp {

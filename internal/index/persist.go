@@ -1,225 +1,337 @@
 // Index persistence. The expensive part of PIS is enumerating and
 // canonicalizing every database fragment; Save captures the result so a
-// process restart costs a deserialize instead of a rebuild.
+// process restart costs a decode (Load) or a memory mapping (OpenMapped)
+// instead of a rebuild.
 //
-// The current format ("PISIDX2\n") is a compact length-prefixed binary
-// stream: a header section followed by one section per class, each a
-// CRC32-checksummed binio section with posting lists and stored
-// sequences laid out as flat little-endian slabs. The header embeds the
-// fingerprint of the exact graph set the index was built over, so
-// loading an index against a different database fails loudly instead of
-// silently returning wrong answers. Automorphism permutations and the
-// bulk-loaded R-tree/VP-tree shapes are cheap to recompute and are
-// rebuilt on Load.
+// There is one byte format, the PISIDX3 image, laid out so the same file
+// serves both readers — fully decoded onto the heap, or mapped with only
+// its directory resident. The file is two regions:
 //
-// The previous format — a gob stream magic-tagged "PIS-INDEX-v1" — is
-// still readable for one release: Load detects it by its leading bytes
-// and decodes it without a fingerprint (FromIndex adoption fills one
-// in), so existing index files migrate via a checkpoint instead of a
-// forced re-mine. Save always writes v2.
+//	"PISIDX3\n"
+//	header section     kind, vertex-blindness, maxFragmentEdges, dbSize,
+//	                   db fingerprint, class count, signature words,
+//	                   fp-section flag, slab offset + length
+//	directory section  per class: canonical code, vOff, fragment count,
+//	                   posting count/offset/length/CRC, entry
+//	                   count/offset/length/CRC, planner stats
+//	fingerprints       per-graph prescreen fingerprints (fingerprint.go)
+//	zero padding       to the page-aligned slab offset
+//	slab               per-class posting + entry blocks, delta+varint
+//
+// Everything above the slab is small and heap-resident after OpenMapped
+// (the "directory"); the slab — posting lists and stored sequences, the
+// part that grows with the database — is only ever touched through the
+// mapping, decoded block-by-block into pooled scratch by RangeQueryInto.
+// Every section and every per-class slab block carries its own CRC32, so
+// a reader names exactly what is corrupted or truncated, in the same
+// spirit as the store's WAL frames. The header embeds the fingerprint of
+// the exact graph set the index was built over, so pairing an index with
+// a different database fails loudly instead of silently returning wrong
+// answers. The metric itself is not serialized — the caller supplies an
+// equivalent one to the reader — but its vertex-blindness is recorded and
+// checked, since it changes the stored sequence layout. Automorphism
+// permutations and the bulk-loaded R-tree/VP-tree shapes are cheap to
+// recompute and are rebuilt by the reader.
+//
+// Slab encodings (offsets in the directory are relative to the slab):
+//
+//	postings block   uvarint first id, then uvarint gaps (ascending ids)
+//	trie entry       SeqLen uvarint symbols, uvarint id count,
+//	                 uvarint first id, uvarint gaps
+//	vptree entry     SeqLen uvarint symbols, uvarint id
+//	rtree entry      SeqLen little-endian float64s, uvarint id
+//
+// Entries are sorted (sequences lexicographically, vectors numerically,
+// ids ascending within ties) so Save and the external-sort streaming
+// builder lay out identical structures.
+//
+// An image may come from outside the process (a copied store, a side
+// file a cluster peer ships), and a CRC is no defence against a crafted
+// one. The reader therefore bounds every count by the bytes that could
+// hold it before allocating, checks every class code is the canonical
+// code of a simple connected graph, and walks every block once to prove
+// its ids lie inside the database — so a bad image is an error at open,
+// never an out-of-memory kill or an out-of-range index at query time.
 
 package index
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
 
 	"pis/internal/binio"
 	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
+	"pis/internal/mmapio"
 	"pis/internal/rtree"
 	"pis/internal/trie"
 )
 
-// persistMagicV1 identified the legacy gob stream.
-const persistMagicV1 = "PIS-INDEX-v1"
+// persistMagic leads the image; 8 bytes, checked verbatim.
+const persistMagic = "PISIDX3\n"
 
-// persistMagicV2 leads the binary stream; 8 bytes, checked verbatim.
-const persistMagicV2 = "PISIDX2\n"
-
-// statsMagic tags the planner-statistics section appended after the
-// class sections ("PIST" little-endian). The header records whether the
-// section is present, so a stream truncated at the section boundary is
-// detected, while streams written before statistics existed (no flag
-// byte in the header) still load with stats recomputed on the fly.
-const statsMagic = 0x54534950
-
-// fpMagic tags the per-graph fingerprint section ("PISF" little-endian)
-// appended after the stats section. Announced by a second header flag
-// byte exactly like the stats section: streams written before
-// fingerprints existed have no flag byte left in the header and load with
-// fps recomputed by EnsureFingerprints when the index is attached to its
-// graphs.
+// fpMagic tags the per-graph fingerprint section ("PISF" little-endian).
 const fpMagic = 0x46534950
 
-// dto types: exported fields only, no behavior. Both the v1 gob decoder
-// and the v2 section decoder produce these; one reconstruction path
-// builds the live Index from them.
-type persistEntry struct {
-	Seq    []uint32  // trie / vptree sequence
-	Point  []float64 // rtree vector
-	Graphs []int32   // postings (trie) or single graph (vptree/rtree)
+// v3SlabAlign page-aligns the slab so mapped block reads never straddle
+// the header region and the kernel can fault slab pages independently.
+const v3SlabAlign = 4096
+
+// v3Header carries the decoded header section.
+type v3Header struct {
+	kind        Kind
+	vertexBlind bool
+	maxEdges    int
+	dbSize      int
+	fingerprint uint64
+	nClasses    int
+	sigWords    int
+	hasFPs      bool
+	slabOff     uint64
+	slabLen     uint64
 }
 
-type persistClass struct {
-	Key       string
-	Code      []canon.Tuple
-	VOff      int
-	Postings  []int32
-	Fragments int
-	Entries   []persistEntry
+// v3DirClass is one decoded (or staged) directory entry.
+type v3DirClass struct {
+	code      canon.Code
+	vOff      int
+	fragments int
+
+	postCount int
+	postOff   uint64
+	postLen   uint64
+	postCRC   uint32
+
+	entCount int
+	entOff   uint64
+	entLen   uint64
+	entCRC   uint32
+
+	stats ClassStats
 }
 
-type persistIndex struct {
-	Magic            string
-	Kind             int
-	MaxFragmentEdges int
-	DBSize           int
-	VertexBlind      bool
-	Fingerprint      uint64 // absent from v1 streams: decodes as 0
-	Classes          []persistClass
+// v3DirClassMinBytes is the smallest directory entry: seven one-byte
+// uvarints, the statsHistBuckets histogram, and the two fixed-width
+// offset/length/CRC triples. It bounds the header's class count.
+const v3DirClassMinBytes = 7 + statsHistBuckets + 2*(8+8+4)
+
+// v3SlabWriter accumulates one class's blocks into the slab, tracking
+// offset and CRC per block so directory entries can be staged without
+// buffering block bytes beyond the writer's own buffering.
+type v3SlabWriter struct {
+	w   io.Writer
+	off uint64
+	crc uint32
+	buf []byte
+	err error
 }
 
-// Save writes the index to w in the v2 binary format. The metric itself
-// is not serialized — the caller supplies an equivalent metric to Load —
-// but its vertex-blindness is recorded and checked, since it changes the
-// stored sequence layout. A mapped index streams its v3 file image
-// verbatim (the bytes are already its canonical serialization, and Load
-// understands v3 streams).
+func (s *v3SlabWriter) beginBlock() (startOff uint64) { s.crc = 0; return s.off }
+
+func (s *v3SlabWriter) flushBuf() {
+	if len(s.buf) == 0 || s.err != nil {
+		return
+	}
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf)
+	if _, err := s.w.Write(s.buf); err != nil {
+		s.err = err
+	}
+	s.off += uint64(len(s.buf))
+	s.buf = s.buf[:0]
+}
+
+func (s *v3SlabWriter) uvarint(v uint64) {
+	s.buf = binary.AppendUvarint(s.buf, v)
+	if len(s.buf) >= 1<<16 {
+		s.flushBuf()
+	}
+}
+
+func (s *v3SlabWriter) f64(v float64) {
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(v))
+	if len(s.buf) >= 1<<16 {
+		s.flushBuf()
+	}
+}
+
+// endBlock flushes pending bytes and returns the block's length and CRC.
+func (s *v3SlabWriter) endBlock(startOff uint64) (length uint64, crc uint32) {
+	s.flushBuf()
+	return s.off - startOff, s.crc
+}
+
+// ids appends an ascending id list as first + gaps.
+func (s *v3SlabWriter) ids(ids []int32) {
+	for i, id := range ids {
+		if i == 0 {
+			s.uvarint(uint64(uint32(id)))
+		} else {
+			s.uvarint(uint64(uint32(id - ids[i-1])))
+		}
+	}
+}
+
+// Save writes the index to w as a PISIDX3 image. A mapped index streams
+// its file image verbatim (the bytes are already its serialization); a
+// heap index is encoded here, the one place an Index becomes bytes.
 func (x *Index) Save(w io.Writer) error {
 	if x.mapping != nil {
 		_, err := w.Write(x.mapping.Data())
 		return err
 	}
-	return x.save(w, true)
+	var slab bytes.Buffer
+	sw := &v3SlabWriter{w: &slab}
+	dir := make([]v3DirClass, 0, len(x.list))
+	for _, c := range x.list {
+		dc := v3DirClass{
+			code:      c.Code,
+			vOff:      c.vOff,
+			fragments: c.fragments,
+			stats:     c.stats,
+		}
+		// Entries first, postings second: the streaming builder produces
+		// entries before it knows the class's full posting set, and Save
+		// mirrors its layout.
+		dc.entOff = sw.beginBlock()
+		dc.entCount = x.writeClassEntries(sw, c)
+		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
+		dc.postOff = sw.beginBlock()
+		dc.postCount = len(c.postings)
+		sw.ids(c.postings)
+		dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
+		dir = append(dir, dc)
+	}
+	if sw.err != nil {
+		return sw.err
+	}
+	hdr := v3Header{
+		kind:        x.opts.Kind,
+		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
+		maxEdges:    x.opts.MaxFragmentEdges,
+		dbSize:      x.dbSize,
+		fingerprint: x.fingerprint,
+		nClasses:    len(dir),
+		sigWords:    x.opts.sigWords(),
+		hasFPs:      x.fps != nil,
+		slabLen:     uint64(slab.Len()),
+	}
+	var writeFPs func(fsw *binio.SectionWriter)
+	if hdr.hasFPs {
+		writeFPs = func(fsw *binio.SectionWriter) {
+			beginFPSection(fsw, hdr.sigWords, len(x.fps))
+			for i := range x.fps {
+				encodeGraphFP(fsw, &x.fps[i])
+			}
+		}
+	}
+	return writeV3Image(w, hdr, dir, writeFPs, &slab)
 }
 
-// save writes the v2 stream; withStats=false omits the trailing
-// planner-stats and fingerprint sections (the shape of streams written
-// before they existed, kept reachable for the compatibility tests).
-func (x *Index) save(w io.Writer, withStats bool) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagicV2); err != nil {
+// WriteMapped saves the index to path atomically and durably, ready for
+// OpenMapped (zero-copy) or Load (heap).
+func (x *Index) WriteMapped(path string) error { return writeFileAtomic(path, x.Save) }
+
+// writeFileAtomic writes path via a temp file in the same directory:
+// content, fsync, rename, directory fsync. Readers see the old file or
+// the new one, never a partial write.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return err
 	}
-	sw := binio.NewSectionWriter(bw)
-
-	sw.Begin()
-	sw.U8(byte(x.opts.Kind))
-	vb := byte(0)
-	if distance.IgnoresVertices(x.opts.Metric) {
-		vb = 1
-	}
-	sw.U8(vb)
-	sw.Uvarint(uint64(x.opts.MaxFragmentEdges))
-	sw.Uvarint(uint64(x.dbSize))
-	sw.U64(x.fingerprint)
-	sw.Uvarint(uint64(len(x.list)))
-	hasStats := byte(0)
-	if withStats {
-		hasStats = 1
-	}
-	sw.U8(hasStats)
-	hasFPs := byte(0)
-	if withStats && x.fps != nil {
-		hasFPs = 1
-	}
-	sw.U8(hasFPs)
-	if err := sw.Flush(); err != nil {
+	defer os.Remove(f.Name()) // no-op after a successful rename
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
-	for _, c := range x.list {
-		sw.Begin()
-		sw.Uvarint(uint64(len(c.Code)))
-		for _, t := range c.Code {
-			sw.Varint(int64(t.I))
-			sw.Varint(int64(t.J))
-			sw.Uvarint(uint64(t.LI))
-			sw.Uvarint(uint64(t.LE))
-			sw.Uvarint(uint64(t.LJ))
+// writeClassEntries encodes the class's stored entries in canonical
+// sorted order, returning the entry count.
+func (x *Index) writeClassEntries(sw *v3SlabWriter, c *Class) int {
+	switch x.opts.Kind {
+	case TrieIndex:
+		type ent struct {
+			seq    []uint32
+			graphs []int32
 		}
-		sw.Uvarint(uint64(c.vOff))
-		sw.Uvarint(uint64(c.fragments))
-		sw.Uvarint(uint64(len(c.postings)))
-		sw.I32Slab(c.postings)
-		switch x.opts.Kind {
-		case TrieIndex:
-			// Count first: walk once for the count, once for the payload.
-			n := 0
-			c.trie.Walk(func([]uint32, []int32) { n++ })
-			sw.Uvarint(uint64(n))
-			c.trie.Walk(func(seq []uint32, graphs []int32) {
-				sw.U32Slab(seq)
-				sw.Uvarint(uint64(len(graphs)))
-				sw.I32Slab(graphs)
-			})
-		case VPTreeIndex:
-			sw.Uvarint(uint64(len(c.vpSeq)))
-			for i, seq := range c.vpSeq {
-				sw.U32Slab(seq)
-				sw.U32(uint32(c.vpIDs[i]))
+		var ents []ent
+		c.trie.Walk(func(seq []uint32, graphs []int32) {
+			ents = append(ents, ent{append([]uint32(nil), seq...), graphs})
+		})
+		slices.SortFunc(ents, func(a, b ent) int { return slices.Compare(a.seq, b.seq) })
+		for _, e := range ents {
+			for _, s := range e.seq {
+				sw.uvarint(uint64(s))
 			}
-		case RTreeIndex:
-			n := 0
-			c.rt.SearchRect(boundAll(c.rt.Dim()), func(rtree.Entry) bool { n++; return true })
-			sw.Uvarint(uint64(n))
-			c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-				sw.F64Slab(e.Point)
-				sw.U32(uint32(e.Data))
-				return true
-			})
+			sw.uvarint(uint64(len(e.graphs)))
+			sw.ids(e.graphs)
 		}
-		if err := sw.Flush(); err != nil {
-			return err
+		return len(ents)
+	case VPTreeIndex:
+		order := make([]int, len(c.vpSeq))
+		for i := range order {
+			order[i] = i
 		}
+		slices.SortFunc(order, func(a, b int) int {
+			if d := slices.Compare(c.vpSeq[a], c.vpSeq[b]); d != 0 {
+				return d
+			}
+			return int(c.vpIDs[a]) - int(c.vpIDs[b])
+		})
+		for _, i := range order {
+			for _, s := range c.vpSeq[i] {
+				sw.uvarint(uint64(s))
+			}
+			sw.uvarint(uint64(uint32(c.vpIDs[i])))
+		}
+		return len(order)
+	case RTreeIndex:
+		var ents []rtree.Entry
+		c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
+			ents = append(ents, e)
+			return true
+		})
+		slices.SortFunc(ents, func(a, b rtree.Entry) int {
+			if d := slices.Compare(a.Point, b.Point); d != 0 {
+				return d
+			}
+			return int(a.Data) - int(b.Data)
+		})
+		for _, e := range ents {
+			for _, w := range e.Point {
+				sw.f64(w)
+			}
+			sw.uvarint(uint64(uint32(e.Data)))
+		}
+		return len(ents)
 	}
-	if withStats {
-		sw.Begin()
-		sw.U32(statsMagic)
-		sw.Uvarint(uint64(len(x.list)))
-		for _, c := range x.list {
-			sw.Uvarint(uint64(c.stats.Sequences))
-			sw.Uvarint(uint64(c.stats.Pairs))
-			for _, h := range c.stats.Hist {
-				sw.Uvarint(uint64(h))
-			}
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-	}
-	if hasFPs != 0 {
-		sw.Begin()
-		sw.U32(fpMagic)
-		sw.Uvarint(uint64(x.opts.sigWords()))
-		sw.Uvarint(uint64(len(x.fps)))
-		for i := range x.fps {
-			fp := &x.fps[i]
-			sw.Uvarint(uint64(fp.NV))
-			sw.Uvarint(uint64(fp.NE))
-			for _, c := range fp.DegTail {
-				sw.Uvarint(uint64(c))
-			}
-			for _, c := range fp.ELab {
-				sw.Uvarint(uint64(c))
-			}
-			for _, c := range fp.VLab {
-				sw.Uvarint(uint64(c))
-			}
-			for _, w := range fp.Sig {
-				sw.U64(w)
-			}
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return 0
 }
 
 func boundAll(dim int) rtree.Rect {
@@ -232,83 +344,189 @@ func boundAll(dim int) rtree.Rect {
 	return rtree.Rect{Min: min, Max: max}
 }
 
-// Load reconstructs an index written by Save, current or legacy format.
-// The metric must match the one used at build time (at minimum its
-// vertex-blindness must agree). The returned index carries the stream's
-// database fingerprint (zero for legacy v1 streams, which predate it);
-// callers attach the index to a graph set via segment.FromIndex, which
-// verifies the fingerprint against the actual graphs.
-func Load(r io.Reader, metric distance.Metric) (*Index, error) {
-	if metric == nil {
-		return nil, fmt.Errorf("index: Metric is required")
-	}
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(persistMagicV2))
-	if err == nil && bytes.Equal(head, []byte(persistMagicV2)) {
-		br.Discard(len(persistMagicV2))
-		return loadV2(br, metric)
-	}
-	if err == nil && bytes.Equal(head, []byte(persistMagicV3)) {
-		// A mapped-format stream loads fully into heap structures: Load is
-		// the portability path, OpenMapped the out-of-core one.
-		data, rerr := io.ReadAll(br)
-		if rerr != nil {
-			return nil, fmt.Errorf("index: reading v3 stream: %w", rerr)
-		}
-		return loadV3Heap(data, metric)
-	}
-	// Not the v2 magic: try the legacy gob stream, whose own magic field
-	// rejects arbitrary garbage.
-	var p persistIndex
-	if err := gob.NewDecoder(br).Decode(&p); err != nil {
-		return nil, fmt.Errorf("index: not a PIS index stream: %w", err)
-	}
-	if p.Magic != persistMagicV1 {
-		return nil, fmt.Errorf("index: not a PIS index stream (magic %q)", p.Magic)
-	}
-	p.Fingerprint = 0 // v1 predates fingerprints even if a forged field decoded
-	x, err := fromDTO(&p, metric)
-	if err != nil {
-		return nil, err
-	}
-	x.computeStats() // v1 predates planner statistics
-	return x, nil
+// beginFPSection writes the fingerprint section's preamble; n
+// encodeGraphFP records follow.
+func beginFPSection(sw *binio.SectionWriter, words, n int) {
+	sw.U32(fpMagic)
+	sw.Uvarint(uint64(words))
+	sw.Uvarint(uint64(n))
 }
 
-// loadV2 decodes the binary section stream after the magic.
-func loadV2(r io.Reader, metric distance.Metric) (*Index, error) {
-	sr := binio.NewSectionReader(r)
-	if err := sr.Next(); err != nil {
-		return nil, fmt.Errorf("index: header: %w", err)
+// encodeGraphFP writes one fingerprint record.
+func encodeGraphFP(sw *binio.SectionWriter, fp *GraphFP) {
+	sw.Uvarint(uint64(fp.NV))
+	sw.Uvarint(uint64(fp.NE))
+	for _, c := range fp.DegTail {
+		sw.Uvarint(uint64(c))
 	}
-	p := persistIndex{Magic: persistMagicV2}
-	p.Kind = int(sr.U8())
-	vertexBlind := sr.U8()
-	p.MaxFragmentEdges = int(sr.Uvarint())
-	p.DBSize = int(sr.Uvarint())
-	p.Fingerprint = sr.U64()
-	nClasses := int(sr.Uvarint())
-	// Streams written before planner statistics stop here; newer ones
-	// append a flag announcing whether a stats section follows, so a
-	// missing announced section is corruption, not an old stream. The
-	// fingerprint flag extends the header the same way one generation
-	// later.
-	hasStats := sr.Remaining() > 0 && sr.U8() != 0
-	hasFPs := sr.Remaining() > 0 && sr.U8() != 0
-	if err := sr.Err(); err != nil {
-		return nil, fmt.Errorf("index: header: %w", err)
+	for _, c := range fp.ELab {
+		sw.Uvarint(uint64(c))
 	}
-	p.VertexBlind = vertexBlind != 0
-	p.Classes = make([]persistClass, 0, nClasses)
-	for ci := 0; ci < nClasses; ci++ {
-		if err := sr.Next(); err != nil {
-			return nil, fmt.Errorf("index: class %d/%d: %w", ci, nClasses, err)
+	for _, c := range fp.VLab {
+		sw.Uvarint(uint64(c))
+	}
+	for _, w := range fp.Sig {
+		sw.U64(w)
+	}
+}
+
+// graphFPMinBytes is the smallest fingerprint record for a signature of
+// words words: one byte per counter plus the fixed-width signature.
+func graphFPMinBytes(words int) int {
+	return 2 + fpDegTail + fpEdgeBuckets + fpVertexBuckets + 8*words
+}
+
+// writeV3Image assembles the image: magic, header, directory, optional
+// fingerprint section, padding, slab. hdr.slabOff is computed here;
+// hdr.slabLen must be set by the caller.
+func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, writeFPs func(*binio.SectionWriter), slab io.Reader) error {
+	encodeHeader := func(h v3Header) []byte {
+		var buf bytes.Buffer
+		sw := binio.NewSectionWriter(&buf)
+		sw.Begin()
+		sw.U8(byte(h.kind))
+		vb := byte(0)
+		if h.vertexBlind {
+			vb = 1
 		}
-		var pc persistClass
-		codeLen := sr.Count(2, "code")
-		pc.Code = make([]canon.Tuple, codeLen)
-		for i := range pc.Code {
-			pc.Code[i] = canon.Tuple{
+		sw.U8(vb)
+		sw.Uvarint(uint64(h.maxEdges))
+		sw.Uvarint(uint64(h.dbSize))
+		sw.U64(h.fingerprint)
+		sw.Uvarint(uint64(h.nClasses))
+		sw.Uvarint(uint64(h.sigWords))
+		fb := byte(0)
+		if h.hasFPs {
+			fb = 1
+		}
+		sw.U8(fb)
+		sw.U64(h.slabOff)
+		sw.U64(h.slabLen)
+		if err := sw.Flush(); err != nil {
+			panic(err) // bytes.Buffer never errors
+		}
+		return buf.Bytes()
+	}
+
+	var dirBuf bytes.Buffer
+	dsw := binio.NewSectionWriter(&dirBuf)
+	dsw.Begin()
+	for _, dc := range dir {
+		dsw.Uvarint(uint64(len(dc.code)))
+		for _, t := range dc.code {
+			dsw.Varint(int64(t.I))
+			dsw.Varint(int64(t.J))
+			dsw.Uvarint(uint64(t.LI))
+			dsw.Uvarint(uint64(t.LE))
+			dsw.Uvarint(uint64(t.LJ))
+		}
+		dsw.Uvarint(uint64(dc.vOff))
+		dsw.Uvarint(uint64(dc.fragments))
+		dsw.Uvarint(uint64(dc.postCount))
+		dsw.U64(dc.postOff)
+		dsw.U64(dc.postLen)
+		dsw.U32(dc.postCRC)
+		dsw.Uvarint(uint64(dc.entCount))
+		dsw.U64(dc.entOff)
+		dsw.U64(dc.entLen)
+		dsw.U32(dc.entCRC)
+		dsw.Uvarint(uint64(dc.stats.Sequences))
+		dsw.Uvarint(uint64(dc.stats.Pairs))
+		for _, h := range dc.stats.Hist {
+			dsw.Uvarint(uint64(h))
+		}
+	}
+	if err := dsw.Flush(); err != nil {
+		return err
+	}
+
+	var fpBuf bytes.Buffer
+	if writeFPs != nil {
+		fsw := binio.NewSectionWriter(&fpBuf)
+		fsw.Begin()
+		writeFPs(fsw)
+		if err := fsw.Flush(); err != nil {
+			return err
+		}
+	}
+
+	// The header's length does not depend on slabOff (fixed-width u64),
+	// so one dry encode fixes the layout and a second fills it in.
+	preSlab := len(persistMagic) + len(encodeHeader(hdr)) + dirBuf.Len() + fpBuf.Len()
+	hdr.slabOff = (uint64(preSlab) + v3SlabAlign - 1) / v3SlabAlign * v3SlabAlign
+
+	for _, b := range [][]byte{
+		[]byte(persistMagic), encodeHeader(hdr), dirBuf.Bytes(), fpBuf.Bytes(),
+		make([]byte, int(hdr.slabOff)-preSlab),
+	} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	_, err := io.Copy(w, slab)
+	return err
+}
+
+// parseV3Meta decodes the header, directory, and fingerprint sections of
+// an image, without touching the slab. Every count is bounded by the
+// bytes that could hold it before anything is allocated from it. Errors
+// name the section.
+func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, []GraphFP, error) {
+	var hdr v3Header
+	fail := func(format string, args ...any) (v3Header, []v3DirClass, []GraphFP, error) {
+		return hdr, nil, nil, fmt.Errorf("index: "+format, args...)
+	}
+	if len(data) < len(persistMagic) || string(data[:len(persistMagic)]) != persistMagic {
+		return fail("not a PISIDX3 image")
+	}
+	sr := binio.NewSectionReader(bytes.NewReader(data[len(persistMagic):]))
+	if err := sr.Next(); err != nil {
+		return fail("mapped header: %w", err)
+	}
+	hdr.kind = Kind(sr.U8())
+	hdr.vertexBlind = sr.U8() != 0
+	maxEdges, dbSize := sr.Uvarint(), sr.Uvarint()
+	hdr.fingerprint = sr.U64()
+	nClasses, sigWords := sr.Uvarint(), sr.Uvarint()
+	hdr.hasFPs = sr.U8() != 0
+	hdr.slabOff = sr.U64()
+	hdr.slabLen = sr.U64()
+	if err := sr.Err(); err != nil {
+		return fail("mapped header: %w", err)
+	}
+	if hdr.vertexBlind != distance.IgnoresVertices(metric) {
+		return fail("metric vertex-blindness disagrees with the saved index")
+	}
+	switch hdr.kind {
+	case TrieIndex, VPTreeIndex, RTreeIndex:
+	default:
+		return fail("mapped header: unknown kind %d", int(hdr.kind))
+	}
+	// Graph ids are int32 and every later count is bounded against a
+	// section's bytes, so nothing legitimate exceeds MaxInt32.
+	for _, v := range []uint64{maxEdges, dbSize, nClasses, sigWords} {
+		if v > math.MaxInt32 {
+			return fail("mapped header: count %d out of range", v)
+		}
+	}
+	hdr.maxEdges, hdr.dbSize, hdr.nClasses, hdr.sigWords = int(maxEdges), int(dbSize), int(nClasses), int(sigWords)
+
+	if err := sr.Next(); err != nil {
+		if err == io.EOF {
+			return fail("mapped directory: missing (file truncated at the section boundary)")
+		}
+		return fail("mapped directory: %w", err)
+	}
+	if hdr.nClasses > sr.Remaining()/v3DirClassMinBytes {
+		return fail("mapped directory: header claims %d classes, the %d-byte section cannot hold them", hdr.nClasses, sr.Remaining())
+	}
+	dir := make([]v3DirClass, 0, hdr.nClasses)
+	for ci := 0; ci < hdr.nClasses; ci++ {
+		var dc v3DirClass
+		codeLen := sr.Count(5, "code")
+		dc.code = make(canon.Code, codeLen)
+		for i := range dc.code {
+			dc.code[i] = canon.Tuple{
 				I:  int32(sr.Varint()),
 				J:  int32(sr.Varint()),
 				LI: graph.VLabel(sr.Uvarint()),
@@ -316,81 +534,70 @@ func loadV2(r io.Reader, metric distance.Metric) (*Index, error) {
 				LJ: graph.VLabel(sr.Uvarint()),
 			}
 		}
-		pc.VOff = int(sr.Uvarint())
-		pc.Fragments = int(sr.Uvarint())
-		pc.Postings = sr.I32Slab(sr.Count(4, "postings"))
-		nEntries := sr.Count(1, "entries")
-		pc.Entries = make([]persistEntry, 0, nEntries)
-		code := canon.Code(pc.Code)
-		seqLen := pc.VOff + len(pc.Code) // vOff + edge count
-		for i := 0; i < nEntries; i++ {
-			var e persistEntry
-			switch Kind(p.Kind) {
-			case TrieIndex:
-				e.Seq = sr.U32Slab(seqLen)
-				e.Graphs = sr.I32Slab(sr.Count(4, "entry postings"))
-			case VPTreeIndex:
-				e.Seq = sr.U32Slab(seqLen)
-				e.Graphs = []int32{int32(sr.U32())}
-			case RTreeIndex:
-				e.Point = sr.F64Slab(seqLen)
-				e.Graphs = []int32{int32(sr.U32())}
-			default:
-				return nil, fmt.Errorf("index: unknown kind %d", p.Kind)
-			}
-			pc.Entries = append(pc.Entries, e)
+		dc.vOff = int(sr.Uvarint())
+		dc.fragments = int(sr.Uvarint())
+		postCount := sr.Uvarint()
+		dc.postOff = sr.U64()
+		dc.postLen = sr.U64()
+		dc.postCRC = sr.U32()
+		entCount := sr.Uvarint()
+		dc.entOff = sr.U64()
+		dc.entLen = sr.U64()
+		dc.entCRC = sr.U32()
+		dc.stats.Sequences = int32(sr.Uvarint())
+		dc.stats.Pairs = int32(sr.Uvarint())
+		for i := range dc.stats.Hist {
+			dc.stats.Hist[i] = int32(sr.Uvarint())
 		}
 		if err := sr.Err(); err != nil {
-			return nil, fmt.Errorf("index: class %d/%d: %w", ci, nClasses, err)
+			return fail("mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
 		}
-		pc.Key = code.Key()
-		p.Classes = append(p.Classes, pc)
+		// Every posting id and every stored entry occupies at least one
+		// byte of its block.
+		if postCount > dc.postLen || entCount > dc.entLen {
+			return fail("mapped directory: class %d/%d: %d postings in a %d-byte block, %d entries in a %d-byte block",
+				ci, hdr.nClasses, postCount, dc.postLen, entCount, dc.entLen)
+		}
+		dc.postCount, dc.entCount = int(postCount), int(entCount)
+		dc.stats.Postings = int32(dc.postCount)
+		dir = append(dir, dc)
 	}
-	x, err := fromDTO(&p, metric)
-	if err != nil {
-		return nil, err
+
+	var fps []GraphFP
+	if hdr.hasFPs {
+		var err error
+		if fps, err = readFingerprints(sr, hdr); err != nil {
+			return fail("mapped fingerprint section: %w", err)
+		}
 	}
-	if !hasStats {
-		// Stats-less v2 stream (written before the planner existed):
-		// recompute deterministically from the loaded sequences.
-		x.computeStats()
-		return x, nil
-	}
-	if err := loadStats(sr, x); err != nil {
-		return nil, fmt.Errorf("index: stats section: %w (only the trailing statistics are damaged; restore the stream from a snapshot or rebuild the index)", err)
-	}
-	if !hasFPs {
-		// Fingerprint-less stream: EnsureFingerprints recomputes when the
-		// index is attached to its graph set (segment.FromIndex).
-		return x, nil
-	}
-	if err := loadFingerprints(sr, x); err != nil {
-		return nil, fmt.Errorf("index: fingerprint section: %w (only the trailing fingerprints are damaged; restore the stream from a snapshot or rebuild the index)", err)
-	}
-	return x, nil
+	return hdr, dir, fps, nil
 }
 
-// loadFingerprints decodes the checksummed fingerprint section into the
-// loaded index.
-func loadFingerprints(sr *binio.SectionReader, x *Index) error {
+// readFingerprints decodes the checksummed fingerprint section.
+func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) {
 	if err := sr.Next(); err != nil {
 		if err == io.EOF {
-			return fmt.Errorf("missing (stream truncated at the section boundary)")
+			return nil, fmt.Errorf("missing (stream truncated at the section boundary)")
 		}
-		return err
+		return nil, err
 	}
 	if m := sr.U32(); m != fpMagic {
-		return fmt.Errorf("bad section magic %08x", m)
+		return nil, fmt.Errorf("bad section magic %08x", m)
 	}
 	words := int(sr.Uvarint())
 	if words <= 0 || words > maxSigWords {
-		return fmt.Errorf("signature width %d words out of range", words)
+		return nil, fmt.Errorf("signature width %d words out of range", words)
 	}
-	n := int(sr.Uvarint())
-	if n != x.dbSize {
-		return fmt.Errorf("covers %d graphs, index has %d", n, x.dbSize)
+	if words != hdr.sigWords {
+		return nil, fmt.Errorf("signature width %d disagrees with header %d", words, hdr.sigWords)
 	}
-	x.opts.SignatureWords = words
+	n := sr.Count(graphFPMinBytes(words), "fingerprint")
+	if err := sr.Err(); err != nil {
+		return nil, err
+	}
+	if n != hdr.dbSize {
+		return nil, fmt.Errorf("covers %d graphs, index has %d", n, hdr.dbSize)
+	}
 	slab := make([]uint64, words*n)
 	fps := make([]GraphFP, n)
 	for i := range fps {
@@ -411,115 +618,337 @@ func loadFingerprints(sr *binio.SectionReader, x *Index) error {
 			fp.Sig[w] = sr.U64()
 		}
 	}
-	if err := sr.Err(); err != nil {
-		return err
-	}
-	x.fps = fps
-	return nil
+	return fps, sr.Err()
 }
 
-// loadStats decodes the checksummed planner-statistics section into the
-// loaded classes. Any failure is reported as-is; the caller wraps it so
-// the error names the stats section instead of poisoning the classes
-// that already loaded cleanly.
-func loadStats(sr *binio.SectionReader, x *Index) error {
-	if err := sr.Next(); err != nil {
-		if err == io.EOF {
-			return fmt.Errorf("missing (stream truncated at the section boundary)")
+// codeGraph rebuilds the skeleton a directory code describes, rejecting
+// anything that is not the DFS code of a simple connected graph — the
+// first tuple is (0,1), a forward edge introduces exactly the next
+// unseen vertex, a backward edge joins two seen ones, no edge repeats —
+// which is the precondition for canon.Code.Graph not to panic.
+func codeGraph(code canon.Code) (*graph.Graph, error) {
+	if len(code) == 0 {
+		return nil, fmt.Errorf("empty code")
+	}
+	seen := make(map[[2]int32]bool, len(code))
+	next := int32(0) // vertices introduced so far
+	for k, t := range code {
+		ok := false
+		switch {
+		case k == 0:
+			ok = t.I == 0 && t.J == 1
+			next = 2
+		case t.Forward():
+			ok = t.I >= 0 && t.J == next
+			next++
+		default:
+			ok = t.J >= 0 && t.J < t.I && t.I < next
 		}
-		return err
-	}
-	if m := sr.U32(); m != statsMagic {
-		return fmt.Errorf("bad section magic %08x", m)
-	}
-	if n := int(sr.Uvarint()); n != len(x.list) {
-		return fmt.Errorf("covers %d classes, index has %d", n, len(x.list))
-	}
-	for _, c := range x.list {
-		cs := ClassStats{Postings: int32(len(c.postings))}
-		cs.Sequences = int32(sr.Uvarint())
-		cs.Pairs = int32(sr.Uvarint())
-		for i := range cs.Hist {
-			cs.Hist[i] = int32(sr.Uvarint())
+		e := [2]int32{t.I, t.J}
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
 		}
-		c.stats = cs
+		if !ok || seen[e] {
+			return nil, fmt.Errorf("tuple %d (%d,%d) does not extend a DFS code", k, t.I, t.J)
+		}
+		seen[e] = true
 	}
-	return sr.Err()
+	return code.Graph(), nil
 }
 
-// fromDTO builds the live index from decoded persistence structs,
-// rebuilding automorphism permutations and bulk-loaded per-class trees.
-func fromDTO(p *persistIndex, metric distance.Metric) (*Index, error) {
-	if p.VertexBlind != distance.IgnoresVertices(metric) {
-		return nil, fmt.Errorf("index: metric vertex-blindness disagrees with the saved index")
+// decodeV3 is the prologue both readers share: parse and bound the
+// metadata, scaffold the classes, locate and checksum each class's slab
+// blocks, and walk them once (checkBlocks). It returns an index whose
+// classes carry their verified blocks and no storage yet; openV3 serves
+// them in place, Load decodes them.
+func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
+	hdr, dir, fps, err := parseV3Meta(data, metric)
+	if err != nil {
+		return nil, err
 	}
+	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
+		return nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
+	}
+	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
 	x := &Index{
 		opts: Options{
-			Kind:             Kind(p.Kind),
+			Kind:             hdr.kind,
 			Metric:           metric,
-			MaxFragmentEdges: p.MaxFragmentEdges,
+			MaxFragmentEdges: hdr.maxEdges,
+			SignatureWords:   hdr.sigWords,
 		},
-		classes:     make(map[string]*Class, len(p.Classes)),
-		dbSize:      p.DBSize,
-		fingerprint: p.Fingerprint,
+		classes:     make(map[string]*Class, len(dir)),
+		dbSize:      hdr.dbSize,
+		fingerprint: hdr.fingerprint,
 		memo:        canon.NewMemo(),
+		fps:         fps,
 	}
-	for _, pc := range p.Classes {
-		code := canon.Code(pc.Code)
-		cg := code.Graph()
-		_, embs := canon.MinCodeUnlabeled(cg)
-		c := &Class{
-			ID:        len(x.list),
-			Key:       pc.Key,
-			Code:      code,
-			Structure: cg,
-			NumV:      cg.N(),
-			NumE:      cg.M(),
-			vOff:      pc.VOff,
-			postings:  pc.Postings,
-			fragments: pc.Fragments,
+	for i, dc := range dir {
+		cg, err := codeGraph(dc.code)
+		if err != nil {
+			return nil, fmt.Errorf("index: mapped directory: class %d: %w", i, err)
 		}
-		if c.Key != code.Key() {
-			return nil, fmt.Errorf("index: class key does not match its code")
+		minCode, embs := canon.MinCodeUnlabeled(cg)
+		wantVOff := cg.N()
+		if hdr.vertexBlind {
+			wantVOff = 0
 		}
-		for _, a := range embs {
-			perm := make([]int, c.SeqLen())
-			for k := 0; k < c.vOff; k++ {
-				perm[k] = int(a.Vertices[k])
-			}
-			for t := 0; t < c.NumE; t++ {
-				perm[c.vOff+t] = c.vOff + int(a.Edges[t])
-			}
-			c.perms = append(c.perms, perm)
+		key := dc.code.Key()
+		if minCode.Compare(dc.code) != 0 || x.classes[key] != nil || dc.vOff != wantVOff {
+			return nil, fmt.Errorf("index: mapped directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
 		}
-		switch x.opts.Kind {
-		case TrieIndex:
-			c.trie = newTrieFor(c, pc.Entries)
-		case VPTreeIndex:
-			for _, e := range pc.Entries {
-				c.vpSeq = append(c.vpSeq, e.Seq)
-				c.vpIDs = append(c.vpIDs, e.Graphs[0])
+		c := newClass(i, key, dc.code, cg, embs, dc.vOff)
+		c.fragments = dc.fragments
+		c.stats = dc.stats
+		block := func(what string, off, length uint64, crc uint32) ([]byte, error) {
+			if off+length < off || off+length > uint64(len(slab)) {
+				return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", i, what, len(slab), off+length)
 			}
-		case RTreeIndex:
-			for _, e := range pc.Entries {
-				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: e.Point, Data: e.Graphs[0]})
+			b := slab[off : off+length]
+			if got := crc32.ChecksumIEEE(b); got != crc {
+				return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", i, what, crc, got)
 			}
-		default:
-			return nil, fmt.Errorf("index: unknown kind %d", p.Kind)
+			return b, nil
 		}
-		x.classes[c.Key] = c
+		if c.entBlock, err = block("entry", dc.entOff, dc.entLen, dc.entCRC); err != nil {
+			return nil, err
+		}
+		if c.postBlock, err = block("posting", dc.postOff, dc.postLen, dc.postCRC); err != nil {
+			return nil, err
+		}
+		c.postCount, c.entCount = dc.postCount, dc.entCount
+		if what := checkBlocks(c, hdr.kind, hdr.dbSize); what != "" {
+			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, or the block does not end with its last entry)", i, what, hdr.dbSize)
+		}
+		x.classes[key] = c
 		x.list = append(x.list, c)
 	}
-	x.finalize() // rebuilds R-trees and VP-trees
 	return x, nil
 }
 
-func newTrieFor(c *Class, entries []persistEntry) *trie.Trie {
-	t := trie.New(c.SeqLen())
-	for _, e := range entries {
-		for _, id := range e.Graphs {
-			t.Insert(e.Seq, id)
+// checkBlocks walks c's checksummed blocks once and proves what a CRC
+// cannot: every graph id lies in [0, dbSize), id lists ascend strictly,
+// and each block ends exactly with its last entry. It names the
+// offending block, or returns "".
+func checkBlocks(c *Class, kind Kind, dbSize int) string {
+	cur := blockCursor{b: c.postBlock}
+	cur.skipIDs(uint64(c.postCount), uint64(dbSize))
+	if cur.bad || cur.pos != len(cur.b) {
+		return "posting"
+	}
+	cur = blockCursor{b: c.entBlock}
+	L := c.SeqLen()
+	for e := 0; e < c.entCount && !cur.bad; e++ {
+		if kind == RTreeIndex {
+			cur.skip(8 * L)
+		} else {
+			for i := 0; i < L; i++ {
+				cur.uvarint()
+			}
+		}
+		n := uint64(1)
+		if kind == TrieIndex {
+			n = cur.uvarint()
+		}
+		cur.skipIDs(n, uint64(dbSize))
+	}
+	if cur.bad || cur.pos != len(cur.b) {
+		return "entry"
+	}
+	return ""
+}
+
+// OpenMapped opens an index file through a memory mapping: the directory
+// (class keys, offsets, stats, fingerprints) loads into heap, posting and
+// entry blocks stay on disk and are decoded from the mapping at query
+// time. Every block is checksummed and walked here, so corruption fails
+// at open with the damaged section named instead of surfacing as wrong
+// answers later. The caller owns the returned index's Close.
+func OpenMapped(path string, metric distance.Metric) (*Index, error) {
+	if metric == nil {
+		return nil, fmt.Errorf("index: Metric is required")
+	}
+	m, err := mmapio.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("index: mapping %s: %w", path, err)
+	}
+	x, err := openV3(m.Data(), metric, m)
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	x.mappedPath = path
+	return x, nil
+}
+
+// openV3 builds a mapped index over an image. mapping may be nil (tests
+// feed raw bytes); the index takes ownership when it is not.
+func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Index, error) {
+	x, err := decodeV3(data, metric)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range x.list {
+		c.mapped = true
+	}
+	x.mapping = mapping
+	return x, nil
+}
+
+// Load decodes an image written by Save, WriteMapped or BuildStreaming
+// into an ordinary heap index. The metric must match the one used at
+// build time (at minimum its vertex-blindness must agree). Callers
+// attach the index to a graph set only after checking DBSize and
+// Fingerprint against the actual graphs.
+func Load(r io.Reader, metric distance.Metric) (*Index, error) {
+	if metric == nil {
+		return nil, fmt.Errorf("index: Metric is required")
+	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("index: reading image: %w", err)
+	}
+	x, err := decodeV3(data, metric)
+	if err != nil {
+		return nil, err
+	}
+	var ids []int32
+	for _, c := range x.list {
+		cur := blockCursor{b: c.postBlock}
+		c.postings = cur.idList(make([]int32, 0, c.postCount), c.postCount)
+		cur = blockCursor{b: c.entBlock}
+		L := c.SeqLen()
+		if x.opts.Kind == TrieIndex {
+			c.trie = trie.New(L)
+		}
+		seq := make([]uint32, L) // the trie copies what it keeps
+		for e := 0; e < c.entCount; e++ {
+			switch x.opts.Kind {
+			case TrieIndex:
+				cur.symbols(seq)
+				ids = cur.idList(ids[:0], int(cur.uvarint()))
+				for _, id := range ids {
+					c.trie.Insert(seq, id)
+				}
+			case VPTreeIndex:
+				c.vpSeq = append(c.vpSeq, cur.symbols(make([]uint32, L)))
+				c.vpIDs = append(c.vpIDs, int32(cur.uvarint()))
+			case RTreeIndex:
+				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: cur.floats(make([]float64, L)), Data: int32(cur.uvarint())})
+			}
+		}
+		// Drop the references into data so the image can be collected.
+		c.entBlock, c.postBlock, c.entCount, c.postCount = nil, nil, 0, 0
+	}
+	x.finalize() // bulk-loads R-trees and VP-trees
+	return x, nil
+}
+
+// blockCursor decodes one slab block. A malformed stream (impossible
+// once checkBlocks has walked the block) sets bad and makes every
+// further read a zero-value no-op, so query paths stay panic-free.
+type blockCursor struct {
+	b   []byte
+	pos int
+	bad bool
+}
+
+func (c *blockCursor) uvarint() uint64 {
+	if c.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		c.bad = true
+		return 0
+	}
+	c.pos += n
+	return v
+}
+
+// skip advances past n bytes.
+func (c *blockCursor) skip(n int) {
+	if c.bad || n > len(c.b)-c.pos {
+		c.bad = true
+		return
+	}
+	c.pos += n
+}
+
+// skipIDs walks n delta-coded ids, setting bad unless they ascend
+// strictly and stay below limit.
+func (c *blockCursor) skipIDs(n, limit uint64) {
+	id := uint64(0)
+	for i := uint64(0); i < n && !c.bad; i++ {
+		d := c.uvarint()
+		if d >= limit || (i > 0 && d == 0) {
+			c.bad = true
+			return
+		}
+		if i == 0 {
+			id = d
+		} else {
+			id += d
+		}
+		if id >= limit {
+			c.bad = true
 		}
 	}
-	return t
+}
+
+func (c *blockCursor) symbols(dst []uint32) []uint32 {
+	for i := range dst {
+		dst[i] = uint32(c.uvarint())
+	}
+	return dst
+}
+
+func (c *blockCursor) floats(dst []float64) []float64 {
+	for i := range dst {
+		if c.bad || c.pos+8 > len(c.b) {
+			c.bad = true
+			return dst
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.pos:]))
+		c.pos += 8
+	}
+	return dst
+}
+
+// idList appends n delta-decoded ids to dst.
+func (c *blockCursor) idList(dst []int32, n int) []int32 {
+	id := int32(0)
+	for i := 0; i < n; i++ {
+		d := int32(c.uvarint())
+		if c.bad {
+			return dst
+		}
+		if i == 0 {
+			id = d
+		} else {
+			id += d
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+func (c *blockCursor) done() bool { return c.bad || c.pos >= len(c.b) }
+
+// IsMapped reports whether the index serves its slab through a mapping.
+func (x *Index) IsMapped() bool { return x.mapping != nil }
+
+// MappedPath returns the backing file of a mapped index ("" when not
+// mapped).
+func (x *Index) MappedPath() string { return x.mappedPath }
+
+// Close releases the mapping of a mapped index; a heap index is a no-op.
+// No query may be in flight or issued afterwards.
+func (x *Index) Close() error {
+	if x == nil || x.mapping == nil {
+		return nil
+	}
+	err := x.mapping.Close()
+	x.mapping = nil
+	return err
 }

@@ -2,12 +2,15 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"pis/internal/binio"
 	"pis/internal/distance"
 	"pis/internal/graph"
+	"pis/internal/mining"
 )
 
 // roundTrip saves and reloads an index, then checks that every range
@@ -119,80 +122,8 @@ func sameEdges(a, b []int32) bool {
 	return true
 }
 
-// saveV1 replicates the legacy gob encoder (format "PIS-INDEX-v1") so the
-// compatibility read path is exercised against a faithfully shaped stream.
-func saveV1(t *testing.T, x *Index) []byte {
-	t.Helper()
-	p := persistIndex{
-		Magic:            persistMagicV1,
-		Kind:             int(x.opts.Kind),
-		MaxFragmentEdges: x.opts.MaxFragmentEdges,
-		DBSize:           x.dbSize,
-		VertexBlind:      distance.IgnoresVertices(x.opts.Metric),
-	}
-	for _, c := range x.list {
-		pc := persistClass{
-			Key:       c.Key,
-			Code:      c.Code,
-			VOff:      c.vOff,
-			Postings:  c.postings,
-			Fragments: c.fragments,
-		}
-		c.trie.Walk(func(seq []uint32, graphs []int32) {
-			pc.Entries = append(pc.Entries, persistEntry{
-				Seq:    append([]uint32(nil), seq...),
-				Graphs: graphs,
-			})
-		})
-		p.Classes = append(p.Classes, pc)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestPersistLoadsLegacyV1: a gob stream in the pre-v2 format still loads
-// (read-only migration path) and answers identically; its fingerprint is
-// unknown (0).
-func TestPersistLoadsLegacyV1(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 29, 14)
-	y, err := Load(bytes.NewReader(saveV1(t, x)), metric)
-	if err != nil {
-		t.Fatalf("legacy v1 stream rejected: %v", err)
-	}
-	if y.Fingerprint() != 0 {
-		t.Fatalf("legacy stream produced fingerprint %x, want 0 (unknown)", y.Fingerprint())
-	}
-	if sx, sy := x.Stats(), y.Stats(); sx != sy {
-		t.Fatalf("stats mismatch after legacy load: %+v vs %+v", sx, sy)
-	}
-	q := db[3]
-	for _, qf := range x.QueryFragments(q) {
-		want := x.RangeQuery(qf, 2)
-		got := map[int32]float64{}
-		for _, qf2 := range y.QueryFragments(q) {
-			if sameEdges(qf.Edges, qf2.Edges) {
-				got = y.RangeQuery(qf2, 2)
-				break
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("legacy range query differs: %d vs %d graphs", len(got), len(want))
-		}
-	}
-	// Adoption backfills the fingerprint exactly once.
-	y.AdoptFingerprint(42)
-	y.AdoptFingerprint(43)
-	if y.Fingerprint() != 42 {
-		t.Fatalf("AdoptFingerprint: got %d, want 42", y.Fingerprint())
-	}
-}
-
 // TestPersistFingerprintRoundTrip: a built index carries the fingerprint
-// of its graphs and the v2 stream preserves it bit for bit.
+// of its graphs and the image preserves it bit for bit.
 func TestPersistFingerprintRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, db := buildSmall(t, TrieIndex, metric, 17, 12)
@@ -212,29 +143,168 @@ func TestPersistFingerprintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistDetectsCorruption: flipping any byte of the v2 stream must
-// surface as a load error (checksummed sections), never as a silently
-// different index.
-func TestPersistDetectsCorruption(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 7, 9)
+// imageBytes saves x and returns the image with the offset of its slab.
+func imageBytes(t *testing.T, x *Index) (data []byte, slabOff int) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	clean := buf.Bytes()
+	_, slabOff = v3Sections(t, buf.Bytes())
+	return buf.Bytes(), slabOff
+}
+
+// TestPersistDetectsCorruption: flipping any bit of the image outside
+// the zero padding before the slab (the one region nothing reads), or
+// truncating it anywhere, must surface as an error from both readers
+// (checksummed sections and blocks), never as a silently different index.
+func TestPersistDetectsCorruption(t *testing.T) {
+	metric := distance.EdgeMutation{}
+	x, _ := buildSmall(t, TrieIndex, metric, 7, 9)
+	clean, slabOff := imageBytes(t, x)
+	sections, _ := v3Sections(t, clean)
+	padStart := sections[len(sections)-1][1] + 4 // past the last section's CRC
+	readers := map[string]func([]byte) error{
+		"Load":   func(b []byte) error { _, err := Load(bytes.NewReader(b), metric); return err },
+		"openV3": func(b []byte) error { _, err := openV3(b, metric, nil); return err },
+	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		pos := rng.Intn(len(clean))
+		if pos >= padStart && pos < slabOff {
+			continue
+		}
 		dirty := append([]byte(nil), clean...)
 		dirty[pos] ^= 1 << uint(rng.Intn(8))
-		if _, err := Load(bytes.NewReader(dirty), metric); err == nil {
-			t.Fatalf("bit flip at byte %d loaded cleanly", pos)
+		for name, read := range readers {
+			if read(dirty) == nil {
+				t.Fatalf("%s: bit flip at byte %d loaded cleanly", name, pos)
+			}
 		}
 	}
 	for cut := 0; cut < len(clean); cut += 7 {
-		if _, err := Load(bytes.NewReader(clean[:cut]), metric); err == nil {
-			t.Fatalf("truncation to %d bytes loaded cleanly", cut)
+		for name, read := range readers {
+			if read(clean[:cut]) == nil {
+				t.Fatalf("%s: truncation to %d bytes loaded cleanly", name, cut)
+			}
+		}
+	}
+}
+
+// TestPersistRejectsOversizedCounts: a checksum-valid image whose header
+// claims 2^40 classes, or 2^40 graphs with a fingerprint section, used to
+// size allocations straight from those counts and die of a fatal
+// out-of-memory inside the reader. Every count is now bounded by the bytes
+// that could hold it, so both images are plain errors.
+func TestPersistRejectsOversizedCounts(t *testing.T) {
+	metric := distance.EdgeMutation{}
+	for name, img := range oversizedImages(t) {
+		if len(img) != v3SlabAlign {
+			t.Fatalf("%s: crafted image is %d bytes, want %d", name, len(img), v3SlabAlign)
+		}
+		if _, err := Load(bytes.NewReader(img), metric); err == nil {
+			t.Errorf("%s: Load accepted the image", name)
+		}
+		path := filepath.Join(t.TempDir(), "crafted.pisidx3")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if mx, err := OpenMapped(path, metric); err == nil {
+			mx.Close()
+			t.Errorf("%s: OpenMapped accepted the image", name)
+		}
+	}
+}
+
+// oversizedImages crafts the two checksum-valid 4 KiB images of
+// TestPersistRejectsOversizedCounts.
+func oversizedImages(t testing.TB) map[string][]byte {
+	t.Helper()
+	hdr := v3Header{kind: TrieIndex, vertexBlind: true, maxEdges: 3, sigWords: defaultSigWords}
+	craft := func(hdr v3Header, writeFPs func(*binio.SectionWriter)) []byte {
+		var buf bytes.Buffer
+		if err := writeV3Image(&buf, hdr, nil, writeFPs, bytes.NewReader(nil)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	classes, graphs := hdr, hdr
+	classes.nClasses = 1 << 40
+	graphs.dbSize, graphs.hasFPs = 1<<40, true
+	return map[string][]byte{
+		"nClasses": craft(classes, nil),
+		"dbSize": craft(graphs, func(sw *binio.SectionWriter) {
+			beginFPSection(sw, defaultSigWords, 1<<40)
+		}),
+	}
+}
+
+// TestSaveImagesByteIdentical: one format, one image. Saving a heap
+// index, saving the mapped index opened from that image, and WriteMapped
+// all produce the same bytes for every kind; for the trie kind the
+// external-sort streaming build over the same graphs does too. (The
+// vptree and rtree streaming builds drop a fragment's repeats within one
+// graph, which the in-memory build keeps, so their entry blocks
+// legitimately differ.)
+func TestSaveImagesByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		kind   Kind
+		metric distance.Metric
+	}{
+		{TrieIndex, distance.EdgeMutation{}},
+		{TrieIndex, distance.FullMutation{}},
+		{VPTreeIndex, distance.EdgeMutation{}},
+		{RTreeIndex, distance.Linear{}},
+	} {
+		x, db := buildSmall(t, tc.kind, tc.metric, 23, 30)
+		heap, _ := imageBytes(t, x)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "idx.pisidx3")
+		if err := x.WriteMapped(path); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(heap, file) {
+			t.Fatalf("%v/%T: WriteMapped file differs from Save", tc.kind, tc.metric)
+		}
+		mx, err := OpenMapped(path, tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, _ := imageBytes(t, mx)
+		mx.Close()
+		if !bytes.Equal(heap, mapped) {
+			t.Fatalf("%v/%T: mapped Save differs from heap Save", tc.kind, tc.metric)
+		}
+		hx, err := Load(bytes.NewReader(heap), tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reloaded, _ := imageBytes(t, hx); !bytes.Equal(heap, reloaded) {
+			t.Fatalf("%v/%T: Save of the reloaded index differs", tc.kind, tc.metric)
+		}
+		if tc.kind != TrieIndex {
+			continue
+		}
+		feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spath := filepath.Join(dir, "stream.pisidx3")
+		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats,
+			Options{Kind: tc.kind, Metric: tc.metric}, spath,
+			StreamOptions{TempDir: dir, ArenaBytes: 1 << 12}); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := os.ReadFile(spath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(heap, streamed) {
+			t.Fatalf("%v/%T: BuildStreaming image differs from Save", tc.kind, tc.metric)
 		}
 	}
 }

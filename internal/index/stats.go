@@ -15,11 +15,10 @@
 //     of automorphism variants probed.
 //
 // Statistics are computed at build time (so Compact refreshes them with
-// every rebuilt index), persisted as a checksummed PISIDX2 section, and
-// recomputed deterministically on the fly for legacy streams that
-// predate them. Sampling is fixed-stride over the canonical storage
-// walk, never randomized, so Build, BuildParallel, and every Load of the
-// same index agree bit for bit.
+// every rebuilt index) and persisted per class in the image's
+// checksummed directory section. Sampling is fixed-stride over the
+// canonical storage walk, never randomized, so Build, BuildParallel, and
+// every Load of the same index agree bit for bit.
 
 package index
 
@@ -93,7 +92,7 @@ func (c *Class) ProbeCost() float64 {
 // computeStats fills every class's planner statistics from its stored
 // sequences. Deterministic: sampling is fixed-stride over the canonical
 // storage walk. Called after finalize (trees are walked, not staged
-// slices, so build and load paths share one implementation).
+// slices).
 func (x *Index) computeStats() {
 	for _, c := range x.list {
 		c.stats = x.classStats(c)

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"pis/internal/distance"
@@ -76,8 +75,9 @@ func TestClassStatsComputed(t *testing.T) {
 	}
 }
 
-// TestPersistStatsRoundTrip: the stats section survives save/load bit
-// for bit, for every index kind, without recomputation drift.
+// TestPersistStatsRoundTrip: the directory's per-class stats survive
+// save/load bit for bit, for every index kind, without recomputation
+// drift. (Damage to them is named "mapped directory": TestMappedCorruption.)
 func TestPersistStatsRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -101,83 +101,4 @@ func TestPersistStatsRoundTrip(t *testing.T) {
 			statsEqual(t, x, y)
 		})
 	}
-}
-
-// TestPersistStatsLessV2Loads: a v2 stream written before planner
-// statistics existed (no stats section, no header flag) still loads,
-// with stats recomputed on the fly to the same values a build produces.
-func TestPersistStatsLessV2Loads(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 53, 20)
-	var buf bytes.Buffer
-	if err := x.save(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(&buf, metric)
-	if err != nil {
-		t.Fatalf("stats-less v2 stream rejected: %v", err)
-	}
-	statsEqual(t, x, y)
-}
-
-// TestPersistLegacyV1RecomputesStats: the legacy gob stream predates
-// statistics entirely; loading recomputes them deterministically.
-func TestPersistLegacyV1RecomputesStats(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 59, 18)
-	y, err := Load(bytes.NewReader(saveV1(t, x)), metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsEqual(t, x, y)
-}
-
-// TestPersistCorruptStatsSection: corruption confined to the stats
-// section fails with an error naming it — not a generic class-decode
-// failure — and truncating the stream at the stats-section boundary is
-// detected rather than silently read as a stats-less stream.
-func TestPersistCorruptStatsSection(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 61, 20)
-	var with, without bytes.Buffer
-	if err := x.Save(&with); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.save(&without, false); err != nil {
-		t.Fatal(err)
-	}
-	// The two streams differ only in the header flag bytes and the
-	// trailing stats + fingerprint sections, so every byte past the
-	// section-less length belongs to one of the trailing sections.
-	statsStart := without.Len()
-	clean := with.Bytes()
-	if statsStart >= len(clean) {
-		t.Fatalf("stats stream (%d bytes) not longer than stats-less (%d)", len(clean), statsStart)
-	}
-
-	t.Run("truncated at boundary", func(t *testing.T) {
-		_, err := Load(bytes.NewReader(clean[:statsStart]), metric)
-		if err == nil {
-			t.Fatal("stream truncated at the stats boundary loaded cleanly")
-		}
-		if !strings.Contains(err.Error(), "stats section") {
-			t.Fatalf("error does not name the stats section: %v", err)
-		}
-	})
-
-	t.Run("bit flips inside the section", func(t *testing.T) {
-		// Flip one bit in every stats-section byte past the section's
-		// length prefix; each must fail, and each must name the section.
-		for pos := statsStart + 4; pos < len(clean); pos++ {
-			dirty := append([]byte(nil), clean...)
-			dirty[pos] ^= 0x40
-			_, err := Load(bytes.NewReader(dirty), metric)
-			if err == nil {
-				t.Fatalf("bit flip at trailing-section byte %d loaded cleanly", pos)
-			}
-			if !strings.Contains(err.Error(), "stats section") && !strings.Contains(err.Error(), "fingerprint section") {
-				t.Fatalf("bit flip at trailing-section byte %d: error does not name a trailing section: %v", pos, err)
-			}
-		}
-	})
 }

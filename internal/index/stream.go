@@ -76,8 +76,8 @@ type StreamResult struct {
 	Classes    int
 	SpillRuns  int
 	SpillBytes int64
-	// RawPostingBytes is the uncompressed (v2-style, 4 bytes per id and
-	// symbol) volume of every posting list and stored entry — the
+	// RawPostingBytes is the uncompressed (4 bytes per id and symbol)
+	// volume of every posting list and stored entry — the
 	// "total posting bytes" a heap build would hold resident, and the
 	// denominator of the build's peak-RSS budget.
 	RawPostingBytes int64
@@ -97,11 +97,9 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	if n <= 0 {
 		return res, fmt.Errorf("index: streaming build needs a declared positive size, got %d", n)
 	}
-	// Build with no graphs scaffolds the class directory — codes, perms,
-	// per-class metadata — which pass 1 needs for canonicalization and
-	// the merge needs for distances; the expensive per-graph work never
-	// runs. Same trick as BuildParallel.
-	x, err := Build(nil, features, opts)
+	// Pass 1 needs the class directory for canonicalization, the merge
+	// for distances.
+	x, err := scaffold(features, opts)
 	if err != nil {
 		return res, err
 	}
@@ -208,10 +206,9 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		return res, err
 	}
 	defer slabFile.Close()
-	if err := writeV3File(path, hdr, dir, writeFPs, bufio.NewReaderSize(slabFile, 1<<16)); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, writeFileAtomic(path, func(w io.Writer) error {
+		return writeV3Image(w, hdr, dir, writeFPs, bufio.NewReaderSize(slabFile, 1<<16))
+	})
 }
 
 // flipFloatBits maps float64 bits to an order-preserving big-endian
@@ -259,15 +256,13 @@ func writeStreamFP(w *bufio.Writer, fp *GraphFP) {
 
 // emitStreamFPSection re-reads the pass-1 fingerprint file and writes
 // the fingerprint section payload, splicing in the signatures the merge
-// accumulated. Encoding matches encodeFPPayload exactly.
+// accumulated. Encoding matches encodeGraphFP exactly.
 func emitStreamFPSection(sw *binio.SectionWriter, f *os.File, n, words int, sig []uint64) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		sw.Bytes(nil) // the section writer surfaces its own errors; nothing to do
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
-	sw.U32(fpMagic)
-	sw.Uvarint(uint64(words))
-	sw.Uvarint(uint64(n))
+	beginFPSection(sw, words, n)
 	var buf [streamFPSize]byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {

@@ -31,14 +31,13 @@
 // store's WAL and fsync'd before it is applied or acknowledged, Compact
 // and Checkpoint write atomic snapshots, and OpenDurable rebuilds the
 // exact pre-crash live state from the newest snapshot plus the valid WAL
-// prefix. A non-durable segment (New, FromIndex) behaves as before.
+// prefix. A non-durable segment (New) lives in memory only.
 package segment
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -74,14 +73,15 @@ type Config struct {
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
 	// Compact can still be called explicitly.
 	CompactFraction float64
-	// MappedIndex serves the base index memory-mapped from its v3 on-disk
-	// image instead of heap-resident: builds and compactions write the
-	// index in the mapped layout and reopen it through index.OpenMapped, a
-	// durable segment's snapshots keep the index in a side file the next
-	// OpenDurable maps directly, and only the class directory lives on the
-	// heap — posting and entry slabs stay in the page cache. Answers are
-	// identical either way. With MappedIndex set, Close also unmaps the
-	// index, so the segment must not serve queries after Close.
+	// MappedIndex serves the base index memory-mapped from its on-disk
+	// image instead of heap-resident: builds and compactions save the
+	// index and reopen it through index.OpenMapped, OpenDurable maps the
+	// snapshot's index side file directly, and only the class directory
+	// lives on the heap — posting and entry slabs stay in the page cache.
+	// Residency is a per-open choice: the store's files are the same
+	// either way, and so are the answers. With MappedIndex set, Close
+	// also unmaps the index, so the segment must not serve queries after
+	// Close.
 	MappedIndex bool
 	// FS routes the backing store's disk operations; nil means the real
 	// filesystem. Fault-injection tests swap in internal/faultfs here.
@@ -157,26 +157,6 @@ func New(graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
 	return fromIndex(base, sequentialIDs(startID, len(graphs)), idx, cfg)
 }
 
-// FromIndex wraps a pre-built index (for example one loaded from disk)
-// over graphs with global ids startID, startID+1, .... The index must
-// have been built over exactly these graphs in this order: the count and
-// the graph-set fingerprint are both verified, so an index stream paired
-// with the wrong database fails here with a descriptive error instead of
-// silently returning wrong answers. A legacy fingerprint-less index
-// (v1 stream) passes the count check only and adopts the fingerprint of
-// the graphs it is attached to.
-func FromIndex(graphs []*graph.Graph, startID int32, idx *index.Index, cfg Config) (*Segment, error) {
-	if idx.DBSize() != len(graphs) {
-		return nil, fmt.Errorf("segment: index covers %d graphs, slice has %d", idx.DBSize(), len(graphs))
-	}
-	fp := graph.Fingerprint(graphs)
-	if have := idx.Fingerprint(); have != 0 && have != fp {
-		return nil, fmt.Errorf("segment: index was built over a different graph set (index fingerprint %016x, graphs hash to %016x); rebuild or load the matching database", have, fp)
-	}
-	idx.AdoptFingerprint(fp)
-	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
-}
-
 // NewDurable builds an indexed segment over graphs exactly like New and
 // roots it in the store directory dir: the initial snapshot is written
 // before NewDurable returns, and every later mutation is WAL-logged.
@@ -194,8 +174,7 @@ func NewDurable(dir string, graphs []*graph.Graph, startID int32, cfg Config) (*
 // Persist attaches a new backing store at dir to an in-memory segment,
 // writing its full current state (index included, no rebuild) as the
 // initial snapshot. Afterwards the segment is durable: mutations are
-// WAL-logged and OpenDurable recovers it. This is also the migration
-// path for legacy index files: load them the old way, then Persist.
+// WAL-logged and OpenDurable recovers it.
 func (s *Segment) Persist(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,8 +295,8 @@ func build(graphs []*graph.Graph, cfg Config) ([]*graph.Graph, *index.Index, err
 	return graphs, idx, nil
 }
 
-// mapIndex rewrites a heap-built index in the v3 mapped layout and
-// reopens it memory-mapped. The image goes to an unlinked temp file: the
+// mapIndex saves a heap-built index and reopens the image
+// memory-mapped. The image goes to an unlinked temp file: the
 // mapping pins the inode, so the file needs no lifecycle of its own —
 // closing the mapping frees the disk space. Durable segments re-persist
 // the image into a store-owned side file at the next snapshot.
@@ -350,8 +329,8 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		}
 		idx = mx
 	}
-	// Streams persisted before fingerprints existed load without them;
-	// recompute here so the prescreen tier is never silently absent.
+	// An image may lack the fingerprint section; recompute here so the
+	// prescreen tier is never silently absent.
 	idx.EnsureFingerprints(base)
 	maxID := int32(-1)
 	if len(ids) > 0 {
@@ -826,13 +805,4 @@ func (s *Segment) IndexStats() index.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.idx.Stats()
-}
-
-// SaveIndex serializes the base index (delta and tombstones are
-// in-memory only; compact first to capture them).
-func (s *Segment) SaveIndex(w io.Writer) error {
-	s.mu.RLock()
-	idx := s.idx
-	s.mu.RUnlock()
-	return idx.Save(w)
 }

@@ -32,14 +32,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
 	"sync"
 
 	"pis/internal/core"
-	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
@@ -68,7 +66,7 @@ type Config struct {
 	// filesystem (fault-injection tests swap in internal/faultfs).
 	FS store.FS
 	// MappedIndex serves every shard's base index memory-mapped from its
-	// v3 on-disk image; see segment.Config.MappedIndex.
+	// on-disk image; see segment.Config.MappedIndex.
 	MappedIndex bool
 }
 
@@ -201,8 +199,7 @@ func NewDurable(dir string, graphs []*graph.Graph, nShards int, cfg Config) (*DB
 
 // Persist attaches backing stores at dir to an in-memory database,
 // writing every shard's full current state (indexes included, no
-// rebuild) as initial snapshots, in parallel. This is the migration path
-// for legacy per-shard index files: Load them, then Persist.
+// rebuild) as initial snapshots, in parallel.
 //
 // The root MANIFEST is written last, only after every shard store is
 // fully established: a crash or error mid-Persist leaves no root
@@ -367,53 +364,6 @@ func (d *DB) Close() error {
 		}
 	}
 	return first
-}
-
-// Load reconstructs a sharded database from one index stream per shard,
-// written by SaveShard in shard order. The shard layout is recomputed with
-// Split(len(graphs), len(readers)) and each stream's recorded size must
-// match its slice, so a mismatched database or shard count fails loudly.
-func Load(graphs []*graph.Graph, readers []io.Reader, metric distance.Metric, copts core.Options) (*DB, error) {
-	return LoadConfig(graphs, readers, Config{Index: index.Options{Metric: metric}, Core: copts})
-}
-
-// LoadConfig is Load with the full shard configuration, so a loaded
-// database keeps its mining options for later compactions.
-func LoadConfig(graphs []*graph.Graph, readers []io.Reader, cfg Config) (*DB, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("shard: empty database")
-	}
-	if len(readers) == 0 {
-		return nil, fmt.Errorf("shard: no index streams")
-	}
-	if len(readers) > len(graphs) {
-		return nil, fmt.Errorf("shard: %d index streams for %d graphs", len(readers), len(graphs))
-	}
-	ranges := Split(len(graphs), len(readers))
-	scfg := cfg.segmentConfig(len(ranges))
-	segs := make([]*segment.Segment, len(ranges))
-	for i, rg := range ranges {
-		idx, err := index.Load(readers[i], cfg.Index.Metric)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		seg, err := segment.FromIndex(graphs[rg.Start:rg.End], int32(rg.Start), idx, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		segs[i] = seg
-	}
-	return &DB{segs: segs, nextID: int32(len(graphs))}, nil
-}
-
-// SaveShard writes shard i's base index to w; Load restores a database
-// from the streams of all shards in order. Deltas and tombstones are not
-// serialized — Compact first to fold them into the base.
-func (d *DB) SaveShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(d.segs) {
-		return fmt.Errorf("shard: no shard %d (have %d)", i, len(d.segs))
-	}
-	return d.segs[i].SaveIndex(w)
 }
 
 // NumShards returns the shard count.

@@ -1,9 +1,10 @@
 package shard
 
 import (
-	"bytes"
-	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pis/internal/chem"
@@ -12,6 +13,7 @@ import (
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/store"
 )
 
 func testConfig() Config {
@@ -155,46 +157,52 @@ func TestSearchBatchAligns(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundtrip(t *testing.T) {
+func TestPersistOpenRoundtrip(t *testing.T) {
 	db, sh, _ := buildEnv(t, 40, 3)
-	var bufs []bytes.Buffer
-	readers := make([]io.Reader, sh.NumShards())
-	bufs = make([]bytes.Buffer, sh.NumShards())
-	for i := 0; i < sh.NumShards(); i++ {
-		if err := sh.SaveShard(i, &bufs[i]); err != nil {
-			t.Fatalf("SaveShard(%d): %v", i, err)
-		}
-		readers[i] = &bufs[i]
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := sh.Persist(dir); err != nil {
+		t.Fatalf("Persist: %v", err)
 	}
-	loaded, err := Load(db, readers, distance.EdgeMutation{}, core.Options{})
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Open(dir, testConfig())
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
+	defer loaded.Close()
 	q := chem.SampleQueries(db, 1, 8, 17)[0]
 	want := sh.Search(q, 2)
 	got := loaded.Search(q, 2)
 	if !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("loaded answers %v, want %v", got.Answers, want.Answers)
+		t.Fatalf("reopened answers %v, want %v", got.Answers, want.Answers)
 	}
 }
 
-func TestLoadShardCountMismatch(t *testing.T) {
-	db, sh, _ := buildEnv(t, 40, 3)
-	var buf bytes.Buffer
-	if err := sh.SaveShard(0, &buf); err != nil {
+// TestOpenRejectsForeignIndex: an index side file that covers a different
+// graph set than its snapshot — here shard 2's (14 graphs) dropped over
+// shard 0's (13) — must fail Open with the shard named, not silently
+// mis-answer.
+func TestOpenRejectsForeignIndex(t *testing.T) {
+	_, sh, _ := buildEnv(t, 40, 3)
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := sh.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	// One stream for a 40-graph database: shard 0's index covers 14
-	// graphs, not 40 — must fail, not silently mis-answer.
-	if _, err := Load(db, []io.Reader{&buf}, distance.EdgeMutation{}, core.Options{}); err == nil {
-		t.Fatal("Load with wrong shard count should fail")
+	sh.Close()
+	idx := func(shard int) string {
+		return filepath.Join(store.ShardDir(dir, shard), "idx-000001.pisidx3")
 	}
-}
-
-func TestSaveShardOutOfRange(t *testing.T) {
-	_, sh, _ := buildEnv(t, 20, 2)
-	if err := sh.SaveShard(5, io.Discard); err == nil {
-		t.Fatal("SaveShard(5) of 2 should fail")
+	foreign, err := os.ReadFile(idx(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idx(0), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, testConfig())
+	if err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("Open with a foreign index: %v, want an error naming shard 0", err)
 	}
 }
 

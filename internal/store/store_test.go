@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"pis/internal/binio"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
@@ -235,6 +238,112 @@ func TestStoreTornAndCorruptTail(t *testing.T) {
 	}
 	// Garbage appended after the last record is dropped.
 	damage("garbage-tail", func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe) }, nRecs)
+}
+
+// TestSnapshotIndexFileCorruption: the snapshot's index lives in the
+// idx-<seq>.pisidx3 side file. Damage there — a bit flip inside each
+// metadata section and at the edges and middle of the slab, truncation at
+// every section boundary and inside the slab, the file missing — must
+// fail Open, heap and mapped alike, naming the file and the damaged
+// section.
+func TestSnapshotIndexFileCorruption(t *testing.T) {
+	dir := t.TempDir()
+	graphs, idx := testState(t, 12, 7)
+	createWithSnapshot(t, dir, graphs, idx).Close()
+	const idxName = "idx-000001.pisidx3"
+	clean, err := os.ReadFile(filepath.Join(dir, idxName))
+	if err != nil {
+		t.Fatalf("snapshot of a heap index wrote no side file: %v", err)
+	}
+
+	// Walk the image's framing: 8-byte magic, then three
+	// [u32 length][payload][u32 CRC] sections (header, directory,
+	// fingerprints); the header payload ends with slab offset and length.
+	var sections [][2]int // payload [start, end)
+	for off := 8; len(sections) < 3; {
+		end := off + 4 + int(binary.LittleEndian.Uint32(clean[off:]))
+		sections = append(sections, [2]int{off + 4, end})
+		off = end + 4
+	}
+	slabOff := int(binary.LittleEndian.Uint64(clean[sections[0][1]-16:]))
+	if slabOff <= sections[2][1] || slabOff >= len(clean) {
+		t.Fatalf("slab offset %d outside the %d-byte image (sections %v)", slabOff, len(clean), sections)
+	}
+
+	expectFail := func(name string, damaged []byte, wantSub string) {
+		t.Helper()
+		cdir := t.TempDir()
+		copyDir(t, dir, cdir)
+		if damaged == nil {
+			err = os.Remove(filepath.Join(cdir, idxName))
+		} else {
+			err = os.WriteFile(filepath.Join(cdir, idxName), damaged, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mapped := range []bool{false, true} {
+			st, _, _, err := OpenWith(cdir, distance.EdgeMutation{}, OpenOptions{MappedIndex: mapped})
+			if err == nil {
+				st.Close()
+				t.Fatalf("%s (mapped=%v): damage not detected", name, mapped)
+			}
+			if !strings.Contains(err.Error(), "index file "+idxName) || !strings.Contains(err.Error(), wantSub) {
+				t.Fatalf("%s (mapped=%v): error %q does not name the file and %q", name, mapped, err, wantSub)
+			}
+		}
+	}
+	flip := func(pos int) []byte {
+		d := append([]byte(nil), clean...)
+		d[pos] ^= 0x40
+		return d
+	}
+
+	for i, want := range []string{"mapped header", "mapped directory", "mapped fingerprint section"} {
+		expectFail(want+" bit flip", flip((sections[i][0]+sections[i][1])/2), want)
+	}
+	for _, pos := range []int{slabOff, (slabOff + len(clean)) / 2, len(clean) - 1} {
+		expectFail("slab bit flip", flip(pos), "block: checksum mismatch")
+	}
+	expectFail("truncated after the header", clean[:sections[0][1]+4], "mapped directory")
+	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "mapped directory")
+	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped fingerprint section")
+	expectFail("truncated mid-fingerprints", clean[:(sections[2][0]+sections[2][1])/2], "mapped fingerprint section")
+	expectFail("truncated before the slab", clean[:slabOff], "mapped slab: truncated")
+	expectFail("truncated mid-slab", clean[:(slabOff+len(clean))/2], "mapped slab: truncated")
+	expectFail("empty file", []byte{}, "not a PISIDX3 image")
+	expectFail("file missing", nil, "")
+}
+
+// TestOpenRejectsEmbeddedIndexSnapshot: snapshots used to carry the index
+// as a chunk run after the base graphs, announced by a non-zero byte
+// length in the header and no side-file name. That layout is no longer
+// read; Open must say so instead of misparsing the chunks as tombstones.
+func TestOpenRejectsEmbeddedIndexSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	graphs, idx := testState(t, 6, 9)
+	createWithSnapshot(t, dir, graphs, idx).Close()
+
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	sw := binio.NewSectionWriter(&buf)
+	sw.Begin()
+	sw.U64(1)       // seq
+	sw.U32(6)       // next id
+	sw.Uvarint(6)   // base graphs
+	sw.Uvarint(0)   // tombstones
+	sw.Uvarint(0)   // delta graphs
+	sw.U64(1 << 10) // embedded index bytes; the header ends here
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-000001.pissnap"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := Open(dir, distance.EdgeMutation{})
+	if err == nil || !strings.Contains(err.Error(), "embeds an index; rebuild") {
+		t.Fatalf("Open of an embedded-index snapshot: %v", err)
+	}
 }
 
 func TestRootManifest(t *testing.T) {

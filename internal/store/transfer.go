@@ -17,9 +17,9 @@ import (
 )
 
 // TransferState names the files a full store transfer must copy: the
-// live snapshot, its paired WAL, and the index side file when the
-// snapshot uses one. Manifest is the MANIFEST payload committing that
-// set; the receiver writes it only after every named file has landed.
+// live snapshot, its index side file, and the paired WAL. Manifest is
+// the MANIFEST payload committing that set; the receiver writes it only
+// after every named file has landed.
 //
 // The view is consistent at the moment of the call. A checkpoint racing
 // the transfer swings the manifest and unlinks the old files, so a
@@ -40,14 +40,10 @@ func (s *Store) TransferState() (*TransferState, error) {
 	}
 	snapName := fmt.Sprintf("snap-%06d.pissnap", seq)
 	walName := fmt.Sprintf("wal-%06d", seq)
-	ts := &TransferState{
+	return &TransferState{
 		Manifest: fmt.Appendf(nil, "%s\nsnapshot %s\nwal %s\n", manifestMagic, snapName, walName),
-		Files:    []string{snapName, walName},
-	}
-	if _, err := s.fsOrOS().Stat(filepath.Join(s.dir, idxFileName(seq))); err == nil {
-		ts.Files = append(ts.Files, idxFileName(seq))
-	}
-	return ts, nil
+		Files:    []string{snapName, walName, idxFileName(seq)},
+	}, nil
 }
 
 // WALRecords decodes the records currently in the active log, in append

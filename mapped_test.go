@@ -55,71 +55,82 @@ func TestMappedMutationDifferentialSharded(t *testing.T) {
 	}
 }
 
-// TestMappedDurableReopen drives a durable mapped database through
-// mutations and a checkpoint, then reopens the store three ways — mapped,
-// heap (same snapshot, index side file decoded instead of mapped), and a
-// fresh in-memory build over the survivors — and requires identical
-// answers from all of them. It also pins the storage contract: a mapped
-// database's snapshot keeps the index in an idx-*.pisidx3 side file.
+// TestMappedDurableReopen drives a durable database through mutations
+// and a compaction, then reopens the store mapped, heap (same snapshot,
+// index side file decoded instead of mapped), and mapped again, and
+// requires every reopen to answer like a fresh in-memory build over the
+// survivors. Residency is a per-Open choice, not a property of the store:
+// the database is created heap as well as mapped, sharded as well as
+// unsharded, and every store keeps exactly one idx-*.pisidx3 side file
+// per shard either way.
 func TestMappedDurableReopen(t *testing.T) {
 	mopts, hopts := mappedOpts()
-	dir := t.TempDir()
-	initial := gen.Molecules(25, gen.Config{Seed: 123})
-	db, err := pis.Create(dir, initial, mopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := gen.Molecules(10, gen.Config{Seed: 124})
-	for _, g := range pool {
-		if _, err := db.Insert(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []int32{3, 7, 26} {
-		if ok, err := db.Delete(id); !ok || err != nil {
-			t.Fatalf("Delete: %v, %v", ok, err)
-		}
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		create  pis.Options
+		sharded bool
+	}{
+		{"created mapped", mopts, false},
+		{"created heap", hopts, false},
+		{"created mapped, sharded", mopts, true},
+		{"created heap, sharded", hopts, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			initial := gen.Molecules(25, gen.Config{Seed: 123})
+			var db durableDB
+			var err error
+			nShards := 1
+			if tc.sharded {
+				nShards = 2
+				db, err = pis.CreateSharded(dir, initial, nShards, tc.create)
+			} else {
+				db, err = pis.Create(dir, initial, tc.create)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range gen.Molecules(10, gen.Config{Seed: 124}) {
+				if _, err := db.Insert(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []int32{3, 7, 26} {
+				if ok, err := db.Delete(id); !ok || err != nil {
+					t.Fatalf("Delete: %v, %v", ok, err)
+				}
+			}
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	side, err := filepath.Glob(filepath.Join(dir, "shard-000", "idx-*.pisidx3"))
-	if err != nil || len(side) != 1 {
-		t.Fatalf("store holds %d index side files (%v, err %v), want exactly 1", len(side), side, err)
-	}
+			side, err := filepath.Glob(filepath.Join(dir, "shard-*", "idx-*.pisidx3"))
+			if err != nil || len(side) != nShards {
+				t.Fatalf("store holds %d index side files (%v, err %v), want one per shard (%d)", len(side), side, err, nShards)
+			}
 
-	check := func(name string, db *pis.Database) {
-		t.Helper()
-		m := &mutationModel{live: make(map[int32]*pis.Graph)}
-		for _, id := range db.LiveIDs() {
-			m.live[id] = db.Graph(id)
-			m.ever = append(m.ever, id)
-		}
-		checkEquivalence(t, rand.New(rand.NewSource(999)), db, m, hopts)
-	}
-
-	reopened, err := pis.Open(dir, mopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("mapped reopen", reopened)
-	if err := reopened.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same snapshot must also load heap-resident when MappedIndex is
-	// off: the side file is a complete v3 stream, not a mapped-only fork.
-	heapDB, err := pis.Open(dir, hopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("heap reopen of mapped store", heapDB)
-	if err := heapDB.Close(); err != nil {
-		t.Fatal(err)
+			for _, open := range []struct {
+				name string
+				opts pis.Options
+			}{{"mapped", mopts}, {"heap", hopts}, {"mapped again", mopts}} {
+				re := reopen(t, dir, tc.sharded, open.opts)
+				m := &mutationModel{live: make(map[int32]*pis.Graph)}
+				for _, id := range re.LiveIDs() {
+					m.live[id] = re.Graph(id)
+					m.ever = append(m.ever, id)
+				}
+				if len(m.live) != 25+10-3 {
+					t.Fatalf("%s reopen: %d live graphs, want %d", open.name, len(m.live), 25+10-3)
+				}
+				checkEquivalence(t, rand.New(rand.NewSource(999)), re, m, hopts)
+				if err := re.Close(); err != nil {
+					t.Fatalf("%s reopen: Close: %v", open.name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -234,10 +234,11 @@ type Options struct {
 	// MappedIndex serves the fragment index memory-mapped from its
 	// compressed on-disk image (the PISIDX3 layout) instead of
 	// heap-resident: builds and compactions write the index to disk and
-	// reopen it through mmap, durable snapshots keep it in a side file
-	// that Open maps directly, and only the per-class directory lives on
-	// the heap — the posting and entry slabs stay in the kernel page
-	// cache and are demand-paged, so the index can exceed RAM. Answers
+	// reopen it through mmap, Open maps the snapshot's index side file
+	// directly, and only the per-class directory lives on the heap — the
+	// posting and entry slabs stay in the kernel page cache and are
+	// demand-paged, so the index can exceed RAM. A durable store holds
+	// the same files either way, so each Open may choose afresh. Answers
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
 	MappedIndex bool
@@ -506,10 +507,9 @@ func Create(dir string, graphs []*Graph, opts Options) (*Database, error) {
 
 // Persist attaches a new backing store at dir to an in-memory database,
 // writing its full current state (index included, no rebuild) as the
-// initial snapshot; afterwards the database is durable exactly as if
-// built by Create. This is the migration path for legacy SaveIndex
-// streams: LoadIndex the old files, Persist, and restarts go through
-// Open from then on.
+// initial snapshot — graphs, tombstones, delta, and the index as an
+// idx-<seq>.pisidx3 side file; afterwards the database is durable exactly
+// as if built by Create, and restarts go through Open.
 //
 // The root manifest is written last, after the shard store is fully
 // established, so a crash mid-Persist leaves a directory that still
@@ -540,9 +540,14 @@ func (db *Database) Persist(dir string) error {
 // Open recovers a durable database from its data directory: the newest
 // valid snapshot is loaded (no re-mining), the WAL's valid prefix is
 // replayed, and a torn final record — a crash mid-write of a mutation
-// that was never acknowledged — is dropped. Search-stage options and
-// mutation knobs are honored from opts exactly as in LoadIndex;
-// opts.Metric must match the build-time metric.
+// that was never acknowledged — is dropped. The snapshot's index side
+// file is decoded onto the heap, or memory-mapped when opts.MappedIndex
+// is set: residency is chosen per Open, whatever the store was created
+// with. opts.Metric must match the build-time metric, and the index must
+// carry the fingerprint of the recovered graphs; search-stage options
+// (Epsilon, Lambda, PartitionK, MaxFragmentsPerQuery, VerifyWorkers) and
+// the mutation knobs (mining options and CompactFraction, used by later
+// compactions) are honored from opts.
 func Open(dir string, opts Options) (*Database, error) {
 	nShards, err := store.ReadRootManifest(dir)
 	if err != nil {
@@ -724,43 +729,6 @@ func (db *Database) Stats() IndexStats {
 	}
 }
 
-// SaveIndex serializes the fragment index so a later process can skip the
-// mining and index-construction cost. The graphs themselves are not
-// included; persist them separately with WriteDatabase. Only the indexed
-// base is written — Compact first if the database has live mutations.
-//
-// Deprecated: the reader/writer plumbing persists only the frozen index
-// and loses live mutations. Use Create/Open, which persist the whole
-// database (graphs, index, delta, tombstones) with crash recovery.
-func (db *Database) SaveIndex(w io.Writer) error {
-	return db.seg.SaveIndex(w)
-}
-
-// LoadIndex reconstructs a Database from graphs plus an index stream
-// written by SaveIndex. The graphs must be the exact database the index
-// was built over (same contents, same order) — current streams embed a
-// fingerprint of that graph set and any mismatch fails loudly here;
-// legacy fingerprint-less v1 streams still load, checked by size only.
-// opts.Metric must match the build-time metric; search-stage options
-// (Epsilon, Lambda, PartitionK, MaxFragmentsPerQuery, VerifyWorkers)
-// plus the mutation knobs (mining options and CompactFraction, used by
-// later compactions) are honored from opts.
-//
-// Deprecated: use Create/Open, which persist the whole database with
-// crash recovery instead of just the frozen index.
-func LoadIndex(graphs []*Graph, r io.Reader, opts Options) (*Database, error) {
-	opts = opts.withDefaults()
-	idx, err := index.Load(r, opts.Metric)
-	if err != nil {
-		return nil, fmt.Errorf("pis: loading index: %w", err)
-	}
-	seg, err := segment.FromIndex(graphs, 0, idx, opts.segmentConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Database{seg: seg, nextID: int32(len(graphs)), queryTimeout: opts.QueryTimeout}, nil
-}
-
 // Sharded is an indexed graph database split into contiguous shards, each
 // with its own fragment index, searched with parallel fan-out and merge.
 // It answers exactly like a Database over the same graphs: Search returns
@@ -864,9 +832,7 @@ func CreateSharded(dir string, graphs []*Graph, nShards int, opts Options) (*Sha
 
 // Persist attaches new backing stores at dir to an in-memory sharded
 // database, writing every shard's current state as initial snapshots (no
-// rebuild). The migration path for legacy SaveShardIndex streams:
-// LoadShardedIndex the old files, Persist, then restart through
-// OpenSharded.
+// rebuild); restarts then go through OpenSharded.
 func (s *Sharded) Persist(dir string) error {
 	if err := s.db.Persist(dir); err != nil {
 		return fmt.Errorf("pis: %w", err)
@@ -976,35 +942,6 @@ func (s *Sharded) Stats() IndexStats {
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
 	}
-}
-
-// SaveShardIndex serializes shard i's fragment index (0 <= i < NumShards).
-// Writing every shard's stream lets LoadShardedIndex restore the database
-// without re-mining after a restart.
-//
-// Deprecated: use CreateSharded/OpenSharded, which persist the whole
-// database (graphs, indexes, mutations) with crash recovery.
-func (s *Sharded) SaveShardIndex(i int, w io.Writer) error {
-	return s.db.SaveShard(i, w)
-}
-
-// LoadShardedIndex reconstructs a Sharded database from graphs plus one
-// index stream per shard, written by SaveShardIndex in shard order. The
-// graphs must be the exact database the indexes were built over (current
-// streams carry a per-shard graph-set fingerprint; a mismatch fails with
-// the offending shard number), the shard count is len(readers), and
-// opts.Metric must match the build-time metric; only search-stage
-// options are honored from opts.
-//
-// Deprecated: use CreateSharded/OpenSharded, which persist the whole
-// database with crash recovery.
-func LoadShardedIndex(graphs []*Graph, readers []io.Reader, opts Options) (*Sharded, error) {
-	opts = opts.withDefaults()
-	db, err := shard.LoadConfig(graphs, readers, opts.shardConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Sharded{db: db, queryTimeout: opts.QueryTimeout}, nil
 }
 
 // ReadDatabase loads graphs in the line-oriented transaction format

@@ -150,39 +150,6 @@ func TestPublicAPIPathFeatures(t *testing.T) {
 	}
 }
 
-func TestPublicAPISaveLoadIndex(t *testing.T) {
-	db, graphs := buildPublicDB(t, 100, pis.Options{MaxFragmentEdges: 4})
-	var buf bytes.Buffer
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := pis.LoadIndex(graphs, &buf, pis.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := chem.SampleQueries(graphs, 4, 10, 55)
-	for _, q := range qs {
-		a := db.Search(q, 2)
-		b := loaded.Search(q, 2)
-		if len(a.Answers) != len(b.Answers) {
-			t.Fatalf("loaded index disagrees: %d vs %d answers", len(b.Answers), len(a.Answers))
-		}
-		for i := range a.Answers {
-			if a.Answers[i] != b.Answers[i] {
-				t.Fatal("loaded index returned different ids")
-			}
-		}
-	}
-	// Wrong database size must be rejected.
-	buf.Reset()
-	if err := db.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pis.LoadIndex(graphs[:10], &buf, pis.Options{}); err == nil {
-		t.Error("database size mismatch accepted")
-	}
-}
-
 func TestPublicAPISearchKNN(t *testing.T) {
 	db, graphs := buildPublicDB(t, 100, pis.Options{MaxFragmentEdges: 4})
 	q := chem.SampleQueries(graphs, 1, 8, 41)[0]

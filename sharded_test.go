@@ -1,8 +1,6 @@
 package pis_test
 
 import (
-	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -91,37 +89,6 @@ func TestShardedBatchMatchesSingle(t *testing.T) {
 		if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
 			t.Errorf("query %d: %v, want %v", i, got[i].Answers, want[i].Answers)
 		}
-	}
-}
-
-// TestShardedSaveLoad: per-shard index persistence round-trips through
-// SaveShardIndex/LoadShardedIndex and answers identically.
-func TestShardedSaveLoad(t *testing.T) {
-	graphs, _ := shardedEnv(t, 50, 9)
-	sh, err := pis.NewSharded(graphs, 4, pis.Options{MaxFragmentEdges: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bufs := make([]bytes.Buffer, sh.NumShards())
-	readers := make([]io.Reader, sh.NumShards())
-	for i := range bufs {
-		if err := sh.SaveShardIndex(i, &bufs[i]); err != nil {
-			t.Fatalf("SaveShardIndex(%d): %v", i, err)
-		}
-		readers[i] = &bufs[i]
-	}
-	loaded, err := pis.LoadShardedIndex(graphs, readers, pis.Options{})
-	if err != nil {
-		t.Fatalf("LoadShardedIndex: %v", err)
-	}
-	q := gen.Queries(graphs, 1, 8, 8)[0]
-	want := sh.Search(q, 2)
-	got := loaded.Search(q, 2)
-	if !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("loaded answers %v, want %v", got.Answers, want.Answers)
-	}
-	if loaded.NumShards() != 4 {
-		t.Fatalf("loaded NumShards = %d, want 4", loaded.NumShards())
 	}
 }
 
