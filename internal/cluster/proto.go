@@ -146,7 +146,8 @@ func writeStats(sw *binio.SectionWriter, s *core.Stats) {
 	for _, v := range []int{
 		s.QueryFragments, s.UsedFragments, s.ExpandedFragments,
 		s.PartitionSize, s.StructCandidates, s.RangeCandidates,
-		s.DistCandidates, s.PrescreenRejects, s.VerifyCacheHits, s.Verified,
+		s.DistCandidates, s.PrescreenRejects, s.InvariantRejects,
+		s.VerifyCacheHits, s.Verified, s.VerifyNodes,
 	} {
 		sw.Varint(int64(v))
 	}
@@ -164,7 +165,8 @@ func readStats(sr *binio.SectionReader, s *core.Stats) {
 	for _, p := range []*int{
 		&s.QueryFragments, &s.UsedFragments, &s.ExpandedFragments,
 		&s.PartitionSize, &s.StructCandidates, &s.RangeCandidates,
-		&s.DistCandidates, &s.PrescreenRejects, &s.VerifyCacheHits, &s.Verified,
+		&s.DistCandidates, &s.PrescreenRejects, &s.InvariantRejects,
+		&s.VerifyCacheHits, &s.Verified, &s.VerifyNodes,
 	} {
 		*p = int(sr.Varint())
 	}

@@ -149,7 +149,8 @@ func (o Options) normalized() Options {
 // (distance-filter survivors plus the unindexed delta graphs a mutation
 // snapshot sends straight to verification), so on the PIS path
 // PrescreenRejects + VerifyCacheHits + Verified equals the number of
-// candidates that reached the verification stage.
+// candidates that reached the verification stage. InvariantRejects is the
+// part of PrescreenRejects the structural invariants refuted.
 type Stats struct {
 	QueryFragments    int // indexed fragments found in the query
 	UsedFragments     int // after the ε filter and cap
@@ -158,9 +159,11 @@ type Stats struct {
 	StructCandidates  int // graphs passing structure-only intersection (Yt)
 	RangeCandidates   int // graphs surviving the σ range-list intersection
 	DistCandidates    int // after partition lower-bound pruning (Yp, |CQ|)
-	PrescreenRejects  int // candidates refuted by the fingerprint prescreen
+	PrescreenRejects  int // candidates refuted by the prescreen, either tier
+	InvariantRejects  int // of those, by the graph invariants (graph.Invariants.Admits)
 	VerifyCacheHits   int // candidates answered from the verify-result cache
 	Verified          int // candidates actually branch-and-bound verified
+	VerifyNodes       int // branch-and-bound nodes those verifications expanded
 	// PlanTime is the fragment scoring + ordering slice of FilterTime,
 	// not a disjoint stage: FilterTime covers the whole filtering stage
 	// (planning included), so stage times sum as FilterTime + VerifyTime.
@@ -227,7 +230,7 @@ type View struct {
 	// DeltaFPs optionally carries prescreen fingerprints aligned with
 	// Delta (signature-less — delta graphs are unindexed, so only the
 	// structural tests apply). May be nil or shorter than Delta; missing
-	// fingerprints just exempt those graphs from the prescreen.
+	// fingerprints just exempt those graphs from the fingerprint test.
 	DeltaFPs []index.GraphFP
 }
 
@@ -254,6 +257,7 @@ type Searcher struct {
 	metric distance.Metric
 	opts   Options
 	pool   sync.Pool // *scratch
+	vpool  sync.Pool // *iso.Verifier: host scratch and tables outlive a query
 
 	// vFloor / eFloor are the metric's label-mismatch cost floors
 	// (distance.CostFloors), feeding the prescreen's label-deficit bound.
@@ -907,7 +911,7 @@ func (s *Searcher) candGraph(view View, id int32) *graph.Graph {
 
 // candFP resolves a candidate's prescreen fingerprint: base ids from the
 // index table, delta ids from the view's DeltaFPs overlay. Nil exempts
-// the graph from the prescreen (legacy index streams, bare views).
+// the graph from the fingerprint test (bare views).
 func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
 	if int(id) < len(s.db) {
 		return s.idx.FingerprintAt(id)
@@ -918,12 +922,39 @@ func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
 	return nil
 }
 
+// prescreen returns the positions in cands of the candidates neither
+// cheap tier refutes, counting the rest in st: the fingerprint, whose
+// structure and label bounds prove d > sigma, then the graph invariants,
+// which prove q's skeleton does not fit the graph at any sigma. Both are
+// admissible, so dropping a candidate here never loses an answer. The
+// result is scratch-backed (sc.vorder).
+func (s *Searcher) prescreen(q *graph.Graph, sigma float64, cands []int32, sc *scratch, view View, st *Stats) []int32 {
+	qiv := q.Invariants()
+	order := sc.vorder[:0]
+	for j, id := range cands {
+		if sc.qfpOK {
+			if gfp := s.candFP(view, id); gfp != nil && !sc.qfp.Admissible(gfp, sigma) {
+				st.PrescreenRejects++
+				continue
+			}
+		}
+		if !s.candGraph(view, id).Invariants().Admits(qiv) {
+			st.PrescreenRejects++
+			st.InvariantRejects++
+			continue
+		}
+		order = append(order, int32(j))
+	}
+	sc.vorder = order
+	return order
+}
+
 // verify computes the true superimposed distance of every candidate. On
-// the tiered (PIS) path two cheap tiers run first: the fingerprint
-// prescreen refutes candidates whose structure or label profile proves
-// d > σ, and the verify-result cache answers candidates this searcher
-// generation has already verified for an isomorphic query. Only the
-// remainder reaches exact branch-and-bound, best-first (ascending
+// the tiered (PIS) path two cheap tiers run first: the prescreen refutes
+// candidates whose fingerprint proves d > σ or whose invariants rule out
+// any embedding, and the verify-result cache answers candidates this
+// searcher generation has already verified for an isomorphic query. Only
+// the remainder reaches exact branch-and-bound, best-first (ascending
 // partition lower bound) across a worker pool; observed per-candidate
 // cost feeds the planner's exchange rate. The baseline paths (naive,
 // topoPrune) pass tiered=false and verify every candidate exactly, which
@@ -950,42 +981,40 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	}
 	dists := sc.vdists[:0]
 	for i := 0; i < nc; i++ {
-		// Infinite, not zero: a candidate whose verification never ran
-		// (cancellation, sibling panic) must not read as distance 0.
+		// Infinite, not zero: a candidate the prescreen refuted, or whose
+		// verification never ran (cancellation, sibling panic), must not
+		// read as distance 0.
 		dists = append(dists, distance.Infinite)
 	}
 	sc.vdists = dists
 
 	// Tiers 1-2: prescreen, then cache. The canonical query key is only
 	// computed when a candidate actually reaches the cache tier.
-	usePre := tiered && sc.qfpOK
-	cache := s.vcache
-	if !tiered {
-		cache = nil
-	}
+	var order []int32
+	var cache *verifyCache
 	var qkey string
-	order := sc.vorder[:0]
-	for j := 0; j < nc; j++ {
-		if usePre {
-			if gfp := s.candFP(view, cands[j]); gfp != nil && !sc.qfp.Admissible(gfp, sigma) {
-				// dists[j] stays Infinite: a proven non-answer.
-				r.Stats.PrescreenRejects++
-				continue
-			}
+	if tiered {
+		order, cache = s.prescreen(q, sigma, cands, sc, view, &r.Stats), s.vcache
+	} else {
+		order = sc.vorder[:0]
+		for j := range cands {
+			order = append(order, int32(j))
 		}
-		if cache != nil {
-			if qkey == "" {
-				qkey = canonicalQueryKey(q)
-			}
+		sc.vorder = order
+	}
+	if cache != nil && len(order) > 0 {
+		qkey = canonicalQueryKey(q)
+		missed := order[:0]
+		for _, j := range order {
 			if d, hit := cache.lookup(vcKey{q: qkey, id: cands[j]}, sigma); hit {
 				dists[j] = d
 				r.Stats.VerifyCacheHits++
 				continue
 			}
+			missed = append(missed, j)
 		}
-		order = append(order, int32(j))
+		order = missed
 	}
-	sc.vorder = order
 	nv := len(order)
 	r.Stats.Verified = nv
 
@@ -994,7 +1023,8 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	if nv > 0 {
 		orderByLB(order, lbs, sc)
 		var busy time.Duration
-		busy, err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
+		var nodes uint64
+		busy, nodes, err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
 			j := order[i]
 			d := v.Distance(s.candGraph(view, cands[j]), sigma)
 			dists[j] = d
@@ -1002,6 +1032,7 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 				cache.put(vcKey{q: qkey, id: cands[j]}, d, sigma)
 			}
 		})
+		r.Stats.VerifyNodes = int(nodes)
 		if err == nil && !canceled(done) {
 			ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nv))
 		}
@@ -1047,28 +1078,12 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 			sc.lbs = lbs
 		}
 	}
-	// Fingerprint prescreen at the outer radius (admissible for the whole
-	// run: the shared bound only ever shrinks below sigma). The KNN pool
-	// skips the verify-result cache — its verdicts are computed against a
-	// moving budget, so they are not reusable exact distances.
-	if sc.qfpOK {
-		out := 0
-		for i, id := range cands {
-			if gfp := s.candFP(view, id); gfp != nil && !sc.qfp.Admissible(gfp, sigma) {
-				continue
-			}
-			cands[out] = id
-			if lbs != nil {
-				lbs[out] = lbs[i]
-			}
-			out++
-		}
-		cands = cands[:out]
-		if lbs != nil {
-			lbs = lbs[:out]
-		}
-	}
-	nc := len(cands)
+	// Prescreen at the outer radius (admissible for the whole run: the
+	// shared bound only ever shrinks below sigma). The KNN pool skips the
+	// verify-result cache — its verdicts are computed against a moving
+	// budget, so they are not reusable exact distances.
+	order := s.prescreen(q, sigma, cands, sc, view, &st)
+	nc := len(order)
 	best := make([]Neighbor, 0, k)
 	if nc == 0 {
 		return best, nil
@@ -1115,13 +1130,8 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 		}
 	}
 
-	order := sc.vorder[:0]
-	for i := 0; i < nc; i++ {
-		order = append(order, int32(i))
-	}
-	sc.vorder = order
 	orderByLB(order, lbs, sc)
-	_, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
+	_, _, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
 		j := order[i]
 		budget := math.Float64frombits(boundBits.Load())
 		if d := v.Distance(s.candGraph(view, cands[j]), budget); !distance.IsInfinite(d) {
@@ -1137,15 +1147,18 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 const claimPollMask = 15
 
 // forEachCandidate claims indices 0..nc-1 across a worker pool, each
-// worker holding one reusable Verifier for q; workers == 1 runs inline
-// with no goroutines. A close of done drains the pool early (claimed
-// work finishes aborted via the verifier's own done hook). A panic in
-// fn is recovered, aborts every sibling at its next claim, and surfaces
-// as a returned *PanicError holding the first panic value. busy is the
-// time the workers spent in their claim loops, summed: each worker reads
-// the clock twice, not twice per candidate.
-func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (busy time.Duration, err error) {
+// worker holding one Verifier from the searcher's pool, reset to q:
+// workers == 1 runs inline with no goroutines. A close of done drains the
+// pool early (claimed work finishes aborted via the verifier's own done
+// hook). A panic in fn is recovered, aborts every sibling at its next
+// claim, and surfaces as a returned *PanicError holding the first panic
+// value; that worker's verifier is dropped, not pooled. busy is the time
+// the workers spent in their claim loops and nodes the branch-and-bound
+// nodes they expanded, both summed: each worker reads the clock twice,
+// not twice per candidate.
+func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (busy time.Duration, nodes uint64, err error) {
 	var next, busyNS atomic.Int64
+	var nodeSum atomic.Uint64
 	var abort atomic.Bool
 	var panicOnce sync.Once
 	var panicked *PanicError
@@ -1157,24 +1170,23 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 				mVerifyPanics.Inc()
 			}
 		}()
-		v := iso.NewVerifier(q, s.metric)
+		v, _ := s.vpool.Get().(*iso.Verifier)
+		if v == nil {
+			v = new(iso.Verifier)
+		}
+		v.Reset(q, s.metric)
 		v.SetDone(done)
-		start := time.Now()
-		defer func() { busyNS.Add(int64(time.Since(start))) }()
+		start, nodes0 := time.Now(), v.Nodes()
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= nc || abort.Load() {
-				return
-			}
-			if done != nil && i&claimPollMask == 0 {
-				select {
-				case <-done:
-					return
-				default:
-				}
+			if i >= nc || abort.Load() || (i&claimPollMask == 0 && canceled(done)) {
+				break
 			}
 			fn(v, i)
 		}
+		busyNS.Add(int64(time.Since(start)))
+		nodeSum.Add(v.Nodes() - nodes0)
+		s.vpool.Put(v)
 	}
 	if workers == 1 {
 		body()
@@ -1190,9 +1202,9 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 		wg.Wait()
 	}
 	if panicked != nil {
-		return 0, panicked
+		return 0, 0, panicked
 	}
-	return time.Duration(busyNS.Load()), nil
+	return time.Duration(busyNS.Load()), nodeSum.Load(), nil
 }
 
 // canceled is a non-blocking poll of a context done channel (nil = never

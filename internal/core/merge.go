@@ -17,8 +17,10 @@ func (s *Stats) Add(o Stats) {
 	s.RangeCandidates += o.RangeCandidates
 	s.DistCandidates += o.DistCandidates
 	s.PrescreenRejects += o.PrescreenRejects
+	s.InvariantRejects += o.InvariantRejects
 	s.VerifyCacheHits += o.VerifyCacheHits
 	s.Verified += o.Verified
+	s.VerifyNodes += o.VerifyNodes
 	s.PlanTime += o.PlanTime
 	s.FilterTime += o.FilterTime
 	s.VerifyTime += o.VerifyTime

@@ -36,9 +36,13 @@ var (
 	mQueriesCanceled = obs.Default().Counter(
 		"pis_queries_canceled_total",
 		"Searches cut short by context cancellation or deadline (partial results).")
-	mPrescreenRejects = obs.Default().Counter(
+	prescreenRejects = obs.Default().CounterVec(
 		"pis_prescreen_rejects_total",
-		"Verification candidates refuted by the fingerprint prescreen (structure, degree, or label-cost bound) without branch-and-bound.")
+		"Verification candidates refuted without branch-and-bound, by tier: fingerprint (structure, degree, or label-cost bound at this sigma) or invariants (cycle and ball aggregates the query's skeleton cannot fit).",
+		"tier")
+	mVerifyNodes = obs.Default().Counter(
+		"pis_verify_nodes_total",
+		"Branch-and-bound nodes expanded by exact verification.")
 	verifyCacheTotal = obs.Default().CounterVec(
 		"pis_verify_cache_total",
 		"Verify-result cache outcomes: hit = candidate answered from a memoized verdict, miss = candidate went to branch-and-bound.",
@@ -61,6 +65,8 @@ var (
 	mFragsUsed     = fragmentsTotal.With("used")
 	mFragsExpanded = fragmentsTotal.With("expanded")
 	mVerifyPanics  = panicsTotal.With("verify")
+	mRejectsFP     = prescreenRejects.With("fingerprint")
+	mRejectsInv    = prescreenRejects.With("invariants")
 	mVCacheHits    = verifyCacheTotal.With("hit")
 	mVCacheMisses  = verifyCacheTotal.With("miss")
 )
@@ -78,7 +84,9 @@ func (st *Stats) record(queries *obs.LabeledCounter) {
 	mFragsQuery.Add(int64(st.QueryFragments))
 	mFragsUsed.Add(int64(st.UsedFragments))
 	mFragsExpanded.Add(int64(st.ExpandedFragments))
-	mPrescreenRejects.Add(int64(st.PrescreenRejects))
+	mRejectsFP.Add(int64(st.PrescreenRejects - st.InvariantRejects))
+	mRejectsInv.Add(int64(st.InvariantRejects))
+	mVerifyNodes.Add(int64(st.VerifyNodes))
 	mVCacheHits.Add(int64(st.VerifyCacheHits))
 	if queries == mQueriesPIS {
 		// Only the tiered path consults the cache, so only its verified
@@ -106,7 +114,9 @@ func (st *Stats) Trace(total time.Duration) *obs.Span {
 	filter.SetAttr("dist_candidates", st.DistCandidates)
 	verify := root.Child("verify", obs.MS(st.VerifyTime))
 	verify.SetAttr("prescreen_rejects", st.PrescreenRejects)
+	verify.SetAttr("invariant_rejects", st.InvariantRejects)
 	verify.SetAttr("verify_cache_hits", st.VerifyCacheHits)
 	verify.SetAttr("verified", st.Verified)
+	verify.SetAttr("nodes", st.VerifyNodes)
 	return root
 }

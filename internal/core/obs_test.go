@@ -42,8 +42,13 @@ func TestTraceSpansSumToWallTime(t *testing.T) {
 				t.Errorf("children sum %.4fms is under half of wall %.4fms: stages unaccounted for", sum, sp.DurationMS)
 			}
 		}
-		if sp.Children[2].Attrs["verified"] != r.Stats.Verified {
-			t.Errorf("verify span attr %v, want %d", sp.Children[2].Attrs["verified"], r.Stats.Verified)
+		for attr, want := range map[string]int{
+			"verified": r.Stats.Verified, "nodes": r.Stats.VerifyNodes,
+			"prescreen_rejects": r.Stats.PrescreenRejects, "invariant_rejects": r.Stats.InvariantRejects,
+		} {
+			if got := sp.Children[2].Attrs[attr]; got != want {
+				t.Errorf("verify span attr %s = %v, want %d", attr, got, want)
+			}
 		}
 	}
 	if checked == 0 {
@@ -59,8 +64,18 @@ func TestSearchRecordsMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	before := queriesTotal.Value("pis")
 	stagesBefore := stageSeconds.With("verify").Snapshot()
+	nodesBefore, fpBefore, invBefore := mVerifyNodes.Value(), mRejectsFP.Value(), mRejectsInv.Value()
+	var agg Stats
 	for i := 0; i < 5; i++ {
-		s.Search(sampleQuery(rng, fx.db, 3), 2)
+		agg.Add(s.Search(sampleQuery(rng, fx.db, 3), 2).Stats)
+	}
+	if got := mVerifyNodes.Value() - nodesBefore; got != int64(agg.VerifyNodes) || got == 0 {
+		t.Errorf("pis_verify_nodes_total advanced by %d, searches expanded %d nodes", got, agg.VerifyNodes)
+	}
+	fp, inv := mRejectsFP.Value()-fpBefore, mRejectsInv.Value()-invBefore
+	if fp+inv != int64(agg.PrescreenRejects) || inv != int64(agg.InvariantRejects) {
+		t.Errorf("pis_prescreen_rejects_total advanced by fingerprint %d + invariants %d, searches rejected %d, %d of them by invariants",
+			fp, inv, agg.PrescreenRejects, agg.InvariantRejects)
 	}
 	if got := queriesTotal.Value("pis") - before; got != 5 {
 		t.Fatalf("pis_queries_total advanced by %d, want 5", got)

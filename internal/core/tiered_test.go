@@ -46,8 +46,8 @@ func TestFunnelStrictlyMonotone(t *testing.T) {
 	}
 }
 
-// TestTieredMatchesNaive is the differential proof for the prescreen and
-// the verify cache: across random queries and radii — with repeats, so
+// TestTieredMatchesNaive is the differential proof for both prescreen
+// tiers and the verify cache: across random queries and radii — with repeats, so
 // the cache serves both exact and proven-non-answer verdicts, and radius
 // changes, so budget upgrades are exercised — the tiered PIS path must
 // return exactly the naive baseline's answers and distances.
@@ -55,7 +55,7 @@ func TestTieredMatchesNaive(t *testing.T) {
 	fx := newFixture(t, 43, 80)
 	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(44))
-	var pre, hits int
+	var pre, inv, hits, nodes int
 	for trial := 0; trial < 20; trial++ {
 		q := sampleQuery(rng, fx.db, 4+rng.Intn(4))
 		// Ascending then descending radii over the same query: negative
@@ -71,14 +71,22 @@ func TestTieredMatchesNaive(t *testing.T) {
 				t.Fatalf("sigma %g: distances %v, want %v", sigma, got.Distances, want.Distances)
 			}
 			pre += got.Stats.PrescreenRejects
+			inv += got.Stats.InvariantRejects
 			hits += got.Stats.VerifyCacheHits
+			nodes += got.Stats.VerifyNodes
+			if st := got.Stats; st.InvariantRejects > st.PrescreenRejects || (st.Verified > 0) != (st.VerifyNodes > 0) {
+				t.Fatalf("sigma %g: inconsistent tier counters %+v", sigma, st)
+			}
 			if n, w := want.Stats.PrescreenRejects, want.Stats.VerifyCacheHits; n != 0 || w != 0 {
 				t.Fatalf("naive path used the tiers: prescreen %d, cache %d", n, w)
 			}
 		}
 	}
-	if pre == 0 {
-		t.Error("prescreen never rejected a candidate — differential test is vacuous")
+	if pre == 0 || inv == 0 || inv == pre {
+		t.Errorf("prescreen rejected %d candidates, %d of them by invariants — differential test is vacuous for a tier", pre, inv)
+	}
+	if nodes == 0 {
+		t.Error("no branch-and-bound node counted")
 	}
 	if hits == 0 {
 		t.Error("verify cache never hit despite repeated queries — differential test is vacuous")

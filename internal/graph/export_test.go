@@ -1,0 +1,5 @@
+package graph
+
+// ComputeInvariants is the uncached annotation pass, for the external
+// benchmark: Graph.Invariants computes once per graph.
+func ComputeInvariants(g *Graph) int { return 4 * len(computeInvariants(g)) }

@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // VLabel is a vertex label. The zero value is a valid "blank" label;
@@ -35,6 +36,10 @@ type Graph struct {
 	vweights []float64
 	edges    []Edge
 	adj      [][]int32 // adj[v] lists edge indices incident to v, ascending
+
+	// inv caches the structural annotation (see Invariants): the first
+	// word of its block, nil until first use. Never serialized or cloned.
+	inv atomic.Pointer[uint32]
 }
 
 // N returns the number of vertices.

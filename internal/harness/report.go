@@ -49,9 +49,9 @@ type BenchReport struct {
 	AvgDistCandidates    float64 `json:"avg_dist_candidates"`
 	AvgVerified          float64 `json:"avg_verified"`
 	AvgAnswers           float64 `json:"avg_answers"`
-	// avg_prescreen_rejects counts candidates the fingerprint prescreen
-	// refuted per query on the cold pass — work the branch-and-bound
-	// verifier no longer sees. verify_cache_hit_rate is measured on a
+	// avg_prescreen_rejects counts candidates the prescreen (fingerprint
+	// or graph invariants) refuted per query on the cold pass — work the
+	// branch-and-bound verifier no longer sees. verify_cache_hit_rate is measured on a
 	// second, warm pass over the same query set: of the candidates that
 	// survived the prescreen, the fraction answered from the verify
 	// cache instead of re-verified.

@@ -13,6 +13,14 @@
 // The matcher is table-driven: a pattern is compiled once into one step
 // per depth of its match order, each host is bound as flat neighbor arrays
 // in scratch the Verifier keeps, and the search touches only those.
+//
+// Besides degree, two structural invariants of internal/graph are hard
+// feasibility tests: a pattern vertex only maps onto a host vertex whose
+// ball profile dominates its own, and a pattern edge only onto a host edge
+// that lies on cycles of every length it does. A monomorphism can only
+// grow both, so the tests remove nothing but assignments no embedding
+// extends: the embeddings found, their order and every distance are the
+// same with and without them.
 package iso
 
 import (
@@ -26,6 +34,7 @@ type step struct {
 	pv      int32 // pattern vertex matched at this depth
 	anchor  int32 // earlier-matched neighbor whose host image is expanded (-1 at the root)
 	degree  int32
+	profile uint32 // ball profile a host image must dominate
 	vlabel  graph.VLabel
 	vweight float64
 	// back lists the pattern edges joining pv to earlier-matched vertices,
@@ -37,43 +46,67 @@ type step struct {
 // backEdge is a pattern edge from a step's vertex to one matched earlier.
 type backEdge struct {
 	to     int32 // the earlier-matched pattern vertex
+	mask   uint8 // cycle lengths a host image must lie on
 	label  graph.ELabel
 	weight float64
 }
 
 // compile computes a connected expansion order for the pattern — after
 // the first vertex, each vertex is adjacent to an earlier one — and the
-// step table for it. Patterns must be connected and non-empty; the caller
-// enforces it.
-func compile(p *graph.Graph) []step {
+// step table for it, reusing the verifier's previous tables. Patterns must
+// be connected and non-empty; the caller enforces it. Unconstrained
+// patterns carry the empty invariants, which every host satisfies.
+func (v *Verifier) compile(p *graph.Graph, constrained bool) {
 	n := p.N()
-	visited := make([]bool, n)
-	steps := make([]step, 0, n)
-	back := make([]backEdge, 0, p.M())
+	var profiles []uint32
+	var masks []uint8
+	if iv := p.Invariants(); constrained && iv.Exact() {
+		profiles, masks = iv.Profiles(), iv.EdgeMasks()
+	}
+	if cap(v.assign) < n {
+		v.assign = make([]int32, n)
+	}
+	if cap(v.steps) < n {
+		v.steps = make([]step, 0, n)
+	}
+	if cap(v.back) < p.M() {
+		v.back = make([]backEdge, 0, p.M())
+	}
+	// assign doubles as the visited set while compiling: 1 = placed.
+	visited := v.assign[:n]
+	clear(visited)
+	steps, back := v.steps[:0], v.back[:0]
 	add := func(pv, anchor int32) {
 		st := step{pv: pv, anchor: anchor, degree: int32(p.Degree(int(pv))),
 			vlabel: p.VLabelAt(int(pv)), vweight: p.VWeightAt(int(pv))}
+		if profiles != nil {
+			st.profile = profiles[pv]
+		}
 		lo := len(back)
 		for _, e := range p.IncidentEdges(int(pv)) {
 			w := p.Other(int(e), pv)
-			if !visited[w] {
+			if visited[w] == 0 {
 				continue
 			}
 			if w == anchor {
 				st.anchorBack = len(back) - lo
 			}
 			pe := p.EdgeAt(int(e))
-			back = append(back, backEdge{to: w, label: pe.Label, weight: pe.Weight})
+			be := backEdge{to: w, label: pe.Label, weight: pe.Weight}
+			if masks != nil {
+				be.mask = masks[e]
+			}
+			back = append(back, be)
 		}
 		st.back = back[lo:len(back):len(back)]
-		visited[pv] = true
+		visited[pv] = 1
 		steps = append(steps, st)
 	}
 	// Start from a max-degree vertex: fewer host candidates.
 	start := 0
-	for v := 1; v < n; v++ {
-		if p.Degree(v) > p.Degree(start) {
-			start = v
+	for u := 1; u < n; u++ {
+		if p.Degree(u) > p.Degree(start) {
+			start = u
 		}
 	}
 	add(int32(start), -1)
@@ -84,7 +117,7 @@ func compile(p *graph.Graph) []step {
 			u := steps[i].pv
 			for _, e := range p.IncidentEdges(int(u)) {
 				w := p.Other(int(e), u)
-				if !visited[w] && p.Degree(int(w)) > bestDeg {
+				if visited[w] == 0 && p.Degree(int(w)) > bestDeg {
 					best, bestAnchor, bestDeg = w, u, p.Degree(int(w))
 				}
 			}
@@ -94,24 +127,29 @@ func compile(p *graph.Graph) []step {
 		}
 		add(best, bestAnchor)
 	}
-	return steps
+	v.steps, v.back, v.assign = steps, back, visited
 }
 
 // Verifier matches one pattern against many host graphs, amortizing the
-// compiled match order and every search buffer across hosts. One Verifier
-// serves one goroutine; a verification worker pool creates one per worker.
+// compiled match order and every search buffer across hosts, and — through
+// Reset — across patterns. One Verifier serves one goroutine; a
+// verification worker pool holds one per worker.
 type Verifier struct {
 	metric distance.Metric
-	blind  bool   // the metric declares VertexCost identically zero
-	steps  []step // nil for the empty pattern: every distance is 0
-	mp     int    // pattern edge count
+	blind  bool       // the metric declares VertexCost identically zero
+	steps  []step     // empty for the empty pattern: every distance is 0
+	back   []backEdge // backing of every step's back list
+	mp     int        // pattern edge count
 
 	// The bound host: the neighbors of host vertex hv sit in slots
 	// off[hv]..off[hv+1], ascending by host edge index; nbrV[s] is the
-	// neighbor, nbrE[s] the edge that reaches it.
+	// neighbor, nbrE[s] the edge that reaches it. profile and emask are
+	// the host's own annotation, per vertex and per edge.
 	g          *graph.Graph
 	off        []int32
 	nbrV, nbrE []int32
+	profile    []uint32
+	emask      []uint8
 	assign     []int32 // pattern vertex -> host vertex; valid for matched depths only
 	// room[hv] is hv's degree while hv is free and -1 while it carries a
 	// pattern vertex: "free and of sufficient degree" is one comparison.
@@ -124,7 +162,7 @@ type Verifier struct {
 	// done, when non-nil, aborts in-flight Distance calls once it closes;
 	// polled every abortGranule explored nodes, not per node.
 	done  <-chan struct{}
-	nodes uint64
+	nodes uint64 // branch-and-bound nodes expanded over the verifier's life
 }
 
 // abortGranule is the branch-and-bound node count between cancellation
@@ -135,13 +173,30 @@ const abortGranule = 1024
 // NewVerifier prepares a verifier for query q under the given metric. q
 // must be connected (or empty).
 func NewVerifier(q *graph.Graph, metric distance.Metric) *Verifier {
-	v := &Verifier{metric: metric, blind: distance.IgnoresVertices(metric), mp: q.M()}
-	if q.N() > 0 {
-		v.steps = compile(q)
-		v.assign = make([]int32, q.N())
-	}
+	v := new(Verifier)
+	v.Reset(q, metric)
 	return v
 }
+
+// Reset points the verifier at a new query and metric, keeping its host
+// scratch and table storage, and disarms cancellation.
+func (v *Verifier) Reset(q *graph.Graph, metric distance.Metric) { v.reset(q, metric, true) }
+
+// reset is Reset; constrained = false compiles q without its invariants:
+// the plain degree-and-adjacency matcher, which the tests hold the
+// constrained one to.
+func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained bool) {
+	v.metric, v.blind, v.mp = metric, distance.IgnoresVertices(metric), q.M()
+	v.g, v.profile, v.emask, v.done = nil, nil, nil, nil
+	v.steps = v.steps[:0]
+	if q.N() > 0 {
+		v.compile(q, constrained)
+	}
+}
+
+// Nodes returns the branch-and-bound nodes every Distance call so far has
+// expanded; callers difference it around the calls they account for.
+func (v *Verifier) Nodes() uint64 { return v.nodes }
 
 // bind points the verifier at a host: an O(N+M) copy of its adjacency into
 // the flat neighbor arrays, grown when this host is the largest yet.
@@ -156,6 +211,8 @@ func (v *Verifier) bind(g *graph.Graph) {
 		v.nbrE = make([]int32, 2*g.M())
 	}
 	v.g = g
+	iv := g.Invariants()
+	v.profile, v.emask = iv.Profiles(), iv.EdgeMasks()
 	off, nbrV, nbrE := v.off[:n+1], v.nbrV[:2*g.M()], v.nbrE[:2*g.M()]
 	v.off, v.room = off, v.room[:n]
 	s := int32(0)
@@ -200,11 +257,17 @@ next:
 			hv = v.nbrV[s]
 		}
 		deg := v.room[hv]
-		if st.degree > deg {
+		if st.degree > deg || !graph.Dominates(v.profile[hv], st.profile) {
 			continue
 		}
 		for i := range st.back {
-			if i != st.anchorBack && v.hostEdge(hv, v.assign[st.back[i].to]) < 0 {
+			he := v.nbrE[s] // the anchor's host edge; back is empty at the root
+			if i != st.anchorBack {
+				if he = v.hostEdge(hv, v.assign[st.back[i].to]); he < 0 {
+					continue next
+				}
+			}
+			if st.back[i].mask&^v.emask[he] != 0 {
 				continue next
 			}
 		}
@@ -233,10 +296,15 @@ func HasEmbedding(pattern, host *graph.Graph) bool {
 // host with the assignment slice (pattern vertex -> host vertex). The slice
 // is reused; fn must copy it to retain it. fn returning false stops early.
 func ForEachEmbedding(pattern, host *graph.Graph, fn func(assign []int32) bool) {
+	forEachEmbedding(pattern, host, true, fn)
+}
+
+func forEachEmbedding(pattern, host *graph.Graph, constrained bool, fn func(assign []int32) bool) {
 	if pattern.N() == 0 || pattern.N() > host.N() || pattern.M() > host.M() {
 		return
 	}
-	v := NewVerifier(pattern, nil)
+	v := new(Verifier)
+	v.reset(pattern, nil, constrained)
 	v.bind(host)
 	v.embed(0, fn)
 }
@@ -264,13 +332,11 @@ func SuperpositionCost(q, g *graph.Graph, assign []int32, m distance.Metric) flo
 // never a wrong finite value.
 func (v *Verifier) SetDone(done <-chan struct{}) { v.done = done }
 
-// aborted polls the done channel at the amortization granule.
+// aborted counts one node and polls the done channel at the amortization
+// granule.
 func (v *Verifier) aborted() bool {
-	if v.done == nil {
-		return false
-	}
 	v.nodes++
-	if v.nodes&(abortGranule-1) != 0 {
+	if v.done == nil || v.nodes&(abortGranule-1) != 0 {
 		return false
 	}
 	select {
@@ -288,7 +354,7 @@ func (v *Verifier) aborted() bool {
 // occur in G or every superposition costs more than budget. Pass budget
 // < 0 for an unbounded exact minimum.
 func (v *Verifier) Distance(g *graph.Graph, budget float64) float64 {
-	if v.steps == nil {
+	if len(v.steps) == 0 {
 		return 0
 	}
 	if len(v.steps) > g.N() || v.mp > g.M() {
@@ -320,10 +386,10 @@ func (v *Verifier) search(k int, acc float64) {
 		return
 	}
 	st := &v.steps[k]
-	room := v.room
+	room, profile := v.room, v.profile
 	if st.anchor < 0 {
 		for hv := range room {
-			if st.degree <= room[hv] {
+			if st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) {
 				v.try(k, st, int32(hv), -1, acc)
 			}
 		}
@@ -333,18 +399,19 @@ func (v *Verifier) search(k int, acc float64) {
 	ha := v.assign[st.anchor]
 	nbrV, nbrE := v.nbrV, v.nbrE
 	for s, end := v.off[ha], v.off[ha+1]; s < end; s++ {
-		if hv := nbrV[s]; st.degree <= room[hv] {
+		if hv := nbrV[s]; st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) {
 			v.try(k, st, hv, nbrE[s], acc)
 		}
 	}
 }
 
 // try maps step k's pattern vertex onto hv, a free host vertex of
-// sufficient degree reached over host edge anchorE, and descends if that
-// is feasible and within the cut. One pass over the back edges settles
-// both. The cost is summed as: vertex cost, then back edges in ascending
-// pattern-edge index, then acc + add once; distances depend on that order
-// bit for bit.
+// sufficient degree and ball profile reached over host edge anchorE, and
+// descends if that is feasible — every back edge has a host edge on the
+// cycles it needs — and within the cut. One pass over the back edges
+// settles both. The cost is summed as: vertex cost, then back edges in
+// ascending pattern-edge index, then acc + add once; distances depend on
+// that order bit for bit.
 func (v *Verifier) try(k int, st *step, hv, anchorE int32, acc float64) {
 	g := v.g
 	add := 0.0
@@ -359,6 +426,9 @@ func (v *Verifier) try(k int, st *step, hv, anchorE int32, acc float64) {
 			if he = v.hostEdge(hv, v.assign[be.to]); he < 0 {
 				return
 			}
+		}
+		if be.mask&^v.emask[he] != 0 {
+			return
 		}
 		e := &edges[he]
 		add += v.metric.EdgeCost(be.label, be.weight, e.Label, e.Weight)

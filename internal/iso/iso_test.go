@@ -2,12 +2,15 @@ package iso
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
+	"pis/internal/index"
+	"pis/internal/mining"
 )
 
 // CountEmbeddings returns the number of structural embeddings (counting
@@ -560,6 +563,195 @@ func TestDistanceMatchesReferenceKernel(t *testing.T) {
 	}
 }
 
+// fusedRings builds an a-ring and a b-ring sharing one edge — the
+// perimeter cycle 0..a+b-3 plus the chord 0-(a-1) — with tail more
+// vertices hung off random ring atoms, labeled and weighted like
+// growGraph's graphs.
+func fusedRings(rng *rand.Rand, a, b, tail int) *graph.Graph {
+	ring := a + b - 2
+	bl := graph.NewBuilder(ring+tail, ring+1+tail)
+	for i := 0; i < ring+tail; i++ {
+		bl.AddWeightedVertex(graph.VLabel(rng.Intn(3)), rng.Float64()*3)
+	}
+	edge := func(u, v int) {
+		bl.AddWeightedEdge(int32(u), int32(v), graph.ELabel(rng.Intn(3)), rng.Float64()*3)
+	}
+	for i := 0; i < ring; i++ {
+		edge(i, (i+1)%ring)
+	}
+	edge(0, a-1)
+	for i := ring; i < ring+tail; i++ {
+		edge(rng.Intn(i), i)
+	}
+	return bl.MustBuild()
+}
+
+func complete(n int) *graph.Graph {
+	b := graph.NewBuilder(n, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		b.AddVertex(0)
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(int32(u), int32(v), 0)
+		}
+	}
+	return b.MustBuild()
+}
+
+// checkAdmissible holds the invariants to what makes them safe as hard
+// constraints. Every embedding the plain matcher (invariants off) finds
+// maps each pattern edge onto a host edge on at least the same cycle
+// lengths and each pattern vertex onto a host vertex with balls at least
+// as large, and the host's aggregates admit the pattern's; so the
+// constrained matcher visits the same embeddings in the same order.
+func checkAdmissible(t *testing.T, q, g *graph.Graph) (embeddings int) {
+	t.Helper()
+	const maxChecked = 6000 // embeddings looked at per pair
+	qi, gi := q.Invariants(), g.Invariants()
+	var plain [][]int32
+	forEachEmbedding(q, g, false, func(assign []int32) bool {
+		plain = append(plain, append([]int32(nil), assign...))
+		if !qi.Exact() {
+			return len(plain) < maxChecked
+		}
+		for e, qe := range q.Edges() {
+			he := g.EdgeBetween(assign[qe.U], assign[qe.V])
+			if qm, hm := qi.EdgeMasks()[e], gi.EdgeMasks()[he]; qm&^hm != 0 {
+				t.Fatalf("pattern edge %d-%d on cycles %06b maps onto host edge on %06b\nq=%v\ng=%v", qe.U, qe.V, qm, hm, q, g)
+			}
+		}
+		for pv, hv := range assign {
+			if qp, hp := qi.Profiles()[pv], gi.Profiles()[hv]; !graph.Dominates(hp, qp) {
+				t.Fatalf("pattern vertex %d with balls %08x maps onto host vertex %d with %08x\nq=%v\ng=%v", pv, qp, hv, hp, q, g)
+			}
+		}
+		return len(plain) < maxChecked
+	})
+	if len(plain) > 0 && !gi.Admits(qi) {
+		t.Fatalf("aggregates refute a host with %d embeddings\nq=%v\ng=%v", len(plain), q, g)
+	}
+	i := 0
+	ForEachEmbedding(q, g, func(assign []int32) bool {
+		if i == len(plain) || !slices.Equal(assign, plain[i]) {
+			t.Fatalf("constrained embedding %d = %v is not the plain matcher's\nq=%v\ng=%v", i, assign, q, g)
+		}
+		i++
+		return i < maxChecked
+	})
+	if i != len(plain) {
+		t.Fatalf("constrained matcher found %d embeddings, plain %d\nq=%v\ng=%v", i, len(plain), q, g)
+	}
+	return len(plain)
+}
+
+// TestInvariantsAdmissible is the property test for the hard constraints
+// over ringed and fused queries, hosts grown around them and unrelated
+// hosts; on the same pairs every metric and budget of the reference
+// table still equals the reference kernel bit for bit.
+func TestInvariantsAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	rings := [][2]int{{5, 6}, {6, 6}, {5, 5}, {4, 6}, {3, 5}, {6, 7}}
+	embedded, refuted := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		var q *graph.Graph
+		if r := rings[trial%len(rings)]; trial%2 == 0 {
+			q = fusedRings(rng, r[0], r[1], rng.Intn(3))
+		} else {
+			q = randomWeighted(rng, nil, 4+rng.Intn(6), 1+rng.Intn(3))
+		}
+		r := rings[rng.Intn(len(rings))]
+		hosts := []*graph.Graph{
+			randomWeighted(rng, q, q.N()+rng.Intn(10), rng.Intn(5)),
+			randomWeighted(rng, q, q.N()+2+rng.Intn(4), 0),
+			randomWeighted(rng, nil, 12+rng.Intn(10), 2+rng.Intn(5)),
+			fusedRings(rng, r[0], r[1], 4+rng.Intn(6)),
+			q,
+		}
+		for hi, g := range hosts {
+			n := checkAdmissible(t, q, g)
+			if n > 0 {
+				embedded++
+			} else if !g.Invariants().Admits(q.Invariants()) {
+				refuted++
+			}
+			if n > 200 || trial%4 != 0 {
+				continue // the reference kernel is slow; a quarter of the trials carry the table
+			}
+			for mi, metric := range kernelMetrics {
+				v := NewVerifier(q, metric)
+				for _, budget := range kernelBudgets {
+					if got, want := v.Distance(g, budget), referenceDistance(q, g, metric, budget, nil); got != want {
+						t.Fatalf("trial %d metric %d host %d budget %g: kernel=%v reference=%v\nq=%v\ng=%v",
+							trial, mi, hi, budget, got, want, q, g)
+					}
+				}
+			}
+		}
+	}
+	if embedded < 100 || refuted < 20 {
+		t.Errorf("vacuous: %d pairs with an embedding, %d refuted by the aggregates", embedded, refuted)
+	}
+}
+
+// TestInvariantsDenseFallback covers the budget overflow: K12 is too
+// dense to annotate, so as a host it is permissive and as a query it
+// constrains nothing, and both still match like the reference.
+func TestInvariantsDenseFallback(t *testing.T) {
+	k12 := complete(12)
+	if k12.Invariants().Exact() {
+		t.Fatal("K12 must overflow the annotation budget")
+	}
+	rng := rand.New(rand.NewSource(12))
+	metric := distance.EdgeMutation{}
+	for _, q := range []*graph.Graph{fusedRings(rng, 5, 6, 2), complete(4), cycle(8, 1)} {
+		if !HasEmbedding(q, k12) {
+			t.Errorf("%v must embed in K12", q)
+		}
+		if got, want := MinSuperimposedDistance(q, k12, metric, 1), referenceDistance(q, k12, metric, 1, nil); got != want {
+			t.Errorf("into K12: kernel=%v reference=%v for %v", got, want, q)
+		}
+	}
+	if d := MinSuperimposedDistance(k12, k12, metric, 0); d != 0 {
+		t.Errorf("d(K12, K12) = %v, want 0", d)
+	}
+	if k7 := complete(7); k7.Invariants().Exact() || checkAdmissible(t, complete(6), k7) != 7*6*5*4*3*2 {
+		t.Error("exact K6 must embed in inexact K7 once per injection")
+	}
+	checkAdmissible(t, complete(7), complete(8))
+	sparse := randomWeighted(rng, nil, 90, 12)
+	if d := MinSuperimposedDistance(k12, sparse, metric, -1); !distance.IsInfinite(d) {
+		t.Errorf("K12 in a sparse host = %v, want Infinite", d)
+	}
+}
+
+// TestVerifierReset reuses one verifier across queries and metrics, the
+// way the search pipeline pools them: each reset must leave nothing of
+// the previous pattern, its node count or its done channel behind.
+func TestVerifierReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	done := make(chan struct{})
+	close(done)
+	v := new(Verifier)
+	for trial := 0; trial < 40; trial++ {
+		q := randomWeighted(rng, nil, 1+rng.Intn(9), rng.Intn(4))
+		g := randomWeighted(rng, q, q.N()+rng.Intn(30), rng.Intn(6))
+		if trial%7 == 0 {
+			q = graph.NewBuilder(0, 0).MustBuild()
+		}
+		metric := kernelMetrics[trial%len(kernelMetrics)]
+		v.Reset(q, metric)
+		before := v.Nodes()
+		if got, want := v.Distance(g, 2), referenceDistance(q, g, metric, 2, nil); got != want {
+			t.Fatalf("trial %d: reused verifier=%v reference=%v\nq=%v\ng=%v", trial, got, want, q, g)
+		}
+		if q.N() > 0 && v.Nodes() == before {
+			t.Fatalf("trial %d: a search expanded no node", trial)
+		}
+		v.SetDone(done) // must not outlive the next Reset
+	}
+}
+
 func TestDistanceEmptyQuery(t *testing.T) {
 	empty := graph.NewBuilder(0, 0).MustBuild()
 	if d := NewVerifier(empty, distance.FullMutation{}).Distance(cycle(4, 0), 0); d != 0 {
@@ -596,35 +788,56 @@ func TestDistanceDoneClosed(t *testing.T) {
 }
 
 // BenchmarkVerifierDistance is the iso.Verifier layer benchmark: one Q16
-// query against generated molecules at the repo benchmark's budget,
-// answers and non-answers apart, on a warm verifier (0 allocs/op).
+// query against generated molecules at the repo benchmark's budget, on a
+// warm verifier (0 allocs/op). Answers and non-answers are apart, and so
+// is the part of the non-answers that decides what a search pays: hosts
+// the fingerprint prescreen of a default index lets through although the
+// query's skeleton does not occur in them.
 func BenchmarkVerifierDistance(b *testing.B) {
 	db := chem.Generate(1200, chem.Config{Seed: 1})
 	q := chem.SampleQueries(db, 1, 16, 7)[0]
 	const sigma = 2
 	metric := distance.EdgeMutation{}
+	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := index.Build(db, feats, index.Options{Metric: metric, MaxFragmentEdges: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vFloor, eFloor := distance.CostFloors(metric)
+	qfp, _ := idx.NewQueryFP(q, idx.QueryFragments(q), vFloor, eFloor, nil)
 	v := NewVerifier(q, metric)
-	var answers, nonAnswers []*graph.Graph
-	for _, g := range db {
-		if distance.IsInfinite(v.Distance(g, sigma)) {
-			nonAnswers = append(nonAnswers, g)
-		} else {
+	var answers, nonAnswers, noEmbedding []*graph.Graph
+	for id, g := range db {
+		switch {
+		case !distance.IsInfinite(v.Distance(g, sigma)):
 			answers = append(answers, g)
+		case qfp.Admissible(idx.FingerprintAt(int32(id)), sigma) && !HasEmbedding(q, g):
+			noEmbedding = append(noEmbedding, g)
+			fallthrough
+		default:
+			nonAnswers = append(nonAnswers, g)
 		}
 	}
-	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 {
-		b.Fatalf("hosts: %d answers, %d non-answers", len(answers), len(nonAnswers))
+	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 || len(noEmbedding) < 32 {
+		b.Fatalf("hosts: %d answers, %d non-answers, %d of them screened in without an embedding",
+			len(answers), len(nonAnswers), len(noEmbedding))
 	}
 	for _, set := range []struct {
 		name  string
 		hosts []*graph.Graph
-	}{{"answers", answers}, {"non-answers", nonAnswers}} {
+	}{{"answers", answers}, {"non-answers", nonAnswers}, {"no-embedding", noEmbedding}} {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ReportMetric(float64(len(set.hosts)), "hosts")
+			nodes := v.Nodes()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink = v.Distance(set.hosts[i%len(set.hosts)], sigma)
 			}
+			b.ReportMetric(float64(len(set.hosts)), "hosts")
+			b.ReportMetric(float64(v.Nodes()-nodes)/float64(b.N), "nodes/op")
 		})
 	}
 }

@@ -39,38 +39,40 @@ type Searcher interface {
 // context canceled as soon as any shard fails or the parent fires, so
 // one sick shard frees its siblings instead of letting them finish work
 // nobody will see. On failure the merged partial result (Stats.Partial
-// set) is returned with the first error; the parent context's own error
-// wins when it fired.
+// set) is returned with the error of the shard that failed first — the
+// root cause, not the context.Canceled its siblings then report; the
+// parent context's own error wins when it fired.
 func FanOutSearch(ctx context.Context, shards []Searcher, q *graph.Graph, sigma float64) (core.Result, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	parts := make([]core.Result, len(shards))
-	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
+	var failOnce sync.Once
+	var first error
 	for i, sh := range shards {
 		wg.Add(1)
 		go func(i int, sh Searcher) {
 			defer wg.Done()
-			parts[i], errs[i] = sh.SearchCtx(sctx, q, sigma)
-			if errs[i] != nil {
-				cancel() // first failure reins in every sibling shard
+			var err error
+			if parts[i], err = sh.SearchCtx(sctx, q, sigma); err != nil {
+				// Record before canceling: a sibling can only report the
+				// cancellation after this error is already in place.
+				failOnce.Do(func() { first = err })
+				cancel()
 			}
 		}(i, sh)
 	}
 	wg.Wait()
 	r := core.MergeGlobal(parts)
-	for _, err := range errs {
-		if err != nil {
-			// Prefer the parent context's own error: a sibling canceled by
-			// the fan-out reports context.Canceled even when the root cause
-			// was a deadline on ctx.
-			if cerr := ctx.Err(); cerr != nil {
-				return r, cerr
-			}
-			return r, err
-		}
+	if first == nil {
+		return r, nil
 	}
-	return r, nil
+	// A sibling canceled by the fan-out reports context.Canceled even when
+	// the root cause was a deadline on ctx.
+	if cerr := ctx.Err(); cerr != nil {
+		return r, cerr
+	}
+	return r, first
 }
 
 // FanOutKNN visits shards sequentially with a shrinking radius: once k

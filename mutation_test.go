@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pis"
@@ -304,5 +305,51 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 	if db.Len() != 30 {
 		t.Fatalf("Len = %d, want 30", db.Len())
+	}
+}
+
+// TestDenseInsertSearch: a graph too dense for the structural annotation
+// (K12 has millions of short cycles; the pass gives up within its budget)
+// can be inserted and found without stalling: as a host it passes every
+// invariant test, so a ring and a clique query both reach it.
+func TestDenseInsertSearch(t *testing.T) {
+	db, err := pis.New(gen.Molecules(40, gen.Config{Seed: 97}), pis.Options{MaxFragmentEdges: 4, CompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clique := func(n int32) *pis.Graph {
+		b := pis.NewGraphBuilder(int(n), int(n*(n-1)/2))
+		for i := int32(0); i < n; i++ {
+			b.AddVertex(0)
+		}
+		for u := int32(0); u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				b.AddEdge(u, v, 0)
+			}
+		}
+		return b.MustBuild()
+	}
+	id, err := db.Insert(clique(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := pis.NewGraphBuilder(6, 6)
+	for i := 0; i < 6; i++ {
+		ring.AddVertex(0)
+	}
+	for i := int32(0); i < 6; i++ {
+		ring.AddEdge(i, (i+1)%6, 0)
+	}
+	for name, q := range map[string]*pis.Graph{"ring": ring.MustBuild(), "K4": clique(4)} {
+		got, want := db.Search(q, 1), db.SearchNaive(q, 1)
+		if !slices.Equal(got.Answers, want.Answers) || !slices.Equal(got.Distances, want.Distances) {
+			t.Errorf("%s: answers %v %v, naive %v %v", name, got.Answers, got.Distances, want.Answers, want.Distances)
+		}
+		if i := slices.Index(got.Answers, id); i < 0 || got.Distances[i] != 0 {
+			t.Errorf("%s: K12 (id %d) must answer at distance 0, got %v %v", name, id, got.Answers, got.Distances)
+		}
+		if nn := db.SearchKNN(q, 1, 1); len(nn) != 1 || nn[0].Distance != 0 {
+			t.Errorf("%s: nearest neighbor %v, want one at distance 0", name, nn)
+		}
 	}
 }

@@ -84,8 +84,10 @@ type StatsJSON struct {
 	RangeCandidates   int `json:"range_candidates"`
 	DistCandidates    int `json:"dist_candidates"`
 	PrescreenRejects  int `json:"prescreen_rejects"`
+	InvariantRejects  int `json:"invariant_rejects"`
 	VerifyCacheHits   int `json:"verify_cache_hits"`
 	Verified          int `json:"verified"`
+	VerifyNodes       int `json:"verify_nodes"`
 	// plan_ms is the planning slice of filter_ms (not a disjoint
 	// stage); filter_ms + verify_ms is the full instrumented time.
 	PlanMS   float64 `json:"plan_ms"`
@@ -103,8 +105,10 @@ func encodeStats(s pis.SearchStats) StatsJSON {
 		RangeCandidates:   s.RangeCandidates,
 		DistCandidates:    s.DistCandidates,
 		PrescreenRejects:  s.PrescreenRejects,
+		InvariantRejects:  s.InvariantRejects,
 		VerifyCacheHits:   s.VerifyCacheHits,
 		Verified:          s.Verified,
+		VerifyNodes:       s.VerifyNodes,
 		PlanMS:            float64(s.PlanTime.Microseconds()) / 1000,
 		FilterMS:          float64(s.FilterTime.Microseconds()) / 1000,
 		VerifyMS:          float64(s.VerifyTime.Microseconds()) / 1000,
