@@ -203,3 +203,54 @@ func BenchmarkMemoHit(b *testing.B) {
 		mm.MinCodeUnlabeled(g)
 	}
 }
+
+// TestMemoLookupMatchesEntry: probing by renumbered endpoints finds
+// exactly the entry the Graph form stored — same pointer, so both forms
+// encode one key — misses before that, and the entry's Key is the code's.
+func TestMemoLookupMatchesEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mm := NewMemo()
+	for trial := 0; trial < 200; trial++ {
+		g := memoRandomGraph(rng, 2+rng.Intn(6), rng.Intn(3))
+		var ends []int32
+		for _, e := range g.Edges() {
+			ends = append(ends, e.U, e.V)
+		}
+		before := mm.Lookup(g.N(), ends)
+		e := mm.Entry(g)
+		if before != nil && before != e {
+			t.Fatalf("trial %d: Lookup and Entry disagree on a cached structure", trial)
+		}
+		if got := mm.Lookup(g.N(), ends); got != e {
+			t.Fatalf("trial %d: Lookup after Entry = %p, want %p", trial, got, e)
+		}
+		if e.Key != e.Code.Key() {
+			t.Fatalf("trial %d: entry key differs from its code's", trial)
+		}
+		code, embs := MinCodeUnlabeled(g.Skeleton())
+		if !sameCode(e.Code, code) || !sameEmbs(e.Embs, embs) {
+			t.Fatalf("trial %d: cached entry differs from direct canonicalization", trial)
+		}
+	}
+	if mm.Lookup(3, []int32{0, 1, 1, 2, 0, 2, 9, 10}) != nil {
+		t.Fatal("Lookup invented an entry for an unseen structure")
+	}
+}
+
+// TestMemoLookupDoesNotAllocate pins the hit path.
+func TestMemoLookupDoesNotAllocate(t *testing.T) {
+	mm := NewMemo()
+	g := memoRandomGraph(rand.New(rand.NewSource(3)), 6, 1)
+	var ends []int32
+	for _, e := range g.Edges() {
+		ends = append(ends, e.U, e.V)
+	}
+	mm.Entry(g)
+	if avg := testing.AllocsPerRun(100, func() {
+		if mm.Lookup(g.N(), ends) == nil {
+			t.Fatal("miss on a cached structure")
+		}
+	}); avg != 0 {
+		t.Errorf("Lookup hit allocates %.1f times, want 0", avg)
+	}
+}

@@ -333,18 +333,19 @@ type fragInfo struct {
 // sized by previous queries and reused, so a steady-state search touches
 // the allocator only for its Result.
 type scratch struct {
-	lists      []index.PostingList // per-fragment range results
-	rbuf       index.RangeBuffer   // shared dedup/probe scratch for all range queries
+	frags      index.FragmentScratch // the query's fragments and their slabs
+	lists      []index.PostingList   // per-fragment range results
+	rbuf       index.RangeBuffer     // shared dedup/probe scratch for all range queries
 	infos      []fragInfo
 	bufA, bufB []int32 // candidate set double buffer
 	postBuf    []int32 // decoded posting list (mapped classes decode on demand)
 	lbs        []float64
 	cursors    []int
-	sizeOrder  []int32
-	planOrder  []int32   // fragment expansion order (planner score descending)
-	fragProb   []float64 // estimated in-range fraction per fragment
-	fragScore  []float64 // pruning power per unit probe cost per fragment
-	fragUsed   []bool    // fragments whose range query ran (incl. top-up)
+	classes    []*index.Class // distinct classes of the usable fragments
+	planOrder  []int32        // fragment expansion order (planner score descending)
+	fragProb   []float64      // estimated in-range fraction per fragment
+	fragScore  []float64      // pruning power per unit probe cost per fragment
+	fragUsed   []bool         // fragments whose range query ran (incl. top-up)
 	vertexSets [][]int32
 	weights    []float64
 	part       []int
@@ -539,9 +540,9 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 // are scratch-backed: valid only until the scratch is reused.
 //
 // The candidate set is seeded with the structural postings intersection
-// of every usable fragment — nearly free, the postings are in memory —
-// so maximal structure-only pruning happens before any σ range query
-// runs. Range queries then expand in planner order (pruning power per
+// of the usable fragments' classes — one list per distinct class, a
+// handful per query — so maximal structure-only pruning happens before
+// any σ range query runs. Range queries then expand in planner order (pruning power per
 // unit cost); the planner skips a fragment whose estimated eliminations
 // fall below Options.PlannerBudget and stops entirely once the surviving
 // set is within Options.PlannerCrossover of going straight to
@@ -745,7 +746,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 // indexed structure of the query constrains a match no matter which range
 // queries end up running.
 func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc *scratch, wantFP bool) []index.QueryFragment {
-	frags := s.idx.QueryFragments(q)
+	frags := s.idx.QueryFragmentsInto(q, &sc.frags)
 	st.QueryFragments = len(frags)
 	if wantFP {
 		sc.qfp, sc.qfpSig = s.idx.NewQueryFP(q, frags, s.vFloor, s.eFloor, sc.qfpSig)
@@ -781,32 +782,35 @@ func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc 
 	return kept
 }
 
-// structuralCandidates intersects the structural postings of the fragments
-// (topoPrune's filter), smallest list first with early exit, then drops
-// tombstoned ids (the postings keep deleted graphs until compaction). The
-// result is scratch-backed. No fragments means no structural information:
-// all live ids.
+// structuralCandidates intersects the structural postings of the
+// fragments' distinct classes (topoPrune's filter) — a query's fragments
+// number in the hundreds but fall into a handful of classes, and a list
+// intersected with itself changes nothing — smallest list first with early
+// exit, then drops tombstoned ids (the postings keep deleted graphs until
+// compaction). The result is scratch-backed. No fragments means no
+// structural information: all live ids.
 func (s *Searcher) structuralCandidates(frags []index.QueryFragment, sc *scratch, tombs *index.Tombstones) []int32 {
 	if len(frags) == 0 {
 		sc.bufA = appendLiveIDs(sc.bufA[:0], len(s.db), tombs)
 		return sc.bufA
 	}
-	// Intersect smallest postings first.
-	order := sc.sizeOrder[:0]
-	for i := range frags {
-		order = append(order, int32(i))
+	classes := sc.classes[:0]
+	for _, qf := range frags {
+		if !slices.Contains(classes, qf.Class) {
+			classes = append(classes, qf.Class)
+		}
 	}
-	sc.sizeOrder = order
-	slices.SortFunc(order, func(a, b int32) int {
-		return frags[a].Class.PostingCount() - frags[b].Class.PostingCount()
+	sc.classes = classes
+	slices.SortFunc(classes, func(a, b *index.Class) int {
+		return a.PostingCount() - b.PostingCount()
 	})
-	cur := frags[order[0]].Class.AppendPostings(sc.bufA[:0])
+	cur := classes[0].AppendPostings(sc.bufA[:0])
 	nxt := sc.bufB[:0]
-	for _, i := range order[1:] {
+	for _, c := range classes[1:] {
 		if len(cur) == 0 {
 			break
 		}
-		sc.postBuf = frags[i].Class.AppendPostings(sc.postBuf[:0])
+		sc.postBuf = c.AppendPostings(sc.postBuf[:0])
 		nxt = intersectSorted(nxt[:0], cur, sc.postBuf)
 		cur, nxt = nxt, cur
 	}
@@ -1004,16 +1008,7 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	}
 	if cache != nil && len(order) > 0 {
 		qkey = canonicalQueryKey(q)
-		missed := order[:0]
-		for _, j := range order {
-			if d, hit := cache.lookup(vcKey{q: qkey, id: cands[j]}, sigma); hit {
-				dists[j] = d
-				r.Stats.VerifyCacheHits++
-				continue
-			}
-			missed = append(missed, j)
-		}
-		order = missed
+		order, r.Stats.VerifyCacheHits = cache.lookupAll(qkey, sigma, cands, order, dists)
 	}
 	nv := len(order)
 	r.Stats.Verified = nv
@@ -1026,15 +1021,14 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 		var nodes uint64
 		busy, nodes, err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
 			j := order[i]
-			d := v.Distance(s.candGraph(view, cands[j]), sigma)
-			dists[j] = d
-			if cache != nil && !canceled(done) {
-				cache.put(vcKey{q: qkey, id: cands[j]}, d, sigma)
-			}
+			dists[j] = v.Distance(s.candGraph(view, cands[j]), sigma)
 		})
 		r.Stats.VerifyNodes = int(nodes)
 		if err == nil && !canceled(done) {
 			ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nv))
+			if cache != nil {
+				cache.putAll(qkey, sigma, cands, order, dists)
+			}
 		}
 	}
 	if err != nil {

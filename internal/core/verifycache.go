@@ -21,6 +21,13 @@
 // fills, it becomes the previous generation and lookups fall through to
 // it (promoting hits) until it rotates away. O(1), no LRU list, and the
 // total entry count stays under the configured cap.
+//
+// A search talks to the cache twice, each time under one lock: lookupAll
+// before branch-and-bound and putAll after it. The canonical query string
+// is hashed once per call to find the query's number in each generation;
+// per candidate the work is one probe of a map keyed by that number and
+// the graph id. A query the cache has never seen costs lookupAll a single
+// miss, whatever the candidate count.
 
 package core
 
@@ -34,12 +41,6 @@ import (
 	"pis/internal/graph"
 )
 
-// vcKey identifies one (query, graph) verification.
-type vcKey struct {
-	q  string // canonical query key
-	id int32  // segment-local graph id
-}
-
 // vcVerdict is one cached verification outcome at a known budget.
 type vcVerdict struct {
 	d      float64
@@ -51,32 +52,70 @@ type vcVerdict struct {
 type verifyCache struct {
 	mu   sync.Mutex
 	half int // rotation threshold: cur holds at most half, total <= 2*half
-	cur  map[vcKey]vcVerdict
-	prev map[vcKey]vcVerdict
+	// cur and prev are keyed by vcSlot of the query's number in that
+	// generation; curQ and prevQ hold the numbering, so a query's string
+	// lives exactly as long as a generation that has verdicts for it.
+	cur, prev   map[uint64]vcVerdict
+	curQ, prevQ map[string]uint32
 }
+
+func vcSlot(qn uint32, id int32) uint64 { return uint64(qn)<<32 | uint64(uint32(id)) }
 
 func newVerifyCache(capacity int) *verifyCache {
 	half := capacity / 2
 	if half < 1 {
 		half = 1
 	}
-	return &verifyCache{half: half, cur: make(map[vcKey]vcVerdict)}
+	return &verifyCache{half: half, cur: make(map[uint64]vcVerdict), curQ: make(map[string]uint32)}
 }
 
-// lookup resolves one candidate against the cache: hit reports whether
-// the cached verdict answers a search at radius sigma, and d is the
-// distance to use (exact, or Infinite for a proven non-answer).
-func (c *verifyCache) lookup(k vcKey, sigma float64) (d float64, hit bool) {
+// vcQuery is one query resolved against both generations, good for as
+// long as the lock it was resolved under is held.
+type vcQuery struct {
+	q             string
+	curN, prevN   uint32
+	inCur, inPrev bool
+}
+
+func (c *verifyCache) resolveLocked(q string) vcQuery {
+	h := vcQuery{q: q}
+	h.curN, h.inCur = c.curQ[q]
+	h.prevN, h.inPrev = c.prevQ[q]
+	return h
+}
+
+// lookupAll resolves the candidates cands[j], j in order, against the
+// cache at radius sigma: a hit writes the distance to use (exact, or
+// Infinite for a proven non-answer) to dists[j]; the misses are compacted
+// to the front of order and returned with the hit count.
+func (c *verifyCache) lookupAll(q string, sigma float64, cands, order []int32, dists []float64) (missed []int32, hits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookupLocked(k, sigma)
+	h := c.resolveLocked(q)
+	if !h.inCur && !h.inPrev {
+		return order, 0
+	}
+	missed = order[:0]
+	for _, j := range order {
+		if d, hit := c.lookupLocked(&h, cands[j], sigma); hit {
+			dists[j] = d
+			hits++
+			continue
+		}
+		missed = append(missed, j)
+	}
+	return missed, hits
 }
 
-func (c *verifyCache) lookupLocked(k vcKey, sigma float64) (d float64, hit bool) {
-	v, ok := c.cur[k]
-	if !ok {
-		if v, ok = c.prev[k]; ok {
-			c.putLocked(k, v) // promote so rotation keeps hot entries
+func (c *verifyCache) lookupLocked(h *vcQuery, id int32, sigma float64) (d float64, hit bool) {
+	var v vcVerdict
+	ok := false
+	if h.inCur {
+		v, ok = c.cur[vcSlot(h.curN, id)]
+	}
+	if !ok && h.inPrev {
+		if v, ok = c.prev[vcSlot(h.prevN, id)]; ok {
+			c.setLocked(h, id, v) // promote so rotation keeps hot entries
 		}
 	}
 	if !ok {
@@ -94,26 +133,44 @@ func (c *verifyCache) lookupLocked(k vcKey, sigma float64) (d float64, hit bool)
 	return 0, false // proven > budget, but the new radius asks farther
 }
 
-func (c *verifyCache) putLocked(k vcKey, v vcVerdict) {
+// setLocked stores v in the current generation, rotating first when it is
+// full; h follows the rotation and gets a number in the new generation.
+func (c *verifyCache) setLocked(h *vcQuery, id int32, v vcVerdict) {
 	if len(c.cur) >= c.half {
-		c.prev = c.cur
-		c.cur = make(map[vcKey]vcVerdict, c.half)
+		c.prev, c.prevQ = c.cur, c.curQ
+		c.cur, c.curQ = make(map[uint64]vcVerdict, c.half), make(map[string]uint32)
+		h.prevN, h.inPrev, h.inCur = h.curN, h.inCur, false
 	}
-	c.cur[k] = v
+	if !h.inCur {
+		h.curN, h.inCur = uint32(len(c.curQ)), true
+		c.curQ[h.q] = h.curN
+	}
+	c.cur[vcSlot(h.curN, id)] = v
 }
 
-// put records one verification outcome, never downgrading: an existing
-// exact verdict stays, and a larger-budget Infinite replaces a smaller
-// one but not the other way around.
-func (c *verifyCache) put(k vcKey, d, budget float64) {
+// putAll records the outcomes dists[j] of verifying cands[j], j in order,
+// at budget sigma.
+func (c *verifyCache) putAll(q string, sigma float64, cands, order []int32, dists []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.cur[k]; ok {
-		if !distance.IsInfinite(old.d) || (distance.IsInfinite(d) && budget <= old.budget) {
-			return
+	h := c.resolveLocked(q)
+	for _, j := range order {
+		c.putLocked(&h, cands[j], dists[j], sigma)
+	}
+}
+
+// putLocked records one verification outcome, never downgrading: an
+// existing exact verdict stays, and a larger-budget Infinite replaces a
+// smaller one but not the other way around.
+func (c *verifyCache) putLocked(h *vcQuery, id int32, d, budget float64) {
+	if h.inCur {
+		if old, ok := c.cur[vcSlot(h.curN, id)]; ok {
+			if !distance.IsInfinite(old.d) || (distance.IsInfinite(d) && budget <= old.budget) {
+				return
+			}
 		}
 	}
-	c.putLocked(k, vcVerdict{d: d, budget: budget})
+	c.setLocked(h, id, vcVerdict{d: d, budget: budget})
 }
 
 // canonicalQueryKey returns a key equal for isomorphic queries and

@@ -246,6 +246,63 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSubgraphEnumeratorReuse: one enumerator carried across graphs of
+// different sizes, including past an early stop, enumerates what a fresh
+// one does, in the same order, and a warmed-up pass does not allocate.
+func TestSubgraphEnumeratorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var graphs []*Graph
+	for len(graphs) < 12 {
+		n := 4 + rng.Intn(5)
+		b := NewBuilder(n, 2*n)
+		for i := 0; i < n; i++ {
+			b.AddVertex(0)
+		}
+		for i := 1; i < n; i++ {
+			b.AddEdge(int32(rng.Intn(i)), int32(i), 0)
+		}
+		for extra := 0; extra < 2; extra++ {
+			if u, v := int32(rng.Intn(n)), int32(rng.Intn(n)); u != v {
+				b.AddEdge(u, v, 0) // a duplicate fails the build and is skipped
+			}
+		}
+		if g, err := b.Build(); err == nil {
+			graphs = append(graphs, g)
+		}
+	}
+	list := func(en *SubgraphEnumerator, g *Graph, stopAfter int) []string {
+		var out []string
+		en.Enumerate(g, 4, func(edges []int32) bool {
+			out = append(out, fmtEdges(edges))
+			return len(out) != stopAfter
+		})
+		return out
+	}
+	var en SubgraphEnumerator
+	for i, g := range graphs {
+		if i%3 == 1 {
+			if got := list(&en, g, 3); len(got) != 3 {
+				t.Fatalf("graph %d: early stop delivered %d callbacks, want 3", i, len(got))
+			}
+		}
+		got, want := list(&en, g, -1), list(new(SubgraphEnumerator), g, -1)
+		if len(got) != len(want) {
+			t.Fatalf("graph %d: reused enumerator found %d subgraphs, fresh one %d", i, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("graph %d: subgraph %d is %s, want %s", i, k, got[k], want[k])
+			}
+		}
+	}
+	g := graphs[0]
+	if avg := testing.AllocsPerRun(20, func() {
+		en.Enumerate(g, 4, func([]int32) bool { return true })
+	}); avg != 0 {
+		t.Errorf("warm Enumerate allocates %.1f times, want 0", avg)
+	}
+}
+
 func TestRandomConnectedSubgraph(t *testing.T) {
 	g := cycle(8, 0, 0)
 	rng := rand.New(rand.NewSource(7))

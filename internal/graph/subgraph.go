@@ -9,11 +9,17 @@ type Fragment struct {
 }
 
 // Vertices returns the sorted host vertex ids touched by the fragment.
-// Fragments are small (index-sized), so dedup is a linear scan.
 func (f Fragment) Vertices() []int32 {
-	out := make([]int32, 0, len(f.Edges)+1)
-	for _, e := range f.Edges {
-		ed := f.Host.EdgeAt(int(e))
+	return appendFragmentVertices(make([]int32, 0, len(f.Edges)+1), f.Host, f.Edges)
+}
+
+// appendFragmentVertices appends the sorted host vertex ids touched by
+// edges to dst[:0]. Fragments are small (index-sized), so dedup is a
+// linear scan.
+func appendFragmentVertices(dst []int32, host *Graph, edges []int32) []int32 {
+	out := dst[:0]
+	for _, e := range edges {
+		ed := host.EdgeAt(int(e))
 		for _, v := range [2]int32{ed.U, ed.V} {
 			known := false
 			for _, o := range out {
@@ -31,6 +37,42 @@ func (f Fragment) Vertices() []int32 {
 	return out
 }
 
+// Renumbering is the vertex and edge numbering Extract would give a
+// fragment, computed into reusable storage instead of a new Graph: enough
+// to key a structure cache and to read the fragment's labels and weights
+// straight from the host. The zero value is ready; Reset overwrites it.
+type Renumbering struct {
+	// Vertices are the host vertex ids touched, ascending: extracted
+	// vertex i is host vertex Vertices[i].
+	Vertices []int32
+	// Ends holds the extracted endpoints of the fragment's k-th edge at
+	// [2k] and [2k+1], smaller first, in the order the edges were given.
+	Ends []int32
+}
+
+// Reset renumbers the fragment of host made of the given edge indices.
+func (r *Renumbering) Reset(host *Graph, edges []int32) {
+	r.Vertices = appendFragmentVertices(r.Vertices, host, edges)
+	r.Ends = r.Ends[:0]
+	for _, he := range edges {
+		ed := host.EdgeAt(int(he))
+		u, v := r.local(ed.U), r.local(ed.V)
+		if u > v {
+			u, v = v, u
+		}
+		r.Ends = append(r.Ends, u, v)
+	}
+}
+
+func (r *Renumbering) local(hv int32) int32 {
+	for i, v := range r.Vertices {
+		if v == hv {
+			return int32(i)
+		}
+	}
+	panic("graph: fragment endpoint outside vertex set")
+}
+
 // Extract materializes the fragment as a standalone Graph. vmap maps the
 // new graph's vertex ids back to host vertex ids: vmap[i] is the host
 // vertex for extracted vertex i. emap does the same for edges, following
@@ -39,7 +81,9 @@ func (f Fragment) Vertices() []int32 {
 // The construction bypasses Builder validation: fragment edges come from
 // the host, so they are already loop-free, distinct, and endpoint-valid.
 func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
-	verts := f.Vertices()
+	var r Renumbering
+	r.Reset(f.Host, f.Edges)
+	verts := r.Vertices
 	g = &Graph{
 		vlabels: make([]VLabel, len(verts)),
 		edges:   make([]Edge, len(f.Edges)),
@@ -47,14 +91,6 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 	}
 	if f.Host.vweights != nil {
 		g.vweights = make([]float64, len(verts))
-	}
-	back := func(hv int32) int32 {
-		for i, v := range verts {
-			if v == hv {
-				return int32(i)
-			}
-		}
-		panic("graph: fragment endpoint outside vertex set")
 	}
 	for i, hv := range verts {
 		g.vlabels[i] = f.Host.VLabelAt(int(hv))
@@ -65,11 +101,7 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 	adjBacking := make([]int32, 2*len(f.Edges))
 	for i, he := range f.Edges {
 		ed := f.Host.EdgeAt(int(he))
-		u, v := back(ed.U), back(ed.V)
-		if u > v {
-			u, v = v, u
-		}
-		g.edges[i] = Edge{U: u, V: v, Label: ed.Label, Weight: ed.Weight}
+		g.edges[i] = Edge{U: r.Ends[2*i], V: r.Ends[2*i+1], Label: ed.Label, Weight: ed.Weight}
 	}
 	// Count degrees, carve adjacency slices out of one backing array, fill.
 	deg := make([]int32, len(verts))
@@ -116,95 +148,101 @@ func (f Fragment) Overlaps(o Fragment) bool {
 // larger-indexed frontier edges, with an exclusion set preventing the same
 // subgraph from being reached along two different orders.
 func EnumerateConnectedSubgraphs(g *Graph, maxEdges int, fn func(edges []int32) bool) {
-	if maxEdges <= 0 || g.M() == 0 {
+	var en SubgraphEnumerator
+	en.Enumerate(g, maxEdges, fn)
+}
+
+// SubgraphEnumerator is EnumerateConnectedSubgraphs with its working
+// memory kept between calls, for callers that enumerate graph after
+// graph: a warmed-up Enumerate allocates nothing. The zero value is
+// ready; not safe for concurrent use.
+type SubgraphEnumerator struct {
+	cur      []int32
+	inSub    []bool
+	excluded []bool
+	// frontiers stacks the frontier of every active recursion level.
+	frontiers []int32
+}
+
+// Enumerate is EnumerateConnectedSubgraphs over the enumerator's storage:
+// same subgraphs, same order.
+func (en *SubgraphEnumerator) Enumerate(g *Graph, maxEdges int, fn func(edges []int32) bool) {
+	m := g.M()
+	if maxEdges <= 0 || m == 0 {
 		return
 	}
-	cur := make([]int32, 0, maxEdges)
-	inSub := make([]bool, g.M())
-	excluded := make([]bool, g.M())
-	vertexIn := make([]bool, g.N())
-
-	var grow func(anchor int32) bool
-	grow = func(anchor int32) bool {
-		if !fn(cur) {
-			return false
-		}
-		if len(cur) == maxEdges {
-			return true
-		}
-		// Frontier: edges incident to the current vertex set, with index
-		// greater than the anchor, not already in, not excluded.
-		var frontier []int32
-		for _, e := range cur {
-			ed := g.EdgeAt(int(e))
-			for _, end := range [2]int32{ed.U, ed.V} {
-				for _, ne := range g.IncidentEdges(int(end)) {
-					if ne > anchor && !inSub[ne] && !excluded[ne] {
-						nd := g.EdgeAt(int(ne))
-						// Must attach to the current vertex set (it does, by
-						// construction via `end`), and avoid duplicates in the
-						// frontier slice.
-						_ = nd
-						dup := false
-						for _, fe := range frontier {
-							if fe == ne {
-								dup = true
-								break
-							}
-						}
-						if !dup {
-							frontier = append(frontier, ne)
-						}
-					}
-				}
-			}
-		}
-		insertionSort32(frontier)
-		// Recurse including each frontier edge; edges considered earlier are
-		// excluded for later branches so each edge set is produced once.
-		for idx, ne := range frontier {
-			nd := g.EdgeAt(int(ne))
-			inSub[ne] = true
-			cur = append(cur, ne)
-			addedU := !vertexIn[nd.U]
-			addedV := !vertexIn[nd.V]
-			vertexIn[nd.U], vertexIn[nd.V] = true, true
-			ok := grow(anchor)
-			cur = cur[:len(cur)-1]
-			inSub[ne] = false
-			if addedU {
-				vertexIn[nd.U] = false
-			}
-			if addedV {
-				vertexIn[nd.V] = false
-			}
-			if !ok {
-				// Roll back exclusions made in this loop before unwinding.
-				for _, pe := range frontier[:idx] {
-					excluded[pe] = false
-				}
-				return false
-			}
-			excluded[ne] = true
-		}
-		for _, ne := range frontier {
-			excluded[ne] = false
-		}
-		return true
+	if cap(en.inSub) < m {
+		en.inSub = make([]bool, m)
+		en.excluded = make([]bool, m)
 	}
-
-	for e := 0; e < g.M(); e++ {
-		ed := g.EdgeAt(e)
-		cur = append(cur[:0], int32(e))
-		inSub[e] = true
-		vertexIn[ed.U], vertexIn[ed.V] = true, true
-		ok := grow(int32(e))
-		inSub[e] = false
-		vertexIn[ed.U], vertexIn[ed.V] = false, false
+	en.inSub, en.excluded = en.inSub[:m], en.excluded[:m]
+	clear(en.inSub) // a panic in fn leaves marks behind
+	clear(en.excluded)
+	en.frontiers = en.frontiers[:0]
+	for e := 0; e < m; e++ {
+		en.cur = append(en.cur[:0], int32(e))
+		en.inSub[e] = true
+		ok := en.grow(g, int32(e), maxEdges, fn)
+		en.inSub[e] = false
 		if !ok {
 			return
 		}
 	}
+}
+
+func (en *SubgraphEnumerator) grow(g *Graph, anchor int32, maxEdges int, fn func(edges []int32) bool) bool {
+	if !fn(en.cur) {
+		return false
+	}
+	if len(en.cur) == maxEdges {
+		return true
+	}
+	// Frontier: edges incident to the current vertex set, with index
+	// greater than the anchor, not already in, not excluded.
+	base := len(en.frontiers)
+	for _, e := range en.cur {
+		ed := g.EdgeAt(int(e))
+		for _, end := range [2]int32{ed.U, ed.V} {
+			for _, ne := range g.IncidentEdges(int(end)) {
+				if ne > anchor && !en.inSub[ne] && !en.excluded[ne] {
+					dup := false
+					for _, fe := range en.frontiers[base:] {
+						if fe == ne {
+							dup = true
+							break
+						}
+					}
+					if !dup {
+						en.frontiers = append(en.frontiers, ne)
+					}
+				}
+			}
+		}
+	}
+	end := len(en.frontiers)
+	insertionSort32(en.frontiers[base:end])
+	// Recurse including each frontier edge; edges considered earlier are
+	// excluded for later branches so each edge set is produced once. The
+	// stack may be reallocated by deeper levels, so it is re-indexed, never
+	// held as a slice, across the recursive call.
+	ok := true
+	for i := base; i < end; i++ {
+		ne := en.frontiers[i]
+		en.inSub[ne] = true
+		en.cur = append(en.cur, ne)
+		ok = en.grow(g, anchor, maxEdges, fn)
+		en.cur = en.cur[:len(en.cur)-1]
+		en.inSub[ne] = false
+		if !ok {
+			break
+		}
+		en.excluded[ne] = true
+	}
+	for _, ne := range en.frontiers[base:end] {
+		en.excluded[ne] = false
+	}
+	en.frontiers = en.frontiers[:base]
+	return ok
 }
 
 // RandomConnectedSubgraph returns m distinct edge indices forming a

@@ -1,0 +1,454 @@
+package index
+
+// Differential tests, allocation ceilings and micro-benchmarks for the
+// per-query filter steps that run on scratch: fragment enumeration
+// (QueryFragmentsInto against the Extract-based enumeration it replaced)
+// and sort-free range output (RangeQueryInto against a map-and-sort fold
+// of every stored entry).
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"pis/internal/chem"
+	"pis/internal/distance"
+	"pis/internal/graph"
+	"pis/internal/mining"
+	"pis/internal/rtree"
+)
+
+// molFixture is a molecule-like corpus (rings, fused rings, heteroatoms,
+// optional weights) with the serving defaults for mining, so queries of
+// 8-24 edges enumerate the few hundred fragments real searches do.
+type molFixture struct {
+	db     []*graph.Graph
+	heap   *Index
+	mapped *Index
+}
+
+func newMolFixture(t testing.TB, kind Kind, metric distance.Metric, n int) molFixture {
+	t.Helper()
+	db := chem.Generate(n, chem.Config{Seed: 11, Weighted: kind == RTreeIndex})
+	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := Build(db, feats, Options{Kind: kind, Metric: metric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "idx.pisidx3")
+	if err := heap.WriteMapped(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(path, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return molFixture{db: db, heap: heap, mapped: mapped}
+}
+
+var filterKinds = []struct {
+	kind   Kind
+	metric distance.Metric
+}{
+	{TrieIndex, distance.EdgeMutation{}},
+	{VPTreeIndex, distance.EdgeMutation{}},
+	{RTreeIndex, distance.Linear{}},
+}
+
+// queryFragmentsByExtract is QueryFragments as it was before the scratch:
+// one extracted Graph per enumerated fragment, canonicalized through the
+// memo's Graph entry point and read back through the extracted copy.
+func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
+	var out []QueryFragment
+	graph.EnumerateConnectedSubgraphs(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+		ecopy := append([]int32(nil), edges...)
+		sort.Slice(ecopy, func(i, j int) bool { return ecopy[i] < ecopy[j] })
+		frag := graph.Fragment{Host: q, Edges: ecopy}
+		sub, _, _ := frag.Extract()
+		code, embs := x.memo.MinCodeUnlabeled(sub)
+		c := x.classes[code.Key()]
+		if c == nil {
+			return true
+		}
+		qf := QueryFragment{Class: c, Edges: ecopy, Vertices: frag.Vertices()}
+		emb := embs[0]
+		L := c.SeqLen()
+		switch x.opts.Kind {
+		case TrieIndex, VPTreeIndex:
+			qf.Seq = make([]uint32, L)
+			for k := 0; k < c.vOff; k++ {
+				qf.Seq[k] = uint32(sub.VLabelAt(int(emb.Vertices[k])))
+			}
+			for t := 0; t < c.NumE; t++ {
+				qf.Seq[c.vOff+t] = uint32(sub.EdgeAt(int(emb.Edges[t])).Label)
+			}
+		case RTreeIndex:
+			qf.Vec = make([]float64, L)
+			for k := 0; k < c.vOff; k++ {
+				qf.Vec[k] = sub.VWeightAt(int(emb.Vertices[k]))
+			}
+			for t := 0; t < c.NumE; t++ {
+				qf.Vec[c.vOff+t] = sub.EdgeAt(int(emb.Edges[t])).Weight
+			}
+		}
+		out = append(out, qf)
+		return true
+	})
+	return out
+}
+
+func sameFragments(a, b []QueryFragment) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d fragments, want %d", len(a), len(b))
+	}
+	for i := range a {
+		switch {
+		case a[i].Class != b[i].Class:
+			return fmt.Errorf("fragment %d: class %d, want %d", i, a[i].Class.ID, b[i].Class.ID)
+		case !slices.Equal(a[i].Edges, b[i].Edges):
+			return fmt.Errorf("fragment %d: edges %v, want %v", i, a[i].Edges, b[i].Edges)
+		case !slices.Equal(a[i].Vertices, b[i].Vertices):
+			return fmt.Errorf("fragment %d: vertices %v, want %v", i, a[i].Vertices, b[i].Vertices)
+		case !slices.Equal(a[i].Seq, b[i].Seq):
+			return fmt.Errorf("fragment %d: seq %v, want %v", i, a[i].Seq, b[i].Seq)
+		case !slices.Equal(a[i].Vec, b[i].Vec):
+			return fmt.Errorf("fragment %d: vec %v, want %v", i, a[i].Vec, b[i].Vec)
+		}
+	}
+	return nil
+}
+
+// TestQueryFragmentsMatchExtract: the scratch enumeration returns the
+// Extract-based list — class, edges, vertices, sequence or weights, in
+// order — for every kind, with one scratch reused across all queries and
+// with a fresh one per query.
+func TestQueryFragmentsMatchExtract(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.kind.String(), func(t *testing.T) {
+			fx := newMolFixture(t, k.kind, k.metric, 200)
+			var fs FragmentScratch
+			checked := 0
+			for _, m := range []int{8, 12, 16, 24} {
+				for _, q := range chem.SampleQueries(fx.db, 12, m, int64(m)) {
+					want := queryFragmentsByExtract(fx.heap, q)
+					if err := sameFragments(fx.heap.QueryFragmentsInto(q, &fs), want); err != nil {
+						t.Fatalf("Q%d reused scratch: %v", m, err)
+					}
+					if err := sameFragments(fx.heap.QueryFragments(q), want); err != nil {
+						t.Fatalf("Q%d fresh scratch: %v", m, err)
+					}
+					checked += len(want)
+				}
+			}
+			if checked < 1000 {
+				t.Fatalf("only %d fragments compared", checked)
+			}
+		})
+	}
+}
+
+// TestQueryFragmentsSurviveSlabGrowth: fragments carved before a slab
+// reallocates must stay intact, and a later append through one of them
+// must not reach its neighbour.
+func TestQueryFragmentsSurviveSlabGrowth(t *testing.T) {
+	fx := newMolFixture(t, TrieIndex, distance.EdgeMutation{}, 200)
+	q := chem.SampleQueries(fx.db, 1, 24, 3)[0]
+	got := fx.heap.QueryFragments(q) // a fresh scratch grows from nothing
+	if err := sameFragments(got, queryFragmentsByExtract(fx.heap, q)); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(got[1].Edges)
+	_ = append(got[0].Vertices, -1)
+	_ = append(got[0].Edges, -1)
+	if !slices.Equal(got[1].Edges, want) {
+		t.Fatalf("append through fragment 0 rewrote fragment 1: %v, want %v", got[1].Edges, want)
+	}
+}
+
+// rangeByFold answers the range query the slow way: every stored entry of
+// the class against every automorphism variant of the probe, min-folded
+// per graph in a map and sorted at the end.
+func rangeByFold(x *Index, qf QueryFragment, sigma float64, tombs *Tombstones) (ids []int32, dists []float64) {
+	c := qf.Class
+	best := map[int32]float64{}
+	fold := func(id int32, d float64) {
+		if d > sigma || tombs.Has(id) {
+			return
+		}
+		if old, ok := best[id]; !ok || d < old {
+			best[id] = d
+		}
+	}
+	switch x.opts.Kind {
+	case TrieIndex:
+		c.trie.Walk(func(seq []uint32, graphs []int32) {
+			d := c.orbitDistance(qf.Seq, seq, x.opts.Metric)
+			for _, id := range graphs {
+				fold(id, d)
+			}
+		})
+	case VPTreeIndex:
+		for i, seq := range c.vpSeq {
+			fold(c.vpIDs[i], c.orbitDistance(qf.Seq, seq, x.opts.Metric))
+		}
+	case RTreeIndex:
+		c.rt.SearchL1(qf.Vec, math.MaxFloat64, func(e rtree.Entry, _ float64) bool {
+			d := math.Inf(1)
+			for _, p := range c.perms {
+				s := 0.0
+				for i, src := range p {
+					s += math.Abs(qf.Vec[src] - e.Point[i])
+				}
+				d = math.Min(d, s)
+			}
+			fold(e.Data, d)
+			return true
+		})
+	}
+	for id := range best {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dists = append(dists, best[id])
+	}
+	return ids, dists
+}
+
+// randomTombstones deletes about one graph in five.
+func randomTombstones(rng *rand.Rand, n int) *Tombstones {
+	var tombs *Tombstones
+	for id := 0; id < n; id++ {
+		if rng.Intn(5) == 0 {
+			tombs = tombs.WithSet(int32(id))
+		}
+	}
+	return tombs
+}
+
+// TestRangeQueryIntoAscendingAndExact: for random fragments and radii the
+// output is strictly ascending (hence duplicate-free), free of tombstoned
+// ids, equal to the map-based RangeQuery, identical between the heap and
+// the mapped index, and equal to the brute-force fold — with one
+// RangeBuffer reused throughout, so a bit left behind would show.
+func TestRangeQueryIntoAscendingAndExact(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.kind.String(), func(t *testing.T) {
+			fx := newMolFixture(t, k.kind, k.metric, 200)
+			rng := rand.New(rand.NewSource(7))
+			tombs := randomTombstones(rng, len(fx.db))
+			var hp, mp PostingList
+			var hb, mb RangeBuffer
+			nonEmpty := 0
+			for _, q := range chem.SampleQueries(fx.db, 30, 12, 5) {
+				hfs, mfs := fx.heap.QueryFragments(q), fx.mapped.QueryFragments(q)
+				if len(hfs) != len(mfs) || len(hfs) == 0 {
+					t.Fatalf("%d heap fragments, %d mapped", len(hfs), len(mfs))
+				}
+				for trial := 0; trial < 6; trial++ {
+					i := rng.Intn(len(hfs))
+					sigma := float64(rng.Intn(4))
+					if k.kind == RTreeIndex {
+						sigma = rng.Float64() * 3
+					}
+					tb := tombs
+					if trial%2 == 0 {
+						tb = nil
+					}
+					fx.heap.RangeQueryInto(hfs[i], sigma, &hp, &hb, tb)
+					fx.mapped.RangeQueryInto(mfs[i], sigma, &mp, &mb, tb)
+					for j := range hp.IDs {
+						if j > 0 && hp.IDs[j] <= hp.IDs[j-1] {
+							t.Fatalf("sigma=%v: ids not strictly ascending at %d: %v", sigma, j, hp.IDs)
+						}
+						if tb.Has(hp.IDs[j]) {
+							t.Fatalf("sigma=%v: tombstoned id %d returned", sigma, hp.IDs[j])
+						}
+					}
+					if !slices.Equal(hp.IDs, mp.IDs) || !slices.Equal(hp.Dists, mp.Dists) {
+						t.Fatalf("sigma=%v: heap and mapped differ:\n%v %v\n%v %v", sigma, hp.IDs, hp.Dists, mp.IDs, mp.Dists)
+					}
+					wantIDs, wantDists := rangeByFold(fx.heap, hfs[i], sigma, tb)
+					if !slices.Equal(hp.IDs, wantIDs) || !floatsClose(hp.Dists, wantDists) {
+						t.Fatalf("sigma=%v: got\n%v %v\nbrute force\n%v %v", sigma, hp.IDs, hp.Dists, wantIDs, wantDists)
+					}
+					if tb == nil {
+						asMap := fx.mapped.RangeQuery(mfs[i], sigma)
+						if len(asMap) != len(hp.IDs) {
+							t.Fatalf("sigma=%v: RangeQuery has %d ids, RangeQueryInto %d", sigma, len(asMap), len(hp.IDs))
+						}
+						for j, id := range hp.IDs {
+							if d, ok := asMap[id]; !ok || d != hp.Dists[j] {
+								t.Fatalf("sigma=%v: id %d: map says (%v,%v), list %v", sigma, id, d, ok, hp.Dists[j])
+							}
+						}
+					}
+					if len(hp.IDs) > 0 {
+						nonEmpty++
+					}
+				}
+			}
+			if nonEmpty < 60 {
+				t.Fatalf("only %d non-empty range results", nonEmpty)
+			}
+		})
+	}
+}
+
+// floatsClose compares distance lists whose sums may have been taken in a
+// different order (the R-tree adds coordinates in tree order).
+func floatsClose(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRangeBufferSharedAcrossSizes: one buffer serving indexes of
+// different sizes, smaller first, must regrow for the larger one.
+func TestRangeBufferSharedAcrossSizes(t *testing.T) {
+	small, sdb := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 3, 65)
+	large, ldb := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 3, 120)
+	var pl PostingList
+	var rb RangeBuffer
+	for _, side := range []struct {
+		x  *Index
+		db []*graph.Graph
+	}{{small, sdb}, {large, ldb}, {small, sdb}} {
+		for _, g := range side.db {
+			for _, qf := range side.x.QueryFragments(g) {
+				side.x.RangeQueryInto(qf, 2, &pl, &rb, nil)
+				if want := side.x.RangeQuery(qf, 2); len(want) != len(pl.IDs) {
+					t.Fatalf("n=%d: %d ids through the shared buffer, %d through a fresh one", len(side.db), len(pl.IDs), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestQueryFragmentsAllocs: a warmed-up enumeration of a Q24 query —
+// about 250 indexed fragments — allocates nothing, where the
+// Extract-based one made about 7,700 allocations per query.
+func TestQueryFragmentsAllocs(t *testing.T) {
+	fx := newMolFixture(t, TrieIndex, distance.EdgeMutation{}, 200)
+	qs := chem.SampleQueries(fx.db, 8, 24, 9)
+	var fs FragmentScratch
+	frags := 0
+	for _, q := range qs {
+		frags += len(fx.heap.QueryFragmentsInto(q, &fs))
+	}
+	if frags < 8*100 {
+		t.Fatalf("only %d fragments over %d queries", frags, len(qs))
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(50, func() {
+		fx.heap.QueryFragmentsInto(qs[i%len(qs)], &fs)
+		i++
+	}); avg > 0 {
+		t.Errorf("QueryFragmentsInto allocates %.1f times per Q24 query on a warm scratch, want 0", avg)
+	}
+}
+
+// TestBuildMatchesExtractOps: the scratch-based build folds exactly the
+// ops the Extract-based enumeration would, for every kind — the check
+// behind "the emitted image bytes are identical".
+func TestBuildMatchesExtractOps(t *testing.T) {
+	for _, k := range filterKinds {
+		t.Run(k.kind.String(), func(t *testing.T) {
+			fx := newMolFixture(t, k.kind, k.metric, 60)
+			x := fx.heap
+			var fs FragmentScratch
+			for _, g := range fx.db {
+				var want []insertOp
+				graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+					sub, _, _ := graph.Fragment{Host: g, Edges: edges}.Extract()
+					code, embs := x.memo.MinCodeUnlabeled(sub)
+					c := x.classes[code.Key()]
+					if c == nil {
+						return true
+					}
+					op := insertOp{class: c}
+					verts := []int32{}
+					for v := 0; v < sub.N(); v++ {
+						verts = append(verts, int32(v))
+					}
+					local := make([]int32, sub.M())
+					for e := range local {
+						local[e] = int32(e)
+					}
+					switch x.opts.Kind {
+					case TrieIndex, VPTreeIndex:
+						op.seq = c.canonicalVariant(appendFragmentSequence(nil, sub, verts, local, c, embs[0]))
+					case RTreeIndex:
+						op.vec = appendFragmentWeights(nil, sub, verts, local, c, embs[0])
+					}
+					want = append(want, op)
+					return true
+				})
+				if got := x.computeOps(g, &fs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ops differ for a graph of %d edges", g.M())
+				}
+			}
+		})
+	}
+}
+
+func benchQueries(b *testing.B, fx molFixture, m int) []*graph.Graph {
+	b.Helper()
+	return chem.SampleQueries(fx.db, 32, m, int64(m))
+}
+
+// BenchmarkQueryFragments is fragment enumeration alone, per query.
+func BenchmarkQueryFragments(b *testing.B) {
+	fx := newMolFixture(b, TrieIndex, distance.EdgeMutation{}, 400)
+	for _, m := range []int{16, 24} {
+		b.Run(fmt.Sprintf("Q%d", m), func(b *testing.B) {
+			qs := benchQueries(b, fx, m)
+			var fs FragmentScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fx.heap.QueryFragmentsInto(qs[i%len(qs)], &fs)
+			}
+		})
+	}
+}
+
+// BenchmarkRangeQueryInto is one σ=1 range query over a Q24 query's
+// fragments, the selective workload's shape.
+func BenchmarkRangeQueryInto(b *testing.B) {
+	fx := newMolFixture(b, TrieIndex, distance.EdgeMutation{}, 2000)
+	for _, side := range []struct {
+		name string
+		x    *Index
+	}{{"heap", fx.heap}, {"mapped", fx.mapped}} {
+		b.Run(side.name, func(b *testing.B) {
+			var qfs []QueryFragment
+			for _, q := range benchQueries(b, fx, 24) {
+				fs := side.x.QueryFragments(q)
+				qfs = append(qfs, fs[len(fs)/2])
+			}
+			var pl PostingList
+			var rb RangeBuffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				side.x.RangeQueryInto(qfs[i%len(qfs)], 1, &pl, &rb, nil)
+			}
+		})
+	}
+}

@@ -18,8 +18,8 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"pis/internal/canon"
 	"pis/internal/distance"
@@ -295,20 +295,20 @@ func (x *Index) finalize() {
 }
 
 // canonicalVariant returns the lexicographically smallest automorphism
-// variant of seq, the stored representative.
+// variant of seq, the stored representative, in a slice of its own.
 func (c *Class) canonicalVariant(seq []uint32) []uint32 {
-	best := seq
+	best := append([]uint32(nil), seq...)
+	if len(c.perms) == 1 {
+		return best // a lone automorphism is the identity
+	}
 	tmp := make([]uint32, len(seq))
 	for _, p := range c.perms {
 		for i, src := range p {
 			tmp[i] = seq[src]
 		}
 		if lessSeq(tmp, best) {
-			best = append([]uint32(nil), tmp...)
+			best, tmp = tmp, best
 		}
-	}
-	if sameSlice(best, seq) {
-		return append([]uint32(nil), seq...)
 	}
 	return best
 }
@@ -414,57 +414,109 @@ type QueryFragment struct {
 	Vec      []float64
 }
 
+// FragmentScratch is the working memory of fragment enumeration: the
+// enumerator's stacks, the current fragment's renumbering, and the slabs
+// the returned QueryFragments are carved from. One scratch serves one
+// goroutine, graph after graph; the zero value is ready.
+type FragmentScratch struct {
+	enum   graph.SubgraphEnumerator
+	ren    graph.Renumbering
+	sorted []int32 // the current fragment's edges, ascending
+
+	out []QueryFragment
+	i32 []int32
+	u32 []uint32
+	f64 []float64
+}
+
+// classify resolves the fragment of host made of edges (in that order:
+// it fixes the renumbering, hence which canonical embedding comes first)
+// to its class and first canonical embedding, leaving the renumbering in
+// fs.ren. The class is nil when the skeleton is not indexed. Only a
+// structure never seen before builds a Graph.
+func (x *Index) classify(fs *FragmentScratch, host *graph.Graph, edges []int32) (*Class, canon.Embedding) {
+	fs.ren.Reset(host, edges)
+	e := x.memo.Lookup(len(fs.ren.Vertices), fs.ren.Ends)
+	if e == nil {
+		sub, _, _ := graph.Fragment{Host: host, Edges: edges}.Extract()
+		e = x.memo.Entry(sub)
+	}
+	c := x.classes[e.Key]
+	if c == nil {
+		return nil, canon.Embedding{}
+	}
+	return c, e.Embs[0]
+}
+
 // QueryFragments enumerates the indexed fragments of q (Alg. 2 lines 3-4).
 func (x *Index) QueryFragments(q *graph.Graph) []QueryFragment {
-	var out []QueryFragment
-	graph.EnumerateConnectedSubgraphs(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		ecopy := append([]int32(nil), edges...)
-		sort.Slice(ecopy, func(i, j int) bool { return ecopy[i] < ecopy[j] })
-		frag := graph.Fragment{Host: q, Edges: ecopy}
-		sub, _, _ := frag.Extract()
-		code, embs := x.memo.MinCodeUnlabeled(sub)
-		c := x.classes[code.Key()]
+	return x.QueryFragmentsInto(q, new(FragmentScratch))
+}
+
+// QueryFragmentsInto is QueryFragments over reusable storage: the result
+// and every slice in it belong to fs and are valid until its next use. A
+// warmed-up call allocates nothing.
+func (x *Index) QueryFragmentsInto(q *graph.Graph, fs *FragmentScratch) []QueryFragment {
+	fs.out = fs.out[:0]
+	fs.i32, fs.u32, fs.f64 = fs.i32[:0], fs.u32[:0], fs.f64[:0]
+	fs.enum.Enumerate(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+		fs.sorted = append(fs.sorted[:0], edges...)
+		slices.Sort(fs.sorted)
+		c, emb := x.classify(fs, q, fs.sorted)
 		if c == nil {
 			return true
 		}
-		qf := QueryFragment{Class: c, Edges: ecopy, Vertices: frag.Vertices()}
-		emb := embs[0]
+		qf := QueryFragment{Class: c}
+		fs.i32, qf.Edges = carve(fs.i32, fs.sorted)
+		fs.i32, qf.Vertices = carve(fs.i32, fs.ren.Vertices)
 		switch x.opts.Kind {
 		case TrieIndex, VPTreeIndex:
-			qf.Seq = fragmentSequence(sub, c, emb)
+			n := len(fs.u32)
+			fs.u32 = appendFragmentSequence(fs.u32, q, fs.ren.Vertices, fs.sorted, c, emb)
+			qf.Seq = fs.u32[n:len(fs.u32):len(fs.u32)]
 		case RTreeIndex:
-			qf.Vec = fragmentWeights(sub, c, emb)
+			n := len(fs.f64)
+			fs.f64 = appendFragmentWeights(fs.f64, q, fs.ren.Vertices, fs.sorted, c, emb)
+			qf.Vec = fs.f64[n:len(fs.f64):len(fs.f64)]
 		}
-		out = append(out, qf)
+		fs.out = append(fs.out, qf)
 		return true
 	})
-	return out
+	return fs.out
 }
 
-// fragmentSequence reads the extracted fragment's labels along the class
-// code order for one canonical embedding.
-func fragmentSequence(sub *graph.Graph, c *Class, emb canon.Embedding) []uint32 {
-	seq := make([]uint32, c.SeqLen())
-	for k := 0; k < c.vOff; k++ {
-		seq[k] = uint32(sub.VLabelAt(int(emb.Vertices[k])))
-	}
-	for t := 0; t < c.NumE; t++ {
-		seq[c.vOff+t] = uint32(sub.EdgeAt(int(emb.Edges[t])).Label)
-	}
-	return seq
+// carve appends vals to slab and returns the grown slab and the appended
+// piece, capped so a later append through it cannot reach its neighbour.
+// Pieces carved before a reallocation keep the old array alive and intact.
+func carve(slab, vals []int32) (grown, piece []int32) {
+	n := len(slab)
+	slab = append(slab, vals...)
+	return slab, slab[n:len(slab):len(slab)]
 }
 
-// fragmentWeights reads the extracted fragment's weights along the class
-// code order for one canonical embedding.
-func fragmentWeights(sub *graph.Graph, c *Class, emb canon.Embedding) []float64 {
-	vec := make([]float64, c.SeqLen())
+// appendFragmentSequence appends a fragment's labels along the class code
+// order for one canonical embedding, read from the host through the
+// renumbering classify left behind: verts are its host vertices ascending,
+// edges its host edge indices in the order classify saw them.
+func appendFragmentSequence(dst []uint32, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []uint32 {
 	for k := 0; k < c.vOff; k++ {
-		vec[k] = sub.VWeightAt(int(emb.Vertices[k]))
+		dst = append(dst, uint32(host.VLabelAt(int(verts[emb.Vertices[k]]))))
 	}
 	for t := 0; t < c.NumE; t++ {
-		vec[c.vOff+t] = sub.EdgeAt(int(emb.Edges[t])).Weight
+		dst = append(dst, uint32(host.EdgeAt(int(edges[emb.Edges[t]])).Label))
 	}
-	return vec
+	return dst
+}
+
+// appendFragmentWeights is appendFragmentSequence for weights.
+func appendFragmentWeights(dst []float64, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []float64 {
+	for k := 0; k < c.vOff; k++ {
+		dst = append(dst, host.VWeightAt(int(verts[emb.Vertices[k]])))
+	}
+	for t := 0; t < c.NumE; t++ {
+		dst = append(dst, host.EdgeAt(int(edges[emb.Edges[t]])).Weight)
+	}
+	return dst
 }
 
 // PostingList is the flat result of one range query: graph ids ascending
@@ -480,15 +532,17 @@ type PostingList struct {
 func (pl *PostingList) Len() int { return len(pl.IDs) }
 
 // RangeBuffer is the dedup and probe scratch shared by every
-// RangeQueryInto call of one query. Duplicate observations are folded
-// through an epoch-stamped dense array indexed by graph id, so recording
-// is O(1) per observation and only the distinct ids are sorted. One
-// buffer per query keeps the O(dbSize) dense state single, not one copy
-// per fragment.
+// RangeQueryInto call of one query. Observations are folded through a
+// dense array indexed by graph id beside a bitmap of the ids seen, so
+// recording is O(1) per observation and the distinct ids come out
+// ascending from one sweep over the touched words — O(n/64 + k), no sort.
+// One buffer per query keeps the O(dbSize) dense state single, not one
+// copy per fragment.
 type RangeBuffer struct {
-	dense []float64 // min distance per graph id, valid where stamp == epoch
-	stamp []uint32
-	epoch uint32
+	dense []float64 // min distance per graph id, valid where its seen bit is set
+	seen  []uint64  // bit per graph id; all zero between queries
+	// lo and hi bound the words of seen holding a set bit (lo > hi: none).
+	lo, hi int
 
 	useq []uint32  // flat storage of already-probed sequence variants
 	vvec []float64 // R-tree probe variant
@@ -497,17 +551,38 @@ type RangeBuffer struct {
 	mvec []float64 // mapped scan: decoded stored vector
 }
 
-// begin resets the buffer for a database of n graphs.
+// begin readies the buffer for one range query over n graphs.
 func (rb *RangeBuffer) begin(n int) {
-	if len(rb.stamp) < n {
-		rb.stamp = make([]uint32, n)
+	if len(rb.dense) < n {
+		rb.seen = make([]uint64, (n+63)>>6)
 		rb.dense = make([]float64, n)
-		rb.epoch = 0
 	}
-	rb.epoch++
-	if rb.epoch == 0 { // wrapped: stale stamps could alias the new epoch
-		clear(rb.stamp)
-		rb.epoch = 1
+	rb.lo, rb.hi = len(rb.seen), -1
+}
+
+// record folds one observation in, keeping the minimum distance per id.
+func (rb *RangeBuffer) record(id int32, d float64) {
+	w, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
+	if rb.seen[w]&bit == 0 {
+		rb.seen[w] |= bit
+		rb.dense[id] = d
+		rb.lo, rb.hi = min(rb.lo, w), max(rb.hi, w)
+	} else if d < rb.dense[id] {
+		rb.dense[id] = d
+	}
+}
+
+// emit appends the recorded ids ascending, with their minimum distances
+// aligned, to pl and zeroes the bitmap behind itself.
+func (rb *RangeBuffer) emit(pl *PostingList) {
+	for w := rb.lo; w <= rb.hi; w++ {
+		word := rb.seen[w]
+		rb.seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(word))
+			pl.IDs = append(pl.IDs, id)
+			pl.Dists = append(pl.Dists, rb.dense[id])
+		}
 	}
 }
 
@@ -525,26 +600,16 @@ func (x *Index) RangeQueryInto(qf QueryFragment, sigma float64, pl *PostingList,
 	pl.IDs = pl.IDs[:0]
 	pl.Dists = pl.Dists[:0]
 	rb.begin(x.dbSize)
+	// Deferred so that a panic in a probe still leaves the bitmap zeroed
+	// for the buffer's next query.
+	defer rb.emit(pl)
 	record := func(id int32, d float64) {
-		if tombs.Has(id) {
-			return
-		}
-		if rb.stamp[id] != rb.epoch {
-			rb.stamp[id] = rb.epoch
-			rb.dense[id] = d
-			pl.IDs = append(pl.IDs, id)
-			return
-		}
-		if d < rb.dense[id] {
-			rb.dense[id] = d
+		if !tombs.Has(id) {
+			rb.record(id, d)
 		}
 	}
 	if c.mapped {
 		x.mappedRange(c, qf, sigma, rb, record)
-		slices.Sort(pl.IDs)
-		for _, id := range pl.IDs {
-			pl.Dists = append(pl.Dists, rb.dense[id])
-		}
 		return
 	}
 	switch x.opts.Kind {
@@ -606,11 +671,6 @@ func (x *Index) RangeQueryInto(qf QueryFragment, sigma float64, pl *PostingList,
 				return true
 			})
 		}
-	}
-	// Sort the distinct ids and lay out their minimum distances.
-	slices.Sort(pl.IDs)
-	for _, id := range pl.IDs {
-		pl.Dists = append(pl.Dists, rb.dense[id])
 	}
 }
 

@@ -40,8 +40,9 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 || len(db) < 2*workers {
+		var fs FragmentScratch
 		for id, g := range db {
-			x.apply(int32(id), x.computeOps(g))
+			x.apply(int32(id), x.computeOps(g, &fs))
 		}
 	} else {
 		x.foldParallel(db, workers)
@@ -69,8 +70,9 @@ func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var fs FragmentScratch
 			for id := range jobs {
-				results <- result{id: id, ops: x.computeOps(db[id])}
+				results <- result{id: id, ops: x.computeOps(db[id], &fs)}
 			}
 		}()
 	}
@@ -120,26 +122,24 @@ func (x *Index) apply(id int32, ops []insertOp) {
 	}
 }
 
-// computeOps runs the read-only part of folding g in: enumerate, extract,
-// canonicalize, and lay out sequences — everything except mutating the
-// shared class structures.
-func (x *Index) computeOps(g *graph.Graph) []insertOp {
+// computeOps runs the read-only part of folding g in: enumerate,
+// classify, and lay out sequences — everything except mutating the shared
+// class structures. fs is the calling goroutine's scratch; the returned
+// ops own their sequences.
+func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) []insertOp {
 	var ops []insertOp
-	graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		frag := graph.Fragment{Host: g, Edges: edges}
-		sub, _, _ := frag.Extract()
-		code, embs := x.memo.MinCodeUnlabeled(sub)
-		c := x.classes[code.Key()]
+	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+		c, emb := x.classify(fs, g, edges)
 		if c == nil {
 			return true
 		}
 		op := insertOp{class: c}
-		emb := embs[0]
 		switch x.opts.Kind {
 		case TrieIndex, VPTreeIndex:
-			op.seq = c.canonicalVariant(fragmentSequence(sub, c, emb))
+			fs.u32 = appendFragmentSequence(fs.u32[:0], g, fs.ren.Vertices, edges, c, emb)
+			op.seq = c.canonicalVariant(fs.u32)
 		case RTreeIndex:
-			op.vec = fragmentWeights(sub, c, emb)
+			op.vec = appendFragmentWeights(make([]float64, 0, c.SeqLen()), g, fs.ren.Vertices, edges, c, emb)
 		}
 		ops = append(ops, op)
 		return true

@@ -126,6 +126,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	occurrences := make([]int64, len(x.list))
 	fpr := graph.NewFingerprinter(n)
 	var rec []byte // per-fragment record scratch
+	var fs FragmentScratch
 	for id := 0; id < n; id++ {
 		g, ok := src.Next()
 		if !ok {
@@ -136,24 +137,22 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		fillGraphFP(&gfp, g)
 		writeStreamFP(fpw, &gfp)
 		gid := uint32(id)
-		graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-			frag := graph.Fragment{Host: g, Edges: edges}
-			sub, _, _ := frag.Extract()
-			code, embs := x.memo.MinCodeUnlabeled(sub)
-			c := x.classes[code.Key()]
+		fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+			c, emb := x.classify(&fs, g, edges)
 			if c == nil {
 				return true
 			}
 			occurrences[c.ID]++
-			emb := embs[0]
 			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
 			switch x.opts.Kind {
 			case TrieIndex, VPTreeIndex:
-				for _, s := range c.canonicalVariant(fragmentSequence(sub, c, emb)) {
+				fs.u32 = appendFragmentSequence(fs.u32[:0], g, fs.ren.Vertices, edges, c, emb)
+				for _, s := range c.canonicalVariant(fs.u32) {
 					rec = binary.BigEndian.AppendUint32(rec, s)
 				}
 			case RTreeIndex:
-				for _, w := range fragmentWeights(sub, c, emb) {
+				fs.f64 = appendFragmentWeights(fs.f64[:0], g, fs.ren.Vertices, edges, c, emb)
+				for _, w := range fs.f64 {
 					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(w))
 				}
 			}

@@ -40,13 +40,16 @@ import (
 )
 
 // LatencyBuckets are the default histogram bounds for operation
-// latencies, in seconds: 25µs to 10s, roughly 2-2.5x apart. Query
+// latencies, in seconds: 25µs to 5min, roughly 2-2.5x apart. Query
 // stages at the current benchmark scale sit in the 0.1ms-10ms decades;
-// WAL fsyncs and snapshot writes reach into the hundreds of ms.
+// WAL fsyncs and snapshot writes reach into the hundreds of ms; a verify
+// stage over half a million graphs, an index build or a replica install
+// takes tens of seconds. Whatever still lands above the top bound is
+// counted in the histogram's _clipped_total.
 var LatencyBuckets = []float64{
 	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
-	250e-3, 500e-3, 1, 2.5, 5, 10,
+	250e-3, 500e-3, 1, 2.5, 5, 10, 25, 60, 120, 300,
 }
 
 // SizeBuckets are the default histogram bounds for byte sizes: 1KiB to
@@ -369,6 +372,24 @@ func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) write(w *bufio.Writer) {
 	header(w, h.name, h.help, "histogram")
 	h.writeSamples(w)
+	clippedHeader(w, h.name)
+	h.writeClipped(w)
+}
+
+// clippedHeader opens the counter family that goes with every histogram:
+// name_clipped_total, the samples above its largest bound. A quantile
+// that falls among them reads as that bound, so a non-zero value says the
+// histogram's upper quantiles are underestimates.
+func clippedHeader(w *bufio.Writer, name string) {
+	header(w, name+"_clipped_total", "samples above the largest bucket bound of "+name, "counter")
+}
+
+func (h *Histogram) writeClipped(w *bufio.Writer) {
+	labels := ""
+	if h.label != "" {
+		labels = fmt.Sprintf("{%s=%q}", h.label, h.lv)
+	}
+	fmt.Fprintf(w, "%s_clipped_total%s %d\n", h.name, labels, h.counts[len(h.bounds)].Load())
 }
 
 // writeSamples emits the cumulative bucket/sum/count lines (no header),
@@ -401,6 +422,9 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
+// Clipped returns the number of observations above the largest bound.
+func (s HistogramSnapshot) Clipped() uint64 { return s.Counts[len(s.Bounds)] }
+
 // Count returns the total number of observations.
 func (s HistogramSnapshot) Count() uint64 {
 	var n uint64
@@ -423,8 +447,8 @@ func (s HistogramSnapshot) Sub(old HistogramSnapshot) HistogramSnapshot {
 // Quantile estimates the q-quantile (0 < q <= 1) by linear
 // interpolation inside the bucket holding the target rank. Values in
 // the +Inf overflow bucket report the largest finite bound — an
-// underestimate, flagged by widening the top bucket instead. Returns 0
-// for an empty snapshot.
+// underestimate, which Clipped (exported as _clipped_total) flags.
+// Returns 0 for an empty snapshot.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	total := s.Count()
 	if total == 0 {
@@ -508,6 +532,10 @@ func (v *HistogramVec) write(w *bufio.Writer) {
 	defer v.mu.Unlock()
 	for _, val := range v.order {
 		v.children[val].writeSamples(w)
+	}
+	clippedHeader(w, v.name)
+	for _, val := range v.order {
+		v.children[val].writeClipped(w)
 	}
 }
 

@@ -99,6 +99,8 @@ func TestHistogramExposition(t *testing.T) {
 		`pis_lat_seconds_bucket{le="0.1"} 2`,
 		`pis_lat_seconds_bucket{le="+Inf"} 3`,
 		"pis_lat_seconds_count 3",
+		"# TYPE pis_lat_seconds_clipped_total counter",
+		"pis_lat_seconds_clipped_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -106,6 +108,32 @@ func TestHistogramExposition(t *testing.T) {
 	}
 	if math.Abs(h.Snapshot().Sum-0.5055) > 1e-9 {
 		t.Errorf("sum = %v, want 0.5055", h.Snapshot().Sum)
+	}
+	if c := h.Snapshot().Clipped(); c != 1 {
+		t.Errorf("Clipped() = %d, want 1", c)
+	}
+}
+
+// TestLatencyBucketsCoverSlowStages: a stage that takes a minute must
+// read as about a minute, not as the old 10 s ceiling, and only what
+// exceeds the top bound counts as clipped.
+func TestLatencyBucketsCoverSlowStages(t *testing.T) {
+	if top := LatencyBuckets[len(LatencyBuckets)-1]; top != 300 {
+		t.Fatalf("largest latency bound is %v s, want 300", top)
+	}
+	h := newHistogram("q", "", "", "", LatencyBuckets)
+	for i := 0; i < 100; i++ {
+		h.Observe(40) // the n=500k verify stage sits between 10 s and 60 s
+	}
+	if p95 := h.Quantile(0.95); p95 <= 25 || p95 > 60 {
+		t.Errorf("p95 of 40 s samples = %v, want within (25, 60]", p95)
+	}
+	if c := h.Snapshot().Clipped(); c != 0 {
+		t.Errorf("%d of 100 samples at 40 s clipped", c)
+	}
+	h.Observe(301)
+	if c := h.Snapshot().Clipped(); c != 1 {
+		t.Errorf("Clipped() = %d after one 301 s sample, want 1", c)
 	}
 }
 
@@ -124,6 +152,9 @@ func TestHistogramVecExposition(t *testing.T) {
 		`pis_stage_seconds_bucket{stage="verify",le="+Inf"} 1`,
 		`pis_stage_seconds_count{stage="plan"} 1`,
 		`pis_stage_seconds_sum{stage="verify"} 0.05`,
+		"# TYPE pis_stage_seconds_clipped_total counter",
+		`pis_stage_seconds_clipped_total{stage="plan"} 0`,
+		`pis_stage_seconds_clipped_total{stage="verify"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
