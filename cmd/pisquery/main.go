@@ -116,8 +116,8 @@ func main() {
 	st := r.Stats
 	fmt.Printf("fragments: %d indexed, %d used, %d expanded, partition size %d\n",
 		st.QueryFragments, st.UsedFragments, st.ExpandedFragments, st.PartitionSize)
-	fmt.Printf("candidates: %d structural, %d in σ range, %d after partition pruning, %d verified\n",
-		st.StructCandidates, st.RangeCandidates, st.DistCandidates, st.Verified)
+	fmt.Printf("candidates: %d structural, %d refuted by the prescreen, %d in σ range, %d after partition pruning, %d from the verify cache, %d verified\n",
+		st.StructCandidates, st.PrescreenRejects, st.RangeCandidates, st.DistCandidates, st.VerifyCacheHits, st.Verified)
 	fmt.Printf("time: filter %v (of which planning %v), verify %v\n", st.FilterTime, st.PlanTime, st.VerifyTime)
 }
 
@@ -147,8 +147,8 @@ func queryRemote(base string, q *pis.Graph, sigma float64) error {
 	st := resp.Stats
 	fmt.Printf("fragments: %d indexed, %d used, %d expanded, partition size %d\n",
 		st.QueryFragments, st.UsedFragments, st.ExpandedFragments, st.PartitionSize)
-	fmt.Printf("candidates: %d structural, %d in σ range, %d after partition pruning, %d verified\n",
-		st.StructCandidates, st.RangeCandidates, st.DistCandidates, st.Verified)
+	fmt.Printf("candidates: %d structural, %d refuted by the prescreen, %d in σ range, %d after partition pruning, %d from the verify cache, %d verified\n",
+		st.StructCandidates, st.PrescreenRejects, st.RangeCandidates, st.DistCandidates, st.VerifyCacheHits, st.Verified)
 	fmt.Printf("time: server %.2fms (filter %.2fms of which planning %.2fms, verify %.2fms), cached %v\n",
 		resp.ElapsedMS, st.FilterMS, st.PlanMS, st.VerifyMS, resp.Cached)
 	return nil

@@ -24,6 +24,7 @@ package canon
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"pis/internal/graph"
@@ -420,4 +421,35 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 func StructureKey(g *graph.Graph) string {
 	code, _ := MinCode(g.Skeleton())
 	return code.Key()
+}
+
+// GraphKey returns a string equal for isomorphic graphs and distinct
+// otherwise: the minimum DFS code key plus the lexicographically smallest
+// vertex-label + weight sequence over all canonical embeddings (so
+// weighted graphs only collide when an automorphism maps the weights
+// too). Vertex labels are part of the key because the DFS code of a
+// single-vertex graph is empty — without them every edge-free graph
+// would share one key. The result is computed once per *graph.Graph and
+// cached on it, so the server's result cache and the verify cache of
+// every shard a request reaches share one MinCode run.
+func GraphKey(g *graph.Graph) string { return g.MemoKey(graphKey) }
+
+func graphKey(g *graph.Graph) string {
+	code, embs := MinCode(g)
+	var best []byte
+	buf := make([]byte, 0, 10*(g.N()+g.M()))
+	for _, emb := range embs {
+		buf = buf[:0]
+		for _, v := range emb.Vertices {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(g.VLabelAt(int(v))))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.VWeightAt(int(v))))
+		}
+		for _, e := range emb.Edges {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.EdgeAt(int(e)).Weight))
+		}
+		if best == nil || string(buf) < string(best) {
+			best = append(best[:0], buf...)
+		}
+	}
+	return code.Key() + "|" + string(best)
 }

@@ -241,6 +241,40 @@ func TestTupleCompareOrder(t *testing.T) {
 	}
 }
 
+// TestGraphKey: equal exactly for isomorphic graphs (labels and weights
+// included), and computed once per graph.
+func TestGraphKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 50; trial++ {
+		g := randomConnected(rng, 8, 2, 2)
+		if GraphKey(g) != GraphKey(permute(g, rng)) {
+			t.Fatalf("trial %d: a permuted copy has another key", trial)
+		}
+	}
+	if GraphKey(path(4, 1, 0)) == GraphKey(path(4, 2, 0)) || GraphKey(path(1, 1, 0)) == GraphKey(path(1, 2, 0)) {
+		t.Error("graphs that differ in a vertex label share a key")
+	}
+	weighted := func(w float64) *graph.Graph {
+		b := graph.NewBuilder(2, 1)
+		b.AddVertex(0)
+		b.AddVertex(0)
+		b.AddWeightedEdge(0, 1, 0, w)
+		return b.MustBuild()
+	}
+	if GraphKey(weighted(1)) == GraphKey(weighted(2)) {
+		t.Error("graphs that differ in an edge weight share a key")
+	}
+	g := cycle(6, 0, 1)
+	want := GraphKey(g)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if GraphKey(g) != want {
+			t.Fatal("memoized key changed")
+		}
+	}); allocs != 0 {
+		t.Errorf("a second GraphKey of the same graph allocates %.0f times: not memoized", allocs)
+	}
+}
+
 func TestStructureKeyIgnoresLabels(t *testing.T) {
 	if StructureKey(cycle(5, 1, 2)) != StructureKey(cycle(5, 9, 4)) {
 		t.Error("structure key depends on labels")

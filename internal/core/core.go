@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
@@ -107,7 +108,10 @@ type Options struct {
 	// query and of verifying one candidate; their ratio ρ (clamped to
 	// [1, 1024]) is the break-even elimination count — a range query
 	// that cannot eliminate ρ candidates costs more than the
-	// verification it saves — and replaces both knobs' defaults.
+	// verification it saves — and replaces both knobs' defaults. It
+	// likewise learns what each class's range query leaves standing
+	// (Searcher.survival); set, the build-time class statistics stay the
+	// only estimate.
 	PlannerFeedbackOff bool
 	// VerifyCacheSize bounds the verification-result cache (entries
 	// across both rotation generations). The cache memoizes exact
@@ -143,14 +147,22 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Stats instruments one search. The candidate counters trace the filter
-// funnel over the indexed base: StructCandidates ⊇ RangeCandidates ⊇
-// DistCandidates; the verification tiers then split the candidate set
-// (distance-filter survivors plus the unindexed delta graphs a mutation
-// snapshot sends straight to verification), so on the PIS path
-// PrescreenRejects + VerifyCacheHits + Verified equals the number of
-// candidates that reached the verification stage. InvariantRejects is the
-// part of PrescreenRejects the structural invariants refuted.
+// Stats instruments one search. The stages run cheapest per candidate
+// first — posting intersection, prescreen, σ range queries, partition
+// bound, verify cache, branch-and-bound — and the counters trace the
+// funnel in that order over the indexed base:
+//
+//	StructCandidates + live delta − PrescreenRejects ≥ RangeCandidates ≥ DistCandidates
+//
+// StructCandidates counts the posting intersection before the prescreen
+// (the paper's Yt); PrescreenRejects counts what the prescreen refuted of
+// it and of the live delta graphs a mutation snapshot adds, unindexed, to
+// the candidate set; RangeCandidates and DistCandidates count prescreen
+// survivors of the base. Result.Candidates holds what reached the
+// verification stage, so on the PIS path len(Candidates) ==
+// VerifyCacheHits + Verified. With Options.SkipVerification no prescreen
+// runs and the counters are the paper's. InvariantRejects is the part of
+// PrescreenRejects the structural invariants refuted.
 type Stats struct {
 	QueryFragments    int // indexed fragments found in the query
 	UsedFragments     int // after the ε filter and cap
@@ -177,6 +189,14 @@ type Stats struct {
 	Partial bool
 }
 
+// Expansion is one σ range query the planner paid for. Gains count
+// eliminated candidates, all of which would otherwise have been verified.
+type Expansion struct {
+	Class         int     // index.Class.ID of the fragment's class
+	EstimatedGain float64 // |candidates| × (1 − estimated survival) when it was chosen
+	ObservedGain  int     // candidates its range list removed
+}
+
 // Result is the outcome of one search.
 type Result struct {
 	// Answers are the graph ids with d(Q,G) <= σ, ascending. Nil when
@@ -188,6 +208,10 @@ type Result struct {
 	// Candidates are the graph ids that reached verification, ascending.
 	Candidates []int32
 	Stats      Stats
+	// Expansions lists the σ range queries the planner ran, in order, with
+	// the gain it expected of each and the gain it saw. Per-search detail
+	// for traces: merges do not carry it and the cluster wire drops it.
+	Expansions []Expansion
 }
 
 // PanicError wraps a panic recovered in a verification worker. The
@@ -272,7 +296,32 @@ type Searcher struct {
 	// (a lost race drops one sample of a smoothed average).
 	verifyCandNS atomic.Uint64
 	rangeQueryNS atomic.Uint64
+	// survival holds one more such EWMA per (class, ⌊σ⌋ bucket): of
+	// |candidates after| ÷ |candidates before| over the times that class's
+	// range query ran on prescreened candidates — what a range query of
+	// the class really leaves standing. Once observed a cell replaces the
+	// class's static in-range estimate in plan; nil when the options rule
+	// learning out (learns). searches counts planned searches, so every
+	// plannerExploreEvery-th can plan on the static priors alone.
+	survival []atomic.Uint64
+	searches atomic.Uint64
 }
+
+// survivalBuckets is the number of ⌊σ⌋ cells per class; the last one
+// takes every σ ≥ survivalBuckets-1, as the static histogram's does.
+const survivalBuckets = 9
+
+// plannerExploreEvery is the period of searches planned without the
+// learned survival rates. A class whose learned rate says "never pays" is
+// never expanded again and so never re-observed; the static priors rank
+// it as they always did, and if it has started to pay the observation
+// corrects the cell.
+const plannerExploreEvery = 32
+
+// minSurvival floors a learned survival rate, keeping an observed cell
+// distinguishable from an empty one (zero bits) when a range query
+// eliminated every candidate.
+const minSurvival = 1.0 / 1024
 
 // NewSearcher builds a Searcher. The metric must be the one the index was
 // built with; opts zero value gives the paper's defaults.
@@ -282,7 +331,45 @@ func NewSearcher(db []*graph.Graph, idx *index.Index, opts Options) *Searcher {
 	if s.opts.VerifyCacheSize > 0 {
 		s.vcache = newVerifyCache(s.opts.VerifyCacheSize)
 	}
+	if s.learns() {
+		s.survival = make([]atomic.Uint64, len(idx.Classes())*survivalBuckets)
+	}
 	return s
+}
+
+// learns reports whether this searcher keeps and uses learned survival
+// rates: the planner must be on and free to learn, and the candidates it
+// plans on must be prescreened — without verification no prescreen runs
+// and gains would be counted in candidates nobody would have verified.
+func (s *Searcher) learns() bool {
+	return !s.opts.PlannerOff && !s.opts.PlannerFeedbackOff && !s.opts.SkipVerification
+}
+
+func (s *Searcher) survivalCell(c *index.Class, sigma float64) *atomic.Uint64 {
+	b := survivalBuckets - 1
+	if sigma < survivalBuckets-1 {
+		b = int(sigma) // sigma >= 0 in every caller
+	}
+	return &s.survival[c.ID*survivalBuckets+b]
+}
+
+// SurvivalCell is one observed cell of the planner's learned state.
+type SurvivalCell struct {
+	Class       int     // index.Class.ID
+	SigmaBucket int     // ⌊σ⌋, the last bucket open-ended
+	Survival    float64 // EWMA of |candidates after| ÷ |candidates before|
+}
+
+// LearnedSurvival returns the cells observed so far, by class then σ
+// bucket; empty when the searcher does not learn or is still cold.
+func (s *Searcher) LearnedSurvival() []SurvivalCell {
+	var out []SurvivalCell
+	for i := range s.survival {
+		if v := math.Float64frombits(s.survival[i].Load()); v > 0 {
+			out = append(out, SurvivalCell{Class: i / survivalBuckets, SigmaBucket: i % survivalBuckets, Survival: v})
+		}
+	}
+	return out
 }
 
 // ewmaObserve folds sample x into the EWMA stored in a as float64 bits
@@ -343,9 +430,9 @@ type scratch struct {
 	cursors    []int
 	classes    []*index.Class // distinct classes of the usable fragments
 	planOrder  []int32        // fragment expansion order (planner score descending)
-	fragProb   []float64      // estimated in-range fraction per fragment
+	fragProb   []float64      // estimated survival per fragment
 	fragScore  []float64      // pruning power per unit probe cost per fragment
-	fragUsed   []bool         // fragments whose range query ran (incl. top-up)
+	expansions []Expansion    // the planner's range queries, for Result.Expansions
 	vertexSets [][]int32
 	weights    []float64
 	part       []int
@@ -375,6 +462,17 @@ func (s *Searcher) putScratch(sc *scratch) {
 	clear(sc.vertexSets[:cap(sc.vertexSets)])
 	sc.vertexSets = sc.vertexSets[:0]
 	s.pool.Put(sc)
+}
+
+// positions returns 0..n-1, the verification order before the cache and
+// the lower bounds rearrange it.
+func (sc *scratch) positions(n int) []int32 {
+	order := sc.vorder[:0]
+	for j := 0; j < n; j++ {
+		order = append(order, int32(j))
+	}
+	sc.vorder = order
+	return order
 }
 
 // postingLists returns at least k reusable posting-list buffers,
@@ -475,15 +573,12 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 	start := time.Now()
 	done := ctx.Done() // nil for background contexts: zero overhead
 	sc := s.getScratch()
-	cands, lbs := s.filter(q, sigma, &r.Stats, sc, view.Tombs, done)
-	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
-	r.Candidates = view.appendLiveDelta(r.Candidates, len(s.db))
-	if lbs != nil {
-		for i := len(cands); i < len(r.Candidates); i++ {
-			lbs = append(lbs, 0)
-		}
-		sc.lbs = lbs
+	cands, lbs := s.filter(q, sigma, &r.Stats, sc, view, done)
+	if len(sc.expansions) > 0 {
+		r.Expansions = slices.Clone(sc.expansions)
 	}
+	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
+	r.Candidates, lbs = s.joinDelta(q, sigma, r.Candidates, lbs, sc, view, &r.Stats)
 	r.Stats.FilterTime = time.Since(start)
 	err := s.verify(q, sigma, &r, lbs, sc, view, done, true)
 	s.putScratch(sc)
@@ -497,12 +592,16 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 }
 
 // plan ranks the usable fragments by estimated pruning power per unit
-// range-query cost, using the per-class selectivity statistics collected
-// at index build time. It returns the expansion order plus the estimated
-// in-range fraction per fragment (nil when the planner is off, in which
-// case the order is plain enumeration order — the paper's Algorithm 2).
-// Both slices are scratch-backed. Determinism: score ties keep ascending
-// fragment order (stable sort).
+// range-query cost. A fragment's estimated survival — the share of the
+// candidates its range query would leave standing — is its class's
+// learned rate at this σ once one was observed (see Searcher.survival),
+// and the in-range fraction of the class's build-time distance histogram
+// until then — or throughout, when the searcher does not learn and on
+// every plannerExploreEvery-th search of one that does. It returns the
+// expansion order plus the estimated survival per fragment (nil when the
+// planner is off, in which case the order is plain enumeration order —
+// the paper's Algorithm 2). Both slices are scratch-backed. Determinism:
+// score ties keep ascending fragment order (stable sort).
 func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch) (order []int32, probs []float64) {
 	order = sc.planOrder[:0]
 	for i := range frags {
@@ -512,10 +611,21 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 	if s.opts.PlannerOff {
 		return order, nil
 	}
+	learned := s.survival != nil
+	if learned && s.searches.Add(1)%plannerExploreEvery == 0 {
+		learned = false
+		mPlannerExplore.Inc()
+	}
 	probs = sc.fragProb[:0]
 	scores := sc.fragScore[:0]
 	for _, qf := range frags {
-		p := qf.Class.PlanStats().InRangeFrac(sigma)
+		p := 0.0
+		if learned {
+			p = math.Float64frombits(s.survivalCell(qf.Class, sigma).Load())
+		}
+		if p == 0 {
+			p = qf.Class.PlanStats().InRangeFrac(sigma)
+		}
 		probs = append(probs, p)
 		scores = append(scores, (1-p)/qf.Class.ProbeCost())
 	}
@@ -539,24 +649,33 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 // and the no-fragment fallback skips them while enumerating. Both slices
 // are scratch-backed: valid only until the scratch is reused.
 //
-// The candidate set is seeded with the structural postings intersection
-// of the usable fragments' classes — one list per distinct class, a
-// handful per query — so maximal structure-only pruning happens before
-// any σ range query runs. Range queries then expand in planner order (pruning power per
-// unit cost); the planner skips a fragment whose estimated eliminations
-// fall below Options.PlannerBudget and stops entirely once the surviving
-// set is within Options.PlannerCrossover of going straight to
-// verification. Skipping range queries can only leave extra candidates
-// behind, and verification is exact, so answers never change; only the
-// filtering effort and the per-stage counters do.
-func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch, tombs *index.Tombstones, done <-chan struct{}) (cands []int32, lbs []float64) {
+// Stages run in order of cost per candidate. The candidate set is seeded
+// with the structural postings intersection of the usable fragments'
+// classes — one list per distinct class, a handful per query. The
+// prescreen (tens of nanoseconds a candidate) thins it next, so every
+// gain the planner estimates or observes afterwards is counted in
+// candidates that would really have been verified; it is skipped with
+// Options.SkipVerification, whose counters are the paper's. Range queries
+// then expand in planner order (pruning power per unit cost); the planner
+// skips a fragment whose estimated eliminations fall below
+// Options.PlannerBudget and stops entirely once the surviving set is
+// within Options.PlannerCrossover of going straight to verification.
+// Skipping range queries can only leave extra candidates behind, and
+// verification is exact, so answers never change; only the filtering
+// effort and the per-stage counters do.
+func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch, view View, done <-chan struct{}) (cands []int32, lbs []float64) {
 	n := len(s.db)
+	tombs := view.Tombs
 	sc.qfpOK = false
+	sc.expansions = sc.expansions[:0]
 	frags := s.usableFragments(q, sigma, st, sc, s.idx.HasFingerprints())
 
 	// Structural intersection: Yt, and the seed candidate set.
 	cur := s.structuralCandidates(frags, sc, tombs)
 	st.StructCandidates = len(cur)
+	if !s.opts.SkipVerification {
+		cur = s.prescreen(q, sigma, cur, sc, view, st)
+	}
 
 	if len(frags) == 0 {
 		// No indexed fragment: every live graph stays a candidate.
@@ -593,27 +712,6 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	lists := sc.postingLists(len(frags))
 	infos := sc.infos[:0]
 	nxt := sc.bufB[:0]
-	used := sc.fragUsed[:0]
-	for range frags {
-		used = append(used, false)
-	}
-	sc.fragUsed = used
-	expand := func(fi int32) {
-		qf := frags[fi]
-		pl := &lists[len(infos)]
-		rqStart := time.Now()
-		s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
-		ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
-		sum := 0.0
-		for _, d := range pl.Dists {
-			sum += d
-		}
-		w := sum/float64(n) + float64(n-pl.Len())/float64(n)*s.opts.Lambda*sigma
-		infos = append(infos, fragInfo{qf: qf, list: pl, w: w})
-		used[fi] = true
-		nxt = intersectSorted(nxt[:0], cur, pl.IDs)
-		cur, nxt = nxt, cur
-	}
 	dryStreak := 0
 	for _, fi := range order {
 		if len(cur) == 0 || len(cur) <= crossover {
@@ -625,14 +723,32 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 			// fast. One poll per range query, never per candidate.
 			break
 		}
+		before := len(cur)
+		estimate := 0.0
 		if probs != nil {
-			if gain := float64(len(cur)) * (1 - probs[fi]); gain < budget {
+			if estimate = float64(before) * (1 - probs[fi]); estimate < budget {
 				continue
 			}
 		}
-		before := len(cur)
-		expand(fi)
+		qf := frags[fi]
+		pl := &lists[len(infos)]
+		rqStart := time.Now()
+		s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
+		ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
+		sum := 0.0
+		for _, d := range pl.Dists {
+			sum += d
+		}
+		w := sum/float64(n) + float64(n-pl.Len())/float64(n)*s.opts.Lambda*sigma
+		infos = append(infos, fragInfo{qf: qf, list: pl, w: w})
+		nxt = intersectSorted(nxt[:0], cur, pl.IDs)
+		cur, nxt = nxt, cur
+		if s.survival != nil {
+			// before > 0: the loop leaves on an empty candidate set.
+			ewmaObserve(s.survivalCell(qf.Class, sigma), max(float64(len(cur))/float64(before), minSurvival))
+		}
 		if probs != nil {
+			sc.expansions = append(sc.expansions, Expansion{Class: qf.Class.ID, EstimatedGain: estimate, ObservedGain: before - len(cur)})
 			// Observed marginal gain: with fragments in descending
 			// estimated-power order, a streak of below-budget expansions
 			// means the remaining tail cannot pay for itself.
@@ -671,32 +787,6 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 		for _, c := range chosen {
 			part = append(part, int(c))
 		}
-
-		// Partition top-up, covering the planner's blind spot: expansion
-		// optimizes candidate eliminations, which favors a few highly
-		// selective fragments that tend to share vertices — and a
-		// one-fragment partition can never prune, since every range
-		// survivor has d_f(g) ≤ σ by construction. When the chosen
-		// partition collapsed to a single fragment, run up to
-		// partitionTopUp extra range queries, in planner order, over
-		// fragments vertex-disjoint from every chosen member: each one
-		// joins the partition directly (a disjoint addition keeps the
-		// set independent), giving Eq. 2 a sum of at least two fragment
-		// distances to prune with.
-		if probs != nil && len(part) < 2 {
-			topped := 0
-			for _, fi := range order {
-				if topped >= partitionTopUp || len(part) >= 2 || len(cur) == 0 || canceled(done) {
-					break
-				}
-				if used[fi] || !disjointFromPart(infos, part, frags[fi].Vertices) {
-					continue
-				}
-				expand(fi)
-				part = append(part, len(infos)-1)
-				topped++
-			}
-		}
 		sc.part = part
 		st.PartitionSize = len(part)
 
@@ -734,6 +824,9 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	}
 	sc.infos = infos
 	st.ExpandedFragments = len(infos)
+	if probs != nil {
+		mPlannerSkipped.Add(int64(len(frags) - len(infos)))
+	}
 	st.DistCandidates = len(cur)
 	sc.bufA, sc.bufB = cur, nxt
 	return cur, lbs
@@ -833,38 +926,6 @@ func (s *Searcher) structuralCandidates(frags []index.QueryFragment, sc *scratch
 // the tail is overwhelmingly likely to be dry too.
 const plannerPatience = 2
 
-// partitionTopUp caps the extra range queries spent securing a
-// two-fragment partition when the planner's pick is mutually overlapping.
-const partitionTopUp = 4
-
-// overlaps reports whether two ascending vertex-id lists share an element.
-func overlaps(a, b []int32) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
-// disjointFromPart reports whether vertex set vs avoids every chosen
-// partition member, so its fragment can join the independent set — and
-// the Eq. 2 bound — directly.
-func disjointFromPart(infos []fragInfo, part []int, vs []int32) bool {
-	for _, f := range part {
-		if overlaps(infos[f].qf.Vertices, vs) {
-			return false
-		}
-	}
-	return true
-}
-
 // minParallelVerify is the candidate count below which goroutine fan-out
 // costs more than it saves.
 const minParallelVerify = 8
@@ -926,16 +987,15 @@ func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
 	return nil
 }
 
-// prescreen returns the positions in cands of the candidates neither
-// cheap tier refutes, counting the rest in st: the fingerprint, whose
-// structure and label bounds prove d > sigma, then the graph invariants,
-// which prove q's skeleton does not fit the graph at any sigma. Both are
-// admissible, so dropping a candidate here never loses an answer. The
-// result is scratch-backed (sc.vorder).
-func (s *Searcher) prescreen(q *graph.Graph, sigma float64, cands []int32, sc *scratch, view View, st *Stats) []int32 {
+// prescreen drops from ids, in place, the candidates a cheap tier
+// refutes, counting them in st: the fingerprint, whose structure and
+// label bounds prove d > sigma, then the graph invariants, which prove
+// q's skeleton does not fit the graph at any sigma. Both are admissible,
+// so dropping a candidate here never loses an answer.
+func (s *Searcher) prescreen(q *graph.Graph, sigma float64, ids []int32, sc *scratch, view View, st *Stats) []int32 {
 	qiv := q.Invariants()
-	order := sc.vorder[:0]
-	for j, id := range cands {
+	kept := ids[:0]
+	for _, id := range ids {
 		if sc.qfpOK {
 			if gfp := s.candFP(view, id); gfp != nil && !sc.qfp.Admissible(gfp, sigma) {
 				st.PrescreenRejects++
@@ -947,18 +1007,38 @@ func (s *Searcher) prescreen(q *graph.Graph, sigma float64, cands []int32, sc *s
 			st.InvariantRejects++
 			continue
 		}
-		order = append(order, int32(j))
+		kept = append(kept, id)
 	}
-	sc.vorder = order
-	return order
+	return kept
+}
+
+// joinDelta appends the view's live delta graphs to cands. They are
+// unindexed, so no filter stage has seen them: the prescreen runs on them
+// here, and each joins with a zero lower bound (when lbs is in use), so
+// best-first verification takes them first.
+func (s *Searcher) joinDelta(q *graph.Graph, sigma float64, cands []int32, lbs []float64, sc *scratch, view View, st *Stats) ([]int32, []float64) {
+	if len(view.Delta) == 0 {
+		return cands, lbs
+	}
+	nb := len(cands)
+	cands = view.appendLiveDelta(cands, len(s.db))
+	if !s.opts.SkipVerification {
+		cands = cands[:nb+len(s.prescreen(q, sigma, cands[nb:], sc, view, st))]
+	}
+	if lbs != nil {
+		for i := nb; i < len(cands); i++ {
+			lbs = append(lbs, 0)
+		}
+		sc.lbs = lbs
+	}
+	return cands, lbs
 }
 
 // verify computes the true superimposed distance of every candidate. On
-// the tiered (PIS) path two cheap tiers run first: the prescreen refutes
-// candidates whose fingerprint proves d > σ or whose invariants rule out
-// any embedding, and the verify-result cache answers candidates this
-// searcher generation has already verified for an isomorphic query. Only
-// the remainder reaches exact branch-and-bound, best-first (ascending
+// the tiered (PIS) path the candidates are prescreen survivors (filter,
+// joinDelta) and the verify-result cache answers those this searcher
+// generation has already verified for an isomorphic query. Only the
+// remainder reaches exact branch-and-bound, best-first (ascending
 // partition lower bound) across a worker pool; observed per-candidate
 // cost feeds the planner's exchange rate. The baseline paths (naive,
 // topoPrune) pass tiered=false and verify every candidate exactly, which
@@ -985,29 +1065,17 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	}
 	dists := sc.vdists[:0]
 	for i := 0; i < nc; i++ {
-		// Infinite, not zero: a candidate the prescreen refuted, or whose
-		// verification never ran (cancellation, sibling panic), must not
-		// read as distance 0.
+		// Infinite, not zero: a candidate whose verification never ran
+		// (cancellation, sibling panic) must not read as distance 0.
 		dists = append(dists, distance.Infinite)
 	}
 	sc.vdists = dists
 
-	// Tiers 1-2: prescreen, then cache. The canonical query key is only
-	// computed when a candidate actually reaches the cache tier.
-	var order []int32
+	order := sc.positions(nc)
 	var cache *verifyCache
 	var qkey string
-	if tiered {
-		order, cache = s.prescreen(q, sigma, cands, sc, view, &r.Stats), s.vcache
-	} else {
-		order = sc.vorder[:0]
-		for j := range cands {
-			order = append(order, int32(j))
-		}
-		sc.vorder = order
-	}
-	if cache != nil && len(order) > 0 {
-		qkey = canonicalQueryKey(q)
+	if tiered && s.vcache != nil {
+		cache, qkey = s.vcache, canon.GraphKey(q)
 		order, r.Stats.VerifyCacheHits = cache.lookupAll(qkey, sigma, cands, order, dists)
 	}
 	nv := len(order)
@@ -1060,24 +1128,15 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	var st Stats
-	cands, lbs := s.filter(q, sigma, &st, sc, view.Tombs, done)
-	if len(view.Delta) > 0 {
-		nb := len(cands)
-		cands = view.appendLiveDelta(cands, len(s.db))
-		sc.bufA = cands
-		if lbs != nil {
-			for i := nb; i < len(cands); i++ {
-				lbs = append(lbs, 0)
-			}
-			sc.lbs = lbs
-		}
-	}
-	// Prescreen at the outer radius (admissible for the whole run: the
-	// shared bound only ever shrinks below sigma). The KNN pool skips the
-	// verify-result cache — its verdicts are computed against a moving
-	// budget, so they are not reusable exact distances.
-	order := s.prescreen(q, sigma, cands, sc, view, &st)
-	nc := len(order)
+	// The filter prescreens at the outer radius, admissible for the whole
+	// run: the shared bound only ever shrinks below sigma. The KNN pool
+	// skips the verify-result cache — its verdicts are computed against a
+	// moving budget, so they are not reusable exact distances.
+	cands, lbs := s.filter(q, sigma, &st, sc, view, done)
+	cands, lbs = s.joinDelta(q, sigma, cands, lbs, sc, view, &st)
+	sc.bufA = cands
+	nc := len(cands)
+	order := sc.positions(nc)
 	best := make([]Neighbor, 0, k)
 	if nc == 0 {
 		return best, nil

@@ -43,6 +43,12 @@ var (
 	mVerifyNodes = obs.Default().Counter(
 		"pis_verify_nodes_total",
 		"Branch-and-bound nodes expanded by exact verification.")
+	mPlannerSkipped = obs.Default().Counter(
+		"pis_planner_range_queries_skipped_total",
+		"Usable query fragments whose sigma range query the planner did not run: estimated gain below budget, candidate set already under the crossover, or a dry streak ended expansion.")
+	mPlannerExplore = obs.Default().Counter(
+		"pis_planner_explore_searches_total",
+		"Searches planned on the static class statistics alone, ignoring learned survival rates, so a class that has started to prune is noticed (one in 32).")
 	verifyCacheTotal = obs.Default().CounterVec(
 		"pis_verify_cache_total",
 		"Verify-result cache outcomes: hit = candidate answered from a memoized verdict, miss = candidate went to branch-and-bound.",
@@ -118,5 +124,25 @@ func (st *Stats) Trace(total time.Duration) *obs.Span {
 	verify.SetAttr("verify_cache_hits", st.VerifyCacheHits)
 	verify.SetAttr("verified", st.Verified)
 	verify.SetAttr("nodes", st.VerifyNodes)
+	return root
+}
+
+// Trace is Stats.Trace plus what only a single search has: the plan span
+// names, per range query the planner ran and in the order it ran them,
+// the fragment's class, the eliminations the planner expected of it and
+// the eliminations it produced — why each range query ran, and whether it
+// paid.
+func (r *Result) Trace(total time.Duration) *obs.Span {
+	root := r.Stats.Trace(total)
+	if n := len(r.Expansions); n > 0 {
+		classes, est, got := make([]int, n), make([]float64, n), make([]int, n)
+		for i, e := range r.Expansions {
+			classes[i], est[i], got[i] = e.Class, e.EstimatedGain, e.ObservedGain
+		}
+		plan := root.Children[0]
+		plan.SetAttr("expanded_class", classes)
+		plan.SetAttr("estimated_gain", est)
+		plan.SetAttr("observed_gain", got)
+	}
 	return root
 }

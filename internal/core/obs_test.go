@@ -85,3 +85,42 @@ func TestSearchRecordsMetrics(t *testing.T) {
 		t.Fatalf("verify stage histogram recorded %d observations, want 5", diff.Count())
 	}
 }
+
+// TestTracePlanGains: the plan span of a single search's trace carries one
+// (class, estimated gain, observed gain) per range query the planner ran,
+// and the observed gains are exactly what the range stage removed from
+// the prescreened candidates.
+func TestTracePlanGains(t *testing.T) {
+	fx := newFixture(t, 9, 300)
+	s := NewSearcher(fx.db, fx.idx, Options{PlannerBudget: -1, PlannerCrossover: -1})
+	rng := rand.New(rand.NewSource(9))
+	seen := 0
+	for i := 0; i < 10; i++ {
+		r := s.Search(sampleQuery(rng, fx.db, 5), 2)
+		plan := r.Trace(time.Millisecond).Children[0]
+		if r.Stats.ExpandedFragments == 0 {
+			if plan.Attrs["observed_gain"] != nil {
+				t.Fatalf("gains reported for a search that expanded nothing: %v", plan.Attrs)
+			}
+			continue
+		}
+		seen++
+		classes, est, got := plan.Attrs["expanded_class"].([]int), plan.Attrs["estimated_gain"].([]float64), plan.Attrs["observed_gain"].([]int)
+		if len(classes) != r.Stats.ExpandedFragments || len(est) != len(classes) || len(got) != len(classes) {
+			t.Fatalf("plan attrs %v for %d expanded fragments", plan.Attrs, r.Stats.ExpandedFragments)
+		}
+		removed := 0
+		for j, g := range got {
+			if g < 0 || est[j] < 0 || classes[j] < 0 || classes[j] >= len(fx.idx.Classes()) {
+				t.Fatalf("implausible expansion %d: class %d estimated %v observed %d", j, classes[j], est[j], g)
+			}
+			removed += g
+		}
+		if want := r.Stats.StructCandidates - r.Stats.PrescreenRejects - r.Stats.RangeCandidates; removed != want {
+			t.Fatalf("observed gains sum to %d, the range stage removed %d: %+v", removed, want, r.Stats)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no search expanded a fragment")
+	}
+}

@@ -1,13 +1,13 @@
-// Verification-result cache: tier two of the verify pipeline. Verdicts
+// Verification-result cache: the tier ahead of branch-and-bound. Verdicts
 // are keyed by (canonical query code, segment-local graph id) and live on
 // one Searcher, which is exactly one index generation — Compact builds a
 // fresh Searcher (segment.compactLocked), Insert appends fresh never-
 // reused local ids, and Delete only hides ids from the filter, so a
 // cached verdict can never describe different graph contents than the
-// live lookup. Isomorphic queries share a key (canon.MinCode plus the
-// label/weight sequence, the same construction the server's result cache
-// proves out), so repeated and re-ordered queries skip branch-and-bound
-// entirely for every graph they have already been verified against.
+// live lookup. Isomorphic queries share a key (canon.GraphKey, the one
+// the server's result cache uses), so repeated and re-ordered queries
+// skip branch-and-bound entirely for every graph they have already been
+// verified against.
 //
 // A verdict is (d, budget): Verifier.Distance(g, budget) returns the
 // exact distance when d <= budget and Infinite otherwise, so
@@ -32,13 +32,9 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
 	"sync"
 
-	"pis/internal/canon"
 	"pis/internal/distance"
-	"pis/internal/graph"
 )
 
 // vcVerdict is one cached verification outcome at a known budget.
@@ -171,30 +167,4 @@ func (c *verifyCache) putLocked(h *vcQuery, id int32, d, budget float64) {
 		}
 	}
 	c.setLocked(h, id, vcVerdict{d: d, budget: budget})
-}
-
-// canonicalQueryKey returns a key equal for isomorphic queries and
-// distinct otherwise: the minimum DFS code plus the lexicographically
-// smallest vertex-label + weight sequence over all canonical embeddings.
-// The same construction as the server result cache's canonicalGraphKey;
-// duplicated here because core cannot import the server package.
-func canonicalQueryKey(q *graph.Graph) string {
-	code, embs := canon.MinCode(q)
-	key := code.Key()
-	var best []byte
-	buf := make([]byte, 0, 10*(q.N()+q.M()))
-	for _, emb := range embs {
-		buf = buf[:0]
-		for _, v := range emb.Vertices {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(q.VLabelAt(int(v))))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.VWeightAt(int(v))))
-		}
-		for _, e := range emb.Edges {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.EdgeAt(int(e)).Weight))
-		}
-		if best == nil || string(buf) < string(best) {
-			best = append(best[:0], buf...)
-		}
-	}
-	return key + "|" + string(best)
 }

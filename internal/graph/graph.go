@@ -40,6 +40,24 @@ type Graph struct {
 	// inv caches the structural annotation (see Invariants): the first
 	// word of its block, nil until first use. Never serialized or cloned.
 	inv atomic.Pointer[uint32]
+	// key caches a canonical string form of the graph (see MemoKey), nil
+	// until first use. Never serialized or cloned.
+	key atomic.Pointer[string]
+}
+
+// MemoKey returns the string cached on g, filling the slot with
+// compute(g) on first use; concurrent first uses may each compute it and
+// one result is kept. The slot has one owner, canon.GraphKey — graph
+// cannot import canon, so the computation is passed in.
+func (g *Graph) MemoKey(compute func(*Graph) string) string {
+	if p := g.key.Load(); p != nil {
+		return *p
+	}
+	k := compute(g)
+	if !g.key.CompareAndSwap(nil, &k) {
+		return *g.key.Load()
+	}
+	return k
 }
 
 // N returns the number of vertices.

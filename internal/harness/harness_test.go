@@ -84,6 +84,32 @@ func TestFigure8ShapeProperties(t *testing.T) {
 	}
 }
 
+// TestFigure8CandidateCountsPinned holds Yt and Yp of the figure harness
+// (SkipVerification + PlannerOff: the paper's exhaustive Algorithm 2) to
+// the totals it produced before the prescreen moved ahead of the σ range
+// queries. Without verification no prescreen runs, so that reordering —
+// and anything the planner learns — must leave these counts bit-equal.
+func TestFigure8CandidateCountsPinned(t *testing.T) {
+	f := Figure8(buildTiny(t))
+	want := map[string][]int{ // bucket: summed topoPrune, PIS σ=1, σ=2, σ=4
+		"Q1.5k": {27, 8, 13, 27},
+		"Q3k":   {382, 99, 182, 347},
+		"Q>5k":  {5215, 2842, 4037, 5106},
+	}
+	queries := map[string]int{"Q1.5k": 1, "Q3k": 6, "Q>5k": 23}
+	for _, r := range f.Rows {
+		if r.Queries != queries[r.Bucket] {
+			t.Errorf("bucket %s: %d queries, want %d", r.Bucket, r.Queries, queries[r.Bucket])
+			continue
+		}
+		for vi, w := range want[r.Bucket] {
+			if got := int(math.Round(r.Values[vi] * float64(r.Queries))); got != w {
+				t.Errorf("bucket %s series %s: %d candidates, want %d", r.Bucket, f.Series[vi], got, w)
+			}
+		}
+	}
+}
+
 func TestFigure9RatiosAtLeastOne(t *testing.T) {
 	env := buildTiny(t)
 	f := Figure9(env)

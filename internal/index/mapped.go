@@ -33,6 +33,12 @@ func (x *Index) mappedRange(c *Class, qf QueryFragment, sigma float64, rb *Range
 			cur.symbols(stored)
 			d := c.minSeqDistBounded(qf.Seq, stored, x.opts.Metric, sigma)
 			n := int(cur.uvarint())
+			if d > sigma {
+				// Most entries are out of range: step over the id run
+				// without decoding it.
+				cur.skipVarints(n)
+				continue
+			}
 			id := int32(0)
 			for i := 0; i < n; i++ {
 				delta := int32(cur.uvarint())
@@ -44,9 +50,7 @@ func (x *Index) mappedRange(c *Class, qf QueryFragment, sigma float64, rb *Range
 				} else {
 					id += delta
 				}
-				if d <= sigma {
-					record(id, d)
-				}
+				record(id, d)
 			}
 		}
 	case VPTreeIndex:

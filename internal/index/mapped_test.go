@@ -337,3 +337,33 @@ func TestStreamingRejectsShortSource(t *testing.T) {
 		t.Fatalf("short source not rejected: %v", err)
 	}
 }
+
+// TestBlockCursorSkipVarints: stepping over varints lands where decoding
+// them would, and a block that ends early is flagged, not overrun.
+func TestBlockCursorSkipVarints(t *testing.T) {
+	var b []byte
+	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 + 5, 7}
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	for k := 0; k <= len(vals); k++ {
+		skip, dec := blockCursor{b: b}, blockCursor{b: b}
+		skip.skipVarints(k)
+		for i := 0; i < k; i++ {
+			dec.uvarint()
+		}
+		if skip.bad || skip.pos != dec.pos {
+			t.Fatalf("skipping %d varints: pos %d bad %v, decoding reaches %d", k, skip.pos, skip.bad, dec.pos)
+		}
+		if k < len(vals) && skip.uvarint() != vals[k] {
+			t.Fatalf("after skipping %d varints the next one is not %d", k, vals[k])
+		}
+	}
+	for _, short := range [][]byte{nil, {0x80}, b[:len(b)-1], append(append([]byte(nil), b...), 0xff)} {
+		c := blockCursor{b: short}
+		c.skipVarints(len(vals) + 1)
+		if !c.bad {
+			t.Errorf("block %x holds fewer than %d varints but skipping them was not flagged", short, len(vals)+1)
+		}
+	}
+}

@@ -875,6 +875,23 @@ func (c *blockCursor) skip(n int) {
 	c.pos += n
 }
 
+// skipVarints advances past n varints without decoding them: a varint
+// ends at its first byte below 0x80. A block that runs out first sets
+// bad.
+func (c *blockCursor) skipVarints(n int) {
+	if c.bad {
+		return
+	}
+	pos := c.pos
+	for ; n > 0 && pos < len(c.b); pos++ {
+		if c.b[pos] < 0x80 {
+			n--
+		}
+	}
+	c.pos = pos
+	c.bad = n > 0
+}
+
 // skipIDs walks n delta-coded ids, setting bad unless they ascend
 // strictly and stay below limit.
 func (c *blockCursor) skipIDs(n, limit uint64) {

@@ -55,8 +55,12 @@ type ClassStats struct {
 }
 
 // InRangeFrac estimates P(d(q, f) <= sigma) for a random stored fragment
-// f of this class — the fraction of containing graphs expected to survive
-// the fragment's σ range query. With no distance signal (fewer than two
+// f of this class — the planner's cold-start guess at the fraction of
+// candidates that survive the fragment's σ range query. It counts
+// distinct stored sequences, not the graphs that contain them, and knows
+// nothing of what the prescreen already removed, so core replaces it by
+// the survival rate it observes once the class's range query has run.
+// With no distance signal (fewer than two
 // sampled sequences) it returns the neutral prior 0.5: such classes are
 // the cheapest possible probes (a single stored sequence) and can prune
 // everything when the query's labels miss, so assuming they prune

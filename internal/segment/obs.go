@@ -43,7 +43,7 @@ func (s *Segment) SearchTraced(q *graph.Graph, sigma float64) (core.Result, *obs
 	sn := s.snapshot()
 	r := sn.srch.SearchView(q, sigma, sn.view)
 	sn.remap(&r)
-	sp := r.Stats.Trace(time.Since(start))
+	sp := r.Trace(time.Since(start))
 	sp.SetAttr("delta_graphs", len(sn.view.Delta))
 	if sn.view.Tombs != nil {
 		sp.SetAttr("tombstoned_graphs", sn.view.Tombs.Count())

@@ -800,6 +800,13 @@ func (s *Segment) AppendLiveIDs(dst []int32) []int32 {
 	return dst
 }
 
+// LearnedSurvival returns what the planner of the Search path has learned
+// since the last compaction (core.Searcher.LearnedSurvival); the kNN
+// searcher learns separately and is not reported.
+func (s *Segment) LearnedSurvival() []core.SurvivalCell {
+	return s.snapshot().srch.LearnedSurvival()
+}
+
 // IndexStats returns the base index counters.
 func (s *Segment) IndexStats() index.Stats {
 	s.mu.RLock()

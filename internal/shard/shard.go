@@ -632,6 +632,16 @@ func (d *DB) Stats() index.Stats {
 	return total
 }
 
+// LearnedSurvival returns each shard's learned planner state, indexed by
+// shard.
+func (d *DB) LearnedSurvival() [][]core.SurvivalCell {
+	out := make([][]core.SurvivalCell, len(d.segs))
+	for i, seg := range d.segs {
+		out[i] = seg.LearnedSurvival()
+	}
+	return out
+}
+
 // Overlay reports the mutation overlay size summed across shards: delta
 // graphs awaiting indexing and tombstoned graphs awaiting compaction.
 func (d *DB) Overlay() (delta, tombstones int) {

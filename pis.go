@@ -197,7 +197,10 @@ type Options struct {
 	PlannerCrossover int
 	// PlannerFeedbackOff freezes the planner's filter/verify exchange
 	// rate at the configured PlannerBudget / PlannerCrossover instead of
-	// learning it from observed per-query stage costs.
+	// learning it from observed per-query stage costs, and its estimate
+	// of what a class's range query leaves standing at the index's
+	// build-time statistics instead of the rates observed since
+	// (PlannerState).
 	PlannerFeedbackOff bool
 
 	// SignatureWords sizes the superimposed fragment signature of the
@@ -709,6 +712,35 @@ func (db *Database) SearchBatch(queries []*Graph, sigma float64, workers int) []
 	return out
 }
 
+// PlannerCell is one thing the query planner has learned by running
+// range queries: in shard Shard, a σ range query over a fragment of
+// feature class Class at ⌊σ⌋ = SigmaBucket (the last bucket, 8, is
+// open-ended) leaves Survival of the candidates it is applied to standing
+// — an exponentially-weighted average over the times it ran. The planner
+// ranks and skips range queries by it; cells exist only for (class, σ)
+// pairs that have run since the shard's index was last built.
+type PlannerCell struct {
+	Shard       int
+	Class       int
+	SigmaBucket int
+	Survival    float64
+}
+
+func plannerCells(shards [][]core.SurvivalCell) []PlannerCell {
+	var out []PlannerCell
+	for i, cells := range shards {
+		for _, c := range cells {
+			out = append(out, PlannerCell{Shard: i, Class: c.Class, SigmaBucket: c.SigmaBucket, Survival: c.Survival})
+		}
+	}
+	return out
+}
+
+// PlannerState reports the planner's learned survival rates.
+func (db *Database) PlannerState() []PlannerCell {
+	return plannerCells([][]core.SurvivalCell{db.seg.LearnedSurvival()})
+}
+
 // IndexStats summarizes the fragment index and its mutation overlay.
 type IndexStats struct {
 	Features  int // selected structure features (equivalence classes)
@@ -943,6 +975,9 @@ func (s *Sharded) Stats() IndexStats {
 		Delta: delta, Tombstones: tombs,
 	}
 }
+
+// PlannerState reports every shard's learned planner survival rates.
+func (s *Sharded) PlannerState() []PlannerCell { return plannerCells(s.db.LearnedSurvival()) }
 
 // ReadDatabase loads graphs in the line-oriented transaction format
 // ("t # id" / "v id label [weight]" / "e u v label [weight]").

@@ -8,8 +8,6 @@ package server
 
 import (
 	"container/list"
-	"encoding/binary"
-	"math"
 	"strconv"
 	"sync"
 
@@ -29,43 +27,15 @@ var (
 		"Result-cache lookups that fell through to the backend.")
 )
 
-// canonicalGraphKey returns a byte string equal for isomorphic graphs and
-// distinct otherwise: the minimum DFS code key plus the lexicographically
-// smallest vertex-label + weight sequence over all canonical embeddings
-// (so weighted graphs only collide when an automorphism maps the weights
-// too). Vertex labels are part of the signature because the DFS code of a
-// single-vertex graph is empty — without them every edge-free query would
-// share one key.
-func canonicalGraphKey(q *pis.Graph) string {
-	code, embs := canon.MinCode(q)
-	key := code.Key()
-	var best []byte
-	buf := make([]byte, 0, 10*(q.N()+q.M()))
-	for _, emb := range embs {
-		buf = buf[:0]
-		for _, v := range emb.Vertices {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(q.VLabelAt(int(v))))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.VWeightAt(int(v))))
-		}
-		for _, e := range emb.Edges {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.EdgeAt(int(e)).Weight))
-		}
-		if best == nil || string(buf) < string(best) {
-			best = append(best[:0], buf...)
-		}
-	}
-	return key + "|" + string(best)
-}
-
 // searchKey keys a threshold query.
 func searchKey(q *pis.Graph, sigma float64) string {
-	return "s|" + strconv.FormatFloat(sigma, 'g', -1, 64) + "|" + canonicalGraphKey(q)
+	return "s|" + strconv.FormatFloat(sigma, 'g', -1, 64) + "|" + canon.GraphKey(q)
 }
 
 // knnKey keys a kNN query.
 func knnKey(q *pis.Graph, k int, maxSigma float64) string {
 	return "k|" + strconv.Itoa(k) + "|" + strconv.FormatFloat(maxSigma, 'g', -1, 64) +
-		"|" + canonicalGraphKey(q)
+		"|" + canon.GraphKey(q)
 }
 
 // lruCache is a fixed-capacity LRU keyed by string. capacity <= 0 disables

@@ -74,7 +74,14 @@ type SearchRequest struct {
 // double as the request's plan summary: of query_fragments found,
 // used_fragments survived the ε filter and expanded_fragments actually
 // ran their σ range query (the rest were skipped by the cost-based
-// planner); struct/range/dist_candidates trace the filter funnel.
+// planner). The candidate counters follow the stage order: of
+// struct_candidates (posting intersection) plus the unindexed live delta
+// graphs, prescreen_rejects were refuted by the prescreen
+// (invariant_rejects of them by the graph invariants); range_candidates
+// and dist_candidates are what the σ range queries and the partition
+// bound left of the indexed rest; every graph that reached verification
+// is counted once in verify_cache_hits or verified. The naive and
+// topoPrune methods skip the prescreen and the cache.
 type StatsJSON struct {
 	QueryFragments    int `json:"query_fragments"`
 	UsedFragments     int `json:"used_fragments"`

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pis"
+	"pis/gen"
 )
 
 func getBody(t *testing.T, url string) (int, string, http.Header) {
@@ -293,4 +294,55 @@ func TestStatsRuntimeBlock(t *testing.T) {
 func TestTracedBackendInterface(t *testing.T) {
 	var _ tracedBackend = (*pis.Sharded)(nil)
 	var _ tracedBackend = (*pis.Database)(nil)
+}
+
+// TestPlannerChoicesVisible: ?trace=1 shows, per range query the planner
+// ran, the gain it expected and the gain it saw, and /stats lists what the
+// planner has learned about each class's range query.
+func TestPlannerChoicesVisible(t *testing.T) {
+	graphs := gen.Molecules(120, gen.Config{Seed: 29})
+	// Exhaustive expansion: on so small a corpus the default planner
+	// rightly runs no range query at all.
+	db, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4, PlannerBudget: -1, PlannerCrossover: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Backend: db})
+	var _ plannerBackend = db
+	var _ plannerBackend = (*pis.Sharded)(nil)
+
+	traced := 0
+	for _, q := range gen.Queries(graphs, 6, 10, 30) {
+		var resp SearchResponse
+		postJSON(t, ts.URL+"/search?trace=1", SearchRequest{Query: EncodeGraph(q), Sigma: 2}, &resp)
+		if resp.Trace == nil || len(resp.Trace.Children) == 0 || resp.Trace.Children[0].Name != "plan" {
+			t.Fatalf("no plan span: %+v", resp.Trace)
+		}
+		if resp.Stats.ExpandedFragments == 0 {
+			continue
+		}
+		traced++
+		attrs := resp.Trace.Children[0].Attrs
+		for _, name := range []string{"expanded_class", "estimated_gain", "observed_gain"} {
+			if vs, _ := attrs[name].([]any); len(vs) != resp.Stats.ExpandedFragments {
+				t.Errorf("plan span attr %s = %v, want one entry per expanded fragment (%d)", name, attrs[name], resp.Stats.ExpandedFragments)
+			}
+		}
+	}
+	if traced == 0 {
+		t.Fatal("no query expanded a fragment: the trace attributes went unchecked")
+	}
+
+	var st ServerStats
+	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
+		t.Fatalf("stats status %d", code)
+	}
+	if len(st.Planner.LearnedSurvival) == 0 {
+		t.Fatal("/stats planner.learned_survival is empty after range queries ran")
+	}
+	for _, c := range st.Planner.LearnedSurvival {
+		if c.Shard != 0 || c.SigmaBucket != 2 || c.Survival <= 0 || c.Survival > 1 {
+			t.Errorf("implausible learned cell %+v (one shard, every search at σ=2)", c)
+		}
+	}
 }

@@ -873,6 +873,25 @@ type PlannerStatsJSON struct {
 	SkippedFragments  int64 `json:"skipped_fragments"`
 	// PlanMS is the total time spent scoring and ordering fragments.
 	PlanMS float64 `json:"plan_ms"`
+	// LearnedSurvival is what the planner has learned about each feature
+	// class's σ range query (pis.PlannerCell), by shard, class and σ
+	// bucket; absent for a cluster backend, whose planners live on the
+	// shard nodes.
+	LearnedSurvival []PlannerCellJSON `json:"learned_survival,omitempty"`
+}
+
+// PlannerCellJSON is the wire form of pis.PlannerCell.
+type PlannerCellJSON struct {
+	Shard       int     `json:"shard"`
+	Class       int     `json:"class"`
+	SigmaBucket int     `json:"sigma_bucket"`
+	Survival    float64 `json:"survival"`
+}
+
+// plannerBackend is the optional backend surface for the planner's
+// learned state; *pis.Database and *pis.Sharded both implement it.
+type plannerBackend interface {
+	PlannerState() []pis.PlannerCell
 }
 
 // CacheStatsJSON reports result-cache occupancy and effectiveness.
@@ -972,6 +991,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Requests[name] = e
 	}
 	s.mu.Unlock()
+	if pb, ok := s.backend.(plannerBackend); ok {
+		for _, c := range pb.PlannerState() {
+			out.Planner.LearnedSurvival = append(out.Planner.LearnedSurvival, PlannerCellJSON(c))
+		}
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
