@@ -19,6 +19,7 @@ import (
 	"pis"
 	"pis/gen"
 	"pis/internal/cluster"
+	"pis/internal/obs"
 )
 
 // clusterAddrs reserves n distinct loopback addresses. The listeners
@@ -367,5 +368,107 @@ func TestClusterDurableRestartCatchUp(t *testing.T) {
 		if !reflect.DeepEqual(got.Answers, want.Answers) {
 			t.Errorf("query %d after readmission write: answers %v, want %v", qi, got.Answers, want.Answers)
 		}
+	}
+}
+
+// TestClusterMemoAcrossKillAndCatchUp keeps one query pool warm on every
+// replica of a 3-node cluster and compares it with the single-process
+// oracle after every phase of a replica's death and return: the replicas'
+// result memos are brought up to date by whichever writes reached them,
+// and a replica recovered from its store (or reinstalled from a peer's
+// snapshot) starts with a cold one — either way the answers are the
+// oracle's, through every node's coordinator.
+func TestClusterMemoAcrossKillAndCatchUp(t *testing.T) {
+	graphs := gen.Molecules(45, gen.Config{Seed: 94})
+	extra := gen.Molecules(55, gen.Config{Seed: 95})[45:]
+	addrs := clusterAddrs(t, 3)
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	nodes := startTestCluster(t, addrs, 3, 2, dirs, graphs)
+	ref, err := pis.New(graphs, clusterTestOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	queries := gen.Queries(graphs, 4, 7, 8)
+	memoHits := func() int64 {
+		return obs.Default().CounterVec("pis_result_memo_lookups_total", "", "outcome").Value("hit")
+	}
+	hits0 := memoHits()
+
+	check := func(phase string, live ...*pis.ClusterNode) {
+		t.Helper()
+		for round := 0; round < 2; round++ { // the second round repeats every read
+			for ni, cn := range live {
+				for qi, q := range queries {
+					want := ref.Search(q, 2)
+					got, err := cn.SearchContext(context.Background(), q, 2)
+					if err != nil {
+						t.Fatalf("%s: node %d query %d: %v", phase, ni, qi, err)
+					}
+					if !reflect.DeepEqual(got.Answers, want.Answers) || !reflect.DeepEqual(got.Distances, want.Distances) {
+						t.Fatalf("%s: node %d query %d round %d: answers %v %v, the oracle says %v %v",
+							phase, ni, qi, round, got.Answers, got.Distances, want.Answers, want.Distances)
+					}
+					wantNS := ref.SearchKNN(q, 3, 6)
+					gotNS, err := cn.SearchKNNContext(context.Background(), q, 3, 6)
+					if err != nil {
+						t.Fatalf("%s: node %d query %d knn: %v", phase, ni, qi, err)
+					}
+					if len(gotNS) != len(wantNS) || (len(gotNS) > 0 && !reflect.DeepEqual(gotNS, wantNS)) {
+						t.Fatalf("%s: node %d query %d round %d: kNN %v, the oracle says %v", phase, ni, qi, round, gotNS, wantNS)
+					}
+				}
+			}
+		}
+	}
+	write := func(via *pis.ClusterNode, inserts []*pis.Graph, deletes ...int32) {
+		t.Helper()
+		for _, g := range inserts {
+			if _, err := ref.Insert(g); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := via.Insert(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range deletes {
+			if _, err := ref.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := via.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	check("warm", nodes...)
+	write(nodes[0], extra[:3], 7)
+	check("after writes", nodes...)
+
+	if err := nodes[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].CheckPeers()
+	nodes[1].CheckPeers()
+	write(nodes[0], extra[3:7], 20, ref.Search(queries[0], 2).Answers[0])
+	check("one node down", nodes[0], nodes[1])
+
+	cn2, err := pis.StartClusterNode(pis.ClusterOptions{
+		Self: addrs[2], Peers: addrs, Shards: 3, Replication: 2,
+		DataDir: dirs[2], Graphs: graphs, Options: clusterTestOpts, PingInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn2.Close()
+	nodes[0].CheckPeers()
+	nodes[1].CheckPeers()
+	cn2.CheckPeers()
+	check("after catch-up", nodes[0], nodes[1], cn2)
+	write(nodes[1], extra[7:], 31)
+	check("after a write to the readmitted node", nodes[0], nodes[1], cn2)
+
+	if memoHits() == hits0 {
+		t.Fatal("no replica ever answered from its result memo")
 	}
 }

@@ -430,7 +430,7 @@ func StructureKey(g *graph.Graph) string {
 // too). Vertex labels are part of the key because the DFS code of a
 // single-vertex graph is empty — without them every edge-free graph
 // would share one key. The result is computed once per *graph.Graph and
-// cached on it, so the server's result cache and the verify cache of
+// cached on it, so the server's result cache and the result memo of
 // every shard a request reaches share one MinCode run.
 func GraphKey(g *graph.Graph) string { return g.MemoKey(graphKey) }
 

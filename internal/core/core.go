@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
@@ -113,13 +112,6 @@ type Options struct {
 	// (Searcher.survival); set, the build-time class statistics stay the
 	// only estimate.
 	PlannerFeedbackOff bool
-	// VerifyCacheSize bounds the verification-result cache (entries
-	// across both rotation generations). The cache memoizes exact
-	// branch-and-bound verdicts per (canonical query, graph) for the
-	// lifetime of one index generation; compaction swaps in a fresh
-	// Searcher, which drops it wholesale. 0 means the default 32768;
-	// negative disables the cache.
-	VerifyCacheSize int
 }
 
 func (o Options) normalized() Options {
@@ -139,18 +131,13 @@ func (o Options) normalized() Options {
 	} else if o.PlannerCrossover < 0 {
 		o.PlannerCrossover = 0
 	}
-	if o.VerifyCacheSize == 0 {
-		o.VerifyCacheSize = 32768
-	} else if o.VerifyCacheSize < 0 {
-		o.VerifyCacheSize = 0
-	}
 	return o
 }
 
 // Stats instruments one search. The stages run cheapest per candidate
 // first — posting intersection, prescreen, σ range queries, partition
-// bound, verify cache, branch-and-bound — and the counters trace the
-// funnel in that order over the indexed base:
+// bound, branch-and-bound — and the counters trace the funnel in that
+// order over the indexed base:
 //
 //	StructCandidates + live delta − PrescreenRejects ≥ RangeCandidates ≥ DistCandidates
 //
@@ -163,6 +150,11 @@ func (o Options) normalized() Options {
 // VerifyCacheHits + Verified. With Options.SkipVerification no prescreen
 // runs and the counters are the paper's. InvariantRejects is the part of
 // PrescreenRejects the structural invariants refuted.
+//
+// The pipeline never sets VerifyCacheHits, MemoHits or Refreshed: they
+// describe a search a segment answered from its result memo, carrying the
+// still-live answers over and verifying only the graphs inserted since
+// (Verified there, Refreshed once merged with shards that ran the pipeline).
 type Stats struct {
 	QueryFragments    int // indexed fragments found in the query
 	UsedFragments     int // after the ε filter and cap
@@ -173,9 +165,11 @@ type Stats struct {
 	DistCandidates    int // after partition lower-bound pruning (Yp, |CQ|)
 	PrescreenRejects  int // candidates refuted by the prescreen, either tier
 	InvariantRejects  int // of those, by the graph invariants (graph.Invariants.Admits)
-	VerifyCacheHits   int // candidates answered from the verify-result cache
+	VerifyCacheHits   int // answers carried over from a segment's result memo
 	Verified          int // candidates actually branch-and-bound verified
 	VerifyNodes       int // branch-and-bound nodes those verifications expanded
+	MemoHits          int // segments that answered from their result memo
+	Refreshed         int // graphs those memo hits verified to catch up
 	// PlanTime is the fragment scoring + ordering slice of FilterTime,
 	// not a disjoint stage: FilterTime covers the whole filtering stage
 	// (planning included), so stage times sum as FilterTime + VerifyTime.
@@ -222,10 +216,10 @@ type PanicError struct{ Val any }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("core: panic during verification: %v", e.Val) }
 
-// rethrow resurfaces a recovered verification panic on the legacy
+// Rethrow resurfaces a recovered verification panic on the legacy
 // non-context paths; any other error (only cancellation, impossible with
 // a background context) passes through silently.
-func rethrow(err error) {
+func Rethrow(err error) {
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		panic(pe.Val)
@@ -286,9 +280,6 @@ type Searcher struct {
 	// vFloor / eFloor are the metric's label-mismatch cost floors
 	// (distance.CostFloors), feeding the prescreen's label-deficit bound.
 	vFloor, eFloor float64
-	// vcache memoizes branch-and-bound verdicts for this searcher's index
-	// generation; nil when Options.VerifyCacheSize disables it.
-	vcache *verifyCache
 	// verifyCandNS / rangeQueryNS are EWMAs (float64 bits) of the
 	// observed cost of verifying one candidate and of running one σ range
 	// query — the planner's learned filter/verify exchange rate. Zero
@@ -328,9 +319,6 @@ const minSurvival = 1.0 / 1024
 func NewSearcher(db []*graph.Graph, idx *index.Index, opts Options) *Searcher {
 	s := &Searcher{db: db, idx: idx, metric: idx.Options().Metric, opts: opts.normalized()}
 	s.vFloor, s.eFloor = distance.CostFloors(s.metric)
-	if s.opts.VerifyCacheSize > 0 {
-		s.vcache = newVerifyCache(s.opts.VerifyCacheSize)
-	}
 	if s.learns() {
 		s.survival = make([]atomic.Uint64, len(idx.Classes())*survivalBuckets)
 	}
@@ -464,8 +452,8 @@ func (s *Searcher) putScratch(sc *scratch) {
 	s.pool.Put(sc)
 }
 
-// positions returns 0..n-1, the verification order before the cache and
-// the lower bounds rearrange it.
+// positions returns 0..n-1, the verification order before the lower
+// bounds rearrange it.
 func (sc *scratch) positions(n int) []int32 {
 	order := sc.vorder[:0]
 	for j := 0; j < n; j++ {
@@ -507,9 +495,9 @@ func (s *Searcher) SearchNaiveView(q *graph.Graph, sigma float64, view View) Res
 	r.Stats.RangeCandidates = len(r.Candidates)
 	r.Stats.DistCandidates = len(r.Candidates)
 	sc := s.getScratch()
-	err := s.verify(q, sigma, &r, nil, sc, view, nil, false)
+	err := s.verify(q, sigma, &r, nil, sc, view, nil)
 	s.putScratch(sc)
-	rethrow(err)
+	Rethrow(err)
 	r.Stats.record(mQueriesNaive)
 	return r
 }
@@ -536,9 +524,9 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
 	r.Candidates = view.appendLiveDelta(r.Candidates, len(s.db))
 	r.Stats.FilterTime = time.Since(start)
-	err := s.verify(q, sigma, &r, nil, sc, view, nil, false)
+	err := s.verify(q, sigma, &r, nil, sc, view, nil)
 	s.putScratch(sc)
-	rethrow(err)
+	Rethrow(err)
 	r.Stats.record(mQueriesTopo)
 	return r
 }
@@ -555,7 +543,7 @@ func (s *Searcher) Search(q *graph.Graph, sigma float64) Result {
 // answer set is exactly a fresh index over the surviving graphs.
 func (s *Searcher) SearchView(q *graph.Graph, sigma float64, view View) Result {
 	r, err := s.SearchViewCtx(context.Background(), q, sigma, view)
-	rethrow(err)
+	Rethrow(err)
 	return r
 }
 
@@ -580,14 +568,14 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
 	r.Candidates, lbs = s.joinDelta(q, sigma, r.Candidates, lbs, sc, view, &r.Stats)
 	r.Stats.FilterTime = time.Since(start)
-	err := s.verify(q, sigma, &r, lbs, sc, view, done, true)
+	err := s.verify(q, sigma, &r, lbs, sc, view, done)
 	s.putScratch(sc)
 	if err == nil && ctx.Err() != nil {
 		r.Stats.Partial = true
 		mQueriesCanceled.Inc()
 		err = ctx.Err()
 	}
-	r.Stats.record(mQueriesPIS)
+	r.Stats.Publish()
 	return r, err
 }
 
@@ -965,9 +953,9 @@ func (t *lbSorter) Len() int           { return len(t.order) }
 func (t *lbSorter) Less(i, j int) bool { return t.lbs[t.order[i]] < t.lbs[t.order[j]] }
 func (t *lbSorter) Swap(i, j int)      { t.order[i], t.order[j] = t.order[j], t.order[i] }
 
-// candGraph resolves a candidate id against the base database or the
+// Graph resolves a segment-local id against the base database or the
 // view's delta overlay (ids >= len(base) are delta positions).
-func (s *Searcher) candGraph(view View, id int32) *graph.Graph {
+func (s *Searcher) Graph(view View, id int32) *graph.Graph {
 	if int(id) < len(s.db) {
 		return s.db[id]
 	}
@@ -1002,7 +990,7 @@ func (s *Searcher) prescreen(q *graph.Graph, sigma float64, ids []int32, sc *scr
 				continue
 			}
 		}
-		if !s.candGraph(view, id).Invariants().Admits(qiv) {
+		if !s.Graph(view, id).Invariants().Admits(qiv) {
 			st.PrescreenRejects++
 			st.InvariantRejects++
 			continue
@@ -1034,24 +1022,21 @@ func (s *Searcher) joinDelta(q *graph.Graph, sigma float64, cands []int32, lbs [
 	return cands, lbs
 }
 
-// verify computes the true superimposed distance of every candidate. On
-// the tiered (PIS) path the candidates are prescreen survivors (filter,
-// joinDelta) and the verify-result cache answers those this searcher
-// generation has already verified for an isomorphic query. Only the
-// remainder reaches exact branch-and-bound, best-first (ascending
-// partition lower bound) across a worker pool; observed per-candidate
-// cost feeds the planner's exchange rate. The baseline paths (naive,
-// topoPrune) pass tiered=false and verify every candidate exactly, which
-// keeps them valid differential references for the tiers.
+// verify computes the true superimposed distance of every candidate by
+// exact branch-and-bound, best-first (ascending partition lower bound)
+// across a worker pool; observed per-candidate cost feeds the planner's
+// exchange rate. On the PIS path the candidates are prescreen survivors
+// (filter, joinDelta); the baseline paths (naive, topoPrune) hand over
+// every candidate, which keeps them valid differential references.
 //
 // The answer set is deterministic for any worker count: every candidate
 // is verified against the same fixed budget σ and answers are assembled
 // in ascending id order afterwards. A non-nil done channel aborts the
 // pool early; unverified candidates keep an infinite distance, so they
 // are conservatively excluded and the partial answer set stays a subset
-// of the full one (nothing is cached for an aborted query). The returned
-// error is a *PanicError when a worker panicked, nil otherwise.
-func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}, tiered bool) error {
+// of the full one. The returned error is a *PanicError when a worker
+// panicked, nil otherwise.
+func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}) error {
 	if s.opts.SkipVerification {
 		return nil
 	}
@@ -1072,32 +1057,15 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	sc.vdists = dists
 
 	order := sc.positions(nc)
-	var cache *verifyCache
-	var qkey string
-	if tiered && s.vcache != nil {
-		cache, qkey = s.vcache, canon.GraphKey(q)
-		order, r.Stats.VerifyCacheHits = cache.lookupAll(qkey, sigma, cands, order, dists)
-	}
-	nv := len(order)
-	r.Stats.Verified = nv
-
-	// Tier 3: exact branch-and-bound over what survived.
-	var err error
-	if nv > 0 {
-		orderByLB(order, lbs, sc)
-		var busy time.Duration
-		var nodes uint64
-		busy, nodes, err = s.forEachCandidate(q, s.verifyWorkers(nv), nv, done, func(v *iso.Verifier, i int) {
-			j := order[i]
-			dists[j] = v.Distance(s.candGraph(view, cands[j]), sigma)
-		})
-		r.Stats.VerifyNodes = int(nodes)
-		if err == nil && !canceled(done) {
-			ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nv))
-			if cache != nil {
-				cache.putAll(qkey, sigma, cands, order, dists)
-			}
-		}
+	r.Stats.Verified = nc
+	orderByLB(order, lbs, sc)
+	busy, nodes, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
+		j := order[i]
+		dists[j] = v.Distance(s.Graph(view, cands[j]), sigma)
+	})
+	r.Stats.VerifyNodes = int(nodes)
+	if err == nil && !canceled(done) {
+		ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nc))
 	}
 	if err != nil {
 		r.Stats.VerifyTime = time.Since(start)
@@ -1123,23 +1091,22 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 // k neighbors within sigma, closest first (ties by ascending id). The
 // result is deterministic for any worker count: a candidate skipped by
 // the shared bound is strictly farther than the final k-th neighbor, so
-// it can never displace one.
-func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View, done <-chan struct{}) ([]Neighbor, error) {
+// it can never displace one. verified counts the candidates handed to the
+// pool.
+func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View, done <-chan struct{}) (best []Neighbor, verified int, err error) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	var st Stats
 	// The filter prescreens at the outer radius, admissible for the whole
-	// run: the shared bound only ever shrinks below sigma. The KNN pool
-	// skips the verify-result cache — its verdicts are computed against a
-	// moving budget, so they are not reusable exact distances.
+	// run: the shared bound only ever shrinks below sigma.
 	cands, lbs := s.filter(q, sigma, &st, sc, view, done)
 	cands, lbs = s.joinDelta(q, sigma, cands, lbs, sc, view, &st)
 	sc.bufA = cands
 	nc := len(cands)
 	order := sc.positions(nc)
-	best := make([]Neighbor, 0, k)
+	best = make([]Neighbor, 0, k)
 	if nc == 0 {
-		return best, nil
+		return best, 0, nil
 	}
 
 	var boundBits atomic.Uint64
@@ -1184,14 +1151,28 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 	}
 
 	orderByLB(order, lbs, sc)
-	_, _, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
+	_, _, err = s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
 		j := order[i]
 		budget := math.Float64frombits(boundBits.Load())
-		if d := v.Distance(s.candGraph(view, cands[j]), budget); !distance.IsInfinite(d) {
+		if d := v.Distance(s.Graph(view, cands[j]), budget); !distance.IsInfinite(d) {
 			record(cands[j], d)
 		}
 	})
-	return best, err
+	return best, nc, err
+}
+
+// VerifyEach calls fn(v, i) for i in [0, n), in order on the calling
+// goroutine, with one pooled verifier reset to q and armed with done —
+// what a caller needs to price a few graphs against q outside the
+// pipeline (a segment's result memo catching up on inserts). It stops
+// early once done closes and returns a *PanicError if fn panicked; nodes
+// is the branch-and-bound work fn's Distance calls did.
+func (s *Searcher) VerifyEach(q *graph.Graph, n int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (nodes uint64, err error) {
+	if n == 0 {
+		return 0, nil
+	}
+	_, nodes, err = s.forEachCandidate(q, 1, n, done, fn)
+	return nodes, err
 }
 
 // claimPollMask amortizes the done-channel poll in the claim loop: one

@@ -115,7 +115,7 @@ func TestSearchAllocsQ24(t *testing.T) {
 		i++
 	})
 	t.Logf("%.0f allocations per steady-state Q24 search", avg)
-	if avg > 40 {
+	if avg > 40 && !raceEnabled {
 		t.Errorf("a steady-state Q24 search allocates %.0f times, want at most 40", avg)
 	}
 }

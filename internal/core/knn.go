@@ -35,8 +35,8 @@ func (s *Searcher) SearchKNN(q *graph.Graph, k int, startSigma, maxSigma float64
 // never surface, and live delta graphs compete for the k slots through
 // the same shared shrinking radius as the indexed candidates.
 func (s *Searcher) SearchKNNView(q *graph.Graph, k int, startSigma, maxSigma float64, view View) []Neighbor {
-	ns, err := s.SearchKNNViewCtx(context.Background(), q, k, startSigma, maxSigma, view)
-	rethrow(err)
+	ns, _, err := s.SearchKNNViewCtx(context.Background(), q, k, startSigma, maxSigma, view)
+	Rethrow(err)
 	return ns
 }
 
@@ -45,10 +45,11 @@ func (s *Searcher) SearchKNNView(q *graph.Graph, k int, startSigma, maxSigma flo
 // pool; a canceled call returns the context error with whatever
 // neighbors were fully verified so far (they are genuine neighbors, but
 // closer ones may be missing). A verification panic surfaces as a
-// *PanicError.
-func (s *Searcher) SearchKNNViewCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64, view View) ([]Neighbor, error) {
+// *PanicError. verified is the number of candidates the final pass
+// verified: what the answer cost, for a caller deciding whether to keep it.
+func (s *Searcher) SearchKNNViewCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64, view View) (ns []Neighbor, verified int, err error) {
 	if k <= 0 || maxSigma < 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if s.opts.SkipVerification {
 		// kNN needs exact distances; run with verification regardless.
@@ -65,16 +66,16 @@ func (s *Searcher) SearchKNNViewCtx(ctx context.Context, q *graph.Graph, k int, 
 		sigma = maxSigma
 	}
 	for {
-		ns, err := s.searchKNNOnce(q, k, sigma, view, done)
+		ns, verified, err = s.searchKNNOnce(q, k, sigma, view, done)
 		if err != nil {
-			return ns, err
+			return ns, verified, err
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			mQueriesCanceled.Inc()
-			return ns, cerr
+			return ns, verified, cerr
 		}
 		if len(ns) >= k || sigma >= maxSigma {
-			return ns, nil
+			return ns, verified, nil
 		}
 		sigma *= 2
 		if sigma > maxSigma {

@@ -97,7 +97,7 @@ func (fx moleculeFixture) bruteKNN(q *graph.Graph, k int, maxSigma float64) []Ne
 		if fx.view.Tombs.Has(int32(id)) {
 			continue
 		}
-		g := (&Searcher{db: fx.db}).candGraph(fx.view, int32(id))
+		g := (&Searcher{db: fx.db}).Graph(fx.view, int32(id))
 		if d := iso.MinSuperimposedDistance(q, g, distance.EdgeMutation{}, -1); !distance.IsInfinite(d) && d <= maxSigma {
 			all = append(all, Neighbor{ID: int32(id), Distance: d})
 		}

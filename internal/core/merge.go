@@ -21,6 +21,8 @@ func (s *Stats) Add(o Stats) {
 	s.VerifyCacheHits += o.VerifyCacheHits
 	s.Verified += o.Verified
 	s.VerifyNodes += o.VerifyNodes
+	s.MemoHits += o.MemoHits
+	s.Refreshed += o.Refreshed
 	s.PlanTime += o.PlanTime
 	s.FilterTime += o.FilterTime
 	s.VerifyTime += o.VerifyTime

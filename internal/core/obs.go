@@ -49,10 +49,6 @@ var (
 	mPlannerExplore = obs.Default().Counter(
 		"pis_planner_explore_searches_total",
 		"Searches planned on the static class statistics alone, ignoring learned survival rates, so a class that has started to prune is noticed (one in 32).")
-	verifyCacheTotal = obs.Default().CounterVec(
-		"pis_verify_cache_total",
-		"Verify-result cache outcomes: hit = candidate answered from a memoized verdict, miss = candidate went to branch-and-bound.",
-		"outcome")
 )
 
 // Pre-resolved children so the per-query path never takes a vec lock.
@@ -73,8 +69,6 @@ var (
 	mVerifyPanics  = panicsTotal.With("verify")
 	mRejectsFP     = prescreenRejects.With("fingerprint")
 	mRejectsInv    = prescreenRejects.With("invariants")
-	mVCacheHits    = verifyCacheTotal.With("hit")
-	mVCacheMisses  = verifyCacheTotal.With("miss")
 )
 
 // record publishes one finished query's Stats into the registry.
@@ -93,13 +87,12 @@ func (st *Stats) record(queries *obs.LabeledCounter) {
 	mRejectsFP.Add(int64(st.PrescreenRejects - st.InvariantRejects))
 	mRejectsInv.Add(int64(st.InvariantRejects))
 	mVerifyNodes.Add(int64(st.VerifyNodes))
-	mVCacheHits.Add(int64(st.VerifyCacheHits))
-	if queries == mQueriesPIS {
-		// Only the tiered path consults the cache, so only its verified
-		// count reads as misses; the exact baselines never look it up.
-		mVCacheMisses.Add(int64(st.Verified))
-	}
 }
+
+// Publish records st as one finished PIS search. The pipeline calls it
+// itself; a segment calls it for a search its result memo answered, so
+// pis_queries_total keeps counting every search a backend executed.
+func (st *Stats) Publish() { st.record(mQueriesPIS) }
 
 // Trace promotes the Stats into a span tree for one search that took
 // wall time total. Children are the disjoint stages — plan, then the
@@ -109,6 +102,8 @@ func (st *Stats) record(queries *obs.LabeledCounter) {
 // stages). The funnel counters ride along as span attributes.
 func (st *Stats) Trace(total time.Duration) *obs.Span {
 	root := &obs.Span{Name: "search", DurationMS: obs.MS(total)}
+	root.SetAttr("memo_hit", st.MemoHits > 0)
+	root.SetAttr("refreshed", st.Refreshed)
 	plan := root.Child("plan", obs.MS(st.PlanTime))
 	plan.SetAttr("query_fragments", st.QueryFragments)
 	plan.SetAttr("used_fragments", st.UsedFragments)

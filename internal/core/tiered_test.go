@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/index"
 )
@@ -47,20 +46,15 @@ func TestFunnelStrictlyMonotone(t *testing.T) {
 }
 
 // TestTieredMatchesNaive is the differential proof for both prescreen
-// tiers and the verify cache: across random queries and radii — with repeats, so
-// the cache serves both exact and proven-non-answer verdicts, and radius
-// changes, so budget upgrades are exercised — the tiered PIS path must
-// return exactly the naive baseline's answers and distances.
+// tiers: across random queries and radii the tiered PIS path must return
+// exactly the naive baseline's answers and distances.
 func TestTieredMatchesNaive(t *testing.T) {
 	fx := newFixture(t, 43, 80)
 	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(44))
-	var pre, inv, hits, nodes int
+	var pre, inv, nodes int
 	for trial := 0; trial < 20; trial++ {
 		q := sampleQuery(rng, fx.db, 4+rng.Intn(4))
-		// Ascending then descending radii over the same query: negative
-		// verdicts cached at a small budget must not leak into larger
-		// radii, and exact verdicts must answer any radius.
 		for _, sigma := range []float64{0, 1, 3, 2, 1} {
 			got := s.Search(q, sigma)
 			want := s.SearchNaive(q, sigma)
@@ -72,13 +66,12 @@ func TestTieredMatchesNaive(t *testing.T) {
 			}
 			pre += got.Stats.PrescreenRejects
 			inv += got.Stats.InvariantRejects
-			hits += got.Stats.VerifyCacheHits
 			nodes += got.Stats.VerifyNodes
 			if st := got.Stats; st.InvariantRejects > st.PrescreenRejects || (st.Verified > 0) != (st.VerifyNodes > 0) {
 				t.Fatalf("sigma %g: inconsistent tier counters %+v", sigma, st)
 			}
-			if n, w := want.Stats.PrescreenRejects, want.Stats.VerifyCacheHits; n != 0 || w != 0 {
-				t.Fatalf("naive path used the tiers: prescreen %d, cache %d", n, w)
+			if n := want.Stats.PrescreenRejects; n != 0 {
+				t.Fatalf("naive path used the prescreen: %d rejects", n)
 			}
 		}
 	}
@@ -87,49 +80,6 @@ func TestTieredMatchesNaive(t *testing.T) {
 	}
 	if nodes == 0 {
 		t.Error("no branch-and-bound node counted")
-	}
-	if hits == 0 {
-		t.Error("verify cache never hit despite repeated queries — differential test is vacuous")
-	}
-}
-
-// TestVerifyCacheRepeatQuery: an identical query re-run against the same
-// searcher generation must be answered (at least partly) from the cache,
-// with identical answers and strictly less branch-and-bound work.
-func TestVerifyCacheRepeatQuery(t *testing.T) {
-	fx := newFixture(t, 45, 60)
-	s := NewSearcher(fx.db, fx.idx, Options{})
-	rng := rand.New(rand.NewSource(46))
-	q := sampleQuery(rng, fx.db, 5)
-	first := s.Search(q, 2)
-	second := s.Search(q, 2)
-	if !reflect.DeepEqual(first.Answers, second.Answers) || !reflect.DeepEqual(first.Distances, second.Distances) {
-		t.Fatalf("repeat query changed answers: %v vs %v", first.Answers, second.Answers)
-	}
-	if first.Stats.VerifyCacheHits != 0 {
-		t.Errorf("cold query hit the cache %d times", first.Stats.VerifyCacheHits)
-	}
-	if first.Stats.Verified > 0 && second.Stats.VerifyCacheHits == 0 {
-		t.Errorf("repeat query missed the cache entirely: first %+v, second %+v", first.Stats, second.Stats)
-	}
-	if second.Stats.Verified >= first.Stats.Verified && first.Stats.Verified > 0 {
-		t.Errorf("repeat query verified no less: %d then %d", first.Stats.Verified, second.Stats.Verified)
-	}
-}
-
-// TestVerifyCacheDisabled: VerifyCacheSize < 0 must turn the tier off.
-func TestVerifyCacheDisabled(t *testing.T) {
-	fx := newFixture(t, 47, 40)
-	s := NewSearcher(fx.db, fx.idx, Options{VerifyCacheSize: -1})
-	rng := rand.New(rand.NewSource(48))
-	q := sampleQuery(rng, fx.db, 5)
-	want := s.Search(q, 2)
-	got := s.Search(q, 2)
-	if got.Stats.VerifyCacheHits != 0 || want.Stats.VerifyCacheHits != 0 {
-		t.Fatalf("disabled cache still hit: %d / %d", want.Stats.VerifyCacheHits, got.Stats.VerifyCacheHits)
-	}
-	if !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("answers drifted with cache off: %v vs %v", got.Answers, want.Answers)
 	}
 }
 
@@ -156,60 +106,6 @@ func TestPlannerLearnsExchangeRate(t *testing.T) {
 	if frozen.exchangeRate() == 0 {
 		// Feedback-off still observes costs; it just never applies them.
 		t.Log("frozen searcher observed no costs (acceptable: application is what's disabled)")
-	}
-}
-
-// TestVerifyCacheRotationBounds: the two-generation rotation must keep
-// the cache at or under its configured capacity while still answering
-// recent queries.
-func TestVerifyCacheRotationBounds(t *testing.T) {
-	c := newVerifyCache(8)
-	for i := 0; i < 1000; i++ {
-		c.put(vcKey{q: "q", id: int32(i)}, float64(i%3), 5)
-		if n := len(c.cur) + len(c.prev); n > 8 {
-			t.Fatalf("cache grew to %d entries with capacity 8", n)
-		}
-	}
-	// The most recent write is always resident.
-	if d, hit := c.lookup(vcKey{q: "q", id: 999}, 5); !hit || d != float64(999%3) {
-		t.Fatalf("most recent entry missing: hit=%v d=%g", hit, d)
-	}
-}
-
-// TestVerifyCacheBudgetSemantics pins the verdict-reuse rules: an exact
-// distance answers any radius; a proven non-answer only covers radii up
-// to its budget and upgrades when re-verified at a larger one.
-func TestVerifyCacheBudgetSemantics(t *testing.T) {
-	c := newVerifyCache(32)
-	k := vcKey{q: "q", id: 1}
-	// Proven non-answer at budget 2.
-	c.put(k, distance.Infinite, 2)
-	if _, hit := c.lookup(k, 2); !hit {
-		t.Fatal("negative verdict must answer sigma <= budget")
-	}
-	if _, hit := c.lookup(k, 3); hit {
-		t.Fatal("negative verdict must not answer sigma > budget")
-	}
-	// Upgrade to a larger budget; smaller-budget re-put must not downgrade.
-	c.put(k, distance.Infinite, 5)
-	if _, hit := c.lookup(k, 4); !hit {
-		t.Fatal("budget upgrade lost")
-	}
-	c.put(k, distance.Infinite, 1)
-	if _, hit := c.lookup(k, 4); !hit {
-		t.Fatal("smaller-budget put downgraded the entry")
-	}
-	// Exact verdict answers any radius and is never overwritten.
-	c.put(k, 3, 4)
-	if d, hit := c.lookup(k, 100); !hit || d != 3 {
-		t.Fatalf("exact verdict not reusable at larger radius: hit=%v d=%g", hit, d)
-	}
-	if d, hit := c.lookup(k, 1); !hit || d != 3 {
-		t.Fatalf("exact verdict not reusable at smaller radius: hit=%v d=%g", hit, d)
-	}
-	c.put(k, distance.Infinite, 50)
-	if d, hit := c.lookup(k, 100); !hit || d != 3 {
-		t.Fatalf("exact verdict overwritten by a negative one: hit=%v d=%g", hit, d)
 	}
 }
 

@@ -51,12 +51,8 @@ type BenchReport struct {
 	AvgAnswers           float64 `json:"avg_answers"`
 	// avg_prescreen_rejects counts candidates the prescreen (fingerprint
 	// or graph invariants) refuted per query on the cold pass — work the
-	// branch-and-bound verifier no longer sees. verify_cache_hit_rate is measured on a
-	// second, warm pass over the same query set: of the candidates that
-	// survived the prescreen, the fraction answered from the verify
-	// cache instead of re-verified.
+	// branch-and-bound verifier no longer sees.
 	AvgPrescreenRejects float64 `json:"avg_prescreen_rejects"`
-	VerifyCacheHitRate  float64 `json:"verify_cache_hit_rate"`
 	// avg_plan_ms is the planning slice of avg_filter_ms, not an extra
 	// stage: avg_filter_ms + avg_verify_ms is the whole query.
 	AvgPlanMS   float64 `json:"avg_plan_ms"`
@@ -215,18 +211,6 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 	rep.AvgAllocKBPerQuery = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / 1024 / n
 	rep.TotalMS = ms(wall)
 	rep.QueriesPerSec = n / wall.Seconds()
-
-	// Warm pass: the same queries again, against the now-populated verify
-	// cache. Of the candidates that survive the prescreen, the fraction
-	// answered from the cache is the steady-state hit rate a production
-	// workload with repeated queries would see.
-	var warm core.Stats
-	for _, q := range qs {
-		warm.Add(s.Search(q, sigma).Stats)
-	}
-	if reached := warm.VerifyCacheHits + warm.Verified; reached > 0 {
-		rep.VerifyCacheHitRate = float64(warm.VerifyCacheHits) / float64(reached)
-	}
 
 	measureRestart(env.Index, &rep)
 	rep.PeakRSSMB = peakRSSMB()

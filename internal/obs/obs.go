@@ -244,6 +244,16 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
+// Add moves the gauge by d; concurrent Adds all land.
+func (g *Gauge) Add(d float64) {
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
+}
+
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -5,6 +5,7 @@
 package segment
 
 import (
+	"context"
 	"time"
 
 	"pis/internal/core"
@@ -33,6 +34,20 @@ var (
 	mCompactedGraphs = obs.Default().Counter(
 		"pis_compacted_graphs_total",
 		"Graphs surviving into rebuilt bases across all compactions.")
+
+	memoLookups = obs.Default().CounterVec(
+		"pis_result_memo_lookups_total",
+		"Segment reads by what the result memo did: hit = answered from an entry brought up to date, miss = no usable entry, fallback = entry found but the full pipeline was cheaper or (kNN) a ranked neighbour was deleted.",
+		"outcome")
+	mMemoHit       = memoLookups.With("hit")
+	mMemoMiss      = memoLookups.With("miss")
+	mMemoFallback  = memoLookups.With("fallback")
+	mMemoRefreshed = obs.Default().Counter(
+		"pis_result_memo_refreshed_graphs_total",
+		"Graphs verified by result-memo hits to catch up with inserts.")
+	mMemoBytes = obs.Default().Gauge(
+		"pis_result_memo_bytes",
+		"Bytes the result memos of this process's open segments account for.")
 )
 
 // SearchTraced is Search plus a span tree describing where the query's
@@ -41,8 +56,8 @@ var (
 func (s *Segment) SearchTraced(q *graph.Graph, sigma float64) (core.Result, *obs.Span) {
 	start := time.Now()
 	sn := s.snapshot()
-	r := sn.srch.SearchView(q, sigma, sn.view)
-	sn.remap(&r)
+	r, err := sn.search(context.Background(), q, sigma)
+	core.Rethrow(err)
 	sp := r.Trace(time.Since(start))
 	sp.SetAttr("delta_graphs", len(sn.view.Delta))
 	if sn.view.Tombs != nil {

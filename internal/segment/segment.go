@@ -39,7 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +137,9 @@ type Segment struct {
 	insMu sync.Mutex
 	// st is the durable backing store; nil for an in-memory segment.
 	st *store.Store
+	// memo remembers what reads answered (memo.go); nil when the searcher
+	// skips verification and has no answers to remember.
+	memo *memo
 	// retired holds mapped indexes replaced by compaction. In-flight
 	// queries run lock-free against the snapshot they took, so an old
 	// mapping cannot be unmapped at swap time; it is parked here and
@@ -247,7 +250,7 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 		}
 	}
 	for _, gid := range snap.Tombs {
-		if local, ok := s.localOf(gid); ok {
+		if local, ok := localOf(s.ids, s.deltaIDs, gid); ok {
 			s.tombs = s.tombs.WithSet(local)
 		}
 	}
@@ -261,7 +264,7 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 				s.maxID = rec.ID
 			}
 		case store.OpDelete:
-			if local, ok := s.localOf(rec.ID); ok {
+			if local, ok := localOf(s.ids, s.deltaIDs, rec.ID); ok {
 				s.tombs = s.tombs.WithSet(local)
 			}
 		}
@@ -345,6 +348,9 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		knn:   core.NewSearcher(base, idx, cfg.KNNCore),
 		maxID: maxID,
 	}
+	if !cfg.Core.SkipVerification {
+		s.memo = new(memo)
+	}
 	s.nlive.Store(int32(len(base)))
 	return s, nil
 }
@@ -354,7 +360,10 @@ type snapshot struct {
 	srch, knn *core.Searcher
 	ids       []int32
 	deltaIDs  []int32
+	maxID     int32
 	view      core.View
+	memo      *memo
+	budget    int64 // the memo's byte bound for a segment of this size
 }
 
 func (s *Segment) snapshot() snapshot {
@@ -365,7 +374,10 @@ func (s *Segment) snapshot() snapshot {
 		knn:      s.knn,
 		ids:      s.ids,
 		deltaIDs: s.deltaIDs,
+		maxID:    s.maxID,
 		view:     core.View{Tombs: s.tombs, Delta: s.delta, DeltaFPs: s.deltaFPs},
+		memo:     s.memo,
+		budget:   max(memoFloorBytes, memoBytesPerGraph*int64(len(s.ids)+len(s.deltaIDs))),
 	}
 }
 
@@ -390,11 +402,12 @@ func (sn *snapshot) remap(r *core.Result) {
 }
 
 // Search answers the SSSD query over the segment's current live graphs;
-// result ids are global.
+// result ids are global. Like every read that verifies, it goes through
+// the result memo (memo.go): a repeated query pays only for the graphs
+// inserted since it was last answered.
 func (s *Segment) Search(q *graph.Graph, sigma float64) core.Result {
-	sn := s.snapshot()
-	r := sn.srch.SearchView(q, sigma, sn.view)
-	sn.remap(&r)
+	r, err := s.SearchCtx(context.Background(), q, sigma)
+	core.Rethrow(err)
 	return r
 }
 
@@ -405,9 +418,7 @@ func (s *Segment) Search(q *graph.Graph, sigma float64) core.Result {
 // like any other, so callers can use it directly.
 func (s *Segment) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
 	sn := s.snapshot()
-	r, err := sn.srch.SearchViewCtx(ctx, q, sigma, sn.view)
-	sn.remap(&r)
-	return r, err
+	return sn.search(ctx, q, sigma)
 }
 
 // SearchNaive verifies every live graph (the reference answer).
@@ -430,11 +441,8 @@ func (s *Segment) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
 // first (ties by ascending global id), searching no farther than
 // maxSigma; startSigma seeds the threshold expansion (0 = default).
 func (s *Segment) SearchKNN(q *graph.Graph, k int, startSigma, maxSigma float64) []core.Neighbor {
-	sn := s.snapshot()
-	ns := sn.knn.SearchKNNView(q, k, startSigma, maxSigma, sn.view)
-	for i := range ns {
-		ns[i].ID = sn.global(ns[i].ID)
-	}
+	ns, err := s.SearchKNNCtx(context.Background(), q, k, startSigma, maxSigma)
+	core.Rethrow(err)
 	return ns
 }
 
@@ -443,11 +451,7 @@ func (s *Segment) SearchKNN(q *graph.Graph, k int, startSigma, maxSigma float64)
 // error.
 func (s *Segment) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
 	sn := s.snapshot()
-	ns, err := sn.knn.SearchKNNViewCtx(ctx, q, k, startSigma, maxSigma, sn.view)
-	for i := range ns {
-		ns[i].ID = sn.global(ns[i].ID)
-	}
-	return ns, err
+	return sn.searchKNN(ctx, q, k, startSigma, maxSigma)
 }
 
 // Insert appends g to the delta under the caller-assigned global id,
@@ -506,7 +510,7 @@ func (s *Segment) CommitInsert(g *graph.Graph, id int32) (needsCompact bool, err
 func (s *Segment) Delete(id int32) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	local, ok := s.localOf(id)
+	local, ok := localOf(s.ids, s.deltaIDs, id)
 	if !ok || s.tombs.Has(local) {
 		return false, nil
 	}
@@ -524,14 +528,12 @@ func (s *Segment) Delete(id int32) (bool, error) {
 
 // localOf resolves a global id to the segment-local id, by binary search
 // over the two ascending id slices.
-func (s *Segment) localOf(id int32) (int32, bool) {
-	if i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id }); i < len(s.ids) && s.ids[i] == id {
+func localOf(ids, deltaIDs []int32, id int32) (int32, bool) {
+	if i, ok := slices.BinarySearch(ids, id); ok {
 		return int32(i), true
 	}
-	if i := sort.Search(len(s.deltaIDs), func(i int) bool { return s.deltaIDs[i] >= id }); i < len(s.deltaIDs) && s.deltaIDs[i] == id {
-		return int32(len(s.base) + i), true
-	}
-	return 0, false
+	i, ok := slices.BinarySearch(deltaIDs, id)
+	return int32(len(ids) + i), ok
 }
 
 // Compact folds the delta and tombstones into a freshly mined and built
@@ -668,6 +670,7 @@ func (s *Segment) Close() error {
 	s.retired = nil
 	idx := s.idx
 	s.mu.Unlock()
+	s.memo.clear()
 	for _, r := range retired {
 		r.Close()
 	}
@@ -772,7 +775,7 @@ func (s *Segment) Tombstoned() int {
 func (s *Segment) Graph(id int32) *graph.Graph {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	local, ok := s.localOf(id)
+	local, ok := localOf(s.ids, s.deltaIDs, id)
 	if !ok || s.tombs.Has(local) {
 		return nil
 	}

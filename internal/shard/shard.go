@@ -30,7 +30,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -503,17 +502,9 @@ func (d *DB) LiveIDs() []int32 {
 // per-shard results into one Result. Ids are global and stable; the
 // answer set equals an unsharded search over the same live graphs.
 func (d *DB) Search(q *graph.Graph, sigma float64) core.Result {
-	parts := make([]core.Result, len(d.segs))
-	var wg sync.WaitGroup
-	for i, seg := range d.segs {
-		wg.Add(1)
-		go func(i int, seg *segment.Segment) {
-			defer wg.Done()
-			parts[i] = seg.Search(q, sigma)
-		}(i, seg)
-	}
-	wg.Wait()
-	return core.MergeGlobal(parts)
+	r, err := d.SearchCtx(context.Background(), q, sigma)
+	core.Rethrow(err) // a background context never cancels; only a panic lands here
+	return r
 }
 
 // SearchCtx is Search under a context. Every shard inherits a derived
@@ -532,22 +523,8 @@ func (d *DB) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core
 // same default as the unsharded batch). Each query snapshots the
 // database independently.
 func (d *DB) SearchBatch(queries []*graph.Graph, sigma float64, workers int) []core.Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]core.Result, len(queries))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *graph.Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = d.Search(q, sigma)
-		}(i, q)
-	}
-	wg.Wait()
+	out, err := d.SearchBatchCtx(context.Background(), queries, sigma, workers)
+	core.Rethrow(err)
 	return out
 }
 
@@ -593,17 +570,8 @@ func (d *DB) SearchBatchCtx(ctx context.Context, queries []*graph.Graph, sigma f
 // seed the shard's threshold expansion so the pass is a single range
 // query.
 func (d *DB) SearchKNN(q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
-	ns, err := d.searchKNN(context.Background(), q, k, maxSigma)
-	if err != nil {
-		// Background context never cancels; only a verification panic can
-		// land here. Re-panic the original value, preserving the legacy
-		// contract.
-		var pe *core.PanicError
-		if errors.As(err, &pe) {
-			panic(pe.Val)
-		}
-		panic(err)
-	}
+	ns, err := d.SearchKNNCtx(context.Background(), q, k, maxSigma)
+	core.Rethrow(err)
 	return ns
 }
 
@@ -612,10 +580,6 @@ func (d *DB) SearchKNN(q *graph.Graph, k int, maxSigma float64) []core.Neighbor 
 // verification pool. Canceled calls return the fully verified neighbors
 // found so far with the context error.
 func (d *DB) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
-	return d.searchKNN(ctx, q, k, maxSigma)
-}
-
-func (d *DB) searchKNN(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	return FanOutKNN(ctx, d.searchers(), q, k, maxSigma)
 }
 

@@ -1,6 +1,8 @@
 package pis_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -189,4 +191,114 @@ func TestConcurrentMutationsSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	runMutationRace(t, db, initial)
+}
+
+// runMemoRace hammers a warmed query pool from several goroutines while
+// one writer inserts, deletes and compacts. Every read of a pooled query
+// is a result-memo lookup racing the writer and the other readers'
+// stores, so under -race this is the memo's concurrency test; and since
+// whatever entries the race left behind answer the final reads, comparing
+// those with a fresh database pins that no reader stored an entry that
+// does not describe the snapshot it was computed over.
+func runMemoRace(t *testing.T, db mutableDB, initial []*pis.Graph) {
+	const (
+		readers = 4
+		steps   = 80
+	)
+	opts := pis.Options{MaxFragmentEdges: 4}
+	pool := gen.Molecules(40, gen.Config{Seed: 9100})
+	queries := gen.Queries(initial, 6, 6, 43)
+	maxEverID := int32(len(initial) + steps)
+	for _, q := range queries { // warm
+		db.Search(q, 2)
+		db.SearchKNN(q, 3, 6)
+	}
+
+	m := &mutationModel{live: make(map[int32]*pis.Graph)}
+	for i, g := range initial {
+		m.live[int32(i)] = g
+		m.ever = append(m.ever, int32(i))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[i%len(queries)]
+				switch i % 3 {
+				case 0:
+					checkConsistentResult(t, db.Search(q, 2), 2, maxEverID)
+				case 1:
+					r, err := db.SearchContext(context.Background(), q, 1)
+					if err != nil {
+						t.Errorf("SearchContext: %v", err)
+					}
+					checkConsistentResult(t, r, 1, maxEverID)
+				case 2:
+					ns := db.SearchKNN(q, 3, 6)
+					for j := 1; j < len(ns); j++ {
+						if ns[j-1].Distance > ns[j].Distance || (ns[j-1].Distance == ns[j].Distance && ns[j-1].ID >= ns[j].ID) {
+							t.Errorf("kNN order violated: %v", ns)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	rng := rand.New(rand.NewSource(7100))
+	for i := 0; i < steps; i++ {
+		applyRandomOp(t, rng, db, m, pool)
+	}
+	close(stop)
+	wg.Wait()
+
+	live := db.LiveIDs()
+	rank := make(map[int32]int32, len(live))
+	survivors := make([]*pis.Graph, len(live))
+	for i, id := range live {
+		rank[id], survivors[i] = int32(i), m.live[id]
+	}
+	fresh, err := pis.New(survivors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range queries {
+		for _, sigma := range []float64{1, 2} {
+			compareAnswers(t, fmt.Sprintf("after the race, q%d σ=%g", qi, sigma), db.Search(q, sigma), fresh.Search(q, sigma), rank)
+		}
+		got, want := db.SearchKNN(q, 3, 6), fresh.SearchKNN(q, 3, 6)
+		if len(got) != len(want) {
+			t.Fatalf("after the race, kNN q%d: %v, want %v", qi, got, want)
+		}
+		for i := range got {
+			if rank[got[i].ID] != want[i].ID || got[i].Distance != want[i].Distance {
+				t.Fatalf("after the race, kNN q%d: %v, want %v (fresh ids)", qi, got, want)
+			}
+		}
+	}
+}
+
+func TestConcurrentMemoUnsharded(t *testing.T) {
+	initial := gen.Molecules(30, gen.Config{Seed: 63})
+	db, err := pis.New(initial, pis.Options{MaxFragmentEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runMemoRace(t, db, initial)
+}
+
+func TestConcurrentMemoSharded(t *testing.T) {
+	initial := gen.Molecules(30, gen.Config{Seed: 64})
+	db, err := pis.NewSharded(initial, 3, pis.Options{MaxFragmentEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runMemoRace(t, db, initial)
 }

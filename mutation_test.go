@@ -2,6 +2,7 @@ package pis_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -29,6 +30,7 @@ type mutableDB interface {
 	Graph(id int32) *pis.Graph
 	LiveIDs() []int32
 	Search(q *pis.Graph, sigma float64) pis.Result
+	SearchContext(ctx context.Context, q *pis.Graph, sigma float64) (pis.Result, error)
 	SearchKNN(q *pis.Graph, k int, maxSigma float64) []pis.Neighbor
 	SearchBatch(queries []*pis.Graph, sigma float64, workers int) []pis.Result
 	Stats() pis.IndexStats

@@ -211,13 +211,6 @@ type Options struct {
 	// Answers are unaffected either way; only how many candidates the
 	// prescreen can refute before branch-and-bound.
 	SignatureWords int
-	// VerifyCacheSize bounds the per-segment verification-result cache
-	// (entries, across both of its rotation generations): exact
-	// branch-and-bound verdicts memoized per (canonical query, graph)
-	// and reused by isomorphic queries until the next compaction folds
-	// the segment into a new index generation. 0 means the default
-	// 32768; negative disables the cache.
-	VerifyCacheSize int
 
 	// QueryTimeout bounds every SearchContext / SearchKNNContext /
 	// SearchBatchContext call (0 = none): queries that run longer are cut
@@ -346,7 +339,6 @@ func (o Options) coreOptions() core.Options {
 		PlannerBudget:        o.PlannerBudget,
 		PlannerCrossover:     o.PlannerCrossover,
 		PlannerFeedbackOff:   o.PlannerFeedbackOff,
-		VerifyCacheSize:      o.VerifyCacheSize,
 	}
 }
 
@@ -611,21 +603,26 @@ func (db *Database) SearchKNNContext(ctx context.Context, q *Graph, k int, maxSi
 // launching further queries. Results align with queries; on a non-nil
 // error, entries for queries that never ran are zero Results.
 func (db *Database) SearchBatchContext(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
+	qctx, cancel := queryContext(ctx, db.queryTimeout)
+	defer cancel()
+	out, err := db.searchBatch(qctx, queries, sigma, workers)
+	return out, wrapCtxErr(err)
+}
+
+func (db *Database) searchBatch(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
 	for _, q := range queries {
 		mustBeConnected(q)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	qctx, cancel := queryContext(ctx, db.queryTimeout)
-	defer cancel()
 	out := make([]Result, len(queries))
 	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i, q := range queries {
-		if qctx.Err() != nil {
-			errs[i] = qctx.Err()
+		if ctx.Err() != nil {
+			errs[i] = ctx.Err()
 			break
 		}
 		wg.Add(1)
@@ -633,13 +630,13 @@ func (db *Database) SearchBatchContext(ctx context.Context, queries []*Graph, si
 		go func(i int, q *Graph) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = db.seg.SearchCtx(qctx, q, sigma)
+			out[i], errs[i] = db.seg.SearchCtx(ctx, q, sigma)
 		}(i, q)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return out, wrapCtxErr(err)
+			return out, err
 		}
 	}
 	return out, nil
@@ -690,25 +687,8 @@ func (db *Database) SearchKNN(q *Graph, k int, maxSigma float64) []Neighbor {
 // SearchBatch answers many queries concurrently with workers goroutines
 // (0 = GOMAXPROCS). Results align with queries.
 func (db *Database) SearchBatch(queries []*Graph, sigma float64, workers int) []Result {
-	for _, q := range queries {
-		mustBeConnected(q)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]Result, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, q := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = db.seg.Search(q, sigma)
-		}(i, q)
-	}
-	wg.Wait()
+	out, err := db.searchBatch(context.Background(), queries, sigma, workers)
+	core.Rethrow(err)
 	return out
 }
 

@@ -80,21 +80,26 @@ type SearchRequest struct {
 // (invariant_rejects of them by the graph invariants); range_candidates
 // and dist_candidates are what the σ range queries and the partition
 // bound left of the indexed rest; every graph that reached verification
-// is counted once in verify_cache_hits or verified. The naive and
-// topoPrune methods skip the prescreen and the cache.
+// is counted once in verify_cache_hits or verified. memo_hit marks a
+// search answered from a segment's result memo (on a sharded backend: by
+// at least one shard): verify_cache_hits then counts the answers carried
+// over, verified and refreshed the graphs inserted since that were
+// verified to catch up, and the filter counters of those shards are zero.
 type StatsJSON struct {
-	QueryFragments    int `json:"query_fragments"`
-	UsedFragments     int `json:"used_fragments"`
-	ExpandedFragments int `json:"expanded_fragments"`
-	PartitionSize     int `json:"partition_size"`
-	StructCandidates  int `json:"struct_candidates"`
-	RangeCandidates   int `json:"range_candidates"`
-	DistCandidates    int `json:"dist_candidates"`
-	PrescreenRejects  int `json:"prescreen_rejects"`
-	InvariantRejects  int `json:"invariant_rejects"`
-	VerifyCacheHits   int `json:"verify_cache_hits"`
-	Verified          int `json:"verified"`
-	VerifyNodes       int `json:"verify_nodes"`
+	QueryFragments    int  `json:"query_fragments"`
+	UsedFragments     int  `json:"used_fragments"`
+	ExpandedFragments int  `json:"expanded_fragments"`
+	PartitionSize     int  `json:"partition_size"`
+	StructCandidates  int  `json:"struct_candidates"`
+	RangeCandidates   int  `json:"range_candidates"`
+	DistCandidates    int  `json:"dist_candidates"`
+	PrescreenRejects  int  `json:"prescreen_rejects"`
+	InvariantRejects  int  `json:"invariant_rejects"`
+	VerifyCacheHits   int  `json:"verify_cache_hits"`
+	Verified          int  `json:"verified"`
+	VerifyNodes       int  `json:"verify_nodes"`
+	MemoHit           bool `json:"memo_hit"`
+	Refreshed         int  `json:"refreshed"`
 	// plan_ms is the planning slice of filter_ms (not a disjoint
 	// stage); filter_ms + verify_ms is the full instrumented time.
 	PlanMS   float64 `json:"plan_ms"`
@@ -116,6 +121,8 @@ func encodeStats(s pis.SearchStats) StatsJSON {
 		VerifyCacheHits:   s.VerifyCacheHits,
 		Verified:          s.Verified,
 		VerifyNodes:       s.VerifyNodes,
+		MemoHit:           s.MemoHits > 0,
+		Refreshed:         s.Refreshed,
 		PlanMS:            float64(s.PlanTime.Microseconds()) / 1000,
 		FilterMS:          float64(s.FilterTime.Microseconds()) / 1000,
 		VerifyMS:          float64(s.VerifyTime.Microseconds()) / 1000,

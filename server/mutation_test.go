@@ -243,6 +243,49 @@ func TestCompactEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsResultCache: compaction changes no answer and no id, so
+// a cached /search must survive POST /compact, still cached and still
+// what a fresh database over the same live graphs answers.
+func TestCompactKeepsResultCache(t *testing.T) {
+	ts, db, graphs := newMutableServer(t, Config{})
+	extra := gen.Molecules(1, gen.Config{Seed: 502})[0]
+	if code := doJSON(t, "POST", ts.URL+"/graphs", InsertRequest{Graph: EncodeGraph(extra)}, nil); code != 200 {
+		t.Fatalf("insert status %d", code)
+	}
+	doJSON(t, "DELETE", ts.URL+"/graphs/3", nil, nil)
+	req := SearchRequest{Query: EncodeGraph(gen.Queries(graphs, 1, 6, 7)[0]), Sigma: 2}
+	var first, second SearchResponse
+	postJSON(t, ts.URL+"/search", req, &first)
+	if first.Cached || len(first.Answers) == 0 {
+		t.Fatalf("first search: cached=%v answers=%v; want an executed search with answers", first.Cached, first.Answers)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/compact", nil, nil); code != 200 {
+		t.Fatalf("compact status %d", code)
+	}
+	postJSON(t, ts.URL+"/search", req, &second)
+	if !second.Cached {
+		t.Error("/compact cleared the result cache")
+	}
+
+	live := db.LiveIDs()
+	survivors := make([]*pis.Graph, len(live))
+	for i, id := range live {
+		survivors[i] = db.Graph(id)
+	}
+	fresh, err := pis.New(survivors, pis.Options{MaxFragmentEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := DecodeGraph(req.Query)
+	var want []int32
+	for _, i := range fresh.Search(q, 2).Answers {
+		want = append(want, live[i])
+	}
+	if !reflect.DeepEqual(second.Answers, want) {
+		t.Errorf("cached answers after /compact %v, a fresh database says %v", second.Answers, want)
+	}
+}
+
 // TestInsertBadRequests: malformed insert bodies are rejected.
 func TestInsertBadRequests(t *testing.T) {
 	ts, _, _ := newMutableServer(t, Config{})

@@ -84,6 +84,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE pis_wal_appends_total counter",
 		"# TYPE pis_snapshots_total counter",
 		"# TYPE pis_compactions_total counter",
+		"# TYPE pis_result_memo_lookups_total counter",
+		"# TYPE pis_result_memo_refreshed_graphs_total counter",
+		"# TYPE pis_result_memo_bytes gauge",
 		"# TYPE pis_index_range_queries_total counter",
 		"# TYPE pis_graphs_live gauge",
 		"# TYPE pis_goroutines gauge",
@@ -286,6 +289,51 @@ func TestStatsRuntimeBlock(t *testing.T) {
 	}
 	if verify := sl["verify"]; verify.P99MS < verify.P50MS {
 		t.Errorf("verify p99 %v < p50 %v", verify.P99MS, verify.P50MS)
+	}
+}
+
+// TestMemoVisible: a repeated query after a write skips the server's
+// result cache (the write cleared it) and is answered from the segments'
+// result memos, and the response, its trace, /stats and /metrics all say
+// so.
+func TestMemoVisible(t *testing.T) {
+	ts, _, graphs := newMutableServer(t, Config{})
+	req := SearchRequest{Query: EncodeGraph(graphs[4]), Sigma: 1}
+	var cold, warm SearchResponse
+	postJSON(t, ts.URL+"/search", req, &cold)
+	if cold.Stats.MemoHit || cold.Cached {
+		t.Fatalf("first search: %+v cached=%v", cold.Stats, cold.Cached)
+	}
+	var st0 ServerStats
+	getJSON(t, ts.URL+"/stats", &st0)
+	if code := doJSON(t, "POST", ts.URL+"/graphs", InsertRequest{Graph: req.Query}, nil); code != 200 {
+		t.Fatalf("insert status %d", code)
+	}
+	postJSON(t, ts.URL+"/search?trace=1", req, &warm)
+	if warm.Cached || !warm.Stats.MemoHit || warm.Stats.Refreshed != 1 || warm.Stats.VerifyCacheHits != len(cold.Answers) {
+		t.Fatalf("search after an insert: cached=%v stats %+v; want a memo hit that verified the one new graph", warm.Cached, warm.Stats)
+	}
+	if len(warm.Answers) != len(cold.Answers)+1 {
+		t.Fatalf("answers %v, want %v plus the inserted copy of the query", warm.Answers, cold.Answers)
+	}
+	if warm.Trace == nil || warm.Trace.Attrs["memo_hit"] != true || warm.Trace.Attrs["refreshed"] != float64(1) {
+		t.Fatalf("search span attributes: %+v", warm.Trace)
+	}
+	var st1 ServerStats
+	getJSON(t, ts.URL+"/stats", &st1)
+	// Two shards: two lookups per search.
+	if d := st1.Memo.Hits - st0.Memo.Hits; d != 2 {
+		t.Errorf("/stats memo.hits advanced by %d, want 2", d)
+	}
+	if d := st1.Memo.RefreshedGraphs - st0.Memo.RefreshedGraphs; d != 1 {
+		t.Errorf("/stats memo.refreshed_graphs advanced by %d, want 1", d)
+	}
+	if st1.Memo.Bytes <= 0 || st1.Memo.Misses < 2 {
+		t.Errorf("/stats memo block: %+v", st1.Memo)
+	}
+	_, body, _ := getBody(t, ts.URL+"/metrics")
+	if got := metricValue(t, body, `pis_result_memo_lookups_total{outcome="hit"}`); int64(got) != st1.Memo.Hits {
+		t.Errorf("/metrics counts %v memo hits, /stats %d", got, st1.Memo.Hits)
 	}
 }
 

@@ -15,8 +15,10 @@
 // Search and kNN results are cached in an LRU keyed by the query's
 // canonical form (minimum DFS code plus weights) and the search
 // parameters, so isomorphic queries submitted with different vertex
-// orders share one entry. Any mutation clears the cache — a changed
-// database can change any answer set — observable in /stats. Each query
+// orders share one entry. An insert or a delete clears the cache — a
+// changed database can change any answer set — observable in /stats; the
+// segments' result memos underneath (internal/segment) are not cleared,
+// so a repeated query then pays only for the graphs written since. Each query
 // request runs against the consistent snapshot the backend takes when
 // the request starts. An optional in-flight limit bounds concurrent
 // query execution; Run serves with graceful shutdown.
@@ -614,25 +616,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	results := make([]SearchResponse, len(queries))
 
-	// Serve cached queries immediately; run the misses as one batch. Keys
-	// are canonicalized once and reused when storing the miss results.
-	var missIdx []int
+	// Serve cached queries immediately; run the misses as one batch, one
+	// search per distinct key however often the batch repeats a query.
+	// Keys are canonicalized once and reused when storing the results.
 	var missQueries []*pis.Graph
 	var missKeys []string
+	missOf := make(map[string]int) // key -> position in missQueries
+	from := make([]int, len(queries))
 	for i, q := range queries {
+		key := searchKey(q, req.Sigma)
 		if s.cache.Enabled() {
-			key := searchKey(q, req.Sigma)
 			if v, ok := s.cache.Get(key); ok {
 				results[i] = v.(SearchResponse)
 				results[i].Cached = true
+				from[i] = -1
 				continue
 			}
-			missKeys = append(missKeys, key)
-		} else {
-			missKeys = append(missKeys, "")
 		}
-		missIdx = append(missIdx, i)
-		missQueries = append(missQueries, q)
+		j, seen := missOf[key]
+		if !seen {
+			j = len(missQueries)
+			missOf[key] = j
+			missQueries = append(missQueries, q)
+			missKeys = append(missKeys, key)
+		}
+		from[i] = j
 	}
 	if len(missQueries) > 0 {
 		workers := req.Workers
@@ -647,8 +655,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeQueryError(w, err)
 			return
 		}
+		executed := make([]SearchResponse, len(rs))
 		for j, r := range rs {
-			results[missIdx[j]] = s.cacheSearchResult(missKeys[j], r, gen)
+			executed[j] = s.cacheSearchResult(missKeys[j], r, gen)
+		}
+		for i, j := range from {
+			if j >= 0 {
+				results[i] = executed[j]
+			}
 		}
 	}
 	elapsed := msSince(start)
@@ -681,8 +695,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EncodeGraph(g))
 }
 
-// invalidate clears the result cache and counts one accepted mutation:
-// any database change can alter any cached answer set.
+// invalidate clears the result cache and counts one accepted insert or
+// delete: either can alter any cached answer set.
 func (s *Server) invalidate(kind *int64) {
 	s.cache.Clear()
 	s.mu.Lock()
@@ -755,7 +769,11 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "compaction failed: "+err.Error())
 		return
 	}
-	s.invalidate(&s.mutations.Compactions)
+	// Compaction changes representation only: no answer and no id moves,
+	// so the result cache stays.
+	s.mu.Lock()
+	s.mutations.Compactions++
+	s.mu.Unlock()
 	ist := s.backend.Stats()
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Graphs:    s.backend.Len(),
@@ -894,6 +912,18 @@ type plannerBackend interface {
 	PlannerState() []pis.PlannerCell
 }
 
+// MemoStatsJSON reports the result memos of this process's segments (the
+// pis_result_memo_* metrics; on a cluster node, its own shard replicas):
+// lookups by outcome, the graphs hits verified to catch up with inserts,
+// and the bytes held.
+type MemoStatsJSON struct {
+	Hits            int64 `json:"hits"`
+	Misses          int64 `json:"misses"`
+	Fallbacks       int64 `json:"fallbacks"`
+	RefreshedGraphs int64 `json:"refreshed_graphs"`
+	Bytes           int64 `json:"bytes"`
+}
+
 // CacheStatsJSON reports result-cache occupancy and effectiveness.
 type CacheStatsJSON struct {
 	Capacity int   `json:"capacity"`
@@ -916,6 +946,7 @@ type ServerStats struct {
 	Shards        int                          `json:"shards,omitempty"`
 	Index         IndexStatsJSON               `json:"index"`
 	Cache         CacheStatsJSON               `json:"cache"`
+	Memo          MemoStatsJSON                `json:"memo"`
 	Planner       PlannerStatsJSON             `json:"planner"`
 	Mutations     MutationStatsJSON            `json:"mutations"`
 	Durability    *DurabilityStatsJSON         `json:"durability,omitempty"`
@@ -946,6 +977,8 @@ type ClusterStatsJSON struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ist := s.backend.Stats()
 	entries, hits, misses := s.cache.Counters()
+	reg := obs.Default()
+	lookups := reg.CounterVec("pis_result_memo_lookups_total", "", "outcome")
 	out := ServerStats{
 		Graphs: s.backend.Len(),
 		Index:  encodeIndexStats(ist),
@@ -954,6 +987,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Entries:  entries,
 			Hits:     hits,
 			Misses:   misses,
+		},
+		Memo: MemoStatsJSON{
+			Hits:            lookups.Value("hit"),
+			Misses:          lookups.Value("miss"),
+			Fallbacks:       lookups.Value("fallback"),
+			RefreshedGraphs: reg.Counter("pis_result_memo_refreshed_graphs_total", "").Value(),
+			Bytes:           int64(reg.Gauge("pis_result_memo_bytes", "").Value()),
 		},
 		Durability:    encodeDurability(s.backend.Durability()),
 		Requests:      make(map[string]EndpointStatsJSON),
