@@ -1,9 +1,10 @@
-// Weighted: linear mutation distance with an R-tree index.
+// Weighted: linear mutation distance over numeric attributes.
 //
 // When graph attributes are numeric (bond lengths here), the paper's
-// linear mutation distance LD = Σ|w - w'| replaces label mismatch counts,
-// and each structural equivalence class is indexed with an R-tree over
-// weight vectors instead of a trie (paper §4, Example 3).
+// linear mutation distance LD = Σ|w - w'| replaces label mismatch counts
+// (paper §4, Example 3). The metric is the only thing to choose: under it
+// every structural equivalence class stores its fragments' weights
+// instead of their labels.
 //
 // Run with: go run ./examples/weighted
 package main
@@ -22,13 +23,12 @@ func main() {
 
 	db, err := pis.New(molecules, pis.Options{
 		Metric: pis.LinearEdgeDistance, // Σ |w(e) − w'(e)| over the superposition
-		Kind:   pis.RTreeIndex,         // per-class R-tree over weight vectors
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	st := db.Stats()
-	fmt.Printf("R-tree index: %d classes, %d fragment vectors\n\n", st.Features, st.Sequences)
+	fmt.Printf("index: %d classes, %d fragment weight vectors\n\n", st.Features, st.Sequences)
 
 	queries := gen.Queries(molecules, 5, 8, 77)
 	// Bond lengths differ by ~0.03 Å noise per bond; an 8-edge query tree
@@ -48,6 +48,6 @@ func main() {
 		fmt.Printf("σ=%.1f Å: %3d answers | candidates: topo %4d, PIS %4d\n",
 			sigma, total, candTopo, candPIS)
 	}
-	fmt.Println("\ntighter geometric thresholds prune harder — the R-tree range")
-	fmt.Println("query shrinks with σ while structure-only filtering cannot.")
+	fmt.Println("\ntighter geometric thresholds prune harder — the σ range query")
+	fmt.Println("shrinks with σ while structure-only filtering cannot.")
 }

@@ -46,7 +46,6 @@ func TestWeightedMolecules(t *testing.T) {
 	molecules := gen.Molecules(30, gen.Config{Seed: 2, Weighted: true})
 	db, err := pis.New(molecules, pis.Options{
 		Metric: pis.LinearEdgeDistance,
-		Kind:   pis.RTreeIndex,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,11 @@ func randomMolecule(rng *rand.Rand, n int) *graph.Graph {
 			return 2
 		}
 	}
+	// Weights come from the endpoints, not from rng, so the labels a seed
+	// gives do not depend on them; weight metrics get quarter steps.
 	for i := 1; i < n; i++ {
-		b.AddEdge(int32(rng.Intn(i)), int32(i), lab())
+		u := rng.Intn(i)
+		b.AddWeightedEdge(int32(u), int32(i), lab(), float64((3*u+i)%8)/4)
 	}
 	return b.MustBuild()
 }
@@ -51,7 +54,7 @@ func newFixture(t testing.TB, seed int64, n int) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := index.Build(db, feats, index.Options{Kind: index.TrieIndex, Metric: distance.EdgeMutation{}})
+	idx, err := index.Build(db, feats, index.Options{Metric: distance.EdgeMutation{}})
 	if err != nil {
 		t.Fatal(err)
 	}

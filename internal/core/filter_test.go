@@ -30,7 +30,7 @@ func newMolFixture(t testing.TB, n int) molFixture {
 		t.Fatal(err)
 	}
 	metric := distance.EdgeMutation{}
-	heap, err := index.Build(db, feats, index.Options{Kind: index.TrieIndex, Metric: metric})
+	heap, err := index.Build(db, feats, index.Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}

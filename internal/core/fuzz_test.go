@@ -89,7 +89,7 @@ func FuzzSearchSigma(f *testing.F) {
 		if err != nil || len(feats) == 0 {
 			return // degenerate workload: nothing to index
 		}
-		idx, err := index.Build(db, feats, index.Options{Kind: index.TrieIndex, Metric: distance.EdgeMutation{}})
+		idx, err := index.Build(db, feats, index.Options{Metric: distance.EdgeMutation{}})
 		if err != nil {
 			t.Fatalf("index build: %v", err)
 		}

@@ -49,7 +49,7 @@ func newMoleculeFixture(t *testing.T, mapped bool) moleculeFixture {
 		t.Fatal(err)
 	}
 	metric := distance.EdgeMutation{}
-	idx, err := index.Build(db, feats, index.Options{Kind: index.TrieIndex, Metric: metric})
+	idx, err := index.Build(db, feats, index.Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}

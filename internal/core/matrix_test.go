@@ -11,8 +11,8 @@ import (
 	"pis/internal/mining"
 )
 
-// buildWith builds a fixture with an arbitrary metric and index kind.
-func buildWith(t *testing.T, seed int64, n int, kind index.Kind, metric distance.Metric) fixture {
+// buildWith builds a fixture with an arbitrary metric.
+func buildWith(t *testing.T, seed int64, n int, metric distance.Metric) fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := make([]*graph.Graph, n)
@@ -23,24 +23,21 @@ func buildWith(t *testing.T, seed int64, n int, kind index.Kind, metric distance
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := index.Build(db, feats, index.Options{Kind: kind, Metric: metric})
+	idx, err := index.Build(db, feats, index.Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fixture{db: db, idx: idx}
 }
 
-// TestMatrixMetricAllKinds runs a non-unit mutation score matrix through
-// the trie and VP-tree class indexes: fractional relabeling costs exercise
-// the budgeted walks with non-integer budgets, and every method must agree
-// with naive.
+// TestMatrixMetricAllKinds runs the metrics that price in fractions — a
+// non-unit mutation score matrix, and the linear distance over weights —
+// through the range scan: fractional costs exercise the budgeted walk with
+// non-integer budgets, and PIS must agree with naive on answers and
+// distances.
 func TestMatrixMetricAllKinds(t *testing.T) {
-	m := distance.NewMatrix()
-	m.SetEdgeScore(0, 1, 0.5) // cheap mutation
-	m.SetEdgeScore(1, 2, 0.25)
-	m.SetVertexScore(0, 1, 0.75)
-	for _, kind := range []index.Kind{index.TrieIndex, index.VPTreeIndex} {
-		fx := buildWith(t, 71, 25, kind, m)
+	for _, m := range []distance.Metric{testMatrix(), distance.Linear{}} {
+		fx := buildWith(t, 71, 25, m)
 		s := NewSearcher(fx.db, fx.idx, Options{})
 		rng := rand.New(rand.NewSource(72))
 		for trial := 0; trial < 6; trial++ {
@@ -48,9 +45,9 @@ func TestMatrixMetricAllKinds(t *testing.T) {
 			sigma := []float64{0.5, 1.25, 2}[trial%3]
 			pis := s.Search(q, sigma)
 			naive := s.SearchNaive(q, sigma)
-			if !equalIDs(pis.Answers, naive.Answers) {
-				t.Fatalf("%v trial %d σ=%v: PIS %v != naive %v",
-					kind, trial, sigma, pis.Answers, naive.Answers)
+			if !equalIDs(pis.Answers, naive.Answers) || !equalF64(pis.Distances, naive.Distances) {
+				t.Fatalf("%T trial %d σ=%v: PIS %v %v != naive %v %v",
+					m, trial, sigma, pis.Answers, pis.Distances, naive.Answers, naive.Distances)
 			}
 		}
 	}

@@ -26,25 +26,16 @@ func plannerSweep() []Options {
 }
 
 func TestPlannerDifferentialSearch(t *testing.T) {
-	cases := []struct {
-		name   string
-		kind   index.Kind
-		metric distance.Metric
-	}{
-		{"trie/edge", index.TrieIndex, distance.EdgeMutation{}},
-		{"trie/full", index.TrieIndex, distance.FullMutation{}},
-		{"vptree/edge", index.VPTreeIndex, distance.EdgeMutation{}},
-	}
-	for _, tc := range cases {
+	for _, tc := range metricCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(900))
-			fx := buildFixture(t, rng, 35, tc.kind, tc.metric)
+			fx := buildFixture(t, rng, 35, tc.metric)
 			exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
 			for oi, opts := range plannerSweep() {
 				planned := NewSearcher(fx.db, fx.idx, opts)
 				for trial := 0; trial < 6; trial++ {
 					q := sampleQuery(rng, fx.db, 3+rng.Intn(5))
-					sigma := float64(rng.Intn(4))
+					sigma := float64(rng.Intn(13)) / 4
 					want := exhaustive.Search(q, sigma)
 					got := planned.Search(q, sigma)
 					if !equalIDs(want.Answers, got.Answers) || !equalF64(want.Distances, got.Distances) {
@@ -71,7 +62,7 @@ func TestPlannerDifferentialSearch(t *testing.T) {
 
 func TestPlannerDifferentialKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(910))
-	fx := buildFixture(t, rng, 40, index.TrieIndex, distance.EdgeMutation{})
+	fx := buildFixture(t, rng, 40, distance.EdgeMutation{})
 	exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
 	for oi, opts := range plannerSweep() {
 		planned := NewSearcher(fx.db, fx.idx, opts)
@@ -97,7 +88,7 @@ func TestPlannerDifferentialKNN(t *testing.T) {
 // (tombstones + delta) under planner and exhaustive expansion.
 func TestPlannerDifferentialWithView(t *testing.T) {
 	rng := rand.New(rand.NewSource(920))
-	fx := buildFixture(t, rng, 30, index.TrieIndex, distance.EdgeMutation{})
+	fx := buildFixture(t, rng, 30, distance.EdgeMutation{})
 	exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
 	planned := NewSearcher(fx.db, fx.idx, Options{})
 	for trial := 0; trial < 10; trial++ {
@@ -137,7 +128,7 @@ func TestPlannerDifferentialWithView(t *testing.T) {
 // queries than the exhaustive path while returning the same answers.
 func TestPlannerSavesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(930))
-	fx := buildFixture(t, rng, 60, index.TrieIndex, distance.EdgeMutation{})
+	fx := buildFixture(t, rng, 60, distance.EdgeMutation{})
 	exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
 	planned := NewSearcher(fx.db, fx.idx, Options{})
 	totalEx, totalPl := 0, 0
@@ -161,7 +152,7 @@ func TestPlannerSavesWork(t *testing.T) {
 // and must still be exact.
 func TestPlannerSkipAllStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(940))
-	fx := buildFixture(t, rng, 30, index.TrieIndex, distance.EdgeMutation{})
+	fx := buildFixture(t, rng, 30, distance.EdgeMutation{})
 	s := NewSearcher(fx.db, fx.idx, Options{PlannerBudget: 1e12})
 	for trial := 0; trial < 8; trial++ {
 		q := sampleQuery(rng, fx.db, 3+rng.Intn(4))

@@ -40,6 +40,20 @@ func IgnoresVertices(m Metric) bool {
 	return ok && vb.VertexBlind()
 }
 
+// WeightKeyed is the optional interface a Metric implements to declare
+// that its costs depend on element weights only, never on labels. Indexes
+// then store a fragment's weights instead of its labels, and price a
+// stored fragment by calling the metric with zero labels.
+type WeightKeyed interface {
+	WeightKeyed() bool
+}
+
+// ReadsWeights reports whether the metric declares itself weight-keyed.
+func ReadsWeights(m Metric) bool {
+	wk, ok := m.(WeightKeyed)
+	return ok && wk.WeightKeyed()
+}
+
 // CostFloor is the optional interface a Metric implements to declare
 // lower bounds on the cost of superimposing two elements whose labels
 // differ. The fingerprint prescreen multiplies label-multiset deficits by
@@ -227,6 +241,9 @@ func (l Linear) VertexCost(_ graph.VLabel, wa float64, _ graph.VLabel, wb float6
 // VertexBlind implements VertexBlind: true when vertex weights are
 // excluded from the measure.
 func (l Linear) VertexBlind() bool { return !l.IncludeVertices }
+
+// WeightKeyed implements WeightKeyed: labels never enter the measure.
+func (Linear) WeightKeyed() bool { return true }
 
 // EdgeCost implements Metric.
 func (Linear) EdgeCost(_ graph.ELabel, wa float64, _ graph.ELabel, wb float64) float64 {

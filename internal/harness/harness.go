@@ -93,10 +93,7 @@ func BuildEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := index.BuildParallel(db, feats, index.Options{
-		Kind:   index.TrieIndex,
-		Metric: distance.EdgeMutation{},
-	}, 0)
+	idx, err := index.BuildParallel(db, feats, index.Options{Metric: distance.EdgeMutation{}}, 0)
 	if err != nil {
 		return nil, err
 	}

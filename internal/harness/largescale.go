@@ -100,10 +100,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 		restoreMemLimit = func() { debug.SetMemoryLimit(prev) }
 	}
 	start := time.Now()
-	sres, err := index.BuildStreaming(src, cfg.DBSize, feats, index.Options{
-		Kind:   index.TrieIndex,
-		Metric: distance.EdgeMutation{},
-	}, idxPath, index.StreamOptions{ArenaBytes: lo.ArenaBytes})
+	sres, err := index.BuildStreaming(src, cfg.DBSize, feats, index.Options{Metric: distance.EdgeMutation{}}, idxPath, index.StreamOptions{ArenaBytes: lo.ArenaBytes})
 	buildDur := time.Since(start)
 	if serr := stop(); err == nil {
 		err = serr

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -20,7 +19,6 @@ import (
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
-	"pis/internal/rtree"
 )
 
 // molFixture is a molecule-like corpus (rings, fused rings, heteroatoms,
@@ -32,14 +30,14 @@ type molFixture struct {
 	mapped *Index
 }
 
-func newMolFixture(t testing.TB, kind Kind, metric distance.Metric, n int) molFixture {
+func newMolFixture(t testing.TB, metric distance.Metric, n int) molFixture {
 	t.Helper()
-	db := chem.Generate(n, chem.Config{Seed: 11, Weighted: kind == RTreeIndex})
+	db := chem.Generate(n, chem.Config{Seed: 11, Weighted: distance.ReadsWeights(metric)})
 	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := Build(db, feats, Options{Kind: kind, Metric: metric})
+	heap, err := Build(db, feats, Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +51,6 @@ func newMolFixture(t testing.TB, kind Kind, metric distance.Metric, n int) molFi
 	}
 	t.Cleanup(func() { mapped.Close() })
 	return molFixture{db: db, heap: heap, mapped: mapped}
-}
-
-var filterKinds = []struct {
-	kind   Kind
-	metric distance.Metric
-}{
-	{TrieIndex, distance.EdgeMutation{}},
-	{VPTreeIndex, distance.EdgeMutation{}},
-	{RTreeIndex, distance.Linear{}},
 }
 
 // queryFragmentsByExtract is QueryFragments as it was before the scratch:
@@ -81,23 +70,19 @@ func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 		}
 		qf := QueryFragment{Class: c, Edges: ecopy, Vertices: frag.Vertices()}
 		emb := embs[0]
-		L := c.SeqLen()
-		switch x.opts.Kind {
-		case TrieIndex, VPTreeIndex:
-			qf.Seq = make([]uint32, L)
-			for k := 0; k < c.vOff; k++ {
-				qf.Seq[k] = uint32(sub.VLabelAt(int(emb.Vertices[k])))
+		qf.Key = make([]uint64, c.SeqLen())
+		for k := 0; k < c.vOff; k++ {
+			v := int(emb.Vertices[k])
+			qf.Key[k] = uint64(sub.VLabelAt(v))
+			if x.weights {
+				qf.Key[k] = math.Float64bits(sub.VWeightAt(v))
 			}
-			for t := 0; t < c.NumE; t++ {
-				qf.Seq[c.vOff+t] = uint32(sub.EdgeAt(int(emb.Edges[t])).Label)
-			}
-		case RTreeIndex:
-			qf.Vec = make([]float64, L)
-			for k := 0; k < c.vOff; k++ {
-				qf.Vec[k] = sub.VWeightAt(int(emb.Vertices[k]))
-			}
-			for t := 0; t < c.NumE; t++ {
-				qf.Vec[c.vOff+t] = sub.EdgeAt(int(emb.Edges[t])).Weight
+		}
+		for t := 0; t < c.NumE; t++ {
+			e := sub.EdgeAt(int(emb.Edges[t]))
+			qf.Key[c.vOff+t] = uint64(e.Label)
+			if x.weights {
+				qf.Key[c.vOff+t] = math.Float64bits(e.Weight)
 			}
 		}
 		out = append(out, qf)
@@ -118,23 +103,21 @@ func sameFragments(a, b []QueryFragment) error {
 			return fmt.Errorf("fragment %d: edges %v, want %v", i, a[i].Edges, b[i].Edges)
 		case !slices.Equal(a[i].Vertices, b[i].Vertices):
 			return fmt.Errorf("fragment %d: vertices %v, want %v", i, a[i].Vertices, b[i].Vertices)
-		case !slices.Equal(a[i].Seq, b[i].Seq):
-			return fmt.Errorf("fragment %d: seq %v, want %v", i, a[i].Seq, b[i].Seq)
-		case !slices.Equal(a[i].Vec, b[i].Vec):
-			return fmt.Errorf("fragment %d: vec %v, want %v", i, a[i].Vec, b[i].Vec)
+		case !slices.Equal(a[i].Key, b[i].Key):
+			return fmt.Errorf("fragment %d: key %v, want %v", i, a[i].Key, b[i].Key)
 		}
 	}
 	return nil
 }
 
 // TestQueryFragmentsMatchExtract: the scratch enumeration returns the
-// Extract-based list — class, edges, vertices, sequence or weights, in
-// order — for every kind, with one scratch reused across all queries and
-// with a fresh one per query.
+// Extract-based list — class, edges, vertices, key of labels or weights,
+// in order — for every metric, with one scratch reused across all queries
+// and with a fresh one per query.
 func TestQueryFragmentsMatchExtract(t *testing.T) {
-	for _, k := range filterKinds {
-		t.Run(k.kind.String(), func(t *testing.T) {
-			fx := newMolFixture(t, k.kind, k.metric, 200)
+	for _, k := range metricCases {
+		t.Run(k.name, func(t *testing.T) {
+			fx := newMolFixture(t, k.metric, 200)
 			var fs FragmentScratch
 			checked := 0
 			for _, m := range []int{8, 12, 16, 24} {
@@ -160,7 +143,7 @@ func TestQueryFragmentsMatchExtract(t *testing.T) {
 // reallocates must stay intact, and a later append through one of them
 // must not reach its neighbour.
 func TestQueryFragmentsSurviveSlabGrowth(t *testing.T) {
-	fx := newMolFixture(t, TrieIndex, distance.EdgeMutation{}, 200)
+	fx := newMolFixture(t, distance.EdgeMutation{}, 200)
 	q := chem.SampleQueries(fx.db, 1, 24, 3)[0]
 	got := fx.heap.QueryFragments(q) // a fresh scratch grows from nothing
 	if err := sameFragments(got, queryFragmentsByExtract(fx.heap, q)); err != nil {
@@ -175,44 +158,25 @@ func TestQueryFragmentsSurviveSlabGrowth(t *testing.T) {
 }
 
 // rangeByFold answers the range query the slow way: every stored entry of
-// the class against every automorphism variant of the probe, min-folded
-// per graph in a map and sorted at the end.
+// the class against every automorphism variant of the probe, one variant
+// at a time, min-folded per graph in a map and sorted at the end.
 func rangeByFold(x *Index, qf QueryFragment, sigma float64, tombs *Tombstones) (ids []int32, dists []float64) {
 	c := qf.Class
 	best := map[int32]float64{}
-	fold := func(id int32, d float64) {
-		if d > sigma || tombs.Has(id) {
-			return
-		}
-		if old, ok := best[id]; !ok || d < old {
-			best[id] = d
-		}
-	}
-	switch x.opts.Kind {
-	case TrieIndex:
-		c.trie.Walk(func(seq []uint32, graphs []int32) {
-			d := c.orbitDistance(qf.Seq, seq, x.opts.Metric)
-			for _, id := range graphs {
-				fold(id, d)
+	for e := 0; e < c.ents.entries(); e++ {
+		d := math.Inf(1)
+		for _, v := range c.Variants(qf.Key) {
+			sum := 0.0
+			for i, a := range v {
+				sum += x.cost(c, i, a, c.ents.key(e)[i])
 			}
-		})
-	case VPTreeIndex:
-		for i, seq := range c.vpSeq {
-			fold(c.vpIDs[i], c.orbitDistance(qf.Seq, seq, x.opts.Metric))
+			d = math.Min(d, sum)
 		}
-	case RTreeIndex:
-		c.rt.SearchL1(qf.Vec, math.MaxFloat64, func(e rtree.Entry, _ float64) bool {
-			d := math.Inf(1)
-			for _, p := range c.perms {
-				s := 0.0
-				for i, src := range p {
-					s += math.Abs(qf.Vec[src] - e.Point[i])
-				}
-				d = math.Min(d, s)
+		for _, id := range c.ents.run(e) {
+			if old, ok := best[id]; d <= sigma && !tombs.Has(id) && (!ok || d < old) {
+				best[id] = d
 			}
-			fold(e.Data, d)
-			return true
-		})
+		}
 	}
 	for id := range best {
 		ids = append(ids, id)
@@ -241,9 +205,9 @@ func randomTombstones(rng *rand.Rand, n int) *Tombstones {
 // the mapped index, and equal to the brute-force fold — with one
 // RangeBuffer reused throughout, so a bit left behind would show.
 func TestRangeQueryIntoAscendingAndExact(t *testing.T) {
-	for _, k := range filterKinds {
-		t.Run(k.kind.String(), func(t *testing.T) {
-			fx := newMolFixture(t, k.kind, k.metric, 200)
+	for _, k := range metricCases {
+		t.Run(k.name, func(t *testing.T) {
+			fx := newMolFixture(t, k.metric, 200)
 			rng := rand.New(rand.NewSource(7))
 			tombs := randomTombstones(rng, len(fx.db))
 			var hp, mp PostingList
@@ -256,10 +220,7 @@ func TestRangeQueryIntoAscendingAndExact(t *testing.T) {
 				}
 				for trial := 0; trial < 6; trial++ {
 					i := rng.Intn(len(hfs))
-					sigma := float64(rng.Intn(4))
-					if k.kind == RTreeIndex {
-						sigma = rng.Float64() * 3
-					}
+					sigma := float64(rng.Intn(13)) / 4 // the matrix and Linear price in fractions
 					tb := tombs
 					if trial%2 == 0 {
 						tb = nil
@@ -278,7 +239,7 @@ func TestRangeQueryIntoAscendingAndExact(t *testing.T) {
 						t.Fatalf("sigma=%v: heap and mapped differ:\n%v %v\n%v %v", sigma, hp.IDs, hp.Dists, mp.IDs, mp.Dists)
 					}
 					wantIDs, wantDists := rangeByFold(fx.heap, hfs[i], sigma, tb)
-					if !slices.Equal(hp.IDs, wantIDs) || !floatsClose(hp.Dists, wantDists) {
+					if !slices.Equal(hp.IDs, wantIDs) || !slices.Equal(hp.Dists, wantDists) {
 						t.Fatalf("sigma=%v: got\n%v %v\nbrute force\n%v %v", sigma, hp.IDs, hp.Dists, wantIDs, wantDists)
 					}
 					if tb == nil {
@@ -304,25 +265,11 @@ func TestRangeQueryIntoAscendingAndExact(t *testing.T) {
 	}
 }
 
-// floatsClose compares distance lists whose sums may have been taken in a
-// different order (the R-tree adds coordinates in tree order).
-func floatsClose(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRangeBufferSharedAcrossSizes: one buffer serving indexes of
 // different sizes, smaller first, must regrow for the larger one.
 func TestRangeBufferSharedAcrossSizes(t *testing.T) {
-	small, sdb := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 3, 65)
-	large, ldb := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 3, 120)
+	small, sdb := buildSmall(t, distance.EdgeMutation{}, 3, 65)
+	large, ldb := buildSmall(t, distance.EdgeMutation{}, 3, 120)
 	var pl PostingList
 	var rb RangeBuffer
 	for _, side := range []struct {
@@ -344,7 +291,7 @@ func TestRangeBufferSharedAcrossSizes(t *testing.T) {
 // about 250 indexed fragments — allocates nothing, where the
 // Extract-based one made about 7,700 allocations per query.
 func TestQueryFragmentsAllocs(t *testing.T) {
-	fx := newMolFixture(t, TrieIndex, distance.EdgeMutation{}, 200)
+	fx := newMolFixture(t, distance.EdgeMutation{}, 200)
 	qs := chem.SampleQueries(fx.db, 8, 24, 9)
 	var fs FragmentScratch
 	frags := 0
@@ -364,12 +311,12 @@ func TestQueryFragmentsAllocs(t *testing.T) {
 }
 
 // TestBuildMatchesExtractOps: the scratch-based build folds exactly the
-// ops the Extract-based enumeration would, for every kind — the check
+// ops the Extract-based enumeration would, for every metric — the check
 // behind "the emitted image bytes are identical".
 func TestBuildMatchesExtractOps(t *testing.T) {
-	for _, k := range filterKinds {
-		t.Run(k.kind.String(), func(t *testing.T) {
-			fx := newMolFixture(t, k.kind, k.metric, 60)
+	for _, k := range metricCases {
+		t.Run(k.name, func(t *testing.T) {
+			fx := newMolFixture(t, k.metric, 60)
 			x := fx.heap
 			var fs FragmentScratch
 			for _, g := range fx.db {
@@ -381,7 +328,6 @@ func TestBuildMatchesExtractOps(t *testing.T) {
 					if c == nil {
 						return true
 					}
-					op := insertOp{class: c}
 					verts := []int32{}
 					for v := 0; v < sub.N(); v++ {
 						verts = append(verts, int32(v))
@@ -390,16 +336,16 @@ func TestBuildMatchesExtractOps(t *testing.T) {
 					for e := range local {
 						local[e] = int32(e)
 					}
-					switch x.opts.Kind {
-					case TrieIndex, VPTreeIndex:
-						op.seq = c.canonicalVariant(appendFragmentSequence(nil, sub, verts, local, c, embs[0]))
-					case RTreeIndex:
-						op.vec = appendFragmentWeights(nil, sub, verts, local, c, embs[0])
+					key := x.appendKey(nil, sub, verts, local, c, embs[0])
+					if !x.weights { // label keys are stored as their smallest variant
+						key = slices.MinFunc(c.Variants(key), slices.Compare[[]uint64])
 					}
-					want = append(want, op)
+					want = append(want, insertOp{class: c, key: key})
 					return true
 				})
-				if got := x.computeOps(g, &fs); !reflect.DeepEqual(got, want) {
+				if got := x.computeOps(g, &fs); !slices.EqualFunc(got, want, func(a, b insertOp) bool {
+					return a.class == b.class && slices.Equal(a.key, b.key)
+				}) {
 					t.Fatalf("ops differ for a graph of %d edges", g.M())
 				}
 			}
@@ -414,7 +360,7 @@ func benchQueries(b *testing.B, fx molFixture, m int) []*graph.Graph {
 
 // BenchmarkQueryFragments is fragment enumeration alone, per query.
 func BenchmarkQueryFragments(b *testing.B) {
-	fx := newMolFixture(b, TrieIndex, distance.EdgeMutation{}, 400)
+	fx := newMolFixture(b, distance.EdgeMutation{}, 400)
 	for _, m := range []int{16, 24} {
 		b.Run(fmt.Sprintf("Q%d", m), func(b *testing.B) {
 			qs := benchQueries(b, fx, m)
@@ -428,27 +374,41 @@ func BenchmarkQueryFragments(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeQueryInto is one σ=1 range query over a Q24 query's
-// fragments, the selective workload's shape.
+// BenchmarkRangeQueryInto is one range query with the median fragment of
+// a Q24 query (the selective workload's shape) per metric family, radius
+// and residency: what the per-class structures of the paper's Figure 5
+// used to differ on. 0 allocs/op is the steady state of every cell.
 func BenchmarkRangeQueryInto(b *testing.B) {
-	fx := newMolFixture(b, TrieIndex, distance.EdgeMutation{}, 2000)
-	for _, side := range []struct {
-		name string
-		x    *Index
-	}{{"heap", fx.heap}, {"mapped", fx.mapped}} {
-		b.Run(side.name, func(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		metric distance.Metric
+		sigmas []float64
+	}{
+		{"EdgeMutation", distance.EdgeMutation{}, []float64{1, 2, 4}},
+		{"FullMutation", distance.FullMutation{}, []float64{1, 2, 4}},
+		{"Linear", distance.Linear{}, []float64{0.3, 1.5}},
+	} {
+		fx := newMolFixture(b, tc.metric, 2000)
+		for _, side := range []struct {
+			name string
+			x    *Index
+		}{{"heap", fx.heap}, {"mapped", fx.mapped}} {
 			var qfs []QueryFragment
 			for _, q := range benchQueries(b, fx, 24) {
 				fs := side.x.QueryFragments(q)
 				qfs = append(qfs, fs[len(fs)/2])
 			}
-			var pl PostingList
-			var rb RangeBuffer
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				side.x.RangeQueryInto(qfs[i%len(qfs)], 1, &pl, &rb, nil)
+			for _, sigma := range tc.sigmas {
+				b.Run(fmt.Sprintf("%s/sigma=%v/%s", tc.name, sigma, side.name), func(b *testing.B) {
+					var pl PostingList
+					var rb RangeBuffer
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						side.x.RangeQueryInto(qfs[i%len(qfs)], sigma, &pl, &rb, nil)
+					}
+				})
 			}
-		})
+		}
 	}
 }

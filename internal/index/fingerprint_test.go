@@ -16,7 +16,7 @@ import (
 // same width.
 func TestGraphFPPersistRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 61, 18)
+	x, _ := buildSmall(t, metric, 61, 18)
 	if !x.HasFingerprints() {
 		t.Fatal("built index carries no fingerprints")
 	}
@@ -42,7 +42,7 @@ func TestGraphFPPersistRoundTrip(t *testing.T) {
 // build produces.
 func TestEnsureFingerprintsSectionlessImage(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 62, 18)
+	x, db := buildSmall(t, metric, 62, 18)
 	built := x.fps
 	x.fps = nil // Save omits the section for an index without a table
 	var buf bytes.Buffer
@@ -84,7 +84,7 @@ func TestEnsureFingerprintsSectionlessImage(t *testing.T) {
 // single false rejection would drop a correct answer.
 func TestQueryFPAdmissibility(t *testing.T) {
 	for _, metric := range []distance.Metric{distance.EdgeMutation{}, distance.FullMutation{}} {
-		x, db := buildSmall(t, TrieIndex, metric, 63, 24)
+		x, db := buildSmall(t, metric, 63, 24)
 		vf, ef := distance.CostFloors(metric)
 		rng := rand.New(rand.NewSource(64))
 		checked, rejected := 0, 0
@@ -123,7 +123,7 @@ func TestQueryFPAdmissibility(t *testing.T) {
 // still enforcing the structural bounds.
 func TestDeltaFPIsSignatureless(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 65, 12)
+	x, db := buildSmall(t, metric, 65, 12)
 	g := db[0]
 	fp := DeltaFP(g)
 	if fp.Sig != nil {

@@ -12,10 +12,11 @@ import (
 // range query without panicking and only with ids inside the database,
 // the two readers agree, and a heap-loaded index saves again. The
 // committed corpus (testdata/fuzz/FuzzIndexLoad) holds one small image
-// per Kind — written by the last commit that still had other formats, so
-// a plain `go test` also proves those bytes keep opening — plus the two
+// per kind byte — written by the last commit that still had other formats,
+// so a plain `go test` also proves those bytes keep opening — plus the two
 // crafted count-bomb images of TestPersistRejectsOversizedCounts. full
-// picks the metric, whose vertex-blindness must match the image's.
+// picks the metric, whose vertex-blindness must match the image's; both
+// read labels, so the weight image of the corpus is a rejection.
 func FuzzIndexLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, full bool) {
 		var metric distance.Metric = distance.EdgeMutation{}
@@ -43,7 +44,7 @@ func FuzzIndexLoad(f *testing.F) {
 		for i, c := range hx.Classes() {
 			mc := mx.Classes()[i]
 			probe := func(c *Class) QueryFragment {
-				return QueryFragment{Class: c, Seq: make([]uint32, c.SeqLen()), Vec: make([]float64, c.SeqLen())}
+				return QueryFragment{Class: c, Key: make([]uint64, c.SeqLen())}
 			}
 			hx.RangeQueryInto(probe(c), 2, &hl, &hb, nil)
 			mx.RangeQueryInto(probe(mc), 2, &ml, &mb, nil)

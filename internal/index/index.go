@@ -3,15 +3,14 @@
 // answer the range query d(g, g') <= σ over the labeled fragments of one
 // structural equivalence class.
 //
-// Three per-class index kinds mirror Figure 5 of the paper: a trie over
-// canonical label sequences (mutation distance), an R-tree over weight
-// vectors (linear mutation distance), and a VP-tree under the exact
-// fragment metric (any measure).
+// Every class stores its fragments the same way, as a sorted slab of
+// fixed-length keys probed by one scan (slab.go); the metric alone decides
+// whether a key holds labels or weights.
 //
 // Sequence alignment and superposition minimization both come from
 // canonical DFS codes: the labels of a fragment are laid out along the
 // class code's vertex and edge order, and the class's automorphism
-// permutations generate every superposition variant. Storing one canonical
+// permutations generate every superposition variant. Storing one
 // representative per fragment and probing with every variant of the query
 // fragment yields exactly min over superpositions (see DESIGN.md §3).
 package index
@@ -26,41 +25,13 @@ import (
 	"pis/internal/graph"
 	"pis/internal/mining"
 	"pis/internal/mmapio"
-	"pis/internal/rtree"
-	"pis/internal/trie"
-	"pis/internal/vptree"
 )
-
-// Kind selects the per-class index structure.
-type Kind int
-
-const (
-	// TrieIndex stores canonical label sequences in a trie (mutation
-	// distance; the paper's default for categorical labels).
-	TrieIndex Kind = iota
-	// RTreeIndex stores weight vectors in an R-tree (linear mutation
-	// distance over numeric weights).
-	RTreeIndex
-	// VPTreeIndex stores label sequences in a vantage-point tree under the
-	// exact class metric (any measure; the "metric-based index" option).
-	VPTreeIndex
-)
-
-func (k Kind) String() string {
-	switch k {
-	case TrieIndex:
-		return "trie"
-	case RTreeIndex:
-		return "rtree"
-	case VPTreeIndex:
-		return "vptree"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Options configures index construction.
 type Options struct {
-	Kind   Kind
+	// Metric is the superimposed distance measure. It also decides what a
+	// class stores: weights when it declares distance.WeightKeyed, labels
+	// otherwise, without the vertex positions when it is vertex-blind.
 	Metric distance.Metric
 	// MaxFragmentEdges bounds the fragments enumerated from database
 	// graphs; it defaults to the largest feature size.
@@ -82,27 +53,22 @@ type Class struct {
 	NumE      int
 	// vOff is the number of vertex positions included in sequences: NumV
 	// normally, 0 when the metric declares itself vertex-blind (vertex
-	// positions would never contribute cost, only trie fan-out).
+	// positions would never contribute cost, only distinct keys).
 	vOff int
 
 	// perms are the automorphism-induced position permutations over the
 	// combined (vertex labels ++ edge labels) sequence.
 	perms [][]int
 
-	trie  *trie.Trie
-	vpSeq [][]uint32 // VPTreeIndex: stored sequences
-	vpIDs []int32    // VPTreeIndex: graph id per stored sequence
-	vp    *vptree.Tree
-	rt    *rtree.Tree
-	rtEnt []rtree.Entry // staging for bulk load
+	ents  slab    // stored entries, sealed by finalize
+	stage staging // entries while a build or a Load folds them in
 
 	postings  []int32 // sorted unique graph ids containing the structure
 	fragments int     // total fragment occurrences folded in
 
 	// Mapped (out-of-core) state: the class's stored entries and posting
 	// list live as delta+varint blocks inside the file mapping, decoded
-	// on demand. When mapped is set the heap structures above
-	// (trie/vp/rt/postings) are nil.
+	// on demand. When mapped is set ents and postings are empty.
 	mapped    bool
 	entBlock  []byte
 	postBlock []byte
@@ -152,10 +118,15 @@ func (c *Class) Fragments() int { return c.fragments }
 
 // Index is the fragment-based index over one graph database.
 type Index struct {
-	opts    Options
-	classes map[string]*Class
-	list    []*Class
-	dbSize  int
+	opts Options
+	// weights records that keys hold weights, not labels (the metric is
+	// distance.WeightKeyed); singleID that a mapped index's entry blocks
+	// hold one id per entry instead of a counted run (slab.go).
+	weights  bool
+	singleID bool
+	classes  map[string]*Class
+	list     []*Class
+	dbSize   int
 	// fingerprint identifies the exact graph set the index was built
 	// over (graph.Fingerprint).
 	fingerprint uint64
@@ -222,6 +193,7 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 
 	x := &Index{
 		opts:    opts,
+		weights: distance.ReadsWeights(opts.Metric),
 		classes: make(map[string]*Class, len(features)),
 		memo:    canon.NewMemo(),
 	}
@@ -239,9 +211,6 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 			vOff = 0
 		}
 		c := newClass(len(x.list), f.Key, f.Code, cg, embs, vOff)
-		if opts.Kind == TrieIndex {
-			c.trie = trie.New(c.SeqLen())
-		}
 		x.classes[f.Key] = c
 		x.list = append(x.list, c)
 	}
@@ -274,135 +243,13 @@ func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon
 	return c
 }
 
-// finalize builds the bulk-loaded per-class structures.
+// finalize seals every class's staged entries into its sorted slab, one
+// class at a time so the staging of the others is all that stays live.
 func (x *Index) finalize() {
 	for _, c := range x.list {
-		switch x.opts.Kind {
-		case RTreeIndex:
-			c.rt = rtree.BulkLoad(c.SeqLen(), c.rtEnt)
-			c.rtEnt = nil
-		case VPTreeIndex:
-			items := make([]int32, len(c.vpSeq))
-			for i := range items {
-				items[i] = int32(i)
-			}
-			cc := c
-			c.vp = vptree.Build(items, func(a, b int32) float64 {
-				return cc.orbitDistance(cc.vpSeq[a], cc.vpSeq[b], x.opts.Metric)
-			})
-		}
+		c.ents = c.stage.seal(c.SeqLen(), x.weights)
+		c.stage = staging{}
 	}
-}
-
-// canonicalVariant returns the lexicographically smallest automorphism
-// variant of seq, the stored representative, in a slice of its own.
-func (c *Class) canonicalVariant(seq []uint32) []uint32 {
-	best := append([]uint32(nil), seq...)
-	if len(c.perms) == 1 {
-		return best // a lone automorphism is the identity
-	}
-	tmp := make([]uint32, len(seq))
-	for _, p := range c.perms {
-		for i, src := range p {
-			tmp[i] = seq[src]
-		}
-		if lessSeq(tmp, best) {
-			best, tmp = tmp, best
-		}
-	}
-	return best
-}
-
-// Variants returns every distinct automorphism variant of seq, used to
-// probe the class index with a query fragment. For a class with a single
-// automorphism (the identity — the common case) the result aliases seq
-// without copying; callers must not modify the returned slices.
-func (c *Class) Variants(seq []uint32) [][]uint32 {
-	if len(c.perms) == 1 {
-		// A lone automorphism of the canonical structure is necessarily the
-		// identity, so the only variant is seq itself.
-		return [][]uint32{seq}
-	}
-	seen := map[string]bool{}
-	var out [][]uint32
-	tmp := make([]uint32, len(seq))
-	for _, p := range c.perms {
-		for i, src := range p {
-			tmp[i] = seq[src]
-		}
-		k := seqKey(tmp)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, append([]uint32(nil), tmp...))
-		}
-	}
-	return out
-}
-
-// orbitDistance is the exact fragment distance between two stored
-// sequences: min over automorphism variants of the per-position cost.
-func (c *Class) orbitDistance(a, b []uint32, m distance.Metric) float64 {
-	best := distance.Infinite
-	tmp := make([]uint32, len(a))
-	for _, p := range c.perms {
-		for i, src := range p {
-			tmp[i] = a[src]
-		}
-		d := 0.0
-		for i := range tmp {
-			d += c.positionCost(m, i, tmp[i], b[i])
-			if d >= best {
-				break
-			}
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// positionCost prices substituting symbol a with b at sequence position i.
-func (c *Class) positionCost(m distance.Metric, i int, a, b uint32) float64 {
-	if i < c.vOff {
-		return m.VertexCost(graph.VLabel(a), 0, graph.VLabel(b), 0)
-	}
-	return m.EdgeCost(graph.ELabel(a), 0, graph.ELabel(b), 0)
-}
-
-func lessSeq(a, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func sameSlice(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// seqKey encodes a sequence as a byte string for dedup. All four bytes of
-// every symbol are kept: truncating would silently collide symbols that
-// differ only above the low 16 bits, merging distinct variants.
-func seqKey(seq []uint32) string {
-	b := make([]byte, len(seq)*4)
-	for i, s := range seq {
-		b[4*i] = byte(s)
-		b[4*i+1] = byte(s >> 8)
-		b[4*i+2] = byte(s >> 16)
-		b[4*i+3] = byte(s >> 24)
-	}
-	return string(b)
 }
 
 // QueryFragment is one indexed fragment occurrence inside a query graph.
@@ -410,8 +257,9 @@ type QueryFragment struct {
 	Class    *Class
 	Edges    []int32 // query edge indices
 	Vertices []int32 // query vertex indices (sorted)
-	Seq      []uint32
-	Vec      []float64
+	// Key holds the fragment's labels, or the bits of its weights under a
+	// weight metric, along the class code's vertex and edge order.
+	Key []uint64
 }
 
 // FragmentScratch is the working memory of fragment enumeration: the
@@ -425,8 +273,7 @@ type FragmentScratch struct {
 
 	out []QueryFragment
 	i32 []int32
-	u32 []uint32
-	f64 []float64
+	u64 []uint64
 }
 
 // classify resolves the fragment of host made of edges (in that order:
@@ -458,7 +305,7 @@ func (x *Index) QueryFragments(q *graph.Graph) []QueryFragment {
 // warmed-up call allocates nothing.
 func (x *Index) QueryFragmentsInto(q *graph.Graph, fs *FragmentScratch) []QueryFragment {
 	fs.out = fs.out[:0]
-	fs.i32, fs.u32, fs.f64 = fs.i32[:0], fs.u32[:0], fs.f64[:0]
+	fs.i32, fs.u64 = fs.i32[:0], fs.u64[:0]
 	fs.enum.Enumerate(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
 		fs.sorted = append(fs.sorted[:0], edges...)
 		slices.Sort(fs.sorted)
@@ -469,16 +316,9 @@ func (x *Index) QueryFragmentsInto(q *graph.Graph, fs *FragmentScratch) []QueryF
 		qf := QueryFragment{Class: c}
 		fs.i32, qf.Edges = carve(fs.i32, fs.sorted)
 		fs.i32, qf.Vertices = carve(fs.i32, fs.ren.Vertices)
-		switch x.opts.Kind {
-		case TrieIndex, VPTreeIndex:
-			n := len(fs.u32)
-			fs.u32 = appendFragmentSequence(fs.u32, q, fs.ren.Vertices, fs.sorted, c, emb)
-			qf.Seq = fs.u32[n:len(fs.u32):len(fs.u32)]
-		case RTreeIndex:
-			n := len(fs.f64)
-			fs.f64 = appendFragmentWeights(fs.f64, q, fs.ren.Vertices, fs.sorted, c, emb)
-			qf.Vec = fs.f64[n:len(fs.f64):len(fs.f64)]
-		}
+		n := len(fs.u64)
+		fs.u64 = x.appendKey(fs.u64, q, fs.ren.Vertices, fs.sorted, c, emb)
+		qf.Key = fs.u64[n:len(fs.u64):len(fs.u64)]
 		fs.out = append(fs.out, qf)
 		return true
 	})
@@ -494,31 +334,6 @@ func carve(slab, vals []int32) (grown, piece []int32) {
 	return slab, slab[n:len(slab):len(slab)]
 }
 
-// appendFragmentSequence appends a fragment's labels along the class code
-// order for one canonical embedding, read from the host through the
-// renumbering classify left behind: verts are its host vertices ascending,
-// edges its host edge indices in the order classify saw them.
-func appendFragmentSequence(dst []uint32, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []uint32 {
-	for k := 0; k < c.vOff; k++ {
-		dst = append(dst, uint32(host.VLabelAt(int(verts[emb.Vertices[k]]))))
-	}
-	for t := 0; t < c.NumE; t++ {
-		dst = append(dst, uint32(host.EdgeAt(int(edges[emb.Edges[t]])).Label))
-	}
-	return dst
-}
-
-// appendFragmentWeights is appendFragmentSequence for weights.
-func appendFragmentWeights(dst []float64, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []float64 {
-	for k := 0; k < c.vOff; k++ {
-		dst = append(dst, host.VWeightAt(int(verts[emb.Vertices[k]])))
-	}
-	for t := 0; t < c.NumE; t++ {
-		dst = append(dst, host.EdgeAt(int(edges[emb.Edges[t]])).Weight)
-	}
-	return dst
-}
-
 // PostingList is the flat result of one range query: graph ids ascending
 // with the minimum fragment distance aligned per id. The slices are owned
 // by the caller-provided buffer and reused across queries; consumers must
@@ -531,7 +346,7 @@ type PostingList struct {
 // Len returns the number of in-range graphs.
 func (pl *PostingList) Len() int { return len(pl.IDs) }
 
-// RangeBuffer is the dedup and probe scratch shared by every
+// RangeBuffer is the dedup and scan scratch shared by every
 // RangeQueryInto call of one query. Observations are folded through a
 // dense array indexed by graph id beside a bitmap of the ids seen, so
 // recording is O(1) per observation and the distinct ids come out
@@ -544,11 +359,9 @@ type RangeBuffer struct {
 	// lo and hi bound the words of seen holding a set bit (lo > hi: none).
 	lo, hi int
 
-	useq []uint32  // flat storage of already-probed sequence variants
-	vvec []float64 // R-tree probe variant
-
-	mseq []uint32  // mapped scan: decoded stored sequence
-	mvec []float64 // mapped scan: decoded stored vector
+	priced []int     // scan: positions summed per automorphism
+	sums   []float64 // scan: prefix sums per automorphism
+	key    []uint64  // mapped scan: the decoded key of the entry priced last
 }
 
 // begin readies the buffer for one range query over n graphs.
@@ -591,87 +404,18 @@ func (rb *RangeBuffer) emit(pl *PostingList) {
 // ascending with the minimum fragment distance over every superposition
 // aligned per id (Eq. 3 of the paper). Graphs without any in-range
 // fragment are absent, and so is every id in tombs (nil = none): the
-// per-class structures keep deleted graphs until compaction, so the
-// range query is where they stop existing. A steady-state call allocates
+// class stores keep deleted graphs until compaction, so the range query
+// is where they stop existing. A steady-state call allocates
 // nothing beyond buffer growth.
 func (x *Index) RangeQueryInto(qf QueryFragment, sigma float64, pl *PostingList, rb *RangeBuffer, tombs *Tombstones) {
 	mRangeQueries.Inc()
-	c := qf.Class
 	pl.IDs = pl.IDs[:0]
 	pl.Dists = pl.Dists[:0]
 	rb.begin(x.dbSize)
-	// Deferred so that a panic in a probe still leaves the bitmap zeroed
+	// Deferred so that a panic in the metric still leaves the bitmap zeroed
 	// for the buffer's next query.
 	defer rb.emit(pl)
-	record := func(id int32, d float64) {
-		if !tombs.Has(id) {
-			rb.record(id, d)
-		}
-	}
-	if c.mapped {
-		x.mappedRange(c, qf, sigma, rb, record)
-		return
-	}
-	switch x.opts.Kind {
-	case TrieIndex:
-		cost := func(pos int, a, b uint32) float64 { return c.positionCost(x.opts.Metric, pos, a, b) }
-		probe := func(variant []uint32) {
-			c.trie.Range(variant, sigma, cost, func(d float64, graphs []int32) bool {
-				for _, id := range graphs {
-					record(id, d)
-				}
-				return true
-			})
-		}
-		if len(c.perms) == 1 {
-			// A lone automorphism is the identity: probe seq directly.
-			probe(qf.Seq)
-			break
-		}
-		// Generate variants into flat scratch, skipping duplicates; the
-		// handful of automorphisms (≤ 2n for cycles) makes the quadratic
-		// dedup scan cheaper than any map.
-		L := len(qf.Seq)
-		rb.useq = rb.useq[:0]
-		for _, p := range c.perms {
-			base := len(rb.useq)
-			for _, src := range p {
-				rb.useq = append(rb.useq, qf.Seq[src])
-			}
-			variant := rb.useq[base : base+L]
-			dup := false
-			for off := 0; off < base && !dup; off += L {
-				dup = sameSlice(rb.useq[off:off+L], variant)
-			}
-			if dup {
-				rb.useq = rb.useq[:base]
-				continue
-			}
-			probe(variant)
-		}
-	case VPTreeIndex:
-		cc := c
-		c.vp.Range(func(item int32) float64 {
-			return cc.orbitDistance(qf.Seq, cc.vpSeq[item], x.opts.Metric)
-		}, sigma, func(item int32, d float64) bool {
-			record(c.vpIDs[item], d)
-			return true
-		})
-	case RTreeIndex:
-		if cap(rb.vvec) < len(qf.Vec) {
-			rb.vvec = make([]float64, len(qf.Vec))
-		}
-		variant := rb.vvec[:len(qf.Vec)]
-		for _, p := range c.perms {
-			for i, src := range p {
-				variant[i] = qf.Vec[src]
-			}
-			c.rt.SearchL1(variant, sigma, func(e rtree.Entry, d float64) bool {
-				record(e.Data, d)
-				return true
-			})
-		}
-	}
+	x.scanRange(qf, sigma, rb, tombs)
 }
 
 // RangeQuery is RangeQueryInto with a freshly allocated map result, kept
@@ -701,19 +445,7 @@ func (x *Index) Stats() Stats {
 	for _, c := range x.list {
 		s.Fragments += c.fragments
 		s.Postings += c.PostingCount()
-		if c.mapped {
-			s.Sequences += c.entCount
-			continue
-		}
-		if c.trie != nil {
-			s.Sequences += c.trie.Sequences()
-		}
-		if c.vpSeq != nil {
-			s.Sequences += len(c.vpSeq)
-		}
-		if c.rt != nil {
-			s.Sequences += c.rt.Len()
-		}
+		s.Sequences += int(c.stats.Sequences)
 	}
 	return s
 }

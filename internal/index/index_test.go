@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pis/internal/distance"
@@ -12,6 +13,8 @@ import (
 
 // randomMolecule builds a sparse connected graph with chemistry-like label
 // skew: most edges share one label so distances are small but non-zero.
+// Edge weights come from the endpoints, not from rng, so the labels a seed
+// gives do not depend on them; weight metrics get quarter-step distances.
 func randomMolecule(rng *rand.Rand, n int) *graph.Graph {
 	b := graph.NewBuilder(n, n+2)
 	for i := 0; i < n; i++ {
@@ -24,12 +27,39 @@ func randomMolecule(rng *rand.Rand, n int) *graph.Graph {
 		return 0
 	}
 	for i := 1; i < n; i++ {
-		b.AddEdge(int32(rng.Intn(i)), int32(i), lab())
+		u := rng.Intn(i)
+		b.AddWeightedEdge(int32(u), int32(i), lab(), float64((3*u+i)%8)/4)
 	}
 	return b.MustBuild()
 }
 
-func buildSmall(t *testing.T, kind Kind, metric distance.Metric, seed int64, n int) (*Index, []*graph.Graph) {
+// testMatrix is a mutation score matrix with non-uniform, fractional
+// (dyadic, so sums are exact in any order) vertex and edge costs.
+func testMatrix() *distance.Matrix {
+	m := distance.NewMatrix()
+	m.SetEdgeScore(0, 1, 0.5)
+	m.SetEdgeScore(1, 2, 0.25)
+	m.SetVertexScore(0, 1, 0.75)
+	return m
+}
+
+// metricCases are the four exported metrics the differentials of this
+// package run over. "trie", "vptree" and "rtree" are the names three of
+// the cases have carried since each had a per-class structure of its own
+// (the paper's Figure 5: a trie for mutation distance, a metric index
+// for score matrices, an R-tree for linear distance); they are kept so
+// test ids stay comparable across that change.
+var metricCases = []struct {
+	name   string
+	metric distance.Metric
+}{
+	{"trie", distance.EdgeMutation{}},
+	{"full", distance.FullMutation{}},
+	{"vptree", testMatrix()},
+	{"rtree", distance.Linear{}},
+}
+
+func buildSmall(t *testing.T, metric distance.Metric, seed int64, n int) (*Index, []*graph.Graph) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := make([]*graph.Graph, n)
@@ -40,7 +70,7 @@ func buildSmall(t *testing.T, kind Kind, metric distance.Metric, seed int64, n i
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(db, feats, Options{Kind: kind, Metric: metric})
+	x, err := Build(db, feats, Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +78,7 @@ func buildSmall(t *testing.T, kind Kind, metric distance.Metric, seed int64, n i
 }
 
 func TestBuildBasics(t *testing.T) {
-	x, db := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 1, 20)
+	x, db := buildSmall(t, distance.EdgeMutation{}, 1, 20)
 	if x.DBSize() != len(db) {
 		t.Fatalf("DBSize = %d", x.DBSize())
 	}
@@ -87,7 +117,7 @@ func TestBuildValidation(t *testing.T) {
 // postingsOracle: graph contains the class structure iff a structural
 // embedding exists.
 func TestPostingsMatchIsomorphismOracle(t *testing.T) {
-	x, db := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 7, 15)
+	x, db := buildSmall(t, distance.EdgeMutation{}, 7, 15)
 	for _, c := range x.Classes() {
 		want := map[int32]bool{}
 		for id, g := range db {
@@ -125,10 +155,9 @@ func rangeOracle(qf QueryFragment, q *graph.Graph, db []*graph.Graph,
 	return out
 }
 
-func testRangeQueryAgainstOracle(t *testing.T, kind Kind) {
+func testRangeQueryAgainstOracle(t *testing.T, metric distance.Metric) {
 	t.Helper()
-	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, kind, metric, 13, 12)
+	x, db := buildSmall(t, metric, 13, 12)
 	rng := rand.New(rand.NewSource(99))
 	queries := 0
 	for attempts := 0; attempts < 40 && queries < 15; attempts++ {
@@ -138,16 +167,16 @@ func testRangeQueryAgainstOracle(t *testing.T, kind Kind) {
 			continue
 		}
 		qf := qfs[rng.Intn(len(qfs))]
-		sigma := float64(rng.Intn(3))
+		sigma := float64(rng.Intn(6)) / 2
 		want := rangeOracle(qf, q, db, metric, sigma)
 		got := x.RangeQuery(qf, sigma)
 		if len(got) != len(want) {
-			t.Fatalf("%v attempt %d: got %d graphs, want %d (sigma=%v)\n got=%v\nwant=%v",
-				kind, attempts, len(got), len(want), sigma, got, want)
+			t.Fatalf("%T attempt %d: got %d graphs, want %d (sigma=%v)\n got=%v\nwant=%v",
+				metric, attempts, len(got), len(want), sigma, got, want)
 		}
 		for id, d := range want {
 			if got[id] != d {
-				t.Fatalf("%v: graph %d distance %v, oracle %v", kind, id, got[id], d)
+				t.Fatalf("%T: graph %d distance %v, oracle %v", metric, id, got[id], d)
 			}
 		}
 		queries++
@@ -157,8 +186,16 @@ func testRangeQueryAgainstOracle(t *testing.T, kind Kind) {
 	}
 }
 
-func TestRangeQueryTrieMatchesOracle(t *testing.T)   { testRangeQueryAgainstOracle(t, TrieIndex) }
-func TestRangeQueryVPTreeMatchesOracle(t *testing.T) { testRangeQueryAgainstOracle(t, VPTreeIndex) }
+// The range query against branch-and-bound isomorphism under each label
+// metric (names: see metricCases); TestRangeQueryRTreeLinear is the weight
+// metric's.
+func TestRangeQueryTrieMatchesOracle(t *testing.T) {
+	testRangeQueryAgainstOracle(t, distance.EdgeMutation{})
+}
+func TestRangeQueryFullMatchesOracle(t *testing.T) {
+	testRangeQueryAgainstOracle(t, distance.FullMutation{})
+}
+func TestRangeQueryVPTreeMatchesOracle(t *testing.T) { testRangeQueryAgainstOracle(t, testMatrix()) }
 
 func TestRangeQueryRTreeLinear(t *testing.T) {
 	// Weighted DB: weights on edges, linear metric.
@@ -180,7 +217,7 @@ func TestRangeQueryRTreeLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Build(db, feats, Options{Kind: RTreeIndex, Metric: metric})
+	x, err := Build(db, feats, Options{Metric: metric})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +238,7 @@ func TestRangeQueryRTreeLinear(t *testing.T) {
 }
 
 func TestQueryFragmentsMetadata(t *testing.T) {
-	x, db := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 21, 10)
+	x, db := buildSmall(t, distance.EdgeMutation{}, 21, 10)
 	q := db[3]
 	for _, qf := range x.QueryFragments(q) {
 		if len(qf.Edges) != qf.Class.NumE {
@@ -210,7 +247,7 @@ func TestQueryFragmentsMetadata(t *testing.T) {
 		if len(qf.Vertices) != qf.Class.NumV {
 			t.Fatalf("fragment vertex count disagrees with class")
 		}
-		if len(qf.Seq) != qf.Class.SeqLen() {
+		if len(qf.Key) != qf.Class.SeqLen() {
 			t.Fatalf("sequence length mismatch")
 		}
 		for i := 1; i < len(qf.Vertices); i++ {
@@ -222,20 +259,20 @@ func TestQueryFragmentsMetadata(t *testing.T) {
 }
 
 func TestVariantsContainIdentityAndAreClosed(t *testing.T) {
-	x, db := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 2, 8)
+	x, db := buildSmall(t, distance.EdgeMutation{}, 2, 8)
 	q := db[0]
 	qfs := x.QueryFragments(q)
 	if len(qfs) == 0 {
 		t.Skip("no indexed fragments")
 	}
 	for _, qf := range qfs[:min(4, len(qfs))] {
-		variants := qf.Class.Variants(qf.Seq)
+		variants := qf.Class.Variants(qf.Key)
 		found := false
 		for _, v := range variants {
-			if sameSlice(v, qf.Seq) {
+			if slices.Equal(v, qf.Key) {
 				found = true
 			}
-			if len(v) != len(qf.Seq) {
+			if len(v) != len(qf.Key) {
 				t.Fatal("variant length changed")
 			}
 		}
@@ -246,11 +283,4 @@ func TestVariantsContainIdentityAndAreClosed(t *testing.T) {
 			t.Fatal("more variants than automorphisms")
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

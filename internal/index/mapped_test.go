@@ -69,9 +69,9 @@ func queriesEqual(t *testing.T, label string, a, b *Index, db []*graph.Graph) {
 	}
 }
 
-func testMappedDifferential(t *testing.T, kind Kind, metric distance.Metric) {
+func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	t.Helper()
-	x, db := buildSmall(t, kind, metric, 17, 40)
+	x, db := buildSmall(t, metric, 17, 40)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "idx.pisidx3")
 	if err := x.WriteMapped(path); err != nil {
@@ -116,7 +116,7 @@ func testMappedDifferential(t *testing.T, kind Kind, metric distance.Metric) {
 	}
 	spath := filepath.Join(dir, "stream.pisidx3")
 	resStream, err := BuildStreaming(&sliceSource{db: db}, len(db), feats,
-		Options{Kind: kind, Metric: metric}, spath,
+		Options{Metric: metric}, spath,
 		StreamOptions{TempDir: dir, ArenaBytes: 1 << 12}) // tiny arena: force many spill runs
 	if err != nil {
 		t.Fatal(err)
@@ -173,20 +173,61 @@ func testMappedDifferential(t *testing.T, kind Kind, metric distance.Metric) {
 	queriesEqual(t, "saveload-vs-build", rx, x, db)
 }
 
+// One differential per metric; Trie and RTree are the names the
+// EdgeMutation and Linear ones have always had (see metricCases).
 func TestMappedDifferentialTrie(t *testing.T) {
-	testMappedDifferential(t, TrieIndex, distance.EdgeMutation{})
-}
-
-func TestMappedDifferentialVPTree(t *testing.T) {
-	testMappedDifferential(t, VPTreeIndex, distance.EdgeMutation{})
+	testMappedDifferential(t, distance.EdgeMutation{})
 }
 
 func TestMappedDifferentialRTree(t *testing.T) {
-	testMappedDifferential(t, RTreeIndex, distance.Linear{})
+	testMappedDifferential(t, distance.Linear{})
 }
 
 func TestMappedDifferentialFullMetric(t *testing.T) {
-	testMappedDifferential(t, TrieIndex, distance.FullMutation{})
+	testMappedDifferential(t, distance.FullMutation{})
+}
+
+func TestMappedDifferentialMatrix(t *testing.T) {
+	testMappedDifferential(t, testMatrix())
+}
+
+// TestMappedDifferentialVPTree: an image of the VP-tree kind (kind byte 2,
+// one id per entry, repeats included), which nothing writes any more,
+// answers the same mapped in place, decoded onto the heap, and after the
+// heap index saved it again in today's layout.
+func TestMappedDifferentialVPTree(t *testing.T) {
+	metric := distance.EdgeMutation{}
+	path := filepath.Join("testdata", "images", "kind2-labels.pisidx3")
+	db := parentImageDB()
+	mx, err := OpenMapped(path, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hx, err := Load(bytes.NewReader(data), metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mx.Fingerprint() != graph.Fingerprint(db) {
+		t.Fatal("the image is not over parentImageDB")
+	}
+	queriesEqual(t, "heapload-vs-mapped", hx, mx, db)
+	if hs, ms := hx.Stats(), mx.Stats(); hs != ms {
+		t.Fatalf("stats mismatch: heap %+v mapped %+v", hs, ms)
+	}
+	resaved, _ := imageBytes(t, hx)
+	if bytes.Equal(resaved, data) {
+		t.Fatal("the heap index saved the one-id-per-entry layout again")
+	}
+	rx, err := openV3(resaved, metric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queriesEqual(t, "resaved-vs-image", rx, mx, db)
 }
 
 // v3Sections walks the section framing of a v3 image and returns the
@@ -221,7 +262,7 @@ func v3Sections(t *testing.T, data []byte) (sections [][2]int, slabOff int) {
 // named.
 func TestMappedCorruption(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 5, 25)
+	x, _ := buildSmall(t, metric, 5, 25)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "idx.pisidx3")
 	if err := x.WriteMapped(path); err != nil {
@@ -325,14 +366,14 @@ func offsetIn(outer, sub []byte) int {
 // declared size must fail, not silently produce a partial index.
 func TestStreamingRejectsShortSource(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	_, db := buildSmall(t, TrieIndex, metric, 3, 10)
+	_, db := buildSmall(t, metric, 3, 10)
 	feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "x.pisidx3")
 	_, err = BuildStreaming(&sliceSource{db: db[:5]}, len(db), feats,
-		Options{Kind: TrieIndex, Metric: metric}, path, StreamOptions{})
+		Options{Metric: metric}, path, StreamOptions{})
 	if err == nil || !strings.Contains(err.Error(), "ended after") {
 		t.Fatalf("short source not rejected: %v", err)
 	}
@@ -343,6 +384,9 @@ func TestStreamingRejectsShortSource(t *testing.T) {
 func TestBlockCursorSkipVarints(t *testing.T) {
 	var b []byte
 	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 + 5, 7}
+	for i := uint64(0); i < 40; i++ { // long enough for the word-at-a-time stretch
+		vals = append(vals, i*i*i*977)
+	}
 	for _, v := range vals {
 		b = binary.AppendUvarint(b, v)
 	}

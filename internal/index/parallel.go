@@ -2,28 +2,26 @@
 // dominate a build; graphs are independent, so a worker pool computes each
 // graph's insert operations (computeOps) and a sequencer applies them in
 // graph-id order (apply). Sequenced application keeps the result
-// bit-identical for any worker count (postings dedup relies on ascending
-// ids, and tries are order-insensitive but their stats are easier to
-// reason about deterministically); the serial build is the same fold with
-// the one worker inlined.
+// bit-identical for any worker count (the postings and id-run dedup rely on
+// ascending ids); the serial build is the same fold with the one worker
+// inlined.
 
 package index
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"pis/internal/graph"
 	"pis/internal/mining"
-	"pis/internal/rtree"
 )
 
 // insertOp is one fragment ready to fold into a class.
 type insertOp struct {
 	class *Class
-	seq   []uint32
-	vec   []float64
+	key   []uint64
 }
 
 // BuildParallel is Build with a worker pool; workers <= 0 uses GOMAXPROCS.
@@ -101,7 +99,7 @@ func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 	}
 }
 
-// apply folds graph id's ops into the class structures. Ids must arrive
+// apply folds graph id's ops into the class stores. Ids must arrive
 // ascending: the postings dedup compares against the last id only.
 func (x *Index) apply(id int32, ops []insertOp) {
 	for _, op := range ops {
@@ -110,22 +108,14 @@ func (x *Index) apply(id int32, ops []insertOp) {
 		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
 			c.postings = append(c.postings, id)
 		}
-		switch x.opts.Kind {
-		case TrieIndex:
-			c.trie.Insert(op.seq, id)
-		case VPTreeIndex:
-			c.vpSeq = append(c.vpSeq, op.seq)
-			c.vpIDs = append(c.vpIDs, id)
-		case RTreeIndex:
-			c.rtEnt = append(c.rtEnt, rtree.Entry{Point: op.vec, Data: id})
-		}
+		c.stage.fold(op.key, id)
 	}
 }
 
 // computeOps runs the read-only part of folding g in: enumerate,
-// classify, and lay out sequences — everything except mutating the shared
-// class structures. fs is the calling goroutine's scratch; the returned
-// ops own their sequences.
+// classify, and lay out keys — everything except mutating the shared
+// class stores. fs is the calling goroutine's scratch; the returned ops
+// own their keys.
 func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) []insertOp {
 	var ops []insertOp
 	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
@@ -133,15 +123,8 @@ func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) []insertOp {
 		if c == nil {
 			return true
 		}
-		op := insertOp{class: c}
-		switch x.opts.Kind {
-		case TrieIndex, VPTreeIndex:
-			fs.u32 = appendFragmentSequence(fs.u32[:0], g, fs.ren.Vertices, edges, c, emb)
-			op.seq = c.canonicalVariant(fs.u32)
-		case RTreeIndex:
-			op.vec = appendFragmentWeights(make([]float64, 0, c.SeqLen()), g, fs.ren.Vertices, edges, c, emb)
-		}
-		ops = append(ops, op)
+		fs.u64 = x.appendStoredKey(fs.u64[:0], g, fs.ren.Vertices, edges, c, emb)
+		ops = append(ops, insertOp{class: c, key: slices.Clone(fs.u64)})
 		return true
 	})
 	return ops

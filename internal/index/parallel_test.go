@@ -10,7 +10,7 @@ import (
 )
 
 // TestParallelBuildIdenticalToSerial: same stats, same postings, same
-// range-query results for every kind.
+// range-query results for every metric.
 func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := make([]*graph.Graph, 40)
@@ -21,12 +21,9 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []Kind{TrieIndex, VPTreeIndex, RTreeIndex} {
-		metric := distance.Metric(distance.EdgeMutation{})
-		if kind == RTreeIndex {
-			metric = distance.Linear{}
-		}
-		opts := Options{Kind: kind, Metric: metric}
+	for _, tc := range metricCases {
+		kind := tc.name
+		opts := Options{Metric: tc.metric}
 		serial, err := Build(db, feats, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +74,7 @@ func TestParallelBuildSmallDBFallsBackToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := BuildParallel(db, feats, Options{Kind: TrieIndex, Metric: distance.EdgeMutation{}}, 8)
+	x, err := BuildParallel(db, feats, Options{Metric: distance.EdgeMutation{}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // its directory resident. The file is two regions:
 //
 //	"PISIDX3\n"
-//	header section     kind, vertex-blindness, maxFragmentEdges, dbSize,
+//	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
 //	                   db fingerprint, class count, signature words,
 //	                   fp-section flag, slab offset + length
 //	directory section  per class: canonical code, vOff, fragment count,
@@ -28,22 +28,24 @@
 // the exact graph set the index was built over, so pairing an index with
 // a different database fails loudly instead of silently returning wrong
 // answers. The metric itself is not serialized — the caller supplies an
-// equivalent one to the reader — but its vertex-blindness is recorded and
-// checked, since it changes the stored sequence layout. Automorphism
-// permutations and the bulk-loaded R-tree/VP-tree shapes are cheap to
-// recompute and are rebuilt by the reader.
+// equivalent one to the reader — but its vertex-blindness and whether it
+// reads labels or weights are recorded and checked, since both change the
+// stored key layout. Automorphism permutations are cheap to recompute and
+// are rebuilt by the reader.
 //
-// Slab encodings (offsets in the directory are relative to the slab):
+// Slab encodings (offsets in the directory are relative to the slab; the
+// header's kind byte names the entry encoding, see the constants below
+// and slab.go):
 //
 //	postings block   uvarint first id, then uvarint gaps (ascending ids)
-//	trie entry       SeqLen uvarint symbols, uvarint id count,
+//	kind 0 entry     SeqLen uvarint labels, uvarint id count,
 //	                 uvarint first id, uvarint gaps
-//	vptree entry     SeqLen uvarint symbols, uvarint id
-//	rtree entry      SeqLen little-endian float64s, uvarint id
+//	kind 1 entry     SeqLen little-endian float64 weights, uvarint id
+//	kind 2 entry     SeqLen uvarint labels, uvarint id
 //
-// Entries are sorted (sequences lexicographically, vectors numerically,
-// ids ascending within ties) so Save and the external-sort streaming
-// builder lay out identical structures.
+// Entries are sorted (label keys lexicographically, weight keys
+// numerically, ids ascending within ties) so Save and the external-sort
+// streaming builder lay out identical blocks.
 //
 // An image may come from outside the process (a copied store, a side
 // file a cluster peer ships), and a CRC is no defence against a crafted
@@ -62,17 +64,15 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"pis/internal/binio"
 	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mmapio"
-	"pis/internal/rtree"
-	"pis/internal/trie"
 )
 
 // persistMagic leads the image; 8 bytes, checked verbatim.
@@ -81,13 +81,30 @@ const persistMagic = "PISIDX3\n"
 // fpMagic tags the per-graph fingerprint section ("PISF" little-endian).
 const fpMagic = 0x46534950
 
+// The header's kind byte names the entry encoding of the image. The
+// values are those of the per-class structures the repository once chose
+// between (trie, R-tree, VP-tree), so images written then still open.
+const (
+	kindLabelRuns   = 0 // label keys, a counted id run per entry
+	kindWeights     = 1 // weight keys, one id per entry
+	kindLabelSingle = 2 // label keys, one id per entry; read, never written
+)
+
+// entryKind is the kind byte Save and BuildStreaming write for x.
+func (x *Index) entryKind() byte {
+	if x.weights {
+		return kindWeights
+	}
+	return kindLabelRuns
+}
+
 // v3SlabAlign page-aligns the slab so mapped block reads never straddle
 // the header region and the kernel can fault slab pages independently.
 const v3SlabAlign = 4096
 
 // v3Header carries the decoded header section.
 type v3Header struct {
-	kind        Kind
+	kind        byte
 	vertexBlind bool
 	maxEdges    int
 	dbSize      int
@@ -155,8 +172,8 @@ func (s *v3SlabWriter) uvarint(v uint64) {
 	}
 }
 
-func (s *v3SlabWriter) f64(v float64) {
-	s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(v))
+func (s *v3SlabWriter) u64(v uint64) {
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
 	if len(s.buf) >= 1<<16 {
 		s.flushBuf()
 	}
@@ -201,7 +218,9 @@ func (x *Index) Save(w io.Writer) error {
 		// entries before it knows the class's full posting set, and Save
 		// mirrors its layout.
 		dc.entOff = sw.beginBlock()
-		dc.entCount = x.writeClassEntries(sw, c)
+		for e := 0; e < c.ents.entries(); e++ {
+			dc.entCount += x.writeEntry(sw, c.ents.key(e), c.ents.run(e))
+		}
 		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
 		dc.postOff = sw.beginBlock()
 		dc.postCount = len(c.postings)
@@ -213,7 +232,7 @@ func (x *Index) Save(w io.Writer) error {
 		return sw.err
 	}
 	hdr := v3Header{
-		kind:        x.opts.Kind,
+		kind:        x.entryKind(),
 		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
 		maxEdges:    x.opts.MaxFragmentEdges,
 		dbSize:      x.dbSize,
@@ -271,79 +290,6 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// writeClassEntries encodes the class's stored entries in canonical
-// sorted order, returning the entry count.
-func (x *Index) writeClassEntries(sw *v3SlabWriter, c *Class) int {
-	switch x.opts.Kind {
-	case TrieIndex:
-		type ent struct {
-			seq    []uint32
-			graphs []int32
-		}
-		var ents []ent
-		c.trie.Walk(func(seq []uint32, graphs []int32) {
-			ents = append(ents, ent{append([]uint32(nil), seq...), graphs})
-		})
-		slices.SortFunc(ents, func(a, b ent) int { return slices.Compare(a.seq, b.seq) })
-		for _, e := range ents {
-			for _, s := range e.seq {
-				sw.uvarint(uint64(s))
-			}
-			sw.uvarint(uint64(len(e.graphs)))
-			sw.ids(e.graphs)
-		}
-		return len(ents)
-	case VPTreeIndex:
-		order := make([]int, len(c.vpSeq))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			if d := slices.Compare(c.vpSeq[a], c.vpSeq[b]); d != 0 {
-				return d
-			}
-			return int(c.vpIDs[a]) - int(c.vpIDs[b])
-		})
-		for _, i := range order {
-			for _, s := range c.vpSeq[i] {
-				sw.uvarint(uint64(s))
-			}
-			sw.uvarint(uint64(uint32(c.vpIDs[i])))
-		}
-		return len(order)
-	case RTreeIndex:
-		var ents []rtree.Entry
-		c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-			ents = append(ents, e)
-			return true
-		})
-		slices.SortFunc(ents, func(a, b rtree.Entry) int {
-			if d := slices.Compare(a.Point, b.Point); d != 0 {
-				return d
-			}
-			return int(a.Data) - int(b.Data)
-		})
-		for _, e := range ents {
-			for _, w := range e.Point {
-				sw.f64(w)
-			}
-			sw.uvarint(uint64(uint32(e.Data)))
-		}
-		return len(ents)
-	}
-	return 0
-}
-
-func boundAll(dim int) rtree.Rect {
-	min := make([]float64, dim)
-	max := make([]float64, dim)
-	for i := range min {
-		min[i] = -1e300
-		max[i] = 1e300
-	}
-	return rtree.Rect{Min: min, Max: max}
-}
-
 // beginFPSection writes the fingerprint section's preamble; n
 // encodeGraphFP records follow.
 func beginFPSection(sw *binio.SectionWriter, words, n int) {
@@ -384,7 +330,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, writeFPs func(*bi
 		var buf bytes.Buffer
 		sw := binio.NewSectionWriter(&buf)
 		sw.Begin()
-		sw.U8(byte(h.kind))
+		sw.U8(h.kind)
 		vb := byte(0)
 		if h.vertexBlind {
 			vb = 1
@@ -483,7 +429,7 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	if err := sr.Next(); err != nil {
 		return fail("mapped header: %w", err)
 	}
-	hdr.kind = Kind(sr.U8())
+	hdr.kind = sr.U8()
 	hdr.vertexBlind = sr.U8() != 0
 	maxEdges, dbSize := sr.Uvarint(), sr.Uvarint()
 	hdr.fingerprint = sr.U64()
@@ -497,10 +443,11 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	if hdr.vertexBlind != distance.IgnoresVertices(metric) {
 		return fail("metric vertex-blindness disagrees with the saved index")
 	}
-	switch hdr.kind {
-	case TrieIndex, VPTreeIndex, RTreeIndex:
-	default:
-		return fail("mapped header: unknown kind %d", int(hdr.kind))
+	if hdr.kind > kindLabelSingle {
+		return fail("mapped header: unknown kind %d", hdr.kind)
+	}
+	if (hdr.kind == kindWeights) != distance.ReadsWeights(metric) {
+		return fail("metric reads labels where the saved index stores weights, or the reverse")
 	}
 	// Graph ids are int32 and every later count is bounded against a
 	// section's bytes, so nothing legitimate exceeds MaxInt32.
@@ -672,11 +619,12 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
 	x := &Index{
 		opts: Options{
-			Kind:             hdr.kind,
 			Metric:           metric,
 			MaxFragmentEdges: hdr.maxEdges,
 			SignatureWords:   hdr.sigWords,
 		},
+		weights:     hdr.kind == kindWeights,
+		singleID:    hdr.kind != kindLabelRuns,
 		classes:     make(map[string]*Class, len(dir)),
 		dbSize:      hdr.dbSize,
 		fingerprint: hdr.fingerprint,
@@ -717,7 +665,7 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 			return nil, err
 		}
 		c.postCount, c.entCount = dc.postCount, dc.entCount
-		if what := checkBlocks(c, hdr.kind, hdr.dbSize); what != "" {
+		if what := x.checkBlocks(c); what != "" {
 			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, or the block does not end with its last entry)", i, what, hdr.dbSize)
 		}
 		x.classes[key] = c
@@ -730,27 +678,17 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 // cannot: every graph id lies in [0, dbSize), id lists ascend strictly,
 // and each block ends exactly with its last entry. It names the
 // offending block, or returns "".
-func checkBlocks(c *Class, kind Kind, dbSize int) string {
+func (x *Index) checkBlocks(c *Class) string {
 	cur := blockCursor{b: c.postBlock}
-	cur.skipIDs(uint64(c.postCount), uint64(dbSize))
+	cur.skipIDs(uint64(c.postCount), uint64(x.dbSize))
 	if cur.bad || cur.pos != len(cur.b) {
 		return "posting"
 	}
 	cur = blockCursor{b: c.entBlock}
-	L := c.SeqLen()
+	key := make([]uint64, c.SeqLen())
 	for e := 0; e < c.entCount && !cur.bad; e++ {
-		if kind == RTreeIndex {
-			cur.skip(8 * L)
-		} else {
-			for i := 0; i < L; i++ {
-				cur.uvarint()
-			}
-		}
-		n := uint64(1)
-		if kind == TrieIndex {
-			n = cur.uvarint()
-		}
-		cur.skipIDs(n, uint64(dbSize))
+		x.readKey(&cur, key) // decoded, not stepped over: an overlong varint is malformed
+		cur.skipIDs(x.entryIDs(&cur), uint64(x.dbSize))
 	}
 	if cur.bad || cur.pos != len(cur.b) {
 		return "entry"
@@ -797,7 +735,8 @@ func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Inde
 
 // Load decodes an image written by Save, WriteMapped or BuildStreaming
 // into an ordinary heap index. The metric must match the one used at
-// build time (at minimum its vertex-blindness must agree). Callers
+// build time (at minimum its vertex-blindness and whether it reads labels
+// or weights must agree). Callers
 // attach the index to a graph set only after checking DBSize and
 // Fingerprint against the actual graphs.
 func Load(r io.Reader, metric distance.Metric) (*Index, error) {
@@ -812,35 +751,14 @@ func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []int32
 	for _, c := range x.list {
 		cur := blockCursor{b: c.postBlock}
 		c.postings = cur.idList(make([]int32, 0, c.postCount), c.postCount)
-		cur = blockCursor{b: c.entBlock}
-		L := c.SeqLen()
-		if x.opts.Kind == TrieIndex {
-			c.trie = trie.New(L)
-		}
-		seq := make([]uint32, L) // the trie copies what it keeps
-		for e := 0; e < c.entCount; e++ {
-			switch x.opts.Kind {
-			case TrieIndex:
-				cur.symbols(seq)
-				ids = cur.idList(ids[:0], int(cur.uvarint()))
-				for _, id := range ids {
-					c.trie.Insert(seq, id)
-				}
-			case VPTreeIndex:
-				c.vpSeq = append(c.vpSeq, cur.symbols(make([]uint32, L)))
-				c.vpIDs = append(c.vpIDs, int32(cur.uvarint()))
-			case RTreeIndex:
-				c.rtEnt = append(c.rtEnt, rtree.Entry{Point: cur.floats(make([]float64, L)), Data: int32(cur.uvarint())})
-			}
-		}
+		x.stageEntries(c)
 		// Drop the references into data so the image can be collected.
 		c.entBlock, c.postBlock, c.entCount, c.postCount = nil, nil, 0, 0
 	}
-	x.finalize() // bulk-loads R-trees and VP-trees
+	x.finalize()
 	return x, nil
 }
 
@@ -854,6 +772,14 @@ type blockCursor struct {
 }
 
 func (c *blockCursor) uvarint() uint64 {
+	if !c.bad && c.pos < len(c.b) && c.b[c.pos] < 0x80 {
+		c.pos++ // one byte: every label, most id gaps
+		return uint64(c.b[c.pos-1])
+	}
+	return c.uvarintLong()
+}
+
+func (c *blockCursor) uvarintLong() uint64 {
 	if c.bad {
 		return 0
 	}
@@ -876,13 +802,18 @@ func (c *blockCursor) skip(n int) {
 }
 
 // skipVarints advances past n varints without decoding them: a varint
-// ends at its first byte below 0x80. A block that runs out first sets
-// bad.
+// ends at its first byte below 0x80, so while more than eight remain the
+// eight bytes ahead hold no more ends than that and are counted as one
+// word. A block that runs out first sets bad.
 func (c *blockCursor) skipVarints(n int) {
 	if c.bad {
 		return
 	}
 	pos := c.pos
+	for ; n > 8 && pos+8 <= len(c.b); pos += 8 {
+		w := binary.LittleEndian.Uint64(c.b[pos:])
+		n -= bits.OnesCount64(^w & 0x8080808080808080)
+	}
 	for ; n > 0 && pos < len(c.b); pos++ {
 		if c.b[pos] < 0x80 {
 			n--
@@ -911,25 +842,6 @@ func (c *blockCursor) skipIDs(n, limit uint64) {
 			c.bad = true
 		}
 	}
-}
-
-func (c *blockCursor) symbols(dst []uint32) []uint32 {
-	for i := range dst {
-		dst[i] = uint32(c.uvarint())
-	}
-	return dst
-}
-
-func (c *blockCursor) floats(dst []float64) []float64 {
-	for i := range dst {
-		if c.bad || c.pos+8 > len(c.b) {
-			c.bad = true
-			return dst
-		}
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.pos:]))
-		c.pos += 8
-	}
-	return dst
 }
 
 // idList appends n delta-decoded ids to dst.

@@ -2,12 +2,15 @@ package index
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pis/internal/binio"
+	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
@@ -15,9 +18,8 @@ import (
 
 // roundTrip saves and reloads an index, then checks that every range
 // query answers identically.
-func roundTrip(t *testing.T, kind Kind, metric distance.Metric) {
+func roundTrip(t *testing.T, x *Index, db []*graph.Graph, metric distance.Metric) {
 	t.Helper()
-	x, db := buildSmall(t, kind, metric, 31, 15)
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -74,16 +76,40 @@ func roundTrip(t *testing.T, kind Kind, metric distance.Metric) {
 	}
 }
 
+// One round trip per metric (names: see metricCases), and one of a heap
+// index decoded from an image of the VP-tree kind, which saves in today's
+// layout.
 func TestPersistRoundTripTrie(t *testing.T) {
-	roundTrip(t, TrieIndex, distance.EdgeMutation{})
+	x, db := buildSmall(t, distance.EdgeMutation{}, 31, 15)
+	roundTrip(t, x, db, distance.EdgeMutation{})
 }
 
-func TestPersistRoundTripVPTree(t *testing.T) {
-	roundTrip(t, VPTreeIndex, distance.EdgeMutation{})
+func TestPersistRoundTripFull(t *testing.T) {
+	x, db := buildSmall(t, distance.FullMutation{}, 31, 15)
+	roundTrip(t, x, db, distance.FullMutation{})
+}
+
+func TestPersistRoundTripMatrix(t *testing.T) {
+	x, db := buildSmall(t, testMatrix(), 31, 15)
+	roundTrip(t, x, db, testMatrix())
 }
 
 func TestPersistRoundTripRTree(t *testing.T) {
-	roundTrip(t, RTreeIndex, distance.Linear{})
+	x, db := buildSmall(t, distance.Linear{}, 31, 15)
+	roundTrip(t, x, db, distance.Linear{})
+}
+
+func TestPersistRoundTripVPTree(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "images", "kind2-labels.pisidx3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	x, err := Load(f, distance.EdgeMutation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, x, parentImageDB(), distance.EdgeMutation{})
 }
 
 func TestPersistRejectsGarbage(t *testing.T) {
@@ -93,14 +119,30 @@ func TestPersistRejectsGarbage(t *testing.T) {
 }
 
 func TestPersistRejectsMetricMismatch(t *testing.T) {
-	x, _ := buildSmall(t, TrieIndex, distance.EdgeMutation{}, 3, 8)
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	x, _ := buildSmall(t, distance.EdgeMutation{}, 3, 8)
+	labels, _ := imageBytes(t, x)
 	// FullMutation is not vertex-blind; the stored layout is.
-	if _, err := Load(&buf, distance.FullMutation{}); err == nil {
+	if _, err := Load(bytes.NewReader(labels), distance.FullMutation{}); err == nil {
 		t.Error("vertex-blindness mismatch accepted")
+	}
+	// Linear is as vertex-blind as EdgeMutation but reads weights where
+	// the image stores labels, and the reverse: answers from either
+	// pairing would be priced on the wrong element.
+	x, _ = buildSmall(t, distance.Linear{}, 3, 8)
+	weights, _ := imageBytes(t, x)
+	for name, tc := range map[string]struct {
+		image  []byte
+		metric distance.Metric
+	}{
+		"labels opened with Linear":        {labels, distance.Linear{}},
+		"weights opened with EdgeMutation": {weights, distance.EdgeMutation{}},
+	} {
+		if _, err := Load(bytes.NewReader(tc.image), tc.metric); err == nil {
+			t.Errorf("%s: Load accepted it", name)
+		}
+		if _, err := openV3(tc.image, tc.metric, nil); err == nil {
+			t.Errorf("%s: the mapped reader accepted it", name)
+		}
 	}
 }
 
@@ -126,7 +168,7 @@ func sameEdges(a, b []int32) bool {
 // of its graphs and the image preserves it bit for bit.
 func TestPersistFingerprintRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, TrieIndex, metric, 17, 12)
+	x, db := buildSmall(t, metric, 17, 12)
 	if x.Fingerprint() != graph.Fingerprint(db) {
 		t.Fatalf("built index fingerprint %x, want %x", x.Fingerprint(), graph.Fingerprint(db))
 	}
@@ -160,7 +202,7 @@ func imageBytes(t *testing.T, x *Index) (data []byte, slabOff int) {
 // (checksummed sections and blocks), never as a silently different index.
 func TestPersistDetectsCorruption(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, TrieIndex, metric, 7, 9)
+	x, _ := buildSmall(t, metric, 7, 9)
 	clean, slabOff := imageBytes(t, x)
 	sections, _ := v3Sections(t, clean)
 	padStart := sections[len(sections)-1][1] + 4 // past the last section's CRC
@@ -220,7 +262,7 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 // TestPersistRejectsOversizedCounts.
 func oversizedImages(t testing.TB) map[string][]byte {
 	t.Helper()
-	hdr := v3Header{kind: TrieIndex, vertexBlind: true, maxEdges: 3, sigWords: defaultSigWords}
+	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 3, sigWords: defaultSigWords}
 	craft := func(hdr v3Header, writeFPs func(*binio.SectionWriter)) []byte {
 		var buf bytes.Buffer
 		if err := writeV3Image(&buf, hdr, nil, writeFPs, bytes.NewReader(nil)); err != nil {
@@ -241,23 +283,15 @@ func oversizedImages(t testing.TB) map[string][]byte {
 
 // TestSaveImagesByteIdentical: one format, one image. Saving a heap
 // index, saving the mapped index opened from that image, and WriteMapped
-// all produce the same bytes for every kind; for the trie kind the
-// external-sort streaming build over the same graphs does too. (The
-// vptree and rtree streaming builds drop a fragment's repeats within one
-// graph, which the in-memory build keeps, so their entry blocks
-// legitimately differ.)
+// all produce the same bytes for every metric; for label keys the
+// external-sort streaming build over the same graphs does too. (A weight
+// class holds more entries than the streaming build's sampler keeps
+// before it thins them, so its planner statistics — never its blocks —
+// are sampled differently from the heap build's.)
 func TestSaveImagesByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		kind   Kind
-		metric distance.Metric
-	}{
-		{TrieIndex, distance.EdgeMutation{}},
-		{TrieIndex, distance.FullMutation{}},
-		{VPTreeIndex, distance.EdgeMutation{}},
-		{RTreeIndex, distance.Linear{}},
-	} {
-		x, db := buildSmall(t, tc.kind, tc.metric, 23, 30)
-		heap, _ := imageBytes(t, x)
+	for _, tc := range metricCases {
+		x, db := buildSmall(t, tc.metric, 23, 30)
+		heap, slabOff := imageBytes(t, x)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "idx.pisidx3")
 		if err := x.WriteMapped(path); err != nil {
@@ -268,7 +302,7 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(heap, file) {
-			t.Fatalf("%v/%T: WriteMapped file differs from Save", tc.kind, tc.metric)
+			t.Fatalf("%s: WriteMapped file differs from Save", tc.name)
 		}
 		mx, err := OpenMapped(path, tc.metric)
 		if err != nil {
@@ -277,17 +311,14 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		mapped, _ := imageBytes(t, mx)
 		mx.Close()
 		if !bytes.Equal(heap, mapped) {
-			t.Fatalf("%v/%T: mapped Save differs from heap Save", tc.kind, tc.metric)
+			t.Fatalf("%s: mapped Save differs from heap Save", tc.name)
 		}
 		hx, err := Load(bytes.NewReader(heap), tc.metric)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reloaded, _ := imageBytes(t, hx); !bytes.Equal(heap, reloaded) {
-			t.Fatalf("%v/%T: Save of the reloaded index differs", tc.kind, tc.metric)
-		}
-		if tc.kind != TrieIndex {
-			continue
+			t.Fatalf("%s: Save of the reloaded index differs", tc.name)
 		}
 		feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
 		if err != nil {
@@ -295,7 +326,7 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		}
 		spath := filepath.Join(dir, "stream.pisidx3")
 		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats,
-			Options{Kind: tc.kind, Metric: tc.metric}, spath,
+			Options{Metric: tc.metric}, spath,
 			StreamOptions{TempDir: dir, ArenaBytes: 1 << 12}); err != nil {
 			t.Fatal(err)
 		}
@@ -303,8 +334,56 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if distance.ReadsWeights(tc.metric) {
+			heap, streamed = heap[slabOff:], streamed[slabOff:]
+		}
 		if !bytes.Equal(heap, streamed) {
-			t.Fatalf("%v/%T: BuildStreaming image differs from Save", tc.kind, tc.metric)
+			t.Fatalf("%s: BuildStreaming image differs from Save", tc.name)
+		}
+	}
+}
+
+// TestImageBytesPinned: the bytes of an image are a compatibility surface
+// (stores on disk, side files shipped between cluster peers). These are
+// the sha256 of the images the last commit with per-class tries and
+// R-trees wrote over the same corpus and options, from its in-memory and
+// its streaming build; a deliberate format change updates them.
+func TestImageBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		metric         distance.Metric
+		heap, streamed string
+	}{
+		{"edge", distance.EdgeMutation{}, "6fc1b3ae91297af2", "1f463e95bec9ab82"},
+		{"full", distance.FullMutation{}, "baa0c0bc25f5bffc", "e0499072beac57b2"},
+		{"matrix", testMatrix(), "04558867815ef45b", "40231945e5ccb18b"},
+		{"linear", distance.Linear{}, "1c163a78370567c6", "493f664eb3818b20"},
+	} {
+		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})
+		feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := BuildParallel(db, feats, Options{Metric: tc.metric}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image, _ := imageBytes(t, x)
+		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
+			t.Errorf("%s: in-memory build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
+		}
+		dir := t.TempDir()
+		spath := filepath.Join(dir, "stream.pisidx3")
+		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath,
+			StreamOptions{TempDir: dir, ArenaBytes: 1 << 14}); err != nil {
+			t.Fatal(err)
+		}
+		image, err = os.ReadFile(spath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.streamed {
+			t.Errorf("%s: streaming build image sha256 %s…, pinned %s…", tc.name, got, tc.streamed)
 		}
 	}
 }

@@ -22,14 +22,6 @@
 
 package index
 
-import (
-	"math"
-	"slices"
-
-	"pis/internal/distance"
-	"pis/internal/rtree"
-)
-
 // statsHistBuckets buckets pair distances at integers 0..7; the last
 // bucket absorbs everything at distance >= statsHistBuckets-1.
 const statsHistBuckets = 9
@@ -43,7 +35,8 @@ type ClassStats struct {
 	// Postings is the posting-list length: graphs containing the
 	// structure. Exact, not sampled.
 	Postings int32
-	// Sequences is the number of stored label sequences / weight vectors.
+	// Sequences is the number of stored entries as the image counts them:
+	// distinct label keys, or (weight key, graph) pairs.
 	Sequences int32
 	// Pairs counts the sampled sequence pairs behind Hist; 0 means the
 	// class stores fewer than two sampled sequences and carries no
@@ -87,113 +80,40 @@ func (cs ClassStats) InRangeFrac(sigma float64) float64 {
 func (c *Class) PlanStats() ClassStats { return c.stats }
 
 // ProbeCost estimates the relative cost of one σ range query against this
-// class: every automorphism variant probes a structure whose size scales
-// with the stored-sequence count. The +1 keeps empty classes finite.
+// class: the scan prices every stored entry under every automorphism. The
+// +1 keeps empty classes finite.
 func (c *Class) ProbeCost() float64 {
 	return float64(c.stats.Sequences)*float64(len(c.perms)) + 1
 }
 
-// computeStats fills every class's planner statistics from its stored
-// sequences. Deterministic: sampling is fixed-stride over the canonical
-// storage walk. Called after finalize (trees are walked, not staged
-// slices).
+// computeStats fills every class's planner statistics from its sealed
+// entries. Deterministic: sampling is fixed-stride over the sorted slab.
 func (x *Index) computeStats() {
 	for _, c := range x.list {
-		c.stats = x.classStats(c)
+		keys, units := x.sampleKeys(c)
+		c.stats = x.pairStats(c, keys, int32(len(c.postings)), int32(units))
 	}
 }
 
-// strideSample keeps at most statsSamplePerClass evenly spread items of
-// a sorted slice, in place.
-func strideSample[T any](items []T) []T {
-	n := len(items)
-	stride := (n + statsSamplePerClass - 1) / statsSamplePerClass
-	if stride <= 1 {
-		return items
-	}
-	kept := items[:0]
-	for i := 0; i < n && len(kept) < statsSamplePerClass; i += stride {
-		kept = append(kept, items[i])
-	}
-	return kept
+// sampleStride is the step that spreads at most statsSamplePerClass
+// samples evenly over n items.
+func sampleStride(n int) int {
+	return max(1, (n+statsSamplePerClass-1)/statsSamplePerClass)
 }
 
-func (x *Index) classStats(c *Class) ClassStats {
-	cs := ClassStats{Postings: int32(len(c.postings))}
-	// Collect the stored sequences and sort them before sampling: the
-	// trie's walk order (and the R-tree's) depends on insertion order,
-	// which differs between a fresh build and a reload, while the sorted
-	// order — and therefore the sample and the histogram — is a pure
-	// function of the stored set.
-	var seqs [][]uint32
-	var vecs [][]float64
-	switch x.opts.Kind {
-	case TrieIndex:
-		cs.Sequences = int32(c.trie.Sequences())
-		c.trie.Walk(func(seq []uint32, _ []int32) {
-			seqs = append(seqs, append([]uint32(nil), seq...))
-		})
-	case VPTreeIndex:
-		cs.Sequences = int32(len(c.vpSeq))
-		seqs = append(seqs, c.vpSeq...)
-	case RTreeIndex:
-		cs.Sequences = int32(c.rt.Len())
-		c.rt.SearchRect(boundAll(c.rt.Dim()), func(e rtree.Entry) bool {
-			vecs = append(vecs, e.Point)
-			return true
-		})
-	}
-	slices.SortFunc(seqs, slices.Compare)
-	seqs = strideSample(seqs)
-	slices.SortFunc(vecs, func(a, b []float64) int {
-		for i := range a {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
+// pairStats histograms the fragment distance of every pair among the
+// sampled keys.
+func (x *Index) pairStats(c *Class, keys [][]uint64, postings, sequences int32) ClassStats {
+	cs := ClassStats{Postings: postings, Sequences: sequences}
+	for i := range keys {
+		for _, other := range keys[i+1:] {
+			b := statsHistBuckets - 1
+			if d := x.orbitDistance(c, keys[i], other); d < float64(statsHistBuckets-1) {
+				b = int(d)
 			}
-		}
-		return 0
-	})
-	vecs = strideSample(vecs)
-	record := func(d float64) {
-		b := statsHistBuckets - 1
-		if d < float64(statsHistBuckets-1) {
-			b = int(d)
-		}
-		cs.Hist[b]++
-		cs.Pairs++
-	}
-	for i := 0; i < len(seqs); i++ {
-		for j := i + 1; j < len(seqs); j++ {
-			record(c.orbitDistance(seqs[i], seqs[j], x.opts.Metric))
-		}
-	}
-	for i := 0; i < len(vecs); i++ {
-		for j := i + 1; j < len(vecs); j++ {
-			record(c.orbitL1(vecs[i], vecs[j]))
+			cs.Hist[b]++
+			cs.Pairs++
 		}
 	}
 	return cs
-}
-
-// orbitL1 is the exact fragment distance between two stored weight
-// vectors: min over automorphism variants of the L1 difference (the
-// linear mutation distance the R-tree kind serves).
-func (c *Class) orbitL1(a, b []float64) float64 {
-	best := distance.Infinite
-	for _, p := range c.perms {
-		d := 0.0
-		for i, src := range p {
-			d += math.Abs(a[src] - b[i])
-			if d >= best {
-				break
-			}
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -3,8 +3,6 @@ package index
 import (
 	"bytes"
 	"testing"
-
-	"pis/internal/distance"
 )
 
 // statsEqual compares every class's planner statistics between two
@@ -25,17 +23,9 @@ func statsEqual(t *testing.T, want, got *Index) {
 // TestClassStatsComputed: a built index carries non-trivial planner
 // statistics, internally consistent with the class shapes.
 func TestClassStatsComputed(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		kind   Kind
-		metric distance.Metric
-	}{
-		{"trie", TrieIndex, distance.EdgeMutation{}},
-		{"vptree", VPTreeIndex, distance.EdgeMutation{}},
-		{"rtree", RTreeIndex, distance.Linear{}},
-	} {
+	for _, tc := range metricCases {
 		t.Run(tc.name, func(t *testing.T) {
-			x, _ := buildSmall(t, tc.kind, tc.metric, 31, 20)
+			x, _ := buildSmall(t, tc.metric, 31, 20)
 			withPairs := 0
 			for _, c := range x.Classes() {
 				cs := c.PlanStats()
@@ -76,20 +66,12 @@ func TestClassStatsComputed(t *testing.T) {
 }
 
 // TestPersistStatsRoundTrip: the directory's per-class stats survive
-// save/load bit for bit, for every index kind, without recomputation
+// save/load bit for bit, for every metric, without recomputation
 // drift. (Damage to them is named "mapped directory": TestMappedCorruption.)
 func TestPersistStatsRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		kind   Kind
-		metric distance.Metric
-	}{
-		{"trie", TrieIndex, distance.EdgeMutation{}},
-		{"vptree", VPTreeIndex, distance.EdgeMutation{}},
-		{"rtree", RTreeIndex, distance.Linear{}},
-	} {
+	for _, tc := range metricCases {
 		t.Run(tc.name, func(t *testing.T) {
-			x, _ := buildSmall(t, tc.kind, tc.metric, 47, 22)
+			x, _ := buildSmall(t, tc.metric, 47, 22)
 			var buf bytes.Buffer
 			if err := x.Save(&buf); err != nil {
 				t.Fatal(err)

@@ -24,15 +24,14 @@
 // (class, key, graph) storage order):
 //
 //	[4B BE class id][key][4B BE graph id]
-//	key: big-endian u32 per symbol (trie/vptree) or order-preserving
-//	     flipped-sign big-endian float64 bits per weight (rtree)
+//	key: big-endian u32 per label, or order-preserving flipped-sign
+//	     big-endian float64 bits per weight
 //
 // Records are deduplicated within each graph before they reach the
 // arena; without this the spill volume is the raw fragment-occurrence
 // count (hundreds of copies of the same record per graph) instead of
-// the distinct posting volume. The trie kind would dedup on insert
-// anyway; for vptree/rtree the lost multiplicity changes nothing but
-// stored duplicates, which the range query min-folds away.
+// the distinct posting volume. The heap build's fold drops the same
+// repeats.
 
 package index
 
@@ -43,7 +42,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -144,16 +142,12 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 			}
 			occurrences[c.ID]++
 			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
-			switch x.opts.Kind {
-			case TrieIndex, VPTreeIndex:
-				fs.u32 = appendFragmentSequence(fs.u32[:0], g, fs.ren.Vertices, edges, c, emb)
-				for _, s := range c.canonicalVariant(fs.u32) {
-					rec = binary.BigEndian.AppendUint32(rec, s)
-				}
-			case RTreeIndex:
-				fs.f64 = appendFragmentWeights(fs.f64[:0], g, fs.ren.Vertices, edges, c, emb)
-				for _, w := range fs.f64 {
-					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(w))
+			fs.u64 = x.appendStoredKey(fs.u64[:0], g, fs.ren.Vertices, edges, c, emb)
+			for _, k := range fs.u64 {
+				if x.weights {
+					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(k))
+				} else {
+					rec = binary.BigEndian.AppendUint32(rec, uint32(k))
 				}
 			}
 			rec = binary.BigEndian.AppendUint32(rec, gid)
@@ -187,7 +181,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 	// Final assembly.
 	hdr := v3Header{
-		kind:        x.opts.Kind,
+		kind:        x.entryKind(),
 		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
 		maxEdges:    x.opts.MaxFragmentEdges,
 		dbSize:      n,
@@ -213,19 +207,18 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 // flipFloatBits maps float64 bits to an order-preserving big-endian
 // total order (sign-magnitude → biased), the standard sortable-float
 // trick.
-func flipFloatBits(v float64) uint64 {
-	b := math.Float64bits(v)
+func flipFloatBits(b uint64) uint64 {
 	if b>>63 != 0 {
 		return ^b
 	}
 	return b | 1<<63
 }
 
-func unflipFloatBits(b uint64) float64 {
+func unflipFloatBits(b uint64) uint64 {
 	if b>>63 != 0 {
-		return math.Float64frombits(b &^ (1 << 63))
+		return b &^ (1 << 63)
 	}
-	return math.Float64frombits(^b)
+	return ^b
 }
 
 // streamFPSize is the fixed on-disk size of one pass-1 fingerprint
@@ -434,29 +427,28 @@ func (h *runHeap) fix()                  { heap.Fix(h, 0) }
 func (h *runHeap) popCursor() *runCursor { return heap.Pop(h).(*runCursor) }
 
 // sampleStream keeps a bounded, deterministic, evenly-spread sample of
-// a stream of unknown length: keep every stride-th item; when the
-// buffer doubles past cap, drop every other kept item and double the
-// stride. want/skip let the caller avoid cloning items that will not be
-// kept.
-type sampleStream[T any] struct {
+// a stream of keys of unknown length: keep every stride-th key; when the
+// buffer doubles past cap, drop every other kept key and double the
+// stride.
+type sampleStream struct {
 	cap    int
 	stride int
 	idx    int
-	items  []T
+	items  [][]uint64
 }
 
-func (s *sampleStream[T]) want() bool {
+// offer shows the sampler the stream's next key, which it copies if it
+// keeps it.
+func (s *sampleStream) offer(key []uint64) {
 	if s.stride == 0 {
 		s.stride = 1
 	}
-	return s.idx%s.stride == 0
-}
-
-// add keeps v (which the sampler owns from now on); the caller must have
-// checked want().
-func (s *sampleStream[T]) add(v T) {
-	s.items = append(s.items, v)
+	keep := s.idx%s.stride == 0
 	s.idx++
+	if !keep {
+		return
+	}
+	s.items = append(s.items, slices.Clone(key))
 	if len(s.items) >= 2*s.cap {
 		kept := s.items[:0]
 		for i := 0; i < len(s.items); i += 2 {
@@ -466,8 +458,6 @@ func (s *sampleStream[T]) add(v T) {
 		s.stride *= 2
 	}
 }
-
-func (s *sampleStream[T]) skip() { s.idx++ }
 
 // mergeRuns k-way merges the spill runs into the slab file, returning
 // the staged directory and the accumulated per-graph signature slab.
@@ -561,17 +551,13 @@ type classMerger struct {
 	cur    int // class currently being written; -1 before the first
 	entOff uint64
 
-	// trie entry in progress
+	// entry in progress: its record key, decoded key and id run
 	curKey []byte
+	key    []uint64
 	entIDs []int32
 
 	entCount int
-
-	seqSamp sampleStream[[]uint32]
-	vecSamp sampleStream[[]float64]
-
-	seqScratch []uint32
-	vecScratch []float64
+	samp     sampleStream
 }
 
 // consume routes one deduplicated record.
@@ -590,90 +576,37 @@ func (m *classMerger) consume(rec []byte) error {
 	key := rec[4 : len(rec)-4]
 	gid := int32(binary.BigEndian.Uint32(rec[len(rec)-4:]))
 	m.bitset[gid>>6] |= 1 << (uint(gid) & 63)
-	switch m.x.opts.Kind {
-	case TrieIndex:
-		if !bytes.Equal(key, m.curKey) {
-			m.flushTrieEntry(c)
-			m.curKey = append(m.curKey[:0], key...)
-		}
-		m.entIDs = append(m.entIDs, gid)
-	case VPTreeIndex:
-		seq := m.decodeSeq(key, c)
-		for _, s := range seq {
-			m.sw.uvarint(uint64(s))
-		}
-		m.sw.uvarint(uint64(uint32(gid)))
-		m.entCount++
-		m.res.RawPostingBytes += int64(4*len(seq) + 4)
-		if m.seqSamp.want() {
-			m.seqSamp.add(append([]uint32(nil), seq...))
-		} else {
-			m.seqSamp.skip()
-		}
-	case RTreeIndex:
-		vec := m.decodeVec(key, c)
-		for _, w := range vec {
-			m.sw.f64(w)
-		}
-		m.sw.uvarint(uint64(uint32(gid)))
-		m.entCount++
-		m.res.RawPostingBytes += int64(8*len(vec) + 4)
-		if m.vecSamp.want() {
-			m.vecSamp.add(append([]float64(nil), vec...))
-		} else {
-			m.vecSamp.skip()
-		}
+	if !bytes.Equal(key, m.curKey) {
+		m.flushEntry(c)
+		m.curKey = append(m.curKey[:0], key...)
 	}
+	m.entIDs = append(m.entIDs, gid)
 	return nil
 }
 
-func (m *classMerger) decodeSeq(key []byte, c *Class) []uint32 {
-	L := c.SeqLen()
-	if cap(m.seqScratch) < L {
-		m.seqScratch = make([]uint32, L)
-	}
-	seq := m.seqScratch[:L]
-	for i := range seq {
-		seq[i] = binary.BigEndian.Uint32(key[4*i:])
-	}
-	return seq
-}
-
-func (m *classMerger) decodeVec(key []byte, c *Class) []float64 {
-	L := c.SeqLen()
-	if cap(m.vecScratch) < L {
-		m.vecScratch = make([]float64, L)
-	}
-	vec := m.vecScratch[:L]
-	for i := range vec {
-		vec[i] = unflipFloatBits(binary.BigEndian.Uint64(key[8*i:]))
-	}
-	return vec
-}
-
-// flushTrieEntry writes the in-progress trie entry.
-func (m *classMerger) flushTrieEntry(c *Class) {
+// flushEntry writes the in-progress entry: the records sharing its key
+// arrived with ascending graph ids.
+func (m *classMerger) flushEntry(c *Class) {
 	if len(m.entIDs) == 0 {
 		return
 	}
-	seq := m.decodeSeq(m.curKey, c)
-	for _, s := range seq {
-		m.sw.uvarint(uint64(s))
-	}
-	m.sw.uvarint(uint64(len(m.entIDs)))
-	for i, id := range m.entIDs {
-		if i == 0 {
-			m.sw.uvarint(uint64(uint32(id)))
+	m.key = m.key[:0]
+	for i := 0; i < c.SeqLen(); i++ {
+		if m.x.weights {
+			m.key = append(m.key, unflipFloatBits(binary.BigEndian.Uint64(m.curKey[8*i:])))
 		} else {
-			m.sw.uvarint(uint64(uint32(id - m.entIDs[i-1])))
+			m.key = append(m.key, uint64(binary.BigEndian.Uint32(m.curKey[4*i:])))
 		}
 	}
-	m.entCount++
-	m.res.RawPostingBytes += int64(4*len(seq) + 4*len(m.entIDs))
-	if m.seqSamp.want() {
-		m.seqSamp.add(append([]uint32(nil), seq...))
-	} else {
-		m.seqSamp.skip()
+	written := m.x.writeEntry(m.sw, m.key, m.entIDs)
+	m.entCount += written
+	elem := 4
+	if m.x.weights {
+		elem = 8
+	}
+	m.res.RawPostingBytes += int64(written*elem*len(m.key) + 4*len(m.entIDs))
+	for i := 0; i < written; i++ {
+		m.samp.offer(m.key)
 	}
 	m.entIDs = m.entIDs[:0]
 }
@@ -683,8 +616,7 @@ func (m *classMerger) openClass(id int) {
 	m.entOff = m.sw.beginBlock()
 	m.entCount = 0
 	m.curKey = m.curKey[:0]
-	m.seqSamp = sampleStream[[]uint32]{cap: 2 * statsSamplePerClass}
-	m.vecSamp = sampleStream[[]float64]{cap: 2 * statsSamplePerClass}
+	m.samp = sampleStream{cap: 2 * statsSamplePerClass}
 }
 
 // closeClass finishes the open class: entry block, postings block from
@@ -694,9 +626,7 @@ func (m *classMerger) closeClass() error {
 		return nil
 	}
 	c := m.x.list[m.cur]
-	if m.x.opts.Kind == TrieIndex {
-		m.flushTrieEntry(c)
-	}
+	m.flushEntry(c)
 	dc := &m.dir[m.cur]
 	dc.code = c.Code
 	dc.vOff = c.vOff
@@ -734,28 +664,12 @@ func (m *classMerger) closeClass() error {
 	// Planner stats from the sampled entries; approximate relative to a
 	// heap build (sampling the stream instead of the full sorted set)
 	// but deterministic, and answers never depend on stats.
-	cs := ClassStats{Postings: int32(count), Sequences: int32(m.entCount)}
-	record := func(d float64) {
-		b := statsHistBuckets - 1
-		if d < float64(statsHistBuckets-1) {
-			b = int(d)
-		}
-		cs.Hist[b]++
-		cs.Pairs++
+	items := m.samp.items
+	kept := items[:0]
+	for i := 0; i < len(items) && len(kept) < statsSamplePerClass; i += sampleStride(len(items)) {
+		kept = append(kept, items[i])
 	}
-	seqs := strideSample(m.seqSamp.items)
-	for i := 0; i < len(seqs); i++ {
-		for j := i + 1; j < len(seqs); j++ {
-			record(c.orbitDistance(seqs[i], seqs[j], m.x.opts.Metric))
-		}
-	}
-	vecs := strideSample(m.vecSamp.items)
-	for i := 0; i < len(vecs); i++ {
-		for j := i + 1; j < len(vecs); j++ {
-			record(c.orbitL1(vecs[i], vecs[j]))
-		}
-	}
-	dc.stats = cs
+	dc.stats = m.x.pairStats(c, kept, int32(count), int32(m.entCount))
 	return m.sw.err
 }
 

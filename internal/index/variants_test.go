@@ -1,25 +1,53 @@
 package index
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// Regression: seqKey used to truncate each uint32 symbol to its low 2
-// bytes, so symbols differing only above bit 15 produced identical dedup
-// keys and Variants silently merged distinct automorphism variants.
-func TestSeqKeyKeepsAllFourBytes(t *testing.T) {
-	a := seqKey([]uint32{1 << 16, 2 << 16})
-	b := seqKey([]uint32{2 << 16, 1 << 16})
-	if a == b {
-		t.Fatal("seqKey collides on symbols that differ only in the high bytes")
+// Variants returns every distinct automorphism variant of key: the probes
+// the brute-force references of this package price one by one, where the
+// scan walks all automorphisms at once. For a class with a single
+// automorphism (the identity) the result aliases key without copying.
+func (c *Class) Variants(key []uint64) [][]uint64 {
+	if len(c.perms) == 1 {
+		return [][]uint64{key}
 	}
-	if got, want := len(seqKey([]uint32{7})), 4; got != want {
-		t.Fatalf("seqKey encodes %d bytes per symbol, want %d", got, want)
+	var out [][]uint64
+	for _, p := range c.perms {
+		v := make([]uint64, len(key))
+		for i, src := range p {
+			v[i] = key[src]
+		}
+		if !slices.ContainsFunc(out, func(o []uint64) bool { return slices.Equal(o, v) }) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// Regression: the dedup key of a sequence once truncated each symbol to
+// its low 2 bytes, so symbols differing only above bit 15 merged. The
+// staging fold keys entries by all eight bytes of every position.
+func TestSeqKeyKeepsAllFourBytes(t *testing.T) {
+	var st staging
+	st.fold([]uint64{1 << 16, 2 << 16}, 0)
+	st.fold([]uint64{2 << 16, 1 << 16}, 0)
+	st.fold([]uint64{1 << 40, 2 << 16}, 0)
+	st.fold([]uint64{1 << 16, 2 << 16}, 1)
+	s := st.seal(2, false)
+	if s.entries() != 3 {
+		t.Fatalf("%d entries, want 3: keys that differ only in the high bytes merged", s.entries())
+	}
+	if got := s.run(0); !slices.Equal(got, []int32{0, 1}) || !slices.Equal(s.key(0), []uint64{1 << 16, 2 << 16}) {
+		t.Fatalf("first entry %v → %v", s.key(0), got)
 	}
 }
 
 func TestVariantsHighSymbolsStayDistinct(t *testing.T) {
 	// Two sequence positions swapped by one non-trivial automorphism.
 	c := &Class{perms: [][]int{{0, 1}, {1, 0}}}
-	seq := []uint32{1 << 16, 2 << 16}
+	seq := []uint64{1 << 16, 2 << 16}
 	vs := c.Variants(seq)
 	if len(vs) != 2 {
 		t.Fatalf("got %d variants, want 2 (high-byte symbols merged?)", len(vs))
@@ -31,7 +59,7 @@ func TestVariantsHighSymbolsStayDistinct(t *testing.T) {
 
 func TestVariantsSingleAutomorphismAliasesInput(t *testing.T) {
 	c := &Class{perms: [][]int{{0, 1, 2}}}
-	seq := []uint32{5, 6, 7}
+	seq := []uint64{5, 6, 7}
 	vs := c.Variants(seq)
 	if len(vs) != 1 {
 		t.Fatalf("got %d variants, want 1", len(vs))
@@ -45,7 +73,7 @@ func TestVariantsSingleAutomorphismAliasesInput(t *testing.T) {
 func TestVariantsDedupsEqualPermutations(t *testing.T) {
 	// Symmetric sequence: both automorphisms generate the same variant.
 	c := &Class{perms: [][]int{{0, 1}, {1, 0}}}
-	vs := c.Variants([]uint32{9, 9})
+	vs := c.Variants([]uint64{9, 9})
 	if len(vs) != 1 {
 		t.Fatalf("got %d variants, want 1 after dedup", len(vs))
 	}

@@ -1,10 +1,8 @@
 // gSpan-style pattern-growth mining (Yan & Han, ICDM'02 — reference [15]
-// of the PIS paper). Unlike the enumerate-and-count miner in mining.go,
-// gSpan grows patterns edge by edge along rightmost-path extensions,
-// keeping embedding lists per pattern, and prunes duplicate growth paths
-// with the minimum-DFS-code test. The two miners produce identical feature
-// sets (cross-validated in tests); gSpan scales better when the fragment
-// size budget grows.
+// of the PIS paper): patterns grow edge by edge along rightmost-path
+// extensions, keeping embedding lists per pattern, and duplicate growth
+// paths are pruned with the minimum-DFS-code test. The tests check it
+// against enumerating and counting every connected subgraph.
 
 package mining
 
@@ -132,18 +130,20 @@ func GSpan(db []*graph.Graph, opts GSpanOptions) []Feature {
 	return m.out
 }
 
-// grow reports the pattern and recurses into its frequent rightmost-path
-// extensions, pruning non-minimal codes.
+// isMin reports whether code is the minimum DFS code of the pattern it
+// describes; a pattern is grown only from that code.
+func isMin(code canon.Code) bool {
+	minCode, _ := canon.MinCode(code.Graph())
+	return minCode.Compare(code) == 0
+}
+
+// grow reports the pattern of a minimum code and recurses into its
+// frequent rightmost-path extensions whose codes are minimal too.
 func (m *gsMiner) grow(hosts []*graph.Graph, code canon.Code, projs []projection) {
-	pat := code.Graph()
-	minCode, _ := canon.MinCode(pat)
-	if minCode.Compare(code) != 0 {
-		return // this pattern is (or will be) reached via its min code
-	}
 	m.out = append(m.out, Feature{
-		Key:     minCode.Key(),
-		Code:    minCode,
-		Graph:   pat,
+		Key:     code.Key(),
+		Code:    code,
+		Graph:   code.Graph(),
 		Edges:   len(code),
 		Support: len(projs),
 	})
@@ -155,16 +155,23 @@ func (m *gsMiner) grow(hosts []*graph.Graph, code canon.Code, projs []projection
 	rmpath := rightmostPath(code)
 	nVerts := code.VertexCount()
 
+	// An extension whose code is not minimal is (or will be) reached
+	// from its minimum code: its embeddings, most of those a pattern
+	// has, are not collected.
 	type extension struct {
 		tuple canon.Tuple
+		min   bool
 		projs []projection
 	}
 	exts := map[canon.Tuple]*extension{}
 	record := func(t canon.Tuple, gid int32, emb *gEmbedding) {
 		x := exts[t]
 		if x == nil {
-			x = &extension{tuple: t}
+			x = &extension{tuple: t, min: isMin(append(code[:len(code):len(code)], t))}
 			exts[t] = x
+		}
+		if !x.min {
+			return
 		}
 		if n := len(x.projs); n == 0 || x.projs[n-1].gid != gid {
 			x.projs = append(x.projs, projection{gid: gid})
@@ -229,7 +236,8 @@ func (m *gsMiner) grow(hosts []*graph.Graph, code canon.Code, projs []projection
 		return ordered[i].tuple.Compare(ordered[j].tuple) < 0
 	})
 	for _, x := range ordered {
-		m.grow(hosts, append(append(canon.Code{}, code...), x.tuple), x.projs)
+		m.grow(hosts, append(code[:len(code):len(code)], x.tuple), x.projs)
+		x.projs = nil // the subtree is mined: let its embeddings go
 	}
 }
 

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,9 +9,55 @@ import (
 	"pis/internal/graph"
 )
 
-// TestGSpanMatchesExhaustiveMiner cross-validates the two miners: on the
-// same database with the same thresholds they must produce identical
-// feature sets with identical supports.
+// mineByCounting is the reference Mine is checked against: every connected
+// edge-subgraph up to MaxEdges of every sampled graph, canonicalized and
+// counted once per graph, then ordered and filtered like Mine's result.
+func mineByCounting(db []*graph.Graph, opts Options) ([]Feature, error) {
+	opts, err := opts.normalize(len(db))
+	if err != nil {
+		return nil, err
+	}
+	sample := db[:opts.SampleSize]
+	minSupport := max(1, int(math.Ceil(opts.MinSupportFraction*float64(len(sample)))))
+	type acc struct {
+		code    canon.Code
+		support int
+	}
+	counts := map[string]*acc{}
+	for _, g := range sample {
+		seen := map[string]bool{}
+		skel := g.Skeleton()
+		graph.EnumerateConnectedSubgraphs(skel, opts.MaxEdges, func(edges []int32) bool {
+			if len(edges) < opts.MinEdges {
+				return true
+			}
+			sub, _, _ := graph.Fragment{Host: skel, Edges: edges}.Extract()
+			code, _ := canon.MinCodeUnlabeled(sub)
+			key := code.Key()
+			if seen[key] {
+				return true
+			}
+			seen[key] = true
+			if counts[key] == nil {
+				counts[key] = &acc{code: code}
+			}
+			counts[key].support++
+			return true
+		})
+	}
+	var feats []Feature
+	for key, a := range counts {
+		f := Feature{Key: key, Code: a.code, Graph: a.code.Graph(), Edges: len(a.code), Support: a.support}
+		if a.support >= minSupport && (!opts.PathsOnly || isPath(f.Graph)) {
+			feats = append(feats, f)
+		}
+	}
+	return postprocess(feats, opts), nil
+}
+
+// TestGSpanMatchesExhaustiveMiner cross-validates pattern growth against
+// enumerate-and-count: on the same database with the same thresholds they
+// must produce identical feature sets with identical supports.
 func TestGSpanMatchesExhaustiveMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
@@ -21,7 +68,7 @@ func TestGSpanMatchesExhaustiveMiner(t *testing.T) {
 		for _, minSup := range []int{1, 2, 4} {
 			maxEdges := 2 + rng.Intn(3)
 			got := GSpan(db, GSpanOptions{MinSupport: minSup, MaxEdges: maxEdges, Skeleton: true})
-			want, err := Mine(db, Options{
+			want, err := mineByCounting(db, Options{
 				MaxEdges:           maxEdges,
 				MinSupportFraction: float64(minSup) / float64(len(db)),
 			})
@@ -158,9 +205,9 @@ func BenchmarkGSpanSkeleton(b *testing.B) {
 	}
 }
 
-// TestMineUseGSpanEquivalence checks the Mine dispatch: the UseGSpan flag
-// must not change the selected feature set.
-func TestMineUseGSpanEquivalence(t *testing.T) {
+// TestMineMatchesCountingMiner checks Mine end to end, filters and order
+// included, against the counting reference.
+func TestMineMatchesCountingMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db := make([]*graph.Graph, 20)
 	for i := range db {
@@ -172,21 +219,19 @@ func TestMineUseGSpanEquivalence(t *testing.T) {
 		{MaxEdges: 4, MinSupportFraction: 0.1, PathsOnly: true},
 		{MaxEdges: 4, MinSupportFraction: 0.1, Gamma: 1.2},
 	} {
-		a, err := Mine(db, opts)
+		a, err := mineByCounting(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := opts
-		g.UseGSpan = true
-		b, err := Mine(db, g)
+		b, err := Mine(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(a) != len(b) {
-			t.Fatalf("opts %+v: exhaustive %d features, gSpan %d", opts, len(a), len(b))
+			t.Fatalf("opts %+v: counting %d features, Mine %d", opts, len(a), len(b))
 		}
 		for i := range a {
-			if a[i].Key != b[i].Key || a[i].Support != b[i].Support {
+			if a[i].Key != b[i].Key || a[i].Support != b[i].Support || a[i].Code.Compare(b[i].Code) != 0 {
 				t.Fatalf("opts %+v: feature %d differs", opts, i)
 			}
 		}

@@ -24,7 +24,7 @@ func testConfig() Config {
 			MinSupportFraction: 0.05,
 			SampleSize:         300,
 		},
-		Index: index.Options{Kind: index.TrieIndex, Metric: distance.EdgeMutation{}},
+		Index: index.Options{Metric: distance.EdgeMutation{}},
 	}
 }
 

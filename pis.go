@@ -115,26 +115,13 @@ var (
 // unit default cost (the MD measure with custom relabeling prices).
 func NewMutationMatrix() *distance.Matrix { return distance.NewMatrix() }
 
-// IndexKind selects the per-class index structure.
-type IndexKind = index.Kind
-
-// Per-class index kinds (paper Figure 5).
-const (
-	// TrieIndex — canonical label sequences in a trie; mutation distances.
-	TrieIndex = index.TrieIndex
-	// RTreeIndex — weight vectors in an R-tree; linear mutation distance.
-	RTreeIndex = index.RTreeIndex
-	// VPTreeIndex — metric-based index; any measure.
-	VPTreeIndex = index.VPTreeIndex
-)
-
 // Options configures database construction and search.
 type Options struct {
 	// Metric is the superimposed distance measure (default EdgeMutation).
+	// It also decides what the index stores per fragment: edge weights
+	// under LinearEdgeDistance, labels otherwise (with vertex labels only
+	// when the metric prices them).
 	Metric Metric
-	// Kind picks the per-class index (default TrieIndex; use RTreeIndex
-	// with LinearEdgeDistance).
-	Kind IndexKind
 
 	// MaxFragmentEdges bounds indexed structure size (default 5; the paper
 	// sweeps 4-6 in Figure 12).
@@ -246,9 +233,6 @@ type Options struct {
 	// best-first by the partition lower bound (0 = GOMAXPROCS, 1 =
 	// serial). Answers and distances are identical for any setting.
 	VerifyWorkers int
-	// UseGSpan mines features by pattern growth instead of
-	// enumerate-and-count; the feature set is identical.
-	UseGSpan bool
 }
 
 // Database is an indexed graph database answering SSSD queries. It is
@@ -323,7 +307,6 @@ func (o Options) miningOptions() mining.Options {
 		SampleSize:         o.MiningSample,
 		Gamma:              o.Gamma,
 		PathsOnly:          o.PathFeaturesOnly,
-		UseGSpan:           o.UseGSpan,
 	}
 }
 
@@ -347,7 +330,7 @@ func (o Options) coreOptions() core.Options {
 func (o Options) segmentConfig() segment.Config {
 	return segment.Config{
 		Mining:          o.miningOptions(),
-		Index:           index.Options{Kind: o.Kind, Metric: o.Metric, SignatureWords: o.SignatureWords},
+		Index:           index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
 		Core:            o.coreOptions(),
 		KNNCore:         o.coreOptions(),
 		IndexWorkers:    o.BuildWorkers,
@@ -777,7 +760,7 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Sharded, error) {
 func (o Options) shardConfig() shard.Config {
 	return shard.Config{
 		Mining:          o.miningOptions(),
-		Index:           index.Options{Kind: o.Kind, Metric: o.Metric, SignatureWords: o.SignatureWords},
+		Index:           index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
 		Core:            o.coreOptions(),
 		IndexWorkers:    o.BuildWorkers,
 		CompactFraction: o.CompactFraction,
