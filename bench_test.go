@@ -8,6 +8,8 @@
 package pis_test
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -166,5 +168,44 @@ func BenchmarkEndToEndSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Search(qs[i%len(qs)], 2)
+	}
+}
+
+// BenchmarkQuerySurface times the public SearchContext over one corpus
+// (n=1300, Q16, σ=2) at one shard — the direct call — and at three — the
+// fan-out. distinct perturbs σ so every search runs the full pipeline;
+// repeat cycles 64 warmed queries with no writes between them, so every
+// search is a result-memo hit and what is left is the surface itself.
+func BenchmarkQuerySurface(b *testing.B) {
+	graphs := gen.Molecules(1300, gen.Config{Seed: 1})
+	qs := gen.Queries(graphs, 64, 16, 2)
+	ctx := context.Background()
+	for _, shards := range []int{1, 3} {
+		db, err := pis.NewSharded(graphs, shards, pis.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		distinct := 0 // σ perturbations spent, across the runs b.Run makes
+		for _, variant := range []string{"distinct", "repeat"} {
+			b.Run(fmt.Sprintf("%s/shards=%d", variant, shards), func(b *testing.B) {
+				// Warm here: the distinct runs before may have evicted
+				// these entries from the byte-bounded memo.
+				for _, q := range qs {
+					db.Search(q, 2)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sigma := 2.0
+					if variant == "distinct" {
+						distinct++
+						sigma += float64(distinct) * 1e-9
+					}
+					r, err := db.SearchContext(ctx, qs[i%len(qs)], sigma)
+					if err != nil || (r.Stats.MemoHits > 0) != (variant == "repeat") {
+						b.Fatalf("iteration %d: err %v, stats %+v", i, err, r.Stats)
+					}
+				}
+			})
+		}
 	}
 }

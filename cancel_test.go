@@ -56,6 +56,20 @@ func TestSearchContextPreCanceled(t *testing.T) {
 	}
 	assertSubset(t, r, full)
 
+	// A traced search obeys its context like any other, at any shard
+	// count: the partial result, flagged, with the context's error.
+	for _, nShards := range []int{1, 3} {
+		sh, err := pis.NewSharded(graphs, nShards, pis.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := sh.SearchTraced(ctx, q, 2)
+		if !errors.Is(err, context.Canceled) || !r.Stats.Partial {
+			t.Fatalf("shards=%d: pre-canceled traced search: err %v, partial %v", nShards, err, r.Stats.Partial)
+		}
+		assertSubset(t, r, full)
+	}
+
 	// KNN under a pre-canceled context.
 	if _, err := db.SearchKNNContext(ctx, q, 3, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled kNN err = %v, want context.Canceled", err)
@@ -115,7 +129,8 @@ func TestCancelReturnsPromptly(t *testing.T) {
 }
 
 // TestCancelDifferentialShardedUnsharded cancels queries at random
-// points on sharded and unsharded databases over the same graphs. Every
+// points on a one-shard database (flat: the direct call, no fan-out) and
+// a three-shard one, untraced and traced, over the same graphs. Every
 // outcome — complete or partial — must be a subset of the reference
 // answer set, and completions must be exact.
 func TestCancelDifferentialShardedUnsharded(t *testing.T) {
@@ -136,6 +151,10 @@ func TestCancelDifferentialShardedUnsharded(t *testing.T) {
 			for name, search := range map[string]func(context.Context) (pis.Result, error){
 				"flat":    func(ctx context.Context) (pis.Result, error) { return flat.SearchContext(ctx, q, 2) },
 				"sharded": func(ctx context.Context) (pis.Result, error) { return sharded.SearchContext(ctx, q, 2) },
+				"traced": func(ctx context.Context) (pis.Result, error) {
+					r, _, err := sharded.SearchTraced(ctx, q, 2)
+					return r, err
+				},
 			} {
 				ctx, cancel := context.WithTimeout(context.Background(), delay)
 				r, err := search(ctx)
@@ -161,8 +180,14 @@ func TestCancelDifferentialShardedUnsharded(t *testing.T) {
 }
 
 func TestShardedBatchContext(t *testing.T) {
+	for _, nShards := range []int{1, 3} {
+		testShardedBatchContext(t, nShards)
+	}
+}
+
+func testShardedBatchContext(t *testing.T, nShards int) {
 	graphs := chem.Generate(120, chem.Config{Seed: 13})
-	sharded, err := pis.NewSharded(graphs, 3, pis.Options{})
+	sharded, err := pis.NewSharded(graphs, nShards, pis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

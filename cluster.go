@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,16 +68,19 @@ type ClusterOptions struct {
 }
 
 // ClusterNode is one running cluster member: a shard-RPC server for its
-// owned replicas plus a coordinator over the whole cluster. It
-// implements the same backend surface as *Database and *Sharded, so
-// server.New can front it unchanged.
+// owned replicas plus a coordinator over the whole cluster. Its search
+// methods are the query surface it shares with *Database (query.go),
+// fanning out over the cluster's shards — each answered by whichever
+// replica responds first, hedged after a p95-derived delay — and merged
+// exactly like the single-process fan-out; it implements the same
+// backend surface, so server.New can front it unchanged.
 type ClusterNode struct {
-	co           *cluster.Coordinator
-	node         *cluster.Node
-	segs         map[int]*segment.Segment
-	queryTimeout time.Duration
-	closeOnce    sync.Once
-	closeErr     error
+	querySurface
+	co        *cluster.Coordinator
+	node      *cluster.Node
+	segs      map[int]*segment.Segment
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // StartClusterNode boots this node: recover owned shards from DataDir,
@@ -103,7 +105,9 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 		copts.Shards = len(copts.Peers)
 	}
 	opts := copts.Options.withDefaults()
-	segCfg := opts.segmentConfig()
+	// Each owned replica answers shard RPCs on its own, so it keeps the
+	// full verification budget of a one-shard database.
+	segCfg := opts.shardConfig().SegmentConfig(1)
 
 	placement := cluster.Place(copts.Shards, copts.Peers, copts.Replication)
 	owned := cluster.Owned(placement, copts.Self)
@@ -115,7 +119,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	cn := &ClusterNode{node: node, segs: make(map[int]*segment.Segment), queryTimeout: opts.QueryTimeout}
+	cn := &ClusterNode{node: node, segs: make(map[int]*segment.Segment)}
 	fail := func(err error) (*ClusterNode, error) {
 		cn.Close()
 		return nil, err
@@ -150,6 +154,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 		return fail(fmt.Errorf("pis: %w", err))
 	}
 	cn.co = co
+	cn.querySurface = querySurface{fan: co, queryTimeout: opts.QueryTimeout}
 	return cn, nil
 }
 
@@ -245,96 +250,6 @@ func (cn *ClusterNode) Graph(id int32) *Graph {
 	return g
 }
 
-// Search answers the query against the whole cluster; see
-// Database.Search. It panics on cluster failure (quorum loss) — use
-// SearchContext to handle ErrUnavailable gracefully.
-func (cn *ClusterNode) Search(q *Graph, sigma float64) Result {
-	r, err := cn.SearchContext(context.Background(), q, sigma)
-	if err != nil {
-		panic(fmt.Sprintf("pis: cluster search: %v", err))
-	}
-	return r
-}
-
-// SearchContext fans the query out across every shard, each answered by
-// whichever replica responds first (hedged after a p95-derived delay),
-// and merges exactly like the single-process fan-out. The error is
-// ErrUnavailable when some shard has no live replica.
-func (cn *ClusterNode) SearchContext(ctx context.Context, q *Graph, sigma float64) (Result, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, cn.queryTimeout)
-	defer cancel()
-	r, err := cn.co.SearchCtx(qctx, q, sigma)
-	return r, wrapCtxErr(err)
-}
-
-// SearchKNN is SearchKNNContext without a context; it panics on cluster
-// failure.
-func (cn *ClusterNode) SearchKNN(q *Graph, k int, maxSigma float64) []Neighbor {
-	ns, err := cn.SearchKNNContext(context.Background(), q, k, maxSigma)
-	if err != nil {
-		panic(fmt.Sprintf("pis: cluster knn: %v", err))
-	}
-	return ns
-}
-
-// SearchKNNContext runs the shrinking-radius k-nearest search across
-// the cluster; see Database.SearchKNNContext.
-func (cn *ClusterNode) SearchKNNContext(ctx context.Context, q *Graph, k int, maxSigma float64) ([]Neighbor, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, cn.queryTimeout)
-	defer cancel()
-	ns, err := cn.co.SearchKNNCtx(qctx, q, k, maxSigma)
-	return ns, wrapCtxErr(err)
-}
-
-// SearchBatch is SearchBatchContext without a context; it panics on
-// cluster failure.
-func (cn *ClusterNode) SearchBatch(queries []*Graph, sigma float64, workers int) []Result {
-	rs, err := cn.SearchBatchContext(context.Background(), queries, sigma, workers)
-	if err != nil {
-		panic(fmt.Sprintf("pis: cluster batch: %v", err))
-	}
-	return rs
-}
-
-// SearchBatchContext runs the batch under one shared deadline; see
-// Database.SearchBatchContext.
-func (cn *ClusterNode) SearchBatchContext(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
-	for _, q := range queries {
-		mustBeConnected(q)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	qctx, cancel := queryContext(ctx, cn.queryTimeout)
-	defer cancel()
-	out := make([]Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, q := range queries {
-		if qctx.Err() != nil {
-			errs[i] = qctx.Err()
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = cn.co.SearchCtx(qctx, q, sigma)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, wrapCtxErr(err)
-		}
-	}
-	return out, nil
-}
-
 // Insert routes the graph to a shard (round-robin under a cluster-wide
 // mutation order) and replicates it to every live replica; at least one
 // replica must fsync-and-ack. A replica that misses the insert is
@@ -409,6 +324,9 @@ func (cn *ClusterNode) Durability() DurabilityStats {
 // Overview returns the coordinator's cluster-wide view: peers up,
 // shards covered, and the aggregated index/durability state.
 func (cn *ClusterNode) Overview() ClusterOverview { return cn.overview() }
+
+// NumShards returns the cluster's global shard count.
+func (cn *ClusterNode) NumShards() int { return cn.co.NumShards() }
 
 // ClusterOverview is the coordinator's aggregate cluster view; see
 // ClusterNode.Overview.

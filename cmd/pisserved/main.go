@@ -122,7 +122,7 @@ func main() {
 		return
 	}
 
-	var db *pis.Sharded
+	var db *pis.Database
 	var err error
 	switch {
 	case canRecover:
@@ -130,7 +130,7 @@ func main() {
 			log.Printf("data dir %s already holds a store; ignoring -db/-gen", *dataDir)
 		}
 		start := time.Now()
-		db, err = pis.OpenSharded(*dataDir, opts)
+		db, err = pis.Open(*dataDir, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func main() {
 			graphs = gen.Molecules(*genN, gen.Config{Seed: *seed})
 		}
 		log.Printf("database: %d graphs", len(graphs))
-		db, err = buildSharded(graphs, *shards, opts, *dataDir)
+		db, err = buildDatabase(graphs, *shards, opts, *dataDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -285,12 +285,9 @@ func runDebugServer(ctx context.Context, addr string) {
 	}
 }
 
-// buildSharded constructs the database from graphs; with a data dir the
+// buildDatabase constructs the database from graphs; with a data dir the
 // freshly built database is persisted there.
-func buildSharded(graphs []*pis.Graph, nShards int, opts pis.Options, dataDir string) (*pis.Sharded, error) {
-	if nShards > len(graphs) {
-		nShards = len(graphs)
-	}
+func buildDatabase(graphs []*pis.Graph, nShards int, opts pis.Options, dataDir string) (*pis.Database, error) {
 	start := time.Now()
 	db, err := pis.NewSharded(graphs, nShards, opts)
 	if err != nil {

@@ -134,7 +134,7 @@ func TestSIGKILLRecoversAckedPrefix(t *testing.T) {
 				t.Fatalf("journal inconsistent: attempted=%d acked=%d", nAttempted, nAcked)
 			}
 
-			db, err := pis.OpenSharded(filepath.Join(dir, "db"), pis.Options{CompactFraction: -1})
+			db, err := pis.Open(filepath.Join(dir, "db"), pis.Options{CompactFraction: -1})
 			if err != nil {
 				t.Fatalf("recovery failed: %v\nchild output:\n%s", err, childOut.String())
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,8 +22,7 @@ import (
 // tail variants additionally damage the WAL at and inside every record
 // boundary and assert recovery lands on exactly the acknowledged prefix.
 
-// durableDB is mutableDB plus the durability surface shared by
-// *pis.Database and *pis.Sharded.
+// durableDB is mutableDB plus the durability surface of *pis.Database.
 type durableDB interface {
 	mutableDB
 	Checkpoint() error
@@ -64,16 +64,10 @@ func crashCopy(t *testing.T, src string) string {
 	return dst
 }
 
-// reopen recovers a database of the same shape from a crash image.
-func reopen(t *testing.T, dir string, sharded bool, opts pis.Options) durableDB {
+// reopen recovers a database from a crash image; the shard count comes
+// with the image.
+func reopen(t *testing.T, dir string, opts pis.Options) durableDB {
 	t.Helper()
-	if sharded {
-		db, err := pis.OpenSharded(dir, opts)
-		if err != nil {
-			t.Fatalf("OpenSharded(%s): %v", dir, err)
-		}
-		return db
-	}
 	db, err := pis.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
@@ -85,7 +79,7 @@ func reopen(t *testing.T, dir string, sharded bool, opts pis.Options) durableDB 
 // Insert/Delete/Compact/Checkpoint interleaving against a durable db,
 // and after every few steps crashes it (copy + reopen) and checks full
 // answer equivalence against a fresh build over the survivors.
-func runDurableDifferential(t *testing.T, seed int64, dir string, db durableDB, sharded bool, initial []*pis.Graph, opts pis.Options) {
+func runDurableDifferential(t *testing.T, seed int64, dir string, db durableDB, initial []*pis.Graph, opts pis.Options) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := gen.Molecules(30, gen.Config{Seed: seed + 2000})
 	m := &mutationModel{live: make(map[int32]*pis.Graph)}
@@ -104,7 +98,7 @@ func runDurableDifferential(t *testing.T, seed int64, dir string, db durableDB, 
 		if step%8 == 7 {
 			// Crash: reopen the exact on-disk state in a throwaway copy
 			// (the original keeps running — its own handles stay valid).
-			crashed := reopen(t, crashCopy(t, dir), sharded, opts)
+			crashed := reopen(t, crashCopy(t, dir), opts)
 			checkEquivalence(t, rng, crashed, m, opts)
 			crashed.Close()
 		}
@@ -123,7 +117,7 @@ func TestDurabilityCrashDifferentialUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runDurableDifferential(t, 500+seed, dir, db, false, initial, opts)
+			runDurableDifferential(t, 500+seed, dir, db, initial, opts)
 			db.Close()
 		}
 	}
@@ -138,7 +132,7 @@ func TestDurabilityCrashDifferentialSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runDurableDifferential(t, 600+int64(nShards), dir, db, true, initial, opts)
+		runDurableDifferential(t, 600+int64(nShards), dir, db, initial, opts)
 		db.Close()
 	}
 }
@@ -170,7 +164,7 @@ func applyWALPrefix(live map[int32]*pis.Graph, recs []store.RecordInfo, n int) {
 // truncations and bit flips — and asserts each recovery answers exactly
 // like a fresh build over the acknowledged prefix (other shards keep
 // their full logs).
-func runTornTail(t *testing.T, dir string, db durableDB, sharded bool, nShards, damageShard int, initial []*pis.Graph, opts pis.Options) {
+func runTornTail(t *testing.T, dir string, db durableDB, nShards, damageShard int, initial []*pis.Graph, opts pis.Options) {
 	rng := rand.New(rand.NewSource(7))
 	pool := gen.Molecules(20, gen.Config{Seed: 8})
 	nextID := int32(len(initial))
@@ -212,7 +206,7 @@ func runTornTail(t *testing.T, dir string, db durableDB, sharded bool, nShards, 
 		if err := os.WriteFile(walPath, mutate(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		crashed := reopen(t, cdir, sharded, opts)
+		crashed := reopen(t, cdir, opts)
 		defer crashed.Close()
 		m := &mutationModel{live: make(map[int32]*pis.Graph)}
 		for i, g := range initial {
@@ -252,7 +246,7 @@ func TestDurabilityTornWALUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	runTornTail(t, dir, db, false, 1, 0, initial, opts)
+	runTornTail(t, dir, db, 1, 0, initial, opts)
 }
 
 func TestDurabilityTornWALSharded(t *testing.T) {
@@ -264,7 +258,7 @@ func TestDurabilityTornWALSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	runTornTail(t, dir, db, true, 2, 0, initial, opts)
+	runTornTail(t, dir, db, 2, 0, initial, opts)
 }
 
 // TestDurabilityNoIDReuseAfterRestart: an id assigned, deleted, and
@@ -354,7 +348,7 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 	m.live[id2] = pool[1]
 	db.Close()
 
-	re := reopen(t, dir, false, opts)
+	re := reopen(t, dir, opts)
 	defer re.Close()
 	if d := re.Durability(); d.ReplayedRecords != 1 {
 		t.Fatalf("recovery replayed %d records, want 1", d.ReplayedRecords)
@@ -362,41 +356,113 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 	checkEquivalence(t, rand.New(rand.NewSource(21)), re, m, opts)
 }
 
-// TestOpenRejectsWrongShape: Open refuses a sharded store and points at
-// OpenSharded; both refuse a directory that is not a store.
+// TestOpenRejectsWrongShape: Open takes the shard count from the root
+// manifest — a 3-shard store and a 1-shard store both open, as what they
+// are — and refuses a directory that is not a store or whose manifest
+// names shards that are not on disk.
 func TestOpenRejectsWrongShape(t *testing.T) {
 	opts := pis.Options{MaxFragmentEdges: 4}
 	initial := gen.Molecules(12, gen.Config{Seed: 96})
+	q := gen.Queries(initial, 1, 6, 97)[0]
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := pis.CreateSharded(dir, initial, 2, opts)
+	db, err := pis.CreateSharded(dir, initial, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := db.SearchNaive(q, 2).Answers
 	db.Close()
-	if _, err := pis.Open(dir, opts); err == nil {
-		t.Fatal("Open accepted a 2-shard store")
+	re, err := pis.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("Open of a 3-shard store: %v", err)
 	}
+	if re.NumShards() != 3 || !reflect.DeepEqual(re.Search(q, 2).Answers, want) {
+		t.Fatalf("reopened 3-shard store: %d shards, answers %v, want %v", re.NumShards(), re.Search(q, 2).Answers, want)
+	}
+	if _, err := re.Insert(q); err != nil {
+		t.Fatal(err)
+	}
+	re.Close()
 	if _, err := pis.Open(t.TempDir(), opts); err == nil {
 		t.Fatal("Open accepted a non-store directory")
-	}
-	if _, err := pis.OpenSharded(t.TempDir(), opts); err == nil {
-		t.Fatal("OpenSharded accepted a non-store directory")
 	}
 	if !pis.StoreExists(dir) || pis.StoreExists(t.TempDir()) {
 		t.Fatal("StoreExists misclassified a directory")
 	}
-	// A 1-shard store opens through OpenSharded too (same on-disk shape).
+	// A manifest naming more shards than the directory holds is refused
+	// before anything is sized by it.
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("pis-store v1\nshards 2000000000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pis.Open(dir, opts); err == nil || pis.StoreExists(dir) {
+		t.Fatalf("a manifest naming 2000000000 shards over 3 directories: Open err %v, StoreExists %v", err, pis.StoreExists(dir))
+	}
+	// Create is the one-shard case of the same layout.
 	udir := filepath.Join(t.TempDir(), "db1")
 	udb, err := pis.Create(udir, initial, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	udb.Close()
-	sh, err := pis.OpenSharded(udir, opts)
+	one, err := pis.Open(udir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Close()
+	defer one.Close()
+	if one.NumShards() != 1 || !reflect.DeepEqual(one.Search(q, 2).Answers, want) {
+		t.Fatalf("reopened 1-shard store: %d shards, answers %v, want %v", one.NumShards(), one.Search(q, 2).Answers, want)
+	}
+}
+
+// TestPersistFailureRollsBack: a Persist that cannot write the root
+// manifest leaves the database in memory — at any shard count — so a
+// retry into a clean directory succeeds and the writes it then
+// acknowledges survive Open.
+func TestPersistFailureRollsBack(t *testing.T) {
+	opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
+	initial := gen.Molecules(12, gen.Config{Seed: 99})
+	extra := gen.Molecules(1, gen.Config{Seed: 100})[0]
+	for _, shards := range []int{1, 3} {
+		db, err := pis.NewSharded(initial, shards, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// MANIFEST as a non-empty directory: the shard stores get written,
+		// the rename of the root manifest over it cannot succeed.
+		bad := filepath.Join(t.TempDir(), "bad")
+		if err := os.MkdirAll(filepath.Join(bad, "MANIFEST", "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Persist(bad); err == nil {
+			t.Fatalf("shards=%d: Persist over an unwritable root manifest succeeded", shards)
+		}
+		if db.Durability().Durable {
+			t.Fatalf("shards=%d: database is half-durable after a failed Persist", shards)
+		}
+		for i := 0; i < shards; i++ {
+			if _, err := os.Stat(filepath.Join(bad, fmt.Sprintf("shard-%03d", i))); err == nil {
+				t.Errorf("shards=%d: failed Persist left shard-%03d behind", shards, i)
+			}
+		}
+		good := filepath.Join(t.TempDir(), "good")
+		if err := db.Persist(good); err != nil {
+			t.Fatalf("shards=%d: Persist retry into a clean directory: %v", shards, err)
+		}
+		id, err := db.Insert(extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := pis.Open(good, opts)
+		if err != nil {
+			t.Fatalf("shards=%d: Open after the retried Persist: %v", shards, err)
+		}
+		if re.NumShards() != shards || re.Len() != len(initial)+1 || re.Graph(id) == nil {
+			t.Errorf("shards=%d: reopened with %d shards, %d graphs, graph %d = %v", shards, re.NumShards(), re.Len(), id, re.Graph(id))
+		}
+		re.Close()
+	}
 }
 
 // TestOpenIndexFingerprintMismatch: an index side file paired with a
@@ -446,7 +512,7 @@ func TestOpenIndexFingerprintMismatch(t *testing.T) {
 		sh.Close()
 	}
 	swapIndex(sdirs[0], sdirs[1])
-	_, err = pis.OpenSharded(sdirs[0], opts)
+	_, err = pis.Open(sdirs[0], opts)
 	if err == nil {
 		t.Fatal("sharded store opened with another database's index")
 	}

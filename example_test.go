@@ -1,6 +1,7 @@
 package pis_test
 
 import (
+	"context"
 	"fmt"
 
 	"pis"
@@ -68,4 +69,37 @@ func ExampleDatabase_SearchKNN() {
 	// Output:
 	// graph 0 at distance 0
 	// graph 1 at distance 1
+}
+
+// ExampleDatabase_SearchTraced shows where a search's time went as a span
+// tree. New and NewSharded return the same *Database and the same
+// answers; only the tree's shape tells the shard counts apart: the
+// stages hang off the root over one shard, under one child per shard
+// (then the merge) over several.
+func ExampleDatabase_SearchTraced() {
+	graphs := []*pis.Graph{
+		triangleWithTail(1, 1, 1),
+		triangleWithTail(1, 1, 2),
+		triangleWithTail(1, 2, 2),
+		triangleWithTail(2, 2, 2),
+	}
+	opts := pis.Options{MinSupportFraction: 0.01, MaxFragmentEdges: 3}
+	for _, shards := range []int{1, 2} {
+		db, err := pis.NewSharded(graphs, shards, opts)
+		if err != nil {
+			panic(err)
+		}
+		r, span, err := db.SearchTraced(context.Background(), graphs[0], 1)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("shards=%d answers=%v %s:", db.NumShards(), r.Answers, span.Name)
+		for _, child := range span.Children {
+			fmt.Printf(" %s", child.Name)
+		}
+		fmt.Println()
+	}
+	// Output:
+	// shards=1 answers=[0 1] search: plan filter verify
+	// shards=2 answers=[0 1] search: shard-0 shard-1 merge
 }

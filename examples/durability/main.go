@@ -7,7 +7,9 @@
 // checkpoint, reopens the directory with pis.Open, and shows that the
 // recovered database answers exactly like the one that "crashed" — the
 // WAL replay restores the acknowledged mutations, and the base index is
-// loaded, not re-mined.
+// loaded, not re-mined. A database of several shards works the same way:
+// pis.CreateSharded writes it, and the same pis.Open reads the shard
+// count from the store.
 //
 // Run with: go run ./examples/durability
 package main

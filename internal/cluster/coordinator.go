@@ -245,6 +245,9 @@ func (c *Coordinator) Close() {
 	}
 }
 
+// NumShards returns the global shard count.
+func (c *Coordinator) NumShards() int { return len(c.searchers) }
+
 // SearchCtx fans the query out to every shard — each served by
 // whichever replica answers first — and merges exactly like the
 // single-process database.

@@ -29,6 +29,7 @@ import (
 	"pis/internal/binio"
 	"pis/internal/core"
 	"pis/internal/graph"
+	"pis/internal/obs"
 )
 
 type remoteShard struct {
@@ -59,12 +60,22 @@ func (r *remoteShard) ordered() []*peerState {
 	return append(up, down...)
 }
 
-// SearchCtx implements shard.Searcher over the wire.
+// SearchCtx implements shard.Searcher over the wire. Whether the query is
+// traced does not cross the wire yet, so under a traced context the
+// shard's span is a leaf: the RPC's wall time, hedges and failovers
+// included.
 func (r *remoteShard) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
+	start := time.Now()
 	req := apUv(nil, uint64(r.idx))
 	req = apF64(req, sigma)
 	req = apGraph(req, q)
-	return hedged(r, ctx, opSearch, req, readResult)
+	res, err := hedged(r, ctx, opSearch, req, readResult)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		sp := &obs.Span{Name: "search", DurationMS: obs.MS(time.Since(start))}
+		sp.SetAttr("remote", true)
+		tr.SetRoot(sp)
+	}
+	return res, err
 }
 
 // SearchKNNCtx implements shard.Searcher over the wire.

@@ -33,7 +33,7 @@ func BenchmarkSegmentRepeatSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer seg.Close()
-			want := len(seg.Search(q, 2).Answers)
+			want := len(search(seg, q, 2).Answers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := seg.Insert(all[n+i%4096], int32(n+i)); err != nil {
@@ -43,7 +43,7 @@ func BenchmarkSegmentRepeatSearch(b *testing.B) {
 				if variant == "cold" {
 					sigma += float64(i+1) * 1e-9
 				}
-				if r := seg.Search(q, sigma); len(r.Answers) < want || (r.Stats.MemoHits == 1) != (variant == "hit") {
+				if r := search(seg, q, sigma); len(r.Answers) < want || (r.Stats.MemoHits == 1) != (variant == "hit") {
 					b.Fatalf("iteration %d: %d answers (started at %d), stats %+v", i, len(r.Answers), want, r.Stats)
 				}
 			}

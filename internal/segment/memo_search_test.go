@@ -32,6 +32,20 @@ func (c memoCounts) since(old memoCounts) memoCounts {
 	return memoCounts{c.hit - old.hit, c.miss - old.miss, c.fallback - old.fallback}
 }
 
+// search and searchKNN are the segment's reads under a background
+// context, where the only possible error is a verification panic.
+func search(seg *segment.Segment, q *graph.Graph, sigma float64) core.Result {
+	r, err := seg.SearchCtx(context.Background(), q, sigma)
+	core.Rethrow(err)
+	return r
+}
+
+func searchKNN(seg *segment.Segment, q *graph.Graph, k int, startSigma, maxSigma float64) []core.Neighbor {
+	ns, err := seg.SearchKNNCtx(context.Background(), q, k, startSigma, maxSigma)
+	core.Rethrow(err)
+	return ns
+}
+
 func newMemoSegment(t *testing.T, n int) (*segment.Segment, []*graph.Graph) {
 	t.Helper()
 	graphs := segGraphs(n, 11)
@@ -80,7 +94,7 @@ func TestMemoRepeatQuery(t *testing.T) {
 	q, sigma := graphs[3], 1.0
 
 	c0 := readMemoCounts()
-	first := seg.Search(q, sigma)
+	first := search(seg, q, sigma)
 	sameAsNaive(t, "cold", seg, q, sigma, first)
 	seg.SearchTopoPrune(q, sigma)
 	if got := readMemoCounts().since(c0); got != (memoCounts{miss: 1}) || first.Stats.MemoHits != 0 {
@@ -90,7 +104,7 @@ func TestMemoRepeatQuery(t *testing.T) {
 		t.Fatal("the query has no answers; the test needs some to carry over")
 	}
 
-	second := seg.Search(q, sigma)
+	second := search(seg, q, sigma)
 	sameAsNaive(t, "repeat", seg, q, sigma, second)
 	if st := second.Stats; st.MemoHits != 1 || st.Verified != 0 || st.VerifyCacheHits != len(first.Answers) || st.StructCandidates != 0 {
 		t.Fatalf("repeat search was not a pure memo hit: %+v", st)
@@ -99,7 +113,12 @@ func TestMemoRepeatQuery(t *testing.T) {
 	if _, err := seg.Insert(q, 40); err != nil { // the query itself: distance 0
 		t.Fatal(err)
 	}
-	third, sp := seg.SearchTraced(q, sigma)
+	tctx, tr := obs.WithTrace(context.Background())
+	third, err := seg.SearchCtx(tctx, q, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tr.Root()
 	sameAsNaive(t, "after insert", seg, q, sigma, third)
 	if st := third.Stats; st.MemoHits != 1 || st.Refreshed != 1 || st.Verified != 1 || !slices.Contains(third.Answers, 40) {
 		t.Fatalf("after one insert the hit should verify exactly that graph and answer it: %+v %v", st, third.Answers)
@@ -123,7 +142,7 @@ func TestMemoRepeatQuery(t *testing.T) {
 	if err := seg.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	fifth := seg.Search(q, sigma)
+	fifth := search(seg, q, sigma)
 	sameAsNaive(t, "after compaction", seg, q, sigma, fifth)
 	if fifth.Stats.MemoHits != 1 || fifth.Stats.Verified != 0 {
 		t.Fatalf("the entry did not survive compaction: %+v", fifth.Stats)
@@ -140,7 +159,7 @@ func TestMemoFallback(t *testing.T) {
 	seg, graphs := newMemoSegment(t, 40)
 	defer seg.Close()
 	q, sigma := graphs[5], 1.0
-	cost := seg.Search(q, sigma).Stats.Verified
+	cost := search(seg, q, sigma).Stats.Verified
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i <= cost; i++ {
 		if _, err := seg.Insert(segGraph(rng), int32(40+i)); err != nil {
@@ -148,12 +167,12 @@ func TestMemoFallback(t *testing.T) {
 		}
 	}
 	c0 := readMemoCounts()
-	r := seg.Search(q, sigma)
+	r := search(seg, q, sigma)
 	sameAsNaive(t, "fallback", seg, q, sigma, r)
 	if got := readMemoCounts().since(c0); got != (memoCounts{fallback: 1}) || r.Stats.MemoHits != 0 {
 		t.Fatalf("%d inserts against an entry that cost %d: lookups %+v, MemoHits %d; want one fallback", cost+1, cost, got, r.Stats.MemoHits)
 	}
-	if r = seg.Search(q, sigma); r.Stats.MemoHits != 1 || r.Stats.Verified != 0 {
+	if r = search(seg, q, sigma); r.Stats.MemoHits != 1 || r.Stats.Verified != 0 {
 		t.Fatalf("the fallback's result was not stored: %+v", r.Stats)
 	}
 }
@@ -165,7 +184,7 @@ func TestMemoCanceledStoresNothing(t *testing.T) {
 	seg, graphs := newMemoSegment(t, 40)
 	defer seg.Close()
 	q, sigma := graphs[3], 1.0
-	seg.Search(q, sigma)
+	search(seg, q, sigma)
 	if _, err := seg.Insert(q, 40); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +197,7 @@ func TestMemoCanceledStoresNothing(t *testing.T) {
 	if _, err := seg.SearchKNNCtx(ctx, q, 3, 0, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled kNN: err %v", err)
 	}
-	r = seg.Search(q, sigma)
+	r = search(seg, q, sigma)
 	sameAsNaive(t, "after a canceled read", seg, q, sigma, r)
 	if r.Stats.MemoHits != 1 || r.Stats.Refreshed != 1 {
 		t.Fatalf("the read after a canceled one should hit the old entry and verify the insert: %+v", r.Stats)
@@ -203,7 +222,7 @@ func TestMemoKNN(t *testing.T) {
 	check := func(what string, radius float64, want memoCounts) []core.Neighbor {
 		t.Helper()
 		c0 := readMemoCounts()
-		got := seg.SearchKNN(q, k, 0, radius)
+		got := searchKNN(seg, q, k, 0, radius)
 		if ref := naiveKNN(seg, q, k, radius); !sameNeighbors(got, ref) {
 			t.Fatalf("%s: kNN %v, naive says %v", what, got, ref)
 		}
@@ -236,7 +255,7 @@ func TestMemoKNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after compaction", 5, memoCounts{hit: 1})
-	if got := seg.SearchKNN(q, 0, 0, 5); got != nil {
+	if got := searchKNN(seg, q, 0, 0, 5); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }
@@ -248,8 +267,8 @@ func TestMemoStartsCold(t *testing.T) {
 	dir := t.TempDir()
 	seg := newDurableSegment(t, dir, faultfs.New(nil), 30)
 	q := segGraphs(30, 1)[2]
-	seg.Search(q, 1)
-	if r := seg.Search(q, 1); r.Stats.MemoHits != 1 {
+	search(seg, q, 1)
+	if r := search(seg, q, 1); r.Stats.MemoHits != 1 {
 		t.Fatalf("warm-up did not warm: %+v", r.Stats)
 	}
 	if err := seg.Close(); err != nil {
@@ -261,7 +280,7 @@ func TestMemoStartsCold(t *testing.T) {
 	}
 	defer reopened.Close()
 	c0 := readMemoCounts()
-	if r := reopened.Search(q, 1); r.Stats.MemoHits != 0 {
+	if r := search(reopened, q, 1); r.Stats.MemoHits != 0 {
 		t.Fatalf("a recovered segment answered its first read from a memo: %+v", r.Stats)
 	}
 	if got := readMemoCounts().since(c0); got != (memoCounts{miss: 1}) {
@@ -275,7 +294,7 @@ func TestMemoStartsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 = readMemoCounts()
-	a, b := counting.Search(q, 1), counting.Search(q, 1)
+	a, b := search(counting, q, 1), search(counting, q, 1)
 	if got := readMemoCounts().since(c0); got != (memoCounts{}) || a.Answers != nil || !reflect.DeepEqual(a.Stats.StructCandidates, b.Stats.StructCandidates) {
 		t.Fatalf("SkipVerification searches touched the memo: lookups %+v", got)
 	}

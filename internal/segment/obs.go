@@ -1,17 +1,9 @@
-// Observability hooks: mutation and compaction activity feeds the
-// shared metrics registry, and SearchTraced returns a span tree for one
-// query alongside its result.
+// Observability hooks: mutation, compaction and result-memo activity
+// feeds the shared metrics registry.
 
 package segment
 
-import (
-	"context"
-	"time"
-
-	"pis/internal/core"
-	"pis/internal/graph"
-	"pis/internal/obs"
-)
+import "pis/internal/obs"
 
 var (
 	mutationsTotal = obs.Default().CounterVec(
@@ -49,19 +41,3 @@ var (
 		"pis_result_memo_bytes",
 		"Bytes the result memos of this process's open segments account for.")
 )
-
-// SearchTraced is Search plus a span tree describing where the query's
-// time went. The tree is assembled from the Stats the pipeline collects
-// anyway, so the only extra cost over Search is the tree allocation.
-func (s *Segment) SearchTraced(q *graph.Graph, sigma float64) (core.Result, *obs.Span) {
-	start := time.Now()
-	sn := s.snapshot()
-	r, err := sn.search(context.Background(), q, sigma)
-	core.Rethrow(err)
-	sp := r.Trace(time.Since(start))
-	sp.SetAttr("delta_graphs", len(sn.view.Delta))
-	if sn.view.Tombs != nil {
-		sp.SetAttr("tombstoned_graphs", sn.view.Tombs.Count())
-	}
-	return r, sp
-}

@@ -48,6 +48,7 @@ import (
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/obs"
 	"pis/internal/store"
 )
 
@@ -401,24 +402,32 @@ func (sn *snapshot) remap(r *core.Result) {
 	}
 }
 
-// Search answers the SSSD query over the segment's current live graphs;
-// result ids are global. Like every read that verifies, it goes through
-// the result memo (memo.go): a repeated query pays only for the graphs
-// inserted since it was last answered.
-func (s *Segment) Search(q *graph.Graph, sigma float64) core.Result {
-	r, err := s.SearchCtx(context.Background(), q, sigma)
-	core.Rethrow(err)
-	return r
-}
-
-// SearchCtx is Search under a context: a canceled or timed-out query
-// returns the context error together with a partial result (see
+// SearchCtx answers the SSSD query over the segment's current live
+// graphs; result ids are global. Like every read that verifies, it goes
+// through the result memo (memo.go): a repeated query pays only for the
+// graphs inserted since it was last answered. A canceled or timed-out
+// query returns the context error together with a partial result (see
 // core.Searcher.SearchViewCtx); a verification panic surfaces as a
 // *core.PanicError. The partial result's ids are remapped to global ids
 // like any other, so callers can use it directly.
+//
+// When ctx carries an obs.Trace the span tree of the search — plan,
+// filter and verify children with the funnel counters as attributes — is
+// stored in it. The tree is assembled from the Stats the pipeline
+// collects anyway, so tracing costs the tree allocation and nothing else.
 func (s *Segment) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
+	start := time.Now()
 	sn := s.snapshot()
-	return sn.search(ctx, q, sigma)
+	r, err := sn.search(ctx, q, sigma)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		sp := r.Trace(time.Since(start))
+		sp.SetAttr("delta_graphs", len(sn.view.Delta))
+		if sn.view.Tombs != nil {
+			sp.SetAttr("tombstoned_graphs", sn.view.Tombs.Count())
+		}
+		tr.SetRoot(sp)
+	}
+	return r, err
 }
 
 // SearchNaive verifies every live graph (the reference answer).
@@ -437,18 +446,11 @@ func (s *Segment) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
 	return r
 }
 
-// SearchKNN returns up to k nearest live graphs with global ids, closest
-// first (ties by ascending global id), searching no farther than
-// maxSigma; startSigma seeds the threshold expansion (0 = default).
-func (s *Segment) SearchKNN(q *graph.Graph, k int, startSigma, maxSigma float64) []core.Neighbor {
-	ns, err := s.SearchKNNCtx(context.Background(), q, k, startSigma, maxSigma)
-	core.Rethrow(err)
-	return ns
-}
-
-// SearchKNNCtx is SearchKNN under a context; on cancellation the
-// neighbors verified so far are returned (global ids) with the context
-// error.
+// SearchKNNCtx returns up to k nearest live graphs with global ids,
+// closest first (ties by ascending global id), searching no farther than
+// maxSigma; startSigma seeds the threshold expansion (0 = default). On
+// cancellation the neighbors verified so far are returned with the
+// context error.
 func (s *Segment) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
 	sn := s.snapshot()
 	return sn.searchKNN(ctx, q, k, startSigma, maxSigma)

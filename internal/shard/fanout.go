@@ -12,11 +12,14 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"pis/internal/core"
 	"pis/internal/graph"
+	"pis/internal/obs"
 )
 
 // Searcher is the query surface of one shard, local or remote.
@@ -26,7 +29,8 @@ import (
 type Searcher interface {
 	// SearchCtx answers the SSSD query over this shard's live graphs,
 	// returning global ids. On cancellation it returns the answers fully
-	// verified so far (Stats.Partial set) with the context error.
+	// verified so far (Stats.Partial set) with the context error. When
+	// ctx carries an obs.Trace, the shard stores its span tree there.
 	SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error)
 	// SearchKNNCtx returns up to k nearest neighbors with global ids,
 	// searching no farther than maxSigma; startSigma seeds the threshold
@@ -42,10 +46,23 @@ type Searcher interface {
 // set) is returned with the error of the shard that failed first — the
 // root cause, not the context.Canceled its siblings then report; the
 // parent context's own error wins when it fired.
+//
+// A single shard is called directly — no goroutine, no derived context,
+// no merge copy — and under a traced context its span tree is the
+// query's. With more shards a traced query's tree has one child per
+// shard (each that shard's own tree; shards run concurrently, so their
+// durations overlap and can sum past the root's wall time) and a merge
+// span, under a root carrying the summed Stats of the merged result.
 func FanOutSearch(ctx context.Context, shards []Searcher, q *graph.Graph, sigma float64) (core.Result, error) {
+	if len(shards) == 1 {
+		return shards[0].SearchCtx(ctx, q, sigma)
+	}
+	start := time.Now()
+	tr := obs.TraceFrom(ctx)
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	parts := make([]core.Result, len(shards))
+	traces := make([]*obs.Trace, len(shards)) // one collector per shard, when traced
 	var wg sync.WaitGroup
 	var failOnce sync.Once
 	var first error
@@ -53,8 +70,12 @@ func FanOutSearch(ctx context.Context, shards []Searcher, q *graph.Graph, sigma 
 		wg.Add(1)
 		go func(i int, sh Searcher) {
 			defer wg.Done()
+			shctx := sctx
+			if tr != nil {
+				shctx, traces[i] = obs.WithTrace(sctx)
+			}
 			var err error
-			if parts[i], err = sh.SearchCtx(sctx, q, sigma); err != nil {
+			if parts[i], err = sh.SearchCtx(shctx, q, sigma); err != nil {
 				// Record before canceling: a sibling can only report the
 				// cancellation after this error is already in place.
 				failOnce.Do(func() { first = err })
@@ -63,7 +84,25 @@ func FanOutSearch(ctx context.Context, shards []Searcher, q *graph.Graph, sigma 
 		}(i, sh)
 	}
 	wg.Wait()
+	mergeStart := time.Now()
 	r := core.MergeGlobal(parts)
+	if tr != nil {
+		mergeDur := time.Since(mergeStart)
+		root := r.Stats.Trace(time.Since(start))
+		// Replace the flat stage children with the per-shard trees: the
+		// summed stage durations of concurrent shards do not nest inside
+		// the root's wall interval, but each shard's own tree does.
+		root.Children = root.Children[:0]
+		for i, t := range traces {
+			if sp := t.Root(); sp != nil {
+				sp.Name = fmt.Sprintf("shard-%d", i)
+				root.Children = append(root.Children, sp)
+			}
+		}
+		root.Child("merge", obs.MS(mergeDur))
+		root.SetAttr("shards", len(shards))
+		tr.SetRoot(root)
+	}
 	if first == nil {
 		return r, nil
 	}

@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"pis/internal/core"
 	"pis/internal/graph"
+	"pis/internal/obs"
 )
 
 // fakeSearcher is a shard whose search is a function of its context.
@@ -50,5 +52,50 @@ func TestFanOutSearchReportsRootCause(t *testing.T) {
 	})
 	if _, err := FanOutSearch(parent, []Searcher{waits, cancels}, nil, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want the parent context's error", err)
+	}
+}
+
+// TestFanOutSearchTraceShape: under a traced context a single shard's
+// span tree is the query's own; several shards each get a fresh
+// collector and hang under the root as shard-i, followed by the merge. A
+// shard that stored no tree is left out, and an untraced fan-out hands
+// no collector down.
+func TestFanOutSearchTraceShape(t *testing.T) {
+	traced := fakeSearcher(func(ctx context.Context) error {
+		if tr := obs.TraceFrom(ctx); tr != nil {
+			tr.SetRoot(&obs.Span{Name: "search"})
+		}
+		return nil
+	})
+	silent := fakeSearcher(func(context.Context) error { return nil })
+
+	ctx, tr := obs.WithTrace(context.Background())
+	if _, err := FanOutSearch(ctx, []Searcher{traced}, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sp := tr.Root(); sp == nil || sp.Name != "search" || len(sp.Children) != 0 {
+		t.Fatalf("one shard: root %+v, want the shard's own span", sp)
+	}
+
+	ctx, tr = obs.WithTrace(context.Background())
+	if _, err := FanOutSearch(ctx, []Searcher{traced, silent, traced}, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range tr.Root().Children {
+		names = append(names, c.Name)
+	}
+	if want := []string{"shard-0", "shard-2", "merge"}; !slices.Equal(names, want) || tr.Root().Attrs["shards"] != 3 {
+		t.Fatalf("three shards: children %v attrs %v, want %v and shards=3", names, tr.Root().Attrs, want)
+	}
+
+	untraced := fakeSearcher(func(ctx context.Context) error {
+		if obs.TraceFrom(ctx) != nil {
+			t.Error("an untraced fan-out handed a shard a trace collector")
+		}
+		return nil
+	})
+	if _, err := FanOutSearch(context.Background(), []Searcher{untraced, untraced}, nil, 1); err != nil {
+		t.Fatal(err)
 	}
 }

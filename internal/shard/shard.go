@@ -69,10 +69,11 @@ type Config struct {
 	MappedIndex bool
 }
 
-// segmentConfig translates the shard config for one of nShards segments:
-// the fan-out searcher divides default verification parallelism across
-// shards, the sequential kNN searcher keeps the full budget.
-func (cfg Config) segmentConfig(nShards int) segment.Config {
+// SegmentConfig translates the shard config for one of nShards segments
+// searched by one fan-out: the fan-out searcher divides default
+// verification parallelism across shards, the sequential kNN searcher
+// keeps the full budget.
+func (cfg Config) SegmentConfig(nShards int) segment.Config {
 	fanout := cfg.Core
 	fanout.VerifyWorkers = divideVerifyWorkers(cfg.Core.VerifyWorkers, nShards)
 	return segment.Config{
@@ -112,8 +113,9 @@ func Split(n, k int) []Range {
 // verify workers would oversubscribe the CPU nShards-fold. An explicit
 // setting is honored per shard; the 0 default divides GOMAXPROCS.
 //
-// SearchBatch layers its own worker bound on top, so a saturated batch
-// still oversubscribes by roughly its in-flight query count; that churn
+// A batch of queries (pis.SearchBatch) layers its own worker bound on
+// top, so a saturated batch still oversubscribes by roughly its
+// in-flight query count; that churn
 // is transient (verification goroutines are short-lived and capped by
 // candidate count) and accepted in exchange for keeping worker counts a
 // per-searcher constant. Callers needing strict core budgeting can set
@@ -132,23 +134,39 @@ func divideVerifyWorkers(w, nShards int) int {
 // DB is a sharded, mutable PIS database.
 type DB struct {
 	segs []*segment.Segment
-
-	fanOnce sync.Once
-	fan     []Searcher // segs as the fan-out interface, built on first query
+	fan  []Searcher // segs as the fan-out interface
 
 	mu     sync.Mutex // serializes id assignment + insert routing
 	nextID int32
 }
 
-// searchers returns the shards as the fan-out interface, built once.
-func (d *DB) searchers() []Searcher {
-	d.fanOnce.Do(func() {
-		d.fan = make([]Searcher, len(d.segs))
-		for i, seg := range d.segs {
-			d.fan[i] = seg
+// eachShard runs f for shards 0..n-1 concurrently and returns the error
+// of the lowest-numbered shard that failed, naming it.
+func eachShard(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-	})
-	return d.fan
+	}
+	return nil
+}
+
+func newDB(segs []*segment.Segment, nextID int32) *DB {
+	d := &DB{segs: segs, fan: make([]Searcher, len(segs)), nextID: nextID}
+	for i, seg := range segs {
+		d.fan[i] = seg
+	}
+	return d
 }
 
 // New splits graphs into nShards contiguous shards and builds every
@@ -162,24 +180,17 @@ func New(graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("shard: nShards must be >= 1, got %d", nShards)
 	}
 	ranges := Split(len(graphs), nShards)
-	scfg := cfg.segmentConfig(len(ranges))
+	scfg := cfg.SegmentConfig(len(ranges))
 	segs := make([]*segment.Segment, len(ranges))
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i int, rg Range) {
-			defer wg.Done()
-			segs[i], errs[i] = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), scfg)
-		}(i, rg)
+	err := eachShard(len(ranges), func(i int) (err error) {
+		rg := ranges[i]
+		segs[i], err = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), scfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d [%d,%d): %w", i, ranges[i].Start, ranges[i].End, err)
-		}
-	}
-	return &DB{segs: segs, nextID: int32(len(graphs))}, nil
+	return newDB(segs, int32(len(graphs))), nil
 }
 
 // NewDurable builds a sharded database like New and roots it at dir via
@@ -213,42 +224,29 @@ func (d *DB) Persist(dir string) error {
 	if store.RootExists(dir) {
 		return fmt.Errorf("shard: %s already holds a database store", dir)
 	}
-	errs := make([]error, len(d.segs))
-	var wg sync.WaitGroup
-	for i, seg := range d.segs {
-		wg.Add(1)
-		go func(i int, seg *segment.Segment) {
-			defer wg.Done()
-			// No root manifest + an existing shard store = debris from a
-			// crashed earlier Persist; clear it so Create succeeds.
-			sd := store.ShardDir(dir, i)
-			if store.Exists(sd) {
-				if errs[i] = os.RemoveAll(sd); errs[i] != nil {
-					return
-				}
+	err := eachShard(len(d.segs), func(i int) error {
+		// No root manifest + an existing shard store = debris from a
+		// crashed earlier Persist; clear it so Create succeeds.
+		sd := store.ShardDir(dir, i)
+		if store.Exists(sd) {
+			if err := os.RemoveAll(sd); err != nil {
+				return err
 			}
-			errs[i] = seg.Persist(sd)
-		}(i, seg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			// Roll the successful shards back to in-memory: a half-durable
-			// database would fsync mutations into stores no root manifest
-			// will ever name, and a Persist retry would be rejected.
-			for _, seg := range d.segs {
-				seg.AbandonStore()
-			}
-			return fmt.Errorf("shard %d: %w", i, err)
 		}
+		return d.segs[i].Persist(sd)
+	})
+	if err == nil {
+		err = store.WriteRootManifest(dir, len(d.segs))
 	}
-	if err := store.WriteRootManifest(dir, len(d.segs)); err != nil {
+	if err != nil {
+		// Roll every shard back to in-memory: a half-durable database
+		// would fsync mutations into stores no root manifest will ever
+		// name, and a Persist retry would be rejected.
 		for _, seg := range d.segs {
 			seg.AbandonStore()
 		}
-		return err
 	}
-	return nil
+	return err
 }
 
 // Open recovers a sharded database from its store directory: the root
@@ -260,27 +258,19 @@ func Open(dir string, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	scfg := cfg.segmentConfig(nShards)
+	scfg := cfg.SegmentConfig(nShards)
 	segs := make([]*segment.Segment, nShards)
-	errs := make([]error, nShards)
-	var wg sync.WaitGroup
-	for i := range segs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			segs[i], errs[i] = segment.OpenDurable(store.ShardDir(dir, i), scfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, seg := range segs {
-				if seg != nil {
-					seg.Close()
-				}
+	err = eachShard(nShards, func(i int) (err error) {
+		segs[i], err = segment.OpenDurable(store.ShardDir(dir, i), scfg)
+		return err
+	})
+	if err != nil {
+		for _, seg := range segs {
+			if seg != nil {
+				seg.Close()
 			}
-			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
+		return nil, err
 	}
 	nextID := int32(0)
 	for _, seg := range segs {
@@ -288,7 +278,7 @@ func Open(dir string, cfg Config) (*DB, error) {
 			nextID = id
 		}
 	}
-	return &DB{segs: segs, nextID: nextID}, nil
+	return newDB(segs, nextID), nil
 }
 
 // Checkpoint writes every shard's current state as a fresh snapshot and
@@ -298,22 +288,7 @@ func (d *DB) Checkpoint() error {
 	if !d.Durable() {
 		return segment.ErrNotDurable
 	}
-	errs := make([]error, len(d.segs))
-	var wg sync.WaitGroup
-	for i, seg := range d.segs {
-		wg.Add(1)
-		go func(i int, seg *segment.Segment) {
-			defer wg.Done()
-			errs[i] = seg.Checkpoint()
-		}(i, seg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return eachShard(len(d.segs), func(i int) error { return d.segs[i].Checkpoint() })
 }
 
 // Durable reports whether the database has a backing store.
@@ -390,8 +365,9 @@ func (d *DB) Graph(id int32) *graph.Graph {
 // Insert appends g to the shard with the fewest live graphs and returns
 // its stable global id. On a durable database the insert is WAL-logged
 // and fsync'd before it is acknowledged; a logging failure rejects the
-// mutation (nothing searchable, the reserved id is burned and never
-// observable) and returns the error with id -1. Otherwise a non-nil
+// mutation (nothing searchable; the id reserved for it is consumed and
+// never observable, so ids may skip) and returns the error with id -1.
+// Otherwise a non-nil
 // error reports a failed automatic compaction; the graph is inserted
 // and searchable either way.
 //
@@ -470,22 +446,7 @@ func (d *DB) Delete(id int32) (bool, error) {
 // indexes, in parallel. The first error is returned; failed shards keep
 // serving their pre-compaction state.
 func (d *DB) Compact() error {
-	errs := make([]error, len(d.segs))
-	var wg sync.WaitGroup
-	for i, seg := range d.segs {
-		wg.Add(1)
-		go func(i int, seg *segment.Segment) {
-			defer wg.Done()
-			errs[i] = seg.Compact()
-		}(i, seg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return eachShard(len(d.segs), func(i int) error { return d.segs[i].Compact() })
 }
 
 // LiveIDs returns the global ids of every live graph, ascending.
@@ -498,89 +459,49 @@ func (d *DB) LiveIDs() []int32 {
 	return ids
 }
 
-// Search fans the query out to every shard concurrently and merges the
-// per-shard results into one Result. Ids are global and stable; the
-// answer set equals an unsharded search over the same live graphs.
-func (d *DB) Search(q *graph.Graph, sigma float64) core.Result {
-	r, err := d.SearchCtx(context.Background(), q, sigma)
-	core.Rethrow(err) // a background context never cancels; only a panic lands here
-	return r
-}
-
-// SearchCtx is Search under a context. Every shard inherits a derived
-// context that is canceled as soon as any shard fails (panic in a
-// verify worker) or the parent context fires, so one sick shard frees
-// its siblings' verification workers instead of letting them run the
-// query to completion for a result nobody will see. On cancellation
-// the merged partial result (Stats.Partial set) is returned with the
-// first error.
+// SearchCtx fans the query out to every shard concurrently and merges
+// the per-shard results into one Result (FanOutSearch; one shard is
+// called directly). Ids are global and stable; the answer set equals an
+// unsharded search over the same live graphs. On cancellation the merged
+// partial result (Stats.Partial set) is returned with the first error.
 func (d *DB) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
-	return FanOutSearch(ctx, d.searchers(), q, sigma)
+	return FanOutSearch(ctx, d.fan, q, sigma)
 }
 
-// SearchBatch answers many queries, each fanning out across all shards,
-// with at most workers queries in flight at once (0 = GOMAXPROCS, the
-// same default as the unsharded batch). Each query snapshots the
-// database independently.
-func (d *DB) SearchBatch(queries []*graph.Graph, sigma float64, workers int) []core.Result {
-	out, err := d.SearchBatchCtx(context.Background(), queries, sigma, workers)
-	core.Rethrow(err)
-	return out
-}
-
-// SearchBatchCtx is SearchBatch under a context: queries not yet
-// launched when the context fires are skipped (their Results stay
-// zero), in-flight ones are canceled, and the first error is returned
-// alongside whatever completed.
-func (d *DB) SearchBatchCtx(ctx context.Context, queries []*graph.Graph, sigma float64, workers int) ([]core.Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]core.Result, len(queries))
-	errs := make([]error, len(queries))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		if ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *graph.Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = d.SearchCtx(ctx, q, sigma)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// SearchKNN returns the k nearest live graphs under the superimposed
+// SearchKNNCtx returns the k nearest live graphs under the superimposed
 // distance, closest first (ties by ascending global id), searching no
-// farther than maxSigma. Shards are visited in order with a shrinking
-// radius: once k neighbors are known, shard i+1 is searched no farther
-// than the current k-th best distance, and that radius is also used to
-// seed the shard's threshold expansion so the pass is a single range
-// query.
-func (d *DB) SearchKNN(q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
-	ns, err := d.SearchKNNCtx(context.Background(), q, k, maxSigma)
-	core.Rethrow(err)
-	return ns
+// farther than maxSigma (FanOutKNN). Cancellation is checked between the
+// sequential per-shard passes and inside each pass's verification pool;
+// canceled calls return the fully verified neighbors found so far with
+// the context error.
+func (d *DB) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
+	return FanOutKNN(ctx, d.fan, q, k, maxSigma)
 }
 
-// SearchKNNCtx is SearchKNN under a context: cancellation is checked
-// between the sequential per-shard passes and inside each pass's
-// verification pool. Canceled calls return the fully verified neighbors
-// found so far with the context error.
-func (d *DB) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
-	return FanOutKNN(ctx, d.searchers(), q, k, maxSigma)
+// SearchNaive verifies every live graph of every shard: the reference
+// answer the differential tests compare the pipeline against.
+func (d *DB) SearchNaive(q *graph.Graph, sigma float64) core.Result {
+	return d.baseline((*segment.Segment).SearchNaive, q, sigma)
+}
+
+// SearchTopoPrune answers with structure-only filtering plus
+// verification on every shard (the paper's baseline).
+func (d *DB) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
+	return d.baseline((*segment.Segment).SearchTopoPrune, q, sigma)
+}
+
+// baseline runs one of the reference searches shard by shard. One shard's
+// result is returned as it is, so the oracle of a one-shard database is
+// the segment's, bit for bit.
+func (d *DB) baseline(search func(*segment.Segment, *graph.Graph, float64) core.Result, q *graph.Graph, sigma float64) core.Result {
+	if len(d.segs) == 1 {
+		return search(d.segs[0], q, sigma)
+	}
+	parts := make([]core.Result, len(d.segs))
+	for i, seg := range d.segs {
+		parts[i] = search(seg, q, sigma)
+	}
+	return core.MergeGlobal(parts)
 }
 
 // Stats sums the per-shard base index counters.

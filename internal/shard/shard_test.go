@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"pis/internal/chem"
@@ -47,6 +49,20 @@ func buildEnv(t *testing.T, n, nShards int) ([]*graph.Graph, *DB, *core.Searcher
 		t.Fatal(err)
 	}
 	return db, sh, core.NewSearcher(db, idx, core.Options{})
+}
+
+// search and searchKNN run the DB's two query entries under a background
+// context, where the only possible error is a verification panic.
+func search(d *DB, q *graph.Graph, sigma float64) core.Result {
+	r, err := d.SearchCtx(context.Background(), q, sigma)
+	core.Rethrow(err)
+	return r
+}
+
+func searchKNN(d *DB, q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
+	ns, err := d.SearchKNNCtx(context.Background(), q, k, maxSigma)
+	core.Rethrow(err)
+	return ns
 }
 
 func TestSplit(t *testing.T) {
@@ -99,7 +115,7 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 	for qi, q := range queries {
 		for _, sigma := range []float64{0, 1, 2} {
 			want := ref.Search(q, sigma)
-			got := sh.Search(q, sigma)
+			got := search(sh, q, sigma)
 			if !reflect.DeepEqual(got.Answers, want.Answers) {
 				t.Errorf("query %d σ=%g: answers %v, want %v", qi, sigma, got.Answers, want.Answers)
 			}
@@ -113,7 +129,7 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 func TestSearchStatsAggregate(t *testing.T) {
 	db, sh, _ := buildEnv(t, 40, 4)
 	q := chem.SampleQueries(db, 1, 8, 5)[0]
-	r := sh.Search(q, 1)
+	r := search(sh, q, 1)
 	// The verification tiers must account for every candidate across all
 	// shards: each one is either answered from the verify cache or
 	// branch-and-bound verified (the prescreen ran in the filter).
@@ -135,7 +151,7 @@ func TestSearchKNNMatchesUnsharded(t *testing.T) {
 	for qi, q := range queries {
 		for _, k := range []int{1, 3, 10} {
 			want := ref.SearchKNN(q, k, 0, 8)
-			got := sh.SearchKNN(q, k, 8)
+			got := searchKNN(sh, q, k, 8)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("query %d k=%d: got %v, want %v", qi, k, got, want)
 			}
@@ -143,15 +159,29 @@ func TestSearchKNNMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestSearchBatchAligns: the batch loop lives in package pis; what it
+// needs of this one is that concurrent SearchCtx calls over one DB each
+// return their own query's answer.
 func TestSearchBatchAligns(t *testing.T) {
 	db, sh, _ := buildEnv(t, 40, 3)
 	queries := chem.SampleQueries(db, 8, 8, 13)
 	want := make([]core.Result, len(queries))
 	for i, q := range queries {
-		want[i] = sh.Search(q, 1)
+		want[i] = search(sh, q, 1)
 	}
-	for _, workers := range []int{1, 2, 0} {
-		got := sh.SearchBatch(queries, 1, workers)
+	for _, workers := range []int{1, 2, len(queries)} {
+		got := make([]core.Result, len(queries))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(queries); i += workers {
+					got[i] = search(sh, queries[i], 1)
+				}
+			}(w)
+		}
+		wg.Wait()
 		for i := range queries {
 			if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
 				t.Errorf("workers=%d query %d: %v, want %v", workers, i, got[i].Answers, want[i].Answers)
@@ -175,8 +205,8 @@ func TestPersistOpenRoundtrip(t *testing.T) {
 	}
 	defer loaded.Close()
 	q := chem.SampleQueries(db, 1, 8, 17)[0]
-	want := sh.Search(q, 2)
-	got := loaded.Search(q, 2)
+	want := search(sh, q, 2)
+	got := search(loaded, q, 2)
 	if !reflect.DeepEqual(got.Answers, want.Answers) {
 		t.Fatalf("reopened answers %v, want %v", got.Answers, want.Answers)
 	}
@@ -229,7 +259,7 @@ func TestMoreShardsThanGraphs(t *testing.T) {
 		t.Fatalf("NumShards = %d, want clamp to 5", sh.NumShards())
 	}
 	q := chem.SampleQueries(db, 1, 6, 1)[0]
-	r := sh.Search(q, 1) // single-graph shards still answer
+	r := search(sh, q, 1) // single-graph shards still answer
 	if r.Answers == nil {
 		t.Fatal("nil answers")
 	}

@@ -790,7 +790,10 @@ func WriteRootManifest(root string, shards int) error {
 	})
 }
 
-// ReadRootManifest returns the shard count recorded at root.
+// ReadRootManifest returns the shard count recorded at root. The count
+// is bounded by what is on disk — the last shard directory it names must
+// exist — so a corrupt MANIFEST cannot make the caller size anything by
+// a number no directory backs.
 func ReadRootManifest(root string) (shards int, err error) {
 	data, err := os.ReadFile(filepath.Join(root, manifestName))
 	if err != nil {
@@ -805,6 +808,9 @@ func ReadRootManifest(root string) (shards int, err error) {
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 1 {
 				return 0, fmt.Errorf("store: %s: bad shard count %q", root, val)
+			}
+			if _, err := os.Stat(ShardDir(root, n-1)); err != nil {
+				return 0, fmt.Errorf("store: %s: root MANIFEST names %d shards: %w", root, n, err)
 			}
 			return n, nil
 		}

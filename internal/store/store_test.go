@@ -355,13 +355,60 @@ func TestRootManifest(t *testing.T) {
 	if err := WriteRootManifest(root, 4); err != nil {
 		t.Fatal(err)
 	}
+	if ShardDir(root, 2) != filepath.Join(root, "shard-002") {
+		t.Fatalf("ShardDir = %q", ShardDir(root, 2))
+	}
+	// The count is bounded by the directories on disk: a manifest naming
+	// shards that do not exist is refused before anyone sizes a slice by it.
+	if n, err := ReadRootManifest(root); err == nil {
+		t.Fatalf("ReadRootManifest accepted %d shards with no shard directory", n)
+	}
+	for i := 0; i < 4; i++ {
+		if err := os.MkdirAll(ShardDir(root, i), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
 	n, err := ReadRootManifest(root)
 	if err != nil || n != 4 {
 		t.Fatalf("ReadRootManifest = %d, %v", n, err)
 	}
-	if ShardDir(root, 2) != filepath.Join(root, "shard-002") {
-		t.Fatalf("ShardDir = %q", ShardDir(root, 2))
+	if err := WriteRootManifest(root, 2000000000); err != nil {
+		t.Fatal(err)
 	}
+	if n, err := ReadRootManifest(root); err == nil {
+		t.Fatalf("ReadRootManifest accepted %d shards over 4 directories", n)
+	}
+}
+
+// FuzzReadRootManifest feeds arbitrary bytes as the root MANIFEST of a
+// directory holding three shard directories: the reader returns an
+// error, or a count that a directory on disk backs.
+func FuzzReadRootManifest(f *testing.F) {
+	f.Add([]byte(rootManifestMagic + "\nshards 3\n"))
+	f.Add([]byte(rootManifestMagic + "\nshards 2000000000\n"))
+	f.Add([]byte(rootManifestMagic + "\nshards 0\n"))
+	f.Add([]byte(rootManifestMagic + "\nshards -1\nshards 2\n"))
+	f.Add([]byte("shards 1\n"))
+	f.Add([]byte{})
+	root := f.TempDir()
+	const onDisk = 3
+	for i := 0; i < onDisk; i++ {
+		if err := os.MkdirAll(ShardDir(root, i), 0o755); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(root, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ReadRootManifest(root)
+		if err == nil && (n < 1 || n > onDisk) {
+			t.Fatalf("ReadRootManifest(%q) = %d with %d shard directories on disk", data, n, onDisk)
+		}
+		if err == nil && !RootExists(root) {
+			t.Fatalf("ReadRootManifest(%q) = %d, but RootExists says no store", data, n)
+		}
+	})
 }
 
 func TestOpenRejectsMissingStore(t *testing.T) {

@@ -116,7 +116,7 @@ func TestMappedDurableReopen(t *testing.T) {
 				name string
 				opts pis.Options
 			}{{"mapped", mopts}, {"heap", hopts}, {"mapped again", mopts}} {
-				re := reopen(t, dir, tc.sharded, open.opts)
+				re := reopen(t, dir, open.opts)
 				m := &mutationModel{live: make(map[int32]*pis.Graph)}
 				for _, id := range re.LiveIDs() {
 					m.live[id] = re.Graph(id)

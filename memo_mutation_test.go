@@ -158,7 +158,7 @@ func TestMemoMutationDifferentialUnsharded(t *testing.T) {
 
 func TestMemoMutationDifferentialSharded(t *testing.T) {
 	var w memoWitness
-	for _, nShards := range []int{2, 3} {
+	for _, nShards := range []int{1, 2, 3} {
 		opts := pis.Options{MaxFragmentEdges: 4}
 		initial := gen.Molecules(30, gen.Config{Seed: 700})
 		db, err := pis.NewSharded(initial, nShards, opts)

@@ -185,12 +185,14 @@ func TestConcurrentMutationsUnsharded(t *testing.T) {
 }
 
 func TestConcurrentMutationsSharded(t *testing.T) {
-	initial := gen.Molecules(30, gen.Config{Seed: 62})
-	db, err := pis.NewSharded(initial, 3, pis.Options{MaxFragmentEdges: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, nShards := range []int{1, 3} {
+		initial := gen.Molecules(30, gen.Config{Seed: 62})
+		db, err := pis.NewSharded(initial, nShards, pis.Options{MaxFragmentEdges: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runMutationRace(t, db, initial)
 	}
-	runMutationRace(t, db, initial)
 }
 
 // runMemoRace hammers a warmed query pool from several goroutines while
@@ -295,10 +297,12 @@ func TestConcurrentMemoUnsharded(t *testing.T) {
 }
 
 func TestConcurrentMemoSharded(t *testing.T) {
-	initial := gen.Molecules(30, gen.Config{Seed: 64})
-	db, err := pis.NewSharded(initial, 3, pis.Options{MaxFragmentEdges: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, nShards := range []int{1, 3} {
+		initial := gen.Molecules(30, gen.Config{Seed: 64})
+		db, err := pis.NewSharded(initial, nShards, pis.Options{MaxFragmentEdges: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runMemoRace(t, db, initial)
 	}
-	runMemoRace(t, db, initial)
 }

@@ -20,8 +20,7 @@ import (
 // the same survivors 0..n-1 in ascending id order — which is a bijection,
 // so answer sets, distances, and kNN order must agree entry for entry.
 
-// mutableDB is the mutation + query surface shared by *pis.Database and
-// *pis.Sharded.
+// mutableDB is the mutation + query surface of *pis.Database.
 type mutableDB interface {
 	Insert(g *pis.Graph) (int32, error)
 	Delete(id int32) (bool, error)

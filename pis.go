@@ -19,28 +19,25 @@
 // evaluation.
 //
 // For large databases, NewSharded partitions the graphs into contiguous
-// shards indexed and searched in parallel, and the server package plus the
-// pisserved command expose a sharded database over an HTTP JSON API with a
-// canonical-query result cache.
+// shards indexed and searched in parallel — the same Database type, with
+// the same answers — and the server package plus the pisserved command
+// expose a database over an HTTP JSON API with a canonical-query result
+// cache.
 //
 // Databases are durable when rooted in a data directory with Create /
 // CreateSharded (or upgraded in place with Persist): every Insert and
 // Delete is fsync'd to a write-ahead log before it is acknowledged,
-// Checkpoint and Compact write atomic snapshots, and Open / OpenSharded
-// recover the exact acknowledged state after a crash — no re-mining, no
-// data loss, torn log tails dropped. See README.md at the repository
+// Checkpoint and Compact write atomic snapshots, and Open recovers the
+// exact acknowledged state after a crash — no re-mining, no data loss,
+// torn log tails dropped. See README.md at the repository
 // root for a quickstart, the transaction file format, durability
 // guarantees, and server usage.
 package pis
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"pis/internal/core"
@@ -55,8 +52,8 @@ import (
 )
 
 // ErrNotDurable reports a durability operation (Checkpoint) on a
-// database that was built in memory instead of opened from a data
-// directory (Create/Open and their sharded variants).
+// database that was built in memory instead of rooted in a data
+// directory (Create, CreateSharded, Persist, Open).
 var ErrNotDurable = segment.ErrNotDurable
 
 // ErrDeadlineExceeded wraps a query that ran past its context deadline
@@ -202,13 +199,13 @@ type Options struct {
 	// QueryTimeout bounds every SearchContext / SearchKNNContext /
 	// SearchBatchContext call (0 = none): queries that run longer are cut
 	// off at the next verification-task boundary and return
-	// ErrDeadlineExceeded with the answers verified so far. Plain Search
-	// and SearchKNN are never bounded (they take no context).
+	// ErrDeadlineExceeded with the answers verified so far. Plain Search,
+	// SearchKNN and SearchBatch are never bounded (they take no context).
 	QueryTimeout time.Duration
 
 	// CompactFraction tunes the live-mutation compaction policy: after an
-	// Insert, when the unindexed delta holds more than CompactFraction
-	// times the indexed graph count (per shard for a Sharded database),
+	// Insert, when a shard's unindexed delta holds more than
+	// CompactFraction times its indexed graph count,
 	// the delta and any tombstones are folded into a freshly built index.
 	// 0 means the default 0.25; a negative value disables automatic
 	// compaction (Compact can still be called explicitly).
@@ -235,47 +232,34 @@ type Options struct {
 	VerifyWorkers int
 }
 
-// Database is an indexed graph database answering SSSD queries. It is
-// mutable while serving: Insert appends graphs to an unindexed delta
-// segment, Delete tombstones graphs, and Compact (automatic by default,
-// see Options.CompactFraction) folds both into a freshly built index.
-// Graph ids are assigned once — input order at construction, then one
-// new id per Insert — and are never reused or renumbered, so they stay
-// stable across compactions. Every query runs against a consistent
-// snapshot taken when it starts (per-request snapshot semantics).
+// Database is an indexed graph database answering SSSD queries, held as
+// one or more contiguous shards, each with its own fragment index,
+// searched with parallel fan-out and merge (New builds one shard,
+// NewSharded any number). The shard count never changes an answer:
+// Search returns the same answer set and SearchKNN the same neighbors in
+// the same order; only the per-stage statistics differ (counters
+// aggregate across shards). The search methods are those of the query
+// surface a ClusterNode shares (query.go).
+//
+// It is mutable while serving: Insert appends graphs to the unindexed
+// delta of the shard with the fewest live graphs, Delete tombstones
+// graphs, and Compact (automatic by default, per shard, see
+// Options.CompactFraction) folds both into a freshly built index. Graph
+// ids are assigned once — input order at construction, then one new id
+// per Insert — and are never reused or renumbered, so they stay stable
+// across compactions. Every query runs against a consistent snapshot
+// taken when it starts (per-request snapshot semantics).
 type Database struct {
-	seg          *segment.Segment
-	queryTimeout time.Duration
-
-	mu     sync.Mutex // serializes id assignment with delta appends
-	nextID int32
+	querySurface
+	db *shard.DB
 }
 
-// queryContext applies Options.QueryTimeout to a caller context. The
-// returned cancel must always be called.
-func queryContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(ctx, timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// wrapCtxErr converts a context error from a finished query into the
-// package's typed errors: a deadline becomes ErrDeadlineExceeded (still
-// matching context.DeadlineExceeded via errors.Is); plain cancellation
-// passes through unchanged.
-func wrapCtxErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
-	}
-	return err
+func newDatabase(db *shard.DB, opts Options) *Database {
+	return &Database{querySurface: querySurface{fan: db, queryTimeout: opts.QueryTimeout}, db: db}
 }
 
 // withDefaults fills the zero-value construction knobs with the paper's
-// defaults, shared by New and NewSharded.
+// defaults.
 func (o Options) withDefaults() Options {
 	if o.Metric == nil {
 		o.Metric = EdgeMutation
@@ -298,117 +282,182 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// miningOptions translates the public knobs to the mining package.
-func (o Options) miningOptions() mining.Options {
-	return mining.Options{
-		MaxEdges:           o.MaxFragmentEdges,
-		MinEdges:           o.MinFragmentEdges,
-		MinSupportFraction: o.MinSupportFraction,
-		SampleSize:         o.MiningSample,
-		Gamma:              o.Gamma,
-		PathsOnly:          o.PathFeaturesOnly,
-	}
-}
-
-// coreOptions translates the search-stage knobs to the core package.
-func (o Options) coreOptions() core.Options {
-	return core.Options{
-		Epsilon:              o.Epsilon,
-		Lambda:               o.Lambda,
-		PartitionK:           o.PartitionK,
-		MaxFragmentsPerQuery: o.MaxFragmentsPerQuery,
-		VerifyWorkers:        o.VerifyWorkers,
-		PlannerOff:           o.PlannerOff,
-		PlannerBudget:        o.PlannerBudget,
-		PlannerCrossover:     o.PlannerCrossover,
-		PlannerFeedbackOff:   o.PlannerFeedbackOff,
-	}
-}
-
-// segmentConfig translates the public knobs to the segment package for
-// the unsharded database (one segment, full verification budget).
-func (o Options) segmentConfig() segment.Config {
-	return segment.Config{
-		Mining:          o.miningOptions(),
-		Index:           index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
-		Core:            o.coreOptions(),
-		KNNCore:         o.coreOptions(),
+// shardConfig translates the public knobs to the shard package.
+func (o Options) shardConfig() shard.Config {
+	return shard.Config{
+		Mining: mining.Options{
+			MaxEdges:           o.MaxFragmentEdges,
+			MinEdges:           o.MinFragmentEdges,
+			MinSupportFraction: o.MinSupportFraction,
+			SampleSize:         o.MiningSample,
+			Gamma:              o.Gamma,
+			PathsOnly:          o.PathFeaturesOnly,
+		},
+		Index: index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
+		Core: core.Options{
+			Epsilon:              o.Epsilon,
+			Lambda:               o.Lambda,
+			PartitionK:           o.PartitionK,
+			MaxFragmentsPerQuery: o.MaxFragmentsPerQuery,
+			VerifyWorkers:        o.VerifyWorkers,
+			PlannerOff:           o.PlannerOff,
+			PlannerBudget:        o.PlannerBudget,
+			PlannerCrossover:     o.PlannerCrossover,
+			PlannerFeedbackOff:   o.PlannerFeedbackOff,
+		},
 		IndexWorkers:    o.BuildWorkers,
 		CompactFraction: o.CompactFraction,
 		MappedIndex:     o.MappedIndex,
 	}
 }
 
-// New indexes the given graphs. The slice is retained; do not mutate the
-// graphs afterwards. Graph i gets id i; later Inserts continue from
-// len(graphs).
+// New indexes the given graphs as one shard. The slice is retained; do
+// not mutate the graphs afterwards. Graph i gets id i; later Inserts
+// continue from len(graphs).
 func New(graphs []*Graph, opts Options) (*Database, error) {
+	return NewSharded(graphs, 1, opts)
+}
+
+// NewSharded splits graphs into nShards contiguous shards and builds every
+// shard's fragment index concurrently. Mining runs per shard on that
+// shard's slice, so feature sets differ across shards — harmless, since
+// verification makes answers exact. nShards is clamped to len(graphs).
+func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("pis: empty database")
 	}
+	if nShards < 1 {
+		return nil, fmt.Errorf("pis: nShards must be >= 1, got %d", nShards)
+	}
 	opts = opts.withDefaults()
-	seg, err := segment.New(graphs, 0, opts.segmentConfig())
+	db, err := shard.New(graphs, nShards, opts.shardConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	return &Database{seg: seg, nextID: int32(len(graphs)), queryTimeout: opts.QueryTimeout}, nil
+	return newDatabase(db, opts), nil
 }
 
+// Create builds an indexed database over graphs exactly like New and
+// makes it durable, rooted at the directory dir (created if needed,
+// which must not already hold a store): the initial snapshot is written
+// before Create returns, every later Insert and Delete is appended to a
+// write-ahead log and fsync'd before it is acknowledged, and Open
+// restores the exact acknowledged state after a crash or restart.
+func Create(dir string, graphs []*Graph, opts Options) (*Database, error) {
+	return CreateSharded(dir, graphs, 1, opts)
+}
+
+// CreateSharded builds a database like NewSharded and makes it durable,
+// rooted at dir: a root manifest records the shard layout and every
+// shard gets its own snapshot + WAL pair. See Create for the durability
+// contract.
+func CreateSharded(dir string, graphs []*Graph, nShards int, opts Options) (*Database, error) {
+	db, err := NewSharded(graphs, nShards, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.Persist(dir); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// Persist attaches new backing stores at dir to an in-memory database,
+// writing every shard's full current state (index included, no rebuild)
+// as its initial snapshot — graphs, tombstones, delta, and the index as
+// an idx-<seq>.pisidx3 side file; afterwards the database is durable
+// exactly as if built by Create, and restarts go through Open.
+//
+// The root manifest is written last, after every shard store is fully
+// established, so a crash mid-Persist leaves a directory that still
+// reads as "no store" and the next start rebuilds instead of wedging.
+// A Persist that fails rolls every shard back to in-memory, so it can be
+// retried into another directory.
+func (db *Database) Persist(dir string) error {
+	if err := db.db.Persist(dir); err != nil {
+		return fmt.Errorf("pis: %w", err)
+	}
+	return nil
+}
+
+// StoreExists reports whether dir holds a database store written by
+// Create/CreateSharded/Persist (a parseable root manifest), so callers
+// can decide between Open and a fresh build without trial and error.
+func StoreExists(dir string) bool {
+	_, err := store.ReadRootManifest(dir)
+	return err == nil
+}
+
+// Open recovers a durable database from its data directory; the shard
+// count comes from the root manifest and the shards recover in parallel.
+// Per shard the newest valid snapshot is loaded (no re-mining), the
+// WAL's valid prefix is replayed, and a torn final record — a crash
+// mid-write of a mutation that was never acknowledged — is dropped. The
+// snapshot's index side file is decoded onto the heap, or memory-mapped
+// when opts.MappedIndex is set: residency is chosen per Open, whatever
+// the store was created with. opts.Metric must match the build-time
+// metric, and the index must carry the fingerprint of the recovered
+// graphs; search-stage options (Epsilon, Lambda, PartitionK,
+// MaxFragmentsPerQuery, VerifyWorkers) and the mutation knobs (mining
+// options and CompactFraction, used by later compactions) are honored
+// from opts.
+func Open(dir string, opts Options) (*Database, error) {
+	opts = opts.withDefaults()
+	db, err := shard.Open(dir, opts.shardConfig())
+	if err != nil {
+		return nil, fmt.Errorf("pis: %w", err)
+	}
+	return newDatabase(db, opts), nil
+}
+
+// NumShards returns the shard count.
+func (db *Database) NumShards() int { return db.db.NumShards() }
+
 // Len returns the number of live graphs.
-func (db *Database) Len() int { return db.seg.Live() }
+func (db *Database) Len() int { return db.db.Len() }
 
 // Graph returns the live graph with the given id, or nil when the id was
 // never assigned or the graph has been deleted.
-func (db *Database) Graph(id int32) *Graph { return db.seg.Graph(id) }
+func (db *Database) Graph(id int32) *Graph { return db.db.Graph(id) }
 
-// Insert appends g to the database under a fresh stable id, which it
-// returns. The graph lands in an in-memory delta segment and is
-// searchable immediately; once the delta outgrows
-// Options.CompactFraction of the indexed size it is folded into a
-// rebuilt index. On a durable database the insert is written to the WAL
-// and fsync'd before it is acknowledged; a logging failure rejects the
-// mutation and returns id -1 with the error. Otherwise a non-nil error
-// reports a failed automatic compaction (the delta is retained, answers
-// stay exact).
-func (db *Database) Insert(g *Graph) (int32, error) {
-	db.mu.Lock()
-	id := db.nextID
-	needsCompact, err := db.seg.Insert(g, id)
-	if err != nil {
-		db.mu.Unlock()
-		return -1, err
-	}
-	db.nextID++
-	db.mu.Unlock()
-	if needsCompact {
-		return id, db.seg.Compact()
-	}
-	return id, nil
-}
+// LiveIDs returns the ids of every live graph, ascending.
+func (db *Database) LiveIDs() []int32 { return db.db.LiveIDs() }
+
+// Insert appends g to the shard with the fewest live graphs under a
+// fresh stable id, which it returns. The graph lands in that shard's
+// in-memory delta and is searchable immediately; once the delta
+// outgrows Options.CompactFraction of the shard's indexed size it is
+// folded into a rebuilt index. On a durable database the insert is
+// written to the WAL and fsync'd before it is acknowledged; a logging
+// failure rejects the mutation and returns id -1 with the error — the
+// id reserved for the rejected insert is consumed, so later ids skip it.
+// Otherwise a non-nil error reports a failed automatic compaction (the
+// delta is retained, answers stay exact).
+func (db *Database) Insert(g *Graph) (int32, error) { return db.db.Insert(g) }
 
 // Delete removes the graph with the given id from all future query
 // results (a tombstone; the index is cleaned up at the next compaction).
 // It reports whether the id was present and live. On a durable database
 // a live delete is WAL-logged and fsync'd before it is acknowledged; on
 // a logging failure the graph stays live and the error is returned.
-func (db *Database) Delete(id int32) (bool, error) { return db.seg.Delete(id) }
+func (db *Database) Delete(id int32) (bool, error) { return db.db.Delete(id) }
 
-// Compact folds the delta segment and tombstones into a freshly mined
-// and built index over the surviving graphs. Ids are unchanged. On error
-// the database keeps serving its pre-compaction state, still exactly.
-// On a durable database a successful compaction also writes a fresh
-// snapshot and truncates the WAL.
-func (db *Database) Compact() error { return db.seg.Compact() }
+// Compact folds every shard's delta and tombstones into a freshly mined
+// and built index over the surviving graphs, in parallel. Ids are
+// unchanged. On error the database keeps serving its pre-compaction
+// state, still exactly. On a durable database each shard's successful
+// compaction also writes a fresh snapshot and truncates its WAL.
+func (db *Database) Compact() error { return db.db.Compact() }
 
-// Checkpoint writes the database's current state — graphs, base index,
-// delta, tombstones — as a fresh atomic snapshot and truncates the WAL,
-// without rebuilding the index. It returns ErrNotDurable for an
-// in-memory database.
-func (db *Database) Checkpoint() error { return db.seg.Checkpoint() }
+// Checkpoint writes every shard's current state — graphs, base index,
+// delta, tombstones — as a fresh atomic snapshot and truncates its WAL,
+// in parallel, without rebuilding any index. It returns ErrNotDurable
+// for an in-memory database.
+func (db *Database) Checkpoint() error { return db.db.Checkpoint() }
 
-// Close releases the backing store's file handles (a no-op for an
+// Close releases the backing stores' file handles (a no-op for an
 // in-memory database). Queries keep working; mutations fail afterwards.
-func (db *Database) Close() error { return db.seg.Close() }
+func (db *Database) Close() error { return db.db.Close() }
 
 // DurabilityStats reports the state of a database's backing store.
 type DurabilityStats struct {
@@ -419,12 +468,12 @@ type DurabilityStats struct {
 	// mutations not yet folded into a snapshot (summed across shards).
 	WALRecords int64
 	WALBytes   int64
-	// SnapshotSeq is the current snapshot sequence number (for a sharded
-	// database, the smallest across shards).
+	// SnapshotSeq is the current snapshot sequence number (the smallest
+	// across shards).
 	SnapshotSeq uint64
 	// Checkpoints counts snapshots written by this process, and
-	// LastCheckpoint stamps the most recent one (zero when none; for a
-	// sharded database, the oldest shard's).
+	// LastCheckpoint stamps the most recent one (zero when none; with
+	// several shards, the oldest shard's).
 	Checkpoints    int64
 	LastCheckpoint time.Time
 	// ReplayedRecords counts WAL records applied during recovery when
@@ -433,15 +482,17 @@ type DurabilityStats struct {
 	// clean crash).
 	ReplayedRecords      int
 	RecoveryDroppedBytes int64
-	// Poisoned is true after a disk fault put the store (any shard's,
-	// for a sharded database) into read-only mode: mutations fail with
-	// ErrStorePoisoned, queries keep answering from memory.
-	// PoisonReason describes the first fault.
+	// Poisoned is true after a disk fault put the store (any shard's)
+	// into read-only mode: mutations fail with ErrStorePoisoned, queries
+	// keep answering from memory. PoisonReason describes the first fault.
 	Poisoned     bool
 	PoisonReason string
 }
 
-func durabilityStats(st store.Stats, ok bool) DurabilityStats {
+// Durability reports the backing store's counters aggregated across
+// shards; Durable is false for an in-memory database.
+func (db *Database) Durability() DurabilityStats {
+	st, ok := db.db.StoreStats()
 	if !ok {
 		return DurabilityStats{}
 	}
@@ -459,221 +510,22 @@ func durabilityStats(st store.Stats, ok bool) DurabilityStats {
 	}
 }
 
-// Durability reports the backing store's counters; Durable is false for
-// an in-memory database.
-func (db *Database) Durability() DurabilityStats {
-	st, ok := db.seg.StoreStats()
-	return durabilityStats(st, ok)
-}
-
-// Create builds an indexed database over graphs exactly like New and
-// makes it durable, rooted at the directory dir (created if needed,
-// which must not already hold a store): the initial snapshot is written
-// before Create returns, every later Insert and Delete is appended to a
-// write-ahead log and fsync'd before it is acknowledged, and Open
-// restores the exact acknowledged state after a crash or restart.
-func Create(dir string, graphs []*Graph, opts Options) (*Database, error) {
-	db, err := New(graphs, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.Persist(dir); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// Persist attaches a new backing store at dir to an in-memory database,
-// writing its full current state (index included, no rebuild) as the
-// initial snapshot — graphs, tombstones, delta, and the index as an
-// idx-<seq>.pisidx3 side file; afterwards the database is durable exactly
-// as if built by Create, and restarts go through Open.
-//
-// The root manifest is written last, after the shard store is fully
-// established, so a crash mid-Persist leaves a directory that still
-// reads as "no store" and the next start rebuilds instead of wedging.
-func (db *Database) Persist(dir string) error {
-	if db.seg.Durable() {
-		return fmt.Errorf("pis: database is already durable")
-	}
-	if store.RootExists(dir) {
-		return fmt.Errorf("pis: %s already holds a database store (use Open)", dir)
-	}
-	sd := store.ShardDir(dir, 0)
-	if store.Exists(sd) {
-		// Debris from a crashed earlier Persist (no root manifest exists).
-		if err := os.RemoveAll(sd); err != nil {
-			return fmt.Errorf("pis: %w", err)
-		}
-	}
-	if err := db.seg.Persist(sd); err != nil {
-		return fmt.Errorf("pis: %w", err)
-	}
-	if err := store.WriteRootManifest(dir, 1); err != nil {
-		return fmt.Errorf("pis: %w", err)
-	}
-	return nil
-}
-
-// Open recovers a durable database from its data directory: the newest
-// valid snapshot is loaded (no re-mining), the WAL's valid prefix is
-// replayed, and a torn final record — a crash mid-write of a mutation
-// that was never acknowledged — is dropped. The snapshot's index side
-// file is decoded onto the heap, or memory-mapped when opts.MappedIndex
-// is set: residency is chosen per Open, whatever the store was created
-// with. opts.Metric must match the build-time metric, and the index must
-// carry the fingerprint of the recovered graphs; search-stage options
-// (Epsilon, Lambda, PartitionK, MaxFragmentsPerQuery, VerifyWorkers) and
-// the mutation knobs (mining options and CompactFraction, used by later
-// compactions) are honored from opts.
-func Open(dir string, opts Options) (*Database, error) {
-	nShards, err := store.ReadRootManifest(dir)
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	if nShards != 1 {
-		return nil, fmt.Errorf("pis: %s holds a %d-shard database; use OpenSharded", dir, nShards)
-	}
-	opts = opts.withDefaults()
-	seg, err := segment.OpenDurable(store.ShardDir(dir, 0), opts.segmentConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Database{seg: seg, nextID: seg.MaxID() + 1, queryTimeout: opts.QueryTimeout}, nil
-}
-
-// LiveIDs returns the ids of every live graph, ascending.
-func (db *Database) LiveIDs() []int32 { return db.seg.AppendLiveIDs(nil) }
-
-// Search answers the SSSD query with the full PIS pipeline: find every
-// graph containing Q's structure within superimposed distance sigma.
-// The query must be a connected graph with at least one vertex.
-func (db *Database) Search(q *Graph, sigma float64) Result {
-	mustBeConnected(q)
-	return db.seg.Search(q, sigma)
-}
-
-// SearchContext is Search under a context: cancellation and deadlines
-// (from ctx or Options.QueryTimeout, whichever fires first) propagate
-// into the pipeline and are honored at range-expansion and
-// verification-task boundaries, so a canceled query returns within
-// roughly one candidate verification. On cancellation the error is the
-// context's (a deadline is wrapped in ErrDeadlineExceeded) and the
-// Result still carries every answer fully verified before the cutoff,
-// flagged with Stats.Partial — a correct subset of the complete answer
-// set. A nil error means the Result is complete.
-func (db *Database) SearchContext(ctx context.Context, q *Graph, sigma float64) (Result, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, db.queryTimeout)
-	defer cancel()
-	r, err := db.seg.SearchCtx(qctx, q, sigma)
-	return r, wrapCtxErr(err)
-}
-
-// SearchKNNContext is SearchKNN under a context; see SearchContext for
-// the cancellation contract. The returned neighbors are genuine (fully
-// verified) but closer ones may be missing when err is non-nil.
-func (db *Database) SearchKNNContext(ctx context.Context, q *Graph, k int, maxSigma float64) ([]Neighbor, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, db.queryTimeout)
-	defer cancel()
-	ns, err := db.seg.SearchKNNCtx(qctx, q, k, 0, maxSigma)
-	return ns, wrapCtxErr(err)
-}
-
-// SearchBatchContext is SearchBatch under a context: one shared
-// deadline covers the whole batch, and the first failure stops
-// launching further queries. Results align with queries; on a non-nil
-// error, entries for queries that never ran are zero Results.
-func (db *Database) SearchBatchContext(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
-	qctx, cancel := queryContext(ctx, db.queryTimeout)
-	defer cancel()
-	out, err := db.searchBatch(qctx, queries, sigma, workers)
-	return out, wrapCtxErr(err)
-}
-
-func (db *Database) searchBatch(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
-	for _, q := range queries {
-		mustBeConnected(q)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, q := range queries {
-		if ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = db.seg.SearchCtx(ctx, q, sigma)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-func mustBeConnected(q *Graph) {
-	if q.N() == 0 || !q.Connected() {
-		panic("pis: query graph must be non-empty and connected")
-	}
-}
-
-// SearchTraced is Search plus a span tree showing where the query's time
-// went: plan, filter, and verify child spans with the candidate-funnel
-// counters attached as attributes. The tree is built from the Stats the
-// pipeline collects anyway, so the overhead over Search is one small
-// allocation per stage.
-func (db *Database) SearchTraced(q *Graph, sigma float64) (Result, *TraceSpan) {
-	mustBeConnected(q)
-	return db.seg.SearchTraced(q, sigma)
-}
-
 // SearchTopoPrune answers with structure-only filtering plus verification
-// (the paper's baseline). The query must be connected.
+// (the paper's baseline), shard by shard. The query must be connected.
 func (db *Database) SearchTopoPrune(q *Graph, sigma float64) Result {
 	mustBeConnected(q)
-	return db.seg.SearchTopoPrune(q, sigma)
+	return db.db.SearchTopoPrune(q, sigma)
 }
 
 // SearchNaive verifies every graph; the reference answer. The query must
 // be connected.
 func (db *Database) SearchNaive(q *Graph, sigma float64) Result {
 	mustBeConnected(q)
-	return db.seg.SearchNaive(q, sigma)
+	return db.db.SearchNaive(q, sigma)
 }
 
 // Neighbor is one nearest-neighbor result.
 type Neighbor = core.Neighbor
-
-// SearchKNN returns the k database graphs nearest to q under the
-// superimposed distance, closest first, searching no farther than
-// maxSigma. Graphs not containing q's structure are never returned, so
-// fewer than k results are possible.
-func (db *Database) SearchKNN(q *Graph, k int, maxSigma float64) []Neighbor {
-	mustBeConnected(q)
-	return db.seg.SearchKNN(q, k, 0, maxSigma)
-}
-
-// SearchBatch answers many queries concurrently with workers goroutines
-// (0 = GOMAXPROCS). Results align with queries.
-func (db *Database) SearchBatch(queries []*Graph, sigma float64, workers int) []Result {
-	out, err := db.searchBatch(context.Background(), queries, sigma, workers)
-	core.Rethrow(err)
-	return out
-}
 
 // PlannerCell is one thing the query planner has learned by running
 // range queries: in shard Shard, a σ range query over a fragment of
@@ -689,19 +541,15 @@ type PlannerCell struct {
 	Survival    float64
 }
 
-func plannerCells(shards [][]core.SurvivalCell) []PlannerCell {
+// PlannerState reports every shard's learned planner survival rates.
+func (db *Database) PlannerState() []PlannerCell {
 	var out []PlannerCell
-	for i, cells := range shards {
+	for i, cells := range db.db.LearnedSurvival() {
 		for _, c := range cells {
 			out = append(out, PlannerCell{Shard: i, Class: c.Class, SigmaBucket: c.SigmaBucket, Survival: c.Survival})
 		}
 	}
 	return out
-}
-
-// PlannerState reports the planner's learned survival rates.
-func (db *Database) PlannerState() []PlannerCell {
-	return plannerCells([][]core.SurvivalCell{db.seg.LearnedSurvival()})
 }
 
 // IndexStats summarizes the fragment index and its mutation overlay.
@@ -715,232 +563,16 @@ type IndexStats struct {
 	Tombstones int
 }
 
-// Stats reports index size counters.
-func (db *Database) Stats() IndexStats {
-	s := db.seg.IndexStats()
-	return IndexStats{
-		Features: s.Classes, Fragments: s.Fragments, Sequences: s.Sequences,
-		Delta: db.seg.DeltaLen(), Tombstones: db.seg.Tombstoned(),
-	}
-}
-
-// Sharded is an indexed graph database split into contiguous shards, each
-// with its own fragment index, searched with parallel fan-out and merge.
-// It answers exactly like a Database over the same graphs: Search returns
-// the same answer set and SearchKNN the same neighbors in the same order;
-// only the per-stage statistics differ (counters aggregate across shards).
-// Like Database it is mutable while serving: Insert routes new graphs to
-// the shard with the fewest live graphs, Delete tombstones the owning
-// shard, and compaction runs per shard.
-type Sharded struct {
-	db           *shard.DB
-	queryTimeout time.Duration
-}
-
-// NewSharded splits graphs into nShards contiguous shards and builds every
-// shard's fragment index concurrently. Mining runs per shard on that
-// shard's slice, so feature sets differ across shards — harmless, since
-// verification makes answers exact. nShards is clamped to len(graphs).
-func NewSharded(graphs []*Graph, nShards int, opts Options) (*Sharded, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("pis: empty database")
-	}
-	if nShards < 1 {
-		return nil, fmt.Errorf("pis: nShards must be >= 1, got %d", nShards)
-	}
-	opts = opts.withDefaults()
-	db, err := shard.New(graphs, nShards, opts.shardConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Sharded{db: db, queryTimeout: opts.QueryTimeout}, nil
-}
-
-// shardConfig translates the public knobs to the shard package.
-func (o Options) shardConfig() shard.Config {
-	return shard.Config{
-		Mining:          o.miningOptions(),
-		Index:           index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
-		Core:            o.coreOptions(),
-		IndexWorkers:    o.BuildWorkers,
-		CompactFraction: o.CompactFraction,
-		MappedIndex:     o.MappedIndex,
-	}
-}
-
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return s.db.NumShards() }
-
-// Len returns the number of live graphs.
-func (s *Sharded) Len() int { return s.db.Len() }
-
-// Graph returns the live graph with the given id, or nil when the id was
-// never assigned or the graph has been deleted.
-func (s *Sharded) Graph(id int32) *Graph { return s.db.Graph(id) }
-
-// Insert appends g to the shard with the fewest live graphs and returns
-// its stable global id. Like Database.Insert, a non-nil error reports a
-// failed automatic shard compaction; the graph is searchable either way.
-func (s *Sharded) Insert(g *Graph) (int32, error) { return s.db.Insert(g) }
-
-// Delete removes the graph with the given id from all future query
-// results, reporting whether the id was present and live. On a durable
-// database the delete is WAL-logged and fsync'd before it is
-// acknowledged.
-func (s *Sharded) Delete(id int32) (bool, error) { return s.db.Delete(id) }
-
-// Compact folds every shard's delta and tombstones into fresh per-shard
-// indexes, in parallel. Ids are unchanged. On a durable database each
-// shard's compaction also writes a fresh snapshot and truncates its WAL.
-func (s *Sharded) Compact() error { return s.db.Compact() }
-
-// Checkpoint writes every shard's current state as a fresh atomic
-// snapshot and truncates its WAL, in parallel, without rebuilding any
-// index. It returns ErrNotDurable for an in-memory database.
-func (s *Sharded) Checkpoint() error { return s.db.Checkpoint() }
-
-// Close releases the backing stores' file handles (a no-op for an
-// in-memory database). Queries keep working; mutations fail afterwards.
-func (s *Sharded) Close() error { return s.db.Close() }
-
-// Durability reports the backing store's counters aggregated across
-// shards; Durable is false for an in-memory database.
-func (s *Sharded) Durability() DurabilityStats {
-	st, ok := s.db.StoreStats()
-	return durabilityStats(st, ok)
-}
-
-// CreateSharded builds a sharded database like NewSharded and makes it
-// durable, rooted at dir: a root manifest records the shard layout and
-// every shard gets its own snapshot + WAL pair. See Create for the
-// durability contract.
-func CreateSharded(dir string, graphs []*Graph, nShards int, opts Options) (*Sharded, error) {
-	s, err := NewSharded(graphs, nShards, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Persist(dir); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Persist attaches new backing stores at dir to an in-memory sharded
-// database, writing every shard's current state as initial snapshots (no
-// rebuild); restarts then go through OpenSharded.
-func (s *Sharded) Persist(dir string) error {
-	if err := s.db.Persist(dir); err != nil {
-		return fmt.Errorf("pis: %w", err)
-	}
-	return nil
-}
-
-// StoreExists reports whether dir holds a database store written by
-// Create/CreateSharded/Persist (a parseable root manifest), so callers
-// can decide between Open and a fresh build without trial and error.
-func StoreExists(dir string) bool {
-	_, err := store.ReadRootManifest(dir)
-	return err == nil
-}
-
-// OpenSharded recovers a durable sharded database from its data
-// directory; the shard count comes from the root manifest. See Open for
-// the recovery contract.
-func OpenSharded(dir string, opts Options) (*Sharded, error) {
-	opts = opts.withDefaults()
-	db, err := shard.Open(dir, opts.shardConfig())
-	if err != nil {
-		return nil, fmt.Errorf("pis: %w", err)
-	}
-	return &Sharded{db: db, queryTimeout: opts.QueryTimeout}, nil
-}
-
-// LiveIDs returns the ids of every live graph, ascending.
-func (s *Sharded) LiveIDs() []int32 { return s.db.LiveIDs() }
-
-// Search answers the SSSD query on every shard in parallel and merges the
-// results; ids are global. The query must be connected.
-func (s *Sharded) Search(q *Graph, sigma float64) Result {
-	mustBeConnected(q)
-	return s.db.Search(q, sigma)
-}
-
-// SearchContext is Search under a context; see Database.SearchContext
-// for the cancellation contract. The first shard to fail cancels its
-// siblings, so a deadline or caller cancellation tears the whole
-// fan-out down promptly; the merged Result holds every answer any
-// shard fully verified before the cutoff.
-func (s *Sharded) SearchContext(ctx context.Context, q *Graph, sigma float64) (Result, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, s.queryTimeout)
-	defer cancel()
-	r, err := s.db.SearchCtx(qctx, q, sigma)
-	return r, wrapCtxErr(err)
-}
-
-// SearchKNNContext is SearchKNN under a context; see
-// Database.SearchKNNContext for the cancellation contract.
-func (s *Sharded) SearchKNNContext(ctx context.Context, q *Graph, k int, maxSigma float64) ([]Neighbor, error) {
-	mustBeConnected(q)
-	qctx, cancel := queryContext(ctx, s.queryTimeout)
-	defer cancel()
-	ns, err := s.db.SearchKNNCtx(qctx, q, k, maxSigma)
-	return ns, wrapCtxErr(err)
-}
-
-// SearchBatchContext is SearchBatch under a context: one shared
-// deadline covers the whole batch and the first failure stops
-// launching further queries. Results align with queries.
-func (s *Sharded) SearchBatchContext(ctx context.Context, queries []*Graph, sigma float64, workers int) ([]Result, error) {
-	for _, q := range queries {
-		mustBeConnected(q)
-	}
-	qctx, cancel := queryContext(ctx, s.queryTimeout)
-	defer cancel()
-	rs, err := s.db.SearchBatchCtx(qctx, queries, sigma, workers)
-	return rs, wrapCtxErr(err)
-}
-
-// SearchTraced is Search plus a span tree: one child span per shard
-// (each carrying that shard's stage breakdown) plus a merge span.
-// Shards run concurrently, so sibling spans overlap in time.
-func (s *Sharded) SearchTraced(q *Graph, sigma float64) (Result, *TraceSpan) {
-	mustBeConnected(q)
-	return s.db.SearchTraced(q, sigma)
-}
-
-// SearchBatch answers many queries concurrently, each fanning out across
-// all shards, with at most workers queries in flight (0 = GOMAXPROCS).
-// Results align with queries.
-func (s *Sharded) SearchBatch(queries []*Graph, sigma float64, workers int) []Result {
-	for _, q := range queries {
-		mustBeConnected(q)
-	}
-	return s.db.SearchBatch(queries, sigma, workers)
-}
-
-// SearchKNN returns the k database graphs nearest to q, closest first,
-// searching no farther than maxSigma. Shards are visited with a shrinking
-// radius bound: after k neighbors are known, later shards are searched no
-// farther than the current k-th best distance.
-func (s *Sharded) SearchKNN(q *Graph, k int, maxSigma float64) []Neighbor {
-	mustBeConnected(q)
-	return s.db.SearchKNN(q, k, maxSigma)
-}
-
 // Stats sums the per-shard index counters. Features counts per-shard
 // feature classes, so the same structure mined by two shards counts twice.
-func (s *Sharded) Stats() IndexStats {
-	st := s.db.Stats()
-	delta, tombs := s.db.Overlay()
+func (db *Database) Stats() IndexStats {
+	st := db.db.Stats()
+	delta, tombs := db.db.Overlay()
 	return IndexStats{
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
 	}
 }
-
-// PlannerState reports every shard's learned planner survival rates.
-func (s *Sharded) PlannerState() []PlannerCell { return plannerCells(s.db.LearnedSurvival()) }
 
 // ReadDatabase loads graphs in the line-oriented transaction format
 // ("t # id" / "v id label [weight]" / "e u v label [weight]").

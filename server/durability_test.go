@@ -11,7 +11,7 @@ import (
 )
 
 // newDurableServer builds a server over a durable sharded database.
-func newDurableServer(t *testing.T) (*httptest.Server, *pis.Sharded, string) {
+func newDurableServer(t *testing.T) (*httptest.Server, *pis.Database, string) {
 	t.Helper()
 	graphs := gen.Molecules(24, gen.Config{Seed: 88})
 	dir := filepath.Join(t.TempDir(), "db")
@@ -97,7 +97,7 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 	db.Close() // release WAL handles; the on-disk state is the crash image
 
-	re, err := pis.OpenSharded(dir, pis.Options{MaxFragmentEdges: 4, CompactFraction: -1})
+	re, err := pis.Open(dir, pis.Options{MaxFragmentEdges: 4, CompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

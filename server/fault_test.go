@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -210,18 +211,46 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutMapsTo504: a query past its deadline answers 504 on
+// every query route — a traced search like any other — caches nothing
+// and leaves no goroutine running.
 func TestQueryTimeoutMapsTo504(t *testing.T) {
 	graphs, _ := testEnv(t)
-	db, err := pis.NewSharded(graphs, 2, pis.Options{MaxFragmentEdges: 4, QueryTimeout: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, Config{Backend: db, CacheSize: -1})
-	if st := postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(sampleQuery(t, 48)), Sigma: 1}, nil); st != http.StatusGatewayTimeout {
-		t.Fatalf("timed-out search got %d, want 504", st)
-	}
-	if st := postJSON(t, ts.URL+"/knn", KNNRequest{Query: EncodeGraph(sampleQuery(t, 49)), K: 2, MaxSigma: 4}, nil); st != http.StatusGatewayTimeout {
-		t.Fatalf("timed-out knn got %d, want 504", st)
+	for _, shards := range []int{1, 2} {
+		db, err := pis.NewSharded(graphs, shards, pis.Options{MaxFragmentEdges: 4, QueryTimeout: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTestServer(t, Config{Backend: db})
+		search := SearchRequest{Query: EncodeGraph(sampleQuery(t, 48)), Sigma: 1}
+		if st := postJSON(t, ts.URL+"/search", search, nil); st != http.StatusGatewayTimeout {
+			t.Fatalf("shards=%d: timed-out search got %d, want 504", shards, st)
+		}
+		// Idle keep-alive connections hold goroutines on both ends; drop
+		// them so the count compares the queries' own goroutines.
+		http.DefaultClient.CloseIdleConnections()
+		before := runtime.NumGoroutine()
+		for i := 0; i < 4; i++ {
+			if st := postJSON(t, ts.URL+"/search?trace=1", search, nil); st != http.StatusGatewayTimeout {
+				t.Fatalf("shards=%d: timed-out traced search got %d, want 504", shards, st)
+			}
+		}
+		if st := postJSON(t, ts.URL+"/knn", KNNRequest{Query: EncodeGraph(sampleQuery(t, 49)), K: 2, MaxSigma: 4}, nil); st != http.StatusGatewayTimeout {
+			t.Fatalf("shards=%d: timed-out knn got %d, want 504", shards, st)
+		}
+		var stats ServerStats
+		getJSON(t, ts.URL+"/stats", &stats)
+		if stats.Cache.Entries != 0 {
+			t.Errorf("shards=%d: %d results of timed-out queries were cached", shards, stats.Cache.Entries)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			http.DefaultClient.CloseIdleConnections()
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("shards=%d: %d goroutines after the timed-out queries, %d before", shards, n, before)
+		}
 	}
 }
 

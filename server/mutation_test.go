@@ -16,7 +16,7 @@ import (
 
 // newMutableServer builds a server over its OWN database (the shared
 // read-only testEnv backend must never be mutated) and returns both.
-func newMutableServer(t *testing.T, cfg Config) (*httptest.Server, *pis.Sharded, []*pis.Graph) {
+func newMutableServer(t *testing.T, cfg Config) (*httptest.Server, *pis.Database, []*pis.Graph) {
 	t.Helper()
 	graphs := gen.Molecules(30, gen.Config{Seed: 77})
 	db, err := pis.NewSharded(graphs, 2, pis.Options{MaxFragmentEdges: 4})

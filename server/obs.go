@@ -47,12 +47,6 @@ var (
 // Config.QueryLogSize is 0.
 const defaultQueryLogSize = 256
 
-// tracedBackend is the optional backend surface for span-tree tracing;
-// *pis.Database and *pis.Sharded both implement it.
-type tracedBackend interface {
-	SearchTraced(q *pis.Graph, sigma float64) (pis.Result, *pis.TraceSpan)
-}
-
 // traceRequested reports whether the request asked for an inline span
 // tree (?trace=1).
 func traceRequested(r *http.Request) bool {

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +16,7 @@ import (
 
 	"pis"
 	"pis/gen"
+	"pis/internal/obs"
 )
 
 func getBody(t *testing.T, url string) (int, string, http.Header) {
@@ -177,6 +181,74 @@ func TestSearchTraceFlag(t *testing.T) {
 	if untraced.Trace != nil {
 		t.Error("untraced search returned a trace")
 	}
+
+	// The tree's shape by backend: over one shard the stages hang off the
+	// root; a cluster node returns one leaf per remote shard and a merge.
+	graphs, _ := testEnv(t)
+	one, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		want    []string
+	}{
+		{"one shard", one, []string{"plan", "filter", "verify"}},
+		{"cluster", testCluster(t, graphs, 3), []string{"shard-0", "shard-1", "shard-2", "merge"}},
+	} {
+		var resp SearchResponse
+		postJSON(t, newTestServer(t, Config{Backend: tc.backend}).URL+"/search?trace=1", req, &resp)
+		if resp.Trace == nil || resp.Trace.Name != "search" || resp.Trace.DurationMS <= 0 {
+			t.Fatalf("%s: bad root span: %+v", tc.name, resp.Trace)
+		}
+		var names []string
+		for _, c := range resp.Trace.Children {
+			names = append(names, c.Name)
+		}
+		if !slices.Equal(names, tc.want) {
+			t.Errorf("%s: child spans %v, want %v", tc.name, names, tc.want)
+		}
+		if !slices.Equal(resp.Answers, plain.Answers) {
+			t.Errorf("%s: traced answers %v, the sharded backend's %v", tc.name, resp.Answers, plain.Answers)
+		}
+	}
+}
+
+// testCluster starts an in-memory cluster of n nodes — n shards, two
+// replicas each — over graphs and returns the first node.
+func testCluster(t *testing.T, graphs []*pis.Graph, n int) *pis.ClusterNode {
+	t.Helper()
+	// Reserve n distinct loopback ports, then release them for the nodes.
+	addrs := make([]string, n)
+	lns := make([]net.Listener, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	for _, ln := range lns {
+		ln.Close()
+	}
+	nodes := make([]*pis.ClusterNode, n)
+	for i, addr := range addrs {
+		cn, err := pis.StartClusterNode(pis.ClusterOptions{
+			Self: addr, Peers: addrs, Shards: n, Replication: 2, Graphs: graphs,
+			Options:      pis.Options{MaxFragmentEdges: 4},
+			PingInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = cn
+		t.Cleanup(func() { cn.Close() })
+	}
+	for _, cn := range nodes {
+		cn.CheckPeers()
+	}
+	return nodes[0]
 }
 
 // TestDebugQueriesEndpoint checks the query ring: newest first, limit
@@ -337,11 +409,21 @@ func TestMemoVisible(t *testing.T) {
 	}
 }
 
-// TestTracedBackendInterface pins that both public backends satisfy the
-// optional tracing surface the server probes for.
+// TestTracedBackendInterface pins that both public backends are Backends
+// and that tracing needs no more of one than SearchContext: a context
+// carrying a trace comes back with the tree.
 func TestTracedBackendInterface(t *testing.T) {
-	var _ tracedBackend = (*pis.Sharded)(nil)
-	var _ tracedBackend = (*pis.Database)(nil)
+	var _ Backend = (*pis.Database)(nil)
+	var _ Backend = (*pis.ClusterNode)(nil)
+	_, db := testEnv(t)
+	var be Backend = db
+	ctx, tr := obs.WithTrace(context.Background())
+	if _, err := be.SearchContext(ctx, sampleQuery(t, 33), 1); err != nil {
+		t.Fatal(err)
+	}
+	if sp := tr.Root(); sp == nil || sp.Name != "search" || len(sp.Children) != db.NumShards()+1 {
+		t.Fatalf("traced SearchContext over %d shards left the tree %+v", db.NumShards(), sp)
+	}
 }
 
 // TestPlannerChoicesVisible: ?trace=1 shows, per range query the planner
@@ -357,7 +439,7 @@ func TestPlannerChoicesVisible(t *testing.T) {
 	}
 	ts := newTestServer(t, Config{Backend: db})
 	var _ plannerBackend = db
-	var _ plannerBackend = (*pis.Sharded)(nil)
+	var _ plannerBackend = (*pis.Database)(nil)
 
 	traced := 0
 	for _, q := range gen.Queries(graphs, 6, 10, 30) {

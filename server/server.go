@@ -1,5 +1,5 @@
-// Package server exposes a PIS graph database — typically a sharded one —
-// over an HTTP JSON API:
+// Package server exposes a PIS graph database — of any shard count, or a
+// cluster node — over an HTTP JSON API:
 //
 //	POST   /search       {"query": {...}, "sigma": 2}
 //	POST   /knn          {"query": {...}, "k": 5, "max_sigma": 8}
@@ -40,22 +40,26 @@ import (
 	"pis/internal/obs"
 )
 
-// Backend is the database surface the server needs. Both *pis.Database and
-// *pis.Sharded implement it. Graph ids are stable: an id returned by
-// Insert keeps naming the same graph across compactions and is never
-// reused after Delete. Durable backends (opened with pis.Open /
-// pis.OpenSharded) persist every acknowledged mutation; Checkpoint
-// returns pis.ErrNotDurable on in-memory ones.
+// Backend is the database surface the server needs. Both *pis.Database
+// and *pis.ClusterNode implement it. Graph ids are stable: an id returned
+// by Insert keeps naming the same graph across compactions and is never
+// reused after Delete. Durable backends (pis.Create / pis.Open) persist
+// every acknowledged mutation; Checkpoint returns pis.ErrNotDurable on
+// in-memory ones.
 type Backend interface {
 	Len() int
+	NumShards() int
 	Graph(id int32) *pis.Graph
+	// Search is the one method no handler calls: the benchmark harness
+	// (bench/micro.go) reaches the backend's context-free search through
+	// this interface.
 	Search(q *pis.Graph, sigma float64) pis.Result
-	SearchBatch(queries []*pis.Graph, sigma float64, workers int) []pis.Result
-	SearchKNN(q *pis.Graph, k int, maxSigma float64) []pis.Neighbor
-	// The Context variants honor cancellation and deadlines (including
+	// The queries honor cancellation and deadlines (including
 	// pis.Options.QueryTimeout): the server passes each request's context
 	// so a disconnected client or a deadline stops the query's verify
-	// workers instead of burning CPU on an unwanted answer.
+	// workers instead of burning CPU on an unwanted answer. A context
+	// carrying an obs.Trace (?trace=1) also collects the search's span
+	// tree.
 	SearchContext(ctx context.Context, q *pis.Graph, sigma float64) (pis.Result, error)
 	SearchBatchContext(ctx context.Context, queries []*pis.Graph, sigma float64, workers int) ([]pis.Result, error)
 	SearchKNNContext(ctx context.Context, q *pis.Graph, k int, maxSigma float64) ([]pis.Neighbor, error)
@@ -464,12 +468,12 @@ func (s *Server) recordPlan(st pis.SearchStats) {
 	s.mu.Unlock()
 }
 
-// searchResponse answers one /search (or /batch member) query through
-// the cache. With trace set the miss path runs the tracing search and
-// attaches the span tree AFTER caching, so a cached response never
-// carries a stale trace: a later hit gets a cache-hit stub span instead.
-// A canceled or timed-out query returns its error and is never cached —
-// its partial answer set must not satisfy later complete queries.
+// searchResponse answers one /search query through the cache. With trace
+// set the miss path searches under a tracing context and attaches the
+// span tree AFTER caching, so a cached response never carries a stale
+// trace: a later hit gets a cache-hit stub span instead. A canceled or
+// timed-out query, traced or not, returns its error and is never cached
+// — its partial answer set must not satisfy later complete queries.
 func (s *Server) searchResponse(ctx context.Context, q *pis.Graph, sigma float64, trace bool) (SearchResponse, error) {
 	var key string
 	if s.cache.Enabled() {
@@ -484,19 +488,19 @@ func (s *Server) searchResponse(ctx context.Context, q *pis.Graph, sigma float64
 		}
 	}
 	gen := s.cache.Gen()
+	var tr *obs.Trace
 	if trace {
-		if tb, ok := s.backend.(tracedBackend); ok {
-			r, sp := tb.SearchTraced(q, sigma)
-			resp := s.cacheSearchResult(key, r, gen)
-			resp.Trace = sp
-			return resp, nil
-		}
+		ctx, tr = obs.WithTrace(ctx)
 	}
 	r, err := s.backend.SearchContext(ctx, q, sigma)
 	if err != nil {
 		return SearchResponse{}, err
 	}
-	return s.cacheSearchResult(key, r, gen), nil
+	resp := s.cacheSearchResult(key, r, gen)
+	if trace {
+		resp.Trace = tr.Root()
+	}
+	return resp, nil
 }
 
 // writeQueryError maps a failed query's error to an HTTP status: a
@@ -907,7 +911,8 @@ type PlannerCellJSON struct {
 }
 
 // plannerBackend is the optional backend surface for the planner's
-// learned state; *pis.Database and *pis.Sharded both implement it.
+// learned state; *pis.Database implements it, a cluster node's planners
+// live on the shard nodes.
 type plannerBackend interface {
 	PlannerState() []pis.PlannerCell
 }
@@ -943,7 +948,7 @@ type EndpointStatsJSON struct {
 // ServerStats is the body of GET /stats.
 type ServerStats struct {
 	Graphs        int                          `json:"graphs"`
-	Shards        int                          `json:"shards,omitempty"`
+	Shards        int                          `json:"shards"`
 	Index         IndexStatsJSON               `json:"index"`
 	Cache         CacheStatsJSON               `json:"cache"`
 	Memo          MemoStatsJSON                `json:"memo"`
@@ -981,6 +986,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	lookups := reg.CounterVec("pis_result_memo_lookups_total", "", "outcome")
 	out := ServerStats{
 		Graphs: s.backend.Len(),
+		Shards: s.backend.NumShards(),
 		Index:  encodeIndexStats(ist),
 		Cache: CacheStatsJSON{
 			Capacity: s.cfg.CacheSize,
@@ -1002,12 +1008,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Observability: s.observabilityStats(),
 		Runtime:       runtimeStats(),
 	}
-	if sh, ok := s.backend.(interface{ NumShards() int }); ok {
-		out.Shards = sh.NumShards()
-	}
 	if cb, ok := s.backend.(clusterBackend); ok {
 		ov := cb.Overview()
-		out.Shards = ov.Shards
 		out.Cluster = &ClusterStatsJSON{
 			Peers:         ov.Peers,
 			PeersUp:       ov.PeersUp,

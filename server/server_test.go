@@ -18,12 +18,12 @@ import (
 var (
 	envOnce   sync.Once
 	envGraphs []*pis.Graph
-	envDB     *pis.Sharded
+	envDB     *pis.Database
 )
 
 // testEnv builds one small sharded database shared by all tests (the
 // backend is read-only; each test gets its own Server and cache).
-func testEnv(t *testing.T) ([]*pis.Graph, *pis.Sharded) {
+func testEnv(t *testing.T) ([]*pis.Graph, *pis.Database) {
 	t.Helper()
 	envOnce.Do(func() {
 		envGraphs = gen.Molecules(40, gen.Config{Seed: 23})

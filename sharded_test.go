@@ -79,15 +79,17 @@ func TestShardedKNNMatchesSingle(t *testing.T) {
 func TestShardedBatchMatchesSingle(t *testing.T) {
 	graphs, ref := shardedEnv(t, 50, 5)
 	queries := gen.Queries(graphs, 6, 8, 6)
-	sh, err := pis.NewSharded(graphs, 3, pis.Options{MaxFragmentEdges: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := ref.SearchBatch(queries, 1.5, 2)
-	got := sh.SearchBatch(queries, 1.5, 2)
-	for i := range queries {
-		if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
-			t.Errorf("query %d: %v, want %v", i, got[i].Answers, want[i].Answers)
+	for _, nShards := range []int{1, 3} {
+		sh, err := pis.NewSharded(graphs, nShards, pis.Options{MaxFragmentEdges: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sh.SearchBatch(queries, 1.5, 2)
+		for i := range queries {
+			if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
+				t.Errorf("n=%d query %d: %v, want %v", nShards, i, got[i].Answers, want[i].Answers)
+			}
 		}
 	}
 }
