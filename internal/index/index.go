@@ -63,8 +63,11 @@ type Class struct {
 	ents  slab    // stored entries, sealed by finalize
 	stage staging // entries while a build or a Load folds them in
 
-	postings  []int32 // sorted unique graph ids containing the structure
-	fragments int     // total fragment occurrences folded in
+	postings []int32 // sorted unique graph ids containing the structure
+	// fragments counts the stored (key, graph) pairs: the ids over every
+	// entry's run. finalize reads it off the sealed slab, checkBlocks off
+	// a mapped class's entry block.
+	fragments int
 
 	// Mapped (out-of-core) state: the class's stored entries and posting
 	// list live as delta+varint blocks inside the file mapping, decoded
@@ -113,7 +116,8 @@ func (c *Class) AppendPostings(dst []int32) []int32 {
 	return cur.idList(dst, c.postCount)
 }
 
-// Fragments returns the number of fragment occurrences inserted.
+// Fragments returns the number of stored (key, graph) pairs: a key that
+// occurs several times inside one graph counts once for it.
 func (c *Class) Fragments() int { return c.fragments }
 
 // Index is the fragment-based index over one graph database.
@@ -249,6 +253,7 @@ func (x *Index) finalize() {
 	for _, c := range x.list {
 		c.ents = c.stage.seal(c.SeqLen(), x.weights)
 		c.stage = staging{}
+		c.fragments = len(c.ents.ids)
 	}
 }
 
@@ -434,7 +439,7 @@ func (x *Index) RangeQuery(qf QueryFragment, sigma float64) map[int32]float64 {
 // Stats summarizes the index for reporting.
 type Stats struct {
 	Classes   int
-	Fragments int
+	Fragments int // stored (key, graph) pairs, see Class.Fragments
 	Sequences int
 	Postings  int
 }

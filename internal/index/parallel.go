@@ -32,30 +32,37 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 	if err != nil {
 		return nil, err
 	}
-	x.dbSize = len(db)
-	x.fingerprint = graph.Fingerprint(db)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(db) < 2*workers {
-		var fs FragmentScratch
-		for id, g := range db {
-			x.apply(int32(id), x.computeOps(g, &fs))
-		}
-	} else {
-		x.foldParallel(db, workers)
-	}
-	x.finalize()
-	x.computeStats()
-	x.computeFingerprints(db)
+	x.foldAndSeal(db, 0, workers)
 	mBuildSeconds.ObserveSince(buildStart)
 	mBuildGraphs.Add(int64(len(db)))
 	return x, nil
 }
 
-// foldParallel computes every graph's ops on workers goroutines and
-// applies the batches in ascending graph id.
-func (x *Index) foldParallel(db []*graph.Graph, workers int) {
+// foldAndSeal folds the fragments of db[from:] into the class stores
+// (graphs below from are in them already, see Rebase) and seals the index
+// over db: slabs, planner statistics, fingerprints.
+func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
+	x.dbSize = len(db)
+	x.fingerprint = graph.Fingerprint(db)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 || len(db)-from < 2*workers {
+		var fs FragmentScratch
+		for id := from; id < len(db); id++ {
+			x.apply(int32(id), x.computeOps(db[id], &fs))
+		}
+	} else {
+		x.foldParallel(db, from, workers)
+	}
+	x.finalize()
+	x.computeStats()
+	x.computeFingerprints(db)
+}
+
+// foldParallel computes the ops of every graph from id from on, on workers
+// goroutines, and applies the batches in ascending graph id.
+func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 	type result struct {
 		id  int32
 		ops []insertOp
@@ -75,7 +82,7 @@ func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 		}()
 	}
 	go func() {
-		for id := int32(0); id < int32(len(db)); id++ {
+		for id := int32(from); id < int32(len(db)); id++ {
 			jobs <- id
 		}
 		close(jobs)
@@ -84,7 +91,7 @@ func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 	}()
 
 	pending := make(map[int32][]insertOp)
-	next := int32(0)
+	next := int32(from)
 	for res := range results {
 		pending[res.id] = res.ops
 		for {
@@ -104,7 +111,6 @@ func (x *Index) foldParallel(db []*graph.Graph, workers int) {
 func (x *Index) apply(id int32, ops []insertOp) {
 	for _, op := range ops {
 		c := op.class
-		c.fragments++
 		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
 			c.postings = append(c.postings, id)
 		}

@@ -11,8 +11,8 @@
 //	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
 //	                   db fingerprint, class count, signature words,
 //	                   fp-section flag, slab offset + length
-//	directory section  per class: canonical code, vOff, fragment count,
-//	                   posting count/offset/length/CRC, entry
+//	directory section  per class: canonical code, vOff, stored (key, graph)
+//	                   pairs, posting count/offset/length/CRC, entry
 //	                   count/offset/length/CRC, planner stats
 //	fingerprints       per-graph prescreen fingerprints (fingerprint.go)
 //	zero padding       to the page-aligned slab offset
@@ -646,7 +646,6 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 			return nil, fmt.Errorf("index: mapped directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
 		}
 		c := newClass(i, key, dc.code, cg, embs, dc.vOff)
-		c.fragments = dc.fragments
 		c.stats = dc.stats
 		block := func(what string, off, length uint64, crc uint32) ([]byte, error) {
 			if off+length < off || off+length > uint64(len(slab)) {
@@ -677,7 +676,9 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 // checkBlocks walks c's checksummed blocks once and proves what a CRC
 // cannot: every graph id lies in [0, dbSize), id lists ascend strictly,
 // and each block ends exactly with its last entry. It names the
-// offending block, or returns "".
+// offending block, or returns "". The walk also counts c.fragments: the
+// directory's figure is not read, since images written before the merge
+// counted occurrences there.
 func (x *Index) checkBlocks(c *Class) string {
 	cur := blockCursor{b: c.postBlock}
 	cur.skipIDs(uint64(c.postCount), uint64(x.dbSize))
@@ -686,9 +687,16 @@ func (x *Index) checkBlocks(c *Class) string {
 	}
 	cur = blockCursor{b: c.entBlock}
 	key := make([]uint64, c.SeqLen())
+	var prev []byte // the entry before, whole: a kind 2 image repeats a pair once per occurrence
 	for e := 0; e < c.entCount && !cur.bad; e++ {
+		from := cur.pos
 		x.readKey(&cur, key) // decoded, not stepped over: an overlong varint is malformed
-		cur.skipIDs(x.entryIDs(&cur), uint64(x.dbSize))
+		n := x.entryIDs(&cur)
+		cur.skipIDs(n, uint64(x.dbSize))
+		if ent := cur.b[from:cur.pos]; !x.singleID || !bytes.Equal(ent, prev) {
+			c.fragments += int(n)
+			prev = ent
+		}
 	}
 	if cur.bad || cur.pos != len(cur.b) {
 		return "entry"
@@ -754,7 +762,7 @@ func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	for _, c := range x.list {
 		cur := blockCursor{b: c.postBlock}
 		c.postings = cur.idList(make([]int32, 0, c.postCount), c.postCount)
-		x.stageEntries(c)
+		x.eachEntry(c, func(key []uint64, ids []int32) { c.stage.fold(key, ids...) })
 		// Drop the references into data so the image can be collected.
 		c.entBlock, c.postBlock, c.entCount, c.postCount = nil, nil, 0, 0
 	}

@@ -347,16 +347,20 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 // (stores on disk, side files shipped between cluster peers). These are
 // the sha256 of the images the last commit with per-class tries and
 // R-trees wrote over the same corpus and options, from its in-memory and
-// its streaming build; a deliberate format change updates them.
+// its streaming build; a deliberate format change updates them. The three
+// label images were re-pinned once since, when the directory's per-class
+// count became stored (key, graph) pairs instead of fragment occurrences:
+// the directory section differs in that one uvarint per class, the header,
+// the fingerprints and the slab are the bytes that commit wrote.
 func TestImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		metric         distance.Metric
 		heap, streamed string
 	}{
-		{"edge", distance.EdgeMutation{}, "6fc1b3ae91297af2", "1f463e95bec9ab82"},
-		{"full", distance.FullMutation{}, "baa0c0bc25f5bffc", "e0499072beac57b2"},
-		{"matrix", testMatrix(), "04558867815ef45b", "40231945e5ccb18b"},
+		{"edge", distance.EdgeMutation{}, "7fd695526855bdeb", "671f47f19526e29c"},
+		{"full", distance.FullMutation{}, "2f5b5b26d5a3a408", "3634dd42da63702a"},
+		{"matrix", testMatrix(), "611e6ab87da156b5", "a276cd600246500c"},
 		{"linear", distance.Linear{}, "1c163a78370567c6", "493f664eb3818b20"},
 	} {
 		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})

@@ -1,0 +1,55 @@
+// Merging an index forward. The paper's index (§4) is static, but most of
+// what a compaction would enumerate is already keyed and sorted in the
+// outgoing index: Rebase carries those entries over under their new ids
+// and enumerates only the graphs the old index never saw.
+
+package index
+
+import (
+	"fmt"
+
+	"pis/internal/graph"
+)
+
+// Rebase returns the index over db that BuildParallel would build from
+// old's feature classes, bit for bit, reading what it can from old instead
+// of from the graphs. db[:firstNew] are graphs old indexes and db[firstNew:]
+// graphs it does not; remap[i] is the position in db of old's graph i, or
+// -1 when that graph is gone, and ascends over the graphs kept. old is only
+// read (heap or mapped alike) and may go on serving queries meanwhile.
+func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int) (*Index, error) {
+	if len(remap) != old.dbSize || firstNew < 0 || firstNew > len(db) {
+		return nil, fmt.Errorf("index: rebase of a %d-graph index given %d old ids and %d carried of %d graphs", old.dbSize, len(remap), firstNew, len(db))
+	}
+	x := &Index{
+		opts:    old.opts,
+		weights: old.weights,
+		classes: make(map[string]*Class, len(old.list)),
+		// Skeleton codes do not depend on the graph set: one memo serves
+		// both indexes, warm.
+		memo: old.memo,
+	}
+	moved := func(dst, ids []int32) []int32 {
+		for _, id := range ids {
+			if to := remap[id]; to >= 0 {
+				dst = append(dst, to)
+			}
+		}
+		return dst
+	}
+	var ids []int32 // one entry's run, moved
+	for _, oc := range old.list {
+		c := &Class{ID: oc.ID, Key: oc.Key, Code: oc.Code, Structure: oc.Structure,
+			NumV: oc.NumV, NumE: oc.NumE, vOff: oc.vOff, perms: oc.perms}
+		x.classes[c.Key] = c
+		x.list = append(x.list, c)
+		c.postings = moved(make([]int32, 0, oc.PostingCount()), oc.Postings())
+		old.eachEntry(oc, func(key []uint64, run []int32) {
+			if ids = moved(ids[:0], run); len(ids) > 0 {
+				c.stage.fold(key, ids...)
+			}
+		})
+	}
+	x.foldAndSeal(db, firstNew, workers)
+	return x, nil
+}

@@ -470,15 +470,21 @@ func (x *Index) entryIDs(cur *blockCursor) uint64 {
 	return cur.uvarint()
 }
 
-// stageEntries folds c's verified entry block into its staging.
-func (x *Index) stageEntries(c *Class) {
+// eachEntry calls fn with the key and ascending id run of every entry c
+// stores, wherever it stores them: the sealed slab, or a verified entry
+// block (one of the two is empty). A block of one-id entries repeats a key
+// once per id. Both slices are fn's only until it returns.
+func (x *Index) eachEntry(c *Class, fn func(key []uint64, ids []int32)) {
+	for e := 0; e < c.ents.entries(); e++ {
+		fn(c.ents.key(e), c.ents.run(e))
+	}
 	cur := blockCursor{b: c.entBlock}
 	key := make([]uint64, c.SeqLen())
 	var ids []int32
 	for e := 0; e < c.entCount; e++ {
 		x.readKey(&cur, key)
 		ids = cur.idList(ids[:0], int(x.entryIDs(&cur)))
-		c.stage.fold(key, ids...)
+		fn(key, ids)
 	}
 }
 

@@ -286,6 +286,11 @@ func TestParentImagesOpen(t *testing.T) {
 			if hx.Fingerprint() != graph.Fingerprint(db) || hx.DBSize() != len(db) {
 				t.Fatal("the image is not over parentImageDB")
 			}
+			// These directories record fragment occurrences; both readers
+			// count the pairs the entries hold instead.
+			if hs, ms := hx.Stats(), mx.Stats(); hs != ms {
+				t.Fatalf("stats by residency: heap %+v mapped %+v", hs, ms)
+			}
 			compared := 0
 			for _, x := range []*Index{hx, mx} {
 				for _, q := range db[:4] {

@@ -14,11 +14,12 @@
 //   - probe cost scales with the stored-sequence count times the number
 //     of automorphism variants probed.
 //
-// Statistics are computed at build time (so Compact refreshes them with
-// every rebuilt index) and persisted per class in the image's
-// checksummed directory section. Sampling is fixed-stride over the
-// canonical storage walk, never randomized, so Build, BuildParallel, and
-// every Load of the same index agree bit for bit.
+// Statistics are computed whenever an index is sealed — a build, or the
+// merge a compaction runs (Rebase), which keeps the features but not the
+// statistics — and persisted per class in the image's checksummed
+// directory section. Sampling is fixed-stride over the
+// canonical storage walk, never randomized, so Build, BuildParallel,
+// Rebase and every Load of the same index agree bit for bit.
 
 package index
 

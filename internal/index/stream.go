@@ -121,7 +121,6 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	fpw := bufio.NewWriterSize(fpFile, 1<<16)
 
 	// Pass 1: one sequential sweep over the stream.
-	occurrences := make([]int64, len(x.list))
 	fpr := graph.NewFingerprinter(n)
 	var rec []byte // per-fragment record scratch
 	var fs FragmentScratch
@@ -140,7 +139,6 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 			if c == nil {
 				return true
 			}
-			occurrences[c.ID]++
 			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
 			fs.u64 = x.appendStoredKey(fs.u64[:0], g, fs.ren.Vertices, edges, c, emb)
 			for _, k := range fs.u64 {
@@ -173,7 +171,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 	// Merge: runs → slab file + staged directory.
 	slabPath := filepath.Join(tmpDir, "slab")
-	dir, sig, slabLen, err := x.mergeRuns(sp.runs, n, occurrences, slabPath, &res)
+	dir, sig, slabLen, err := x.mergeRuns(sp.runs, n, slabPath, &res)
 	if err != nil {
 		return res, err
 	}
@@ -461,7 +459,7 @@ func (s *sampleStream) offer(key []uint64) {
 
 // mergeRuns k-way merges the spill runs into the slab file, returning
 // the staged directory and the accumulated per-graph signature slab.
-func (x *Index) mergeRuns(runs []string, n int, occurrences []int64, slabPath string, res *StreamResult) ([]v3DirClass, []uint64, int64, error) {
+func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResult) ([]v3DirClass, []uint64, int64, error) {
 	f, err := os.Create(slabPath)
 	if err != nil {
 		return nil, nil, 0, err
@@ -493,8 +491,8 @@ func (x *Index) mergeRuns(runs []string, n int, occurrences []int64, slabPath st
 		x: x, sw: sw, n: n,
 		bitset: make([]uint64, (n+63)/64),
 		sig:    sig, sigBits: uint32(words * 64), words: words,
-		dir:         make([]v3DirClass, len(x.list)),
-		occurrences: occurrences, res: res,
+		dir: make([]v3DirClass, len(x.list)),
+		res: res,
 		cur: -1,
 	}
 	// Per-graph dedup means a record can never appear in two runs, but
@@ -540,13 +538,12 @@ type classMerger struct {
 	sw *v3SlabWriter
 	n  int
 
-	bitset      []uint64
-	sig         []uint64
-	sigBits     uint32
-	words       int
-	dir         []v3DirClass
-	occurrences []int64
-	res         *StreamResult
+	bitset  []uint64
+	sig     []uint64
+	sigBits uint32
+	words   int
+	dir     []v3DirClass
+	res     *StreamResult
 
 	cur    int // class currently being written; -1 before the first
 	entOff uint64
@@ -557,6 +554,7 @@ type classMerger struct {
 	entIDs []int32
 
 	entCount int
+	pairs    int // (key, graph) pairs written: Class.fragments
 	samp     sampleStream
 }
 
@@ -600,6 +598,7 @@ func (m *classMerger) flushEntry(c *Class) {
 	}
 	written := m.x.writeEntry(m.sw, m.key, m.entIDs)
 	m.entCount += written
+	m.pairs += len(m.entIDs)
 	elem := 4
 	if m.x.weights {
 		elem = 8
@@ -614,7 +613,7 @@ func (m *classMerger) flushEntry(c *Class) {
 func (m *classMerger) openClass(id int) {
 	m.cur = id
 	m.entOff = m.sw.beginBlock()
-	m.entCount = 0
+	m.entCount, m.pairs = 0, 0
 	m.curKey = m.curKey[:0]
 	m.samp = sampleStream{cap: 2 * statsSamplePerClass}
 }
@@ -630,7 +629,7 @@ func (m *classMerger) closeClass() error {
 	dc := &m.dir[m.cur]
 	dc.code = c.Code
 	dc.vOff = c.vOff
-	dc.fragments = int(m.occurrences[m.cur])
+	dc.fragments = m.pairs
 	dc.entCount = m.entCount
 	dc.entOff = m.entOff
 	dc.entLen, dc.entCRC = m.sw.endBlock(m.entOff)

@@ -8,16 +8,22 @@
 // unindexed and searched by direct verification (the naive path), which
 // is cheap while the delta stays a bounded fraction of the base; deletes
 // only ever hide ids from read paths. Compact folds delta and tombstones
-// into a freshly mined and built base, automatically once the delta
-// outgrows Config.CompactFraction of the base.
+// into a new base, automatically once the delta outgrows
+// Config.CompactFraction of the base. It merges rather than rebuilds
+// (index.Rebase): the outgoing index's class entries carry over under
+// their new ids, only the delta's graphs are enumerated, and the features
+// stay the ones last mined — until the survivors number twice the graphs
+// those were mined over, when the compaction mines and builds afresh. The
+// merged index is, bit for bit, the one a build over the survivors with
+// the same features gives.
 //
 // Query planning is delta-aware by construction: the cost-based planner
 // (core.Options planner knobs) budgets its σ range queries against the
 // indexed base only — delta graphs bypass the filter and are verified
 // regardless, so their count never inflates a fragment's estimated gain
 // — and the per-fragment selectivity statistics the planner consumes
-// are recomputed with every compaction, because Compact rebuilds the
-// index and index construction collects them.
+// are recomputed with every compaction, merged or rebuilt: both seal the
+// index the same way, and sealing collects them.
 //
 // Every graph carries a stable global id assigned at insertion by the
 // owner (pis.Database or shard.DB) and never reused: searches translate
@@ -68,7 +74,8 @@ type Config struct {
 	// KNNCore tunes the sequential kNN searcher, which may use the full
 	// verification budget because only one segment runs at a time.
 	KNNCore core.Options
-	// IndexWorkers is the index.BuildParallel worker count (0 = GOMAXPROCS).
+	// IndexWorkers is the worker count of index builds and merges
+	// (0 = GOMAXPROCS).
 	IndexWorkers int
 	// CompactFraction triggers automatic compaction when
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
@@ -103,6 +110,11 @@ type Segment struct {
 	idx  *index.Index
 	srch *core.Searcher
 	knn  *core.Searcher
+	// minedOver is the size of the graph set idx's features were mined
+	// over, as far as this Segment value knows (a recovered one takes the
+	// recovered base): compactions keep the features until the survivors
+	// number twice that.
+	minedOver int
 	// delta holds inserted, not-yet-indexed graphs; deltaIDs aligns,
 	// strictly ascending and greater than every id in ids (global ids are
 	// assigned monotonically). Both are append-only between compactions.
@@ -154,11 +166,11 @@ func New(graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("segment: empty graph slice")
 	}
-	base, idx, err := build(graphs, cfg)
+	idx, err := build(graphs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return fromIndex(base, sequentialIDs(startID, len(graphs)), idx, cfg)
+	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
 }
 
 // NewDurable builds an indexed segment over graphs exactly like New and
@@ -284,19 +296,20 @@ func sequentialIDs(start int32, n int) []int32 {
 	return ids
 }
 
-func build(graphs []*graph.Graph, cfg Config) ([]*graph.Graph, *index.Index, error) {
+// build mines features over graphs and indexes them.
+func build(graphs []*graph.Graph, cfg Config) (*index.Index, error) {
 	feats, err := mining.Mine(graphs, cfg.Mining)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mining features: %w", err)
+		return nil, fmt.Errorf("mining features: %w", err)
 	}
 	if len(feats) == 0 {
-		return nil, nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
+		return nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
 	}
 	idx, err := index.BuildParallel(graphs, feats, cfg.Index, cfg.IndexWorkers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("building index: %w", err)
+		return nil, fmt.Errorf("building index: %w", err)
 	}
-	return graphs, idx, nil
+	return idx, nil
 }
 
 // mapIndex saves a heap-built index and reopens the image
@@ -348,6 +361,8 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		srch:  core.NewSearcher(base, idx, cfg.Core),
 		knn:   core.NewSearcher(base, idx, cfg.KNNCore),
 		maxID: maxID,
+
+		minedOver: len(base),
 	}
 	if !cfg.Core.SkipVerification {
 		s.memo = new(memo)
@@ -485,6 +500,7 @@ func (s *Segment) TryReserve() bool { return s.insMu.TryLock() }
 // the semantics.
 func (s *Segment) CommitInsert(g *graph.Graph, id int32) (needsCompact bool, err error) {
 	defer s.insMu.Unlock()
+	fp := index.DeltaFP(g) // before mu: readers wait for the fsync only
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.st != nil {
@@ -494,7 +510,7 @@ func (s *Segment) CommitInsert(g *graph.Graph, id int32) (needsCompact bool, err
 	}
 	s.delta = append(s.delta, g)
 	s.deltaIDs = append(s.deltaIDs, id)
-	s.deltaFPs = append(s.deltaFPs, index.DeltaFP(g))
+	s.deltaFPs = append(s.deltaFPs, fp)
 	if id > s.maxID {
 		s.maxID = id
 	}
@@ -538,11 +554,14 @@ func localOf(ids, deltaIDs []int32, id int32) (int32, bool) {
 	return int32(len(ids) + i), ok
 }
 
-// Compact folds the delta and tombstones into a freshly mined and built
-// index over the surviving graphs; the rebuilt index carries fresh
-// per-fragment selectivity statistics, so the query planner's estimates
-// track the post-compaction contents. On error the segment is unchanged
-// and still serves correctly. Compacting an unmutated segment is a no-op.
+// Compact folds the delta and tombstones into a new index over the
+// surviving graphs: merged forward from the current one under the current
+// features, or mined and built afresh once the survivors number twice the
+// graphs those features were mined over (see the package comment). Either
+// way the new index carries fresh per-fragment selectivity statistics, so
+// the query planner's estimates track the post-compaction contents. On
+// error the segment is unchanged and still serves correctly. Compacting an
+// unmutated segment is a no-op.
 //
 // On a durable segment a successful compaction also writes a fresh
 // snapshot and truncates the WAL. If the snapshot write fails the error
@@ -715,12 +734,16 @@ func (s *Segment) compactLocked() error {
 	}
 	survivors := make([]*graph.Graph, 0, len(s.base)+len(s.delta)-s.tombs.Count())
 	ids := make([]int32, 0, cap(survivors))
+	remap := make([]int32, len(s.base)) // base position → survivor position
 	for i, g := range s.base {
+		remap[i] = -1
 		if !s.tombs.Has(int32(i)) {
+			remap[i] = int32(len(survivors))
 			survivors = append(survivors, g)
 			ids = append(ids, s.ids[i])
 		}
 	}
+	carried := len(survivors)
 	for i, g := range s.delta {
 		if !s.tombs.Has(int32(len(s.base) + i)) {
 			survivors = append(survivors, g)
@@ -734,7 +757,15 @@ func (s *Segment) compactLocked() error {
 		s.delta, s.deltaIDs, s.deltaFPs = nil, nil, nil
 		return nil
 	}
-	base, idx, err := build(survivors, s.cfg)
+	var idx *index.Index
+	var err error
+	remine := len(survivors) >= 2*s.minedOver
+	if remine {
+		carried = 0
+		idx, err = build(survivors, s.cfg)
+	} else {
+		idx, err = index.Rebase(s.idx, remap, survivors, carried, s.cfg.IndexWorkers)
+	}
 	if err != nil {
 		return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)
 	}
@@ -746,9 +777,15 @@ func (s *Segment) compactLocked() error {
 		// before this compaction; park it for Close instead of unmapping.
 		s.retired = append(s.retired, s.idx)
 	}
-	s.base, s.ids, s.idx = base, ids, idx
-	s.srch = core.NewSearcher(base, idx, s.cfg.Core)
-	s.knn = core.NewSearcher(base, idx, s.cfg.KNNCore)
+	if remine {
+		s.minedOver = len(survivors)
+		mCompactRemines.Inc()
+	}
+	mCompactCarried.Add(int64(carried))
+	mCompactEnumerated.Add(int64(len(survivors) - carried))
+	s.base, s.ids, s.idx = survivors, ids, idx
+	s.srch = core.NewSearcher(survivors, idx, s.cfg.Core)
+	s.knn = core.NewSearcher(survivors, idx, s.cfg.KNNCore)
 	s.delta, s.deltaIDs, s.deltaFPs, s.tombs = nil, nil, nil, nil
 	return nil
 }

@@ -206,7 +206,8 @@ type Options struct {
 	// CompactFraction tunes the live-mutation compaction policy: after an
 	// Insert, when a shard's unindexed delta holds more than
 	// CompactFraction times its indexed graph count,
-	// the delta and any tombstones are folded into a freshly built index.
+	// the delta and any tombstones are folded into a new index (merged
+	// forward from the current one, see Compact).
 	// 0 means the default 0.25; a negative value disables automatic
 	// compaction (Compact can still be called explicitly).
 	CompactFraction float64
@@ -244,7 +245,7 @@ type Options struct {
 // It is mutable while serving: Insert appends graphs to the unindexed
 // delta of the shard with the fewest live graphs, Delete tombstones
 // graphs, and Compact (automatic by default, per shard, see
-// Options.CompactFraction) folds both into a freshly built index. Graph
+// Options.CompactFraction) folds both into a new index. Graph
 // ids are assigned once — input order at construction, then one new id
 // per Insert — and are never reused or renumbered, so they stay stable
 // across compactions. Every query runs against a consistent snapshot
@@ -427,7 +428,7 @@ func (db *Database) LiveIDs() []int32 { return db.db.LiveIDs() }
 // fresh stable id, which it returns. The graph lands in that shard's
 // in-memory delta and is searchable immediately; once the delta
 // outgrows Options.CompactFraction of the shard's indexed size it is
-// folded into a rebuilt index. On a durable database the insert is
+// folded into the index (see Compact). On a durable database the insert is
 // written to the WAL and fsync'd before it is acknowledged; a logging
 // failure rejects the mutation and returns id -1 with the error — the
 // id reserved for the rejected insert is consumed, so later ids skip it.
@@ -442,8 +443,14 @@ func (db *Database) Insert(g *Graph) (int32, error) { return db.db.Insert(g) }
 // a logging failure the graph stays live and the error is returned.
 func (db *Database) Delete(id int32) (bool, error) { return db.db.Delete(id) }
 
-// Compact folds every shard's delta and tombstones into a freshly mined
-// and built index over the surviving graphs, in parallel. Ids are
+// Compact folds every shard's delta and tombstones into a new index over
+// the surviving graphs, in parallel. A shard merges: the entries of its
+// current index carry over, only the delta's graphs are enumerated, and
+// the features stay the ones last mined, which gives bit for bit the
+// index a build over the survivors with those features would. Once a
+// shard's survivors number twice the graphs its features were mined over,
+// its compaction mines anew and rebuilds instead. The rule is the same
+// for automatic and explicit compactions and has no knob. Ids are
 // unchanged. On error the database keeps serving its pre-compaction
 // state, still exactly. On a durable database each shard's successful
 // compaction also writes a fresh snapshot and truncates its WAL.
@@ -554,8 +561,11 @@ func (db *Database) PlannerState() []PlannerCell {
 
 // IndexStats summarizes the fragment index and its mutation overlay.
 type IndexStats struct {
-	Features  int // selected structure features (equivalence classes)
-	Fragments int // fragment occurrences folded into the index
+	Features int // selected structure features (equivalence classes)
+	// Fragments counts the (label sequence, graph) pairs the index stores:
+	// a sequence that occurs several times inside one graph counts once
+	// for it.
+	Fragments int
 	Sequences int // distinct stored label sequences / vectors
 	// Delta counts inserted graphs not yet folded into the index;
 	// Tombstones counts deleted graphs not yet compacted away.

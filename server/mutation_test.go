@@ -221,6 +221,8 @@ func TestCompactEndpoint(t *testing.T) {
 	doJSON(t, "DELETE", ts.URL+"/graphs/3", nil, nil)
 	q := gen.Queries(graphs, 1, 6, 7)[0]
 	before := db.Search(q, 1)
+	var st0 ServerStats
+	getJSON(t, ts.URL+"/stats", &st0)
 
 	var cr CompactResponse
 	if code := doJSON(t, "POST", ts.URL+"/compact", nil, &cr); code != 200 {
@@ -240,6 +242,12 @@ func TestCompactEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Mutations.Compactions != 1 {
 		t.Errorf("compactions counter = %d, want 1", st.Mutations.Compactions)
+	}
+	// A merge: every surviving base graph carried over, the two inserts
+	// enumerated, no re-mine (the counters are process-wide, hence deltas).
+	c0, c := st0.Compaction, st.Compaction
+	if c.CarriedGraphs-c0.CarriedGraphs != int64(len(graphs)-1) || c.EnumeratedGraphs-c0.EnumeratedGraphs != 2 || c.Remines != c0.Remines {
+		t.Errorf("compaction stats went %+v → %+v, want %d carried, 2 enumerated, no re-mine", c0, c, len(graphs)-1)
 	}
 }
 

@@ -929,6 +929,17 @@ type MemoStatsJSON struct {
 	Bytes           int64 `json:"bytes"`
 }
 
+// CompactionStatsJSON reports what the compactions of this process's
+// segments did (the pis_compaction_*_total metrics): surviving graphs
+// whose index entries were carried over from the outgoing index, graphs
+// enumerated afresh, and the compactions that re-mined features and
+// rebuilt because the survivors had doubled since the last mining.
+type CompactionStatsJSON struct {
+	CarriedGraphs    int64 `json:"carried_graphs"`
+	EnumeratedGraphs int64 `json:"enumerated_graphs"`
+	Remines          int64 `json:"remines"`
+}
+
 // CacheStatsJSON reports result-cache occupancy and effectiveness.
 type CacheStatsJSON struct {
 	Capacity int   `json:"capacity"`
@@ -954,6 +965,7 @@ type ServerStats struct {
 	Memo          MemoStatsJSON                `json:"memo"`
 	Planner       PlannerStatsJSON             `json:"planner"`
 	Mutations     MutationStatsJSON            `json:"mutations"`
+	Compaction    CompactionStatsJSON          `json:"compaction"`
 	Durability    *DurabilityStatsJSON         `json:"durability,omitempty"`
 	Cluster       *ClusterStatsJSON            `json:"cluster,omitempty"`
 	Requests      map[string]EndpointStatsJSON `json:"requests"`
@@ -1000,6 +1012,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Fallbacks:       lookups.Value("fallback"),
 			RefreshedGraphs: reg.Counter("pis_result_memo_refreshed_graphs_total", "").Value(),
 			Bytes:           int64(reg.Gauge("pis_result_memo_bytes", "").Value()),
+		},
+		Compaction: CompactionStatsJSON{
+			CarriedGraphs:    reg.Counter("pis_compaction_carried_graphs_total", "").Value(),
+			EnumeratedGraphs: reg.Counter("pis_compaction_enumerated_graphs_total", "").Value(),
+			Remines:          reg.Counter("pis_compaction_remines_total", "").Value(),
 		},
 		Durability:    encodeDurability(s.backend.Durability()),
 		Requests:      make(map[string]EndpointStatsJSON),
