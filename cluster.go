@@ -296,6 +296,9 @@ func (cn *ClusterNode) Stats() IndexStats {
 		Sequences:  ov.Sequences,
 		Delta:      ov.Delta,
 		Tombstones: ov.Tombstones,
+
+		BitmapBytes:      ov.Memory.BitmapBytes,
+		FingerprintBytes: ov.Memory.FingerprintBytes,
 	}
 }
 

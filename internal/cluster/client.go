@@ -44,6 +44,7 @@ type peer struct {
 type pconn struct {
 	c  net.Conn
 	br *bufio.Reader
+	bw *bufio.Writer
 }
 
 func newPeer(addr string) *peer {
@@ -70,7 +71,7 @@ func (p *peer) get(ctx context.Context) (pc *pconn, fresh bool, err error) {
 	if err != nil {
 		return nil, true, err
 	}
-	return &pconn{c: c, br: bufio.NewReader(c)}, true, nil
+	return &pconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}, true, nil
 }
 
 func (p *peer) put(pc *pconn) {
@@ -165,8 +166,7 @@ func (p *peer) roundTrip(ctx context.Context, pc *pconn, op byte, req []byte, de
 		}
 	}()
 
-	bw := bufio.NewWriter(pc.c)
-	sw := binio.NewSectionWriter(bw)
+	sw := binio.NewSectionWriter(pc.bw)
 	sw.Begin()
 	sw.U8(op)
 	sw.Uvarint(deadlineMicros(ctx))
@@ -174,7 +174,7 @@ func (p *peer) roundTrip(ctx context.Context, pc *pconn, op byte, req []byte, de
 	if err := sw.Flush(); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	if err := pc.bw.Flush(); err != nil {
 		return err
 	}
 

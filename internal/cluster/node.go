@@ -420,8 +420,9 @@ func (n *Node) writeState(sw *binio.SectionWriter) {
 			Delta:  seg.DeltaLen(),
 			Tombs:  seg.Tombstoned(),
 		}
-		is := seg.IndexStats()
+		is, im := seg.IndexStats()
 		st.Classes, st.Frags, st.Seqs = is.Classes, is.Fragments, is.Sequences
+		st.Bitmap, st.FPs = im.BitmapBytes, im.FingerprintBytes
 		if ss, ok := seg.StoreStats(); ok {
 			st.WALRecords = ss.WALRecords
 			st.WALBytes = ss.WALBytes

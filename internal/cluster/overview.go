@@ -12,6 +12,8 @@ package cluster
 import (
 	"context"
 	"sync"
+
+	"pis/internal/index"
 )
 
 // Overview is the coordinator's aggregate view of the cluster.
@@ -32,6 +34,7 @@ type Overview struct {
 	Sequences  int
 	Delta      int
 	Tombstones int
+	Memory     index.Memory
 
 	// Durability totals. Durable reports whether every counted shard
 	// has a checkpointed store behind it; SnapshotSeq is the lowest
@@ -103,6 +106,8 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 		ov.Sequences += st.Seqs
 		ov.Delta += st.Delta
 		ov.Tombstones += st.Tombs
+		ov.Memory.BitmapBytes += st.Bitmap
+		ov.Memory.FingerprintBytes += st.FPs
 		ov.WALRecords += st.WALRecords
 		ov.WALBytes += st.WALBytes
 		ov.Checkpoints += st.Checkpoints

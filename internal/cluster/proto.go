@@ -209,6 +209,9 @@ type shardState struct {
 	Seqs    int
 	Delta   int
 	Tombs   int
+	// Bitmap and FPs are the bytes of index.Memory.
+	Bitmap int
+	FPs    int
 
 	WALRecords      int64
 	WALBytes        int64
@@ -226,7 +229,7 @@ func writeShardState(sw *binio.SectionWriter, st *shardState) {
 	sw.U64(st.MutSeq)
 	sw.Varint(int64(st.Live))
 	sw.Varint(int64(st.MaxID))
-	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs} {
+	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs} {
 		sw.Varint(int64(v))
 	}
 	sw.Varint(st.WALRecords)
@@ -251,7 +254,7 @@ func readShardState(sr *binio.SectionReader) shardState {
 	st.MutSeq = sr.U64()
 	st.Live = int(sr.Varint())
 	st.MaxID = int32(sr.Varint())
-	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs} {
+	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs} {
 		*p = int(sr.Varint())
 	}
 	st.WALRecords = sr.Varint()

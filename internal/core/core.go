@@ -15,10 +15,10 @@
 // candidates reach the expensive verification stage, which is exactly
 // what the paper's experiments measure.
 //
-// The pipeline works on flat sorted data throughout: range queries return
-// sorted posting lists with aligned distances, candidate sets are
-// intersected by merge/galloping joins (smallest list first, early exit on
-// empty), and all intermediate storage comes from a per-searcher scratch
+// The pipeline works on flat sorted data throughout: the structural
+// postings intersect as bitmaps, range queries return sorted posting lists
+// with aligned distances that narrow the candidate set by merge/galloping
+// joins, and all intermediate storage comes from a per-searcher scratch
 // pool, so a steady-state query allocates almost nothing beyond its
 // Result. Verification runs best-first (ascending partition lower bound)
 // across a worker pool; answers are deterministic for any worker count.
@@ -246,9 +246,8 @@ type View struct {
 	// like the paper's naive baseline does for the whole database.
 	Delta []*graph.Graph
 	// DeltaFPs optionally carries prescreen fingerprints aligned with
-	// Delta (signature-less — delta graphs are unindexed, so only the
-	// structural tests apply). May be nil or shorter than Delta; missing
-	// fingerprints just exempt those graphs from the fingerprint test.
+	// Delta. May be nil or shorter than Delta; missing fingerprints just
+	// exempt those graphs from the fingerprint test.
 	DeltaFPs []index.GraphFP
 }
 
@@ -314,9 +313,14 @@ const plannerExploreEvery = 32
 // eliminated every candidate.
 const minSurvival = 1.0 / 1024
 
-// NewSearcher builds a Searcher. The metric must be the one the index was
-// built with; opts zero value gives the paper's defaults.
+// NewSearcher builds a Searcher over db, the graph set idx was built over,
+// and pairs the two (index.Pair); a db of another size is a caller's bug
+// and panics. The metric is the one the index was built with; opts zero
+// value gives the paper's defaults.
 func NewSearcher(db []*graph.Graph, idx *index.Index, opts Options) *Searcher {
+	if err := idx.Pair(db); err != nil {
+		panic(err)
+	}
 	s := &Searcher{db: db, idx: idx, metric: idx.Options().Metric, opts: opts.normalized()}
 	s.vFloor, s.eFloor = distance.CostFloors(s.metric)
 	if s.learns() {
@@ -413,10 +417,9 @@ type scratch struct {
 	rbuf       index.RangeBuffer     // shared dedup/probe scratch for all range queries
 	infos      []fragInfo
 	bufA, bufB []int32 // candidate set double buffer
-	postBuf    []int32 // decoded posting list (mapped classes decode on demand)
 	lbs        []float64
 	cursors    []int
-	classes    []*index.Class // distinct classes of the usable fragments
+	classes    []*index.Class // distinct classes of the query's fragments
 	planOrder  []int32        // fragment expansion order (planner score descending)
 	fragProb   []float64      // estimated survival per fragment
 	fragScore  []float64      // pruning power per unit probe cost per fragment
@@ -429,9 +432,8 @@ type scratch struct {
 	sorter     lbSorter
 	// Prescreen state for the current query: qfpOK gates use (filter
 	// resets it every search; the exact baseline paths never set it).
-	qfp    index.QueryFP
-	qfpSig []uint64
-	qfpOK  bool
+	qfp   index.QueryFP
+	qfpOK bool
 }
 
 func (s *Searcher) getScratch() *scratch {
@@ -516,8 +518,8 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 	var r Result
 	start := time.Now()
 	sc := s.getScratch()
-	frags := s.usableFragments(q, sigma, &r.Stats, sc, false)
-	cands := s.structuralCandidates(frags, sc, view.Tombs)
+	s.usableFragments(q, sigma, &r.Stats, sc, false)
+	cands := s.structuralCandidates(sc, view.Tombs)
 	r.Stats.StructCandidates = len(cands)
 	r.Stats.RangeCandidates = len(cands) // no distance pruning in this method
 	r.Stats.DistCandidates = len(cands)
@@ -638,8 +640,8 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 // are scratch-backed: valid only until the scratch is reused.
 //
 // Stages run in order of cost per candidate. The candidate set is seeded
-// with the structural postings intersection of the usable fragments'
-// classes — one list per distinct class, a handful per query. The
+// with the structural postings intersection of the query's classes — one
+// bitmap per distinct class, a handful per query. The
 // prescreen (tens of nanoseconds a candidate) thins it next, so every
 // gain the planner estimates or observes afterwards is counted in
 // candidates that would really have been verified; it is skipped with
@@ -659,7 +661,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	frags := s.usableFragments(q, sigma, st, sc, s.idx.HasFingerprints())
 
 	// Structural intersection: Yt, and the seed candidate set.
-	cur := s.structuralCandidates(frags, sc, tombs)
+	cur := s.structuralCandidates(sc, tombs)
 	st.StructCandidates = len(cur)
 	if !s.opts.SkipVerification {
 		cur = s.prescreen(q, sigma, cur, sc, view, st)
@@ -821,18 +823,25 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 }
 
 // usableFragments enumerates the query's indexed fragments and applies the
-// ε filter (line 5) and the per-query cap. With wantFP set it also builds
-// the query's prescreen fingerprint into the scratch — from the full
-// fragment list, before the ε filter and cap drop any, since every
-// indexed structure of the query constrains a match no matter which range
-// queries end up running.
+// ε filter (line 5) and the per-query cap. It leaves the fragments'
+// distinct classes in sc.classes — from the full list, before the ε filter
+// and cap drop any, since every indexed structure of the query constrains
+// a match no matter which range queries end up running — and with wantFP
+// set the query's prescreen fingerprint in the scratch.
 func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc *scratch, wantFP bool) []index.QueryFragment {
 	frags := s.idx.QueryFragmentsInto(q, &sc.frags)
 	st.QueryFragments = len(frags)
 	if wantFP {
-		sc.qfp, sc.qfpSig = s.idx.NewQueryFP(q, frags, s.vFloor, s.eFloor, sc.qfpSig)
-		sc.qfpOK = true
+		sc.qfp, sc.qfpOK = index.NewQueryFP(q, s.vFloor, s.eFloor), true
 	}
+	// Hundreds of fragments fall into a handful of classes, in runs.
+	classes := sc.classes[:0]
+	for i, qf := range frags {
+		if (i == 0 || qf.Class != frags[i-1].Class) && !slices.Contains(classes, qf.Class) {
+			classes = append(classes, qf.Class)
+		}
+	}
+	sc.classes = classes
 	n := float64(len(s.db))
 	kept := frags[:0]
 	for _, qf := range frags {
@@ -863,49 +872,12 @@ func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc 
 	return kept
 }
 
-// structuralCandidates intersects the structural postings of the
-// fragments' distinct classes (topoPrune's filter) — a query's fragments
-// number in the hundreds but fall into a handful of classes, and a list
-// intersected with itself changes nothing — smallest list first with early
-// exit, then drops tombstoned ids (the postings keep deleted graphs until
-// compaction). The result is scratch-backed. No fragments means no
-// structural information: all live ids.
-func (s *Searcher) structuralCandidates(frags []index.QueryFragment, sc *scratch, tombs *index.Tombstones) []int32 {
-	if len(frags) == 0 {
-		sc.bufA = appendLiveIDs(sc.bufA[:0], len(s.db), tombs)
-		return sc.bufA
-	}
-	classes := sc.classes[:0]
-	for _, qf := range frags {
-		if !slices.Contains(classes, qf.Class) {
-			classes = append(classes, qf.Class)
-		}
-	}
-	sc.classes = classes
-	slices.SortFunc(classes, func(a, b *index.Class) int {
-		return a.PostingCount() - b.PostingCount()
-	})
-	cur := classes[0].AppendPostings(sc.bufA[:0])
-	nxt := sc.bufB[:0]
-	for _, c := range classes[1:] {
-		if len(cur) == 0 {
-			break
-		}
-		sc.postBuf = c.AppendPostings(sc.postBuf[:0])
-		nxt = intersectSorted(nxt[:0], cur, sc.postBuf)
-		cur, nxt = nxt, cur
-	}
-	if tombs != nil {
-		kept := cur[:0]
-		for _, id := range cur {
-			if !tombs.Has(id) {
-				kept = append(kept, id)
-			}
-		}
-		cur = kept
-	}
-	sc.bufA, sc.bufB = cur, nxt
-	return cur
+// structuralCandidates intersects the structural postings of the query's
+// distinct classes (topoPrune's filter, sc.classes) minus the tombstoned
+// ids. The result is scratch-backed.
+func (s *Searcher) structuralCandidates(sc *scratch, tombs *index.Tombstones) []int32 {
+	sc.bufA = s.idx.Candidates(sc.bufA[:0], sc.classes, tombs)
+	return sc.bufA
 }
 
 // plannerPatience is how many consecutive below-budget range queries the
@@ -1303,15 +1275,4 @@ func gallopTo(b []int32, j int, x int32) int {
 		}
 	}
 	return hi
-}
-
-// appendLiveIDs appends every id in [0, n) not tombstoned (tombs may be
-// nil) to dst.
-func appendLiveIDs(dst []int32, n int, tombs *index.Tombstones) []int32 {
-	for i := 0; i < n; i++ {
-		if id := int32(i); !tombs.Has(id) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }

@@ -62,7 +62,6 @@ func newMoleculeFixture(t *testing.T, mapped bool) moleculeFixture {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { idx.Close() })
-		idx.EnsureFingerprints(db)
 	}
 	rng := rand.New(rand.NewSource(6))
 	var view View

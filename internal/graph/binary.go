@@ -131,11 +131,7 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 		}
 		b = b[8*int(m):]
 	}
-	g.adj = make([][]int32, n)
-	for i, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], int32(i))
-		g.adj[e.V] = append(g.adj[e.V], int32(i))
-	}
+	g.link()
 	return g, b, nil
 }
 

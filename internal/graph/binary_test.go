@@ -108,17 +108,32 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// TestIncidentEdgesAscending pins the invariant every constructor relies
-// on instead of sorting: adjacency lists are filled in edge-index order,
-// so IncidentEdges is ascending for Build, DecodeBinary and Extract.
+// TestIncidentEdgesAscending pins the layout link gives every constructor
+// and that nothing sorts afterwards: a vertex's slots ascend by edge index,
+// nbrV[s] is the far endpoint of nbrE[s], and the slots number 2m — for
+// Build, DecodeBinary, Extract, Clone and Skeleton.
 func TestIncidentEdgesAscending(t *testing.T) {
-	ascending := func(name string, g *Graph) {
+	laidOut := func(name string, g *Graph) {
 		t.Helper()
-		for v := 0; v < g.N(); v++ {
+		n, m := g.N(), g.M()
+		if len(g.off) != n+1 || g.off[0] != 0 || int(g.off[n]) != 2*m || len(g.nbrE) != 2*m || len(g.nbrV) != 2*m {
+			t.Fatalf("%s: n=%d m=%d but off=%v, %d edge slots, %d neighbor slots", name, n, m, g.off, len(g.nbrE), len(g.nbrV))
+		}
+		for v := 0; v < n; v++ {
 			inc := g.IncidentEdges(v)
-			for i := 1; i < len(inc); i++ {
-				if inc[i-1] >= inc[i] {
+			if len(inc) != g.Degree(v) {
+				t.Fatalf("%s: IncidentEdges(%d) has %d edges, Degree says %d", name, v, len(inc), g.Degree(v))
+			}
+			for i, e := range inc {
+				if i > 0 && inc[i-1] >= e {
 					t.Fatalf("%s: IncidentEdges(%d) = %v, not ascending", name, v, inc)
+				}
+				s := int(g.off[v]) + i
+				if ed := g.EdgeAt(int(e)); ed.U != int32(v) && ed.V != int32(v) {
+					t.Fatalf("%s: slot %d of vertex %d holds edge %d = %v, not incident", name, s, v, e, ed)
+				}
+				if g.nbrV[s] != g.Other(int(e), int32(v)) {
+					t.Fatalf("%s: nbrV[%d] = %d, Other(%d, %d) = %d", name, s, g.nbrV[s], e, v, g.Other(int(e), int32(v)))
 				}
 			}
 		}
@@ -126,12 +141,14 @@ func TestIncidentEdgesAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
 		g := randomBinGraph(rng, trial%2 == 0)
-		ascending("Build", g)
+		laidOut("Build", g)
 		dec, _, err := DecodeBinary(g.AppendBinary(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ascending("DecodeBinary", dec)
+		laidOut("DecodeBinary", dec)
+		laidOut("Clone", g.Clone())
+		laidOut("Skeleton", g.Skeleton())
 		if g.M() == 0 {
 			continue
 		}
@@ -142,6 +159,7 @@ func TestIncidentEdgesAscending(t *testing.T) {
 			edges = append(edges, int32(e))
 		}
 		sub, _, _ := Fragment{Host: g, Edges: edges}.Extract()
-		ascending("Extract", sub)
+		laidOut("Extract", sub)
 	}
+	laidOut("empty Build", NewBuilder(0, 0).MustBuild())
 }

@@ -35,7 +35,10 @@ type Graph struct {
 	vlabels  []VLabel
 	vweights []float64
 	edges    []Edge
-	adj      [][]int32 // adj[v] lists edge indices incident to v, ascending
+	// Adjacency in CSR form, three pieces of one array filled by link: the
+	// neighbors of v sit in slots off[v]..off[v+1], ascending by edge
+	// index; nbrE[s] is the incident edge, nbrV[s] its other endpoint.
+	off, nbrE, nbrV []int32
 
 	// inv caches the structural annotation (see Invariants): the first
 	// word of its block, nil until first use. Never serialized or cloned.
@@ -85,10 +88,47 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // IncidentEdges returns the indices of edges incident to v, ascending.
 // Callers must not modify the returned slice.
-func (g *Graph) IncidentEdges(v int) []int32 { return g.adj[v] }
+func (g *Graph) IncidentEdges(v int) []int32 {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.nbrE[lo:hi:hi]
+}
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
+
+// Adjacency returns the CSR arrays themselves, for kernels that walk them
+// in place: v's slots are off[v]..off[v+1] (len(off) is N()+1, or 0 for the
+// zero Graph), nbrV[s] the neighbor and nbrE[s] the edge reaching it.
+// Callers must not modify them.
+func (g *Graph) Adjacency() (off, nbrV, nbrE []int32) { return g.off, g.nbrV, g.nbrE }
+
+// link lays out the adjacency of g.edges over len(g.vlabels) vertices.
+// Slots fill in edge order, so every vertex's run ascends by edge index —
+// the invariant the constructors rely on instead of sorting. Endpoints
+// must already be in range.
+func (g *Graph) link() {
+	n, m := len(g.vlabels), len(g.edges)
+	buf := make([]int32, n+1+4*m)
+	off, nbrE, nbrV := buf[:n+1:n+1], buf[n+1:n+1+2*m:n+1+2*m], buf[n+1+2*m:]
+	for _, e := range g.edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// off[v] is v's write cursor during the fill and ends at v's end, which
+	// is v+1's start: shifting up by one restores the starts.
+	for i, e := range g.edges {
+		nbrE[off[e.U]], nbrV[off[e.U]] = int32(i), e.V
+		off[e.U]++
+		nbrE[off[e.V]], nbrV[off[e.V]] = int32(i), e.U
+		off[e.V]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.off, g.nbrE, g.nbrV = off, nbrE, nbrV
+}
 
 // Other returns the endpoint of edge e that is not v.
 func (g *Graph) Other(e int, v int32) int32 {
@@ -106,13 +146,12 @@ func (g *Graph) EdgeBetween(u, v int32) int {
 	}
 	// Scan the smaller adjacency list.
 	a, b := u, v
-	if len(g.adj[a]) > len(g.adj[b]) {
+	if g.Degree(int(a)) > g.Degree(int(b)) {
 		a, b = b, a
 	}
-	for _, e := range g.adj[a] {
-		ed := g.edges[e]
-		if ed.U == u && ed.V == v {
-			return int(e)
+	for s := g.off[a]; s < g.off[a+1]; s++ {
+		if g.nbrV[s] == b {
+			return int(g.nbrE[s])
 		}
 	}
 	return -1
@@ -135,8 +174,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[v] {
-			w := g.Other(int(e), v)
+		for _, w := range g.nbrV[g.off[v]:g.off[v+1]] {
 			if !seen[w] {
 				seen[w] = true
 				count++
@@ -152,14 +190,11 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		vlabels: append([]VLabel(nil), g.vlabels...),
 		edges:   append([]Edge(nil), g.edges...),
-		adj:     make([][]int32, len(g.adj)),
 	}
 	if g.vweights != nil {
 		c.vweights = append([]float64(nil), g.vweights...)
 	}
-	for i, a := range g.adj {
-		c.adj[i] = append([]int32(nil), a...)
-	}
+	c.link()
 	return c
 }
 
@@ -170,7 +205,8 @@ func (g *Graph) Skeleton() *Graph {
 	c := &Graph{
 		vlabels: make([]VLabel, g.N()),
 		edges:   make([]Edge, g.M()),
-		adj:     g.adj, // adjacency is label-independent; safe to share
+		// adjacency is label-independent; safe to share
+		off: g.off, nbrE: g.nbrE, nbrV: g.nbrV,
 	}
 	for i, e := range g.edges {
 		c.edges[i] = Edge{U: e.U, V: e.V}
@@ -268,16 +304,8 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		vlabels:  b.vlabels,
-		vweights: b.vweights,
-		edges:    b.edges,
-		adj:      make([][]int32, len(b.vlabels)),
-	}
-	for i, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], int32(i))
-		g.adj[e.V] = append(g.adj[e.V], int32(i))
-	}
+	g := &Graph{vlabels: b.vlabels, vweights: b.vweights, edges: b.edges}
+	g.link()
 	return g, nil
 }
 

@@ -226,9 +226,9 @@ func (a *annotator) source(s int32) {
 		if d == maxRadius {
 			continue
 		}
-		a.budget -= len(g.adj[v])
-		for _, e := range g.adj[v] {
-			if u := g.Other(int(e), v); dist[u] < 0 {
+		a.budget -= g.Degree(int(v))
+		for _, u := range g.nbrV[g.off[v]:g.off[v+1]] {
+			if dist[u] < 0 {
 				dist[u] = d + 1
 				queue = append(queue, u)
 			}
@@ -240,7 +240,7 @@ func (a *annotator) source(s int32) {
 		p |= min(size, ballCap) << (8 * (r - minRadius))
 	}
 	a.prof[s] = p
-	if len(g.adj[s]) >= 2 && a.budget >= 0 {
+	if g.Degree(int(s)) >= 2 && a.budget >= 0 {
 		a.s = s
 		sc.onPath[s] = true
 		a.walk(s, 0)
@@ -255,12 +255,12 @@ func (a *annotator) source(s int32) {
 // walk extends the simple path from a.s that ends at v after d edges.
 func (a *annotator) walk(v int32, d int) {
 	g, sc := a.g, a.sc
-	a.budget -= len(g.adj[v])
+	a.budget -= g.Degree(int(v))
 	if a.budget < 0 {
 		return
 	}
-	for _, e := range g.adj[v] {
-		u := g.Other(int(e), v)
+	for s := g.off[v]; s < g.off[v+1]; s++ {
+		e, u := g.nbrE[s], g.nbrV[s]
 		if u == a.s {
 			if d >= 2 {
 				bit := uint8(1) << (d + 1 - minCycle)

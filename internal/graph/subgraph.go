@@ -87,7 +87,6 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 	g = &Graph{
 		vlabels: make([]VLabel, len(verts)),
 		edges:   make([]Edge, len(f.Edges)),
-		adj:     make([][]int32, len(verts)),
 	}
 	if f.Host.vweights != nil {
 		g.vweights = make([]float64, len(verts))
@@ -98,26 +97,11 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 			g.vweights[i] = f.Host.VWeightAt(int(hv))
 		}
 	}
-	adjBacking := make([]int32, 2*len(f.Edges))
 	for i, he := range f.Edges {
 		ed := f.Host.EdgeAt(int(he))
 		g.edges[i] = Edge{U: r.Ends[2*i], V: r.Ends[2*i+1], Label: ed.Label, Weight: ed.Weight}
 	}
-	// Count degrees, carve adjacency slices out of one backing array, fill.
-	deg := make([]int32, len(verts))
-	for _, e := range g.edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	off := int32(0)
-	for i, d := range deg {
-		g.adj[i] = adjBacking[off : off : off+d]
-		off += d
-	}
-	for i, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], int32(i))
-		g.adj[e.V] = append(g.adj[e.V], int32(i))
-	}
+	g.link()
 	return g, verts, append([]int32(nil), f.Edges...)
 }
 

@@ -1,0 +1,102 @@
+// Class postings as bitmaps. A class's posting list says which graphs
+// contain its structure; the search starts by intersecting the lists of
+// every indexed structure in the query (Algorithm 2's structure-only
+// step). Laid out once as one bit per graph, that intersection is a
+// word-wise AND — 64 graphs a step, no decoding, and deleted graphs leave
+// with one more AND-NOT.
+//
+// The bitmaps are heap-resident on heap and mapped indexes alike, at
+// classes × n / 8 bytes: a mined class is in at least a few percent of the
+// graphs, so its bitmap is smaller than the []int32 list it shadows. They
+// are sized by the graphs the index serves, which a build has in hand and
+// an image learns at Pair — never by an image's own graph count, which
+// nothing in the image bounds.
+
+package index
+
+import (
+	"fmt"
+	"math/bits"
+	"unsafe"
+
+	"pis/internal/graph"
+)
+
+// Pair readies an index to answer searches over db, which must be the
+// exact graph set it was built over: every class gets its posting bitmap
+// and, when the image carried none, the fingerprint table is recomputed.
+// An index from Build or Rebase is paired already; one from Load or
+// OpenMapped is paired by the first core.NewSearcher over it.
+func (x *Index) Pair(db []*graph.Graph) error {
+	x.pairMu.Lock()
+	defer x.pairMu.Unlock()
+	if len(db) != x.dbSize {
+		return fmt.Errorf("index: pairing a %d-graph index with %d graphs", x.dbSize, len(db))
+	}
+	if !x.paired {
+		x.pair(db)
+	}
+	return nil
+}
+
+// pair is Pair's work, over the len(db) == x.dbSize graphs of the index.
+func (x *Index) pair(db []*graph.Graph) {
+	if x.fps == nil {
+		x.computeFingerprints(db)
+	}
+	words := (len(db) + 63) >> 6
+	slab := make([]uint64, words*len(x.list))
+	for i, c := range x.list {
+		c.bits = slab[i*words : (i+1)*words : (i+1)*words]
+		for _, id := range c.Postings() {
+			c.bits[id>>6] |= 1 << (uint(id) & 63)
+		}
+	}
+	x.paired = true
+}
+
+// Memory is the heap an index holds beside its class stores, on a mapped
+// index too: the part of an index's footprint its image's size does not
+// show.
+type Memory struct {
+	BitmapBytes      int // class posting bitmaps: classes × graphs / 8, 0 before Pair
+	FingerprintBytes int // per-graph prescreen fingerprints
+}
+
+// Memory reports x's bitmap and fingerprint bytes.
+func (x *Index) Memory() Memory {
+	m := Memory{FingerprintBytes: len(x.fps) * int(unsafe.Sizeof(GraphFP{}))}
+	if len(x.list) > 0 {
+		m.BitmapBytes = 8 * len(x.list[0].bits) * len(x.list)
+	}
+	return m
+}
+
+// Candidates appends to dst, ascending, the graphs that are in the
+// postings of every one of classes and not in tombs (nil = none): the
+// structure-only candidate set, tombstoned ids dropped because the
+// postings keep deleted graphs until compaction. No classes means no
+// structural information: every live graph. The index must be paired.
+func (x *Index) Candidates(dst []int32, classes []*Class, tombs *Tombstones) []int32 {
+	var dead []uint64
+	if tombs != nil {
+		dead = tombs.words
+	}
+	n := x.dbSize
+	for w, words := 0, (n+63)>>6; w < words; w++ {
+		acc := ^uint64(0)
+		if w == n>>6 {
+			acc = 1<<(uint(n)&63) - 1 // the last, partial word
+		}
+		for _, c := range classes {
+			acc &= c.bits[w]
+		}
+		if w < len(dead) {
+			acc &^= dead[w]
+		}
+		for ; acc != 0; acc &= acc - 1 {
+			dst = append(dst, int32(w<<6|bits.TrailingZeros64(acc)))
+		}
+	}
+	return dst
+}

@@ -12,8 +12,7 @@ import (
 )
 
 // TestGraphFPPersistRoundTrip: the fingerprint table must survive the
-// image byte-exactly — same structural counters, same signature words,
-// same width.
+// image exactly.
 func TestGraphFPPersistRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, metric, 61, 18)
@@ -36,11 +35,10 @@ func TestGraphFPPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnsureFingerprintsSectionlessImage: an image written without the
-// fingerprint section (the header flag allows it) loads with no
-// fingerprint table; EnsureFingerprints recomputes exactly what a fresh
-// build produces.
-func TestEnsureFingerprintsSectionlessImage(t *testing.T) {
+// TestPairSectionlessImage: an image written without the fingerprint
+// section (the header flag allows it) loads with no fingerprint table;
+// Pair recomputes exactly what a fresh build produces.
+func TestPairSectionlessImage(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, db := buildSmall(t, metric, 62, 18)
 	built := x.fps
@@ -63,18 +61,19 @@ func TestEnsureFingerprintsSectionlessImage(t *testing.T) {
 	if y.FingerprintAt(0) != nil {
 		t.Fatal("FingerprintAt must return nil without a table")
 	}
-	y.EnsureFingerprints(db)
+	if err := y.Pair(db); err != nil {
+		t.Fatal(err)
+	}
 	if !y.HasFingerprints() {
-		t.Fatal("EnsureFingerprints did not build the table")
+		t.Fatal("Pair did not build the table")
 	}
 	if !reflect.DeepEqual(built, y.fps) {
 		t.Fatal("recomputed fingerprints differ from the built ones")
 	}
 	// Wrong database size must refuse rather than fingerprint garbage.
 	z := load()
-	z.EnsureFingerprints(db[:len(db)-1])
-	if z.HasFingerprints() {
-		t.Fatal("EnsureFingerprints accepted a mismatched database")
+	if err := z.Pair(db[:len(db)-1]); err == nil || z.HasFingerprints() || z.Memory().BitmapBytes != 0 {
+		t.Fatalf("Pair accepted a mismatched database (err %v)", err)
 	}
 }
 
@@ -95,7 +94,7 @@ func TestQueryFPAdmissibility(t *testing.T) {
 				continue
 			}
 			q, _, _ := graph.Fragment{Host: host, Edges: edges}.Extract()
-			qfp, _ := x.NewQueryFP(q, x.QueryFragments(q), vf, ef, nil)
+			qfp := NewQueryFP(q, vf, ef)
 			sigma := float64(rng.Intn(3))
 			for id := int32(0); id < int32(len(db)); id++ {
 				d := iso.MinSuperimposedDistance(q, db[id], metric, sigma)
@@ -118,19 +117,15 @@ func TestQueryFPAdmissibility(t *testing.T) {
 	}
 }
 
-// TestDeltaFPIsSignatureless: delta fingerprints must pass the signature
-// subset test unconditionally (their fragment classes are unknown), while
-// still enforcing the structural bounds.
-func TestDeltaFPIsSignatureless(t *testing.T) {
+// TestDeltaFPStructuralBounds: a delta graph's fingerprint admits the
+// graph itself and enforces the structural bounds.
+func TestDeltaFPStructuralBounds(t *testing.T) {
 	metric := distance.EdgeMutation{}
-	x, db := buildSmall(t, metric, 65, 12)
+	_, db := buildSmall(t, metric, 65, 12)
 	g := db[0]
 	fp := DeltaFP(g)
-	if fp.Sig != nil {
-		t.Fatal("DeltaFP must not fabricate a class signature")
-	}
 	vf, ef := distance.CostFloors(metric)
-	qfp, _ := x.NewQueryFP(g, x.QueryFragments(g), vf, ef, nil)
+	qfp := NewQueryFP(g, vf, ef)
 	if !qfp.Admissible(&fp, 0) {
 		t.Fatal("graph's own fingerprint rejected at sigma 0")
 	}
@@ -145,7 +140,7 @@ func TestDeltaFPIsSignatureless(t *testing.T) {
 	}
 	b.AddEdge(0, int32(g.N()), 0)
 	big := b.MustBuild()
-	bigFP, _ := x.NewQueryFP(big, nil, vf, ef, nil)
+	bigFP := NewQueryFP(big, vf, ef)
 	if bigFP.Admissible(&fp, 100) {
 		t.Fatal("size bound failed: larger query admitted against smaller graph")
 	}

@@ -14,7 +14,8 @@ import (
 // committed corpus (testdata/fuzz/FuzzIndexLoad) holds one small image
 // per kind byte — written by the last commit that still had other formats,
 // so a plain `go test` also proves those bytes keep opening — plus the two
-// crafted count-bomb images of TestPersistRejectsOversizedCounts. full
+// crafted count-bomb images of TestPersistRejectsOversizedCounts and the
+// well-formed one of TestOpenIgnoresHeaderGraphCount. full
 // picks the metric, whose vertex-blindness must match the image's; both
 // read labels, so the weight image of the corpus is a rejection.
 func FuzzIndexLoad(f *testing.F) {
@@ -34,8 +35,16 @@ func FuzzIndexLoad(f *testing.F) {
 		if err := hx.Save(new(bytes.Buffer)); err != nil {
 			t.Fatalf("loaded index does not save: %v", err)
 		}
-		// The range buffer is sized by DBSize, which only the owner of the
-		// graphs can vouch for (segment.OpenDurable compares the two).
+		// Nothing an open allocates may be sized by DBSize, which only the
+		// owner of the graphs can vouch for (segment.OpenDurable compares the
+		// two): the class bitmaps wait for Pair, which takes the graphs.
+		if hx.Memory().BitmapBytes != 0 || mx.Memory().BitmapBytes != 0 {
+			t.Fatalf("bitmaps before Pair: heap %d bytes, mapped %d", hx.Memory().BitmapBytes, mx.Memory().BitmapBytes)
+		}
+		if err := hx.Pair(nil); (err == nil) != (hx.DBSize() == 0) {
+			t.Fatalf("Pair of a %d-graph index with no graphs: %v", hx.DBSize(), err)
+		}
+		// The range buffer is sized by DBSize too, at the first query.
 		if hx.DBSize() > 1<<16 {
 			return
 		}

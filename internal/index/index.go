@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"pis/internal/canon"
 	"pis/internal/distance"
@@ -36,11 +37,6 @@ type Options struct {
 	// MaxFragmentEdges bounds the fragments enumerated from database
 	// graphs; it defaults to the largest feature size.
 	MaxFragmentEdges int
-	// SignatureWords sizes the per-graph superimposed class signature in
-	// 64-bit words (the prescreen's false-drop knob, see fingerprint.go).
-	// 0 means the default 2 (128 bits); raise it for feature sets large
-	// enough to saturate the signature.
-	SignatureWords int
 }
 
 // Class is one structural equivalence class [f].
@@ -64,6 +60,9 @@ type Class struct {
 	stage staging // entries while a build or a Load folds them in
 
 	postings []int32 // sorted unique graph ids containing the structure
+	// bits is the same set as one bit per graph of the paired database,
+	// heap-resident on a mapped class too (bitmap.go); nil until Pair.
+	bits []uint64
 	// fragments counts the stored (key, graph) pairs: the ids over every
 	// entry's run. finalize reads it off the sealed slab, checkBlocks off
 	// a mapped class's entry block.
@@ -89,7 +88,7 @@ func (c *Class) SeqLen() int { return c.vOff + c.NumE }
 
 // Postings returns the sorted graph ids containing this structure.
 // Callers must not modify the slice. On a mapped class this decodes a
-// fresh slice per call — hot paths use PostingCount/AppendPostings.
+// fresh slice per call — the search path reads Index.Candidates instead.
 func (c *Class) Postings() []int32 {
 	if c.mapped {
 		return c.AppendPostings(nil)
@@ -140,8 +139,12 @@ type Index struct {
 	memo *canon.Memo
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
 	// nil on an index loaded from an image without the fingerprint
-	// section, until EnsureFingerprints recomputes them.
+	// section, until Pair recomputes them.
 	fps []GraphFP
+	// paired records that Pair has laid out the class bitmaps; pairMu makes
+	// repeated and concurrent Pair calls harmless.
+	pairMu sync.Mutex
+	paired bool
 
 	// mapping backs an out-of-core index opened with OpenMapped; nil for
 	// a heap index. mappedPath remembers the backing file.

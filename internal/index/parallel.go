@@ -40,7 +40,7 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 
 // foldAndSeal folds the fragments of db[from:] into the class stores
 // (graphs below from are in them already, see Rebase) and seals the index
-// over db: slabs, planner statistics, fingerprints.
+// over db: slabs, planner statistics, fingerprints, posting bitmaps.
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
@@ -57,7 +57,7 @@ func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	}
 	x.finalize()
 	x.computeStats()
-	x.computeFingerprints(db)
+	x.pair(db)
 }
 
 // foldParallel computes the ops of every graph from id from on, on workers

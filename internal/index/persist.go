@@ -9,8 +9,9 @@
 //
 //	"PISIDX3\n"
 //	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
-//	                   db fingerprint, class count, signature words,
-//	                   fp-section flag, slab offset + length
+//	                   db fingerprint, class count, signature words (0; an
+//	                   older image's are skipped), fp-section flag, slab
+//	                   offset + length
 //	directory section  per class: canonical code, vOff, stored (key, graph)
 //	                   pairs, posting count/offset/length/CRC, entry
 //	                   count/offset/length/CRC, planner stats
@@ -110,7 +111,7 @@ type v3Header struct {
 	dbSize      int
 	fingerprint uint64
 	nClasses    int
-	sigWords    int
+	sigWords    int // 64-bit words of class signature behind each fingerprint record; written as 0
 	hasFPs      bool
 	slabOff     uint64
 	slabLen     uint64
@@ -238,14 +239,13 @@ func (x *Index) Save(w io.Writer) error {
 		dbSize:      x.dbSize,
 		fingerprint: x.fingerprint,
 		nClasses:    len(dir),
-		sigWords:    x.opts.sigWords(),
 		hasFPs:      x.fps != nil,
 		slabLen:     uint64(slab.Len()),
 	}
 	var writeFPs func(fsw *binio.SectionWriter)
 	if hdr.hasFPs {
 		writeFPs = func(fsw *binio.SectionWriter) {
-			beginFPSection(fsw, hdr.sigWords, len(x.fps))
+			beginFPSection(fsw, len(x.fps))
 			for i := range x.fps {
 				encodeGraphFP(fsw, &x.fps[i])
 			}
@@ -291,10 +291,11 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // beginFPSection writes the fingerprint section's preamble; n
-// encodeGraphFP records follow.
-func beginFPSection(sw *binio.SectionWriter, words, n int) {
+// encodeGraphFP records follow. The zero is the width of the per-graph
+// class signature images once carried after each record.
+func beginFPSection(sw *binio.SectionWriter, n int) {
 	sw.U32(fpMagic)
-	sw.Uvarint(uint64(words))
+	sw.Uvarint(0)
 	sw.Uvarint(uint64(n))
 }
 
@@ -311,13 +312,14 @@ func encodeGraphFP(sw *binio.SectionWriter, fp *GraphFP) {
 	for _, c := range fp.VLab {
 		sw.Uvarint(uint64(c))
 	}
-	for _, w := range fp.Sig {
-		sw.U64(w)
-	}
 }
 
-// graphFPMinBytes is the smallest fingerprint record for a signature of
-// words words: one byte per counter plus the fixed-width signature.
+// maxSigWords bounds the signature width a reader steps over.
+const maxSigWords = 16
+
+// graphFPMinBytes is the smallest fingerprint record in a section whose
+// records each drag words signature words behind them: one byte per
+// counter plus the fixed-width signature.
 func graphFPMinBytes(words int) int {
 	return 2 + fpDegTail + fpEdgeBuckets + fpVertexBuckets + 8*words
 }
@@ -532,7 +534,7 @@ func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) 
 		return nil, fmt.Errorf("bad section magic %08x", m)
 	}
 	words := int(sr.Uvarint())
-	if words <= 0 || words > maxSigWords {
+	if words < 0 || words > maxSigWords {
 		return nil, fmt.Errorf("signature width %d words out of range", words)
 	}
 	if words != hdr.sigWords {
@@ -545,7 +547,6 @@ func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) 
 	if n != hdr.dbSize {
 		return nil, fmt.Errorf("covers %d graphs, index has %d", n, hdr.dbSize)
 	}
-	slab := make([]uint64, words*n)
 	fps := make([]GraphFP, n)
 	for i := range fps {
 		fp := &fps[i]
@@ -560,10 +561,7 @@ func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) 
 		for k := range fp.VLab {
 			fp.VLab[k] = uint16(sr.Uvarint())
 		}
-		fp.Sig = slab[i*words : (i+1)*words : (i+1)*words]
-		for w := range fp.Sig {
-			fp.Sig[w] = sr.U64()
-		}
+		sr.Bytes(8 * words) // an older image's class signature
 	}
 	return fps, sr.Err()
 }
@@ -621,7 +619,6 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		opts: Options{
 			Metric:           metric,
 			MaxFragmentEdges: hdr.maxEdges,
-			SignatureWords:   hdr.sigWords,
 		},
 		weights:     hdr.kind == kindWeights,
 		singleID:    hdr.kind != kindLabelRuns,
@@ -707,9 +704,10 @@ func (x *Index) checkBlocks(c *Class) string {
 // OpenMapped opens an index file through a memory mapping: the directory
 // (class keys, offsets, stats, fingerprints) loads into heap, posting and
 // entry blocks stay on disk and are decoded from the mapping at query
-// time. Every block is checksummed and walked here, so corruption fails
-// at open with the damaged section named instead of surfacing as wrong
-// answers later. The caller owns the returned index's Close.
+// time; Pair adds the posting bitmaps, on the heap. Every block is
+// checksummed and walked here, so corruption fails at open with the
+// damaged section named instead of surfacing as wrong answers later. The
+// caller owns the returned index's Close.
 func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
@@ -744,9 +742,8 @@ func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Inde
 // Load decodes an image written by Save, WriteMapped or BuildStreaming
 // into an ordinary heap index. The metric must match the one used at
 // build time (at minimum its vertex-blindness and whether it reads labels
-// or weights must agree). Callers
-// attach the index to a graph set only after checking DBSize and
-// Fingerprint against the actual graphs.
+// or weights must agree). Callers attach the index to a graph set (Pair)
+// only after checking DBSize and Fingerprint against the actual graphs.
 func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pis/internal/binio"
+	"pis/internal/canon"
 	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
@@ -262,7 +265,7 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 // TestPersistRejectsOversizedCounts.
 func oversizedImages(t testing.TB) map[string][]byte {
 	t.Helper()
-	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 3, sigWords: defaultSigWords}
+	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 3}
 	craft := func(hdr v3Header, writeFPs func(*binio.SectionWriter)) []byte {
 		var buf bytes.Buffer
 		if err := writeV3Image(&buf, hdr, nil, writeFPs, bytes.NewReader(nil)); err != nil {
@@ -276,8 +279,66 @@ func oversizedImages(t testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"nClasses": craft(classes, nil),
 		"dbSize": craft(graphs, func(sw *binio.SectionWriter) {
-			beginFPSection(sw, defaultSigWords, 1<<40)
+			beginFPSection(sw, 1<<40)
 		}),
+	}
+}
+
+// unboundedGraphCountImage crafts a valid image nothing in which bounds the
+// header's graph count: no fingerprint section, one single-edge class, one
+// entry and one posting, both graph 0, in a database of MaxInt32 graphs.
+func unboundedGraphCountImage(t testing.TB) []byte {
+	t.Helper()
+	var slab bytes.Buffer
+	sw := &v3SlabWriter{w: &slab}
+	dc := v3DirClass{code: canon.Code{{I: 0, J: 1}}, fragments: 1, postCount: 1, entCount: 1}
+	dc.entOff = sw.beginBlock()
+	sw.uvarint(0) // the edge label
+	sw.uvarint(1) // one id
+	sw.uvarint(0)
+	dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
+	dc.postOff = sw.beginBlock()
+	sw.uvarint(0)
+	dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
+	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
+	var buf bytes.Buffer
+	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, nil, &slab); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenIgnoresHeaderGraphCount: the class bitmaps take one bit per graph
+// per class, and an image without a fingerprint section can claim any graph
+// count below 2^31 — sized from the header they would be a 256 MiB
+// allocation per class of a 4 KiB file. Both readers open such an image
+// without allocating anything of that order, and the bitmaps wait for Pair,
+// which refuses graphs that are not as many. (The image is also
+// testdata/fuzz/FuzzIndexLoad/seed-bomb-bitmap.)
+func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
+	metric := distance.EdgeMutation{}
+	img := unboundedGraphCountImage(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hx, herr := Load(bytes.NewReader(img), metric)
+	mx, merr := openV3(img, metric, nil)
+	runtime.ReadMemStats(&after)
+	if herr != nil || merr != nil {
+		t.Fatalf("the image is well-formed: Load %v, openV3 %v", herr, merr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("opening a %d-byte image claiming %d graphs allocated %d bytes", len(img), hx.DBSize(), got)
+	}
+	for _, x := range []*Index{hx, mx} {
+		if x.DBSize() != math.MaxInt32 || x.Stats().Postings != 1 {
+			t.Fatalf("crafted image opened as %d graphs, %+v", x.DBSize(), x.Stats())
+		}
+		if x.Memory().BitmapBytes != 0 {
+			t.Fatalf("mapped=%v: %d bitmap bytes before Pair", x.IsMapped(), x.Memory().BitmapBytes)
+		}
+		if err := x.Pair(make([]*graph.Graph, 1)); err == nil || x.Memory().BitmapBytes != 0 {
+			t.Fatalf("mapped=%v: Pair with one graph: err %v, %d bitmap bytes", x.IsMapped(), err, x.Memory().BitmapBytes)
+		}
 	}
 }
 
@@ -350,18 +411,22 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 // its streaming build; a deliberate format change updates them. The three
 // label images were re-pinned once since, when the directory's per-class
 // count became stored (key, graph) pairs instead of fragment occurrences:
-// the directory section differs in that one uvarint per class, the header,
-// the fingerprints and the slab are the bytes that commit wrote.
+// the directory section differs in that one uvarint per class. All eight
+// were re-pinned once more when the per-graph class signature left the
+// fingerprint: the header's signature width reads 0 where it read 2 and the
+// fingerprint section's payload is 3,486 bytes where it was 4,446 (60
+// graphs × 16 bytes); the directory and the slab, still at offset 8,192,
+// are the bytes that commit wrote.
 func TestImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		metric         distance.Metric
 		heap, streamed string
 	}{
-		{"edge", distance.EdgeMutation{}, "7fd695526855bdeb", "671f47f19526e29c"},
-		{"full", distance.FullMutation{}, "2f5b5b26d5a3a408", "3634dd42da63702a"},
-		{"matrix", testMatrix(), "611e6ab87da156b5", "a276cd600246500c"},
-		{"linear", distance.Linear{}, "1c163a78370567c6", "493f664eb3818b20"},
+		{"edge", distance.EdgeMutation{}, "4d5164991fea4f57", "5dd967d5502b1418"},
+		{"full", distance.FullMutation{}, "6e05400acbf7c5ca", "d2b773c68e72a588"},
+		{"matrix", testMatrix(), "743f52ca5a7b9405", "c7b6dec4498903f3"},
+		{"linear", distance.Linear{}, "f20ab50a0ba10aaa", "890cc5bb366f2965"},
 	} {
 		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})
 		feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})

@@ -13,8 +13,7 @@
 //	merge    k-way merge the runs. Records arrive grouped by class in
 //	         entry order, so entry blocks stream straight into the slab
 //	         file; per-class postings are folded through a dbSize-bit
-//	         set (ids arrive key-ordered, not id-ordered) and the
-//	         superimposed signatures OR through the same bitset. Planner
+//	         set (ids arrive key-ordered, not id-ordered). Planner
 //	         stats come from a deterministic stride-doubling sampler
 //	         over the sorted entry stream.
 //	write    assemble the final PISIDX3 file from the staged directory,
@@ -171,7 +170,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 	// Merge: runs → slab file + staged directory.
 	slabPath := filepath.Join(tmpDir, "slab")
-	dir, sig, slabLen, err := x.mergeRuns(sp.runs, n, slabPath, &res)
+	dir, slabLen, err := x.mergeRuns(sp.runs, n, slabPath, &res)
 	if err != nil {
 		return res, err
 	}
@@ -185,12 +184,11 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		dbSize:      n,
 		fingerprint: fpr.Sum(),
 		nClasses:    len(dir),
-		sigWords:    x.opts.sigWords(),
 		hasFPs:      true,
 		slabLen:     uint64(slabLen),
 	}
 	writeFPs := func(sw *binio.SectionWriter) {
-		emitStreamFPSection(sw, fpFile, n, x.opts.sigWords(), sig)
+		emitStreamFPSection(sw, fpFile, n)
 	}
 	slabFile, err := os.Open(slabPath)
 	if err != nil {
@@ -219,8 +217,7 @@ func unflipFloatBits(b uint64) uint64 {
 	return ^b
 }
 
-// streamFPSize is the fixed on-disk size of one pass-1 fingerprint
-// record (signatures are added at merge time from the class bitsets).
+// streamFPSize is the fixed on-disk size of one pass-1 fingerprint record.
 const streamFPSize = 4 + 4 + 2*(fpDegTail+fpEdgeBuckets+fpVertexBuckets)
 
 func writeStreamFP(w *bufio.Writer, fp *GraphFP) {
@@ -245,14 +242,13 @@ func writeStreamFP(w *bufio.Writer, fp *GraphFP) {
 }
 
 // emitStreamFPSection re-reads the pass-1 fingerprint file and writes
-// the fingerprint section payload, splicing in the signatures the merge
-// accumulated. Encoding matches encodeGraphFP exactly.
-func emitStreamFPSection(sw *binio.SectionWriter, f *os.File, n, words int, sig []uint64) {
+// the fingerprint section payload. Encoding matches encodeGraphFP exactly.
+func emitStreamFPSection(sw *binio.SectionWriter, f *os.File, n int) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		sw.Bytes(nil) // the section writer surfaces its own errors; nothing to do
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
-	beginFPSection(sw, words, n)
+	beginFPSection(sw, n)
 	var buf [streamFPSize]byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -267,9 +263,6 @@ func emitStreamFPSection(sw *binio.SectionWriter, f *os.File, n, words int, sig 
 		for k := 0; k < fpDegTail+fpEdgeBuckets+fpVertexBuckets; k++ {
 			sw.Uvarint(uint64(binary.LittleEndian.Uint16(buf[off:])))
 			off += 2
-		}
-		for w := 0; w < words; w++ {
-			sw.U64(sig[i*words+w])
 		}
 	}
 }
@@ -458,11 +451,11 @@ func (s *sampleStream) offer(key []uint64) {
 }
 
 // mergeRuns k-way merges the spill runs into the slab file, returning
-// the staged directory and the accumulated per-graph signature slab.
-func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResult) ([]v3DirClass, []uint64, int64, error) {
+// the staged directory and the slab's length.
+func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResult) ([]v3DirClass, int64, error) {
 	f, err := os.Create(slabPath)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<16)
@@ -472,12 +465,12 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 	for _, name := range runs {
 		rf, err := os.Open(name)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		defer rf.Close()
 		rc := &runCursor{f: rf, r: bufio.NewReaderSize(rf, 1<<16)}
 		if err := rc.advance(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if rc.ok {
 			h = append(h, rc)
@@ -485,15 +478,12 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 	}
 	heap.Init(&h)
 
-	words := x.opts.sigWords()
-	sig := make([]uint64, words*n)
 	m := &classMerger{
 		x: x, sw: sw, n: n,
 		bitset: make([]uint64, (n+63)/64),
-		sig:    sig, sigBits: uint32(words * 64), words: words,
-		dir: make([]v3DirClass, len(x.list)),
-		res: res,
-		cur: -1,
+		dir:    make([]v3DirClass, len(x.list)),
+		res:    res,
+		cur:    -1,
 	}
 	// Per-graph dedup means a record can never appear in two runs, but
 	// the adjacent-duplicate check is cheap insurance against a future
@@ -503,12 +493,12 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 		rc := h.peek()
 		if !bytes.Equal(rc.rec, prev) {
 			if err := m.consume(rc.rec); err != nil {
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
 			prev = append(prev[:0], rc.rec...)
 		}
 		if err := rc.advance(); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		if rc.ok {
 			h.fix()
@@ -517,33 +507,30 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 		}
 	}
 	if err := m.finishAll(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if sw.err != nil {
-		return nil, nil, 0, sw.err
+		return nil, 0, sw.err
 	}
 	if err := bw.Flush(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if err := f.Sync(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	return m.dir, sig, int64(sw.off), nil
+	return m.dir, int64(sw.off), nil
 }
 
 // classMerger folds the globally sorted record stream into per-class
-// slab blocks, postings, signatures, and planner stats.
+// slab blocks, postings, and planner stats.
 type classMerger struct {
 	x  *Index
 	sw *v3SlabWriter
 	n  int
 
-	bitset  []uint64
-	sig     []uint64
-	sigBits uint32
-	words   int
-	dir     []v3DirClass
-	res     *StreamResult
+	bitset []uint64
+	dir    []v3DirClass
+	res    *StreamResult
 
 	cur    int // class currently being written; -1 before the first
 	entOff uint64
@@ -619,7 +606,7 @@ func (m *classMerger) openClass(id int) {
 }
 
 // closeClass finishes the open class: entry block, postings block from
-// the bitset, signature OR-in, stats, directory entry.
+// the bitset, stats, directory entry.
 func (m *classMerger) closeClass() error {
 	if m.cur < 0 {
 		return nil
@@ -636,7 +623,6 @@ func (m *classMerger) closeClass() error {
 
 	postOff := m.sw.beginBlock()
 	dc.postOff = postOff
-	sbits := classSigBits(c.Key, m.sigBits)
 	prev, count := int32(-1), 0
 	for w, word := range m.bitset {
 		for word != 0 {
@@ -650,9 +636,6 @@ func (m *classMerger) closeClass() error {
 			}
 			prev = id
 			count++
-			for _, sb := range sbits {
-				m.sig[int(id)*m.words+int(sb>>6)] |= 1 << (sb & 63)
-			}
 		}
 	}
 	dc.postCount = count

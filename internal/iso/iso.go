@@ -11,8 +11,8 @@
 // semantics, which is what substructure search means for molecules).
 //
 // The matcher is table-driven: a pattern is compiled once into one step
-// per depth of its match order, each host is bound as flat neighbor arrays
-// in scratch the Verifier keeps, and the search touches only those.
+// per depth of its match order, and the search walks each host's flat
+// neighbor arrays (graph.Graph.Adjacency) in place.
 //
 // Besides degree, two structural invariants of internal/graph are hard
 // feasibility tests: a pattern vertex only maps onto a host vertex whose
@@ -141,10 +141,11 @@ type Verifier struct {
 	back   []backEdge // backing of every step's back list
 	mp     int        // pattern edge count
 
-	// The bound host: the neighbors of host vertex hv sit in slots
-	// off[hv]..off[hv+1], ascending by host edge index; nbrV[s] is the
-	// neighbor, nbrE[s] the edge that reaches it. profile and emask are
-	// the host's own annotation, per vertex and per edge.
+	// The bound host and its own arrays (graph.Graph.Adjacency): the
+	// neighbors of host vertex hv sit in slots off[hv]..off[hv+1],
+	// ascending by host edge index; nbrV[s] is the neighbor, nbrE[s] the
+	// edge that reaches it. profile and emask are the host's annotation,
+	// per vertex and per edge.
 	g          *graph.Graph
 	off        []int32
 	nbrV, nbrE []int32
@@ -178,8 +179,8 @@ func NewVerifier(q *graph.Graph, metric distance.Metric) *Verifier {
 	return v
 }
 
-// Reset points the verifier at a new query and metric, keeping its host
-// scratch and table storage, and disarms cancellation.
+// Reset points the verifier at a new query and metric, keeping its table
+// storage, and disarms cancellation.
 func (v *Verifier) Reset(q *graph.Graph, metric distance.Metric) { v.reset(q, metric, true) }
 
 // reset is Reset; constrained = false compiles q without its invariants:
@@ -187,7 +188,8 @@ func (v *Verifier) Reset(q *graph.Graph, metric distance.Metric) { v.reset(q, me
 // constrained one to.
 func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained bool) {
 	v.metric, v.blind, v.mp = metric, distance.IgnoresVertices(metric), q.M()
-	v.g, v.profile, v.emask, v.done = nil, nil, nil, nil
+	v.g, v.off, v.nbrV, v.nbrE = nil, nil, nil, nil
+	v.profile, v.emask, v.done = nil, nil, nil
 	v.steps = v.steps[:0]
 	if q.N() > 0 {
 		v.compile(q, constrained)
@@ -198,33 +200,22 @@ func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained boo
 // expanded; callers difference it around the calls they account for.
 func (v *Verifier) Nodes() uint64 { return v.nodes }
 
-// bind points the verifier at a host: an O(N+M) copy of its adjacency into
-// the flat neighbor arrays, grown when this host is the largest yet.
+// bind points the verifier at a host's arrays and marks every vertex free:
+// room is the only per-host state the verifier owns.
 func (v *Verifier) bind(g *graph.Graph) {
 	n := g.N()
-	if cap(v.off) <= n {
-		v.off = make([]int32, n+1)
+	if cap(v.room) < n {
 		v.room = make([]int32, n)
 	}
-	if cap(v.nbrV) < 2*g.M() {
-		v.nbrV = make([]int32, 2*g.M())
-		v.nbrE = make([]int32, 2*g.M())
-	}
 	v.g = g
+	v.off, v.nbrV, v.nbrE = g.Adjacency()
 	iv := g.Invariants()
 	v.profile, v.emask = iv.Profiles(), iv.EdgeMasks()
-	off, nbrV, nbrE := v.off[:n+1], v.nbrV[:2*g.M()], v.nbrE[:2*g.M()]
-	v.off, v.room = off, v.room[:n]
-	s := int32(0)
-	for hv := 0; hv < n; hv++ {
-		off[hv] = s
-		for _, e := range g.IncidentEdges(hv) {
-			nbrV[s], nbrE[s] = g.Other(int(e), int32(hv)), e
-			s++
-		}
-		v.room[hv] = s - off[hv]
+	room, off := v.room[:n], v.off
+	for hv := range room {
+		room[hv] = off[hv+1] - off[hv]
 	}
-	off[n] = s
+	v.room = room
 }
 
 // hostEdge scans hv's slots for the host edge to hw; -1 when not adjacent.

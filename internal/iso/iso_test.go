@@ -791,8 +791,9 @@ func TestDistanceDoneClosed(t *testing.T) {
 // query against generated molecules at the repo benchmark's budget, on a
 // warm verifier (0 allocs/op). Answers and non-answers are apart, and so
 // is the part of the non-answers that decides what a search pays: hosts
-// the fingerprint prescreen of a default index lets through although the
-// query's skeleton does not occur in them.
+// that hold every indexed structure of the query and pass the fingerprint
+// prescreen of a default index although the query's skeleton does not
+// occur in them.
 func BenchmarkVerifierDistance(b *testing.B) {
 	db := chem.Generate(1200, chem.Config{Seed: 1})
 	q := chem.SampleQueries(db, 1, 16, 7)[0]
@@ -807,14 +808,21 @@ func BenchmarkVerifierDistance(b *testing.B) {
 		b.Fatal(err)
 	}
 	vFloor, eFloor := distance.CostFloors(metric)
-	qfp, _ := idx.NewQueryFP(q, idx.QueryFragments(q), vFloor, eFloor, nil)
+	qfp := index.NewQueryFP(q, vFloor, eFloor)
+	var classes []*index.Class
+	for _, qf := range idx.QueryFragments(q) {
+		if !slices.Contains(classes, qf.Class) {
+			classes = append(classes, qf.Class)
+		}
+	}
+	structural := idx.Candidates(nil, classes, nil)
 	v := NewVerifier(q, metric)
 	var answers, nonAnswers, noEmbedding []*graph.Graph
 	for id, g := range db {
 		switch {
 		case !distance.IsInfinite(v.Distance(g, sigma)):
 			answers = append(answers, g)
-		case qfp.Admissible(idx.FingerprintAt(int32(id)), sigma) && !HasEmbedding(q, g):
+		case slices.Contains(structural, int32(id)) && qfp.Admissible(idx.FingerprintAt(int32(id)), sigma) && !HasEmbedding(q, g):
 			noEmbedding = append(noEmbedding, g)
 			fallthrough
 		default:

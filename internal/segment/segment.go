@@ -120,9 +120,9 @@ type Segment struct {
 	// assigned monotonically). Both are append-only between compactions.
 	delta    []*graph.Graph
 	deltaIDs []int32
-	// deltaFPs carries the prescreen fingerprint of each delta graph
-	// (signature-less; delta graphs are unindexed), appended alongside
-	// delta so snapshots hand the searcher an aligned overlay.
+	// deltaFPs carries the prescreen fingerprint of each delta graph,
+	// appended alongside delta so snapshots hand the searcher an aligned
+	// overlay.
 	deltaFPs []index.GraphFP
 	// tombs marks deleted local ids (base positions, then len(base)+delta
 	// positions); copy-on-write so snapshots stay consistent.
@@ -346,9 +346,6 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		}
 		idx = mx
 	}
-	// An image may lack the fingerprint section; recompute here so the
-	// prescreen tier is never silently absent.
-	idx.EnsureFingerprints(base)
 	maxID := int32(-1)
 	if len(ids) > 0 {
 		maxID = ids[len(ids)-1] // ids are ascending
@@ -849,9 +846,10 @@ func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 	return s.snapshot().srch.LearnedSurvival()
 }
 
-// IndexStats returns the base index counters.
-func (s *Segment) IndexStats() index.Stats {
+// IndexStats returns the base index counters and the heap the index holds
+// beside its class stores.
+func (s *Segment) IndexStats() (index.Stats, index.Memory) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.idx.Stats()
+	return s.idx.Stats(), s.idx.Memory()
 }

@@ -504,17 +504,19 @@ func (d *DB) baseline(search func(*segment.Segment, *graph.Graph, float64) core.
 	return core.MergeGlobal(parts)
 }
 
-// Stats sums the per-shard base index counters.
-func (d *DB) Stats() index.Stats {
-	var total index.Stats
+// Stats sums the per-shard base index counters and the heap the indexes
+// hold beside their class stores.
+func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 	for _, seg := range d.segs {
-		s := seg.IndexStats()
+		s, m := seg.IndexStats()
 		total.Classes += s.Classes
 		total.Fragments += s.Fragments
 		total.Sequences += s.Sequences
 		total.Postings += s.Postings
+		memory.BitmapBytes += m.BitmapBytes
+		memory.FingerprintBytes += m.FingerprintBytes
 	}
-	return total
+	return total, memory
 }
 
 // LearnedSurvival returns each shard's learned planner state, indexed by

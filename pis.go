@@ -187,15 +187,6 @@ type Options struct {
 	// (PlannerState).
 	PlannerFeedbackOff bool
 
-	// SignatureWords sizes the superimposed fragment signature of the
-	// verification prescreen, in 64-bit words per graph (default 2 =
-	// 128 bits). Wider signatures make prescreen false drops — graphs
-	// that pass the subset test without containing every query fragment
-	// structure — exponentially rarer, at 8 bytes per graph per word.
-	// Answers are unaffected either way; only how many candidates the
-	// prescreen can refute before branch-and-bound.
-	SignatureWords int
-
 	// QueryTimeout bounds every SearchContext / SearchKNNContext /
 	// SearchBatchContext call (0 = none): queries that run longer are cut
 	// off at the next verification-task boundary and return
@@ -294,7 +285,7 @@ func (o Options) shardConfig() shard.Config {
 			Gamma:              o.Gamma,
 			PathsOnly:          o.PathFeaturesOnly,
 		},
-		Index: index.Options{Metric: o.Metric, SignatureWords: o.SignatureWords},
+		Index: index.Options{Metric: o.Metric},
 		Core: core.Options{
 			Epsilon:              o.Epsilon,
 			Lambda:               o.Lambda,
@@ -571,16 +562,24 @@ type IndexStats struct {
 	// Tombstones counts deleted graphs not yet compacted away.
 	Delta      int
 	Tombstones int
+	// BitmapBytes and FingerprintBytes are the heap the index holds beside
+	// the stored sequences, summed over the shards — resident under
+	// MappedIndex too, and not part of the index file's size: the class
+	// posting bitmaps the structural intersection ANDs (features × graphs
+	// / 8 per shard) and the per-graph prescreen fingerprints.
+	BitmapBytes      int
+	FingerprintBytes int
 }
 
 // Stats sums the per-shard index counters. Features counts per-shard
 // feature classes, so the same structure mined by two shards counts twice.
 func (db *Database) Stats() IndexStats {
-	st := db.db.Stats()
+	st, mem := db.db.Stats()
 	delta, tombs := db.db.Overlay()
 	return IndexStats{
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
+		BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
 	}
 }
 

@@ -113,10 +113,27 @@ func TestPublicAPICodecRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIStats(t *testing.T) {
-	db, _ := buildPublicDB(t, 80, pis.Options{})
+	db, graphs := buildPublicDB(t, 80, clusterTestOpts)
 	st := db.Stats()
 	if st.Features == 0 || st.Fragments == 0 || st.Sequences == 0 {
 		t.Fatalf("stats empty: %+v", st)
+	}
+	// One bit per feature per graph in whole words (80 graphs: two), and
+	// one 120-byte fingerprint per graph — resident whether the index is on
+	// the heap, mapped, or behind a cluster node's RPC.
+	if st.BitmapBytes != st.Features*16 || st.FingerprintBytes != 80*120 {
+		t.Fatalf("%d features over 80 graphs: %d bitmap bytes, %d fingerprint bytes", st.Features, st.BitmapBytes, st.FingerprintBytes)
+	}
+	mopts := clusterTestOpts
+	mopts.MappedIndex = true
+	mapped, _ := buildPublicDB(t, 80, mopts)
+	defer mapped.Close()
+	if got := mapped.Stats(); got != st {
+		t.Fatalf("mapped stats %+v, heap %+v", got, st)
+	}
+	cn := startTestCluster(t, clusterAddrs(t, 1), 1, 1, nil, graphs)[0]
+	if got := cn.Stats(); got != st {
+		t.Fatalf("cluster node stats %+v, database %+v", got, st)
 	}
 }
 

@@ -861,12 +861,18 @@ type IndexStatsJSON struct {
 	// Tombstones counts deleted graphs not yet compacted away.
 	Delta      int `json:"delta"`
 	Tombstones int `json:"tombstones"`
+	// BitmapBytes and FingerprintBytes are the heap the index holds beside
+	// its stored sequences, summed over the shards (resident under
+	// pis.Options.MappedIndex too).
+	BitmapBytes      int `json:"bitmap_bytes"`
+	FingerprintBytes int `json:"fingerprint_bytes"`
 }
 
 func encodeIndexStats(s pis.IndexStats) IndexStatsJSON {
 	return IndexStatsJSON{
 		Features: s.Features, Fragments: s.Fragments, Sequences: s.Sequences,
 		Delta: s.Delta, Tombstones: s.Tombstones,
+		BitmapBytes: s.BitmapBytes, FingerprintBytes: s.FingerprintBytes,
 	}
 }
 
