@@ -299,6 +299,8 @@ func (cn *ClusterNode) Stats() IndexStats {
 
 		BitmapBytes:      ov.Memory.BitmapBytes,
 		FingerprintBytes: ov.Memory.FingerprintBytes,
+		Shapes:           ov.Memory.Shapes,
+		ShapeTransitions: ov.Memory.ShapeTransitions,
 	}
 }
 

@@ -209,9 +209,12 @@ type shardState struct {
 	Seqs    int
 	Delta   int
 	Tombs   int
-	// Bitmap and FPs are the bytes of index.Memory.
-	Bitmap int
-	FPs    int
+	// Bitmap and FPs are the bytes of index.Memory, Shapes and
+	// Transitions its shape-table counts.
+	Bitmap      int
+	FPs         int
+	Shapes      int
+	Transitions int
 
 	WALRecords      int64
 	WALBytes        int64
@@ -229,7 +232,7 @@ func writeShardState(sw *binio.SectionWriter, st *shardState) {
 	sw.U64(st.MutSeq)
 	sw.Varint(int64(st.Live))
 	sw.Varint(int64(st.MaxID))
-	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs} {
+	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs, st.Shapes, st.Transitions} {
 		sw.Varint(int64(v))
 	}
 	sw.Varint(st.WALRecords)
@@ -254,7 +257,7 @@ func readShardState(sr *binio.SectionReader) shardState {
 	st.MutSeq = sr.U64()
 	st.Live = int(sr.Varint())
 	st.MaxID = int32(sr.Varint())
-	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs} {
+	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs, &st.Shapes, &st.Transitions} {
 		*p = int(sr.Varint())
 	}
 	st.WALRecords = sr.Varint()

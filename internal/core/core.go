@@ -430,10 +430,7 @@ type scratch struct {
 	vorder     []int32 // verification order (indices into candidates)
 	vdists     []float64
 	sorter     lbSorter
-	// Prescreen state for the current query: qfpOK gates use (filter
-	// resets it every search; the exact baseline paths never set it).
-	qfp   index.QueryFP
-	qfpOK bool
+	screen     Screen // the current query's prescreen, set by filter
 }
 
 func (s *Searcher) getScratch() *scratch {
@@ -451,6 +448,7 @@ func (s *Searcher) putScratch(sc *scratch) {
 	sc.infos = sc.infos[:0]
 	clear(sc.vertexSets[:cap(sc.vertexSets)])
 	sc.vertexSets = sc.vertexSets[:0]
+	sc.screen = Screen{}
 	s.pool.Put(sc)
 }
 
@@ -518,7 +516,7 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 	var r Result
 	start := time.Now()
 	sc := s.getScratch()
-	s.usableFragments(q, sigma, &r.Stats, sc, false)
+	s.usableFragments(q, sigma, &r.Stats, sc)
 	cands := s.structuralCandidates(sc, view.Tombs)
 	r.Stats.StructCandidates = len(cands)
 	r.Stats.RangeCandidates = len(cands) // no distance pruning in this method
@@ -568,7 +566,7 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 		r.Expansions = slices.Clone(sc.expansions)
 	}
 	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
-	r.Candidates, lbs = s.joinDelta(q, sigma, r.Candidates, lbs, sc, view, &r.Stats)
+	r.Candidates, lbs = s.joinDelta(sigma, r.Candidates, lbs, sc, view, &r.Stats)
 	r.Stats.FilterTime = time.Since(start)
 	err := s.verify(q, sigma, &r, lbs, sc, view, done)
 	s.putScratch(sc)
@@ -656,15 +654,15 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch, view View, done <-chan struct{}) (cands []int32, lbs []float64) {
 	n := len(s.db)
 	tombs := view.Tombs
-	sc.qfpOK = false
+	sc.screen = s.NewScreen(q, view)
 	sc.expansions = sc.expansions[:0]
-	frags := s.usableFragments(q, sigma, st, sc, s.idx.HasFingerprints())
+	frags := s.usableFragments(q, sigma, st, sc)
 
 	// Structural intersection: Yt, and the seed candidate set.
 	cur := s.structuralCandidates(sc, tombs)
 	st.StructCandidates = len(cur)
 	if !s.opts.SkipVerification {
-		cur = s.prescreen(q, sigma, cur, sc, view, st)
+		cur = s.prescreen(sigma, cur, sc, st)
 	}
 
 	if len(frags) == 0 {
@@ -826,14 +824,10 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 // ε filter (line 5) and the per-query cap. It leaves the fragments'
 // distinct classes in sc.classes — from the full list, before the ε filter
 // and cap drop any, since every indexed structure of the query constrains
-// a match no matter which range queries end up running — and with wantFP
-// set the query's prescreen fingerprint in the scratch.
-func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc *scratch, wantFP bool) []index.QueryFragment {
+// a match no matter which range queries end up running.
+func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc *scratch) []index.QueryFragment {
 	frags := s.idx.QueryFragmentsInto(q, &sc.frags)
 	st.QueryFragments = len(frags)
-	if wantFP {
-		sc.qfp, sc.qfpOK = index.NewQueryFP(q, s.vFloor, s.eFloor), true
-	}
 	// Hundreds of fragments fall into a handful of classes, in runs.
 	classes := sc.classes[:0]
 	for i, qf := range frags {
@@ -947,27 +941,49 @@ func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
 	return nil
 }
 
-// prescreen drops from ids, in place, the candidates a cheap tier
-// refutes, counting them in st: the fingerprint, whose structure and
-// label bounds prove d > sigma, then the graph invariants, which prove
-// q's skeleton does not fit the graph at any sigma. Both are admissible,
-// so dropping a candidate here never loses an answer.
-func (s *Searcher) prescreen(q *graph.Graph, sigma float64, ids []int32, sc *scratch, view View, st *Stats) []int32 {
-	qiv := q.Invariants()
+// Screen is one query's prescreen: the cheap tests that refute a graph
+// without verifying it. The pipeline's prescreen and a result memo's
+// catch-up share it, so a graph is refuted alike on both paths.
+type Screen struct {
+	s    *Searcher
+	view View
+	iv   graph.Invariants
+	fp   index.QueryFP
+}
+
+// NewScreen readies q's prescreen over view.
+func (s *Searcher) NewScreen(q *graph.Graph, view View) Screen {
+	return Screen{s: s, view: view, iv: q.Invariants(), fp: index.NewQueryFP(q, s.vFloor, s.eFloor)}
+}
+
+// Refutes reports whether a cheap tier proves that graph id (local to the
+// screen's view) is not within sigma of the query, counting the refutation
+// in st: the fingerprint, whose structure and label bounds prove d > sigma
+// (base ids read the index's table, delta ids the view's DeltaFPs), then
+// the graph invariants, which prove the query's skeleton does not fit the
+// graph at any sigma. Both are admissible, so a refuted graph is never an
+// answer; a caller whose radius only shrinks may pass the current one.
+func (p *Screen) Refutes(id int32, sigma float64, st *Stats) bool {
+	if gfp := p.s.candFP(p.view, id); gfp != nil && !p.fp.Admissible(gfp, sigma) {
+		st.PrescreenRejects++
+		return true
+	}
+	if !p.s.Graph(p.view, id).Invariants().Admits(p.iv) {
+		st.PrescreenRejects++
+		st.InvariantRejects++
+		return true
+	}
+	return false
+}
+
+// prescreen drops from ids, in place, the candidates the query's screen
+// refutes at sigma.
+func (s *Searcher) prescreen(sigma float64, ids []int32, sc *scratch, st *Stats) []int32 {
 	kept := ids[:0]
 	for _, id := range ids {
-		if sc.qfpOK {
-			if gfp := s.candFP(view, id); gfp != nil && !sc.qfp.Admissible(gfp, sigma) {
-				st.PrescreenRejects++
-				continue
-			}
+		if !sc.screen.Refutes(id, sigma, st) {
+			kept = append(kept, id)
 		}
-		if !s.Graph(view, id).Invariants().Admits(qiv) {
-			st.PrescreenRejects++
-			st.InvariantRejects++
-			continue
-		}
-		kept = append(kept, id)
 	}
 	return kept
 }
@@ -976,14 +992,14 @@ func (s *Searcher) prescreen(q *graph.Graph, sigma float64, ids []int32, sc *scr
 // unindexed, so no filter stage has seen them: the prescreen runs on them
 // here, and each joins with a zero lower bound (when lbs is in use), so
 // best-first verification takes them first.
-func (s *Searcher) joinDelta(q *graph.Graph, sigma float64, cands []int32, lbs []float64, sc *scratch, view View, st *Stats) ([]int32, []float64) {
+func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *scratch, view View, st *Stats) ([]int32, []float64) {
 	if len(view.Delta) == 0 {
 		return cands, lbs
 	}
 	nb := len(cands)
 	cands = view.appendLiveDelta(cands, len(s.db))
 	if !s.opts.SkipVerification {
-		cands = cands[:nb+len(s.prescreen(q, sigma, cands[nb:], sc, view, st))]
+		cands = cands[:nb+len(s.prescreen(sigma, cands[nb:], sc, st))]
 	}
 	if lbs != nil {
 		for i := nb; i < len(cands); i++ {
@@ -1072,7 +1088,7 @@ func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View
 	// The filter prescreens at the outer radius, admissible for the whole
 	// run: the shared bound only ever shrinks below sigma.
 	cands, lbs := s.filter(q, sigma, &st, sc, view, done)
-	cands, lbs = s.joinDelta(q, sigma, cands, lbs, sc, view, &st)
+	cands, lbs = s.joinDelta(sigma, cands, lbs, sc, view, &st)
 	sc.bufA = cands
 	nc := len(cands)
 	order := sc.positions(nc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +232,50 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEnumerateExtendsParent pins what canon.Classifier relies on: every
+// fragment of k > 1 edges is the fragment passed last with k-1 edges plus
+// one new edge, at the end, that touches it.
+func TestEnumerateExtendsParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(6)
+		b := NewBuilder(n, n*n)
+		for i := 0; i < n; i++ {
+			b.AddVertex(0)
+		}
+		for i := 1; i < n; i++ {
+			p := rng.Intn(i)
+			b.AddEdge(int32(p), int32(i), 0)
+			for j := 0; j < i; j++ {
+				if j != p && rng.Intn(4) == 0 {
+					b.AddEdge(int32(j), int32(i), 0)
+				}
+			}
+		}
+		g := b.MustBuild()
+		var last [][]int32 // last[k-1]: the fragment passed last with k edges
+		EnumerateConnectedSubgraphs(g, 6, func(edges []int32) bool {
+			k := len(edges)
+			if k > 1 {
+				parent, added := last[k-2], g.EdgeAt(int(edges[k-1]))
+				if !reflect.DeepEqual(edges[:k-1], parent) {
+					t.Fatalf("trial %d: fragment %v does not extend the last %d-edge fragment %v", trial, edges, k-1, parent)
+				}
+				touches := false
+				for _, e := range parent {
+					pe := g.EdgeAt(int(e))
+					touches = touches || pe.U == added.U || pe.U == added.V || pe.V == added.U || pe.V == added.V
+				}
+				if !touches || slices.Contains(parent, edges[k-1]) {
+					t.Fatalf("trial %d: edge %d added to %v is not a new edge touching it", trial, edges[k-1], parent)
+				}
+			}
+			last = append(last[:k-1], append([]int32(nil), edges...))
+			return true
+		})
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Fragment identifies a connected edge-subgraph of a host graph by the
 // host's edge indices. It is the unit the fragment-based index stores and
 // the unit partitions are made of.
@@ -9,26 +11,13 @@ type Fragment struct {
 }
 
 // Vertices returns the sorted host vertex ids touched by the fragment.
+// Fragments are small (index-sized), so dedup is a linear scan.
 func (f Fragment) Vertices() []int32 {
-	return appendFragmentVertices(make([]int32, 0, len(f.Edges)+1), f.Host, f.Edges)
-}
-
-// appendFragmentVertices appends the sorted host vertex ids touched by
-// edges to dst[:0]. Fragments are small (index-sized), so dedup is a
-// linear scan.
-func appendFragmentVertices(dst []int32, host *Graph, edges []int32) []int32 {
-	out := dst[:0]
-	for _, e := range edges {
-		ed := host.EdgeAt(int(e))
+	out := make([]int32, 0, len(f.Edges)+1)
+	for _, e := range f.Edges {
+		ed := f.Host.EdgeAt(int(e))
 		for _, v := range [2]int32{ed.U, ed.V} {
-			known := false
-			for _, o := range out {
-				if o == v {
-					known = true
-					break
-				}
-			}
-			if !known {
+			if !slices.Contains(out, v) {
 				out = append(out, v)
 			}
 		}
@@ -37,53 +26,16 @@ func appendFragmentVertices(dst []int32, host *Graph, edges []int32) []int32 {
 	return out
 }
 
-// Renumbering is the vertex and edge numbering Extract would give a
-// fragment, computed into reusable storage instead of a new Graph: enough
-// to key a structure cache and to read the fragment's labels and weights
-// straight from the host. The zero value is ready; Reset overwrites it.
-type Renumbering struct {
-	// Vertices are the host vertex ids touched, ascending: extracted
-	// vertex i is host vertex Vertices[i].
-	Vertices []int32
-	// Ends holds the extracted endpoints of the fragment's k-th edge at
-	// [2k] and [2k+1], smaller first, in the order the edges were given.
-	Ends []int32
-}
-
-// Reset renumbers the fragment of host made of the given edge indices.
-func (r *Renumbering) Reset(host *Graph, edges []int32) {
-	r.Vertices = appendFragmentVertices(r.Vertices, host, edges)
-	r.Ends = r.Ends[:0]
-	for _, he := range edges {
-		ed := host.EdgeAt(int(he))
-		u, v := r.local(ed.U), r.local(ed.V)
-		if u > v {
-			u, v = v, u
-		}
-		r.Ends = append(r.Ends, u, v)
-	}
-}
-
-func (r *Renumbering) local(hv int32) int32 {
-	for i, v := range r.Vertices {
-		if v == hv {
-			return int32(i)
-		}
-	}
-	panic("graph: fragment endpoint outside vertex set")
-}
-
 // Extract materializes the fragment as a standalone Graph. vmap maps the
 // new graph's vertex ids back to host vertex ids: vmap[i] is the host
-// vertex for extracted vertex i. emap does the same for edges, following
-// the order of f.Edges.
+// vertex for extracted vertex i, ascending. emap does the same for edges,
+// following the order of f.Edges; each extracted edge has its smaller
+// endpoint first.
 //
 // The construction bypasses Builder validation: fragment edges come from
 // the host, so they are already loop-free, distinct, and endpoint-valid.
 func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
-	var r Renumbering
-	r.Reset(f.Host, f.Edges)
-	verts := r.Vertices
+	verts := f.Vertices()
 	g = &Graph{
 		vlabels: make([]VLabel, len(verts)),
 		edges:   make([]Edge, len(f.Edges)),
@@ -99,7 +51,9 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 	}
 	for i, he := range f.Edges {
 		ed := f.Host.EdgeAt(int(he))
-		g.edges[i] = Edge{U: r.Ends[2*i], V: r.Ends[2*i+1], Label: ed.Label, Weight: ed.Weight}
+		u, _ := slices.BinarySearch(verts, ed.U)
+		v, _ := slices.BinarySearch(verts, ed.V)
+		g.edges[i] = Edge{U: int32(min(u, v)), V: int32(max(u, v)), Label: ed.Label, Weight: ed.Weight}
 	}
 	g.link()
 	return g, verts, append([]int32(nil), f.Edges...)
@@ -140,6 +94,12 @@ func EnumerateConnectedSubgraphs(g *Graph, maxEdges int, fn func(edges []int32) 
 // memory kept between calls, for callers that enumerate graph after
 // graph: a warmed-up Enumerate allocates nothing. The zero value is
 // ready; not safe for concurrent use.
+//
+// Every fragment of k > 1 edges is its parent plus one edge: the last
+// element of the slice is the edge added, and the rest is exactly the
+// fragment passed last with k-1 edges (the enumeration is depth-first).
+// canon.Classifier relies on this to classify a fragment from its
+// parent's shape.
 type SubgraphEnumerator struct {
 	cur      []int32
 	inSub    []bool
@@ -188,17 +148,8 @@ func (en *SubgraphEnumerator) grow(g *Graph, anchor int32, maxEdges int, fn func
 		ed := g.EdgeAt(int(e))
 		for _, end := range [2]int32{ed.U, ed.V} {
 			for _, ne := range g.IncidentEdges(int(end)) {
-				if ne > anchor && !en.inSub[ne] && !en.excluded[ne] {
-					dup := false
-					for _, fe := range en.frontiers[base:] {
-						if fe == ne {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						en.frontiers = append(en.frontiers, ne)
-					}
+				if ne > anchor && !en.inSub[ne] && !en.excluded[ne] && !slices.Contains(en.frontiers[base:], ne) {
+					en.frontiers = append(en.frontiers, ne)
 				}
 			}
 		}

@@ -15,6 +15,7 @@ func BenchmarkBuildSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(db, feats, Options{Metric: distance.EdgeMutation{}}); err != nil {
@@ -29,6 +30,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildParallel(db, feats, Options{Metric: distance.EdgeMutation{}}, 0); err != nil {

@@ -2,7 +2,8 @@ package index
 
 // Differential tests, allocation ceilings and micro-benchmarks for the
 // per-query filter steps that run on scratch: fragment enumeration
-// (QueryFragmentsInto against the Extract-based enumeration it replaced)
+// (QueryFragmentsInto against a reference classifier that extracts and
+// canonicalizes every fragment)
 // and sort-free range output (RangeQueryInto against a map-and-sort fold
 // of every stored entry).
 
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"testing"
 
+	"pis/internal/canon"
 	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
@@ -53,9 +55,9 @@ func newMolFixture(t testing.TB, metric distance.Metric, n int) molFixture {
 	return molFixture{db: db, heap: heap, mapped: mapped}
 }
 
-// queryFragmentsByExtract is QueryFragments as it was before the scratch:
-// one extracted Graph per enumerated fragment, canonicalized through the
-// memo's Graph entry point and read back through the extracted copy.
+// queryFragmentsByExtract is the reference classifier: one extracted
+// Graph per enumerated fragment, canonicalized directly and read back
+// through the extracted copy along the first canonical embedding.
 func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 	var out []QueryFragment
 	graph.EnumerateConnectedSubgraphs(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
@@ -63,7 +65,7 @@ func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 		sort.Slice(ecopy, func(i, j int) bool { return ecopy[i] < ecopy[j] })
 		frag := graph.Fragment{Host: q, Edges: ecopy}
 		sub, _, _ := frag.Extract()
-		code, embs := x.memo.MinCodeUnlabeled(sub)
+		code, embs := canon.MinCodeUnlabeled(sub.Skeleton())
 		c := x.classes[code.Key()]
 		if c == nil {
 			return true
@@ -91,6 +93,15 @@ func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 	return out
 }
 
+// orbitEqual reports whether key a is one of c's automorphism variants of
+// key b: the same fragment laid out along another canonical embedding,
+// which every range query prices alike.
+func orbitEqual(c *Class, a, b []uint64) bool {
+	return slices.ContainsFunc(c.Variants(b), func(v []uint64) bool { return slices.Equal(v, a) })
+}
+
+// sameFragments compares two fragment lists in order: class, edges and
+// vertices exactly, keys up to an automorphism.
 func sameFragments(a, b []QueryFragment) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d fragments, want %d", len(a), len(b))
@@ -103,17 +114,18 @@ func sameFragments(a, b []QueryFragment) error {
 			return fmt.Errorf("fragment %d: edges %v, want %v", i, a[i].Edges, b[i].Edges)
 		case !slices.Equal(a[i].Vertices, b[i].Vertices):
 			return fmt.Errorf("fragment %d: vertices %v, want %v", i, a[i].Vertices, b[i].Vertices)
-		case !slices.Equal(a[i].Key, b[i].Key):
-			return fmt.Errorf("fragment %d: key %v, want %v", i, a[i].Key, b[i].Key)
+		case !orbitEqual(a[i].Class, a[i].Key, b[i].Key):
+			return fmt.Errorf("fragment %d: key %v is no variant of %v", i, a[i].Key, b[i].Key)
 		}
 	}
 	return nil
 }
 
 // TestQueryFragmentsMatchExtract: the scratch enumeration returns the
-// Extract-based list — class, edges, vertices, key of labels or weights,
-// in order — for every metric, with one scratch reused across all queries
-// and with a fresh one per query.
+// reference classifier's list — class, edges, vertices, key of labels or
+// weights up to an automorphism, in order (the planner breaks ties by
+// it) — for every metric, with one scratch reused across all queries and
+// with a fresh one per query.
 func TestQueryFragmentsMatchExtract(t *testing.T) {
 	for _, k := range metricCases {
 		t.Run(k.name, func(t *testing.T) {
@@ -310,9 +322,10 @@ func TestQueryFragmentsAllocs(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesExtractOps: the scratch-based build folds exactly the
-// ops the Extract-based enumeration would, for every metric — the check
-// behind "the emitted image bytes are identical".
+// TestBuildMatchesExtractOps: the build folds exactly the ops the
+// reference classifier gives, for every metric — the check behind "label
+// images are byte-identical": a label key is stored as its smallest
+// variant, a weight key as its placement lays it out.
 func TestBuildMatchesExtractOps(t *testing.T) {
 	for _, k := range metricCases {
 		t.Run(k.name, func(t *testing.T) {
@@ -320,33 +333,26 @@ func TestBuildMatchesExtractOps(t *testing.T) {
 			x := fx.heap
 			var fs FragmentScratch
 			for _, g := range fx.db {
-				var want []insertOp
-				graph.EnumerateConnectedSubgraphs(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-					sub, _, _ := graph.Fragment{Host: g, Edges: edges}.Extract()
-					code, embs := x.memo.MinCodeUnlabeled(sub)
-					c := x.classes[code.Key()]
-					if c == nil {
-						return true
+				got := x.computeOps(g, &fs)
+				keys := got.keys
+				want := queryFragmentsByExtract(x, g)
+				if len(got.classes) != len(want) {
+					t.Fatalf("%d ops for a graph of %d edges, want %d", len(got.classes), g.M(), len(want))
+				}
+				for i, qf := range want {
+					c := got.classes[i]
+					key := keys[:c.SeqLen()]
+					keys = keys[c.SeqLen():]
+					wantKey := qf.Key
+					if !x.weights {
+						wantKey = slices.MinFunc(c.Variants(wantKey), slices.Compare[[]uint64])
 					}
-					verts := []int32{}
-					for v := 0; v < sub.N(); v++ {
-						verts = append(verts, int32(v))
+					if c != qf.Class || (!x.weights && !slices.Equal(key, wantKey)) || !orbitEqual(c, key, wantKey) {
+						t.Fatalf("op %d: class %d key %v, want class %d key %v", i, c.ID, key, qf.Class.ID, wantKey)
 					}
-					local := make([]int32, sub.M())
-					for e := range local {
-						local[e] = int32(e)
-					}
-					key := x.appendKey(nil, sub, verts, local, c, embs[0])
-					if !x.weights { // label keys are stored as their smallest variant
-						key = slices.MinFunc(c.Variants(key), slices.Compare[[]uint64])
-					}
-					want = append(want, insertOp{class: c, key: key})
-					return true
-				})
-				if got := x.computeOps(g, &fs); !slices.EqualFunc(got, want, func(a, b insertOp) bool {
-					return a.class == b.class && slices.Equal(a.key, b.key)
-				}) {
-					t.Fatalf("ops differ for a graph of %d edges", g.M())
+				}
+				if len(keys) != 0 {
+					t.Fatalf("%d key words left over", len(keys))
 				}
 			}
 		})

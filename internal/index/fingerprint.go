@@ -111,9 +111,6 @@ func (x *Index) FingerprintAt(id int32) *GraphFP {
 	return &x.fps[id]
 }
 
-// HasFingerprints reports whether the per-graph fingerprint table exists.
-func (x *Index) HasFingerprints() bool { return x.fps != nil }
-
 // QueryFP is the query-side prescreen state: the query's own structural
 // fingerprint plus the metric's label-mismatch cost floors, computed once
 // per search and tested against every candidate.

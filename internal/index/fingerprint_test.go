@@ -16,7 +16,7 @@ import (
 func TestGraphFPPersistRoundTrip(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, metric, 61, 18)
-	if !x.HasFingerprints() {
+	if x.fps == nil {
 		t.Fatal("built index carries no fingerprints")
 	}
 	var buf bytes.Buffer
@@ -27,7 +27,7 @@ func TestGraphFPPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !y.HasFingerprints() {
+	if y.fps == nil {
 		t.Fatal("fingerprints lost across save/load")
 	}
 	if !reflect.DeepEqual(x.fps, y.fps) {
@@ -55,7 +55,7 @@ func TestPairSectionlessImage(t *testing.T) {
 		return y
 	}
 	y := load()
-	if y.HasFingerprints() {
+	if y.fps != nil {
 		t.Fatal("section-less image should load without fingerprints")
 	}
 	if y.FingerprintAt(0) != nil {
@@ -64,7 +64,7 @@ func TestPairSectionlessImage(t *testing.T) {
 	if err := y.Pair(db); err != nil {
 		t.Fatal(err)
 	}
-	if !y.HasFingerprints() {
+	if y.fps == nil {
 		t.Fatal("Pair did not build the table")
 	}
 	if !reflect.DeepEqual(built, y.fps) {
@@ -72,7 +72,7 @@ func TestPairSectionlessImage(t *testing.T) {
 	}
 	// Wrong database size must refuse rather than fingerprint garbage.
 	z := load()
-	if err := z.Pair(db[:len(db)-1]); err == nil || z.HasFingerprints() || z.Memory().BitmapBytes != 0 {
+	if err := z.Pair(db[:len(db)-1]); err == nil || z.fps != nil || z.Memory().BitmapBytes != 0 {
 		t.Fatalf("Pair accepted a mismatched database (err %v)", err)
 	}
 }

@@ -133,10 +133,9 @@ type Index struct {
 	// fingerprint identifies the exact graph set the index was built
 	// over (graph.Fingerprint).
 	fingerprint uint64
-	// memo caches canonical skeleton codes so structurally identical
-	// fragments — the overwhelming majority of enumerated fragments — are
-	// canonicalized once, at build time and at query time alike.
-	memo *canon.Memo
+	// shapes classifies every enumerated fragment — at build, merge and
+	// query time alike — by the edge it adds to its parent (canon.Shapes).
+	shapes *canon.Shapes[Class]
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
 	// nil on an index loaded from an image without the fingerprint
 	// section, until Pair recomputes them.
@@ -202,7 +201,6 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 		opts:    opts,
 		weights: distance.ReadsWeights(opts.Metric),
 		classes: make(map[string]*Class, len(features)),
-		memo:    canon.NewMemo(),
 	}
 	for _, f := range features {
 		if f.Edges > opts.MaxFragmentEdges {
@@ -221,7 +219,14 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 		x.classes[f.Key] = c
 		x.list = append(x.list, c)
 	}
+	x.startShapes()
 	return x, nil
+}
+
+// startShapes gives x an empty shape table over its class directory,
+// which must be complete: a shape resolves its class once.
+func (x *Index) startShapes() {
+	x.shapes = canon.NewShapes(func(key string) *Class { return x.classes[key] })
 }
 
 // newClass scaffolds class id over its canonical skeleton cg, whose
@@ -271,36 +276,27 @@ type QueryFragment struct {
 }
 
 // FragmentScratch is the working memory of fragment enumeration: the
-// enumerator's stacks, the current fragment's renumbering, and the slabs
-// the returned QueryFragments are carved from. One scratch serves one
-// goroutine, graph after graph; the zero value is ready.
+// enumerator's stacks, the placement of the fragment at every size, and
+// the slabs the returned QueryFragments are carved from. One scratch
+// serves one goroutine, graph after graph; the zero value is ready.
 type FragmentScratch struct {
-	enum   graph.SubgraphEnumerator
-	ren    graph.Renumbering
-	sorted []int32 // the current fragment's edges, ascending
+	enum graph.SubgraphEnumerator
+	cl   canon.Classifier[Class]
 
 	out []QueryFragment
 	i32 []int32
 	u64 []uint64
 }
 
-// classify resolves the fragment of host made of edges (in that order:
-// it fixes the renumbering, hence which canonical embedding comes first)
-// to its class and first canonical embedding, leaving the renumbering in
-// fs.ren. The class is nil when the skeleton is not indexed. Only a
-// structure never seen before builds a Graph.
-func (x *Index) classify(fs *FragmentScratch, host *graph.Graph, edges []int32) (*Class, canon.Embedding) {
-	fs.ren.Reset(host, edges)
-	e := x.memo.Lookup(len(fs.ren.Vertices), fs.ren.Ends)
-	if e == nil {
-		sub, _, _ := graph.Fragment{Host: host, Edges: edges}.Extract()
-		e = x.memo.Entry(sub)
-	}
-	c := x.classes[e.Key]
-	if c == nil {
-		return nil, canon.Embedding{}
-	}
-	return c, e.Embs[0]
+// each calls fn with the placement of every fragment of g that falls in a
+// class, in enumeration order.
+func (x *Index) each(g *graph.Graph, fs *FragmentScratch, fn func(p *canon.Placement[Class])) {
+	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
+		if p := fs.cl.Classify(x.shapes, g, edges); p.Shape.Class != nil {
+			fn(p)
+		}
+		return true
+	})
 }
 
 // QueryFragments enumerates the indexed fragments of q (Alg. 2 lines 3-4).
@@ -314,32 +310,28 @@ func (x *Index) QueryFragments(q *graph.Graph) []QueryFragment {
 func (x *Index) QueryFragmentsInto(q *graph.Graph, fs *FragmentScratch) []QueryFragment {
 	fs.out = fs.out[:0]
 	fs.i32, fs.u64 = fs.i32[:0], fs.u64[:0]
-	fs.enum.Enumerate(q, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		fs.sorted = append(fs.sorted[:0], edges...)
-		slices.Sort(fs.sorted)
-		c, emb := x.classify(fs, q, fs.sorted)
-		if c == nil {
-			return true
-		}
-		qf := QueryFragment{Class: c}
-		fs.i32, qf.Edges = carve(fs.i32, fs.sorted)
-		fs.i32, qf.Vertices = carve(fs.i32, fs.ren.Vertices)
+	x.each(q, fs, func(p *canon.Placement[Class]) {
+		qf := QueryFragment{Class: p.Shape.Class}
+		fs.i32, qf.Edges = carve(fs.i32, p.Edges)
+		fs.i32, qf.Vertices = carve(fs.i32, p.Vertices)
 		n := len(fs.u64)
-		fs.u64 = x.appendKey(fs.u64, q, fs.ren.Vertices, fs.sorted, c, emb)
+		fs.u64 = x.appendKey(fs.u64, q, p)
 		qf.Key = fs.u64[n:len(fs.u64):len(fs.u64)]
 		fs.out = append(fs.out, qf)
-		return true
 	})
 	return fs.out
 }
 
 // carve appends vals to slab and returns the grown slab and the appended
-// piece, capped so a later append through it cannot reach its neighbour.
-// Pieces carved before a reallocation keep the old array alive and intact.
+// piece, sorted and capped so a later append through it cannot reach its
+// neighbour. Pieces carved before a reallocation keep the old array alive
+// and intact.
 func carve(slab, vals []int32) (grown, piece []int32) {
 	n := len(slab)
 	slab = append(slab, vals...)
-	return slab, slab[n:len(slab):len(slab)]
+	piece = slab[n:len(slab):len(slab)]
+	slices.Sort(piece)
+	return slab, piece
 }
 
 // PostingList is the flat result of one range query: graph ids ascending

@@ -10,18 +10,19 @@ package index
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
+	"pis/internal/canon"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
 
-// insertOp is one fragment ready to fold into a class.
-type insertOp struct {
-	class *Class
-	key   []uint64
+// graphOps is one graph's fragments ready to fold: fragment i goes into
+// classes[i] under the next classes[i].SeqLen() words of keys.
+type graphOps struct {
+	classes []*Class
+	keys    []uint64
 }
 
 // BuildParallel is Build with a worker pool; workers <= 0 uses GOMAXPROCS.
@@ -65,7 +66,7 @@ func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 	type result struct {
 		id  int32
-		ops []insertOp
+		ops graphOps
 	}
 	jobs := make(chan int32, workers)
 	results := make(chan result, workers)
@@ -90,7 +91,7 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 		close(results)
 	}()
 
-	pending := make(map[int32][]insertOp)
+	pending := make(map[int32]graphOps)
 	next := int32(from)
 	for res := range results {
 		pending[res.id] = res.ops
@@ -108,13 +109,14 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 
 // apply folds graph id's ops into the class stores. Ids must arrive
 // ascending: the postings dedup compares against the last id only.
-func (x *Index) apply(id int32, ops []insertOp) {
-	for _, op := range ops {
-		c := op.class
+func (x *Index) apply(id int32, ops graphOps) {
+	keys := ops.keys
+	for _, c := range ops.classes {
 		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
 			c.postings = append(c.postings, id)
 		}
-		c.stage.fold(op.key, id)
+		c.stage.fold(keys[:c.SeqLen()], id)
+		keys = keys[c.SeqLen():]
 	}
 }
 
@@ -122,16 +124,11 @@ func (x *Index) apply(id int32, ops []insertOp) {
 // classify, and lay out keys — everything except mutating the shared
 // class stores. fs is the calling goroutine's scratch; the returned ops
 // own their keys.
-func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) []insertOp {
-	var ops []insertOp
-	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		c, emb := x.classify(fs, g, edges)
-		if c == nil {
-			return true
-		}
-		fs.u64 = x.appendStoredKey(fs.u64[:0], g, fs.ren.Vertices, edges, c, emb)
-		ops = append(ops, insertOp{class: c, key: slices.Clone(fs.u64)})
-		return true
+func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) graphOps {
+	var ops graphOps
+	x.each(g, fs, func(p *canon.Placement[Class]) {
+		ops.classes = append(ops.classes, p.Shape.Class)
+		ops.keys = x.appendStoredKey(ops.keys, g, p)
 	})
 	return ops
 }

@@ -625,7 +625,6 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		classes:     make(map[string]*Class, len(dir)),
 		dbSize:      hdr.dbSize,
 		fingerprint: hdr.fingerprint,
-		memo:        canon.NewMemo(),
 		fps:         fps,
 	}
 	for i, dc := range dir {
@@ -667,6 +666,7 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		x.classes[key] = c
 		x.list = append(x.list, c)
 	}
+	x.startShapes()
 	return x, nil
 }
 

@@ -25,9 +25,6 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 		opts:    old.opts,
 		weights: old.weights,
 		classes: make(map[string]*Class, len(old.list)),
-		// Skeleton codes do not depend on the graph set: one memo serves
-		// both indexes, warm.
-		memo: old.memo,
 	}
 	moved := func(dst, ids []int32) []int32 {
 		for _, id := range ids {
@@ -50,6 +47,7 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 			}
 		})
 	}
+	x.startShapes()
 	x.foldAndSeal(db, firstNew, workers)
 	return x, nil
 }

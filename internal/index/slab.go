@@ -144,21 +144,20 @@ func compareKeys(a, b []uint64, weights bool) int {
 	return 0
 }
 
-// appendKey appends a fragment's key for one canonical embedding, read
-// from the host through the renumbering classify left behind: verts are
-// its host vertices ascending, edges its host edge indices in the order
-// classify saw them.
-func (x *Index) appendKey(dst []uint64, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []uint64 {
-	for k := 0; k < c.vOff; k++ {
-		v := int(verts[emb.Vertices[k]])
+// appendKey appends the key of a placed fragment: its labels, or its
+// weights, read from the host at the vertex of each DFS id and the edge of
+// each code tuple.
+func (x *Index) appendKey(dst []uint64, host *graph.Graph, p *canon.Placement[Class]) []uint64 {
+	c := p.Shape.Class
+	for _, v := range p.Vertices[:c.vOff] {
 		if x.weights {
-			dst = append(dst, math.Float64bits(host.VWeightAt(v)))
+			dst = append(dst, math.Float64bits(host.VWeightAt(int(v))))
 		} else {
-			dst = append(dst, uint64(host.VLabelAt(v)))
+			dst = append(dst, uint64(host.VLabelAt(int(v))))
 		}
 	}
-	for t := 0; t < c.NumE; t++ {
-		e := host.EdgeAt(int(edges[emb.Edges[t]]))
+	for _, he := range p.Edges {
+		e := host.EdgeAt(int(he))
 		if x.weights {
 			dst = append(dst, math.Float64bits(e.Weight))
 		} else {
@@ -170,13 +169,14 @@ func (x *Index) appendKey(dst []uint64, host *graph.Graph, verts, edges []int32,
 
 // appendStoredKey appends the key a database fragment is stored under.
 // Label keys are stored as the smallest of their automorphism variants,
-// which merges the variants of one fragment into one entry; weight keys
-// are stored as laid out (continuous weights rarely repeat, and the
-// images written before the single store did the same). A query probes
-// every variant, so either is exact.
-func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, verts, edges []int32, c *Class, emb canon.Embedding) []uint64 {
+// which merges the variants of one fragment into one entry, and so do not
+// depend on which canonical embedding placed the fragment; weight keys
+// are stored as laid out (continuous weights rarely repeat). A query
+// probes every variant, so either is exact.
+func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, p *canon.Placement[Class]) []uint64 {
+	c := p.Shape.Class
 	n := len(dst)
-	dst = x.appendKey(dst, host, verts, edges, c, emb)
+	dst = x.appendKey(dst, host, p)
 	if x.weights || len(c.perms) == 1 {
 		return dst // a lone automorphism is the identity
 	}
@@ -184,8 +184,8 @@ func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, verts, edges []
 	dst = append(dst, dst[n:]...) // best so far, then room for a candidate
 	dst = append(dst, dst[n:n+L]...)
 	key, best, tmp := dst[n:n+L], dst[n+L:n+2*L], dst[n+2*L:]
-	for _, p := range c.perms {
-		for i, src := range p {
+	for _, perm := range c.perms {
+		for i, src := range perm {
 			tmp[i] = key[src]
 		}
 		if slices.Compare(tmp, best) < 0 {

@@ -47,6 +47,7 @@ import (
 	"slices"
 
 	"pis/internal/binio"
+	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
@@ -133,13 +134,9 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		fillGraphFP(&gfp, g)
 		writeStreamFP(fpw, &gfp)
 		gid := uint32(id)
-		fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-			c, emb := x.classify(&fs, g, edges)
-			if c == nil {
-				return true
-			}
-			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
-			fs.u64 = x.appendStoredKey(fs.u64[:0], g, fs.ren.Vertices, edges, c, emb)
+		x.each(g, &fs, func(p *canon.Placement[Class]) {
+			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(p.Shape.Class.ID))
+			fs.u64 = x.appendStoredKey(fs.u64[:0], g, p)
 			for _, k := range fs.u64 {
 				if x.weights {
 					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(k))
@@ -149,7 +146,6 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 			}
 			rec = binary.BigEndian.AppendUint32(rec, gid)
 			sp.addRecord(rec)
-			return true
 		})
 		if err := sp.endGraph(); err != nil {
 			return res, err

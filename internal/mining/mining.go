@@ -140,7 +140,6 @@ func discriminative(feats []Feature, gamma float64) []Feature {
 	bySize := append([]Feature(nil), feats...)
 	sort.Slice(bySize, func(i, j int) bool { return bySize[i].Edges < bySize[j].Edges })
 	kept := map[string]Feature{}
-	memo := canon.NewMemo()
 	var out []Feature
 	for _, f := range bySize {
 		minSub := -1
@@ -150,7 +149,7 @@ func discriminative(feats []Feature, gamma float64) []Feature {
 			}
 			frag := graph.Fragment{Host: f.Graph, Edges: edges}
 			sub, _, _ := frag.Extract()
-			code, _ := memo.MinCodeUnlabeled(sub)
+			code, _ := canon.MinCodeUnlabeled(sub) // features are skeletons
 			if kf, ok := kept[code.Key()]; ok {
 				if minSub < 0 || kf.Support < minSub {
 					minSub = kf.Support

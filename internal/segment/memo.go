@@ -174,23 +174,22 @@ func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int
 }
 
 // catchUp prices q against the fresh graphs in id order, each at the
-// budget current when its turn comes: those the invariants refute are
-// counted in st, the rest are verified and handed to found with their
-// global id and distance (infinite beyond the budget). It reports false
-// when the context fired or a verification panicked; the caller then drops
-// what it has and runs the full pipeline, which reports either its own way.
+// budget current when its turn comes: those the pipeline's prescreen
+// refutes at that budget (core.Screen) are counted in st, the rest are
+// verified and handed to found with their global id and distance
+// (infinite beyond the budget). It reports false when the context fired or
+// a verification panicked; the caller then drops what it has and runs the
+// full pipeline, which reports either its own way.
 func (sn *snapshot) catchUp(ctx context.Context, srch *core.Searcher, q *graph.Graph, fresh []int32, st *core.Stats, budget func() float64, found func(id int32, d float64)) bool {
 	start := time.Now()
-	qiv := q.Invariants()
+	screen := srch.NewScreen(q, sn.view)
 	nodes, err := srch.VerifyEach(q, len(fresh), ctx.Done(), func(v *iso.Verifier, i int) {
-		g := srch.Graph(sn.view, fresh[i])
-		if !g.Invariants().Admits(qiv) {
-			st.PrescreenRejects++
-			st.InvariantRejects++
+		b := budget()
+		if screen.Refutes(fresh[i], b, st) {
 			return
 		}
 		st.Verified++
-		found(sn.global(fresh[i]), v.Distance(g, budget()))
+		found(sn.global(fresh[i]), v.Distance(srch.Graph(sn.view, fresh[i]), b))
 	})
 	st.MemoHits, st.Refreshed, st.VerifyNodes, st.VerifyTime = 1, st.Verified, int(nodes), time.Since(start)
 	mMemoRefreshed.Add(int64(st.Verified))

@@ -569,6 +569,9 @@ type IndexStats struct {
 	// / 8 per shard) and the per-graph prescreen fingerprints.
 	BitmapBytes      int
 	FingerprintBytes int
+	// Shapes and ShapeTransitions count the tables that classify fragments,
+	// summed over the shards: bounded, they stop once every shape is met.
+	Shapes, ShapeTransitions int
 }
 
 // Stats sums the per-shard index counters. Features counts per-shard
@@ -580,6 +583,7 @@ func (db *Database) Stats() IndexStats {
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
 		BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
+		Shapes: mem.Shapes, ShapeTransitions: mem.ShapeTransitions,
 	}
 }
 
