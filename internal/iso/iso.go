@@ -24,6 +24,8 @@
 package iso
 
 import (
+	"math/bits"
+
 	"pis/internal/distance"
 	"pis/internal/graph"
 )
@@ -51,12 +53,37 @@ type backEdge struct {
 	weight float64
 }
 
+// matchRank appends to rank[:0] one key per pattern vertex that orders
+// them highest first by degree, then by the number of cycle lengths
+// through the vertex, then by the size of its ball profile: the most
+// constrained vertex, where the per-step tests cut the most, is matched
+// first. It reads p's invariants whether or not they constrain the match,
+// so the plain and the constrained matcher walk the same order.
+func matchRank(p *graph.Graph, rank []uint64) []uint64 {
+	iv := p.Invariants()
+	profiles, masks := iv.Profiles(), iv.EdgeMasks()
+	rank = rank[:0]
+	for u := range p.N() {
+		var cycles uint8
+		for _, e := range p.IncidentEdges(u) {
+			cycles |= masks[e]
+		}
+		pr := uint64(profiles[u])
+		balls := pr&0xff + pr>>8&0xff + pr>>16&0xff + pr>>24
+		rank = append(rank, uint64(p.Degree(u))<<16|uint64(bits.OnesCount8(cycles))<<12|balls)
+	}
+	return rank
+}
+
 // compile computes a connected expansion order for the pattern — after
 // the first vertex, each vertex is adjacent to an earlier one — and the
-// step table for it, reusing the verifier's previous tables. Patterns must
-// be connected and non-empty; the caller enforces it. Unconstrained
-// patterns carry the empty invariants, which every host satisfies.
-func (v *Verifier) compile(p *graph.Graph, constrained bool) {
+// step table for it, reusing the verifier's previous tables. The root is
+// the first vertex of highest rank, each later vertex the first of
+// highest rank on the frontier, anchored at the earliest-matched
+// neighbor that reaches it. Patterns must be connected and non-empty; the
+// caller enforces it. Unconstrained patterns carry the empty invariants,
+// which every host satisfies.
+func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 	n := p.N()
 	var profiles []uint32
 	var masks []uint8
@@ -102,23 +129,21 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool) {
 		visited[pv] = 1
 		steps = append(steps, st)
 	}
-	// Start from a max-degree vertex: fewer host candidates.
 	start := 0
 	for u := 1; u < n; u++ {
-		if p.Degree(u) > p.Degree(start) {
+		if rank[u] > rank[start] {
 			start = u
 		}
 	}
 	add(int32(start), -1)
 	for len(steps) < n {
 		best, bestAnchor := int32(-1), int32(-1)
-		bestDeg := -1
 		for i := range steps {
 			u := steps[i].pv
 			for _, e := range p.IncidentEdges(int(u)) {
 				w := p.Other(int(e), u)
-				if visited[w] == 0 && p.Degree(int(w)) > bestDeg {
-					best, bestAnchor, bestDeg = w, u, p.Degree(int(w))
+				if visited[w] == 0 && (best < 0 || rank[w] > rank[best]) {
+					best, bestAnchor = w, u
 				}
 			}
 		}
@@ -139,6 +164,7 @@ type Verifier struct {
 	blind  bool       // the metric declares VertexCost identically zero
 	steps  []step     // empty for the empty pattern: every distance is 0
 	back   []backEdge // backing of every step's back list
+	rank   []uint64   // matchRank of the pattern
 	mp     int        // pattern edge count
 
 	// The bound host and its own arrays (graph.Graph.Adjacency): the
@@ -192,7 +218,8 @@ func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained boo
 	v.profile, v.emask, v.done = nil, nil, nil
 	v.steps = v.steps[:0]
 	if q.N() > 0 {
-		v.compile(q, constrained)
+		v.rank = matchRank(q, v.rank)
+		v.compile(q, constrained, v.rank)
 	}
 }
 

@@ -1,6 +1,7 @@
 package iso
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -310,7 +311,9 @@ func TestQuickDistanceSymmetryOnIsomorphs(t *testing.T) {
 
 // refPlan is the match order of the reference kernel: the closure-based
 // branch and bound this package shipped before the table-driven one,
-// kept verbatim as the oracle the new kernel must equal bit for bit.
+// kept as the oracle the new kernel must equal bit for bit. Its order
+// ranks vertices by the kernel's own matchRank, since the summation order
+// follows the match order.
 type refPlan struct {
 	p      *graph.Graph
 	order  []int32 // pattern vertices in match order (connected expansion)
@@ -320,10 +323,11 @@ type refPlan struct {
 func newRefPlan(p *graph.Graph) *refPlan {
 	pl := &refPlan{p: p}
 	n := p.N()
+	rank := matchRank(p, nil)
 	visited := make([]bool, n)
 	start := 0
 	for v := 1; v < n; v++ {
-		if p.Degree(v) > p.Degree(start) {
+		if rank[v] > rank[start] {
 			start = v
 		}
 	}
@@ -333,12 +337,11 @@ func newRefPlan(p *graph.Graph) *refPlan {
 	for len(pl.order) < n {
 		best := int32(-1)
 		var bestAnchor int32
-		bestDeg := -1
 		for _, u := range pl.order {
 			for _, e := range p.IncidentEdges(int(u)) {
 				w := p.Other(int(e), u)
-				if !visited[w] && p.Degree(int(w)) > bestDeg {
-					best, bestAnchor, bestDeg = w, u, p.Degree(int(w))
+				if !visited[w] && (best < 0 || rank[w] > rank[best]) {
+					best, bestAnchor = w, u
 				}
 			}
 		}
@@ -648,7 +651,8 @@ func checkAdmissible(t *testing.T, q, g *graph.Graph) (embeddings int) {
 // TestInvariantsAdmissible is the property test for the hard constraints
 // over ringed and fused queries, hosts grown around them and unrelated
 // hosts; on the same pairs every metric and budget of the reference
-// table still equals the reference kernel bit for bit.
+// table equals the reference kernel, which walks the same match order,
+// bit for bit.
 func TestInvariantsAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	rings := [][2]int{{5, 6}, {6, 6}, {5, 5}, {4, 6}, {3, 5}, {6, 7}}
@@ -750,6 +754,13 @@ func TestVerifierReset(t *testing.T) {
 		}
 		v.SetDone(done) // must not outlive the next Reset
 	}
+	// Warm, a reset allocates nothing: the rank and the step tables are
+	// reused.
+	q := fusedRings(rng, 5, 6, 3)
+	v.Reset(q, distance.EdgeMutation{})
+	if avg := testing.AllocsPerRun(20, func() { v.Reset(q, distance.EdgeMutation{}) }); avg != 0 {
+		t.Errorf("a warm Reset allocates %v times", avg)
+	}
 }
 
 func TestDistanceEmptyQuery(t *testing.T) {
@@ -787,65 +798,223 @@ func TestDistanceDoneClosed(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifierDistance is the iso.Verifier layer benchmark: one Q16
-// query against generated molecules at the repo benchmark's budget, on a
-// warm verifier (0 allocs/op). Answers and non-answers are apart, and so
-// is the part of the non-answers that decides what a search pays: hosts
-// that hold every indexed structure of the query and pass the fingerprint
-// prescreen of a default index although the query's skeleton does not
-// occur in them.
-func BenchmarkVerifierDistance(b *testing.B) {
-	db := chem.Generate(1200, chem.Config{Seed: 1})
-	q := chem.SampleQueries(db, 1, 16, 7)[0]
-	const sigma = 2
-	metric := distance.EdgeMutation{}
+// corpus is generated molecules with a default index over them, under
+// EdgeMutation: what the search pipeline hands the verifier.
+type corpus struct {
+	db  []*graph.Graph
+	idx *index.Index
+}
+
+func newCorpus(tb testing.TB, n int, weighted bool) *corpus {
+	tb.Helper()
+	db := chem.Generate(n, chem.Config{Seed: 1, Weighted: weighted})
 	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	idx, err := index.Build(db, feats, index.Options{Metric: metric, MaxFragmentEdges: 5})
+	idx, err := index.Build(db, feats, index.Options{Metric: distance.EdgeMutation{}, MaxFragmentEdges: 5})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	vFloor, eFloor := distance.CostFloors(metric)
+	return &corpus{db: db, idx: idx}
+}
+
+// screened returns, by id, the hosts that hold every indexed structure of
+// q (the bitmap intersection of its fragment classes) and that the
+// fingerprint admits at sigma: a superset of the candidates the pipeline
+// verifies, which the invariant prescreen and the range queries thin out.
+func (c *corpus) screened(q *graph.Graph, sigma float64) []bool {
+	vFloor, eFloor := distance.CostFloors(distance.EdgeMutation{})
 	qfp := index.NewQueryFP(q, vFloor, eFloor)
 	var classes []*index.Class
-	for _, qf := range idx.QueryFragments(q) {
+	for _, qf := range c.idx.QueryFragments(q) {
 		if !slices.Contains(classes, qf.Class) {
 			classes = append(classes, qf.Class)
 		}
 	}
-	structural := idx.Candidates(nil, classes, nil)
-	v := NewVerifier(q, metric)
-	var answers, nonAnswers, noEmbedding []*graph.Graph
-	for id, g := range db {
-		switch {
-		case !distance.IsInfinite(v.Distance(g, sigma)):
-			answers = append(answers, g)
-		case slices.Contains(structural, int32(id)) && qfp.Admissible(idx.FingerprintAt(int32(id)), sigma) && !HasEmbedding(q, g):
-			noEmbedding = append(noEmbedding, g)
-			fallthrough
-		default:
-			nonAnswers = append(nonAnswers, g)
+	in := make([]bool, len(c.db))
+	for _, id := range c.idx.Candidates(nil, classes, nil) {
+		in[id] = qfp.Admissible(c.idx.FingerprintAt(id), sigma)
+	}
+	return in
+}
+
+// legacyOrder is the match order compile walked before it ranked by the
+// invariants, as a rank for compile: degree alone, ties to the first
+// found.
+func legacyOrder(p *graph.Graph) []uint64 {
+	rank := make([]uint64, p.N())
+	for u := range rank {
+		rank[u] = uint64(p.Degree(u))
+	}
+	return rank
+}
+
+// TestMatchOrderKeepsDistances holds the ranked match order to the
+// degree-only order it replaced on the candidates of generated Q16 and
+// Q24 queries and on ringed and weighted random pairs: equal bit for bit
+// under integer-valued metrics, and within 1e-12 relative under
+// fractional ones, whose sums follow the match order. A fractional sum
+// within that tolerance of the budget may fall on either side of it.
+func TestMatchOrderKeepsDistances(t *testing.T) {
+	intMatrix := distance.NewMatrix()
+	intMatrix.DefaultCost = 2
+	intMatrix.SetVertexScore(0, 1, 1)
+	intMatrix.SetEdgeScore(0, 2, 1)
+	intMatrix.SetEdgeScore(1, 2, 3)
+	// The first three are integer-valued, the rest fractional.
+	metrics := []distance.Metric{distance.EdgeMutation{}, distance.FullMutation{}, intMatrix,
+		distance.Linear{}, distance.Linear{IncludeVertices: true}, fractionalMatrix()}
+	const exact = 3
+	budgets := []float64{-1, 0, 1, 2, 4}
+
+	type job struct {
+		q     *graph.Graph
+		hosts []*graph.Graph
+	}
+	var jobs []job
+	c := newCorpus(t, 500, true)
+	for _, shape := range []struct {
+		edges int
+		sigma float64
+	}{{16, 2}, {24, 1}} {
+		for _, q := range chem.SampleQueries(c.db, 6, shape.edges, 28) {
+			in := c.screened(q, shape.sigma)
+			var hosts []*graph.Graph
+			for id, g := range c.db {
+				if in[id] {
+					hosts = append(hosts, g)
+				}
+			}
+			jobs = append(jobs, job{q, hosts})
+		}
+	}
+	rng := rand.New(rand.NewSource(28))
+	rings := [][2]int{{5, 6}, {6, 6}, {5, 5}, {4, 6}, {3, 5}}
+	for trial := 0; trial < 40; trial++ {
+		q := randomWeighted(rng, nil, 4+rng.Intn(6), 1+rng.Intn(3))
+		if r := rings[trial%len(rings)]; trial%2 == 0 {
+			q = fusedRings(rng, r[0], r[1], rng.Intn(4))
+		}
+		jobs = append(jobs, job{q, []*graph.Graph{
+			randomWeighted(rng, q, q.N()+rng.Intn(12), rng.Intn(5)),
+			randomWeighted(rng, nil, 12+rng.Intn(10), 2+rng.Intn(5)),
+			q,
+		}})
+	}
+
+	reordered, pairs, compared, differ := 0, 0, 0, 0
+	for _, j := range jobs {
+		pairs += len(j.hosts)
+		for mi, metric := range metrics {
+			v, old := NewVerifier(j.q, metric), NewVerifier(j.q, metric)
+			old.compile(j.q, true, legacyOrder(j.q))
+			if mi == 0 && !slices.EqualFunc(v.steps, old.steps, func(a, b step) bool { return a.pv == b.pv }) {
+				reordered++
+			}
+			for _, g := range j.hosts {
+				for _, budget := range budgets {
+					got, want := v.Distance(g, budget), old.Distance(g, budget)
+					if got == want {
+						continue
+					}
+					if mi < exact || !nearEqual(got, want, budget) {
+						t.Fatalf("metric %T budget %g: ranked order=%v degree order=%v\nq=%v\ng=%v", metric, budget, got, want, j.q, g)
+					}
+					differ++
+				}
+				if mi >= exact {
+					compared += len(budgets)
+				}
+			}
+		}
+	}
+	t.Logf("%d queries (%d reordered), %d pairs; %d of %d fractional distances differ in the last bits", len(jobs), reordered, pairs, differ, compared)
+	if reordered < len(jobs)/4 || pairs < 1000 {
+		t.Errorf("vacuous: %d of %d queries reordered, %d pairs", reordered, len(jobs), pairs)
+	}
+}
+
+// nearEqual reports whether two fractional distances found in different
+// summation orders agree within 1e-12 relative. One may be Infinite when
+// the other lies within the tolerance of the budget.
+func nearEqual(a, b, budget float64) bool {
+	if distance.IsInfinite(a) {
+		a, b = b, a
+	}
+	if distance.IsInfinite(b) {
+		b = budget
+	}
+	return b >= 0 && math.Abs(a-b) <= 1e-12*math.Max(a, b)
+}
+
+// BenchmarkVerifierDistance is the iso.Verifier layer benchmark: the query
+// shapes of the repo benchmark's broad (one Q16 query over 1,200 generated
+// molecules at σ = 2) and selective (64 Q24 queries over 5,000 at σ = 1,
+// about one answer each; a handful of queries is not a representative mix)
+// workloads, on warm verifiers (0 allocs/op). Answers and non-answers are
+// apart, and so is the part of the non-answers that decides what a search
+// pays: hosts that hold every indexed structure of the query and pass the
+// fingerprint prescreen of a default index although the query's skeleton
+// does not occur in them.
+func BenchmarkVerifierDistance(b *testing.B) {
+	for _, shape := range []struct {
+		name                  string
+		hosts, queries, edges int
+		sigma                 float64
+	}{{"Q16", 1200, 1, 16, 2}, {"Q24", 5000, 64, 24, 1}} {
+		b.Run(shape.name, func(b *testing.B) { benchVerifierDistance(b, shape.hosts, shape.queries, shape.edges, shape.sigma) })
+	}
+}
+
+func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float64) {
+	type pair struct {
+		v *Verifier
+		g *graph.Graph
+	}
+	c := newCorpus(b, hosts, false)
+	var verifiers []*Verifier
+	var answers, nonAnswers, noEmbedding []pair
+	for _, q := range chem.SampleQueries(c.db, queries, edges, 7) {
+		v := NewVerifier(q, distance.EdgeMutation{})
+		verifiers = append(verifiers, v)
+		in := c.screened(q, sigma)
+		for id, g := range c.db {
+			switch {
+			case !distance.IsInfinite(v.Distance(g, sigma)):
+				answers = append(answers, pair{v, g})
+			case in[id] && !HasEmbedding(q, g):
+				noEmbedding = append(noEmbedding, pair{v, g})
+				fallthrough
+			default:
+				nonAnswers = append(nonAnswers, pair{v, g})
+			}
 		}
 	}
 	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 || len(noEmbedding) < 32 {
 		b.Fatalf("hosts: %d answers, %d non-answers, %d of them screened in without an embedding",
 			len(answers), len(nonAnswers), len(noEmbedding))
 	}
+	nodes := func() (n uint64) {
+		for _, v := range verifiers {
+			n += v.Nodes()
+		}
+		return n
+	}
 	for _, set := range []struct {
 		name  string
-		hosts []*graph.Graph
+		pairs []pair
 	}{{"answers", answers}, {"non-answers", nonAnswers}, {"no-embedding", noEmbedding}} {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
-			nodes := v.Nodes()
+			before := nodes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = v.Distance(set.hosts[i%len(set.hosts)], sigma)
+				p := set.pairs[i%len(set.pairs)]
+				benchSink = p.v.Distance(p.g, sigma)
 			}
-			b.ReportMetric(float64(len(set.hosts)), "hosts")
-			b.ReportMetric(float64(v.Nodes()-nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(len(set.pairs)), "hosts")
+			b.ReportMetric(float64(nodes()-before)/float64(b.N), "nodes/op")
 		})
 	}
 }
