@@ -108,8 +108,8 @@ func FuzzCanonicalCode(f *testing.F) {
 		if len(embs) == 0 || len(pembs) == 0 {
 			t.Fatal("MinCode returned no embeddings")
 		}
-		ucode, _ := MinCodeUnlabeled(g)
-		pucode, _ := MinCodeUnlabeled(h)
+		ucode, _ := MinCode(g.Skeleton())
+		pucode, _ := MinCode(h.Skeleton())
 		if ucode.Key() != pucode.Key() {
 			t.Fatalf("unlabeled min code changed under permutation %v", perm)
 		}
@@ -123,7 +123,7 @@ func FuzzCanonicalCode(f *testing.F) {
 
 // FuzzFragmentClasses checks classification by extension against direct
 // canonicalization: every fragment of up to 5 edges of an arbitrary graph
-// gets the shape MinCodeUnlabeled gives its skeleton, placed onto exactly
+// gets the shape MinCode gives its skeleton, placed onto exactly
 // its edges. A wrong transition would file fragments under another class
 // at build and query time alike, so no other test would see it.
 func FuzzFragmentClasses(f *testing.F) {

@@ -3,7 +3,7 @@
 // adding one edge to the fragment one level up (graph.SubgraphEnumerator).
 // So a Shapes table maps (shape, DFS ids the new edge attaches to) to the
 // next shape and to where the next shape's code graph lies in the old one
-// plus the edge — Embs[0] of MinCodeUnlabeled, computed once per
+// plus the edge — Embs[0] of MinCode, computed once per
 // transition and read lock-free afterwards — and a Classifier carries each
 // fragment's placement (the host vertex at every DFS id, the host edge at
 // every code tuple) down the enumeration: one table probe and a copy of a
@@ -119,7 +119,7 @@ func (t *Shapes[C]) extend(s *Shape[C], i, j int32) *step[C] {
 		b.AddEdge(e.U, e.V, 0)
 	}
 	b.AddEdge(i, j, 0)
-	code, embs := MinCodeUnlabeled(b.MustBuild())
+	code, embs := MinCode(b.MustBuild())
 	st := &step[C]{to: t.intern(code), verts: embs[0].Vertices, edges: embs[0].Edges}
 	s.next[slot].Store(st)
 	t.transitions++

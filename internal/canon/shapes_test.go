@@ -41,7 +41,7 @@ func randomShapeGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 func checkPlacement[C any](t testing.TB, host *graph.Graph, edges []int32, p *Placement[C]) {
 	t.Helper()
 	sub, _, _ := graph.Fragment{Host: host, Edges: edges}.Extract()
-	if code, _ := MinCodeUnlabeled(sub.Skeleton()); p.Shape.Key != code.Key() {
+	if code, _ := MinCode(sub.Skeleton()); p.Shape.Key != code.Key() {
 		t.Fatalf("fragment %v: shape %v, direct canonicalization %v", edges, p.Shape.Code, code)
 	}
 	if len(p.Vertices) != sub.N() || len(p.Edges) != len(edges) || len(p.Shape.Code) != len(edges) {
@@ -77,7 +77,7 @@ func noClass(string) *struct{} { return nil }
 
 // TestMemoMatchesDirect: the shape table, the canonical-code memo of the
 // index, classifies every fragment of random graphs as direct
-// MinCodeUnlabeled does — on a cold table and again on the warm one — and
+// MinCode does — on a cold table and again on the warm one — and
 // carries an embedding of the code graph along.
 func TestMemoMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

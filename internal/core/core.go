@@ -25,6 +25,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -57,7 +58,8 @@ type Options struct {
 	// k >= 2 = EnhancedGreedy(k), -1 = exact branch and bound. Default 1.
 	PartitionK int
 	// MaxFragmentsPerQuery caps the indexed fragments used per query,
-	// keeping the largest structures (0 = unlimited).
+	// keeping the largest structures (0 = unlimited). A cap materializes
+	// every class of the query up front, as PlannerOff does.
 	MaxFragmentsPerQuery int
 	// VerifyWorkers parallelizes candidate verification across goroutines
 	// (0 = GOMAXPROCS, 1 = serial). Answers and distances are identical
@@ -68,9 +70,9 @@ type Options struct {
 	SkipVerification bool
 
 	// PlannerOff disables the cost-based fragment-expansion planner and
-	// runs every usable fragment's σ range query in enumeration order —
-	// the paper's Algorithm 2 exactly. The planner only reorders and
-	// skips range queries; answers are identical either way.
+	// runs every usable fragment's σ range query, class by class — the
+	// paper's Algorithm 2. The planner only reorders and skips range
+	// queries; answers are identical either way.
 	PlannerOff bool
 	// PlannerBudget is the minimum candidate-set gain (eliminations, in
 	// graphs) for a fragment's σ range query to stay worth running. A
@@ -156,8 +158,10 @@ func (o Options) normalized() Options {
 // still-live answers over and verifying only the graphs inserted since
 // (Verified there, Refreshed once merged with shards that ran the pipeline).
 type Stats struct {
-	QueryFragments    int // indexed fragments found in the query
-	UsedFragments     int // after the ε filter and cap
+	// QueryFragments counts the query's fragments materialized (see
+	// Searcher.filter), UsedFragments those of them past the ε filter and cap.
+	QueryFragments    int
+	UsedFragments     int
 	ExpandedFragments int // fragments whose σ range query actually ran
 	PartitionSize     int // fragments in the chosen partition
 	StructCandidates  int // graphs passing structure-only intersection (Yt)
@@ -170,7 +174,7 @@ type Stats struct {
 	VerifyNodes       int // branch-and-bound nodes those verifications expanded
 	MemoHits          int // segments that answered from their result memo
 	Refreshed         int // graphs those memo hits verified to catch up
-	// PlanTime is the fragment scoring + ordering slice of FilterTime,
+	// PlanTime is the class scoring + ordering slice of FilterTime,
 	// not a disjoint stage: FilterTime covers the whole filtering stage
 	// (planning included), so stage times sum as FilterTime + VerifyTime.
 	PlanTime   time.Duration
@@ -250,9 +254,6 @@ type View struct {
 	// exempt those graphs from the fingerprint test.
 	DeltaFPs []index.GraphFP
 }
-
-// Empty reports whether the view adds nothing to the base database.
-func (v View) Empty() bool { return v.Tombs == nil && len(v.Delta) == 0 }
 
 // appendLiveDelta appends the local ids of non-deleted delta graphs
 // (base+i for delta position i) to dst.
@@ -408,21 +409,26 @@ type fragInfo struct {
 	w    float64            // dynamic selectivity
 }
 
+// classSlot is one usable class of the query in expansion order.
+type classSlot struct {
+	c        *index.Class
+	p, score float64               // estimated survival, pruning power per unit probe cost
+	frags    []index.QueryFragment // nil until materialized
+}
+
 // scratch is the reusable per-query working memory. Everything in it is
 // sized by previous queries and reused, so a steady-state search touches
 // the allocator only for its Result.
 type scratch struct {
-	frags      index.FragmentScratch // the query's fragments and their slabs
-	lists      []index.PostingList   // per-fragment range results
+	frags      index.FragmentScratch // the walk and the materialized fragments' slabs
+	lists      []*index.PostingList  // per-fragment range results
 	rbuf       index.RangeBuffer     // shared dedup/probe scratch for all range queries
 	infos      []fragInfo
 	bufA, bufB []int32 // candidate set double buffer
 	lbs        []float64
 	cursors    []int
-	classes    []*index.Class // distinct classes of the query's fragments
-	planOrder  []int32        // fragment expansion order (planner score descending)
-	fragProb   []float64      // estimated survival per fragment
-	fragScore  []float64      // pruning power per unit probe cost per fragment
+	classes    []*index.Class // the query's classes
+	slots      []classSlot    // its usable classes in expansion order
 	expansions []Expansion    // the planner's range queries, for Result.Expansions
 	vertexSets [][]int32
 	weights    []float64
@@ -463,15 +469,13 @@ func (sc *scratch) positions(n int) []int32 {
 	return order
 }
 
-// postingLists returns at least k reusable posting-list buffers,
-// preserving the grown backing slices of previous queries.
-func (sc *scratch) postingLists(k int) []index.PostingList {
-	if len(sc.lists) < k {
-		lists := make([]index.PostingList, k)
-		copy(lists, sc.lists)
-		sc.lists = lists
+// postingList returns the i-th reusable posting-list buffer, keeping the
+// grown backing slices of previous queries.
+func (sc *scratch) postingList(i int) *index.PostingList {
+	for len(sc.lists) <= i {
+		sc.lists = append(sc.lists, new(index.PostingList))
 	}
-	return sc.lists
+	return sc.lists[i]
 }
 
 // SearchNaive verifies every graph in the database.
@@ -516,7 +520,7 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 	var r Result
 	start := time.Now()
 	sc := s.getScratch()
-	s.usableFragments(q, sigma, &r.Stats, sc)
+	sc.classes = s.idx.QueryClasses(sc.classes[:0], q, &sc.frags)
 	cands := s.structuralCandidates(sc, view.Tombs)
 	r.Stats.StructCandidates = len(cands)
 	r.Stats.RangeCandidates = len(cands) // no distance pruning in this method
@@ -579,55 +583,82 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 	return r, err
 }
 
-// plan ranks the usable fragments by estimated pruning power per unit
-// range-query cost. A fragment's estimated survival — the share of the
-// candidates its range query would leave standing — is its class's
-// learned rate at this σ once one was observed (see Searcher.survival),
-// and the in-range fraction of the class's build-time distance histogram
-// until then — or throughout, when the searcher does not learn and on
-// every plannerExploreEvery-th search of one that does. It returns the
-// expansion order plus the estimated survival per fragment (nil when the
-// planner is off, in which case the order is plain enumeration order —
-// the paper's Algorithm 2). Both slices are scratch-backed. Determinism:
-// score ties keep ascending fragment order (stable sort).
-func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch) (order []int32, probs []float64) {
-	order = sc.planOrder[:0]
-	for i := range frags {
-		order = append(order, int32(i))
+// queryClasses finds the query's classes — sc.classes, for the
+// structural intersection — and returns as expansion slots, in class
+// order, the usable ones: those the ε filter (Algorithm 2 line 5) keeps.
+// With the planner off or a per-query cap every class is materialized up
+// front, as Algorithm 2 enumerates every fragment, and the cap keeps the
+// largest structures' fragments; otherwise a class waits until planned.
+func (s *Searcher) queryClasses(q *graph.Graph, sigma float64, st *Stats, sc *scratch) []classSlot {
+	sc.frags.Reset()
+	sc.classes = s.idx.QueryClasses(sc.classes[:0], q, &sc.frags)
+	eager, limit := s.opts.PlannerOff || s.opts.MaxFragmentsPerQuery > 0, s.opts.MaxFragmentsPerQuery
+	// Static selectivity estimate from postings alone; with σ = 0 the
+	// distance term vanishes, so fall back to structural rarity to avoid
+	// dropping every class.
+	scale, n := s.opts.Lambda*sigma, float64(len(s.db))
+	if sigma == 0 {
+		scale = 1
 	}
-	sc.planOrder = order
+	slots := sc.slots[:0]
+	for _, c := range sc.classes {
+		sl := classSlot{c: c}
+		if eager {
+			sl.frags = s.idx.ClassFragments(q, c, &sc.frags)
+			st.QueryFragments += len(sl.frags)
+		}
+		if scale*(n-float64(c.PostingCount()))/n > s.opts.Epsilon {
+			slots = append(slots, sl)
+			st.UsedFragments += len(sl.frags)
+		}
+	}
+	if limit > 0 && st.UsedFragments > limit {
+		slices.SortStableFunc(slots, func(a, b classSlot) int {
+			return cmp.Or(b.c.NumE-a.c.NumE, a.c.PostingCount()-b.c.PostingCount())
+		})
+		for i := range slots {
+			slots[i].frags = slots[i].frags[:min(limit, len(slots[i].frags))]
+			if limit -= len(slots[i].frags); limit == 0 {
+				slots = slots[:i+1]
+				break
+			}
+		}
+		st.UsedFragments = s.opts.MaxFragmentsPerQuery
+	}
+	sc.slots = slots
+	return slots
+}
+
+// plan ranks the usable classes by estimated pruning power per unit
+// range-query cost, and reports false, leaving class order — the paper's
+// Algorithm 2 — when the planner is off. A class's estimated survival —
+// the share of the candidates its range query would leave standing — is
+// its learned rate at this σ once one was observed (see
+// Searcher.survival), and the in-range fraction of its build-time
+// distance histogram until then — or throughout, when the searcher does
+// not learn and on every plannerExploreEvery-th search of one that does.
+// Determinism: score ties keep class order (stable sort).
+func (s *Searcher) plan(slots []classSlot, sigma float64) bool {
 	if s.opts.PlannerOff {
-		return order, nil
+		return false
 	}
 	learned := s.survival != nil
 	if learned && s.searches.Add(1)%plannerExploreEvery == 0 {
 		learned = false
 		mPlannerExplore.Inc()
 	}
-	probs = sc.fragProb[:0]
-	scores := sc.fragScore[:0]
-	for _, qf := range frags {
-		p := 0.0
+	for i := range slots {
+		c, p := slots[i].c, 0.0
 		if learned {
-			p = math.Float64frombits(s.survivalCell(qf.Class, sigma).Load())
+			p = math.Float64frombits(s.survivalCell(c, sigma).Load())
 		}
 		if p == 0 {
-			p = qf.Class.PlanStats().InRangeFrac(sigma)
+			p = c.PlanStats().InRangeFrac(sigma)
 		}
-		probs = append(probs, p)
-		scores = append(scores, (1-p)/qf.Class.ProbeCost())
+		slots[i].p, slots[i].score = p, (1-p)/c.ProbeCost()
 	}
-	sc.fragProb, sc.fragScore = probs, scores
-	slices.SortStableFunc(order, func(a, b int32) int {
-		if sa, sb := scores[a], scores[b]; sa != sb {
-			if sa > sb {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	return order, probs
+	slices.SortStableFunc(slots, func(a, b classSlot) int { return cmp.Compare(b.score, a.score) })
+	return true
 }
 
 // filter runs the PIS filtering stage (Algorithm 2 lines 3-23) and
@@ -639,13 +670,15 @@ func (s *Searcher) plan(frags []index.QueryFragment, sigma float64, sc *scratch)
 //
 // Stages run in order of cost per candidate. The candidate set is seeded
 // with the structural postings intersection of the query's classes — one
-// bitmap per distinct class, a handful per query. The
+// bitmap per class, a handful per query, found by embedding each class
+// skeleton without listing a fragment. The
 // prescreen (tens of nanoseconds a candidate) thins it next, so every
 // gain the planner estimates or observes afterwards is counted in
 // candidates that would really have been verified; it is skipped with
 // Options.SkipVerification, whose counters are the paper's. Range queries
-// then expand in planner order (pruning power per unit cost); the planner
-// skips a fragment whose estimated eliminations fall below
+// then expand class by class in planner order (pruning power per unit
+// cost), a class's fragments materialized when it is reached; the planner
+// skips a class whose estimated eliminations fall below
 // Options.PlannerBudget and stops entirely once the surviving set is
 // within Options.PlannerCrossover of going straight to verification.
 // Skipping range queries can only leave extra candidates behind, and
@@ -656,7 +689,22 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	tombs := view.Tombs
 	sc.screen = s.NewScreen(q, view)
 	sc.expansions = sc.expansions[:0]
-	frags := s.usableFragments(q, sigma, st, sc)
+	slots := s.queryClasses(q, sigma, st, sc)
+	planStart := time.Now()
+	planned := len(slots) > 0 && s.plan(slots, sigma)
+	st.PlanTime = time.Since(planStart)
+	// One class is materialized even if no range query runs, so that the
+	// fragment counters describe every query holding an indexed fragment:
+	// the one ranked first, usually expanded anyway, or with none usable
+	// the query's first.
+	switch {
+	case len(slots) > 0 && slots[0].frags == nil:
+		slots[0].frags = s.idx.ClassFragments(q, slots[0].c, &sc.frags)
+		st.QueryFragments += len(slots[0].frags)
+		st.UsedFragments += len(slots[0].frags)
+	case len(slots) == 0 && len(sc.classes) > 0 && st.QueryFragments == 0:
+		st.QueryFragments = len(s.idx.ClassFragments(q, sc.classes[0], &sc.frags))
+	}
 
 	// Structural intersection: Yt, and the seed candidate set.
 	cur := s.structuralCandidates(sc, tombs)
@@ -665,18 +713,15 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 		cur = s.prescreen(sigma, cur, sc, st)
 	}
 
-	if len(frags) == 0 {
-		// No indexed fragment: every live graph stays a candidate.
+	if len(slots) == 0 {
+		// No usable class: every live graph stays a candidate.
 		st.RangeCandidates = len(cur)
 		st.DistCandidates = len(cur)
 		return cur, nil
 	}
 
-	planStart := time.Now()
-	order, probs := s.plan(frags, sigma, sc)
-	st.PlanTime = time.Since(planStart)
 	budget, crossover := 0.0, 0
-	if probs != nil {
+	if planned {
 		budget, crossover = s.opts.PlannerBudget, s.opts.PlannerCrossover
 		if !s.opts.PlannerFeedbackOff {
 			// Learned exchange rate: a range query pays for itself only
@@ -697,55 +742,63 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	// Lines 6-18: one σ range query per expanded fragment; intersect the
 	// in-range id lists by sorted merge/gallop join, stopping early once
 	// empty; compute dynamic selectivities.
-	lists := sc.postingLists(len(frags))
 	infos := sc.infos[:0]
 	nxt := sc.bufB[:0]
 	dryStreak := 0
-	for _, fi := range order {
-		if len(cur) == 0 || len(cur) <= crossover {
-			break
-		}
-		if canceled(done) {
+expand:
+	for i := range slots {
+		sl := &slots[i]
+		if len(cur) <= crossover || canceled(done) {
 			// Stop expanding: the surviving (over-approximate) candidate
 			// set stays correct, and verification will bail out just as
 			// fast. One poll per range query, never per candidate.
 			break
 		}
-		before := len(cur)
-		estimate := 0.0
-		if probs != nil {
-			if estimate = float64(before) * (1 - probs[fi]); estimate < budget {
-				continue
+		if planned && float64(len(cur))*(1-sl.p) < budget {
+			continue // skipped whole, its fragments never materialized
+		}
+		if sl.frags == nil {
+			sl.frags = s.idx.ClassFragments(q, sl.c, &sc.frags)
+			st.QueryFragments += len(sl.frags)
+			st.UsedFragments += len(sl.frags)
+		}
+		for _, qf := range sl.frags {
+			if len(cur) <= crossover || canceled(done) {
+				break expand
 			}
-		}
-		qf := frags[fi]
-		pl := &lists[len(infos)]
-		rqStart := time.Now()
-		s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
-		ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
-		sum := 0.0
-		for _, d := range pl.Dists {
-			sum += d
-		}
-		w := sum/float64(n) + float64(n-pl.Len())/float64(n)*s.opts.Lambda*sigma
-		infos = append(infos, fragInfo{qf: qf, list: pl, w: w})
-		nxt = intersectSorted(nxt[:0], cur, pl.IDs)
-		cur, nxt = nxt, cur
-		if s.survival != nil {
-			// before > 0: the loop leaves on an empty candidate set.
-			ewmaObserve(s.survivalCell(qf.Class, sigma), max(float64(len(cur))/float64(before), minSurvival))
-		}
-		if probs != nil {
-			sc.expansions = append(sc.expansions, Expansion{Class: qf.Class.ID, EstimatedGain: estimate, ObservedGain: before - len(cur)})
-			// Observed marginal gain: with fragments in descending
-			// estimated-power order, a streak of below-budget expansions
-			// means the remaining tail cannot pay for itself.
-			if float64(before-len(cur)) < budget {
-				if dryStreak++; dryStreak >= plannerPatience {
-					break
+			before := len(cur)
+			estimate := float64(before) * (1 - sl.p)
+			if planned && estimate < budget {
+				break // the class's remaining fragments estimate the same
+			}
+			pl := sc.postingList(len(infos))
+			rqStart := time.Now()
+			s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
+			ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
+			sum := 0.0
+			for _, d := range pl.Dists {
+				sum += d
+			}
+			w := sum/float64(n) + float64(n-pl.Len())/float64(n)*s.opts.Lambda*sigma
+			infos = append(infos, fragInfo{qf: qf, list: pl, w: w})
+			nxt = intersectSorted(nxt[:0], cur, pl.IDs)
+			cur, nxt = nxt, cur
+			if s.survival != nil {
+				// before > 0: the loop leaves on an empty candidate set.
+				ewmaObserve(s.survivalCell(qf.Class, sigma), max(float64(len(cur))/float64(before), minSurvival))
+			}
+			if planned {
+				sc.expansions = append(sc.expansions, Expansion{Class: qf.Class.ID, EstimatedGain: estimate, ObservedGain: before - len(cur)})
+				// Observed marginal gain: with classes in descending
+				// estimated-power order, a streak of below-budget
+				// expansions means the remaining tail cannot pay for itself.
+				if float64(before-len(cur)) < budget {
+					if dryStreak++; dryStreak >= plannerPatience {
+						break expand
+					}
+				} else {
+					dryStreak = 0
 				}
-			} else {
-				dryStreak = 0
 			}
 		}
 	}
@@ -812,58 +865,18 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	}
 	sc.infos = infos
 	st.ExpandedFragments = len(infos)
-	if probs != nil {
-		mPlannerSkipped.Add(int64(len(frags) - len(infos)))
+	if planned {
+		// A class skipped whole counts as one skip: its fragments were
+		// never materialized.
+		skipped := -len(infos)
+		for _, sl := range slots {
+			skipped += max(len(sl.frags), 1)
+		}
+		mPlannerSkipped.Add(int64(skipped))
 	}
 	st.DistCandidates = len(cur)
 	sc.bufA, sc.bufB = cur, nxt
 	return cur, lbs
-}
-
-// usableFragments enumerates the query's indexed fragments and applies the
-// ε filter (line 5) and the per-query cap. It leaves the fragments'
-// distinct classes in sc.classes — from the full list, before the ε filter
-// and cap drop any, since every indexed structure of the query constrains
-// a match no matter which range queries end up running.
-func (s *Searcher) usableFragments(q *graph.Graph, sigma float64, st *Stats, sc *scratch) []index.QueryFragment {
-	frags := s.idx.QueryFragmentsInto(q, &sc.frags)
-	st.QueryFragments = len(frags)
-	// Hundreds of fragments fall into a handful of classes, in runs.
-	classes := sc.classes[:0]
-	for i, qf := range frags {
-		if (i == 0 || qf.Class != frags[i-1].Class) && !slices.Contains(classes, qf.Class) {
-			classes = append(classes, qf.Class)
-		}
-	}
-	sc.classes = classes
-	n := float64(len(s.db))
-	kept := frags[:0]
-	for _, qf := range frags {
-		// Static selectivity estimate from postings alone; with σ = 0 the
-		// distance term vanishes, so fall back to structural rarity to
-		// avoid dropping every fragment.
-		scale := s.opts.Lambda * sigma
-		if sigma == 0 {
-			scale = 1
-		}
-		static := scale * (n - float64(qf.Class.PostingCount())) / n
-		if static <= s.opts.Epsilon {
-			continue
-		}
-		kept = append(kept, qf)
-	}
-	if limit := s.opts.MaxFragmentsPerQuery; limit > 0 && len(kept) > limit {
-		sort.SliceStable(kept, func(i, j int) bool {
-			ci, cj := kept[i].Class, kept[j].Class
-			if ci.NumE != cj.NumE {
-				return ci.NumE > cj.NumE
-			}
-			return ci.PostingCount() < cj.PostingCount()
-		})
-		kept = kept[:limit]
-	}
-	st.UsedFragments = len(kept)
-	return kept
 }
 
 // structuralCandidates intersects the structural postings of the query's
@@ -875,7 +888,7 @@ func (s *Searcher) structuralCandidates(sc *scratch, tombs *index.Tombstones) []
 }
 
 // plannerPatience is how many consecutive below-budget range queries the
-// planner tolerates before ending expansion: fragments run in descending
+// planner tolerates before ending expansion: classes run in descending
 // estimated-power order, so two dry expansions in a row mean the rest of
 // the tail is overwhelmingly likely to be dry too.
 const plannerPatience = 2

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"pis/internal/distance"
@@ -264,6 +267,64 @@ func TestMaxFragmentsCap(t *testing.T) {
 	naive := s.SearchNaive(q, 2)
 	if !equalIDs(r.Answers, naive.Answers) {
 		t.Error("capping fragments changed the answers")
+	}
+}
+
+// TestMaxFragmentsCapKeepsLargest: with a cap the usable fragments are
+// those of the per-fragment rule — past the ε filter, the first cap of them
+// by edge count descending, then posting count ascending — compared as a
+// set, since fragments now arrive class by class.
+func TestMaxFragmentsCapKeepsLargest(t *testing.T) {
+	fx := newFixture(t, 21, 60)
+	rng := rand.New(rand.NewSource(22))
+	n := float64(len(fx.db))
+	key := func(qf index.QueryFragment) string { return fmt.Sprint(qf.Class.ID, qf.Edges) }
+	capped := 0
+	for trial := 0; trial < 30; trial++ {
+		q, limit, sigma := sampleQuery(rng, fx.db, 5+rng.Intn(5)), 1+rng.Intn(12), float64(rng.Intn(3))
+		var want []index.QueryFragment
+		scale := sigma // λ = 1; at σ = 0 structural rarity alone
+		if sigma == 0 {
+			scale = 1
+		}
+		for _, qf := range fx.idx.QueryFragments(q) {
+			if scale*(n-float64(qf.Class.PostingCount()))/n > 0 {
+				want = append(want, qf)
+			}
+		}
+		if len(want) > limit {
+			capped++
+			sort.SliceStable(want, func(i, j int) bool {
+				ci, cj := want[i].Class, want[j].Class
+				if ci.NumE != cj.NumE {
+					return ci.NumE > cj.NumE
+				}
+				return ci.PostingCount() < cj.PostingCount()
+			})
+			want = want[:limit]
+		}
+		s := NewSearcher(fx.db, fx.idx, Options{MaxFragmentsPerQuery: limit})
+		sc := s.getScratch()
+		var st Stats
+		var got []string
+		for _, sl := range s.queryClasses(q, sigma, &st, sc) {
+			for _, qf := range sl.frags {
+				got = append(got, key(qf))
+			}
+		}
+		wantKeys := make([]string, len(want))
+		for i, qf := range want {
+			wantKeys[i] = key(qf)
+		}
+		slices.Sort(got)
+		slices.Sort(wantKeys)
+		if !slices.Equal(got, wantKeys) || st.UsedFragments != len(want) {
+			t.Fatalf("trial %d cap %d σ=%v: used %d fragments %v, want %v", trial, limit, sigma, st.UsedFragments, got, wantKeys)
+		}
+		s.putScratch(sc)
+	}
+	if capped < 10 {
+		t.Fatalf("the cap bit in only %d of 30 trials", capped)
 	}
 }
 

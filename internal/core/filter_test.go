@@ -73,7 +73,7 @@ func TestStructuralCandidatesMatchPerFragment(t *testing.T) {
 					tb = nil
 				}
 				var st Stats
-				s.usableFragments(q, 1, &st, sc)
+				s.queryClasses(q, 1, &st, sc)
 				got := s.structuralCandidates(sc, tb)
 
 				frags := side.idx.QueryFragments(q)

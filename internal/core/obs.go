@@ -27,7 +27,7 @@ var (
 		"stage")
 	fragmentsTotal = obs.Default().CounterVec(
 		"pis_query_fragments_total",
-		"Fragment-funnel volume by stage: indexed fragments found in queries, kept after the epsilon filter, and whose sigma range query actually ran.",
+		"Fragment-funnel volume by stage: query fragments materialized, kept after the epsilon filter and cap, and whose sigma range query actually ran.",
 		"stage")
 	panicsTotal = obs.Default().CounterVec(
 		"pis_panics_total",
@@ -45,7 +45,7 @@ var (
 		"Branch-and-bound nodes expanded by exact verification.")
 	mPlannerSkipped = obs.Default().Counter(
 		"pis_planner_range_queries_skipped_total",
-		"Usable query fragments whose sigma range query the planner did not run: estimated gain below budget, candidate set already under the crossover, or a dry streak ended expansion.")
+		"Usable query fragments whose sigma range query the planner did not run, a class never materialized counting once: estimated gain below budget, candidate set already under the crossover, or a dry streak ended expansion.")
 	mPlannerExplore = obs.Default().Counter(
 		"pis_planner_explore_searches_total",
 		"Searches planned on the static class statistics alone, ignoring learned survival rates, so a class that has started to prune is noticed (one in 32).")

@@ -1,9 +1,9 @@
 // Package faultfs wraps a store.FS with deterministic fault injection
-// for robustness tests: fail the nth operation of a kind, fail every
-// operation after the nth (a disk that dies and stays dead), tear a
-// write short (a crash mid-sector), or delay operations (a sick disk
-// that still answers). The wrapped filesystem is safe for concurrent
-// use; rule evaluation and operation counting share one mutex.
+// for robustness tests: fail every operation of a kind after the nth (a
+// disk that dies and stays dead), tear a write short (a crash
+// mid-sector), or fail writes, syncs and renames at random. The wrapped
+// filesystem is safe for concurrent use; rule evaluation and operation
+// counting share one mutex.
 //
 // The zero configuration injects nothing, so a test can build its
 // fixture through the injector and only then arm the fault.
@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"os"
 	"sync"
-	"time"
 
 	"pis/internal/store"
 )
@@ -51,12 +50,10 @@ type FS struct {
 
 	mu      sync.Mutex
 	counts  map[Op]int64
-	failNth map[Op]map[int64]bool // op -> 1-based indices to fail once
-	failAll map[Op]int64          // op -> fail every call strictly after this count
-	tornNth map[int64]int         // write index -> bytes to keep of that write
-	latency time.Duration
-	rng     *rand.Rand // non-nil = random mode
-	rngRate float64    // probability a write/sync/rename fails in random mode
+	failAll map[Op]int64  // op -> fail every call strictly after this count
+	tornNth map[int64]int // write index -> bytes to keep of that write
+	rng     *rand.Rand    // non-nil = random mode
+	rngRate float64       // probability a write/sync/rename fails in random mode
 }
 
 // New wraps inner (nil means the real filesystem) with no faults armed.
@@ -67,21 +64,9 @@ func New(inner store.FS) *FS {
 	return &FS{
 		inner:   inner,
 		counts:  make(map[Op]int64),
-		failNth: make(map[Op]map[int64]bool),
 		failAll: make(map[Op]int64),
 		tornNth: make(map[int64]int),
 	}
-}
-
-// FailNth arms a one-shot fault on the nth (1-based, counted from the
-// start of the process) operation of the given kind.
-func (f *FS) FailNth(op Op, n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failNth[op] == nil {
-		f.failNth[op] = make(map[int64]bool)
-	}
-	f.failNth[op][n] = true
 }
 
 // FailAfter arms a sticky fault: every operation of the kind strictly
@@ -93,16 +78,6 @@ func (f *FS) FailAfter(op Op, n int64) {
 	f.failAll[op] = n
 }
 
-// Heal disarms every rule (random mode included); counters keep running.
-func (f *FS) Heal() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failNth = make(map[Op]map[int64]bool)
-	f.failAll = make(map[Op]int64)
-	f.tornNth = make(map[int64]int)
-	f.rng = nil
-}
-
 // TornWrite arms a short write: the nth write persists only keep bytes
 // of its buffer, then reports an injected error. This models the torn
 // tail a crash leaves mid-record.
@@ -110,13 +85,6 @@ func (f *FS) TornWrite(n int64, keep int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.tornNth[n] = keep
-}
-
-// SetLatency delays every operation by d (a slow, not broken, disk).
-func (f *FS) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.latency = d
 }
 
 // Chaos switches to random mode: each write/sync/rename independently
@@ -143,9 +111,6 @@ func (f *FS) check(op Op) (fail bool, keep int) {
 	f.counts[op]++
 	n := f.counts[op]
 	keep = -1
-	if f.failNth[op][n] {
-		fail = true
-	}
 	if limit, ok := f.failAll[op]; ok && n > limit {
 		fail = true
 	}
@@ -160,11 +125,7 @@ func (f *FS) check(op Op) (fail bool, keep int) {
 			fail = f.rng.Float64() < f.rngRate
 		}
 	}
-	lat := f.latency
 	f.mu.Unlock()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
 	return fail, keep
 }
 

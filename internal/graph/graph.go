@@ -157,9 +157,6 @@ func (g *Graph) EdgeBetween(u, v int32) int {
 	return -1
 }
 
-// HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int32) bool { return g.EdgeBetween(u, v) >= 0 }
-
 // Connected reports whether the graph is connected (the empty graph and
 // single vertices are connected).
 func (g *Graph) Connected() bool {

@@ -407,7 +407,7 @@ func sigmaVariants(cfg Config, sigmas ...float64) []variant {
 // FilterTiming measures the paper's "pruning takes < 1 s per query"
 // claim: average PIS filter time over a query set, with the cost-based
 // planner at its defaults (the serving configuration). It also reports
-// the average fragments expanded vs. usable, the planner's work saving.
+// the average fragments expanded vs. materialized (Stats.UsedFragments).
 func FilterTiming(env *Env, queryEdges int, sigma float64) (avg time.Duration, avgExpanded, avgUsable float64, queries int) {
 	qs := chem.SampleQueries(env.DB, env.Config.Queries, queryEdges, env.Config.Seed+3)
 	s := core.NewSearcher(env.DB, env.Index, core.Options{SkipVerification: true,

@@ -47,10 +47,10 @@ func denseRandomGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 }
 
 // directCode canonicalizes the fragment of host made of edges the direct
-// way: extract it and run MinCodeUnlabeled on its skeleton.
+// way: extract it and run MinCode on its skeleton.
 func directCode(host *graph.Graph, edges []int32) canon.Code {
 	sub, _, _ := graph.Fragment{Host: host, Edges: edges}.Extract()
-	code, _ := canon.MinCodeUnlabeled(sub.Skeleton())
+	code, _ := canon.MinCode(sub.Skeleton())
 	return code
 }
 
@@ -126,10 +126,59 @@ func TestClassifierDifferential(t *testing.T) {
 	}
 }
 
+// TestQueryClassesMatchEnumeration: on molecules and on dense random
+// graphs at every fragment size from 1 to 7 edges, the classes whose
+// skeleton embeds in a graph are exactly the distinct classes of the
+// fragments a build enumerates in it, listed by ascending ID.
+func TestQueryClassesMatchEnumeration(t *testing.T) {
+	present, absent := 0, 0
+	for maxE := 1; maxE <= 7; maxE++ {
+		t.Run(fmt.Sprintf("edges=%d", maxE), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + maxE)))
+			db := chem.Generate(12, chem.Config{Seed: int64(20 + maxE)})
+			for i := 0; i < 8; i++ {
+				db = append(db, denseRandomGraph(rng, 4+rng.Intn(5), 2+rng.Intn(6)))
+			}
+			x, err := scaffold(everyOtherShape(db, maxE), Options{Metric: distance.EdgeMutation{}, MaxFragmentEdges: maxE})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fs FragmentScratch
+			var got []*Class
+			for gi, g := range db {
+				want := map[*Class]bool{}
+				x.each(g, &fs, func(p *canon.Placement[Class]) { want[p.Shape.Class] = true })
+				got = x.QueryClasses(got[:0], g, &fs)
+				if len(got) != len(want) || !slices.IsSortedFunc(got, func(a, b *Class) int { return a.ID - b.ID }) {
+					t.Fatalf("graph %d: found classes %v, enumeration has %d distinct", gi, classIDs(got), len(want))
+				}
+				for _, c := range got {
+					if !want[c] {
+						t.Fatalf("graph %d: class %d found, but no enumerated fragment falls in it", gi, c.ID)
+					}
+				}
+				present += len(got)
+				absent += len(x.list) - len(got)
+			}
+		})
+	}
+	if present < 1000 || absent < 1000 {
+		t.Fatalf("%d classes found and %d absent: fixture too weak", present, absent)
+	}
+}
+
+func classIDs(cs []*Class) []int {
+	ids := make([]int, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
 // TestColdShapeTableRace: BuildParallel's fold with 8 workers on a cold
-// shape table, beside goroutines classifying queries through the same
-// table, writes the image a serial build writes byte for byte, and every
-// query gets the fragments a warm table gives. Run it under -race.
+// shape table, beside goroutines finding queries' fragments in the same
+// index, writes the image a serial build writes byte for byte, and every
+// query gets the fragments a built index gives. Run it under -race.
 func TestColdShapeTableRace(t *testing.T) {
 	db := chem.Generate(150, chem.Config{Seed: 5})
 	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05})

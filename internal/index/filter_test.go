@@ -1,9 +1,9 @@
 package index
 
 // Differential tests, allocation ceilings and micro-benchmarks for the
-// per-query filter steps that run on scratch: fragment enumeration
+// per-query filter steps that run on scratch: finding fragments
 // (QueryFragmentsInto against a reference classifier that extracts and
-// canonicalizes every fragment)
+// canonicalizes every enumerated fragment)
 // and sort-free range output (RangeQueryInto against a map-and-sort fold
 // of every stored entry).
 
@@ -65,7 +65,7 @@ func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 		sort.Slice(ecopy, func(i, j int) bool { return ecopy[i] < ecopy[j] })
 		frag := graph.Fragment{Host: q, Edges: ecopy}
 		sub, _, _ := frag.Extract()
-		code, embs := canon.MinCodeUnlabeled(sub.Skeleton())
+		code, embs := canon.MinCode(sub.Skeleton())
 		c := x.classes[code.Key()]
 		if c == nil {
 			return true
@@ -100,12 +100,22 @@ func orbitEqual(c *Class, a, b []uint64) bool {
 	return slices.ContainsFunc(c.Variants(b), func(v []uint64) bool { return slices.Equal(v, a) })
 }
 
-// sameFragments compares two fragment lists in order: class, edges and
-// vertices exactly, keys up to an automorphism.
+// sameFragments compares two fragment lists as sets: class, edges and
+// vertices exactly, keys up to an automorphism. A query lists its
+// fragments class by class, a build in enumeration order.
 func sameFragments(a, b []QueryFragment) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d fragments, want %d", len(a), len(b))
 	}
+	byClassAndEdges := func(f, g QueryFragment) int {
+		if f.Class.ID != g.Class.ID {
+			return f.Class.ID - g.Class.ID
+		}
+		return slices.Compare(f.Edges, g.Edges)
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, byClassAndEdges)
+	slices.SortFunc(b, byClassAndEdges)
 	for i := range a {
 		switch {
 		case a[i].Class != b[i].Class:
@@ -121,11 +131,10 @@ func sameFragments(a, b []QueryFragment) error {
 	return nil
 }
 
-// TestQueryFragmentsMatchExtract: the scratch enumeration returns the
-// reference classifier's list — class, edges, vertices, key of labels or
-// weights up to an automorphism, in order (the planner breaks ties by
-// it) — for every metric, with one scratch reused across all queries and
-// with a fresh one per query.
+// TestQueryFragmentsMatchExtract: the embedding walk returns the
+// reference classifier's fragments — class, edges, vertices, key of labels
+// or weights up to an automorphism — for every metric, with one scratch
+// reused across all queries and with a fresh one per query.
 func TestQueryFragmentsMatchExtract(t *testing.T) {
 	for _, k := range metricCases {
 		t.Run(k.name, func(t *testing.T) {
@@ -375,6 +384,33 @@ func BenchmarkQueryFragments(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fx.heap.QueryFragmentsInto(qs[i%len(qs)], &fs)
+			}
+		})
+	}
+}
+
+// BenchmarkQueryClasses is finding a query's classes alone — one walk per
+// class, stopping at the first embedding — and materializing the first of
+// them, per query. 0 allocs/op once the scratch has grown.
+func BenchmarkQueryClasses(b *testing.B) {
+	fx := newMolFixture(b, distance.EdgeMutation{}, 400)
+	for _, m := range []int{16, 24} {
+		qs := benchQueries(b, fx, m)
+		var fs FragmentScratch
+		var classes []*Class
+		b.Run(fmt.Sprintf("Q%d/find", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				classes = fx.heap.QueryClasses(classes[:0], qs[i%len(qs)], &fs)
+			}
+		})
+		b.Run(fmt.Sprintf("Q%d/materialize-first", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				classes = fx.heap.QueryClasses(classes[:0], q, &fs)
+				fs.Reset()
+				fx.heap.ClassFragments(q, classes[0], &fs)
 			}
 		})
 	}

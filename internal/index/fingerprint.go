@@ -28,6 +28,8 @@
 package index
 
 import (
+	"math/bits"
+
 	"pis/internal/graph"
 )
 
@@ -113,30 +115,50 @@ func (x *Index) FingerprintAt(id int32) *GraphFP {
 
 // QueryFP is the query-side prescreen state: the query's own structural
 // fingerprint plus the metric's label-mismatch cost floors, computed once
-// per search and tested against every candidate.
+// per search and tested against every candidate. A label bucket the query
+// leaves empty has no deficit and a zero degree tail no shortfall, so it
+// also marks the buckets the query fills and counts its non-zero tails —
+// a prefix, since tails only fall — and Admissible reads only those.
 type QueryFP struct {
 	fp             GraphFP
 	vFloor, eFloor float64
+	eOcc           uint32 // bit b: ELab[b] > 0
+	vOcc           uint16 // bit b: VLab[b] > 0
+	tails          int
 }
 
 // NewQueryFP builds the prescreen state for query q.
 func NewQueryFP(q *graph.Graph, vFloor, eFloor float64) QueryFP {
-	qfp := QueryFP{vFloor: vFloor, eFloor: eFloor}
-	fillGraphFP(&qfp.fp, q)
+	var fp GraphFP
+	fillGraphFP(&fp, q)
+	return newQueryFP(fp, vFloor, eFloor)
+}
+
+func newQueryFP(fp GraphFP, vFloor, eFloor float64) QueryFP {
+	qfp := QueryFP{fp: fp, vFloor: vFloor, eFloor: eFloor}
+	for qfp.tails < fpDegTail && fp.DegTail[qfp.tails] != 0 {
+		qfp.tails++
+	}
+	for b, n := range fp.ELab {
+		qfp.eOcc |= uint32(min(n, 1)) << b
+	}
+	for b, n := range fp.VLab {
+		qfp.vOcc |= min(n, 1) << b
+	}
 	return qfp
 }
 
 // Admissible reports whether a graph with fingerprint g can possibly be
 // within superimposed distance sigma of the query. A false return is a
 // proof of d > sigma (or of no embedding at all); true just means the
-// fingerprint could not refute it. The hot loops accumulate into flag
-// words instead of branching per element.
+// fingerprint could not refute it. The degree loop accumulates into a
+// flag word instead of branching per tail.
 func (qfp *QueryFP) Admissible(g *GraphFP, sigma float64) bool {
 	if qfp.fp.NV > g.NV || qfp.fp.NE > g.NE {
 		return false
 	}
 	var bad uint32
-	for k := 0; k < fpDegTail; k++ {
+	for k := range qfp.tails {
 		// Widen before subtracting: the difference underflows (top bit
 		// set) exactly when the query needs more degree->=k+1 vertices
 		// than the graph has.
@@ -148,19 +170,17 @@ func (qfp *QueryFP) Admissible(g *GraphFP, sigma float64) bool {
 	lb := 0.0
 	if qfp.eFloor > 0 {
 		deficit := 0
-		for b := 0; b < fpEdgeBuckets; b++ {
-			if d := int(qfp.fp.ELab[b]) - int(g.ELab[b]); d > 0 {
-				deficit += d
-			}
+		for m := qfp.eOcc; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros32(m)
+			deficit += max(int(qfp.fp.ELab[b])-int(g.ELab[b]), 0)
 		}
 		lb = float64(deficit) * qfp.eFloor
 	}
 	if qfp.vFloor > 0 {
 		deficit := 0
-		for b := 0; b < fpVertexBuckets; b++ {
-			if d := int(qfp.fp.VLab[b]) - int(g.VLab[b]); d > 0 {
-				deficit += d
-			}
+		for m := qfp.vOcc; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros16(m)
+			deficit += max(int(qfp.fp.VLab[b])-int(g.VLab[b]), 0)
 		}
 		lb += float64(deficit) * qfp.vFloor
 	}

@@ -18,7 +18,6 @@ package index
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"pis/internal/canon"
@@ -115,10 +114,6 @@ func (c *Class) AppendPostings(dst []int32) []int32 {
 	return cur.idList(dst, c.postCount)
 }
 
-// Fragments returns the number of stored (key, graph) pairs: a key that
-// occurs several times inside one graph counts once for it.
-func (c *Class) Fragments() int { return c.fragments }
-
 // Index is the fragment-based index over one graph database.
 type Index struct {
 	opts Options
@@ -133,8 +128,8 @@ type Index struct {
 	// fingerprint identifies the exact graph set the index was built
 	// over (graph.Fingerprint).
 	fingerprint uint64
-	// shapes classifies every enumerated fragment — at build, merge and
-	// query time alike — by the edge it adds to its parent (canon.Shapes).
+	// shapes classifies every fragment a build or merge enumerates by the
+	// edge it adds to its parent (canon.Shapes); queries walk classes.
 	shapes *canon.Shapes[Class]
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
 	// nil on an index loaded from an image without the fingerprint
@@ -153,9 +148,6 @@ type Index struct {
 
 // Classes returns all classes ordered by ID.
 func (x *Index) Classes() []*Class { return x.list }
-
-// Lookup returns the class for a structure key, or nil.
-func (x *Index) Lookup(key string) *Class { return x.classes[key] }
 
 // DBSize returns the number of graphs the index was built over.
 func (x *Index) DBSize() int { return x.dbSize }
@@ -210,7 +202,7 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 		if cg == nil {
 			cg = f.Code.Graph()
 		}
-		_, embs := canon.MinCodeUnlabeled(cg) // automorphisms of the canonical skeleton
+		_, embs := canon.MinCode(cg) // automorphisms of the canonical skeleton
 		vOff := cg.N()
 		if distance.IgnoresVertices(opts.Metric) {
 			vOff = 0
@@ -265,31 +257,8 @@ func (x *Index) finalize() {
 	}
 }
 
-// QueryFragment is one indexed fragment occurrence inside a query graph.
-type QueryFragment struct {
-	Class    *Class
-	Edges    []int32 // query edge indices
-	Vertices []int32 // query vertex indices (sorted)
-	// Key holds the fragment's labels, or the bits of its weights under a
-	// weight metric, along the class code's vertex and edge order.
-	Key []uint64
-}
-
-// FragmentScratch is the working memory of fragment enumeration: the
-// enumerator's stacks, the placement of the fragment at every size, and
-// the slabs the returned QueryFragments are carved from. One scratch
-// serves one goroutine, graph after graph; the zero value is ready.
-type FragmentScratch struct {
-	enum graph.SubgraphEnumerator
-	cl   canon.Classifier[Class]
-
-	out []QueryFragment
-	i32 []int32
-	u64 []uint64
-}
-
 // each calls fn with the placement of every fragment of g that falls in a
-// class, in enumeration order.
+// class, in enumeration order: what a build folds in.
 func (x *Index) each(g *graph.Graph, fs *FragmentScratch, fn func(p *canon.Placement[Class])) {
 	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
 		if p := fs.cl.Classify(x.shapes, g, edges); p.Shape.Class != nil {
@@ -297,41 +266,6 @@ func (x *Index) each(g *graph.Graph, fs *FragmentScratch, fn func(p *canon.Place
 		}
 		return true
 	})
-}
-
-// QueryFragments enumerates the indexed fragments of q (Alg. 2 lines 3-4).
-func (x *Index) QueryFragments(q *graph.Graph) []QueryFragment {
-	return x.QueryFragmentsInto(q, new(FragmentScratch))
-}
-
-// QueryFragmentsInto is QueryFragments over reusable storage: the result
-// and every slice in it belong to fs and are valid until its next use. A
-// warmed-up call allocates nothing.
-func (x *Index) QueryFragmentsInto(q *graph.Graph, fs *FragmentScratch) []QueryFragment {
-	fs.out = fs.out[:0]
-	fs.i32, fs.u64 = fs.i32[:0], fs.u64[:0]
-	x.each(q, fs, func(p *canon.Placement[Class]) {
-		qf := QueryFragment{Class: p.Shape.Class}
-		fs.i32, qf.Edges = carve(fs.i32, p.Edges)
-		fs.i32, qf.Vertices = carve(fs.i32, p.Vertices)
-		n := len(fs.u64)
-		fs.u64 = x.appendKey(fs.u64, q, p)
-		qf.Key = fs.u64[n:len(fs.u64):len(fs.u64)]
-		fs.out = append(fs.out, qf)
-	})
-	return fs.out
-}
-
-// carve appends vals to slab and returns the grown slab and the appended
-// piece, sorted and capped so a later append through it cannot reach its
-// neighbour. Pieces carved before a reallocation keep the old array alive
-// and intact.
-func carve(slab, vals []int32) (grown, piece []int32) {
-	n := len(slab)
-	slab = append(slab, vals...)
-	piece = slab[n:len(slab):len(slab)]
-	slices.Sort(piece)
-	return slab, piece
 }
 
 // PostingList is the flat result of one range query: graph ids ascending
@@ -418,23 +352,10 @@ func (x *Index) RangeQueryInto(qf QueryFragment, sigma float64, pl *PostingList,
 	x.scanRange(qf, sigma, rb, tombs)
 }
 
-// RangeQuery is RangeQueryInto with a freshly allocated map result, kept
-// for tests and ad-hoc callers; the search hot path uses RangeQueryInto.
-func (x *Index) RangeQuery(qf QueryFragment, sigma float64) map[int32]float64 {
-	var pl PostingList
-	var rb RangeBuffer
-	x.RangeQueryInto(qf, sigma, &pl, &rb, nil)
-	out := make(map[int32]float64, len(pl.IDs))
-	for i, id := range pl.IDs {
-		out[id] = pl.Dists[i]
-	}
-	return out
-}
-
 // Stats summarizes the index for reporting.
 type Stats struct {
 	Classes   int
-	Fragments int // stored (key, graph) pairs, see Class.Fragments
+	Fragments int // stored (key, graph) pairs: a key repeated in one graph counts once
 	Sequences int
 	Postings  int
 }

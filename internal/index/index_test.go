@@ -11,6 +11,25 @@ import (
 	"pis/internal/mining"
 )
 
+// RangeQuery is RangeQueryInto with a freshly allocated map result.
+func (x *Index) RangeQuery(qf QueryFragment, sigma float64) map[int32]float64 {
+	var pl PostingList
+	var rb RangeBuffer
+	x.RangeQueryInto(qf, sigma, &pl, &rb, nil)
+	out := make(map[int32]float64, len(pl.IDs))
+	for i, id := range pl.IDs {
+		out[id] = pl.Dists[i]
+	}
+	return out
+}
+
+// Lookup returns the class for a structure key, or nil.
+func (x *Index) Lookup(key string) *Class { return x.classes[key] }
+
+// Fragments returns the number of stored (key, graph) pairs: a key that
+// occurs several times inside one graph counts once for it.
+func (c *Class) Fragments() int { return c.fragments }
+
 // randomMolecule builds a sparse connected graph with chemistry-like label
 // skew: most edges share one label so distances are small but non-zero.
 // Edge weights come from the endpoints, not from rng, so the labels a seed

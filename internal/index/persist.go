@@ -632,7 +632,7 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: mapped directory: class %d: %w", i, err)
 		}
-		minCode, embs := canon.MinCodeUnlabeled(cg)
+		minCode, embs := canon.MinCode(cg)
 		wantVOff := cg.N()
 		if hdr.vertexBlind {
 			wantVOff = 0

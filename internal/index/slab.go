@@ -144,19 +144,18 @@ func compareKeys(a, b []uint64, weights bool) int {
 	return 0
 }
 
-// appendKey appends the key of a placed fragment: its labels, or its
-// weights, read from the host at the vertex of each DFS id and the edge of
-// each code tuple.
-func (x *Index) appendKey(dst []uint64, host *graph.Graph, p *canon.Placement[Class]) []uint64 {
-	c := p.Shape.Class
-	for _, v := range p.Vertices[:c.vOff] {
+// appendKey appends the key of a fragment of class c placed in host: its
+// labels, or its weights, read at verts[k], the host vertex of DFS id k,
+// and at edges[t], the host edge of code tuple t.
+func (x *Index) appendKey(dst []uint64, host *graph.Graph, c *Class, verts, edges []int32) []uint64 {
+	for _, v := range verts[:c.vOff] {
 		if x.weights {
 			dst = append(dst, math.Float64bits(host.VWeightAt(int(v))))
 		} else {
 			dst = append(dst, uint64(host.VLabelAt(int(v))))
 		}
 	}
-	for _, he := range p.Edges {
+	for _, he := range edges {
 		e := host.EdgeAt(int(he))
 		if x.weights {
 			dst = append(dst, math.Float64bits(e.Weight))
@@ -176,7 +175,7 @@ func (x *Index) appendKey(dst []uint64, host *graph.Graph, p *canon.Placement[Cl
 func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, p *canon.Placement[Class]) []uint64 {
 	c := p.Shape.Class
 	n := len(dst)
-	dst = x.appendKey(dst, host, p)
+	dst = x.appendKey(dst, host, c, p.Vertices, p.Edges)
 	if x.weights || len(c.perms) == 1 {
 		return dst // a lone automorphism is the identity
 	}

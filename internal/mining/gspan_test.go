@@ -32,7 +32,7 @@ func mineByCounting(db []*graph.Graph, opts Options) ([]Feature, error) {
 				return true
 			}
 			sub, _, _ := graph.Fragment{Host: skel, Edges: edges}.Extract()
-			code, _ := canon.MinCodeUnlabeled(sub)
+			code, _ := canon.MinCode(sub)
 			key := code.Key()
 			if seen[key] {
 				return true

@@ -149,7 +149,7 @@ func discriminative(feats []Feature, gamma float64) []Feature {
 			}
 			frag := graph.Fragment{Host: f.Graph, Edges: edges}
 			sub, _, _ := frag.Extract()
-			code, _ := canon.MinCodeUnlabeled(sub) // features are skeletons
+			code, _ := canon.MinCode(sub) // features are skeletons
 			if kf, ok := kept[code.Key()]; ok {
 				if minSub < 0 || kf.Support < minSub {
 					minSub = kf.Support

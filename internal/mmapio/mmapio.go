@@ -31,10 +31,6 @@ func (m *Mapping) Data() []byte {
 	return m.data
 }
 
-// Mapped reports whether the bytes are a true memory mapping (false on
-// the read-into-heap fallback).
-func (m *Mapping) Mapped() bool { return m != nil && m.mapped }
-
 // Open maps the file at path read-only.
 func Open(path string) (*Mapping, error) {
 	f, err := os.Open(path)

@@ -126,6 +126,17 @@ func (sn *snapshot) live(id int32) bool {
 	return ok && !sn.view.Tombs.Has(local)
 }
 
+// liveOf returns e's answers still live in the snapshot, in e's order.
+func (sn *snapshot) liveOf(e *memoEntry) (ids []int32, dists []float64) {
+	ids, dists = make([]int32, 0, len(e.ids)), make([]float64, 0, len(e.ids))
+	for i, id := range e.ids {
+		if sn.live(id) {
+			ids, dists = append(ids, id), append(dists, e.dists[i])
+		}
+	}
+	return ids, dists
+}
+
 // newcomers returns the local ids of the live graphs whose global id
 // exceeds e.mark, ascending; ok is false when they outnumber the
 // verifications e's full run needed, and running it again is the cheaper
@@ -160,9 +171,10 @@ func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int
 		return nil, nil
 	}
 	fresh, ok := sn.newcomers(e)
-	if ok && k.k > 0 {
+	if ok && k.k > 0 && len(e.ids) == k.k {
 		// A deleted neighbour's place goes to a graph the entry never
-		// ranked: only the full search knows which.
+		// ranked: only the full search knows which. An entry short of k
+		// holds every graph within its radius, so there it just drops out.
 		ok = !slices.ContainsFunc(e.ids, func(id int32) bool { return !sn.live(id) })
 	}
 	if !ok {
@@ -200,13 +212,8 @@ func (sn *snapshot) catchUp(ctx context.Context, srch *core.Searcher, q *graph.G
 func (sn *snapshot) search(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
 	key := memoKey{q: canon.GraphKey(q), sigma: sigma}
 	if e, fresh := sn.lookup(key, 0); e != nil {
-		r := core.Result{Answers: make([]int32, 0, len(e.ids))}
-		for i, id := range e.ids {
-			if sn.live(id) {
-				r.Answers = append(r.Answers, id)
-				r.Distances = append(r.Distances, e.dists[i])
-			}
-		}
+		var r core.Result
+		r.Answers, r.Distances = sn.liveOf(e)
 		r.Stats.VerifyCacheHits = len(r.Answers)
 		r.Candidates = slices.Clone(r.Answers)
 		if sn.catchUp(ctx, sn.srch, q, fresh, &r.Stats, func() float64 { return sigma }, func(id int32, d float64) {
@@ -233,16 +240,17 @@ func (sn *snapshot) search(ctx context.Context, q *graph.Graph, sigma float64) (
 
 // searchKNN answers the kNN query over the snapshot, through the memo. A
 // hit brings the entry up to date at the entry's own radius and answers
-// the asked one by prefix: new graphs are verified against the k-th
-// distance (the radius while fewer than k are known) and take their place
-// by (distance, id) — their ids exceed every id already ranked.
+// the asked one by prefix: deleted neighbours drop out (see lookup), new
+// graphs are verified against the k-th distance (the radius while fewer
+// than k are known) and take their place by (distance, id) — their ids
+// exceed every id already ranked.
 func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
 	if k <= 0 || maxSigma < 0 {
 		return nil, nil
 	}
 	key := memoKey{q: canon.GraphKey(q), k: k}
 	if e, fresh := sn.lookup(key, maxSigma); e != nil {
-		ids, dists := slices.Clone(e.ids), slices.Clone(e.dists)
+		ids, dists := sn.liveOf(e)
 		var st core.Stats
 		if sn.catchUp(ctx, sn.knn, q, fresh, &st, func() float64 {
 			if len(ids) >= k {
@@ -256,7 +264,7 @@ func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, startS
 				ids, dists = ids[:min(len(ids), k)], dists[:min(len(dists), k)]
 			}
 		}) {
-			if sn.maxID > e.mark {
+			if sn.maxID > e.mark || len(ids) != len(e.ids) {
 				sn.memo.put(key, &memoEntry{ids: ids, dists: dists, mark: sn.maxID, cost: e.cost, radius: e.radius}, sn.budget)
 			}
 			ns := make([]core.Neighbor, 0, len(ids))

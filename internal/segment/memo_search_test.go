@@ -260,6 +260,42 @@ func TestMemoKNN(t *testing.T) {
 	}
 }
 
+// TestMemoKNNShortEntrySurvivesDelete: an entry holding fewer than k
+// neighbours holds every graph within its radius, so deleting one of them
+// is a hit that drops it, at every radius up to the entry's, where a full
+// entry would have to run the search again.
+func TestMemoKNNShortEntrySurvivesDelete(t *testing.T) {
+	seg, _ := newMemoSegment(t, 40)
+	defer seg.Close()
+	// TestMemoKNN's two-edge path: at distance 1 or more from most graphs.
+	b := graph.NewBuilder(3, 2)
+	b.AddVertex(0)
+	b.AddVertex(1)
+	b.AddVertex(2)
+	b.AddEdge(0, 1, 2)
+	b.AddEdge(1, 2, 0)
+	q, k, radius := b.MustBuild(), 60, 1.0
+	cold := searchKNN(seg, q, k, 0, radius)
+	if len(cold) < 3 || len(cold) >= k {
+		t.Fatalf("%d neighbours within %v; the test needs a few, fewer than k=%d", len(cold), radius, k)
+	}
+	for _, victim := range []int32{cold[0].ID, cold[len(cold)-1].ID} {
+		if ok, err := seg.Delete(victim); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		for _, r := range []float64{radius, 1, 0} {
+			c0 := readMemoCounts()
+			got := searchKNN(seg, q, k, 0, r)
+			if ref := naiveKNN(seg, q, k, r); !sameNeighbors(got, ref) {
+				t.Fatalf("after deleting %d, radius %v: kNN %v, naive says %v", victim, r, got, ref)
+			}
+			if d := readMemoCounts().since(c0); d != (memoCounts{hit: 1}) {
+				t.Fatalf("after deleting %d, radius %v: lookups %+v, want one hit", victim, r, d)
+			}
+		}
+	}
+}
+
 // TestMemoStartsCold: the memo belongs to the Segment value. A segment
 // recovered from its store answers its first read cold, and one that
 // skips verification never looks the memo up.
