@@ -38,9 +38,9 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for generation and sampling")
 		maxFrag = flag.Int("maxfrag", 5, "max indexed fragment size for figures 8-11")
 		support = flag.Float64("minsupport", 0, "feature mining min support fraction (0 = default 0.05); lower mines more features")
-		jsonOut = flag.String("json", "BENCH_pis.json", "write a machine-readable benchmark report to this file (\"\" disables)")
-		qEdges  = flag.Int("bench-edges", 16, "query size (edges) for the JSON report workload")
-		bSigma  = flag.Float64("bench-sigma", 2, "σ for the JSON report workload")
+		jsonOut = flag.String("json", "", "with -large: write the machine-readable report to this file")
+		qEdges  = flag.Int("bench-edges", 16, "with -large: query size (edges) of the measured workload")
+		bSigma  = flag.Float64("bench-sigma", 2, "with -large: σ of the measured workload")
 
 		large    = flag.Bool("large", false, "out-of-core mode: streaming build to a v3 file, measure against the mapped index (skips the figures)")
 		corpus   = flag.String("corpus", "", "with -large: index this SDF/SMILES file instead of -n synthetic molecules")
@@ -134,17 +134,6 @@ func main() {
 	}
 	if !printed {
 		log.Fatalf("unknown figure %q", *figure)
-	}
-
-	if *jsonOut != "" {
-		// Reuse the environment the figures built. Figure 12 builds its
-		// own sweep environments, so a figure-12-only run has none; don't
-		// double the runtime just for the report.
-		if env == nil && *figure == "12" {
-			fmt.Fprintf(os.Stderr, "skipping %s: -figure 12 builds no shared environment (run another figure to emit it)\n", *jsonOut)
-			return
-		}
-		writeReport(harness.Measure(buildEnv(), *qEdges, *bSigma), *jsonOut)
 	}
 }
 

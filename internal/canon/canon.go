@@ -1,5 +1,7 @@
 // Package canon implements gSpan-style minimum DFS codes: a canonical form
-// for small connected labeled graphs.
+// for small connected labeled graphs. It also keys whole query graphs
+// (GraphKey, key.go) by colour refinement, searching for a minimum DFS
+// code only over the ties refinement leaves.
 //
 // PIS uses minimum DFS codes in three roles:
 //
@@ -22,9 +24,10 @@
 package canon
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 
 	"pis/internal/graph"
@@ -45,34 +48,15 @@ func (t Tuple) Forward() bool { return t.I < t.J }
 // Compare orders tuples by the gSpan DFS lexicographic order: edge
 // positions first (backward-vs-forward rules), then (LI, LE, LJ).
 func (t Tuple) Compare(o Tuple) int {
-	tf, of := t.Forward(), o.Forward()
-	switch {
-	case tf && of:
-		if t.J != o.J {
-			if t.J < o.J {
-				return -1
-			}
-			return 1
-		}
-		if t.I != o.I {
-			if t.I > o.I { // deeper origin is smaller
-				return -1
-			}
-			return 1
-		}
-	case !tf && !of:
-		if t.I != o.I {
-			if t.I < o.I {
-				return -1
-			}
-			return 1
-		}
-		if t.J != o.J {
-			if t.J < o.J {
-				return -1
-			}
-			return 1
-		}
+	switch tf, of := t.Forward(), o.Forward(); {
+	case tf && of && t.J != o.J:
+		return cmp.Compare(t.J, o.J)
+	case tf && of && t.I != o.I:
+		return cmp.Compare(o.I, t.I) // deeper origin is smaller
+	case !tf && !of && t.I != o.I:
+		return cmp.Compare(t.I, o.I)
+	case !tf && !of && t.J != o.J:
+		return cmp.Compare(t.J, o.J)
 	case !tf && of: // t backward, o forward
 		if t.I < o.J {
 			return -1
@@ -85,44 +69,14 @@ func (t Tuple) Compare(o Tuple) int {
 		return 1
 	}
 	// Same edge position: compare labels.
-	switch {
-	case t.LI != o.LI:
-		if t.LI < o.LI {
-			return -1
-		}
-		return 1
-	case t.LE != o.LE:
-		if t.LE < o.LE {
-			return -1
-		}
-		return 1
-	case t.LJ != o.LJ:
-		if t.LJ < o.LJ {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(t.LI, o.LI), cmp.Compare(t.LE, o.LE), cmp.Compare(t.LJ, o.LJ))
 }
 
 // Code is a DFS code: a sequence of tuples.
 type Code []Tuple
 
 // Compare orders codes lexicographically, shorter prefixes first.
-func (c Code) Compare(o Code) int {
-	for i := 0; i < len(c) && i < len(o); i++ {
-		if d := c[i].Compare(o[i]); d != 0 {
-			return d
-		}
-	}
-	switch {
-	case len(c) < len(o):
-		return -1
-	case len(c) > len(o):
-		return 1
-	}
-	return 0
-}
+func (c Code) Compare(o Code) int { return slices.CompareFunc(c, o, Tuple.Compare) }
 
 // Key returns a compact byte-string encoding usable as a map key. Codes are
 // equal iff their keys are equal.
@@ -155,16 +109,11 @@ func (c Code) String() string {
 
 // VertexCount returns the number of vertices of the code graph.
 func (c Code) VertexCount() int {
-	max := int32(-1)
+	n := 0
 	for _, t := range c {
-		if t.I > max {
-			max = t.I
-		}
-		if t.J > max {
-			max = t.J
-		}
+		n = max(n, int(t.I)+1, int(t.J)+1)
 	}
-	return int(max) + 1
+	return n
 }
 
 // Graph reconstructs the canonical graph described by the code: vertex k of
@@ -195,10 +144,9 @@ type Embedding struct {
 	Edges    []int32
 }
 
-// state is a partial DFS traversal of the host graph. All int32 slices
-// share one backing slab so cloning costs two allocations; each slice is
-// carved with a fixed capacity (order/pos/rmpath up to n, edges up to m)
-// and never reallocates.
+// state is a partial DFS traversal of the host graph. Its slices are
+// carved from slabs with fixed capacities (order/pos/rmpath up to n, edges
+// up to m) and never reallocate.
 type state struct {
 	order  []int32 // dfs id -> host vertex
 	pos    []int32 // host vertex -> dfs id, -1 if undiscovered
@@ -207,30 +155,36 @@ type state struct {
 	edges  []int32 // host edges in code order
 }
 
-// newState carves an empty state for an n-vertex, m-edge host.
-func newState(n, m int) *state {
-	slab := make([]int32, 3*n+m)
-	return &state{
-		order:  slab[0:0:n],
-		pos:    slab[n : 2*n : 2*n],
-		rmpath: slab[2*n : 2*n : 3*n],
-		edges:  slab[3*n : 3*n : 3*n+m],
-		used:   make([]bool, m),
+// carve returns k states, their contents unspecified, for an n-vertex,
+// m-edge host. It reuses the slabs behind states when they hold k: the
+// search alternates two such slices, one per code length.
+func carve(states []state, k, n, m int) []state {
+	if k <= cap(states) {
+		return states[:k]
 	}
+	w := 3*n + m
+	ints, used := make([]int32, 2*k*w), make([]bool, 2*k*m)
+	states = make([]state, 2*k)
+	for i := range states {
+		slab := ints[i*w : (i+1)*w]
+		states[i] = state{
+			order:  slab[0:0:n],
+			pos:    slab[n : 2*n : 2*n],
+			rmpath: slab[2*n : 2*n : 3*n],
+			edges:  slab[3*n : 3*n : w],
+			used:   used[i*m : (i+1)*m : (i+1)*m],
+		}
+	}
+	return states[:k]
 }
 
-func (s *state) clone() *state {
-	n, m := len(s.pos), len(s.used)
-	c := newState(n, m)
-	c.order = c.order[:len(s.order)]
-	copy(c.order, s.order)
-	copy(c.pos, s.pos)
-	copy(c.used, s.used)
-	c.rmpath = c.rmpath[:len(s.rmpath)]
-	copy(c.rmpath, s.rmpath)
-	c.edges = c.edges[:len(s.edges)]
-	copy(c.edges, s.edges)
-	return c
+// copyFrom makes s a copy of o.
+func (s *state) copyFrom(o *state) {
+	s.order = append(s.order[:0], o.order...)
+	copy(s.pos, o.pos)
+	copy(s.used, o.used)
+	s.rmpath = append(s.rmpath[:0], o.rmpath...)
+	s.edges = append(s.edges[:0], o.edges...)
 }
 
 type candidate struct {
@@ -238,7 +192,6 @@ type candidate struct {
 	stateIdx int
 	hostEdge int32
 	toHost   int32 // forward: newly discovered host vertex
-	fromID   int32 // forward: dfs id the edge grows from
 }
 
 // MinCode computes the minimum DFS code of a connected graph g along with
@@ -257,71 +210,83 @@ func MinCode(g *graph.Graph) (Code, []Embedding) {
 		}
 		return Code{}, []Embedding{{Vertices: []int32{0}}}
 	}
+	code, states := minCode(g, 0)
+	if states == nil {
+		panic("canon: disconnected graph")
+	}
+	// Distinct states hold distinct edge sequences, so no embedding repeats.
+	embs := make([]Embedding, len(states))
+	for i, st := range states {
+		embs[i] = Embedding{Vertices: st.order, Edges: st.edges}
+	}
+	return code, embs
+}
+
+// minCode is MinCode's search: the code and the final states, each a
+// canonical embedding. It returns nil states when g has no edge or is
+// disconnected or, for limit > 0, when more than limit states would live
+// at one level, a count isomorphic graphs share.
+func minCode(g *graph.Graph, limit int) (Code, []state) {
+	n, m := g.N(), g.M()
 
 	// Seed states: the minimal first tuple over every directed edge.
 	var best Tuple
-	var seeds []*state
-	first := true
+	var seeds [][3]int32 // u, v, edge
 	for e := 0; e < m; e++ {
 		ed := g.EdgeAt(e)
-		for _, dir := range [2][2]int32{{ed.U, ed.V}, {ed.V, ed.U}} {
-			u, v := dir[0], dir[1]
-			t := Tuple{I: 0, J: 1, LI: g.VLabelAt(int(u)), LE: ed.Label, LJ: g.VLabelAt(int(v))}
-			cmp := 1
-			if !first {
-				cmp = t.Compare(best)
+		for _, d := range [2][2]int32{{ed.U, ed.V}, {ed.V, ed.U}} {
+			t := Tuple{I: 0, J: 1, LI: g.VLabelAt(int(d[0])), LE: ed.Label, LJ: g.VLabelAt(int(d[1]))}
+			if c := t.Compare(best); len(seeds) == 0 || c < 0 {
+				best, seeds = t, seeds[:0]
+			} else if c > 0 {
+				continue
 			}
-			if cmp < 0 || first {
-				best = t
-				seeds = seeds[:0]
-				first = false
-			}
-			if t.Compare(best) == 0 {
-				st := newState(n, m)
-				for i := range st.pos {
-					st.pos[i] = -1
-				}
-				st.pos[u], st.pos[v] = 0, 1
-				st.order = append(st.order, u, v)
-				st.rmpath = append(st.rmpath, 0, 1)
-				st.edges = append(st.edges, int32(e))
-				st.used[e] = true
-				seeds = append(seeds, st)
-			}
+			seeds = append(seeds, [3]int32{d[0], d[1], int32(e)})
 		}
 	}
-	code := Code{best}
-	states := seeds
+	if len(seeds) == 0 || limit > 0 && len(seeds) > limit {
+		return nil, nil
+	}
+	code := append(make(Code, 0, m), best)
+	cur, next := carve(nil, len(seeds), n, m), []state(nil)
+	for i, sd := range seeds {
+		st := &cur[i]
+		for i := range st.pos {
+			st.pos[i] = -1
+		}
+		clear(st.used)
+		st.pos[sd[0]], st.pos[sd[1]] = 0, 1
+		st.order = append(st.order, sd[0], sd[1])
+		st.rmpath = append(st.rmpath, 0, 1)
+		st.edges = append(st.edges, sd[2])
+		st.used[sd[2]] = true
+	}
 
 	var cands []candidate
 	for len(code) < m {
 		cands = cands[:0]
-		var min Tuple
-		haveMin := false
-		for si, st := range states {
-			collectExtensions(g, st, func(c candidate) {
+		for si := range cur {
+			collectExtensions(g, &cur[si], func(c candidate) {
 				c.stateIdx = si
-				cmp := 1
-				if haveMin {
-					cmp = c.tuple.Compare(min)
+				if len(cands) > 0 {
+					if d := c.tuple.Compare(cands[0].tuple); d > 0 {
+						return
+					} else if d < 0 {
+						cands = cands[:0]
+					}
 				}
-				if cmp < 0 || !haveMin {
-					min = c.tuple
-					cands = cands[:0]
-					haveMin = true
-				}
-				if c.tuple.Compare(min) == 0 {
-					cands = append(cands, c)
-				}
+				cands = append(cands, c)
 			})
 		}
-		if !haveMin {
-			panic("canon: disconnected graph")
+		if len(cands) == 0 || limit > 0 && len(cands) > limit {
+			return nil, nil
 		}
+		min := cands[0].tuple
 		code = append(code, min)
-		next := make([]*state, 0, len(cands))
-		for _, c := range cands {
-			st := states[c.stateIdx].clone()
+		next = carve(next, len(cands), n, m)
+		for i, c := range cands {
+			st := &next[i]
+			st.copyFrom(&cur[c.stateIdx])
 			st.used[c.hostEdge] = true
 			st.edges = append(st.edges, c.hostEdge)
 			if min.Forward() {
@@ -329,37 +294,22 @@ func MinCode(g *graph.Graph) (Code, []Embedding) {
 				st.order = append(st.order, c.toHost)
 				// Truncate the rightmost path to the growth point, then
 				// descend into the new vertex.
-				for len(st.rmpath) > 0 && st.rmpath[len(st.rmpath)-1] != c.fromID {
+				for len(st.rmpath) > 0 && st.rmpath[len(st.rmpath)-1] != min.I {
 					st.rmpath = st.rmpath[:len(st.rmpath)-1]
 				}
 				st.rmpath = append(st.rmpath, min.J)
 			}
-			next = append(next, st)
 		}
-		states = next
+		cur, next = next, cur
 	}
-
-	embs := make([]Embedding, 0, len(states))
-	seen := make(map[string]bool, len(states))
-	var sig []byte
-	for _, st := range states {
-		sig = sig[:0]
-		for _, v := range st.order {
-			sig = append(sig, byte(v), byte(v>>8))
-		}
-		for _, e := range st.edges {
-			sig = append(sig, byte(e), byte(e>>8))
-		}
-		if seen[string(sig)] {
-			continue
-		}
-		seen[string(sig)] = true
-		embs = append(embs, Embedding{Vertices: st.order, Edges: st.edges})
-	}
-	return code, embs
+	return code, cur
 }
 
-// collectExtensions feeds every legal next DFS edge of st to emit.
+// collectExtensions feeds emit the next DFS edges of st that can be
+// minimal: the backward edges from the rightmost vertex or, without any,
+// the forward edges from the deepest rightmost-path vertex that has some.
+// Backward edges precede forward ones and deeper origins shallower ones,
+// so the minimum over all states and its ties keep their order.
 func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 	rmID := st.rmpath[len(st.rmpath)-1]
 	rmHost := st.order[rmID]
@@ -371,6 +321,7 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 		}
 		return false
 	}
+	emitted := false
 	// Backward: rightmost vertex to an earlier rightmost-path vertex.
 	for _, e := range g.IncidentEdges(int(rmHost)) {
 		if st.used[e] {
@@ -388,11 +339,13 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 				},
 				hostEdge: e,
 			})
+			emitted = true
 		}
 	}
-	// Forward: any rightmost-path vertex to an undiscovered vertex.
+	// Forward: a rightmost-path vertex to an undiscovered vertex.
 	nextID := int32(len(st.order))
-	for _, id := range st.rmpath {
+	for i := len(st.rmpath) - 1; i >= 0 && !emitted; i-- {
+		id := st.rmpath[i]
 		u := st.order[id]
 		for _, e := range g.IncidentEdges(int(u)) {
 			if st.used[e] {
@@ -411,8 +364,8 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 				},
 				hostEdge: e,
 				toHost:   w,
-				fromID:   id,
 			})
+			emitted = true
 		}
 	}
 }
@@ -421,35 +374,4 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 func StructureKey(g *graph.Graph) string {
 	code, _ := MinCode(g.Skeleton())
 	return code.Key()
-}
-
-// GraphKey returns a string equal for isomorphic graphs and distinct
-// otherwise: the minimum DFS code key plus the lexicographically smallest
-// vertex-label + weight sequence over all canonical embeddings (so
-// weighted graphs only collide when an automorphism maps the weights
-// too). Vertex labels are part of the key because the DFS code of a
-// single-vertex graph is empty — without them every edge-free graph
-// would share one key. The result is computed once per *graph.Graph and
-// cached on it, so the server's result cache and the result memo of
-// every shard a request reaches share one MinCode run.
-func GraphKey(g *graph.Graph) string { return g.MemoKey(graphKey) }
-
-func graphKey(g *graph.Graph) string {
-	code, embs := MinCode(g)
-	var best []byte
-	buf := make([]byte, 0, 10*(g.N()+g.M()))
-	for _, emb := range embs {
-		buf = buf[:0]
-		for _, v := range emb.Vertices {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(g.VLabelAt(int(v))))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.VWeightAt(int(v))))
-		}
-		for _, e := range emb.Edges {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.EdgeAt(int(e)).Weight))
-		}
-		if best == nil || string(buf) < string(best) {
-			best = append(best[:0], buf...)
-		}
-	}
-	return code.Key() + "|" + string(best)
 }

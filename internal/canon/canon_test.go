@@ -30,7 +30,8 @@ func path(n int, vl graph.VLabel, el graph.ELabel) *graph.Graph {
 	return b.MustBuild()
 }
 
-// permute returns g with vertices relabeled by a random permutation.
+// permute returns g with vertices relabeled by a random permutation and
+// its edges in a random order, labels and weights carried along.
 func permute(g *graph.Graph, rng *rand.Rand) *graph.Graph {
 	n := g.N()
 	perm := rng.Perm(n)
@@ -40,17 +41,13 @@ func permute(g *graph.Graph, rng *rand.Rand) *graph.Graph {
 		inv[oldID] = int32(newID)
 	}
 	// Add vertices in new order carrying old labels.
-	byNew := make([]graph.VLabel, n)
-	for old := 0; old < n; old++ {
-		byNew[inv[old]] = g.VLabelAt(old)
-	}
-	for _, l := range byNew {
-		b.AddVertex(l)
+	for _, old := range perm {
+		b.AddWeightedVertex(g.VLabelAt(old), g.VWeightAt(old))
 	}
 	edges := append([]graph.Edge(nil), g.Edges()...)
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for _, e := range edges {
-		b.AddEdge(inv[e.U], inv[e.V], e.Label)
+		b.AddWeightedEdge(inv[e.U], inv[e.V], e.Label, e.Weight)
 	}
 	return b.MustBuild()
 }

@@ -89,7 +89,9 @@ func permuteGraph(g *graph.Graph, perm []int) *graph.Graph {
 // index relies on: the minimum DFS code — labeled and unlabeled — of a
 // graph is identical for every vertex ordering. A violation would split
 // one structural equivalence class into several and silently drop
-// answers, so this is the deepest soundness property in the system.
+// answers, so this is the deepest soundness property in the system. It
+// checks GraphKey the same way, against the minimum-DFS-code key it
+// replaced: a wrong key would hand one query another's cached answers.
 func FuzzCanonicalCode(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 0, 1, 2, 1, 0, 2})
 	f.Add([]byte{5, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3})
@@ -117,6 +119,19 @@ func FuzzCanonicalCode(f *testing.F) {
 		back := code.Graph()
 		if back.N() != g.N() || back.M() != g.M() {
 			t.Fatalf("code skeleton %dv/%de, graph %dv/%de", back.N(), back.M(), g.N(), g.M())
+		}
+		// The query key: a permuted copy keeps it unless it is capped, and
+		// it tells g from a second decoded graph exactly when the
+		// reference does.
+		key := GraphKey(g)
+		capped := keyKind(key) == keyOwnOrder
+		if !capped && GraphKey(h) != key {
+			t.Fatalf("GraphKey changed under permutation %v", perm)
+		}
+		o := fuzzGraph(feed)
+		same, ref := GraphKey(o) == key, minCodeKey(o) == minCodeKey(g)
+		if same && !ref || ref && !same && !capped {
+			t.Fatalf("GraphKey equal %v, reference equal %v:\n g: %v\n o: %v", same, ref, g, o)
 		}
 	})
 }

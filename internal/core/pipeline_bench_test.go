@@ -1,7 +1,6 @@
 // Micro-benchmarks of the candidate pipeline: how much time and how many
-// allocations one Search spends per stage. These are the regression
-// numbers BENCH_pis.json tracks; CI runs them with -benchtime=1x as a
-// smoke test. Run locally with:
+// allocations one Search spends per stage. CI runs them with
+// -benchtime=1x as a smoke test. Run locally with:
 //
 //	go test -run '^$' -bench BenchmarkSearchPipeline -benchmem ./internal/core
 package core

@@ -198,15 +198,15 @@ func (g *Graph) Clone() *Graph {
 // Skeleton returns a copy of g with every vertex and edge label zeroed and
 // weights dropped. Two graphs share a structure class iff their skeletons
 // are isomorphic.
-func (g *Graph) Skeleton() *Graph {
-	c := &Graph{
-		vlabels: make([]VLabel, g.N()),
-		edges:   make([]Edge, g.M()),
-		// adjacency is label-independent; safe to share
-		off: g.off, nbrE: g.nbrE, nbrV: g.nbrV,
-	}
+func (g *Graph) Skeleton() *Graph { return g.Relabel(make([]VLabel, g.N()), make([]ELabel, g.M())) }
+
+// Relabel returns a copy of g without weights whose vertex v carries label
+// vl[v] and edge e label el[e]. The copy keeps vl and shares g's
+// adjacency, which is label-independent.
+func (g *Graph) Relabel(vl []VLabel, el []ELabel) *Graph {
+	c := &Graph{vlabels: vl, edges: make([]Edge, g.M()), off: g.off, nbrE: g.nbrE, nbrV: g.nbrV}
 	for i, e := range g.edges {
-		c.edges[i] = Edge{U: e.U, V: e.V}
+		c.edges[i] = Edge{U: e.U, V: e.V, Label: el[i]}
 	}
 	return c
 }

@@ -1,7 +1,7 @@
-// Machine-readable benchmark report. pisbench writes one of these as
-// BENCH_pis.json next to its human-readable tables so the performance
-// trajectory (build time, per-stage filtering cost, candidates per stage,
-// throughput) can be tracked across changes without parsing text output.
+// Machine-readable benchmark report. pisbench -large writes one of these
+// (BENCH_pis_100k.json is one) so the out-of-core profile (build time and
+// memory, per-stage filtering cost, candidates per stage, throughput) can
+// be checked without parsing text output.
 
 package harness
 

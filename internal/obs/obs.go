@@ -6,7 +6,7 @@
 // Every layer of the engine — core search stages, index range queries,
 // segment compactions, WAL appends in the store, HTTP routes in the
 // server — records into the shared Default registry, and every consumer
-// (GET /metrics, the structured block in /stats, pisbench's BENCH
+// (GET /metrics, the structured block in /stats, pisbench -large's
 // report) reads back out of it, so production metrics and benchmark
 // numbers come from one set of instruments and can never drift apart.
 //

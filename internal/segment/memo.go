@@ -189,13 +189,17 @@ func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int
 // budget current when its turn comes: those the pipeline's prescreen
 // refutes at that budget (core.Screen) are counted in st, the rest are
 // verified and handed to found with their global id and distance
-// (infinite beyond the budget). It reports false when the context fired or
-// a verification panicked; the caller then drops what it has and runs the
-// full pipeline, which reports either its own way.
+// (infinite beyond the budget); a hit with none builds no screen. It
+// reports false when the context fired or a verification panicked; the
+// caller then drops what it has and runs the full pipeline, which reports
+// either its own way.
 func (sn *snapshot) catchUp(ctx context.Context, srch *core.Searcher, q *graph.Graph, fresh []int32, st *core.Stats, budget func() float64, found func(id int32, d float64)) bool {
 	start := time.Now()
-	screen := srch.NewScreen(q, sn.view)
+	var screen core.Screen
 	nodes, err := srch.VerifyEach(q, len(fresh), ctx.Done(), func(v *iso.Verifier, i int) {
+		if i == 0 {
+			screen = srch.NewScreen(q, sn.view)
+		}
 		b := budget()
 		if screen.Refutes(fresh[i], b, st) {
 			return

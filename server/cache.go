@@ -1,6 +1,6 @@
 // Canonical-query result cache. Two requests hit the same entry whenever
-// their query graphs are isomorphic (same minimum DFS code, same weights
-// up to automorphism) and their search parameters match — vertex order in
+// their query graphs are isomorphic, labels and weights included
+// (canon.GraphKey), and their search parameters match — vertex order in
 // the request body is irrelevant. The cache is a mutex-guarded LRU sized
 // in entries.
 
