@@ -75,20 +75,10 @@ func main() {
 		clusterAddr  = flag.String("cluster-addr", "", "shard-RPC listen address for cluster mode, e.g. 10.0.0.1:7070; must appear verbatim in -cluster-peers")
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated shard-RPC addresses of every cluster node (including this one); enables cluster mode")
 		replication  = flag.Int("replication", 1, "replicas per shard in cluster mode (clamped to the peer count)")
-
-		plannerOff       = flag.Bool("planner-off", false, "disable the cost-based query planner (exhaustive fragment expansion)")
-		plannerBudget    = flag.Float64("planner-budget", 0, "minimum candidate eliminations for a fragment range query to stay worth running (0 = default 1, negative = expand exhaustively)")
-		plannerCrossover = flag.Int("planner-crossover", 0, "skip remaining range queries once this few candidates survive (0 = default 16, -1 = never stop early)")
 	)
 	flag.Parse()
 	if *dbPath != "" && *genN != 0 {
 		log.Fatal("at most one of -db or -gen may be given")
-	}
-	// 0 and -1 are sentinels (default and disabled); any other negative
-	// value is a misunderstanding of the knob — its magnitude would be
-	// silently ignored, so refuse it instead.
-	if *plannerCrossover < -1 {
-		log.Fatalf("-planner-crossover %d is meaningless: use a positive candidate count, 0 for the default (16), or -1 to never stop early", *plannerCrossover)
 	}
 	clusterMode := *clusterPeers != ""
 	if clusterMode && *clusterAddr == "" {
@@ -110,9 +100,6 @@ func main() {
 		MaxFragmentEdges: *maxFrag,
 		QueryTimeout:     *qTimeout,
 		CompactFraction:  *compact,
-		PlannerOff:       *plannerOff,
-		PlannerBudget:    *plannerBudget,
-		PlannerCrossover: *plannerCrossover,
 	}
 	if clusterMode {
 		runCluster(*clusterAddr, *clusterPeers, *shards, *replication, *dataDir, *dbPath, *genN, *seed, opts,

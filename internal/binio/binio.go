@@ -100,7 +100,9 @@ func (sw *SectionWriter) Flush() error {
 
 // SectionReader loads framed sections and decodes payloads with
 // sticky-error getters: after any decode error every getter returns zero
-// values and Err reports the first failure.
+// values and Err reports the first failure. Getters accept only what the
+// SectionWriter's setters write — minimal varints, bools as 0 or 1 — so a
+// decoded payload re-encodes to the bytes it was read from.
 type SectionReader struct {
 	r   io.Reader
 	buf []byte
@@ -163,6 +165,14 @@ func (sr *SectionReader) fail(what string) {
 	}
 }
 
+// Malformed records a decode error for a value that was read whole but is
+// out of range or not in the form the writer produces.
+func (sr *SectionReader) Malformed(what string) {
+	if sr.err == nil {
+		sr.err = fmt.Errorf("binio: malformed %s at offset %d", what, sr.pos)
+	}
+}
+
 // take returns the next n payload bytes, or nil after a decode error.
 func (sr *SectionReader) take(n int, what string) []byte {
 	if sr.err != nil {
@@ -186,6 +196,15 @@ func (sr *SectionReader) U8() byte {
 	return b[0]
 }
 
+// Bool decodes one byte, which must be 0 or 1.
+func (sr *SectionReader) Bool() bool {
+	b := sr.U8()
+	if b > 1 {
+		sr.Malformed("bool")
+	}
+	return b == 1
+}
+
 // U32 decodes a little-endian uint32.
 func (sr *SectionReader) U32() uint32 {
 	b := sr.take(4, "u32")
@@ -207,7 +226,7 @@ func (sr *SectionReader) U64() uint64 {
 // F64 decodes a little-endian float64.
 func (sr *SectionReader) F64() float64 { return math.Float64frombits(sr.U64()) }
 
-// Uvarint decodes an unsigned varint.
+// Uvarint decodes an unsigned varint in its minimal encoding.
 func (sr *SectionReader) Uvarint() uint64 {
 	if sr.err != nil {
 		return 0
@@ -217,22 +236,20 @@ func (sr *SectionReader) Uvarint() uint64 {
 		sr.fail("uvarint")
 		return 0
 	}
+	// A minimal encoding ends in a non-zero group (or is the single byte
+	// 0): a trailing zero group only pads the same value.
+	if n > 1 && sr.buf[sr.pos+n-1] == 0 {
+		sr.Malformed("uvarint")
+		return 0
+	}
 	sr.pos += n
 	return v
 }
 
-// Varint decodes a zigzag-encoded signed varint.
+// Varint decodes a zigzag-encoded signed varint in its minimal encoding.
 func (sr *SectionReader) Varint() int64 {
-	if sr.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(sr.buf[sr.pos:])
-	if n <= 0 {
-		sr.fail("varint")
-		return 0
-	}
-	sr.pos += n
-	return v
+	u := sr.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Count decodes a uvarint element count and bounds it so a corrupted

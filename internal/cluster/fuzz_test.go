@@ -1,0 +1,150 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"testing"
+
+	"pis/internal/binio"
+	"pis/internal/core"
+	"pis/internal/graph"
+	"pis/internal/segment"
+)
+
+// frameCodecs pairs each decoder a node runs on a peer's section payload
+// with the writer of what it decodes.
+var frameCodecs = []struct {
+	name   string
+	decode func(*binio.SectionReader) (any, error)
+	encode func(*binio.SectionWriter, any)
+}{
+	{"result",
+		func(sr *binio.SectionReader) (any, error) { return readResult(sr) },
+		func(sw *binio.SectionWriter, v any) { r := v.(core.Result); writeResult(sw, &r) }},
+	{"neighbors",
+		func(sr *binio.SectionReader) (any, error) { return readNeighbors(sr) },
+		func(sw *binio.SectionWriter, v any) { writeNeighbors(sw, v.([]core.Neighbor)) }},
+	{"node state",
+		func(sr *binio.SectionReader) (any, error) { return readNodeState(sr) },
+		func(sw *binio.SectionWriter, v any) { ns := v.(nodeState); writeNodeState(sw, &ns) }},
+	{"graph",
+		func(sr *binio.SectionReader) (any, error) { return readGraph(sr) },
+		func(sw *binio.SectionWriter, v any) { sw.Bytes(apGraph(nil, v.(*graph.Graph))) }},
+}
+
+// allocPerByte bounds what a decode may allocate per payload byte. The
+// widest expansion is a node state's: a 184-byte shardState per 10 bytes
+// the count check lets it claim, in a slice append may have doubled.
+const allocPerByte = 64
+
+// framePayload returns the section payload write produces.
+func framePayload(tb testing.TB, write func(*binio.SectionWriter)) []byte {
+	var buf bytes.Buffer
+	sw := binio.NewSectionWriter(&buf)
+	write(sw)
+	if err := sw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()[4 : buf.Len()-4] // drop the length and the checksum
+}
+
+// frameSection frames payload and readies a reader on it, as a node's
+// connection reader is readied on a peer's section.
+func frameSection(tb testing.TB, payload []byte) *binio.SectionReader {
+	var buf bytes.Buffer
+	sw := binio.NewSectionWriter(&buf)
+	sw.Bytes(payload)
+	if err := sw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	sr := binio.NewSectionReader(&buf)
+	if err := sr.Next(); err != nil {
+		tb.Fatal(err)
+	}
+	return sr
+}
+
+// realFrames returns, per frameCodecs entry, payloads a node really sends:
+// a search result and kNN neighbours from a segment, the state of a node
+// hosting a durable shard that has seen an insert and a delete, and graphs.
+func realFrames(f *testing.F) [][][]byte {
+	graphs := testGraphs(30, 3)
+	seg, err := segment.NewDurable(f.TempDir(), graphs[:24], 0, testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer seg.Close()
+	if _, err := seg.Insert(graphs[24], 24); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := seg.Delete(3); err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := seg.SearchCtx(ctx, graphs[5], 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ns, err := seg.SearchKNNCtx(ctx, graphs[7], 4, 0, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	node, err := NewNode("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer node.Close()
+	node.SetShard(0, seg)
+	b := graph.NewBuilder(3, 2)
+	b.AddWeightedVertex(1, 0.5)
+	b.AddWeightedVertex(2, -1)
+	b.AddWeightedVertex(0, 3)
+	b.AddWeightedEdge(0, 1, 1, 2.25)
+	b.AddWeightedEdge(1, 2, 0, 0)
+	weighted := b.MustBuild()
+
+	frame := func(v any, i int) []byte {
+		return framePayload(f, func(sw *binio.SectionWriter) { frameCodecs[i].encode(sw, v) })
+	}
+	return [][][]byte{
+		{frame(res, 0), frame(core.Result{}, 0)},
+		{frame(ns, 1), frame([]core.Neighbor(nil), 1)},
+		{framePayload(f, node.writeState), frame(nodeState{Epoch: -7}, 2)},
+		{frame(graphs[9], 3), frame(weighted, 3)},
+	}
+}
+
+// FuzzClusterFrames feeds arbitrary section payloads to the decoders of
+// the shard-RPC wire format (results, kNN neighbours, node state, graphs).
+// Each call must return an error or decode a value that the matching
+// writer re-encodes to exactly the bytes it consumed, and it may allocate
+// no more than the payload could hold.
+func FuzzClusterFrames(f *testing.F) {
+	for i, frames := range realFrames(f) {
+		for _, p := range frames {
+			if _, err := frameCodecs[i].decode(frameSection(f, p)); err != nil {
+				f.Fatalf("%s: a real frame does not decode: %v", frameCodecs[i].name, err)
+			}
+			f.Add(uint8(i), p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		codec := frameCodecs[int(kind)%len(frameCodecs)]
+		sr := frameSection(t, payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := codec.decode(sr)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(allocPerByte*len(payload)+64<<10) {
+			t.Fatalf("%s: decoding %d bytes allocated %d", codec.name, len(payload), alloc)
+		}
+		if err != nil {
+			return
+		}
+		consumed := payload[:len(payload)-sr.Remaining()]
+		if enc := framePayload(t, func(sw *binio.SectionWriter) { codec.encode(sw, v) }); !bytes.Equal(enc, consumed) {
+			t.Fatalf("%s: decoded %x, re-encoded %x", codec.name, consumed, enc)
+		}
+	})
+}

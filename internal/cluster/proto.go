@@ -18,6 +18,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -82,13 +83,15 @@ func apGraph(b []byte, g *graph.Graph) []byte {
 }
 
 // readGraph decodes one length-prefixed graph from the current section.
+// The encoding must be the one apGraph writes for the graph it decodes
+// to, byte for byte, like every other frame field.
 func readGraph(sr *binio.SectionReader) (*graph.Graph, error) {
 	enc := sr.Bytes(int(sr.Uvarint()))
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
 	g, rest, err := graph.DecodeBinary(enc)
-	if err != nil || len(rest) != 0 {
+	if err != nil || len(rest) != 0 || !bytes.Equal(g.AppendBinary(nil), enc) {
 		return nil, fmt.Errorf("cluster: malformed graph encoding")
 	}
 	return g, nil
@@ -131,7 +134,7 @@ func writeI32s(sw *binio.SectionWriter, v []int32) {
 }
 
 func readI32s(sr *binio.SectionReader) []int32 {
-	if sr.U8() == 0 {
+	if !sr.Bool() {
 		return nil
 	}
 	n := sr.Count(4, "int32 slice")
@@ -173,7 +176,7 @@ func readStats(sr *binio.SectionReader, s *core.Stats) {
 	s.PlanTime = time.Duration(sr.Varint())
 	s.FilterTime = time.Duration(sr.Varint())
 	s.VerifyTime = time.Duration(sr.Varint())
-	s.Partial = sr.U8() != 0
+	s.Partial = sr.Bool()
 }
 
 func writeNeighbors(sw *binio.SectionWriter, ns []core.Neighbor) {
@@ -256,7 +259,11 @@ func readShardState(sr *binio.SectionReader) shardState {
 	st.Shard = int(sr.Uvarint())
 	st.MutSeq = sr.U64()
 	st.Live = int(sr.Varint())
-	st.MaxID = int32(sr.Varint())
+	maxID := sr.Varint()
+	if maxID < math.MinInt32 || maxID > math.MaxInt32 {
+		sr.Malformed("max id")
+	}
+	st.MaxID = int32(maxID)
 	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs, &st.Shapes, &st.Transitions} {
 		*p = int(sr.Varint())
 	}
@@ -267,7 +274,7 @@ func readShardState(sr *binio.SectionReader) shardState {
 	st.LastCheckpoint = sr.Varint()
 	st.ReplayedRecords = int(sr.Varint())
 	st.DroppedBytes = sr.Varint()
-	st.Poisoned = sr.U8() != 0
+	st.Poisoned = sr.Bool()
 	st.PoisonReason = string(sr.Bytes(int(sr.Uvarint())))
 	return st
 }

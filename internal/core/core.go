@@ -44,23 +44,16 @@ import (
 	"pis/internal/partition"
 )
 
-// Options tunes the PIS filtering stage.
+// Options tunes the PIS filtering stage. The paper's ε cut (Algorithm 2
+// line 5) is fixed at 0: a class present in every graph cannot prune and
+// runs no range query.
 type Options struct {
-	// Epsilon drops fragments whose static selectivity estimate is at most
-	// Epsilon before any range query runs (Algorithm 2 line 5): fragments
-	// contained in (nearly) every graph cannot prune. The static estimate
-	// is λσ·(n-|postings|)/n. Default 0 (drop only universal fragments).
-	Epsilon float64
 	// Lambda scales the selectivity cutoff: graphs without an in-range
 	// fragment contribute λσ to w(g) (Figure 11 sweeps λ). Default 1.
 	Lambda float64
 	// PartitionK selects the partition solver: 1 = Greedy (Algorithm 1),
 	// k >= 2 = EnhancedGreedy(k), -1 = exact branch and bound. Default 1.
 	PartitionK int
-	// MaxFragmentsPerQuery caps the indexed fragments used per query,
-	// keeping the largest structures (0 = unlimited). A cap materializes
-	// every class of the query up front, as PlannerOff does.
-	MaxFragmentsPerQuery int
 	// VerifyWorkers parallelizes candidate verification across goroutines
 	// (0 = GOMAXPROCS, 1 = serial). Answers and distances are identical
 	// for any setting.
@@ -74,46 +67,6 @@ type Options struct {
 	// paper's Algorithm 2. The planner only reorders and skips range
 	// queries; answers are identical either way.
 	PlannerOff bool
-	// PlannerBudget is the minimum candidate-set gain (eliminations, in
-	// graphs) for a fragment's σ range query to stay worth running. A
-	// fragment whose estimated gain — |candidates| × (1 − estimated
-	// in-range fraction) — falls below it is skipped outright, and
-	// expansion stops entirely once plannerPatience consecutive range
-	// queries have each eliminated fewer than this many candidates:
-	// fragments run in descending estimated-power order, so an observed
-	// dry streak means the remaining tail is not paying for itself.
-	//
-	// Sentinels: 0 (the zero value) means "use the default", currently 1;
-	// negative means a real budget of 0, i.e. expand exhaustively. Once
-	// the searcher has observed real stage timings, the learned
-	// filter/verify exchange rate replaces the positive default — see
-	// PlannerFeedbackOff. A negative (exhaustive) setting is never
-	// overridden.
-	PlannerBudget float64
-	// PlannerCrossover skips every remaining range query once the
-	// surviving candidate set is at most this many graphs — verifying a
-	// handful of candidates outright beats filtering them further.
-	//
-	// Sentinels: 0 (the zero value) means "use the default", currently
-	// 16; negative means a real crossover of 0, i.e. never cross over.
-	// The positive default is only a cold-start guess: unless
-	// PlannerFeedbackOff is set, it is replaced per query by the learned
-	// exchange rate (observed range-query cost over observed
-	// per-candidate verification cost) once both have been measured. A
-	// negative (never-cross-over) setting is never overridden.
-	PlannerCrossover int
-	// PlannerFeedbackOff freezes the planner's filter/verify exchange
-	// rate at the configured PlannerBudget / PlannerCrossover instead of
-	// learning it from observed stage costs. By default the searcher
-	// keeps an exponentially-weighted average of the cost of one σ range
-	// query and of verifying one candidate; their ratio ρ (clamped to
-	// [1, 1024]) is the break-even elimination count — a range query
-	// that cannot eliminate ρ candidates costs more than the
-	// verification it saves — and replaces both knobs' defaults. It
-	// likewise learns what each class's range query leaves standing
-	// (Searcher.survival); set, the build-time class statistics stay the
-	// only estimate.
-	PlannerFeedbackOff bool
 }
 
 func (o Options) normalized() Options {
@@ -122,16 +75,6 @@ func (o Options) normalized() Options {
 	}
 	if o.PartitionK == 0 {
 		o.PartitionK = 1
-	}
-	if o.PlannerBudget == 0 {
-		o.PlannerBudget = 1
-	} else if o.PlannerBudget < 0 {
-		o.PlannerBudget = 0
-	}
-	if o.PlannerCrossover == 0 {
-		o.PlannerCrossover = 16
-	} else if o.PlannerCrossover < 0 {
-		o.PlannerCrossover = 0
 	}
 	return o
 }
@@ -159,7 +102,8 @@ func (o Options) normalized() Options {
 // (Verified there, Refreshed once merged with shards that ran the pipeline).
 type Stats struct {
 	// QueryFragments counts the query's fragments materialized (see
-	// Searcher.filter), UsedFragments those of them past the ε filter and cap.
+	// Searcher.filter), UsedFragments those of them in a class that is not
+	// present in every graph.
 	QueryFragments    int
 	UsedFragments     int
 	ExpandedFragments int // fragments whose σ range query actually ran
@@ -331,11 +275,11 @@ func NewSearcher(db []*graph.Graph, idx *index.Index, opts Options) *Searcher {
 }
 
 // learns reports whether this searcher keeps and uses learned survival
-// rates: the planner must be on and free to learn, and the candidates it
-// plans on must be prescreened — without verification no prescreen runs
-// and gains would be counted in candidates nobody would have verified.
+// rates: the planner must be on, and the candidates it plans on must be
+// prescreened — without verification no prescreen runs and gains would be
+// counted in candidates nobody would have verified.
 func (s *Searcher) learns() bool {
-	return !s.opts.PlannerOff && !s.opts.PlannerFeedbackOff && !s.opts.SkipVerification
+	return !s.opts.PlannerOff && !s.opts.SkipVerification
 }
 
 func (s *Searcher) survivalCell(c *index.Class, sigma float64) *atomic.Uint64 {
@@ -393,6 +337,24 @@ func (s *Searcher) exchangeRate() int {
 		rho = 1024
 	}
 	return int(rho)
+}
+
+// The planner's cold-start thresholds, until both costs are observed.
+const (
+	coldBudget    = 1
+	coldCrossover = 16
+)
+
+// thresholds returns the planner's budget — the fewest eliminations a
+// range query must be estimated, and observed, to deliver — and its
+// crossover, the candidate count at which filtering stops. Both are the
+// learned exchange rate ρ once there is one: a range query that cannot
+// eliminate ρ candidates costs more than the verification it saves.
+func (s *Searcher) thresholds() (budget float64, crossover int) {
+	if rho := s.exchangeRate(); rho > 0 {
+		return float64(rho), rho
+	}
+	return coldBudget, coldCrossover
 }
 
 // DB returns the database the searcher answers over.
@@ -585,45 +547,24 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 
 // queryClasses finds the query's classes — sc.classes, for the
 // structural intersection — and returns as expansion slots, in class
-// order, the usable ones: those the ε filter (Algorithm 2 line 5) keeps.
-// With the planner off or a per-query cap every class is materialized up
-// front, as Algorithm 2 enumerates every fragment, and the cap keeps the
-// largest structures' fragments; otherwise a class waits until planned.
-func (s *Searcher) queryClasses(q *graph.Graph, sigma float64, st *Stats, sc *scratch) []classSlot {
+// order, the usable ones: those not present in every graph (Algorithm 2
+// line 5 at ε = 0). With the planner off every class is materialized up
+// front, as Algorithm 2 enumerates every fragment; otherwise a class
+// waits until planned.
+func (s *Searcher) queryClasses(q *graph.Graph, st *Stats, sc *scratch) []classSlot {
 	sc.frags.Reset()
 	sc.classes = s.idx.QueryClasses(sc.classes[:0], q, &sc.frags)
-	eager, limit := s.opts.PlannerOff || s.opts.MaxFragmentsPerQuery > 0, s.opts.MaxFragmentsPerQuery
-	// Static selectivity estimate from postings alone; with σ = 0 the
-	// distance term vanishes, so fall back to structural rarity to avoid
-	// dropping every class.
-	scale, n := s.opts.Lambda*sigma, float64(len(s.db))
-	if sigma == 0 {
-		scale = 1
-	}
 	slots := sc.slots[:0]
 	for _, c := range sc.classes {
 		sl := classSlot{c: c}
-		if eager {
+		if s.opts.PlannerOff {
 			sl.frags = s.idx.ClassFragments(q, c, &sc.frags)
 			st.QueryFragments += len(sl.frags)
 		}
-		if scale*(n-float64(c.PostingCount()))/n > s.opts.Epsilon {
+		if c.PostingCount() < len(s.db) {
 			slots = append(slots, sl)
 			st.UsedFragments += len(sl.frags)
 		}
-	}
-	if limit > 0 && st.UsedFragments > limit {
-		slices.SortStableFunc(slots, func(a, b classSlot) int {
-			return cmp.Or(b.c.NumE-a.c.NumE, a.c.PostingCount()-b.c.PostingCount())
-		})
-		for i := range slots {
-			slots[i].frags = slots[i].frags[:min(limit, len(slots[i].frags))]
-			if limit -= len(slots[i].frags); limit == 0 {
-				slots = slots[:i+1]
-				break
-			}
-		}
-		st.UsedFragments = s.opts.MaxFragmentsPerQuery
 	}
 	sc.slots = slots
 	return slots
@@ -678,9 +619,9 @@ func (s *Searcher) plan(slots []classSlot, sigma float64) bool {
 // Options.SkipVerification, whose counters are the paper's. Range queries
 // then expand class by class in planner order (pruning power per unit
 // cost), a class's fragments materialized when it is reached; the planner
-// skips a class whose estimated eliminations fall below
-// Options.PlannerBudget and stops entirely once the surviving set is
-// within Options.PlannerCrossover of going straight to verification.
+// skips a class whose estimated eliminations fall below its budget and
+// stops entirely once the surviving set is within its crossover of going
+// straight to verification (thresholds).
 // Skipping range queries can only leave extra candidates behind, and
 // verification is exact, so answers never change; only the filtering
 // effort and the per-stage counters do.
@@ -689,7 +630,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	tombs := view.Tombs
 	sc.screen = s.NewScreen(q, view)
 	sc.expansions = sc.expansions[:0]
-	slots := s.queryClasses(q, sigma, st, sc)
+	slots := s.queryClasses(q, st, sc)
 	planStart := time.Now()
 	planned := len(slots) > 0 && s.plan(slots, sigma)
 	st.PlanTime = time.Since(planStart)
@@ -722,21 +663,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 
 	budget, crossover := 0.0, 0
 	if planned {
-		budget, crossover = s.opts.PlannerBudget, s.opts.PlannerCrossover
-		if !s.opts.PlannerFeedbackOff {
-			// Learned exchange rate: a range query pays for itself only
-			// when it eliminates at least ρ candidates' verification cost.
-			// Explicit "exhaustive" (budget 0) and "never cross over"
-			// (crossover 0) settings stay as configured.
-			if rho := s.exchangeRate(); rho > 0 {
-				if budget > 0 {
-					budget = float64(rho)
-				}
-				if crossover > 0 {
-					crossover = rho
-				}
-			}
-		}
+		budget, crossover = s.thresholds()
 	}
 
 	// Lines 6-18: one σ range query per expanded fragment; intersect the

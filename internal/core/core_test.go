@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"pis/internal/distance"
@@ -200,10 +199,11 @@ func TestPartitionStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	q := sampleQuery(rng, fx.db, 7)
 	for _, k := range []int{1, 2, -1} {
-		// Never cross over: the prescreen thins this small fixture below
-		// the default crossover, and a search that expands nothing has no
-		// partition to choose.
-		s := NewSearcher(fx.db, fx.idx, Options{PartitionK: k, PlannerCrossover: -1})
+		// Cross over as late as the planner can: the prescreen thins this
+		// small fixture below the cold-start crossover, and a search that
+		// expands nothing has no partition to choose.
+		s := NewSearcher(fx.db, fx.idx, Options{PartitionK: k})
+		pinExchangeRate(s, 1)
 		r := s.Search(q, 2)
 		naive := s.SearchNaive(q, 2)
 		if !equalIDs(r.Answers, naive.Answers) {
@@ -254,77 +254,42 @@ func TestLambdaZeroFallsBackToDefault(t *testing.T) {
 	}
 }
 
-func TestMaxFragmentsCap(t *testing.T) {
-	fx := newFixture(t, 19, 25)
-	s := NewSearcher(fx.db, fx.idx, Options{MaxFragmentsPerQuery: 3})
-	rng := rand.New(rand.NewSource(20))
-	q := sampleQuery(rng, fx.db, 7)
-	r := s.Search(q, 2)
-	if r.Stats.UsedFragments > 3 {
-		t.Errorf("cap ignored: %d fragments used", r.Stats.UsedFragments)
-	}
-	// Correctness preserved under the cap.
-	naive := s.SearchNaive(q, 2)
-	if !equalIDs(r.Answers, naive.Answers) {
-		t.Error("capping fragments changed the answers")
-	}
-}
-
-// TestMaxFragmentsCapKeepsLargest: with a cap the usable fragments are
-// those of the per-fragment rule — past the ε filter, the first cap of them
-// by edge count descending, then posting count ascending — compared as a
-// set, since fragments now arrive class by class.
-func TestMaxFragmentsCapKeepsLargest(t *testing.T) {
+// TestUsableClassesDropUniversal: the usable classes are exactly those of
+// the per-fragment rule of Algorithm 2 line 5 at ε = 0, whose structure
+// some graph lacks; with the planner off every one is materialized.
+func TestUsableClassesDropUniversal(t *testing.T) {
 	fx := newFixture(t, 21, 60)
 	rng := rand.New(rand.NewSource(22))
-	n := float64(len(fx.db))
 	key := func(qf index.QueryFragment) string { return fmt.Sprint(qf.Class.ID, qf.Edges) }
-	capped := 0
+	s := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
+	dropped := 0
 	for trial := 0; trial < 30; trial++ {
-		q, limit, sigma := sampleQuery(rng, fx.db, 5+rng.Intn(5)), 1+rng.Intn(12), float64(rng.Intn(3))
-		var want []index.QueryFragment
-		scale := sigma // λ = 1; at σ = 0 structural rarity alone
-		if sigma == 0 {
-			scale = 1
-		}
-		for _, qf := range fx.idx.QueryFragments(q) {
-			if scale*(n-float64(qf.Class.PostingCount()))/n > 0 {
-				want = append(want, qf)
+		q := sampleQuery(rng, fx.db, 5+rng.Intn(5))
+		var want []string
+		all := fx.idx.QueryFragments(q)
+		for _, qf := range all {
+			if qf.Class.PostingCount() < len(fx.db) {
+				want = append(want, key(qf))
 			}
 		}
-		if len(want) > limit {
-			capped++
-			sort.SliceStable(want, func(i, j int) bool {
-				ci, cj := want[i].Class, want[j].Class
-				if ci.NumE != cj.NumE {
-					return ci.NumE > cj.NumE
-				}
-				return ci.PostingCount() < cj.PostingCount()
-			})
-			want = want[:limit]
-		}
-		s := NewSearcher(fx.db, fx.idx, Options{MaxFragmentsPerQuery: limit})
+		dropped += len(all) - len(want)
 		sc := s.getScratch()
 		var st Stats
 		var got []string
-		for _, sl := range s.queryClasses(q, sigma, &st, sc) {
+		for _, sl := range s.queryClasses(q, &st, sc) {
 			for _, qf := range sl.frags {
 				got = append(got, key(qf))
 			}
 		}
-		wantKeys := make([]string, len(want))
-		for i, qf := range want {
-			wantKeys[i] = key(qf)
-		}
 		slices.Sort(got)
-		slices.Sort(wantKeys)
-		if !slices.Equal(got, wantKeys) || st.UsedFragments != len(want) {
-			t.Fatalf("trial %d cap %d σ=%v: used %d fragments %v, want %v", trial, limit, sigma, st.UsedFragments, got, wantKeys)
+		slices.Sort(want)
+		if !slices.Equal(got, want) || st.UsedFragments != len(want) || st.QueryFragments != len(all) {
+			t.Fatalf("trial %d: used %d of %d fragments %v, want %v", trial, st.UsedFragments, st.QueryFragments, got, want)
 		}
 		s.putScratch(sc)
 	}
-	if capped < 10 {
-		t.Fatalf("the cap bit in only %d of 30 trials", capped)
+	if dropped == 0 {
+		t.Fatal("no query held a universal class: the drop went unchecked")
 	}
 }
 

@@ -114,7 +114,7 @@ func TestDifferentialSearchMethods(t *testing.T) {
 }
 
 // TestDifferentialAcrossOptions replays one workload under every
-// partition solver and fragment cap, which all must leave answers
+// partition solver and a raised λ, which all must leave answers
 // untouched.
 func TestDifferentialAcrossOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
@@ -127,8 +127,6 @@ func TestDifferentialAcrossOptions(t *testing.T) {
 	for _, opts := range []Options{
 		{PartitionK: 2},
 		{PartitionK: -1},
-		{MaxFragmentsPerQuery: 2},
-		{Epsilon: 0.1},
 		{Lambda: 2},
 	} {
 		s := NewSearcher(fx.db, fx.idx, opts)

@@ -73,7 +73,7 @@ func TestStructuralCandidatesMatchPerFragment(t *testing.T) {
 					tb = nil
 				}
 				var st Stats
-				s.queryClasses(q, 1, &st, sc)
+				s.queryClasses(q, &st, sc)
 				got := s.structuralCandidates(sc, tb)
 
 				frags := side.idx.QueryFragments(q)

@@ -183,7 +183,6 @@ func TestPlannerLearnedDifferential(t *testing.T) {
 				name string
 				opts Options
 			}{
-				{"PlannerFeedbackOff", Options{PlannerFeedbackOff: true}},
 				{"PlannerOff", Options{PlannerOff: true}},
 				{"SkipVerification", Options{SkipVerification: true}},
 			} {
@@ -209,8 +208,6 @@ func TestPlannerLearnedDifferential(t *testing.T) {
 // standing is not expanded, and one known to prune is.
 func TestPlannerLearnedPrefersWhatPrunes(t *testing.T) {
 	fx := newMoleculeFixture(t, false)
-	// Exhaustive budget sentinels would bypass the gain test; the defaults
-	// (learned exchange rate ≥ 1) keep it in force.
 	s := NewSearcher(fx.db, fx.idx, Options{})
 	expanded := func() (n int) {
 		for _, q := range fx.queries {

@@ -76,36 +76,6 @@ func TestSigmaZeroIsExactLabeledContainment(t *testing.T) {
 	}
 }
 
-// TestEpsilonSweepKeepsAnswers: raising ε drops fragments (less pruning)
-// but can never change the answer set.
-func TestEpsilonSweepKeepsAnswers(t *testing.T) {
-	fx := newFixture(t, 75, 30)
-	rng := rand.New(rand.NewSource(76))
-	q := sampleQuery(rng, fx.db, 6)
-	var baseline []int32
-	var prevCand int
-	for i, eps := range []float64{0, 0.5, 1, 2} {
-		s := NewSearcher(fx.db, fx.idx, Options{Epsilon: eps})
-		r := s.Search(q, 2)
-		if i == 0 {
-			baseline = r.Answers
-			prevCand = len(r.Candidates)
-			continue
-		}
-		if !equalIDs(r.Answers, baseline) {
-			t.Fatalf("ε=%v changed the answers", eps)
-		}
-		// More aggressive fragment dropping can only weaken pruning.
-		if len(r.Candidates) < prevCand {
-			// Allowed to stay equal or grow; shrinking means the filter got
-			// stronger with fewer fragments, which is impossible.
-			t.Fatalf("ε=%v shrank the candidate set: %d -> %d",
-				eps, prevCand, len(r.Candidates))
-		}
-		prevCand = len(r.Candidates)
-	}
-}
-
 // TestAnswersDistancesConsistent: reported distances match the oracle.
 func TestAnswersDistancesConsistent(t *testing.T) {
 	fx := newFixture(t, 77, 20)

@@ -92,10 +92,11 @@ func TestSearchRecordsMetrics(t *testing.T) {
 // the prescreened candidates.
 func TestTracePlanGains(t *testing.T) {
 	fx := newFixture(t, 9, 300)
-	s := NewSearcher(fx.db, fx.idx, Options{PlannerBudget: -1, PlannerCrossover: -1})
+	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(9))
 	seen := 0
 	for i := 0; i < 10; i++ {
+		pinExchangeRate(s, 1)
 		r := s.Search(sampleQuery(rng, fx.db, 5), 2)
 		plan := r.Trace(time.Millisecond).Children[0]
 		if r.Stats.ExpandedFragments == 0 {

@@ -105,7 +105,7 @@ func BenchmarkStructuralCandidates(b *testing.B) {
 		sets := make([][]*index.Class, len(qs))
 		for i, q := range qs {
 			var st Stats
-			s.queryClasses(q, 1, &st, sc)
+			s.queryClasses(q, &st, sc)
 			sets[i] = slices.Clone(sc.classes)
 		}
 		for _, tc := range []struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,17 +14,25 @@ import (
 // behind — answers, distances, and kNN neighbor lists must be identical
 // to the exhaustive Algorithm 2 expansion on every input.
 
-func plannerSweep() []Options {
-	return []Options{
-		{},                      // defaults: budget 1, crossover 16
-		{PlannerBudget: -1},     // never skip on estimated gain
-		{PlannerCrossover: -1},  // never cross over to verification
-		{PlannerBudget: 1e9},    // skip every range query outright
-		{PlannerCrossover: 1e6}, // cross over immediately
-		{PlannerBudget: 5, PlannerCrossover: 64},
-		{PlannerBudget: 0.25, PlannerCrossover: 4},
+// pinExchangeRate seeds the stage costs the planner learns its exchange
+// rate from (Searcher.thresholds), so that the next search plans at ρ =
+// rho, clamped to [1, 1024] as a learned rate is: ρ = 1 keeps the planner
+// near exhaustive expansion and ρ = 1024 crosses over to verification
+// before any range query on a fixture of fewer graphs. rho = 0 forgets
+// both costs, back to the cold-start thresholds. The search's own
+// observations move the rate again, so tests pin before every search.
+func pinExchangeRate(s *Searcher, rho float64) {
+	var verify float64
+	if rho > 0 {
+		verify = 1e9
 	}
+	s.verifyCandNS.Store(math.Float64bits(verify))
+	s.rangeQueryNS.Store(math.Float64bits(rho * verify))
 }
+
+// plannerSweep is the exchange rates the differentials pin: cold start,
+// both extremes, and two in between.
+var plannerSweep = []float64{0, 1, 1024, 5, 64}
 
 func TestPlannerDifferentialSearch(t *testing.T) {
 	for _, tc := range metricCases {
@@ -31,28 +40,29 @@ func TestPlannerDifferentialSearch(t *testing.T) {
 			rng := rand.New(rand.NewSource(900))
 			fx := buildFixture(t, rng, 35, tc.metric)
 			exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
-			for oi, opts := range plannerSweep() {
-				planned := NewSearcher(fx.db, fx.idx, opts)
+			for _, rho := range plannerSweep {
+				planned := NewSearcher(fx.db, fx.idx, Options{})
 				for trial := 0; trial < 6; trial++ {
 					q := sampleQuery(rng, fx.db, 3+rng.Intn(5))
 					sigma := float64(rng.Intn(13)) / 4
 					want := exhaustive.Search(q, sigma)
+					pinExchangeRate(planned, rho)
 					got := planned.Search(q, sigma)
 					if !equalIDs(want.Answers, got.Answers) || !equalF64(want.Distances, got.Distances) {
-						t.Fatalf("opts %d trial %d σ=%v: planner changed the answers:\nwant %v\ngot  %v",
-							oi, trial, sigma, want.Answers, got.Answers)
+						t.Fatalf("ρ=%v trial %d σ=%v: planner changed the answers:\nwant %v\ngot  %v",
+							rho, trial, sigma, want.Answers, got.Answers)
 					}
 					// The planner may only relax filtering: exhaustive
 					// candidates survive planning, never the reverse.
 					if !subset(want.Candidates, got.Candidates) {
-						t.Fatalf("opts %d trial %d: planner dropped exhaustive candidates", oi, trial)
+						t.Fatalf("ρ=%v trial %d: planner dropped exhaustive candidates", rho, trial)
 					}
 					st := got.Stats
 					if st.ExpandedFragments > st.UsedFragments {
-						t.Fatalf("opts %d: expanded %d > usable %d", oi, st.ExpandedFragments, st.UsedFragments)
+						t.Fatalf("ρ=%v: expanded %d > usable %d", rho, st.ExpandedFragments, st.UsedFragments)
 					}
 					if st.StructCandidates < st.RangeCandidates || st.RangeCandidates < st.DistCandidates {
-						t.Fatalf("opts %d: filter funnel not monotone: %+v", oi, st)
+						t.Fatalf("ρ=%v: filter funnel not monotone: %+v", rho, st)
 					}
 				}
 			}
@@ -64,20 +74,21 @@ func TestPlannerDifferentialKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(910))
 	fx := buildFixture(t, rng, 40, distance.EdgeMutation{})
 	exhaustive := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
-	for oi, opts := range plannerSweep() {
-		planned := NewSearcher(fx.db, fx.idx, opts)
+	for _, rho := range plannerSweep {
+		planned := NewSearcher(fx.db, fx.idx, Options{})
 		for trial := 0; trial < 6; trial++ {
 			q := sampleQuery(rng, fx.db, 3+rng.Intn(4))
 			k := 1 + rng.Intn(5)
 			maxSigma := float64(1 + rng.Intn(6))
 			want := exhaustive.SearchKNN(q, k, 0, maxSigma)
+			pinExchangeRate(planned, rho)
 			got := planned.SearchKNN(q, k, 0, maxSigma)
 			if len(want) != len(got) {
-				t.Fatalf("opts %d trial %d: %d neighbors vs %d", oi, trial, len(got), len(want))
+				t.Fatalf("ρ=%v trial %d: %d neighbors vs %d", rho, trial, len(got), len(want))
 			}
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("opts %d trial %d: neighbor %d differs: %+v vs %+v", oi, trial, i, got[i], want[i])
+					t.Fatalf("ρ=%v trial %d: neighbor %d differs: %+v vs %+v", rho, trial, i, got[i], want[i])
 				}
 			}
 		}
@@ -147,19 +158,20 @@ func TestPlannerSavesWork(t *testing.T) {
 	}
 }
 
-// TestPlannerSkipAllStillExact: an absurd budget skips every range
-// query; the search degenerates to structural filtering + verification
-// and must still be exact.
+// TestPlannerSkipAllStillExact: an exchange rate above the candidate
+// count crosses over before any range query; the search degenerates to
+// structural filtering + verification and must still be exact.
 func TestPlannerSkipAllStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(940))
 	fx := buildFixture(t, rng, 30, distance.EdgeMutation{})
-	s := NewSearcher(fx.db, fx.idx, Options{PlannerBudget: 1e12})
+	s := NewSearcher(fx.db, fx.idx, Options{})
 	for trial := 0; trial < 8; trial++ {
 		q := sampleQuery(rng, fx.db, 3+rng.Intn(4))
 		sigma := float64(rng.Intn(4))
+		pinExchangeRate(s, 1024)
 		r := s.Search(q, sigma)
-		if r.Stats.ExpandedFragments != 0 && r.Stats.UsedFragments > 0 {
-			t.Fatalf("budget 1e12 still expanded %d fragments", r.Stats.ExpandedFragments)
+		if r.Stats.ExpandedFragments != 0 {
+			t.Fatalf("ρ = 1024 still expanded %d fragments", r.Stats.ExpandedFragments)
 		}
 		naive := s.SearchNaive(q, sigma)
 		if !equalIDs(naive.Answers, r.Answers) {
@@ -168,14 +180,24 @@ func TestPlannerSkipAllStillExact(t *testing.T) {
 	}
 }
 
-// sanity: zero-value Options enable the planner with its defaults.
+// TestPlannerDefaults: a searcher that has observed no stage cost plans
+// with the cold-start thresholds, and one that has, with the learned
+// exchange rate for both.
 func TestPlannerDefaults(t *testing.T) {
-	o := Options{}.normalized()
-	if o.PlannerOff || o.PlannerBudget != 1 || o.PlannerCrossover != 16 {
-		t.Fatalf("unexpected planner defaults: %+v", o)
+	rng := rand.New(rand.NewSource(950))
+	fx := buildFixture(t, rng, 10, distance.EdgeMutation{})
+	s := NewSearcher(fx.db, fx.idx, Options{})
+	if s.opts.PlannerOff || s.survival == nil {
+		t.Fatalf("zero Options do not plan and learn: %+v", s.opts)
 	}
-	o = Options{PlannerBudget: -3, PlannerCrossover: -2}.normalized()
-	if o.PlannerBudget != 0 || o.PlannerCrossover != 0 {
-		t.Fatalf("negative knobs should clamp to 0: %+v", o)
+	if b, c := s.thresholds(); b != coldBudget || c != coldCrossover {
+		t.Fatalf("cold thresholds %v, %d; want %v, %d", b, c, coldBudget, coldCrossover)
+	}
+	for _, rho := range []float64{0.25, 5, 1e6} {
+		pinExchangeRate(s, rho)
+		want := int(min(max(rho, 1), 1024))
+		if b, c := s.thresholds(); b != float64(want) || c != want {
+			t.Fatalf("ρ = %v: thresholds %v, %d; want %d for both", rho, b, c, want)
+		}
 	}
 }

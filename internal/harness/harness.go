@@ -38,7 +38,6 @@ type Config struct {
 	MinFragmentEdges   int     // smallest indexed structure; default 2
 	MinSupportFraction float64 // feature min support; default 0.05
 	MiningSample       int     // graphs mined for features; default 300
-	Gamma              float64 // discriminative ratio; 0 disables
 
 	// Search options shared by figures unless the figure sweeps them.
 	Lambda     float64
@@ -88,7 +87,6 @@ func BuildEnv(cfg Config) (*Env, error) {
 		MinEdges:           cfg.MinFragmentEdges,
 		MinSupportFraction: cfg.MinSupportFraction,
 		SampleSize:         cfg.MiningSample,
-		Gamma:              cfg.Gamma,
 	})
 	if err != nil {
 		return nil, err

@@ -73,7 +73,6 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 		MinEdges:           cfg.MinFragmentEdges,
 		MinSupportFraction: cfg.MinSupportFraction,
 		SampleSize:         len(sample),
-		Gamma:              cfg.Gamma,
 	})
 	if err != nil {
 		return BenchReport{}, err

@@ -36,8 +36,8 @@ type BenchReport struct {
 	Sequences int     `json:"index_sequences"`
 
 	// Per-stage averages over the query set. The fragment columns trace
-	// the planner: found in the query, surviving the ε filter, and
-	// actually range-expanded (the cost-based planner skips the rest).
+	// the planner: materialized, in a class not present in every graph,
+	// and actually range-expanded.
 	// The candidate columns trace the filter funnel: structural postings
 	// intersection, σ range-list intersection, partition lower-bound
 	// pruning, and what finally reached verification.

@@ -11,7 +11,7 @@ import (
 
 // mineByCounting is the reference Mine is checked against: every connected
 // edge-subgraph up to MaxEdges of every sampled graph, canonicalized and
-// counted once per graph, then ordered and filtered like Mine's result.
+// counted once per graph, then ordered like Mine's result.
 func mineByCounting(db []*graph.Graph, opts Options) ([]Feature, error) {
 	opts, err := opts.normalize(len(db))
 	if err != nil {
@@ -48,11 +48,11 @@ func mineByCounting(db []*graph.Graph, opts Options) ([]Feature, error) {
 	var feats []Feature
 	for key, a := range counts {
 		f := Feature{Key: key, Code: a.code, Graph: a.code.Graph(), Edges: len(a.code), Support: a.support}
-		if a.support >= minSupport && (!opts.PathsOnly || isPath(f.Graph)) {
+		if a.support >= minSupport {
 			feats = append(feats, f)
 		}
 	}
-	return postprocess(feats, opts), nil
+	return postprocess(feats), nil
 }
 
 // TestGSpanMatchesExhaustiveMiner cross-validates pattern growth against
@@ -205,8 +205,8 @@ func BenchmarkGSpanSkeleton(b *testing.B) {
 	}
 }
 
-// TestMineMatchesCountingMiner checks Mine end to end, filters and order
-// included, against the counting reference.
+// TestMineMatchesCountingMiner checks Mine end to end, MinEdges filter and
+// order included, against the counting reference.
 func TestMineMatchesCountingMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db := make([]*graph.Graph, 20)
@@ -216,8 +216,6 @@ func TestMineMatchesCountingMiner(t *testing.T) {
 	for _, opts := range []Options{
 		{MaxEdges: 4, MinSupportFraction: 0.1},
 		{MaxEdges: 3, MinSupportFraction: 0.2, MinEdges: 2},
-		{MaxEdges: 4, MinSupportFraction: 0.1, PathsOnly: true},
-		{MaxEdges: 4, MinSupportFraction: 0.1, Gamma: 1.2},
 	} {
 		a, err := mineByCounting(db, opts)
 		if err != nil {

@@ -1,13 +1,6 @@
 // Package mining selects the structure features the fragment-based index
-// is built on (PIS paper §4 step 1). Features are label-free skeletons;
-// two selection criteria from the literature the paper cites are provided:
-//
-//   - frequent + discriminative structures in the spirit of gIndex
-//     (Yan, Yu, Han, SIGMOD'04): mine frequent skeletons up to a maximum
-//     size, then keep a structure only when it is substantially more
-//     selective than its already-kept substructures;
-//   - path features in the spirit of GraphGrep (Shasha, Wang, Giugno,
-//     PODS'02): all frequent simple paths up to a maximum length.
+// is built on (PIS paper §4 step 1): every label-free skeleton of MinEdges
+// to MaxEdges edges that is frequent in a sample of the database.
 //
 // Mining is gSpan pattern growth over label-free skeletons (gspan.go):
 // supports are exact, and on molecule-like samples it is faster than
@@ -47,18 +40,9 @@ type Options struct {
 	// least this fraction of the sampled graphs. Default 0.01.
 	MinSupportFraction float64
 	// SampleSize mines on the first SampleSize graphs only (0 = all).
-	// gIndex-style feature sets are stable under sampling; index postings
+	// Frequent feature sets are stable under sampling; index postings
 	// are always built over the full database afterwards.
 	SampleSize int
-	// Discriminative enables the gIndex-style filter with ratio Gamma:
-	// a structure f is kept only when support(subfeature)/support(f) >=
-	// Gamma for its most selective already-kept subfeature. 0 disables.
-	Gamma float64
-	// PathsOnly restricts features to simple paths (GraphGrep flavor).
-	PathsOnly bool
-	// MaxFeatures caps the result, keeping the largest, most selective
-	// structures (0 = unlimited).
-	MaxFeatures int
 }
 
 // normalize fills defaults and validates.
@@ -101,19 +85,16 @@ func Mine(db []*graph.Graph, opts Options) ([]Feature, error) {
 		MaxEdges:   opts.MaxEdges,
 		Skeleton:   true,
 	}) {
-		if f.Edges < opts.MinEdges {
-			continue
+		if f.Edges >= opts.MinEdges {
+			feats = append(feats, f)
 		}
-		if opts.PathsOnly && !isPath(f.Graph) {
-			continue
-		}
-		feats = append(feats, f)
 	}
-	return postprocess(feats, opts), nil
+	return postprocess(feats), nil
 }
 
-// postprocess applies the ordering, discriminative filter and cap.
-func postprocess(feats []Feature, opts Options) []Feature {
+// postprocess puts features in Mine's order: edges descending, then
+// support ascending, then key.
+func postprocess(feats []Feature) []Feature {
 	sort.Slice(feats, func(i, j int) bool {
 		if feats[i].Edges != feats[j].Edges {
 			return feats[i].Edges > feats[j].Edges
@@ -123,68 +104,5 @@ func postprocess(feats []Feature, opts Options) []Feature {
 		}
 		return feats[i].Key < feats[j].Key
 	})
-	if opts.Gamma > 0 {
-		feats = discriminative(feats, opts.Gamma)
-	}
-	if opts.MaxFeatures > 0 && len(feats) > opts.MaxFeatures {
-		feats = feats[:opts.MaxFeatures]
-	}
 	return feats
-}
-
-// discriminative keeps a feature only when it is Gamma times more
-// selective than its most selective kept subfeature, processing small
-// structures first so subfeatures are decided before superfeatures.
-// Minimum-size features are always kept (they have no indexed subfeature).
-func discriminative(feats []Feature, gamma float64) []Feature {
-	bySize := append([]Feature(nil), feats...)
-	sort.Slice(bySize, func(i, j int) bool { return bySize[i].Edges < bySize[j].Edges })
-	kept := map[string]Feature{}
-	var out []Feature
-	for _, f := range bySize {
-		minSub := -1
-		graph.EnumerateConnectedSubgraphs(f.Graph, f.Edges-1, func(edges []int32) bool {
-			if len(edges) != f.Edges-1 {
-				return true
-			}
-			frag := graph.Fragment{Host: f.Graph, Edges: edges}
-			sub, _, _ := frag.Extract()
-			code, _ := canon.MinCode(sub) // features are skeletons
-			if kf, ok := kept[code.Key()]; ok {
-				if minSub < 0 || kf.Support < minSub {
-					minSub = kf.Support
-				}
-			}
-			return true
-		})
-		if minSub >= 0 && float64(minSub) < gamma*float64(f.Support) {
-			continue // not discriminative enough over what we already index
-		}
-		kept[f.Key] = f
-		out = append(out, f)
-	}
-	// Restore the (edges desc, support asc, key) order of Mine.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Edges != out[j].Edges {
-			return out[i].Edges > out[j].Edges
-		}
-		if out[i].Support != out[j].Support {
-			return out[i].Support < out[j].Support
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// isPath reports whether g is a simple path: acyclic, max degree 2.
-func isPath(g *graph.Graph) bool {
-	if g.M() != g.N()-1 {
-		return false
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) > 2 {
-			return false
-		}
-	}
-	return true
 }

@@ -141,71 +141,6 @@ func TestMinEdgesFilter(t *testing.T) {
 	}
 }
 
-func TestPathsOnly(t *testing.T) {
-	db := []*graph.Graph{cycleG(6), cycleG(6)}
-	feats, err := Mine(db, Options{MaxEdges: 5, PathsOnly: true, MinSupportFraction: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(feats) == 0 {
-		t.Fatal("no path features mined from hexagons")
-	}
-	for _, f := range feats {
-		if f.Graph.M() != f.Graph.N()-1 {
-			t.Errorf("non-path feature kept: %v", f.Code)
-		}
-		for v := 0; v < f.Graph.N(); v++ {
-			if f.Graph.Degree(v) > 2 {
-				t.Errorf("feature has branch vertex: %v", f.Code)
-			}
-		}
-	}
-}
-
-func TestDiscriminativeShrinksFeatureSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	db := make([]*graph.Graph, 30)
-	for i := range db {
-		db[i] = randomMolecule(rng, 10)
-	}
-	all, err := Mine(db, Options{MaxEdges: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disc, err := Mine(db, Options{MaxEdges: 4, Gamma: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(disc) > len(all) {
-		t.Errorf("discriminative selection grew the feature set: %d > %d", len(disc), len(all))
-	}
-	if len(disc) == 0 {
-		t.Error("discriminative selection dropped everything")
-	}
-	// Minimum-size features always survive.
-	for _, f := range disc {
-		if f.Edges == 1 {
-			return
-		}
-	}
-	t.Error("no minimum-size feature kept")
-}
-
-func TestMaxFeaturesCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	db := make([]*graph.Graph, 20)
-	for i := range db {
-		db[i] = randomMolecule(rng, 9)
-	}
-	feats, err := Mine(db, Options{MaxEdges: 4, MaxFeatures: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(feats) > 5 {
-		t.Errorf("cap ignored: %d features", len(feats))
-	}
-}
-
 func TestMineOptionValidation(t *testing.T) {
 	db := []*graph.Graph{pathG(2)}
 	if _, err := Mine(db, Options{MaxEdges: 0}); err == nil {

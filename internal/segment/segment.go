@@ -74,9 +74,6 @@ type Config struct {
 	// KNNCore tunes the sequential kNN searcher, which may use the full
 	// verification budget because only one segment runs at a time.
 	KNNCore core.Options
-	// IndexWorkers is the worker count of index builds and merges
-	// (0 = GOMAXPROCS).
-	IndexWorkers int
 	// CompactFraction triggers automatic compaction when
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
 	// Compact can still be called explicitly.
@@ -305,7 +302,7 @@ func build(graphs []*graph.Graph, cfg Config) (*index.Index, error) {
 	if len(feats) == 0 {
 		return nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
 	}
-	idx, err := index.BuildParallel(graphs, feats, cfg.Index, cfg.IndexWorkers)
+	idx, err := index.BuildParallel(graphs, feats, cfg.Index, 0)
 	if err != nil {
 		return nil, fmt.Errorf("building index: %w", err)
 	}
@@ -761,7 +758,7 @@ func (s *Segment) compactLocked() error {
 		carried = 0
 		idx, err = build(survivors, s.cfg)
 	} else {
-		idx, err = index.Rebase(s.idx, remap, survivors, carried, s.cfg.IndexWorkers)
+		idx, err = index.Rebase(s.idx, remap, survivors, carried, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)

@@ -54,9 +54,6 @@ type Config struct {
 	Index index.Options
 	// Core tunes the filtering stage of every shard's searcher.
 	Core core.Options
-	// IndexWorkers is the BuildParallel worker count within one shard
-	// (0 = GOMAXPROCS, 1 = serial).
-	IndexWorkers int
 	// CompactFraction triggers automatic per-shard compaction when a
 	// shard's delta outgrows this fraction of its indexed base (<= 0
 	// disables the trigger).
@@ -70,18 +67,23 @@ type Config struct {
 }
 
 // SegmentConfig translates the shard config for one of nShards segments
-// searched by one fan-out: the fan-out searcher divides default
-// verification parallelism across shards, the sequential kNN searcher
-// keeps the full budget.
+// searched by one fan-out. A fan-out query already runs one goroutine per
+// shard, so the fan-out searcher divides GOMAXPROCS verify workers across
+// the shards instead of oversubscribing the CPU nShards-fold; the
+// sequential kNN searcher keeps the full budget. A batch of queries
+// (pis.SearchBatch) layers its own worker bound on top, so a saturated
+// batch still oversubscribes by roughly its in-flight query count; that
+// churn is transient (verification goroutines are short-lived and capped
+// by candidate count) and accepted in exchange for keeping worker counts
+// a per-searcher constant.
 func (cfg Config) SegmentConfig(nShards int) segment.Config {
 	fanout := cfg.Core
-	fanout.VerifyWorkers = divideVerifyWorkers(cfg.Core.VerifyWorkers, nShards)
+	fanout.VerifyWorkers = max(1, runtime.GOMAXPROCS(0)/nShards)
 	return segment.Config{
 		Mining:          cfg.Mining,
 		Index:           cfg.Index,
 		Core:            fanout,
 		KNNCore:         cfg.Core,
-		IndexWorkers:    cfg.IndexWorkers,
 		CompactFraction: cfg.CompactFraction,
 		FS:              cfg.FS,
 		MappedIndex:     cfg.MappedIndex,
@@ -105,30 +107,6 @@ func Split(n, k int) []Range {
 		out[i] = Range{Start: i * n / k, End: (i + 1) * n / k}
 	}
 	return out
-}
-
-// divideVerifyWorkers splits the default per-query verification
-// parallelism across shards: a fan-out query already runs one goroutine
-// per shard, so letting every shard's searcher also claim GOMAXPROCS
-// verify workers would oversubscribe the CPU nShards-fold. An explicit
-// setting is honored per shard; the 0 default divides GOMAXPROCS.
-//
-// A batch of queries (pis.SearchBatch) layers its own worker bound on
-// top, so a saturated batch still oversubscribes by roughly its
-// in-flight query count; that churn
-// is transient (verification goroutines are short-lived and capped by
-// candidate count) and accepted in exchange for keeping worker counts a
-// per-searcher constant. Callers needing strict core budgeting can set
-// Core.VerifyWorkers = 1.
-func divideVerifyWorkers(w, nShards int) int {
-	if w != 0 {
-		return w
-	}
-	w = runtime.GOMAXPROCS(0) / nShards
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // DB is a sharded, mutable PIS database.
@@ -171,7 +149,7 @@ func newDB(segs []*segment.Segment, nextID int32) *DB {
 
 // New splits graphs into nShards contiguous shards and builds every
 // shard's index concurrently (one goroutine per shard, each running
-// index.BuildParallel with cfg.IndexWorkers).
+// index.BuildParallel on GOMAXPROCS workers).
 func New(graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("shard: empty database")

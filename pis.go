@@ -123,69 +123,18 @@ type Options struct {
 	// MaxFragmentEdges bounds indexed structure size (default 5; the paper
 	// sweeps 4-6 in Figure 12).
 	MaxFragmentEdges int
-	// MinFragmentEdges drops tiny features (default 2).
-	MinFragmentEdges int
 	// MinSupportFraction is the mining support threshold (default 0.05).
 	MinSupportFraction float64
-	// MiningSample mines features on a prefix sample (default 300 graphs;
-	// 0 uses min(300, len(db))). Postings always cover the full database.
-	MiningSample int
-	// Gamma enables gIndex-style discriminative feature selection when > 0.
-	Gamma float64
-	// PathFeaturesOnly restricts features to simple paths (GraphGrep
-	// flavor).
-	PathFeaturesOnly bool
-
-	// Epsilon, Lambda, PartitionK, MaxFragmentsPerQuery tune the PIS
-	// filtering stage; see the paper §5-§6. Zero values give the paper's
-	// defaults (ε=0, λ=1, Greedy partition, unlimited fragments).
-	Epsilon              float64
-	Lambda               float64
-	PartitionK           int
-	MaxFragmentsPerQuery int
 
 	// PlannerOff disables the cost-based query planner: every usable
 	// fragment's σ range query runs in enumeration order, exactly the
-	// paper's Algorithm 2. With the planner on (the default), fragments
-	// expand in order of estimated pruning power per unit cost — from
-	// per-fragment selectivity statistics collected at index build time —
-	// and expansion stops early when it can no longer pay for itself.
-	// Answers are identical either way; only filtering effort changes.
+	// paper's Algorithm 2. With the planner on (the default), classes
+	// expand in order of estimated pruning power per unit cost, and
+	// expansion stops once a range query costs more than verifying the
+	// candidates it could eliminate, by the filter/verify exchange rate
+	// the planner learns from observed stage costs. Answers are identical
+	// either way; only filtering effort changes.
 	PlannerOff bool
-	// PlannerBudget is the minimum candidate-set gain (eliminations, in
-	// graphs) for a fragment's σ range query to stay worth running:
-	// fragments whose estimated gain falls below it are skipped, and
-	// expansion stops once consecutive range queries observably
-	// eliminate fewer candidates than it.
-	//
-	// Sentinel values: 0 (the zero value) means "use the default",
-	// currently 1. A negative value means a real budget of 0, i.e.
-	// expand exhaustively. There is no way to pass a literal 0; use a
-	// negative value for that. Unless PlannerFeedbackOff is set, the
-	// positive default is replaced at query time by the learned
-	// filter/verify exchange rate.
-	PlannerBudget float64
-	// PlannerCrossover skips remaining range queries once the surviving
-	// candidate set is at most this many graphs and goes straight to
-	// verification.
-	//
-	// Sentinel values: 0 (the zero value) means "use the default",
-	// currently 16. A negative value means a real crossover of 0, i.e.
-	// never cross over; there is no way to pass a literal 0. The
-	// positive default is only a cold-start guess — unless
-	// PlannerFeedbackOff is set, it is replaced per query by the learned
-	// exchange rate ρ = (observed cost of one σ range query) / (observed
-	// cost of verifying one candidate), clamped to [1, 1024]: once a
-	// range query costs more than verifying the survivors it could at
-	// best eliminate, filtering further is a loss.
-	PlannerCrossover int
-	// PlannerFeedbackOff freezes the planner's filter/verify exchange
-	// rate at the configured PlannerBudget / PlannerCrossover instead of
-	// learning it from observed per-query stage costs, and its estimate
-	// of what a class's range query leaves standing at the index's
-	// build-time statistics instead of the rates observed since
-	// (PlannerState).
-	PlannerFeedbackOff bool
 
 	// QueryTimeout bounds every SearchContext / SearchKNNContext /
 	// SearchBatchContext call (0 = none): queries that run longer are cut
@@ -214,15 +163,15 @@ type Options struct {
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
 	MappedIndex bool
-
-	// BuildWorkers parallelizes index construction across goroutines
-	// (0 = GOMAXPROCS, 1 = serial). The index is identical either way.
-	BuildWorkers int
-	// VerifyWorkers parallelizes candidate verification within one query,
-	// best-first by the partition lower bound (0 = GOMAXPROCS, 1 =
-	// serial). Answers and distances are identical for any setting.
-	VerifyWorkers int
 }
+
+// Mining constants: features have at least minFragmentEdges edges and are
+// mined on a prefix sample of at most miningSample graphs. Postings always
+// cover the full database.
+const (
+	minFragmentEdges = 2
+	miningSample     = 300
+)
 
 // Database is an indexed graph database answering SSSD queries, held as
 // one or more contiguous shards, each with its own fragment index,
@@ -259,14 +208,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxFragmentEdges <= 0 {
 		o.MaxFragmentEdges = 5
 	}
-	if o.MinFragmentEdges <= 0 {
-		o.MinFragmentEdges = 2
-	}
 	if o.MinSupportFraction <= 0 {
 		o.MinSupportFraction = 0.05
-	}
-	if o.MiningSample <= 0 {
-		o.MiningSample = 300
 	}
 	if o.CompactFraction == 0 {
 		o.CompactFraction = 0.25
@@ -279,25 +222,12 @@ func (o Options) shardConfig() shard.Config {
 	return shard.Config{
 		Mining: mining.Options{
 			MaxEdges:           o.MaxFragmentEdges,
-			MinEdges:           o.MinFragmentEdges,
+			MinEdges:           minFragmentEdges,
 			MinSupportFraction: o.MinSupportFraction,
-			SampleSize:         o.MiningSample,
-			Gamma:              o.Gamma,
-			PathsOnly:          o.PathFeaturesOnly,
+			SampleSize:         miningSample,
 		},
-		Index: index.Options{Metric: o.Metric},
-		Core: core.Options{
-			Epsilon:              o.Epsilon,
-			Lambda:               o.Lambda,
-			PartitionK:           o.PartitionK,
-			MaxFragmentsPerQuery: o.MaxFragmentsPerQuery,
-			VerifyWorkers:        o.VerifyWorkers,
-			PlannerOff:           o.PlannerOff,
-			PlannerBudget:        o.PlannerBudget,
-			PlannerCrossover:     o.PlannerCrossover,
-			PlannerFeedbackOff:   o.PlannerFeedbackOff,
-		},
-		IndexWorkers:    o.BuildWorkers,
+		Index:           index.Options{Metric: o.Metric},
+		Core:            core.Options{PlannerOff: o.PlannerOff},
 		CompactFraction: o.CompactFraction,
 		MappedIndex:     o.MappedIndex,
 	}
@@ -389,10 +319,9 @@ func StoreExists(dir string) bool {
 // when opts.MappedIndex is set: residency is chosen per Open, whatever
 // the store was created with. opts.Metric must match the build-time
 // metric, and the index must carry the fingerprint of the recovered
-// graphs; search-stage options (Epsilon, Lambda, PartitionK,
-// MaxFragmentsPerQuery, VerifyWorkers) and the mutation knobs (mining
-// options and CompactFraction, used by later compactions) are honored
-// from opts.
+// graphs; PlannerOff, QueryTimeout and the mutation knobs
+// (MaxFragmentEdges and MinSupportFraction, used when a compaction mines
+// anew, and CompactFraction) are honored from opts.
 func Open(dir string, opts Options) (*Database, error) {
 	opts = opts.withDefaults()
 	db, err := shard.Open(dir, opts.shardConfig())

@@ -2,6 +2,7 @@ package pis_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"pis"
@@ -166,20 +167,6 @@ func TestPublicAPIMutationMatrix(t *testing.T) {
 	}
 }
 
-func TestPublicAPIPathFeatures(t *testing.T) {
-	graphs := chem.Generate(80, chem.Config{Seed: 4})
-	db, err := pis.New(graphs, pis.Options{PathFeaturesOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := chem.SampleQueries(graphs, 1, 10, 6)[0]
-	r := db.Search(q, 2)
-	naive := db.SearchNaive(q, 2)
-	if len(r.Answers) != len(naive.Answers) {
-		t.Fatal("path-feature index changed the answers")
-	}
-}
-
 func TestPublicAPISearchKNN(t *testing.T) {
 	db, graphs := buildPublicDB(t, 100, pis.Options{MaxFragmentEdges: 4})
 	q := chem.SampleQueries(graphs, 1, 8, 41)[0]
@@ -218,13 +205,18 @@ func TestPublicAPISearchBatch(t *testing.T) {
 	}
 }
 
+// TestPublicAPIParallelBuildMatchesSerial: a build runs on GOMAXPROCS
+// workers, and one worker gives the same index.
 func TestPublicAPIParallelBuildMatchesSerial(t *testing.T) {
 	graphs := chem.Generate(80, chem.Config{Seed: 77})
-	serial, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4, BuildWorkers: 1})
+	procs := runtime.GOMAXPROCS(1)
+	serial, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4})
+	runtime.GOMAXPROCS(max(procs, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4, BuildWorkers: 4})
+	parallel, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 4})
+	runtime.GOMAXPROCS(procs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,21 +12,18 @@ import (
 // Planner differential property tests at the public API: a database
 // searched with the cost-based planner (the default) must answer Search
 // and SearchKNN exactly like one running exhaustive fragment expansion
-// (PlannerOff), across shardings, planner knob settings, and live
-// mutation interleavings. Both databases see the identical mutation
-// sequence, so global ids agree and results compare entry for entry.
+// (PlannerOff), across shardings, class vocabularies, index residencies,
+// and live mutation interleavings. Both databases see the identical
+// mutation sequence, so global ids agree and results compare entry for
+// entry.
 
 func plannerOptionPairs() []pis.Options {
 	base := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
-	variants := []pis.Options{base}
-	tuned := base
-	tuned.PlannerBudget = 4
-	tuned.PlannerCrossover = 2
-	variants = append(variants, tuned)
-	aggressive := base
-	aggressive.PlannerBudget = 1e9 // skip every range query
-	variants = append(variants, aggressive)
-	return variants
+	small := base
+	small.MaxFragmentEdges = 3 // fewer, smaller classes to rank and skip
+	mapped := base
+	mapped.MappedIndex = true // class statistics read off the mapped image
+	return []pis.Options{base, small, mapped}
 }
 
 type plannerPair struct {
@@ -74,8 +71,6 @@ func TestPlannerDifferentialMutations(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				exOpts := opts
 				exOpts.PlannerOff = true
-				exOpts.PlannerBudget = 0
-				exOpts.PlannerCrossover = 0
 				initial := gen.Molecules(28, gen.Config{Seed: 600 + int64(oi)})
 				var pair plannerPair
 				var err error

@@ -71,10 +71,9 @@ type SearchRequest struct {
 
 // StatsJSON reports the per-stage counters of one query in wire form
 // (durations in milliseconds). The fragment and candidate counters
-// double as the request's plan summary: of query_fragments found,
-// used_fragments survived the ε filter and expanded_fragments actually
-// ran their σ range query (the rest were skipped by the cost-based
-// planner). The candidate counters follow the stage order: of
+// double as the request's plan summary: of query_fragments materialized,
+// used_fragments lie in a class not present in every graph and
+// expanded_fragments actually ran their σ range query. The candidate counters follow the stage order: of
 // struct_candidates (posting intersection) plus the unindexed live delta
 // graphs, prescreen_rejects were refuted by the prescreen
 // (invariant_rejects of them by the graph invariants); range_candidates

@@ -13,9 +13,9 @@
 //	GET    /healthz      liveness probe
 //
 // Search and kNN results are cached in an LRU keyed by the query's
-// canonical form (minimum DFS code plus weights) and the search
-// parameters, so isomorphic queries submitted with different vertex
-// orders share one entry. An insert or a delete clears the cache — a
+// canonical key (canon.GraphKey: colour refinement, labels and weights
+// included) and the search parameters, so isomorphic queries submitted
+// with different vertex orders share one entry. An insert or a delete clears the cache — a
 // changed database can change any answer set — observable in /stats; the
 // segments' result memos underneath (internal/segment) are not cleared,
 // so a repeated query then pays only for the graphs written since. Each query
@@ -463,7 +463,6 @@ func (s *Server) recordPlan(st pis.SearchStats) {
 	s.planner.QueryFragments += int64(st.QueryFragments)
 	s.planner.UsedFragments += int64(st.UsedFragments)
 	s.planner.ExpandedFragments += int64(st.ExpandedFragments)
-	s.planner.SkippedFragments += int64(st.UsedFragments - st.ExpandedFragments)
 	s.planner.PlanMS += float64(st.PlanTime.Microseconds()) / 1000
 	s.mu.Unlock()
 }
@@ -897,13 +896,14 @@ type MutationStatsJSON struct {
 type PlannerStatsJSON struct {
 	// Plans counts executed queries (cache hits planned nothing).
 	Plans int64 `json:"plans"`
-	// QueryFragments/UsedFragments/ExpandedFragments/SkippedFragments
-	// trace the fragment funnel: found in queries, surviving the ε
-	// filter, range-expanded, and skipped by the planner.
+	// QueryFragments/UsedFragments/ExpandedFragments trace the fragment
+	// funnel: materialized, materialized in a class not present in every
+	// graph, and range-expanded. What the planner skipped is the counter
+	// pis_planner_range_queries_skipped_total in /metrics, where a class
+	// skipped whole, never materialized, counts once.
 	QueryFragments    int64 `json:"query_fragments"`
 	UsedFragments     int64 `json:"used_fragments"`
 	ExpandedFragments int64 `json:"expanded_fragments"`
-	SkippedFragments  int64 `json:"skipped_fragments"`
 	// PlanMS is the total time spent scoring and ordering fragments.
 	PlanMS float64 `json:"plan_ms"`
 	// LearnedSurvival is what the planner has learned about each feature

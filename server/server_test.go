@@ -535,7 +535,4 @@ func TestPlannerStats(t *testing.T) {
 	if st.Planner.ExpandedFragments > st.Planner.UsedFragments {
 		t.Errorf("planner expanded %d > used %d", st.Planner.ExpandedFragments, st.Planner.UsedFragments)
 	}
-	if st.Planner.ExpandedFragments+st.Planner.SkippedFragments != st.Planner.UsedFragments {
-		t.Errorf("planner counters do not add up: %+v", st.Planner)
-	}
 }
