@@ -299,8 +299,6 @@ func (cn *ClusterNode) Stats() IndexStats {
 
 		BitmapBytes:      ov.Memory.BitmapBytes,
 		FingerprintBytes: ov.Memory.FingerprintBytes,
-		Shapes:           ov.Memory.Shapes,
-		ShapeTransitions: ov.Memory.ShapeTransitions,
 	}
 }
 

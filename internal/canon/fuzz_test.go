@@ -135,17 +135,3 @@ func FuzzCanonicalCode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFragmentClasses checks classification by extension against direct
-// canonicalization: every fragment of up to 5 edges of an arbitrary graph
-// gets the shape MinCode gives its skeleton, placed onto exactly
-// its edges. A wrong transition would file fragments under another class
-// at build and query time alike, so no other test would see it.
-func FuzzFragmentClasses(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 0, 1, 2, 1, 0, 2})
-	f.Add([]byte{5, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3})
-	f.Add([]byte{0xff, 0x80, 0x41, 7, 9, 13, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		classifyAll(t, NewShapes(noClass), fuzzGraph(&byteFeed{data: data}), 5)
-	})
-}

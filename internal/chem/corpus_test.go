@@ -140,8 +140,7 @@ func TestReadSDFMalformed(t *testing.T) {
 	}
 }
 
-func TestReadSMILES(t *testing.T) {
-	input := `# screen subset
+const screenSMILES = `# screen subset
 CCO ethanol
 c1ccccc1 benzene
 CC(=O)O
@@ -149,7 +148,9 @@ ClCCBr
 C1CC1
 [13C]C[C@H](N)C(=O)O alanine-ish
 `
-	gs, err := ReadSMILES(strings.NewReader(input), "test.smi")
+
+func TestReadSMILES(t *testing.T) {
+	gs, err := ReadSMILES(strings.NewReader(screenSMILES), "test.smi")
 	if err != nil {
 		t.Fatal(err)
 	}

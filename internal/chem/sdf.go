@@ -144,9 +144,11 @@ func (r *SDFReader) Next() (*graph.Graph, error) {
 	}
 
 	// Atom block. keep[i] is the graph vertex of 1-based atom i+1, or -1
-	// for a stripped explicit hydrogen.
-	b := graph.NewBuilder(nAtoms, nBonds)
-	keep := make([]int32, nAtoms)
+	// for a stripped explicit hydrogen. Nothing is sized by the declared
+	// counts: storage grows with the lines that arrive, so a counts line
+	// claiming a billion atoms costs nothing before the input runs out.
+	b := graph.NewBuilder(0, 0)
+	var keep []int32
 	for i := 0; i < nAtoms; i++ {
 		ln, ok := r.next()
 		if !ok {
@@ -154,14 +156,14 @@ func (r *SDFReader) Next() (*graph.Graph, error) {
 		}
 		sym := field(ln, 31, 34, 3)
 		if strings.EqualFold(sym, "H") || strings.EqualFold(sym, "D") || strings.EqualFold(sym, "T") {
-			keep[i] = -1
+			keep = append(keep, -1)
 			continue
 		}
 		l, ok := atomLabel(sym)
 		if !ok {
 			return nil, r.errf("unknown atom symbol %q", sym)
 		}
-		keep[i] = b.AddVertex(l)
+		keep = append(keep, b.AddVertex(l))
 	}
 
 	// Bond block; bonds touching a stripped hydrogen are dropped.

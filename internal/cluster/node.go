@@ -423,7 +423,6 @@ func (n *Node) writeState(sw *binio.SectionWriter) {
 		is, im := seg.IndexStats()
 		st.Classes, st.Frags, st.Seqs = is.Classes, is.Fragments, is.Sequences
 		st.Bitmap, st.FPs = im.BitmapBytes, im.FingerprintBytes
-		st.Shapes, st.Transitions = im.Shapes, im.ShapeTransitions
 		if ss, ok := seg.StoreStats(); ok {
 			st.WALRecords = ss.WALRecords
 			st.WALBytes = ss.WALBytes

@@ -108,8 +108,6 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 		ov.Tombstones += st.Tombs
 		ov.Memory.BitmapBytes += st.Bitmap
 		ov.Memory.FingerprintBytes += st.FPs
-		ov.Memory.Shapes += st.Shapes
-		ov.Memory.ShapeTransitions += st.Transitions
 		ov.WALRecords += st.WALRecords
 		ov.WALBytes += st.WALBytes
 		ov.Checkpoints += st.Checkpoints

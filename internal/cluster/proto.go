@@ -212,12 +212,9 @@ type shardState struct {
 	Seqs    int
 	Delta   int
 	Tombs   int
-	// Bitmap and FPs are the bytes of index.Memory, Shapes and
-	// Transitions its shape-table counts.
-	Bitmap      int
-	FPs         int
-	Shapes      int
-	Transitions int
+	// Bitmap and FPs are the bytes of index.Memory.
+	Bitmap int
+	FPs    int
 
 	WALRecords      int64
 	WALBytes        int64
@@ -235,7 +232,7 @@ func writeShardState(sw *binio.SectionWriter, st *shardState) {
 	sw.U64(st.MutSeq)
 	sw.Varint(int64(st.Live))
 	sw.Varint(int64(st.MaxID))
-	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs, st.Shapes, st.Transitions} {
+	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs} {
 		sw.Varint(int64(v))
 	}
 	sw.Varint(st.WALRecords)
@@ -264,7 +261,7 @@ func readShardState(sr *binio.SectionReader) shardState {
 		sr.Malformed("max id")
 	}
 	st.MaxID = int32(maxID)
-	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs, &st.Shapes, &st.Transitions} {
+	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs} {
 		*p = int(sr.Varint())
 	}
 	st.WALRecords = sr.Varint()

@@ -214,8 +214,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 			want := enumerateBrute(g, maxE)
 			got := map[string]bool{}
 			EnumerateConnectedSubgraphs(g, maxE, func(edges []int32) bool {
-				sorted := append([]int32(nil), edges...)
-				insertionSort32(sorted)
+				sorted := slices.Sorted(slices.Values(edges))
 				key := fmtEdges(sorted)
 				if got[key] {
 					t.Fatalf("duplicate subgraph %v (trial %d)", edges, trial)
@@ -235,50 +234,6 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestEnumerateExtendsParent pins what canon.Classifier relies on: every
-// fragment of k > 1 edges is the fragment passed last with k-1 edges plus
-// one new edge, at the end, that touches it.
-func TestEnumerateExtendsParent(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(6)
-		b := NewBuilder(n, n*n)
-		for i := 0; i < n; i++ {
-			b.AddVertex(0)
-		}
-		for i := 1; i < n; i++ {
-			p := rng.Intn(i)
-			b.AddEdge(int32(p), int32(i), 0)
-			for j := 0; j < i; j++ {
-				if j != p && rng.Intn(4) == 0 {
-					b.AddEdge(int32(j), int32(i), 0)
-				}
-			}
-		}
-		g := b.MustBuild()
-		var last [][]int32 // last[k-1]: the fragment passed last with k edges
-		EnumerateConnectedSubgraphs(g, 6, func(edges []int32) bool {
-			k := len(edges)
-			if k > 1 {
-				parent, added := last[k-2], g.EdgeAt(int(edges[k-1]))
-				if !reflect.DeepEqual(edges[:k-1], parent) {
-					t.Fatalf("trial %d: fragment %v does not extend the last %d-edge fragment %v", trial, edges, k-1, parent)
-				}
-				touches := false
-				for _, e := range parent {
-					pe := g.EdgeAt(int(e))
-					touches = touches || pe.U == added.U || pe.U == added.V || pe.V == added.U || pe.V == added.V
-				}
-				if !touches || slices.Contains(parent, edges[k-1]) {
-					t.Fatalf("trial %d: edge %d added to %v is not a new edge touching it", trial, edges[k-1], parent)
-				}
-			}
-			last = append(last[:k-1], append([]int32(nil), edges...))
-			return true
-		})
-	}
-}
-
 func TestEnumerateEarlyStop(t *testing.T) {
 	g := cycle(6, 0, 0)
 	count := 0
@@ -288,63 +243,6 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	})
 	if count != 5 {
 		t.Fatalf("early stop delivered %d callbacks, want 5", count)
-	}
-}
-
-// TestSubgraphEnumeratorReuse: one enumerator carried across graphs of
-// different sizes, including past an early stop, enumerates what a fresh
-// one does, in the same order, and a warmed-up pass does not allocate.
-func TestSubgraphEnumeratorReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var graphs []*Graph
-	for len(graphs) < 12 {
-		n := 4 + rng.Intn(5)
-		b := NewBuilder(n, 2*n)
-		for i := 0; i < n; i++ {
-			b.AddVertex(0)
-		}
-		for i := 1; i < n; i++ {
-			b.AddEdge(int32(rng.Intn(i)), int32(i), 0)
-		}
-		for extra := 0; extra < 2; extra++ {
-			if u, v := int32(rng.Intn(n)), int32(rng.Intn(n)); u != v {
-				b.AddEdge(u, v, 0) // a duplicate fails the build and is skipped
-			}
-		}
-		if g, err := b.Build(); err == nil {
-			graphs = append(graphs, g)
-		}
-	}
-	list := func(en *SubgraphEnumerator, g *Graph, stopAfter int) []string {
-		var out []string
-		en.Enumerate(g, 4, func(edges []int32) bool {
-			out = append(out, fmtEdges(edges))
-			return len(out) != stopAfter
-		})
-		return out
-	}
-	var en SubgraphEnumerator
-	for i, g := range graphs {
-		if i%3 == 1 {
-			if got := list(&en, g, 3); len(got) != 3 {
-				t.Fatalf("graph %d: early stop delivered %d callbacks, want 3", i, len(got))
-			}
-		}
-		got, want := list(&en, g, -1), list(new(SubgraphEnumerator), g, -1)
-		if len(got) != len(want) {
-			t.Fatalf("graph %d: reused enumerator found %d subgraphs, fresh one %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("graph %d: subgraph %d is %s, want %s", i, k, got[k], want[k])
-			}
-		}
-	}
-	g := graphs[0]
-	if avg := testing.AllocsPerRun(20, func() {
-		en.Enumerate(g, 4, func([]int32) bool { return true })
-	}); avg != 0 {
-		t.Errorf("warm Enumerate allocates %.1f times, want 0", avg)
 	}
 }
 

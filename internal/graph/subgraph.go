@@ -22,7 +22,7 @@ func (f Fragment) Vertices() []int32 {
 			}
 		}
 	}
-	insertionSort32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -84,100 +84,64 @@ func (f Fragment) Overlaps(o Fragment) bool {
 // The algorithm is the classic "anchored growth" enumeration: every
 // subgraph is generated from its minimum edge index by extending only with
 // larger-indexed frontier edges, with an exclusion set preventing the same
-// subgraph from being reached along two different orders.
+// subgraph from being reached along two different orders. The index finds
+// fragments by walking its class codes instead; this enumeration is the
+// reference its tests hold that walk to.
 func EnumerateConnectedSubgraphs(g *Graph, maxEdges int, fn func(edges []int32) bool) {
-	var en SubgraphEnumerator
-	en.Enumerate(g, maxEdges, fn)
-}
-
-// SubgraphEnumerator is EnumerateConnectedSubgraphs with its working
-// memory kept between calls, for callers that enumerate graph after
-// graph: a warmed-up Enumerate allocates nothing. The zero value is
-// ready; not safe for concurrent use.
-//
-// Every fragment of k > 1 edges is its parent plus one edge: the last
-// element of the slice is the edge added, and the rest is exactly the
-// fragment passed last with k-1 edges (the enumeration is depth-first).
-// canon.Classifier relies on this to classify a fragment from its
-// parent's shape.
-type SubgraphEnumerator struct {
-	cur      []int32
-	inSub    []bool
-	excluded []bool
-	// frontiers stacks the frontier of every active recursion level.
-	frontiers []int32
-}
-
-// Enumerate is EnumerateConnectedSubgraphs over the enumerator's storage:
-// same subgraphs, same order.
-func (en *SubgraphEnumerator) Enumerate(g *Graph, maxEdges int, fn func(edges []int32) bool) {
-	m := g.M()
-	if maxEdges <= 0 || m == 0 {
+	if maxEdges <= 0 {
 		return
 	}
-	if cap(en.inSub) < m {
-		en.inSub = make([]bool, m)
-		en.excluded = make([]bool, m)
-	}
-	en.inSub, en.excluded = en.inSub[:m], en.excluded[:m]
-	clear(en.inSub) // a panic in fn leaves marks behind
-	clear(en.excluded)
-	en.frontiers = en.frontiers[:0]
-	for e := 0; e < m; e++ {
-		en.cur = append(en.cur[:0], int32(e))
-		en.inSub[e] = true
-		ok := en.grow(g, int32(e), maxEdges, fn)
-		en.inSub[e] = false
-		if !ok {
-			return
+	inSub, excluded := make([]bool, g.M()), make([]bool, g.M())
+	var cur []int32
+	var grow func(anchor int32) bool
+	grow = func(anchor int32) bool {
+		if !fn(cur) {
+			return false
 		}
-	}
-}
-
-func (en *SubgraphEnumerator) grow(g *Graph, anchor int32, maxEdges int, fn func(edges []int32) bool) bool {
-	if !fn(en.cur) {
-		return false
-	}
-	if len(en.cur) == maxEdges {
-		return true
-	}
-	// Frontier: edges incident to the current vertex set, with index
-	// greater than the anchor, not already in, not excluded.
-	base := len(en.frontiers)
-	for _, e := range en.cur {
-		ed := g.EdgeAt(int(e))
-		for _, end := range [2]int32{ed.U, ed.V} {
-			for _, ne := range g.IncidentEdges(int(end)) {
-				if ne > anchor && !en.inSub[ne] && !en.excluded[ne] && !slices.Contains(en.frontiers[base:], ne) {
-					en.frontiers = append(en.frontiers, ne)
+		if len(cur) == maxEdges {
+			return true
+		}
+		// Frontier: edges incident to the current vertex set, with index
+		// greater than the anchor, not already in, not excluded.
+		var frontier []int32
+		for _, e := range cur {
+			ed := g.EdgeAt(int(e))
+			for _, end := range [2]int32{ed.U, ed.V} {
+				for _, ne := range g.IncidentEdges(int(end)) {
+					if ne > anchor && !inSub[ne] && !excluded[ne] && !slices.Contains(frontier, ne) {
+						frontier = append(frontier, ne)
+					}
 				}
 			}
 		}
-	}
-	end := len(en.frontiers)
-	insertionSort32(en.frontiers[base:end])
-	// Recurse including each frontier edge; edges considered earlier are
-	// excluded for later branches so each edge set is produced once. The
-	// stack may be reallocated by deeper levels, so it is re-indexed, never
-	// held as a slice, across the recursive call.
-	ok := true
-	for i := base; i < end; i++ {
-		ne := en.frontiers[i]
-		en.inSub[ne] = true
-		en.cur = append(en.cur, ne)
-		ok = en.grow(g, anchor, maxEdges, fn)
-		en.cur = en.cur[:len(en.cur)-1]
-		en.inSub[ne] = false
-		if !ok {
-			break
+		slices.Sort(frontier)
+		// Recurse including each frontier edge; edges considered earlier are
+		// excluded for later branches so each edge set is produced once.
+		ok := true
+		for _, ne := range frontier {
+			inSub[ne] = true
+			cur = append(cur, ne)
+			ok = grow(anchor)
+			cur = cur[:len(cur)-1]
+			inSub[ne] = false
+			if !ok {
+				break
+			}
+			excluded[ne] = true
 		}
-		en.excluded[ne] = true
+		for _, ne := range frontier {
+			excluded[ne] = false
+		}
+		return ok
 	}
-	for _, ne := range en.frontiers[base:end] {
-		en.excluded[ne] = false
+	for e := range int32(g.M()) {
+		cur = append(cur[:0], e)
+		inSub[e] = true
+		if !grow(e) {
+			return
+		}
+		inSub[e] = false
 	}
-	en.frontiers = en.frontiers[:base]
-	return ok
 }
 
 // RandomConnectedSubgraph returns m distinct edge indices forming a
@@ -212,14 +176,6 @@ func RandomConnectedSubgraph(g *Graph, m int, intn func(n int) int) []int32 {
 		in[pick] = true
 		edges = append(edges, pick)
 	}
-	insertionSort32(edges)
+	slices.Sort(edges)
 	return edges
-}
-
-func insertionSort32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -61,18 +61,14 @@ func (x *Index) pair(db []*graph.Graph) {
 type Memory struct {
 	BitmapBytes      int // class posting bitmaps: classes × graphs / 8, 0 before Pair
 	FingerprintBytes int // per-graph prescreen fingerprints
-	// Shapes and ShapeTransitions count the shape table (canon.Shapes): at
-	// most the connected shapes of MaxFragmentEdges edges, and their steps.
-	Shapes, ShapeTransitions int
 }
 
-// Memory reports x's bitmap and fingerprint bytes and its shape table.
+// Memory reports x's bitmap and fingerprint bytes.
 func (x *Index) Memory() Memory {
 	m := Memory{FingerprintBytes: len(x.fps) * int(unsafe.Sizeof(GraphFP{}))}
 	if len(x.list) > 0 {
 		m.BitmapBytes = 8 * len(x.list[0].bits) * len(x.list)
 	}
-	m.Shapes, m.ShapeTransitions = x.shapes.Len()
 	return m
 }
 

@@ -1,15 +1,13 @@
 package index
 
-// Classification by extension (canon.Shapes) against direct
-// canonicalization, and the shape table under concurrent first use.
+// The class trie walk, the index's one fragment finder, against direct
+// canonicalization of every enumerated fragment.
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"pis/internal/canon"
@@ -56,7 +54,8 @@ func directCode(host *graph.Graph, edges []int32) canon.Code {
 
 // everyOtherShape returns as features every other skeleton of at most
 // maxEdges edges occurring in db, by key, so that both fragments in a
-// class and fragments in none occur.
+// class and fragments in none occur, and the class trie has prefixes that
+// are not classes.
 func everyOtherShape(db []*graph.Graph, maxEdges int) []mining.Feature {
 	codes := map[string]canon.Code{}
 	for _, g := range db {
@@ -76,12 +75,20 @@ func everyOtherShape(db []*graph.Graph, maxEdges int) []mining.Feature {
 	return feats
 }
 
+// trieFragments is a build's walk of the whole class trie over g, emitting
+// fragments with their edges and vertices where a build emits ops.
+func trieFragments(x *Index, g *graph.Graph, fs *FragmentScratch) []QueryFragment {
+	fs.Reset()
+	fs.w.run(x, g, nil, fs, nil)
+	return fs.out
+}
+
 // TestClassifierDifferential: on molecules and on dense random graphs at
-// every fragment size from 1 to 7 edges, every enumerated fragment gets
-// the class of its directly computed code, its placement is an embedding
-// of the code graph (tuple (i, j) lands on a fragment edge joining the
-// vertices placed at i and j), and QueryFragmentsInto returns what the
-// reference classifier does.
+// every fragment size from 1 to 7 edges, the walk of the whole class trie
+// (what a build runs) and the walks of every class path (what a query
+// runs) each find every fragment whose directly computed code is a class
+// exactly once, with its edges, its vertices and its key up to an
+// automorphism, and a build folds one op per fragment into its class.
 func TestClassifierDifferential(t *testing.T) {
 	for maxE := 1; maxE <= 7; maxE++ {
 		t.Run(fmt.Sprintf("edges=%d", maxE), func(t *testing.T) {
@@ -95,41 +102,40 @@ func TestClassifierDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			var fs FragmentScratch
+			var ops graphOps
 			fragments := 0
 			for gi, g := range db {
-				fs.enum.Enumerate(g, maxE, func(edges []int32) bool {
-					p := fs.cl.Classify(x.shapes, g, edges)
-					key := directCode(g, edges).Key()
-					if p.Shape.Key != key || p.Shape.Class != x.classes[key] {
-						t.Fatalf("graph %d fragment %v: shape %v, direct code %v", gi, edges, p.Shape.Code, directCode(g, edges))
-					}
-					sorted := slices.Sorted(slices.Values(edges))
-					if !slices.Equal(slices.Sorted(slices.Values(p.Edges)), sorted) {
-						t.Fatalf("graph %d fragment %v: placed on edges %v", gi, edges, p.Edges)
-					}
-					for k, tu := range p.Shape.Code {
-						e, u, v := g.EdgeAt(int(p.Edges[k])), p.Vertices[tu.I], p.Vertices[tu.J]
-						if !(e.U == u && e.V == v) && !(e.U == v && e.V == u) {
-							t.Fatalf("graph %d fragment %v: tuple %d placed on %d-%d, not %d-%d", gi, edges, k, e.U, e.V, u, v)
-						}
-					}
-					fragments++
-					return true
-				})
-				if err := sameFragments(x.QueryFragmentsInto(g, &fs), queryFragmentsByExtract(x, g)); err != nil {
-					t.Fatalf("graph %d: %v", gi, err)
+				want := queryFragmentsByExtract(x, g)
+				if err := sameFragments(trieFragments(x, g, &fs), want); err != nil {
+					t.Fatalf("graph %d, trie walk: %v", gi, err)
 				}
+				if err := sameFragments(x.QueryFragmentsInto(g, &fs), want); err != nil {
+					t.Fatalf("graph %d, class paths: %v", gi, err)
+				}
+				ops = x.computeOps(ops, g, &fs)
+				got := map[*Class]int{}
+				for _, c := range ops.classes {
+					got[c]++
+				}
+				for _, qf := range want {
+					got[qf.Class]--
+				}
+				for c, n := range got {
+					if n != 0 {
+						t.Fatalf("graph %d: class %d gets %+d ops against the reference", gi, c.ID, n)
+					}
+				}
+				fragments += len(want)
 			}
-			shapes, transitions := x.shapes.Len()
-			t.Logf("%d fragments, %d classes, %d shapes, %d transitions", fragments, len(x.list), shapes, transitions)
+			t.Logf("%d fragments, %d classes", fragments, len(x.list))
 		})
 	}
 }
 
 // TestQueryClassesMatchEnumeration: on molecules and on dense random
 // graphs at every fragment size from 1 to 7 edges, the classes whose
-// skeleton embeds in a graph are exactly the distinct classes of the
-// fragments a build enumerates in it, listed by ascending ID.
+// skeleton embeds in a graph are exactly the distinct classes of its
+// enumerated fragments' direct codes, listed by ascending ID.
 func TestQueryClassesMatchEnumeration(t *testing.T) {
 	present, absent := 0, 0
 	for maxE := 1; maxE <= 7; maxE++ {
@@ -147,7 +153,12 @@ func TestQueryClassesMatchEnumeration(t *testing.T) {
 			var got []*Class
 			for gi, g := range db {
 				want := map[*Class]bool{}
-				x.each(g, &fs, func(p *canon.Placement[Class]) { want[p.Shape.Class] = true })
+				graph.EnumerateConnectedSubgraphs(g, maxE, func(edges []int32) bool {
+					if c := x.Lookup(directCode(g, edges).Key()); c != nil {
+						want[c] = true
+					}
+					return true
+				})
 				got = x.QueryClasses(got[:0], g, &fs)
 				if len(got) != len(want) || !slices.IsSortedFunc(got, func(a, b *Class) int { return a.ID - b.ID }) {
 					t.Fatalf("graph %d: found classes %v, enumeration has %d distinct", gi, classIDs(got), len(want))
@@ -173,64 +184,4 @@ func classIDs(cs []*Class) []int {
 		ids[i] = c.ID
 	}
 	return ids
-}
-
-// TestColdShapeTableRace: BuildParallel's fold with 8 workers on a cold
-// shape table, beside goroutines finding queries' fragments in the same
-// index, writes the image a serial build writes byte for byte, and every
-// query gets the fragments a built index gives. Run it under -race.
-func TestColdShapeTableRace(t *testing.T) {
-	db := chem.Generate(150, chem.Config{Seed: 5})
-	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Metric: distance.EdgeMutation{}}
-	serial, err := Build(db, feats, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := chem.SampleQueries(db, 12, 16, 3)
-	x, err := scaffold(feats, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := make(chan struct{})
-	errs := make(chan error, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			var fs FragmentScratch
-			for i := range queries {
-				q := queries[(i+w)%len(queries)]
-				got, want := x.QueryFragmentsInto(q, &fs), serial.QueryFragments(q)
-				if len(got) != len(want) {
-					errs <- fmt.Errorf("%d fragments on the cold table, %d on the warm one", len(got), len(want))
-					return
-				}
-				for j := range got {
-					if got[j].Class.ID != want[j].Class.ID || !slices.Equal(got[j].Edges, want[j].Edges) ||
-						!slices.Equal(got[j].Vertices, want[j].Vertices) || !slices.Equal(got[j].Key, want[j].Key) {
-						errs <- fmt.Errorf("fragment %d differs between the cold and the warm table", j)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	close(start)
-	x.foldAndSeal(db, 0, 8)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	got, _ := imageBytes(t, x)
-	want, _ := imageBytes(t, serial)
-	if !bytes.Equal(got, want) {
-		t.Fatal("parallel build on a cold table beside queries wrote another image than a serial build")
-	}
 }

@@ -8,6 +8,7 @@ package index
 // of every stored entry).
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,7 +67,7 @@ func queryFragmentsByExtract(x *Index, q *graph.Graph) []QueryFragment {
 		frag := graph.Fragment{Host: q, Edges: ecopy}
 		sub, _, _ := frag.Extract()
 		code, embs := canon.MinCode(sub.Skeleton())
-		c := x.classes[code.Key()]
+		c := x.Lookup(code.Key())
 		if c == nil {
 			return true
 		}
@@ -334,34 +335,50 @@ func TestQueryFragmentsAllocs(t *testing.T) {
 // TestBuildMatchesExtractOps: the build folds exactly the ops the
 // reference classifier gives, for every metric — the check behind "label
 // images are byte-identical": a label key is stored as its smallest
-// variant, a weight key as its placement lays it out.
+// variant, a weight key as its placement lays it out. The ops compare as a
+// multiset: the trie walk's order is not enumeration order, and no image
+// depends on fold order (entries are sorted, ids applied ascending).
 func TestBuildMatchesExtractOps(t *testing.T) {
+	type op struct {
+		c          *Class
+		key, least []uint64 // least: the key's smallest variant
+	}
+	newOp := func(c *Class, key []uint64) op {
+		return op{c, key, slices.MinFunc(c.Variants(key), slices.Compare[[]uint64])}
+	}
+	byClassAndLeast := func(a, b op) int { return cmp.Or(a.c.ID-b.c.ID, slices.Compare(a.least, b.least)) }
 	for _, k := range metricCases {
 		t.Run(k.name, func(t *testing.T) {
 			fx := newMolFixture(t, k.metric, 60)
 			x := fx.heap
 			var fs FragmentScratch
 			for _, g := range fx.db {
-				got := x.computeOps(g, &fs)
-				keys := got.keys
-				want := queryFragmentsByExtract(x, g)
-				if len(got.classes) != len(want) {
-					t.Fatalf("%d ops for a graph of %d edges, want %d", len(got.classes), g.M(), len(want))
-				}
-				for i, qf := range want {
-					c := got.classes[i]
-					key := keys[:c.SeqLen()]
+				ops := x.computeOps(graphOps{}, g, &fs)
+				var got, want []op
+				keys := ops.keys
+				for _, c := range ops.classes {
+					got = append(got, newOp(c, keys[:c.SeqLen()]))
 					keys = keys[c.SeqLen():]
-					wantKey := qf.Key
-					if !x.weights {
-						wantKey = slices.MinFunc(c.Variants(wantKey), slices.Compare[[]uint64])
-					}
-					if c != qf.Class || (!x.weights && !slices.Equal(key, wantKey)) || !orbitEqual(c, key, wantKey) {
-						t.Fatalf("op %d: class %d key %v, want class %d key %v", i, c.ID, key, qf.Class.ID, wantKey)
-					}
 				}
 				if len(keys) != 0 {
 					t.Fatalf("%d key words left over", len(keys))
+				}
+				for _, qf := range queryFragmentsByExtract(x, g) {
+					want = append(want, newOp(qf.Class, qf.Key))
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d ops for a graph of %d edges, want %d", len(got), g.M(), len(want))
+				}
+				slices.SortFunc(got, byClassAndLeast)
+				slices.SortFunc(want, byClassAndLeast)
+				for i, o := range got {
+					wantKey := want[i].key
+					if !x.weights {
+						wantKey = want[i].least
+					}
+					if o.c != want[i].c || (!x.weights && !slices.Equal(o.key, wantKey)) || !orbitEqual(o.c, o.key, wantKey) {
+						t.Fatalf("op %d: class %d key %v, want class %d key %v", i, o.c.ID, o.key, want[i].c.ID, wantKey)
+					}
 				}
 			}
 		})

@@ -1,7 +1,8 @@
 // Package index implements the fragment-based index of the PIS paper (§4):
-// a hash table from canonical structure codes to per-class indexes that
-// answer the range query d(g, g') <= σ over the labeled fragments of one
-// structural equivalence class.
+// a directory of canonical structure codes, walked as a trie to find
+// fragments (query.go), with per-class indexes that answer the range query
+// d(g, g') <= σ over the labeled fragments of one structural equivalence
+// class.
 //
 // Every class stores its fragments the same way, as a sorted slab of
 // fixed-length keys probed by one scan (slab.go); the metric alone decides
@@ -33,8 +34,9 @@ type Options struct {
 	// class stores: weights when it declares distance.WeightKeyed, labels
 	// otherwise, without the vertex positions when it is vertex-blind.
 	Metric distance.Metric
-	// MaxFragmentEdges bounds the fragments enumerated from database
-	// graphs; it defaults to the largest feature size.
+	// MaxFragmentEdges bounds the features the index keeps a class for,
+	// and so the fragments found in graphs; it defaults to the largest
+	// feature size.
 	MaxFragmentEdges int
 }
 
@@ -54,6 +56,12 @@ type Class struct {
 	// perms are the automorphism-induced position permutations over the
 	// combined (vertex labels ++ edge labels) sequence.
 	perms [][]int
+	// conds are the class's symmetry-breaking conditions: the walk emits
+	// an embedding only if it places DFS id a below DFS id b for every
+	// pair (a, b) (symmetryConditions). path is the root of the class's
+	// own one-path trie, which queries walk (plant).
+	conds [][2]int32
+	path  *node
 
 	ents  slab    // stored entries, sealed by finalize
 	stage staging // entries while a build or a Load folds them in
@@ -122,15 +130,14 @@ type Index struct {
 	// hold one id per entry instead of a counted run (slab.go).
 	weights  bool
 	singleID bool
-	classes  map[string]*Class
 	list     []*Class
 	dbSize   int
 	// fingerprint identifies the exact graph set the index was built
 	// over (graph.Fingerprint).
 	fingerprint uint64
-	// shapes classifies every fragment a build or merge enumerates by the
-	// edge it adds to its parent (canon.Shapes); queries walk classes.
-	shapes *canon.Shapes[Class]
+	// trie is the class directory as a prefix tree of class codes, which
+	// builds and queries walk to find fragments (query.go).
+	trie *node
 	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
 	// nil on an index loaded from an image without the fingerprint
 	// section, until Pair recomputes them.
@@ -192,7 +199,6 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 	x := &Index{
 		opts:    opts,
 		weights: distance.ReadsWeights(opts.Metric),
-		classes: make(map[string]*Class, len(features)),
 	}
 	for _, f := range features {
 		if f.Edges > opts.MaxFragmentEdges {
@@ -208,22 +214,16 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 			vOff = 0
 		}
 		c := newClass(len(x.list), f.Key, f.Code, cg, embs, vOff)
-		x.classes[f.Key] = c
 		x.list = append(x.list, c)
 	}
-	x.startShapes()
+	x.plant()
 	return x, nil
-}
-
-// startShapes gives x an empty shape table over its class directory,
-// which must be complete: a shape resolves its class once.
-func (x *Index) startShapes() {
-	x.shapes = canon.NewShapes(func(key string) *Class { return x.classes[key] })
 }
 
 // newClass scaffolds class id over its canonical skeleton cg, whose
 // automorphisms embs become the position permutations over the combined
-// (vertex labels ++ edge labels) sequence. Per-class storage stays empty.
+// (vertex labels ++ edge labels) sequence and the symmetry-breaking
+// conditions. Per-class storage stays empty.
 func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon.Embedding, vOff int) *Class {
 	c := &Class{
 		ID:        id,
@@ -233,6 +233,7 @@ func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon
 		NumV:      cg.N(),
 		NumE:      cg.M(),
 		vOff:      vOff,
+		conds:     symmetryConditions(embs),
 	}
 	for _, a := range embs {
 		p := make([]int, c.SeqLen())
@@ -255,17 +256,6 @@ func (x *Index) finalize() {
 		c.stage = staging{}
 		c.fragments = len(c.ents.ids)
 	}
-}
-
-// each calls fn with the placement of every fragment of g that falls in a
-// class, in enumeration order: what a build folds in.
-func (x *Index) each(g *graph.Graph, fs *FragmentScratch, fn func(p *canon.Placement[Class])) {
-	fs.enum.Enumerate(g, x.opts.MaxFragmentEdges, func(edges []int32) bool {
-		if p := fs.cl.Classify(x.shapes, g, edges); p.Shape.Class != nil {
-			fn(p)
-		}
-		return true
-	})
 }
 
 // PostingList is the flat result of one range query: graph ids ascending

@@ -24,7 +24,14 @@ func (x *Index) RangeQuery(qf QueryFragment, sigma float64) map[int32]float64 {
 }
 
 // Lookup returns the class for a structure key, or nil.
-func (x *Index) Lookup(key string) *Class { return x.classes[key] }
+func (x *Index) Lookup(key string) *Class {
+	for _, c := range x.list {
+		if c.Key == key {
+			return c
+		}
+	}
+	return nil
+}
 
 // Fragments returns the number of stored (key, graph) pairs: a key that
 // occurs several times inside one graph counts once for it.

@@ -1,10 +1,10 @@
-// In-memory index construction. Fragment enumeration and canonicalization
-// dominate a build; graphs are independent, so a worker pool computes each
-// graph's insert operations (computeOps) and a sequencer applies them in
-// graph-id order (apply). Sequenced application keeps the result
-// bit-identical for any worker count (the postings and id-run dedup rely on
-// ascending ids); the serial build is the same fold with the one worker
-// inlined.
+// In-memory index construction. Finding fragments (the class trie walk,
+// query.go) and laying out their keys dominate a build; graphs are
+// independent, so a worker pool computes each graph's insert operations
+// (computeOps) and a sequencer applies them in graph-id order (apply).
+// Sequenced application keeps the result bit-identical for any worker
+// count (the postings and id-run dedup rely on ascending ids); the serial
+// build is the same fold with the one worker inlined.
 
 package index
 
@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"pis/internal/canon"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
@@ -50,8 +49,10 @@ func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	}
 	if workers == 1 || len(db)-from < 2*workers {
 		var fs FragmentScratch
+		var ops graphOps
 		for id := from; id < len(db); id++ {
-			x.apply(int32(id), x.computeOps(db[id], &fs))
+			ops = x.computeOps(ops, db[id], &fs)
+			x.apply(int32(id), ops)
 		}
 	} else {
 		x.foldParallel(db, from, workers)
@@ -78,7 +79,7 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 			defer wg.Done()
 			var fs FragmentScratch
 			for id := range jobs {
-				results <- result{id: id, ops: x.computeOps(db[id], &fs)}
+				results <- result{id: id, ops: x.computeOps(graphOps{}, db[id], &fs)}
 			}
 		}()
 	}
@@ -120,15 +121,12 @@ func (x *Index) apply(id int32, ops graphOps) {
 	}
 }
 
-// computeOps runs the read-only part of folding g in: enumerate,
-// classify, and lay out keys — everything except mutating the shared
-// class stores. fs is the calling goroutine's scratch; the returned ops
-// own their keys.
-func (x *Index) computeOps(g *graph.Graph, fs *FragmentScratch) graphOps {
-	var ops graphOps
-	x.each(g, fs, func(p *canon.Placement[Class]) {
-		ops.classes = append(ops.classes, p.Shape.Class)
-		ops.keys = x.appendStoredKey(ops.keys, g, p)
-	})
+// computeOps runs the read-only part of folding g in: walk the class trie
+// and lay out keys — everything except mutating the shared class stores.
+// The ops overwrite ops' storage and are returned; fs is the calling
+// goroutine's scratch.
+func (x *Index) computeOps(ops graphOps, g *graph.Graph, fs *FragmentScratch) graphOps {
+	ops.classes, ops.keys = ops.classes[:0], ops.keys[:0]
+	fs.w.run(x, g, nil, nil, &ops)
 	return ops
 }

@@ -1,5 +1,5 @@
-// Index persistence. The expensive part of PIS is enumerating and
-// canonicalizing every database fragment; Save captures the result so a
+// Index persistence. The expensive part of PIS is finding and keying
+// every database fragment; Save captures the result so a
 // process restart costs a decode (Load) or a memory mapping (OpenMapped)
 // instead of a rebuild.
 //
@@ -622,11 +622,11 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		},
 		weights:     hdr.kind == kindWeights,
 		singleID:    hdr.kind != kindLabelRuns,
-		classes:     make(map[string]*Class, len(dir)),
 		dbSize:      hdr.dbSize,
 		fingerprint: hdr.fingerprint,
 		fps:         fps,
 	}
+	seen := make(map[string]bool, len(dir))
 	for i, dc := range dir {
 		cg, err := codeGraph(dc.code)
 		if err != nil {
@@ -638,7 +638,7 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 			wantVOff = 0
 		}
 		key := dc.code.Key()
-		if minCode.Compare(dc.code) != 0 || x.classes[key] != nil || dc.vOff != wantVOff {
+		if minCode.Compare(dc.code) != 0 || seen[key] || dc.vOff != wantVOff {
 			return nil, fmt.Errorf("index: mapped directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
 		}
 		c := newClass(i, key, dc.code, cg, embs, dc.vOff)
@@ -663,10 +663,10 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 		if what := x.checkBlocks(c); what != "" {
 			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, or the block does not end with its last entry)", i, what, hdr.dbSize)
 		}
-		x.classes[key] = c
+		seen[key] = true
 		x.list = append(x.list, c)
 	}
-	x.startShapes()
+	x.plant()
 	return x, nil
 }
 

@@ -1,7 +1,7 @@
 // Merging an index forward. The paper's index (§4) is static, but most of
-// what a compaction would enumerate is already keyed and sorted in the
+// what a compaction would find is already keyed and sorted in the
 // outgoing index: Rebase carries those entries over under their new ids
-// and enumerates only the graphs the old index never saw.
+// and walks only the graphs the old index never saw.
 
 package index
 
@@ -24,7 +24,6 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 	x := &Index{
 		opts:    old.opts,
 		weights: old.weights,
-		classes: make(map[string]*Class, len(old.list)),
 	}
 	moved := func(dst, ids []int32) []int32 {
 		for _, id := range ids {
@@ -37,8 +36,7 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 	var ids []int32 // one entry's run, moved
 	for _, oc := range old.list {
 		c := &Class{ID: oc.ID, Key: oc.Key, Code: oc.Code, Structure: oc.Structure,
-			NumV: oc.NumV, NumE: oc.NumE, vOff: oc.vOff, perms: oc.perms}
-		x.classes[c.Key] = c
+			NumV: oc.NumV, NumE: oc.NumE, vOff: oc.vOff, perms: oc.perms, conds: oc.conds}
 		x.list = append(x.list, c)
 		c.postings = moved(make([]int32, 0, oc.PostingCount()), oc.Postings())
 		old.eachEntry(oc, func(key []uint64, run []int32) {
@@ -47,7 +45,7 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 			}
 		})
 	}
-	x.startShapes()
+	x.plant()
 	x.foldAndSeal(db, firstNew, workers)
 	return x, nil
 }

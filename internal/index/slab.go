@@ -24,7 +24,6 @@ import (
 	"slices"
 	"sort"
 
-	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 )
@@ -169,13 +168,12 @@ func (x *Index) appendKey(dst []uint64, host *graph.Graph, c *Class, verts, edge
 // appendStoredKey appends the key a database fragment is stored under.
 // Label keys are stored as the smallest of their automorphism variants,
 // which merges the variants of one fragment into one entry, and so do not
-// depend on which canonical embedding placed the fragment; weight keys
-// are stored as laid out (continuous weights rarely repeat). A query
-// probes every variant, so either is exact.
-func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, p *canon.Placement[Class]) []uint64 {
-	c := p.Shape.Class
+// depend on which embedding placed the fragment; weight keys are stored as
+// laid out (continuous weights rarely repeat). A query probes every
+// variant, so either is exact.
+func (x *Index) appendStoredKey(dst []uint64, host *graph.Graph, c *Class, verts, edges []int32) []uint64 {
 	n := len(dst)
-	dst = x.appendKey(dst, host, c, p.Vertices, p.Edges)
+	dst = x.appendKey(dst, host, c, verts, edges)
 	if x.weights || len(c.perms) == 1 {
 		return dst // a lone automorphism is the identity
 	}

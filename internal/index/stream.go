@@ -2,7 +2,7 @@
 // large graph stream into a v3 mapped index file while holding only a
 // fixed-size working set in heap, by the classic external-sort shape:
 //
-//	pass 1   stream graphs once; enumerate + canonicalize fragments
+//	pass 1   stream graphs once; find fragments and lay out their keys
 //	         exactly like Build, but instead of inserting into heap
 //	         structures, encode each distinct (class, sequence, graph)
 //	         observation as a byte record whose raw ordering is the
@@ -47,7 +47,6 @@ import (
 	"slices"
 
 	"pis/internal/binio"
-	"pis/internal/canon"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
@@ -95,8 +94,8 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	if n <= 0 {
 		return res, fmt.Errorf("index: streaming build needs a declared positive size, got %d", n)
 	}
-	// Pass 1 needs the class directory for canonicalization, the merge
-	// for distances.
+	// Pass 1 needs the class directory to find fragments, the merge for
+	// distances.
 	x, err := scaffold(features, opts)
 	if err != nil {
 		return res, err
@@ -109,9 +108,9 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	}
 	defer os.RemoveAll(tmpDir)
 
-	sp, err := newSpiller(tmpDir, sopts.ArenaBytes)
-	if err != nil {
-		return res, err
+	sp := &spiller{dir: tmpDir, limit: sopts.ArenaBytes}
+	if sp.limit <= 0 {
+		sp.limit = streamDefaultArena
 	}
 	fpFile, err := os.Create(filepath.Join(tmpDir, "graphfp"))
 	if err != nil {
@@ -124,6 +123,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	fpr := graph.NewFingerprinter(n)
 	var rec []byte // per-fragment record scratch
 	var fs FragmentScratch
+	var ops graphOps
 	for id := 0; id < n; id++ {
 		g, ok := src.Next()
 		if !ok {
@@ -133,20 +133,21 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		var gfp GraphFP
 		fillGraphFP(&gfp, g)
 		writeStreamFP(fpw, &gfp)
-		gid := uint32(id)
-		x.each(g, &fs, func(p *canon.Placement[Class]) {
-			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(p.Shape.Class.ID))
-			fs.u64 = x.appendStoredKey(fs.u64[:0], g, p)
-			for _, k := range fs.u64 {
+		ops = x.computeOps(ops, g, &fs)
+		keys := ops.keys
+		for _, c := range ops.classes {
+			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
+			for _, k := range keys[:c.SeqLen()] {
 				if x.weights {
 					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(k))
 				} else {
 					rec = binary.BigEndian.AppendUint32(rec, uint32(k))
 				}
 			}
-			rec = binary.BigEndian.AppendUint32(rec, gid)
+			keys = keys[c.SeqLen():]
+			rec = binary.BigEndian.AppendUint32(rec, uint32(id))
 			sp.addRecord(rec)
-		})
+		}
 		if err := sp.endGraph(); err != nil {
 			return res, err
 		}
@@ -157,7 +158,7 @@ func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	if err := fpw.Flush(); err != nil {
 		return res, err
 	}
-	if err := sp.finish(); err != nil {
+	if err := sp.spill(); err != nil {
 		return res, err
 	}
 	res.Graphs = n
@@ -279,13 +280,6 @@ type spiller struct {
 	spilled int64
 }
 
-func newSpiller(dir string, arenaBytes int) (*spiller, error) {
-	if arenaBytes <= 0 {
-		arenaBytes = streamDefaultArena
-	}
-	return &spiller{dir: dir, limit: arenaBytes}, nil
-}
-
 func (sp *spiller) addRecord(rec []byte) {
 	sp.goffs = append(sp.goffs, uint64(len(sp.gbuf))<<16|uint64(len(rec)))
 	sp.gbuf = append(sp.gbuf, rec...)
@@ -371,12 +365,9 @@ func (sp *spiller) spill() error {
 	return nil
 }
 
-func (sp *spiller) finish() error { return sp.spill() }
-
 // runCursor reads one sorted run during the merge.
 type runCursor struct {
 	r   *bufio.Reader
-	f   *os.File
 	rec []byte
 	ok  bool
 }
@@ -404,14 +395,11 @@ func (rc *runCursor) advance() error {
 
 type runHeap []*runCursor
 
-func (h runHeap) Len() int               { return len(h) }
-func (h runHeap) Less(i, j int) bool     { return bytes.Compare(h[i].rec, h[j].rec) < 0 }
-func (h runHeap) Swap(i, j int)          { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)            { *h = append(*h, x.(*runCursor)) }
-func (h *runHeap) Pop() any              { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h runHeap) peek() *runCursor       { return h[0] }
-func (h *runHeap) fix()                  { heap.Fix(h, 0) }
-func (h *runHeap) popCursor() *runCursor { return heap.Pop(h).(*runCursor) }
+func (h runHeap) Len() int           { return len(h) }
+func (h runHeap) Less(i, j int) bool { return bytes.Compare(h[i].rec, h[j].rec) < 0 }
+func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *runHeap) Push(x any)        { *h = append(*h, x.(*runCursor)) }
+func (h *runHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // sampleStream keeps a bounded, deterministic, evenly-spread sample of
 // a stream of keys of unknown length: keep every stride-th key; when the
@@ -464,7 +452,7 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 			return nil, 0, err
 		}
 		defer rf.Close()
-		rc := &runCursor{f: rf, r: bufio.NewReaderSize(rf, 1<<16)}
+		rc := &runCursor{r: bufio.NewReaderSize(rf, 1<<16)}
 		if err := rc.advance(); err != nil {
 			return nil, 0, err
 		}
@@ -486,7 +474,7 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 	// spill-path change breaking that invariant silently.
 	var prev []byte
 	for len(h) > 0 {
-		rc := h.peek()
+		rc := h[0]
 		if !bytes.Equal(rc.rec, prev) {
 			if err := m.consume(rc.rec); err != nil {
 				return nil, 0, err
@@ -497,9 +485,9 @@ func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResu
 			return nil, 0, err
 		}
 		if rc.ok {
-			h.fix()
+			heap.Fix(&h, 0)
 		} else {
-			h.popCursor()
+			heap.Pop(&h)
 		}
 	}
 	if err := m.finishAll(); err != nil {

@@ -11,7 +11,7 @@
 // into a new base, automatically once the delta outgrows
 // Config.CompactFraction of the base. It merges rather than rebuilds
 // (index.Rebase): the outgoing index's class entries carry over under
-// their new ids, only the delta's graphs are enumerated, and the features
+// their new ids, only the delta's graphs are walked, and the features
 // stay the ones last mined — until the survivors number twice the graphs
 // those were mined over, when the compaction mines and builds afresh. The
 // merged index is, bit for bit, the one a build over the survivors with

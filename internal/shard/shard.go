@@ -493,8 +493,6 @@ func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 		total.Postings += s.Postings
 		memory.BitmapBytes += m.BitmapBytes
 		memory.FingerprintBytes += m.FingerprintBytes
-		memory.Shapes += m.Shapes
-		memory.ShapeTransitions += m.ShapeTransitions
 	}
 	return total, memory
 }

@@ -365,7 +365,7 @@ func (db *Database) Delete(id int32) (bool, error) { return db.db.Delete(id) }
 
 // Compact folds every shard's delta and tombstones into a new index over
 // the surviving graphs, in parallel. A shard merges: the entries of its
-// current index carry over, only the delta's graphs are enumerated, and
+// current index carry over, only the delta's graphs are walked, and
 // the features stay the ones last mined, which gives bit for bit the
 // index a build over the survivors with those features would. Once a
 // shard's survivors number twice the graphs its features were mined over,
@@ -498,9 +498,6 @@ type IndexStats struct {
 	// / 8 per shard) and the per-graph prescreen fingerprints.
 	BitmapBytes      int
 	FingerprintBytes int
-	// Shapes and ShapeTransitions count the tables that classify fragments,
-	// summed over the shards: bounded, they stop once every shape is met.
-	Shapes, ShapeTransitions int
 }
 
 // Stats sums the per-shard index counters. Features counts per-shard
@@ -512,7 +509,6 @@ func (db *Database) Stats() IndexStats {
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
 		BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
-		Shapes: mem.Shapes, ShapeTransitions: mem.ShapeTransitions,
 	}
 }
 

@@ -865,10 +865,6 @@ type IndexStatsJSON struct {
 	// pis.Options.MappedIndex too).
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
-	// Shapes and ShapeTransitions count the shape tables' entries, summed
-	// over the shards; they level off once every shape has been met.
-	Shapes           int `json:"shapes"`
-	ShapeTransitions int `json:"shape_transitions"`
 }
 
 func encodeIndexStats(s pis.IndexStats) IndexStatsJSON {
@@ -876,7 +872,6 @@ func encodeIndexStats(s pis.IndexStats) IndexStatsJSON {
 		Features: s.Features, Fragments: s.Fragments, Sequences: s.Sequences,
 		Delta: s.Delta, Tombstones: s.Tombstones,
 		BitmapBytes: s.BitmapBytes, FingerprintBytes: s.FingerprintBytes,
-		Shapes: s.Shapes, ShapeTransitions: s.ShapeTransitions,
 	}
 }
 
