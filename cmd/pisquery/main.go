@@ -149,7 +149,7 @@ func queryRemote(base string, q *pis.Graph, sigma float64) error {
 		st.QueryFragments, st.UsedFragments, st.ExpandedFragments, st.PartitionSize)
 	fmt.Printf("candidates: %d structural, %d refuted by the prescreen, %d in σ range, %d after partition pruning, %d from the verify cache, %d verified\n",
 		st.StructCandidates, st.PrescreenRejects, st.RangeCandidates, st.DistCandidates, st.VerifyCacheHits, st.Verified)
-	fmt.Printf("time: server %.2fms (filter %.2fms of which planning %.2fms, verify %.2fms), cached %v\n",
-		resp.ElapsedMS, st.FilterMS, st.PlanMS, st.VerifyMS, resp.Cached)
+	fmt.Printf("time: server %.2fms (filter %.2fms of which planning %.2fms, verify %.2fms)\n",
+		resp.ElapsedMS, st.FilterMS, st.PlanMS, st.VerifyMS)
 	return nil
 }

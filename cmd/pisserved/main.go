@@ -59,7 +59,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for -gen")
 		shards   = flag.Int("shards", 1, "number of contiguous index shards (ignored when -data-dir already holds a store)")
 		maxFrag  = flag.Int("maxfrag", 5, "maximum indexed fragment size (edges)")
-		cache    = flag.Int("cache", 4096, "result cache capacity in entries (0 disables)")
 		inflight = flag.Int("inflight", 0, "max concurrently executing query requests (0 = unlimited)")
 		maxQueue = flag.Int("max-queue", 0, "max query requests waiting for an -inflight slot before shedding with 429 (0 = 4x inflight, negative = no queue)")
 		quWait   = flag.Duration("queue-wait", 0, "shed a queued query request with 429 after waiting this long for a slot (0 = wait as long as the client)")
@@ -103,7 +102,7 @@ func main() {
 	}
 	if clusterMode {
 		runCluster(*clusterAddr, *clusterPeers, *shards, *replication, *dataDir, *dbPath, *genN, *seed, opts,
-			serveConfig{addr: *addr, cache: *cache, inflight: *inflight, maxQueue: *maxQueue,
+			serveConfig{addr: *addr, inflight: *inflight, maxQueue: *maxQueue,
 				quWait: *quWait, shutdown: *shutdown, slowQuery: *slowQuery, qlogSize: *qlogSize,
 				debugAddr: *debugAddr})
 		return
@@ -149,7 +148,7 @@ func main() {
 	st := db.Stats()
 	log.Printf("index: %d shards, %d features, %d fragments", db.NumShards(), st.Features, st.Fragments)
 
-	serve(db, serveConfig{addr: *addr, cache: *cache, inflight: *inflight, maxQueue: *maxQueue,
+	serve(db, serveConfig{addr: *addr, inflight: *inflight, maxQueue: *maxQueue,
 		quWait: *quWait, shutdown: *shutdown, slowQuery: *slowQuery, qlogSize: *qlogSize,
 		debugAddr: *debugAddr})
 }
@@ -158,7 +157,6 @@ func main() {
 // and cluster mode.
 type serveConfig struct {
 	addr      string
-	cache     int
 	inflight  int
 	maxQueue  int
 	quWait    time.Duration
@@ -172,7 +170,6 @@ type serveConfig struct {
 func serve(backend server.Backend, sc serveConfig) {
 	srv, err := server.New(server.Config{
 		Backend:            backend,
-		CacheSize:          sc.cache,
 		MaxInFlight:        sc.inflight,
 		MaxQueue:           sc.maxQueue,
 		QueueWait:          sc.quWait,

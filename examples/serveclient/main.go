@@ -1,6 +1,6 @@
 // Example HTTP client for pisserved: builds a small query graph, runs a
-// threshold search and a kNN search against a running server, and prints
-// the cache counters from /stats. Start a server first, e.g.:
+// threshold search and a kNN search against a running server, repeats the
+// search, and prints the result-memo counters from /stats. Start a server first, e.g.:
 //
 //	pisserved -gen 500 -shards 4 -addr :8080
 //	go run ./examples/serveclient -addr http://localhost:8080
@@ -37,8 +37,8 @@ func main() {
 
 	var sr server.SearchResponse
 	post(*addr+"/search", server.SearchRequest{Query: server.EncodeGraph(ring), Sigma: *sigma}, &sr)
-	fmt.Printf("search σ=%g: %d answers in %.1fms (cached=%v)\n",
-		*sigma, len(sr.Answers), sr.ElapsedMS, sr.Cached)
+	fmt.Printf("search σ=%g: %d answers in %.1fms (memo hit=%v)\n",
+		*sigma, len(sr.Answers), sr.ElapsedMS, sr.Stats.MemoHit)
 
 	var kr server.KNNResponse
 	post(*addr+"/knn", server.KNNRequest{Query: server.EncodeGraph(ring), K: 3, MaxSigma: 16}, &kr)
@@ -47,10 +47,11 @@ func main() {
 		fmt.Printf("  graph %d at distance %g\n", n.ID, n.Distance)
 	}
 
-	// The same search again is a cache hit: the canonical key ignores
-	// vertex order, so any isomorphic rewrite of the ring hits too.
+	// The same search again is a hit of every shard's result memo: the
+	// canonical key ignores vertex order, so any isomorphic rewrite of the
+	// ring hits too, and a write since costs only the graphs it added.
 	post(*addr+"/search", server.SearchRequest{Query: server.EncodeGraph(ring), Sigma: *sigma}, &sr)
-	fmt.Printf("repeat search: cached=%v, %.2fms\n", sr.Cached, sr.ElapsedMS)
+	fmt.Printf("repeat search: memo hit=%v, %.2fms\n", sr.Stats.MemoHit, sr.ElapsedMS)
 
 	resp, err := http.Get(*addr + "/stats")
 	if err != nil {
@@ -61,8 +62,8 @@ func main() {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("server: %d graphs, %d shards, cache %d/%d entries, %d hits / %d misses\n",
-		st.Graphs, st.Shards, st.Cache.Entries, st.Cache.Capacity, st.Cache.Hits, st.Cache.Misses)
+	fmt.Printf("server: %d graphs, %d shards, memo %d hits / %d misses / %d fallbacks, %d bytes\n",
+		st.Graphs, st.Shards, st.Memo.Hits, st.Memo.Misses, st.Memo.Fallbacks, st.Memo.Bytes)
 }
 
 func post(url string, req, resp any) {

@@ -273,9 +273,20 @@ func (sr *SectionReader) Count(minBytes int, what string) int {
 	return int(n)
 }
 
+// slab returns the n*width bytes of an n-value slab. It checks n against
+// what the section holds before multiplying, so a corrupt count can
+// neither wrap n*width to a small size nor size an allocation by itself.
+func (sr *SectionReader) slab(n, width int, what string) []byte {
+	if n < 0 || n > sr.Remaining()/width {
+		sr.fail(what)
+		return nil
+	}
+	return sr.take(n*width, what)
+}
+
 // I32Slab decodes n little-endian int32 values.
 func (sr *SectionReader) I32Slab(n int) []int32 {
-	b := sr.take(4*n, "int32 slab")
+	b := sr.slab(n, 4, "int32 slab")
 	if b == nil {
 		return nil
 	}
@@ -288,7 +299,7 @@ func (sr *SectionReader) I32Slab(n int) []int32 {
 
 // F64Slab decodes n little-endian float64 values.
 func (sr *SectionReader) F64Slab(n int) []float64 {
-	b := sr.take(8*n, "float64 slab")
+	b := sr.slab(n, 8, "float64 slab")
 	if b == nil {
 		return nil
 	}

@@ -15,7 +15,6 @@ type QueryRecord struct {
 	QueryN    int       `json:"query_vertices,omitempty"`
 	QueryM    int       `json:"query_edges,omitempty"`
 	Answers   int       `json:"answers"`
-	Cached    bool      `json:"cached"`
 	ElapsedMS float64   `json:"elapsed_ms"`
 	Slow      bool      `json:"slow,omitempty"`
 	Trace     *Span     `json:"trace,omitempty"`

@@ -306,26 +306,29 @@ func (s *Store) rejectPoisonedLocked() error {
 // framed, checksummed, written, and fsync'd before AppendInsert returns
 // nil. On error the mutation must not be applied in memory.
 func (s *Store) AppendInsert(id int32, g *graph.Graph) error {
-	payload := make([]byte, 0, 64)
-	payload = append(payload, OpInsert)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(id))
-	payload = g.AppendBinary(payload)
-	return s.append(payload)
+	return s.append(encodeRecord(Record{Op: OpInsert, ID: id, Graph: g}))
 }
 
 // AppendDelete durably logs the deletion of id.
 func (s *Store) AppendDelete(id int32) error {
-	payload := make([]byte, 0, 8)
-	payload = append(payload, OpDelete)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(id))
-	return s.append(payload)
+	return s.append(encodeRecord(Record{Op: OpDelete, ID: id}))
 }
 
-func (s *Store) append(payload []byte) error {
-	rec := make([]byte, 0, len(payload)+8)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+// encodeRecord frames one mutation as the WAL holds it: [u32 LE payload
+// length][payload][u32 LE IEEE-CRC32 of payload], the payload being the
+// op, the u32 LE id and, for an insert, the graph's binary encoding.
+func encodeRecord(r Record) []byte {
+	rec := make([]byte, 4, 72)
+	rec = append(rec, r.Op)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(r.ID))
+	if r.Op == OpInsert {
+		rec = r.Graph.AppendBinary(rec)
+	}
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-4))
+	return binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec[4:]))
+}
+
+func (s *Store) append(rec []byte) error {
 	appendStart := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -560,17 +563,16 @@ func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) erro
 // file. mapped asks for the side file to be memory-mapped rather than
 // heap-decoded; it must only be set when fs is the real filesystem.
 func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Snapshot, uint64, error) {
-	f, err := fs.Open(path)
+	data, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapMagic {
-		return nil, 0, fmt.Errorf("not a PIS snapshot (magic %q)", magic)
+	if !bytes.HasPrefix(data, []byte(snapMagic)) {
+		return nil, 0, fmt.Errorf("not a PIS snapshot (magic %q)", data[:min(len(data), len(snapMagic))])
 	}
-	sr := binio.NewSectionReader(br)
+	// Over a bytes.Reader, binio refuses a section length the file cannot
+	// hold before allocating it.
+	sr := binio.NewSectionReader(bytes.NewReader(data[len(snapMagic):]))
 	if err := sr.Next(); err != nil {
 		return nil, 0, fmt.Errorf("header: %w", err)
 	}
@@ -597,12 +599,13 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 		return nil, 0, fmt.Errorf("header: index file name %q escapes the store directory", idxFile)
 	}
 
-	readGraphs := func(n int, what string) ([]*graph.Graph, []int32, error) {
+	// The slices grow as graphs decode instead of being sized by the
+	// header's count, so a corrupt count fails at the first missing graph
+	// having allocated no more than the file holds.
+	readGraphs := func(n int, what string) (graphs []*graph.Graph, ids []int32, err error) {
 		if err := sr.Next(); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", what, err)
 		}
-		graphs := make([]*graph.Graph, 0, n)
-		ids := make([]int32, 0, n)
 		for i := 0; i < n; i++ {
 			if sr.Remaining() == 0 { // chunk boundary
 				if err := sr.Next(); err != nil {
@@ -667,12 +670,19 @@ func scanWAL(fs FS, path string) ([]RecordInfo, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	out, valid := scanRecords(data)
+	return out, valid, nil
+}
+
+// scanRecords decodes the valid record prefix of a WAL image and returns
+// the records with the byte length of that prefix.
+func scanRecords(data []byte) ([]RecordInfo, int64) {
 	var out []RecordInfo
 	off := int64(0)
 	for {
 		rec, end, ok := nextRecord(data, off)
 		if !ok {
-			return out, off, nil
+			return out, off
 		}
 		rec.Start = off
 		rec.End = end
@@ -702,8 +712,10 @@ func nextRecord(data []byte, off int64) (ri RecordInfo, end int64, ok bool) {
 		if len(payload) < 5 {
 			return ri, 0, false
 		}
+		// Only the encoding AppendBinary writes is a record: the graph
+		// must re-encode to the logged bytes.
 		g, tail, err := graph.DecodeBinary(payload[5:])
-		if err != nil || len(tail) != 0 {
+		if err != nil || len(tail) != 0 || !bytes.Equal(g.AppendBinary(nil), payload[5:]) {
 			return ri, 0, false
 		}
 		ri.Op = OpInsert

@@ -17,7 +17,7 @@ import (
 )
 
 // testState builds a tiny indexed graph set for snapshot payloads.
-func testState(t *testing.T, n int, seed int64) ([]*graph.Graph, *index.Index) {
+func testState(t testing.TB, n int, seed int64) ([]*graph.Graph, *index.Index) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	graphs := make([]*graph.Graph, n)

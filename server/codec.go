@@ -134,11 +134,14 @@ type SearchResponse struct {
 	Answers   []int32   `json:"answers"`
 	Distances []float64 `json:"distances"`
 	Stats     StatsJSON `json:"stats"`
-	Cached    bool      `json:"cached"`
-	ElapsedMS float64   `json:"elapsed_ms"`
+	// Cached is always false: the server keeps no result cache, and a
+	// repeat answered from the segments' result memos says so in
+	// stats.memo_hit. The field stays because the benchmark harness
+	// (bench/replay.go) still decodes it.
+	Cached    bool    `json:"cached"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// Trace is the per-stage span tree, present only when the request
-	// asked for it with ?trace=1. A cache hit returns a stub span marked
-	// cache_hit instead of the (stale) trace of the original execution.
+	// asked for it with ?trace=1.
 	Trace *pis.TraceSpan `json:"trace,omitempty"`
 }
 
@@ -158,7 +161,6 @@ type NeighborJSON struct {
 // KNNResponse is the body returned by POST /knn.
 type KNNResponse struct {
 	Neighbors []NeighborJSON `json:"neighbors"`
-	Cached    bool           `json:"cached"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 

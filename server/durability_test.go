@@ -20,7 +20,7 @@ func newDurableServer(t *testing.T) (*httptest.Server, *pis.Database, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	s, err := New(Config{Backend: db, CacheSize: 64})
+	s, err := New(Config{Backend: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDurableServerRestart(t *testing.T) {
 	if d := re.Durability(); d.ReplayedRecords != 2 {
 		t.Fatalf("recovery replayed %d records, want 2 (insert + delete)", d.ReplayedRecords)
 	}
-	s2, err := New(Config{Backend: re, CacheSize: 64})
+	s2, err := New(Config{Backend: re})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestClientDisconnectFreesSlot(t *testing.T) {
 		gate:     make(chan struct{}),
 		canceled: make(chan struct{}, 1),
 	}
-	ts := newTestServer(t, Config{Backend: bb, MaxInFlight: 1, CacheSize: -1})
+	ts := newTestServer(t, Config{Backend: bb, MaxInFlight: 1})
 	_, before, _ := getBody(t, ts.URL+"/metrics")
 	canceledBefore := metricValue(t, before, "pis_queries_canceled_total")
 
@@ -195,7 +195,7 @@ func (p panicBackend) SearchContext(ctx context.Context, q *pis.Graph, sigma flo
 
 func TestHandlerPanicIsolated(t *testing.T) {
 	_, db := testEnv(t)
-	ts := newTestServer(t, Config{Backend: panicBackend{db}, CacheSize: -1})
+	ts := newTestServer(t, Config{Backend: panicBackend{db}})
 	panicsBefore := mHTTPPanics.Value()
 
 	st := postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(sampleQuery(t, 47)), Sigma: 1}, nil)
@@ -212,8 +212,8 @@ func TestHandlerPanicIsolated(t *testing.T) {
 }
 
 // TestQueryTimeoutMapsTo504: a query past its deadline answers 504 on
-// every query route — a traced search like any other — caches nothing
-// and leaves no goroutine running.
+// every query route — a traced search like any other — and leaves no
+// goroutine running.
 func TestQueryTimeoutMapsTo504(t *testing.T) {
 	graphs, _ := testEnv(t)
 	for _, shards := range []int{1, 2} {
@@ -237,11 +237,6 @@ func TestQueryTimeoutMapsTo504(t *testing.T) {
 		}
 		if st := postJSON(t, ts.URL+"/knn", KNNRequest{Query: EncodeGraph(sampleQuery(t, 49)), K: 2, MaxSigma: 4}, nil); st != http.StatusGatewayTimeout {
 			t.Fatalf("shards=%d: timed-out knn got %d, want 504", shards, st)
-		}
-		var stats ServerStats
-		getJSON(t, ts.URL+"/stats", &stats)
-		if stats.Cache.Entries != 0 {
-			t.Errorf("shards=%d: %d results of timed-out queries were cached", shards, stats.Cache.Entries)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,9 +25,6 @@ func newMutableServer(t *testing.T, cfg Config) (*httptest.Server, *pis.Database
 		t.Fatal(err)
 	}
 	cfg.Backend = db
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 128
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +154,9 @@ func TestDeleteEndpoint(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesCache: a cached answer must not survive a
-// mutation that could change it, observable through /stats.
+// TestMutationInvalidatesCache: a memoised answer must not outlive a
+// mutation that changes it: the repeat after a delete is still a memo
+// hit, and it drops the deleted graph.
 func TestMutationInvalidatesCache(t *testing.T) {
 	ts, _, graphs := newMutableServer(t, Config{})
 	q := gen.Queries(graphs, 1, 6, 5)[0]
@@ -166,17 +165,12 @@ func TestMutationInvalidatesCache(t *testing.T) {
 	var first, second SearchResponse
 	postJSON(t, ts.URL+"/search", req, &first)
 	postJSON(t, ts.URL+"/search", req, &second)
-	if !second.Cached {
-		t.Fatal("second identical search should be cached")
-	}
-	var st ServerStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Cache.Entries == 0 {
-		t.Fatal("cache should hold the search entry")
+	if !second.Stats.MemoHit || !reflect.DeepEqual(second.Answers, first.Answers) {
+		t.Fatalf("second identical search: memo hit %v, answers %v; want a hit answering %v",
+			second.Stats.MemoHit, second.Answers, first.Answers)
 	}
 
-	// Delete one of the answers: the cache clears and the re-run reflects
-	// the deletion.
+	// Delete one of the answers: the re-run reflects the deletion.
 	if len(first.Answers) == 0 {
 		t.Fatal("query has no answers")
 	}
@@ -184,10 +178,8 @@ func TestMutationInvalidatesCache(t *testing.T) {
 	if code := doJSON(t, "DELETE", fmt.Sprintf("%s/graphs/%d", ts.URL, victim), nil, nil); code != 200 {
 		t.Fatalf("delete status %d", code)
 	}
+	var st ServerStats
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Cache.Entries != 0 {
-		t.Errorf("cache entries %d after mutation, want 0", st.Cache.Entries)
-	}
 	if st.Mutations.Deletes != 1 {
 		t.Errorf("mutation counter deletes = %d, want 1", st.Mutations.Deletes)
 	}
@@ -197,13 +189,11 @@ func TestMutationInvalidatesCache(t *testing.T) {
 
 	var third SearchResponse
 	postJSON(t, ts.URL+"/search", req, &third)
-	if third.Cached {
-		t.Error("post-mutation search must miss the cache")
+	if !third.Stats.MemoHit {
+		t.Error("a delete must not cost the memo entry")
 	}
-	for _, id := range third.Answers {
-		if id == victim {
-			t.Error("stale cached answer served after delete")
-		}
+	if want := first.Answers[1:]; !slices.Equal(third.Answers, want) {
+		t.Errorf("answers after deleting %d: %v, want %v", victim, third.Answers, want)
 	}
 }
 
@@ -252,8 +242,8 @@ func TestCompactEndpoint(t *testing.T) {
 }
 
 // TestCompactKeepsResultCache: compaction changes no answer and no id, so
-// a cached /search must survive POST /compact, still cached and still
-// what a fresh database over the same live graphs answers.
+// the result memos survive POST /compact: a repeated /search is a memo
+// hit and still what a fresh database over the same live graphs answers.
 func TestCompactKeepsResultCache(t *testing.T) {
 	ts, db, graphs := newMutableServer(t, Config{})
 	extra := gen.Molecules(1, gen.Config{Seed: 502})[0]
@@ -264,15 +254,15 @@ func TestCompactKeepsResultCache(t *testing.T) {
 	req := SearchRequest{Query: EncodeGraph(gen.Queries(graphs, 1, 6, 7)[0]), Sigma: 2}
 	var first, second SearchResponse
 	postJSON(t, ts.URL+"/search", req, &first)
-	if first.Cached || len(first.Answers) == 0 {
-		t.Fatalf("first search: cached=%v answers=%v; want an executed search with answers", first.Cached, first.Answers)
+	if first.Stats.MemoHit || len(first.Answers) == 0 {
+		t.Fatalf("first search: memo hit %v, answers %v; want a full search with answers", first.Stats.MemoHit, first.Answers)
 	}
 	if code := doJSON(t, "POST", ts.URL+"/compact", nil, nil); code != 200 {
 		t.Fatalf("compact status %d", code)
 	}
 	postJSON(t, ts.URL+"/search", req, &second)
-	if !second.Cached {
-		t.Error("/compact cleared the result cache")
+	if !second.Stats.MemoHit {
+		t.Error("/compact cleared the result memos")
 	}
 
 	live := db.LiveIDs()
@@ -290,7 +280,7 @@ func TestCompactKeepsResultCache(t *testing.T) {
 		want = append(want, live[i])
 	}
 	if !reflect.DeepEqual(second.Answers, want) {
-		t.Errorf("cached answers after /compact %v, a fresh database says %v", second.Answers, want)
+		t.Errorf("memoised answers after /compact %v, a fresh database says %v", second.Answers, want)
 	}
 }
 
@@ -328,23 +318,6 @@ func TestIDOverflowIs404(t *testing.T) {
 	}
 	if db.Graph(0) == nil {
 		t.Fatal("overflowing delete wrapped around and killed graph 0")
-	}
-}
-
-// TestStalePutDropped: a result computed before an invalidation must not
-// re-enter the cache afterwards (the Put/Clear race a slow search loses).
-func TestStalePutDropped(t *testing.T) {
-	c := newLRUCache(8)
-	gen := c.Gen() // captured before the (conceptual) backend search
-	c.Clear()      // mutation lands while the search is still running
-	c.PutAt("k", "stale", gen)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("stale result cached across an invalidation")
-	}
-	// A put whose generation is current still lands.
-	c.PutAt("k", "fresh", c.Gen())
-	if v, ok := c.Get("k"); !ok || v != "fresh" {
-		t.Fatal("current-generation put should be cached")
 	}
 }
 

@@ -58,7 +58,7 @@ func traceRequested(r *http.Request) bool {
 }
 
 // registerGauges (re-)binds the scrape-time gauges to this server's
-// backend and cache. With several servers in one process the most
+// backend. With several servers in one process the most
 // recently constructed one owns the gauges; counters and histograms are
 // shared by all.
 func (s *Server) registerGauges() {
@@ -72,9 +72,6 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("pis_tombstoned_graphs",
 		"Deleted graphs awaiting compaction.",
 		func() float64 { return float64(s.backend.Stats().Tombstones) })
-	reg.GaugeFunc("pis_result_cache_entries",
-		"Entries in the canonical-query result cache.",
-		func() float64 { entries, _, _ := s.cache.Counters(); return float64(entries) })
 	reg.GaugeFunc("pis_wal_records",
 		"Acknowledged mutations in the active WALs, not yet snapshotted (0 for in-memory databases).",
 		func() float64 { return float64(s.backend.Durability().WALRecords) })
@@ -127,7 +124,7 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 // observeQuery samples one finished query into the debug ring and the
 // slow-query log. trace may be nil (tracing off); it is referenced, not
 // copied, so the record shares the span tree returned to the client.
-func (s *Server) observeQuery(endpoint string, q *pis.Graph, sigma float64, answers int, cached bool, elapsedMS float64, trace *pis.TraceSpan) {
+func (s *Server) observeQuery(endpoint string, q *pis.Graph, sigma float64, answers int, elapsedMS float64, trace *pis.TraceSpan) {
 	slow := s.cfg.SlowQueryThreshold > 0 && elapsedMS >= obs.MS(s.cfg.SlowQueryThreshold)
 	if trace != nil {
 		mTracedQueries.Inc()
@@ -137,7 +134,6 @@ func (s *Server) observeQuery(endpoint string, q *pis.Graph, sigma float64, answ
 		Endpoint:  endpoint,
 		Sigma:     sigma,
 		Answers:   answers,
-		Cached:    cached,
 		ElapsedMS: elapsedMS,
 		Slow:      slow,
 		Trace:     trace,
@@ -157,7 +153,6 @@ func (s *Server) observeQuery(endpoint string, q *pis.Graph, sigma float64, answ
 			slog.Int("query_vertices", rec.QueryN),
 			slog.Int("query_edges", rec.QueryM),
 			slog.Int("answers", answers),
-			slog.Bool("cached", cached),
 		)
 	}
 }

@@ -84,7 +84,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE pis_query_stage_seconds histogram",
 		"# TYPE pis_query_candidates_total counter",
 		"# TYPE pis_http_requests_total counter",
-		"# TYPE pis_result_cache_hits_total counter",
 		"# TYPE pis_wal_appends_total counter",
 		"# TYPE pis_snapshots_total counter",
 		"# TYPE pis_compactions_total counter",
@@ -131,8 +130,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSearchTraceFlag checks that ?trace=1 returns a span tree, that the
-// trace is not cached, and that cache hits get a stub span instead.
+// TestSearchTraceFlag checks that ?trace=1 returns a span tree, and that
+// a repeat answered from the result memos returns its own tree saying so.
 func TestSearchTraceFlag(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	q := sampleQuery(t, 32)
@@ -162,20 +161,18 @@ func TestSearchTraceFlag(t *testing.T) {
 		t.Error("no stage spans under the shard spans")
 	}
 
-	// Same query again: a cache hit must NOT replay the original trace.
+	// Same query again: a memo hit traces its own execution, one span per
+	// shard plus the merge, and marks the root.
 	var hit SearchResponse
 	postJSON(t, ts.URL+"/search?trace=1", req, &hit)
-	if !hit.Cached {
-		t.Fatal("second identical search was not a cache hit")
+	if !hit.Stats.MemoHit {
+		t.Fatal("second identical search was not a memo hit")
 	}
-	if hit.Trace == nil {
-		t.Fatal("traced cache hit returned no span")
+	if hit.Trace == nil || hit.Trace.Attrs["memo_hit"] != true {
+		t.Fatalf("traced memo hit: %+v", hit.Trace)
 	}
-	if hit.Trace.Attrs["cache_hit"] != true {
-		t.Fatalf("cache-hit span not annotated: %+v", hit.Trace.Attrs)
-	}
-	if len(hit.Trace.Children) != 0 {
-		t.Fatalf("cache-hit span has %d children, want stub", len(hit.Trace.Children))
+	if len(hit.Trace.Children) != len(plain.Trace.Children) {
+		t.Fatalf("memo-hit trace has %d children, the first search %d", len(hit.Trace.Children), len(plain.Trace.Children))
 	}
 
 	// Untraced requests carry no trace at all.
@@ -198,7 +195,7 @@ func TestSearchTraceFlag(t *testing.T) {
 		want    []string
 	}{
 		{"one shard", one, []string{"plan", "filter", "verify"}},
-		{"cluster", testCluster(t, graphs, 3), []string{"shard-0", "shard-1", "shard-2", "merge"}},
+		{"cluster", testCluster(t, graphs, 3)[0], []string{"shard-0", "shard-1", "shard-2", "merge"}},
 	} {
 		var resp SearchResponse
 		postJSON(t, newTestServer(t, Config{Backend: tc.backend}).URL+"/search?trace=1", req, &resp)
@@ -219,8 +216,8 @@ func TestSearchTraceFlag(t *testing.T) {
 }
 
 // testCluster starts an in-memory cluster of n nodes — n shards, two
-// replicas each — over graphs and returns the first node.
-func testCluster(t *testing.T, graphs []*pis.Graph, n int) *pis.ClusterNode {
+// replicas each — over graphs.
+func testCluster(t *testing.T, graphs []*pis.Graph, n int) []*pis.ClusterNode {
 	t.Helper()
 	// Reserve n distinct loopback ports, then release them for the nodes.
 	addrs := make([]string, n)
@@ -251,7 +248,42 @@ func testCluster(t *testing.T, graphs []*pis.Graph, n int) *pis.ClusterNode {
 	for _, cn := range nodes {
 		cn.CheckPeers()
 	}
-	return nodes[0]
+	return nodes
+}
+
+// TestClusterReadSeesPeerWrite: on a two-node cluster, a repeated search
+// through node A sees a graph inserted through node B. Only one node
+// writes, so this is an ordinary read-replica deployment, and A must not
+// answer from anything B's write could not reach.
+func TestClusterReadSeesPeerWrite(t *testing.T) {
+	graphs := gen.Molecules(30, gen.Config{Seed: 61})
+	nodes := testCluster(t, graphs, 2)
+	a := newTestServer(t, Config{Backend: nodes[0]})
+	b := newTestServer(t, Config{Backend: nodes[1]})
+	q := gen.Queries(graphs, 1, 6, 62)[0]
+	req := SearchRequest{Query: EncodeGraph(q), Sigma: 1}
+
+	var before, after SearchResponse
+	if code := postJSON(t, a.URL+"/search", req, &before); code != http.StatusOK {
+		t.Fatalf("search on A: status %d", code)
+	}
+	var ins InsertResponse
+	if code := doJSON(t, "POST", b.URL+"/graphs", InsertRequest{Graph: req.Query}, &ins); code != http.StatusOK {
+		t.Fatalf("insert on B: status %d", code)
+	}
+	if code := postJSON(t, a.URL+"/search", req, &after); code != http.StatusOK {
+		t.Fatalf("search on A after the insert: status %d", code)
+	}
+	if !slices.Contains(after.Answers, ins.ID) {
+		t.Errorf("A answered %v after B inserted graph %d (before: %v)", after.Answers, ins.ID, before.Answers)
+	}
+	ref, err := pis.New(append(slices.Clone(graphs), q), pis.Options{MaxFragmentEdges: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Search(q, 1).Answers; !slices.Equal(after.Answers, want) {
+		t.Errorf("A answered %v, a database over the graphs plus the insert %v", after.Answers, want)
+	}
 }
 
 // TestDebugQueriesEndpoint checks the query ring: newest first, limit
@@ -367,10 +399,9 @@ func TestStatsRuntimeBlock(t *testing.T) {
 	}
 }
 
-// TestMemoVisible: a repeated query after a write skips the server's
-// result cache (the write cleared it) and is answered from the segments'
-// result memos, and the response, its trace, /stats and /metrics all say
-// so.
+// TestMemoVisible: a repeated query after a write is answered from the
+// segments' result memos, and the response, its trace, /stats and
+// /metrics all say so.
 func TestMemoVisible(t *testing.T) {
 	ts, _, graphs := newMutableServer(t, Config{})
 	req := SearchRequest{Query: EncodeGraph(graphs[4]), Sigma: 1}

@@ -9,19 +9,17 @@
 //	POST   /compact      fold delta + tombstones into fresh indexes
 //	POST   /checkpoint   flush state to a fresh snapshot (durable backends)
 //	GET    /graphs/{id}  one database graph
-//	GET    /stats        index, cache, mutation, and request counters
+//	GET    /stats        index, memo, mutation, and request counters
 //	GET    /healthz      liveness probe
 //
-// Search and kNN results are cached in an LRU keyed by the query's
-// canonical key (canon.GraphKey: colour refinement, labels and weights
-// included) and the search parameters, so isomorphic queries submitted
-// with different vertex orders share one entry. An insert or a delete clears the cache — a
-// changed database can change any answer set — observable in /stats; the
-// segments' result memos underneath (internal/segment) are not cleared,
-// so a repeated query then pays only for the graphs written since. Each query
-// request runs against the consistent snapshot the backend takes when
-// the request starts. An optional in-flight limit bounds concurrent
-// query execution; Run serves with graceful shutdown.
+// The server keeps no result cache of its own: every query runs on the
+// backend, where each segment's result memo (internal/segment) answers a
+// repeat — keyed by canon.GraphKey, so isomorphic queries in any vertex
+// order share an entry — and pays only for the graphs written since,
+// whichever node or API call wrote them. Each query request runs against
+// the consistent snapshot the backend takes when the request starts. An
+// optional in-flight limit bounds concurrent query execution; Run serves
+// with graceful shutdown.
 package server
 
 import (
@@ -37,6 +35,7 @@ import (
 	"time"
 
 	"pis"
+	"pis/internal/canon"
 	"pis/internal/obs"
 )
 
@@ -75,8 +74,9 @@ type Backend interface {
 type Config struct {
 	// Backend answers the queries (required).
 	Backend Backend
-	// CacheSize is the result-cache capacity in entries (0 disables
-	// caching; negative is treated as 0).
+	// Deprecated: ignored. The server has no result cache; the segments'
+	// result memos answer repeats. The field stays because the benchmark
+	// harness (bench/setup.go) still sets it.
 	CacheSize int
 	// MaxInFlight bounds concurrently executing query requests across
 	// /search, /knn, and /batch (0 = unlimited). Excess requests wait in
@@ -132,7 +132,6 @@ type endpointMetrics struct {
 type Server struct {
 	backend  Backend
 	cfg      Config
-	cache    *lruCache
 	adm      *admission
 	mux      *http.ServeMux
 	start    time.Time
@@ -204,9 +203,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("server: Backend is required")
 	}
-	if cfg.CacheSize < 0 {
-		cfg.CacheSize = 0
-	}
 	qlogSize := cfg.QueryLogSize
 	if qlogSize == 0 {
 		qlogSize = defaultQueryLogSize
@@ -218,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		backend: cfg.Backend,
 		cfg:     cfg,
-		cache:   newLRUCache(cfg.CacheSize),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		qlog:    obs.NewQueryLog(qlogSize),
@@ -436,12 +431,9 @@ func decodeQuery(w http.ResponseWriter, gj GraphJSON) (*pis.Graph, bool) {
 	return q, true
 }
 
-// cacheSearchResult converts a raw result to its wire form and stores it
-// under key; /search and /batch share it so both routes always agree.
-// gen must have been captured from the cache before the search ran, so a
-// result computed over a pre-mutation snapshot is never cached after the
-// mutation invalidated everything.
-func (s *Server) cacheSearchResult(key string, r pis.Result, gen int64) SearchResponse {
+// searchResult converts a raw result to its wire form and records its
+// plan; /search and /batch share it so both routes always agree.
+func (s *Server) searchResult(r pis.Result) SearchResponse {
 	resp := SearchResponse{
 		Answers:   r.Answers,
 		Distances: r.Distances,
@@ -451,12 +443,11 @@ func (s *Server) cacheSearchResult(key string, r pis.Result, gen int64) SearchRe
 		resp.Distances = []float64{}
 	}
 	s.recordPlan(r.Stats)
-	s.cache.PutAt(key, resp, gen)
 	return resp
 }
 
-// recordPlan folds one executed (non-cached) query's planner counters
-// into the /stats aggregates.
+// recordPlan folds one query's planner counters into the /stats
+// aggregates.
 func (s *Server) recordPlan(st pis.SearchStats) {
 	s.mu.Lock()
 	s.planner.Plans++
@@ -465,41 +456,6 @@ func (s *Server) recordPlan(st pis.SearchStats) {
 	s.planner.ExpandedFragments += int64(st.ExpandedFragments)
 	s.planner.PlanMS += float64(st.PlanTime.Microseconds()) / 1000
 	s.mu.Unlock()
-}
-
-// searchResponse answers one /search query through the cache. With trace
-// set the miss path searches under a tracing context and attaches the
-// span tree AFTER caching, so a cached response never carries a stale
-// trace: a later hit gets a cache-hit stub span instead. A canceled or
-// timed-out query, traced or not, returns its error and is never cached
-// — its partial answer set must not satisfy later complete queries.
-func (s *Server) searchResponse(ctx context.Context, q *pis.Graph, sigma float64, trace bool) (SearchResponse, error) {
-	var key string
-	if s.cache.Enabled() {
-		key = searchKey(q, sigma)
-		if v, ok := s.cache.Get(key); ok {
-			resp := v.(SearchResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = &pis.TraceSpan{Name: "search", Attrs: map[string]any{"cache_hit": true}}
-			}
-			return resp, nil
-		}
-	}
-	gen := s.cache.Gen()
-	var tr *obs.Trace
-	if trace {
-		ctx, tr = obs.WithTrace(ctx)
-	}
-	r, err := s.backend.SearchContext(ctx, q, sigma)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	resp := s.cacheSearchResult(key, r, gen)
-	if trace {
-		resp.Trace = tr.Root()
-	}
-	return resp, nil
 }
 
 // writeQueryError maps a failed query's error to an HTTP status: a
@@ -535,17 +491,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	resp, err := s.searchResponse(r.Context(), q, req.Sigma, traceRequested(r))
+	ctx := r.Context()
+	var tr *obs.Trace
+	if traceRequested(r) {
+		ctx, tr = obs.WithTrace(ctx)
+	}
+	res, err := s.backend.SearchContext(ctx, q, req.Sigma)
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
-	resp.ElapsedMS = msSince(start)
-	if resp.Trace != nil && resp.Cached {
-		// The stub span's duration is the (cheap) cache lookup itself.
-		resp.Trace.DurationMS = resp.ElapsedMS
+	resp := s.searchResult(res)
+	if tr != nil {
+		resp.Trace = tr.Root()
 	}
-	s.observeQuery("search", q, req.Sigma, len(resp.Answers), resp.Cached, resp.ElapsedMS, resp.Trace)
+	resp.ElapsedMS = msSince(start)
+	s.observeQuery("search", q, req.Sigma, len(resp.Answers), resp.ElapsedMS, resp.Trace)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -567,19 +528,6 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	var key string
-	if s.cache.Enabled() {
-		key = knnKey(q, req.K, req.MaxSigma)
-		if v, ok := s.cache.Get(key); ok {
-			resp := v.(KNNResponse)
-			resp.Cached = true
-			resp.ElapsedMS = msSince(start)
-			s.observeQuery("knn", q, req.MaxSigma, len(resp.Neighbors), true, resp.ElapsedMS, nil)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	gen := s.cache.Gen()
 	ns, err := s.backend.SearchKNNContext(r.Context(), q, req.K, req.MaxSigma)
 	if err != nil {
 		writeQueryError(w, err)
@@ -589,9 +537,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	for i, n := range ns {
 		resp.Neighbors[i] = NeighborJSON{ID: n.ID, Distance: n.Distance}
 	}
-	s.cache.PutAt(key, resp, gen)
 	resp.ElapsedMS = msSince(start)
-	s.observeQuery("knn", q, req.MaxSigma, len(resp.Neighbors), false, resp.ElapsedMS, nil)
+	s.observeQuery("knn", q, req.MaxSigma, len(resp.Neighbors), resp.ElapsedMS, nil)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -617,59 +564,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	start := time.Now()
-	results := make([]SearchResponse, len(queries))
 
-	// Serve cached queries immediately; run the misses as one batch, one
-	// search per distinct key however often the batch repeats a query.
-	// Keys are canonicalized once and reused when storing the results.
-	var missQueries []*pis.Graph
-	var missKeys []string
-	missOf := make(map[string]int) // key -> position in missQueries
+	// One search per distinct query however often the batch repeats it,
+	// in any vertex order: every query shares the batch's σ, so the
+	// canonical key alone tells repeats apart. The key is memoised on the
+	// graph, so the segments' memo lookups reuse it.
+	var distinct []*pis.Graph
+	of := make(map[string]int) // key -> position in distinct
 	from := make([]int, len(queries))
 	for i, q := range queries {
-		key := searchKey(q, req.Sigma)
-		if s.cache.Enabled() {
-			if v, ok := s.cache.Get(key); ok {
-				results[i] = v.(SearchResponse)
-				results[i].Cached = true
-				from[i] = -1
-				continue
-			}
-		}
-		j, seen := missOf[key]
+		key := canon.GraphKey(q)
+		j, seen := of[key]
 		if !seen {
-			j = len(missQueries)
-			missOf[key] = j
-			missQueries = append(missQueries, q)
-			missKeys = append(missKeys, key)
+			j = len(distinct)
+			of[key] = j
+			distinct = append(distinct, q)
 		}
 		from[i] = j
 	}
-	if len(missQueries) > 0 {
-		workers := req.Workers
-		if workers <= 0 {
-			workers = s.cfg.BatchWorkers // 0 falls through to the backend default
-		}
-		gen := s.cache.Gen()
-		rs, err := s.backend.SearchBatchContext(r.Context(), missQueries, req.Sigma, workers)
-		if err != nil {
-			// The batch was cut short; none of its (possibly partial)
-			// results may be cached or returned as if complete.
-			writeQueryError(w, err)
-			return
-		}
-		executed := make([]SearchResponse, len(rs))
-		for j, r := range rs {
-			executed[j] = s.cacheSearchResult(missKeys[j], r, gen)
-		}
-		for i, j := range from {
-			if j >= 0 {
-				results[i] = executed[j]
-			}
-		}
+	workers := req.Workers
+	if workers <= 0 {
+		workers = s.cfg.BatchWorkers // 0 falls through to the backend default
+	}
+	rs, err := s.backend.SearchBatchContext(r.Context(), distinct, req.Sigma, workers)
+	if err != nil {
+		// The batch was cut short; none of its (possibly partial) results
+		// may be returned as if complete.
+		writeQueryError(w, err)
+		return
+	}
+	executed := make([]SearchResponse, len(rs))
+	for j, r := range rs {
+		executed[j] = s.searchResult(r)
+	}
+	results := make([]SearchResponse, len(queries))
+	for i, j := range from {
+		results[i] = executed[j]
 	}
 	elapsed := msSince(start)
-	s.observeQuery("batch", nil, req.Sigma, len(results), len(missQueries) == 0, elapsed, nil)
+	s.observeQuery("batch", nil, req.Sigma, len(results), elapsed, nil)
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, ElapsedMS: elapsed})
 }
 
@@ -698,10 +631,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EncodeGraph(g))
 }
 
-// invalidate clears the result cache and counts one accepted insert or
-// delete: either can alter any cached answer set.
-func (s *Server) invalidate(kind *int64) {
-	s.cache.Clear()
+// countMutation counts one accepted insert or delete.
+func (s *Server) countMutation(kind *int64) {
 	s.mu.Lock()
 	*kind++
 	s.mu.Unlock()
@@ -724,7 +655,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	id, err := s.backend.Insert(g)
 	if err != nil && id < 0 {
 		// The mutation was rejected outright (a durable backend could not
-		// log it); nothing changed, so the cache stays valid.
+		// log it); nothing changed.
 		if errors.Is(err, pis.ErrStorePoisoned) {
 			writeError(w, http.StatusServiceUnavailable, "database is read-only after a disk fault: "+err.Error())
 			return
@@ -732,7 +663,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "insert failed: "+err.Error())
 		return
 	}
-	s.invalidate(&s.mutations.Inserts)
+	s.countMutation(&s.mutations.Inserts)
 	resp := InsertResponse{ID: id, Graphs: s.backend.Len()}
 	if err != nil {
 		// The insert itself succeeded; only the automatic compaction
@@ -762,7 +693,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no live graph %d", id))
 		return
 	}
-	s.invalidate(&s.mutations.Deletes)
+	s.countMutation(&s.mutations.Deletes)
 	writeJSON(w, http.StatusOK, DeleteResponse{ID: id, Graphs: s.backend.Len()})
 }
 
@@ -773,7 +704,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Compaction changes representation only: no answer and no id moves,
-	// so the result cache stays.
+	// so the segments' result memos stay.
 	s.mu.Lock()
 	s.mutations.Compactions++
 	s.mu.Unlock()
@@ -786,7 +717,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCheckpoint flushes the backend's state to a fresh snapshot. It
-// does not change any answer, so the result cache survives.
+// does not change any answer.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.backend.Checkpoint(); err != nil {
@@ -884,12 +815,13 @@ type MutationStatsJSON struct {
 }
 
 // PlannerStatsJSON aggregates the query planner's work across every
-// executed (non-cached) /search and /batch query since startup. For a
-// sharded backend the per-query fragment counters sum across shards, so
-// the expanded/used ratio reads as the fleet-wide fraction of σ range
-// queries the planner actually paid for.
+// /search and /batch query since startup. For a sharded backend the
+// per-query fragment counters sum across shards, so the expanded/used
+// ratio reads as the fleet-wide fraction of σ range queries the planner
+// actually paid for.
 type PlannerStatsJSON struct {
-	// Plans counts executed queries (cache hits planned nothing).
+	// Plans counts executed queries; a shard that answered from its
+	// result memo planned nothing and adds no fragments.
 	Plans int64 `json:"plans"`
 	// QueryFragments/UsedFragments/ExpandedFragments trace the fragment
 	// funnel: materialized, materialized in a class not present in every
@@ -946,14 +878,6 @@ type CompactionStatsJSON struct {
 	Remines          int64 `json:"remines"`
 }
 
-// CacheStatsJSON reports result-cache occupancy and effectiveness.
-type CacheStatsJSON struct {
-	Capacity int   `json:"capacity"`
-	Entries  int   `json:"entries"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-}
-
 // EndpointStatsJSON reports request timing for one route.
 type EndpointStatsJSON struct {
 	Count   int64   `json:"count"`
@@ -967,7 +891,6 @@ type ServerStats struct {
 	Graphs        int                          `json:"graphs"`
 	Shards        int                          `json:"shards"`
 	Index         IndexStatsJSON               `json:"index"`
-	Cache         CacheStatsJSON               `json:"cache"`
 	Memo          MemoStatsJSON                `json:"memo"`
 	Planner       PlannerStatsJSON             `json:"planner"`
 	Mutations     MutationStatsJSON            `json:"mutations"`
@@ -999,19 +922,12 @@ type ClusterStatsJSON struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ist := s.backend.Stats()
-	entries, hits, misses := s.cache.Counters()
 	reg := obs.Default()
 	lookups := reg.CounterVec("pis_result_memo_lookups_total", "", "outcome")
 	out := ServerStats{
 		Graphs: s.backend.Len(),
 		Shards: s.backend.NumShards(),
 		Index:  encodeIndexStats(ist),
-		Cache: CacheStatsJSON{
-			Capacity: s.cfg.CacheSize,
-			Entries:  entries,
-			Hits:     hits,
-			Misses:   misses,
-		},
 		Memo: MemoStatsJSON{
 			Hits:            lookups.Value("hit"),
 			Misses:          lookups.Value("miss"),

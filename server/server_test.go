@@ -22,7 +22,7 @@ var (
 )
 
 // testEnv builds one small sharded database shared by all tests (the
-// backend is read-only; each test gets its own Server and cache).
+// backend is read-only; each test gets its own Server).
 func testEnv(t *testing.T) ([]*pis.Graph, *pis.Database) {
 	t.Helper()
 	envOnce.Do(func() {
@@ -44,9 +44,6 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	_, db := testEnv(t)
 	if cfg.Backend == nil {
 		cfg.Backend = db
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 128
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -122,9 +119,6 @@ func TestSearchEndpoint(t *testing.T) {
 	if !reflect.DeepEqual(resp.Answers, want.Answers) {
 		t.Errorf("answers %v, want %v", resp.Answers, want.Answers)
 	}
-	if resp.Cached {
-		t.Error("first query must not be cached")
-	}
 	// The direct Search above already answered this query on the shared
 	// backend, so the HTTP run is a hit of every shard's result memo: all
 	// answers are carried over and nothing is verified.
@@ -152,14 +146,12 @@ func TestKNNEndpoint(t *testing.T) {
 		}
 	}
 
-	// Second identical kNN request: served from cache.
+	// A second identical kNN request, answered from the result memos,
+	// returns the same neighbours.
 	var again KNNResponse
 	postJSON(t, ts.URL+"/knn", KNNRequest{Query: EncodeGraph(q), K: 3, MaxSigma: 8}, &again)
-	if !again.Cached {
-		t.Error("repeat kNN should be cached")
-	}
 	if !reflect.DeepEqual(again.Neighbors, resp.Neighbors) {
-		t.Error("cached kNN differs from computed")
+		t.Error("repeated kNN differs from the first")
 	}
 }
 
@@ -185,11 +177,13 @@ func TestBatchEndpoint(t *testing.T) {
 		}
 	}
 
-	// A /search for one of the batch queries hits the batch-filled cache.
+	// A /search for one of the batch queries hits the memos the batch
+	// filled.
 	var sr SearchResponse
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(queries[0]), Sigma: 1.5}, &sr)
-	if !sr.Cached {
-		t.Error("search after batch with same query+sigma should hit cache")
+	if !sr.Stats.MemoHit || !reflect.DeepEqual(sr.Answers, resp.Results[0].Answers) {
+		t.Errorf("search after a batch with the same query and sigma: memo hit %v, answers %v; want a hit answering %v",
+			sr.Stats.MemoHit, sr.Answers, resp.Results[0].Answers)
 	}
 }
 
@@ -265,34 +259,36 @@ func TestGraphsEndpoint(t *testing.T) {
 }
 
 // TestCacheHitViaStats drives the acceptance path: a second identical
-// query is served from cache, observable in /stats counters.
+// query is answered from every shard's result memo, observable in the
+// response and in the /stats memo counters.
 func TestCacheHitViaStats(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	q := sampleQuery(t, 7)
 	req := SearchRequest{Query: EncodeGraph(q), Sigma: 2}
 
+	var st0 ServerStats
+	getJSON(t, ts.URL+"/stats", &st0)
 	var first, second SearchResponse
 	postJSON(t, ts.URL+"/search", req, &first)
 	postJSON(t, ts.URL+"/search", req, &second)
-	if first.Cached {
+	if first.Stats.MemoHit {
 		t.Error("first request must miss")
 	}
-	if !second.Cached {
-		t.Error("second identical request must hit the cache")
+	if !second.Stats.MemoHit || second.Stats.Verified != 0 {
+		t.Errorf("second identical request: %+v; want a memo hit that verifies nothing", second.Stats)
 	}
 	if !reflect.DeepEqual(first.Answers, second.Answers) {
-		t.Error("cached answers differ")
+		t.Error("memoised answers differ")
 	}
 
 	var st ServerStats
 	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache counters hits=%d misses=%d, want 1/1", st.Cache.Hits, st.Cache.Misses)
-	}
-	if st.Cache.Entries != 1 {
-		t.Errorf("cache entries %d, want 1", st.Cache.Entries)
+	// Three shards: three lookups per search. The counters are
+	// process-wide, hence deltas.
+	if hits, misses := st.Memo.Hits-st0.Memo.Hits, st.Memo.Misses-st0.Memo.Misses; hits != 3 || misses != 3 {
+		t.Errorf("memo counters advanced by hits=%d misses=%d, want 3/3", hits, misses)
 	}
 	if st.Graphs != 40 || st.Shards != 3 {
 		t.Errorf("stats graphs=%d shards=%d, want 40/3", st.Graphs, st.Shards)
@@ -326,7 +322,7 @@ func shuffledCopy(g *pis.Graph, seed int64) *pis.Graph {
 }
 
 // TestCanonicalCacheKey: an isomorphic but differently-ordered query hits
-// the same cache entry via the canonical key.
+// the same result-memo entries via the canonical key.
 func TestCanonicalCacheKey(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	q := sampleQuery(t, 11)
@@ -335,24 +331,19 @@ func TestCanonicalCacheKey(t *testing.T) {
 	var first, second SearchResponse
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(q), Sigma: 2}, &first)
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(iso), Sigma: 2}, &second)
-	if !second.Cached {
-		t.Fatal("isomorphic reordered query should hit the same cache entry")
+	if first.Stats.MemoHit || !second.Stats.MemoHit {
+		t.Fatalf("memo hits %v then %v; want the isomorphic reordered query to hit what the first stored",
+			first.Stats.MemoHit, second.Stats.MemoHit)
 	}
 	if !reflect.DeepEqual(first.Answers, second.Answers) {
-		t.Error("cached answers differ for isomorphic queries")
-	}
-
-	var st ServerStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Cache.Entries != 1 {
-		t.Errorf("cache entries %d, want 1 (canonical key collision expected)", st.Cache.Entries)
+		t.Error("memoised answers differ for isomorphic queries")
 	}
 
 	// Different sigma must not collide.
 	var third SearchResponse
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: EncodeGraph(q), Sigma: 3}, &third)
-	if third.Cached {
-		t.Error("different sigma must be a distinct cache entry")
+	if third.Stats.MemoHit {
+		t.Error("different sigma must be a distinct memo entry")
 	}
 }
 
@@ -367,19 +358,14 @@ func TestSingleVertexQueriesDistinct(t *testing.T) {
 	var a, b SearchResponse
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: one(0), Sigma: 0}, &a)
 	postJSON(t, ts.URL+"/search", SearchRequest{Query: one(999), Sigma: 0}, &b)
-	if b.Cached {
-		t.Fatal("distinct single-vertex queries must not share a cache entry")
+	// Under the default vertex-blind EdgeMutation metric their answers
+	// coincide; the keys still must not, or a vertex-aware metric would
+	// serve wrong results.
+	if b.Stats.MemoHit {
+		t.Fatal("distinct single-vertex queries must not share a memo entry")
 	}
 	if len(a.Answers) == 0 {
 		t.Error("single-vertex query should match graphs")
-	}
-	// Both queries miss and occupy their own entry. (Under the default
-	// vertex-blind EdgeMutation metric their answers coincide; the keys
-	// still must not, or a vertex-aware metric would serve wrong results.)
-	var st ServerStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Cache.Entries != 2 {
-		t.Errorf("cache entries %d, want 2 distinct", st.Cache.Entries)
 	}
 }
 
@@ -461,49 +447,8 @@ func TestInFlightLimit(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	ts := newTestServer(t, Config{CacheSize: -1}) // negative → disabled
-	q := sampleQuery(t, 19)
-	req := SearchRequest{Query: EncodeGraph(q), Sigma: 1}
-	var a, b SearchResponse
-	postJSON(t, ts.URL+"/search", req, &a)
-	postJSON(t, ts.URL+"/search", req, &b)
-	if a.Cached || b.Cached {
-		t.Error("disabled cache must never report hits")
-	}
-	if !reflect.DeepEqual(a.Answers, b.Answers) {
-		t.Error("answers must still be deterministic")
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a should be cached")
-	}
-	c.Put("c", 3) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a should survive (recently used)")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c should be cached")
-	}
-	entries, hits, misses := c.Counters()
-	if entries != 2 {
-		t.Errorf("entries %d, want 2", entries)
-	}
-	if hits != 3 || misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 3/1", hits, misses)
-	}
-}
-
 // TestPlannerStats: /stats aggregates planner counters across executed
-// queries, cache hits plan nothing, and each response carries its own
+// queries, memo hits add no fragments, and each response carries its own
 // plan summary.
 func TestPlannerStats(t *testing.T) {
 	ts := newTestServer(t, Config{})
@@ -520,17 +465,21 @@ func TestPlannerStats(t *testing.T) {
 		resp.Stats.DistCandidates > resp.Stats.RangeCandidates {
 		t.Errorf("plan summary funnel not monotone: %+v", resp.Stats)
 	}
-	postJSON(t, ts.URL+"/search", req, &resp) // cache hit: plans nothing
+	fragments := int64(resp.Stats.QueryFragments)
+	postJSON(t, ts.URL+"/search", req, &resp) // memo hit: plans nothing
+	if !resp.Stats.MemoHit || resp.Stats.QueryFragments != 0 {
+		t.Errorf("repeat: %+v; want a memo hit that planned nothing", resp.Stats)
+	}
 
 	var st ServerStats
 	if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
-	if st.Planner.Plans != 1 {
-		t.Errorf("planner plans = %d, want 1 (cache hits plan nothing)", st.Planner.Plans)
+	if st.Planner.Plans != 2 {
+		t.Errorf("planner plans = %d, want 2 (memo hits count, planning nothing)", st.Planner.Plans)
 	}
-	if st.Planner.QueryFragments <= 0 {
-		t.Errorf("planner fragment counters empty: %+v", st.Planner)
+	if st.Planner.QueryFragments != fragments || fragments <= 0 {
+		t.Errorf("planner fragment counters %+v, want the first search's %d fragments", st.Planner, fragments)
 	}
 	if st.Planner.ExpandedFragments > st.Planner.UsedFragments {
 		t.Errorf("planner expanded %d > used %d", st.Planner.ExpandedFragments, st.Planner.UsedFragments)
