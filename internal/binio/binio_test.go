@@ -43,3 +43,26 @@ func TestSlabCountBounded(t *testing.T) {
 		t.Errorf("I32Slab(2) = %v, err %v", got, sr.Err())
 	}
 }
+
+// TestWriteSectionLength: a section streamed from a reader reads back as
+// its payload, and a reader that yields another length than declared is
+// an error, not a section whose frame lies about its payload.
+func TestWriteSectionLength(t *testing.T) {
+	payload := bytes.Repeat([]byte("fingerprints"), 1000)
+	var buf bytes.Buffer
+	if err := WriteSection(&buf, len(payload), bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	sr := NewSectionReader(&buf)
+	if err := sr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sr.Bytes(len(payload)); !bytes.Equal(got, payload) || sr.Remaining() != 0 {
+		t.Fatal("the streamed section does not read back as its payload")
+	}
+	for _, n := range []int{len(payload) - 1, len(payload) + 1} {
+		if err := WriteSection(new(bytes.Buffer), n, bytes.NewReader(payload)); err == nil {
+			t.Errorf("a %d-byte payload declared as %d bytes was written", len(payload), n)
+		}
+	}
+}

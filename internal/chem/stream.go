@@ -1,6 +1,6 @@
 // Streaming generation: the same molecules Generate produces, one at a
-// time, so an out-of-core index build (index.BuildStreaming) can pass
-// over a database far larger than RAM without ever materializing it.
+// time, so the out-of-core index build (index.BuildStreaming) can fold a
+// database far larger than RAM one bounded chunk at a time.
 
 package chem
 

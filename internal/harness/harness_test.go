@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyConfig keeps unit tests fast; the cmd and benches run larger scales.
@@ -185,18 +186,17 @@ func TestFilterTiming(t *testing.T) {
 func TestMeasureLargeSynthetic(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Queries = 12
-	// A deliberately tiny arena forces the external sort to spill and
-	// merge even at this scale, exercising the same path a 100k build
-	// takes.
-	rep, err := MeasureLarge(cfg, 16, 2, LargeOptions{ArenaBytes: 1 << 16})
+	// A small build memory limit makes the build fold the stream in
+	// several chunks and merge them, the path a 500k build takes.
+	rep, err := MeasureLarge(cfg, 16, 2, LargeOptions{BuildMemLimitBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.DBSize != cfg.DBSize || rep.Queries != cfg.Queries {
 		t.Fatalf("report covers %d graphs / %d queries", rep.DBSize, rep.Queries)
 	}
-	if rep.StreamSpillRuns < 1 {
-		t.Error("64 KiB arena never spilled")
+	if rep.StreamSpillRuns < 2 {
+		t.Errorf("a 2 MiB build memory limit left the build in %d chunk", rep.StreamSpillRuns)
 	}
 	if rep.RawPostingBytes <= 0 {
 		t.Error("no raw posting volume reported")
@@ -212,6 +212,35 @@ func TestMeasureLargeSynthetic(t *testing.T) {
 	}
 	if _, err := os.Stat("/proc/self/status"); err == nil && rep.BuildPeakRSSMB <= 0 {
 		t.Error("build peak RSS not captured despite /proc being available")
+	}
+}
+
+// TestMeasureStageQuantilesExact: the stage percentiles are the queries'
+// own stage times, not histogram bucket bounds, so over one query each is
+// that query's time, which is also the stage mean.
+func TestMeasureStageQuantilesExact(t *testing.T) {
+	env := buildTiny(t)
+	env.Config.Queries = 1
+	rep := Measure(env, 8, 1)
+	for _, st := range []struct {
+		name string
+		q    StageQuantiles
+		mean float64
+	}{
+		{"plan", rep.PlanQuantiles, rep.AvgPlanMS},
+		{"filter", rep.FilterQuantiles, rep.AvgFilterMS},
+		{"verify", rep.VerifyQuantiles, rep.AvgVerifyMS},
+	} {
+		if st.q != (StageQuantiles{st.mean, st.mean, st.mean}) {
+			t.Errorf("%s: one query's quantiles %+v, its time %v ms", st.name, st.q, st.mean)
+		}
+	}
+	var times []time.Duration
+	for i := 20; i >= 1; i-- {
+		times = append(times, time.Duration(i)*time.Millisecond)
+	}
+	if got := stageQuantiles(times); got != (StageQuantiles{10, 19, 20}) {
+		t.Errorf("quantiles of 1..20 ms: %+v, want the 10th, 19th and 20th", got)
 	}
 }
 

@@ -4,9 +4,9 @@
 // the standard Measure workload against the mapped index. It reports
 // the same BenchReport the in-heap path writes, plus the out-of-core
 // profile: streaming-build peak RSS, raw posting volume (the heap bytes
-// the build avoided holding), and spill statistics. Database graphs are
-// materialized only after the build finishes, so the recorded build
-// peak is the external sort's true working set.
+// the build avoided holding), and the chunk runs it wrote. Database
+// graphs are materialized only after the build finishes, so the recorded
+// build peak is the chunked build's true working set.
 
 package harness
 
@@ -33,19 +33,16 @@ type LargeOptions struct {
 	// file to index instead of the synthetic stream; "" streams
 	// Config.DBSize synthetic molecules.
 	Corpus string
-	// ArenaBytes bounds the streaming build's in-heap record arena
-	// (index.StreamOptions.ArenaBytes); 0 means the build default.
-	ArenaBytes int
 	// IndexPath keeps the built v3 file at this path; "" uses a
 	// temporary file removed when the measurement finishes.
 	IndexPath string
 	// BuildMemLimitBytes applies a Go soft memory limit for the duration
 	// of the streaming build only (restored before the query phase, which
-	// legitimately materializes the database for verification). This is
-	// the build's bounded-memory promise made enforceable: with the limit
-	// in place, an accidental whole-database materialization thrashes the
-	// GC and shows up as a blown build time instead of a silently bigger
-	// RSS. 0 leaves the runtime default.
+	// legitimately materializes the database for verification). The build
+	// sizes its chunks by it, and with the limit in place an accidental
+	// whole-database materialization thrashes the GC and shows up as a
+	// blown build time instead of a silently bigger RSS. 0 leaves the
+	// runtime default.
 	BuildMemLimitBytes int64
 }
 
@@ -99,7 +96,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 		restoreMemLimit = func() { debug.SetMemoryLimit(prev) }
 	}
 	start := time.Now()
-	sres, err := index.BuildStreaming(src, cfg.DBSize, feats, index.Options{Metric: distance.EdgeMutation{}}, idxPath, index.StreamOptions{ArenaBytes: lo.ArenaBytes})
+	sres, err := index.BuildStreaming(src, cfg.DBSize, feats, index.Options{Metric: distance.EdgeMutation{}}, idxPath)
 	buildDur := time.Since(start)
 	if serr := stop(); err == nil {
 		err = serr
@@ -109,8 +106,8 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	}
 	// Snapshot the high-water mark now, before query-side work
 	// (materialized graphs, heap index loads) moves it: this is the
-	// external sort's peak, the number the <50%-of-posting-bytes budget
-	// in the acceptance gate is about. The build memory limit lifts only
+	// chunked build's peak, the number the build-RSS invariants of
+	// pisbench -large are about. The build memory limit lifts only
 	// after the snapshot.
 	buildPeak := peakRSSMB()
 	restoreMemLimit()

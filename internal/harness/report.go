@@ -1,7 +1,7 @@
 // Machine-readable benchmark report. pisbench -large writes one of these
-// (BENCH_pis_100k.json is one) so the out-of-core profile (build time and
-// memory, per-stage filtering cost, candidates per stage, throughput) can
-// be checked without parsing text output.
+// so the out-of-core profile (build time and memory, per-stage filtering
+// cost, candidates per stage, throughput) can be checked without parsing
+// text output.
 
 package harness
 
@@ -11,12 +11,12 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"pis/internal/chem"
 	"pis/internal/core"
 	"pis/internal/index"
-	"pis/internal/obs"
 )
 
 // BenchReport is the serialized outcome of one timed workload.
@@ -65,11 +65,10 @@ type BenchReport struct {
 	FilterTimeShare float64 `json:"filter_time_share"`
 	VerifyTimeShare float64 `json:"verify_time_share"`
 
-	// Per-stage latency quantiles over the measured loop, estimated from
-	// the same process-wide stage histograms production servers export at
-	// /metrics (scoped to this workload by snapshot differencing, so BENCH
-	// numbers and scraped numbers can never drift apart). Averages hide
-	// tail regressions; these don't.
+	// Per-stage latency quantiles over the measured loop: the nearest-rank
+	// percentiles of the queries' own stage times, exact rather than a
+	// histogram's bucket bounds. Averages hide tail regressions; these
+	// don't.
 	PlanQuantiles   StageQuantiles `json:"plan_quantiles_ms"`
 	FilterQuantiles StageQuantiles `json:"filter_quantiles_ms"`
 	VerifyQuantiles StageQuantiles `json:"verify_quantiles_ms"`
@@ -99,9 +98,11 @@ type BenchReport struct {
 	// out-of-core name). The remaining fields are filled only by
 	// MeasureLarge: BuildPeakRSSMB is the high-water mark right after
 	// the streaming build — before the query phase materializes the
-	// graphs — and RawPostingBytes is the uncompressed posting volume a
+	// graphs — RawPostingBytes is the uncompressed posting volume a
 	// heap build would have held resident, the denominator of the
-	// build's RSS budget.
+	// build's RSS budget, and StreamSpillRuns / StreamSpillBytes count
+	// the chunks the build folded and the bytes of the run files it
+	// wrote for them.
 	PeakRSSMB         float64 `json:"peak_rss_mb"`
 	IndexOpenMSMapped float64 `json:"index_open_ms_mapped"`
 	IndexOpenMSHeap   float64 `json:"index_open_ms_heap"`
@@ -119,22 +120,15 @@ type StageQuantiles struct {
 	P99 float64 `json:"p99"`
 }
 
-// stageHistograms resolves the per-stage latency histograms the core
-// package records into on every search.
-func stageHistograms() (plan, filter, verify *obs.Histogram) {
-	v := obs.Default().HistogramVec("pis_query_stage_seconds", "", "stage", nil)
-	return v.With("plan"), v.With("filter"), v.With("verify")
-}
-
-// quantilesSince converts the histogram growth since before into
-// millisecond quantiles.
-func quantilesSince(h *obs.Histogram, before obs.HistogramSnapshot) StageQuantiles {
-	d := h.Snapshot().Sub(before)
-	return StageQuantiles{
-		P50: d.Quantile(0.50) * 1000,
-		P95: d.Quantile(0.95) * 1000,
-		P99: d.Quantile(0.99) * 1000,
+// stageQuantiles returns the nearest-rank p50, p95 and p99 of one stage's
+// per-query times in milliseconds; it sorts times.
+func stageQuantiles(times []time.Duration) StageQuantiles {
+	if len(times) == 0 {
+		return StageQuantiles{}
 	}
+	slices.Sort(times)
+	at := func(pct int) float64 { return ms(times[(pct*len(times)+99)/100-1]) }
+	return StageQuantiles{P50: at(50), P95: at(95), P99: at(99)}
 }
 
 // Measure runs the full pipeline (filter + verification) over a sampled
@@ -173,8 +167,9 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 		Fragments:        ist.Fragments,
 		Sequences:        ist.Sequences,
 	}
-	hPlan, hFilter, hVerify := stageHistograms()
-	planBefore, filterBefore, verifyBefore := hPlan.Snapshot(), hFilter.Snapshot(), hVerify.Snapshot()
+	plan := make([]time.Duration, 0, len(qs))
+	filter := make([]time.Duration, 0, len(qs))
+	verify := make([]time.Duration, 0, len(qs))
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -184,6 +179,9 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 		r := s.Search(q, sigma)
 		agg.Add(r.Stats)
 		answers += len(r.Answers)
+		plan = append(plan, r.Stats.PlanTime)
+		filter = append(filter, r.Stats.FilterTime)
+		verify = append(verify, r.Stats.VerifyTime)
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
@@ -204,9 +202,9 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 		rep.FilterTimeShare = float64(agg.FilterTime) / float64(staged)
 		rep.VerifyTimeShare = float64(agg.VerifyTime) / float64(staged)
 	}
-	rep.PlanQuantiles = quantilesSince(hPlan, planBefore)
-	rep.FilterQuantiles = quantilesSince(hFilter, filterBefore)
-	rep.VerifyQuantiles = quantilesSince(hVerify, verifyBefore)
+	rep.PlanQuantiles = stageQuantiles(plan)
+	rep.FilterQuantiles = stageQuantiles(filter)
+	rep.VerifyQuantiles = stageQuantiles(verify)
 	rep.AvgAllocsPerQuery = float64(msAfter.Mallocs-msBefore.Mallocs) / n
 	rep.AvgAllocKBPerQuery = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / 1024 / n
 	rep.TotalMS = ms(wall)

@@ -115,14 +115,13 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 		t.Fatal(err)
 	}
 	spath := filepath.Join(dir, "stream.pisidx3")
-	resStream, err := BuildStreaming(&sliceSource{db: db}, len(db), feats,
-		Options{Metric: metric}, spath,
-		StreamOptions{TempDir: dir, ArenaBytes: 1 << 12}) // tiny arena: force many spill runs
+	resStream, err := buildStreaming(&sliceSource{db: db}, len(db), feats,
+		Options{Metric: metric}, spath, 1<<12) // a tiny bound: many chunk runs
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resStream.Graphs != len(db) || resStream.SpillRuns < 2 {
-		t.Fatalf("stream result %+v: expected %d graphs and >1 run", resStream, len(db))
+	if resStream.SpillRuns < 2 {
+		t.Fatalf("stream result %+v: expected more than one chunk run", resStream)
 	}
 	sx, err := OpenMapped(spath, metric)
 	if err != nil {
@@ -363,7 +362,8 @@ func offsetIn(outer, sub []byte) int {
 }
 
 // TestStreamingRejectsShortSource: a source that ends before the
-// declared size must fail, not silently produce a partial index.
+// declared size, or runs on past it, must fail, not silently produce a
+// partial index.
 func TestStreamingRejectsShortSource(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	_, db := buildSmall(t, metric, 3, 10)
@@ -372,10 +372,13 @@ func TestStreamingRejectsShortSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "x.pisidx3")
-	_, err = BuildStreaming(&sliceSource{db: db[:5]}, len(db), feats,
-		Options{Metric: metric}, path, StreamOptions{})
+	_, err = BuildStreaming(&sliceSource{db: db[:5]}, len(db), feats, Options{Metric: metric}, path)
 	if err == nil || !strings.Contains(err.Error(), "ended after") {
 		t.Fatalf("short source not rejected: %v", err)
+	}
+	_, err = buildStreaming(&sliceSource{db: db}, 5, feats, Options{Metric: metric}, path, 1)
+	if err == nil || !strings.Contains(err.Error(), "more than the declared") {
+		t.Fatalf("long source not rejected: %v", err)
 	}
 }
 

@@ -44,6 +44,15 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
+	x.fold(db, from, workers)
+	x.finalize()
+	x.computeStats()
+	x.pair(db)
+}
+
+// fold folds the fragments of db[from:] into the class stores under their
+// positions in db, on workers goroutines (<= 0: GOMAXPROCS).
+func (x *Index) fold(db []*graph.Graph, from, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -54,16 +63,17 @@ func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 			ops = x.computeOps(ops, db[id], &fs)
 			x.apply(int32(id), ops)
 		}
-	} else {
-		x.foldParallel(db, from, workers)
+		return
 	}
-	x.finalize()
-	x.computeStats()
-	x.pair(db)
+	x.foldParallel(db, from, workers)
 }
 
 // foldParallel computes the ops of every graph from id from on, on workers
-// goroutines, and applies the batches in ascending graph id.
+// goroutines, and applies them in ascending graph id. A fixed set of ops
+// circulates: a worker takes one from free before it takes a graph, and
+// the sequencer returns it once applied. A molecule's ops run to about
+// 100 KB, which allocated afresh per graph would be most of a build's
+// garbage, and the set bounds how far the workers run ahead.
 func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 	type result struct {
 		id  int32
@@ -71,6 +81,12 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 	}
 	jobs := make(chan int32, workers)
 	results := make(chan result, workers)
+	// Eight ops a worker let the others run on past a graph that takes
+	// several times the mean.
+	free := make(chan graphOps, 8*workers)
+	for range cap(free) {
+		free <- graphOps{}
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -78,8 +94,13 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 		go func() {
 			defer wg.Done()
 			var fs FragmentScratch
-			for id := range jobs {
-				results <- result{id: id, ops: x.computeOps(graphOps{}, db[id], &fs)}
+			for {
+				ops := <-free
+				id, ok := <-jobs
+				if !ok {
+					return
+				}
+				results <- result{id: id, ops: x.computeOps(ops, db[id], &fs)}
 			}
 		}()
 	}
@@ -103,6 +124,7 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 			}
 			x.apply(next, ops)
 			delete(pending, next)
+			free <- ops
 			next++
 		}
 	}

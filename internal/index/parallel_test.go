@@ -2,8 +2,10 @@ package index
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
@@ -80,5 +82,29 @@ func TestParallelBuildSmallDBFallsBackToSerial(t *testing.T) {
 	}
 	if x.DBSize() != 2 {
 		t.Fatalf("db size %d", x.DBSize())
+	}
+}
+
+// TestParallelBuildAllocations: the worker pool recycles applied ops, so
+// two workers allocate about what one does, not a molecule's ops afresh
+// per graph.
+func TestParallelBuildAllocations(t *testing.T) {
+	db := chem.Generate(400, chem.Config{Seed: 1})
+	feats, err := mining.Mine(db, mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(workers int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := BuildParallel(db, feats, Options{Metric: distance.EdgeMutation{}}, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serial, parallel := allocated(1), allocated(2)
+	if parallel > 3*serial {
+		t.Fatalf("two workers allocate %d KiB, one %d KiB: more than 3x", parallel>>10, serial>>10)
 	}
 }

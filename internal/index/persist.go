@@ -45,8 +45,8 @@
 //	kind 2 entry     SeqLen uvarint labels, uvarint id
 //
 // Entries are sorted (label keys lexicographically, weight keys
-// numerically, ids ascending within ties) so Save and the external-sort
-// streaming builder lay out identical blocks.
+// numerically, ids ascending within ties), so Save and the chunked
+// streaming build lay out identical blocks.
 //
 // An image may come from outside the process (a copied store, a side
 // file a cluster peer ships), and a CRC is no defence against a crafted
@@ -91,12 +91,15 @@ const (
 	kindLabelSingle = 2 // label keys, one id per entry; read, never written
 )
 
-// entryKind is the kind byte Save and BuildStreaming write for x.
-func (x *Index) entryKind() byte {
+// header is the image header Save and BuildStreaming write for x, over a
+// slab of slabLen bytes.
+func (x *Index) header(slabLen uint64) v3Header {
+	kind := byte(kindLabelRuns)
 	if x.weights {
-		return kindWeights
+		kind = kindWeights
 	}
-	return kindLabelRuns
+	return v3Header{kind: kind, vertexBlind: distance.IgnoresVertices(x.opts.Metric), maxEdges: x.opts.MaxFragmentEdges,
+		dbSize: x.dbSize, fingerprint: x.fingerprint, nClasses: len(x.list), hasFPs: x.fps != nil, slabLen: slabLen}
 }
 
 // v3SlabAlign page-aligns the slab so mapped block reads never straddle
@@ -215,9 +218,8 @@ func (x *Index) Save(w io.Writer) error {
 			fragments: c.fragments,
 			stats:     c.stats,
 		}
-		// Entries first, postings second: the streaming builder produces
-		// entries before it knows the class's full posting set, and Save
-		// mirrors its layout.
+		// Entries first, postings second, as the streaming build merges
+		// them.
 		dc.entOff = sw.beginBlock()
 		for e := 0; e < c.ents.entries(); e++ {
 			dc.entCount += x.writeEntry(sw, c.ents.key(e), c.ents.run(e))
@@ -232,26 +234,15 @@ func (x *Index) Save(w io.Writer) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	hdr := v3Header{
-		kind:        x.entryKind(),
-		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
-		maxEdges:    x.opts.MaxFragmentEdges,
-		dbSize:      x.dbSize,
-		fingerprint: x.fingerprint,
-		nClasses:    len(dir),
-		hasFPs:      x.fps != nil,
-		slabLen:     uint64(slab.Len()),
-	}
-	var writeFPs func(fsw *binio.SectionWriter)
+	hdr := x.header(uint64(slab.Len()))
+	var fps []byte
 	if hdr.hasFPs {
-		writeFPs = func(fsw *binio.SectionWriter) {
-			beginFPSection(fsw, len(x.fps))
-			for i := range x.fps {
-				encodeGraphFP(fsw, &x.fps[i])
-			}
+		fps = fpPreamble(len(x.fps))
+		for i := range x.fps {
+			fps = appendGraphFP(fps, &x.fps[i])
 		}
 	}
-	return writeV3Image(w, hdr, dir, writeFPs, &slab)
+	return writeV3Image(w, hdr, dir, bytes.NewReader(fps), len(fps), &slab)
 }
 
 // WriteMapped saves the index to path atomically and durably, ready for
@@ -290,28 +281,30 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// beginFPSection writes the fingerprint section's preamble; n
-// encodeGraphFP records follow. The zero is the width of the per-graph
-// class signature images once carried after each record.
-func beginFPSection(sw *binio.SectionWriter, n int) {
-	sw.U32(fpMagic)
-	sw.Uvarint(0)
-	sw.Uvarint(uint64(n))
+// fpPreamble is the fingerprint section's preamble; n appendGraphFP
+// records follow. The zero is the width of the per-graph class signature
+// images once carried after each record.
+func fpPreamble(n int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, fpMagic)
+	b = binary.AppendUvarint(b, 0)
+	return binary.AppendUvarint(b, uint64(n))
 }
 
-// encodeGraphFP writes one fingerprint record.
-func encodeGraphFP(sw *binio.SectionWriter, fp *GraphFP) {
-	sw.Uvarint(uint64(fp.NV))
-	sw.Uvarint(uint64(fp.NE))
+// appendGraphFP appends fp's fingerprint record to b: every counter as a
+// uvarint.
+func appendGraphFP(b []byte, fp *GraphFP) []byte {
+	b = binary.AppendUvarint(b, uint64(fp.NV))
+	b = binary.AppendUvarint(b, uint64(fp.NE))
 	for _, c := range fp.DegTail {
-		sw.Uvarint(uint64(c))
+		b = binary.AppendUvarint(b, uint64(c))
 	}
 	for _, c := range fp.ELab {
-		sw.Uvarint(uint64(c))
+		b = binary.AppendUvarint(b, uint64(c))
 	}
 	for _, c := range fp.VLab {
-		sw.Uvarint(uint64(c))
+		b = binary.AppendUvarint(b, uint64(c))
 	}
+	return b
 }
 
 // maxSigWords bounds the signature width a reader steps over.
@@ -326,8 +319,10 @@ func graphFPMinBytes(words int) int {
 
 // writeV3Image assembles the image: magic, header, directory, optional
 // fingerprint section, padding, slab. hdr.slabOff is computed here;
-// hdr.slabLen must be set by the caller.
-func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, writeFPs func(*binio.SectionWriter), slab io.Reader) error {
+// hdr.slabLen must be set by the caller. When hdr.hasFPs, fps yields the
+// fpLen payload bytes of the fingerprint section (tens of MB at a million
+// graphs), framed straight into w.
+func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fpLen int, slab io.Reader) error {
 	encodeHeader := func(h v3Header) []byte {
 		var buf bytes.Buffer
 		sw := binio.NewSectionWriter(&buf)
@@ -388,28 +383,26 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, writeFPs func(*bi
 		return err
 	}
 
-	var fpBuf bytes.Buffer
-	if writeFPs != nil {
-		fsw := binio.NewSectionWriter(&fpBuf)
-		fsw.Begin()
-		writeFPs(fsw)
-		if err := fsw.Flush(); err != nil {
-			return err
-		}
-	}
-
 	// The header's length does not depend on slabOff (fixed-width u64),
 	// so one dry encode fixes the layout and a second fills it in.
-	preSlab := len(persistMagic) + len(encodeHeader(hdr)) + dirBuf.Len() + fpBuf.Len()
+	preSlab := len(persistMagic) + len(encodeHeader(hdr)) + dirBuf.Len()
+	if hdr.hasFPs {
+		preSlab += 8 + fpLen // the section's length and CRC frame the payload
+	}
 	hdr.slabOff = (uint64(preSlab) + v3SlabAlign - 1) / v3SlabAlign * v3SlabAlign
 
-	for _, b := range [][]byte{
-		[]byte(persistMagic), encodeHeader(hdr), dirBuf.Bytes(), fpBuf.Bytes(),
-		make([]byte, int(hdr.slabOff)-preSlab),
-	} {
+	for _, b := range [][]byte{[]byte(persistMagic), encodeHeader(hdr), dirBuf.Bytes()} {
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
+	}
+	if hdr.hasFPs {
+		if err := binio.WriteSection(w, fpLen, fps); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(make([]byte, int(hdr.slabOff)-preSlab)); err != nil {
+		return err
 	}
 	_, err := io.Copy(w, slab)
 	return err

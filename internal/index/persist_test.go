@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pis/internal/binio"
 	"pis/internal/canon"
 	"pis/internal/chem"
 	"pis/internal/distance"
@@ -266,9 +265,9 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 func oversizedImages(t testing.TB) map[string][]byte {
 	t.Helper()
 	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 3}
-	craft := func(hdr v3Header, writeFPs func(*binio.SectionWriter)) []byte {
+	craft := func(hdr v3Header, fps []byte) []byte {
 		var buf bytes.Buffer
-		if err := writeV3Image(&buf, hdr, nil, writeFPs, bytes.NewReader(nil)); err != nil {
+		if err := writeV3Image(&buf, hdr, nil, bytes.NewReader(fps), len(fps), bytes.NewReader(nil)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -278,9 +277,7 @@ func oversizedImages(t testing.TB) map[string][]byte {
 	graphs.dbSize, graphs.hasFPs = 1<<40, true
 	return map[string][]byte{
 		"nClasses": craft(classes, nil),
-		"dbSize": craft(graphs, func(sw *binio.SectionWriter) {
-			beginFPSection(sw, 1<<40)
-		}),
+		"dbSize":   craft(graphs, fpPreamble(1<<40)),
 	}
 }
 
@@ -302,7 +299,7 @@ func unboundedGraphCountImage(t testing.TB) []byte {
 	dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
 	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
 	var buf bytes.Buffer
-	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, nil, &slab); err != nil {
+	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, nil, 0, &slab); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -343,16 +340,15 @@ func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 }
 
 // TestSaveImagesByteIdentical: one format, one image. Saving a heap
-// index, saving the mapped index opened from that image, and WriteMapped
-// all produce the same bytes for every metric; for label keys the
-// external-sort streaming build over the same graphs does too. (A weight
-// class holds more entries than the streaming build's sampler keeps
-// before it thins them, so its planner statistics — never its blocks —
-// are sampled differently from the heap build's.)
+// index, saving the mapped index opened from that image, WriteMapped, and
+// the streaming build over the same graphs all produce the same bytes for
+// every metric, at chunks of one graph, of about seven, and of the whole
+// database — so a key's id run spans chunks, and a class is empty in some
+// chunk.
 func TestSaveImagesByteIdentical(t *testing.T) {
 	for _, tc := range metricCases {
 		x, db := buildSmall(t, tc.metric, 23, 30)
-		heap, slabOff := imageBytes(t, x)
+		heap, _ := imageBytes(t, x)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "idx.pisidx3")
 		if err := x.WriteMapped(path); err != nil {
@@ -385,30 +381,62 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spath := filepath.Join(dir, "stream.pisidx3")
-		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats,
-			Options{Metric: tc.metric}, spath,
-			StreamOptions{TempDir: dir, ArenaBytes: 1 << 12}); err != nil {
-			t.Fatal(err)
+		elems := 0
+		for _, g := range db {
+			elems += g.N() + g.M()
 		}
-		streamed, err := os.ReadFile(spath)
-		if err != nil {
-			t.Fatal(err)
+		for _, graphs := range []int{1, 7, len(db)} {
+			chunkBytes := int64(graphs*elems/len(db)) * foldBytesPerElement
+			if graphs == 1 {
+				chunkBytes = 1
+			}
+			spath := filepath.Join(dir, fmt.Sprintf("stream-%d.pisidx3", graphs))
+			res, err := buildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath, chunkBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantRuns := (len(db) + graphs - 1) / graphs; graphs != 7 && res.SpillRuns != wantRuns || graphs == 7 && (res.SpillRuns < 3 || res.SpillRuns > 8) {
+				t.Fatalf("%s: chunks of about %d graphs wrote %d runs", tc.name, graphs, res.SpillRuns)
+			}
+			streamed, err := os.ReadFile(spath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(heap, streamed) {
+				t.Fatalf("%s: streaming build in chunks of about %d graphs differs from Save", tc.name, graphs)
+			}
 		}
-		if distance.ReadsWeights(tc.metric) {
-			heap, streamed = heap[slabOff:], streamed[slabOff:]
-		}
-		if !bytes.Equal(heap, streamed) {
-			t.Fatalf("%s: BuildStreaming image differs from Save", tc.name)
+		spans, _ := chunkCoverage(x, 7)
+		_, empty := chunkCoverage(x, 1)
+		if !spans || !empty {
+			t.Fatalf("%s: a key spans chunks of 7 graphs: %v, a class is empty in a one-graph chunk: %v", tc.name, spans, empty)
 		}
 	}
+}
+
+// chunkCoverage reports whether some key of x holds graphs of two chunks
+// of the given size, and whether some class holds no graph of one chunk.
+func chunkCoverage(x *Index, graphs int) (spans, empty bool) {
+	for _, c := range x.Classes() {
+		for e := 0; e < c.ents.entries(); e++ {
+			run := c.ents.run(e)
+			spans = spans || run[0]/int32(graphs) != run[len(run)-1]/int32(graphs)
+		}
+		seen := make(map[int32]bool)
+		for _, id := range c.Postings() {
+			seen[id/int32(graphs)] = true
+		}
+		empty = empty || len(seen) < (x.DBSize()+graphs-1)/graphs
+	}
+	return spans, empty
 }
 
 // TestImageBytesPinned: the bytes of an image are a compatibility surface
 // (stores on disk, side files shipped between cluster peers). These are
 // the sha256 of the images the last commit with per-class tries and
-// R-trees wrote over the same corpus and options, from its in-memory and
-// its streaming build; a deliberate format change updates them. The three
+// R-trees wrote over the same corpus and options; a deliberate format
+// change updates them. The streaming build's image is the in-memory
+// build's, so one pin covers both. The three
 // label images were re-pinned once since, when the directory's per-class
 // count became stored (key, graph) pairs instead of fragment occurrences:
 // the directory section differs in that one uvarint per class. All eight
@@ -426,14 +454,14 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 // now the one its class's symmetry-breaking conditions pass.
 func TestImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		metric         distance.Metric
-		heap, streamed string
+		name   string
+		metric distance.Metric
+		heap   string
 	}{
-		{"edge", distance.EdgeMutation{}, "4d5164991fea4f57", "5dd967d5502b1418"},
-		{"full", distance.FullMutation{}, "6e05400acbf7c5ca", "d2b773c68e72a588"},
-		{"matrix", testMatrix(), "743f52ca5a7b9405", "c7b6dec4498903f3"},
-		{"linear", distance.Linear{}, "d9ff6bab05bc8815", "0c2e6f049ac520a3"},
+		{"edge", distance.EdgeMutation{}, "4d5164991fea4f57"},
+		{"full", distance.FullMutation{}, "6e05400acbf7c5ca"},
+		{"matrix", testMatrix(), "743f52ca5a7b9405"},
+		{"linear", distance.Linear{}, "d9ff6bab05bc8815"},
 	} {
 		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})
 		feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})
@@ -448,18 +476,16 @@ func TestImageBytesPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
 			t.Errorf("%s: in-memory build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
 		}
-		dir := t.TempDir()
-		spath := filepath.Join(dir, "stream.pisidx3")
-		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath,
-			StreamOptions{TempDir: dir, ArenaBytes: 1 << 14}); err != nil {
+		spath := filepath.Join(t.TempDir(), "stream.pisidx3")
+		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath); err != nil {
 			t.Fatal(err)
 		}
 		image, err = os.ReadFile(spath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.streamed {
-			t.Errorf("%s: streaming build image sha256 %s…, pinned %s…", tc.name, got, tc.streamed)
+		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
+			t.Errorf("%s: streaming build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
 		}
 	}
 }

@@ -485,15 +485,21 @@ func (x *Index) eachEntry(c *Class, fn func(key []uint64, ids []int32)) {
 	}
 }
 
+// entryUnits is how many entries the image counts s as: one per key, or
+// one per (key, graph) pair when keys hold weights (writeEntry).
+func (x *Index) entryUnits(s *slab) int {
+	if x.weights {
+		return len(s.ids)
+	}
+	return s.entries()
+}
+
 // sampleKeys returns at most statsSamplePerClass keys spread evenly over
 // the class's entries as the image lays them out (a weight key counts
 // once per id), with that count.
 func (x *Index) sampleKeys(c *Class) (keys [][]uint64, units int) {
 	s := &c.ents
-	units = s.entries()
-	if x.weights {
-		units = len(s.ids)
-	}
+	units = x.entryUnits(s)
 	for u := 0; u < units && len(keys) < statsSamplePerClass; u += sampleStride(units) {
 		e := u
 		if x.weights {

@@ -1,53 +1,31 @@
-// Out-of-core index construction. BuildStreaming folds an arbitrarily
-// large graph stream into a v3 mapped index file while holding only a
-// fixed-size working set in heap, by the classic external-sort shape:
-//
-//	pass 1   stream graphs once; find fragments and lay out their keys
-//	         exactly like Build, but instead of inserting into heap
-//	         structures, encode each distinct (class, sequence, graph)
-//	         observation as a byte record whose raw ordering is the
-//	         final storage order, collect records in a bounded arena,
-//	         and spill sorted runs to a temp directory when it fills.
-//	         Per-graph fingerprints stream to a side file; occurrence
-//	         counters and the database fingerprint accumulate in O(1).
-//	merge    k-way merge the runs. Records arrive grouped by class in
-//	         entry order, so entry blocks stream straight into the slab
-//	         file; per-class postings are folded through a dbSize-bit
-//	         set (ids arrive key-ordered, not id-ordered). Planner
-//	         stats come from a deterministic stride-doubling sampler
-//	         over the sorted entry stream.
-//	write    assemble the final PISIDX3 file from the staged directory,
-//	         the fingerprint side file, and the slab file.
-//
-// Record encoding (byte-comparable; lexicographic byte order == the
-// (class, key, graph) storage order):
-//
-//	[4B BE class id][key][4B BE graph id]
-//	key: big-endian u32 per label, or order-preserving flipped-sign
-//	     big-endian float64 bits per weight
-//
-// Records are deduplicated within each graph before they reach the
-// arena; without this the spill volume is the raw fragment-occurrence
-// count (hundreds of copies of the same record per graph) instead of
-// the distinct posting volume. The heap build's fold drops the same
-// repeats.
+// Out-of-core index construction. BuildStreaming is the in-memory build
+// run over the stream one bounded chunk of graphs at a time: it folds and
+// seals each chunk as BuildParallel does (computeOps → apply, on the same
+// worker pool) under chunk-local ids, writes the chunk's sealed entries,
+// postings and per-graph fingerprints to a run file in the image's
+// encodings, and drops the chunk. Chunks cover ascending, disjoint id
+// ranges, so the merge is a concatenation: a class's entries merge by key,
+// a key found in several chunks taking their id runs in chunk order, each
+// shifted by its chunk's first id, and postings and fingerprints are the
+// chunks' lists end to end. Planner statistics come from the merged
+// entries by the fixed-stride rule of every build (sampleKeys), so the
+// image is Save's of BuildParallel over the same graphs, byte for byte,
+// whatever the chunk bound.
 
 package index
 
 import (
 	"bufio"
 	"bytes"
-	"container/heap"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 
-	"pis/internal/binio"
-	"pis/internal/distance"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
@@ -58,19 +36,10 @@ type GraphSource interface {
 	Next() (*graph.Graph, bool)
 }
 
-// StreamOptions tunes the external sort.
-type StreamOptions struct {
-	// TempDir hosts spill runs and side files; "" means os.TempDir().
-	TempDir string
-	// ArenaBytes bounds the in-heap record arena (the dominant heap
-	// consumer of pass 1); 0 means 8 MiB.
-	ArenaBytes int
-}
-
 // StreamResult reports what BuildStreaming did.
 type StreamResult struct {
-	Graphs     int
-	Classes    int
+	// SpillRuns counts the chunks, each written as one run file, and
+	// SpillBytes the bytes of those files.
 	SpillRuns  int
 	SpillBytes int64
 	// RawPostingBytes is the uncompressed (4 bytes per id and symbol)
@@ -78,579 +47,301 @@ type StreamResult struct {
 	// "total posting bytes" a heap build would hold resident, and the
 	// denominator of the build's peak-RSS budget.
 	RawPostingBytes int64
-	// SlabBytes is the compressed slab actually written.
-	SlabBytes int64
 }
 
-const streamDefaultArena = 8 << 20
+// A chunk closes once its graphs' estimated fold footprint reaches the
+// chunk bound: min(maxChunkBytes, the Go memory limit / chunkLimitShare).
+// The estimate charges foldBytesPerElement per vertex and edge: measured on
+// generated molecules, a graph holds 28 bytes per element and its share of
+// a chunk's staged entries 13 to 27 (20 classes of 2–5 edges, chunks of
+// 8,000 down to 500 graphs).
+const (
+	maxChunkBytes       = 16 << 20
+	chunkLimitShare     = 8
+	foldBytesPerElement = 64
+)
+
+// chunkBound is the chunk bound under the process's memory limit; with
+// none set it is maxChunkBytes.
+func chunkBound() int64 {
+	return min(maxChunkBytes, debug.SetMemoryLimit(-1)/chunkLimitShare)
+}
 
 // BuildStreaming builds a v3 mapped index file at path over exactly n
-// graphs from src, without ever materializing the full posting volume
-// in heap. The result is opened with OpenMapped (out-of-core) or Load
-// (heap). Features come from the caller (mined over a sample; mining
-// needs only a representative subset, not the whole stream).
-func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Options, path string, sopts StreamOptions) (StreamResult, error) {
+// graphs from src, holding one bounded chunk of them in heap at a time.
+// The result is opened with OpenMapped (out-of-core) or Load (heap).
+// Features come from the caller (mined over a sample; mining needs only a
+// representative subset, not the whole stream). Run files are written
+// next to path and removed before it returns.
+func BuildStreaming(src GraphSource, n int, features []mining.Feature, opts Options, path string) (StreamResult, error) {
+	return buildStreaming(src, n, features, opts, path, chunkBound())
+}
+
+// buildStreaming is BuildStreaming with chunks of chunkBytes estimated
+// footprint; a chunk holds at least one graph.
+func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Options, path string, chunkBytes int64) (StreamResult, error) {
 	var res StreamResult
 	if n <= 0 {
 		return res, fmt.Errorf("index: streaming build needs a declared positive size, got %d", n)
 	}
-	// Pass 1 needs the class directory to find fragments, the merge for
-	// distances.
 	x, err := scaffold(features, opts)
 	if err != nil {
 		return res, err
 	}
-	res.Classes = len(x.list)
 
-	tmpDir, err := os.MkdirTemp(sopts.TempDir, "pis-stream-*")
+	tmpDir, err := os.MkdirTemp(filepath.Dir(path), filepath.Base(path)+".build-*")
 	if err != nil {
 		return res, err
 	}
 	defer os.RemoveAll(tmpDir)
 
-	sp := &spiller{dir: tmpDir, limit: sopts.ArenaBytes}
-	if sp.limit <= 0 {
-		sp.limit = streamDefaultArena
-	}
-	fpFile, err := os.Create(filepath.Join(tmpDir, "graphfp"))
-	if err != nil {
-		return res, err
-	}
-	defer fpFile.Close()
-	fpw := bufio.NewWriterSize(fpFile, 1<<16)
-
-	// Pass 1: one sequential sweep over the stream.
 	fpr := graph.NewFingerprinter(n)
-	var rec []byte // per-fragment record scratch
-	var fs FragmentScratch
-	var ops graphOps
-	for id := 0; id < n; id++ {
-		g, ok := src.Next()
-		if !ok {
-			return res, fmt.Errorf("index: graph source ended after %d of %d graphs", id, n)
+	var runs []*runReader
+	defer func() {
+		for _, r := range runs {
+			r.f.Close()
 		}
-		fpr.Add(g)
-		var gfp GraphFP
-		fillGraphFP(&gfp, g)
-		writeStreamFP(fpw, &gfp)
-		ops = x.computeOps(ops, g, &fs)
-		keys := ops.keys
-		for _, c := range ops.classes {
-			rec = binary.BigEndian.AppendUint32(rec[:0], uint32(c.ID))
-			for _, k := range keys[:c.SeqLen()] {
-				if x.weights {
-					rec = binary.BigEndian.AppendUint64(rec, flipFloatBits(k))
-				} else {
-					rec = binary.BigEndian.AppendUint32(rec, uint32(k))
-				}
+	}()
+	var chunk []*graph.Graph
+	for base := 0; base < n; base += len(chunk) {
+		clear(chunk) // the last chunk's graphs are garbage once folded
+		chunk = chunk[:0]
+		for cost := int64(0); base+len(chunk) < n && (len(chunk) == 0 || cost < chunkBytes); {
+			g, ok := src.Next()
+			if !ok {
+				return res, fmt.Errorf("index: graph source ended after %d of %d graphs", base+len(chunk), n)
 			}
-			keys = keys[c.SeqLen():]
-			rec = binary.BigEndian.AppendUint32(rec, uint32(id))
-			sp.addRecord(rec)
+			fpr.Add(g)
+			chunk = append(chunk, g)
+			cost += foldBytesPerElement * int64(g.N()+g.M())
 		}
-		if err := sp.endGraph(); err != nil {
+		r, size, err := x.writeChunk(chunk, filepath.Join(tmpDir, fmt.Sprintf("run-%05d", len(runs))))
+		if err != nil {
 			return res, err
 		}
+		r.base = int32(base)
+		runs = append(runs, r)
+		res.SpillBytes += size
 	}
+	chunk = nil
 	if _, extra := src.Next(); extra {
 		return res, fmt.Errorf("index: graph source yielded more than the declared %d graphs", n)
 	}
-	if err := fpw.Flush(); err != nil {
-		return res, err
-	}
-	if err := sp.spill(); err != nil {
-		return res, err
-	}
-	res.Graphs = n
-	res.SpillRuns = len(sp.runs)
-	res.SpillBytes = sp.spilled
+	res.SpillRuns = len(runs)
 
-	// Merge: runs → slab file + staged directory.
-	slabPath := filepath.Join(tmpDir, "slab")
-	dir, slabLen, err := x.mergeRuns(sp.runs, n, slabPath, &res)
-	if err != nil {
-		return res, err
-	}
-	res.SlabBytes = slabLen
-
-	// Final assembly.
-	hdr := v3Header{
-		kind:        x.entryKind(),
-		vertexBlind: distance.IgnoresVertices(x.opts.Metric),
-		maxEdges:    x.opts.MaxFragmentEdges,
-		dbSize:      n,
-		fingerprint: fpr.Sum(),
-		nClasses:    len(dir),
-		hasFPs:      true,
-		slabLen:     uint64(slabLen),
-	}
-	writeFPs := func(sw *binio.SectionWriter) {
-		emitStreamFPSection(sw, fpFile, n)
-	}
-	slabFile, err := os.Open(slabPath)
+	slabFile, err := os.Create(filepath.Join(tmpDir, "slab"))
 	if err != nil {
 		return res, err
 	}
 	defer slabFile.Close()
-	return res, writeFileAtomic(path, func(w io.Writer) error {
-		return writeV3Image(w, hdr, dir, writeFPs, bufio.NewReaderSize(slabFile, 1<<16))
-	})
-}
-
-// flipFloatBits maps float64 bits to an order-preserving big-endian
-// total order (sign-magnitude → biased), the standard sortable-float
-// trick.
-func flipFloatBits(b uint64) uint64 {
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-func unflipFloatBits(b uint64) uint64 {
-	if b>>63 != 0 {
-		return b &^ (1 << 63)
-	}
-	return ^b
-}
-
-// streamFPSize is the fixed on-disk size of one pass-1 fingerprint record.
-const streamFPSize = 4 + 4 + 2*(fpDegTail+fpEdgeBuckets+fpVertexBuckets)
-
-func writeStreamFP(w *bufio.Writer, fp *GraphFP) {
-	var buf [streamFPSize]byte
-	binary.LittleEndian.PutUint32(buf[0:], uint32(fp.NV))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(fp.NE))
-	off := 8
-	put := func(v uint16) {
-		binary.LittleEndian.PutUint16(buf[off:], v)
-		off += 2
-	}
-	for _, c := range fp.DegTail {
-		put(c)
-	}
-	for _, c := range fp.ELab {
-		put(c)
-	}
-	for _, c := range fp.VLab {
-		put(c)
-	}
-	w.Write(buf[:])
-}
-
-// emitStreamFPSection re-reads the pass-1 fingerprint file and writes
-// the fingerprint section payload. Encoding matches encodeGraphFP exactly.
-func emitStreamFPSection(sw *binio.SectionWriter, f *os.File, n int) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		sw.Bytes(nil) // the section writer surfaces its own errors; nothing to do
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	beginFPSection(sw, n)
-	var buf [streamFPSize]byte
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			// Short side file: emit zeros; the CRC-covered section is
-			// still well-formed and the condition cannot happen unless
-			// pass 1 itself failed, which already returned an error.
-			clear(buf[:])
-		}
-		sw.Uvarint(uint64(binary.LittleEndian.Uint32(buf[0:])))
-		sw.Uvarint(uint64(binary.LittleEndian.Uint32(buf[4:])))
-		off := 8
-		for k := 0; k < fpDegTail+fpEdgeBuckets+fpVertexBuckets; k++ {
-			sw.Uvarint(uint64(binary.LittleEndian.Uint16(buf[off:])))
-			off += 2
-		}
-	}
-}
-
-// spiller owns the bounded record arena and the sorted spill runs.
-// Records are staged per graph first so each graph's duplicates die
-// before they cost arena space, and a graph's records enter the arena
-// atomically — so no record can ever appear in two runs and the merge's
-// adjacent-duplicate check suffices for global dedup.
-type spiller struct {
-	dir     string
-	arena   []byte
-	offs    []uint64 // packed off<<16 | len
-	gbuf    []byte   // current graph's records
-	goffs   []uint64
-	limit   int
-	runs    []string
-	spilled int64
-}
-
-func (sp *spiller) addRecord(rec []byte) {
-	sp.goffs = append(sp.goffs, uint64(len(sp.gbuf))<<16|uint64(len(rec)))
-	sp.gbuf = append(sp.gbuf, rec...)
-}
-
-func recAt(buf []byte, packed uint64) []byte {
-	off, n := packed>>16, packed&0xffff
-	return buf[off : off+n]
-}
-
-// endGraph dedups the current graph's records and moves them into the
-// arena, spilling the arena first if they would not fit.
-func (sp *spiller) endGraph() error {
-	if len(sp.goffs) == 0 {
-		return nil
-	}
-	slices.SortFunc(sp.goffs, func(a, b uint64) int {
-		return bytes.Compare(recAt(sp.gbuf, a), recAt(sp.gbuf, b))
-	})
-	kept := sp.goffs[:0]
-	for i, p := range sp.goffs {
-		if i > 0 && bytes.Equal(recAt(sp.gbuf, p), recAt(sp.gbuf, kept[len(kept)-1])) {
-			continue
-		}
-		kept = append(kept, p)
-	}
-	need := 0
-	for _, p := range kept {
-		need += int(p & 0xffff)
-	}
-	if len(sp.arena)+need > sp.limit && len(sp.offs) > 0 {
-		if err := sp.spill(); err != nil {
-			return err
-		}
-	}
-	for _, p := range kept {
-		r := recAt(sp.gbuf, p)
-		sp.offs = append(sp.offs, uint64(len(sp.arena))<<16|uint64(len(r)))
-		sp.arena = append(sp.arena, r...)
-	}
-	sp.gbuf = sp.gbuf[:0]
-	sp.goffs = sp.goffs[:0]
-	// A single pathological graph can exceed the whole arena budget;
-	// flush immediately rather than growing without bound.
-	if len(sp.arena) > sp.limit {
-		return sp.spill()
-	}
-	return nil
-}
-
-// spill sorts the arena and writes it as one length-framed run file.
-func (sp *spiller) spill() error {
-	if len(sp.offs) == 0 {
-		return nil
-	}
-	slices.SortFunc(sp.offs, func(a, b uint64) int {
-		return bytes.Compare(recAt(sp.arena, a), recAt(sp.arena, b))
-	})
-	name := filepath.Join(sp.dir, fmt.Sprintf("run-%05d", len(sp.runs)))
-	f, err := os.Create(name)
+	dir, slabLen, err := x.mergeRuns(runs, slabFile, &res)
 	if err != nil {
-		return err
+		return res, err
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var frame [2]byte
-	for _, p := range sp.offs {
-		r := recAt(sp.arena, p)
-		binary.BigEndian.PutUint16(frame[:], uint16(len(r)))
-		w.Write(frame[:])
-		w.Write(r)
-		sp.spilled += int64(2 + len(r))
+
+	x.dbSize, x.fingerprint = n, fpr.Sum()
+	hdr := x.header(slabLen)
+	hdr.hasFPs = true // x holds none: the runs do
+	// What the merge left unread of each run is its chunk's fingerprints.
+	preamble := fpPreamble(n)
+	fps, fpLen := []io.Reader{bytes.NewReader(preamble)}, len(preamble)
+	for _, r := range runs {
+		fps, fpLen = append(fps, r.r), fpLen+r.fpLen
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	sp.runs = append(sp.runs, name)
-	sp.offs = sp.offs[:0]
-	sp.arena = sp.arena[:0]
-	return nil
+	return res, writeFileAtomic(path, func(w io.Writer) error {
+		return writeV3Image(w, hdr, dir, io.MultiReader(fps...), fpLen, io.NewSectionReader(slabFile, 0, int64(slabLen)))
+	})
 }
 
-// runCursor reads one sorted run during the merge.
-type runCursor struct {
-	r   *bufio.Reader
-	rec []byte
-	ok  bool
-}
-
-func (rc *runCursor) advance() error {
-	var frame [2]byte
-	if _, err := io.ReadFull(rc.r, frame[:]); err != nil {
-		if err == io.EOF {
-			rc.ok = false
-			return nil
-		}
-		return err
-	}
-	n := int(binary.BigEndian.Uint16(frame[:]))
-	if cap(rc.rec) < n {
-		rc.rec = make([]byte, n)
-	}
-	rc.rec = rc.rec[:n]
-	if _, err := io.ReadFull(rc.r, rc.rec); err != nil {
-		return fmt.Errorf("index: truncated spill run: %w", err)
-	}
-	rc.ok = true
-	return nil
-}
-
-type runHeap []*runCursor
-
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return bytes.Compare(h[i].rec, h[j].rec) < 0 }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.(*runCursor)) }
-func (h *runHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
-// sampleStream keeps a bounded, deterministic, evenly-spread sample of
-// a stream of keys of unknown length: keep every stride-th key; when the
-// buffer doubles past cap, drop every other kept key and double the
-// stride.
-type sampleStream struct {
-	cap    int
-	stride int
-	idx    int
-	items  [][]uint64
-}
-
-// offer shows the sampler the stream's next key, which it copies if it
-// keeps it.
-func (s *sampleStream) offer(key []uint64) {
-	if s.stride == 0 {
-		s.stride = 1
-	}
-	keep := s.idx%s.stride == 0
-	s.idx++
-	if !keep {
-		return
-	}
-	s.items = append(s.items, slices.Clone(key))
-	if len(s.items) >= 2*s.cap {
-		kept := s.items[:0]
-		for i := 0; i < len(s.items); i += 2 {
-			kept = append(kept, s.items[i])
-		}
-		s.items = kept
-		s.stride *= 2
-	}
-}
-
-// mergeRuns k-way merges the spill runs into the slab file, returning
-// the staged directory and the slab's length.
-func (x *Index) mergeRuns(runs []string, n int, slabPath string, res *StreamResult) ([]v3DirClass, int64, error) {
-	f, err := os.Create(slabPath)
+// writeChunk folds chunk under ids from 0, seals the classes and writes
+// them to a run file at name: per class its entry count as the image
+// counts entries, the sealed entries and the postings; then one
+// fingerprint per graph. It leaves the class stores empty and returns the
+// run, open for reading, and its size.
+func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64, error) {
+	x.fold(chunk, 0, 0)
+	x.finalize()
+	f, err := os.Create(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<16)
 	sw := &v3SlabWriter{w: bw}
+	for _, c := range x.list {
+		sw.uvarint(uint64(x.entryUnits(&c.ents)))
+		for e := 0; e < c.ents.entries(); e++ {
+			x.writeEntry(sw, c.ents.key(e), c.ents.run(e))
+		}
+		sw.uvarint(uint64(len(c.postings)))
+		sw.ids(c.postings)
+		c.ents, c.postings = slab{}, nil
+	}
+	var fp GraphFP
+	fpFrom := len(sw.buf)
+	for _, g := range chunk {
+		fillGraphFP(&fp, g)
+		sw.buf = appendGraphFP(sw.buf, &fp)
+	}
+	fpLen := len(sw.buf) - fpFrom
+	sw.flushBuf()
+	if err := cmp.Or(sw.err, bw.Flush()); err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, int64(sw.off)), 1<<15)
+	return &runReader{f: f, r: r, fpLen: fpLen}, int64(sw.off), nil
+}
 
-	var h runHeap
-	for _, name := range runs {
-		rf, err := os.Open(name)
+// runReader reads entries and id lists back in the image's encodings:
+// from a chunk's run file, or from a merged entry block.
+type runReader struct {
+	f     *os.File // the run file; nil when reading a block
+	r     *bufio.Reader
+	base  int32 // added to every id read: the chunk's first graph id
+	left  int   // entries still to read in the current class
+	fpLen int   // bytes of fingerprints the run ends with
+	key   []uint64
+	ids   []int32
+	err   error
+}
+
+func (r *runReader) uvarint() uint64 {
+	v, err := binary.ReadUvarint(r.r)
+	if err != nil && r.err == nil {
+		r.err = fmt.Errorf("index: reading a build run: %w", err)
+	}
+	return v
+}
+
+// idList reads n ids (first, then gaps) into r.ids, shifted by base.
+func (r *runReader) idList(n uint64) {
+	r.ids = r.ids[:0]
+	id := r.base
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		id += int32(r.uvarint())
+		r.ids = append(r.ids, id)
+	}
+}
+
+// next reads the current class's next entry into key and ids, reporting
+// false once the class has none left or the run is unreadable.
+func (r *runReader) next(x *Index) bool {
+	if r.left == 0 || r.err != nil {
+		return false
+	}
+	r.left--
+	var w [8]byte
+	for i := range r.key {
+		if !x.weights {
+			r.key[i] = r.uvarint()
+		} else if _, err := io.ReadFull(r.r, w[:]); err != nil {
+			r.err = fmt.Errorf("index: reading a build run: %w", err)
+		} else {
+			r.key[i] = binary.LittleEndian.Uint64(w[:])
+		}
+	}
+	if x.weights {
+		r.idList(1)
+	} else {
+		r.idList(r.uvarint())
+	}
+	return r.err == nil
+}
+
+// mergeRuns merges the runs class by class into the slab it writes to f
+// and returns the image directory and the slab's length, adding the raw
+// posting bytes to res.
+func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v3DirClass, uint64, error) {
+	bw := bufio.NewWriterSize(f, 1<<16)
+	sw := &v3SlabWriter{w: bw}
+	elem := int64(4)
+	if x.weights {
+		elem = 8
+	}
+	// Runs holding a key come off live ordered by key, then by chunk: a
+	// key's id runs in ascending id order.
+	order := func(a, b *runReader) int {
+		return cmp.Or(compareKeys(a.key, b.key, x.weights), cmp.Compare(a.base, b.base))
+	}
+	dir := make([]v3DirClass, len(x.list))
+	live := make([]*runReader, 0, len(runs))
+	var key []uint64
+	var ids []int32
+	for ci, c := range x.list {
+		L := c.SeqLen()
+		for _, r := range runs {
+			r.left = int(r.uvarint())
+			r.key = slices.Grow(r.key[:0], L)[:L]
+			if r.next(x) {
+				live = append(live, r)
+			}
+		}
+		slices.SortFunc(live, order)
+		dc := &dir[ci]
+		dc.code, dc.vOff = c.Code, c.vOff
+		dc.entOff = sw.beginBlock()
+		for len(live) > 0 {
+			key = append(key[:0], live[0].key...)
+			ids = ids[:0]
+			for len(live) > 0 && slices.Equal(live[0].key, key) {
+				r := live[0]
+				live = slices.Delete(live, 0, 1)
+				ids = append(ids, r.ids...)
+				if r.next(x) {
+					i, _ := slices.BinarySearchFunc(live, r, order)
+					live = slices.Insert(live, i, r)
+				}
+			}
+			written := x.writeEntry(sw, key, ids)
+			dc.entCount += written
+			dc.fragments += len(ids)
+			res.RawPostingBytes += int64(written)*elem*int64(L) + 4*int64(len(ids))
+		}
+		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
+
+		dc.postOff = sw.beginBlock()
+		prev := int32(0)
+		for _, r := range runs {
+			r.idList(r.uvarint())
+			for _, id := range r.ids {
+				sw.uvarint(uint64(uint32(id - prev)))
+				prev = id
+			}
+			dc.postCount += len(r.ids)
+		}
+		dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
+		res.RawPostingBytes += 4 * int64(dc.postCount)
+		for _, r := range runs {
+			if r.err != nil {
+				return nil, 0, r.err
+			}
+		}
+		if err := cmp.Or(sw.err, bw.Flush()); err != nil {
+			return nil, 0, err
+		}
+		keys, err := x.sampleBlock(c, f, dc.entOff, dc.entLen, dc.entCount)
 		if err != nil {
 			return nil, 0, err
 		}
-		defer rf.Close()
-		rc := &runCursor{r: bufio.NewReaderSize(rf, 1<<16)}
-		if err := rc.advance(); err != nil {
-			return nil, 0, err
-		}
-		if rc.ok {
-			h = append(h, rc)
-		}
+		dc.stats = x.pairStats(c, keys, int32(dc.postCount), int32(dc.entCount))
 	}
-	heap.Init(&h)
-
-	m := &classMerger{
-		x: x, sw: sw, n: n,
-		bitset: make([]uint64, (n+63)/64),
-		dir:    make([]v3DirClass, len(x.list)),
-		res:    res,
-		cur:    -1,
-	}
-	// Per-graph dedup means a record can never appear in two runs, but
-	// the adjacent-duplicate check is cheap insurance against a future
-	// spill-path change breaking that invariant silently.
-	var prev []byte
-	for len(h) > 0 {
-		rc := h[0]
-		if !bytes.Equal(rc.rec, prev) {
-			if err := m.consume(rc.rec); err != nil {
-				return nil, 0, err
-			}
-			prev = append(prev[:0], rc.rec...)
-		}
-		if err := rc.advance(); err != nil {
-			return nil, 0, err
-		}
-		if rc.ok {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	if err := m.finishAll(); err != nil {
-		return nil, 0, err
-	}
-	if sw.err != nil {
-		return nil, 0, sw.err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, 0, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, 0, err
-	}
-	return m.dir, int64(sw.off), nil
+	return dir, sw.off, nil
 }
 
-// classMerger folds the globally sorted record stream into per-class
-// slab blocks, postings, and planner stats.
-type classMerger struct {
-	x  *Index
-	sw *v3SlabWriter
-	n  int
-
-	bitset []uint64
-	dir    []v3DirClass
-	res    *StreamResult
-
-	cur    int // class currently being written; -1 before the first
-	entOff uint64
-
-	// entry in progress: its record key, decoded key and id run
-	curKey []byte
-	key    []uint64
-	entIDs []int32
-
-	entCount int
-	pairs    int // (key, graph) pairs written: Class.fragments
-	samp     sampleStream
-}
-
-// consume routes one deduplicated record.
-func (m *classMerger) consume(rec []byte) error {
-	classID := int(binary.BigEndian.Uint32(rec))
-	if classID < m.cur || classID >= len(m.x.list) {
-		return fmt.Errorf("index: merge produced out-of-order class %d", classID)
+// sampleBlock returns the keys sampleKeys picks over a class's merged
+// entries, read back from their block of units entries at off in f.
+func (x *Index) sampleBlock(c *Class, f *os.File, off, length uint64, units int) ([][]uint64, error) {
+	r := &runReader{
+		r:    bufio.NewReaderSize(io.NewSectionReader(f, int64(off), int64(length)), 1<<15),
+		left: units,
+		key:  make([]uint64, c.SeqLen()),
 	}
-	for m.cur < classID {
-		if err := m.closeClass(); err != nil {
-			return err
-		}
-		m.openClass(m.cur + 1)
-	}
-	c := m.x.list[classID]
-	key := rec[4 : len(rec)-4]
-	gid := int32(binary.BigEndian.Uint32(rec[len(rec)-4:]))
-	m.bitset[gid>>6] |= 1 << (uint(gid) & 63)
-	if !bytes.Equal(key, m.curKey) {
-		m.flushEntry(c)
-		m.curKey = append(m.curKey[:0], key...)
-	}
-	m.entIDs = append(m.entIDs, gid)
-	return nil
-}
-
-// flushEntry writes the in-progress entry: the records sharing its key
-// arrived with ascending graph ids.
-func (m *classMerger) flushEntry(c *Class) {
-	if len(m.entIDs) == 0 {
-		return
-	}
-	m.key = m.key[:0]
-	for i := 0; i < c.SeqLen(); i++ {
-		if m.x.weights {
-			m.key = append(m.key, unflipFloatBits(binary.BigEndian.Uint64(m.curKey[8*i:])))
-		} else {
-			m.key = append(m.key, uint64(binary.BigEndian.Uint32(m.curKey[4*i:])))
+	var keys [][]uint64
+	stride := sampleStride(units)
+	for u := 0; len(keys) < statsSamplePerClass && r.next(x); u++ {
+		if u%stride == 0 {
+			keys = append(keys, slices.Clone(r.key))
 		}
 	}
-	written := m.x.writeEntry(m.sw, m.key, m.entIDs)
-	m.entCount += written
-	m.pairs += len(m.entIDs)
-	elem := 4
-	if m.x.weights {
-		elem = 8
-	}
-	m.res.RawPostingBytes += int64(written*elem*len(m.key) + 4*len(m.entIDs))
-	for i := 0; i < written; i++ {
-		m.samp.offer(m.key)
-	}
-	m.entIDs = m.entIDs[:0]
-}
-
-func (m *classMerger) openClass(id int) {
-	m.cur = id
-	m.entOff = m.sw.beginBlock()
-	m.entCount, m.pairs = 0, 0
-	m.curKey = m.curKey[:0]
-	m.samp = sampleStream{cap: 2 * statsSamplePerClass}
-}
-
-// closeClass finishes the open class: entry block, postings block from
-// the bitset, stats, directory entry.
-func (m *classMerger) closeClass() error {
-	if m.cur < 0 {
-		return nil
-	}
-	c := m.x.list[m.cur]
-	m.flushEntry(c)
-	dc := &m.dir[m.cur]
-	dc.code = c.Code
-	dc.vOff = c.vOff
-	dc.fragments = m.pairs
-	dc.entCount = m.entCount
-	dc.entOff = m.entOff
-	dc.entLen, dc.entCRC = m.sw.endBlock(m.entOff)
-
-	postOff := m.sw.beginBlock()
-	dc.postOff = postOff
-	prev, count := int32(-1), 0
-	for w, word := range m.bitset {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			id := int32(w*64 + b)
-			if count == 0 {
-				m.sw.uvarint(uint64(uint32(id)))
-			} else {
-				m.sw.uvarint(uint64(uint32(id - prev)))
-			}
-			prev = id
-			count++
-		}
-	}
-	dc.postCount = count
-	dc.postLen, dc.postCRC = m.sw.endBlock(postOff)
-	m.res.RawPostingBytes += int64(4 * count)
-	clear(m.bitset)
-
-	// Planner stats from the sampled entries; approximate relative to a
-	// heap build (sampling the stream instead of the full sorted set)
-	// but deterministic, and answers never depend on stats.
-	items := m.samp.items
-	kept := items[:0]
-	for i := 0; i < len(items) && len(kept) < statsSamplePerClass; i += sampleStride(len(items)) {
-		kept = append(kept, items[i])
-	}
-	dc.stats = m.x.pairStats(c, kept, int32(count), int32(m.entCount))
-	return m.sw.err
-}
-
-// finishAll closes the open class, then opens and closes every
-// remaining class so the directory covers the full class list (empty
-// classes get zero-length blocks with the empty CRC).
-func (m *classMerger) finishAll() error {
-	if err := m.closeClass(); err != nil {
-		return err
-	}
-	for id := m.cur + 1; id < len(m.x.list); id++ {
-		m.openClass(id)
-		if err := m.closeClass(); err != nil {
-			return err
-		}
-	}
-	return m.sw.err
+	return keys, r.err
 }
