@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"pis/internal/cluster"
+	"pis/internal/mining"
 	"pis/internal/segment"
 	"pis/internal/shard"
 	"pis/internal/store"
@@ -126,6 +127,10 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 	}
 
 	ranges := shard.Split(len(copts.Graphs), copts.Shards)
+	// Mined over the whole of Graphs, so every node derives the same
+	// features; only a shard that must be bootstrapped asks for them, and
+	// the node mines at most once.
+	feats := sync.OnceValues(func() ([]mining.Feature, error) { return mineFeatures(copts.Graphs, opts) })
 	bootCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, idx := range owned {
@@ -135,7 +140,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 				others = append(others, p)
 			}
 		}
-		seg, err := openOwnedShard(bootCtx, copts, opts, segCfg, idx, others, ranges)
+		seg, err := openOwnedShard(bootCtx, copts, segCfg, feats, idx, others, ranges)
 		if err != nil {
 			return fail(err)
 		}
@@ -160,7 +165,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 
 // openOwnedShard recovers, catches up, transfers, or bootstraps one
 // owned shard replica, in that order of preference.
-func openOwnedShard(ctx context.Context, copts ClusterOptions, opts Options, segCfg segment.Config, idx int, others []string, ranges []shard.Range) (*segment.Segment, error) {
+func openOwnedShard(ctx context.Context, copts ClusterOptions, segCfg segment.Config, features func() ([]mining.Feature, error), idx int, others []string, ranges []shard.Range) (*segment.Segment, error) {
 	var seg *segment.Segment
 	dir := ""
 	if copts.DataDir != "" {
@@ -184,8 +189,9 @@ func openOwnedShard(ctx context.Context, copts ClusterOptions, opts Options, seg
 		return seg, nil
 	}
 	// Nowhere to recover from: bootstrap this shard's contiguous slice
-	// of the shared graph list. Identical inputs and a deterministic
-	// build mean every replica bootstraps the same segment.
+	// of the shared graph list under the database's features. Identical
+	// inputs and a deterministic build mean every replica bootstraps the
+	// same segment.
 	if idx >= len(ranges) {
 		return nil, fmt.Errorf("pis: shard %d has no replica anywhere and only %d bootstrap graphs for %d shards", idx, len(copts.Graphs), copts.Shards)
 	}
@@ -194,14 +200,14 @@ func openOwnedShard(ctx context.Context, copts ClusterOptions, opts Options, seg
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("pis: shard %d has no replica anywhere and no bootstrap graphs", idx)
 	}
-	if dir != "" {
-		s, err := segment.NewDurable(dir, graphs, int32(r.Start), segCfg)
-		if err != nil {
-			return nil, fmt.Errorf("pis: bootstrap shard %d: %w", idx, err)
-		}
-		return s, nil
+	feats, err := features()
+	if err != nil {
+		return nil, fmt.Errorf("pis: bootstrap shard %d: %w", idx, err)
 	}
-	s, err := segment.New(graphs, int32(r.Start), segCfg)
+	s, err := segment.New(graphs, int32(r.Start), feats, segCfg)
+	if err == nil && dir != "" {
+		err = s.Persist(dir)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("pis: bootstrap shard %d: %w", idx, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"pis/gen"
 	"pis/internal/cluster"
 	"pis/internal/obs"
+	"pis/internal/store"
 )
 
 // clusterAddrs reserves n distinct loopback addresses. The listeners
@@ -470,5 +472,42 @@ func TestClusterMemoAcrossKillAndCatchUp(t *testing.T) {
 
 	if memoHits() == hits0 {
 		t.Fatal("no replica ever answered from its result memo")
+	}
+}
+
+// TestClusterBootstrapSharesOneFeatureSet: two nodes that each bootstrap
+// a different shard from the same Graphs index both under the one feature
+// set mined over the whole of Graphs, and the cluster counts it once.
+func TestClusterBootstrapSharesOneFeatureSet(t *testing.T) {
+	graphs := shapeFamilies(80, 3)
+	want := wholeInputClassKeys(t, graphs)
+	addrs := clusterAddrs(t, 2)
+	// The smallest shard count at which each node owns a shard of its own.
+	var placement [][]string
+	for shards := 2; ; shards++ {
+		if shards > 16 {
+			t.Fatalf("no placement of up to 16 shards gives both of %v a shard", addrs)
+		}
+		placement = cluster.Place(shards, addrs, 1)
+		if len(cluster.Owned(placement, addrs[0])) > 0 && len(cluster.Owned(placement, addrs[1])) > 0 {
+			break
+		}
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	nodes := startTestCluster(t, addrs, len(placement), 1, dirs, graphs)
+	if got := nodes[0].Stats().Features; got != len(want) {
+		t.Errorf("cluster Stats().Features = %d, want the %d features of the set", got, len(want))
+	}
+	for _, cn := range nodes {
+		if err := cn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, addr := range addrs {
+		for _, sh := range cluster.Owned(placement, addr) {
+			if got := storeClassKeys(t, store.ShardDir(dirs[i], sh)); !slices.Equal(got, want) {
+				t.Errorf("node %d bootstrapped shard %d with %d classes, not the list of %d mined over the whole input", i, sh, len(got), len(want))
+			}
+		}
 	}
 }

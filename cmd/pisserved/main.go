@@ -58,7 +58,7 @@ func main() {
 		genN     = flag.Int("gen", 0, "instead of -db, generate this many synthetic molecules")
 		seed     = flag.Int64("seed", 1, "seed for -gen")
 		shards   = flag.Int("shards", 1, "number of contiguous index shards (ignored when -data-dir already holds a store)")
-		maxFrag  = flag.Int("maxfrag", 5, "maximum indexed fragment size (edges)")
+		maxFrag  = flag.Int("maxfrag", 5, "maximum indexed fragment size (edges) (ignored when -data-dir already holds a store)")
 		inflight = flag.Int("inflight", 0, "max concurrently executing query requests (0 = unlimited)")
 		maxQueue = flag.Int("max-queue", 0, "max query requests waiting for an -inflight slot before shedding with 429 (0 = 4x inflight, negative = no queue)")
 		quWait   = flag.Duration("queue-wait", 0, "shed a queued query request with 429 after waiting this long for a slot (0 = wait as long as the client)")

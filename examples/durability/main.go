@@ -60,8 +60,10 @@ func main() {
 	// below works in one process; a real crash skips even that.)
 	db.Close()
 
-	// Recover: newest snapshot + WAL replay. No re-mining.
-	re, err := pis.Open(dir, pis.Options{MaxFragmentEdges: 4})
+	// Recover: newest snapshot + WAL replay. No re-mining: the features
+	// travel inside the stored index, so the mining options need not be
+	// repeated.
+	re, err := pis.Open(dir, pis.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

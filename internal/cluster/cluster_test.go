@@ -50,15 +50,24 @@ func testGraphs(n int, seed int64) []*graph.Graph {
 
 func testConfig() segment.Config {
 	return segment.Config{
-		Mining:          mining.Options{MaxEdges: 3, MinEdges: 2, MinSupportFraction: 0.1, SampleSize: 16},
 		Index:           index.Options{Metric: distance.EdgeMutation{}},
 		CompactFraction: -1,
 	}
 }
 
+// testFeatures mines the features a test segment over graphs is built with.
+func testFeatures(tb testing.TB, graphs []*graph.Graph) []mining.Feature {
+	tb.Helper()
+	feats, err := mining.Mine(graphs, mining.Options{MaxEdges: 3, MinEdges: 2, MinSupportFraction: 0.1, SampleSize: 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return feats
+}
+
 func newSegment(t *testing.T, graphs []*graph.Graph, startID int32) *segment.Segment {
 	t.Helper()
-	seg, err := segment.New(graphs, startID, testConfig())
+	seg, err := segment.New(graphs, startID, testFeatures(t, graphs), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +397,8 @@ func TestHedgedRequest(t *testing.T) {
 
 func durableSegment(t *testing.T, dir string, graphs []*graph.Graph, startID int32) *segment.Segment {
 	t.Helper()
-	seg, err := segment.NewDurable(dir, graphs, startID, testConfig())
-	if err != nil {
+	seg := newSegment(t, graphs, startID)
+	if err := seg.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	return seg

@@ -70,7 +70,10 @@ func frameSection(tb testing.TB, payload []byte) *binio.SectionReader {
 // hosting a durable shard that has seen an insert and a delete, and graphs.
 func realFrames(f *testing.F) [][][]byte {
 	graphs := testGraphs(30, 3)
-	seg, err := segment.NewDurable(f.TempDir(), graphs[:24], 0, testConfig())
+	seg, err := segment.New(graphs[:24], 0, testFeatures(f, graphs[:24]), testConfig())
+	if err == nil {
+		err = seg.Persist(f.TempDir())
+	}
 	if err != nil {
 		f.Fatal(err)
 	}

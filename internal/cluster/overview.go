@@ -27,7 +27,9 @@ type Overview struct {
 	CoveredShards  int
 	Replication    int
 
-	// Index totals, summed over one replica of each covered shard.
+	// Index totals, summed over one replica of each covered shard, except
+	// Classes: the shards share one feature set, so it is the largest
+	// shard's class count.
 	Live       int
 	Classes    int
 	Fragments  int
@@ -101,7 +103,7 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 	first := true
 	for _, st := range best {
 		ov.Live += st.Live
-		ov.Classes += st.Classes
+		ov.Classes = max(ov.Classes, st.Classes)
 		ov.Fragments += st.Frags
 		ov.Sequences += st.Seqs
 		ov.Delta += st.Delta

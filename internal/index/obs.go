@@ -11,7 +11,7 @@ var (
 		"Per-fragment sigma range queries executed against the index.")
 	mBuildSeconds = obs.Default().Histogram(
 		"pis_index_build_seconds",
-		"Wall time of full index builds (initial load and the compactions that re-mine; a merge is not one).",
+		"Wall time of full index builds (database creation and replica bootstrap; a compaction merges and is not one).",
 		obs.LatencyBuckets)
 	mBuildGraphs = obs.Default().Counter(
 		"pis_index_built_graphs_total",

@@ -1,6 +1,6 @@
 // Compaction by merge, through the segment's own surface: a run of
-// insert-triggered compactions — most of them merges, one in the middle the
-// re-mine the doubling rule asks for — under concurrent readers, with a
+// insert-triggered compactions, every one of them a merge under the
+// features the segment was built with, under concurrent readers, with a
 // fresh pis.New over the survivors as the oracle after every one.
 
 package segment_test
@@ -21,14 +21,31 @@ import (
 
 // compactCounts reads the process-wide compaction counters; tests compare
 // deltas.
-type compactCounts struct{ compactions, remines, carried, enumerated int64 }
+type compactCounts struct{ compactions, carried, enumerated int64 }
 
 func readCompactCounts() compactCounts {
 	c := func(name string) int64 { return obs.Default().Counter(name, "").Value() }
 	return compactCounts{
-		c("pis_compactions_total"), c("pis_compaction_remines_total"),
+		c("pis_compactions_total"),
 		c("pis_compaction_carried_graphs_total"), c("pis_compaction_enumerated_graphs_total"),
 	}
+}
+
+// triangleFan returns a fan of triangles around vertex 0: a skeleton the
+// trees of segGraph never contain.
+func triangleFan(rng *rand.Rand) *graph.Graph {
+	n := 4 + rng.Intn(4)
+	b := graph.NewBuilder(n, 2*n)
+	for i := 0; i < n; i++ {
+		b.AddVertex(graph.VLabel(rng.Intn(3)))
+	}
+	for v := int32(1); v < int32(n); v++ {
+		b.AddEdge(0, v, graph.ELabel(rng.Intn(2)))
+		if v > 1 {
+			b.AddEdge(v-1, v, graph.ELabel(rng.Intn(2)))
+		}
+	}
+	return b.MustBuild()
 }
 
 // sameAsFresh compares every read of queries through seg with a database
@@ -81,6 +98,10 @@ func sameAsFresh(t *testing.T, what string, seg *segment.Segment, live map[int32
 	return answers
 }
 
+// TestMergedCompactionsDifferential grows a segment of trees past twice
+// its size with triangle fans, so features mined anew over the survivors
+// would differ, and checks that every compaction merges and keeps the
+// features the segment was built with.
 func TestMergedCompactionsDifferential(t *testing.T) {
 	const nBase, wantCompactions = 20, 7
 	for _, tc := range []struct {
@@ -94,11 +115,16 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 			cfg := segConfig(nil)
 			cfg.CompactFraction = 0.25
 			cfg.MappedIndex = tc.mapped
-			graphs := segGraphs(400, 23)
-			seg, err := segment.New(graphs[:nBase], 0, cfg)
+			graphs := segGraphs(nBase, 23)
+			rng := rand.New(rand.NewSource(23))
+			for len(graphs) < 400 {
+				graphs = append(graphs, triangleFan(rng))
+			}
+			seg, err := segment.New(graphs[:nBase], 0, segFeatures(t, graphs[:nBase]), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			classes := segment.ClassKeys(seg)
 			dir := t.TempDir()
 			if tc.durable {
 				if err := seg.Persist(dir); err != nil {
@@ -137,58 +163,74 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 				}(r)
 			}
 
-			rng := rand.New(rand.NewSource(29))
+			rng = rand.New(rand.NewSource(29))
 			c0 := readCompactCounts()
-			var remined []bool // per compaction, in order
-			answers := 0
-			for next := int32(nBase); len(remined) < wantCompactions; next++ {
+			compactions, answers := 0, 0
+			deltaStart := int32(nBase) // ids at or above it are in the delta
+			for next := int32(nBase); compactions < wantCompactions; next++ {
 				if int(next) == len(graphs) {
-					t.Fatalf("ran out of graphs after %d compactions", len(remined))
+					t.Fatalf("ran out of graphs after %d compactions", compactions)
 				}
 				needsCompact, err := seg.Insert(graphs[next], next)
 				if err != nil {
 					t.Fatal(err)
 				}
 				live[next] = graphs[next]
-				if next%5 == 0 { // tombstones in the base and in the delta alike
-					victim := rng.Int31n(next + 1)
-					ok, err := seg.Delete(victim)
-					if err != nil || ok != (live[victim] != nil) {
-						t.Fatalf("Delete(%d): %v, %v", victim, ok, err)
+				if next%5 == 0 {
+					// Tombstones in the base and in the delta alike, and as
+					// many again among the first trees, so fans reach the
+					// prefix a mining sample of the survivors would take.
+					for _, victim := range []int32{rng.Int31n(next + 1), rng.Int31n(nBase)} {
+						ok, err := seg.Delete(victim)
+						if err != nil || ok != (live[victim] != nil) {
+							t.Fatalf("Delete(%d): %v, %v", victim, ok, err)
+						}
+						delete(live, victim)
 					}
-					delete(live, victim)
 				}
 				if !needsCompact {
 					continue
+				}
+				var wantCarried, wantEnumerated int64
+				for id := range live {
+					if id < deltaStart {
+						wantCarried++
+					} else {
+						wantEnumerated++
+					}
 				}
 				before := readCompactCounts()
 				if err := seg.Compact(); err != nil {
 					t.Fatal(err)
 				}
-				remined = append(remined, readCompactCounts().remines > before.remines)
-				if seg.DeltaLen() != 0 || seg.Tombstoned() != 0 {
-					t.Fatalf("compaction %d left delta %d, tombstones %d", len(remined), seg.DeltaLen(), seg.Tombstoned())
+				compactions++
+				deltaStart = next + 1
+				after := readCompactCounts()
+				if carried, enumerated := after.carried-before.carried, after.enumerated-before.enumerated; carried != wantCarried || enumerated != wantEnumerated {
+					t.Fatalf("compaction %d carried %d and enumerated %d graphs, a merge carries %d and enumerates %d",
+						compactions, carried, enumerated, wantCarried, wantEnumerated)
 				}
-				answers += sameAsFresh(t, fmt.Sprintf("after compaction %d (remined %v)", len(remined), remined), seg, live, queries)
+				if got := segment.ClassKeys(seg); !slices.Equal(got, classes) {
+					t.Fatalf("compaction %d (%d survivors) changed the class list: %d classes at New, %d now", compactions, len(live), len(classes), len(got))
+				}
+				if seg.DeltaLen() != 0 || seg.Tombstoned() != 0 {
+					t.Fatalf("compaction %d left delta %d, tombstones %d", compactions, seg.DeltaLen(), seg.Tombstoned())
+				}
+				answers += sameAsFresh(t, fmt.Sprintf("after compaction %d", compactions), seg, live, queries)
 			}
 			close(stop)
 			readers.Wait()
 
-			got := readCompactCounts()
-			if n := got.compactions - c0.compactions; n != wantCompactions {
+			if n := readCompactCounts().compactions - c0.compactions; n != wantCompactions {
 				t.Fatalf("%d compactions counted, ran %d", n, wantCompactions)
 			}
-			first, last := slices.Index(remined, true), len(remined)-1
-			if first <= 0 || first == last || remined[last] {
-				t.Fatalf("re-mines at %v: want the doubling rule to fire in the middle of the run, merges either side", remined)
-			}
-			if got.carried == c0.carried || got.enumerated == c0.enumerated {
-				t.Fatalf("compaction counters did not move: %+v then %+v", c0, got)
+			if len(live) <= 2*nBase {
+				t.Fatalf("the segment grew to %d graphs, want more than twice its first %d", len(live), nBase)
 			}
 			if answers < 10*wantCompactions {
 				t.Fatalf("only %d answers compared over %d compactions", answers, wantCompactions)
 			}
-			t.Logf("re-mines at %v, %d answers compared", remined, answers)
+			t.Logf("%d survivors, %d answers compared", len(live), answers)
 
 			if tc.durable {
 				if err := seg.Close(); err != nil {
@@ -197,14 +239,17 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 				if side, err := filepath.Glob(filepath.Join(dir, "idx-*.pisidx3")); err != nil || len(side) != 1 {
 					t.Fatalf("store holds index side files %v (err %v), want the last compaction's", side, err)
 				}
-				// The last compaction was a merge and its snapshot the last
-				// write: the reopened segment maps that merged image.
+				// The last compaction's snapshot was the last write: the
+				// reopened segment maps that merged image.
 				seg, err = segment.OpenDurable(dir, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if st, _ := seg.StoreStats(); st.Recovery.ReplayedRecords != 0 {
 					t.Fatalf("reopen replayed %d WAL records, want a bare snapshot", st.Recovery.ReplayedRecords)
+				}
+				if got := segment.ClassKeys(seg); !slices.Equal(got, classes) {
+					t.Fatalf("reopened with %d classes, not the %d built at New", len(got), len(classes))
 				}
 				sameAsFresh(t, "reopened", seg, live, queries)
 			}

@@ -47,18 +47,28 @@ func segGraphs(n int, seed int64) []*graph.Graph {
 // snapshots are written.
 func segConfig(fs store.FS) segment.Config {
 	return segment.Config{
-		Mining:          mining.Options{MaxEdges: 3, MinEdges: 2, MinSupportFraction: 0.1, SampleSize: 16},
 		Index:           index.Options{Metric: distance.EdgeMutation{}},
 		CompactFraction: -1,
 		FS:              fs,
 	}
 }
 
+// segFeatures mines the features a segment over graphs is built with.
+func segFeatures(tb testing.TB, graphs []*graph.Graph) []mining.Feature {
+	tb.Helper()
+	feats, err := mining.Mine(graphs, mining.Options{MaxEdges: 3, MinEdges: 2, MinSupportFraction: 0.1, SampleSize: 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return feats
+}
+
 // newDurableSegment builds a segment over nBase graphs and persists it
 // to dir through ffs.
 func newDurableSegment(t *testing.T, dir string, ffs *faultfs.FS, nBase int) *segment.Segment {
 	t.Helper()
-	seg, err := segment.New(segGraphs(nBase, 1), 0, segConfig(ffs))
+	graphs := segGraphs(nBase, 1)
+	seg, err := segment.New(graphs, 0, segFeatures(t, graphs), segConfig(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}

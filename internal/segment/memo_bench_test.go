@@ -22,10 +22,13 @@ func BenchmarkSegmentRepeatSearch(b *testing.B) {
 	const n = 1300
 	all := chem.Generate(n+4096, chem.Config{Seed: 1})
 	q := chem.SampleQueries(all[:n], 1, 16, 2)[0]
+	feats, err := mining.Mine(all[:n], mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, variant := range []string{"hit", "cold"} {
 		b.Run(variant, func(b *testing.B) {
-			seg, err := segment.New(all[:n], 0, segment.Config{
-				Mining:          mining.Options{MaxEdges: 5, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300},
+			seg, err := segment.New(all[:n], 0, feats, segment.Config{
 				Index:           index.Options{Metric: distance.EdgeMutation{}},
 				CompactFraction: -1,
 			})

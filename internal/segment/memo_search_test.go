@@ -49,7 +49,7 @@ func searchKNN(seg *segment.Segment, q *graph.Graph, k int, startSigma, maxSigma
 func newMemoSegment(t *testing.T, n int) (*segment.Segment, []*graph.Graph) {
 	t.Helper()
 	graphs := segGraphs(n, 11)
-	seg, err := segment.New(graphs, 0, segConfig(nil))
+	seg, err := segment.New(graphs, 0, segFeatures(t, graphs), segConfig(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,8 @@ func TestMemoStartsCold(t *testing.T) {
 
 	cfg := segConfig(nil)
 	cfg.Core.SkipVerification = true
-	counting, err := segment.New(segGraphs(30, 1), 0, cfg)
+	graphs := segGraphs(30, 1)
+	counting, err := segment.New(graphs, 0, segFeatures(t, graphs), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,13 @@ var (
 
 	mCompactions = obs.Default().Counter(
 		"pis_compactions_total",
-		"Completed segment compactions (delta and tombstones folded into a new base index, merged or rebuilt).")
+		"Completed segment compactions (delta and tombstones merged into a new base index).")
 	mCompactErrors = obs.Default().Counter(
 		"pis_compaction_errors_total",
 		"Failed segment compactions; the segment keeps serving from its previous state.")
 	mCompactSeconds = obs.Default().Histogram(
 		"pis_compaction_seconds",
-		"Wall time of segment compactions: the index merge, or the feature re-mining and rebuild.",
+		"Wall time of segment compactions, each one index merge.",
 		obs.LatencyBuckets)
 	mCompactedGraphs = obs.Default().Counter(
 		"pis_compacted_graphs_total",
@@ -31,10 +31,7 @@ var (
 		"Surviving graphs whose index entries compactions carried over from the outgoing index.")
 	mCompactEnumerated = obs.Default().Counter(
 		"pis_compaction_enumerated_graphs_total",
-		"Surviving graphs compactions enumerated fragments for: the delta's at a merge, all of them at a re-mine.")
-	mCompactRemines = obs.Default().Counter(
-		"pis_compaction_remines_total",
-		"Compactions that mined features anew and rebuilt, the survivors having doubled since the last mining.")
+		"Surviving delta graphs whose fragments compactions enumerated.")
 
 	memoLookups = obs.Default().CounterVec(
 		"pis_result_memo_lookups_total",

@@ -3,27 +3,27 @@
 // graphs and a copy-on-write tombstone set of deleted ones.
 //
 // The design keeps the paper's pruning guarantees intact per segment. The
-// base is exactly a classic PIS index — mined features, per-class range
-// structures, partition pruning — over a frozen graph slice; the delta is
-// unindexed and searched by direct verification (the naive path), which
-// is cheap while the delta stays a bounded fraction of the base; deletes
-// only ever hide ids from read paths. Compact folds delta and tombstones
-// into a new base, automatically once the delta outgrows
-// Config.CompactFraction of the base. It merges rather than rebuilds
-// (index.Rebase): the outgoing index's class entries carry over under
-// their new ids, only the delta's graphs are walked, and the features
-// stay the ones last mined — until the survivors number twice the graphs
-// those were mined over, when the compaction mines and builds afresh. The
-// merged index is, bit for bit, the one a build over the survivors with
-// the same features gives.
+// base is exactly a classic PIS index — the database's features, per-class
+// range structures, partition pruning — over a frozen graph slice; the
+// features are mined once per database by the owner and handed to New,
+// never mined here. The delta is unindexed and searched by direct
+// verification (the naive path), which is cheap while the delta stays a
+// bounded fraction of the base; deletes only ever hide ids from read
+// paths. Compact folds delta and tombstones into a new base, automatically
+// once the delta outgrows Config.CompactFraction of the base. It merges
+// rather than rebuilds (index.Rebase): the outgoing index's class entries
+// carry over under their new ids, only the delta's graphs are walked, and
+// the features are the ones the outgoing index carries. The merged index
+// is, bit for bit, the one a build over the survivors with the same
+// features gives.
 //
 // Query planning is delta-aware by construction: the cost-based planner
 // (core.Options planner knobs) budgets its σ range queries against the
 // indexed base only — delta graphs bypass the filter and are verified
 // regardless, so their count never inflates a fragment's estimated gain
 // — and the per-fragment selectivity statistics the planner consumes
-// are recomputed with every compaction, merged or rebuilt: both seal the
-// index the same way, and sealing collects them.
+// are recomputed with every compaction: a merge seals the index the way a
+// build does, and sealing collects them.
 //
 // Every graph carries a stable global id assigned at insertion by the
 // owner (pis.Database or shard.DB) and never reused: searches translate
@@ -32,7 +32,7 @@
 // delta, tombstones) under a short lock and then run lock-free, giving
 // per-request snapshot semantics under concurrent mutation.
 //
-// A segment is optionally durable: NewDurable and OpenDurable attach a
+// A segment is optionally durable: Persist and OpenDurable attach a
 // store.Store, after which every Insert and Delete is written to the
 // store's WAL and fsync'd before it is applied or acknowledged, Compact
 // and Checkpoint write atomic snapshots, and OpenDurable rebuilds the
@@ -64,8 +64,6 @@ var ErrNotDurable = errors.New("segment: no backing store (database was not open
 
 // Config carries everything a segment needs to (re)build its index.
 type Config struct {
-	// Mining configures feature mining over the segment's base slice.
-	Mining mining.Options
 	// Index configures the per-class index (kind + metric).
 	Index index.Options
 	// Core tunes the fan-out searcher (Search/SearchBatch); a sharded
@@ -107,11 +105,6 @@ type Segment struct {
 	idx  *index.Index
 	srch *core.Searcher
 	knn  *core.Searcher
-	// minedOver is the size of the graph set idx's features were mined
-	// over, as far as this Segment value knows (a recovered one takes the
-	// recovered base): compactions keep the features until the survivors
-	// number twice that.
-	minedOver int
 	// delta holds inserted, not-yet-indexed graphs; deltaIDs aligns,
 	// strictly ascending and greater than every id in ids (global ids are
 	// assigned monotonically). Both are append-only between compactions.
@@ -157,31 +150,18 @@ type Segment struct {
 	retired []*index.Index
 }
 
-// New mines features over graphs and builds an indexed segment whose
-// global ids are startID, startID+1, ....
-func New(graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
+// New indexes graphs under feats and returns a segment whose global ids
+// are startID, startID+1, .... The segment only reads feats, so the
+// shards of one database may share the slice.
+func New(graphs []*graph.Graph, startID int32, feats []mining.Feature, cfg Config) (*Segment, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("segment: empty graph slice")
 	}
-	idx, err := build(graphs, cfg)
+	idx, err := index.BuildParallel(graphs, feats, cfg.Index, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("building index: %w", err)
 	}
 	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
-}
-
-// NewDurable builds an indexed segment over graphs exactly like New and
-// roots it in the store directory dir: the initial snapshot is written
-// before NewDurable returns, and every later mutation is WAL-logged.
-func NewDurable(dir string, graphs []*graph.Graph, startID int32, cfg Config) (*Segment, error) {
-	s, err := New(graphs, startID, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Persist(dir); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Persist attaches a new backing store at dir to an in-memory segment,
@@ -293,22 +273,6 @@ func sequentialIDs(start int32, n int) []int32 {
 	return ids
 }
 
-// build mines features over graphs and indexes them.
-func build(graphs []*graph.Graph, cfg Config) (*index.Index, error) {
-	feats, err := mining.Mine(graphs, cfg.Mining)
-	if err != nil {
-		return nil, fmt.Errorf("mining features: %w", err)
-	}
-	if len(feats) == 0 {
-		return nil, fmt.Errorf("no features met the support threshold; lower MinSupportFraction")
-	}
-	idx, err := index.BuildParallel(graphs, feats, cfg.Index, 0)
-	if err != nil {
-		return nil, fmt.Errorf("building index: %w", err)
-	}
-	return idx, nil
-}
-
 // mapIndex saves a heap-built index and reopens the image
 // memory-mapped. The image goes to an unlinked temp file: the
 // mapping pins the inode, so the file needs no lifecycle of its own —
@@ -355,8 +319,6 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		srch:  core.NewSearcher(base, idx, cfg.Core),
 		knn:   core.NewSearcher(base, idx, cfg.KNNCore),
 		maxID: maxID,
-
-		minedOver: len(base),
 	}
 	if !cfg.Core.SkipVerification {
 		s.memo = new(memo)
@@ -549,13 +511,11 @@ func localOf(ids, deltaIDs []int32, id int32) (int32, bool) {
 }
 
 // Compact folds the delta and tombstones into a new index over the
-// surviving graphs: merged forward from the current one under the current
-// features, or mined and built afresh once the survivors number twice the
-// graphs those features were mined over (see the package comment). Either
-// way the new index carries fresh per-fragment selectivity statistics, so
-// the query planner's estimates track the post-compaction contents. On
-// error the segment is unchanged and still serves correctly. Compacting an
-// unmutated segment is a no-op.
+// surviving graphs, merged forward from the current one under the features
+// it carries (see the package comment). The new index carries fresh
+// per-fragment selectivity statistics, so the query planner's estimates
+// track the post-compaction contents. On error the segment is unchanged
+// and still serves correctly. Compacting an unmutated segment is a no-op.
 //
 // On a durable segment a successful compaction also writes a fresh
 // snapshot and truncates the WAL. If the snapshot write fails the error
@@ -745,21 +705,13 @@ func (s *Segment) compactLocked() error {
 		}
 	}
 	if len(survivors) == 0 {
-		// Nothing lives: keep the old index (a rebuild over zero graphs is
+		// Nothing lives: keep the old index (an index over zero graphs is
 		// impossible) and tombstone the whole base, dropping the delta.
 		s.tombs = index.AllSet(len(s.base))
 		s.delta, s.deltaIDs, s.deltaFPs = nil, nil, nil
 		return nil
 	}
-	var idx *index.Index
-	var err error
-	remine := len(survivors) >= 2*s.minedOver
-	if remine {
-		carried = 0
-		idx, err = build(survivors, s.cfg)
-	} else {
-		idx, err = index.Rebase(s.idx, remap, survivors, carried, 0)
-	}
+	idx, err := index.Rebase(s.idx, remap, survivors, carried, 0)
 	if err != nil {
 		return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)
 	}
@@ -770,10 +722,6 @@ func (s *Segment) compactLocked() error {
 		// The outgoing mapping may still back queries that snapshotted
 		// before this compaction; park it for Close instead of unmapping.
 		s.retired = append(s.retired, s.idx)
-	}
-	if remine {
-		s.minedOver = len(survivors)
-		mCompactRemines.Inc()
 	}
 	mCompactCarried.Add(int64(carried))
 	mCompactEnumerated.Add(int64(len(survivors) - carried))

@@ -1,13 +1,15 @@
 // Package shard runs the PIS pipeline over a horizontally partitioned
 // graph database. The database is split into contiguous shards, each a
-// mutable segment with its own mined feature set and fragment index; a
-// query fans out to every shard and the per-shard results are stitched
-// back together with global graph ids.
+// mutable segment with its own fragment index over the database's one
+// feature set, mined once by the caller; a query fans out to every shard
+// and the per-shard results are stitched back together with global graph
+// ids.
 //
-// Because PIS verification is exact, per-shard feature sets may differ
-// (each shard mines on its own slice) without changing the answer set:
-// filtering quality varies, answers do not. That is what makes the
-// fan-out embarrassingly parallel and the merge a pure k-way interleave.
+// Because PIS verification is exact, answers never depend on which
+// features a shard's index holds (a store written before features were
+// mined per database keeps each shard's own set): filtering quality may
+// vary, answers do not. That is what makes the fan-out embarrassingly
+// parallel and the merge a pure k-way interleave.
 // The cost-based query planner works the same way: every shard plans its
 // own fragment expansion against its own index's selectivity statistics
 // (refreshed whenever that shard compacts), so a fragment may be
@@ -17,8 +19,8 @@
 // The database is mutable while serving. Inserts are routed to the shard
 // with the fewest live graphs (keeping shards balanced as the database
 // grows), where they land in that shard's delta segment; deletes
-// tombstone the owning shard; Compact folds every shard's delta and
-// tombstones into fresh per-shard indexes in parallel. Graph ids are
+// tombstone the owning shard; Compact merges every shard's delta and
+// tombstones into a new index per shard, in parallel. Graph ids are
 // global, assigned once at insertion, and never reused, so they stay
 // stable across compactions.
 //
@@ -47,9 +49,6 @@ import (
 // Config carries the per-shard build parameters. The caller (pis.NewSharded)
 // normalizes defaults; this package applies them verbatim to every shard.
 type Config struct {
-	// Mining configures feature mining, run independently on each shard's
-	// slice of the database.
-	Mining mining.Options
 	// Index configures the per-class index (kind + metric).
 	Index index.Options
 	// Core tunes the filtering stage of every shard's searcher.
@@ -80,7 +79,6 @@ func (cfg Config) SegmentConfig(nShards int) segment.Config {
 	fanout := cfg.Core
 	fanout.VerifyWorkers = max(1, runtime.GOMAXPROCS(0)/nShards)
 	return segment.Config{
-		Mining:          cfg.Mining,
 		Index:           cfg.Index,
 		Core:            fanout,
 		KNNCore:         cfg.Core,
@@ -148,9 +146,10 @@ func newDB(segs []*segment.Segment, nextID int32) *DB {
 }
 
 // New splits graphs into nShards contiguous shards and builds every
-// shard's index concurrently (one goroutine per shard, each running
-// index.BuildParallel on GOMAXPROCS workers).
-func New(graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
+// shard's index under feats concurrently (one goroutine per shard, each
+// running index.BuildParallel on GOMAXPROCS workers). The shards share
+// feats and only read it.
+func New(graphs []*graph.Graph, nShards int, feats []mining.Feature, cfg Config) (*DB, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("shard: empty database")
 	}
@@ -162,27 +161,13 @@ func New(graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
 	segs := make([]*segment.Segment, len(ranges))
 	err := eachShard(len(ranges), func(i int) (err error) {
 		rg := ranges[i]
-		segs[i], err = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), scfg)
+		segs[i], err = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), feats, scfg)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return newDB(segs, int32(len(graphs))), nil
-}
-
-// NewDurable builds a sharded database like New and roots it at dir via
-// Persist: a root MANIFEST records the shard layout and every shard gets
-// its own segment store (snapshot + WAL) under a shard subdirectory.
-func NewDurable(dir string, graphs []*graph.Graph, nShards int, cfg Config) (*DB, error) {
-	d, err := New(graphs, nShards, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Persist(dir); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // Persist attaches backing stores at dir to an in-memory database,
@@ -399,8 +384,8 @@ func (d *DB) Insert(g *graph.Graph) (int32, error) {
 		return -1, err
 	}
 	if needsCompact {
-		// Rebuild outside d.mu: a long re-mine on one shard must not stall
-		// inserts routed to the others.
+		// Compact outside d.mu: a merge on one shard must not stall inserts
+		// routed to the others.
 		return id, seg.Compact()
 	}
 	return id, nil
@@ -420,8 +405,8 @@ func (d *DB) Delete(id int32) (bool, error) {
 	return false, nil
 }
 
-// Compact folds every shard's delta and tombstones into fresh per-shard
-// indexes, in parallel. The first error is returned; failed shards keep
+// Compact merges every shard's delta and tombstones into a new index per
+// shard, in parallel. The first error is returned; failed shards keep
 // serving their pre-compaction state.
 func (d *DB) Compact() error {
 	return eachShard(len(d.segs), func(i int) error { return d.segs[i].Compact() })
@@ -483,11 +468,12 @@ func (d *DB) baseline(search func(*segment.Segment, *graph.Graph, float64) core.
 }
 
 // Stats sums the per-shard base index counters and the heap the indexes
-// hold beside their class stores.
+// hold beside their class stores, except Classes: the shards share one
+// feature set, so Classes is the largest shard's count, not a sum.
 func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 	for _, seg := range d.segs {
 		s, m := seg.IndexStats()
-		total.Classes += s.Classes
+		total.Classes = max(total.Classes, s.Classes)
 		total.Fragments += s.Fragments
 		total.Sequences += s.Sequences
 		total.Postings += s.Postings

@@ -19,15 +19,18 @@ import (
 )
 
 func testConfig() Config {
-	return Config{
-		Mining: mining.Options{
-			MaxEdges:           4,
-			MinEdges:           2,
-			MinSupportFraction: 0.05,
-			SampleSize:         300,
-		},
-		Index: index.Options{Metric: distance.EdgeMutation{}},
+	return Config{Index: index.Options{Metric: distance.EdgeMutation{}}}
+}
+
+// testFeatures mines the one feature set every shard of a DB over db
+// shares.
+func testFeatures(tb testing.TB, db []*graph.Graph) []mining.Feature {
+	tb.Helper()
+	feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return feats
 }
 
 // buildEnv returns a small molecule database, a sharded DB over it, and an
@@ -35,14 +38,10 @@ func testConfig() Config {
 func buildEnv(t *testing.T, n, nShards int) ([]*graph.Graph, *DB, *core.Searcher) {
 	t.Helper()
 	db := chem.Generate(n, chem.Config{Seed: 7})
-	cfg := testConfig()
-	sh, err := New(db, nShards, cfg)
+	cfg, feats := testConfig(), testFeatures(t, db)
+	sh, err := New(db, nShards, feats, cfg)
 	if err != nil {
 		t.Fatalf("New(%d shards): %v", nShards, err)
-	}
-	feats, err := mining.Mine(db, cfg.Mining)
-	if err != nil {
-		t.Fatal(err)
 	}
 	idx, err := index.Build(db, feats, cfg.Index)
 	if err != nil {
@@ -240,18 +239,18 @@ func TestOpenRejectsForeignIndex(t *testing.T) {
 }
 
 func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, 2, testConfig()); err == nil {
+	if _, err := New(nil, 2, nil, testConfig()); err == nil {
 		t.Error("empty database should fail")
 	}
 	db := chem.Generate(10, chem.Config{Seed: 1})
-	if _, err := New(db, 0, testConfig()); err == nil {
+	if _, err := New(db, 0, testFeatures(t, db), testConfig()); err == nil {
 		t.Error("nShards=0 should fail")
 	}
 }
 
 func TestMoreShardsThanGraphs(t *testing.T) {
 	db := chem.Generate(5, chem.Config{Seed: 2})
-	sh, err := New(db, 9, testConfig())
+	sh, err := New(db, 9, testFeatures(t, db), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,8 @@ type Options struct {
 	Metric Metric
 
 	// MaxFragmentEdges bounds indexed structure size (default 5; the paper
-	// sweeps 4-6 in Figure 12).
+	// sweeps 4-6 in Figure 12). Like MinSupportFraction, it acts when the
+	// database's features are mined, at creation; Open ignores both.
 	MaxFragmentEdges int
 	// MinSupportFraction is the mining support threshold (default 0.05).
 	MinSupportFraction float64
@@ -173,6 +174,26 @@ const (
 	miningSample     = 300
 )
 
+// mineFeatures selects the database's one feature set (the paper's §4,
+// step 1) over the first miningSample graphs. It runs once per database,
+// at creation; every shard and replica indexes under its result, and
+// compactions keep the features their index carries.
+func mineFeatures(graphs []*Graph, opts Options) ([]mining.Feature, error) {
+	feats, err := mining.Mine(graphs, mining.Options{
+		MaxEdges:           opts.MaxFragmentEdges,
+		MinEdges:           minFragmentEdges,
+		MinSupportFraction: opts.MinSupportFraction,
+		SampleSize:         miningSample,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pis: mining features: %w", err)
+	}
+	if len(feats) == 0 {
+		return nil, fmt.Errorf("pis: no features met the support threshold; lower MinSupportFraction")
+	}
+	return feats, nil
+}
+
 // Database is an indexed graph database answering SSSD queries, held as
 // one or more contiguous shards, each with its own fragment index,
 // searched with parallel fan-out and merge (New builds one shard,
@@ -220,12 +241,6 @@ func (o Options) withDefaults() Options {
 // shardConfig translates the public knobs to the shard package.
 func (o Options) shardConfig() shard.Config {
 	return shard.Config{
-		Mining: mining.Options{
-			MaxEdges:           o.MaxFragmentEdges,
-			MinEdges:           minFragmentEdges,
-			MinSupportFraction: o.MinSupportFraction,
-			SampleSize:         miningSample,
-		},
 		Index:           index.Options{Metric: o.Metric},
 		Core:            core.Options{PlannerOff: o.PlannerOff},
 		CompactFraction: o.CompactFraction,
@@ -240,10 +255,11 @@ func New(graphs []*Graph, opts Options) (*Database, error) {
 	return NewSharded(graphs, 1, opts)
 }
 
-// NewSharded splits graphs into nShards contiguous shards and builds every
-// shard's fragment index concurrently. Mining runs per shard on that
-// shard's slice, so feature sets differ across shards — harmless, since
-// verification makes answers exact. nShards is clamped to len(graphs).
+// NewSharded mines the database's features once, over a prefix sample
+// of graphs, then splits graphs into nShards contiguous shards and builds
+// every shard's fragment index under those features concurrently. With
+// one shard the sample is the one New has always mined. nShards is
+// clamped to len(graphs).
 func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("pis: empty database")
@@ -252,7 +268,11 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 		return nil, fmt.Errorf("pis: nShards must be >= 1, got %d", nShards)
 	}
 	opts = opts.withDefaults()
-	db, err := shard.New(graphs, nShards, opts.shardConfig())
+	feats, err := mineFeatures(graphs, opts)
+	if err != nil {
+		return nil, err
+	}
+	db, err := shard.New(graphs, nShards, feats, opts.shardConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
@@ -319,9 +339,9 @@ func StoreExists(dir string) bool {
 // when opts.MappedIndex is set: residency is chosen per Open, whatever
 // the store was created with. opts.Metric must match the build-time
 // metric, and the index must carry the fingerprint of the recovered
-// graphs; PlannerOff, QueryTimeout and the mutation knobs
-// (MaxFragmentEdges and MinSupportFraction, used when a compaction mines
-// anew, and CompactFraction) are honored from opts.
+// graphs; PlannerOff, QueryTimeout and CompactFraction are honored from
+// opts. Every shard keeps the features its store holds, so
+// MaxFragmentEdges and MinSupportFraction are ignored.
 func Open(dir string, opts Options) (*Database, error) {
 	opts = opts.withDefaults()
 	db, err := shard.Open(dir, opts.shardConfig())
@@ -365,13 +385,10 @@ func (db *Database) Delete(id int32) (bool, error) { return db.db.Delete(id) }
 
 // Compact folds every shard's delta and tombstones into a new index over
 // the surviving graphs, in parallel. A shard merges: the entries of its
-// current index carry over, only the delta's graphs are walked, and
-// the features stay the ones last mined, which gives bit for bit the
-// index a build over the survivors with those features would. Once a
-// shard's survivors number twice the graphs its features were mined over,
-// its compaction mines anew and rebuilds instead. The rule is the same
-// for automatic and explicit compactions and has no knob. Ids are
-// unchanged. On error the database keeps serving its pre-compaction
+// current index carry over, only the delta's graphs are walked, and the
+// features are the ones mined at creation, which gives bit for bit the
+// index a build over the survivors with those features would. Automatic
+// and explicit compactions are the same merge. Ids are unchanged. On error the database keeps serving its pre-compaction
 // state, still exactly. On a durable database each shard's successful
 // compaction also writes a fresh snapshot and truncates its WAL.
 func (db *Database) Compact() error { return db.db.Compact() }
@@ -500,8 +517,8 @@ type IndexStats struct {
 	FingerprintBytes int
 }
 
-// Stats sums the per-shard index counters. Features counts per-shard
-// feature classes, so the same structure mined by two shards counts twice.
+// Stats sums the per-shard index counters. Features counts the feature
+// set the shards share, once.
 func (db *Database) Stats() IndexStats {
 	st, mem := db.db.Stats()
 	delta, tombs := db.db.Overlay()

@@ -89,7 +89,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE pis_compactions_total counter",
 		"# TYPE pis_compaction_carried_graphs_total counter",
 		"# TYPE pis_compaction_enumerated_graphs_total counter",
-		"# TYPE pis_compaction_remines_total counter",
 		"# TYPE pis_result_memo_lookups_total counter",
 		"# TYPE pis_result_memo_refreshed_graphs_total counter",
 		"# TYPE pis_result_memo_bytes gauge",

@@ -869,13 +869,11 @@ type MemoStatsJSON struct {
 
 // CompactionStatsJSON reports what the compactions of this process's
 // segments did (the pis_compaction_*_total metrics): surviving graphs
-// whose index entries were carried over from the outgoing index, graphs
-// enumerated afresh, and the compactions that re-mined features and
-// rebuilt because the survivors had doubled since the last mining.
+// whose index entries were carried over from the outgoing index, and
+// surviving delta graphs whose fragments were enumerated.
 type CompactionStatsJSON struct {
 	CarriedGraphs    int64 `json:"carried_graphs"`
 	EnumeratedGraphs int64 `json:"enumerated_graphs"`
-	Remines          int64 `json:"remines"`
 }
 
 // EndpointStatsJSON reports request timing for one route.
@@ -938,7 +936,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Compaction: CompactionStatsJSON{
 			CarriedGraphs:    reg.Counter("pis_compaction_carried_graphs_total", "").Value(),
 			EnumeratedGraphs: reg.Counter("pis_compaction_enumerated_graphs_total", "").Value(),
-			Remines:          reg.Counter("pis_compaction_remines_total", "").Value(),
 		},
 		Durability:    encodeDurability(s.backend.Durability()),
 		Requests:      make(map[string]EndpointStatsJSON),

@@ -1,11 +1,16 @@
 package pis_test
 
 import (
+	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pis"
 	"pis/gen"
+	"pis/internal/mining"
+	"pis/internal/store"
 )
 
 // shardedEnv builds one generated database plus the unsharded reference.
@@ -101,5 +106,103 @@ func TestNewShardedErrors(t *testing.T) {
 	graphs := gen.Molecules(10, gen.Config{Seed: 1})
 	if _, err := pis.NewSharded(graphs, 0, pis.Options{}); err == nil {
 		t.Error("nShards=0 should fail")
+	}
+}
+
+// shapeFamilies returns n graphs in four contiguous runs, one skeleton
+// family each: paths, stars, rings, triangle fans. Every later run holds
+// skeletons the first lacks, so mining any contiguous slice alone finds
+// features that mining the whole input does not.
+func shapeFamilies(n int, seed int64) []*pis.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	graphs := make([]*pis.Graph, n)
+	for i := range graphs {
+		k := 5 + rng.Intn(3)
+		b := pis.NewGraphBuilder(k, 2*k)
+		for v := 0; v < k; v++ {
+			b.AddVertex(pis.VLabel(rng.Intn(3)))
+		}
+		edge := func(u, v int32) { b.AddEdge(u, v, pis.ELabel(rng.Intn(2))) }
+		for v := int32(1); v < int32(k); v++ {
+			switch 4 * i / n {
+			case 0:
+				edge(v-1, v)
+			case 1:
+				edge(0, v)
+			case 2:
+				edge(v-1, v)
+				if v == int32(k-1) {
+					edge(v, 0)
+				}
+			default:
+				edge(0, v)
+				if v > 1 {
+					edge(v-1, v)
+				}
+			}
+		}
+		graphs[i] = b.MustBuild()
+	}
+	return graphs
+}
+
+// featureSetOpts is what a database with MaxFragmentEdges 4 mines with:
+// pis's minimum feature size, default support and prefix sample.
+var featureSetOpts = mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300}
+
+// wholeInputClassKeys returns the keys of one mining over the whole
+// input's prefix, in order: the class list every shard must carry.
+func wholeInputClassKeys(t *testing.T, graphs []*pis.Graph) []string {
+	t.Helper()
+	feats, err := mining.Mine(graphs, featureSetOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(feats))
+	for i, f := range feats {
+		keys[i] = f.Key
+	}
+	return keys
+}
+
+// storeClassKeys returns the class keys, in order, of the index in the
+// shard store at dir.
+func storeClassKeys(t *testing.T, dir string) []string {
+	t.Helper()
+	st, snap, _, err := store.Open(dir, pis.EdgeMutation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var keys []string
+	for _, c := range snap.Index.Classes() {
+		keys = append(keys, c.Key)
+	}
+	return keys
+}
+
+// TestShardsShareOneFeatureSet: a database of any shard count indexes
+// every shard under the one feature set mined over the whole input's
+// prefix, and counts that set once in Stats.
+func TestShardsShareOneFeatureSet(t *testing.T) {
+	graphs := shapeFamilies(80, 3)
+	want := wholeInputClassKeys(t, graphs)
+	for _, nShards := range []int{1, 2, 4} {
+		dir := filepath.Join(t.TempDir(), "db")
+		db, err := pis.CreateSharded(dir, graphs, nShards, pis.Options{MaxFragmentEdges: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Stats().Features; got != len(want) {
+			t.Errorf("%d shards: Stats().Features = %d, want the %d features of the set", nShards, got, len(want))
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nShards; i++ {
+			if got := storeClassKeys(t, store.ShardDir(dir, i)); !slices.Equal(got, want) {
+				t.Errorf("%d shards: shard %d holds %d classes, not the list of %d mined over the whole input", nShards, i, len(got), len(want))
+			}
+		}
 	}
 }

@@ -70,14 +70,20 @@ func TestOneQuerySurface(t *testing.T) {
 	}
 	// The layout Create has always written, built below package pis.
 	cfg := shard.Config{
-		Mining:          mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300},
 		Index:           index.Options{Metric: distance.EdgeMutation{}},
 		CompactFraction: -1,
 	}
+	feats, err := mining.Mine(graphs, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{1, 3} {
 		dir := filepath.Join(t.TempDir(), "db")
-		d, err := shard.NewDurable(dir, graphs, n, cfg)
+		d, err := shard.New(graphs, n, feats, cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Persist(dir); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Close(); err != nil {
