@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,7 +192,7 @@ func TestRemoteShardMatchesLocal(t *testing.T) {
 				t.Errorf("query %d σ=%g: stats did not survive the wire: %+v want %+v", qi, sigma, got.Stats, want.Stats)
 			}
 		}
-		wantNS, err := seg.SearchKNNCtx(ctx, q, 4, 0, 10)
+		wantNS, err := seg.SearchKNNCtx(ctx, q, 4, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +203,42 @@ func TestRemoteShardMatchesLocal(t *testing.T) {
 		if !reflect.DeepEqual(gotNS, wantNS) {
 			t.Errorf("query %d knn: got %v want %v", qi, gotNS, wantNS)
 		}
+	}
+}
+
+// TestRemoteShardRejectsTrailingBytes: a shard RPC with a byte after its
+// last field — a request laid out by another build — gets a remote error
+// before the node searches or inserts, while the exact request is served.
+func TestRemoteShardRejectsTrailingBytes(t *testing.T) {
+	graphs := testGraphs(20, 17)
+	seg := newSegment(t, graphs, 0)
+	defer seg.Close()
+	p := newPeer(startNode(t, seg).Addr())
+	defer p.closeIdle()
+	ctx := context.Background()
+	q, g := graphs[3], testGraph(rand.New(rand.NewSource(5)))
+	for _, rpc := range []struct {
+		name string
+		op   byte
+		req  []byte
+	}{
+		{"search", opSearch, apGraph(apF64(apUv(nil, 0), 2), q)},
+		{"knn", opKNN, apGraph(apF64(apUv(apUv(nil, 0), 3), 4), q)},
+		{"insert", opInsert, apGraph(apU32(apUv(nil, 0), 20), g)},
+	} {
+		var re *remoteError
+		if err := p.call(ctx, rpc.op, append(slices.Clone(rpc.req), 0), nil); !errors.As(err, &re) {
+			t.Errorf("%s with a trailing byte: err = %v, want a remote error", rpc.name, err)
+		}
+		if seg.MutSeq() != 0 {
+			t.Fatalf("%s with a trailing byte was applied: MutSeq %d", rpc.name, seg.MutSeq())
+		}
+		if err := p.call(ctx, rpc.op, rpc.req, nil); err != nil {
+			t.Errorf("%s: %v", rpc.name, err)
+		}
+	}
+	if seg.MutSeq() != 1 {
+		t.Fatalf("MutSeq %d after one exact insert, want 1", seg.MutSeq())
 	}
 }
 

@@ -89,7 +89,7 @@ func realFrames(f *testing.F) [][][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ns, err := seg.SearchKNNCtx(ctx, graphs[7], 4, 0, 4)
+	ns, err := seg.SearchKNNCtx(ctx, graphs[7], 4, 4)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -205,18 +205,19 @@ func (n *Node) serveOne(ctx context.Context, op byte, c net.Conn, sr *binio.Sect
 	case opGraph:
 		err = n.handleGraph(sr, sw)
 	case opCompact:
-		err = n.forEachShard((*segment.Segment).Compact)
+		if err = endOfRequest(sr); err == nil {
+			err = n.forEachShard((*segment.Segment).Compact)
+		}
 	case opCheckpoint:
-		err = n.forEachShard((*segment.Segment).Checkpoint)
+		if err = endOfRequest(sr); err == nil {
+			err = n.forEachShard((*segment.Segment).Checkpoint)
+		}
 	case opShardState:
 		err = n.handleShardState(sr, sw)
 	case opWALAfter:
 		err = n.handleWALAfter(sr, sw)
 	default:
 		err = fmt.Errorf("unknown op %d", op)
-	}
-	if serr := sr.Err(); err == nil && serr != nil {
-		err = fmt.Errorf("malformed request: %w", serr)
 	}
 	if err != nil {
 		sw.Begin() // drop any partial payload
@@ -261,6 +262,19 @@ func watchHangup(ctx context.Context, c net.Conn) (context.Context, func() bool)
 	return mctx, stop
 }
 
+// endOfRequest refuses a request with bytes after its last field. The
+// RPC carries no version, so such a request comes from a peer running
+// another build; each handler calls it before it acts.
+func endOfRequest(sr *binio.SectionReader) error {
+	if err := sr.Err(); err != nil {
+		return fmt.Errorf("malformed request: %w", err)
+	}
+	if n := sr.Remaining(); n != 0 {
+		return fmt.Errorf("malformed request: %d bytes after the last field", n)
+	}
+	return nil
+}
+
 func (n *Node) shardArg(sr *binio.SectionReader) (*segment.Segment, error) {
 	idx := int(sr.Uvarint())
 	if err := sr.Err(); err != nil {
@@ -280,6 +294,9 @@ func (n *Node) handleSearch(ctx context.Context, c net.Conn, sr *binio.SectionRe
 	}
 	sigma := sr.F64()
 	q, err := readGraph(sr)
+	if err == nil {
+		err = endOfRequest(sr)
+	}
 	if err != nil {
 		return true, err
 	}
@@ -299,14 +316,16 @@ func (n *Node) handleKNN(ctx context.Context, c net.Conn, sr *binio.SectionReade
 		return true, err
 	}
 	k := int(sr.Uvarint())
-	start := sr.F64()
 	maxSigma := sr.F64()
 	q, err := readGraph(sr)
+	if err == nil {
+		err = endOfRequest(sr)
+	}
 	if err != nil {
 		return true, err
 	}
 	mctx, stop := watchHangup(ctx, c)
-	ns, err := seg.SearchKNNCtx(mctx, q, k, start, maxSigma)
+	ns, err := seg.SearchKNNCtx(mctx, q, k, maxSigma)
 	alive = stop()
 	if err != nil {
 		return alive, err
@@ -323,6 +342,9 @@ func (n *Node) handleInsert(sr *binio.SectionReader) error {
 	}
 	id := int32(sr.U32())
 	g, err := readGraph(sr)
+	if err == nil {
+		err = endOfRequest(sr)
+	}
 	if err != nil {
 		return err
 	}
@@ -355,7 +377,7 @@ func (n *Node) compactAsync(idx int, seg *segment.Segment) {
 
 func (n *Node) handleDelete(sr *binio.SectionReader, sw *binio.SectionWriter) error {
 	id := int32(sr.U32())
-	if err := sr.Err(); err != nil {
+	if err := endOfRequest(sr); err != nil {
 		return err
 	}
 	found := false
@@ -380,7 +402,7 @@ func (n *Node) handleDelete(sr *binio.SectionReader, sw *binio.SectionWriter) er
 
 func (n *Node) handleGraph(sr *binio.SectionReader, sw *binio.SectionWriter) error {
 	id := int32(sr.U32())
-	if err := sr.Err(); err != nil {
+	if err := endOfRequest(sr); err != nil {
 		return err
 	}
 	_, segs := n.Shards()
@@ -443,7 +465,7 @@ func (n *Node) writeState(sw *binio.SectionWriter) {
 
 func (n *Node) handleShardState(sr *binio.SectionReader, sw *binio.SectionWriter) error {
 	idx := int(sr.Uvarint())
-	if err := sr.Err(); err != nil {
+	if err := endOfRequest(sr); err != nil {
 		return err
 	}
 	seg := n.Shard(idx)
@@ -462,7 +484,7 @@ func (n *Node) handleWALAfter(sr *binio.SectionReader, sw *binio.SectionWriter) 
 		return err
 	}
 	after := sr.U64()
-	if err := sr.Err(); err != nil {
+	if err := endOfRequest(sr); err != nil {
 		return err
 	}
 	recs, ok, err := seg.WALRecordsAfter(after)
@@ -514,6 +536,9 @@ func (n *Node) handleFetchFiles(sr *binio.SectionReader, sw *binio.SectionWriter
 		return bw.Flush() == nil
 	}
 	seg, err := n.shardArg(sr)
+	if err == nil {
+		err = endOfRequest(sr)
+	}
 	if err != nil {
 		return fail(err)
 	}

@@ -79,10 +79,9 @@ func (r *remoteShard) SearchCtx(ctx context.Context, q *graph.Graph, sigma float
 }
 
 // SearchKNNCtx implements shard.Searcher over the wire.
-func (r *remoteShard) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
+func (r *remoteShard) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	req := apUv(nil, uint64(r.idx))
 	req = apUv(req, uint64(k))
-	req = apF64(req, startSigma)
 	req = apF64(req, maxSigma)
 	req = apGraph(req, q)
 	return hedged(r, ctx, opKNN, req, readNeighbors)

@@ -32,7 +32,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,7 +396,6 @@ type scratch struct {
 	part       []int
 	vorder     []int32 // verification order (indices into candidates)
 	vdists     []float64
-	sorter     lbSorter
 	screen     Screen // the current query's prescreen, set by filter
 }
 
@@ -418,17 +416,6 @@ func (s *Searcher) putScratch(sc *scratch) {
 	sc.vertexSets = sc.vertexSets[:0]
 	sc.screen = Screen{}
 	s.pool.Put(sc)
-}
-
-// positions returns 0..n-1, the verification order before the lower
-// bounds rearrange it.
-func (sc *scratch) positions(n int) []int32 {
-	order := sc.vorder[:0]
-	for j := 0; j < n; j++ {
-		order = append(order, int32(j))
-	}
-	sc.vorder = order
-	return order
 }
 
 // postingList returns the i-th reusable posting-list buffer, keeping the
@@ -461,7 +448,7 @@ func (s *Searcher) SearchNaiveView(q *graph.Graph, sigma float64, view View) Res
 	r.Stats.RangeCandidates = len(r.Candidates)
 	r.Stats.DistCandidates = len(r.Candidates)
 	sc := s.getScratch()
-	err := s.verify(q, sigma, &r, nil, sc, view, nil)
+	err := s.verify(q, sigma, 0, &r, nil, sc, view, nil)
 	s.putScratch(sc)
 	Rethrow(err)
 	r.Stats.record(mQueriesNaive)
@@ -490,7 +477,7 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
 	r.Candidates = view.appendLiveDelta(r.Candidates, len(s.db))
 	r.Stats.FilterTime = time.Since(start)
-	err := s.verify(q, sigma, &r, nil, sc, view, nil)
+	err := s.verify(q, sigma, 0, &r, nil, sc, view, nil)
 	s.putScratch(sc)
 	Rethrow(err)
 	r.Stats.record(mQueriesTopo)
@@ -523,6 +510,14 @@ func (s *Searcher) SearchView(q *graph.Graph, sigma float64, view View) Result {
 // was cut short are simply missing. A panic in a verification worker is
 // recovered and returned as a *PanicError.
 func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma float64, view View) (Result, error) {
+	r, err := s.search(ctx, q, sigma, 0, view)
+	r.Stats.Publish()
+	return r, err
+}
+
+// search is the pipeline of SearchViewCtx and SearchKNNViewCtx: filter at
+// sigma, join the delta, verify under verify's budget for k.
+func (s *Searcher) search(ctx context.Context, q *graph.Graph, sigma float64, k int, view View) (Result, error) {
 	var r Result
 	start := time.Now()
 	done := ctx.Done() // nil for background contexts: zero overhead
@@ -534,14 +529,13 @@ func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma floa
 	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
 	r.Candidates, lbs = s.joinDelta(sigma, r.Candidates, lbs, sc, view, &r.Stats)
 	r.Stats.FilterTime = time.Since(start)
-	err := s.verify(q, sigma, &r, lbs, sc, view, done)
+	err := s.verify(q, sigma, k, &r, lbs, sc, view, done)
 	s.putScratch(sc)
 	if err == nil && ctx.Err() != nil {
 		r.Stats.Partial = true
 		mQueriesCanceled.Inc()
 		err = ctx.Err()
 	}
-	r.Stats.Publish()
 	return r, err
 }
 
@@ -840,24 +834,12 @@ func (s *Searcher) verifyWorkers(n int) int {
 
 // orderByLB sorts candidate indices ascending by partition lower bound
 // (nil lbs keeps the given ascending-id order), so the likeliest answers
-// are verified first.
-func orderByLB(order []int32, lbs []float64, sc *scratch) {
+// are verified first; stability keeps ascending-id order within ties.
+func orderByLB(order []int32, lbs []float64) {
 	if lbs != nil {
-		sc.sorter = lbSorter{order: order, lbs: lbs}
-		sort.Stable(&sc.sorter)
+		slices.SortStableFunc(order, func(i, j int32) int { return cmp.Compare(lbs[i], lbs[j]) })
 	}
 }
-
-// lbSorter sorts candidate indices by lower bound; stability keeps
-// ascending-id order within ties.
-type lbSorter struct {
-	order []int32
-	lbs   []float64
-}
-
-func (t *lbSorter) Len() int           { return len(t.order) }
-func (t *lbSorter) Less(i, j int) bool { return t.lbs[t.order[i]] < t.lbs[t.order[j]] }
-func (t *lbSorter) Swap(i, j int)      { t.order[i], t.order[j] = t.order[j], t.order[i] }
 
 // Graph resolves a segment-local id against the base database or the
 // view's delta overlay (ids >= len(base) are delta positions).
@@ -957,14 +939,19 @@ func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *sc
 // (filter, joinDelta); the baseline paths (naive, topoPrune) hand over
 // every candidate, which keeps them valid differential references.
 //
-// The answer set is deterministic for any worker count: every candidate
-// is verified against the same fixed budget σ and answers are assembled
-// in ascending id order afterwards. A non-nil done channel aborts the
-// pool early; unverified candidates keep an infinite distance, so they
-// are conservatively excluded and the partial answer set stays a subset
-// of the full one. The returned error is a *PanicError when a worker
+// The answer set is deterministic for any worker count: with k = 0 every
+// candidate is verified against the same fixed budget σ, and answers are
+// assembled in ascending id order afterwards. With k > 0 (a kNN query)
+// each claim's budget is the smaller of σ and the k-th smallest distance
+// found so far (kthBound). A graph within the final k-th distance is
+// within every budget it met, so its distance is exact for any worker
+// count; a graph a tighter budget cut off is strictly farther than the
+// final k-th, so it cannot be one of the k nearest. A non-nil done
+// channel aborts the pool early; unverified candidates keep an infinite
+// distance, so they are conservatively excluded and the partial answer
+// set stays a subset of the full one. The returned error is a *PanicError when a worker
 // panicked, nil otherwise.
-func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}) error {
+func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}) error {
 	if s.opts.SkipVerification {
 		return nil
 	}
@@ -976,20 +963,27 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 		r.Stats.VerifyTime = time.Since(start)
 		return nil
 	}
-	dists := sc.vdists[:0]
+	dists, order := sc.vdists[:0], sc.vorder[:0]
 	for i := 0; i < nc; i++ {
 		// Infinite, not zero: a candidate whose verification never ran
 		// (cancellation, sibling panic) must not read as distance 0.
 		dists = append(dists, distance.Infinite)
+		order = append(order, int32(i))
 	}
-	sc.vdists = dists
-
-	order := sc.positions(nc)
+	sc.vdists, sc.vorder = dists, order
 	r.Stats.Verified = nc
-	orderByLB(order, lbs, sc)
+	orderByLB(order, lbs)
+	var kth *kthBound
+	if k > 0 {
+		kth = newKthBound(k, sigma)
+	}
 	busy, nodes, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
 		j := order[i]
-		dists[j] = v.Distance(s.Graph(view, cands[j]), sigma)
+		if kth == nil {
+			dists[j] = v.Distance(s.Graph(view, cands[j]), sigma)
+		} else if dists[j] = v.Distance(s.Graph(view, cands[j]), kth.budget()); !distance.IsInfinite(dists[j]) {
+			kth.observe(dists[j])
+		}
 	})
 	r.Stats.VerifyNodes = int(nodes)
 	if err == nil && !canceled(done) {
@@ -1007,86 +1001,6 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, r *Result, lbs []float6
 	}
 	r.Stats.VerifyTime = time.Since(start)
 	return nil
-}
-
-// searchKNNOnce runs the PIS filter at radius sigma, then verifies
-// candidates best-first across a worker pool sharing a monotonically
-// shrinking radius: once k neighbors are known, the k-th best distance
-// becomes every later verification's branch-and-bound budget, so workers
-// cut each other's search effort. Live delta graphs join the same pool
-// with a zero lower bound, so they are verified first and their distances
-// shrink the shared radius for the indexed candidates too. Returns up to
-// k neighbors within sigma, closest first (ties by ascending id). The
-// result is deterministic for any worker count: a candidate skipped by
-// the shared bound is strictly farther than the final k-th neighbor, so
-// it can never displace one. verified counts the candidates handed to the
-// pool.
-func (s *Searcher) searchKNNOnce(q *graph.Graph, k int, sigma float64, view View, done <-chan struct{}) (best []Neighbor, verified int, err error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	var st Stats
-	// The filter prescreens at the outer radius, admissible for the whole
-	// run: the shared bound only ever shrinks below sigma.
-	cands, lbs := s.filter(q, sigma, &st, sc, view, done)
-	cands, lbs = s.joinDelta(sigma, cands, lbs, sc, view, &st)
-	sc.bufA = cands
-	nc := len(cands)
-	order := sc.positions(nc)
-	best = make([]Neighbor, 0, k)
-	if nc == 0 {
-		return best, 0, nil
-	}
-
-	var boundBits atomic.Uint64
-	boundBits.Store(math.Float64bits(sigma))
-	var mu sync.Mutex
-	record := func(id int32, d float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		i := sort.Search(len(best), func(i int) bool {
-			if best[i].Distance != d {
-				return best[i].Distance > d
-			}
-			return best[i].ID > id
-		})
-		switch {
-		case i == len(best):
-			if len(best) == k {
-				return
-			}
-			best = append(best, Neighbor{ID: id, Distance: d})
-		default:
-			if len(best) < k {
-				best = append(best, Neighbor{})
-			}
-			copy(best[i+1:], best[i:])
-			best[i] = Neighbor{ID: id, Distance: d}
-		}
-		if len(best) == k {
-			// Shrink the shared radius to the current k-th best distance;
-			// only ever downwards.
-			kd := best[k-1].Distance
-			for {
-				old := boundBits.Load()
-				if math.Float64frombits(old) <= kd {
-					return
-				}
-				if boundBits.CompareAndSwap(old, math.Float64bits(kd)) {
-					return
-				}
-			}
-		}
-	}
-
-	orderByLB(order, lbs, sc)
-	_, _, err = s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
-		j := order[i]
-		budget := math.Float64frombits(boundBits.Load())
-		if d := v.Distance(s.Graph(view, cands[j]), budget); !distance.IsInfinite(d) {
-			record(cands[j], d)
-		}
-	})
-	return best, nc, err
 }
 
 // VerifyEach calls fn(v, i) for i in [0, n), in order on the calling

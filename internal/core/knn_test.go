@@ -6,6 +6,7 @@ import (
 
 	"pis/internal/distance"
 	"pis/internal/iso"
+	"pis/internal/obs"
 )
 
 func TestSearchKNNMatchesOracle(t *testing.T) {
@@ -17,7 +18,7 @@ func TestSearchKNNMatchesOracle(t *testing.T) {
 		q := sampleQuery(rng, fx.db, 5)
 		k := 1 + rng.Intn(6)
 		const maxSigma = 16
-		got := s.SearchKNN(q, k, 0, maxSigma)
+		got := s.SearchKNN(q, k, maxSigma)
 
 		// Oracle: exact distance to every graph, sort, cut.
 		type nd struct {
@@ -59,7 +60,7 @@ func TestSearchKNNSortedAndBounded(t *testing.T) {
 	s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true}) // must be overridden internally
 	rng := rand.New(rand.NewSource(54))
 	q := sampleQuery(rng, fx.db, 6)
-	ns := s.SearchKNN(q, 5, 0, 8)
+	ns := s.SearchKNN(q, 5, 8)
 	if len(ns) == 0 {
 		t.Fatal("no neighbors for a query sampled from the database")
 	}
@@ -83,16 +84,45 @@ func TestSearchKNNEdgeCases(t *testing.T) {
 	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(56))
 	q := sampleQuery(rng, fx.db, 4)
-	if ns := s.SearchKNN(q, 0, 0, 4); ns != nil {
+	if ns := s.SearchKNN(q, 0, 4); ns != nil {
 		t.Error("k=0 should return nil")
 	}
-	if ns := s.SearchKNN(q, 3, 0, -1); ns != nil {
+	if ns := s.SearchKNN(q, 3, -1); ns != nil {
 		t.Error("negative maxSigma should return nil")
 	}
 	// Huge k: returns every structure-containing graph within maxSigma.
-	ns := s.SearchKNN(q, 10000, 0, 4)
+	ns := s.SearchKNN(q, 10000, 4)
 	r := s.Search(q, 4)
 	if len(ns) != len(r.Answers) {
 		t.Errorf("huge k returned %d, want %d", len(ns), len(r.Answers))
+	}
+}
+
+// TestKNNOneFilterPass: a kNN query runs the filter once, at maxσ, even
+// when fewer than k neighbors lie within a smaller radius. With the
+// planner off every usable fragment's range query runs, so one SearchKNN
+// must cost exactly the range queries of one Search at maxσ.
+func TestKNNOneFilterPass(t *testing.T) {
+	fx := newMoleculeFixture(t, false)
+	s := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
+	rangeQueries := obs.Default().Counter("pis_index_range_queries_total", "")
+	const k, maxSigma = 10, 4
+	checked := 0
+	for qi, q := range fx.queries {
+		if len(s.SearchView(q, 1, fx.view).Answers) >= k {
+			continue // k fill at σ = 1: one pass either way
+		}
+		before := rangeQueries.Value()
+		s.SearchView(q, maxSigma, fx.view)
+		search := rangeQueries.Value() - before
+		before = rangeQueries.Value()
+		s.SearchKNNView(q, k, maxSigma, fx.view)
+		if knn := rangeQueries.Value() - before; knn != search || search == 0 {
+			t.Errorf("query %d: kNN ran %d range queries, one search at σ=%v runs %d", qi, knn, maxSigma, search)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no query leaves k unfilled at σ = 1")
 	}
 }

@@ -128,7 +128,7 @@ func (fx moleculeFixture) check(t *testing.T, name string, s *Searcher) {
 			t.Fatalf("%s query %d σ=%v: funnel broken: %+v, %d candidates", name, qi, sigma, st, len(got.Candidates))
 		}
 		k, wantKNN := kOf(qi), fx.knn[qi]
-		gotKNN := s.SearchKNNView(q, k, 0, knnMaxSigma, fx.view)
+		gotKNN := s.SearchKNNView(q, k, knnMaxSigma, fx.view)
 		if len(wantKNN) != len(gotKNN) {
 			t.Fatalf("%s query %d k=%d: %d neighbors, brute force %d", name, qi, k, len(gotKNN), len(wantKNN))
 		}
@@ -249,7 +249,7 @@ func TestPlannerLearnedConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d query %d: answers diverged", g, qi)
 					return
 				}
-				s.SearchKNNView(fx.queries[qi], 3, 0, knnMaxSigma, fx.view)
+				s.SearchKNNView(fx.queries[qi], 3, knnMaxSigma, fx.view)
 				s.LearnedSurvival()
 			}
 		}(g)

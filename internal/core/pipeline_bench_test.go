@@ -77,7 +77,7 @@ func BenchmarkSearchPipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.SearchKNN(fx.queries[i%len(fx.queries)], 5, 0, 4)
+			s.SearchKNN(fx.queries[i%len(fx.queries)], 5, 4)
 		}
 	})
 }

@@ -80,9 +80,9 @@ func TestPlannerDifferentialKNN(t *testing.T) {
 			q := sampleQuery(rng, fx.db, 3+rng.Intn(4))
 			k := 1 + rng.Intn(5)
 			maxSigma := float64(1 + rng.Intn(6))
-			want := exhaustive.SearchKNN(q, k, 0, maxSigma)
+			want := exhaustive.SearchKNN(q, k, maxSigma)
 			pinExchangeRate(planned, rho)
-			got := planned.SearchKNN(q, k, 0, maxSigma)
+			got := planned.SearchKNN(q, k, maxSigma)
 			if len(want) != len(got) {
 				t.Fatalf("ρ=%v trial %d: %d neighbors vs %d", rho, trial, len(got), len(want))
 			}
@@ -121,8 +121,8 @@ func TestPlannerDifferentialWithView(t *testing.T) {
 		if !equalIDs(want.Answers, got.Answers) || !equalF64(want.Distances, got.Distances) {
 			t.Fatalf("trial %d σ=%v: planner changed answers under a mutation view", trial, sigma)
 		}
-		wantKNN := exhaustive.SearchKNNView(q, 3, 0, 5, view)
-		gotKNN := planned.SearchKNNView(q, 3, 0, 5, view)
+		wantKNN := exhaustive.SearchKNNView(q, 3, 5, view)
+		gotKNN := planned.SearchKNNView(q, 3, 5, view)
 		if len(wantKNN) != len(gotKNN) {
 			t.Fatalf("trial %d: view kNN lengths differ", trial)
 		}

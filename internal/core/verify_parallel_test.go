@@ -3,7 +3,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+
+	"pis/internal/index"
 )
 
 // Parallel verification must be invisible in the results: any
@@ -50,7 +53,7 @@ func TestParallelKNNDeterministic(t *testing.T) {
 		var base []Neighbor
 		for i, w := range workerCounts {
 			s := NewSearcher(fx.db, fx.idx, Options{VerifyWorkers: w})
-			ns := s.SearchKNN(q, k, 0, 6)
+			ns := s.SearchKNN(q, k, 6)
 			if i == 0 {
 				base = ns
 				continue
@@ -63,47 +66,59 @@ func TestParallelKNNDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelKNNMatchesThresholdOracle: the shared shrinking bound may
-// cut branch-and-bound work but never change which neighbors come back.
+// TestParallelKNNMatchesThresholdOracle: the shrinking verification
+// budget may cut branch-and-bound work but never change which neighbors
+// come back, at any radius, k or worker count, over a mutation snapshot
+// with tombstones and a fingerprinted live delta.
 func TestParallelKNNMatchesThresholdOracle(t *testing.T) {
 	fx := newFixture(t, 35, 60)
 	rng := rand.New(rand.NewSource(36))
-	s := NewSearcher(fx.db, fx.idx, Options{})
+	var view View
+	for i := range fx.db {
+		if rng.Intn(10) == 0 {
+			view.Tombs = view.Tombs.WithSet(int32(i))
+		}
+	}
+	for i := 0; i < 12; i++ {
+		g := randomMolecule(rng, 7+rng.Intn(6))
+		view.Delta = append(view.Delta, g)
+		view.DeltaFPs = append(view.DeltaFPs, index.DeltaFP(g))
+	}
+	view.Tombs = view.Tombs.WithSet(int32(len(fx.db) + 3)) // a deleted insert
+	oracle := NewSearcher(fx.db, fx.idx, Options{})
+	searchers := map[int]*Searcher{}
+	for _, w := range []int{1, 4} {
+		searchers[w] = NewSearcher(fx.db, fx.idx, Options{VerifyWorkers: w})
+	}
 	for trial := 0; trial < 8; trial++ {
 		q := sampleQuery(rng, fx.db, 3+rng.Intn(5))
-		k := 1 + rng.Intn(8)
-		maxSigma := 5.0
-		ns := s.SearchKNN(q, k, 0, maxSigma)
-		// Oracle: verify everything within maxSigma, keep the k smallest
-		// by (distance, id).
-		full := s.SearchNaive(q, maxSigma)
-		type pair struct {
-			id int32
-			d  float64
-		}
-		var all []pair
-		for i, id := range full.Answers {
-			all = append(all, pair{id, full.Distances[i]})
-		}
-		for i := 1; i < len(all); i++ {
-			for j := i; j > 0; j-- {
-				a, b := all[j], all[j-1]
-				if a.d < b.d || (a.d == b.d && a.id < b.id) {
-					all[j], all[j-1] = b, a
-				} else {
-					break
-				}
+		for _, maxSigma := range []float64{0, 1, 2, 5} {
+			// Oracle: verify every live graph within maxSigma, order by
+			// (distance, id).
+			full := oracle.SearchNaiveView(q, maxSigma, view)
+			var all []Neighbor
+			for i, id := range full.Answers {
+				all = append(all, Neighbor{ID: id, Distance: full.Distances[i]})
 			}
-		}
-		if len(all) > k {
-			all = all[:k]
-		}
-		if len(ns) != len(all) {
-			t.Fatalf("trial %d k=%d: got %d neighbors, oracle has %d", trial, k, len(ns), len(all))
-		}
-		for i := range ns {
-			if ns[i].ID != all[i].id || ns[i].Distance != all[i].d {
-				t.Fatalf("trial %d k=%d: neighbor %d = %+v, oracle %+v", trial, k, i, ns[i], all[i])
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].Distance != all[j].Distance {
+					return all[i].Distance < all[j].Distance
+				}
+				return all[i].ID < all[j].ID
+			})
+			for _, k := range []int{1, 3, 10, 1000} {
+				want := all[:min(len(all), k)]
+				for w, s := range searchers {
+					ns := s.SearchKNNView(q, k, maxSigma, view)
+					if len(ns) != len(want) {
+						t.Fatalf("trial %d σ=%v k=%d workers=%d: got %d neighbors, oracle has %d", trial, maxSigma, k, w, len(ns), len(want))
+					}
+					for i := range ns {
+						if ns[i] != want[i] {
+							t.Fatalf("trial %d σ=%v k=%d workers=%d: neighbor %d = %+v, oracle %+v", trial, maxSigma, k, w, i, ns[i], want[i])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -16,7 +16,7 @@ func TestMemoCatchUpPrescreens(t *testing.T) {
 	defer seg.Close()
 	q, sigma := graphs[3], 1.0
 	search(seg, q, sigma)
-	searchKNN(seg, q, 3, 0, 2)
+	searchKNN(seg, q, 3, 2)
 
 	b := graph.NewBuilder(q.N(), q.M())
 	for v := 0; v < q.N(); v++ {
@@ -33,7 +33,7 @@ func TestMemoCatchUpPrescreens(t *testing.T) {
 	if st := r.Stats; st.MemoHits != 1 || st.Verified != 0 || st.PrescreenRejects != 1 || st.InvariantRejects != 0 {
 		t.Fatalf("the hit should refute the relabeled query by its fingerprint alone: %+v", st)
 	}
-	if got, want := searchKNN(seg, q, 3, 0, 2), naiveKNN(seg, q, 3, 2); !sameNeighbors(got, want) {
+	if got, want := searchKNN(seg, q, 3, 2), naiveKNN(seg, q, 3, 2); !sameNeighbors(got, want) {
 		t.Fatalf("kNN after the insert: %v, naive %v", got, want)
 	}
 }

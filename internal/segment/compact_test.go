@@ -87,7 +87,7 @@ func sameAsFresh(t *testing.T, what string, seg *segment.Segment, live map[int32
 			}
 			answers += len(got.Answers)
 		}
-		got, want := searchKNN(seg, q, 4, 0, 3), fresh.SearchKNN(q, 4, 3)
+		got, want := searchKNN(seg, q, 4, 3), fresh.SearchKNN(q, 4, 3)
 		for i := range got {
 			got[i].ID = rank(got[i].ID)
 		}
@@ -157,7 +157,7 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 								t.Errorf("torn result: %v %v", res.Answers, res.Distances)
 							}
 						} else {
-							searchKNN(seg, q, 3, 0, 3)
+							searchKNN(seg, q, 3, 3)
 						}
 					}
 				}(r)

@@ -248,7 +248,7 @@ func (sn *snapshot) search(ctx context.Context, q *graph.Graph, sigma float64) (
 // graphs are verified against the k-th distance (the radius while fewer
 // than k are known) and take their place by (distance, id) — their ids
 // exceed every id already ranked.
-func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
+func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	if k <= 0 || maxSigma < 0 {
 		return nil, nil
 	}
@@ -280,7 +280,7 @@ func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, startS
 			return ns, nil
 		}
 	}
-	ns, verified, err := sn.knn.SearchKNNViewCtx(ctx, q, k, startSigma, maxSigma, sn.view)
+	ns, verified, err := sn.knn.SearchKNNViewCtx(ctx, q, k, maxSigma, sn.view)
 	e := &memoEntry{mark: sn.maxID, cost: verified, radius: maxSigma}
 	for i := range ns {
 		ns[i].ID = sn.global(ns[i].ID)

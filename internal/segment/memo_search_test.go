@@ -40,8 +40,8 @@ func search(seg *segment.Segment, q *graph.Graph, sigma float64) core.Result {
 	return r
 }
 
-func searchKNN(seg *segment.Segment, q *graph.Graph, k int, startSigma, maxSigma float64) []core.Neighbor {
-	ns, err := seg.SearchKNNCtx(context.Background(), q, k, startSigma, maxSigma)
+func searchKNN(seg *segment.Segment, q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
+	ns, err := seg.SearchKNNCtx(context.Background(), q, k, maxSigma)
 	core.Rethrow(err)
 	return ns
 }
@@ -194,7 +194,7 @@ func TestMemoCanceledStoresNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !r.Stats.Partial {
 		t.Fatalf("canceled search: err %v, partial %v", err, r.Stats.Partial)
 	}
-	if _, err := seg.SearchKNNCtx(ctx, q, 3, 0, 4); !errors.Is(err, context.Canceled) {
+	if _, err := seg.SearchKNNCtx(ctx, q, 3, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled kNN: err %v", err)
 	}
 	r = search(seg, q, sigma)
@@ -222,7 +222,7 @@ func TestMemoKNN(t *testing.T) {
 	check := func(what string, radius float64, want memoCounts) []core.Neighbor {
 		t.Helper()
 		c0 := readMemoCounts()
-		got := searchKNN(seg, q, k, 0, radius)
+		got := searchKNN(seg, q, k, radius)
 		if ref := naiveKNN(seg, q, k, radius); !sameNeighbors(got, ref) {
 			t.Fatalf("%s: kNN %v, naive says %v", what, got, ref)
 		}
@@ -255,7 +255,7 @@ func TestMemoKNN(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after compaction", 5, memoCounts{hit: 1})
-	if got := searchKNN(seg, q, 0, 0, 5); got != nil {
+	if got := searchKNN(seg, q, 0, 5); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }
@@ -275,7 +275,7 @@ func TestMemoKNNShortEntrySurvivesDelete(t *testing.T) {
 	b.AddEdge(0, 1, 2)
 	b.AddEdge(1, 2, 0)
 	q, k, radius := b.MustBuild(), 60, 1.0
-	cold := searchKNN(seg, q, k, 0, radius)
+	cold := searchKNN(seg, q, k, radius)
 	if len(cold) < 3 || len(cold) >= k {
 		t.Fatalf("%d neighbours within %v; the test needs a few, fewer than k=%d", len(cold), radius, k)
 	}
@@ -285,7 +285,7 @@ func TestMemoKNNShortEntrySurvivesDelete(t *testing.T) {
 		}
 		for _, r := range []float64{radius, 1, 0} {
 			c0 := readMemoCounts()
-			got := searchKNN(seg, q, k, 0, r)
+			got := searchKNN(seg, q, k, r)
 			if ref := naiveKNN(seg, q, k, r); !sameNeighbors(got, ref) {
 				t.Fatalf("after deleting %d, radius %v: kNN %v, naive says %v", victim, r, got, ref)
 			}

@@ -419,12 +419,13 @@ func (s *Segment) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
 
 // SearchKNNCtx returns up to k nearest live graphs with global ids,
 // closest first (ties by ascending global id), searching no farther than
-// maxSigma; startSigma seeds the threshold expansion (0 = default). On
+// maxSigma: one pass of the threshold pipeline at maxSigma whose
+// verification budget shrinks to the k-th distance, through the memo. On
 // cancellation the neighbors verified so far are returned with the
 // context error.
-func (s *Segment) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error) {
+func (s *Segment) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	sn := s.snapshot()
-	return sn.searchKNN(ctx, q, k, startSigma, maxSigma)
+	return sn.searchKNN(ctx, q, k, maxSigma)
 }
 
 // Insert appends g to the delta under the caller-assigned global id,

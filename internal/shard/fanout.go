@@ -13,7 +13,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,9 +33,9 @@ type Searcher interface {
 	// ctx carries an obs.Trace, the shard stores its span tree there.
 	SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error)
 	// SearchKNNCtx returns up to k nearest neighbors with global ids,
-	// searching no farther than maxSigma; startSigma seeds the threshold
-	// expansion (0 = from scratch).
-	SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, startSigma, maxSigma float64) ([]core.Neighbor, error)
+	// nearest first (ties by ascending id), searching no farther than
+	// maxSigma.
+	SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error)
 }
 
 // FanOutSearch runs q against every shard concurrently and merges the
@@ -114,11 +114,11 @@ func FanOutSearch(ctx context.Context, shards []Searcher, q *graph.Graph, sigma 
 	return r, first
 }
 
-// FanOutKNN visits shards sequentially with a shrinking radius: once k
-// neighbors are in hand, shard i+1 is searched no farther than the
-// current k-th best distance, and that radius also seeds the shard's
-// threshold expansion so the pass is a single range query. Canceled
-// calls return the fully verified neighbors found so far with the error.
+// FanOutKNN visits shards sequentially with a shrinking radius: shard 0
+// is searched at maxSigma and, once k neighbors are in hand, each later
+// shard no farther than the current k-th best distance. The merge keeps
+// (distance, id) order. Canceled calls return the fully verified
+// neighbors found so far with the error.
 func FanOutKNN(ctx context.Context, shards []Searcher, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	if k <= 0 || maxSigma < 0 {
 		return nil, nil
@@ -126,25 +126,13 @@ func FanOutKNN(ctx context.Context, shards []Searcher, q *graph.Graph, k int, ma
 	radius := maxSigma
 	var best []core.Neighbor
 	for _, sh := range shards {
-		start := 0.0
-		if len(best) >= k {
-			// Radius already tight: one pass at exactly the bound suffices.
-			start = radius
-		}
-		ns, err := sh.SearchKNNCtx(ctx, q, k, start, radius)
+		ns, err := sh.SearchKNNCtx(ctx, q, k, radius)
 		if err != nil {
 			return best, err
 		}
 		best = append(best, ns...)
-		sort.SliceStable(best, func(i, j int) bool {
-			if best[i].Distance != best[j].Distance {
-				return best[i].Distance < best[j].Distance
-			}
-			return best[i].ID < best[j].ID
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
+		slices.SortFunc(best, core.NeighborOrder)
+		best = best[:min(len(best), k)]
 		if len(best) == k {
 			radius = best[k-1].Distance
 		}

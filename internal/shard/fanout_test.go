@@ -18,7 +18,7 @@ func (f fakeSearcher) SearchCtx(ctx context.Context, _ *graph.Graph, _ float64) 
 	return core.Result{}, f(ctx)
 }
 
-func (f fakeSearcher) SearchKNNCtx(ctx context.Context, _ *graph.Graph, _ int, _, _ float64) ([]core.Neighbor, error) {
+func (f fakeSearcher) SearchKNNCtx(ctx context.Context, _ *graph.Graph, _ int, _ float64) ([]core.Neighbor, error) {
 	return nil, f(ctx)
 }
 
@@ -97,5 +97,51 @@ func TestFanOutSearchTraceShape(t *testing.T) {
 	})
 	if _, err := FanOutSearch(context.Background(), []Searcher{untraced, untraced}, nil, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// knnShard is a shard that records the (k, maxσ) of each kNN call and
+// answers with canned neighbors.
+type knnShard struct {
+	ns    []core.Neighbor
+	calls *[][2]float64
+}
+
+func (s knnShard) SearchCtx(context.Context, *graph.Graph, float64) (core.Result, error) {
+	return core.Result{}, nil
+}
+
+func (s knnShard) SearchKNNCtx(_ context.Context, _ *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
+	*s.calls = append(*s.calls, [2]float64{float64(k), maxSigma})
+	return s.ns, nil
+}
+
+// TestFanOutKNNRadiusHandoff: shard 0 is searched at the caller's maxσ,
+// which stays the radius while fewer than k neighbors are in hand; from
+// then on each shard gets the current k-th distance. The merge keeps
+// (distance, id) order, ties across shards broken by ascending id.
+func TestFanOutKNNRadiusHandoff(t *testing.T) {
+	var calls [][2]float64
+	shard := func(ns ...core.Neighbor) Searcher { return knnShard{ns: ns, calls: &calls} }
+	got, err := FanOutKNN(context.Background(), []Searcher{
+		shard(core.Neighbor{ID: 10, Distance: 2}),                                      // 1 of 3: radius stays 5
+		shard(core.Neighbor{ID: 4, Distance: 1}),                                       // 2 of 3: radius stays 5
+		shard(core.Neighbor{ID: 7, Distance: 2}, core.Neighbor{ID: 30, Distance: 3.5}), // k in hand: radius 2
+		shard(),                                  // none: radius stays 2
+		shard(core.Neighbor{ID: 1, Distance: 2}), // ties 7 and 10, lower id: radius stays 2
+		shard(core.Neighbor{ID: 2, Distance: 0}), // 3rd is still 2
+		shard(core.Neighbor{ID: 3, Distance: 1}), // ties 4, lower id: radius 1
+		shard(),
+	}, nil, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCalls := [][2]float64{{3, 5}, {3, 5}, {3, 5}, {3, 2}, {3, 2}, {3, 2}, {3, 2}, {3, 1}}
+	if !slices.Equal(calls, wantCalls) {
+		t.Errorf("shards received (k, maxσ) %v, want %v", calls, wantCalls)
+	}
+	want := []core.Neighbor{{ID: 2, Distance: 0}, {ID: 3, Distance: 1}, {ID: 4, Distance: 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("merged %v, want %v", got, want)
 	}
 }

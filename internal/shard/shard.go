@@ -26,8 +26,8 @@
 //
 // kNN merges across shards with a shrinking radius: once k neighbors are
 // in hand, no later shard is searched beyond the current k-th best
-// distance, so shards after the first typically run a single cheap range
-// pass.
+// distance, so later shards filter and verify at a tighter radius than
+// the first.
 package shard
 
 import (
@@ -434,7 +434,7 @@ func (d *DB) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core
 // SearchKNNCtx returns the k nearest live graphs under the superimposed
 // distance, closest first (ties by ascending global id), searching no
 // farther than maxSigma (FanOutKNN). Cancellation is checked between the
-// sequential per-shard passes and inside each pass's verification pool;
+// sequential per-shard searches and inside each one's verification pool;
 // canceled calls return the fully verified neighbors found so far with
 // the context error.
 func (d *DB) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {

@@ -149,7 +149,7 @@ func TestSearchKNNMatchesUnsharded(t *testing.T) {
 	queries := chem.SampleQueries(db, 6, 8, 11)
 	for qi, q := range queries {
 		for _, k := range []int{1, 3, 10} {
-			want := ref.SearchKNN(q, k, 0, 8)
+			want := ref.SearchKNN(q, k, 8)
 			got := searchKNN(sh, q, k, 8)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("query %d k=%d: got %v, want %v", qi, k, got, want)
