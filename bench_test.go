@@ -115,18 +115,19 @@ func BenchmarkFigure12(b *testing.B) {
 func BenchmarkPISFilterQ16(b *testing.B) {
 	env := sharedEnv(b)
 	qs := gen.Queries(env.DB, 64, 16, 7)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{SkipVerification: true})
+	s := core.NewSearcher(env.DB, env.Index, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Search(qs[i%len(qs)], 2)
+		s.CountCandidates(qs[i%len(qs)], 2)
 	}
 }
 
-// BenchmarkTopoPruneFilterQ16 measures the baseline structural filter.
-func BenchmarkTopoPruneFilterQ16(b *testing.B) {
+// BenchmarkTopoPruneQ16 measures the baseline: the structural filter
+// and the verification of everything it leaves.
+func BenchmarkTopoPruneQ16(b *testing.B) {
 	env := sharedEnv(b)
 	qs := gen.Queries(env.DB, 64, 16, 7)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{SkipVerification: true})
+	s := core.NewSearcher(env.DB, env.Index, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SearchTopoPrune(qs[i%len(qs)], 2)

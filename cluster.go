@@ -57,15 +57,13 @@ type ClusterOptions struct {
 	// slice in the same order so independently bootstrapped replicas are
 	// identical.
 	Graphs []*Graph
-	// Options tunes mining, search, and durability exactly as for New.
+	// Options tunes mining, search, and durability exactly as for New:
+	// each owned replica is configured like a shard of a Database.
 	Options Options
 
 	// PingInterval paces the coordinator's health loop (default 1s;
 	// negative disables it, for tests driving CheckPeers directly).
 	PingInterval time.Duration
-	// HedgeDefault overrides the hedge delay used before enough RPCs
-	// have been observed to derive a p95 (default 25ms).
-	HedgeDefault time.Duration
 }
 
 // ClusterNode is one running cluster member: a shard-RPC server for its
@@ -106,9 +104,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 		copts.Shards = len(copts.Peers)
 	}
 	opts := copts.Options.withDefaults()
-	// Each owned replica answers shard RPCs on its own, so it keeps the
-	// full verification budget of a one-shard database.
-	segCfg := opts.shardConfig().SegmentConfig(1)
+	segCfg := opts.segmentConfig()
 
 	placement := cluster.Place(copts.Shards, copts.Peers, copts.Replication)
 	owned := cluster.Owned(placement, copts.Self)
@@ -153,7 +149,6 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 		Shards:       copts.Shards,
 		Replication:  copts.Replication,
 		PingInterval: copts.PingInterval,
-		HedgeDefault: copts.HedgeDefault,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("pis: %w", err))

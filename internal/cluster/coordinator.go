@@ -55,9 +55,6 @@ type Config struct {
 	// HedgeDefault is the hedge delay used until the search-RPC
 	// histogram has enough observations for a p95 (default 25ms).
 	HedgeDefault time.Duration
-	// HedgeMultiplier scales the observed p95 into the hedge delay
-	// (default 2.0).
-	HedgeMultiplier float64
 	// HedgeFloor and HedgeCap clamp the derived delay (defaults 2ms, 1s).
 	HedgeFloor, HedgeCap time.Duration
 	// PingInterval paces the health loop (default 1s; < 0 disables it,
@@ -76,9 +73,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.HedgeDefault <= 0 {
 		cfg.HedgeDefault = 25 * time.Millisecond
-	}
-	if cfg.HedgeMultiplier <= 0 {
-		cfg.HedgeMultiplier = 2.0
 	}
 	if cfg.HedgeFloor <= 0 {
 		cfg.HedgeFloor = 2 * time.Millisecond
@@ -420,13 +414,16 @@ func (c *Coordinator) orderedPeers() []*peerState {
 	return append(up, down...)
 }
 
+// hedgeMultiplier scales the observed search-RPC p95 into the hedge delay.
+const hedgeMultiplier = 2
+
 // hedgeDelay derives the hedge trigger from the live search-RPC p95.
 func (c *Coordinator) hedgeDelay() time.Duration {
 	snap := mSearchRPCSeconds.Snapshot()
 	if snap.Count() < 20 {
 		return c.cfg.HedgeDefault
 	}
-	d := time.Duration(snap.Quantile(0.95) * c.cfg.HedgeMultiplier * float64(time.Second))
+	d := time.Duration(snap.Quantile(0.95) * hedgeMultiplier * float64(time.Second))
 	if d < c.cfg.HedgeFloor {
 		d = c.cfg.HedgeFloor
 	}

@@ -57,9 +57,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). Answers and distances are identical
 	// for any setting.
 	VerifyWorkers int
-	// SkipVerification stops after filtering; Result.Answers stays nil.
-	// The candidate-counting experiments (Figures 8-12) use this.
-	SkipVerification bool
 
 	// PlannerOff disables the cost-based fragment-expansion planner and
 	// runs every usable fragment's σ range query, class by class — the
@@ -91,8 +88,8 @@ func (o Options) normalized() Options {
 // the candidate set; RangeCandidates and DistCandidates count prescreen
 // survivors of the base. Result.Candidates holds what reached the
 // verification stage, so on the PIS path len(Candidates) ==
-// VerifyCacheHits + Verified. With Options.SkipVerification no prescreen
-// runs and the counters are the paper's. InvariantRejects is the part of
+// VerifyCacheHits + Verified. Searcher.CountCandidates runs no prescreen,
+// so its counters are the paper's. InvariantRejects is the part of
 // PrescreenRejects the structural invariants refuted.
 //
 // The pipeline never sets VerifyCacheHits, MemoHits or Refreshed: they
@@ -140,8 +137,7 @@ type Expansion struct {
 
 // Result is the outcome of one search.
 type Result struct {
-	// Answers are the graph ids with d(Q,G) <= σ, ascending. Nil when
-	// verification was skipped.
+	// Answers are the graph ids with d(Q,G) <= σ, ascending.
 	Answers []int32
 	// Distances holds the exact superimposed distance of each answer,
 	// aligned with Answers.
@@ -234,9 +230,9 @@ type Searcher struct {
 	// |candidates after| ÷ |candidates before| over the times that class's
 	// range query ran on prescreened candidates — what a range query of
 	// the class really leaves standing. Once observed a cell replaces the
-	// class's static in-range estimate in plan; nil when the options rule
-	// learning out (learns). searches counts planned searches, so every
-	// plannerExploreEvery-th can plan on the static priors alone.
+	// class's static in-range estimate in plan; nil with the planner off.
+	// searches counts planned searches, so every plannerExploreEvery-th
+	// can plan on the static priors alone.
 	survival []atomic.Uint64
 	searches atomic.Uint64
 }
@@ -267,18 +263,10 @@ func NewSearcher(db []*graph.Graph, idx *index.Index, opts Options) *Searcher {
 	}
 	s := &Searcher{db: db, idx: idx, metric: idx.Options().Metric, opts: opts.normalized()}
 	s.vFloor, s.eFloor = distance.CostFloors(s.metric)
-	if s.learns() {
+	if !s.opts.PlannerOff {
 		s.survival = make([]atomic.Uint64, len(idx.Classes())*survivalBuckets)
 	}
 	return s
-}
-
-// learns reports whether this searcher keeps and uses learned survival
-// rates: the planner must be on, and the candidates it plans on must be
-// prescreened — without verification no prescreen runs and gains would be
-// counted in candidates nobody would have verified.
-func (s *Searcher) learns() bool {
-	return !s.opts.PlannerOff && !s.opts.SkipVerification
 }
 
 func (s *Searcher) survivalCell(c *index.Class, sigma float64) *atomic.Uint64 {
@@ -347,10 +335,11 @@ const (
 // thresholds returns the planner's budget — the fewest eliminations a
 // range query must be estimated, and observed, to deliver — and its
 // crossover, the candidate count at which filtering stops. Both are the
-// learned exchange rate ρ once there is one: a range query that cannot
-// eliminate ρ candidates costs more than the verification it saves.
-func (s *Searcher) thresholds() (budget float64, crossover int) {
-	if rho := s.exchangeRate(); rho > 0 {
+// learned exchange rate ρ once there is one and learned is set: a range
+// query that cannot eliminate ρ candidates costs more than the
+// verification it saves.
+func (s *Searcher) thresholds(learned bool) (budget float64, crossover int) {
+	if rho := s.exchangeRate(); learned && rho > 0 {
 		return float64(rho), rho
 	}
 	return coldBudget, coldCrossover
@@ -486,29 +475,42 @@ func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View)
 
 // Search runs the full PIS pipeline (Algorithm 2).
 func (s *Searcher) Search(q *graph.Graph, sigma float64) Result {
-	return s.SearchView(q, sigma, View{})
-}
-
-// SearchView runs the PIS pipeline over a mutation snapshot: the indexed
-// base is filtered as usual (range queries and postings skip tombstoned
-// ids), and the live delta graphs join the candidate set with a zero
-// lower bound, so the best-first verifier handles them first and the
-// answer set is exactly a fresh index over the surviving graphs.
-func (s *Searcher) SearchView(q *graph.Graph, sigma float64, view View) Result {
-	r, err := s.SearchViewCtx(context.Background(), q, sigma, view)
+	r, err := s.SearchViewCtx(context.Background(), q, sigma, View{})
 	Rethrow(err)
 	return r
 }
 
-// SearchViewCtx is SearchView under a context: cancellation is polled at
-// the range-expansion boundaries of the filter, between verification
-// claims, and inside the branch-and-bound verifier itself (amortized —
-// see iso.Verifier.SetDone), so a canceled query frees its workers
-// within about one verification granule. A canceled query returns the
-// context error together with a partial Result (Stats.Partial set):
-// every returned answer is fully verified, graphs whose verification
-// was cut short are simply missing. A panic in a verification worker is
-// recovered and returned as a *PanicError.
+// CountCandidates runs the filtering stage alone over the indexed base,
+// with the prescreen off: the paper's candidate-counting experiment
+// (Figures 8-12). It returns the paper's counters — Yt is
+// StructCandidates, the intersection SearchTopoPrune verifies, and Yp is
+// DistCandidates — with FilterTime and the fragment counts. The planner,
+// when on, plans on its static priors and cold-start thresholds, so the
+// counts depend on the query alone. It learns nothing and publishes
+// nothing.
+func (s *Searcher) CountCandidates(q *graph.Graph, sigma float64) Stats {
+	var st Stats
+	start := time.Now()
+	sc := s.getScratch()
+	s.filter(q, sigma, &st, sc, View{}, nil, false)
+	s.putScratch(sc)
+	st.FilterTime = time.Since(start)
+	return st
+}
+
+// SearchViewCtx runs the PIS pipeline over a mutation snapshot: the
+// indexed base is filtered as usual (range queries and postings skip
+// tombstoned ids), and the live delta graphs join the candidate set with
+// a zero lower bound, so the best-first verifier handles them first and
+// the answer set is exactly a fresh index over the surviving graphs.
+// Cancellation is polled at the range-expansion boundaries of the
+// filter, between verification claims, and inside the branch-and-bound
+// verifier itself (amortized — see iso.Verifier.SetDone), so a canceled
+// query frees its workers within about one verification granule. A
+// canceled query returns the context error together with a partial
+// Result (Stats.Partial set): every returned answer is fully verified,
+// graphs whose verification was cut short are simply missing. A panic in
+// a verification worker is recovered and returned as a *PanicError.
 func (s *Searcher) SearchViewCtx(ctx context.Context, q *graph.Graph, sigma float64, view View) (Result, error) {
 	r, err := s.search(ctx, q, sigma, 0, view)
 	r.Stats.Publish()
@@ -522,7 +524,7 @@ func (s *Searcher) search(ctx context.Context, q *graph.Graph, sigma float64, k 
 	start := time.Now()
 	done := ctx.Done() // nil for background contexts: zero overhead
 	sc := s.getScratch()
-	cands, lbs := s.filter(q, sigma, &r.Stats, sc, view, done)
+	cands, lbs := s.filter(q, sigma, &r.Stats, sc, view, done, true)
 	if len(sc.expansions) > 0 {
 		r.Expansions = slices.Clone(sc.expansions)
 	}
@@ -570,14 +572,13 @@ func (s *Searcher) queryClasses(q *graph.Graph, st *Stats, sc *scratch) []classS
 // the share of the candidates its range query would leave standing — is
 // its learned rate at this σ once one was observed (see
 // Searcher.survival), and the in-range fraction of its build-time
-// distance histogram until then — or throughout, when the searcher does
-// not learn and on every plannerExploreEvery-th search of one that does.
+// distance histogram until then — or throughout, when learned is false
+// and on every plannerExploreEvery-th search where it is true.
 // Determinism: score ties keep class order (stable sort).
-func (s *Searcher) plan(slots []classSlot, sigma float64) bool {
+func (s *Searcher) plan(slots []classSlot, sigma float64, learned bool) bool {
 	if s.opts.PlannerOff {
 		return false
 	}
-	learned := s.survival != nil
 	if learned && s.searches.Add(1)%plannerExploreEvery == 0 {
 		learned = false
 		mPlannerExplore.Inc()
@@ -609,8 +610,7 @@ func (s *Searcher) plan(slots []classSlot, sigma float64) bool {
 // skeleton without listing a fragment. The
 // prescreen (tens of nanoseconds a candidate) thins it next, so every
 // gain the planner estimates or observes afterwards is counted in
-// candidates that would really have been verified; it is skipped with
-// Options.SkipVerification, whose counters are the paper's. Range queries
+// candidates that would really have been verified. Range queries
 // then expand class by class in planner order (pruning power per unit
 // cost), a class's fragments materialized when it is reached; the planner
 // skips a class whose estimated eliminations fall below its budget and
@@ -619,14 +619,19 @@ func (s *Searcher) plan(slots []classSlot, sigma float64) bool {
 // Skipping range queries can only leave extra candidates behind, and
 // verification is exact, so answers never change; only the filtering
 // effort and the per-stage counters do.
-func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch, view View, done <-chan struct{}) (cands []int32, lbs []float64) {
+//
+// verifying is false for CountCandidates, whose candidates go nowhere:
+// then no prescreen runs, the planner plans on its static priors and
+// cold-start thresholds, and nothing is learned or counted in metrics —
+// gains there would be counted in candidates nobody would have verified.
+func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch, view View, done <-chan struct{}, verifying bool) (cands []int32, lbs []float64) {
 	n := len(s.db)
 	tombs := view.Tombs
-	sc.screen = s.NewScreen(q, view)
+	learn := verifying && s.survival != nil
 	sc.expansions = sc.expansions[:0]
 	slots := s.queryClasses(q, st, sc)
 	planStart := time.Now()
-	planned := len(slots) > 0 && s.plan(slots, sigma)
+	planned := len(slots) > 0 && s.plan(slots, sigma, learn)
 	st.PlanTime = time.Since(planStart)
 	// One class is materialized even if no range query runs, so that the
 	// fragment counters describe every query holding an indexed fragment:
@@ -644,7 +649,8 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	// Structural intersection: Yt, and the seed candidate set.
 	cur := s.structuralCandidates(sc, tombs)
 	st.StructCandidates = len(cur)
-	if !s.opts.SkipVerification {
+	if verifying {
+		sc.screen = s.NewScreen(q, view)
 		cur = s.prescreen(sigma, cur, sc, st)
 	}
 
@@ -657,7 +663,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 
 	budget, crossover := 0.0, 0
 	if planned {
-		budget, crossover = s.thresholds()
+		budget, crossover = s.thresholds(verifying)
 	}
 
 	// Lines 6-18: one σ range query per expanded fragment; intersect the
@@ -695,7 +701,9 @@ expand:
 			pl := sc.postingList(len(infos))
 			rqStart := time.Now()
 			s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
-			ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
+			if verifying {
+				ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
+			}
 			sum := 0.0
 			for _, d := range pl.Dists {
 				sum += d
@@ -704,7 +712,7 @@ expand:
 			infos = append(infos, fragInfo{qf: qf, list: pl, w: w})
 			nxt = intersectSorted(nxt[:0], cur, pl.IDs)
 			cur, nxt = nxt, cur
-			if s.survival != nil {
+			if learn {
 				// before > 0: the loop leaves on an empty candidate set.
 				ewmaObserve(s.survivalCell(qf.Class, sigma), max(float64(len(cur))/float64(before), minSurvival))
 			}
@@ -786,7 +794,7 @@ expand:
 	}
 	sc.infos = infos
 	st.ExpandedFragments = len(infos)
-	if planned {
+	if planned && verifying {
 		// A class skipped whole counts as one skip: its fragments were
 		// never materialized.
 		skipped := -len(infos)
@@ -920,9 +928,7 @@ func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *sc
 	}
 	nb := len(cands)
 	cands = view.appendLiveDelta(cands, len(s.db))
-	if !s.opts.SkipVerification {
-		cands = cands[:nb+len(s.prescreen(sigma, cands[nb:], sc, st))]
-	}
+	cands = cands[:nb+len(s.prescreen(sigma, cands[nb:], sc, st))]
 	if lbs != nil {
 		for i := nb; i < len(cands); i++ {
 			lbs = append(lbs, 0)
@@ -952,9 +958,6 @@ func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *sc
 // set stays a subset of the full one. The returned error is a *PanicError when a worker
 // panicked, nil otherwise.
 func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}) error {
-	if s.opts.SkipVerification {
-		return nil
-	}
 	start := time.Now()
 	r.Answers = []int32{}
 	cands := r.Candidates

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -178,15 +179,29 @@ func TestPartitionLowerBoundProperty(t *testing.T) {
 	}
 }
 
+// searchView and searchKNNView run the context forms of the pipeline
+// under a background context, re-panicking a verification panic.
+func searchView(s *Searcher, q *graph.Graph, sigma float64, view View) Result {
+	r, err := s.SearchViewCtx(context.Background(), q, sigma, view)
+	Rethrow(err)
+	return r
+}
+
+func searchKNNView(s *Searcher, q *graph.Graph, k int, maxSigma float64, view View) []Neighbor {
+	ns, _, err := s.SearchKNNViewCtx(context.Background(), q, k, maxSigma, view)
+	Rethrow(err)
+	return ns
+}
+
 func TestPISPrunesMoreWithSmallerSigma(t *testing.T) {
 	fx := newFixture(t, 9, 60)
-	s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true})
+	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(10))
 	totals := map[float64]int{}
 	for trial := 0; trial < 15; trial++ {
 		q := sampleQuery(rng, fx.db, 6)
 		for _, sigma := range []float64{0, 2, 4} {
-			totals[sigma] += s.Search(q, sigma).Stats.DistCandidates
+			totals[sigma] += s.CountCandidates(q, sigma).DistCandidates
 		}
 	}
 	if !(totals[0] <= totals[2] && totals[2] <= totals[4]) {
@@ -215,16 +230,22 @@ func TestPartitionStrategies(t *testing.T) {
 	}
 }
 
-func TestSkipVerification(t *testing.T) {
+// TestCountCandidates pins the filter-only entry: no prescreen, no
+// verification, nothing learned, and the structural count is topoPrune's.
+func TestCountCandidates(t *testing.T) {
 	fx := newFixture(t, 13, 10)
-	s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true})
+	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(14))
-	r := s.Search(sampleQuery(rng, fx.db, 4), 2)
-	if r.Answers != nil {
-		t.Error("answers computed despite SkipVerification")
+	q := sampleQuery(rng, fx.db, 4)
+	st := s.CountCandidates(q, 2)
+	if st.PrescreenRejects != 0 || st.Verified != 0 || st.VerifyNodes != 0 {
+		t.Errorf("a verification tier ran: %+v", st)
 	}
-	if r.Stats.Verified != 0 {
-		t.Error("verification ran despite SkipVerification")
+	if got := s.LearnedSurvival(); len(got) != 0 || s.exchangeRate() != 0 || s.searches.Load() != 0 {
+		t.Errorf("counting candidates taught the planner: %v", got)
+	}
+	if yt := s.SearchTopoPrune(q, 2).Stats.StructCandidates; st.StructCandidates != yt {
+		t.Errorf("StructCandidates %d, topoPrune's %d", st.StructCandidates, yt)
 	}
 }
 

@@ -32,36 +32,26 @@ type Neighbor struct {
 // graph not containing q's structure — are never returned, so the result
 // may hold fewer than k entries.
 func (s *Searcher) SearchKNN(q *graph.Graph, k int, maxSigma float64) []Neighbor {
-	return s.SearchKNNView(q, k, maxSigma, View{})
-}
-
-// SearchKNNView is SearchKNN over a mutation snapshot: tombstoned graphs
-// never surface, and live delta graphs compete for the k slots through
-// the same shrinking budget as the indexed candidates.
-func (s *Searcher) SearchKNNView(q *graph.Graph, k int, maxSigma float64, view View) []Neighbor {
-	ns, _, err := s.SearchKNNViewCtx(context.Background(), q, k, maxSigma, view)
+	ns, _, err := s.SearchKNNViewCtx(context.Background(), q, k, maxSigma, View{})
 	Rethrow(err)
 	return ns
 }
 
-// SearchKNNViewCtx is SearchKNNView under a context: the threshold
-// pipeline of SearchViewCtx at maxSigma, whose verification budget
-// shrinks to the k-th distance once k are known, with the answers ordered
-// by (distance, id) and cut to k. A canceled call returns the context
-// error with the neighbors fully verified so far (they are genuine
-// neighbors, but closer ones may be missing). A verification panic
-// surfaces as a *PanicError. verified is the number of candidates
-// verified: what the answer cost, for a caller deciding whether to keep
-// it. Unlike SearchViewCtx it publishes no query metrics.
+// SearchKNNViewCtx is SearchKNN over a mutation snapshot, under a
+// context: tombstoned graphs never surface, and live delta graphs compete
+// for the k slots through the same shrinking budget as the indexed
+// candidates. It is the threshold pipeline of SearchViewCtx at maxSigma,
+// whose verification budget shrinks to the k-th distance once k are
+// known, with the answers ordered by (distance, id) and cut to k. A
+// canceled call returns the context error with the neighbors fully
+// verified so far (they are genuine neighbors, but closer ones may be
+// missing). A verification panic surfaces as a *PanicError. verified is
+// the number of candidates verified: what the answer cost, for a caller
+// deciding whether to keep it. Unlike SearchViewCtx it publishes no query
+// metrics.
 func (s *Searcher) SearchKNNViewCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64, view View) (ns []Neighbor, verified int, err error) {
 	if k <= 0 || maxSigma < 0 {
 		return nil, 0, nil
-	}
-	if s.opts.SkipVerification {
-		// kNN needs exact distances; run with verification regardless.
-		opts := s.opts
-		opts.SkipVerification = false
-		s = NewSearcher(s.db, s.idx, opts)
 	}
 	r, err := s.search(ctx, q, maxSigma, k, view)
 	ns = make([]Neighbor, len(r.Answers))

@@ -57,7 +57,7 @@ func TestSearchKNNMatchesOracle(t *testing.T) {
 
 func TestSearchKNNSortedAndBounded(t *testing.T) {
 	fx := newFixture(t, 53, 30)
-	s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true}) // must be overridden internally
+	s := NewSearcher(fx.db, fx.idx, Options{})
 	rng := rand.New(rand.NewSource(54))
 	q := sampleQuery(rng, fx.db, 6)
 	ns := s.SearchKNN(q, 5, 8)
@@ -109,14 +109,14 @@ func TestKNNOneFilterPass(t *testing.T) {
 	const k, maxSigma = 10, 4
 	checked := 0
 	for qi, q := range fx.queries {
-		if len(s.SearchView(q, 1, fx.view).Answers) >= k {
+		if len(searchView(s, q, 1, fx.view).Answers) >= k {
 			continue // k fill at σ = 1: one pass either way
 		}
 		before := rangeQueries.Value()
-		s.SearchView(q, maxSigma, fx.view)
+		searchView(s, q, maxSigma, fx.view)
 		search := rangeQueries.Value() - before
 		before = rangeQueries.Value()
-		s.SearchKNNView(q, k, maxSigma, fx.view)
+		searchKNNView(s, q, k, maxSigma, fx.view)
 		if knn := rangeQueries.Value() - before; knn != search || search == 0 {
 			t.Errorf("query %d: kNN ran %d range queries, one search at σ=%v runs %d", qi, knn, maxSigma, search)
 		}

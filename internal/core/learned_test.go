@@ -118,7 +118,7 @@ func (fx moleculeFixture) check(t *testing.T, name string, s *Searcher) {
 	t.Helper()
 	for qi, q := range fx.queries {
 		sigma, want := sigmaOf(qi), fx.naive[qi]
-		got := s.SearchView(q, sigma, fx.view)
+		got := searchView(s, q, sigma, fx.view)
 		if !equalIDs(want.Answers, got.Answers) || !equalF64(want.Distances, got.Distances) {
 			t.Fatalf("%s query %d σ=%v: answers %v %v, naive %v %v", name, qi, sigma, got.Answers, got.Distances, want.Answers, want.Distances)
 		}
@@ -128,7 +128,7 @@ func (fx moleculeFixture) check(t *testing.T, name string, s *Searcher) {
 			t.Fatalf("%s query %d σ=%v: funnel broken: %+v, %d candidates", name, qi, sigma, st, len(got.Candidates))
 		}
 		k, wantKNN := kOf(qi), fx.knn[qi]
-		gotKNN := s.SearchKNNView(q, k, knnMaxSigma, fx.view)
+		gotKNN := searchKNNView(s, q, k, knnMaxSigma, fx.view)
 		if len(wantKNN) != len(gotKNN) {
 			t.Fatalf("%s query %d k=%d: %d neighbors, brute force %d", name, qi, k, len(gotKNN), len(wantKNN))
 		}
@@ -160,7 +160,7 @@ func TestPlannerLearnedDifferential(t *testing.T) {
 			// cells (and cross the explore period many times over).
 			warm := chem.SampleQueries(fx.db, 100, 12, 8)
 			for i := 0; i < 500; i++ {
-				s.SearchView(warm[i%len(warm)], float64(i%3), fx.view)
+				searchView(s, warm[i%len(warm)], float64(i%3), fx.view)
 			}
 			if len(s.LearnedSurvival()) == 0 {
 				t.Fatal("500 searches observed no range query: the differential would not exercise learned rates")
@@ -179,25 +179,19 @@ func TestPlannerLearnedDifferential(t *testing.T) {
 			forceSurvival(s, 1)
 			fx.check(t, "forced 1", s)
 
-			for _, o := range []struct {
-				name string
-				opts Options
-			}{
-				{"PlannerOff", Options{PlannerOff: true}},
-				{"SkipVerification", Options{SkipVerification: true}},
-			} {
-				frozen := NewSearcher(fx.db, fx.idx, o.opts)
-				if frozen.survival != nil {
-					t.Fatalf("%s: searcher keeps learned state", o.name)
-				}
-				if o.opts.SkipVerification {
-					// Candidate counting only: no prescreen may run.
-					if r := frozen.SearchView(fx.queries[0], 2, fx.view); r.Stats.PrescreenRejects != 0 || r.Answers != nil {
-						t.Fatalf("SkipVerification ran a verification tier: %+v", r.Stats)
-					}
-					continue
-				}
-				fx.check(t, o.name, frozen)
+			frozen := NewSearcher(fx.db, fx.idx, Options{PlannerOff: true})
+			if frozen.survival != nil {
+				t.Fatal("PlannerOff: searcher keeps learned state")
+			}
+			fx.check(t, "PlannerOff", frozen)
+
+			// Candidate counting: no prescreen runs and nothing is learned.
+			counter := NewSearcher(fx.db, fx.idx, Options{})
+			if st := counter.CountCandidates(fx.queries[0], 2); st.PrescreenRejects != 0 || st.Verified != 0 {
+				t.Fatalf("CountCandidates ran a verification tier: %+v", st)
+			}
+			if len(counter.LearnedSurvival()) != 0 || counter.exchangeRate() != 0 {
+				t.Fatal("CountCandidates taught the planner")
 			}
 		})
 	}
@@ -244,12 +238,12 @@ func TestPlannerLearnedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3*len(fx.queries); i++ {
 				qi := (i + g*5) % len(fx.queries)
-				got := s.SearchView(fx.queries[qi], sigmaOf(qi), fx.view)
+				got := searchView(s, fx.queries[qi], sigmaOf(qi), fx.view)
 				if !equalIDs(want[qi].Answers, got.Answers) || !equalF64(want[qi].Distances, got.Distances) {
 					t.Errorf("goroutine %d query %d: answers diverged", g, qi)
 					return
 				}
-				s.SearchKNNView(fx.queries[qi], 3, knnMaxSigma, fx.view)
+				searchKNNView(s, fx.queries[qi], 3, knnMaxSigma, fx.view)
 				s.LearnedSurvival()
 			}
 		}(g)

@@ -35,17 +35,17 @@ func newBenchFixture(b *testing.B) benchFixture {
 
 // BenchmarkSearchPipeline measures the PIS hot path end to end and per
 // stage, with allocation counts. The PIS/Filter sub-benchmark is the
-// filtering stage alone (SkipVerification); PIS/Full includes parallel
+// filtering stage alone (CountCandidates); PIS/Full includes parallel
 // verification; TopoPrune and Naive are the paper's baselines.
 func BenchmarkSearchPipeline(b *testing.B) {
 	fx := newBenchFixture(b)
 
 	b.Run("PIS/Filter", func(b *testing.B) {
-		s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true})
+		s := NewSearcher(fx.db, fx.idx, Options{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.Search(fx.queries[i%len(fx.queries)], 2)
+			s.CountCandidates(fx.queries[i%len(fx.queries)], 2)
 		}
 	})
 	b.Run("PIS/Full", func(b *testing.B) {
@@ -57,7 +57,7 @@ func BenchmarkSearchPipeline(b *testing.B) {
 		}
 	})
 	b.Run("TopoPrune", func(b *testing.B) {
-		s := NewSearcher(fx.db, fx.idx, Options{SkipVerification: true})
+		s := NewSearcher(fx.db, fx.idx, Options{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

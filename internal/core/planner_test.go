@@ -116,13 +116,13 @@ func TestPlannerDifferentialWithView(t *testing.T) {
 		}
 		q := sampleQuery(rng, fx.db, 3+rng.Intn(4))
 		sigma := float64(rng.Intn(4))
-		want := exhaustive.SearchView(q, sigma, view)
-		got := planned.SearchView(q, sigma, view)
+		want := searchView(exhaustive, q, sigma, view)
+		got := searchView(planned, q, sigma, view)
 		if !equalIDs(want.Answers, got.Answers) || !equalF64(want.Distances, got.Distances) {
 			t.Fatalf("trial %d σ=%v: planner changed answers under a mutation view", trial, sigma)
 		}
-		wantKNN := exhaustive.SearchKNNView(q, 3, 5, view)
-		gotKNN := planned.SearchKNNView(q, 3, 5, view)
+		wantKNN := searchKNNView(exhaustive, q, 3, 5, view)
+		gotKNN := searchKNNView(planned, q, 3, 5, view)
 		if len(wantKNN) != len(gotKNN) {
 			t.Fatalf("trial %d: view kNN lengths differ", trial)
 		}
@@ -190,13 +190,13 @@ func TestPlannerDefaults(t *testing.T) {
 	if s.opts.PlannerOff || s.survival == nil {
 		t.Fatalf("zero Options do not plan and learn: %+v", s.opts)
 	}
-	if b, c := s.thresholds(); b != coldBudget || c != coldCrossover {
+	if b, c := s.thresholds(true); b != coldBudget || c != coldCrossover {
 		t.Fatalf("cold thresholds %v, %d; want %v, %d", b, c, coldBudget, coldCrossover)
 	}
 	for _, rho := range []float64{0.25, 5, 1e6} {
 		pinExchangeRate(s, rho)
 		want := int(min(max(rho, 1), 1024))
-		if b, c := s.thresholds(); b != float64(want) || c != want {
+		if b, c := s.thresholds(true); b != float64(want) || c != want {
 			t.Fatalf("ρ = %v: thresholds %v, %d; want %d for both", rho, b, c, want)
 		}
 	}

@@ -118,13 +118,13 @@ func TestPrescreenSkipsDeltaWithoutFPs(t *testing.T) {
 	extra := randomMolecule(rng, 8)
 	view := View{Delta: []*graph.Graph{extra}} // no DeltaFPs on purpose
 	q := sampleQuery(rng, fx.db, 4)
-	got := s.SearchView(q, 3, view)
+	got := searchView(s, q, 3, view)
 	want := s.SearchNaiveView(q, 3, view)
 	if !reflect.DeepEqual(got.Answers, want.Answers) {
 		t.Fatalf("answers %v, want %v", got.Answers, want.Answers)
 	}
 	withFPs := View{Delta: view.Delta, DeltaFPs: []index.GraphFP{index.DeltaFP(extra)}}
-	got2 := s.SearchView(q, 3, withFPs)
+	got2 := searchView(s, q, 3, withFPs)
 	if !reflect.DeepEqual(got2.Answers, want.Answers) {
 		t.Fatalf("answers with delta fingerprints %v, want %v", got2.Answers, want.Answers)
 	}

@@ -109,7 +109,7 @@ func TestParallelKNNMatchesThresholdOracle(t *testing.T) {
 			for _, k := range []int{1, 3, 10, 1000} {
 				want := all[:min(len(all), k)]
 				for w, s := range searchers {
-					ns := s.SearchKNNView(q, k, maxSigma, view)
+					ns := searchKNNView(s, q, k, maxSigma, view)
 					if len(ns) != len(want) {
 						t.Fatalf("trial %d σ=%v k=%d workers=%d: got %d neighbors, oracle has %d", trial, maxSigma, k, w, len(ns), len(want))
 					}

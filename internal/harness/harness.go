@@ -199,33 +199,33 @@ type measurement struct {
 	filter  time.Duration
 }
 
-// runBuckets executes the shared experiment loop: per query, Yt from
-// topoPrune and Yp per variant, bucketed by Yt. Figure variants pin
-// PlannerOff so Yp measures the paper's exhaustive Algorithm 2, not the
-// planner's truncated expansion (the planner trades candidates for
-// filter time, which the throughput report measures instead).
+// runBuckets executes the shared experiment loop: per query, Yt and Yp
+// per variant from the filter alone (CountCandidates), bucketed by Yt —
+// the structural intersection topoPrune verifies, the same for every
+// variant. Figure variants pin PlannerOff so Yp measures the paper's
+// exhaustive Algorithm 2, not the planner's truncated expansion (the
+// planner trades candidates for filter time, which the throughput report
+// measures instead).
 func runBuckets(env *Env, queries []*graph.Graph, variants []variant) []measurement {
-	base := core.NewSearcher(env.DB, env.Index, core.Options{SkipVerification: true})
 	searchers := make([]*core.Searcher, len(variants))
 	for i, v := range variants {
-		o := v.opts
-		o.SkipVerification = true
-		searchers[i] = core.NewSearcher(env.DB, env.Index, o)
+		searchers[i] = core.NewSearcher(env.DB, env.Index, v.opts)
 	}
 	ms := make([]measurement, len(PaperBuckets))
 	for i := range ms {
 		ms[i].pisSum = make([]float64, len(variants))
 	}
 	for _, q := range queries {
-		topo := base.SearchTopoPrune(q, 0)
-		yt := topo.Stats.StructCandidates
-		bi := bucketOf(yt, env.Config.DBSize)
-		ms[bi].queries++
-		ms[bi].topoSum += float64(yt)
+		m := &ms[0]
 		for vi, v := range variants {
-			r := searchers[vi].Search(q, v.sigma)
-			ms[bi].pisSum[vi] += float64(r.Stats.DistCandidates)
-			ms[bi].filter += r.Stats.FilterTime
+			st := searchers[vi].CountCandidates(q, v.sigma)
+			if vi == 0 {
+				m = &ms[bucketOf(st.StructCandidates, env.Config.DBSize)]
+				m.queries++
+				m.topoSum += float64(st.StructCandidates)
+			}
+			m.pisSum[vi] += float64(st.DistCandidates)
+			m.filter += st.FilterTime
 		}
 	}
 	return ms
@@ -408,15 +408,14 @@ func sigmaVariants(cfg Config, sigmas ...float64) []variant {
 // the average fragments expanded vs. materialized (Stats.UsedFragments).
 func FilterTiming(env *Env, queryEdges int, sigma float64) (avg time.Duration, avgExpanded, avgUsable float64, queries int) {
 	qs := chem.SampleQueries(env.DB, env.Config.Queries, queryEdges, env.Config.Seed+3)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{SkipVerification: true,
-		Lambda: env.Config.Lambda, PartitionK: env.Config.PartitionK})
+	s := core.NewSearcher(env.DB, env.Index, core.Options{Lambda: env.Config.Lambda, PartitionK: env.Config.PartitionK})
 	var total time.Duration
 	expanded, usable := 0, 0
 	for _, q := range qs {
-		r := s.Search(q, sigma)
-		total += r.Stats.FilterTime
-		expanded += r.Stats.ExpandedFragments
-		usable += r.Stats.UsedFragments
+		st := s.CountCandidates(q, sigma)
+		total += st.FilterTime
+		expanded += st.ExpandedFragments
+		usable += st.UsedFragments
 	}
 	n := len(qs)
 	return total / time.Duration(n), float64(expanded) / float64(n), float64(usable) / float64(n), n

@@ -86,7 +86,7 @@ func TestFigure8ShapeProperties(t *testing.T) {
 }
 
 // TestFigure8CandidateCountsPinned holds Yt and Yp of the figure harness
-// (SkipVerification + PlannerOff: the paper's exhaustive Algorithm 2) to
+// (CountCandidates + PlannerOff: the paper's exhaustive Algorithm 2) to
 // the totals it produced before the prescreen moved ahead of the σ range
 // queries. Without verification no prescreen runs, so that reordering —
 // and anything the planner learns — must leave these counts bit-equal.

@@ -61,8 +61,7 @@ func (k memoKey) size(e *memoEntry) int64 {
 	return int64(len(k.q)) + 12*int64(len(e.ids)) + memoEntryOverhead
 }
 
-// memo is a byte-bounded map of entries, safe for concurrent use. A nil
-// *memo stores nothing and never hits.
+// memo is a byte-bounded map of entries, safe for concurrent use.
 type memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
@@ -81,7 +80,7 @@ func (m *memo) get(k memoKey) *memoEntry {
 // whole budget is not admitted.
 func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	size := k.size(e)
-	if m == nil || size > budget {
+	if size > budget {
 		return
 	}
 	m.mu.Lock()
@@ -111,9 +110,6 @@ func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 
 // clear drops every entry.
 func (m *memo) clear() {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mMemoBytes.Add(float64(-m.bytes))
@@ -162,9 +158,6 @@ func (sn *snapshot) newcomers(e *memoEntry) (locals []int32, ok bool) {
 // lookup returns the entry under k when this snapshot can be answered
 // from it, counting the outcome otherwise.
 func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int32) {
-	if sn.memo == nil {
-		return nil, nil
-	}
 	e = sn.memo.get(k)
 	if e == nil || e.mark > sn.maxID || e.radius < radius {
 		mMemoMiss.Inc()
@@ -193,19 +186,19 @@ func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int
 // reports false when the context fired or a verification panicked; the
 // caller then drops what it has and runs the full pipeline, which reports
 // either its own way.
-func (sn *snapshot) catchUp(ctx context.Context, srch *core.Searcher, q *graph.Graph, fresh []int32, st *core.Stats, budget func() float64, found func(id int32, d float64)) bool {
+func (sn *snapshot) catchUp(ctx context.Context, q *graph.Graph, fresh []int32, st *core.Stats, budget func() float64, found func(id int32, d float64)) bool {
 	start := time.Now()
 	var screen core.Screen
-	nodes, err := srch.VerifyEach(q, len(fresh), ctx.Done(), func(v *iso.Verifier, i int) {
+	nodes, err := sn.srch.VerifyEach(q, len(fresh), ctx.Done(), func(v *iso.Verifier, i int) {
 		if i == 0 {
-			screen = srch.NewScreen(q, sn.view)
+			screen = sn.srch.NewScreen(q, sn.view)
 		}
 		b := budget()
 		if screen.Refutes(fresh[i], b, st) {
 			return
 		}
 		st.Verified++
-		found(sn.global(fresh[i]), v.Distance(srch.Graph(sn.view, fresh[i]), b))
+		found(sn.global(fresh[i]), v.Distance(sn.srch.Graph(sn.view, fresh[i]), b))
 	})
 	st.MemoHits, st.Refreshed, st.VerifyNodes, st.VerifyTime = 1, st.Verified, int(nodes), time.Since(start)
 	mMemoRefreshed.Add(int64(st.Verified))
@@ -220,7 +213,7 @@ func (sn *snapshot) search(ctx context.Context, q *graph.Graph, sigma float64) (
 		r.Answers, r.Distances = sn.liveOf(e)
 		r.Stats.VerifyCacheHits = len(r.Answers)
 		r.Candidates = slices.Clone(r.Answers)
-		if sn.catchUp(ctx, sn.srch, q, fresh, &r.Stats, func() float64 { return sigma }, func(id int32, d float64) {
+		if sn.catchUp(ctx, q, fresh, &r.Stats, func() float64 { return sigma }, func(id int32, d float64) {
 			r.Candidates = append(r.Candidates, id)
 			if !distance.IsInfinite(d) {
 				r.Answers = append(r.Answers, id)
@@ -256,7 +249,7 @@ func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, maxSig
 	if e, fresh := sn.lookup(key, maxSigma); e != nil {
 		ids, dists := sn.liveOf(e)
 		var st core.Stats
-		if sn.catchUp(ctx, sn.knn, q, fresh, &st, func() float64 {
+		if sn.catchUp(ctx, q, fresh, &st, func() float64 {
 			if len(ids) >= k {
 				return dists[k-1]
 			}
@@ -280,7 +273,7 @@ func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, maxSig
 			return ns, nil
 		}
 	}
-	ns, verified, err := sn.knn.SearchKNNViewCtx(ctx, q, k, maxSigma, sn.view)
+	ns, verified, err := sn.srch.SearchKNNViewCtx(ctx, q, k, maxSigma, sn.view)
 	e := &memoEntry{mark: sn.maxID, cost: verified, radius: maxSigma}
 	for i := range ns {
 		ns[i].ID = sn.global(ns[i].ID)

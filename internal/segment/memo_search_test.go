@@ -297,8 +297,7 @@ func TestMemoKNNShortEntrySurvivesDelete(t *testing.T) {
 }
 
 // TestMemoStartsCold: the memo belongs to the Segment value. A segment
-// recovered from its store answers its first read cold, and one that
-// skips verification never looks the memo up.
+// recovered from its store answers its first read cold.
 func TestMemoStartsCold(t *testing.T) {
 	dir := t.TempDir()
 	seg := newDurableSegment(t, dir, faultfs.New(nil), 30)
@@ -321,18 +320,5 @@ func TestMemoStartsCold(t *testing.T) {
 	}
 	if got := readMemoCounts().since(c0); got != (memoCounts{miss: 1}) {
 		t.Fatalf("first read of a recovered segment: lookups %+v, want one miss", got)
-	}
-
-	cfg := segConfig(nil)
-	cfg.Core.SkipVerification = true
-	graphs := segGraphs(30, 1)
-	counting, err := segment.New(graphs, 0, segFeatures(t, graphs), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0 = readMemoCounts()
-	a, b := search(counting, q, 1), search(counting, q, 1)
-	if got := readMemoCounts().since(c0); got != (memoCounts{}) || a.Answers != nil || !reflect.DeepEqual(a.Stats.StructCandidates, b.Stats.StructCandidates) {
-		t.Fatalf("SkipVerification searches touched the memo: lookups %+v", got)
 	}
 }

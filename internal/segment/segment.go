@@ -18,10 +18,11 @@
 // features gives.
 //
 // Query planning is delta-aware by construction: the cost-based planner
-// (core.Options planner knobs) budgets its σ range queries against the
-// indexed base only — delta graphs bypass the filter and are verified
-// regardless, so their count never inflates a fragment's estimated gain
-// — and the per-fragment selectivity statistics the planner consumes
+// of the segment's one core.Searcher, which threshold and kNN reads
+// share, budgets its σ range queries against the indexed base only —
+// delta graphs bypass the filter and are verified regardless, so their
+// count never inflates a fragment's estimated gain — and the
+// per-fragment selectivity statistics the planner consumes
 // are recomputed with every compaction: a merge seals the index the way a
 // build does, and sealing collects them.
 //
@@ -66,12 +67,8 @@ var ErrNotDurable = errors.New("segment: no backing store (database was not open
 type Config struct {
 	// Index configures the per-class index (kind + metric).
 	Index index.Options
-	// Core tunes the fan-out searcher (Search/SearchBatch); a sharded
-	// owner divides verification workers across segments here.
+	// Core tunes the segment's searcher, which every read shares.
 	Core core.Options
-	// KNNCore tunes the sequential kNN searcher, which may use the full
-	// verification budget because only one segment runs at a time.
-	KNNCore core.Options
 	// CompactFraction triggers automatic compaction when
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
 	// Compact can still be called explicitly.
@@ -104,7 +101,6 @@ type Segment struct {
 	ids  []int32
 	idx  *index.Index
 	srch *core.Searcher
-	knn  *core.Searcher
 	// delta holds inserted, not-yet-indexed graphs; deltaIDs aligns,
 	// strictly ascending and greater than every id in ids (global ids are
 	// assigned monotonically). Both are append-only between compactions.
@@ -140,9 +136,8 @@ type Segment struct {
 	insMu sync.Mutex
 	// st is the durable backing store; nil for an in-memory segment.
 	st *store.Store
-	// memo remembers what reads answered (memo.go); nil when the searcher
-	// skips verification and has no answers to remember.
-	memo *memo
+	// memo remembers what reads answered (memo.go).
+	memo memo
 	// retired holds mapped indexes replaced by compaction. In-flight
 	// queries run lock-free against the snapshot they took, so an old
 	// mapping cannot be unmapped at swap time; it is parked here and
@@ -317,11 +312,7 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		ids:   ids,
 		idx:   idx,
 		srch:  core.NewSearcher(base, idx, cfg.Core),
-		knn:   core.NewSearcher(base, idx, cfg.KNNCore),
 		maxID: maxID,
-	}
-	if !cfg.Core.SkipVerification {
-		s.memo = new(memo)
 	}
 	s.nlive.Store(int32(len(base)))
 	return s, nil
@@ -329,13 +320,13 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 
 // snapshot is one consistent read view: taken under RLock, used lock-free.
 type snapshot struct {
-	srch, knn *core.Searcher
-	ids       []int32
-	deltaIDs  []int32
-	maxID     int32
-	view      core.View
-	memo      *memo
-	budget    int64 // the memo's byte bound for a segment of this size
+	srch     *core.Searcher
+	ids      []int32
+	deltaIDs []int32
+	maxID    int32
+	view     core.View
+	memo     *memo
+	budget   int64 // the memo's byte bound for a segment of this size
 }
 
 func (s *Segment) snapshot() snapshot {
@@ -343,12 +334,11 @@ func (s *Segment) snapshot() snapshot {
 	defer s.mu.RUnlock()
 	return snapshot{
 		srch:     s.srch,
-		knn:      s.knn,
 		ids:      s.ids,
 		deltaIDs: s.deltaIDs,
 		maxID:    s.maxID,
 		view:     core.View{Tombs: s.tombs, Delta: s.delta, DeltaFPs: s.deltaFPs},
-		memo:     s.memo,
+		memo:     &s.memo,
 		budget:   max(memoFloorBytes, memoBytesPerGraph*int64(len(s.ids)+len(s.deltaIDs))),
 	}
 }
@@ -728,7 +718,6 @@ func (s *Segment) compactLocked() error {
 	mCompactEnumerated.Add(int64(len(survivors) - carried))
 	s.base, s.ids, s.idx = survivors, ids, idx
 	s.srch = core.NewSearcher(survivors, idx, s.cfg.Core)
-	s.knn = core.NewSearcher(survivors, idx, s.cfg.KNNCore)
 	s.delta, s.deltaIDs, s.deltaFPs, s.tombs = nil, nil, nil, nil
 	return nil
 }
@@ -785,9 +774,9 @@ func (s *Segment) AppendLiveIDs(dst []int32) []int32 {
 	return dst
 }
 
-// LearnedSurvival returns what the planner of the Search path has learned
-// since the last compaction (core.Searcher.LearnedSurvival); the kNN
-// searcher learns separately and is not reported.
+// LearnedSurvival returns what the segment's planner has learned from
+// threshold and kNN reads since the last compaction
+// (core.Searcher.LearnedSurvival).
 func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 	return s.snapshot().srch.LearnedSurvival()
 }

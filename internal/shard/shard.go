@@ -1,9 +1,10 @@
 // Package shard runs the PIS pipeline over a horizontally partitioned
 // graph database. The database is split into contiguous shards, each a
 // mutable segment with its own fragment index over the database's one
-// feature set, mined once by the caller; a query fans out to every shard
-// and the per-shard results are stitched back together with global graph
-// ids.
+// feature set, mined once by the caller, and configured by the caller's
+// one segment.Config, as a cluster replica is; a query fans out to every
+// shard and the per-shard results are stitched back together with global
+// graph ids.
 //
 // Because PIS verification is exact, answers never depend on which
 // features a shard's index holds (a store written before features were
@@ -34,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -45,48 +45,6 @@ import (
 	"pis/internal/segment"
 	"pis/internal/store"
 )
-
-// Config carries the per-shard build parameters. The caller (pis.NewSharded)
-// normalizes defaults; this package applies them verbatim to every shard.
-type Config struct {
-	// Index configures the per-class index (kind + metric).
-	Index index.Options
-	// Core tunes the filtering stage of every shard's searcher.
-	Core core.Options
-	// CompactFraction triggers automatic per-shard compaction when a
-	// shard's delta outgrows this fraction of its indexed base (<= 0
-	// disables the trigger).
-	CompactFraction float64
-	// FS routes every shard store's disk operations; nil means the real
-	// filesystem (fault-injection tests swap in internal/faultfs).
-	FS store.FS
-	// MappedIndex serves every shard's base index memory-mapped from its
-	// on-disk image; see segment.Config.MappedIndex.
-	MappedIndex bool
-}
-
-// SegmentConfig translates the shard config for one of nShards segments
-// searched by one fan-out. A fan-out query already runs one goroutine per
-// shard, so the fan-out searcher divides GOMAXPROCS verify workers across
-// the shards instead of oversubscribing the CPU nShards-fold; the
-// sequential kNN searcher keeps the full budget. A batch of queries
-// (pis.SearchBatch) layers its own worker bound on top, so a saturated
-// batch still oversubscribes by roughly its in-flight query count; that
-// churn is transient (verification goroutines are short-lived and capped
-// by candidate count) and accepted in exchange for keeping worker counts
-// a per-searcher constant.
-func (cfg Config) SegmentConfig(nShards int) segment.Config {
-	fanout := cfg.Core
-	fanout.VerifyWorkers = max(1, runtime.GOMAXPROCS(0)/nShards)
-	return segment.Config{
-		Index:           cfg.Index,
-		Core:            fanout,
-		KNNCore:         cfg.Core,
-		CompactFraction: cfg.CompactFraction,
-		FS:              cfg.FS,
-		MappedIndex:     cfg.MappedIndex,
-	}
-}
 
 // Range is one contiguous shard slice [Start, End) of the database.
 type Range struct{ Start, End int }
@@ -147,9 +105,9 @@ func newDB(segs []*segment.Segment, nextID int32) *DB {
 
 // New splits graphs into nShards contiguous shards and builds every
 // shard's index under feats concurrently (one goroutine per shard, each
-// running index.BuildParallel on GOMAXPROCS workers). The shards share
-// feats and only read it.
-func New(graphs []*graph.Graph, nShards int, feats []mining.Feature, cfg Config) (*DB, error) {
+// running index.BuildParallel on GOMAXPROCS workers). Every shard is a
+// segment configured by cfg; the shards share feats and only read it.
+func New(graphs []*graph.Graph, nShards int, feats []mining.Feature, cfg segment.Config) (*DB, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("shard: empty database")
 	}
@@ -157,11 +115,10 @@ func New(graphs []*graph.Graph, nShards int, feats []mining.Feature, cfg Config)
 		return nil, fmt.Errorf("shard: nShards must be >= 1, got %d", nShards)
 	}
 	ranges := Split(len(graphs), nShards)
-	scfg := cfg.SegmentConfig(len(ranges))
 	segs := make([]*segment.Segment, len(ranges))
 	err := eachShard(len(ranges), func(i int) (err error) {
 		rg := ranges[i]
-		segs[i], err = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), feats, scfg)
+		segs[i], err = segment.New(graphs[rg.Start:rg.End], int32(rg.Start), feats, cfg)
 		return err
 	})
 	if err != nil {
@@ -216,15 +173,14 @@ func (d *DB) Persist(dir string) error {
 // MANIFEST fixes the shard count, each shard recovers from its own
 // snapshot + WAL in parallel, and the global id counter resumes past
 // every id ever assigned, so recovered databases never reuse ids.
-func Open(dir string, cfg Config) (*DB, error) {
+func Open(dir string, cfg segment.Config) (*DB, error) {
 	nShards, err := store.ReadRootManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	scfg := cfg.SegmentConfig(nShards)
 	segs := make([]*segment.Segment, nShards)
 	err = eachShard(nShards, func(i int) (err error) {
-		segs[i], err = segment.OpenDurable(store.ShardDir(dir, i), scfg)
+		segs[i], err = segment.OpenDurable(store.ShardDir(dir, i), cfg)
 		return err
 	})
 	if err != nil {

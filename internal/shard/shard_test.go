@@ -15,11 +15,12 @@ import (
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/segment"
 	"pis/internal/store"
 )
 
-func testConfig() Config {
-	return Config{Index: index.Options{Metric: distance.EdgeMutation{}}}
+func testConfig() segment.Config {
+	return segment.Config{Index: index.Options{Metric: distance.EdgeMutation{}}}
 }
 
 // testFeatures mines the one feature set every shard of a DB over db

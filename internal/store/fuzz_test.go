@@ -30,7 +30,7 @@ const (
 // its snapshot and WAL bytes.
 func fuzzStore(t testing.TB, dir string) (snap, wal []byte) {
 	graphs, idx := testState(t, 8, 11)
-	st, err := Create(dir)
+	st, err := CreateFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

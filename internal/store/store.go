@@ -149,13 +149,10 @@ func existsFS(fs FS, dir string) bool {
 	return err == nil
 }
 
-// Create prepares dir for a new segment store on the real filesystem.
-func Create(dir string) (*Store, error) { return CreateFS(dir, nil) }
-
-// CreateFS is Create with an explicit filesystem (nil means OSFS). The
-// store is not readable until the first WriteSnapshot establishes the
+// CreateFS prepares dir for a new segment store on fs (nil means OSFS).
+// The store is not readable until the first WriteSnapshot establishes the
 // initial (snapshot, WAL) pair; a crash before that leaves no MANIFEST,
-// so a later Open fails cleanly and the caller rebuilds.
+// so a later OpenWith fails cleanly and the caller rebuilds.
 func CreateFS(dir string, fs FS) (*Store, error) {
 	if fs == nil {
 		fs = OSFS
@@ -169,22 +166,7 @@ func CreateFS(dir string, fs FS) (*Store, error) {
 	return &Store{dir: dir, fs: fs}, nil
 }
 
-// Open recovers the segment state from dir on the real filesystem.
-func Open(dir string, metric distance.Metric) (*Store, *Snapshot, []Record, error) {
-	return OpenFS(dir, metric, nil)
-}
-
-// OpenFS is Open with an explicit filesystem (nil means OSFS): it
-// recovers the segment state from dir — the newest valid snapshot plus
-// the decoded valid prefix of its WAL, in append order. A torn or
-// corrupt log tail is truncated away (and reported in Stats().Recovery);
-// the WAL is then reopened for appends, so the store is immediately
-// writable. The metric must match the one the index was built with.
-func OpenFS(dir string, metric distance.Metric, fs FS) (*Store, *Snapshot, []Record, error) {
-	return OpenWith(dir, metric, OpenOptions{FS: fs})
-}
-
-// OpenOptions tunes OpenWith beyond the defaults OpenFS uses.
+// OpenOptions tunes OpenWith.
 type OpenOptions struct {
 	// FS routes disk operations; nil means the real filesystem.
 	FS FS
@@ -195,7 +177,12 @@ type OpenOptions struct {
 	MappedIndex bool
 }
 
-// OpenWith is OpenFS with options; see OpenOptions.
+// OpenWith recovers the segment state from dir: the newest valid
+// snapshot plus the decoded valid prefix of its WAL, in append order. A
+// torn or corrupt log tail is truncated away (and reported in
+// Stats().Recovery); the WAL is then reopened for appends, so the store
+// is immediately writable. The metric must match the one the index was
+// built with.
 func OpenWith(dir string, metric distance.Metric, o OpenOptions) (*Store, *Snapshot, []Record, error) {
 	fs := o.FS
 	if fs == nil {

@@ -58,7 +58,7 @@ func seqIDs(start int32, n int) []int32 {
 // createWithSnapshot builds a store whose initial snapshot holds graphs.
 func createWithSnapshot(t *testing.T, dir string, graphs []*graph.Graph, idx *index.Index) *Store {
 	t.Helper()
-	st, err := Create(dir)
+	st, err := CreateFS(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	st.Close()
 
-	st2, snap, recs, err := Open(dir, distance.EdgeMutation{})
+	st2, snap, recs, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStoreCheckpointResetsWAL(t *testing.T) {
 	}
 	st.Close()
 
-	_, snap2, recs, err := Open(dir, distance.EdgeMutation{})
+	_, snap2, recs, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStoreTornAndCorruptTail(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cdir, "wal-000001"), mutate(append([]byte(nil), clean...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st2, _, recs, err := Open(cdir, distance.EdgeMutation{})
+		st2, _, recs, err := OpenWith(cdir, distance.EdgeMutation{}, OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", name, err)
 		}
@@ -340,7 +340,7 @@ func TestOpenRejectsEmbeddedIndexSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "snap-000001.pissnap"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := Open(dir, distance.EdgeMutation{})
+	_, _, _, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
 	if err == nil || !strings.Contains(err.Error(), "embeds an index; rebuild") {
 		t.Fatalf("Open of an embedded-index snapshot: %v", err)
 	}
@@ -412,7 +412,7 @@ func FuzzReadRootManifest(f *testing.F) {
 }
 
 func TestOpenRejectsMissingStore(t *testing.T) {
-	if _, _, _, err := Open(t.TempDir(), distance.EdgeMutation{}); err == nil {
+	if _, _, _, err := OpenWith(t.TempDir(), distance.EdgeMutation{}, OpenOptions{}); err == nil {
 		t.Fatal("Open of an empty directory succeeded")
 	}
 }

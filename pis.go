@@ -112,7 +112,9 @@ var (
 // unit default cost (the MD measure with custom relabeling prices).
 func NewMutationMatrix() *distance.Matrix { return distance.NewMatrix() }
 
-// Options configures database construction and search.
+// Options configures database construction and search. They translate
+// to the one segment configuration every shard of a Database, and every
+// replica of a ClusterNode, is built with.
 type Options struct {
 	// Metric is the superimposed distance measure (default EdgeMutation).
 	// It also decides what the index stores per fragment: edge weights
@@ -238,9 +240,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// shardConfig translates the public knobs to the shard package.
-func (o Options) shardConfig() shard.Config {
-	return shard.Config{
+// segmentConfig translates the public knobs to the segment package.
+func (o Options) segmentConfig() segment.Config {
+	return segment.Config{
 		Index:           index.Options{Metric: o.Metric},
 		Core:            core.Options{PlannerOff: o.PlannerOff},
 		CompactFraction: o.CompactFraction,
@@ -272,7 +274,7 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := shard.New(graphs, nShards, feats, opts.shardConfig())
+	db, err := shard.New(graphs, nShards, feats, opts.segmentConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
@@ -344,7 +346,7 @@ func StoreExists(dir string) bool {
 // MaxFragmentEdges and MinSupportFraction are ignored.
 func Open(dir string, opts Options) (*Database, error) {
 	opts = opts.withDefaults()
-	db, err := shard.Open(dir, opts.shardConfig())
+	db, err := shard.Open(dir, opts.segmentConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}

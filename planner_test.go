@@ -145,3 +145,20 @@ func TestPlannerDifferentialMutations(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNTeachesPlanner: a segment's threshold and kNN reads share one
+// planner, so what kNN queries alone observe shows in PlannerState.
+func TestKNNTeachesPlanner(t *testing.T) {
+	graphs := gen.Molecules(600, gen.Config{Seed: 1})
+	db, err := pis.New(graphs, pis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, q := range gen.Queries(graphs, 20, 16, 2) {
+		db.SearchKNN(q, 10, 4)
+	}
+	if len(db.PlannerState()) == 0 {
+		t.Fatal("20 kNN queries left the planner state empty")
+	}
+}

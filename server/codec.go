@@ -168,8 +168,8 @@ type KNNResponse struct {
 type BatchRequest struct {
 	Queries []GraphJSON `json:"queries"`
 	Sigma   float64     `json:"sigma"`
-	// Workers bounds concurrent queries within the batch (0 = server
-	// default).
+	// Workers bounds concurrent queries within the batch, at most
+	// GOMAXPROCS (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 

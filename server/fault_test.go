@@ -316,16 +316,11 @@ func TestPoisonedStoreDegradesReadOnly(t *testing.T) {
 	}
 }
 
-// TestStrictHealthConfig: Config.StrictHealth flips the default for
-// every probe, and a healthy store answers 200 either way.
-func TestStrictHealthConfig(t *testing.T) {
+// TestHealthzStrictOnHealthyStore: strict mode fails only a degraded node; a
+// healthy store answers ?strict=1 with 200.
+func TestHealthzStrictOnHealthyStore(t *testing.T) {
 	_, db := testEnv(t)
-	ts := newTestServer(t, Config{Backend: poisonedBackend{db}, StrictHealth: true})
-	if st, _, _ := getBody(t, ts.URL+"/healthz"); st != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with StrictHealth on poisoned store: %d, want 503", st)
-	}
-
-	healthy := newTestServer(t, Config{Backend: db, StrictHealth: true})
+	healthy := newTestServer(t, Config{Backend: db})
 	if st, body, _ := getBody(t, healthy.URL+"/healthz?strict=1"); st != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Fatalf("strict healthz on healthy store: %d %q, want 200 ok", st, body)
 	}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,7 +71,9 @@ type Backend interface {
 	Durability() pis.DurabilityStats
 }
 
-// Config configures a Server.
+// Config configures a Server. Per-request choices stay with the
+// request: /healthz?strict=1 for strict health, and a /batch's workers,
+// capped at GOMAXPROCS.
 type Config struct {
 	// Backend answers the queries (required).
 	Backend Backend
@@ -96,10 +99,6 @@ type Config struct {
 	// its context is canceled before forcibly closing connections
 	// (0 = the default 10s).
 	ShutdownTimeout time.Duration
-	// BatchWorkers is the default per-batch concurrency when a /batch
-	// request does not specify workers (0 = the backend's default,
-	// GOMAXPROCS).
-	BatchWorkers int
 	// SlowQueryThreshold logs any /search or /knn request at or over
 	// this duration through Logger and counts it in
 	// pis_slow_queries_total (0 disables the slow-query log).
@@ -109,12 +108,6 @@ type Config struct {
 	// QueryLogSize is the /debug/queries ring capacity in queries
 	// (0 = 256; negative keeps the minimum of 1).
 	QueryLogSize int
-	// StrictHealth makes /healthz answer 503 when the store is poisoned
-	// instead of the default 200-with-"degraded"-body. The default keeps
-	// liveness probes from restart-looping a node that still answers
-	// queries; strict mode is for deployments whose load balancer should
-	// drain a degraded node. Per-request override: GET /healthz?strict=1.
-	StrictHealth bool
 }
 
 // maxRequestBody bounds a request body; a /batch of thousands of
@@ -251,10 +244,10 @@ func New(cfg Config) (*Server, error) {
 	// rejected and the node needs disk attention, without tripping
 	// restart loops that would lose the in-memory delta. Readiness-style
 	// probes that should pull a degraded node out of rotation opt into
-	// 503 via Config.StrictHealth or ?strict=1.
+	// 503 with ?strict=1.
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		strict := s.cfg.StrictHealth || r.URL.Query().Get("strict") == "1"
+		strict := r.URL.Query().Get("strict") == "1"
 		if cb, ok := s.backend.(clusterBackend); ok {
 			if ov := cb.Overview(); ov.CoveredShards < ov.Shards {
 				// Some shard has no live replica: queries are failing with
@@ -582,9 +575,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		from[i] = j
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.BatchWorkers // 0 falls through to the backend default
+	// The batch holds one admission slot, so it runs at most GOMAXPROCS
+	// queries at once however many workers it asks for.
+	workers := runtime.GOMAXPROCS(0)
+	if req.Workers > 0 {
+		workers = min(req.Workers, workers)
 	}
 	rs, err := s.backend.SearchBatchContext(r.Context(), distinct, req.Sigma, workers)
 	if err != nil {

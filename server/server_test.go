@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pis"
@@ -227,6 +230,36 @@ func TestBatchRunsDistinctQueriesOnce(t *testing.T) {
 			if !reflect.DeepEqual(r.Answers, want.Answers) || r.Cached {
 				t.Errorf("cache %d, position %d: answers %v cached=%v, want %v executed", cacheSize, i, r.Answers, r.Cached, want.Answers)
 			}
+		}
+	}
+}
+
+// workersBackend records the workers of the last SearchBatchContext.
+type workersBackend struct {
+	Backend
+	got *atomic.Int64
+}
+
+func (b workersBackend) SearchBatchContext(ctx context.Context, queries []*pis.Graph, sigma float64, workers int) ([]pis.Result, error) {
+	b.got.Store(int64(workers))
+	return b.Backend.SearchBatchContext(ctx, queries, sigma, workers)
+}
+
+// TestBatchCapsWorkers: a /batch holds one admission slot, so it runs
+// at most GOMAXPROCS queries at once whatever workers it asks for, and 0
+// means GOMAXPROCS.
+func TestBatchCapsWorkers(t *testing.T) {
+	graphs, db := testEnv(t)
+	var got atomic.Int64
+	ts := newTestServer(t, Config{Backend: workersBackend{db, &got}})
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ ask, want int }{{4096, procs}, {0, procs}, {1, 1}} {
+		req := BatchRequest{Sigma: 1, Workers: c.ask, Queries: []GraphJSON{EncodeGraph(gen.Queries(graphs, 1, 4, 5)[0])}}
+		if code := postJSON(t, ts.URL+"/batch", req, nil); code != 200 {
+			t.Fatalf("workers %d: status %d", c.ask, code)
+		}
+		if w := int(got.Load()); w != c.want {
+			t.Errorf("a batch asking for %d workers ran %d, want %d", c.ask, w, c.want)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func wholeInputClassKeys(t *testing.T, graphs []*pis.Graph) []string {
 // shard store at dir.
 func storeClassKeys(t *testing.T, dir string) []string {
 	t.Helper()
-	st, snap, _, err := store.Open(dir, pis.EdgeMutation)
+	st, snap, _, err := store.OpenWith(dir, pis.EdgeMutation, store.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

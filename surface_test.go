@@ -13,6 +13,7 @@ import (
 	"pis/internal/distance"
 	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/segment"
 	"pis/internal/shard"
 )
 
@@ -69,7 +70,7 @@ func TestOneQuerySurface(t *testing.T) {
 		backends[fmt.Sprint("shards=", n)] = db
 	}
 	// The layout Create has always written, built below package pis.
-	cfg := shard.Config{
+	cfg := segment.Config{
 		Index:           index.Options{Metric: distance.EdgeMutation{}},
 		CompactFraction: -1,
 	}
