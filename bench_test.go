@@ -1,150 +1,18 @@
-// Benchmarks regenerating every table/figure of the paper's evaluation
-// (§7) plus per-stage micro-benchmarks of the PIS pipeline.
-//
-// Figure benches run the full harness experiment per iteration at a
-// reduced scale (the default `go test -bench` budget would not fit the
-// paper's 10,000-graph scale; use cmd/pisbench -n 10000 for that). The
-// per-stage benches share one prebuilt environment.
+// Benchmarks of the public API: index construction, one indexed search,
+// and the query surface at one and three shards. The filter, verification
+// and baseline stages have their own micro-benchmarks in internal/core
+// (BenchmarkSearchPipeline); the paper's figures are tests in
+// internal/harness (TestPaperFigures).
 package pis_test
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"pis"
 	"pis/gen"
-	"pis/internal/core"
-	"pis/internal/harness"
 )
-
-// benchConfig is the reduced scale for per-iteration figure regeneration.
-func benchConfig() harness.Config {
-	return harness.Config{DBSize: 400, Seed: 1, Queries: 40, MaxFragmentEdges: 4, MiningSample: 150}
-}
-
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *harness.Env
-)
-
-func sharedEnv(b *testing.B) *harness.Env {
-	b.Helper()
-	benchEnvOnce.Do(func() {
-		env, err := harness.BuildEnv(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchEnv = env
-	})
-	return benchEnv
-}
-
-// --- One benchmark per paper figure -----------------------------------
-
-// BenchmarkFigure8 regenerates Figure 8 (candidate counts, Q16, σ=1,2,4).
-func BenchmarkFigure8(b *testing.B) {
-	env := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := harness.Figure8(env)
-		if len(f.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (reduction ratio, Q16, σ=1,2,4).
-func BenchmarkFigure9(b *testing.B) {
-	env := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := harness.Figure9(env)
-		if len(f.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFigure10 regenerates Figure 10 (reduction ratio, Q24, σ=1,3,5).
-func BenchmarkFigure10(b *testing.B) {
-	env := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := harness.Figure10(env)
-		if len(f.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFigure11 regenerates Figure 11 (cutoff sensitivity λ, σ=2).
-func BenchmarkFigure11(b *testing.B) {
-	env := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := harness.Figure11(env)
-		if len(f.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFigure12 regenerates Figure 12 (pruning vs fragment size 4-6);
-// it builds three indexes per iteration, so it is the slowest figure.
-func BenchmarkFigure12(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Queries = 20
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := harness.Figure12(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// --- Pipeline stage benchmarks -----------------------------------------
-
-// BenchmarkPISFilterQ16 measures the PIS filtering stage per query (the
-// paper's "< 1 s per query" claim, §7).
-func BenchmarkPISFilterQ16(b *testing.B) {
-	env := sharedEnv(b)
-	qs := gen.Queries(env.DB, 64, 16, 7)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CountCandidates(qs[i%len(qs)], 2)
-	}
-}
-
-// BenchmarkTopoPruneQ16 measures the baseline: the structural filter
-// and the verification of everything it leaves.
-func BenchmarkTopoPruneQ16(b *testing.B) {
-	env := sharedEnv(b)
-	qs := gen.Queries(env.DB, 64, 16, 7)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SearchTopoPrune(qs[i%len(qs)], 2)
-	}
-}
-
-// BenchmarkVerifyQ16 measures full verification per query (what PIS's
-// filtering avoids running on pruned graphs).
-func BenchmarkVerifyQ16(b *testing.B) {
-	env := sharedEnv(b)
-	qs := gen.Queries(env.DB, 16, 16, 7)
-	s := core.NewSearcher(env.DB, env.Index, core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SearchNaive(qs[i%len(qs)], 2)
-	}
-}
 
 // BenchmarkIndexBuild measures fragment-index construction throughput.
 func BenchmarkIndexBuild(b *testing.B) {

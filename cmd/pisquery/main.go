@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pisquery -db screen.db -query q.db -sigma 2
-//	pisquery -db screen.db -query q.db -sigma 2 -method toposearch
+//	pisquery -db screen.db -query q.db -sigma 2 -method naive
 //	pisquery -db screen.db -sample 16 -sigma 1   # sample a 16-edge query
 //	pisquery -db screen.db -sample 16 -sigma 1 -serve-addr http://localhost:8080
 package main
@@ -36,7 +36,7 @@ func main() {
 		qPath   = flag.String("query", "", "query file; the first graph is the query")
 		sample  = flag.Int("sample", 0, "instead of -query, sample a query with this many edges")
 		sigma   = flag.Float64("sigma", 1, "maximum superimposed distance σ")
-		method  = flag.String("method", "pis", "search method: pis, toposearch, naive")
+		method  = flag.String("method", "pis", "search method: pis, naive")
 		maxFrag = flag.Int("maxfrag", 5, "maximum indexed fragment size (edges)")
 		seed    = flag.Int64("seed", 1, "seed for -sample")
 		verbose = flag.Bool("v", false, "print the query graph")
@@ -104,8 +104,6 @@ func main() {
 	switch *method {
 	case "pis":
 		r = db.Search(q, *sigma)
-	case "toposearch", "topo", "toposprune", "topoprune":
-		r = db.SearchTopoPrune(q, *sigma)
 	case "naive":
 		r = db.SearchNaive(q, *sigma)
 	default:

@@ -1,7 +1,7 @@
 // Package gen generates synthetic molecule-like graph databases and query
 // workloads compatible with pis. It is the public face of the generator
 // used by this repository's benchmarks to stand in for the NCI/NIH AIDS
-// antiviral screen dataset of the original paper (see DESIGN.md §6):
+// antiviral screen dataset of the original paper (§7):
 // carbon-dominated atoms, skewed bond types, fused ring systems, and a
 // heavy-tailed size distribution averaging 25 vertices / 27 edges.
 package gen

@@ -2,7 +2,7 @@
 // antiviral screen dataset used in the paper's experiments (§7). The real
 // 44k-compound SD file is not available offline, so this generator builds
 // molecule-like labeled graphs with the properties the PIS dynamics depend
-// on (see DESIGN.md §6):
+// on:
 //
 //   - carbon-dominated vertex labels and single-bond-dominated edge labels,
 //     so structures repeat massively across the database and structure-only

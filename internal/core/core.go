@@ -50,9 +50,6 @@ type Options struct {
 	// Lambda scales the selectivity cutoff: graphs without an in-range
 	// fragment contribute λσ to w(g) (Figure 11 sweeps λ). Default 1.
 	Lambda float64
-	// PartitionK selects the partition solver: 1 = Greedy (Algorithm 1),
-	// k >= 2 = EnhancedGreedy(k), -1 = exact branch and bound. Default 1.
-	PartitionK int
 	// VerifyWorkers parallelizes candidate verification across goroutines
 	// (0 = GOMAXPROCS, 1 = serial). Answers and distances are identical
 	// for any setting.
@@ -68,9 +65,6 @@ type Options struct {
 func (o Options) normalized() Options {
 	if o.Lambda <= 0 {
 		o.Lambda = 1
-	}
-	if o.PartitionK == 0 {
-		o.PartitionK = 1
 	}
 	return o
 }
@@ -446,27 +440,20 @@ func (s *Searcher) SearchNaiveView(q *graph.Graph, sigma float64, view View) Res
 
 // SearchTopoPrune filters by structure only: a graph survives when it
 // contains every indexed fragment structure of the query, then gets
-// verified (the baseline of §2 and §7).
+// verified (the baseline of §2 and §7, which the differential tests and
+// BenchmarkSearchPipeline compare the pipeline against).
 func (s *Searcher) SearchTopoPrune(q *graph.Graph, sigma float64) Result {
-	return s.SearchTopoPruneView(q, sigma, View{})
-}
-
-// SearchTopoPruneView is SearchTopoPrune over a mutation snapshot. Delta
-// graphs are unindexed, so structure filtering cannot touch them: every
-// live delta graph goes straight to verification.
-func (s *Searcher) SearchTopoPruneView(q *graph.Graph, sigma float64, view View) Result {
 	var r Result
 	start := time.Now()
 	sc := s.getScratch()
 	sc.classes = s.idx.QueryClasses(sc.classes[:0], q, &sc.frags)
-	cands := s.structuralCandidates(sc, view.Tombs)
+	cands := s.structuralCandidates(sc, nil)
 	r.Stats.StructCandidates = len(cands)
 	r.Stats.RangeCandidates = len(cands) // no distance pruning in this method
 	r.Stats.DistCandidates = len(cands)
-	r.Candidates = append(make([]int32, 0, len(cands)+len(view.Delta)), cands...)
-	r.Candidates = view.appendLiveDelta(r.Candidates, len(s.db))
+	r.Candidates = append([]int32(nil), cands...)
 	r.Stats.FilterTime = time.Since(start)
-	err := s.verify(q, sigma, 0, &r, nil, sc, view, nil)
+	err := s.verify(q, sigma, 0, &r, nil, sc, View{}, nil)
 	s.putScratch(sc)
 	Rethrow(err)
 	r.Stats.record(mQueriesTopo)
@@ -744,17 +731,8 @@ expand:
 		}
 		sc.vertexSets, sc.weights = vertexSets, weights
 		og := partition.NewOverlapGraph(vertexSets, weights)
-		var chosen []int32
-		switch {
-		case s.opts.PartitionK < 0:
-			chosen = partition.Exact(og)
-		case s.opts.PartitionK <= 1:
-			chosen = partition.Greedy(og)
-		default:
-			chosen = partition.EnhancedGreedy(og, s.opts.PartitionK)
-		}
 		part := sc.part[:0]
-		for _, c := range chosen {
+		for _, c := range partition.Greedy(og) {
 			part = append(part, int(c))
 		}
 		sc.part = part

@@ -209,24 +209,25 @@ func TestPISPrunesMoreWithSmallerSigma(t *testing.T) {
 	}
 }
 
+// TestPartitionStrategies checks the search's one partition strategy,
+// Greedy (Algorithm 1); internal/partition checks it against the paper's
+// alternatives.
 func TestPartitionStrategies(t *testing.T) {
 	fx := newFixture(t, 11, 30)
 	rng := rand.New(rand.NewSource(12))
 	q := sampleQuery(rng, fx.db, 7)
-	for _, k := range []int{1, 2, -1} {
-		// Cross over as late as the planner can: the prescreen thins this
-		// small fixture below the cold-start crossover, and a search that
-		// expands nothing has no partition to choose.
-		s := NewSearcher(fx.db, fx.idx, Options{PartitionK: k})
-		pinExchangeRate(s, 1)
-		r := s.Search(q, 2)
-		naive := s.SearchNaive(q, 2)
-		if !equalIDs(r.Answers, naive.Answers) {
-			t.Errorf("partition k=%d changed the answers", k)
-		}
-		if r.Stats.PartitionSize < 1 {
-			t.Errorf("partition k=%d produced empty partition", k)
-		}
+	// Cross over as late as the planner can: the prescreen thins this
+	// small fixture below the cold-start crossover, and a search that
+	// expands nothing has no partition to choose.
+	s := NewSearcher(fx.db, fx.idx, Options{})
+	pinExchangeRate(s, 1)
+	r := s.Search(q, 2)
+	naive := s.SearchNaive(q, 2)
+	if !equalIDs(r.Answers, naive.Answers) {
+		t.Error("the Greedy partition changed the answers")
+	}
+	if r.Stats.PartitionSize < 1 {
+		t.Error("the Greedy partition is empty")
 	}
 }
 

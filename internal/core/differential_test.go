@@ -113,9 +113,8 @@ func TestDifferentialSearchMethods(t *testing.T) {
 	}
 }
 
-// TestDifferentialAcrossOptions replays one workload under every
-// partition solver and a raised λ, which all must leave answers
-// untouched.
+// TestDifferentialAcrossOptions replays one workload under a lowered and
+// a raised λ (Figure 11's sweep), which must leave answers untouched.
 func TestDifferentialAcrossOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
 	fx := buildFixture(t, rng, 40, distance.EdgeMutation{})
@@ -125,8 +124,7 @@ func TestDifferentialAcrossOptions(t *testing.T) {
 		queries = append(queries, sampleQuery(rng, fx.db, 4+rng.Intn(4)))
 	}
 	for _, opts := range []Options{
-		{PartitionK: 2},
-		{PartitionK: -1},
+		{Lambda: 0.5},
 		{Lambda: 2},
 	} {
 		s := NewSearcher(fx.db, fx.idx, opts)

@@ -139,23 +139,6 @@ func TestFragmentVerticesAndExtract(t *testing.T) {
 	}
 }
 
-func TestFragmentOverlaps(t *testing.T) {
-	g := path(5, 0, 0) // edges 0..4 over vertices 0..5
-	a := Fragment{Host: g, Edges: []int32{0, 1}}
-	b := Fragment{Host: g, Edges: []int32{2, 3}}
-	c := Fragment{Host: g, Edges: []int32{3, 4}}
-	if !a.Overlaps(b) { // share vertex 2
-		t.Error("a/b share vertex 2 but Overlaps=false")
-	}
-	if !b.Overlaps(c) {
-		t.Error("b/c share vertices but Overlaps=false")
-	}
-	d := Fragment{Host: g, Edges: []int32{4}}
-	if a.Overlaps(d) {
-		t.Error("a/d disjoint but Overlaps=true")
-	}
-}
-
 // enumerateBrute lists connected edge subsets up to maxEdges by filtering
 // all subsets — only usable on tiny graphs, as an oracle.
 func enumerateBrute(g *Graph, maxEdges int) map[string]bool {

@@ -59,23 +59,6 @@ func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
 	return g, verts, append([]int32(nil), f.Edges...)
 }
 
-// Overlaps reports whether two fragments of the same host share a vertex.
-func (f Fragment) Overlaps(o Fragment) bool {
-	a, b := f.Vertices(), o.Vertices()
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
 // EnumerateConnectedSubgraphs calls fn with every connected edge-subgraph
 // of g having between 1 and maxEdges edges, each exactly once. The slice
 // passed to fn is reused between calls; fn must copy it to retain it.

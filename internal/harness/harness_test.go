@@ -9,7 +9,8 @@ import (
 	"time"
 )
 
-// tinyConfig keeps unit tests fast; the cmd and benches run larger scales.
+// tinyConfig keeps unit tests fast; TestPaperFigures and pisbench run
+// larger scales.
 func tinyConfig() Config {
 	return Config{DBSize: 250, Seed: 42, Queries: 30, MaxFragmentEdges: 4, MiningSample: 100}
 }

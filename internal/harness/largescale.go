@@ -107,7 +107,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	// Snapshot the high-water mark now, before query-side work
 	// (materialized graphs, heap index loads) moves it: this is the
 	// chunked build's peak, the number the build-RSS invariants of
-	// pisbench -large are about. The build memory limit lifts only
+	// pisbench are about. The build memory limit lifts only
 	// after the snapshot.
 	buildPeak := peakRSSMB()
 	restoreMemLimit()
@@ -260,7 +260,7 @@ func loadCorpus(path string) ([]*graph.Graph, error) {
 
 // peakRSSMB reads the process's resident-set high-water mark (VmHWM) in
 // MiB. Returns 0 where /proc is unavailable; the report field then
-// reads as absent and the benchmark gate skips it.
+// reads as absent, and pisbench's build-RSS invariants print skip.
 func peakRSSMB() float64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {

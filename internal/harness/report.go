@@ -1,4 +1,4 @@
-// Machine-readable benchmark report. pisbench -large writes one of these
+// Machine-readable benchmark report. pisbench -json writes one of these
 // so the out-of-core profile (build time and memory, per-stage filtering
 // cost, candidates per stage, throughput) can be checked without parsing
 // text output.
@@ -151,9 +151,7 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 	// VerifyWorkers: 1 keeps the loop fully serial so the per-query
 	// allocation and stage-time numbers measure the pipeline itself, not
 	// worker-pool spawning or parallel wall-time effects.
-	s := core.NewSearcher(env.DB, env.Index, core.Options{
-		Lambda: cfg.Lambda, PartitionK: cfg.PartitionK, VerifyWorkers: 1,
-	})
+	s := core.NewSearcher(env.DB, env.Index, core.Options{VerifyWorkers: 1})
 	ist := env.Index.Stats()
 	rep := BenchReport{
 		DBSize:           cfg.DBSize,
@@ -220,8 +218,7 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 // image), and that one image is opened both ways — mmap (directory decode
 // only, slabs demand-paged) and full heap decode. The heap decode is both
 // index_load_ms and index_open_ms_heap: with one format they are the
-// same measurement. Failures leave the fields 0, which the benchmark
-// gate skips.
+// same measurement. Failures leave the fields 0.
 func measureRestart(x *index.Index, rep *BenchReport) {
 	metric := x.Options().Metric
 	var image bytes.Buffer

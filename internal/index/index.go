@@ -13,7 +13,7 @@
 // class code's vertex and edge order, and the class's automorphism
 // permutations generate every superposition variant. Storing one
 // representative per fragment and probing with every variant of the query
-// fragment yields exactly min over superpositions (see DESIGN.md §3).
+// fragment yields exactly min over superpositions.
 package index
 
 import (

@@ -399,14 +399,6 @@ func (s *Segment) SearchNaive(q *graph.Graph, sigma float64) core.Result {
 	return r
 }
 
-// SearchTopoPrune answers with structure-only filtering plus verification.
-func (s *Segment) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
-	sn := s.snapshot()
-	r := sn.srch.SearchTopoPruneView(q, sigma, sn.view)
-	sn.remap(&r)
-	return r
-}
-
 // SearchKNNCtx returns up to k nearest live graphs with global ids,
 // closest first (ties by ascending global id), searching no farther than
 // maxSigma: one pass of the threshold pipeline at maxSigma whose

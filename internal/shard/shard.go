@@ -398,27 +398,16 @@ func (d *DB) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma f
 }
 
 // SearchNaive verifies every live graph of every shard: the reference
-// answer the differential tests compare the pipeline against.
-func (d *DB) SearchNaive(q *graph.Graph, sigma float64) core.Result {
-	return d.baseline((*segment.Segment).SearchNaive, q, sigma)
-}
-
-// SearchTopoPrune answers with structure-only filtering plus
-// verification on every shard (the paper's baseline).
-func (d *DB) SearchTopoPrune(q *graph.Graph, sigma float64) core.Result {
-	return d.baseline((*segment.Segment).SearchTopoPrune, q, sigma)
-}
-
-// baseline runs one of the reference searches shard by shard. One shard's
+// answer the differential tests compare the pipeline against. One shard's
 // result is returned as it is, so the oracle of a one-shard database is
 // the segment's, bit for bit.
-func (d *DB) baseline(search func(*segment.Segment, *graph.Graph, float64) core.Result, q *graph.Graph, sigma float64) core.Result {
+func (d *DB) SearchNaive(q *graph.Graph, sigma float64) core.Result {
 	if len(d.segs) == 1 {
-		return search(d.segs[0], q, sigma)
+		return d.segs[0].SearchNaive(q, sigma)
 	}
 	parts := make([]core.Result, len(d.segs))
 	for i, seg := range d.segs {
-		parts[i] = search(seg, q, sigma)
+		parts[i] = seg.SearchNaive(q, sigma)
 	}
 	return core.MergeGlobal(parts)
 }

@@ -14,9 +14,8 @@
 //	for _, id := range result.Answers { ... }
 //
 // Construct graphs with NewGraphBuilder, or load a transaction-format file
-// with ReadDatabase. Baselines (SearchNaive, SearchTopoPrune) return the
-// same answers and exist for comparison, exactly as in the paper's
-// evaluation.
+// with ReadDatabase. The baseline SearchNaive verifies every graph and
+// returns the same answers; it is the reference the tests compare against.
 //
 // For large databases, NewSharded partitions the graphs into contiguous
 // shards indexed and searched in parallel — the same Database type, with
@@ -454,13 +453,6 @@ func (db *Database) Durability() DurabilityStats {
 		Poisoned:             st.Poisoned,
 		PoisonReason:         st.PoisonReason,
 	}
-}
-
-// SearchTopoPrune answers with structure-only filtering plus verification
-// (the paper's baseline), shard by shard. The query must be connected.
-func (db *Database) SearchTopoPrune(q *Graph, sigma float64) Result {
-	mustBeConnected(q)
-	return db.db.SearchTopoPrune(q, sigma)
 }
 
 // SearchNaive verifies every graph; the reference answer. The query must
