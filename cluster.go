@@ -103,7 +103,10 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 	if copts.Shards <= 0 {
 		copts.Shards = len(copts.Peers)
 	}
-	opts := copts.Options.withDefaults()
+	opts, err := copts.Options.withDefaults()
+	if err != nil {
+		return nil, fmt.Errorf("pis: %w", err)
+	}
 	segCfg := opts.segmentConfig()
 
 	placement := cluster.Place(copts.Shards, copts.Peers, copts.Replication)

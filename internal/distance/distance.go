@@ -204,20 +204,20 @@ func (m *Matrix) MinEdgeCost() float64 {
 }
 
 // Validate reports whether the matrix satisfies the properties PIS relies
-// on: non-negative costs everywhere.
+// on: every cost a non-negative number, so a partial sum is a lower bound.
 func (m *Matrix) Validate() error {
 	for k, v := range m.VertexScores {
-		if v < 0 {
-			return fmt.Errorf("distance: negative vertex score for %v", k)
+		if !(v >= 0) {
+			return fmt.Errorf("distance: vertex score %v for %v is negative or NaN", v, k)
 		}
 	}
 	for k, v := range m.EdgeScores {
-		if v < 0 {
-			return fmt.Errorf("distance: negative edge score for %v", k)
+		if !(v >= 0) {
+			return fmt.Errorf("distance: edge score %v for %v is negative or NaN", v, k)
 		}
 	}
-	if m.DefaultCost < 0 {
-		return fmt.Errorf("distance: negative default cost")
+	if !(m.DefaultCost >= 0) {
+		return fmt.Errorf("distance: default cost %v is negative or NaN", m.DefaultCost)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package distance
 
 import (
+	"math"
 	"testing"
 
 	"pis/internal/graph"
@@ -73,6 +74,24 @@ func TestMatrixValidateVertexAndDefault(t *testing.T) {
 	m.DefaultCost = -1
 	if err := m.Validate(); err == nil {
 		t.Error("negative default cost accepted")
+	}
+}
+
+// TestMatrixValidateNaN: a NaN cost compares false against everything, so
+// it would slip past a "< 0" check and silently disable every cut.
+func TestMatrixValidateNaN(t *testing.T) {
+	for name, m := range map[string]*Matrix{"vertex": NewMatrix(), "edge": NewMatrix(), "default": NewMatrix()} {
+		switch name {
+		case "vertex":
+			m.SetVertexScore(1, 2, math.NaN())
+		case "edge":
+			m.SetEdgeScore(1, 2, math.NaN())
+		default:
+			m.DefaultCost = math.NaN()
+		}
+		if err := m.Validate(); err == nil {
+			t.Errorf("NaN %s cost accepted", name)
+		}
 	}
 }
 

@@ -414,3 +414,7 @@ func TestBlockCursorSkipVarints(t *testing.T) {
 		}
 	}
 }
+
+// MappedPath returns the backing file of a mapped index ("" when not
+// mapped).
+func (x *Index) MappedPath() string { return x.mappedPath }

@@ -865,10 +865,6 @@ func (c *blockCursor) done() bool { return c.bad || c.pos >= len(c.b) }
 // IsMapped reports whether the index serves its slab through a mapping.
 func (x *Index) IsMapped() bool { return x.mapping != nil }
 
-// MappedPath returns the backing file of a mapped index ("" when not
-// mapped).
-func (x *Index) MappedPath() string { return x.mappedPath }
-
 // Close releases the mapping of a mapped index; a heap index is a no-op.
 // No query may be in flight or issued afterwards.
 func (x *Index) Close() error {

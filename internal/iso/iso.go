@@ -303,18 +303,11 @@ next:
 // (labels ignored). The empty pattern trivially embeds.
 func HasEmbedding(pattern, host *graph.Graph) bool {
 	found := pattern.N() == 0
-	ForEachEmbedding(pattern, host, func([]int32) bool {
+	forEachEmbedding(pattern, host, true, func([]int32) bool {
 		found = true
 		return false
 	})
 	return found
-}
-
-// ForEachEmbedding calls fn for every structural embedding of pattern into
-// host with the assignment slice (pattern vertex -> host vertex). The slice
-// is reused; fn must copy it to retain it. fn returning false stops early.
-func ForEachEmbedding(pattern, host *graph.Graph, fn func(assign []int32) bool) {
-	forEachEmbedding(pattern, host, true, fn)
 }
 
 func forEachEmbedding(pattern, host *graph.Graph, constrained bool, fn func(assign []int32) bool) {
@@ -325,23 +318,6 @@ func forEachEmbedding(pattern, host *graph.Graph, constrained bool, fn func(assi
 	v.reset(pattern, nil, constrained)
 	v.bind(host)
 	v.embed(0, fn)
-}
-
-// SuperpositionCost sums the metric cost of a complete superposition given
-// as an assignment from pattern vertices to host vertices. It is the
-// brute-force counterpart of MinSuperimposedDistance, kept exported as the
-// oracle for property tests in dependent packages.
-func SuperpositionCost(q, g *graph.Graph, assign []int32, m distance.Metric) float64 {
-	cost := 0.0
-	for qv := 0; qv < q.N(); qv++ {
-		hv := assign[qv]
-		cost += m.VertexCost(q.VLabelAt(qv), q.VWeightAt(qv), g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
-	}
-	for _, qe := range q.Edges() {
-		he := g.EdgeAt(g.EdgeBetween(assign[qe.U], assign[qe.V]))
-		cost += m.EdgeCost(qe.Label, qe.Weight, he.Label, he.Weight)
-	}
-	return cost
 }
 
 // SetDone arms cancellation: after done closes, Distance returns

@@ -213,7 +213,7 @@ func TestMinDistanceMatchesBruteForce(t *testing.T) {
 		// Brute force over all embeddings.
 		best := distance.Infinite
 		ForEachEmbedding(q, g, func(assign []int32) bool {
-			if c := SuperpositionCost(q, g, assign, metric); c < best {
+			if c := superpositionCost(q, g, assign, metric); c < best {
 				best = c
 			}
 			return true
@@ -1020,3 +1020,26 @@ func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float6
 }
 
 var benchSink float64
+
+// superpositionCost sums the metric cost of a complete superposition given
+// as an assignment from pattern vertices to host vertices: the brute-force
+// counterpart of MinSuperimposedDistance.
+func superpositionCost(q, g *graph.Graph, assign []int32, m distance.Metric) float64 {
+	cost := 0.0
+	for qv := 0; qv < q.N(); qv++ {
+		hv := assign[qv]
+		cost += m.VertexCost(q.VLabelAt(qv), q.VWeightAt(qv), g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
+	}
+	for _, qe := range q.Edges() {
+		he := g.EdgeAt(g.EdgeBetween(assign[qe.U], assign[qe.V]))
+		cost += m.EdgeCost(qe.Label, qe.Weight, he.Label, he.Weight)
+	}
+	return cost
+}
+
+// ForEachEmbedding calls fn for every structural embedding of pattern into
+// host with the assignment slice (pattern vertex -> host vertex). The slice
+// is reused; fn must copy it to retain it. fn returning false stops early.
+func ForEachEmbedding(pattern, host *graph.Graph, fn func(assign []int32) bool) {
+	forEachEmbedding(pattern, host, true, fn)
+}

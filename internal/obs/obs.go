@@ -432,9 +432,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Clipped returns the number of observations above the largest bound.
-func (s HistogramSnapshot) Clipped() uint64 { return s.Counts[len(s.Bounds)] }
-
 // Count returns the total number of observations.
 func (s HistogramSnapshot) Count() uint64 {
 	var n uint64
@@ -457,7 +454,7 @@ func (s HistogramSnapshot) Sub(old HistogramSnapshot) HistogramSnapshot {
 // Quantile estimates the q-quantile (0 < q <= 1) by linear
 // interpolation inside the bucket holding the target rank. Values in
 // the +Inf overflow bucket report the largest finite bound — an
-// underestimate, which Clipped (exported as _clipped_total) flags.
+// underestimate, which the _clipped_total counter flags.
 // Returns 0 for an empty snapshot.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	total := s.Count()

@@ -357,3 +357,6 @@ func TestMS(t *testing.T) {
 		t.Fatalf("MS = %v, want 1.5", got)
 	}
 }
+
+// Clipped returns the number of observations above the largest bound.
+func (s HistogramSnapshot) Clipped() uint64 { return s.Counts[len(s.Bounds)] }

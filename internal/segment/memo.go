@@ -1,5 +1,5 @@
 // The result memo: what a read of this segment answered, kept so that the
-// next identical read pays only for what writes changed since.
+// next read of its query pays only for what writes changed since.
 //
 // An entry holds one query's answers as global ids with exact distances,
 // plus the segment's id high-water mark in the snapshot they were computed
@@ -8,18 +8,19 @@
 // every graph live in a later snapshot with an id at or below the mark was
 // live in the entry's snapshot too, and the answer over the later snapshot
 // is exactly the entry's answers that are still live plus whichever live
-// graphs above the mark verify. A hit computes that inside the read's own
-// snapshot and stores it as a new entry at the new mark; entries are
-// immutable, and one from a snapshot ahead of the reader's is not used.
-// The memo survives compaction, belongs to one Segment value (a recovered
-// or freshly installed segment starts cold) and is bounded in bytes.
+// graphs above the mark verify, for any read within the radius where the
+// entry holds every graph (read). A read stores that as a new immutable
+// entry at its own snapshot's mark and uses none from a snapshot ahead of
+// its own. The memo survives compaction, belongs to one Segment value (a
+// recovered or new segment starts cold) and is bounded in bytes.
 
 package segment
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -39,26 +40,38 @@ const (
 	memoEntryOverhead = 160 // entry struct, slice headers, map slot
 )
 
-// memoKey names one repeatable read: a threshold search at sigma (k = 0),
-// or a kNN search for k neighbours, whose radius lives in the entry.
+// memoKey names one read: a threshold search at sigma (k = 0), or a kNN
+// search for k neighbours within radius sigma. The memo is keyed by the
+// query alone, memoKey{q: ...}; a query's entries are linked through next.
 type memoKey struct {
 	q     string // canon.GraphKey of the query
 	k     int
 	sigma float64
 }
 
-// memoEntry is one immutable answer. ids ascend for a threshold search and
-// run closest first (ties by id) for kNN.
+// memoEntry is one immutable answer to the read (k, radius) that stored it,
+// by id for a threshold entry and closest first (ties by id) for kNN.
 type memoEntry struct {
 	ids    []int32
 	dists  []float64
 	mark   int32   // snapshot.maxID of the snapshot answered over
 	cost   int     // verifications the full run behind the entry needed
-	radius float64 // kNN: the radius searched; any smaller one is a prefix
+	k      int     // kNN: the neighbours ranked; 0 for a threshold entry
+	radius float64 // σ, or the radius a kNN entry searched
+	next   *memoEntry
 }
 
-func (k memoKey) size(e *memoEntry) int64 {
-	return int64(len(k.q)) + 12*int64(len(e.ids)) + memoEntryOverhead
+// owns reports whether e is key's own entry (for kNN, at radius ≥ key's).
+func (e *memoEntry) owns(key memoKey) bool {
+	return e.k == key.k && (e.radius == key.sigma || e.k > 0 && e.radius > key.sigma)
+}
+
+// size is what e and the entries linked after it account for.
+func (k memoKey) size(e *memoEntry) (n int64) {
+	for ; e != nil; e = e.next {
+		n += int64(len(k.q)) + 12*int64(len(e.ids)) + memoEntryOverhead
+	}
+	return n
 }
 
 // memo is a byte-bounded map of entries, safe for concurrent use.
@@ -68,33 +81,41 @@ type memo struct {
 	bytes   int64
 }
 
+// get returns the first entry of k's query.
 func (m *memo) get(k memoKey) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entries[k]
+	return m.entries[memoKey{q: k.q}]
 }
 
-// put stores e under k within budget bytes, evicting arbitrary entries to
-// make room. It never replaces an entry by one from an older snapshot or,
-// for kNN, by one that searched a smaller radius; an entry larger than the
-// whole budget is not admitted.
+// put links e in front of the entries of k's query within budget bytes,
+// evicting other queries to make room. Among entries of e's k, e replaces
+// each that is neither newer nor wider, and is dropped when one is at
+// least as new and as wide and differs; an entry larger than the whole
+// budget is not admitted.
 func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
-	size := k.size(e)
-	if size > budget {
+	k = memoKey{q: k.q}
+	if k.size(e) > budget {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	before := m.bytes
-	if old := m.entries[k]; old != nil {
-		if old.mark > e.mark || old.radius > e.radius {
+	before, old := m.bytes, m.entries[k]
+	for o := old; o != nil; o = o.next {
+		if o.k != e.k || o.mark > e.mark && o.radius < e.radius || o.mark < e.mark && o.radius > e.radius {
+			c := *o // stored entries are immutable: relink a copy
+			c.next, e.next = e.next, &c
+		} else if o.mark > e.mark || o.radius > e.radius {
 			return
 		}
-		m.bytes -= k.size(old)
-		delete(m.entries, k)
 	}
+	if k.size(e) > budget {
+		e.next = nil
+	}
+	m.bytes -= k.size(old)
+	delete(m.entries, k)
 	for vk, ve := range m.entries {
-		if m.bytes+size <= budget {
+		if m.bytes+k.size(e) <= budget {
 			break
 		}
 		m.bytes -= vk.size(ve)
@@ -104,7 +125,7 @@ func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 		m.entries = make(map[memoKey]*memoEntry)
 	}
 	m.entries[k] = e
-	m.bytes += size
+	m.bytes += k.size(e)
 	mMemoBytes.Add(float64(m.bytes - before))
 }
 
@@ -120,17 +141,6 @@ func (m *memo) clear() {
 func (sn *snapshot) live(id int32) bool {
 	local, ok := localOf(sn.ids, sn.deltaIDs, id)
 	return ok && !sn.view.Tombs.Has(local)
-}
-
-// liveOf returns e's answers still live in the snapshot, in e's order.
-func (sn *snapshot) liveOf(e *memoEntry) (ids []int32, dists []float64) {
-	ids, dists = make([]int32, 0, len(e.ids)), make([]float64, 0, len(e.ids))
-	for i, id := range e.ids {
-		if sn.live(id) {
-			ids, dists = append(ids, id), append(dists, e.dists[i])
-		}
-	}
-	return ids, dists
 }
 
 // newcomers returns the local ids of the live graphs whose global id
@@ -155,132 +165,135 @@ func (sn *snapshot) newcomers(e *memoEntry) (locals []int32, ok bool) {
 	return locals, true
 }
 
-// lookup returns the entry under k when this snapshot can be answered
-// from it, counting the outcome otherwise.
-func (sn *snapshot) lookup(k memoKey, radius float64) (e *memoEntry, fresh []int32) {
-	e = sn.memo.get(k)
-	if e == nil || e.mark > sn.maxID || e.radius < radius {
-		mMemoMiss.Inc()
-		return nil, nil
+// read answers key from an entry of its query that covers it: the read's
+// own, or one holding every graph within a threshold read's σ, or a
+// threshold entry at σ′ that searched a kNN read's radius or holds its k
+// answers within σ′. Of those it takes the one from the newest snapshot,
+// the read's own on a tie (a hit; else covered), drops the answers no
+// longer live and verifies the live graphs above the mark that the
+// prescreen does not refute, at the budget of their turn: σ, or the k-th
+// distance so far, a kNN newcomer taking its place by (distance, id). ok
+// is false when no entry answers and the caller runs the full pipeline:
+// a fallback when catching up would cost more than the entry's full run
+// or the read's full kNN entry lost a neighbour, whose place only the
+// full search can fill; else a miss. cands are the carried answers and
+// the graphs verified.
+func (sn *snapshot) read(ctx context.Context, q *graph.Graph, key memoKey) (ns []core.Neighbor, cands []int32, st core.Stats, ok bool) {
+	var e *memoEntry
+	outcome := mMemoMiss
+	defer func() { outcome.Inc() }()
+	for c := sn.memo.get(key); c != nil; c = c.next {
+		covers := c.owns(key) || key.k == 0 && c.radius >= key.sigma && (c.k == 0 || len(c.ids) < c.k || c.dists[c.k-1] > key.sigma) ||
+			key.k > 0 && c.k == 0 && (c.radius >= key.sigma || len(c.ids) >= key.k)
+		if covers && c.mark <= sn.maxID && (e == nil || c.mark > e.mark || c.mark == e.mark && c.owns(key)) {
+			e = c
+		}
 	}
-	fresh, ok := sn.newcomers(e)
-	if ok && k.k > 0 && len(e.ids) == k.k {
-		// A deleted neighbour's place goes to a graph the entry never
-		// ranked: only the full search knows which. An entry short of k
-		// holds every graph within its radius, so there it just drops out.
-		ok = !slices.ContainsFunc(e.ids, func(id int32) bool { return !sn.live(id) })
+	if e == nil {
+		return nil, nil, st, false
 	}
-	if !ok {
-		mMemoFallback.Inc()
-		return nil, nil
+	fresh, fits := sn.newcomers(e)
+	if !fits || e.owns(key) && len(e.ids) == e.k && slices.ContainsFunc(e.ids, func(id int32) bool { return !sn.live(id) }) {
+		outcome = mMemoFallback
+		return nil, nil, st, false
 	}
-	mMemoHit.Inc()
-	return e, fresh
-}
-
-// catchUp prices q against the fresh graphs in id order, each at the
-// budget current when its turn comes: those the pipeline's prescreen
-// refutes at that budget (core.Screen) are counted in st, the rest are
-// verified and handed to found with their global id and distance
-// (infinite beyond the budget); a hit with none builds no screen. It
-// reports false when the context fired or a verification panicked; the
-// caller then drops what it has and runs the full pipeline, which reports
-// either its own way.
-func (sn *snapshot) catchUp(ctx context.Context, q *graph.Graph, fresh []int32, st *core.Stats, budget func() float64, found func(id int32, d float64)) bool {
-	start := time.Now()
+	if outcome = mMemoCovered; e.owns(key) {
+		outcome = mMemoHit
+	}
+	// ns holds at most keep answers, none farther than w.
+	keep, w, start := cmp.Or(key.k, math.MaxInt), min(e.radius, key.sigma), time.Now()
+	order := func(a, b core.Neighbor) int {
+		if key.k == 0 {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.ID, b.ID))
+	}
+	ns = make([]core.Neighbor, 0, len(e.ids))
+	for i, id := range e.ids {
+		if e.dists[i] <= w && sn.live(id) {
+			ns = append(ns, core.Neighbor{ID: id, Distance: e.dists[i]})
+		}
+	}
+	slices.SortFunc(ns, order)
+	ns = ns[:min(len(ns), keep)]
+	cands = make([]int32, len(ns), len(ns)+len(fresh))
+	for i, n := range ns {
+		cands[i] = n.ID
+	}
 	var screen core.Screen
 	nodes, err := sn.srch.VerifyEach(q, len(fresh), ctx.Done(), func(v *iso.Verifier, i int) {
-		if i == 0 {
+		if i == 0 { // a read with no newcomers builds no screen
 			screen = sn.srch.NewScreen(q, sn.view)
 		}
-		b := budget()
-		if screen.Refutes(fresh[i], b, st) {
+		b := w
+		if len(ns) == keep {
+			b = ns[keep-1].Distance
+		}
+		if screen.Refutes(fresh[i], b, &st) {
 			return
 		}
 		st.Verified++
-		found(sn.global(fresh[i]), v.Distance(sn.srch.Graph(sn.view, fresh[i]), b))
+		n := core.Neighbor{ID: sn.global(fresh[i]), Distance: v.Distance(sn.srch.Graph(sn.view, fresh[i]), b)}
+		if cands = append(cands, n.ID); !distance.IsInfinite(n.Distance) {
+			at, _ := slices.BinarySearchFunc(ns, n, order)
+			ns = slices.Insert(ns, at, n)[:min(len(ns)+1, keep)]
+		}
 	})
-	st.MemoHits, st.Refreshed, st.VerifyNodes, st.VerifyTime = 1, st.Verified, int(nodes), time.Since(start)
+	st.VerifyCacheHits, st.MemoHits, st.Refreshed, st.VerifyNodes, st.VerifyTime = len(cands)-st.Verified, 1, st.Verified, int(nodes), time.Since(start)
 	mMemoRefreshed.Add(int64(st.Verified))
-	return err == nil && ctx.Err() == nil
+	if err != nil || ctx.Err() != nil || w < key.sigma && len(ns) < key.k {
+		outcome = mMemoMiss // cut short, or the threshold entry held fewer than k answers
+		return nil, nil, st, false
+	}
+	if !e.owns(key) || sn.maxID > e.mark || len(ns) != len(e.ids) {
+		sn.memo.put(key, entryOf(key, ns, sn.maxID, e.cost), sn.budget)
+	}
+	return ns, cands, st, true
+}
+
+// entryOf is the answer ns to key's read as an entry.
+func entryOf(key memoKey, ns []core.Neighbor, mark int32, cost int) *memoEntry {
+	e := &memoEntry{ids: make([]int32, len(ns)), dists: make([]float64, len(ns)), mark: mark, cost: cost, k: key.k, radius: key.sigma}
+	for i, n := range ns {
+		e.ids[i], e.dists[i] = n.ID, n.Distance
+	}
+	return e
 }
 
 // search answers the threshold query over the snapshot, through the memo.
 func (sn *snapshot) search(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
 	key := memoKey{q: canon.GraphKey(q), sigma: sigma}
-	if e, fresh := sn.lookup(key, 0); e != nil {
-		var r core.Result
-		r.Answers, r.Distances = sn.liveOf(e)
-		r.Stats.VerifyCacheHits = len(r.Answers)
-		r.Candidates = slices.Clone(r.Answers)
-		if sn.catchUp(ctx, q, fresh, &r.Stats, func() float64 { return sigma }, func(id int32, d float64) {
-			r.Candidates = append(r.Candidates, id)
-			if !distance.IsInfinite(d) {
-				r.Answers = append(r.Answers, id)
-				r.Distances = append(r.Distances, d)
-			}
-		}) {
-			if sn.maxID > e.mark || len(r.Answers) != len(e.ids) {
-				sn.memo.put(key, &memoEntry{ids: slices.Clone(r.Answers), dists: slices.Clone(r.Distances), mark: sn.maxID, cost: e.cost}, sn.budget)
-			}
-			r.Stats.Publish()
-			return r, nil
+	if ns, cands, st, ok := sn.read(ctx, q, key); ok {
+		r := core.Result{Answers: make([]int32, len(ns)), Distances: make([]float64, len(ns)), Candidates: cands, Stats: st}
+		for i, n := range ns {
+			r.Answers[i], r.Distances[i] = n.ID, n.Distance
 		}
+		r.Stats.Publish()
+		return r, nil
 	}
 	r, err := sn.srch.SearchViewCtx(ctx, q, sigma, sn.view)
 	sn.remap(&r)
 	if err == nil {
-		sn.memo.put(key, &memoEntry{ids: slices.Clone(r.Answers), dists: slices.Clone(r.Distances), mark: sn.maxID, cost: r.Stats.Verified}, sn.budget)
+		sn.memo.put(key, &memoEntry{ids: slices.Clone(r.Answers), dists: slices.Clone(r.Distances), mark: sn.maxID, cost: r.Stats.Verified, radius: sigma}, sn.budget)
 	}
 	return r, err
 }
 
-// searchKNN answers the kNN query over the snapshot, through the memo. A
-// hit brings the entry up to date at the entry's own radius and answers
-// the asked one by prefix: deleted neighbours drop out (see lookup), new
-// graphs are verified against the k-th distance (the radius while fewer
-// than k are known) and take their place by (distance, id) — their ids
-// exceed every id already ranked.
+// searchKNN answers the kNN query over the snapshot, through the memo.
 func (sn *snapshot) searchKNN(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
 	if k <= 0 || maxSigma < 0 {
 		return nil, nil
 	}
-	key := memoKey{q: canon.GraphKey(q), k: k}
-	if e, fresh := sn.lookup(key, maxSigma); e != nil {
-		ids, dists := sn.liveOf(e)
-		var st core.Stats
-		if sn.catchUp(ctx, q, fresh, &st, func() float64 {
-			if len(ids) >= k {
-				return dists[k-1]
-			}
-			return e.radius
-		}, func(id int32, d float64) {
-			at := sort.Search(len(dists), func(i int) bool { return dists[i] > d })
-			if !distance.IsInfinite(d) && at < k {
-				ids, dists = slices.Insert(ids, at, id), slices.Insert(dists, at, d)
-				ids, dists = ids[:min(len(ids), k)], dists[:min(len(dists), k)]
-			}
-		}) {
-			if sn.maxID > e.mark || len(ids) != len(e.ids) {
-				sn.memo.put(key, &memoEntry{ids: ids, dists: dists, mark: sn.maxID, cost: e.cost, radius: e.radius}, sn.budget)
-			}
-			ns := make([]core.Neighbor, 0, len(ids))
-			for i, id := range ids {
-				if dists[i] <= maxSigma {
-					ns = append(ns, core.Neighbor{ID: id, Distance: dists[i]})
-				}
-			}
-			return ns, nil
-		}
+	key := memoKey{q: canon.GraphKey(q), k: k, sigma: maxSigma}
+	if ns, _, _, ok := sn.read(ctx, q, key); ok {
+		return ns, nil
 	}
 	ns, verified, err := sn.srch.SearchKNNViewCtx(ctx, q, k, maxSigma, sn.view)
-	e := &memoEntry{mark: sn.maxID, cost: verified, radius: maxSigma}
 	for i := range ns {
 		ns[i].ID = sn.global(ns[i].ID)
-		e.ids, e.dists = append(e.ids, ns[i].ID), append(e.dists, ns[i].Distance)
 	}
 	if err == nil {
-		sn.memo.put(key, e, sn.budget)
+		sn.memo.put(key, entryOf(key, ns, sn.maxID, verified), sn.budget)
 	}
 	return ns, err
 }

@@ -7,6 +7,7 @@ package segment_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -21,15 +22,15 @@ import (
 )
 
 // memoCounts reads the process-wide lookup counters; tests compare deltas.
-type memoCounts struct{ hit, miss, fallback int64 }
+type memoCounts struct{ hit, miss, fallback, covered int64 }
 
 func readMemoCounts() memoCounts {
 	v := obs.Default().CounterVec("pis_result_memo_lookups_total", "", "outcome")
-	return memoCounts{v.Value("hit"), v.Value("miss"), v.Value("fallback")}
+	return memoCounts{v.Value("hit"), v.Value("miss"), v.Value("fallback"), v.Value("covered")}
 }
 
 func (c memoCounts) since(old memoCounts) memoCounts {
-	return memoCounts{c.hit - old.hit, c.miss - old.miss, c.fallback - old.fallback}
+	return memoCounts{c.hit - old.hit, c.miss - old.miss, c.fallback - old.fallback, c.covered - old.covered}
 }
 
 // search and searchKNN are the segment's reads under a background
@@ -321,4 +322,137 @@ func TestMemoStartsCold(t *testing.T) {
 	if got := readMemoCounts().since(c0); got != (memoCounts{miss: 1}) {
 		t.Fatalf("first read of a recovered segment: lookups %+v, want one miss", got)
 	}
+}
+
+// TestMemoCovers pins the rules by which one read of a query is answered
+// from an entry another read of it stored, and the reads that must run the
+// full pipeline instead. Every answer is checked against the naive
+// reference and every read against the one lookup outcome it counts.
+func TestMemoCovers(t *testing.T) {
+	covered, miss := memoCounts{covered: 1}, memoCounts{miss: 1}
+	// read runs one read on seg and checks its answer and outcome; k = 0 is
+	// a threshold read at sigma, k > 0 a kNN read within radius sigma.
+	read := func(t *testing.T, seg *segment.Segment, q *graph.Graph, k int, sigma float64, want memoCounts) (core.Result, []core.Neighbor) {
+		t.Helper()
+		c0 := readMemoCounts()
+		var r core.Result
+		var ns []core.Neighbor
+		if k == 0 {
+			r = search(seg, q, sigma)
+			sameAsNaive(t, fmt.Sprintf("σ=%g", sigma), seg, q, sigma, r)
+			if (r.Stats.MemoHits == 1) != (want.hit+want.covered == 1) {
+				t.Fatalf("σ=%g: MemoHits %d, want the memo to answer: %v", sigma, r.Stats.MemoHits, want.hit+want.covered == 1)
+			}
+		} else if ns = searchKNN(seg, q, k, sigma); !sameNeighbors(ns, naiveKNN(seg, q, k, sigma)) {
+			t.Fatalf("k=%d R=%g: kNN %v, naive says %v", k, sigma, ns, naiveKNN(seg, q, k, sigma))
+		}
+		if got := readMemoCounts().since(c0); got != want {
+			t.Fatalf("k=%d σ=%g: lookups %+v, want %+v", k, sigma, got, want)
+		}
+		return r, ns
+	}
+	// Each case starts from a segment whose memo holds one threshold entry
+	// of q at σ′ = 2.
+	fresh := func(t *testing.T) (*segment.Segment, *graph.Graph, core.Result) {
+		seg, graphs := newMemoSegment(t, 40)
+		t.Cleanup(func() { seg.Close() })
+		q := graphs[18] // distances 0, 1, 1, 1, 2, 2, then 3 and beyond
+		r, _ := read(t, seg, q, 0, 2, miss)
+		if within1 := sort.SearchFloat64s(slices.Sorted(slices.Values(r.Distances)), 1.5); within1 < 2 || within1 == len(r.Answers) {
+			t.Fatalf("%d answers within 2, %d of them within 1; the cases need a few of each and some beyond 1", len(r.Answers), within1)
+		}
+		return seg, q, r
+	}
+
+	t.Run("threshold from a wider threshold entry", func(t *testing.T) {
+		seg, q, _ := fresh(t)
+		read(t, seg, q, 0, 1, covered)
+		read(t, seg, q, 0, 0, covered)
+		read(t, seg, q, 0, 2, memoCounts{hit: 1})
+		read(t, seg, q, 0, 2.5, miss)
+	})
+	t.Run("kNN from a threshold entry holding k answers", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		read(t, seg, q, len(r.Answers), 4, covered)
+		read(t, seg, q, 1, 6, covered)
+	})
+	t.Run("kNN from a threshold entry that searched its radius", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		if _, ns := read(t, seg, q, len(r.Answers)+5, 1.5, covered); len(ns) >= len(r.Answers) {
+			t.Fatalf("%d neighbours within 1.5 of %d answers within 2", len(ns), len(r.Answers))
+		}
+	})
+	t.Run("kNN short of k within a narrower threshold entry", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		read(t, seg, q, len(r.Answers)+1, 4, miss)
+		// A newcomer might make up the k-th answer, so it is caught up
+		// first; a one-vertex graph, where q has no superposition, does not.
+		seg, q, r = fresh(t)
+		b := graph.NewBuilder(1, 0)
+		b.AddVertex(0)
+		if _, err := seg.Insert(b.MustBuild(), 40); err != nil {
+			t.Fatal(err)
+		}
+		read(t, seg, q, len(r.Answers)+1, 4, miss)
+		// An entry that held k answers before a delete holds k-1 after it.
+		seg, q, r = fresh(t)
+		if ok, err := seg.Delete(r.Answers[0]); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		read(t, seg, q, len(r.Answers), 4, miss)
+	})
+	t.Run("threshold from kNN entries", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		// A full kNN entry holds every graph below its k-th distance only.
+		_, ns := read(t, seg, q, len(r.Answers), 4, covered)
+		dk := ns[len(ns)-1].Distance
+		seg2, _ := newMemoSegment(t, 40)
+		defer seg2.Close()
+		read(t, seg2, q, len(r.Answers), 4, miss)
+		read(t, seg2, q, 0, dk/2, covered)
+		read(t, seg2, q, 0, dk, miss)
+		// A kNN entry short of k holds every graph within its radius.
+		seg3, _ := newMemoSegment(t, 40)
+		defer seg3.Close()
+		read(t, seg3, q, 1000, 1.5, miss)
+		read(t, seg3, q, 0, 1.5, covered)
+		read(t, seg3, q, 0, 1, covered)
+		read(t, seg3, q, 0, 2, miss)
+	})
+	t.Run("deleted answers drop out", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		victim := r.Answers[slices.Index(r.Distances, 0)]
+		if ok, err := seg.Delete(victim); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		got, _ := read(t, seg, q, 0, 1, covered)
+		if slices.Contains(got.Answers, victim) || got.Stats.Verified != 0 {
+			t.Fatalf("after deleting %d: answers %v, %d verified", victim, got.Answers, got.Stats.Verified)
+		}
+		read(t, seg, q, 2, 6, covered)
+	})
+	t.Run("newcomers are caught up", func(t *testing.T) {
+		seg, q, _ := fresh(t)
+		if _, err := seg.Insert(q, 40); err != nil { // the query itself: distance 0
+			t.Fatal(err)
+		}
+		got, _ := read(t, seg, q, 0, 1, covered)
+		if st := got.Stats; st.Refreshed != 1 || !slices.Contains(got.Answers, 40) {
+			t.Fatalf("the covered read should verify the inserted graph and answer it: %+v %v", st, got.Answers)
+		}
+		if _, ns := read(t, seg, q, 2, 6, covered); !slices.Contains(ns, core.Neighbor{ID: 40}) {
+			t.Fatalf("kNN after the insert misses the inserted copy of the query: %v", ns)
+		}
+	})
+	t.Run("too many newcomers fall back", func(t *testing.T) {
+		seg, q, r := fresh(t)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i <= r.Stats.Verified; i++ {
+			if _, err := seg.Insert(segGraph(rng), int32(40+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read(t, seg, q, 0, 1, memoCounts{fallback: 1})
+		read(t, seg, q, 2, 6, memoCounts{covered: 1}) // the fallback stored a fresh entry at σ=1
+	})
 }

@@ -35,11 +35,12 @@ var (
 
 	memoLookups = obs.Default().CounterVec(
 		"pis_result_memo_lookups_total",
-		"Segment reads by what the result memo did: hit = answered from an entry brought up to date, miss = no usable entry, fallback = entry found but the full pipeline was cheaper or (kNN) a ranked neighbour was deleted.",
+		"Segment reads by what the result memo did: hit = answered from the read's own entry brought up to date, covered = answered from another read's entry of the same query that holds every answer, miss = no entry answers it, fallback = entry found but the full pipeline was cheaper or (kNN) a ranked neighbour was deleted.",
 		"outcome")
 	mMemoHit       = memoLookups.With("hit")
 	mMemoMiss      = memoLookups.With("miss")
 	mMemoFallback  = memoLookups.With("fallback")
+	mMemoCovered   = memoLookups.With("covered")
 	mMemoRefreshed = obs.Default().Counter(
 		"pis_result_memo_refreshed_graphs_total",
 		"Graphs verified by result-memo hits to catch up with inserts.")

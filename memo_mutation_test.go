@@ -19,14 +19,19 @@ import (
 // neighbour's slot left open, an id a compaction was thought to renumber
 // — shows up as a divergence from a freshly built database, which has no
 // memo at all. The non-vacuity checks at the end prove the memo was
-// answering, catching up, falling back and recomputing while it happened.
+// answering, answering one read from another's entry, catching up,
+// falling back and recomputing while it happened.
 
 // memoWitness collects what the differential must have seen to mean
 // anything, across all of one test's interleavings.
-type memoWitness struct{ hits, refreshed, fallbacks, knnRecomputes int }
+type memoWitness struct{ hits, covered, refreshed, fallbacks, knnRecomputes int }
 
 func memoFallbacks() int64 {
 	return obs.Default().CounterVec("pis_result_memo_lookups_total", "", "outcome").Value("fallback")
+}
+
+func memoCovered() int64 {
+	return obs.Default().CounterVec("pis_result_memo_lookups_total", "", "outcome").Value("covered")
 }
 
 // runMemoDifferential drives one interleaving, re-running the same warmed
@@ -74,8 +79,11 @@ func runMemoDifferential(t *testing.T, seed int64, db mutableDB, initial []*pis.
 		}
 		for qi, q := range queries {
 			for _, sigma := range []float64{1, 2} {
-				f0 := memoFallbacks()
+				// The σ = 1, 2 and k = 1, 3, 8 reads of one query answer
+				// each other (covered).
+				f0, c0 := memoFallbacks(), memoCovered()
 				got := db.Search(q, sigma)
+				w.covered += int(memoCovered() - c0)
 				want := fresh.Search(q, sigma)
 				compareAnswers(t, fmt.Sprintf("step %d Search q%d σ=%g", step, qi, sigma), got, want, rank)
 				w.hits += got.Stats.MemoHits
@@ -96,8 +104,9 @@ func runMemoDifferential(t *testing.T, seed int64, db mutableDB, initial []*pis.
 						lost = true
 					}
 				}
-				f0 := memoFallbacks()
+				f0, c0 := memoFallbacks(), memoCovered()
 				gotN := db.SearchKNN(q, k, 6)
+				w.covered += int(memoCovered() - c0)
 				wantN := fresh.SearchKNN(q, k, 6)
 				if len(gotN) != len(wantN) {
 					t.Fatalf("step %d SearchKNN q%d k=%d: %d neighbors %v, want %d %v", step, qi, k, len(gotN), gotN, len(wantN), wantN)
@@ -133,7 +142,7 @@ func runMemoDifferential(t *testing.T, seed int64, db mutableDB, initial []*pis.
 
 func (w *memoWitness) requireNonVacuous(t *testing.T) {
 	t.Helper()
-	if w.hits == 0 || w.refreshed == 0 || w.fallbacks == 0 || w.knnRecomputes == 0 {
+	if w.hits == 0 || w.covered == 0 || w.refreshed == 0 || w.fallbacks == 0 || w.knnRecomputes == 0 {
 		t.Fatalf("differential test is vacuous for part of the memo: %+v", *w)
 	}
 }

@@ -222,8 +222,8 @@ func newDatabase(db *shard.DB, opts Options) *Database {
 }
 
 // withDefaults fills the zero-value construction knobs with the paper's
-// defaults.
-func (o Options) withDefaults() Options {
+// defaults and rejects a cost matrix with a negative or NaN cost.
+func (o Options) withDefaults() (Options, error) {
 	if o.Metric == nil {
 		o.Metric = EdgeMutation
 	}
@@ -236,7 +236,10 @@ func (o Options) withDefaults() Options {
 	if o.CompactFraction == 0 {
 		o.CompactFraction = 0.25
 	}
-	return o
+	if m, ok := o.Metric.(*distance.Matrix); ok {
+		return o, m.Validate()
+	}
+	return o, nil
 }
 
 // segmentConfig translates the public knobs to the segment package.
@@ -268,7 +271,10 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if nShards < 1 {
 		return nil, fmt.Errorf("pis: nShards must be >= 1, got %d", nShards)
 	}
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, fmt.Errorf("pis: %w", err)
+	}
 	feats, err := mineFeatures(graphs, opts)
 	if err != nil {
 		return nil, err
@@ -344,7 +350,10 @@ func StoreExists(dir string) bool {
 // opts. Every shard keeps the features its store holds, so
 // MaxFragmentEdges and MinSupportFraction are ignored.
 func Open(dir string, opts Options) (*Database, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, fmt.Errorf("pis: %w", err)
+	}
 	db, err := shard.Open(dir, opts.segmentConfig())
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)

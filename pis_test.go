@@ -2,11 +2,13 @@ package pis_test
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
 	"pis"
 	"pis/internal/chem"
+	"pis/internal/distance"
 )
 
 // buildPublicDB assembles a small database through the public API only.
@@ -151,6 +153,43 @@ func TestPublicAPIMutationMatrix(t *testing.T) {
 	naive := db.SearchNaive(q, 1)
 	if len(r.Answers) != len(naive.Answers) {
 		t.Fatalf("matrix metric: PIS %d answers, naive %d", len(r.Answers), len(naive.Answers))
+	}
+}
+
+// TestInvalidMatrixRejected: a cost matrix with a negative or NaN cost
+// breaks every lower bound the search prunes with, so construction refuses
+// it with an error instead of answering wrongly.
+func TestInvalidMatrixRejected(t *testing.T) {
+	graphs := chem.Generate(20, chem.Config{Seed: 9})
+	for name, spoil := range map[string]func(m *distance.Matrix){
+		"negative edge score":   func(m *distance.Matrix) { m.SetEdgeScore(1, 2, -0.5) },
+		"NaN edge score":        func(m *distance.Matrix) { m.SetEdgeScore(1, 2, math.NaN()) },
+		"NaN vertex score":      func(m *distance.Matrix) { m.SetVertexScore(0, 1, math.NaN()) },
+		"negative default":      func(m *distance.Matrix) { m.DefaultCost = -1 },
+		"NaN default":           func(m *distance.Matrix) { m.DefaultCost = math.NaN() },
+		"negative vertex score": func(m *distance.Matrix) { m.SetVertexScore(0, 1, -2) },
+	} {
+		m := pis.NewMutationMatrix()
+		spoil(m)
+		if db, err := pis.New(graphs, pis.Options{Metric: m}); err == nil || db != nil {
+			t.Errorf("%s: pis.New accepted the matrix", name)
+		}
+		if _, err := pis.NewSharded(graphs, 2, pis.Options{Metric: m}); err == nil {
+			t.Errorf("%s: pis.NewSharded accepted the matrix", name)
+		}
+		if _, err := pis.Create(t.TempDir(), graphs, pis.Options{Metric: m}); err == nil {
+			t.Errorf("%s: pis.Create accepted the matrix", name)
+		}
+		// Rejected before the node listens, so the address is never bound.
+		self := "127.0.0.1:1"
+		if _, err := pis.StartClusterNode(pis.ClusterOptions{Self: self, Peers: []string{self}, Graphs: graphs, Options: pis.Options{Metric: m}}); err == nil {
+			t.Errorf("%s: pis.StartClusterNode accepted the matrix", name)
+		}
+	}
+	m := pis.NewMutationMatrix()
+	m.SetEdgeScore(1, 2, 0)
+	if _, err := pis.New(graphs, pis.Options{Metric: m}); err != nil {
+		t.Fatalf("a matrix with a zero cost was rejected: %v", err)
 	}
 }
 

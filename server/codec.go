@@ -80,8 +80,8 @@ type SearchRequest struct {
 // and dist_candidates are what the σ range queries and the partition
 // bound left of the indexed rest; every graph that reached verification
 // is counted once in verify_cache_hits or verified. memo_hit marks a
-// search answered from a segment's result memo (on a sharded backend: by
-// at least one shard): verify_cache_hits then counts the answers carried
+// search answered from a segment's result memo, a hit or covered (on a
+// sharded backend: by at least one shard): verify_cache_hits then counts the answers carried
 // over, verified and refreshed the graphs inserted since that were
 // verified to catch up, and the filter counters of those shards are zero.
 type StatsJSON struct {

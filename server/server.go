@@ -852,10 +852,11 @@ type plannerBackend interface {
 
 // MemoStatsJSON reports the result memos of this process's segments (the
 // pis_result_memo_* metrics; on a cluster node, its own shard replicas):
-// lookups by outcome, the graphs hits verified to catch up with inserts,
-// and the bytes held.
+// lookups by outcome, one per segment read, the graphs reads verified to
+// catch up with inserts, and the bytes held.
 type MemoStatsJSON struct {
 	Hits            int64 `json:"hits"`
+	Covered         int64 `json:"covered"`
 	Misses          int64 `json:"misses"`
 	Fallbacks       int64 `json:"fallbacks"`
 	RefreshedGraphs int64 `json:"refreshed_graphs"`
@@ -923,6 +924,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Index:  encodeIndexStats(ist),
 		Memo: MemoStatsJSON{
 			Hits:            lookups.Value("hit"),
+			Covered:         lookups.Value("covered"),
 			Misses:          lookups.Value("miss"),
 			Fallbacks:       lookups.Value("fallback"),
 			RefreshedGraphs: reg.Counter("pis_result_memo_refreshed_graphs_total", "").Value(),
