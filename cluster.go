@@ -301,6 +301,7 @@ func (cn *ClusterNode) Stats() IndexStats {
 		Delta:      ov.Delta,
 		Tombstones: ov.Tombstones,
 
+		StoreBytes:       ov.Memory.StoreBytes,
 		BitmapBytes:      ov.Memory.BitmapBytes,
 		FingerprintBytes: ov.Memory.FingerprintBytes,
 	}

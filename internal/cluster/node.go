@@ -444,7 +444,7 @@ func (n *Node) writeState(sw *binio.SectionWriter) {
 		}
 		is, im := seg.IndexStats()
 		st.Classes, st.Frags, st.Seqs = is.Classes, is.Fragments, is.Sequences
-		st.Bitmap, st.FPs = im.BitmapBytes, im.FingerprintBytes
+		st.Store, st.Bitmap, st.FPs = im.StoreBytes, im.BitmapBytes, im.FingerprintBytes
 		if ss, ok := seg.StoreStats(); ok {
 			st.WALRecords = ss.WALRecords
 			st.WALBytes = ss.WALBytes

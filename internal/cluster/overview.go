@@ -108,6 +108,7 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 		ov.Sequences += st.Seqs
 		ov.Delta += st.Delta
 		ov.Tombstones += st.Tombs
+		ov.Memory.StoreBytes += st.Store
 		ov.Memory.BitmapBytes += st.Bitmap
 		ov.Memory.FingerprintBytes += st.FPs
 		ov.WALRecords += st.WALRecords

@@ -212,7 +212,8 @@ type shardState struct {
 	Seqs    int
 	Delta   int
 	Tombs   int
-	// Bitmap and FPs are the bytes of index.Memory.
+	// Store, Bitmap and FPs are the bytes of index.Memory.
+	Store  int
 	Bitmap int
 	FPs    int
 
@@ -232,7 +233,7 @@ func writeShardState(sw *binio.SectionWriter, st *shardState) {
 	sw.U64(st.MutSeq)
 	sw.Varint(int64(st.Live))
 	sw.Varint(int64(st.MaxID))
-	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Bitmap, st.FPs} {
+	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Store, st.Bitmap, st.FPs} {
 		sw.Varint(int64(v))
 	}
 	sw.Varint(st.WALRecords)
@@ -261,7 +262,7 @@ func readShardState(sr *binio.SectionReader) shardState {
 		sr.Malformed("max id")
 	}
 	st.MaxID = int32(maxID)
-	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Bitmap, &st.FPs} {
+	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Store, &st.Bitmap, &st.FPs} {
 		*p = int(sr.Varint())
 	}
 	st.WALRecords = sr.Varint()

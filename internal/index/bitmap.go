@@ -25,15 +25,22 @@ import (
 // Pair readies an index to answer searches over db, which must be the
 // exact graph set it was built over: every class gets its posting bitmap
 // and, when the image carried none, the fingerprint table is recomputed.
-// An index from Build or Rebase is paired already; one from Load or
-// OpenMapped is paired by the first core.NewSearcher over it.
+// An image of an older layout has its classes rebuilt from db, as a build
+// over it would lay them out (persist.go). An index from Build or Rebase is
+// paired already; one from Load or OpenMapped is paired by the first
+// core.NewSearcher over it.
 func (x *Index) Pair(db []*graph.Graph) error {
 	x.pairMu.Lock()
 	defer x.pairMu.Unlock()
 	if len(db) != x.dbSize {
 		return fmt.Errorf("index: pairing a %d-graph index with %d graphs", x.dbSize, len(db))
 	}
-	if !x.paired {
+	switch {
+	case x.paired:
+	case x.image != nil:
+		x.image, x.inMapping = nil, false
+		x.foldAndSeal(db, 0, 0)
+	default:
 		x.pair(db)
 	}
 	return nil
@@ -55,19 +62,26 @@ func (x *Index) pair(db []*graph.Graph) {
 	x.paired = true
 }
 
-// Memory is the heap an index holds beside its class stores, on a mapped
-// index too: the part of an index's footprint its image's size does not
-// show.
+// Memory is the heap an index holds: its class stores, and beside them
+// what it holds on a mapped index too, the part of an index's footprint
+// its image's size does not show.
 type Memory struct {
+	StoreBytes       int // class entry and posting blocks: the image's slab, 0 when mapped
 	BitmapBytes      int // class posting bitmaps: classes × graphs / 8, 0 before Pair
 	FingerprintBytes int // per-graph prescreen fingerprints
 }
 
-// Memory reports x's bitmap and fingerprint bytes.
+// Memory reports x's class store, bitmap and fingerprint bytes.
 func (x *Index) Memory() Memory {
 	m := Memory{FingerprintBytes: len(x.fps) * int(unsafe.Sizeof(GraphFP{}))}
 	if len(x.list) > 0 {
 		m.BitmapBytes = 8 * len(x.list[0].bits) * len(x.list)
+	}
+	for _, c := range x.list {
+		m.StoreBytes += c.ents.size() + len(c.postBlock)
+	}
+	if x.inMapping {
+		m.StoreBytes = 0
 	}
 	return m
 }

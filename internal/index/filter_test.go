@@ -185,21 +185,21 @@ func TestQueryFragmentsSurviveSlabGrowth(t *testing.T) {
 func rangeByFold(x *Index, qf QueryFragment, sigma float64, tombs *Tombstones) (ids []int32, dists []float64) {
 	c := qf.Class
 	best := map[int32]float64{}
-	for e := 0; e < c.ents.entries(); e++ {
+	c.eachEntry(func(key []uint64, run []int32) {
 		d := math.Inf(1)
 		for _, v := range c.Variants(qf.Key) {
 			sum := 0.0
 			for i, a := range v {
-				sum += x.cost(c, i, a, c.ents.key(e)[i])
+				sum += x.cost(c, i, a, key[i])
 			}
 			d = math.Min(d, sum)
 		}
-		for _, id := range c.ents.run(e) {
+		for _, id := range run {
 			if old, ok := best[id]; d <= sigma && !tombs.Has(id) && (!ok || d < old) {
 				best[id] = d
 			}
 		}
-	}
+	})
 	for id := range best {
 		ids = append(ids, id)
 	}

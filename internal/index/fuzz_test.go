@@ -99,8 +99,9 @@ func FuzzClassWalk(f *testing.F) {
 // range query without panicking and only with ids inside the database,
 // the two readers agree, and a heap-loaded index saves again. The
 // committed corpus (testdata/fuzz/FuzzIndexLoad) holds one small image
-// per kind byte — written by the last commit that still had other formats,
-// so a plain `go test` also proves those bytes keep opening — plus the two
+// per older kind byte — written by the last commit that still had other
+// formats, so a plain `go test` also proves those bytes keep opening —
+// two label images in today's layout (seed-labels, seed-labels-full), the
 // crafted count-bomb images of TestPersistRejectsOversizedCounts and the
 // well-formed one of TestOpenIgnoresHeaderGraphCount. full
 // picks the metric, whose vertex-blindness must match the image's; both

@@ -4,9 +4,11 @@
 // d(g, g') <= σ over the labeled fragments of one structural equivalence
 // class.
 //
-// Every class stores its fragments the same way, as a sorted slab of
-// fixed-length keys probed by one scan (slab.go); the metric alone decides
-// whether a key holds labels or weights.
+// Every class stores its fragments the same way, as one sorted entry block
+// of fixed-length keys probed by one scan (slab.go); the metric alone
+// decides whether a key holds labels or weights. The block is laid out as
+// the image stores it (persist.go), so a heap index and a mapped one differ
+// only in where those bytes live.
 //
 // Sequence alignment and superposition minimization both come from
 // canonical DFS codes: the labels of a fragment are laid out along the
@@ -17,6 +19,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -63,29 +66,25 @@ type Class struct {
 	conds [][2]int32
 	path  *node
 
-	ents  slab    // stored entries, sealed by finalize
-	stage staging // entries while a build or a Load folds them in
+	// ents are the stored entries and postBlock the postCount sorted
+	// unique graph ids containing the structure, both in the image's
+	// layout: sealed on the heap by a build, read into it by Load, or
+	// slices of the mapping of OpenMapped.
+	ents      entries
+	postBlock []byte
+	postCount int
+	stage     staging // entries and postings while a build folds them in
 
-	postings []int32 // sorted unique graph ids containing the structure
-	// bits is the same set as one bit per graph of the paired database,
+	// bits is the posting set as one bit per graph of the paired database,
 	// heap-resident on a mapped class too (bitmap.go); nil until Pair.
 	bits []uint64
 	// fragments counts the stored (key, graph) pairs: the ids over every
-	// entry's run. finalize reads it off the sealed slab, checkBlocks off
-	// a mapped class's entry block.
+	// entry's run. finalize counts them as it seals, checkBlocks as it
+	// walks an image's entry block.
 	fragments int
 
-	// Mapped (out-of-core) state: the class's stored entries and posting
-	// list live as delta+varint blocks inside the file mapping, decoded
-	// on demand. When mapped is set ents and postings are empty.
-	mapped    bool
-	entBlock  []byte
-	postBlock []byte
-	entCount  int
-	postCount int
-
-	// stats feeds the cost-based query planner; computed at build time
-	// and persisted in the image's directory (see stats.go).
+	// stats feeds the cost-based query planner; computed whenever the
+	// class is sealed or opened (see stats.go).
 	stats ClassStats
 }
 
@@ -93,45 +92,30 @@ type Class struct {
 // plus edge positions.
 func (c *Class) SeqLen() int { return c.vOff + c.NumE }
 
-// Postings returns the sorted graph ids containing this structure.
-// Callers must not modify the slice. On a mapped class this decodes a
-// fresh slice per call — the search path reads Index.Candidates instead.
+// Postings returns the sorted graph ids containing this structure,
+// decoded afresh per call: the search path reads Index.Candidates instead.
 func (c *Class) Postings() []int32 {
-	if c.mapped {
-		return c.AppendPostings(nil)
-	}
-	return c.postings
+	return c.AppendPostings(make([]int32, 0, c.postCount))
 }
 
 // PostingCount returns the posting-list length without decoding it.
-func (c *Class) PostingCount() int {
-	if c.mapped {
-		return c.postCount
-	}
-	return len(c.postings)
-}
+func (c *Class) PostingCount() int { return c.postCount }
 
-// AppendPostings appends the sorted posting ids to dst and returns it,
-// decoding from the mapped block when out-of-core. Allocation-free when
-// dst has capacity.
+// AppendPostings appends the sorted posting ids to dst and returns it.
+// Allocation-free when dst has capacity.
 func (c *Class) AppendPostings(dst []int32) []int32 {
-	if !c.mapped {
-		return append(dst, c.postings...)
-	}
 	cur := blockCursor{b: c.postBlock}
-	return cur.idList(dst, c.postCount)
+	return cur.idList(dst)
 }
 
 // Index is the fragment-based index over one graph database.
 type Index struct {
 	opts Options
 	// weights records that keys hold weights, not labels (the metric is
-	// distance.WeightKeyed); singleID that a mapped index's entry blocks
-	// hold one id per entry instead of a counted run (slab.go).
-	weights  bool
-	singleID bool
-	list     []*Class
-	dbSize   int
+	// distance.WeightKeyed).
+	weights bool
+	list    []*Class
+	dbSize  int
 	// fingerprint identifies the exact graph set the index was built
 	// over (graph.Fingerprint).
 	fingerprint uint64
@@ -147,10 +131,17 @@ type Index struct {
 	pairMu sync.Mutex
 	paired bool
 
-	// mapping backs an out-of-core index opened with OpenMapped; nil for
-	// a heap index. mappedPath remembers the backing file.
+	// mapping backs an index opened with OpenMapped; nil for a heap index.
+	// mappedPath remembers the backing file, and inMapping that the class
+	// bytes are slices of the mapping — no longer so once Pair has rebuilt
+	// an older image's classes on the heap.
 	mapping    *mmapio.Mapping
 	mappedPath string
+	inMapping  bool
+	// image is the file an image of an older layout was opened from: its
+	// classes start empty, Save writes these bytes back, and Pair rebuilds
+	// the classes from the graphs (persist.go).
+	image []byte
 }
 
 // Classes returns all classes ordered by ID.
@@ -248,13 +239,14 @@ func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon
 	return c
 }
 
-// finalize seals every class's staged entries into its sorted slab, one
-// class at a time so the staging of the others is all that stays live.
+// finalize seals every class's staged entries and postings into the
+// image's layout, one class at a time so the staging of the others is all
+// that stays live.
 func (x *Index) finalize() {
 	for _, c := range x.list {
-		c.ents = c.stage.seal(c.SeqLen(), x.weights)
+		c.postCount = len(c.stage.postings)
+		c.ents, c.fragments, c.postBlock = c.stage.seal(x.newEntries(c))
 		c.stage = staging{}
-		c.fragments = len(c.ents.ids)
 	}
 }
 
@@ -285,7 +277,7 @@ type RangeBuffer struct {
 
 	priced []int     // scan: positions summed per automorphism
 	sums   []float64 // scan: prefix sums per automorphism
-	key    []uint64  // mapped scan: the decoded key of the entry priced last
+	probes []uint64  // scan: the probe along each automorphism
 }
 
 // begin readies the buffer for one range query over n graphs.
@@ -297,24 +289,59 @@ func (rb *RangeBuffer) begin(n int) {
 	rb.lo, rb.hi = len(rb.seen), -1
 }
 
-// record folds one observation in, keeping the minimum distance per id.
-func (rb *RangeBuffer) record(id int32, d float64) {
-	w, bit := int(id)>>6, uint64(1)<<(uint(id)&63)
-	if rb.seen[w]&bit == 0 {
-		rb.seen[w] |= bit
-		rb.dense[id] = d
-		rb.lo, rb.hi = min(rb.lo, w), max(rb.hi, w)
-	} else if d < rb.dense[id] {
-		rb.dense[id] = d
+// recordRun folds in every graph of an encoded id run (appendIDs) at
+// distance d, keeping the minimum distance per id.
+func (rb *RangeBuffer) recordRun(run []byte, d float64) {
+	if len(run) == 0 {
+		return
 	}
+	// The run ascends, so its first id and its last bound the words it
+	// sets.
+	first := uint64(run[0])
+	if first >= 0x80 {
+		first, _ = binary.Uvarint(run)
+	}
+	rb.lo = min(rb.lo, int(first>>6))
+	seen, dense := rb.seen, rb.dense
+	id := int32(0)
+	for i := 0; i < len(run); {
+		gap := uint32(run[i])
+		i++
+		if gap >= 0x80 { // a uvarint of more than one byte, decoded in place
+			gap &= 0x7f
+			for shift := 7; i < len(run); shift += 7 {
+				b := run[i]
+				i++
+				if gap |= uint32(b&0x7f) << shift; b < 0x80 {
+					break
+				}
+			}
+		}
+		id += int32(gap)
+		if w, bit := int(id)>>6, uint64(1)<<(uint(id)&63); seen[w]&bit == 0 {
+			seen[w] |= bit
+			dense[id] = d
+		} else if d < dense[id] {
+			dense[id] = d
+		}
+	}
+	rb.hi = max(rb.hi, int(id)>>6)
 }
 
 // emit appends the recorded ids ascending, with their minimum distances
-// aligned, to pl and zeroes the bitmap behind itself.
-func (rb *RangeBuffer) emit(pl *PostingList) {
+// aligned, to pl, leaving out those in tombs, and zeroes the bitmap behind
+// itself.
+func (rb *RangeBuffer) emit(pl *PostingList, tombs *Tombstones) {
+	var dead []uint64
+	if tombs != nil {
+		dead = tombs.words
+	}
 	for w := rb.lo; w <= rb.hi; w++ {
 		word := rb.seen[w]
 		rb.seen[w] = 0
+		if w < len(dead) {
+			word &^= dead[w]
+		}
 		for ; word != 0; word &= word - 1 {
 			id := int32(w<<6 | bits.TrailingZeros64(word))
 			pl.IDs = append(pl.IDs, id)
@@ -338,8 +365,8 @@ func (x *Index) RangeQueryInto(qf QueryFragment, sigma float64, pl *PostingList,
 	rb.begin(x.dbSize)
 	// Deferred so that a panic in the metric still leaves the bitmap zeroed
 	// for the buffer's next query.
-	defer rb.emit(pl)
-	x.scanRange(qf, sigma, rb, tombs)
+	defer rb.emit(pl, tombs)
+	x.scanRange(qf, sigma, rb)
 }
 
 // Stats summarizes the index for reporting.

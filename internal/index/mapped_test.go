@@ -192,8 +192,9 @@ func TestMappedDifferentialMatrix(t *testing.T) {
 
 // TestMappedDifferentialVPTree: an image of the VP-tree kind (kind byte 2,
 // one id per entry, repeats included), which nothing writes any more,
-// answers the same mapped in place, decoded onto the heap, and after the
-// heap index saved it again in today's layout.
+// opens mapped and on the heap, and once paired with its graphs answers
+// the same either way, and after the heap index saved it again in today's
+// layout.
 func TestMappedDifferentialVPTree(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	path := filepath.Join("testdata", "images", "kind2-labels.pisidx3")
@@ -213,6 +214,11 @@ func TestMappedDifferentialVPTree(t *testing.T) {
 	}
 	if mx.Fingerprint() != graph.Fingerprint(db) {
 		t.Fatal("the image is not over parentImageDB")
+	}
+	for _, x := range []*Index{hx, mx} {
+		if err := x.Pair(db); err != nil {
+			t.Fatal(err)
+		}
 	}
 	queriesEqual(t, "heapload-vs-mapped", hx, mx, db)
 	if hs, ms := hx.Stats(), mx.Stats(); hs != ms {
@@ -325,7 +331,7 @@ func TestMappedCorruption(t *testing.T) {
 		for _, blk := range []struct {
 			name string
 			b    []byte
-		}{{"entry", mc.entBlock}, {"posting", mc.postBlock}} {
+		}{{"entry", mc.ents.ids[:mc.ents.size()]}, {"posting", mc.postBlock}} {
 			if len(blk.b) == 0 {
 				continue
 			}
@@ -379,39 +385,6 @@ func TestStreamingRejectsShortSource(t *testing.T) {
 	_, err = buildStreaming(&sliceSource{db: db}, 5, feats, Options{Metric: metric}, path, 1)
 	if err == nil || !strings.Contains(err.Error(), "more than the declared") {
 		t.Fatalf("long source not rejected: %v", err)
-	}
-}
-
-// TestBlockCursorSkipVarints: stepping over varints lands where decoding
-// them would, and a block that ends early is flagged, not overrun.
-func TestBlockCursorSkipVarints(t *testing.T) {
-	var b []byte
-	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 + 5, 7}
-	for i := uint64(0); i < 40; i++ { // long enough for the word-at-a-time stretch
-		vals = append(vals, i*i*i*977)
-	}
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, v)
-	}
-	for k := 0; k <= len(vals); k++ {
-		skip, dec := blockCursor{b: b}, blockCursor{b: b}
-		skip.skipVarints(k)
-		for i := 0; i < k; i++ {
-			dec.uvarint()
-		}
-		if skip.bad || skip.pos != dec.pos {
-			t.Fatalf("skipping %d varints: pos %d bad %v, decoding reaches %d", k, skip.pos, skip.bad, dec.pos)
-		}
-		if k < len(vals) && skip.uvarint() != vals[k] {
-			t.Fatalf("after skipping %d varints the next one is not %d", k, vals[k])
-		}
-	}
-	for _, short := range [][]byte{nil, {0x80}, b[:len(b)-1], append(append([]byte(nil), b...), 0xff)} {
-		c := blockCursor{b: short}
-		c.skipVarints(len(vals) + 1)
-		if !c.bad {
-			t.Errorf("block %x holds fewer than %d varints but skipping them was not flagged", short, len(vals)+1)
-		}
 	}
 }
 

@@ -40,7 +40,8 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 
 // foldAndSeal folds the fragments of db[from:] into the class stores
 // (graphs below from are in them already, see Rebase) and seals the index
-// over db: slabs, planner statistics, fingerprints, posting bitmaps.
+// over db: entry and posting blocks, planner statistics, fingerprints,
+// posting bitmaps.
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
@@ -135,8 +136,8 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 func (x *Index) apply(id int32, ops graphOps) {
 	keys := ops.keys
 	for _, c := range ops.classes {
-		if n := len(c.postings); n == 0 || c.postings[n-1] != id {
-			c.postings = append(c.postings, id)
+		if n := len(c.stage.postings); n == 0 || c.stage.postings[n-1] != id {
+			c.stage.postings = append(c.stage.postings, id)
 		}
 		c.stage.fold(keys[:c.SeqLen()], id)
 		keys = keys[c.SeqLen():]

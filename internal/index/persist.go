@@ -1,60 +1,59 @@
 // Index persistence. The expensive part of PIS is finding and keying
 // every database fragment; Save captures the result so a
-// process restart costs a decode (Load) or a memory mapping (OpenMapped)
+// process restart costs a read (Load) or a memory mapping (OpenMapped)
 // instead of a rebuild.
 //
-// There is one byte format, the PISIDX3 image, laid out so the same file
-// serves both readers — fully decoded onto the heap, or mapped with only
-// its directory resident. The file is two regions:
+// There is one byte format, the PISIDX3 image, and one reader: Load reads
+// the image into memory and OpenMapped maps it, and both then hold the
+// classes' blocks as the image lays them out — only where those bytes live
+// differs. The file is two regions:
 //
 //	"PISIDX3\n"
 //	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
-//	                   db fingerprint, class count, signature words (0; an
-//	                   older image's are skipped), fp-section flag, slab
-//	                   offset + length
+//	                   db fingerprint, class count, a retired width (0),
+//	                   fp-section flag, slab offset + length
 //	directory section  per class: canonical code, vOff, stored (key, graph)
 //	                   pairs, posting count/offset/length/CRC, entry
 //	                   count/offset/length/CRC, planner stats
 //	fingerprints       per-graph prescreen fingerprints (fingerprint.go)
 //	zero padding       to the page-aligned slab offset
-//	slab               per-class posting + entry blocks, delta+varint
+//	slab               per class: entry block, then posting block
 //
-// Everything above the slab is small and heap-resident after OpenMapped
-// (the "directory"); the slab — posting lists and stored sequences, the
-// part that grows with the database — is only ever touched through the
-// mapping, decoded block-by-block into pooled scratch by RangeQueryInto.
-// Every section and every per-class slab block carries its own CRC32, so
-// a reader names exactly what is corrupted or truncated, in the same
-// spirit as the store's WAL frames. The header embeds the fingerprint of
-// the exact graph set the index was built over, so pairing an index with
-// a different database fails loudly instead of silently returning wrong
-// answers. The metric itself is not serialized — the caller supplies an
-// equivalent one to the reader — but its vertex-blindness and whether it
-// reads labels or weights are recorded and checked, since both change the
-// stored key layout. Automorphism permutations are cheap to recompute and
-// are rebuilt by the reader.
+// Everything above the slab is small and decoded onto the heap (the
+// "directory"); the slab — posting lists and stored entries, the part that
+// grows with the database — is read in place by the range query, on the
+// heap or through the mapping. Every section and every per-class slab
+// block carries its own CRC32, so a reader names exactly what is corrupted
+// or truncated, in the same spirit as the store's WAL frames. The header
+// embeds the fingerprint of the exact graph set the index was built over,
+// so pairing an index with a different database fails loudly instead of
+// silently returning wrong answers. The metric itself is not serialized —
+// the caller supplies an equivalent one to the reader — but its
+// vertex-blindness and whether it reads labels or weights are recorded and
+// checked, since both change the stored key layout. Automorphism
+// permutations are cheap to recompute and are rebuilt by the reader, and
+// so are the directory's pair counts and planner stats, which are written
+// for older readers and never trusted.
 //
-// Slab encodings (offsets in the directory are relative to the slab; the
-// header's kind byte names the entry encoding, see the constants below
-// and slab.go):
+// Slab blocks (offsets in the directory are relative to the slab):
 //
 //	postings block   uvarint first id, then uvarint gaps (ascending ids)
-//	kind 0 entry     SeqLen uvarint labels, uvarint id count,
-//	                 uvarint first id, uvarint gaps
-//	kind 1 entry     SeqLen little-endian float64 weights, uvarint id
-//	kind 2 entry     SeqLen uvarint labels, uvarint id
+//	entry block      the id runs, then the keys (2 bytes a position for
+//	                 kind 3, 8 for kind 4), one lcp byte per entry and one
+//	                 uint32 run end per entry (slab.go)
 //
 // Entries are sorted (label keys lexicographically, weight keys
-// numerically, ids ascending within ties), so Save and the chunked
-// streaming build lay out identical blocks.
+// numerically), so Save and the chunked streaming build lay out identical
+// blocks.
 //
 // An image may come from outside the process (a copied store, a side
 // file a cluster peer ships), and a CRC is no defence against a crafted
 // one. The reader therefore bounds every count by the bytes that could
 // hold it before allocating, checks every class code is the canonical
 // code of a simple connected graph, and walks every block once to prove
-// its ids lie inside the database — so a bad image is an error at open,
-// never an out-of-memory kill or an out-of-range index at query time.
+// its ids lie inside the database and its lcp bytes are its keys' — so a
+// bad image is an error at open, never an out-of-memory kill, an
+// out-of-range index or a wrong answer at query time.
 
 package index
 
@@ -65,7 +64,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -82,19 +80,21 @@ const persistMagic = "PISIDX3\n"
 // fpMagic tags the per-graph fingerprint section ("PISF" little-endian).
 const fpMagic = 0x46534950
 
-// The header's kind byte names the entry encoding of the image. The
-// values are those of the per-class structures the repository once chose
-// between (trie, R-tree, VP-tree), so images written then still open.
+// The header's kind byte names the entry layout. Kinds 0 to 2 are the
+// layouts of the per-class structures the repository once chose between
+// (trie, R-tree, VP-tree; kind 1 held weights): of such an image only the
+// header and directory are read, its classes open empty, and Pair rebuilds
+// them from the graphs. Older readers refuse kinds 3 and 4 by name.
 const (
-	kindLabelRuns   = 0 // label keys, a counted id run per entry
-	kindWeights     = 1 // weight keys, one id per entry
-	kindLabelSingle = 2 // label keys, one id per entry; read, never written
+	kindOldWeights = 1
+	kindLabels     = 3
+	kindWeights    = 4
 )
 
 // header is the image header Save and BuildStreaming write for x, over a
 // slab of slabLen bytes.
 func (x *Index) header(slabLen uint64) v3Header {
-	kind := byte(kindLabelRuns)
+	kind := byte(kindLabels)
 	if x.weights {
 		kind = kindWeights
 	}
@@ -114,7 +114,6 @@ type v3Header struct {
 	dbSize      int
 	fingerprint uint64
 	nClasses    int
-	sigWords    int // 64-bit words of class signature behind each fingerprint record; written as 0
 	hasFPs      bool
 	slabOff     uint64
 	slabLen     uint64
@@ -176,8 +175,8 @@ func (s *v3SlabWriter) uvarint(v uint64) {
 	}
 }
 
-func (s *v3SlabWriter) u64(v uint64) {
-	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
+func (s *v3SlabWriter) bytes(b []byte) {
+	s.buf = append(s.buf, b...)
 	if len(s.buf) >= 1<<16 {
 		s.flushBuf()
 	}
@@ -191,21 +190,18 @@ func (s *v3SlabWriter) endBlock(startOff uint64) (length uint64, crc uint32) {
 
 // ids appends an ascending id list as first + gaps.
 func (s *v3SlabWriter) ids(ids []int32) {
-	for i, id := range ids {
-		if i == 0 {
-			s.uvarint(uint64(uint32(id)))
-		} else {
-			s.uvarint(uint64(uint32(id - ids[i-1])))
-		}
+	if s.buf = appendIDs(s.buf, ids); len(s.buf) >= 1<<16 {
+		s.flushBuf()
 	}
 }
 
-// Save writes the index to w as a PISIDX3 image. A mapped index streams
-// its file image verbatim (the bytes are already its serialization); a
-// heap index is encoded here, the one place an Index becomes bytes.
+// Save writes the index to w as a PISIDX3 image: the class blocks it
+// holds, heap or mapped alike, behind a directory and fingerprint section
+// encoded here. An index opened from an older layout and not yet paired
+// writes back the image it was opened from.
 func (x *Index) Save(w io.Writer) error {
-	if x.mapping != nil {
-		_, err := w.Write(x.mapping.Data())
+	if x.image != nil {
+		_, err := w.Write(x.image)
 		return err
 	}
 	var slab bytes.Buffer
@@ -221,13 +217,14 @@ func (x *Index) Save(w io.Writer) error {
 		// Entries first, postings second, as the streaming build merges
 		// them.
 		dc.entOff = sw.beginBlock()
-		for e := 0; e < c.ents.entries(); e++ {
-			dc.entCount += x.writeEntry(sw, c.ents.key(e), c.ents.run(e))
+		for _, col := range [][]byte{c.ents.ids, c.ents.keys, c.ents.lcp, c.ents.ends} {
+			sw.bytes(col)
 		}
+		dc.entCount = c.ents.n()
 		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
 		dc.postOff = sw.beginBlock()
-		dc.postCount = len(c.postings)
-		sw.ids(c.postings)
+		dc.postCount = c.postCount
+		sw.bytes(c.postBlock)
 		dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
 		dir = append(dir, dc)
 	}
@@ -307,15 +304,9 @@ func appendGraphFP(b []byte, fp *GraphFP) []byte {
 	return b
 }
 
-// maxSigWords bounds the signature width a reader steps over.
-const maxSigWords = 16
-
-// graphFPMinBytes is the smallest fingerprint record in a section whose
-// records each drag words signature words behind them: one byte per
-// counter plus the fixed-width signature.
-func graphFPMinBytes(words int) int {
-	return 2 + fpDegTail + fpEdgeBuckets + fpVertexBuckets + 8*words
-}
+// graphFPMinBytes is the smallest fingerprint record: one byte per
+// counter.
+const graphFPMinBytes = 2 + fpDegTail + fpEdgeBuckets + fpVertexBuckets
 
 // writeV3Image assembles the image: magic, header, directory, optional
 // fingerprint section, padding, slab. hdr.slabOff is computed here;
@@ -337,7 +328,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fp
 		sw.Uvarint(uint64(h.dbSize))
 		sw.U64(h.fingerprint)
 		sw.Uvarint(uint64(h.nClasses))
-		sw.Uvarint(uint64(h.sigWords))
+		sw.Uvarint(0) // retired: the class signature width of older images
 		fb := byte(0)
 		if h.hasFPs {
 			fb = 1
@@ -411,7 +402,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fp
 // parseV3Meta decodes the header, directory, and fingerprint sections of
 // an image, without touching the slab. Every count is bounded by the
 // bytes that could hold it before anything is allocated from it. Errors
-// name the section.
+// name the section. An older layout's fingerprint section is not read.
 func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, []GraphFP, error) {
 	var hdr v3Header
 	fail := func(format string, args ...any) (v3Header, []v3DirClass, []GraphFP, error) {
@@ -428,7 +419,7 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	hdr.vertexBlind = sr.U8() != 0
 	maxEdges, dbSize := sr.Uvarint(), sr.Uvarint()
 	hdr.fingerprint = sr.U64()
-	nClasses, sigWords := sr.Uvarint(), sr.Uvarint()
+	nClasses, retired := sr.Uvarint(), sr.Uvarint()
 	hdr.hasFPs = sr.U8() != 0
 	hdr.slabOff = sr.U64()
 	hdr.slabLen = sr.U64()
@@ -438,20 +429,23 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	if hdr.vertexBlind != distance.IgnoresVertices(metric) {
 		return fail("metric vertex-blindness disagrees with the saved index")
 	}
-	if hdr.kind > kindLabelSingle {
+	if hdr.kind > kindWeights {
 		return fail("mapped header: unknown kind %d", hdr.kind)
 	}
-	if (hdr.kind == kindWeights) != distance.ReadsWeights(metric) {
+	if (hdr.kind == kindWeights || hdr.kind == kindOldWeights) != distance.ReadsWeights(metric) {
 		return fail("metric reads labels where the saved index stores weights, or the reverse")
+	}
+	if hdr.kind >= kindLabels && retired != 0 {
+		return fail("mapped header: signature width %d in a layout that has none", retired)
 	}
 	// Graph ids are int32 and every later count is bounded against a
 	// section's bytes, so nothing legitimate exceeds MaxInt32.
-	for _, v := range []uint64{maxEdges, dbSize, nClasses, sigWords} {
+	for _, v := range []uint64{maxEdges, dbSize, nClasses} {
 		if v > math.MaxInt32 {
 			return fail("mapped header: count %d out of range", v)
 		}
 	}
-	hdr.maxEdges, hdr.dbSize, hdr.nClasses, hdr.sigWords = int(maxEdges), int(dbSize), int(nClasses), int(sigWords)
+	hdr.maxEdges, hdr.dbSize, hdr.nClasses = int(maxEdges), int(dbSize), int(nClasses)
 
 	if err := sr.Next(); err != nil {
 		if err == io.EOF {
@@ -477,7 +471,7 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 			}
 		}
 		dc.vOff = int(sr.Uvarint())
-		dc.fragments = int(sr.Uvarint())
+		sr.Uvarint() // stored pairs: checkBlocks counts them
 		postCount := sr.Uvarint()
 		dc.postOff = sr.U64()
 		dc.postLen = sr.U64()
@@ -486,10 +480,8 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 		dc.entOff = sr.U64()
 		dc.entLen = sr.U64()
 		dc.entCRC = sr.U32()
-		dc.stats.Sequences = int32(sr.Uvarint())
-		dc.stats.Pairs = int32(sr.Uvarint())
-		for i := range dc.stats.Hist {
-			dc.stats.Hist[i] = int32(sr.Uvarint())
+		for range 2 + statsHistBuckets {
+			sr.Uvarint() // planner stats: computeStats recomputes them
 		}
 		if err := sr.Err(); err != nil {
 			return fail("mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
@@ -501,12 +493,11 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 				ci, hdr.nClasses, postCount, dc.postLen, entCount, dc.entLen)
 		}
 		dc.postCount, dc.entCount = int(postCount), int(entCount)
-		dc.stats.Postings = int32(dc.postCount)
 		dir = append(dir, dc)
 	}
 
 	var fps []GraphFP
-	if hdr.hasFPs {
+	if hdr.hasFPs && hdr.kind >= kindLabels {
 		var err error
 		if fps, err = readFingerprints(sr, hdr); err != nil {
 			return fail("mapped fingerprint section: %w", err)
@@ -526,14 +517,10 @@ func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) 
 	if m := sr.U32(); m != fpMagic {
 		return nil, fmt.Errorf("bad section magic %08x", m)
 	}
-	words := int(sr.Uvarint())
-	if words < 0 || words > maxSigWords {
-		return nil, fmt.Errorf("signature width %d words out of range", words)
+	if words := sr.Uvarint(); words != 0 {
+		return nil, fmt.Errorf("signature width %d in a layout that has none", words)
 	}
-	if words != hdr.sigWords {
-		return nil, fmt.Errorf("signature width %d disagrees with header %d", words, hdr.sigWords)
-	}
-	n := sr.Count(graphFPMinBytes(words), "fingerprint")
+	n := sr.Count(graphFPMinBytes, "fingerprint")
 	if err := sr.Err(); err != nil {
 		return nil, err
 	}
@@ -554,7 +541,6 @@ func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) 
 		for k := range fp.VLab {
 			fp.VLab[k] = uint16(sr.Uvarint())
 		}
-		sr.Bytes(8 * words) // an older image's class signature
 	}
 	return fps, sr.Err()
 }
@@ -594,12 +580,13 @@ func codeGraph(code canon.Code) (*graph.Graph, error) {
 	return code.Graph(), nil
 }
 
-// decodeV3 is the prologue both readers share: parse and bound the
-// metadata, scaffold the classes, locate and checksum each class's slab
-// blocks, and walk them once (checkBlocks). It returns an index whose
-// classes carry their verified blocks and no storage yet; openV3 serves
-// them in place, Load decodes them.
-func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
+// decodeV3 is the one reader: parse and bound the metadata, scaffold the
+// classes, locate and checksum each class's slab blocks, walk them once
+// (checkBlocks) and compute the planner stats. The classes hold their
+// blocks in place: in data, or, when heap is set, in a copy of the slab
+// alone, so the rest of data can be collected. An image of an older
+// layout keeps data whole for Save, and its classes open empty.
+func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 	hdr, dir, fps, err := parseV3Meta(data, metric)
 	if err != nil {
 		return nil, err
@@ -607,17 +594,21 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
 		return nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
 	}
-	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
 	x := &Index{
 		opts: Options{
 			Metric:           metric,
 			MaxFragmentEdges: hdr.maxEdges,
 		},
-		weights:     hdr.kind == kindWeights,
-		singleID:    hdr.kind != kindLabelRuns,
+		weights:     distance.ReadsWeights(metric),
 		dbSize:      hdr.dbSize,
 		fingerprint: hdr.fingerprint,
 		fps:         fps,
+	}
+	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
+	if hdr.kind < kindLabels {
+		x.image = data
+	} else if heap {
+		slab = bytes.Clone(slab)
 	}
 	seen := make(map[string]bool, len(dir))
 	for i, dc := range dir {
@@ -635,72 +626,85 @@ func decodeV3(data []byte, metric distance.Metric) (*Index, error) {
 			return nil, fmt.Errorf("index: mapped directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
 		}
 		c := newClass(i, key, dc.code, cg, embs, dc.vOff)
-		c.stats = dc.stats
+		seen[key] = true
+		x.list = append(x.list, c)
+		c.ents = x.newEntries(c)
+		if x.image != nil {
+			continue
+		}
 		block := func(what string, off, length uint64, crc uint32) ([]byte, error) {
 			if off+length < off || off+length > uint64(len(slab)) {
 				return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", i, what, len(slab), off+length)
 			}
-			b := slab[off : off+length]
+			b := slab[off : off+length : off+length]
 			if got := crc32.ChecksumIEEE(b); got != crc {
 				return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", i, what, crc, got)
 			}
 			return b, nil
 		}
-		if c.entBlock, err = block("entry", dc.entOff, dc.entLen, dc.entCRC); err != nil {
+		entBlock, err := block("entry", dc.entOff, dc.entLen, dc.entCRC)
+		if err != nil {
 			return nil, err
 		}
 		if c.postBlock, err = block("posting", dc.postOff, dc.postLen, dc.postCRC); err != nil {
 			return nil, err
 		}
-		c.postCount, c.entCount = dc.postCount, dc.entCount
-		if what := x.checkBlocks(c); what != "" {
-			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, or the block does not end with its last entry)", i, what, hdr.dbSize)
+		c.postCount = dc.postCount
+		var ok bool
+		if c.ents, ok = splitEntries(entBlock, dc.entCount, c.ents); !ok {
+			return nil, fmt.Errorf("index: mapped slab: class %d entry block: %d bytes cannot hold %d entries", i, len(entBlock), dc.entCount)
 		}
-		seen[key] = true
-		x.list = append(x.list, c)
+		if what := x.checkBlocks(c); what != "" {
+			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, a run that does not end where its entry says, or an lcp byte that is not its key's)", i, what, hdr.dbSize)
+		}
 	}
 	x.plant()
+	x.computeStats()
 	return x, nil
 }
 
 // checkBlocks walks c's checksummed blocks once and proves what a CRC
-// cannot: every graph id lies in [0, dbSize), id lists ascend strictly,
-// and each block ends exactly with its last entry. It names the
-// offending block, or returns "". The walk also counts c.fragments: the
-// directory's figure is not read, since images written before the merge
-// counted occurrences there.
+// cannot: every graph id lies in [0, dbSize), every id list ascends
+// strictly, the posting block holds postCount ids, every entry's run is
+// non-empty and ends where the next begins, and every lcp byte is the
+// prefix its key shares with the one before. It names the offending
+// block, or returns "". The walk also counts c.fragments.
 func (x *Index) checkBlocks(c *Class) string {
+	limit := uint64(x.dbSize)
 	cur := blockCursor{b: c.postBlock}
-	cur.skipIDs(uint64(c.postCount), uint64(x.dbSize))
-	if cur.bad || cur.pos != len(cur.b) {
+	if cur.countIDs(limit) != c.postCount || cur.bad {
 		return "posting"
 	}
-	cur = blockCursor{b: c.entBlock}
-	key := make([]uint64, c.SeqLen())
-	var prev []byte // the entry before, whole: a kind 2 image repeats a pair once per occurrence
-	for e := 0; e < c.entCount && !cur.bad; e++ {
-		from := cur.pos
-		x.readKey(&cur, key) // decoded, not stepped over: an overlong varint is malformed
-		n := x.entryIDs(&cur)
-		cur.skipIDs(n, uint64(x.dbSize))
-		if ent := cur.b[from:cur.pos]; !x.singleID || !bytes.Equal(ent, prev) {
-			c.fragments += int(n)
-			prev = ent
+	es := &c.ents
+	prev := 0
+	for e := 0; e < es.n(); e++ {
+		end, lcp := es.end(e), 0
+		if e > 0 {
+			lcp = es.commonPrefix(e)
 		}
+		if end <= prev || end > len(es.ids) || int(es.lcp[e]) != lcp {
+			return "entry"
+		}
+		cur := blockCursor{b: es.ids[prev:end]}
+		c.fragments += cur.countIDs(limit)
+		if cur.bad {
+			return "entry"
+		}
+		prev = end
 	}
-	if cur.bad || cur.pos != len(cur.b) {
+	if prev != len(es.ids) {
 		return "entry"
 	}
 	return ""
 }
 
 // OpenMapped opens an index file through a memory mapping: the directory
-// (class keys, offsets, stats, fingerprints) loads into heap, posting and
-// entry blocks stay on disk and are decoded from the mapping at query
-// time; Pair adds the posting bitmaps, on the heap. Every block is
-// checksummed and walked here, so corruption fails at open with the
-// damaged section named instead of surfacing as wrong answers later. The
-// caller owns the returned index's Close.
+// (class keys, offsets, fingerprints) is decoded onto the heap, posting
+// and entry blocks stay in the mapping and are read there at query time;
+// Pair adds the posting bitmaps, on the heap. Every block is checksummed
+// and walked here, so corruption fails at open with the damaged section
+// named instead of surfacing as wrong answers later. The caller owns the
+// returned index's Close.
 func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
@@ -718,24 +722,21 @@ func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	return x, nil
 }
 
-// openV3 builds a mapped index over an image. mapping may be nil (tests
+// openV3 opens an index over an image in place. mapping may be nil (tests
 // feed raw bytes); the index takes ownership when it is not.
 func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Index, error) {
-	x, err := decodeV3(data, metric)
+	x, err := decodeV3(data, metric, false)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range x.list {
-		c.mapped = true
-	}
-	x.mapping = mapping
+	x.mapping, x.inMapping = mapping, mapping != nil
 	return x, nil
 }
 
-// Load decodes an image written by Save, WriteMapped or BuildStreaming
-// into an ordinary heap index. The metric must match the one used at
-// build time (at minimum its vertex-blindness and whether it reads labels
-// or weights must agree). Callers attach the index to a graph set (Pair)
+// Load reads an image written by Save, WriteMapped or BuildStreaming into
+// an ordinary heap index. The metric must match the one used at build
+// time (at minimum its vertex-blindness and whether it reads labels or
+// weights must agree). Callers attach the index to a graph set (Pair)
 // only after checking DBSize and Fingerprint against the actual graphs.
 func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	if metric == nil {
@@ -745,19 +746,7 @@ func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading image: %w", err)
 	}
-	x, err := decodeV3(data, metric)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range x.list {
-		cur := blockCursor{b: c.postBlock}
-		c.postings = cur.idList(make([]int32, 0, c.postCount), c.postCount)
-		x.eachEntry(c, func(key []uint64, ids []int32) { c.stage.fold(key, ids...) })
-		// Drop the references into data so the image can be collected.
-		c.entBlock, c.postBlock, c.entCount, c.postCount = nil, nil, 0, 0
-	}
-	x.finalize()
-	return x, nil
+	return decodeV3(data, metric, true)
 }
 
 // blockCursor decodes one slab block. A malformed stream (impossible
@@ -790,79 +779,33 @@ func (c *blockCursor) uvarintLong() uint64 {
 	return v
 }
 
-// skip advances past n bytes.
-func (c *blockCursor) skip(n int) {
-	if c.bad || n > len(c.b)-c.pos {
-		c.bad = true
-		return
-	}
-	c.pos += n
-}
-
-// skipVarints advances past n varints without decoding them: a varint
-// ends at its first byte below 0x80, so while more than eight remain the
-// eight bytes ahead hold no more ends than that and are counted as one
-// word. A block that runs out first sets bad.
-func (c *blockCursor) skipVarints(n int) {
-	if c.bad {
-		return
-	}
-	pos := c.pos
-	for ; n > 8 && pos+8 <= len(c.b); pos += 8 {
-		w := binary.LittleEndian.Uint64(c.b[pos:])
-		n -= bits.OnesCount64(^w & 0x8080808080808080)
-	}
-	for ; n > 0 && pos < len(c.b); pos++ {
-		if c.b[pos] < 0x80 {
-			n--
-		}
-	}
-	c.pos = pos
-	c.bad = n > 0
-}
-
-// skipIDs walks n delta-coded ids, setting bad unless they ascend
-// strictly and stay below limit.
-func (c *blockCursor) skipIDs(n, limit uint64) {
+// countIDs walks the rest of the block as delta-coded ids and returns how
+// many it holds, setting bad unless they ascend strictly and stay below
+// limit.
+func (c *blockCursor) countIDs(limit uint64) (n int) {
 	id := uint64(0)
-	for i := uint64(0); i < n && !c.bad; i++ {
+	for ; !c.done(); n++ {
 		d := c.uvarint()
-		if d >= limit || (i > 0 && d == 0) {
-			c.bad = true
-			return
-		}
-		if i == 0 {
-			id = d
-		} else {
-			id += d
-		}
-		if id >= limit {
+		if id += d; d >= limit || id >= limit || n > 0 && d == 0 {
 			c.bad = true
 		}
 	}
+	return n
 }
 
-// idList appends n delta-decoded ids to dst.
-func (c *blockCursor) idList(dst []int32, n int) []int32 {
-	id := int32(0)
-	for i := 0; i < n; i++ {
-		d := int32(c.uvarint())
-		if c.bad {
-			return dst
+// idList appends the rest of the block's delta-coded ids to dst.
+func (c *blockCursor) idList(dst []int32) []int32 {
+	for id := int32(0); !c.done(); {
+		if id += int32(c.uvarint()); !c.bad {
+			dst = append(dst, id)
 		}
-		if i == 0 {
-			id = d
-		} else {
-			id += d
-		}
-		dst = append(dst, id)
 	}
 	return dst
 }
 
 func (c *blockCursor) done() bool { return c.bad || c.pos >= len(c.b) }
 
-// IsMapped reports whether the index serves its slab through a mapping.
+// IsMapped reports whether the index was opened through a mapping.
 func (x *Index) IsMapped() bool { return x.mapping != nil }
 
 // Close releases the mapping of a mapped index; a heap index is a no-op.

@@ -111,6 +111,9 @@ func TestPersistRoundTripVPTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := x.Pair(parentImageDB()); err != nil {
+		t.Fatal(err)
+	}
 	roundTrip(t, x, parentImageDB(), distance.EdgeMutation{})
 }
 
@@ -264,7 +267,7 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 // TestPersistRejectsOversizedCounts.
 func oversizedImages(t testing.TB) map[string][]byte {
 	t.Helper()
-	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 3}
+	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 3}
 	craft := func(hdr v3Header, fps []byte) []byte {
 		var buf bytes.Buffer
 		if err := writeV3Image(&buf, hdr, nil, bytes.NewReader(fps), len(fps), bytes.NewReader(nil)); err != nil {
@@ -290,14 +293,13 @@ func unboundedGraphCountImage(t testing.TB) []byte {
 	sw := &v3SlabWriter{w: &slab}
 	dc := v3DirClass{code: canon.Code{{I: 0, J: 1}}, fragments: 1, postCount: 1, entCount: 1}
 	dc.entOff = sw.beginBlock()
-	sw.uvarint(0) // the edge label
-	sw.uvarint(1) // one id
-	sw.uvarint(0)
+	sw.uvarint(0)                         // the run: graph 0
+	sw.bytes([]byte{0, 0, 0, 1, 0, 0, 0}) // the edge label, the lcp, the run's end
 	dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
 	dc.postOff = sw.beginBlock()
 	sw.uvarint(0)
 	dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
-	hdr := v3Header{kind: kindLabelRuns, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
+	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
 	var buf bytes.Buffer
 	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, nil, 0, &slab); err != nil {
 		t.Fatal(err)
@@ -418,10 +420,9 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 // of the given size, and whether some class holds no graph of one chunk.
 func chunkCoverage(x *Index, graphs int) (spans, empty bool) {
 	for _, c := range x.Classes() {
-		for e := 0; e < c.ents.entries(); e++ {
-			run := c.ents.run(e)
+		c.eachEntry(func(_ []uint64, run []int32) {
 			spans = spans || run[0]/int32(graphs) != run[len(run)-1]/int32(graphs)
-		}
+		})
 		seen := make(map[int32]bool)
 		for _, id := range c.Postings() {
 			seen[id/int32(graphs)] = true
@@ -451,17 +452,22 @@ func chunkCoverage(x *Index, graphs int) (spans, empty bool) {
 // as their smallest variant, so the six label images did not move). They
 // moved once more for the same reason when builds came to find fragments
 // by walking the class trie: the embedding a fragment is placed along is
-// now the one its class's symmetry-breaking conditions pass.
+// now the one its class's symmetry-breaking conditions pass. All eight
+// moved once more when every class came to store one entry layout, read
+// in place on the heap and mapped alike (kinds 3 and 4): the entry block
+// is an id column, then 2-byte label or 8-byte weight keys, lcp bytes and
+// uint32 run ends, where it was uvarint keys each followed by its run, and
+// weight keys carry id runs instead of one id each.
 func TestImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		metric distance.Metric
 		heap   string
 	}{
-		{"edge", distance.EdgeMutation{}, "4d5164991fea4f57"},
-		{"full", distance.FullMutation{}, "6e05400acbf7c5ca"},
-		{"matrix", testMatrix(), "743f52ca5a7b9405"},
-		{"linear", distance.Linear{}, "d9ff6bab05bc8815"},
+		{"edge", distance.EdgeMutation{}, "4c53c23dedb79119"},
+		{"full", distance.FullMutation{}, "1a2d3de4e1a8083d"},
+		{"matrix", testMatrix(), "22ec1930f937ac4e"},
+		{"linear", distance.Linear{}, "74062942d2399779"},
 	} {
 		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})
 		feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})
@@ -487,5 +493,60 @@ func TestImageBytesPinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
 			t.Errorf("%s: streaming build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
 		}
+	}
+}
+
+// TestStoreBytesIsSlab: a heap index, built or loaded, holds its class
+// stores as exactly the bytes of its image's slab and reports that many
+// store bytes; a mapped one reports none. An image of an older layout
+// holds none until Pair rebuilds its classes on the heap, mapped or not.
+func TestStoreBytesIsSlab(t *testing.T) {
+	slabLen := func(x *Index) int {
+		image, _ := imageBytes(t, x)
+		hdr, _, _, err := parseV3Meta(image, x.opts.Metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(hdr.slabLen)
+	}
+	for _, tc := range metricCases {
+		x, _ := buildSmall(t, tc.metric, 23, 30)
+		want := slabLen(x)
+		path := filepath.Join(t.TempDir(), "idx.pisidx3")
+		if err := x.WriteMapped(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hx, err := Load(bytes.NewReader(data), tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mx, err := OpenMapped(path, tc.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mx.Close()
+		if want == 0 || x.Memory().StoreBytes != want || hx.Memory().StoreBytes != want || mx.Memory().StoreBytes != 0 {
+			t.Fatalf("%s: a %d-byte slab; store bytes built %d, loaded %d, mapped %d",
+				tc.name, want, x.Memory().StoreBytes, hx.Memory().StoreBytes, mx.Memory().StoreBytes)
+		}
+	}
+	path := filepath.Join("testdata", "images", "kind0-labels.pisidx3")
+	mx, err := OpenMapped(path, distance.EdgeMutation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	if got := mx.Memory().StoreBytes; got != 0 {
+		t.Fatalf("an unpaired image of an older layout holds %d store bytes", got)
+	}
+	if err := mx.Pair(parentImageDB()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mx.Memory().StoreBytes, slabLen(mx); got == 0 || got != want {
+		t.Fatalf("rebuilt from its graphs, an older image holds %d store bytes for a %d-byte slab", got, want)
 	}
 }

@@ -38,8 +38,8 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 		c := &Class{ID: oc.ID, Key: oc.Key, Code: oc.Code, Structure: oc.Structure,
 			NumV: oc.NumV, NumE: oc.NumE, vOff: oc.vOff, perms: oc.perms, conds: oc.conds}
 		x.list = append(x.list, c)
-		c.postings = moved(make([]int32, 0, oc.PostingCount()), oc.Postings())
-		old.eachEntry(oc, func(key []uint64, run []int32) {
+		c.stage.postings = moved(make([]int32, 0, oc.PostingCount()), oc.Postings())
+		oc.eachEntry(func(key []uint64, run []int32) {
 			if ids = moved(ids[:0], run); len(ids) > 0 {
 				c.stage.fold(key, ids...)
 			}

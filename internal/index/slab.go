@@ -1,20 +1,23 @@
 // The class store: how a class keeps the keys of its fragments and how a
 // σ range query probes them. Everything that depends on that decision —
-// key layout, the build fold, the scan, the entry encoding of the image
-// and the statistics walk — is in this file.
+// key layout, the build fold, the entry block of the image, and the one
+// scan over it — is in this file.
 //
 // The paper (§4, Figure 5) answers the range query inside a class with "a
 // trie, an R-tree or a metric-based index", and the repository carried all
 // three until a flat scan over the same entries beat each of them at the
 // class sizes a fragment index has (a few hundred distinct keys; the
-// table is in docs/ARCHITECTURE.md). What is left is one sorted slab and
-// one scan that keeps the trie's pruning — a stored key is abandoned at
-// the first position where every superposition is over σ, and entries
-// sharing that prefix are skipped — without the trie's nodes.
+// table is in docs/ARCHITECTURE.md). What is left is one sorted entry
+// block and one scan that keeps the trie's pruning — a stored key is
+// abandoned at the first position where every superposition is over σ,
+// and entries sharing that prefix are skipped — without the trie's nodes.
+// The block is the image's bytes: a heap index holds them in memory, a
+// mapped one in the mapping, and the scan reads either.
 //
 // A key is the fragment's labels along the class code's vertex and edge
-// order, or its weights when the metric reads weights; one uint64 per
-// position holds either (a label value, or the bits of a float64).
+// order, or its weights when the metric reads weights. In flight one
+// uint64 per position holds either (a label value, or the bits of a
+// float64); the block stores a label in 2 bytes and a weight in 8.
 
 package index
 
@@ -22,51 +25,150 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sort"
 
 	"pis/internal/distance"
 	"pis/internal/graph"
 )
 
-// slab is one class's stored entries: fixed-length keys in ascending
-// order, each distinct, each with the ascending run of the graph ids that
-// contain a fragment with that key.
-type slab struct {
-	keyLen int
-	keys   []uint64 // entry e's key is keys[e*keyLen:(e+1)*keyLen]
-	ends   []uint32 // entry e's ids are ids[ends[e-1]:ends[e]]
-	ids    []int32
-	// lcp[e] is the length of the prefix entry e's key shares with entry
-	// e-1's, capped at 255: what lets the scan pass over a run of entries
-	// at a byte each.
-	lcp []uint8
+// entries is one class's stored entries in the image's layout, on the heap
+// or in a mapping alike: fixed-length keys in ascending order, each
+// distinct, each with the ascending run of the graph ids that contain a
+// fragment with that key. The entry block is four columns, back to back:
+//
+//	ids   every entry's id run: its first id, then the gaps, as uvarints
+//	keys  every entry's key: keyLen positions of width bytes, little-endian
+//	      (2 for a label, 8 for the bits of a weight)
+//	lcp   per entry, how many leading positions its key shares with the one
+//	      before, capped at 255: what lets the scan pass over a run of
+//	      entries at a byte each
+//	ends  per entry, the little-endian uint32 offset in ids where its run
+//	      ends
+//
+// Only the id column varies in width, so the other three are located from
+// the block's end by the entry count, and a writer can stream the id runs
+// as it goes and append the fixed columns when the class ends.
+type entries struct {
+	ids, keys, lcp, ends []byte
+	keyLen, width        int
 }
 
-func (s *slab) entries() int { return len(s.ends) }
-
-func (s *slab) key(e int) []uint64 { return s.keys[e*s.keyLen : (e+1)*s.keyLen] }
-
-func (s *slab) run(e int) []int32 {
-	start := uint32(0)
-	if e > 0 {
-		start = s.ends[e-1]
+// keyWidth is the bytes a key position takes.
+func keyWidth(weights bool) int {
+	if weights {
+		return 8
 	}
-	return s.ids[start:s.ends[e]]
+	return 2
 }
 
-// staging collects a class's entries in arrival order while an index is
-// built or decoded. Folding as they arrive keeps one id run per distinct
-// key; one key per fragment occurrence would hold hundreds of copies.
+func (x *Index) newEntries(c *Class) entries {
+	return entries{keyLen: c.SeqLen(), width: keyWidth(x.weights)}
+}
+
+func (es *entries) n() int { return len(es.lcp) }
+
+// size is the bytes of the entry block.
+func (es *entries) size() int { return len(es.ids) + len(es.keys) + len(es.lcp) + len(es.ends) }
+
+// row is entry e's key as stored.
+func (es *entries) row(e int) []byte {
+	w := es.keyLen * es.width
+	return es.keys[e*w : (e+1)*w]
+}
+
+// key decodes entry e's key into dst.
+func (es *entries) key(dst []uint64, e int) {
+	row := es.row(e)
+	for i := range dst {
+		if es.width == 8 {
+			dst[i] = binary.LittleEndian.Uint64(row[8*i:])
+		} else {
+			dst[i] = uint64(binary.LittleEndian.Uint16(row[2*i:]))
+		}
+	}
+}
+
+// end is the offset in ids where entry e's run ends.
+func (es *entries) end(e int) int { return int(binary.LittleEndian.Uint32(es.ends[4*e:])) }
+
+// run is entry e's id run, encoded.
+func (es *entries) run(e int) []byte {
+	start := 0
+	if e > 0 {
+		start = es.end(e - 1)
+	}
+	return es.ids[start:es.end(e)]
+}
+
+// add appends an entry after the last: its key (a sealed block sorts
+// them) and the length of its encoded id run, which the caller has put
+// after the last's in the id column.
+func (es *entries) add(key []uint64, runLen int) {
+	for _, k := range key {
+		if es.width == 8 {
+			es.keys = binary.LittleEndian.AppendUint64(es.keys, k)
+		} else {
+			es.keys = binary.LittleEndian.AppendUint16(es.keys, uint16(k))
+		}
+	}
+	shared, end := 0, runLen
+	if e := es.n(); e > 0 {
+		shared, end = es.commonPrefix(e), end+es.end(e-1)
+	}
+	es.lcp = append(es.lcp, uint8(shared))
+	es.ends = binary.LittleEndian.AppendUint32(es.ends, uint32(end))
+}
+
+// commonPrefix is how many leading positions entry e's key shares with
+// entry e-1's, capped at 255: its lcp byte.
+func (es *entries) commonPrefix(e int) int {
+	a, b, w := es.row(e-1), es.row(e), es.width
+	n := 0
+	for n < es.keyLen && n < math.MaxUint8 && string(a[n*w:(n+1)*w]) == string(b[n*w:(n+1)*w]) {
+		n++
+	}
+	return n
+}
+
+// splitEntries finds the columns of an n-entry block, or reports that the
+// block is too short to hold them.
+func splitEntries(b []byte, n int, es entries) (entries, bool) {
+	row := es.keyLen * es.width
+	if n > len(b) || row > 0 && n > len(b)/row || n*(row+5) > len(b) {
+		return es, false
+	}
+	ends := len(b) - 4*n
+	lcp := ends - n
+	keys := lcp - n*row
+	es.ids, es.keys, es.lcp, es.ends = b[:keys], b[keys:lcp], b[lcp:ends], b[ends:]
+	return es, true
+}
+
+// appendIDs appends an ascending id list as the image encodes it: the
+// first id, then the gaps, as uvarints.
+func appendIDs(b []byte, ids []int32) []byte {
+	prev := int32(0)
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(uint32(id-prev)))
+		prev = id
+	}
+	return b
+}
+
+// staging collects a class's entries and postings in arrival order while
+// an index is built or rebased. Folding as they arrive keeps one id run
+// per distinct key; one key per fragment occurrence would hold hundreds of
+// copies.
 type staging struct {
-	at   map[string]int // key bytes → entry
-	keys []uint64
-	runs [][]int32
-	buf  []byte
+	at       map[string]int // key bytes → entry
+	keys     []uint64
+	runs     [][]int32
+	buf      []byte
+	postings []int32 // ascending graph ids holding the class's structure
 }
 
 // fold records that the graphs ids contain a fragment with this key. A
 // build folds graph after graph, so a repeat within one graph is the
-// run's last id; seal repairs any other order.
+// run's last id; each repairs any other order.
 func (st *staging) fold(key []uint64, ids ...int32) {
 	st.buf = st.buf[:0]
 	for _, k := range key {
@@ -91,41 +193,35 @@ func (st *staging) fold(key []uint64, ids ...int32) {
 	st.runs[e] = run
 }
 
-// seal sorts the staged entries into a slab. Keys compare position by
-// position, numerically when they hold weights.
-func (st *staging) seal(keyLen int, weights bool) slab {
-	n := len(st.runs)
+// each calls fn with every staged entry in key order, its run ascending
+// and distinct. Keys compare position by position, numerically when they
+// hold weights.
+func (st *staging) each(keyLen int, weights bool, fn func(key []uint64, run []int32)) {
 	key := func(e int) []uint64 { return st.keys[e*keyLen : (e+1)*keyLen] }
-	order := make([]int, n)
-	total := 0
+	order := make([]int, len(st.runs))
 	for e := range order {
 		order[e] = e
-		total += len(st.runs[e])
 	}
 	slices.SortFunc(order, func(a, b int) int { return compareKeys(key(a), key(b), weights) })
-	s := slab{
-		keyLen: keyLen,
-		keys:   make([]uint64, 0, len(st.keys)),
-		ends:   make([]uint32, 0, n),
-		ids:    make([]int32, 0, total),
-		lcp:    make([]uint8, 0, n),
-	}
-	var prev []uint64
 	for _, e := range order {
-		run := st.runs[e] // ascending already unless an image says otherwise
+		run := st.runs[e] // ascending already unless a rebase says otherwise
 		slices.Sort(run)
-		run = slices.Compact(run)
-		shared := 0
-		for shared < len(prev) && shared < math.MaxUint8 && prev[shared] == key(e)[shared] {
-			shared++
-		}
-		prev = key(e)
-		s.keys = append(s.keys, prev...)
-		s.ids = append(s.ids, run...)
-		s.ends = append(s.ends, uint32(len(s.ids)))
-		s.lcp = append(s.lcp, uint8(shared))
+		fn(key(e), slices.Compact(run))
 	}
-	return s
+}
+
+// seal lays out the staged entries as one entry block, returning them
+// with the count of stored (key, graph) pairs, and the postings.
+func (st *staging) seal(es entries) (_ entries, fragments int, postings []byte) {
+	st.each(es.keyLen, es.width == 8, func(key []uint64, run []int32) {
+		n := len(es.ids)
+		es.ids = appendIDs(es.ids, run)
+		es.add(key, len(es.ids)-n)
+		fragments += len(run)
+	})
+	block := slices.Concat(es.ids, es.keys, es.lcp, es.ends)
+	es, _ = splitEntries(block, es.n(), es)
+	return es, fragments, appendIDs(nil, st.postings)
 }
 
 func compareKeys(a, b []uint64, weights bool) int {
@@ -240,10 +336,12 @@ func (x *Index) orbitDistance(c *Class, a, b []uint64) float64 {
 // being priced. That holds in whatever order entries arrive; sorted order
 // is what makes shared prefixes long.
 type scan struct {
-	x     *Index
-	c     *Class
-	probe []uint64
-	sigma float64
+	x      *Index
+	c      *Class
+	probes []uint64 // per automorphism: the probe laid out along it
+	keyLen int
+	sigma  float64
+	wide   bool // keys are stored 8 bytes a position, not 2
 
 	// skipAt is the prefix length at which every automorphism is over σ
 	// (past the key length while one is still within it): an entry
@@ -263,11 +361,17 @@ func newScan(x *Index, qf QueryFragment, sigma float64, rb *RangeBuffer) scan {
 	if cap(rb.sums) < P*(L+1) {
 		rb.sums = make([]float64, P*(L+1))
 	}
-	s := scan{x: x, c: c, probe: qf.Key, sigma: sigma, skipAt: L + 1,
+	if cap(rb.probes) < P*L {
+		rb.probes = make([]uint64, P*L)
+	}
+	s := scan{x: x, c: c, probes: rb.probes[:P*L], keyLen: L, sigma: sigma, wide: x.weights, skipAt: L + 1,
 		priced: rb.priced[:P], sums: rb.sums[:P*(L+1)]}
-	for p := range s.priced {
+	for p, perm := range c.perms {
 		s.priced[p] = 0
 		s.sums[p*(L+1)] = 0
+		for i, src := range perm {
+			s.probes[p*L+i] = qf.Key[src]
+		}
 	}
 	if !(0 <= sigma) {
 		s.skipAt = 0 // the empty prefix is already over a negative σ
@@ -276,20 +380,28 @@ func newScan(x *Index, qf QueryFragment, sigma float64, rb *RangeBuffer) scan {
 }
 
 // price returns the minimum distance over every automorphism between the
-// probe and the entry stored under key, and whether it is within σ. lcp
-// is a prefix length the key is known to share with the entry priced
-// last (any lower bound is correct), below skipAt. An automorphism stops
-// summing once it is over σ or cannot beat the best so far.
-func (s *scan) price(key []uint64, lcp int) (best float64, within bool) {
-	L, sigma, probe := len(key), s.sigma, s.probe
+// probe and the entry stored under the key row holds, as the entry block
+// lays it out, and whether it is within σ. lcp is a prefix length the key
+// is known to share with the entry priced last (any lower bound is
+// correct), below skipAt. An automorphism stops summing once it is over σ
+// or cannot beat the best so far, so a position is read only when priced.
+func (s *scan) price(row []byte, lcp int) (best float64, within bool) {
+	L, sigma, wide := s.keyLen, s.sigma, s.wide
 	best = distance.Infinite
 	dead, allDead := 0, true
-	for p, perm := range s.c.perms {
+	for p := range s.priced {
+		probe := s.probes[p*L:][:L]
 		sums := s.sums[p*(L+1):][:L+1]
 		n := min(s.priced[p], lcp)
 		d := sums[n]
 		for n < L && d <= sigma && d < best {
-			if a, b := probe[perm[n]], key[n]; a != b {
+			var b uint64
+			if wide {
+				b = binary.LittleEndian.Uint64(row[8*n:])
+			} else {
+				b = uint64(binary.LittleEndian.Uint16(row[2*n:]))
+			}
+			if a := probe[n]; a != b {
 				d += s.x.cost(s.c, n, a, b)
 			}
 			n++
@@ -312,200 +424,37 @@ func (s *scan) price(key []uint64, lcp int) (best float64, within bool) {
 	return best, best != distance.Infinite
 }
 
-// scanRange records every live graph holding a fragment of qf's class
-// within sigma of it, at the minimum distance. The heap slab and the
-// mapped entry block are walked by their own loops; both price an entry
-// through scan.price.
-func (x *Index) scanRange(qf QueryFragment, sigma float64, rb *RangeBuffer, tombs *Tombstones) {
-	c := qf.Class
+// scanRange records every graph holding a fragment of qf's class within
+// sigma of it, at the minimum distance. An entry whose key shares with the
+// one priced last a prefix already over σ costs its lcp byte; any other is
+// priced from its key row, and its id run decoded only when it is within
+// σ.
+func (x *Index) scanRange(qf QueryFragment, sigma float64, rb *RangeBuffer) {
+	es := &qf.Class.ents
 	s := newScan(x, qf, sigma, rb)
-	L := c.SeqLen()
-	if !c.mapped {
-		ents := &c.ents
-		shared := 0 // with the entry priced last: the least lcp since
-		for e, lcp := range ents.lcp {
-			if shared = min(shared, int(lcp)); shared >= s.skipAt {
-				continue
-			}
-			if d, ok := s.price(ents.key(e), shared); ok {
-				for _, id := range ents.run(e) {
-					if !tombs.Has(id) {
-						rb.record(id, d)
-					}
-				}
-			}
-			shared = L
-		}
-		return
-	}
-	if cap(rb.key) < L {
-		rb.key = make([]uint64, L)
-	}
-	key := rb.key[:L] // the entry priced last, decoded
-	var raw []byte    // and as the block encodes it
-	cur := blockCursor{b: c.entBlock}
-	for e := 0; e < c.entCount && !cur.done(); e++ {
-		// Equal bytes decode to equal positions, so the prefix this entry
-		// shares with the one priced last is read off the encoding, as
-		// far as it matters.
-		start := cur.pos
-		shared, at := x.sharedPrefix(cur.b[start:], raw, s.skipAt)
-		cur.pos += at
-		if shared >= s.skipAt {
-			// Out of range like that entry: step over the rest of the
-			// key and the id run undecoded.
-			x.skipElems(&cur, L-shared)
-			cur.skipVarints(int(x.entryIDs(&cur)))
+	L := es.keyLen
+	shared := 0 // with the entry priced last: the least lcp since
+	for e, lcp := range es.lcp {
+		if shared = min(shared, int(lcp)); shared >= s.skipAt {
 			continue
 		}
-		x.readKey(&cur, key[shared:])
-		if cur.bad {
-			return
+		if d, ok := s.price(es.row(e), shared); ok {
+			rb.recordRun(es.run(e), d)
 		}
-		raw = cur.b[start:cur.pos]
-		n := int(x.entryIDs(&cur))
-		d, ok := s.price(key, shared)
-		if !ok {
-			cur.skipVarints(n)
-			continue
-		}
-		id := int32(0)
-		for i := 0; i < n; i++ {
-			delta := int32(cur.uvarint())
-			if cur.bad {
-				return
-			}
-			if i == 0 {
-				id = delta
-			} else {
-				id += delta
-			}
-			if !tombs.Has(id) {
-				rb.record(id, d)
-			}
-		}
+		shared = L
 	}
-}
-
-// Entry encoding. A label key is one uvarint per position, a weight key
-// one little-endian float64 per position. An entry of a label image ends
-// with its id run (uvarint count, first id, gaps); a weight image repeats
-// the key once per id, each followed by that id, which is the layout the
-// R-tree kind wrote. Images of the VP-tree kind (kind byte 2) hold label
-// keys in the one-id-per-entry layout; they are read, never written.
-
-// writeEntry encodes one entry and returns how many the image counts it
-// as.
-func (x *Index) writeEntry(sw *v3SlabWriter, key []uint64, ids []int32) int {
-	if x.weights {
-		for _, id := range ids {
-			for _, w := range key {
-				sw.u64(w)
-			}
-			sw.uvarint(uint64(uint32(id)))
-		}
-		return len(ids)
-	}
-	for _, s := range key {
-		sw.uvarint(s)
-	}
-	sw.uvarint(uint64(len(ids)))
-	sw.ids(ids)
-	return 1
-}
-
-// sharedPrefix returns how many leading key positions two encoded keys
-// have in common, counting no further than limit, and how many bytes of a
-// those positions take.
-func (x *Index) sharedPrefix(a, b []byte, limit int) (elems, size int) {
-	n := min(len(a), len(b))
-	if x.weights {
-		for elems < limit && size+8 <= n && binary.LittleEndian.Uint64(a[size:]) == binary.LittleEndian.Uint64(b[size:]) {
-			elems, size = elems+1, size+8
-		}
-		return elems, size
-	}
-	for i := 0; elems < limit && i < n && a[i] == b[i]; i++ {
-		if a[i] < 0x80 { // the last byte of a uvarint
-			elems, size = elems+1, i+1
-		}
-	}
-	return elems, size
-}
-
-// readKey decodes a key, or the rest of one, into dst.
-func (x *Index) readKey(cur *blockCursor, dst []uint64) {
-	if !x.weights {
-		for i := range dst {
-			dst[i] = cur.uvarint()
-		}
-		return
-	}
-	from := cur.pos
-	if cur.skip(8 * len(dst)); !cur.bad {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint64(cur.b[from+8*i:])
-		}
-	}
-}
-
-// skipElems steps over n positions of a key.
-func (x *Index) skipElems(cur *blockCursor, n int) {
-	if x.weights {
-		cur.skip(8 * n)
-	} else {
-		cur.skipVarints(n)
-	}
-}
-
-// entryIDs is the id count of the entry the cursor stands in, after its
-// key.
-func (x *Index) entryIDs(cur *blockCursor) uint64 {
-	if x.singleID {
-		return 1
-	}
-	return cur.uvarint()
 }
 
 // eachEntry calls fn with the key and ascending id run of every entry c
-// stores, wherever it stores them: the sealed slab, or a verified entry
-// block (one of the two is empty). A block of one-id entries repeats a key
-// once per id. Both slices are fn's only until it returns.
-func (x *Index) eachEntry(c *Class, fn func(key []uint64, ids []int32)) {
-	for e := 0; e < c.ents.entries(); e++ {
-		fn(c.ents.key(e), c.ents.run(e))
-	}
-	cur := blockCursor{b: c.entBlock}
-	key := make([]uint64, c.SeqLen())
+// stores. Both slices are fn's only until it returns.
+func (c *Class) eachEntry(fn func(key []uint64, ids []int32)) {
+	es := &c.ents
+	key := make([]uint64, es.keyLen)
 	var ids []int32
-	for e := 0; e < c.entCount; e++ {
-		x.readKey(&cur, key)
-		ids = cur.idList(ids[:0], int(x.entryIDs(&cur)))
+	for e := 0; e < es.n(); e++ {
+		es.key(key, e)
+		cur := blockCursor{b: es.run(e)}
+		ids = cur.idList(ids[:0])
 		fn(key, ids)
 	}
-}
-
-// entryUnits is how many entries the image counts s as: one per key, or
-// one per (key, graph) pair when keys hold weights (writeEntry).
-func (x *Index) entryUnits(s *slab) int {
-	if x.weights {
-		return len(s.ids)
-	}
-	return s.entries()
-}
-
-// sampleKeys returns at most statsSamplePerClass keys spread evenly over
-// the class's entries as the image lays them out (a weight key counts
-// once per id), with that count.
-func (x *Index) sampleKeys(c *Class) (keys [][]uint64, units int) {
-	s := &c.ents
-	units = x.entryUnits(s)
-	for u := 0; u < units && len(keys) < statsSamplePerClass; u += sampleStride(units) {
-		e := u
-		if x.weights {
-			e = sort.Search(s.entries(), func(e int) bool { return int(s.ends[e]) > u })
-		}
-		keys = append(keys, s.key(e))
-	}
-	return keys, units
 }

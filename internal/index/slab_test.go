@@ -15,31 +15,28 @@ import (
 )
 
 // handClass is a class with the given key layout and automorphisms whose
-// entries the test supplies as they are — in any order, repeated, with
-// unsorted runs — on the heap and, encoded by writeEntry, as a mapped
-// entry block.
+// entries the test supplies as they are — in any order, repeated — laid
+// out by entries.add in the image's layout, as one entry block. heap holds
+// the block's columns as built, and mapped the same bytes as a reader finds
+// them in an image (splitEntries).
 func handClass(x *Index, vOff, numE int, perms [][]int, keys [][]uint64, runs [][]int32) (heap, mapped *Class) {
 	heap = &Class{NumV: vOff, NumE: numE, vOff: vOff, perms: perms}
-	heap.ents.keyLen = heap.SeqLen()
-	var block bytes.Buffer
-	sw := &v3SlabWriter{w: &block}
+	heap.ents = x.newEntries(heap)
+	for e, key := range keys {
+		n := len(heap.ents.ids)
+		heap.ents.ids = appendIDs(heap.ents.ids, runs[e])
+		heap.ents.add(key, len(heap.ents.ids)-n)
+	}
+	var block []byte
+	for _, col := range [][]byte{heap.ents.ids, heap.ents.keys, heap.ents.lcp, heap.ents.ends} {
+		block = append(block, col...)
+	}
 	m := *heap
 	mapped = &m
-	mapped.mapped = true
-	for e, key := range keys {
-		shared := 0
-		for e > 0 && shared < len(key) && key[shared] == keys[e-1][shared] {
-			shared++
-		}
-		heap.ents.lcp = append(heap.ents.lcp, uint8(shared))
-		heap.ents.keys = append(heap.ents.keys, key...)
-		heap.ents.ids = append(heap.ents.ids, runs[e]...)
-		heap.ents.ends = append(heap.ents.ends, uint32(len(heap.ents.ids)))
-		mapped.entCount += x.writeEntry(sw, key, runs[e])
+	var ok bool
+	if mapped.ents, ok = splitEntries(block, len(keys), x.newEntries(heap)); !ok {
+		panic("handClass: the block does not hold its entries")
 	}
-	sw.flushBuf()
-	mapped.entBlock = block.Bytes()
-	mapped.ents = slab{}
 	return heap, mapped
 }
 
@@ -73,8 +70,9 @@ func foldEntries(x *Index, c *Class, probe []uint64, keys [][]uint64, runs [][]i
 }
 
 // TestScanMatchesFold drives the scan over hand-made classes of different
-// key lengths through ONE RangeBuffer, on the heap slab and the mapped
-// block alike, and compares every answer with the brute-force fold.
+// key lengths through ONE RangeBuffer, on the entry block as built and as
+// read back from its bytes, and compares every answer with the brute-force
+// fold.
 func TestScanMatchesFold(t *testing.T) {
 	const dbSize = 200
 	rng := rand.New(rand.NewSource(17))
@@ -115,7 +113,7 @@ func TestScanMatchesFold(t *testing.T) {
 		triangle = append(triangle, []int{v[0], v[1], v[2], edge(v[0], v[1]), edge(v[1], v[2]), edge(v[0], v[2])})
 	}
 	labels := &Index{opts: Options{Metric: testMatrix()}, dbSize: dbSize}
-	weights := &Index{opts: Options{Metric: distance.Linear{IncludeVertices: true}}, weights: true, singleID: true, dbSize: dbSize}
+	weights := &Index{opts: Options{Metric: distance.Linear{IncludeVertices: true}}, weights: true, dbSize: dbSize}
 
 	type class struct {
 		name       string
@@ -207,30 +205,41 @@ func (m *countingMetric) EdgeCost(a graph.ELabel, wa float64, b graph.ELabel, wb
 	return m.Metric.EdgeCost(a, wa, b, wb)
 }
 
+// sealed lays out st as a class of keyLen positions and reads every entry
+// back: its key and its run.
+func sealed(st *staging, keyLen int, weights bool) (keys [][]uint64, runs [][]int32) {
+	es, _, _ := st.seal(entries{keyLen: keyLen, width: keyWidth(weights)})
+	c := &Class{ents: es}
+	c.eachEntry(func(key []uint64, ids []int32) {
+		keys, runs = append(keys, slices.Clone(key)), append(runs, slices.Clone(ids))
+	})
+	return keys, runs
+}
+
 // TestSealSortsAndMerges: whatever order keys and ids were folded in, the
-// sealed slab holds each key once, ascending, with an ascending run.
+// sealed entries hold each key once, ascending, with an ascending run.
 func TestSealSortsAndMerges(t *testing.T) {
 	var st staging
 	st.fold([]uint64{2, 1}, 5)
 	st.fold([]uint64{1, 9}, 7, 3, 3)
 	st.fold([]uint64{2, 1}, 5, 2)
 	st.fold([]uint64{1, 9}, 8)
-	s := st.seal(2, false)
-	if s.entries() != 2 || !slices.Equal(s.keys, []uint64{1, 9, 2, 1}) {
-		t.Fatalf("keys %v", s.keys)
+	keys, runs := sealed(&st, 2, false)
+	if len(keys) != 2 || !slices.Equal(slices.Concat(keys...), []uint64{1, 9, 2, 1}) {
+		t.Fatalf("keys %v", keys)
 	}
-	if !slices.Equal(s.run(0), []int32{3, 7, 8}) || !slices.Equal(s.run(1), []int32{2, 5}) {
-		t.Fatalf("runs %v %v", s.run(0), s.run(1))
+	if !slices.Equal(runs[0], []int32{3, 7, 8}) || !slices.Equal(runs[1], []int32{2, 5}) {
+		t.Fatalf("runs %v %v", runs[0], runs[1])
 	}
 	// Weight keys order numerically, not by their bits.
 	var wt staging
 	for _, w := range []float64{0.5, -2, -0.25, 3} {
 		wt.fold([]uint64{math.Float64bits(w)}, 1)
 	}
-	s = wt.seal(1, true)
-	got := make([]float64, s.entries())
+	keys, _ = sealed(&wt, 1, true)
+	got := make([]float64, len(keys))
 	for e := range got {
-		got[e] = math.Float64frombits(s.key(e)[0])
+		got[e] = math.Float64frombits(keys[e][0])
 	}
 	if !slices.Equal(got, []float64{-2, -0.25, 0.5, 3}) {
 		t.Fatalf("weight keys sealed as %v", got)
@@ -246,9 +255,9 @@ func parentImageDB() []*graph.Graph {
 
 // TestParentImagesOpen: one image per kind byte, written by the last
 // commit that had a trie (0), an R-tree (1) and a VP-tree (2) per class,
-// opens on the heap and mapped and answers range queries as
-// branch-and-bound isomorphism over the graphs does; opened with a metric
-// of the other key type it is an error.
+// opens on the heap and mapped and, once paired with its graphs, answers
+// range queries as branch-and-bound isomorphism over the graphs does;
+// opened with a metric of the other key type it is an error.
 func TestParentImagesOpen(t *testing.T) {
 	db := parentImageDB()
 	for _, tc := range []struct {
@@ -285,6 +294,11 @@ func TestParentImagesOpen(t *testing.T) {
 			defer mx.Close()
 			if hx.Fingerprint() != graph.Fingerprint(db) || hx.DBSize() != len(db) {
 				t.Fatal("the image is not over parentImageDB")
+			}
+			for _, x := range []*Index{hx, mx} {
+				if err := x.Pair(db); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// These directories record fragment occurrences; both readers
 			// count the pairs the entries hold instead.

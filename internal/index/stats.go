@@ -16,10 +16,11 @@
 //
 // Statistics are computed whenever an index is sealed — a build, or the
 // merge a compaction runs (Rebase), which keeps the features but not the
-// statistics — and persisted per class in the image's checksummed
-// directory section. Sampling is fixed-stride over the
-// canonical storage walk, never randomized, so Build, BuildParallel,
-// Rebase and every Load of the same index agree bit for bit.
+// statistics — and again whenever an image is opened: the copy the image's
+// directory carries is written for older readers and never trusted.
+// Sampling is fixed-stride over the sorted entries, never randomized, so
+// Build, BuildParallel, BuildStreaming, Rebase and every open of the same
+// index agree bit for bit.
 
 package index
 
@@ -36,8 +37,7 @@ type ClassStats struct {
 	// Postings is the posting-list length: graphs containing the
 	// structure. Exact, not sampled.
 	Postings int32
-	// Sequences is the number of stored entries as the image counts them:
-	// distinct label keys, or (weight key, graph) pairs.
+	// Sequences is the number of stored entries: distinct keys.
 	Sequences int32
 	// Pairs counts the sampled sequence pairs behind Hist; 0 means the
 	// class stores fewer than two sampled sequences and carries no
@@ -87,13 +87,25 @@ func (c *Class) ProbeCost() float64 {
 	return float64(c.stats.Sequences)*float64(len(c.perms)) + 1
 }
 
-// computeStats fills every class's planner statistics from its sealed
-// entries. Deterministic: sampling is fixed-stride over the sorted slab.
+// computeStats fills every class's planner statistics from its entries.
 func (x *Index) computeStats() {
 	for _, c := range x.list {
-		keys, units := x.sampleKeys(c)
-		c.stats = x.pairStats(c, keys, int32(len(c.postings)), int32(units))
+		c.stats = x.classStats(c, &c.ents, c.postCount)
 	}
+}
+
+// classStats is the statistics of class c storing es, over postings
+// graphs: the pair histogram of at most statsSamplePerClass keys spread
+// evenly over the entries.
+func (x *Index) classStats(c *Class, es *entries, postings int) ClassStats {
+	var keys [][]uint64
+	n := es.n()
+	for e := 0; e < n && len(keys) < statsSamplePerClass; e += sampleStride(n) {
+		key := make([]uint64, es.keyLen)
+		es.key(key, e)
+		keys = append(keys, key)
+	}
+	return x.pairStats(c, keys, int32(postings), int32(n))
 }
 
 // sampleStride is the step that spreads at most statsSamplePerClass

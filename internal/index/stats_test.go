@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"testing"
+
+	"pis/internal/distance"
 )
 
 // statsEqual compares every class's planner statistics between two
@@ -82,5 +84,55 @@ func TestPersistStatsRoundTrip(t *testing.T) {
 			}
 			statsEqual(t, x, y)
 		})
+	}
+}
+
+// TestOpenIgnoresStoredStats: the directory's copy of the planner stats is
+// not trusted. A checksum-valid image whose directory claims -1 sequences
+// and -3 sampled pairs for every class opens with the stats a build
+// computes, on the heap and mapped, so neither ProbeCost nor InRangeFrac
+// nor Index.Stats can go negative.
+func TestOpenIgnoresStoredStats(t *testing.T) {
+	metric := distance.EdgeMutation{}
+	x, _ := buildSmall(t, metric, 47, 22)
+	image, _ := imageBytes(t, x)
+	hdr, dir, fps, err := parseV3Meta(image, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dir {
+		dir[i].fragments = x.list[i].fragments
+		dir[i].stats = ClassStats{Sequences: -1, Pairs: -3}
+	}
+	fpb := fpPreamble(len(fps))
+	for i := range fps {
+		fpb = appendGraphFP(fpb, &fps[i])
+	}
+	var crafted bytes.Buffer
+	slab := image[hdr.slabOff : hdr.slabOff+hdr.slabLen]
+	if err := writeV3Image(&crafted, hdr, dir, bytes.NewReader(fpb), len(fpb), bytes.NewReader(slab)); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(crafted.Bytes(), image) {
+		t.Fatal("the crafted image is the saved one")
+	}
+	heap, err := Load(bytes.NewReader(crafted.Bytes()), metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := openV3(crafted.Bytes(), metric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, y := range []*Index{heap, mapped} {
+		statsEqual(t, x, y)
+		if y.Stats() != x.Stats() {
+			t.Fatalf("stats %+v, built %+v", y.Stats(), x.Stats())
+		}
+		for _, c := range y.Classes() {
+			if c.ProbeCost() < 1 || c.PlanStats().InRangeFrac(1) < 0 {
+				t.Fatalf("class %s: probe cost %v, InRangeFrac(1) %v", c.Key, c.ProbeCost(), c.PlanStats().InRangeFrac(1))
+			}
+		}
 	}
 }

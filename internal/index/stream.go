@@ -1,16 +1,17 @@
 // Out-of-core index construction. BuildStreaming is the in-memory build
-// run over the stream one bounded chunk of graphs at a time: it folds and
-// seals each chunk as BuildParallel does (computeOps → apply, on the same
-// worker pool) under chunk-local ids, writes the chunk's sealed entries,
-// postings and per-graph fingerprints to a run file in the image's
-// encodings, and drops the chunk. Chunks cover ascending, disjoint id
-// ranges, so the merge is a concatenation: a class's entries merge by key,
-// a key found in several chunks taking their id runs in chunk order, each
-// shifted by its chunk's first id, and postings and fingerprints are the
-// chunks' lists end to end. Planner statistics come from the merged
-// entries by the fixed-stride rule of every build (sampleKeys), so the
-// image is Save's of BuildParallel over the same graphs, byte for byte,
-// whatever the chunk bound.
+// run over the stream one bounded chunk of graphs at a time: it folds each
+// chunk as BuildParallel does (computeOps → apply, on the same worker
+// pool) under chunk-local ids, writes the chunk's sorted entries, postings
+// and per-graph fingerprints to a run file, and drops the chunk. Chunks
+// cover ascending, disjoint id ranges, so the merge is a concatenation: a
+// class's entries merge by key, a key found in several chunks taking their
+// id runs in chunk order, each shifted by its chunk's first id, and
+// postings and fingerprints are the chunks' lists end to end. The merge
+// writes each id run to the image as it forms and appends the class's
+// fixed-width columns when the class ends (slab.go). Planner statistics
+// come from those columns by the fixed-stride rule of every build
+// (classStats), so the image is Save's of BuildParallel over the same
+// graphs, byte for byte, whatever the chunk bound.
 
 package index
 
@@ -134,8 +135,9 @@ func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 		return res, err
 	}
 	defer slabFile.Close()
-	dir, slabLen, err := x.mergeRuns(runs, slabFile, &res)
-	if err != nil {
+	bw := bufio.NewWriterSize(slabFile, 1<<16)
+	dir, slabLen, err := x.mergeRuns(runs, bw, &res)
+	if err = cmp.Or(err, bw.Flush()); err != nil {
 		return res, err
 	}
 
@@ -153,14 +155,14 @@ func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 	})
 }
 
-// writeChunk folds chunk under ids from 0, seals the classes and writes
-// them to a run file at name: per class its entry count as the image
-// counts entries, the sealed entries and the postings; then one
-// fingerprint per graph. It leaves the class stores empty and returns the
-// run, open for reading, and its size.
+// writeChunk folds chunk under ids from 0 and writes the classes to a run
+// file at name: per class its entry count, then every entry in key order
+// (each key position a uvarint, the run's length and the run), then the
+// postings' count and the postings; then one fingerprint per graph. It
+// leaves the class stores empty and returns the run, open for reading,
+// and its size.
 func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64, error) {
 	x.fold(chunk, 0, 0)
-	x.finalize()
 	f, err := os.Create(name)
 	if err != nil {
 		return nil, 0, err
@@ -168,13 +170,17 @@ func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64
 	bw := bufio.NewWriterSize(f, 1<<16)
 	sw := &v3SlabWriter{w: bw}
 	for _, c := range x.list {
-		sw.uvarint(uint64(x.entryUnits(&c.ents)))
-		for e := 0; e < c.ents.entries(); e++ {
-			x.writeEntry(sw, c.ents.key(e), c.ents.run(e))
-		}
-		sw.uvarint(uint64(len(c.postings)))
-		sw.ids(c.postings)
-		c.ents, c.postings = slab{}, nil
+		sw.uvarint(uint64(len(c.stage.runs)))
+		c.stage.each(c.SeqLen(), x.weights, func(key []uint64, run []int32) {
+			for _, k := range key {
+				sw.uvarint(k)
+			}
+			sw.uvarint(uint64(len(run)))
+			sw.ids(run)
+		})
+		sw.uvarint(uint64(len(c.stage.postings)))
+		sw.ids(c.stage.postings)
+		c.stage = staging{}
 	}
 	var fp GraphFP
 	fpFrom := len(sw.buf)
@@ -192,10 +198,9 @@ func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64
 	return &runReader{f: f, r: r, fpLen: fpLen}, int64(sw.off), nil
 }
 
-// runReader reads entries and id lists back in the image's encodings:
-// from a chunk's run file, or from a merged entry block.
+// runReader reads entries and id lists back from a chunk's run file.
 type runReader struct {
-	f     *os.File // the run file; nil when reading a block
+	f     *os.File
 	r     *bufio.Reader
 	base  int32 // added to every id read: the chunk's first graph id
 	left  int   // entries still to read in the current class
@@ -225,35 +230,23 @@ func (r *runReader) idList(n uint64) {
 
 // next reads the current class's next entry into key and ids, reporting
 // false once the class has none left or the run is unreadable.
-func (r *runReader) next(x *Index) bool {
+func (r *runReader) next() bool {
 	if r.left == 0 || r.err != nil {
 		return false
 	}
 	r.left--
-	var w [8]byte
 	for i := range r.key {
-		if !x.weights {
-			r.key[i] = r.uvarint()
-		} else if _, err := io.ReadFull(r.r, w[:]); err != nil {
-			r.err = fmt.Errorf("index: reading a build run: %w", err)
-		} else {
-			r.key[i] = binary.LittleEndian.Uint64(w[:])
-		}
+		r.key[i] = r.uvarint()
 	}
-	if x.weights {
-		r.idList(1)
-	} else {
-		r.idList(r.uvarint())
-	}
+	r.idList(r.uvarint())
 	return r.err == nil
 }
 
-// mergeRuns merges the runs class by class into the slab it writes to f
+// mergeRuns merges the runs class by class into the slab it writes to w
 // and returns the image directory and the slab's length, adding the raw
 // posting bytes to res.
-func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v3DirClass, uint64, error) {
-	bw := bufio.NewWriterSize(f, 1<<16)
-	sw := &v3SlabWriter{w: bw}
+func (x *Index) mergeRuns(runs []*runReader, w io.Writer, res *StreamResult) ([]v3DirClass, uint64, error) {
+	sw := &v3SlabWriter{w: w}
 	elem := int64(4)
 	if x.weights {
 		elem = 8
@@ -267,12 +260,13 @@ func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v
 	live := make([]*runReader, 0, len(runs))
 	var key []uint64
 	var ids []int32
+	var run []byte
 	for ci, c := range x.list {
 		L := c.SeqLen()
 		for _, r := range runs {
 			r.left = int(r.uvarint())
 			r.key = slices.Grow(r.key[:0], L)[:L]
-			if r.next(x) {
+			if r.next() {
 				live = append(live, r)
 			}
 		}
@@ -280,6 +274,7 @@ func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v
 		dc := &dir[ci]
 		dc.code, dc.vOff = c.Code, c.vOff
 		dc.entOff = sw.beginBlock()
+		es := x.newEntries(c)
 		for len(live) > 0 {
 			key = append(key[:0], live[0].key...)
 			ids = ids[:0]
@@ -287,16 +282,21 @@ func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v
 				r := live[0]
 				live = slices.Delete(live, 0, 1)
 				ids = append(ids, r.ids...)
-				if r.next(x) {
+				if r.next() {
 					i, _ := slices.BinarySearchFunc(live, r, order)
 					live = slices.Insert(live, i, r)
 				}
 			}
-			written := x.writeEntry(sw, key, ids)
-			dc.entCount += written
+			run = appendIDs(run[:0], ids)
+			sw.bytes(run)
+			es.add(key, len(run))
 			dc.fragments += len(ids)
-			res.RawPostingBytes += int64(written)*elem*int64(L) + 4*int64(len(ids))
+			res.RawPostingBytes += elem*int64(L) + 4*int64(len(ids))
 		}
+		for _, col := range [][]byte{es.keys, es.lcp, es.ends} {
+			sw.bytes(col)
+		}
+		dc.entCount = es.n()
 		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
 
 		dc.postOff = sw.beginBlock()
@@ -316,32 +316,7 @@ func (x *Index) mergeRuns(runs []*runReader, f *os.File, res *StreamResult) ([]v
 				return nil, 0, r.err
 			}
 		}
-		if err := cmp.Or(sw.err, bw.Flush()); err != nil {
-			return nil, 0, err
-		}
-		keys, err := x.sampleBlock(c, f, dc.entOff, dc.entLen, dc.entCount)
-		if err != nil {
-			return nil, 0, err
-		}
-		dc.stats = x.pairStats(c, keys, int32(dc.postCount), int32(dc.entCount))
+		dc.stats = x.classStats(c, &es, dc.postCount)
 	}
-	return dir, sw.off, nil
-}
-
-// sampleBlock returns the keys sampleKeys picks over a class's merged
-// entries, read back from their block of units entries at off in f.
-func (x *Index) sampleBlock(c *Class, f *os.File, off, length uint64, units int) ([][]uint64, error) {
-	r := &runReader{
-		r:    bufio.NewReaderSize(io.NewSectionReader(f, int64(off), int64(length)), 1<<15),
-		left: units,
-		key:  make([]uint64, c.SeqLen()),
-	}
-	var keys [][]uint64
-	stride := sampleStride(units)
-	for u := 0; len(keys) < statsSamplePerClass && r.next(x); u++ {
-		if u%stride == 0 {
-			keys = append(keys, slices.Clone(r.key))
-		}
-	}
-	return keys, r.err
+	return dir, sw.off, sw.err
 }

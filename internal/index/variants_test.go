@@ -28,19 +28,20 @@ func (c *Class) Variants(key []uint64) [][]uint64 {
 
 // Regression: the dedup key of a sequence once truncated each symbol to
 // its low 2 bytes, so symbols differing only above bit 15 merged. The
-// staging fold keys entries by all eight bytes of every position.
+// staging fold keys entries by all eight bytes of every position, and a
+// weight key stores all eight (a label key stores two: labels are uint16).
 func TestSeqKeyKeepsAllFourBytes(t *testing.T) {
 	var st staging
 	st.fold([]uint64{1 << 16, 2 << 16}, 0)
 	st.fold([]uint64{2 << 16, 1 << 16}, 0)
 	st.fold([]uint64{1 << 40, 2 << 16}, 0)
 	st.fold([]uint64{1 << 16, 2 << 16}, 1)
-	s := st.seal(2, false)
-	if s.entries() != 3 {
-		t.Fatalf("%d entries, want 3: keys that differ only in the high bytes merged", s.entries())
+	keys, runs := sealed(&st, 2, true)
+	if len(keys) != 3 {
+		t.Fatalf("%d entries, want 3: keys that differ only in the high bytes merged", len(keys))
 	}
-	if got := s.run(0); !slices.Equal(got, []int32{0, 1}) || !slices.Equal(s.key(0), []uint64{1 << 16, 2 << 16}) {
-		t.Fatalf("first entry %v → %v", s.key(0), got)
+	if got := runs[0]; !slices.Equal(got, []int32{0, 1}) || !slices.Equal(keys[0], []uint64{1 << 16, 2 << 16}) {
+		t.Fatalf("first entry %v → %v", keys[0], got)
 	}
 }
 

@@ -413,8 +413,8 @@ func (d *DB) SearchNaive(q *graph.Graph, sigma float64) core.Result {
 }
 
 // Stats sums the per-shard base index counters and the heap the indexes
-// hold beside their class stores, except Classes: the shards share one
-// feature set, so Classes is the largest shard's count, not a sum.
+// hold, except Classes: the shards share one feature set, so Classes is
+// the largest shard's count, not a sum.
 func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 	for _, seg := range d.segs {
 		s, m := seg.IndexStats()
@@ -422,6 +422,7 @@ func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 		total.Fragments += s.Fragments
 		total.Sequences += s.Sequences
 		total.Postings += s.Postings
+		memory.StoreBytes += m.StoreBytes
 		memory.BitmapBytes += m.BitmapBytes
 		memory.FingerprintBytes += m.FingerprintBytes
 	}

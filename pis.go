@@ -155,12 +155,13 @@ type Options struct {
 	CompactFraction float64
 
 	// MappedIndex serves the fragment index memory-mapped from its
-	// compressed on-disk image (the PISIDX3 layout) instead of
-	// heap-resident: builds and compactions write the index to disk and
-	// reopen it through mmap, Open maps the snapshot's index side file
-	// directly, and only the per-class directory lives on the heap — the
-	// posting and entry slabs stay in the kernel page cache and are
-	// demand-paged, so the index can exceed RAM. A durable store holds
+	// on-disk image (the PISIDX3 layout) instead of heap-resident: builds
+	// and compactions write the index to disk and reopen it through mmap,
+	// and Open maps the snapshot's index side file directly. The class
+	// posting and entry blocks are the same bytes either way and are read
+	// by the same scan; mapped, they stay in the kernel page cache and
+	// are demand-paged, so the index can exceed RAM, while the directory,
+	// the posting bitmaps and the fingerprints stay on the heap. A durable store holds
 	// the same files either way, so each Open may choose afresh. Answers
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
@@ -511,6 +512,10 @@ type IndexStats struct {
 	// Tombstones counts deleted graphs not yet compacted away.
 	Delta      int
 	Tombstones int
+	// StoreBytes is the class entry and posting blocks the index holds on
+	// the heap, summed over the shards: the slab of its image, 0 under
+	// MappedIndex, where those bytes stay in the mapping.
+	StoreBytes int
 	// BitmapBytes and FingerprintBytes are the heap the index holds beside
 	// the stored sequences, summed over the shards — resident under
 	// MappedIndex too, and not part of the index file's size: the class
@@ -528,7 +533,7 @@ func (db *Database) Stats() IndexStats {
 	return IndexStats{
 		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
 		Delta: delta, Tombstones: tombs,
-		BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
+		StoreBytes: mem.StoreBytes, BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
 	}
 }
 

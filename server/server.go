@@ -786,9 +786,11 @@ type IndexStatsJSON struct {
 	// Tombstones counts deleted graphs not yet compacted away.
 	Delta      int `json:"delta"`
 	Tombstones int `json:"tombstones"`
-	// BitmapBytes and FingerprintBytes are the heap the index holds beside
-	// its stored sequences, summed over the shards (resident under
-	// pis.Options.MappedIndex too).
+	// StoreBytes is the class entry and posting blocks held on the heap,
+	// summed over the shards (0 under pis.Options.MappedIndex). BitmapBytes
+	// and FingerprintBytes are the heap the index holds beside them
+	// (resident under pis.Options.MappedIndex too).
+	StoreBytes       int `json:"store_bytes"`
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
 }
@@ -797,7 +799,7 @@ func encodeIndexStats(s pis.IndexStats) IndexStatsJSON {
 	return IndexStatsJSON{
 		Features: s.Features, Fragments: s.Fragments, Sequences: s.Sequences,
 		Delta: s.Delta, Tombstones: s.Tombstones,
-		BitmapBytes: s.BitmapBytes, FingerprintBytes: s.FingerprintBytes,
+		StoreBytes: s.StoreBytes, BitmapBytes: s.BitmapBytes, FingerprintBytes: s.FingerprintBytes,
 	}
 }
 
