@@ -213,13 +213,13 @@ type Searcher struct {
 	// vFloor / eFloor are the metric's label-mismatch cost floors
 	// (distance.CostFloors), feeding the prescreen's label-deficit bound.
 	vFloor, eFloor float64
-	// verifyCandNS / rangeQueryNS are EWMAs (float64 bits) of the
-	// observed cost of verifying one candidate and of running one σ range
-	// query — the planner's learned filter/verify exchange rate. Zero
-	// until first observed; updated losslessly enough by a single CAS
-	// (a lost race drops one sample of a smoothed average).
-	verifyCandNS atomic.Uint64
-	rangeQueryNS atomic.Uint64
+	// rangeQueryCost / verifyCandCost are EWMAs (float64 bits) of the
+	// counted cost of one σ range query and of verifying one candidate, at
+	// the planner's prices — its learned filter/verify exchange rate. Zero
+	// until a search has observed them; updated losslessly enough by a
+	// single CAS (a lost race drops one sample of a smoothed average).
+	rangeQueryCost atomic.Uint64
+	verifyCandCost atomic.Uint64
 	// survival holds one more such EWMA per (class, ⌊σ⌋ bucket): of
 	// |candidates after| ÷ |candidates before| over the times that class's
 	// range query ran on prescreened candidates — what a range query of
@@ -241,6 +241,16 @@ const survivalBuckets = 9
 // it as they always did, and if it has started to pay the observation
 // corrects the cell.
 const plannerExploreEvery = 32
+
+// The planner's prices, in ns on a 2-vCPU Xeon VM, of work a search
+// counts: a range query's probe units (Class.ProbeCost) and returned ids,
+// a verification's branch-and-bound nodes and candidates. Only their
+// ratios reach the planner, so a query plans alike however busy the
+// machine is. BenchmarkPlannerPrices refits them there at 20–26, 18–23,
+// 70–79 and 900–1,400; at these picks a fresh searcher over 3,000
+// molecules learns ρ = 19 for Q16 at σ = 2 and 31 for Q24 at σ = 1, where
+// timing the stages learned 18–22 and 33–35.
+const priceProbe, priceID, priceNode, priceCand = 22, 23, 68, 1000
 
 // minSurvival floors a learned survival rate, keeping an observed cell
 // distinguishable from an empty one (zero bits) when a range query
@@ -302,22 +312,27 @@ func ewmaObserve(a *atomic.Uint64, x float64) {
 	a.CompareAndSwap(old, math.Float64bits(next))
 }
 
+// observeCosts prices a completed search's range queries, one by one, and
+// its verified candidates, on average, for the exchange rate.
+func (s *Searcher) observeCosts(infos []fragInfo, st *Stats) {
+	for _, fi := range infos {
+		ewmaObserve(&s.rangeQueryCost, priceProbe*fi.qf.Class.ProbeCost()+priceID*float64(fi.list.Len()))
+	}
+	if st.Verified > 0 {
+		ewmaObserve(&s.verifyCandCost, (priceNode*float64(st.VerifyNodes)+priceCand*float64(st.Verified))/float64(st.Verified))
+	}
+}
+
 // exchangeRate returns the learned break-even elimination count ρ =
 // (cost of one range query) / (cost of verifying one candidate), clamped
 // to [1, 1024], or 0 before both costs have been observed.
 func (s *Searcher) exchangeRate() int {
-	r := math.Float64frombits(s.rangeQueryNS.Load())
-	v := math.Float64frombits(s.verifyCandNS.Load())
+	r := math.Float64frombits(s.rangeQueryCost.Load())
+	v := math.Float64frombits(s.verifyCandCost.Load())
 	if r <= 0 || v <= 0 {
 		return 0
 	}
-	rho := r / v
-	if rho < 1 {
-		rho = 1
-	} else if rho > 1024 {
-		rho = 1024
-	}
-	return int(rho)
+	return int(min(max(r/v, 1), 1024))
 }
 
 // The planner's cold-start thresholds, until both costs are observed.
@@ -519,12 +534,15 @@ func (s *Searcher) search(ctx context.Context, q *graph.Graph, sigma float64, k 
 	r.Candidates, lbs = s.joinDelta(sigma, r.Candidates, lbs, sc, view, &r.Stats)
 	r.Stats.FilterTime = time.Since(start)
 	err := s.verify(q, sigma, k, &r, lbs, sc, view, done)
-	s.putScratch(sc)
 	if err == nil && ctx.Err() != nil {
 		r.Stats.Partial = true
 		mQueriesCanceled.Inc()
 		err = ctx.Err()
 	}
+	if err == nil {
+		s.observeCosts(sc.infos, &r.Stats)
+	}
+	s.putScratch(sc)
 	return r, err
 }
 
@@ -615,7 +633,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	n := len(s.db)
 	tombs := view.Tombs
 	learn := verifying && s.survival != nil
-	sc.expansions = sc.expansions[:0]
+	sc.expansions, sc.infos = sc.expansions[:0], sc.infos[:0]
 	slots := s.queryClasses(q, st, sc)
 	planStart := time.Now()
 	planned := len(slots) > 0 && s.plan(slots, sigma, learn)
@@ -656,7 +674,7 @@ func (s *Searcher) filter(q *graph.Graph, sigma float64, st *Stats, sc *scratch,
 	// Lines 6-18: one σ range query per expanded fragment; intersect the
 	// in-range id lists by sorted merge/gallop join, stopping early once
 	// empty; compute dynamic selectivities.
-	infos := sc.infos[:0]
+	infos := sc.infos
 	nxt := sc.bufB[:0]
 	dryStreak := 0
 expand:
@@ -686,11 +704,7 @@ expand:
 				break // the class's remaining fragments estimate the same
 			}
 			pl := sc.postingList(len(infos))
-			rqStart := time.Now()
 			s.idx.RangeQueryInto(qf, sigma, pl, &sc.rbuf, tombs)
-			if verifying {
-				ewmaObserve(&s.rangeQueryNS, float64(time.Since(rqStart)))
-			}
 			sum := 0.0
 			for _, d := range pl.Dists {
 				sum += d
@@ -918,8 +932,9 @@ func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *sc
 
 // verify computes the true superimposed distance of every candidate by
 // exact branch-and-bound, best-first (ascending partition lower bound)
-// across a worker pool; observed per-candidate cost feeds the planner's
-// exchange rate. On the PIS path the candidates are prescreen survivors
+// across a worker pool, counting the nodes expanded in
+// r.Stats.VerifyNodes, which search prices for the planner's exchange
+// rate. On the PIS path the candidates are prescreen survivors
 // (filter, joinDelta); the baseline paths (naive, topoPrune) hand over
 // every candidate, which keeps them valid differential references.
 //
@@ -937,11 +952,11 @@ func (s *Searcher) joinDelta(sigma float64, cands []int32, lbs []float64, sc *sc
 // panicked, nil otherwise.
 func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs []float64, sc *scratch, view View, done <-chan struct{}) error {
 	start := time.Now()
+	defer func() { r.Stats.VerifyTime = time.Since(start) }()
 	r.Answers = []int32{}
 	cands := r.Candidates
 	nc := len(cands)
 	if nc == 0 {
-		r.Stats.VerifyTime = time.Since(start)
 		return nil
 	}
 	dists, order := sc.vdists[:0], sc.vorder[:0]
@@ -958,7 +973,7 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs [
 	if k > 0 {
 		kth = newKthBound(k, sigma)
 	}
-	busy, nodes, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
+	nodes, err := s.forEachCandidate(q, s.verifyWorkers(nc), nc, done, func(v *iso.Verifier, i int) {
 		j := order[i]
 		if kth == nil {
 			dists[j] = v.Distance(s.Graph(view, cands[j]), sigma)
@@ -967,11 +982,7 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs [
 		}
 	})
 	r.Stats.VerifyNodes = int(nodes)
-	if err == nil && !canceled(done) {
-		ewmaObserve(&s.verifyCandNS, float64(busy)/float64(nc))
-	}
 	if err != nil {
-		r.Stats.VerifyTime = time.Since(start)
 		return err
 	}
 	for i, id := range cands {
@@ -980,7 +991,6 @@ func (s *Searcher) verify(q *graph.Graph, sigma float64, k int, r *Result, lbs [
 			r.Distances = append(r.Distances, d)
 		}
 	}
-	r.Stats.VerifyTime = time.Since(start)
 	return nil
 }
 
@@ -994,8 +1004,7 @@ func (s *Searcher) VerifyEach(q *graph.Graph, n int, done <-chan struct{}, fn fu
 	if n == 0 {
 		return 0, nil
 	}
-	_, nodes, err = s.forEachCandidate(q, 1, n, done, fn)
-	return nodes, err
+	return s.forEachCandidate(q, 1, n, done, fn)
 }
 
 // claimPollMask amortizes the done-channel poll in the claim loop: one
@@ -1009,12 +1018,10 @@ const claimPollMask = 15
 // pool early (claimed work finishes aborted via the verifier's own done
 // hook). A panic in fn is recovered, aborts every sibling at its next
 // claim, and surfaces as a returned *PanicError holding the first panic
-// value; that worker's verifier is dropped, not pooled. busy is the time
-// the workers spent in their claim loops and nodes the branch-and-bound
-// nodes they expanded, both summed: each worker reads the clock twice,
-// not twice per candidate.
-func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (busy time.Duration, nodes uint64, err error) {
-	var next, busyNS atomic.Int64
+// value; that worker's verifier is dropped, not pooled. nodes is the
+// branch-and-bound nodes the workers expanded, summed.
+func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan struct{}, fn func(v *iso.Verifier, i int)) (nodes uint64, err error) {
+	var next atomic.Int64
 	var nodeSum atomic.Uint64
 	var abort atomic.Bool
 	var panicOnce sync.Once
@@ -1033,7 +1040,7 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 		}
 		v.Reset(q, s.metric)
 		v.SetDone(done)
-		start, nodes0 := time.Now(), v.Nodes()
+		nodes0 := v.Nodes()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= nc || abort.Load() || (i&claimPollMask == 0 && canceled(done)) {
@@ -1041,7 +1048,6 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 			}
 			fn(v, i)
 		}
-		busyNS.Add(int64(time.Since(start)))
 		nodeSum.Add(v.Nodes() - nodes0)
 		s.vpool.Put(v)
 	}
@@ -1059,9 +1065,9 @@ func (s *Searcher) forEachCandidate(q *graph.Graph, workers, nc int, done <-chan
 		wg.Wait()
 	}
 	if panicked != nil {
-		return 0, 0, panicked
+		return 0, panicked
 	}
-	return time.Duration(busyNS.Load()), nodeSum.Load(), nil
+	return nodeSum.Load(), nil
 }
 
 // canceled is a non-blocking poll of a context done channel (nil = never

@@ -30,67 +30,50 @@ func (s *Stats) Add(o Stats) {
 }
 
 // MergeGlobal stitches per-shard results that already carry global ids
-// into one Result. Unlike MergeShifted it does not assume shard id
-// ranges are ordered: once a database is mutable, inserts routed to the
-// smallest shard interleave the shards' id ranges, so the per-part
-// sorted lists are k-way merged by id. Parts must be pairwise disjoint
-// and ascending within each part. Stats are summed; Answers is non-nil
-// iff it is non-nil in every part.
+// into one Result. Shard id ranges need not be ordered: once a database
+// is mutable, inserts routed to the smallest shard interleave the shards'
+// id ranges, so the per-part sorted lists are k-way merged by id. Parts
+// must be pairwise disjoint and ascending within each part. Stats are
+// summed; Answers is non-nil iff it is non-nil in every part.
 func MergeGlobal(parts []Result) Result {
 	var out Result
 	answered := true
 	nAns, nCand := 0, 0
 	for _, p := range parts {
-		if p.Answers == nil {
-			answered = false
-		}
+		answered = answered && p.Answers != nil
 		nAns += len(p.Answers)
 		nCand += len(p.Candidates)
+		out.Stats.Add(p.Stats)
 	}
 	if answered {
-		out.Answers = make([]int32, 0, nAns)
-		out.Distances = make([]float64, 0, nAns)
+		out.Answers, out.Distances = make([]int32, 0, nAns), make([]float64, 0, nAns)
+		mergeByID(parts, func(p *Result) []int32 { return p.Answers }, func(p *Result, j int) {
+			out.Answers = append(out.Answers, p.Answers[j])
+			out.Distances = append(out.Distances, p.Distances[j])
+		})
 	}
 	out.Candidates = make([]int32, 0, nCand)
-	if answered {
-		cur := make([]int, len(parts))
-		for {
-			best := -1
-			var bestID int32
-			for i, p := range parts {
-				if cur[i] < len(p.Answers) {
-					if id := p.Answers[cur[i]]; best < 0 || id < bestID {
-						best, bestID = i, id
-					}
-				}
-			}
-			if best < 0 {
-				break
-			}
-			out.Answers = append(out.Answers, bestID)
-			out.Distances = append(out.Distances, parts[best].Distances[cur[best]])
-			cur[best]++
-		}
-	}
+	mergeByID(parts, func(p *Result) []int32 { return p.Candidates }, func(p *Result, j int) {
+		out.Candidates = append(out.Candidates, p.Candidates[j])
+	})
+	return out
+}
+
+// mergeByID calls emit(p, j) for every position j of ids(p) over every
+// part p, in ascending id order.
+func mergeByID(parts []Result, ids func(*Result) []int32, emit func(*Result, int)) {
 	cur := make([]int, len(parts))
 	for {
-		best := -1
-		var bestID int32
-		for i, p := range parts {
-			if cur[i] < len(p.Candidates) {
-				if id := p.Candidates[cur[i]]; best < 0 || id < bestID {
-					best, bestID = i, id
-				}
+		best, bestID := -1, int32(0)
+		for i := range parts {
+			if l := ids(&parts[i]); cur[i] < len(l) && (best < 0 || l[cur[i]] < bestID) {
+				best, bestID = i, l[cur[i]]
 			}
 		}
 		if best < 0 {
-			break
+			return
 		}
-		out.Candidates = append(out.Candidates, bestID)
+		emit(&parts[best], cur[best])
 		cur[best]++
 	}
-	for _, p := range parts {
-		out.Stats.Add(p.Stats)
-	}
-	return out
 }

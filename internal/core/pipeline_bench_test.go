@@ -9,10 +9,12 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"pis/internal/chem"
 	"pis/internal/graph"
 	"pis/internal/index"
+	"pis/internal/iso"
 )
 
 // benchFixture is a database sized so that filtering, not fixture setup,
@@ -123,4 +125,69 @@ func BenchmarkStructuralCandidates(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkPlannerPrices refits the planner's prices by least squares on
+// timed work over 3,000 molecules, in the two shapes they were picked on
+// (Q16 at σ = 2, Q24 at σ = 1). A planning searcher filters each query,
+// learning as a search does; then every range query it ran is timed again
+// against its probe units and returned ids (priceProbe, priceID), and
+// every candidate it left is timed against its branch-and-bound nodes
+// plus a fixed cost (priceNode, priceCand).
+func BenchmarkPlannerPrices(b *testing.B) {
+	fx := newMolFixture(b, 3000)
+	s := NewSearcher(fx.db, fx.heap, Options{})
+	shapes := []struct {
+		qs    []*graph.Graph
+		sigma float64
+	}{{chem.SampleQueries(fx.db, 48, 16, 5), 2}, {chem.SampleQueries(fx.db, 48, 24, 6), 1}}
+	sc := s.getScratch()
+	var pl index.PostingList
+	var v iso.Verifier
+	var rq, vf priceFit
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sh := range shapes {
+			for _, q := range sh.qs {
+				var st Stats
+				cands, _ := s.filter(q, sh.sigma, &st, sc, View{}, nil, true)
+				for _, fi := range sc.infos {
+					start := time.Now()
+					s.idx.RangeQueryInto(fi.qf, sh.sigma, &pl, &sc.rbuf, nil)
+					rq.add(fi.qf.Class.ProbeCost(), float64(pl.Len()), time.Since(start))
+				}
+				v.Reset(q, s.metric)
+				nodes0 := v.Nodes()
+				for _, id := range cands {
+					n, start := v.Nodes(), time.Now()
+					v.Distance(fx.db[id], sh.sigma)
+					vf.add(float64(v.Nodes()-n), 1, time.Since(start))
+				}
+				st.Verified, st.VerifyNodes = len(cands), int(v.Nodes()-nodes0)
+				s.observeCosts(sc.infos, &st)
+			}
+		}
+	}
+	probe, id := rq.solve()
+	node, cand := vf.solve()
+	b.ReportMetric(probe, "ns/probe-unit")
+	b.ReportMetric(id, "ns/id")
+	b.ReportMetric(node, "ns/node")
+	b.ReportMetric(cand, "ns/candidate")
+}
+
+// priceFit accumulates the normal equations of y = a·x0 + b·x1.
+type priceFit struct{ s00, s01, s11, s0y, s1y float64 }
+
+func (f *priceFit) add(x0, x1 float64, y time.Duration) {
+	f.s00 += x0 * x0
+	f.s01 += x0 * x1
+	f.s11 += x1 * x1
+	f.s0y += x0 * float64(y)
+	f.s1y += x1 * float64(y)
+}
+
+func (f *priceFit) solve() (a, b float64) {
+	det := f.s00*f.s11 - f.s01*f.s01
+	return (f.s0y*f.s11 - f.s1y*f.s01) / det, (f.s00*f.s1y - f.s01*f.s0y) / det
 }

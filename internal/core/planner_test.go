@@ -3,10 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"pis/internal/chem"
 	"pis/internal/distance"
 	"pis/internal/index"
+	"pis/internal/iso"
 )
 
 // Planner differential property tests: the cost-based planner reorders
@@ -24,10 +30,10 @@ import (
 func pinExchangeRate(s *Searcher, rho float64) {
 	var verify float64
 	if rho > 0 {
-		verify = 1e9
+		verify = priceCand
 	}
-	s.verifyCandNS.Store(math.Float64bits(verify))
-	s.rangeQueryNS.Store(math.Float64bits(rho * verify))
+	s.verifyCandCost.Store(math.Float64bits(verify))
+	s.rangeQueryCost.Store(math.Float64bits(rho * verify))
 }
 
 // plannerSweep is the exchange rates the differentials pin: cold start,
@@ -198,6 +204,81 @@ func TestPlannerDefaults(t *testing.T) {
 		want := int(min(max(rho, 1), 1024))
 		if b, c := s.thresholds(true); b != float64(want) || c != want {
 			t.Fatalf("ρ = %v: thresholds %v, %d; want %d for both", rho, b, c, want)
+		}
+	}
+}
+
+// plannerState is everything a searcher has learned, as raw bits: the
+// exchange rate's two EWMAs, the search counter and every survival cell.
+func plannerState(s *Searcher) []uint64 {
+	out := []uint64{s.rangeQueryCost.Load(), s.verifyCandCost.Load(), s.searches.Load()}
+	for i := range s.survival {
+		out = append(out, s.survival[i].Load())
+	}
+	return out
+}
+
+// TestPlannerDeterministic: the planner learns from counted work, not from
+// the clock, so two fresh searchers over one index that run the same
+// queries — the second beside GOMAXPROCS busy loops — end with
+// bit-identical planner state and the same funnel.
+func TestPlannerDeterministic(t *testing.T) {
+	fx := newMolFixture(t, 600)
+	qs := chem.SampleQueries(fx.db, 60, 16, 3)
+	run := func() (state []uint64, expanded, verified, nodes int) {
+		s := NewSearcher(fx.db, fx.heap, Options{})
+		for i, q := range qs {
+			st := s.Search(q, float64(1+i%3)).Stats
+			expanded += st.ExpandedFragments
+			verified += st.Verified
+			nodes += st.VerifyNodes
+		}
+		return plannerState(s), expanded, verified, nodes
+	}
+	quietState, qe, qv, qn := run()
+	if s := quietState; s[0] == 0 || s[1] == 0 || qe == 0 {
+		t.Fatalf("the workload taught the planner nothing: costs %v, %d expanded", s[:2], qe)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+			}
+		}()
+	}
+	busyState, be, bv, bn := run()
+	stop.Store(true)
+	wg.Wait()
+	if !slices.Equal(quietState, busyState) {
+		t.Error("planner state differs between a quiet and a busy run")
+	}
+	if qe != be || qv != bv || qn != bn {
+		t.Errorf("funnel differs: quiet %d expanded, %d verified, %d nodes; busy %d, %d, %d", qe, qv, qn, be, bv, bn)
+	}
+}
+
+// TestPlannerBaselinesTeachNothing: only the PIS pipeline prices its work
+// for the exchange rate; the baselines, candidate counting and a lent
+// verifier leave a fresh searcher's planner state at zero.
+func TestPlannerBaselinesTeachNothing(t *testing.T) {
+	fx := newFixture(t, 960, 40)
+	s := NewSearcher(fx.db, fx.idx, Options{})
+	rng := rand.New(rand.NewSource(961))
+	for trial := 0; trial < 4; trial++ {
+		q := sampleQuery(rng, fx.db, 5)
+		s.SearchNaive(q, 2)
+		s.SearchTopoPrune(q, 2)
+		s.CountCandidates(q, 2)
+		if _, err := s.VerifyEach(q, len(fx.db), nil, func(v *iso.Verifier, i int) { v.Distance(fx.db[i], 2) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, bits := range plannerState(s) {
+		if bits != 0 {
+			t.Fatalf("a baseline taught the planner: state word %d is %#x", i, bits)
 		}
 	}
 }

@@ -134,8 +134,10 @@ type Options struct {
 	// expand in order of estimated pruning power per unit cost, and
 	// expansion stops once a range query costs more than verifying the
 	// candidates it could eliminate, by the filter/verify exchange rate
-	// the planner learns from observed stage costs. Answers are identical
-	// either way; only filtering effort changes.
+	// the planner learns from counted work — probe units and ids of each
+	// range query, nodes and candidates of each verification, at fixed
+	// prices — so a query plans alike on a busy machine. Answers are
+	// identical either way; only filtering effort changes.
 	PlannerOff bool
 
 	// QueryTimeout bounds every SearchContext / SearchKNNContext /
