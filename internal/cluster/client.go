@@ -109,7 +109,7 @@ func (p *peer) call(ctx context.Context, op byte, req []byte, decode func(*binio
 	for {
 		pc, fresh, err := p.get(ctx)
 		if err != nil {
-			p.rpcErrors.Inc()
+			p.countError(ctx)
 			return fmt.Errorf("cluster: dial %s: %w", p.addr, err)
 		}
 		err = p.roundTrip(ctx, pc, op, req, decode)
@@ -120,17 +120,26 @@ func (p *peer) call(ctx context.Context, op byte, req []byte, decode func(*binio
 		var re *remoteError
 		if errors.As(err, &re) {
 			// The RPC itself completed; the connection is healthy.
-			p.rpcErrors.Inc()
+			p.countError(ctx)
 			return err
 		}
 		if !fresh && ctx.Err() == nil {
 			continue // stale pooled connection; retry on a fresh dial
 		}
-		p.rpcErrors.Inc()
+		p.countError(ctx)
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
 		return fmt.Errorf("cluster: rpc to %s: %w", p.addr, err)
+	}
+}
+
+// countError counts a failed RPC unless ctx is done: the caller giving
+// up, or hedged cancelling the attempt a sibling beat, is not the peer
+// failing.
+func (p *peer) countError(ctx context.Context) {
+	if ctx.Err() == nil {
+		p.rpcErrors.Inc()
 	}
 }
 

@@ -329,13 +329,11 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	}
 }
 
-// TestHedgedRequest points the preferred replica at a tarpit (accepts
-// connections, never answers) and checks that the hedge fires, the
-// secondary wins, and no goroutine is left behind once the dust
-// settles.
-func TestHedgedRequest(t *testing.T) {
-	graphs := testGraphs(25, 17)
-
+// tarpitCluster serves one shard over graphs from two replicas, the
+// preferred one a tarpit (accepts connections, never answers), so a
+// query's hedge fires and the real replica wins. It returns the
+// coordinator, the real replica's segment and the tarpit's address.
+func tarpitCluster(t *testing.T, graphs []*graph.Graph) (*Coordinator, *segment.Segment, string) {
 	// Reserve two addresses, then assign roles so the tarpit lands on
 	// the shard's preferred (first) replica.
 	ln1, err := net.Listen("tcp", "127.0.0.1:0")
@@ -362,7 +360,7 @@ func TestHedgedRequest(t *testing.T) {
 		realLn = ln2
 	}
 	realLn.Close()
-	defer tarpitLn.Close()
+	t.Cleanup(func() { tarpitLn.Close() })
 	go func() {
 		for {
 			c, err := tarpitLn.Accept()
@@ -374,12 +372,12 @@ func TestHedgedRequest(t *testing.T) {
 	}()
 
 	seg := newSegment(t, graphs, 0)
-	defer seg.Close()
+	t.Cleanup(func() { seg.Close() })
 	node, err := NewNode(realAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	t.Cleanup(func() { node.Close() })
 	node.SetShard(0, seg)
 
 	co, err := Connect(Config{
@@ -390,16 +388,18 @@ func TestHedgedRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
-	// The tarpit failed its opStats probe; force it "up" so the hedging
-	// path — not failover ordering — is what rescues the query.
-	co.peers[reps[0]].up.Store(true)
+	t.Cleanup(func() { co.Close() })
+	return co, seg, reps[0]
+}
 
-	base := runtime.NumGoroutine()
-	hedges, wins := mHedges.Value(), mHedgeWins.Value()
+// hedgeQueries runs five queries that only the hedge can answer and
+// checks their answers. The tarpit failed its opStats probe, and
+// transport errors re-mark it down: each query forces it "up" so the
+// hedging path — not failover ordering — is what rescues the query.
+func hedgeQueries(t *testing.T, co *Coordinator, seg *segment.Segment, tarpit string, graphs []*graph.Graph) {
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		co.peers[reps[0]].up.Store(true) // transport errors re-mark it down
+		co.peers[tarpit].up.Store(true)
 		r, err := co.SearchCtx(ctx, graphs[i], 1.5)
 		if err != nil {
 			t.Fatalf("hedged query %d: %v", i, err)
@@ -409,24 +409,55 @@ func TestHedgedRequest(t *testing.T) {
 			t.Fatalf("hedged query %d: wrong answers", i)
 		}
 	}
+}
+
+// settle waits up to 5 s for the losing attempts to unwind (their
+// connections are closed by the per-call cancel), and returns the
+// goroutine count then.
+func settle(base int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > base+2 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestHedgedRequest checks that against a tarpit the hedge fires, the
+// secondary wins, and no goroutine is left behind once the dust settles.
+func TestHedgedRequest(t *testing.T) {
+	graphs := testGraphs(25, 17)
+	co, seg, tarpit := tarpitCluster(t, graphs)
+
+	base := runtime.NumGoroutine()
+	hedges, wins := mHedges.Value(), mHedgeWins.Value()
+	hedgeQueries(t, co, seg, tarpit, graphs)
 	if mHedges.Value() <= hedges {
 		t.Error("no hedge fired")
 	}
 	if mHedgeWins.Value() <= wins {
 		t.Error("no hedge win recorded")
 	}
-
-	// Loser teardown: the tarpit attempts must all unwind (their
-	// connections are closed by the per-call cancel).
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base+2 {
+	if n := settle(base); n > base+2 {
 		t.Errorf("goroutine leak after hedged queries: %d, baseline %d", n, base)
+	}
+}
+
+// TestHedgeLoserIsNotAnRPCError checks that the attempt a winning hedge
+// cancels is not counted in pis_cluster_rpc_errors_total: the tarpit
+// never failed, it was overtaken.
+func TestHedgeLoserIsNotAnRPCError(t *testing.T) {
+	graphs := testGraphs(25, 17)
+	co, seg, tarpit := tarpitCluster(t, graphs)
+
+	base := runtime.NumGoroutine()
+	errs, wins := mRPCErrors.Value(tarpit), mHedgeWins.Value()
+	hedgeQueries(t, co, seg, tarpit, graphs)
+	settle(base)
+	if mHedgeWins.Value() <= wins {
+		t.Fatal("no hedge win recorded")
+	}
+	if n := mRPCErrors.Value(tarpit) - errs; n != 0 {
+		t.Errorf("%d cancelled hedge losers counted as RPC errors of %s", n, tarpit)
 	}
 }
 

@@ -16,7 +16,7 @@ var (
 		"peer", obs.LatencyBuckets)
 	mRPCErrors = obs.Default().CounterVec(
 		"pis_cluster_rpc_errors_total",
-		"Inter-node RPCs that failed (dial, transport, or remote error) by peer.",
+		"Inter-node RPCs that failed (dial, transport, or remote error) by peer; a cancelled call is not a failure.",
 		"peer")
 	mSearchRPCSeconds = obs.Default().Histogram(
 		"pis_cluster_search_rpc_seconds",

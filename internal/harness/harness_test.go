@@ -211,8 +211,11 @@ func TestMeasureLargeSynthetic(t *testing.T) {
 	if rep.IndexOpenMSMapped <= 0 || rep.IndexOpenMSHeap <= 0 {
 		t.Errorf("open timings missing: mapped %v heap %v", rep.IndexOpenMSMapped, rep.IndexOpenMSHeap)
 	}
-	if _, err := os.Stat("/proc/self/status"); err == nil && rep.BuildPeakRSSMB <= 0 {
-		t.Error("build peak RSS not captured despite /proc being available")
+	if _, err := os.Stat("/proc/self/status"); err == nil && (rep.BuildPeakRSSMB <= 0 || rep.MiningPeakRSSMB <= 0) {
+		t.Errorf("peak RSS not captured despite /proc being available: %v MiB after mining, %v after the build", rep.MiningPeakRSSMB, rep.BuildPeakRSSMB)
+	}
+	if rep.MiningMS <= 0 {
+		t.Error("mining time not captured")
 	}
 }
 

@@ -65,6 +65,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	} else {
 		sample = chem.Generate(min(cfg.MiningSample, cfg.DBSize), chem.Config{Seed: cfg.Seed})
 	}
+	mineStart := time.Now()
 	feats, err := mining.Mine(sample, mining.Options{
 		MaxEdges:           cfg.MaxFragmentEdges,
 		MinEdges:           cfg.MinFragmentEdges,
@@ -74,6 +75,9 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	if err != nil {
 		return BenchReport{}, err
 	}
+	// The high-water mark after mining tells the build's peak from the
+	// miner's: the build peak below covers both.
+	miningDur, miningPeak := time.Since(mineStart), peakRSSMB()
 
 	idxPath := lo.IndexPath
 	if idxPath == "" {
@@ -131,6 +135,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 
 	env := &Env{Config: cfg, DB: db, Features: feats, Index: idx, BuildDur: buildDur}
 	rep := Measure(env, queryEdges, sigma)
+	rep.MiningMS, rep.MiningPeakRSSMB = ms(miningDur), miningPeak
 	rep.BuildPeakRSSMB = buildPeak
 	rep.RawPostingBytes = sres.RawPostingBytes
 	rep.StreamSpillRuns = sres.SpillRuns

@@ -96,16 +96,19 @@ type BenchReport struct {
 	// open timings compare demand-paged mmap against decoding the same
 	// image onto the heap (IndexOpenMSHeap is IndexLoadMS under its
 	// out-of-core name). The remaining fields are filled only by
-	// MeasureLarge: BuildPeakRSSMB is the high-water mark right after
-	// the streaming build — before the query phase materializes the
-	// graphs — RawPostingBytes is the uncompressed posting volume a
-	// heap build would have held resident, the denominator of the
-	// build's RSS budget, and StreamSpillRuns / StreamSpillBytes count
-	// the chunks the build folded and the bytes of the run files it
-	// wrote for them.
+	// MeasureLarge: MiningMS is the wall time of feature mining and
+	// MiningPeakRSSMB the high-water mark right after it, BuildPeakRSSMB
+	// the high-water mark right after the streaming build — before the
+	// query phase materializes the graphs — RawPostingBytes is the
+	// uncompressed posting volume a heap build would have held resident,
+	// the denominator of the build's RSS budget, and StreamSpillRuns /
+	// StreamSpillBytes count the chunks the build folded and the bytes
+	// of the run files it wrote for them.
 	PeakRSSMB         float64 `json:"peak_rss_mb"`
 	IndexOpenMSMapped float64 `json:"index_open_ms_mapped"`
 	IndexOpenMSHeap   float64 `json:"index_open_ms_heap"`
+	MiningMS          float64 `json:"mining_ms,omitempty"`
+	MiningPeakRSSMB   float64 `json:"mining_peak_rss_mb,omitempty"`
 	BuildPeakRSSMB    float64 `json:"build_peak_rss_mb,omitempty"`
 	RawPostingBytes   int64   `json:"raw_posting_bytes,omitempty"`
 	StreamSpillRuns   int     `json:"stream_spill_runs,omitempty"`

