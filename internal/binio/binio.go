@@ -15,8 +15,6 @@
 package binio
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -84,27 +82,19 @@ func (sw *SectionWriter) F64Slab(vals []float64) {
 // reader enforces the same cap, so an oversized section would be a
 // checkpoint that can never be loaded; callers chunk instead.
 func (sw *SectionWriter) Flush() error {
-	return WriteSection(sw.w, len(sw.buf), bytes.NewReader(sw.buf))
-}
-
-// WriteSection frames the n payload bytes r yields as one section and
-// writes it to w, holding no more of the payload than r does; it fails
-// unless r yields exactly n bytes.
-func WriteSection(w io.Writer, n int, r io.Reader) error {
-	if n > MaxSectionLen {
-		return fmt.Errorf("binio: section payload %d bytes exceeds the %d cap; chunk it", n, MaxSectionLen)
+	if len(sw.buf) > MaxSectionLen {
+		return fmt.Errorf("binio: section payload %d bytes exceeds the %d cap; chunk it", len(sw.buf), MaxSectionLen)
 	}
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(sw.buf)))
+	if _, err := sw.w.Write(hdr[:]); err != nil {
 		return err
 	}
-	crc := crc32.NewIEEE()
-	if m, err := io.Copy(io.MultiWriter(w, crc), r); err != nil || m != int64(n) {
-		return cmp.Or(err, fmt.Errorf("binio: section payload of %d bytes declared %d", m, n))
+	if _, err := sw.w.Write(sw.buf); err != nil {
+		return err
 	}
-	binary.LittleEndian.PutUint32(hdr[:], crc.Sum32())
-	_, err := w.Write(hdr[:])
+	binary.LittleEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(sw.buf))
+	_, err := sw.w.Write(hdr[:])
 	return err
 }
 

@@ -23,8 +23,8 @@ import (
 )
 
 // Pair readies an index to answer searches over db, which must be the
-// exact graph set it was built over: every class gets its posting bitmap
-// and, when the image carried none, the fingerprint table is recomputed.
+// exact graph set it was built over: every class gets its posting bitmap,
+// and the index its fingerprint table, computed from db.
 // An image of an older layout has its classes rebuilt from db, as a build
 // over it would lay them out (persist.go). An index from Build or Rebase is
 // paired already; one from Load or OpenMapped is paired by the first
@@ -48,8 +48,9 @@ func (x *Index) Pair(db []*graph.Graph) error {
 
 // pair is Pair's work, over the len(db) == x.dbSize graphs of the index.
 func (x *Index) pair(db []*graph.Graph) {
-	if x.fps == nil {
-		x.computeFingerprints(db)
+	x.fps = make([]GraphFP, len(db))
+	for i, g := range db {
+		fillGraphFP(&x.fps[i], g)
 	}
 	words := (len(db) + 63) >> 6
 	slab := make([]uint64, words*len(x.list))

@@ -161,7 +161,7 @@ func TestSignatureImageOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr, _, _, err := parseV3Meta(data, metric); err != nil || signatureWidth(data) != 2 {
+	if hdr, _, err := parseV3Meta(data, metric); err != nil || signatureWidth(data) != 2 {
 		t.Fatalf("the pinned image should carry 2 signature words: header %+v, err %v", hdr, err)
 	}
 	hx, err := Load(bytes.NewReader(data), metric)

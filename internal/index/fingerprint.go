@@ -21,9 +21,10 @@
 //
 // Every test is conservative: a rejected graph provably has d(Q, G) > σ,
 // so the prescreen never changes answers, only skips branch-and-bound
-// work. Fingerprints are computed at index build and persisted in the
-// image's checksummed fingerprint section; an image written without that
-// section gets them recomputed by Pair.
+// work. Fingerprints are a pure function of each graph, so no image stores
+// them: a build computes them, and an index read from an image gets them
+// from its graphs at Pair. Images written by earlier versions carry them in
+// a section the reader never reads.
 
 package index
 
@@ -92,20 +93,8 @@ func DeltaFP(g *graph.Graph) GraphFP {
 	return fp
 }
 
-// computeFingerprints builds the per-graph fingerprint table.
-func (x *Index) computeFingerprints(db []*graph.Graph) {
-	if len(db) == 0 {
-		x.fps = nil
-		return
-	}
-	x.fps = make([]GraphFP, len(db))
-	for i, g := range db {
-		fillGraphFP(&x.fps[i], g)
-	}
-}
-
 // FingerprintAt returns graph id's fingerprint, or nil when the index
-// carries none (image without the section, not yet passed through Pair).
+// carries none (read from an image, not yet passed through Pair).
 func (x *Index) FingerprintAt(id int32) *GraphFP {
 	if x.fps == nil {
 		return nil

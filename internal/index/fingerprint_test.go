@@ -11,38 +11,13 @@ import (
 	"pis/internal/iso"
 )
 
-// TestGraphFPPersistRoundTrip: the fingerprint table must survive the
-// image exactly.
-func TestGraphFPPersistRoundTrip(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	x, _ := buildSmall(t, metric, 61, 18)
-	if x.fps == nil {
-		t.Fatal("built index carries no fingerprints")
-	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Load(&buf, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.fps == nil {
-		t.Fatal("fingerprints lost across save/load")
-	}
-	if !reflect.DeepEqual(x.fps, y.fps) {
-		t.Fatalf("fingerprint table changed across save/load:\nsaved  %+v\nloaded %+v", x.fps[0], y.fps[0])
-	}
-}
-
-// TestPairSectionlessImage: an image written without the fingerprint
-// section (the header flag allows it) loads with no fingerprint table;
-// Pair recomputes exactly what a fresh build produces.
+// TestPairSectionlessImage: an image carries no fingerprints, so it loads
+// with no fingerprint table; Pair computes exactly what a fresh build
+// produces.
 func TestPairSectionlessImage(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, db := buildSmall(t, metric, 62, 18)
 	built := x.fps
-	x.fps = nil // Save omits the section for an index without a table
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -56,7 +31,7 @@ func TestPairSectionlessImage(t *testing.T) {
 	}
 	y := load()
 	if y.fps != nil {
-		t.Fatal("section-less image should load without fingerprints")
+		t.Fatal("an image should load without fingerprints")
 	}
 	if y.FingerprintAt(0) != nil {
 		t.Fatal("FingerprintAt must return nil without a table")

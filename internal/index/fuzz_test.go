@@ -101,7 +101,8 @@ func FuzzClassWalk(f *testing.F) {
 // committed corpus (testdata/fuzz/FuzzIndexLoad) holds one small image
 // per older kind byte — written by the last commit that still had other
 // formats, so a plain `go test` also proves those bytes keep opening —
-// two label images in today's layout (seed-labels, seed-labels-full), the
+// two label images of kind 3 with a fingerprint section (seed-labels,
+// seed-labels-full; TestParentImagesOpen checks their answers), the
 // crafted count-bomb images of TestPersistRejectsOversizedCounts and the
 // well-formed one of TestOpenIgnoresHeaderGraphCount. full
 // picks the metric, whose vertex-blindness must match the image's; both

@@ -236,30 +236,24 @@ func TestMappedDifferentialVPTree(t *testing.T) {
 }
 
 // v3Sections walks the section framing of a v3 image and returns the
-// [start,end) byte ranges of each pre-slab section payload plus the slab
-// offset, so corruption tests can target every region precisely.
+// [start,end) byte ranges of its two pre-slab section payloads, header and
+// directory, plus the slab offset, so corruption tests can target every
+// region precisely.
 func v3Sections(t *testing.T, data []byte) (sections [][2]int, slabOff int) {
 	t.Helper()
 	off := len(persistMagic)
-	for off < len(data) {
+	for range 2 {
 		if off+4 > len(data) {
-			break
+			t.Fatalf("image of %d bytes ends inside its section framing", len(data))
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		payload := [2]int{off + 4, off + 4 + n}
 		sections = append(sections, payload)
 		off = payload[1] + 4 // skip CRC
-		if len(sections) == 1 {
-			// Header section: slab offset is the 8 bytes before the final 8
-			// (slabOff u64, slabLen u64 end the payload).
-			so := binary.LittleEndian.Uint64(data[payload[1]-16 : payload[1]-8])
-			slabOff = int(so)
-		}
-		if len(sections) >= 3 || (slabOff > 0 && off >= slabOff) {
-			break
-		}
 	}
-	return sections, slabOff
+	// The header's payload ends with the slab offset and length (u64 each).
+	hdr := sections[0]
+	return sections, int(binary.LittleEndian.Uint64(data[hdr[1]-16 : hdr[1]-8]))
 }
 
 // TestMappedCorruption flips bits in every section and every per-class
@@ -278,9 +272,6 @@ func TestMappedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	sections, slabOff := v3Sections(t, clean)
-	if len(sections) < 3 {
-		t.Fatalf("expected header+directory+fp sections, found %d", len(sections))
-	}
 	if slabOff%v3SlabAlign != 0 || slabOff >= len(clean) {
 		t.Fatalf("slab offset %d not page aligned inside %d-byte file", slabOff, len(clean))
 	}
@@ -311,8 +302,8 @@ func TestMappedCorruption(t *testing.T) {
 		return d
 	}
 
-	names := []string{"mapped header", "mapped directory", "mapped fingerprint section"}
-	for i, sec := range sections[:3] {
+	names := []string{"mapped header", "mapped directory"}
+	for i, sec := range sections {
 		mid := (sec[0] + sec[1]) / 2
 		expectFail(names[i]+" bitflip", flip(mid), names[i])
 	}
@@ -348,7 +339,7 @@ func TestMappedCorruption(t *testing.T) {
 	// Truncations at every section boundary and inside the slab.
 	expectFail("truncated before directory", clean[:sections[0][1]+4], "directory")
 	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "directory")
-	expectFail("truncated before fp", clean[:sections[1][1]+4], "fingerprint")
+	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped slab: truncated")
 	expectFail("truncated mid-slab", clean[:slabOff+(len(clean)-slabOff)/2], "truncated")
 	expectFail("truncated before slab", clean[:slabOff], "truncated")
 }

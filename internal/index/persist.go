@@ -11,11 +11,11 @@
 //	"PISIDX3\n"
 //	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
 //	                   db fingerprint, class count, a retired width (0),
-//	                   fp-section flag, slab offset + length
+//	                   a retired fingerprint-section flag (0), slab offset +
+//	                   length
 //	directory section  per class: canonical code, vOff, stored (key, graph)
 //	                   pairs, posting count/offset/length/CRC, entry
 //	                   count/offset/length/CRC, planner stats
-//	fingerprints       per-graph prescreen fingerprints (fingerprint.go)
 //	zero padding       to the page-aligned slab offset
 //	slab               per class: entry block, then posting block
 //
@@ -30,10 +30,14 @@
 // silently returning wrong answers. The metric itself is not serialized —
 // the caller supplies an equivalent one to the reader — but its
 // vertex-blindness and whether it reads labels or weights are recorded and
-// checked, since both change the stored key layout. Automorphism
-// permutations are cheap to recompute and are rebuilt by the reader, and
-// so are the directory's pair counts and planner stats, which are written
-// for older readers and never trusted.
+// checked, since both change the stored key layout. What a reader can
+// derive is not trusted or not stored: automorphism permutations, the
+// directory's pair counts and planner stats (written for older readers)
+// are rebuilt by the reader, and the per-graph prescreen fingerprints
+// (fingerprint.go) are computed from the graphs by Pair. Images of earlier
+// versions carry them in a section between the directory and the padding,
+// with the header's flag at 1; the reader finds the slab by its offset and
+// never reads that section.
 //
 // Slab blocks (offsets in the directory are relative to the slab):
 //
@@ -77,9 +81,6 @@ import (
 // persistMagic leads the image; 8 bytes, checked verbatim.
 const persistMagic = "PISIDX3\n"
 
-// fpMagic tags the per-graph fingerprint section ("PISF" little-endian).
-const fpMagic = 0x46534950
-
 // The header's kind byte names the entry layout. Kinds 0 to 2 are the
 // layouts of the per-class structures the repository once chose between
 // (trie, R-tree, VP-tree; kind 1 held weights): of such an image only the
@@ -99,7 +100,7 @@ func (x *Index) header(slabLen uint64) v3Header {
 		kind = kindWeights
 	}
 	return v3Header{kind: kind, vertexBlind: distance.IgnoresVertices(x.opts.Metric), maxEdges: x.opts.MaxFragmentEdges,
-		dbSize: x.dbSize, fingerprint: x.fingerprint, nClasses: len(x.list), hasFPs: x.fps != nil, slabLen: slabLen}
+		dbSize: x.dbSize, fingerprint: x.fingerprint, nClasses: len(x.list), slabLen: slabLen}
 }
 
 // v3SlabAlign page-aligns the slab so mapped block reads never straddle
@@ -114,7 +115,6 @@ type v3Header struct {
 	dbSize      int
 	fingerprint uint64
 	nClasses    int
-	hasFPs      bool
 	slabOff     uint64
 	slabLen     uint64
 }
@@ -196,9 +196,9 @@ func (s *v3SlabWriter) ids(ids []int32) {
 }
 
 // Save writes the index to w as a PISIDX3 image: the class blocks it
-// holds, heap or mapped alike, behind a directory and fingerprint section
-// encoded here. An index opened from an older layout and not yet paired
-// writes back the image it was opened from.
+// holds, heap or mapped alike, behind a directory encoded here. An index
+// opened from an older layout and not yet paired writes back the image it
+// was opened from.
 func (x *Index) Save(w io.Writer) error {
 	if x.image != nil {
 		_, err := w.Write(x.image)
@@ -231,15 +231,7 @@ func (x *Index) Save(w io.Writer) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	hdr := x.header(uint64(slab.Len()))
-	var fps []byte
-	if hdr.hasFPs {
-		fps = fpPreamble(len(x.fps))
-		for i := range x.fps {
-			fps = appendGraphFP(fps, &x.fps[i])
-		}
-	}
-	return writeV3Image(w, hdr, dir, bytes.NewReader(fps), len(fps), &slab)
+	return writeV3Image(w, x.header(uint64(slab.Len())), dir, &slab)
 }
 
 // WriteMapped saves the index to path atomically and durably, ready for
@@ -278,42 +270,10 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// fpPreamble is the fingerprint section's preamble; n appendGraphFP
-// records follow. The zero is the width of the per-graph class signature
-// images once carried after each record.
-func fpPreamble(n int) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, fpMagic)
-	b = binary.AppendUvarint(b, 0)
-	return binary.AppendUvarint(b, uint64(n))
-}
-
-// appendGraphFP appends fp's fingerprint record to b: every counter as a
-// uvarint.
-func appendGraphFP(b []byte, fp *GraphFP) []byte {
-	b = binary.AppendUvarint(b, uint64(fp.NV))
-	b = binary.AppendUvarint(b, uint64(fp.NE))
-	for _, c := range fp.DegTail {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	for _, c := range fp.ELab {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	for _, c := range fp.VLab {
-		b = binary.AppendUvarint(b, uint64(c))
-	}
-	return b
-}
-
-// graphFPMinBytes is the smallest fingerprint record: one byte per
-// counter.
-const graphFPMinBytes = 2 + fpDegTail + fpEdgeBuckets + fpVertexBuckets
-
-// writeV3Image assembles the image: magic, header, directory, optional
-// fingerprint section, padding, slab. hdr.slabOff is computed here;
-// hdr.slabLen must be set by the caller. When hdr.hasFPs, fps yields the
-// fpLen payload bytes of the fingerprint section (tens of MB at a million
-// graphs), framed straight into w.
-func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fpLen int, slab io.Reader) error {
+// writeV3Image assembles the image: magic, header, directory, padding,
+// slab. hdr.slabOff is computed here; hdr.slabLen must be set by the
+// caller.
+func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab io.Reader) error {
 	encodeHeader := func(h v3Header) []byte {
 		var buf bytes.Buffer
 		sw := binio.NewSectionWriter(&buf)
@@ -329,11 +289,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fp
 		sw.U64(h.fingerprint)
 		sw.Uvarint(uint64(h.nClasses))
 		sw.Uvarint(0) // retired: the class signature width of older images
-		fb := byte(0)
-		if h.hasFPs {
-			fb = 1
-		}
-		sw.U8(fb)
+		sw.U8(0)      // retired: older images flag a fingerprint section
 		sw.U64(h.slabOff)
 		sw.U64(h.slabLen)
 		if err := sw.Flush(); err != nil {
@@ -377,18 +333,10 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fp
 	// The header's length does not depend on slabOff (fixed-width u64),
 	// so one dry encode fixes the layout and a second fills it in.
 	preSlab := len(persistMagic) + len(encodeHeader(hdr)) + dirBuf.Len()
-	if hdr.hasFPs {
-		preSlab += 8 + fpLen // the section's length and CRC frame the payload
-	}
 	hdr.slabOff = (uint64(preSlab) + v3SlabAlign - 1) / v3SlabAlign * v3SlabAlign
 
 	for _, b := range [][]byte{[]byte(persistMagic), encodeHeader(hdr), dirBuf.Bytes()} {
 		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	if hdr.hasFPs {
-		if err := binio.WriteSection(w, fpLen, fps); err != nil {
 			return err
 		}
 	}
@@ -399,14 +347,15 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, fps io.Reader, fp
 	return err
 }
 
-// parseV3Meta decodes the header, directory, and fingerprint sections of
-// an image, without touching the slab. Every count is bounded by the
-// bytes that could hold it before anything is allocated from it. Errors
-// name the section. An older layout's fingerprint section is not read.
-func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, []GraphFP, error) {
+// parseV3Meta decodes the header and directory sections of an image,
+// without touching the slab or a fingerprint section an older image
+// carries after the directory. Every count is bounded by the bytes that
+// could hold it before anything is allocated from it. Errors name the
+// section.
+func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, error) {
 	var hdr v3Header
-	fail := func(format string, args ...any) (v3Header, []v3DirClass, []GraphFP, error) {
-		return hdr, nil, nil, fmt.Errorf("index: "+format, args...)
+	fail := func(format string, args ...any) (v3Header, []v3DirClass, error) {
+		return hdr, nil, fmt.Errorf("index: "+format, args...)
 	}
 	if len(data) < len(persistMagic) || string(data[:len(persistMagic)]) != persistMagic {
 		return fail("not a PISIDX3 image")
@@ -420,7 +369,7 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 	maxEdges, dbSize := sr.Uvarint(), sr.Uvarint()
 	hdr.fingerprint = sr.U64()
 	nClasses, retired := sr.Uvarint(), sr.Uvarint()
-	hdr.hasFPs = sr.U8() != 0
+	sr.U8() // the fingerprint-section flag: the section is never read
 	hdr.slabOff = sr.U64()
 	hdr.slabLen = sr.U64()
 	if err := sr.Err(); err != nil {
@@ -496,53 +445,7 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, [
 		dir = append(dir, dc)
 	}
 
-	var fps []GraphFP
-	if hdr.hasFPs && hdr.kind >= kindLabels {
-		var err error
-		if fps, err = readFingerprints(sr, hdr); err != nil {
-			return fail("mapped fingerprint section: %w", err)
-		}
-	}
-	return hdr, dir, fps, nil
-}
-
-// readFingerprints decodes the checksummed fingerprint section.
-func readFingerprints(sr *binio.SectionReader, hdr v3Header) ([]GraphFP, error) {
-	if err := sr.Next(); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("missing (stream truncated at the section boundary)")
-		}
-		return nil, err
-	}
-	if m := sr.U32(); m != fpMagic {
-		return nil, fmt.Errorf("bad section magic %08x", m)
-	}
-	if words := sr.Uvarint(); words != 0 {
-		return nil, fmt.Errorf("signature width %d in a layout that has none", words)
-	}
-	n := sr.Count(graphFPMinBytes, "fingerprint")
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	if n != hdr.dbSize {
-		return nil, fmt.Errorf("covers %d graphs, index has %d", n, hdr.dbSize)
-	}
-	fps := make([]GraphFP, n)
-	for i := range fps {
-		fp := &fps[i]
-		fp.NV = int32(sr.Uvarint())
-		fp.NE = int32(sr.Uvarint())
-		for k := range fp.DegTail {
-			fp.DegTail[k] = uint16(sr.Uvarint())
-		}
-		for k := range fp.ELab {
-			fp.ELab[k] = uint16(sr.Uvarint())
-		}
-		for k := range fp.VLab {
-			fp.VLab[k] = uint16(sr.Uvarint())
-		}
-	}
-	return fps, sr.Err()
+	return hdr, dir, nil
 }
 
 // codeGraph rebuilds the skeleton a directory code describes, rejecting
@@ -587,7 +490,7 @@ func codeGraph(code canon.Code) (*graph.Graph, error) {
 // alone, so the rest of data can be collected. An image of an older
 // layout keeps data whole for Save, and its classes open empty.
 func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
-	hdr, dir, fps, err := parseV3Meta(data, metric)
+	hdr, dir, err := parseV3Meta(data, metric)
 	if err != nil {
 		return nil, err
 	}
@@ -602,7 +505,6 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		weights:     distance.ReadsWeights(metric),
 		dbSize:      hdr.dbSize,
 		fingerprint: hdr.fingerprint,
-		fps:         fps,
 	}
 	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
 	if hdr.kind < kindLabels {
@@ -699,12 +601,12 @@ func (x *Index) checkBlocks(c *Class) string {
 }
 
 // OpenMapped opens an index file through a memory mapping: the directory
-// (class keys, offsets, fingerprints) is decoded onto the heap, posting
-// and entry blocks stay in the mapping and are read there at query time;
-// Pair adds the posting bitmaps, on the heap. Every block is checksummed
-// and walked here, so corruption fails at open with the damaged section
-// named instead of surfacing as wrong answers later. The caller owns the
-// returned index's Close.
+// (class keys and offsets) is decoded onto the heap, posting and entry
+// blocks stay in the mapping and are read there at query time; Pair adds
+// the posting bitmaps and the prescreen fingerprints, on the heap. Every
+// block is checksummed and walked here, so corruption fails at open with
+// the damaged section named instead of surfacing as wrong answers later.
+// The caller owns the returned index's Close.
 func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")

@@ -239,10 +239,10 @@ func TestPersistDetectsCorruption(t *testing.T) {
 }
 
 // TestPersistRejectsOversizedCounts: a checksum-valid image whose header
-// claims 2^40 classes, or 2^40 graphs with a fingerprint section, used to
-// size allocations straight from those counts and die of a fatal
-// out-of-memory inside the reader. Every count is now bounded by the bytes
-// that could hold it, so both images are plain errors.
+// claims 2^40 classes, or 2^40 graphs (which once sized a fingerprint
+// table), used to size allocations straight from those counts and die of a
+// fatal out-of-memory inside the reader. Every count is now bounded by the
+// bytes that could hold it, so both images are plain errors.
 func TestPersistRejectsOversizedCounts(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	for name, img := range oversizedImages(t) {
@@ -268,25 +268,25 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 func oversizedImages(t testing.TB) map[string][]byte {
 	t.Helper()
 	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 3}
-	craft := func(hdr v3Header, fps []byte) []byte {
+	craft := func(hdr v3Header) []byte {
 		var buf bytes.Buffer
-		if err := writeV3Image(&buf, hdr, nil, bytes.NewReader(fps), len(fps), bytes.NewReader(nil)); err != nil {
+		if err := writeV3Image(&buf, hdr, nil, bytes.NewReader(nil)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	classes, graphs := hdr, hdr
 	classes.nClasses = 1 << 40
-	graphs.dbSize, graphs.hasFPs = 1<<40, true
+	graphs.dbSize = 1 << 40
 	return map[string][]byte{
-		"nClasses": craft(classes, nil),
-		"dbSize":   craft(graphs, fpPreamble(1<<40)),
+		"nClasses": craft(classes),
+		"dbSize":   craft(graphs),
 	}
 }
 
 // unboundedGraphCountImage crafts a valid image nothing in which bounds the
-// header's graph count: no fingerprint section, one single-edge class, one
-// entry and one posting, both graph 0, in a database of MaxInt32 graphs.
+// header's graph count: one single-edge class, one entry and one posting,
+// both graph 0, in a database of MaxInt32 graphs.
 func unboundedGraphCountImage(t testing.TB) []byte {
 	t.Helper()
 	var slab bytes.Buffer
@@ -301,18 +301,18 @@ func unboundedGraphCountImage(t testing.TB) []byte {
 	dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
 	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
 	var buf bytes.Buffer
-	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, nil, 0, &slab); err != nil {
+	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, &slab); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestOpenIgnoresHeaderGraphCount: the class bitmaps take one bit per graph
-// per class, and an image without a fingerprint section can claim any graph
-// count below 2^31 — sized from the header they would be a 256 MiB
-// allocation per class of a 4 KiB file. Both readers open such an image
-// without allocating anything of that order, and the bitmaps wait for Pair,
-// which refuses graphs that are not as many. (The image is also
+// per class, and an image can claim any graph count below 2^31 — sized
+// from the header they would be a 256 MiB allocation per class of a 4 KiB
+// file. Both readers open such an image without allocating anything of
+// that order, and the bitmaps and fingerprints wait for Pair, which
+// refuses graphs that are not as many. (The image is also
 // testdata/fuzz/FuzzIndexLoad/seed-bomb-bitmap.)
 func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 	metric := distance.EdgeMutation{}
@@ -343,14 +343,15 @@ func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 
 // TestSaveImagesByteIdentical: one format, one image. Saving a heap
 // index, saving the mapped index opened from that image, WriteMapped, and
-// the streaming build over the same graphs all produce the same bytes for
-// every metric, at chunks of one graph, of about seven, and of the whole
+// the streaming build over the same graphs all produce the same bytes, with
+// no fingerprint section, for every metric, at chunks of one graph, of about seven, and of the whole
 // database — so a key's id run spans chunks, and a class is empty in some
 // chunk.
 func TestSaveImagesByteIdentical(t *testing.T) {
 	for _, tc := range metricCases {
 		x, db := buildSmall(t, tc.metric, 23, 30)
 		heap, _ := imageBytes(t, x)
+		checkNoSection(t, heap)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "idx.pisidx3")
 		if err := x.WriteMapped(path); err != nil {
@@ -457,17 +458,22 @@ func chunkCoverage(x *Index, graphs int) (spans, empty bool) {
 // in place on the heap and mapped alike (kinds 3 and 4): the entry block
 // is an id column, then 2-byte label or 8-byte weight keys, lcp bytes and
 // uint32 run ends, where it was uvarint keys each followed by its run, and
-// weight keys carry id runs instead of one id each.
+// weight keys carry id runs instead of one id each. All four moved once
+// more when images stopped storing the per-graph fingerprints, which Pair
+// computes from the graphs: the header's flag reads 0 where it read 1, the
+// fingerprint section is gone, and the slab starts at 4,096 where it
+// started at 8,192; the directory and the slab are the bytes the commit
+// before wrote.
 func TestImageBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		metric distance.Metric
 		heap   string
 	}{
-		{"edge", distance.EdgeMutation{}, "4c53c23dedb79119"},
-		{"full", distance.FullMutation{}, "1a2d3de4e1a8083d"},
-		{"matrix", testMatrix(), "22ec1930f937ac4e"},
-		{"linear", distance.Linear{}, "74062942d2399779"},
+		{"edge", distance.EdgeMutation{}, "49d8b010e01236b9"},
+		{"full", distance.FullMutation{}, "5400ed437bb12e76"},
+		{"matrix", testMatrix(), "bff22f7ca0b97c1f"},
+		{"linear", distance.Linear{}, "8ace9546f7fe0938"},
 	} {
 		db := chem.Generate(60, chem.Config{Seed: 1, Weighted: distance.ReadsWeights(tc.metric)})
 		feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})
@@ -503,7 +509,7 @@ func TestImageBytesPinned(t *testing.T) {
 func TestStoreBytesIsSlab(t *testing.T) {
 	slabLen := func(x *Index) int {
 		image, _ := imageBytes(t, x)
-		hdr, _, _, err := parseV3Meta(image, x.opts.Metric)
+		hdr, _, err := parseV3Meta(image, x.opts.Metric)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pis/internal/chem"
@@ -246,17 +248,65 @@ func TestSealSortsAndMerges(t *testing.T) {
 	}
 }
 
-// parentImageDB is the corpus the images under testdata/images were built
-// over (with features mined by mining.Options{MaxEdges: 3, MinEdges: 1,
-// MinSupportFraction: 0.2}).
+// parentImageDB is the corpus the images under testdata/images, and the
+// label images of the FuzzIndexLoad corpus, were built over (with features
+// mined by mining.Options{MaxEdges: 3, MinEdges: 1, MinSupportFraction:
+// 0.2}).
 func parentImageDB() []*graph.Graph {
 	return chem.Generate(12, chem.Config{Seed: 3, Weighted: true})
 }
 
+// parentImage returns the bytes of an image over parentImageDB and a file
+// holding them: a file under testdata/images, or the image of a
+// FuzzIndexLoad corpus entry ("fuzz/<name>"), written to a temporary file.
+func parentImage(t *testing.T, file string) (data []byte, path string) {
+	t.Helper()
+	name, corpus := strings.CutPrefix(file, "fuzz/")
+	if !corpus {
+		path = filepath.Join("testdata", "images", file)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, path
+	}
+	entry, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzIndexLoad", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The entry's second line is the image as a Go []byte literal.
+	lines := strings.Split(string(entry), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), name+".pisidx3")
+	if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return []byte(s), path
+}
+
+// checkNoSection fails unless image is in this version's layout: the
+// header's fingerprint-section flag is 0 and the slab starts at the first
+// aligned offset after the directory, with nothing between the two but
+// padding.
+func checkNoSection(t *testing.T, image []byte) {
+	t.Helper()
+	sections, slabOff := v3Sections(t, image)
+	dirEnd := sections[1][1] + 4 // past the directory's CRC
+	if flag := image[sections[0][1]-17]; flag != 0 || slabOff != (dirEnd+v3SlabAlign-1)/v3SlabAlign*v3SlabAlign {
+		t.Fatalf("fingerprint-section flag %d, slab at %d after a directory ending at %d", flag, slabOff, dirEnd)
+	}
+}
+
 // TestParentImagesOpen: one image per kind byte, written by the last
 // commit that had a trie (0), an R-tree (1) and a VP-tree (2) per class,
-// opens on the heap and mapped and, once paired with its graphs, answers
-// range queries as branch-and-bound isomorphism over the graphs does;
+// and by the last commit that stored per-graph fingerprints in the image
+// (3 and 4, and the label images of the FuzzIndexLoad corpus), opens on
+// the heap and mapped and, once paired with its graphs, answers range
+// queries as branch-and-bound isomorphism over the graphs does, holds the
+// fingerprints of those graphs, and saves without a fingerprint section;
 // opened with a metric of the other key type it is an error.
 func TestParentImagesOpen(t *testing.T) {
 	db := parentImageDB()
@@ -269,13 +319,13 @@ func TestParentImagesOpen(t *testing.T) {
 		{"kind0-labels-full.pisidx3", distance.FullMutation{}, distance.Linear{IncludeVertices: true}, []float64{0, 1, 2}},
 		{"kind1-weights.pisidx3", distance.Linear{}, distance.EdgeMutation{}, []float64{0, 0.05, 0.3}},
 		{"kind2-labels.pisidx3", distance.EdgeMutation{}, distance.Linear{}, []float64{0, 1, 2}},
+		{"kind3-labels.pisidx3", distance.EdgeMutation{}, distance.Linear{}, []float64{0, 1, 2}},
+		{"kind4-weights.pisidx3", distance.Linear{}, distance.EdgeMutation{}, []float64{0, 0.05, 0.3}},
+		{"fuzz/seed-labels", distance.EdgeMutation{}, distance.Linear{}, []float64{0, 1, 2}},
+		{"fuzz/seed-labels-full", distance.FullMutation{}, distance.Linear{IncludeVertices: true}, []float64{0, 1, 2}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			path := filepath.Join("testdata", "images", tc.file)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data, path := parentImage(t, tc.file)
 			if _, err := Load(bytes.NewReader(data), tc.wrong); err == nil {
 				t.Errorf("Load with %T: answers from keys of the wrong type", tc.wrong)
 			}
@@ -296,9 +346,19 @@ func TestParentImagesOpen(t *testing.T) {
 				t.Fatal("the image is not over parentImageDB")
 			}
 			for _, x := range []*Index{hx, mx} {
+				if x.FingerprintAt(0) != nil {
+					t.Fatalf("mapped=%v: fingerprints before Pair", x.IsMapped())
+				}
 				if err := x.Pair(db); err != nil {
 					t.Fatal(err)
 				}
+				for id, g := range db {
+					if *x.FingerprintAt(int32(id)) != DeltaFP(g) {
+						t.Fatalf("mapped=%v: graph %d's fingerprint differs from a fresh build's", x.IsMapped(), id)
+					}
+				}
+				resaved, _ := imageBytes(t, x)
+				checkNoSection(t, resaved)
 			}
 			// These directories record fragment occurrences; both readers
 			// count the pairs the entries hold instead.

@@ -96,7 +96,7 @@ func TestOpenIgnoresStoredStats(t *testing.T) {
 	metric := distance.EdgeMutation{}
 	x, _ := buildSmall(t, metric, 47, 22)
 	image, _ := imageBytes(t, x)
-	hdr, dir, fps, err := parseV3Meta(image, metric)
+	hdr, dir, err := parseV3Meta(image, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,9 @@ func TestOpenIgnoresStoredStats(t *testing.T) {
 		dir[i].fragments = x.list[i].fragments
 		dir[i].stats = ClassStats{Sequences: -1, Pairs: -3}
 	}
-	fpb := fpPreamble(len(fps))
-	for i := range fps {
-		fpb = appendGraphFP(fpb, &fps[i])
-	}
 	var crafted bytes.Buffer
 	slab := image[hdr.slabOff : hdr.slabOff+hdr.slabLen]
-	if err := writeV3Image(&crafted, hdr, dir, bytes.NewReader(fpb), len(fpb), bytes.NewReader(slab)); err != nil {
+	if err := writeV3Image(&crafted, hdr, dir, bytes.NewReader(slab)); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(crafted.Bytes(), image) {

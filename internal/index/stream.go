@@ -1,23 +1,22 @@
 // Out-of-core index construction. BuildStreaming is the in-memory build
 // run over the stream one bounded chunk of graphs at a time: it folds each
 // chunk as BuildParallel does (computeOps → apply, on the same worker
-// pool) under chunk-local ids, writes the chunk's sorted entries, postings
-// and per-graph fingerprints to a run file, and drops the chunk. Chunks
-// cover ascending, disjoint id ranges, so the merge is a concatenation: a
-// class's entries merge by key, a key found in several chunks taking their
-// id runs in chunk order, each shifted by its chunk's first id, and
-// postings and fingerprints are the chunks' lists end to end. The merge
-// writes each id run to the image as it forms and appends the class's
-// fixed-width columns when the class ends (slab.go). Planner statistics
-// come from those columns by the fixed-stride rule of every build
-// (classStats), so the image is Save's of BuildParallel over the same
-// graphs, byte for byte, whatever the chunk bound.
+// pool) under chunk-local ids, writes the chunk's sorted entries and
+// postings to a run file, and drops the chunk. Chunks cover ascending,
+// disjoint id ranges, so the merge is a concatenation: a class's entries
+// merge by key, a key found in several chunks taking their id runs in
+// chunk order, each shifted by its chunk's first id, and postings are the
+// chunks' lists end to end. The merge writes each id run to the image as
+// it forms and appends the class's fixed-width columns when the class ends
+// (slab.go). Planner statistics come from those columns by the
+// fixed-stride rule of every build (classStats), so the image is Save's of
+// BuildParallel over the same graphs, byte for byte, whatever the chunk
+// bound.
 
 package index
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -143,24 +142,16 @@ func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 	x.dbSize, x.fingerprint = n, fpr.Sum()
 	hdr := x.header(slabLen)
-	hdr.hasFPs = true // x holds none: the runs do
-	// What the merge left unread of each run is its chunk's fingerprints.
-	preamble := fpPreamble(n)
-	fps, fpLen := []io.Reader{bytes.NewReader(preamble)}, len(preamble)
-	for _, r := range runs {
-		fps, fpLen = append(fps, r.r), fpLen+r.fpLen
-	}
 	return res, writeFileAtomic(path, func(w io.Writer) error {
-		return writeV3Image(w, hdr, dir, io.MultiReader(fps...), fpLen, io.NewSectionReader(slabFile, 0, int64(slabLen)))
+		return writeV3Image(w, hdr, dir, io.NewSectionReader(slabFile, 0, int64(slabLen)))
 	})
 }
 
 // writeChunk folds chunk under ids from 0 and writes the classes to a run
 // file at name: per class its entry count, then every entry in key order
 // (each key position a uvarint, the run's length and the run), then the
-// postings' count and the postings; then one fingerprint per graph. It
-// leaves the class stores empty and returns the run, open for reading,
-// and its size.
+// postings' count and the postings. It leaves the class stores empty and
+// returns the run, open for reading, and its size.
 func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64, error) {
 	x.fold(chunk, 0, 0)
 	f, err := os.Create(name)
@@ -182,32 +173,24 @@ func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64
 		sw.ids(c.stage.postings)
 		c.stage = staging{}
 	}
-	var fp GraphFP
-	fpFrom := len(sw.buf)
-	for _, g := range chunk {
-		fillGraphFP(&fp, g)
-		sw.buf = appendGraphFP(sw.buf, &fp)
-	}
-	fpLen := len(sw.buf) - fpFrom
 	sw.flushBuf()
 	if err := cmp.Or(sw.err, bw.Flush()); err != nil {
 		f.Close()
 		return nil, 0, err
 	}
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, int64(sw.off)), 1<<15)
-	return &runReader{f: f, r: r, fpLen: fpLen}, int64(sw.off), nil
+	return &runReader{f: f, r: r}, int64(sw.off), nil
 }
 
 // runReader reads entries and id lists back from a chunk's run file.
 type runReader struct {
-	f     *os.File
-	r     *bufio.Reader
-	base  int32 // added to every id read: the chunk's first graph id
-	left  int   // entries still to read in the current class
-	fpLen int   // bytes of fingerprints the run ends with
-	key   []uint64
-	ids   []int32
-	err   error
+	f    *os.File
+	r    *bufio.Reader
+	base int32 // added to every id read: the chunk's first graph id
+	left int   // entries still to read in the current class
+	key  []uint64
+	ids  []int32
+	err  error
 }
 
 func (r *runReader) uvarint() uint64 {

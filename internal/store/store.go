@@ -475,6 +475,11 @@ func ParseManifest(data []byte) (snapName, walName string, err error) {
 	if snapName == "" || walName == "" {
 		return "", "", fmt.Errorf("MANIFEST names no snapshot/wal pair")
 	}
+	for _, name := range []string{snapName, walName} {
+		if err := checkFileName(name); err != nil {
+			return "", "", fmt.Errorf("MANIFEST: %w", err)
+		}
+	}
 	return snapName, walName, nil
 }
 
@@ -582,8 +587,8 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 	if idxLen > 0 || idxFile == "" {
 		return nil, 0, fmt.Errorf("header: snapshot embeds an index; rebuild the store from its source database (this version reads the index only from an idx-*.pisidx3 side file)")
 	}
-	if strings.ContainsAny(idxFile, "/\\") {
-		return nil, 0, fmt.Errorf("header: index file name %q escapes the store directory", idxFile)
+	if err := checkFileName(idxFile); err != nil {
+		return nil, 0, fmt.Errorf("header: index %w", err)
 	}
 
 	// The slices grow as graphs decode instead of being sized by the

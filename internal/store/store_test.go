@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -256,17 +257,17 @@ func TestSnapshotIndexFileCorruption(t *testing.T) {
 		t.Fatalf("snapshot of a heap index wrote no side file: %v", err)
 	}
 
-	// Walk the image's framing: 8-byte magic, then three
-	// [u32 length][payload][u32 CRC] sections (header, directory,
-	// fingerprints); the header payload ends with slab offset and length.
+	// Walk the image's framing: 8-byte magic, then two
+	// [u32 length][payload][u32 CRC] sections (header, directory); the
+	// header payload ends with slab offset and length.
 	var sections [][2]int // payload [start, end)
-	for off := 8; len(sections) < 3; {
+	for off := 8; len(sections) < 2; {
 		end := off + 4 + int(binary.LittleEndian.Uint32(clean[off:]))
 		sections = append(sections, [2]int{off + 4, end})
 		off = end + 4
 	}
 	slabOff := int(binary.LittleEndian.Uint64(clean[sections[0][1]-16:]))
-	if slabOff <= sections[2][1] || slabOff >= len(clean) {
+	if slabOff <= sections[1][1] || slabOff >= len(clean) {
 		t.Fatalf("slab offset %d outside the %d-byte image (sections %v)", slabOff, len(clean), sections)
 	}
 
@@ -299,7 +300,7 @@ func TestSnapshotIndexFileCorruption(t *testing.T) {
 		return d
 	}
 
-	for i, want := range []string{"mapped header", "mapped directory", "mapped fingerprint section"} {
+	for i, want := range []string{"mapped header", "mapped directory"} {
 		expectFail(want+" bit flip", flip((sections[i][0]+sections[i][1])/2), want)
 	}
 	for _, pos := range []int{slabOff, (slabOff + len(clean)) / 2, len(clean) - 1} {
@@ -307,8 +308,8 @@ func TestSnapshotIndexFileCorruption(t *testing.T) {
 	}
 	expectFail("truncated after the header", clean[:sections[0][1]+4], "mapped directory")
 	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "mapped directory")
-	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped fingerprint section")
-	expectFail("truncated mid-fingerprints", clean[:(sections[2][0]+sections[2][1])/2], "mapped fingerprint section")
+	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped slab: truncated")
+	expectFail("truncated mid-padding", clean[:(sections[1][1]+4+slabOff)/2], "mapped slab: truncated")
 	expectFail("truncated before the slab", clean[:slabOff], "mapped slab: truncated")
 	expectFail("truncated mid-slab", clean[:(slabOff+len(clean))/2], "mapped slab: truncated")
 	expectFail("empty file", []byte{}, "not a PISIDX3 image")
@@ -343,6 +344,63 @@ func TestOpenRejectsEmbeddedIndexSnapshot(t *testing.T) {
 	_, _, _, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
 	if err == nil || !strings.Contains(err.Error(), "embeds an index; rebuild") {
 		t.Fatalf("Open of an embedded-index snapshot: %v", err)
+	}
+}
+
+// TestStoreRefusesNonPlainFileNames: a MANIFEST, shipped by a peer or found
+// on disk, may name its snapshot or WAL ".", ".." or "MANIFEST". Stat
+// finds "." and ".." (the store directory and its parent), so without a
+// name check Commit would install such a manifest and leave a store that
+// never opens. Commit refuses each name and writes no MANIFEST, and a
+// snapshot whose header names ".." as its index side file fails Open
+// naming the header.
+func TestStoreRefusesNonPlainFileNames(t *testing.T) {
+	for _, bad := range []string{".", "..", manifestName} {
+		for _, manifest := range []string{
+			fmt.Sprintf("%s\nsnapshot %s\nwal wal-000001\n", manifestMagic, bad),
+			fmt.Sprintf("%s\nsnapshot snap-000001.pissnap\nwal %s\n", manifestMagic, bad),
+		} {
+			dir := filepath.Join(t.TempDir(), "replica")
+			in, err := NewInstall(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"snap-000001.pissnap", "wal-000001"} {
+				f, err := in.CreateFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			if err := in.Commit([]byte(manifest)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+				t.Fatalf("Commit of %q: %v", manifest, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+				t.Fatalf("Commit of %q wrote a MANIFEST (%v)", manifest, err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	graphs, idx := testState(t, 6, 9)
+	createWithSnapshot(t, dir, graphs, idx).Close()
+	var buf bytes.Buffer
+	snap := &Snapshot{NextID: int32(len(graphs)), Base: graphs, BaseIDs: seqIDs(0, len(graphs))}
+	if err := writeSnapshot(&buf, snap, 1, ".."); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-000001.pissnap"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		st, _, _, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{MappedIndex: mapped})
+		if err == nil {
+			st.Close()
+			t.Fatalf("mapped=%v: Open accepted a snapshot whose index file is \"..\"", mapped)
+		}
+		if !strings.Contains(err.Error(), `header: index file name ".."`) {
+			t.Fatalf("mapped=%v: error %q does not name the header", mapped, err)
+		}
 	}
 }
 

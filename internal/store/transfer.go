@@ -103,8 +103,8 @@ func NewInstall(dir string, fs FS) (*Install, error) {
 // source cannot write outside the store directory or commit early.
 // Close the returned file (after a Sync) before Commit.
 func (in *Install) CreateFile(name string) (File, error) {
-	if err := checkTransferName(name); err != nil {
-		return nil, err
+	if err := checkFileName(name); err != nil {
+		return nil, fmt.Errorf("store: transfer %w", err)
 	}
 	return in.fs.OpenFile(filepath.Join(in.dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 }
@@ -132,12 +132,14 @@ func (in *Install) Commit(manifest []byte) error {
 	return nil
 }
 
-// checkTransferName rejects file names that could escape the store
-// directory or clobber its commit record.
-func checkTransferName(name string) error {
+// checkFileName rejects names of store files — a transferred file, the
+// MANIFEST's snapshot and WAL, a snapshot's index side file — that could
+// escape the store directory, name the directory itself, or clobber its
+// commit record.
+func checkFileName(name string) error {
 	if name == "" || name == manifestName || name == "." || name == ".." ||
 		strings.ContainsAny(name, "/\\") {
-		return fmt.Errorf("store: invalid transfer file name %q", name)
+		return fmt.Errorf("file name %q is not a plain file in the store directory", name)
 	}
 	return nil
 }

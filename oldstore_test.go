@@ -1,6 +1,7 @@
 package pis_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,11 +12,13 @@ import (
 )
 
 // TestOldIndexImagesOpenInStores: a store whose index side file is an
-// image of an older layout — the trie (kind 0, edge and full metrics),
-// R-tree (kind 1) and VP-tree (kind 2) images, and one whose fingerprints
-// carry class signature words — opens heap-resident and mapped, answers
-// every search as SearchNaive over the same graphs does, and after a
-// checkpoint its side file is written in today's layout.
+// image an earlier version wrote — the trie (kind 0, edge and full
+// metrics), R-tree (kind 1) and VP-tree (kind 2) images, one whose
+// fingerprints carry class signature words, and label (kind 3) and weight
+// (kind 4) images that carry a fingerprint section — opens heap-resident
+// and mapped, answers every search as SearchNaive over the same graphs
+// does, and after a checkpoint its side file is written in today's layout,
+// with no fingerprint section.
 func TestOldIndexImagesOpenInStores(t *testing.T) {
 	// The graphs the images were built over.
 	parent := chem.Generate(12, chem.Config{Seed: 3, Weighted: true})
@@ -32,6 +35,8 @@ func TestOldIndexImagesOpenInStores(t *testing.T) {
 		{"kind1-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 4},
 		{"kind2-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 3},
 		{"sig2-labels.pisidx3", pis.EdgeMutation, sig, []float64{0, 1, 2}, 3},
+		{"kind3-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 3},
+		{"kind4-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 4},
 	} {
 		image, err := os.ReadFile(filepath.Join("internal", "index", "testdata", "images", tc.file))
 		if err != nil {
@@ -91,6 +96,11 @@ func TestOldIndexImagesOpenInStores(t *testing.T) {
 			// the section's length.
 			if len(side) < 13 || side[12] != tc.kind {
 				t.Fatalf("%s mapped=%v: the checkpoint wrote %s without kind %d", tc.file, mapped, sides[0], tc.kind)
+			}
+			// The header's fingerprint-section flag is the byte ahead of
+			// the slab offset and length that end its payload.
+			if hdrEnd := 12 + int(binary.LittleEndian.Uint32(side[8:])); side[hdrEnd-17] != 0 {
+				t.Fatalf("%s mapped=%v: the checkpoint wrote %s with a fingerprint section", tc.file, mapped, sides[0])
 			}
 			db, err = pis.Open(dir, opts)
 			if err != nil {

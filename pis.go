@@ -485,10 +485,10 @@ type Neighbor = core.Neighbor
 // ranks and skips range queries by it; cells exist only for (class, σ)
 // pairs that have run since the shard's index was last built.
 type PlannerCell struct {
-	Shard       int
-	Class       int
-	SigmaBucket int
-	Survival    float64
+	Shard       int     `json:"shard"`
+	Class       int     `json:"class"`
+	SigmaBucket int     `json:"sigma_bucket"`
+	Survival    float64 `json:"survival"`
 }
 
 // PlannerState reports every shard's learned planner survival rates.
@@ -502,29 +502,31 @@ func (db *Database) PlannerState() []PlannerCell {
 	return out
 }
 
-// IndexStats summarizes the fragment index and its mutation overlay.
+// IndexStats summarizes the fragment index and its mutation overlay. Its
+// JSON form is the "index" object of pisserved's /stats and /compact.
 type IndexStats struct {
-	Features int // selected structure features (equivalence classes)
+	Features int `json:"features"` // selected structure features (equivalence classes)
 	// Fragments counts the (label sequence, graph) pairs the index stores:
 	// a sequence that occurs several times inside one graph counts once
 	// for it.
-	Fragments int
-	Sequences int // distinct stored label sequences / vectors
+	Fragments int `json:"fragments"`
+	Sequences int `json:"sequences"` // distinct stored label sequences / vectors
 	// Delta counts inserted graphs not yet folded into the index;
 	// Tombstones counts deleted graphs not yet compacted away.
-	Delta      int
-	Tombstones int
+	Delta      int `json:"delta"`
+	Tombstones int `json:"tombstones"`
 	// StoreBytes is the class entry and posting blocks the index holds on
 	// the heap, summed over the shards: the slab of its image, 0 under
 	// MappedIndex, where those bytes stay in the mapping.
-	StoreBytes int
+	StoreBytes int `json:"store_bytes"`
 	// BitmapBytes and FingerprintBytes are the heap the index holds beside
 	// the stored sequences, summed over the shards — resident under
-	// MappedIndex too, and not part of the index file's size: the class
-	// posting bitmaps the structural intersection ANDs (features × graphs
-	// / 8 per shard) and the per-graph prescreen fingerprints.
-	BitmapBytes      int
-	FingerprintBytes int
+	// MappedIndex too, and not part of the index file: the class posting
+	// bitmaps the structural intersection ANDs (features × graphs / 8 per
+	// shard) and the per-graph prescreen fingerprints, both computed from
+	// the graphs when an index is opened.
+	BitmapBytes      int `json:"bitmap_bytes"`
+	FingerprintBytes int `json:"fingerprint_bytes"`
 }
 
 // Stats sums the per-shard index counters. Features counts the feature

@@ -204,7 +204,7 @@ type DeleteResponse struct {
 // CompactResponse is the body returned by POST /compact.
 type CompactResponse struct {
 	Graphs    int            `json:"graphs"`
-	Index     IndexStatsJSON `json:"index"`
+	Index     pis.IndexStats `json:"index"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 

@@ -703,10 +703,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.mutations.Compactions++
 	s.mu.Unlock()
-	ist := s.backend.Stats()
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Graphs:    s.backend.Len(),
-		Index:     encodeIndexStats(ist),
+		Index:     s.backend.Stats(),
 		ElapsedMS: msSince(start),
 	})
 }
@@ -777,32 +776,6 @@ func encodeDurability(d pis.DurabilityStats) *DurabilityStatsJSON {
 	return out
 }
 
-// IndexStatsJSON is the wire form of pis.IndexStats.
-type IndexStatsJSON struct {
-	Features  int `json:"features"`
-	Fragments int `json:"fragments"`
-	Sequences int `json:"sequences"`
-	// Delta counts inserted graphs not yet folded into the index;
-	// Tombstones counts deleted graphs not yet compacted away.
-	Delta      int `json:"delta"`
-	Tombstones int `json:"tombstones"`
-	// StoreBytes is the class entry and posting blocks held on the heap,
-	// summed over the shards (0 under pis.Options.MappedIndex). BitmapBytes
-	// and FingerprintBytes are the heap the index holds beside them
-	// (resident under pis.Options.MappedIndex too).
-	StoreBytes       int `json:"store_bytes"`
-	BitmapBytes      int `json:"bitmap_bytes"`
-	FingerprintBytes int `json:"fingerprint_bytes"`
-}
-
-func encodeIndexStats(s pis.IndexStats) IndexStatsJSON {
-	return IndexStatsJSON{
-		Features: s.Features, Fragments: s.Fragments, Sequences: s.Sequences,
-		Delta: s.Delta, Tombstones: s.Tombstones,
-		StoreBytes: s.StoreBytes, BitmapBytes: s.BitmapBytes, FingerprintBytes: s.FingerprintBytes,
-	}
-}
-
 // MutationStatsJSON reports accepted mutations since startup.
 type MutationStatsJSON struct {
 	Inserts     int64 `json:"inserts"`
@@ -834,15 +807,7 @@ type PlannerStatsJSON struct {
 	// class's σ range query (pis.PlannerCell), by shard, class and σ
 	// bucket; absent for a cluster backend, whose planners live on the
 	// shard nodes.
-	LearnedSurvival []PlannerCellJSON `json:"learned_survival,omitempty"`
-}
-
-// PlannerCellJSON is the wire form of pis.PlannerCell.
-type PlannerCellJSON struct {
-	Shard       int     `json:"shard"`
-	Class       int     `json:"class"`
-	SigmaBucket int     `json:"sigma_bucket"`
-	Survival    float64 `json:"survival"`
+	LearnedSurvival []pis.PlannerCell `json:"learned_survival,omitempty"`
 }
 
 // plannerBackend is the optional backend surface for the planner's
@@ -886,7 +851,7 @@ type EndpointStatsJSON struct {
 type ServerStats struct {
 	Graphs        int                          `json:"graphs"`
 	Shards        int                          `json:"shards"`
-	Index         IndexStatsJSON               `json:"index"`
+	Index         pis.IndexStats               `json:"index"`
 	Memo          MemoStatsJSON                `json:"memo"`
 	Planner       PlannerStatsJSON             `json:"planner"`
 	Mutations     MutationStatsJSON            `json:"mutations"`
@@ -917,13 +882,12 @@ type ClusterStatsJSON struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ist := s.backend.Stats()
 	reg := obs.Default()
 	lookups := reg.CounterVec("pis_result_memo_lookups_total", "", "outcome")
 	out := ServerStats{
 		Graphs: s.backend.Len(),
 		Shards: s.backend.NumShards(),
-		Index:  encodeIndexStats(ist),
+		Index:  s.backend.Stats(),
 		Memo: MemoStatsJSON{
 			Hits:            lookups.Value("hit"),
 			Covered:         lookups.Value("covered"),
@@ -969,9 +933,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if pb, ok := s.backend.(plannerBackend); ok {
-		for _, c := range pb.PlannerState() {
-			out.Planner.LearnedSurvival = append(out.Planner.LearnedSurvival, PlannerCellJSON(c))
-		}
+		out.Planner.LearnedSurvival = pb.PlannerState()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
