@@ -246,11 +246,10 @@ const plannerExploreEvery = 32
 // counts: a range query's probe units (Class.ProbeCost) and returned ids,
 // a verification's branch-and-bound nodes and candidates. Only their
 // ratios reach the planner, so a query plans alike however busy the
-// machine is. BenchmarkPlannerPrices refits them there at 20–26, 18–23,
-// 70–79 and 900–1,400; at these picks a fresh searcher over 3,000
-// molecules learns ρ = 19 for Q16 at σ = 2 and 31 for Q24 at σ = 1, where
-// timing the stages learned 18–22 and 33–35.
-const priceProbe, priceID, priceNode, priceCand = 22, 23, 68, 1000
+// machine is. BenchmarkPlannerPrices refits them there at 15–21, 17–21,
+// 65–81 and 1,345–1,580; at these picks a fresh searcher over 3,000
+// molecules learns ρ = 24 for Q16 at σ = 2 and 36 for Q24 at σ = 1.
+const priceProbe, priceID, priceNode, priceCand = 22, 23, 68, 1070
 
 // minSurvival floors a learned survival rate, keeping an observed cell
 // distinguishable from an empty one (zero bits) when a range query

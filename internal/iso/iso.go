@@ -21,9 +21,24 @@
 // grow both, so the tests remove nothing but assignments no embedding
 // extends: the embeddings found, their order and every distance are the
 // same with and without them.
+//
+// Under a metric with a positive edge-label floor (distance.CostFloors),
+// the search also refuses a host vertex whose incident edge labels already
+// overspend the budget. Vertices carry eight one-byte counts of their
+// incident edges by label mod 8, saturated at 127. None of a pattern
+// vertex's edges is priced before it is placed, they map injectively onto
+// the host vertex's, and each of the d = Σ max(0, q_b − h_b) that finds no
+// host edge of its bucket has another label and costs at least the floor
+// (buckets and saturation only shrink d). So a host vertex where acc +
+// d·floor exceeds the budget or reaches the best distance found can only
+// lead to superpositions that would not change the result. The common
+// d = 0 is one SWAR compare. With an integer floor and cost so far below
+// 2^53 the bound is exact; otherwise it gives up a relative 1e-9, so no
+// float summation order can put it above a superposition's sum.
 package iso
 
 import (
+	"math"
 	"math/bits"
 
 	"pis/internal/distance"
@@ -37,6 +52,7 @@ type step struct {
 	anchor  int32 // earlier-matched neighbor whose host image is expanded (-1 at the root)
 	degree  int32
 	profile uint32 // ball profile a host image must dominate
+	labels  uint64 // incident edge-label counts; 0 when the label cut is off
 	vlabel  graph.VLabel
 	vweight float64
 	// back lists the pattern edges joining pv to earlier-matched vertices,
@@ -111,6 +127,9 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 		}
 		lo := len(back)
 		for _, e := range p.IncidentEdges(int(pv)) {
+			if v.floor > 0 {
+				st.labels = countLabel(st.labels, p.EdgeAt(int(e)).Label)
+			}
 			w := p.Other(int(e), pv)
 			if visited[w] == 0 {
 				continue
@@ -162,6 +181,7 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 type Verifier struct {
 	metric distance.Metric
 	blind  bool       // the metric declares VertexCost identically zero
+	floor  float64    // the metric's edge-label floor; 0 turns the label cut off
 	steps  []step     // empty for the empty pattern: every distance is 0
 	back   []backEdge // backing of every step's back list
 	rank   []uint64   // matchRank of the pattern
@@ -177,7 +197,8 @@ type Verifier struct {
 	nbrV, nbrE []int32
 	profile    []uint32
 	emask      []uint8
-	assign     []int32 // pattern vertex -> host vertex; valid for matched depths only
+	labels     []uint64 // per host vertex, its incident edge-label counts (label cut only)
+	assign     []int32  // pattern vertex -> host vertex; valid for matched depths only
 	// room[hv] is hv's degree while hv is free and -1 while it carries a
 	// pattern vertex: "free and of sufficient degree" is one comparison.
 	room []int32
@@ -190,6 +211,30 @@ type Verifier struct {
 	// polled every abortGranule explored nodes, not per node.
 	done  <-chan struct{}
 	nodes uint64 // branch-and-bound nodes expanded over the verifier's life
+}
+
+// labelTop is the high bit of each byte of a label-count word.
+const labelTop = 0x8080808080808080
+
+// countLabel adds one edge of label l to a label-count word: its byte
+// l mod 8, saturated at 127 so the high bits stay clear.
+func countLabel(w uint64, l graph.ELabel) uint64 {
+	if sh := uint(l&7) * 8; w>>sh&0x7f != 0x7f {
+		w += 1 << sh
+	}
+	return w
+}
+
+// labelDeficit returns Σ max(0, q_b − h_b) over the bytes of two
+// label-count words h and q, given t = (h | labelTop) − q: byte b of t is
+// 128 + h_b − q_b, with no borrow between bytes, and its high bit is clear
+// exactly where q_b > h_b.
+func labelDeficit(t uint64) int {
+	d := 0
+	for m := ^t & labelTop; m != 0; m &= m - 1 {
+		d += 128 - int(t>>(bits.TrailingZeros64(m)-7)&0xff)
+	}
+	return d
 }
 
 // abortGranule is the branch-and-bound node count between cancellation
@@ -214,6 +259,7 @@ func (v *Verifier) Reset(q *graph.Graph, metric distance.Metric) { v.reset(q, me
 // constrained one to.
 func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained bool) {
 	v.metric, v.blind, v.mp = metric, distance.IgnoresVertices(metric), q.M()
+	_, v.floor = distance.CostFloors(metric)
 	v.g, v.off, v.nbrV, v.nbrE = nil, nil, nil, nil
 	v.profile, v.emask, v.done = nil, nil, nil
 	v.steps = v.steps[:0]
@@ -227,8 +273,9 @@ func (v *Verifier) reset(q *graph.Graph, metric distance.Metric, constrained boo
 // expanded; callers difference it around the calls they account for.
 func (v *Verifier) Nodes() uint64 { return v.nodes }
 
-// bind points the verifier at a host's arrays and marks every vertex free:
-// room is the only per-host state the verifier owns.
+// bind points the verifier at a host's arrays and marks every vertex free;
+// room, and under the label cut the host's label-count words, are the
+// only per-host state the verifier owns.
 func (v *Verifier) bind(g *graph.Graph) {
 	n := g.N()
 	if cap(v.room) < n {
@@ -243,6 +290,18 @@ func (v *Verifier) bind(g *graph.Graph) {
 		room[hv] = off[hv+1] - off[hv]
 	}
 	v.room = room
+	if v.floor > 0 {
+		if cap(v.labels) < n {
+			v.labels = make([]uint64, n)
+		}
+		labels := v.labels[:n]
+		clear(labels)
+		for _, e := range g.Edges() {
+			labels[e.U] = countLabel(labels[e.U], e.Label)
+			labels[e.V] = countLabel(labels[e.V], e.Label)
+		}
+		v.labels = labels
+	}
 }
 
 // hostEdge scans hv's slots for the host edge to hw; -1 when not adjacent.
@@ -383,7 +442,7 @@ func (v *Verifier) search(k int, acc float64) {
 	room, profile := v.room, v.profile
 	if st.anchor < 0 {
 		for hv := range room {
-			if st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) {
+			if st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) && (st.labels == 0 || v.labelsFit(st.labels, int32(hv), acc)) {
 				v.try(k, st, int32(hv), -1, acc)
 			}
 		}
@@ -393,10 +452,26 @@ func (v *Verifier) search(k int, acc float64) {
 	ha := v.assign[st.anchor]
 	nbrV, nbrE := v.nbrV, v.nbrE
 	for s, end := v.off[ha], v.off[ha+1]; s < end; s++ {
-		if hv := nbrV[s]; st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) {
+		if hv := nbrV[s]; st.degree <= room[hv] && graph.Dominates(profile[hv], st.profile) && (st.labels == 0 || v.labelsFit(st.labels, hv, acc)) {
 			v.try(k, st, hv, nbrE[s], acc)
 		}
 	}
+}
+
+// labelsFit is the label cut: false when placing a pattern vertex with
+// label counts q on hv costs at least acc + d·floor, for hv's label
+// deficit d, and that exceeds the budget or reaches the best distance
+// found. d = 0, where hv's counts dominate, is one SWAR compare.
+func (v *Verifier) labelsFit(q uint64, hv int32, acc float64) bool {
+	t := (v.labels[hv] | labelTop) - q
+	if t&labelTop == labelTop {
+		return true
+	}
+	bound := acc + float64(labelDeficit(t))*v.floor
+	if acc != math.Trunc(acc) || v.floor != math.Trunc(v.floor) || bound >= 1<<53 {
+		bound *= 1 - 1e-9 // inexact sums round; the bound must not pass them
+	}
+	return bound <= v.limit && bound < v.best
 }
 
 // try maps step k's pattern vertex onto hv, a free host vertex of

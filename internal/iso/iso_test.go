@@ -763,6 +763,156 @@ func TestVerifierReset(t *testing.T) {
 	}
 }
 
+// withoutLabelCut turns the label cut off in a compiled verifier: the
+// kernel the cut is held to.
+func withoutLabelCut(v *Verifier) *Verifier {
+	v.floor = 0
+	for i := range v.steps {
+		v.steps[i].labels = 0
+	}
+	return v
+}
+
+// bucketMerged copies g with each edge label moved up by 8 half the time,
+// so distinct labels share a bucket of the label-count words.
+func bucketMerged(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.N(), g.M())
+	for u := range g.N() {
+		b.AddWeightedVertex(g.VLabelAt(u), g.VWeightAt(u))
+	}
+	for _, e := range g.Edges() {
+		b.AddWeightedEdge(e.U, e.V, e.Label+graph.ELabel(8*rng.Intn(2)), e.Weight)
+	}
+	return b.MustBuild()
+}
+
+// TestLabelCutKeepsDistances holds the label cut to the kernel without it
+// on ringed and fused queries, hosts grown around them and unrelated
+// hosts, some with labels that share a bucket: every distance equal bit
+// for bit, and never more nodes per call.
+func TestLabelCutKeepsDistances(t *testing.T) {
+	intMatrix := distance.NewMatrix()
+	intMatrix.DefaultCost = 2
+	intMatrix.SetVertexScore(0, 1, 1)
+	intMatrix.SetEdgeScore(0, 2, 1)
+	intMatrix.SetEdgeScore(1, 2, 3)
+	metrics := []distance.Metric{distance.EdgeMutation{}, distance.FullMutation{}, intMatrix,
+		fractionalMatrix(), distance.Linear{}}
+	rng := rand.New(rand.NewSource(46))
+	rings := [][2]int{{5, 6}, {6, 6}, {5, 5}, {4, 6}, {3, 5}, {6, 7}}
+	var cutNodes, plainNodes [5]uint64
+	for trial := 0; trial < 60; trial++ {
+		q := randomWeighted(rng, nil, 4+rng.Intn(6), 1+rng.Intn(3))
+		if r := rings[trial%len(rings)]; trial%2 == 0 {
+			q = fusedRings(rng, r[0], r[1], rng.Intn(3))
+		}
+		r := rings[rng.Intn(len(rings))]
+		hosts := []*graph.Graph{
+			randomWeighted(rng, q, q.N()+rng.Intn(10), rng.Intn(5)),
+			randomWeighted(rng, q, q.N()+2+rng.Intn(4), 0),
+			randomWeighted(rng, nil, 12+rng.Intn(10), 2+rng.Intn(5)),
+			fusedRings(rng, r[0], r[1], 4+rng.Intn(6)),
+			q,
+		}
+		if trial%3 == 0 {
+			q = bucketMerged(rng, q)
+			for i, g := range hosts {
+				hosts[i] = bucketMerged(rng, g)
+			}
+		}
+		for mi, metric := range metrics {
+			cut, plain := NewVerifier(q, metric), withoutLabelCut(NewVerifier(q, metric))
+			for hi, g := range hosts {
+				for _, budget := range kernelBudgets {
+					c0, p0 := cut.Nodes(), plain.Nodes()
+					got, want := cut.Distance(g, budget), plain.Distance(g, budget)
+					if got != want {
+						t.Fatalf("trial %d metric %T host %d budget %g: cut=%v plain=%v\nq=%v\ng=%v",
+							trial, metric, hi, budget, got, want, q, g)
+					}
+					c, p := cut.Nodes()-c0, plain.Nodes()-p0
+					if c > p {
+						t.Fatalf("trial %d metric %T host %d budget %g: cut expanded %d nodes, plain %d",
+							trial, metric, hi, budget, c, p)
+					}
+					cutNodes[mi] += c
+					plainNodes[mi] += p
+				}
+			}
+		}
+	}
+	for mi, metric := range metrics {
+		t.Logf("%T: %d nodes with the cut, %d without", metric, cutNodes[mi], plainNodes[mi])
+		if _, floor := distance.CostFloors(metric); (floor > 0) != (cutNodes[mi] < plainNodes[mi]) {
+			t.Errorf("%T with edge floor %g: %d nodes with the cut, %d without", metric, floor, cutNodes[mi], plainNodes[mi])
+		}
+	}
+}
+
+// TestLabelCutFractionalBoundary pins the slack: a star whose six leaf
+// edges all mismatch at a fractional floor is at distance exactly σ, the
+// sum of six floors in the kernel's order, which is less than six times
+// the floor in float64. The cut must keep it an answer at that distance.
+func TestLabelCutFractionalBoundary(t *testing.T) {
+	star := func(el graph.ELabel) *graph.Graph {
+		b := graph.NewBuilder(7, 6)
+		for range 7 {
+			b.AddVertex(0)
+		}
+		for leaf := int32(1); leaf < 7; leaf++ {
+			b.AddEdge(0, leaf, el)
+		}
+		return b.MustBuild()
+	}
+	q, g := star(0), star(1)
+	metric := distance.NewMatrix()
+	metric.DefaultCost = 0.1
+	sigma := 0.0
+	for range 6 {
+		sigma += metric.DefaultCost
+	}
+	if 6*metric.DefaultCost <= sigma {
+		t.Fatalf("6·%g = %v does not exceed the summed %v: not a boundary case", metric.DefaultCost, 6*metric.DefaultCost, sigma)
+	}
+	v := NewVerifier(q, metric)
+	if d := v.Distance(g, sigma); d != sigma {
+		t.Errorf("d = %v at budget %v, want exactly the budget", d, sigma)
+	}
+	if d := withoutLabelCut(NewVerifier(q, metric)).Distance(g, sigma); d != sigma {
+		t.Errorf("without the cut d = %v, want %v", d, sigma)
+	}
+}
+
+// TestLabelWords holds the SWAR arithmetic to byte-wise counting: words
+// saturate at 127 per bucket, and labelDeficit is Σ max(0, q_b − h_b).
+func TestLabelWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 2000; trial++ {
+		var h, q uint64
+		var hc, qc [8]int
+		for range rng.Intn(300) {
+			l := graph.ELabel(rng.Intn(20))
+			h = countLabel(h, l)
+			hc[l%8] = min(hc[l%8]+1, 127)
+		}
+		for range rng.Intn(300) {
+			l := graph.ELabel(rng.Intn(20))
+			q = countLabel(q, l)
+			qc[l%8] = min(qc[l%8]+1, 127)
+		}
+		want := 0
+		for b := range 8 {
+			if int(h>>(8*b)&0xff) != hc[b] || int(q>>(8*b)&0xff) != qc[b] {
+				t.Fatalf("bucket %d: words %016x %016x, counts %v %v", b, h, q, hc, qc)
+			}
+			want += max(0, qc[b]-hc[b])
+		}
+		if got := labelDeficit((h | labelTop) - q); got != want {
+			t.Fatalf("deficit of %v against %v = %d, want %d", qc, hc, got, want)
+		}
+	}
+}
+
 func TestDistanceEmptyQuery(t *testing.T) {
 	empty := graph.NewBuilder(0, 0).MustBuild()
 	if d := NewVerifier(empty, distance.FullMutation{}).Distance(cycle(4, 0), 0); d != 0 {
@@ -949,20 +1099,21 @@ func nearEqual(a, b, budget float64) bool {
 }
 
 // BenchmarkVerifierDistance is the iso.Verifier layer benchmark: the query
-// shapes of the repo benchmark's broad (one Q16 query over 1,200 generated
-// molecules at σ = 2) and selective (64 Q24 queries over 5,000 at σ = 1,
-// about one answer each; a handful of queries is not a representative mix)
-// workloads, on warm verifiers (0 allocs/op). Answers and non-answers are
-// apart, and so is the part of the non-answers that decides what a search
-// pays: hosts that hold every indexed structure of the query and pass the
-// fingerprint prescreen of a default index although the query's skeleton
-// does not occur in them.
+// shapes of the repo benchmark's broad (64 Q16 queries over 1,200
+// generated molecules at σ = 2) and selective (64 Q24 queries over 5,000
+// at σ = 1, about one answer each) workloads, on warm verifiers (0
+// allocs/op); a handful of queries is not a representative mix. Answers
+// and non-answers are apart, and so are the two parts of the non-answers
+// that decide what a search pays, both among the hosts that hold every
+// indexed structure of the query and pass the fingerprint prescreen of a
+// default index: those the query's skeleton embeds in at a distance above
+// σ (embed-but-far) and those it does not embed in (no-embedding).
 func BenchmarkVerifierDistance(b *testing.B) {
 	for _, shape := range []struct {
 		name                  string
 		hosts, queries, edges int
 		sigma                 float64
-	}{{"Q16", 1200, 1, 16, 2}, {"Q24", 5000, 64, 24, 1}} {
+	}{{"Q16", 1200, 64, 16, 2}, {"Q24", 5000, 64, 24, 1}} {
 		b.Run(shape.name, func(b *testing.B) { benchVerifierDistance(b, shape.hosts, shape.queries, shape.edges, shape.sigma) })
 	}
 }
@@ -974,7 +1125,7 @@ func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float6
 	}
 	c := newCorpus(b, hosts, false)
 	var verifiers []*Verifier
-	var answers, nonAnswers, noEmbedding []pair
+	var answers, nonAnswers, far, noEmbedding []pair
 	for _, q := range chem.SampleQueries(c.db, queries, edges, 7) {
 		v := NewVerifier(q, distance.EdgeMutation{})
 		verifiers = append(verifiers, v)
@@ -983,7 +1134,10 @@ func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float6
 			switch {
 			case !distance.IsInfinite(v.Distance(g, sigma)):
 				answers = append(answers, pair{v, g})
-			case in[id] && !HasEmbedding(q, g):
+			case in[id] && HasEmbedding(q, g):
+				far = append(far, pair{v, g})
+				nonAnswers = append(nonAnswers, pair{v, g})
+			case in[id]:
 				noEmbedding = append(noEmbedding, pair{v, g})
 				fallthrough
 			default:
@@ -991,9 +1145,9 @@ func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float6
 			}
 		}
 	}
-	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 || len(noEmbedding) < 32 {
-		b.Fatalf("hosts: %d answers, %d non-answers, %d of them screened in without an embedding",
-			len(answers), len(nonAnswers), len(noEmbedding))
+	if len(answers)+len(nonAnswers) < 256 || len(answers) == 0 || len(far) < 32 || len(noEmbedding) < 32 {
+		b.Fatalf("hosts: %d answers, %d non-answers, of them screened in %d embed-but-far and %d without an embedding",
+			len(answers), len(nonAnswers), len(far), len(noEmbedding))
 	}
 	nodes := func() (n uint64) {
 		for _, v := range verifiers {
@@ -1004,7 +1158,7 @@ func benchVerifierDistance(b *testing.B, hosts, queries, edges int, sigma float6
 	for _, set := range []struct {
 		name  string
 		pairs []pair
-	}{{"answers", answers}, {"non-answers", nonAnswers}, {"no-embedding", noEmbedding}} {
+	}{{"answers", answers}, {"non-answers", nonAnswers}, {"embed-but-far", far}, {"no-embedding", noEmbedding}} {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
 			before := nodes()
