@@ -1,11 +1,23 @@
 // JSON wire format for graphs and the request/response bodies of every
 // endpoint. The types are exported so clients (cmd/pisquery -serve-addr,
 // examples/serveclient) marshal exactly what the server parses.
+//
+// readRequest reads every request body. The four bodies that carry graphs
+// (SearchRequest, KNNRequest, BatchRequest, InsertRequest) are read
+// without reflection by scanRequest when they are written the way
+// json.Marshal writes them, in any key order and spacing; any body the
+// scanner does not take whole goes to encoding/json, which reads every
+// other body too. The scanner takes only bodies that encoding/json decodes
+// to the same value without error, so values, refusals and error messages
+// are encoding/json's. Responses are written by encoding/json.
 
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"pis"
 )
@@ -211,4 +223,261 @@ type CompactResponse struct {
 // ErrorResponse is the body of every non-2xx reply.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// readRequest decodes one request body into v, which points at a zero
+// value: the scanner's value when it takes the whole body, otherwise
+// encoding/json's value or error.
+func readRequest(b []byte, v any) error {
+	if scanRequest(b, v) {
+		return nil
+	}
+	return json.NewDecoder(bytes.NewReader(b)).Decode(v)
+}
+
+// scanRequest decodes b into v, which points at a zero value, when v is
+// one of the four bodies that carry graphs and b holds nothing that
+// encoding/json treats leniently: every key is a field's tag spelled
+// exactly, without escapes, at most once per object; no value is null or a
+// string; integers are written without fraction, exponent or the sign of
+// -0 and fit their field; and only whitespace follows the value. It
+// reports false, leaving *v zero, for anything else.
+func scanRequest(b []byte, v any) bool {
+	s := scanner{b: b}
+	switch v := v.(type) {
+	case *SearchRequest:
+		return scanInto(&s, v, s.searchRequest)
+	case *KNNRequest:
+		return scanInto(&s, v, s.knnRequest)
+	case *BatchRequest:
+		return scanInto(&s, v, s.batchRequest)
+	case *InsertRequest:
+		return scanInto(&s, v, s.insertRequest)
+	}
+	return false
+}
+
+// scanInto reads one value with read, then requires the body to end.
+func scanInto[T any](s *scanner, v *T, read func(*T) bool) bool {
+	if read(v) {
+		s.space()
+		if s.i == len(s.b) {
+			return true
+		}
+	}
+	var zero T
+	*v = zero
+	return false
+}
+
+func (s *scanner) searchRequest(r *SearchRequest) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "query" && s.graph(&r.Query) ||
+			string(key) == "sigma" && s.float(&r.Sigma)
+	})
+}
+
+func (s *scanner) knnRequest(r *KNNRequest) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "query" && s.graph(&r.Query) ||
+			string(key) == "k" && intField(s, &r.K) ||
+			string(key) == "max_sigma" && s.float(&r.MaxSigma)
+	})
+}
+
+func (s *scanner) batchRequest(r *BatchRequest) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "queries" && list(s, &r.Queries, 0, s.graph) ||
+			string(key) == "sigma" && s.float(&r.Sigma) ||
+			string(key) == "workers" && intField(s, &r.Workers)
+	})
+}
+
+func (s *scanner) insertRequest(r *InsertRequest) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "graph" && s.graph(&r.Graph)
+	})
+}
+
+func (s *scanner) graph(g *GraphJSON) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "vertices" && list(s, &g.Vertices, s.objects(), s.vertex) ||
+			string(key) == "edges" && list(s, &g.Edges, s.objects(), s.edge)
+	})
+}
+
+func (s *scanner) vertex(v *VertexJSON) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "label" && intField(s, &v.Label) ||
+			string(key) == "weight" && s.float(&v.Weight)
+	})
+}
+
+func (s *scanner) edge(e *EdgeJSON) bool {
+	return s.object(func(key []byte) bool {
+		return string(key) == "u" && intField(s, &e.U) ||
+			string(key) == "v" && intField(s, &e.V) ||
+			string(key) == "label" && intField(s, &e.Label) ||
+			string(key) == "weight" && s.float(&e.Weight)
+	})
+}
+
+// scanner is a cursor over one request body.
+type scanner struct {
+	b []byte
+	i int
+}
+
+// space skips JSON whitespace.
+func (s *scanner) space() {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+		s.i++
+	}
+}
+
+// take consumes c if it is the next byte.
+func (s *scanner) take(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// next skips whitespace and consumes c if it comes next.
+func (s *scanner) next(c byte) bool {
+	s.space()
+	return s.take(c)
+}
+
+// object reads one JSON object, reading each value with field(key),
+// which reports false for a key it does not know. A key that repeats or
+// holds an escape ends the scan. No two keys of one object here share a
+// first letter, so a repeat is a repeated first letter.
+func (s *scanner) object(field func(key []byte) bool) bool {
+	if !s.next('{') {
+		return false
+	}
+	var seen uint32 // first letters, bit c-'a'
+	for n := 0; !s.next('}'); n++ {
+		if n > 0 && !s.next(',') || !s.next('"') {
+			return false
+		}
+		start := s.i
+		for s.i < len(s.b) && s.b[s.i] != '"' && s.b[s.i] != '\\' {
+			s.i++
+		}
+		key := s.b[start:s.i]
+		if !s.take('"') || !s.next(':') || len(key) == 0 || key[0] < 'a' || key[0] > 'z' || seen&(1<<(key[0]-'a')) != 0 {
+			return false
+		}
+		seen |= 1 << (key[0] - 'a')
+		if !field(key) {
+			return false
+		}
+	}
+	return true
+}
+
+// list reads a JSON array into *out with one elem call per element,
+// allocating room for size elements up front; [] is an empty, non-nil
+// slice, as encoding/json decodes it.
+func list[T any](s *scanner, out *[]T, size int, elem func(*T) bool) bool {
+	if !s.next('[') {
+		return false
+	}
+	xs := make([]T, 0, size)
+	for i := 0; !s.next(']'); i++ {
+		if i > 0 && !s.next(',') {
+			return false
+		}
+		xs = append(xs, *new(T))
+		if !elem(&xs[i]) {
+			return false
+		}
+	}
+	*out = xs
+	return true
+}
+
+// objects counts the '{' ahead of the next ']': the length of a list of
+// objects without nested arrays, such as vertices or edges. It counts at
+// most one per three bytes, the least an element takes ("{},"), so the
+// list allocates no more than the bytes could hold.
+func (s *scanner) objects() int {
+	rest := s.b[s.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return min(bytes.Count(rest, []byte{'{'}), (len(rest)+1)/3)
+}
+
+// number reads one literal of the JSON number grammar.
+func (s *scanner) number() ([]byte, bool) {
+	s.space()
+	start := s.i
+	s.take('-')
+	if !s.take('0') && !s.digits() || s.take('.') && !s.digits() {
+		return nil, false
+	}
+	if s.take('e') || s.take('E') {
+		if !s.take('+') {
+			s.take('-')
+		}
+		if !s.digits() {
+			return nil, false
+		}
+	}
+	return s.b[start:s.i], true
+}
+
+// digits consumes a run of decimal digits and reports whether it was
+// non-empty.
+func (s *scanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	return s.i > start
+}
+
+// float reads a number the way encoding/json does, refusing one outside
+// the float64 range.
+func (s *scanner) float(f *float64) bool {
+	lit, ok := s.number()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	*f = v
+	return err == nil
+}
+
+// intField reads a plain integer that fits *f. A fraction, an exponent,
+// -0 and more than 18 digits are left to encoding/json, which refuses the
+// first two and, for an unsigned field, the third.
+func intField[T int | int32 | uint16](s *scanner, f *T) bool {
+	lit, ok := s.number()
+	if !ok {
+		return false
+	}
+	digits := bytes.TrimPrefix(lit, []byte{'-'})
+	if len(digits) > 18 {
+		return false
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(digits) < len(lit) {
+		n = -n
+	}
+	if len(digits) < len(lit) && n == 0 || int64(T(n)) != n {
+		return false
+	}
+	*f = T(n)
+	return true
 }

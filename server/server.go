@@ -23,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -400,10 +401,33 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// decodeBody parses the JSON request body into v with a size cap.
+// bodyPool recycles request-body buffers. One that grew past
+// maxPooledBody (a large /batch or insert) is left to the collector, so
+// the pool holds only small buffers between requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// decodeBody reads the whole request body, at most maxRequestBody bytes
+// (413 beyond), and parses it into v with readRequest.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body larger than %d bytes", tooLarge.Limit))
+		return false
+	}
+	if err == nil {
+		err = readRequest(buf.Bytes(), v)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return false
 	}

@@ -450,6 +450,19 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+func TestOversizeBodyIs413(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := bytes.Repeat([]byte(" "), maxRequestBody+1)
+	r, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", r.StatusCode)
+	}
+}
+
 func TestInFlightLimit(t *testing.T) {
 	ts := newTestServer(t, Config{MaxInFlight: 2})
 	q := sampleQuery(t, 17)
