@@ -46,6 +46,17 @@ func TestSDFCountBombBounded(t *testing.T) {
 	}
 }
 
+// TestSMILESChainBounded: a 3,976-byte line holding one chain of 3,975
+// nitrogens, which FuzzSMILES found, reads within the allocation bound.
+// Its parser once grew its atom and bond lists by doubling and its
+// builder kept a map of every bond, some 595 KB against a bound of 517 KB.
+func TestSMILESChainBounded(t *testing.T) {
+	line := append(bytes.Repeat([]byte("N"), 3975), '\n')
+	if err := readBounded(t, line, ReadSMILES); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzSDF feeds arbitrary bytes to the SD reader: an error, or molecules
 // no larger than the input, and never an allocation the input cannot
 // account for.

@@ -77,31 +77,33 @@ func ReadSMILES(r io.Reader, name string) ([]*graph.Graph, error) {
 	}
 }
 
-// smilesAtom is one parsed atom: its vertex label, whether it was
-// written lowercase (aromatic), or a stripped explicit hydrogen.
+// smilesAtom is one parsed atom: its graph vertex (-1 for a stripped
+// explicit hydrogen), its label, and whether it was written lowercase
+// (aromatic).
 type smilesAtom struct {
+	vert     int32
 	label    graph.VLabel
 	aromatic bool
-	hydrogen bool
 }
 
+// smilesParser adds atoms and bonds to its builder as it reads them. The
+// builder is sized by the line: every atom takes a byte of it, and every
+// bond a new atom or a ring-closure digit, so neither outnumbers its bytes.
 type smilesParser struct {
 	s   string
 	pos int
+	b   *graph.Builder
 
-	atoms []smilesAtom
-	verts []int32 // graph vertex per atom; -1 for stripped hydrogens
-	bonds [][3]int32
-
-	prev    int          // previous atom index, -1 at a fresh root
+	prev    smilesAtom   // previous atom, when started
+	started bool         // an atom has been read
 	pending graph.ELabel // explicit bond for the next attachment
 	hasBond bool
-	stack   []int // open branch anchors
+	stack   []smilesAtom // open branch anchors
 	rings   map[string]ringOpen
 }
 
 type ringOpen struct {
-	atom    int
+	atom    smilesAtom
 	bond    graph.ELabel
 	hasBond bool
 }
@@ -112,14 +114,14 @@ func (p *smilesParser) errf(format string, args ...any) error {
 
 // addBond resolves the effective bond label between two atoms: explicit
 // wins; two aromatic atoms default to aromatic; otherwise single.
-func (p *smilesParser) addBond(a, b int, explicit graph.ELabel, hasExplicit bool) {
+func (p *smilesParser) addBond(a, b smilesAtom, explicit graph.ELabel, hasExplicit bool) {
 	l := BondSingle
 	if hasExplicit {
 		l = explicit
-	} else if p.atoms[a].aromatic && p.atoms[b].aromatic {
+	} else if a.aromatic && b.aromatic {
 		l = BondAromatic
 	}
-	p.bonds = append(p.bonds, [3]int32{int32(a), int32(b), int32(l)})
+	p.b.AddEdge(a.vert, b.vert, l)
 }
 
 // atom consumes one atom token at pos, returning its parsed form.
@@ -149,7 +151,7 @@ func (p *smilesParser) atom() (smilesAtom, error) {
 			}
 		}
 		if sym == "H" {
-			return smilesAtom{hydrogen: true}, nil
+			return smilesAtom{vert: -1}, nil
 		}
 		aromatic := sym[0] >= 'a' && sym[0] <= 'z'
 		l, ok := atomLabel(sym)
@@ -178,7 +180,7 @@ func (p *smilesParser) atom() (smilesAtom, error) {
 func (p *smilesParser) closeRing(key string) error {
 	if open, ok := p.rings[key]; ok {
 		delete(p.rings, key)
-		if p.prev < 0 {
+		if !p.started {
 			return p.errf("ring closure %s before any atom", key)
 		}
 		explicit, hasExplicit := p.pending, p.hasBond
@@ -187,7 +189,7 @@ func (p *smilesParser) closeRing(key string) error {
 		}
 		p.addBond(open.atom, p.prev, explicit, hasExplicit)
 	} else {
-		if p.prev < 0 {
+		if !p.started {
 			return p.errf("ring opening %s before any atom", key)
 		}
 		p.rings[key] = ringOpen{atom: p.prev, bond: p.pending, hasBond: p.hasBond}
@@ -200,7 +202,7 @@ func parseSMILES(s string) (*graph.Graph, error) {
 	if s == "" {
 		return nil, fmt.Errorf("bad SMILES at column 1: empty")
 	}
-	p := &smilesParser{s: s, prev: -1, rings: map[string]ringOpen{}}
+	p := &smilesParser{s: s, b: graph.NewBuilder(len(s), len(s)), rings: map[string]ringOpen{}}
 	for p.pos < len(s) {
 		c := s[p.pos]
 		switch {
@@ -217,7 +219,7 @@ func parseSMILES(s string) (*graph.Graph, error) {
 			p.pending, p.hasBond = BondAromatic, true
 			p.pos++
 		case c == '(':
-			if p.prev < 0 {
+			if !p.started {
 				return nil, p.errf("branch opens before any atom")
 			}
 			p.stack = append(p.stack, p.prev)
@@ -249,16 +251,17 @@ func parseSMILES(s string) (*graph.Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.atoms = append(p.atoms, a)
-			cur := len(p.atoms) - 1
-			if p.prev >= 0 && !a.hydrogen && !p.atoms[p.prev].hydrogen {
-				p.addBond(p.prev, cur, p.pending, p.hasBond)
+			if a.vert >= 0 {
+				a.vert = p.b.AddVertex(a.label)
+			}
+			if p.started && a.vert >= 0 && p.prev.vert >= 0 {
+				p.addBond(p.prev, a, p.pending, p.hasBond)
 			}
 			p.pending, p.hasBond = 0, false
-			if a.hydrogen && p.prev >= 0 {
+			if a.vert < 0 && p.started {
 				continue // stay anchored at the heavy atom
 			}
-			p.prev = cur
+			p.prev, p.started = a, true
 		}
 	}
 	if len(p.stack) > 0 {
@@ -269,25 +272,10 @@ func parseSMILES(s string) (*graph.Graph, error) {
 			return nil, fmt.Errorf("bad SMILES: ring bond %s never closed", k)
 		}
 	}
-
-	nHeavy := 0
-	p.verts = make([]int32, len(p.atoms))
-	b := graph.NewBuilder(len(p.atoms), len(p.bonds))
-	for i, a := range p.atoms {
-		if a.hydrogen {
-			p.verts[i] = -1
-			continue
-		}
-		p.verts[i] = b.AddVertex(a.label)
-		nHeavy++
-	}
-	if nHeavy == 0 {
+	if p.b.N() == 0 {
 		return nil, fmt.Errorf("bad SMILES: no heavy atoms")
 	}
-	for _, bd := range p.bonds {
-		b.AddEdge(p.verts[bd[0]], p.verts[bd[1]], graph.ELabel(bd[2]))
-	}
-	g, err := b.Build()
+	g, err := p.b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bad SMILES: %w", err)
 	}

@@ -182,10 +182,6 @@ type View struct {
 	// order. They are unindexed: searches verify them directly, exactly
 	// like the paper's naive baseline does for the whole database.
 	Delta []*graph.Graph
-	// DeltaFPs optionally carries prescreen fingerprints aligned with
-	// Delta. May be nil or shorter than Delta; missing fingerprints just
-	// exempt those graphs from the fingerprint test.
-	DeltaFPs []index.GraphFP
 }
 
 // appendLiveDelta appends the local ids of non-deleted delta graphs
@@ -849,19 +845,6 @@ func (s *Searcher) Graph(view View, id int32) *graph.Graph {
 	return view.Delta[int(id)-len(s.db)]
 }
 
-// candFP resolves a candidate's prescreen fingerprint: base ids from the
-// index table, delta ids from the view's DeltaFPs overlay. Nil exempts
-// the graph from the fingerprint test (bare views).
-func (s *Searcher) candFP(view View, id int32) *index.GraphFP {
-	if int(id) < len(s.db) {
-		return s.idx.FingerprintAt(id)
-	}
-	if i := int(id) - len(s.db); i < len(view.DeltaFPs) {
-		return &view.DeltaFPs[i]
-	}
-	return nil
-}
-
 // Screen is one query's prescreen: the cheap tests that refute a graph
 // without verifying it. The pipeline's prescreen and a result memo's
 // catch-up share it, so a graph is refuted alike on both paths.
@@ -869,27 +852,28 @@ type Screen struct {
 	s    *Searcher
 	view View
 	iv   graph.Invariants
-	fp   index.QueryFP
+	fp   graph.QueryFP
 }
 
 // NewScreen readies q's prescreen over view.
 func (s *Searcher) NewScreen(q *graph.Graph, view View) Screen {
-	return Screen{s: s, view: view, iv: q.Invariants(), fp: index.NewQueryFP(q, s.vFloor, s.eFloor)}
+	return Screen{s: s, view: view, iv: q.Invariants(), fp: graph.NewQueryFP(q, s.vFloor, s.eFloor)}
 }
 
 // Refutes reports whether a cheap tier proves that graph id (local to the
 // screen's view) is not within sigma of the query, counting the refutation
-// in st: the fingerprint, whose structure and label bounds prove d > sigma
-// (base ids read the index's table, delta ids the view's DeltaFPs), then
-// the graph invariants, which prove the query's skeleton does not fit the
-// graph at any sigma. Both are admissible, so a refuted graph is never an
-// answer; a caller whose radius only shrinks may pass the current one.
+// in st: the graph's fingerprint, whose structure and label bounds prove
+// d > sigma, then its invariants, which prove the query's skeleton does not
+// fit the graph at any sigma. Both are admissible, so a refuted graph is
+// never an answer; a caller whose radius only shrinks may pass the current
+// one.
 func (p *Screen) Refutes(id int32, sigma float64, st *Stats) bool {
-	if gfp := p.s.candFP(p.view, id); gfp != nil && !p.fp.Admissible(gfp, sigma) {
+	g := p.s.Graph(p.view, id)
+	if !p.fp.Admissible(g.FP(), sigma) {
 		st.PrescreenRejects++
 		return true
 	}
-	if !p.s.Graph(p.view, id).Invariants().Admits(p.iv) {
+	if !g.Invariants().Admits(p.iv) {
 		st.PrescreenRejects++
 		st.InvariantRejects++
 		return true

@@ -24,7 +24,7 @@ import (
 
 // moleculeFixture is a synthetic molecule corpus with its index, on the
 // heap or reopened through a file mapping, under a mutation snapshot with
-// tombstones and a fingerprinted live delta.
+// tombstones and a live delta.
 type moleculeFixture struct {
 	fixture
 	view    View
@@ -71,10 +71,7 @@ func newMoleculeFixture(t *testing.T, mapped bool) moleculeFixture {
 		}
 	}
 	view.Tombs = view.Tombs.WithSet(int32(len(db) + 3)) // a deleted insert
-	for _, g := range delta {
-		view.Delta = append(view.Delta, g)
-		view.DeltaFPs = append(view.DeltaFPs, index.DeltaFP(g))
-	}
+	view.Delta = append(view.Delta, delta...)
 	fx := moleculeFixture{
 		fixture: fixture{db: db, idx: idx},
 		view:    view,

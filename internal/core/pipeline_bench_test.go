@@ -127,6 +127,39 @@ func BenchmarkStructuralCandidates(b *testing.B) {
 	}
 }
 
+// BenchmarkPrescreen is the prescreen alone: one op is Screen.Refutes over
+// all 5,000 molecules for one query, in the two shapes the planner's
+// prices were picked on (Q16 at σ = 2, Q24 at σ = 1), with every graph's
+// invariants computed beforehand, as a warm process has them.
+func BenchmarkPrescreen(b *testing.B) {
+	fx := newMolFixture(b, 5000)
+	s := NewSearcher(fx.db, fx.heap, Options{})
+	for _, g := range fx.db {
+		g.Invariants()
+	}
+	for _, sh := range []struct {
+		name  string
+		qs    []*graph.Graph
+		sigma float64
+	}{{"Q16/sigma=2", chem.SampleQueries(fx.db, 16, 16, 5), 2}, {"Q24/sigma=1", chem.SampleQueries(fx.db, 16, 24, 6), 1}} {
+		screens := make([]Screen, len(sh.qs))
+		for i, q := range sh.qs {
+			screens[i] = s.NewScreen(q, View{})
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				sc := &screens[i%len(screens)]
+				for id := range fx.db {
+					sc.Refutes(int32(id), sh.sigma, &st)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fx.db)), "ns/graph")
+			b.ReportMetric(float64(st.PrescreenRejects)/float64(b.N*len(fx.db)), "rejected")
+		})
+	}
+}
+
 // BenchmarkPlannerPrices refits the planner's prices by least squares on
 // timed work over 3,000 molecules, in the two shapes they were picked on
 // (Q16 at σ = 2, Q24 at σ = 1). A planning searcher filters each query,

@@ -4,9 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"pis/internal/graph"
-	"pis/internal/index"
 )
 
 // TestFunnelStrictlyMonotone pins the funnel of the Stats doc on the
@@ -105,27 +102,5 @@ func TestPlannerLearnsExchangeRate(t *testing.T) {
 	}
 	if rho := s.exchangeRate(); rho < 1 || rho > 1024 {
 		t.Errorf("exchange rate %d outside [1,1024] after workload", rho)
-	}
-}
-
-// TestPrescreenSkipsDeltaWithoutFPs: a view whose delta carries no
-// fingerprints must still answer correctly — unknown graphs are exempt
-// from the prescreen, never rejected.
-func TestPrescreenSkipsDeltaWithoutFPs(t *testing.T) {
-	fx := newFixture(t, 51, 40)
-	s := NewSearcher(fx.db, fx.idx, Options{})
-	rng := rand.New(rand.NewSource(52))
-	extra := randomMolecule(rng, 8)
-	view := View{Delta: []*graph.Graph{extra}} // no DeltaFPs on purpose
-	q := sampleQuery(rng, fx.db, 4)
-	got := searchView(s, q, 3, view)
-	want := s.SearchNaiveView(q, 3, view)
-	if !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("answers %v, want %v", got.Answers, want.Answers)
-	}
-	withFPs := View{Delta: view.Delta, DeltaFPs: []index.GraphFP{index.DeltaFP(extra)}}
-	got2 := searchView(s, q, 3, withFPs)
-	if !reflect.DeepEqual(got2.Answers, want.Answers) {
-		t.Fatalf("answers with delta fingerprints %v, want %v", got2.Answers, want.Answers)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"pis/internal/index"
 )
 
 // Parallel verification must be invisible in the results: any
@@ -69,7 +67,7 @@ func TestParallelKNNDeterministic(t *testing.T) {
 // TestParallelKNNMatchesThresholdOracle: the shrinking verification
 // budget may cut branch-and-bound work but never change which neighbors
 // come back, at any radius, k or worker count, over a mutation snapshot
-// with tombstones and a fingerprinted live delta.
+// with tombstones and a live delta.
 func TestParallelKNNMatchesThresholdOracle(t *testing.T) {
 	fx := newFixture(t, 35, 60)
 	rng := rand.New(rand.NewSource(36))
@@ -80,9 +78,7 @@ func TestParallelKNNMatchesThresholdOracle(t *testing.T) {
 		}
 	}
 	for i := 0; i < 12; i++ {
-		g := randomMolecule(rng, 7+rng.Intn(6))
-		view.Delta = append(view.Delta, g)
-		view.DeltaFPs = append(view.DeltaFPs, index.DeltaFP(g))
+		view.Delta = append(view.Delta, randomMolecule(rng, 7+rng.Intn(6)))
 	}
 	view.Tombs = view.Tombs.WithSet(int32(len(fx.db) + 3)) // a deleted insert
 	oracle := NewSearcher(fx.db, fx.idx, Options{})

@@ -80,7 +80,7 @@ func ReadDB(r io.Reader) ([]*Graph, error) {
 			}
 			id, err1 := strconv.Atoi(fields[1])
 			lab, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || id != countVertices(b) {
+			if err1 != nil || err2 != nil || id != b.N() {
 				return nil, fmt.Errorf("line %d: bad vertex declaration %q", line, sc.Text())
 			}
 			if len(fields) >= 4 {
@@ -126,5 +126,3 @@ func ReadDB(r io.Reader) ([]*Graph, error) {
 	}
 	return graphs, nil
 }
-
-func countVertices(b *Builder) int { return len(b.vlabels) }

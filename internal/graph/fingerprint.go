@@ -1,7 +1,7 @@
 // Per-graph structural fingerprints for the verification prescreen.
 //
-// A GraphFP condenses one database graph into a few cache-line-sized
-// necessary conditions for "query Q superimposes onto G within σ":
+// An FP condenses one graph into a few cache-line-sized necessary
+// conditions for "query Q superimposes onto G within σ":
 //
 //   - size: Q needs at least as many vertices and edges as it has;
 //   - degree tails: an embedding maps each query vertex onto a distinct
@@ -16,23 +16,20 @@
 //     shrink deficits, never inflate them, so the bound stays admissible.
 //
 // Which indexed structures a graph contains is not fingerprint material:
-// the class bitmaps (bitmap.go) answer that exactly, ahead of the
-// prescreen, so a hashed summary of it here has nothing left to reject.
+// the index's class bitmaps answer that exactly, ahead of the prescreen,
+// so a hashed summary of it here has nothing left to reject.
 //
 // Every test is conservative: a rejected graph provably has d(Q, G) > σ,
 // so the prescreen never changes answers, only skips branch-and-bound
-// work. Fingerprints are a pure function of each graph, so no image stores
-// them: a build computes them, and an index read from an image gets them
-// from its graphs at Pair. Images written by earlier versions carry them in
-// a section the reader never reads.
+// work. The fingerprint is a pure function of the graph and costs about a
+// microsecond, so every constructor fills it (link, Relabel): no Graph
+// exists without one, and no image or snapshot stores it. The second
+// prescreen tier, the invariants (invariants.go), costs some 30 times as
+// much and stays lazy.
 
-package index
+package graph
 
-import (
-	"math/bits"
-
-	"pis/internal/graph"
-)
+import "math/bits"
 
 const (
 	// fpDegTail is how many degree-tail counters a fingerprint keeps:
@@ -43,10 +40,10 @@ const (
 	fpVertexBuckets = 16
 )
 
-// GraphFP is the prescreen fingerprint of one graph. Counters saturate at
+// FP is the prescreen fingerprint of one graph. Counters saturate at
 // their type maximum, which only ever weakens (never invalidates) the
 // derived bounds.
-type GraphFP struct {
+type FP struct {
 	NV, NE  int32
 	DegTail [fpDegTail]uint16
 	ELab    [fpEdgeBuckets]uint16
@@ -65,12 +62,13 @@ func satInc(c *uint16) {
 	}
 }
 
-// fillGraphFP computes g's fingerprint into fp.
-func fillGraphFP(fp *GraphFP, g *graph.Graph) {
-	fp.NV, fp.NE = int32(g.N()), int32(g.M())
-	fp.DegTail = [fpDegTail]uint16{}
-	fp.ELab = [fpEdgeBuckets]uint16{}
-	fp.VLab = [fpVertexBuckets]uint16{}
+// FP returns g's fingerprint. Callers must not modify it.
+func (g *Graph) FP() *FP { return &g.fp }
+
+// computeFP returns g's fingerprint; the constructors store it once g's
+// edges and adjacency are in place.
+func computeFP(g *Graph) FP {
+	fp := FP{NV: int32(g.N()), NE: int32(g.M())}
 	for v := 0; v < g.N(); v++ {
 		d := g.Degree(v)
 		if d > fpDegTail {
@@ -84,22 +82,7 @@ func fillGraphFP(fp *GraphFP, g *graph.Graph) {
 	for _, e := range g.Edges() {
 		satInc(&fp.ELab[labelBucket(uint32(e.Label), fpEdgeBuckets)])
 	}
-}
-
-// DeltaFP fingerprints a graph outside the index (a segment's delta).
-func DeltaFP(g *graph.Graph) GraphFP {
-	var fp GraphFP
-	fillGraphFP(&fp, g)
 	return fp
-}
-
-// FingerprintAt returns graph id's fingerprint, or nil when the index
-// carries none (read from an image, not yet passed through Pair).
-func (x *Index) FingerprintAt(id int32) *GraphFP {
-	if x.fps == nil {
-		return nil
-	}
-	return &x.fps[id]
 }
 
 // QueryFP is the query-side prescreen state: the query's own structural
@@ -109,7 +92,7 @@ func (x *Index) FingerprintAt(id int32) *GraphFP {
 // also marks the buckets the query fills and counts its non-zero tails —
 // a prefix, since tails only fall — and Admissible reads only those.
 type QueryFP struct {
-	fp             GraphFP
+	fp             FP
 	vFloor, eFloor float64
 	eOcc           uint32 // bit b: ELab[b] > 0
 	vOcc           uint16 // bit b: VLab[b] > 0
@@ -117,13 +100,9 @@ type QueryFP struct {
 }
 
 // NewQueryFP builds the prescreen state for query q.
-func NewQueryFP(q *graph.Graph, vFloor, eFloor float64) QueryFP {
-	var fp GraphFP
-	fillGraphFP(&fp, q)
-	return newQueryFP(fp, vFloor, eFloor)
-}
+func NewQueryFP(q *Graph, vFloor, eFloor float64) QueryFP { return newQueryFP(q.fp, vFloor, eFloor) }
 
-func newQueryFP(fp GraphFP, vFloor, eFloor float64) QueryFP {
+func newQueryFP(fp FP, vFloor, eFloor float64) QueryFP {
 	qfp := QueryFP{fp: fp, vFloor: vFloor, eFloor: eFloor}
 	for qfp.tails < fpDegTail && fp.DegTail[qfp.tails] != 0 {
 		qfp.tails++
@@ -142,7 +121,7 @@ func newQueryFP(fp GraphFP, vFloor, eFloor float64) QueryFP {
 // proof of d > sigma (or of no embedding at all); true just means the
 // fingerprint could not refute it. The degree loop accumulates into a
 // flag word instead of branching per tail.
-func (qfp *QueryFP) Admissible(g *GraphFP, sigma float64) bool {
+func (qfp *QueryFP) Admissible(g *FP, sigma float64) bool {
 	if qfp.fp.NV > g.NV || qfp.fp.NE > g.NE {
 		return false
 	}

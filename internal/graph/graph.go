@@ -39,6 +39,9 @@ type Graph struct {
 	// neighbors of v sit in slots off[v]..off[v+1], ascending by edge
 	// index; nbrE[s] is the incident edge, nbrV[s] its other endpoint.
 	off, nbrE, nbrV []int32
+	// fp is the prescreen fingerprint (see FP), filled by every
+	// constructor.
+	fp FP
 
 	// inv caches the structural annotation (see Invariants): the first
 	// word of its block, nil until first use. Never serialized or cloned.
@@ -102,10 +105,10 @@ func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 // Callers must not modify them.
 func (g *Graph) Adjacency() (off, nbrV, nbrE []int32) { return g.off, g.nbrV, g.nbrE }
 
-// link lays out the adjacency of g.edges over len(g.vlabels) vertices.
-// Slots fill in edge order, so every vertex's run ascends by edge index —
-// the invariant the constructors rely on instead of sorting. Endpoints
-// must already be in range.
+// link lays out the adjacency of g.edges over len(g.vlabels) vertices and
+// then fills the fingerprint. Slots fill in edge order, so every vertex's
+// run ascends by edge index — the invariant the constructors rely on
+// instead of sorting. Endpoints must already be in range.
 func (g *Graph) link() {
 	n, m := len(g.vlabels), len(g.edges)
 	buf := make([]int32, n+1+4*m)
@@ -128,6 +131,7 @@ func (g *Graph) link() {
 	copy(off[1:], off[:n])
 	off[0] = 0
 	g.off, g.nbrE, g.nbrV = off, nbrE, nbrV
+	g.fp = computeFP(g)
 }
 
 // Other returns the endpoint of edge e that is not v.
@@ -208,6 +212,7 @@ func (g *Graph) Relabel(vl []VLabel, el []ELabel) *Graph {
 	for i, e := range g.edges {
 		c.edges[i] = Edge{U: e.U, V: e.V, Label: el[i]}
 	}
+	c.fp = computeFP(c)
 	return c
 }
 
@@ -231,7 +236,6 @@ type Builder struct {
 	vlabels  []VLabel
 	vweights []float64
 	edges    []Edge
-	seen     map[[2]int32]bool
 	err      error
 }
 
@@ -240,9 +244,11 @@ func NewBuilder(n, m int) *Builder {
 	return &Builder{
 		vlabels: make([]VLabel, 0, n),
 		edges:   make([]Edge, 0, m),
-		seen:    make(map[[2]int32]bool, m),
 	}
 }
+
+// N returns the number of vertices added so far.
+func (b *Builder) N() int { return len(b.vlabels) }
 
 // AddVertex appends a vertex with the given label and returns its id.
 func (b *Builder) AddVertex(l VLabel) int32 {
@@ -263,8 +269,9 @@ func (b *Builder) AddWeightedVertex(l VLabel, w float64) int32 {
 	return int32(len(b.vlabels) - 1)
 }
 
-// AddEdge appends an undirected labeled edge. Self loops and duplicate
-// edges are recorded as errors surfaced by Build.
+// AddEdge appends an undirected labeled edge. Self loops and dangling
+// endpoints are recorded as errors surfaced by Build, which also refuses
+// duplicate edges.
 func (b *Builder) AddEdge(u, v int32, l ELabel) { b.AddWeightedEdge(u, v, l, 0) }
 
 // AddWeightedEdge appends an undirected labeled weighted edge.
@@ -283,15 +290,6 @@ func (b *Builder) AddWeightedEdge(u, v int32, l ELabel, w float64) {
 		b.err = fmt.Errorf("graph: edge (%d,%d) references unknown vertex", u, v)
 		return
 	}
-	key := [2]int32{u, v}
-	if b.seen == nil {
-		b.seen = map[[2]int32]bool{}
-	}
-	if b.seen[key] {
-		b.err = fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-		return
-	}
-	b.seen[key] = true
 	b.edges = append(b.edges, Edge{U: u, V: v, Label: l, Weight: w})
 }
 
@@ -303,6 +301,17 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g := &Graph{vlabels: b.vlabels, vweights: b.vweights, edges: b.edges}
 	g.link()
+	// A duplicate edge repeats a neighbor in its endpoints' runs: met[w]
+	// is v+1 once w has been met in v's.
+	met := make([]int32, g.N())
+	for v := range met {
+		for _, w := range g.nbrV[g.off[v]:g.off[v+1]] {
+			if met[w] == int32(v+1) {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", min(int32(v), w), max(int32(v), w))
+			}
+			met[w] = int32(v + 1)
+		}
+	}
 	return g, nil
 }
 

@@ -17,14 +17,13 @@ package index
 import (
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"pis/internal/graph"
 )
 
 // Pair readies an index to answer searches over db, which must be the
 // exact graph set it was built over: every class gets its posting bitmap,
-// and the index its fingerprint table, computed from db.
+// computed from db.
 // An image of an older layout has its classes rebuilt from db, as a build
 // over it would lay them out (persist.go). An index from Build or Rebase is
 // paired already; one from Load or OpenMapped is paired by the first
@@ -48,10 +47,6 @@ func (x *Index) Pair(db []*graph.Graph) error {
 
 // pair is Pair's work, over the len(db) == x.dbSize graphs of the index.
 func (x *Index) pair(db []*graph.Graph) {
-	x.fps = make([]GraphFP, len(db))
-	for i, g := range db {
-		fillGraphFP(&x.fps[i], g)
-	}
 	words := (len(db) + 63) >> 6
 	slab := make([]uint64, words*len(x.list))
 	for i, c := range x.list {
@@ -67,14 +62,17 @@ func (x *Index) pair(db []*graph.Graph) {
 // what it holds on a mapped index too, the part of an index's footprint
 // its image's size does not show.
 type Memory struct {
-	StoreBytes       int // class entry and posting blocks: the image's slab, 0 when mapped
-	BitmapBytes      int // class posting bitmaps: classes × graphs / 8, 0 before Pair
-	FingerprintBytes int // per-graph prescreen fingerprints
+	StoreBytes  int // class entry and posting blocks: the image's slab, 0 when mapped
+	BitmapBytes int // class posting bitmaps: classes × graphs / 8, 0 before Pair
+	// FingerprintBytes is the prescreen fingerprints of the graphs the
+	// index serves, which the graphs carry (graph.FP): the segment fills
+	// it, counting its delta graphs too. Index.Memory leaves it 0.
+	FingerprintBytes int
 }
 
-// Memory reports x's class store, bitmap and fingerprint bytes.
+// Memory reports x's class store and bitmap bytes.
 func (x *Index) Memory() Memory {
-	m := Memory{FingerprintBytes: len(x.fps) * int(unsafe.Sizeof(GraphFP{}))}
+	var m Memory
 	if len(x.list) > 0 {
 		m.BitmapBytes = 8 * len(x.list[0].bits) * len(x.list)
 	}

@@ -122,10 +122,6 @@ type Index struct {
 	// trie is the class directory as a prefix tree of class codes, which
 	// builds and queries walk to find fragments (query.go).
 	trie *node
-	// fps holds one prescreen fingerprint per graph (see fingerprint.go);
-	// nil on an index read from an image until Pair computes them from the
-	// graphs, since images do not store them.
-	fps []GraphFP
 	// paired records that Pair has laid out the class bitmaps; pairMu makes
 	// repeated and concurrent Pair calls harmless.
 	pairMu sync.Mutex

@@ -40,8 +40,7 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 
 // foldAndSeal folds the fragments of db[from:] into the class stores
 // (graphs below from are in them already, see Rebase) and seals the index
-// over db: entry and posting blocks, planner statistics, fingerprints,
-// posting bitmaps.
+// over db: entry and posting blocks, planner statistics, posting bitmaps.
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)

@@ -34,7 +34,7 @@
 // derive is not trusted or not stored: automorphism permutations, the
 // directory's pair counts and planner stats (written for older readers)
 // are rebuilt by the reader, and the per-graph prescreen fingerprints
-// (fingerprint.go) are computed from the graphs by Pair. Images of earlier
+// are carried by the graphs themselves (graph.FP). Images of earlier
 // versions carry them in a section between the directory and the padding,
 // with the header's flag at 1; the reader finds the slab by its offset and
 // never reads that section.
@@ -603,7 +603,7 @@ func (x *Index) checkBlocks(c *Class) string {
 // OpenMapped opens an index file through a memory mapping: the directory
 // (class keys and offsets) is decoded onto the heap, posting and entry
 // blocks stay in the mapping and are read there at query time; Pair adds
-// the posting bitmaps and the prescreen fingerprints, on the heap. Every
+// the posting bitmaps, on the heap. Every
 // block is checksummed and walked here, so corruption fails at open with
 // the damaged section named instead of surfacing as wrong answers later.
 // The caller owns the returned index's Close.

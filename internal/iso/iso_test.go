@@ -975,7 +975,7 @@ func newCorpus(tb testing.TB, n int, weighted bool) *corpus {
 // verifies, which the invariant prescreen and the range queries thin out.
 func (c *corpus) screened(q *graph.Graph, sigma float64) []bool {
 	vFloor, eFloor := distance.CostFloors(distance.EdgeMutation{})
-	qfp := index.NewQueryFP(q, vFloor, eFloor)
+	qfp := graph.NewQueryFP(q, vFloor, eFloor)
 	var classes []*index.Class
 	for _, qf := range c.idx.QueryFragments(q) {
 		if !slices.Contains(classes, qf.Class) {
@@ -984,7 +984,7 @@ func (c *corpus) screened(q *graph.Graph, sigma float64) []bool {
 	}
 	in := make([]bool, len(c.db))
 	for _, id := range c.idx.Candidates(nil, classes, nil) {
-		in[id] = qfp.Admissible(c.idx.FingerprintAt(id), sigma)
+		in[id] = qfp.Admissible(c.db[id].FP(), sigma)
 	}
 	return in
 }

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"pis/internal/core"
 	"pis/internal/graph"
@@ -106,10 +107,6 @@ type Segment struct {
 	// assigned monotonically). Both are append-only between compactions.
 	delta    []*graph.Graph
 	deltaIDs []int32
-	// deltaFPs carries the prescreen fingerprint of each delta graph,
-	// appended alongside delta so snapshots hand the searcher an aligned
-	// overlay.
-	deltaFPs []index.GraphFP
 	// tombs marks deleted local ids (base positions, then len(base)+delta
 	// positions); copy-on-write so snapshots stay consistent.
 	tombs *index.Tombstones
@@ -223,9 +220,6 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 	}
 	s.delta = snap.Delta
 	s.deltaIDs = snap.DeltaIDs
-	for _, g := range snap.Delta {
-		s.deltaFPs = append(s.deltaFPs, index.DeltaFP(g))
-	}
 	if snap.NextID-1 > s.maxID {
 		s.maxID = snap.NextID - 1
 	}
@@ -244,7 +238,6 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 		case store.OpInsert:
 			s.delta = append(s.delta, rec.Graph)
 			s.deltaIDs = append(s.deltaIDs, rec.ID)
-			s.deltaFPs = append(s.deltaFPs, index.DeltaFP(rec.Graph))
 			if rec.ID > s.maxID {
 				s.maxID = rec.ID
 			}
@@ -337,7 +330,7 @@ func (s *Segment) snapshot() snapshot {
 		ids:      s.ids,
 		deltaIDs: s.deltaIDs,
 		maxID:    s.maxID,
-		view:     core.View{Tombs: s.tombs, Delta: s.delta, DeltaFPs: s.deltaFPs},
+		view:     core.View{Tombs: s.tombs, Delta: s.delta},
 		memo:     &s.memo,
 		budget:   max(memoFloorBytes, memoBytesPerGraph*int64(len(s.ids)+len(s.deltaIDs))),
 	}
@@ -439,7 +432,6 @@ func (s *Segment) TryReserve() bool { return s.insMu.TryLock() }
 // the semantics.
 func (s *Segment) CommitInsert(g *graph.Graph, id int32) (needsCompact bool, err error) {
 	defer s.insMu.Unlock()
-	fp := index.DeltaFP(g) // before mu: readers wait for the fsync only
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.st != nil {
@@ -449,7 +441,6 @@ func (s *Segment) CommitInsert(g *graph.Graph, id int32) (needsCompact bool, err
 	}
 	s.delta = append(s.delta, g)
 	s.deltaIDs = append(s.deltaIDs, id)
-	s.deltaFPs = append(s.deltaFPs, fp)
 	if id > s.maxID {
 		s.maxID = id
 	}
@@ -691,7 +682,7 @@ func (s *Segment) compactLocked() error {
 		// Nothing lives: keep the old index (an index over zero graphs is
 		// impossible) and tombstone the whole base, dropping the delta.
 		s.tombs = index.AllSet(len(s.base))
-		s.delta, s.deltaIDs, s.deltaFPs = nil, nil, nil
+		s.delta, s.deltaIDs = nil, nil
 		return nil
 	}
 	idx, err := index.Rebase(s.idx, remap, survivors, carried, 0)
@@ -710,7 +701,7 @@ func (s *Segment) compactLocked() error {
 	mCompactEnumerated.Add(int64(len(survivors) - carried))
 	s.base, s.ids, s.idx = survivors, ids, idx
 	s.srch = core.NewSearcher(survivors, idx, s.cfg.Core)
-	s.delta, s.deltaIDs, s.deltaFPs, s.tombs = nil, nil, nil, nil
+	s.delta, s.deltaIDs, s.tombs = nil, nil, nil
 	return nil
 }
 
@@ -774,9 +765,12 @@ func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 }
 
 // IndexStats returns the base index counters and the heap the index holds
-// beside its class stores.
+// beside its class stores, with the fingerprints of the base and delta
+// graphs as its FingerprintBytes.
 func (s *Segment) IndexStats() (index.Stats, index.Memory) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.idx.Stats(), s.idx.Memory()
+	m := s.idx.Memory()
+	m.FingerprintBytes = int(unsafe.Sizeof(graph.FP{})) * (len(s.base) + len(s.delta))
+	return s.idx.Stats(), m
 }

@@ -162,8 +162,8 @@ type Options struct {
 	// and Open maps the snapshot's index side file directly. The class
 	// posting and entry blocks are the same bytes either way and are read
 	// by the same scan; mapped, they stay in the kernel page cache and
-	// are demand-paged, so the index can exceed RAM, while the directory,
-	// the posting bitmaps and the fingerprints stay on the heap. A durable store holds
+	// are demand-paged, so the index can exceed RAM, while the directory
+	// and the posting bitmaps stay on the heap. A durable store holds
 	// the same files either way, so each Open may choose afresh. Answers
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
@@ -519,12 +519,12 @@ type IndexStats struct {
 	// the heap, summed over the shards: the slab of its image, 0 under
 	// MappedIndex, where those bytes stay in the mapping.
 	StoreBytes int `json:"store_bytes"`
-	// BitmapBytes and FingerprintBytes are the heap the index holds beside
-	// the stored sequences, summed over the shards — resident under
-	// MappedIndex too, and not part of the index file: the class posting
-	// bitmaps the structural intersection ANDs (features × graphs / 8 per
-	// shard) and the per-graph prescreen fingerprints, both computed from
-	// the graphs when an index is opened.
+	// BitmapBytes and FingerprintBytes are heap beside the stored
+	// sequences, summed over the shards — resident under MappedIndex too,
+	// and not part of the index file: the class posting bitmaps the
+	// structural intersection ANDs (features × graphs / 8 per shard),
+	// computed from the graphs when an index is opened, and the prescreen
+	// fingerprints the base and delta graphs carry (graph.FP).
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
 }
