@@ -55,8 +55,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "mining: %.0f ms, peak RSS %.1f MiB; streaming build: %.0f ms, peak RSS %.1f MiB vs %.1f MiB raw postings (%d chunk runs, %.1f MiB)\n",
 		rep.MiningMS, rep.MiningPeakRSSMB, rep.BuildMS, rep.BuildPeakRSSMB, float64(rep.RawPostingBytes)/(1<<20),
 		rep.StreamSpillRuns, float64(rep.StreamSpillBytes)/(1<<20))
-	fmt.Fprintf(os.Stderr, "index open: mapped %.1f ms vs heap %.1f ms (%d bytes on disk)\n",
-		rep.IndexOpenMSMapped, rep.IndexOpenMSHeap, rep.IndexBytes)
+	fmt.Fprintf(os.Stderr, "index open: mapped %.1f ms vs heap %.1f ms (%d bytes on disk); pair %.1f ms\n",
+		rep.IndexOpenMSMapped, rep.IndexOpenMSHeap, rep.IndexBytes, rep.IndexPairMS)
 	if *jsonOut != "" {
 		writeReport(rep, *jsonOut)
 	}

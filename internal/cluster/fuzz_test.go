@@ -122,7 +122,9 @@ func realFrames(f *testing.F) [][][]byte {
 // the shard-RPC wire format (results, kNN neighbours, node state, graphs).
 // Each call must return an error or decode a value that the matching
 // writer re-encodes to exactly the bytes it consumed, and it may allocate
-// no more than the payload could hold.
+// no more than the payload could hold. A decoded graph is one
+// graph.Builder accepts: the seed of a 2-vertex graph listing edge (0,1)
+// twice, which re-encodes to its own bytes, must be refused.
 func FuzzClusterFrames(f *testing.F) {
 	for i, frames := range realFrames(f) {
 		for _, p := range frames {
@@ -132,6 +134,11 @@ func FuzzClusterFrames(f *testing.F) {
 			f.Add(uint8(i), p)
 		}
 	}
+	parallel := []byte{0, 2, 2, 0, 0, 0, 1, 0, 0, 1, 0}
+	f.Add(uint8(3), framePayload(f, func(sw *binio.SectionWriter) {
+		sw.Uvarint(uint64(len(parallel)))
+		sw.Bytes(parallel)
+	}))
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		codec := frameCodecs[int(kind)%len(frameCodecs)]
 		sr := frameSection(t, payload)
@@ -148,6 +155,19 @@ func FuzzClusterFrames(f *testing.F) {
 		consumed := payload[:len(payload)-sr.Remaining()]
 		if enc := framePayload(t, func(sw *binio.SectionWriter) { codec.encode(sw, v) }); !bytes.Equal(enc, consumed) {
 			t.Fatalf("%s: decoded %x, re-encoded %x", codec.name, consumed, enc)
+		}
+		if g, ok := v.(*graph.Graph); ok {
+			b := graph.NewBuilder(g.N(), g.M())
+			for u := range g.N() {
+				b.AddWeightedVertex(g.VLabelAt(u), g.VWeightAt(u))
+			}
+			for e := range g.M() {
+				ed := g.EdgeAt(e)
+				b.AddWeightedEdge(ed.U, ed.V, ed.Label, ed.Weight)
+			}
+			if _, err := b.Build(); err != nil {
+				t.Fatalf("decoded %x into a graph Builder refuses: %v", consumed, err)
+			}
 		}
 	})
 }

@@ -557,7 +557,7 @@ func (s *Searcher) queryClasses(q *graph.Graph, st *Stats, sc *scratch) []classS
 			sl.frags = s.idx.ClassFragments(q, c, &sc.frags)
 			st.QueryFragments += len(sl.frags)
 		}
-		if c.PostingCount() < len(s.db) {
+		if c.GraphCount() < len(s.db) {
 			slots = append(slots, sl)
 			st.UsedFragments += len(sl.frags)
 		}

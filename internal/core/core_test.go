@@ -290,7 +290,7 @@ func TestUsableClassesDropUniversal(t *testing.T) {
 		var want []string
 		all := fx.idx.QueryFragments(q)
 		for _, qf := range all {
-			if qf.Class.PostingCount() < len(fx.db) {
+			if qf.Class.GraphCount() < len(fx.db) {
 				want = append(want, key(qf))
 			}
 		}

@@ -84,7 +84,7 @@ func TestStructuralCandidatesMatchPerFragment(t *testing.T) {
 					}
 				}
 				for _, qf := range frags {
-					want = intersectSorted(nil, want, qf.Class.Postings())
+					want = intersectSorted(nil, want, side.idx.Candidates(nil, []*index.Class{qf.Class}, nil))
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s Q%d #%d: %d candidates, per-fragment intersection has %d", side.name, m, qi, len(got), len(want))

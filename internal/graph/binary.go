@@ -63,8 +63,10 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 // DecodeBinary decodes one graph from the front of b, returning the graph
 // and the unconsumed remainder. The input is trusted to the extent of its
 // framing (snapshot and WAL payloads are CRC-checked before decoding);
-// structural invariants are still validated so a logic bug upstream fails
-// loudly instead of producing a malformed Graph.
+// structural invariants are still validated — every edge ordered, inside
+// the vertex range and listed once, as Builder requires — so a logic bug
+// upstream or a crafted RPC frame fails loudly instead of producing a
+// malformed Graph.
 func DecodeBinary(b []byte) (*Graph, []byte, error) {
 	fail := func(what string) (*Graph, []byte, error) {
 		return nil, nil, fmt.Errorf("graph: truncated binary encoding (%s)", what)
@@ -132,6 +134,9 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 		b = b[8*int(m):]
 	}
 	g.link()
+	if err := g.checkSimple(); err != nil {
+		return nil, nil, err
+	}
 	return g, b, nil
 }
 

@@ -85,6 +85,28 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestBinaryDecodeRefusesParallelEdges: an encoding that lists an edge
+// twice is refused, as Builder refuses it, though every edge on its own is
+// in range and ordered and re-encoding would give the same bytes. Snapshot,
+// WAL and shard-RPC decoding all go through DecodeBinary.
+func TestBinaryDecodeRefusesParallelEdges(t *testing.T) {
+	// Flags 0, 2 vertices, 2 edges, labels 0 0, then (0,1) label 0 twice.
+	enc := []byte{0, 2, 2, 0, 0, 0, 1, 0, 0, 1, 0}
+	if g, _, err := DecodeBinary(enc); err == nil {
+		t.Fatalf("decoded a graph with edges %v", g.edges)
+	}
+	// The same bytes with the second edge's label changed: still parallel.
+	enc[10] = 1
+	if _, _, err := DecodeBinary(enc); err == nil {
+		t.Fatal("decoded parallel edges of different labels")
+	}
+	// A triangle is fine.
+	ok := []byte{0, 3, 3, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 2, 0}
+	if _, rest, err := DecodeBinary(ok); err != nil || len(rest) != 0 {
+		t.Fatalf("triangle: %v, %d bytes left", err, len(rest))
+	}
+}
+
 func TestFingerprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	graphs := make([]*Graph, 12)

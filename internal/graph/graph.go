@@ -301,18 +301,26 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g := &Graph{vlabels: b.vlabels, vweights: b.vweights, edges: b.edges}
 	g.link()
-	// A duplicate edge repeats a neighbor in its endpoints' runs: met[w]
-	// is v+1 once w has been met in v's.
+	if err := g.checkSimple(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// checkSimple refuses a linked graph in which an edge repeats another. A
+// duplicate edge repeats a neighbor in its endpoints' runs: met[w] is v+1
+// once w has been met in v's.
+func (g *Graph) checkSimple() error {
 	met := make([]int32, g.N())
 	for v := range met {
 		for _, w := range g.nbrV[g.off[v]:g.off[v+1]] {
 			if met[w] == int32(v+1) {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", min(int32(v), w), max(int32(v), w))
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", min(int32(v), w), max(int32(v), w))
 			}
 			met[w] = int32(v + 1)
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // MustBuild is Build that panics on error; for tests and literals.

@@ -208,8 +208,8 @@ func TestMeasureLargeSynthetic(t *testing.T) {
 	if rep.QueriesPerSec <= 0 {
 		t.Error("no throughput measured")
 	}
-	if rep.IndexOpenMSMapped <= 0 || rep.IndexOpenMSHeap <= 0 {
-		t.Errorf("open timings missing: mapped %v heap %v", rep.IndexOpenMSMapped, rep.IndexOpenMSHeap)
+	if rep.IndexOpenMSMapped <= 0 || rep.IndexOpenMSHeap <= 0 || rep.IndexPairMS <= 0 {
+		t.Errorf("open timings missing: mapped %v heap %v pair %v", rep.IndexOpenMSMapped, rep.IndexOpenMSHeap, rep.IndexPairMS)
 	}
 	if _, err := os.Stat("/proc/self/status"); err == nil && (rep.BuildPeakRSSMB <= 0 || rep.MiningPeakRSSMB <= 0) {
 		t.Errorf("peak RSS not captured despite /proc being available: %v MiB after mining, %v after the build", rep.MiningPeakRSSMB, rep.BuildPeakRSSMB)

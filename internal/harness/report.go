@@ -96,17 +96,22 @@ type BenchReport struct {
 	// open timings compare demand-paged mmap against decoding the same
 	// image onto the heap (IndexOpenMSHeap is IndexLoadMS under its
 	// out-of-core name). The remaining fields are filled only by
-	// MeasureLarge: MiningMS is the wall time of feature mining and
+	// MeasureLarge: IndexPairMS is the wall time of Pair on the freshly
+	// built, mapped index, which lays out the class bitmaps from the entry
+	// runs (so open plus Pair is what readies an image), MiningMS is the
+	// wall time of feature mining and
 	// MiningPeakRSSMB the high-water mark right after it, BuildPeakRSSMB
 	// the high-water mark right after the streaming build — before the
 	// query phase materializes the graphs — RawPostingBytes is the
-	// uncompressed posting volume a heap build would have held resident,
+	// uncompressed volume of the stored entries (StreamResult) that a heap
+	// build would have held resident,
 	// the denominator of the build's RSS budget, and StreamSpillRuns /
 	// StreamSpillBytes count the chunks the build folded and the bytes
 	// of the run files it wrote for them.
 	PeakRSSMB         float64 `json:"peak_rss_mb"`
 	IndexOpenMSMapped float64 `json:"index_open_ms_mapped"`
 	IndexOpenMSHeap   float64 `json:"index_open_ms_heap"`
+	IndexPairMS       float64 `json:"index_pair_ms,omitempty"`
 	MiningMS          float64 `json:"mining_ms,omitempty"`
 	MiningPeakRSSMB   float64 `json:"mining_peak_rss_mb,omitempty"`
 	BuildPeakRSSMB    float64 `json:"build_peak_rss_mb,omitempty"`

@@ -1,15 +1,15 @@
-// Class postings as bitmaps. A class's posting list says which graphs
-// contain its structure; the search starts by intersecting the lists of
-// every indexed structure in the query (Algorithm 2's structure-only
-// step). Laid out once as one bit per graph, that intersection is a
-// word-wise AND — 64 graphs a step, no decoding, and deleted graphs leave
-// with one more AND-NOT.
+// Class graph sets as bitmaps. The search starts by intersecting, for
+// every indexed structure in the query, the set of graphs that contain it
+// (Algorithm 2's structure-only step). A class records that set once, as
+// the union of its entries' id runs; Pair lays it out as one bit per
+// graph, so the intersection is a word-wise AND — 64 graphs a step, no
+// decoding, and deleted graphs leave with one more AND-NOT.
 //
 // The bitmaps are heap-resident on heap and mapped indexes alike, at
 // classes × n / 8 bytes: a mined class is in at least a few percent of the
-// graphs, so its bitmap is smaller than the []int32 list it shadows. They
-// are sized by the graphs the index serves, which a build has in hand and
-// an image learns at Pair — never by an image's own graph count, which
+// graphs, so its bitmap is smaller than an []int32 list of them. They are
+// sized by the graphs the index serves, which a build has in hand and an
+// image learns at Pair — never by an image's own graph count, which
 // nothing in the image bounds.
 
 package index
@@ -22,8 +22,8 @@ import (
 )
 
 // Pair readies an index to answer searches over db, which must be the
-// exact graph set it was built over: every class gets its posting bitmap,
-// computed from db.
+// exact graph set it was built over: every class gets its bitmap, read off
+// its entry runs.
 // An image of an older layout has its classes rebuilt from db, as a build
 // over it would lay them out (persist.go). An index from Build or Rebase is
 // paired already; one from Load or OpenMapped is paired by the first
@@ -45,14 +45,26 @@ func (x *Index) Pair(db []*graph.Graph) error {
 	return nil
 }
 
-// pair is Pair's work, over the len(db) == x.dbSize graphs of the index.
+// pair is Pair's work, over the len(db) == x.dbSize graphs of the index:
+// a class's bitmap holds every id of every one of its entry runs, which a
+// build wrote and an open walked (checkBlocks), so each lies below dbSize.
 func (x *Index) pair(db []*graph.Graph) {
 	words := (len(db) + 63) >> 6
 	slab := make([]uint64, words*len(x.list))
 	for i, c := range x.list {
-		c.bits = slab[i*words : (i+1)*words : (i+1)*words]
-		for _, id := range c.Postings() {
-			c.bits[id>>6] |= 1 << (uint(id) & 63)
+		set := slab[i*words : (i+1)*words : (i+1)*words]
+		for e := range c.ents.n() {
+			run := c.ents.run(e)
+			for j, id := 0, uint32(0); j < len(run); {
+				var gap uint32
+				gap, j = nextGap(run, j)
+				id += gap
+				set[id>>6] |= 1 << (id & 63)
+			}
+		}
+		c.bits, c.graphs = set, 0
+		for _, w := range set {
+			c.graphs += bits.OnesCount64(w)
 		}
 	}
 	x.paired = true
@@ -62,8 +74,8 @@ func (x *Index) pair(db []*graph.Graph) {
 // what it holds on a mapped index too, the part of an index's footprint
 // its image's size does not show.
 type Memory struct {
-	StoreBytes  int // class entry and posting blocks: the image's slab, 0 when mapped
-	BitmapBytes int // class posting bitmaps: classes × graphs / 8, 0 before Pair
+	StoreBytes  int // class entry blocks: the image's slab, 0 when mapped
+	BitmapBytes int // class bitmaps: classes × graphs / 8, 0 before Pair
 	// FingerprintBytes is the prescreen fingerprints of the graphs the
 	// index serves, which the graphs carry (graph.FP): the segment fills
 	// it, counting its delta graphs too. Index.Memory leaves it 0.
@@ -77,7 +89,7 @@ func (x *Index) Memory() Memory {
 		m.BitmapBytes = 8 * len(x.list[0].bits) * len(x.list)
 	}
 	for _, c := range x.list {
-		m.StoreBytes += c.ents.size() + len(c.postBlock)
+		m.StoreBytes += c.ents.size()
 	}
 	if x.inMapping {
 		m.StoreBytes = 0
@@ -85,11 +97,11 @@ func (x *Index) Memory() Memory {
 	return m
 }
 
-// Candidates appends to dst, ascending, the graphs that are in the
-// postings of every one of classes and not in tombs (nil = none): the
-// structure-only candidate set, tombstoned ids dropped because the
-// postings keep deleted graphs until compaction. No classes means no
-// structural information: every live graph. The index must be paired.
+// Candidates appends to dst, ascending, the graphs that hold every one of
+// classes and are not in tombs (nil = none): the structure-only candidate
+// set, tombstoned ids dropped because the class stores keep deleted graphs
+// until compaction. No classes means no structural information: every live
+// graph. The index must be paired.
 func (x *Index) Candidates(dst []int32, classes []*Class, tombs *Tombstones) []int32 {
 	var dead []uint64
 	if tombs != nil {

@@ -17,8 +17,8 @@ import (
 )
 
 // sortedCandidates is the structural intersection Candidates replaced, kept
-// as its reference: decode each class's sorted posting list, intersect them
-// smallest first, then drop the tombstoned ids.
+// as its reference: decode each class's sorted graph list from its entry
+// runs, intersect them smallest first, then drop the tombstoned ids.
 func sortedCandidates(n int, classes []*Class, tombs *Tombstones) []int32 {
 	var cur []int32
 	if len(classes) == 0 {
@@ -26,11 +26,13 @@ func sortedCandidates(n int, classes []*Class, tombs *Tombstones) []int32 {
 			cur = append(cur, int32(id))
 		}
 	} else {
-		classes = slices.Clone(classes)
-		slices.SortFunc(classes, func(a, b *Class) int { return a.PostingCount() - b.PostingCount() })
-		cur = classes[0].AppendPostings(nil)
-		for _, c := range classes[1:] {
-			other := c.AppendPostings(nil)
+		lists := make([][]int32, len(classes))
+		for i, c := range classes {
+			lists[i] = runGraphs(c)
+		}
+		slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+		cur = lists[0]
+		for _, other := range lists[1:] {
 			kept := cur[:0]
 			for _, id := range cur {
 				if _, ok := slices.BinarySearch(other, id); ok {

@@ -66,18 +66,19 @@ type Class struct {
 	conds [][2]int32
 	path  *node
 
-	// ents are the stored entries and postBlock the postCount sorted
-	// unique graph ids containing the structure, both in the image's
-	// layout: sealed on the heap by a build, read into it by Load, or
-	// slices of the mapping of OpenMapped.
-	ents      entries
-	postBlock []byte
-	postCount int
-	stage     staging // entries and postings while a build folds them in
+	// ents are the stored entries in the image's layout: sealed on the
+	// heap by a build, read into it by Load, or slices of the mapping of
+	// OpenMapped. Their id runs are the class's one record of which graphs
+	// hold it.
+	ents  entries
+	stage staging // entries while a build folds them in
 
-	// bits is the posting set as one bit per graph of the paired database,
-	// heap-resident on a mapped class too (bitmap.go); nil until Pair.
-	bits []uint64
+	// bits is the set of graphs holding the structure as one bit per graph
+	// of the paired database, heap-resident on a mapped class too, and
+	// graphs its population; both filled from the entry runs at Pair
+	// (bitmap.go).
+	bits   []uint64
+	graphs int
 	// fragments counts the stored (key, graph) pairs: the ids over every
 	// entry's run. finalize counts them as it seals, checkBlocks as it
 	// walks an image's entry block.
@@ -92,21 +93,9 @@ type Class struct {
 // plus edge positions.
 func (c *Class) SeqLen() int { return c.vOff + c.NumE }
 
-// Postings returns the sorted graph ids containing this structure,
-// decoded afresh per call: the search path reads Index.Candidates instead.
-func (c *Class) Postings() []int32 {
-	return c.AppendPostings(make([]int32, 0, c.postCount))
-}
-
-// PostingCount returns the posting-list length without decoding it.
-func (c *Class) PostingCount() int { return c.postCount }
-
-// AppendPostings appends the sorted posting ids to dst and returns it.
-// Allocation-free when dst has capacity.
-func (c *Class) AppendPostings(dst []int32) []int32 {
-	cur := blockCursor{b: c.postBlock}
-	return cur.idList(dst)
-}
+// GraphCount returns how many graphs of the paired database contain the
+// structure; 0 before Pair.
+func (c *Class) GraphCount() int { return c.graphs }
 
 // Index is the fragment-based index over one graph database.
 type Index struct {
@@ -235,13 +224,11 @@ func newClass(id int, key string, code canon.Code, cg *graph.Graph, embs []canon
 	return c
 }
 
-// finalize seals every class's staged entries and postings into the
-// image's layout, one class at a time so the staging of the others is all
-// that stays live.
+// finalize seals every class's staged entries into the image's layout,
+// one class at a time so the staging of the others is all that stays live.
 func (x *Index) finalize() {
 	for _, c := range x.list {
-		c.postCount = len(c.stage.postings)
-		c.ents, c.fragments, c.postBlock = c.stage.seal(x.newEntries(c))
+		c.ents, c.fragments = c.stage.seal(x.newEntries(c))
 		c.stage = staging{}
 	}
 }
@@ -301,18 +288,8 @@ func (rb *RangeBuffer) recordRun(run []byte, d float64) {
 	seen, dense := rb.seen, rb.dense
 	id := int32(0)
 	for i := 0; i < len(run); {
-		gap := uint32(run[i])
-		i++
-		if gap >= 0x80 { // a uvarint of more than one byte, decoded in place
-			gap &= 0x7f
-			for shift := 7; i < len(run); shift += 7 {
-				b := run[i]
-				i++
-				if gap |= uint32(b&0x7f) << shift; b < 0x80 {
-					break
-				}
-			}
-		}
+		var gap uint32
+		gap, i = nextGap(run, i)
 		id += int32(gap)
 		if w, bit := int(id)>>6, uint64(1)<<(uint(id)&63); seen[w]&bit == 0 {
 			seen[w] |= bit
@@ -322,6 +299,24 @@ func (rb *RangeBuffer) recordRun(run []byte, d float64) {
 		}
 	}
 	rb.hi = max(rb.hi, int(id)>>6)
+}
+
+// nextGap decodes the uvarint at run[i] of a well-formed id run (appendIDs)
+// and returns it with the offset past it.
+func nextGap(run []byte, i int) (uint32, int) {
+	gap := uint32(run[i])
+	i++
+	if gap >= 0x80 { // a uvarint of more than one byte, decoded in place
+		gap &= 0x7f
+		for shift := 7; i < len(run); shift += 7 {
+			b := run[i]
+			i++
+			if gap |= uint32(b&0x7f) << shift; b < 0x80 {
+				break
+			}
+		}
+	}
+	return gap, i
 }
 
 // emit appends the recorded ids ascending, with their minimum distances
@@ -370,7 +365,6 @@ type Stats struct {
 	Classes   int
 	Fragments int // stored (key, graph) pairs: a key repeated in one graph counts once
 	Sequences int
-	Postings  int
 }
 
 // Stats computes summary statistics.
@@ -378,7 +372,6 @@ func (x *Index) Stats() Stats {
 	s := Stats{Classes: len(x.list)}
 	for _, c := range x.list {
 		s.Fragments += c.fragments
-		s.Postings += c.PostingCount()
 		s.Sequences += int(c.stats.Sequences)
 	}
 	return s

@@ -116,12 +116,10 @@ func TestBuildBasics(t *testing.T) {
 		if len(c.perms) == 0 {
 			t.Fatal("class without automorphism perms")
 		}
-		// Postings sorted ascending and unique.
-		p := c.Postings()
-		for i := 1; i < len(p); i++ {
-			if p[i] <= p[i-1] {
-				t.Fatalf("postings not sorted/unique: %v", p)
-			}
+		// The class bitmap holds exactly the graphs of the entry runs.
+		got, want := x.Candidates(nil, []*Class{c}, nil), runGraphs(c)
+		if !slices.Equal(got, want) || c.GraphCount() != len(want) {
+			t.Fatalf("class %d: bitmap %v (count %d), entry runs %v", c.ID, got, c.GraphCount(), want)
 		}
 		if x.Lookup(c.Key) != c {
 			t.Fatal("Lookup does not find class by key")
@@ -152,11 +150,11 @@ func TestPostingsMatchIsomorphismOracle(t *testing.T) {
 			}
 		}
 		got := map[int32]bool{}
-		for _, id := range c.Postings() {
+		for _, id := range x.Candidates(nil, []*Class{c}, nil) {
 			got[id] = true
 		}
 		if len(got) != len(want) {
-			t.Fatalf("class %d: postings %d, oracle %d", c.ID, len(got), len(want))
+			t.Fatalf("class %d: %d graphs, oracle %d", c.ID, len(got), len(want))
 		}
 		for id := range want {
 			if !got[id] {

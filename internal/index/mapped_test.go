@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,24 +134,19 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	}
 	queriesEqual(t, "streamed-vs-build", sx, x, db)
 
-	// Posting accessors agree between mapped and heap classes.
+	// Paired, mapped and heap classes hold the same graphs.
+	if err := mx.Pair(db); err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range x.Classes() {
 		mc := mx.Classes()[i]
 		if c.Key != mc.Key {
 			t.Fatalf("class %d key %q vs %q", i, c.Key, mc.Key)
 		}
-		if got, want := mc.PostingCount(), len(c.Postings()); got != want {
-			t.Fatalf("class %d posting count %d vs %d", i, got, want)
-		}
-		got := mc.AppendPostings(nil)
-		want := c.Postings()
-		if len(got) != len(want) {
-			t.Fatalf("class %d postings %v vs %v", i, got, want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("class %d postings %v vs %v", i, got, want)
-			}
+		got := mx.Candidates(nil, []*Class{mc}, nil)
+		want := x.Candidates(nil, []*Class{c}, nil)
+		if !slices.Equal(got, want) || mc.GraphCount() != c.GraphCount() {
+			t.Fatalf("class %d graphs %v vs %v", i, got, want)
 		}
 		if c.Fragments() != mc.Fragments() {
 			t.Fatalf("class %d fragments %d vs %d", i, c.Fragments(), mc.Fragments())
@@ -311,26 +307,20 @@ func TestMappedCorruption(t *testing.T) {
 	// Magic damage: not a v3 image at all.
 	expectFail("magic bitflip", flip(2), "index:")
 
-	// Slab damage: every class's entry and posting block, at its first
-	// byte, mid-point, and last byte.
+	// Slab damage: every class's entry block, at its first byte, mid-point,
+	// and last byte.
 	for ci := range x.Classes() {
 		mx, err := OpenMapped(path, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mc := mx.Classes()[ci]
-		for _, blk := range []struct {
-			name string
-			b    []byte
-		}{{"entry", mc.ents.ids[:mc.ents.size()]}, {"posting", mc.postBlock}} {
-			if len(blk.b) == 0 {
-				continue
-			}
+		if b := mc.ents.ids[:mc.ents.size()]; len(b) > 0 {
 			// Locate the block inside the file via its offset from the
 			// mapping's slab start.
-			start := slabOff + offsetIn(mx.mapping.Data()[slabOff:], blk.b)
-			for _, pos := range []int{start, start + len(blk.b)/2, start + len(blk.b) - 1} {
-				expectFail(blk.name+" block bitflip", flip(pos), blk.name+" block")
+			start := slabOff + offsetIn(mx.mapping.Data()[slabOff:], b)
+			for _, pos := range []int{start, start + len(b)/2, start + len(b) - 1} {
+				expectFail("entry block bitflip", flip(pos), "entry block")
 			}
 		}
 		mx.Close()

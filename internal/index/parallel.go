@@ -3,7 +3,7 @@
 // independent, so a worker pool computes each graph's insert operations
 // (computeOps) and a sequencer applies them in graph-id order (apply).
 // Sequenced application keeps the result bit-identical for any worker
-// count (the postings and id-run dedup rely on ascending ids); the serial
+// count (the id-run dedup relies on ascending ids); the serial
 // build is the same fold with the one worker inlined.
 
 package index
@@ -40,7 +40,7 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 
 // foldAndSeal folds the fragments of db[from:] into the class stores
 // (graphs below from are in them already, see Rebase) and seals the index
-// over db: entry and posting blocks, planner statistics, posting bitmaps.
+// over db: entry blocks, planner statistics, class bitmaps.
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
@@ -131,13 +131,10 @@ func (x *Index) foldParallel(db []*graph.Graph, from, workers int) {
 }
 
 // apply folds graph id's ops into the class stores. Ids must arrive
-// ascending: the postings dedup compares against the last id only.
+// ascending: the id-run dedup compares against the last id only.
 func (x *Index) apply(id int32, ops graphOps) {
 	keys := ops.keys
 	for _, c := range ops.classes {
-		if n := len(c.stage.postings); n == 0 || c.stage.postings[n-1] != id {
-			c.stage.postings = append(c.stage.postings, id)
-		}
 		c.stage.fold(keys[:c.SeqLen()], id)
 		keys = keys[c.SeqLen():]
 	}

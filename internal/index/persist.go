@@ -13,16 +13,17 @@
 //	                   db fingerprint, class count, a retired width (0),
 //	                   a retired fingerprint-section flag (0), slab offset +
 //	                   length
-//	directory section  per class: canonical code, vOff, stored (key, graph)
-//	                   pairs, posting count/offset/length/CRC, entry
-//	                   count/offset/length/CRC, planner stats
+//	directory section  per class: canonical code, vOff, five retired slots
+//	                   (stored pairs; a posting block's count, offset,
+//	                   length and CRC), entry count/offset/length/CRC,
+//	                   retired planner stats
 //	zero padding       to the page-aligned slab offset
-//	slab               per class: entry block, then posting block
+//	slab               per class: its entry block
 //
 // Everything above the slab is small and decoded onto the heap (the
-// "directory"); the slab — posting lists and stored entries, the part that
-// grows with the database — is read in place by the range query, on the
-// heap or through the mapping. Every section and every per-class slab
+// "directory"); the slab — the stored entries, the part that grows with
+// the database — is read in place by the range query, on the heap or
+// through the mapping. Every section and every per-class slab
 // block carries its own CRC32, so a reader names exactly what is corrupted
 // or truncated, in the same spirit as the store's WAL frames. The header
 // embeds the fingerprint of the exact graph set the index was built over,
@@ -31,20 +32,20 @@
 // the caller supplies an equivalent one to the reader — but its
 // vertex-blindness and whether it reads labels or weights are recorded and
 // checked, since both change the stored key layout. What a reader can
-// derive is not trusted or not stored: automorphism permutations, the
-// directory's pair counts and planner stats (written for older readers)
-// are rebuilt by the reader, and the per-graph prescreen fingerprints
-// are carried by the graphs themselves (graph.FP). Images of earlier
-// versions carry them in a section between the directory and the padding,
-// with the header's flag at 1; the reader finds the slab by its offset and
-// never reads that section.
+// derive is not stored: automorphism permutations, the pair counts and
+// the planner stats are rebuilt by the reader, a class's graph set is read
+// off its entries' id runs at Pair, and the per-graph prescreen
+// fingerprints are carried by the graphs themselves (graph.FP). The
+// directory keeps its retired slots so every kind has one layout; this
+// version writes 0 there and never reads them. Images of earlier versions
+// carry the fingerprints in a section between the directory and the
+// padding, with the header's flag at 1; the reader finds the slab by its
+// offset and never reads that section.
 //
-// Slab blocks (offsets in the directory are relative to the slab):
-//
-//	postings block   uvarint first id, then uvarint gaps (ascending ids)
-//	entry block      the id runs, then the keys (2 bytes a position for
-//	                 kind 3, 8 for kind 4), one lcp byte per entry and one
-//	                 uint32 run end per entry (slab.go)
+// An entry block (offsets in the directory are relative to the slab) is
+// the id runs — each its first graph id, then the gaps, as uvarints — then
+// the keys (2 bytes a position for label kinds, 8 for weight kinds), one
+// lcp byte per entry and one uint32 run end per entry (slab.go).
 //
 // Entries are sorted (label keys lexicographically, weight keys
 // numerically), so Save and the chunked streaming build lay out identical
@@ -81,15 +82,22 @@ import (
 // persistMagic leads the image; 8 bytes, checked verbatim.
 const persistMagic = "PISIDX3\n"
 
-// The header's kind byte names the entry layout. Kinds 0 to 2 are the
-// layouts of the per-class structures the repository once chose between
-// (trie, R-tree, VP-tree; kind 1 held weights): of such an image only the
-// header and directory are read, its classes open empty, and Pair rebuilds
-// them from the graphs. Older readers refuse kinds 3 and 4 by name.
+// The header's kind byte names the entry layout. Kinds 5 (label keys) and
+// 6 (weight keys) are this version's: a class is its entry block alone.
+// Kinds 3 and 4 lay out the same entry blocks, each followed in the slab by
+// a posting block repeating the graphs of the block's id runs; they open
+// as 5 and 6 do, and their posting blocks are never read. Kinds 0 to 2 are
+// the layouts of the per-class structures the repository once chose
+// between (trie, R-tree, VP-tree; kind 1 held weights): of such an image
+// only the header and directory are read, its classes open empty, and Pair
+// rebuilds them from the graphs. Readers that trust posting blocks refuse
+// kinds 5 and 6 as unknown instead of pairing empty graph sets.
 const (
-	kindOldWeights = 1
-	kindLabels     = 3
-	kindWeights    = 4
+	kindOldWeights    = 1
+	kindPostedLabels  = 3
+	kindPostedWeights = 4
+	kindLabels        = 5
+	kindWeights       = 6
 )
 
 // header is the image header Save and BuildStreaming write for x, over a
@@ -119,23 +127,15 @@ type v3Header struct {
 	slabLen     uint64
 }
 
-// v3DirClass is one decoded (or staged) directory entry.
+// v3DirClass is one decoded (or staged) directory entry, less its retired
+// slots.
 type v3DirClass struct {
-	code      canon.Code
-	vOff      int
-	fragments int
-
-	postCount int
-	postOff   uint64
-	postLen   uint64
-	postCRC   uint32
-
+	code     canon.Code
+	vOff     int
 	entCount int
 	entOff   uint64
 	entLen   uint64
 	entCRC   uint32
-
-	stats ClassStats
 }
 
 // v3DirClassMinBytes is the smallest directory entry: seven one-byte
@@ -208,24 +208,12 @@ func (x *Index) Save(w io.Writer) error {
 	sw := &v3SlabWriter{w: &slab}
 	dir := make([]v3DirClass, 0, len(x.list))
 	for _, c := range x.list {
-		dc := v3DirClass{
-			code:      c.Code,
-			vOff:      c.vOff,
-			fragments: c.fragments,
-			stats:     c.stats,
-		}
-		// Entries first, postings second, as the streaming build merges
-		// them.
+		dc := v3DirClass{code: c.Code, vOff: c.vOff, entCount: c.ents.n()}
 		dc.entOff = sw.beginBlock()
 		for _, col := range [][]byte{c.ents.ids, c.ents.keys, c.ents.lcp, c.ents.ends} {
 			sw.bytes(col)
 		}
-		dc.entCount = c.ents.n()
 		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
-		dc.postOff = sw.beginBlock()
-		dc.postCount = c.postCount
-		sw.bytes(c.postBlock)
-		dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
 		dir = append(dir, dc)
 	}
 	if sw.err != nil {
@@ -311,19 +299,17 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab io.Reader) e
 			dsw.Uvarint(uint64(t.LJ))
 		}
 		dsw.Uvarint(uint64(dc.vOff))
-		dsw.Uvarint(uint64(dc.fragments))
-		dsw.Uvarint(uint64(dc.postCount))
-		dsw.U64(dc.postOff)
-		dsw.U64(dc.postLen)
-		dsw.U32(dc.postCRC)
+		dsw.Uvarint(0) // retired: stored pairs
+		dsw.Uvarint(0) // retired: a posting block's count, offset, length, CRC
+		dsw.U64(0)
+		dsw.U64(0)
+		dsw.U32(0)
 		dsw.Uvarint(uint64(dc.entCount))
 		dsw.U64(dc.entOff)
 		dsw.U64(dc.entLen)
 		dsw.U32(dc.entCRC)
-		dsw.Uvarint(uint64(dc.stats.Sequences))
-		dsw.Uvarint(uint64(dc.stats.Pairs))
-		for _, h := range dc.stats.Hist {
-			dsw.Uvarint(uint64(h))
+		for range 2 + statsHistBuckets {
+			dsw.Uvarint(0) // retired: planner stats
 		}
 	}
 	if err := dsw.Flush(); err != nil {
@@ -381,10 +367,11 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, e
 	if hdr.kind > kindWeights {
 		return fail("mapped header: unknown kind %d", hdr.kind)
 	}
-	if (hdr.kind == kindWeights || hdr.kind == kindOldWeights) != distance.ReadsWeights(metric) {
+	weights := hdr.kind == kindOldWeights || hdr.kind == kindPostedWeights || hdr.kind == kindWeights
+	if weights != distance.ReadsWeights(metric) {
 		return fail("metric reads labels where the saved index stores weights, or the reverse")
 	}
-	if hdr.kind >= kindLabels && retired != 0 {
+	if hdr.kind >= kindPostedLabels && retired != 0 {
 		return fail("mapped header: signature width %d in a layout that has none", retired)
 	}
 	// Graph ids are int32 and every later count is bounded against a
@@ -420,28 +407,29 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, e
 			}
 		}
 		dc.vOff = int(sr.Uvarint())
-		sr.Uvarint() // stored pairs: checkBlocks counts them
-		postCount := sr.Uvarint()
-		dc.postOff = sr.U64()
-		dc.postLen = sr.U64()
-		dc.postCRC = sr.U32()
+		// Retired: stored pairs, which checkBlocks counts, and a posting
+		// block, whose graphs Pair reads off the entry runs.
+		sr.Uvarint()
+		sr.Uvarint()
+		sr.U64()
+		sr.U64()
+		sr.U32()
 		entCount := sr.Uvarint()
 		dc.entOff = sr.U64()
 		dc.entLen = sr.U64()
 		dc.entCRC = sr.U32()
 		for range 2 + statsHistBuckets {
-			sr.Uvarint() // planner stats: computeStats recomputes them
+			sr.Uvarint() // retired: planner stats, which computeStats computes
 		}
 		if err := sr.Err(); err != nil {
 			return fail("mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
 		}
-		// Every posting id and every stored entry occupies at least one
-		// byte of its block.
-		if postCount > dc.postLen || entCount > dc.entLen {
-			return fail("mapped directory: class %d/%d: %d postings in a %d-byte block, %d entries in a %d-byte block",
-				ci, hdr.nClasses, postCount, dc.postLen, entCount, dc.entLen)
+		// Every stored entry occupies at least one byte of its block.
+		if entCount > dc.entLen {
+			return fail("mapped directory: class %d/%d: %d entries in a %d-byte block",
+				ci, hdr.nClasses, entCount, dc.entLen)
 		}
-		dc.postCount, dc.entCount = int(postCount), int(entCount)
+		dc.entCount = int(entCount)
 		dir = append(dir, dc)
 	}
 
@@ -484,11 +472,12 @@ func codeGraph(code canon.Code) (*graph.Graph, error) {
 }
 
 // decodeV3 is the one reader: parse and bound the metadata, scaffold the
-// classes, locate and checksum each class's slab blocks, walk them once
+// classes, locate and checksum each class's entry block, walk it once
 // (checkBlocks) and compute the planner stats. The classes hold their
-// blocks in place: in data, or, when heap is set, in a copy of the slab
-// alone, so the rest of data can be collected. An image of an older
-// layout keeps data whole for Save, and its classes open empty.
+// blocks in place: in data, or, when heap is set, in copies of their entry
+// blocks alone, so the rest of data, the posting blocks of kinds 3 and 4
+// among it, can be collected. An image of an older layout keeps data
+// whole for Save, and its classes open empty.
 func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 	hdr, dir, err := parseV3Meta(data, metric)
 	if err != nil {
@@ -507,10 +496,8 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		fingerprint: hdr.fingerprint,
 	}
 	slab := data[hdr.slabOff : hdr.slabOff+hdr.slabLen]
-	if hdr.kind < kindLabels {
+	if hdr.kind < kindPostedLabels {
 		x.image = data
-	} else if heap {
-		slab = bytes.Clone(slab)
 	}
 	seen := make(map[string]bool, len(dir))
 	for i, dc := range dir {
@@ -534,30 +521,23 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		if x.image != nil {
 			continue
 		}
-		block := func(what string, off, length uint64, crc uint32) ([]byte, error) {
-			if off+length < off || off+length > uint64(len(slab)) {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: truncated (slab %d bytes, block needs %d)", i, what, len(slab), off+length)
-			}
-			b := slab[off : off+length : off+length]
-			if got := crc32.ChecksumIEEE(b); got != crc {
-				return nil, fmt.Errorf("index: mapped slab: class %d %s block: checksum mismatch (stored %08x, computed %08x)", i, what, crc, got)
-			}
-			return b, nil
+		off, end := dc.entOff, dc.entOff+dc.entLen
+		if end < off || end > uint64(len(slab)) {
+			return nil, fmt.Errorf("index: mapped slab: class %d entry block: truncated (slab %d bytes, block needs %d)", i, len(slab), end)
 		}
-		entBlock, err := block("entry", dc.entOff, dc.entLen, dc.entCRC)
-		if err != nil {
-			return nil, err
+		b := slab[off:end:end]
+		if got := crc32.ChecksumIEEE(b); got != dc.entCRC {
+			return nil, fmt.Errorf("index: mapped slab: class %d entry block: checksum mismatch (stored %08x, computed %08x)", i, dc.entCRC, got)
 		}
-		if c.postBlock, err = block("posting", dc.postOff, dc.postLen, dc.postCRC); err != nil {
-			return nil, err
+		if heap {
+			b = bytes.Clone(b)
 		}
-		c.postCount = dc.postCount
 		var ok bool
-		if c.ents, ok = splitEntries(entBlock, dc.entCount, c.ents); !ok {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: %d bytes cannot hold %d entries", i, len(entBlock), dc.entCount)
+		if c.ents, ok = splitEntries(b, dc.entCount, c.ents); !ok {
+			return nil, fmt.Errorf("index: mapped slab: class %d entry block: %d bytes cannot hold %d entries", i, len(b), dc.entCount)
 		}
-		if what := x.checkBlocks(c); what != "" {
-			return nil, fmt.Errorf("index: mapped slab: class %d %s block: malformed (an id outside the %d-graph database or out of order, a run that does not end where its entry says, or an lcp byte that is not its key's)", i, what, hdr.dbSize)
+		if !x.checkBlocks(c) {
+			return nil, fmt.Errorf("index: mapped slab: class %d entry block: malformed (an id outside the %d-graph database or out of order, a run that does not end where its entry says, or an lcp byte that is not its key's)", i, hdr.dbSize)
 		}
 	}
 	x.plant()
@@ -565,18 +545,13 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 	return x, nil
 }
 
-// checkBlocks walks c's checksummed blocks once and proves what a CRC
-// cannot: every graph id lies in [0, dbSize), every id list ascends
-// strictly, the posting block holds postCount ids, every entry's run is
-// non-empty and ends where the next begins, and every lcp byte is the
-// prefix its key shares with the one before. It names the offending
-// block, or returns "". The walk also counts c.fragments.
-func (x *Index) checkBlocks(c *Class) string {
+// checkBlocks walks c's checksummed entry block once and proves what a
+// CRC cannot: every graph id lies in [0, dbSize), every id run ascends
+// strictly, is non-empty and ends where the next begins, and every lcp
+// byte is the prefix its key shares with the one before. The walk also
+// counts c.fragments.
+func (x *Index) checkBlocks(c *Class) bool {
 	limit := uint64(x.dbSize)
-	cur := blockCursor{b: c.postBlock}
-	if cur.countIDs(limit) != c.postCount || cur.bad {
-		return "posting"
-	}
 	es := &c.ents
 	prev := 0
 	for e := 0; e < es.n(); e++ {
@@ -585,26 +560,22 @@ func (x *Index) checkBlocks(c *Class) string {
 			lcp = es.commonPrefix(e)
 		}
 		if end <= prev || end > len(es.ids) || int(es.lcp[e]) != lcp {
-			return "entry"
+			return false
 		}
 		cur := blockCursor{b: es.ids[prev:end]}
 		c.fragments += cur.countIDs(limit)
 		if cur.bad {
-			return "entry"
+			return false
 		}
 		prev = end
 	}
-	if prev != len(es.ids) {
-		return "entry"
-	}
-	return ""
+	return prev == len(es.ids)
 }
 
 // OpenMapped opens an index file through a memory mapping: the directory
-// (class keys and offsets) is decoded onto the heap, posting and entry
-// blocks stay in the mapping and are read there at query time; Pair adds
-// the posting bitmaps, on the heap. Every
-// block is checksummed and walked here, so corruption fails at open with
+// (class keys and offsets) is decoded onto the heap, entry blocks stay in
+// the mapping and are read there at query time; Pair adds the class
+// bitmaps, on the heap. Every block is checksummed and walked here, so corruption fails at open with
 // the damaged section named instead of surfacing as wrong answers later.
 // The caller owns the returned index's Close.
 func OpenMapped(path string, metric distance.Metric) (*Index, error) {

@@ -25,22 +25,19 @@ func Rebase(old *Index, remap []int32, db []*graph.Graph, firstNew, workers int)
 		opts:    old.opts,
 		weights: old.weights,
 	}
-	moved := func(dst, ids []int32) []int32 {
-		for _, id := range ids {
-			if to := remap[id]; to >= 0 {
-				dst = append(dst, to)
-			}
-		}
-		return dst
-	}
 	var ids []int32 // one entry's run, moved
 	for _, oc := range old.list {
 		c := &Class{ID: oc.ID, Key: oc.Key, Code: oc.Code, Structure: oc.Structure,
 			NumV: oc.NumV, NumE: oc.NumE, vOff: oc.vOff, perms: oc.perms, conds: oc.conds}
 		x.list = append(x.list, c)
-		c.stage.postings = moved(make([]int32, 0, oc.PostingCount()), oc.Postings())
 		oc.eachEntry(func(key []uint64, run []int32) {
-			if ids = moved(ids[:0], run); len(ids) > 0 {
+			ids = ids[:0]
+			for _, id := range run {
+				if to := remap[id]; to >= 0 {
+					ids = append(ids, to)
+				}
+			}
+			if len(ids) > 0 {
 				c.stage.fold(key, ids...)
 			}
 		})

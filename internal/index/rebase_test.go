@@ -47,15 +47,15 @@ func TestRebaseEqualsBuild(t *testing.T) {
 		// leaves a class the base contributes nothing to.
 		var rare *Class
 		for _, c := range heap.Classes() {
-			if n := c.PostingCount(); n > 0 && (rare == nil || n < rare.PostingCount()) {
+			if n := c.GraphCount(); n > 0 && (rare == nil || n < rare.GraphCount()) {
 				rare = c
 			}
 		}
-		if rare == nil || rare.PostingCount() > nBase/2 {
+		if rare == nil || rare.GraphCount() > nBase/2 {
 			t.Fatalf("%s: no class to empty and keep half the base", tc.name)
 		}
 		inRare := make(map[int]bool)
-		for _, id := range rare.Postings() {
+		for _, id := range heap.Candidates(nil, []*Class{rare}, nil) {
 			inRare[int(id)] = true
 		}
 

@@ -154,16 +154,15 @@ func appendIDs(b []byte, ids []int32) []byte {
 	return b
 }
 
-// staging collects a class's entries and postings in arrival order while
-// an index is built or rebased. Folding as they arrive keeps one id run
+// staging collects a class's entries in arrival order while an index is
+// built or rebased. Folding as they arrive keeps one id run
 // per distinct key; one key per fragment occurrence would hold hundreds of
 // copies.
 type staging struct {
-	at       map[string]int // key bytes → entry
-	keys     []uint64
-	runs     [][]int32
-	buf      []byte
-	postings []int32 // ascending graph ids holding the class's structure
+	at   map[string]int // key bytes → entry
+	keys []uint64
+	runs [][]int32
+	buf  []byte
 }
 
 // fold records that the graphs ids contain a fragment with this key. A
@@ -211,8 +210,8 @@ func (st *staging) each(keyLen int, weights bool, fn func(key []uint64, run []in
 }
 
 // seal lays out the staged entries as one entry block, returning them
-// with the count of stored (key, graph) pairs, and the postings.
-func (st *staging) seal(es entries) (_ entries, fragments int, postings []byte) {
+// with the count of stored (key, graph) pairs.
+func (st *staging) seal(es entries) (_ entries, fragments int) {
 	st.each(es.keyLen, es.width == 8, func(key []uint64, run []int32) {
 		n := len(es.ids)
 		es.ids = appendIDs(es.ids, run)
@@ -221,7 +220,7 @@ func (st *staging) seal(es entries) (_ entries, fragments int, postings []byte) 
 	})
 	block := slices.Concat(es.ids, es.keys, es.lcp, es.ends)
 	es, _ = splitEntries(block, es.n(), es)
-	return es, fragments, appendIDs(nil, st.postings)
+	return es, fragments
 }
 
 func compareKeys(a, b []uint64, weights bool) int {

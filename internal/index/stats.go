@@ -5,7 +5,8 @@
 // the range query is likely to eliminate, and roughly what the probe
 // costs. Both come from the class the fragment canonicalizes into:
 //
-//   - structural selectivity is free — the posting-list length is exact;
+//   - structural selectivity is free — the class bitmap's population
+//     (Class.GraphCount) is exact;
 //   - distance selectivity is summarized by a sampled histogram of
 //     fragment-to-fragment superimposed distances among the class's
 //     stored sequences. Query fragments are themselves fragments of
@@ -16,10 +17,10 @@
 //
 // Statistics are computed whenever an index is sealed — a build, or the
 // merge a compaction runs (Rebase), which keeps the features but not the
-// statistics — and again whenever an image is opened: the copy the image's
-// directory carries is written for older readers and never trusted.
-// Sampling is fixed-stride over the sorted entries, never randomized, so
-// Build, BuildParallel, BuildStreaming, Rebase and every open of the same
+// statistics — and again whenever an image is opened: images do not store
+// them (the directory's slots for them read 0, and an older image's copy
+// is never read). Sampling is fixed-stride over the sorted entries, never
+// randomized, so Build, BuildParallel, Rebase and every open of the same
 // index agree bit for bit.
 
 package index
@@ -34,9 +35,6 @@ const statsSamplePerClass = 12
 
 // ClassStats summarizes one class's selectivity for the query planner.
 type ClassStats struct {
-	// Postings is the posting-list length: graphs containing the
-	// structure. Exact, not sampled.
-	Postings int32
 	// Sequences is the number of stored entries: distinct keys.
 	Sequences int32
 	// Pairs counts the sampled sequence pairs behind Hist; 0 means the
@@ -90,14 +88,14 @@ func (c *Class) ProbeCost() float64 {
 // computeStats fills every class's planner statistics from its entries.
 func (x *Index) computeStats() {
 	for _, c := range x.list {
-		c.stats = x.classStats(c, &c.ents, c.postCount)
+		c.stats = x.classStats(c)
 	}
 }
 
-// classStats is the statistics of class c storing es, over postings
-// graphs: the pair histogram of at most statsSamplePerClass keys spread
-// evenly over the entries.
-func (x *Index) classStats(c *Class, es *entries, postings int) ClassStats {
+// classStats is the statistics of class c: the pair histogram of at most
+// statsSamplePerClass keys spread evenly over its entries.
+func (x *Index) classStats(c *Class) ClassStats {
+	es := &c.ents
 	var keys [][]uint64
 	n := es.n()
 	for e := 0; e < n && len(keys) < statsSamplePerClass; e += sampleStride(n) {
@@ -105,7 +103,7 @@ func (x *Index) classStats(c *Class, es *entries, postings int) ClassStats {
 		es.key(key, e)
 		keys = append(keys, key)
 	}
-	return x.pairStats(c, keys, int32(postings), int32(n))
+	return x.pairStats(c, keys, int32(n))
 }
 
 // sampleStride is the step that spreads at most statsSamplePerClass
@@ -116,8 +114,8 @@ func sampleStride(n int) int {
 
 // pairStats histograms the fragment distance of every pair among the
 // sampled keys.
-func (x *Index) pairStats(c *Class, keys [][]uint64, postings, sequences int32) ClassStats {
-	cs := ClassStats{Postings: postings, Sequences: sequences}
+func (x *Index) pairStats(c *Class, keys [][]uint64, sequences int32) ClassStats {
+	cs := ClassStats{Sequences: sequences}
 	for i := range keys {
 		for _, other := range keys[i+1:] {
 			b := statsHistBuckets - 1

@@ -1,17 +1,14 @@
 // Out-of-core index construction. BuildStreaming is the in-memory build
 // run over the stream one bounded chunk of graphs at a time: it folds each
 // chunk as BuildParallel does (computeOps → apply, on the same worker
-// pool) under chunk-local ids, writes the chunk's sorted entries and
-// postings to a run file, and drops the chunk. Chunks cover ascending,
-// disjoint id ranges, so the merge is a concatenation: a class's entries
-// merge by key, a key found in several chunks taking their id runs in
-// chunk order, each shifted by its chunk's first id, and postings are the
-// chunks' lists end to end. The merge writes each id run to the image as
-// it forms and appends the class's fixed-width columns when the class ends
-// (slab.go). Planner statistics come from those columns by the
-// fixed-stride rule of every build (classStats), so the image is Save's of
-// BuildParallel over the same graphs, byte for byte, whatever the chunk
-// bound.
+// pool) under chunk-local ids, writes the chunk's sorted entries to a run
+// file, and drops the chunk. Chunks cover ascending, disjoint id ranges,
+// so the merge is a concatenation: a class's entries merge by key, a key
+// found in several chunks taking their id runs in chunk order, each
+// shifted by its chunk's first id. The merge writes each id run to the
+// image as it forms and appends the class's fixed-width columns when the
+// class ends (slab.go), so the image is Save's of BuildParallel over the
+// same graphs, byte for byte, whatever the chunk bound.
 
 package index
 
@@ -42,8 +39,8 @@ type StreamResult struct {
 	// SpillBytes the bytes of those files.
 	SpillRuns  int
 	SpillBytes int64
-	// RawPostingBytes is the uncompressed (4 bytes per id and symbol)
-	// volume of every posting list and stored entry — the
+	// RawPostingBytes is the uncompressed volume of every stored entry, 4
+	// bytes per graph id of its run and 4 or 8 per key position — the
 	// "total posting bytes" a heap build would hold resident, and the
 	// denominator of the build's peak-RSS budget.
 	RawPostingBytes int64
@@ -149,9 +146,9 @@ func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 // writeChunk folds chunk under ids from 0 and writes the classes to a run
 // file at name: per class its entry count, then every entry in key order
-// (each key position a uvarint, the run's length and the run), then the
-// postings' count and the postings. It leaves the class stores empty and
-// returns the run, open for reading, and its size.
+// (each key position a uvarint, the run's length and the run). It leaves
+// the class stores empty and returns the run, open for reading, and its
+// size.
 func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64, error) {
 	x.fold(chunk, 0, 0)
 	f, err := os.Create(name)
@@ -169,8 +166,6 @@ func (x *Index) writeChunk(chunk []*graph.Graph, name string) (*runReader, int64
 			sw.uvarint(uint64(len(run)))
 			sw.ids(run)
 		})
-		sw.uvarint(uint64(len(c.stage.postings)))
-		sw.ids(c.stage.postings)
 		c.stage = staging{}
 	}
 	sw.flushBuf()
@@ -201,18 +196,9 @@ func (r *runReader) uvarint() uint64 {
 	return v
 }
 
-// idList reads n ids (first, then gaps) into r.ids, shifted by base.
-func (r *runReader) idList(n uint64) {
-	r.ids = r.ids[:0]
-	id := r.base
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		id += int32(r.uvarint())
-		r.ids = append(r.ids, id)
-	}
-}
-
-// next reads the current class's next entry into key and ids, reporting
-// false once the class has none left or the run is unreadable.
+// next reads the current class's next entry into key and ids (its first id,
+// then the gaps, shifted by base), reporting false once the class has none
+// left or the run is unreadable.
 func (r *runReader) next() bool {
 	if r.left == 0 || r.err != nil {
 		return false
@@ -221,7 +207,12 @@ func (r *runReader) next() bool {
 	for i := range r.key {
 		r.key[i] = r.uvarint()
 	}
-	r.idList(r.uvarint())
+	r.ids = r.ids[:0]
+	id := r.base
+	for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+		id += int32(r.uvarint())
+		r.ids = append(r.ids, id)
+	}
 	return r.err == nil
 }
 
@@ -273,7 +264,6 @@ func (x *Index) mergeRuns(runs []*runReader, w io.Writer, res *StreamResult) ([]
 			run = appendIDs(run[:0], ids)
 			sw.bytes(run)
 			es.add(key, len(run))
-			dc.fragments += len(ids)
 			res.RawPostingBytes += elem*int64(L) + 4*int64(len(ids))
 		}
 		for _, col := range [][]byte{es.keys, es.lcp, es.ends} {
@@ -281,25 +271,11 @@ func (x *Index) mergeRuns(runs []*runReader, w io.Writer, res *StreamResult) ([]
 		}
 		dc.entCount = es.n()
 		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
-
-		dc.postOff = sw.beginBlock()
-		prev := int32(0)
-		for _, r := range runs {
-			r.idList(r.uvarint())
-			for _, id := range r.ids {
-				sw.uvarint(uint64(uint32(id - prev)))
-				prev = id
-			}
-			dc.postCount += len(r.ids)
-		}
-		dc.postLen, dc.postCRC = sw.endBlock(dc.postOff)
-		res.RawPostingBytes += 4 * int64(dc.postCount)
 		for _, r := range runs {
 			if r.err != nil {
 				return nil, 0, r.err
 			}
 		}
-		dc.stats = x.classStats(c, &es, dc.postCount)
 	}
 	return dir, sw.off, sw.err
 }

@@ -1,6 +1,5 @@
 // Tombstones mark graphs deleted from a live database segment without
-// rebuilding its index. The posting lists and per-class structures keep
-// the dead ids; every read path filters them out instead, so a delete is
+// rebuilding its index. The class stores and bitmaps keep the dead ids; every read path filters them out instead, so a delete is
 // O(1) and the index stays exactly the structure the paper's pruning
 // guarantees were proven over. Compaction eventually rebuilds the index
 // without the dead graphs and drops the tombstone set.

@@ -78,7 +78,7 @@ type Config struct {
 	// image instead of heap-resident: builds and compactions save the
 	// index and reopen it through index.OpenMapped, OpenDurable maps the
 	// snapshot's index side file directly, and only the class directory
-	// lives on the heap — posting and entry slabs stay in the page cache.
+	// and bitmaps live on the heap — the entry slab stays in the page cache.
 	// Residency is a per-open choice: the store's files are the same
 	// either way, and so are the answers. With MappedIndex set, Close
 	// also unmaps the index, so the segment must not serve queries after

@@ -421,7 +421,6 @@ func (d *DB) Stats() (total index.Stats, memory index.Memory) {
 		total.Classes = max(total.Classes, s.Classes)
 		total.Fragments += s.Fragments
 		total.Sequences += s.Sequences
-		total.Postings += s.Postings
 		memory.StoreBytes += m.StoreBytes
 		memory.BitmapBytes += m.BitmapBytes
 		memory.FingerprintBytes += m.FingerprintBytes

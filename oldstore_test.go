@@ -17,8 +17,8 @@ import (
 // fingerprints carry class signature words, and label (kind 3) and weight
 // (kind 4) images that carry a fingerprint section — opens heap-resident
 // and mapped, answers every search as SearchNaive over the same graphs
-// does, and after a checkpoint its side file is written in today's layout,
-// with no fingerprint section.
+// does, and after a checkpoint its side file is written in today's layout
+// (kind 5 for labels, 6 for weights), with no fingerprint section.
 func TestOldIndexImagesOpenInStores(t *testing.T) {
 	// The graphs the images were built over.
 	parent := chem.Generate(12, chem.Config{Seed: 3, Weighted: true})
@@ -30,13 +30,13 @@ func TestOldIndexImagesOpenInStores(t *testing.T) {
 		sigmas []float64
 		kind   byte
 	}{
-		{"kind0-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 3},
-		{"kind0-labels-full.pisidx3", pis.FullMutation, parent, []float64{0, 1, 2}, 3},
-		{"kind1-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 4},
-		{"kind2-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 3},
-		{"sig2-labels.pisidx3", pis.EdgeMutation, sig, []float64{0, 1, 2}, 3},
-		{"kind3-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 3},
-		{"kind4-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 4},
+		{"kind0-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 5},
+		{"kind0-labels-full.pisidx3", pis.FullMutation, parent, []float64{0, 1, 2}, 5},
+		{"kind1-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 6},
+		{"kind2-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 5},
+		{"sig2-labels.pisidx3", pis.EdgeMutation, sig, []float64{0, 1, 2}, 5},
+		{"kind3-labels.pisidx3", pis.EdgeMutation, parent, []float64{0, 1, 2}, 5},
+		{"kind4-weights.pisidx3", pis.LinearEdgeDistance, parent, []float64{0, 0.05, 0.3}, 6},
 	} {
 		image, err := os.ReadFile(filepath.Join("internal", "index", "testdata", "images", tc.file))
 		if err != nil {

@@ -160,10 +160,10 @@ type Options struct {
 	// on-disk image (the PISIDX3 layout) instead of heap-resident: builds
 	// and compactions write the index to disk and reopen it through mmap,
 	// and Open maps the snapshot's index side file directly. The class
-	// posting and entry blocks are the same bytes either way and are read
-	// by the same scan; mapped, they stay in the kernel page cache and
-	// are demand-paged, so the index can exceed RAM, while the directory
-	// and the posting bitmaps stay on the heap. A durable store holds
+	// entry blocks are the same bytes either way and are read by the same
+	// scan; mapped, they stay in the kernel page cache and are
+	// demand-paged, so the index can exceed RAM, while the directory and
+	// the class bitmaps stay on the heap. A durable store holds
 	// the same files either way, so each Open may choose afresh. Answers
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
@@ -515,15 +515,15 @@ type IndexStats struct {
 	// Tombstones counts deleted graphs not yet compacted away.
 	Delta      int `json:"delta"`
 	Tombstones int `json:"tombstones"`
-	// StoreBytes is the class entry and posting blocks the index holds on
-	// the heap, summed over the shards: the slab of its image, 0 under
-	// MappedIndex, where those bytes stay in the mapping.
+	// StoreBytes is the class entry blocks the index holds on the heap,
+	// summed over the shards: the slab of its image, 0 under MappedIndex,
+	// where those bytes stay in the mapping.
 	StoreBytes int `json:"store_bytes"`
 	// BitmapBytes and FingerprintBytes are heap beside the stored
 	// sequences, summed over the shards — resident under MappedIndex too,
-	// and not part of the index file: the class posting bitmaps the
-	// structural intersection ANDs (features × graphs / 8 per shard),
-	// computed from the graphs when an index is opened, and the prescreen
+	// and not part of the index file: the class bitmaps the structural
+	// intersection ANDs (features × graphs / 8 per shard), read off the
+	// entry blocks' id runs when an index is opened, and the prescreen
 	// fingerprints the base and delta graphs carry (graph.FP).
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
