@@ -157,7 +157,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 		return fail(fmt.Errorf("pis: %w", err))
 	}
 	cn.co = co
-	cn.querySurface = querySurface{fan: co, queryTimeout: opts.QueryTimeout}
+	cn.querySurface = querySurface{shards: co.Searchers(), queryTimeout: opts.QueryTimeout}
 	return cn, nil
 }
 

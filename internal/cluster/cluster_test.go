@@ -181,7 +181,7 @@ func TestRemoteShardMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := co.SearchCtx(ctx, q, sigma)
+			got, err := shard.FanOutSearch(ctx, co.Searchers(), q, sigma)
 			if err != nil {
 				t.Fatalf("query %d σ=%g: %v", qi, sigma, err)
 			}
@@ -196,7 +196,7 @@ func TestRemoteShardMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotNS, err := co.SearchKNNCtx(ctx, q, 4, 10)
+		gotNS, err := shard.FanOutKNN(ctx, co.Searchers(), q, 4, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	nodeB.Close()
 	failovers := mFailovers.Value() + mHedges.Value()
 	for i := 0; i < 4; i++ {
-		if _, err := co.SearchCtx(ctx, graphs[i], 1); err != nil {
+		if _, err := shard.FanOutSearch(ctx, co.Searchers(), graphs[i], 1); err != nil {
 			t.Fatalf("query with one replica down: %v", err)
 		}
 	}
@@ -320,7 +320,7 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	// Kill the second: quorum loss.
 	nodeA.Close()
 	lost := mQuorumLost.Value()
-	_, err = co.SearchCtx(ctx, graphs[0], 1)
+	_, err = shard.FanOutSearch(ctx, co.Searchers(), graphs[0], 1)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -400,7 +400,7 @@ func hedgeQueries(t *testing.T, co *Coordinator, seg *segment.Segment, tarpit st
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		co.peers[tarpit].up.Store(true)
-		r, err := co.SearchCtx(ctx, graphs[i], 1.5)
+		r, err := shard.FanOutSearch(ctx, co.Searchers(), graphs[i], 1.5)
 		if err != nil {
 			t.Fatalf("hedged query %d: %v", i, err)
 		}

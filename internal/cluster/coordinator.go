@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"pis/internal/binio"
-	"pis/internal/core"
 	"pis/internal/graph"
 	"pis/internal/shard"
 )
@@ -242,17 +241,10 @@ func (c *Coordinator) Close() {
 // NumShards returns the global shard count.
 func (c *Coordinator) NumShards() int { return len(c.searchers) }
 
-// SearchCtx fans the query out to every shard — each served by
-// whichever replica answers first — and merges exactly like the
-// single-process database.
-func (c *Coordinator) SearchCtx(ctx context.Context, q *graph.Graph, sigma float64) (core.Result, error) {
-	return shard.FanOutSearch(ctx, c.searchers, q, sigma)
-}
-
-// SearchKNNCtx runs the shrinking-radius kNN merge over remote shards.
-func (c *Coordinator) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, maxSigma float64) ([]core.Neighbor, error) {
-	return shard.FanOutKNN(ctx, c.searchers, q, k, maxSigma)
-}
+// Searchers returns one searcher per global shard, each served by
+// whichever replica answers first: what shard.FanOutSearch and
+// shard.FanOutKNN merge exactly like the single-process database.
+func (c *Coordinator) Searchers() []shard.Searcher { return c.searchers }
 
 // Insert assigns the next global id, routes the graph to a shard
 // (round-robin), and broadcasts it to the shard's replicas. At least

@@ -10,7 +10,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -138,29 +137,4 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 		return nil, nil, err
 	}
 	return g, b, nil
-}
-
-// Fingerprint hashes the full contents of an ordered graph set (labels,
-// weights, edge structure, graph order) into a 64-bit value that is never
-// zero, so zero can mean "no fingerprint recorded". A persisted index
-// carries the fingerprint of the set it was built over; loading it
-// against any other set fails instead of silently returning wrong
-// answers.
-func Fingerprint(graphs []*Graph) uint64 {
-	h := fnv.New64a()
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(graphs)))
-	h.Write(scratch[:n])
-	var buf []byte
-	for _, g := range graphs {
-		buf = g.AppendBinary(buf[:0])
-		n := binary.PutUvarint(scratch[:], uint64(len(buf)))
-		h.Write(scratch[:n])
-		h.Write(buf)
-	}
-	fp := h.Sum64()
-	if fp == 0 {
-		return 1
-	}
-	return fp
 }

@@ -1,8 +1,7 @@
-// Incremental form of Fingerprint for streaming builds that never hold
-// the whole graph set in memory. NewFingerprinter(n) + n×Add + Sum is
-// bit-identical to Fingerprint over the same n graphs in the same order:
-// the set size is hashed first, which is why it must be declared up
-// front.
+// The database fingerprint, hashed by one loop: Fingerprint feeds it a
+// slice, and a streaming build that never holds the whole graph set in
+// memory feeds it one graph at a time. The set size is hashed first,
+// which is why NewFingerprinter must be told it up front.
 
 package graph
 
@@ -11,6 +10,20 @@ import (
 	"hash"
 	"hash/fnv"
 )
+
+// Fingerprint hashes the full contents of an ordered graph set (labels,
+// weights, edge structure, graph order) into a 64-bit value that is never
+// zero, so zero can mean "no fingerprint recorded". A persisted index
+// carries the fingerprint of the set it was built over; loading it
+// against any other set fails instead of silently returning wrong
+// answers.
+func Fingerprint(graphs []*Graph) uint64 {
+	f := NewFingerprinter(len(graphs))
+	for _, g := range graphs {
+		f.Add(g)
+	}
+	return f.Sum()
+}
 
 // Fingerprinter accumulates the database fingerprint one graph at a time.
 type Fingerprinter struct {
@@ -36,7 +49,7 @@ func (f *Fingerprinter) Add(g *Graph) {
 	f.h.Write(f.buf)
 }
 
-// Sum returns the fingerprint, never zero (matching Fingerprint).
+// Sum returns the fingerprint, never zero.
 func (f *Fingerprinter) Sum() uint64 {
 	fp := f.h.Sum64()
 	if fp == 0 {

@@ -238,7 +238,7 @@ func measureRestart(x *index.Index, rep *BenchReport) {
 	rep.IndexBytes = image.Len()
 
 	start = time.Now()
-	if _, err := index.Load(bytes.NewReader(image.Bytes()), metric); err == nil {
+	if _, err := index.LoadBytes(image.Bytes(), metric); err == nil {
 		rep.IndexLoadMS = ms(time.Since(start))
 		rep.IndexOpenMSHeap = rep.IndexLoadMS
 		if rep.IndexLoadMS > 0 {

@@ -166,7 +166,7 @@ func TestSignatureImageOpens(t *testing.T) {
 	if hdr, _, err := parseV3Meta(data, metric); err != nil || signatureWidth(data) != 2 {
 		t.Fatalf("the pinned image should carry 2 signature words: header %+v, err %v", hdr, err)
 	}
-	hx, err := Load(bytes.NewReader(data), metric)
+	hx, err := LoadBytes(data, metric)
 	if err != nil {
 		t.Fatal(err)
 	}

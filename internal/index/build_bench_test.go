@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,7 +65,7 @@ func BenchmarkPair(b *testing.B) {
 		b.Fatal(err)
 	}
 	open := map[string]func() (*Index, error){
-		"heap":   func() (*Index, error) { return Load(bytes.NewReader(image), metric) },
+		"heap":   func() (*Index, error) { return LoadBytes(image, metric) },
 		"mapped": func() (*Index, error) { return OpenMapped(path, metric) },
 	}
 	for _, name := range []string{"heap", "mapped"} {

@@ -21,7 +21,7 @@ func TestPairSectionlessImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func() *Index {
-		y, err := Load(bytes.NewReader(buf.Bytes()), metric)
+		y, err := LoadBytes(buf.Bytes(), metric)
 		if err != nil {
 			t.Fatal(err)
 		}

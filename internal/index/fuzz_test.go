@@ -115,7 +115,7 @@ func FuzzIndexLoad(f *testing.F) {
 		if full {
 			metric = distance.FullMutation{}
 		}
-		hx, herr := Load(bytes.NewReader(data), metric)
+		hx, herr := LoadBytes(data, metric)
 		mx, merr := openV3(data, metric, nil)
 		if (herr == nil) != (merr == nil) {
 			t.Fatalf("readers disagree: Load %v, openV3 %v", herr, merr)

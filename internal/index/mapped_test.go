@@ -98,7 +98,7 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hx, err := Load(bytes.NewReader(data), metric)
+	hx, err := LoadBytes(data, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	if !bytes.Equal(buf.Bytes(), data) {
 		t.Fatal("mapped Save is not the file image")
 	}
-	rx, err := Load(&buf, metric)
+	rx, err := LoadBytes(buf.Bytes(), metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMappedDifferentialVPTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hx, err := Load(bytes.NewReader(data), metric)
+	hx, err := LoadBytes(data, metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMappedCorruption(t *testing.T) {
 			t.Fatalf("%s: error %q does not name %q", name, err, wantSub)
 		}
 		// The heap reader shares the mapped reader's prologue: same error.
-		if _, herr := Load(bytes.NewReader(data), metric); herr == nil || herr.Error() != err.Error() {
+		if _, herr := LoadBytes(data, metric); herr == nil || herr.Error() != err.Error() {
 			t.Fatalf("%s: Load reports %v, OpenMapped %v", name, herr, err)
 		}
 	}

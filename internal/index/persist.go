@@ -606,20 +606,29 @@ func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Inde
 	return x, nil
 }
 
-// Load reads an image written by Save, WriteMapped or BuildStreaming into
-// an ordinary heap index. The metric must match the one used at build
-// time (at minimum its vertex-blindness and whether it reads labels or
-// weights must agree). Callers attach the index to a graph set (Pair)
-// only after checking DBSize and Fingerprint against the actual graphs.
-func Load(r io.Reader, metric distance.Metric) (*Index, error) {
+// LoadBytes decodes an image written by Save, WriteMapped or
+// BuildStreaming into an ordinary heap index. The metric must match the
+// one used at build time (at minimum its vertex-blindness and whether it
+// reads labels or weights must agree). Callers attach the index to a
+// graph set (Pair) only after checking DBSize and Fingerprint against the
+// actual graphs. Every entry block is copied out of data, so the index
+// holds no reference to it, except that an image of a layout older than
+// kind 3 is kept until Pair rebuilds its classes: data must not change
+// before then.
+func LoadBytes(data []byte, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
 	}
+	return decodeV3(data, metric, true)
+}
+
+// Load is LoadBytes over an image read whole from r.
+func Load(r io.Reader, metric distance.Metric) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading image: %w", err)
 	}
-	return decodeV3(data, metric, true)
+	return LoadBytes(data, metric)
 }
 
 // blockCursor decodes one slab block. A malformed stream (impossible

@@ -26,7 +26,7 @@ func roundTrip(t *testing.T, x *Index, db []*graph.Graph, metric distance.Metric
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(&buf, metric)
+	y, err := LoadBytes(buf.Bytes(), metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPersistRoundTripVPTree(t *testing.T) {
 }
 
 func TestPersistRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("not an index"), distance.EdgeMutation{}); err == nil {
+	if _, err := LoadBytes([]byte("not an index"), distance.EdgeMutation{}); err == nil {
 		t.Error("garbage stream accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestPersistRejectsMetricMismatch(t *testing.T) {
 	x, _ := buildSmall(t, distance.EdgeMutation{}, 3, 8)
 	labels, _ := imageBytes(t, x)
 	// FullMutation is not vertex-blind; the stored layout is.
-	if _, err := Load(bytes.NewReader(labels), distance.FullMutation{}); err == nil {
+	if _, err := LoadBytes(labels, distance.FullMutation{}); err == nil {
 		t.Error("vertex-blindness mismatch accepted")
 	}
 	// Linear is as vertex-blind as EdgeMutation but reads weights where
@@ -142,7 +142,7 @@ func TestPersistRejectsMetricMismatch(t *testing.T) {
 		"labels opened with Linear":        {labels, distance.Linear{}},
 		"weights opened with EdgeMutation": {weights, distance.EdgeMutation{}},
 	} {
-		if _, err := Load(bytes.NewReader(tc.image), tc.metric); err == nil {
+		if _, err := LoadBytes(tc.image, tc.metric); err == nil {
 			t.Errorf("%s: Load accepted it", name)
 		}
 		if _, err := openV3(tc.image, tc.metric, nil); err == nil {
@@ -152,7 +152,7 @@ func TestPersistRejectsMetricMismatch(t *testing.T) {
 }
 
 func TestPersistRejectsNilMetric(t *testing.T) {
-	if _, err := Load(bytes.NewBuffer(nil), nil); err == nil {
+	if _, err := LoadBytes(nil, nil); err == nil {
 		t.Error("nil metric accepted")
 	}
 }
@@ -181,7 +181,7 @@ func TestPersistFingerprintRoundTrip(t *testing.T) {
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(&buf, metric)
+	y, err := LoadBytes(buf.Bytes(), metric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestPersistDetectsCorruption(t *testing.T) {
 	sections, _ := v3Sections(t, clean)
 	padStart := sections[len(sections)-1][1] + 4 // past the last section's CRC
 	readers := map[string]func([]byte) error{
-		"Load":   func(b []byte) error { _, err := Load(bytes.NewReader(b), metric); return err },
-		"openV3": func(b []byte) error { _, err := openV3(b, metric, nil); return err },
+		"LoadBytes": func(b []byte) error { _, err := LoadBytes(b, metric); return err },
+		"openV3":    func(b []byte) error { _, err := openV3(b, metric, nil); return err },
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -249,7 +249,7 @@ func TestPersistRejectsOversizedCounts(t *testing.T) {
 		if len(img) != v3SlabAlign {
 			t.Fatalf("%s: crafted image is %d bytes, want %d", name, len(img), v3SlabAlign)
 		}
-		if _, err := Load(bytes.NewReader(img), metric); err == nil {
+		if _, err := LoadBytes(img, metric); err == nil {
 			t.Errorf("%s: Load accepted the image", name)
 		}
 		path := filepath.Join(t.TempDir(), "crafted.pisidx3")
@@ -316,7 +316,7 @@ func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 	img := unboundedGraphCountImage(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	hx, herr := Load(bytes.NewReader(img), metric)
+	hx, herr := LoadBytes(img, metric)
 	mx, merr := openV3(img, metric, nil)
 	runtime.ReadMemStats(&after)
 	if herr != nil || merr != nil {
@@ -370,7 +370,7 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		if !bytes.Equal(heap, mapped) {
 			t.Fatalf("%s: mapped Save differs from heap Save", tc.name)
 		}
-		hx, err := Load(bytes.NewReader(heap), tc.metric)
+		hx, err := LoadBytes(heap, tc.metric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +527,7 @@ func TestStoreBytesIsSlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hx, err := Load(bytes.NewReader(data), tc.metric)
+		hx, err := LoadBytes(data, tc.metric)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -332,14 +331,14 @@ func TestParentImagesOpen(t *testing.T) {
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, path := parentImage(t, tc.file)
-			if _, err := Load(bytes.NewReader(data), tc.wrong); err == nil {
+			if _, err := LoadBytes(data, tc.wrong); err == nil {
 				t.Errorf("Load with %T: answers from keys of the wrong type", tc.wrong)
 			}
 			if mx, err := OpenMapped(path, tc.wrong); err == nil {
 				mx.Close()
 				t.Errorf("OpenMapped with %T: answers from keys of the wrong type", tc.wrong)
 			}
-			hx, err := Load(bytes.NewReader(data), tc.metric)
+			hx, err := LoadBytes(data, tc.metric)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package index_test
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 
@@ -54,7 +53,7 @@ func TestEntryRunsAreTheOneSource(t *testing.T) {
 		}
 		return slices.Delete(graphs, i, i+1)
 	})
-	x, err := index.Load(bytes.NewReader(image), metric)
+	x, err := index.LoadBytes(image, metric)
 	if err != nil {
 		t.Fatalf("the crafted image is well-formed: %v", err)
 	}

@@ -77,7 +77,7 @@ func TestPersistStatsRoundTrip(t *testing.T) {
 			if err := x.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			y, err := Load(&buf, tc.metric)
+			y, err := LoadBytes(buf.Bytes(), tc.metric)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestOpenIgnoresStoredStats(t *testing.T) {
 	if bytes.Equal(crafted, image) {
 		t.Fatal("the crafted image is the saved one")
 	}
-	heap, err := Load(bytes.NewReader(crafted), metric)
+	heap, err := LoadBytes(crafted, metric)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,9 @@
 // build does, and sealing collects them.
 //
 // Every graph carries a stable global id assigned at insertion by the
-// owner (pis.Database or shard.DB) and never reused: searches translate
-// segment-local ids to global ids on the way out, so clients can hold on
-// to ids across compactions. Reads take a consistent snapshot (searcher,
+// owner (a pis.Database, or a cluster's coordinator) and never reused:
+// searches translate segment-local ids to global ids on the way out, so
+// clients can hold on to ids across compactions. Reads take a consistent snapshot (searcher,
 // delta, tombstones) under a short lock and then run lock-free, giving
 // per-request snapshot semantics under concurrent mutation.
 //

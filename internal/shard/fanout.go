@@ -1,12 +1,14 @@
 // The fan-out/merge engine, factored over an interface so the same code
-// drives local segments (one process, package shard) and remote shard
-// replicas (package cluster): a Searcher is the query surface of one
-// shard wherever it lives, and FanOutSearch / FanOutKNN are the exact
-// fan-out and shrinking-radius merge the single-process DB has always
-// run. Because per-shard results carry global ids and verification is
-// exact, the merged answer set is independent of where each shard's
-// searcher executes — that invariance is what makes the "sharded ≡
-// unsharded" differential tests a correctness oracle for the cluster.
+// drives local segments (a pis.Database) and remote shard replicas
+// (package cluster): a Searcher is the query surface of one shard
+// wherever it lives, and FanOutSearch / FanOutKNN are the exact fan-out
+// and shrinking-radius merge. kNN shrinks its radius across shards: once
+// k neighbors are in hand, no later shard is searched beyond the current
+// k-th best distance. Because per-shard results carry global ids and
+// verification is exact, the merged answer set is independent of where
+// each shard's searcher executes — that invariance is what makes the
+// "sharded ≡ unsharded" differential tests a correctness oracle for the
+// cluster.
 
 package shard
 

@@ -2,10 +2,7 @@ package shard
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -16,15 +13,13 @@ import (
 	"pis/internal/index"
 	"pis/internal/mining"
 	"pis/internal/segment"
-	"pis/internal/store"
 )
 
 func testConfig() segment.Config {
 	return segment.Config{Index: index.Options{Metric: distance.EdgeMutation{}}}
 }
 
-// testFeatures mines the one feature set every shard of a DB over db
-// shares.
+// testFeatures mines the one feature set every shard of db shares.
 func testFeatures(tb testing.TB, db []*graph.Graph) []mining.Feature {
 	tb.Helper()
 	feats, err := mining.Mine(db, mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
@@ -34,33 +29,38 @@ func testFeatures(tb testing.TB, db []*graph.Graph) []mining.Feature {
 	return feats
 }
 
-// buildEnv returns a small molecule database, a sharded DB over it, and an
-// unsharded reference searcher.
-func buildEnv(t *testing.T, n, nShards int) ([]*graph.Graph, *DB, *core.Searcher) {
+// buildEnv returns a small molecule database, its shards — one segment
+// per Split range under the one feature set, as pis.NewSharded builds
+// them — and an unsharded reference searcher.
+func buildEnv(t *testing.T, n, nShards int) ([]*graph.Graph, []Searcher, *core.Searcher) {
 	t.Helper()
 	db := chem.Generate(n, chem.Config{Seed: 7})
 	cfg, feats := testConfig(), testFeatures(t, db)
-	sh, err := New(db, nShards, feats, cfg)
-	if err != nil {
-		t.Fatalf("New(%d shards): %v", nShards, err)
+	var shards []Searcher
+	for _, r := range Split(len(db), nShards) {
+		seg, err := segment.New(db[r.Start:r.End], int32(r.Start), feats, cfg)
+		if err != nil {
+			t.Fatalf("segment.New(%v): %v", r, err)
+		}
+		shards = append(shards, seg)
 	}
 	idx, err := index.Build(db, feats, cfg.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, sh, core.NewSearcher(db, idx, core.Options{})
+	return db, shards, core.NewSearcher(db, idx, core.Options{})
 }
 
-// search and searchKNN run the DB's two query entries under a background
-// context, where the only possible error is a verification panic.
-func search(d *DB, q *graph.Graph, sigma float64) core.Result {
-	r, err := d.SearchCtx(context.Background(), q, sigma)
+// search and searchKNN run the two fan-outs under a background context,
+// where the only possible error is a verification panic.
+func search(shards []Searcher, q *graph.Graph, sigma float64) core.Result {
+	r, err := FanOutSearch(context.Background(), shards, q, sigma)
 	core.Rethrow(err)
 	return r
 }
 
-func searchKNN(d *DB, q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
-	ns, err := d.SearchKNNCtx(context.Background(), q, k, maxSigma)
+func searchKNN(shards []Searcher, q *graph.Graph, k int, maxSigma float64) []core.Neighbor {
+	ns, err := FanOutKNN(context.Background(), shards, q, k, maxSigma)
 	core.Rethrow(err)
 	return ns
 }
@@ -160,8 +160,8 @@ func TestSearchKNNMatchesUnsharded(t *testing.T) {
 }
 
 // TestSearchBatchAligns: the batch loop lives in package pis; what it
-// needs of this one is that concurrent SearchCtx calls over one DB each
-// return their own query's answer.
+// needs of this one is that concurrent fan-outs over the same shards
+// each return their own query's answer.
 func TestSearchBatchAligns(t *testing.T) {
 	db, sh, _ := buildEnv(t, 40, 3)
 	queries := chem.SampleQueries(db, 8, 8, 13)
@@ -190,77 +190,16 @@ func TestSearchBatchAligns(t *testing.T) {
 	}
 }
 
-func TestPersistOpenRoundtrip(t *testing.T) {
-	db, sh, _ := buildEnv(t, 40, 3)
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := sh.Persist(dir); err != nil {
-		t.Fatalf("Persist: %v", err)
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Open(dir, testConfig())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer loaded.Close()
-	q := chem.SampleQueries(db, 1, 8, 17)[0]
-	want := search(sh, q, 2)
-	got := search(loaded, q, 2)
-	if !reflect.DeepEqual(got.Answers, want.Answers) {
-		t.Fatalf("reopened answers %v, want %v", got.Answers, want.Answers)
-	}
-}
-
-// TestOpenRejectsForeignIndex: an index side file that covers a different
-// graph set than its snapshot — here shard 2's (14 graphs) dropped over
-// shard 0's (13) — must fail Open with the shard named, not silently
-// mis-answer.
-func TestOpenRejectsForeignIndex(t *testing.T) {
-	_, sh, _ := buildEnv(t, 40, 3)
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := sh.Persist(dir); err != nil {
-		t.Fatal(err)
-	}
-	sh.Close()
-	idx := func(shard int) string {
-		return filepath.Join(store.ShardDir(dir, shard), "idx-000001.pisidx3")
-	}
-	foreign, err := os.ReadFile(idx(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idx(0), foreign, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(dir, testConfig())
-	if err == nil || !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("Open with a foreign index: %v, want an error naming shard 0", err)
-	}
-}
-
-func TestNewErrors(t *testing.T) {
-	if _, err := New(nil, 2, nil, testConfig()); err == nil {
-		t.Error("empty database should fail")
-	}
-	db := chem.Generate(10, chem.Config{Seed: 1})
-	if _, err := New(db, 0, testFeatures(t, db), testConfig()); err == nil {
-		t.Error("nShards=0 should fail")
-	}
-}
-
+// TestMoreShardsThanGraphs: Split clamps 9 shards over 5 graphs to 5,
+// and a fan-out over single-graph segments still answers.
 func TestMoreShardsThanGraphs(t *testing.T) {
-	db := chem.Generate(5, chem.Config{Seed: 2})
-	sh, err := New(db, 9, testFeatures(t, db), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.NumShards() != 5 {
-		t.Fatalf("NumShards = %d, want clamp to 5", sh.NumShards())
+	db, sh, ref := buildEnv(t, 5, 9)
+	if len(sh) != 5 {
+		t.Fatalf("%d shards, want clamp to 5", len(sh))
 	}
 	q := chem.SampleQueries(db, 1, 6, 1)[0]
-	r := search(sh, q, 1) // single-graph shards still answer
-	if r.Answers == nil {
-		t.Fatal("nil answers")
+	r := search(sh, q, 1)
+	if want := ref.Search(q, 1); r.Answers == nil || !reflect.DeepEqual(r.Answers, want.Answers) {
+		t.Fatalf("answers %v, want %v", r.Answers, want.Answers)
 	}
 }

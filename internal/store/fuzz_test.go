@@ -86,7 +86,7 @@ func sideFileLoad(t testing.TB, dir string) uint64 {
 	runtime.ReadMemStats(&before)
 	data, err := os.ReadFile(filepath.Join(dir, idxFileName(1)))
 	if err == nil {
-		_, err = index.Load(bytes.NewReader(data), distance.EdgeMutation{})
+		_, err = index.LoadBytes(data, distance.EdgeMutation{})
 	}
 	runtime.ReadMemStats(&after)
 	if err != nil {

@@ -628,7 +628,7 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 	} else {
 		var data []byte
 		if data, err = fs.ReadFile(ip); err == nil {
-			snap.Index, err = index.Load(bytes.NewReader(data), metric)
+			snap.Index, err = index.LoadBytes(data, metric)
 		}
 	}
 	if err != nil {

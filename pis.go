@@ -37,6 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
+	"sync"
 	"time"
 
 	"pis/internal/core"
@@ -199,8 +202,8 @@ func mineFeatures(graphs []*Graph, opts Options) ([]mining.Feature, error) {
 }
 
 // Database is an indexed graph database answering SSSD queries, held as
-// one or more contiguous shards, each with its own fragment index,
-// searched with parallel fan-out and merge (New builds one shard,
+// one or more contiguous shards, each a segment with its own fragment
+// index, searched with parallel fan-out and merge (New builds one shard,
 // NewSharded any number). The shard count never changes an answer:
 // Search returns the same answer set and SearchKNN the same neighbors in
 // the same order; only the per-stage statistics differ (counters
@@ -217,11 +220,39 @@ func mineFeatures(graphs []*Graph, opts Options) ([]mining.Feature, error) {
 // taken when it starts (per-request snapshot semantics).
 type Database struct {
 	querySurface
-	db *shard.DB
+	segs []*segment.Segment
+
+	mu     sync.Mutex // serializes id assignment and insert routing
+	nextID int32
 }
 
-func newDatabase(db *shard.DB, opts Options) *Database {
-	return &Database{querySurface: querySurface{fan: db, queryTimeout: opts.QueryTimeout}, db: db}
+func newDatabase(segs []*segment.Segment, nextID int32, opts Options) *Database {
+	shards := make([]shard.Searcher, len(segs))
+	for i, seg := range segs {
+		shards[i] = seg
+	}
+	return &Database{querySurface: querySurface{shards: shards, queryTimeout: opts.QueryTimeout}, segs: segs, nextID: nextID}
+}
+
+// eachShard runs f for shards 0..n-1 concurrently and returns the error
+// of the lowest-numbered shard that failed, naming it.
+func eachShard(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // withDefaults fills the zero-value construction knobs with the paper's
@@ -264,9 +295,10 @@ func New(graphs []*Graph, opts Options) (*Database, error) {
 
 // NewSharded mines the database's features once, over a prefix sample
 // of graphs, then splits graphs into nShards contiguous shards and builds
-// every shard's fragment index under those features concurrently. With
-// one shard the sample is the one New has always mined. nShards is
-// clamped to len(graphs).
+// every shard's fragment index under those features concurrently (one
+// goroutine per shard, each building on GOMAXPROCS workers). With one
+// shard the sample is the one New has always mined. nShards is clamped
+// to len(graphs).
 func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("pis: empty database")
@@ -282,11 +314,18 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := shard.New(graphs, nShards, feats, opts.segmentConfig())
+	cfg := opts.segmentConfig()
+	ranges := shard.Split(len(graphs), nShards)
+	segs := make([]*segment.Segment, len(ranges))
+	err = eachShard(len(ranges), func(i int) (err error) {
+		r := ranges[i]
+		segs[i], err = segment.New(graphs[r.Start:r.End], int32(r.Start), feats, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	return newDatabase(db, opts), nil
+	return newDatabase(segs, int32(len(graphs)), opts), nil
 }
 
 // Create builds an indexed database over graphs exactly like New and
@@ -316,17 +355,41 @@ func CreateSharded(dir string, graphs []*Graph, nShards int, opts Options) (*Dat
 
 // Persist attaches new backing stores at dir to an in-memory database,
 // writing every shard's full current state (index included, no rebuild)
-// as its initial snapshot — graphs, tombstones, delta, and the index as
-// an idx-<seq>.pisidx3 side file; afterwards the database is durable
-// exactly as if built by Create, and restarts go through Open.
+// as its initial snapshot, in parallel — graphs, tombstones, delta, and
+// the index as an idx-<seq>.pisidx3 side file; afterwards the database
+// is durable exactly as if built by Create, and restarts go through Open.
 //
 // The root manifest is written last, after every shard store is fully
 // established, so a crash mid-Persist leaves a directory that still
-// reads as "no store" and the next start rebuilds instead of wedging.
-// A Persist that fails rolls every shard back to in-memory, so it can be
-// retried into another directory.
+// reads as "no store" and the next start rebuilds instead of wedging
+// (shard directories such an aborted attempt left behind are cleared
+// first). A Persist that fails rolls every shard back to in-memory, so
+// it can be retried into another directory.
 func (db *Database) Persist(dir string) error {
-	if err := db.db.Persist(dir); err != nil {
+	if db.durable() {
+		return fmt.Errorf("pis: database is already durable")
+	}
+	if store.RootExists(dir) {
+		return fmt.Errorf("pis: %s already holds a database store", dir)
+	}
+	err := eachShard(len(db.segs), func(i int) error {
+		sd := store.ShardDir(dir, i)
+		if store.Exists(sd) {
+			if err := os.RemoveAll(sd); err != nil {
+				return err
+			}
+		}
+		return db.segs[i].Persist(sd)
+	})
+	if err == nil {
+		err = store.WriteRootManifest(dir, len(db.segs))
+	}
+	if err != nil {
+		// A half-durable database would fsync mutations into stores no
+		// root manifest will ever name, and a retry would be rejected.
+		for _, seg := range db.segs {
+			seg.AbandonStore()
+		}
 		return fmt.Errorf("pis: %w", err)
 	}
 	return nil
@@ -351,31 +414,70 @@ func StoreExists(dir string) bool {
 // metric, and the index must carry the fingerprint of the recovered
 // graphs; PlannerOff, QueryTimeout and CompactFraction are honored from
 // opts. Every shard keeps the features its store holds, so
-// MaxFragmentEdges and MinSupportFraction are ignored.
+// MaxFragmentEdges and MinSupportFraction are ignored. Ids resume past
+// every id ever assigned, so a recovered database never reuses one.
 func Open(dir string, opts Options) (*Database, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	db, err := shard.Open(dir, opts.segmentConfig())
+	nShards, err := store.ReadRootManifest(dir)
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	return newDatabase(db, opts), nil
+	cfg := opts.segmentConfig()
+	segs := make([]*segment.Segment, nShards)
+	err = eachShard(nShards, func(i int) (err error) {
+		segs[i], err = segment.OpenDurable(store.ShardDir(dir, i), cfg)
+		return err
+	})
+	if err != nil {
+		for _, seg := range segs {
+			if seg != nil {
+				seg.Close()
+			}
+		}
+		return nil, fmt.Errorf("pis: %w", err)
+	}
+	nextID := int32(0)
+	for _, seg := range segs {
+		nextID = max(nextID, seg.MaxID()+1)
+	}
+	return newDatabase(segs, nextID, opts), nil
 }
 
 // NumShards returns the shard count.
-func (db *Database) NumShards() int { return db.db.NumShards() }
+func (db *Database) NumShards() int { return len(db.segs) }
 
 // Len returns the number of live graphs.
-func (db *Database) Len() int { return db.db.Len() }
+func (db *Database) Len() int {
+	n := 0
+	for _, seg := range db.segs {
+		n += seg.Live()
+	}
+	return n
+}
 
 // Graph returns the live graph with the given id, or nil when the id was
 // never assigned or the graph has been deleted.
-func (db *Database) Graph(id int32) *Graph { return db.db.Graph(id) }
+func (db *Database) Graph(id int32) *Graph {
+	for _, seg := range db.segs {
+		if g := seg.Graph(id); g != nil {
+			return g
+		}
+	}
+	return nil
+}
 
 // LiveIDs returns the ids of every live graph, ascending.
-func (db *Database) LiveIDs() []int32 { return db.db.LiveIDs() }
+func (db *Database) LiveIDs() []int32 {
+	var ids []int32
+	for _, seg := range db.segs {
+		ids = seg.AppendLiveIDs(ids)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Insert appends g to the shard with the fewest live graphs under a
 // fresh stable id, which it returns. The graph lands in that shard's
@@ -387,34 +489,103 @@ func (db *Database) LiveIDs() []int32 { return db.db.LiveIDs() }
 // id reserved for the rejected insert is consumed, so later ids skip it.
 // Otherwise a non-nil error reports a failed automatic compaction (the
 // delta is retained, answers stay exact).
-func (db *Database) Insert(g *Graph) (int32, error) { return db.db.Insert(g) }
+func (db *Database) Insert(g *Graph) (int32, error) {
+	// db.mu covers only routing and id assignment: the target shard's
+	// insert slot is claimed (Reserve) before db.mu is released, so its
+	// id order and append order agree even when inserts race, and the WAL
+	// append and fsync run outside db.mu. Shards are probed with
+	// TryReserve smallest first, so one tied up in an fsync or a
+	// compaction is skipped for the next-smallest; only when every shard
+	// has an insert in flight does the call wait, on the smallest.
+	db.mu.Lock()
+	var seg *segment.Segment
+	probed := make([]bool, len(db.segs))
+	for range db.segs {
+		best := -1
+		for i, s := range db.segs {
+			if !probed[i] && (best < 0 || s.Live() < db.segs[best].Live()) {
+				best = i
+			}
+		}
+		if db.segs[best].TryReserve() {
+			seg = db.segs[best]
+			break
+		}
+		probed[best] = true
+	}
+	if seg == nil {
+		seg = slices.MinFunc(db.segs, func(a, b *segment.Segment) int { return a.Live() - b.Live() })
+		seg.Reserve()
+	}
+	id := db.nextID
+	db.nextID++
+	db.mu.Unlock()
+	needsCompact, err := seg.CommitInsert(g, id)
+	if err != nil {
+		return -1, err
+	}
+	if needsCompact {
+		// Outside db.mu: a merge on one shard must not stall inserts
+		// routed to the others.
+		return id, seg.Compact()
+	}
+	return id, nil
+}
 
 // Delete removes the graph with the given id from all future query
 // results (a tombstone; the index is cleaned up at the next compaction).
 // It reports whether the id was present and live. On a durable database
 // a live delete is WAL-logged and fsync'd before it is acknowledged; on
 // a logging failure the graph stays live and the error is returned.
-func (db *Database) Delete(id int32) (bool, error) { return db.db.Delete(id) }
+func (db *Database) Delete(id int32) (bool, error) {
+	for _, seg := range db.segs {
+		ok, err := seg.Delete(id)
+		if ok || err != nil {
+			return ok, err
+		}
+	}
+	return false, nil
+}
 
 // Compact folds every shard's delta and tombstones into a new index over
 // the surviving graphs, in parallel. A shard merges: the entries of its
 // current index carry over, only the delta's graphs are walked, and the
 // features are the ones mined at creation, which gives bit for bit the
 // index a build over the survivors with those features would. Automatic
-// and explicit compactions are the same merge. Ids are unchanged. On error the database keeps serving its pre-compaction
-// state, still exactly. On a durable database each shard's successful
-// compaction also writes a fresh snapshot and truncates its WAL.
-func (db *Database) Compact() error { return db.db.Compact() }
+// and explicit compactions are the same merge. Ids are unchanged. On
+// error the failed shards keep serving their pre-compaction state, still
+// exactly, and the lowest-numbered one's error is returned. On a durable
+// database each shard's successful compaction also writes a fresh
+// snapshot and truncates its WAL.
+func (db *Database) Compact() error {
+	return eachShard(len(db.segs), func(i int) error { return db.segs[i].Compact() })
+}
 
 // Checkpoint writes every shard's current state — graphs, base index,
 // delta, tombstones — as a fresh atomic snapshot and truncates its WAL,
 // in parallel, without rebuilding any index. It returns ErrNotDurable
 // for an in-memory database.
-func (db *Database) Checkpoint() error { return db.db.Checkpoint() }
+func (db *Database) Checkpoint() error {
+	if !db.durable() {
+		return ErrNotDurable
+	}
+	return eachShard(len(db.segs), func(i int) error { return db.segs[i].Checkpoint() })
+}
+
+// durable reports whether the database has backing stores.
+func (db *Database) durable() bool { return db.segs[0].Durable() }
 
 // Close releases the backing stores' file handles (a no-op for an
 // in-memory database). Queries keep working; mutations fail afterwards.
-func (db *Database) Close() error { return db.db.Close() }
+func (db *Database) Close() error {
+	var first error
+	for _, seg := range db.segs {
+		if err := seg.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
 // DurabilityStats reports the state of a database's backing store.
 type DurabilityStats struct {
@@ -447,31 +618,50 @@ type DurabilityStats struct {
 }
 
 // Durability reports the backing store's counters aggregated across
-// shards; Durable is false for an in-memory database.
+// shards; Durable is false for an in-memory database. Counts sum; the
+// snapshot sequence and last checkpoint are the oldest shard's, the
+// conservative answer to "how stale could recovery be"; one poisoned
+// shard makes the database read-only for inserts, since routing cannot
+// promise to avoid it, and the first one names the cause.
 func (db *Database) Durability() DurabilityStats {
-	st, ok := db.db.StoreStats()
-	if !ok {
-		return DurabilityStats{}
+	var d DurabilityStats
+	for i, seg := range db.segs {
+		s, ok := seg.StoreStats()
+		if !ok {
+			return DurabilityStats{}
+		}
+		d.WALRecords += s.WALRecords
+		d.WALBytes += s.WALBytes
+		d.Checkpoints += s.Checkpoints
+		d.ReplayedRecords += s.Recovery.ReplayedRecords
+		d.RecoveryDroppedBytes += s.Recovery.DroppedBytes
+		if i == 0 || s.SnapshotSeq < d.SnapshotSeq {
+			d.SnapshotSeq = s.SnapshotSeq
+		}
+		if i == 0 || s.LastCheckpoint.Before(d.LastCheckpoint) {
+			d.LastCheckpoint = s.LastCheckpoint
+		}
+		if s.Poisoned && !d.Poisoned {
+			d.Poisoned, d.PoisonReason = true, fmt.Sprintf("shard %d: %s", i, s.PoisonReason)
+		}
 	}
-	return DurabilityStats{
-		Durable:              true,
-		WALRecords:           st.WALRecords,
-		WALBytes:             st.WALBytes,
-		SnapshotSeq:          st.SnapshotSeq,
-		Checkpoints:          st.Checkpoints,
-		LastCheckpoint:       st.LastCheckpoint,
-		ReplayedRecords:      st.Recovery.ReplayedRecords,
-		RecoveryDroppedBytes: st.Recovery.DroppedBytes,
-		Poisoned:             st.Poisoned,
-		PoisonReason:         st.PoisonReason,
-	}
+	d.Durable = true
+	return d
 }
 
 // SearchNaive verifies every graph; the reference answer. The query must
-// be connected.
+// be connected. One shard's answer is the segment's as it is, so the
+// oracle of a one-shard database is the segment's, bit for bit.
 func (db *Database) SearchNaive(q *Graph, sigma float64) Result {
 	mustBeConnected(q)
-	return db.db.SearchNaive(q, sigma)
+	if len(db.segs) == 1 {
+		return db.segs[0].SearchNaive(q, sigma)
+	}
+	parts := make([]Result, len(db.segs))
+	for i, seg := range db.segs {
+		parts[i] = seg.SearchNaive(q, sigma)
+	}
+	return core.MergeGlobal(parts)
 }
 
 // Neighbor is one nearest-neighbor result.
@@ -494,8 +684,8 @@ type PlannerCell struct {
 // PlannerState reports every shard's learned planner survival rates.
 func (db *Database) PlannerState() []PlannerCell {
 	var out []PlannerCell
-	for i, cells := range db.db.LearnedSurvival() {
-		for _, c := range cells {
+	for i, seg := range db.segs {
+		for _, c := range seg.LearnedSurvival() {
 			out = append(out, PlannerCell{Shard: i, Class: c.Class, SigmaBucket: c.SigmaBucket, Survival: c.Survival})
 		}
 	}
@@ -530,15 +720,21 @@ type IndexStats struct {
 }
 
 // Stats sums the per-shard index counters. Features counts the feature
-// set the shards share, once.
+// set the shards share, once: it is the largest shard's class count.
 func (db *Database) Stats() IndexStats {
-	st, mem := db.db.Stats()
-	delta, tombs := db.db.Overlay()
-	return IndexStats{
-		Features: st.Classes, Fragments: st.Fragments, Sequences: st.Sequences,
-		Delta: delta, Tombstones: tombs,
-		StoreBytes: mem.StoreBytes, BitmapBytes: mem.BitmapBytes, FingerprintBytes: mem.FingerprintBytes,
+	var out IndexStats
+	for _, seg := range db.segs {
+		s, m := seg.IndexStats()
+		out.Features = max(out.Features, s.Classes)
+		out.Fragments += s.Fragments
+		out.Sequences += s.Sequences
+		out.Delta += seg.DeltaLen()
+		out.Tombstones += seg.Tombstoned()
+		out.StoreBytes += m.StoreBytes
+		out.BitmapBytes += m.BitmapBytes
+		out.FingerprintBytes += m.FingerprintBytes
 	}
+	return out
 }
 
 // ReadDatabase loads graphs in the line-oriented transaction format

@@ -1,10 +1,11 @@
 package pis
 
-// The query surface, written once. A Database fans out over the shards
-// it holds and a ClusterNode over the cluster's, through the same two
-// calls; everything a caller sees on top of them — the connectivity
-// check, Options.QueryTimeout, the typed deadline error, the batch loop,
-// the context-free forms and the traced form — is the querySurface both
+// The query surface, written once. A Database fans out over the
+// segments it holds and a ClusterNode over the cluster's remote shards,
+// through the same two calls (shard.FanOutSearch, shard.FanOutKNN);
+// everything a caller sees on top of them — the connectivity check,
+// Options.QueryTimeout, the typed deadline error, the batch loop, the
+// context-free forms and the traced form — is the querySurface both
 // embed.
 
 import (
@@ -17,18 +18,13 @@ import (
 
 	"pis/internal/core"
 	"pis/internal/obs"
+	"pis/internal/shard"
 )
 
-// fanOut is the query engine under a querySurface: *shard.DB for a
-// Database, *cluster.Coordinator for a ClusterNode.
-type fanOut interface {
-	SearchCtx(ctx context.Context, q *Graph, sigma float64) (Result, error)
-	SearchKNNCtx(ctx context.Context, q *Graph, k int, maxSigma float64) ([]Neighbor, error)
-}
-
-// querySurface is the search API of Database and ClusterNode.
+// querySurface is the search API of Database and ClusterNode: the
+// shards a query fans out over, local segments or remote replica sets.
 type querySurface struct {
-	fan          fanOut
+	shards       []shard.Searcher
 	queryTimeout time.Duration
 }
 
@@ -80,7 +76,7 @@ func mustBeConnected(q *Graph) {
 // has no live replica — use SearchContext to handle ErrUnavailable.
 func (s *querySurface) Search(q *Graph, sigma float64) Result {
 	mustBeConnected(q)
-	r, err := s.fan.SearchCtx(context.Background(), q, sigma)
+	r, err := shard.FanOutSearch(context.Background(), s.shards, q, sigma)
 	rethrow(err)
 	return r
 }
@@ -100,7 +96,7 @@ func (s *querySurface) SearchContext(ctx context.Context, q *Graph, sigma float6
 	mustBeConnected(q)
 	qctx, cancel := s.queryContext(ctx)
 	defer cancel()
-	r, err := s.fan.SearchCtx(qctx, q, sigma)
+	r, err := shard.FanOutSearch(qctx, s.shards, q, sigma)
 	return r, wrapCtxErr(err)
 }
 
@@ -129,7 +125,7 @@ func (s *querySurface) SearchTraced(ctx context.Context, q *Graph, sigma float64
 // Like Search it takes no context and panics on cluster failure.
 func (s *querySurface) SearchKNN(q *Graph, k int, maxSigma float64) []Neighbor {
 	mustBeConnected(q)
-	ns, err := s.fan.SearchKNNCtx(context.Background(), q, k, maxSigma)
+	ns, err := shard.FanOutKNN(context.Background(), s.shards, q, k, maxSigma)
 	rethrow(err)
 	return ns
 }
@@ -141,7 +137,7 @@ func (s *querySurface) SearchKNNContext(ctx context.Context, q *Graph, k int, ma
 	mustBeConnected(q)
 	qctx, cancel := s.queryContext(ctx)
 	defer cancel()
-	ns, err := s.fan.SearchKNNCtx(qctx, q, k, maxSigma)
+	ns, err := shard.FanOutKNN(qctx, s.shards, q, k, maxSigma)
 	return ns, wrapCtxErr(err)
 }
 
@@ -189,7 +185,7 @@ func (s *querySurface) searchBatch(ctx context.Context, queries []*Graph, sigma 
 		go func(i int, q *Graph) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = s.fan.SearchCtx(ctx, q, sigma)
+			out[i], errs[i] = shard.FanOutSearch(ctx, s.shards, q, sigma)
 		}(i, q)
 	}
 	wg.Wait()

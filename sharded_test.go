@@ -9,7 +9,9 @@ import (
 
 	"pis"
 	"pis/gen"
+	"pis/internal/index"
 	"pis/internal/mining"
+	"pis/internal/segment"
 	"pis/internal/store"
 )
 
@@ -204,5 +206,114 @@ func TestShardsShareOneFeatureSet(t *testing.T) {
 				t.Errorf("%d shards: shard %d holds %d classes, not the list of %d mined over the whole input", nShards, i, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestShardedStatsSumShards: Stats and Durability of a 3-shard database
+// with a live overlay are the sums of its shards' own counters, read off
+// each shard's store with nothing of package pis in between, except that
+// Features counts the shared feature set once; and a fan-out's funnel
+// accounts for every candidate of every shard.
+func TestShardedStatsSumShards(t *testing.T) {
+	graphs := gen.Molecules(40, gen.Config{Seed: 61})
+	opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := pis.CreateSharded(dir, graphs, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := db.Search(gen.Queries(graphs, 1, 8, 63)[0], 1)
+	if st := r.Stats; st.Verified+st.VerifyCacheHits != len(r.Candidates) ||
+		st.StructCandidates-st.PrescreenRejects < st.RangeCandidates || st.RangeCandidates < st.DistCandidates {
+		t.Errorf("merged funnel does not account for the candidates (%d): %+v", len(r.Candidates), st)
+	}
+	for _, g := range gen.Molecules(2, gen.Config{Seed: 62}) {
+		if _, err := db.Insert(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := db.Delete(5); !ok || err != nil {
+		t.Fatalf("Delete: %v, %v", ok, err)
+	}
+	got, gotDur := db.Stats(), db.Durability()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want pis.IndexStats
+	var wal int64
+	cfg := segment.Config{Index: index.Options{Metric: pis.EdgeMutation}, CompactFraction: -1}
+	for i := 0; i < 3; i++ {
+		seg, err := segment.OpenDurable(store.ShardDir(dir, i), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, m := seg.IndexStats()
+		if i > 0 && s.Classes != want.Features {
+			t.Fatalf("shard %d has %d classes, shard 0 %d: not one shared set", i, s.Classes, want.Features)
+		}
+		want.Features = s.Classes
+		want.Fragments += s.Fragments
+		want.Sequences += s.Sequences
+		want.Delta += seg.DeltaLen()
+		want.Tombstones += seg.Tombstoned()
+		want.StoreBytes += m.StoreBytes
+		want.BitmapBytes += m.BitmapBytes
+		want.FingerprintBytes += m.FingerprintBytes
+		st, _ := seg.StoreStats()
+		wal += int64(st.Recovery.ReplayedRecords)
+		seg.Close()
+	}
+	if got != want || got.Delta != 2 || got.Tombstones != 1 {
+		t.Errorf("Stats() = %+v, want the shards' sum %+v (2 delta, 1 tombstone)", got, want)
+	}
+	if !gotDur.Durable || gotDur.WALRecords != 3 || wal != 3 || gotDur.SnapshotSeq != 1 {
+		t.Errorf("Durability() = %+v, want 3 WAL records (the shards replayed %d) at snapshot 1", gotDur, wal)
+	}
+}
+
+// TestShardedInsertRouting: each insert lands in the shard with the
+// fewest live graphs at that moment, the lowest-numbered on a tie, read
+// back from the shards' own stores. Shard 0 (10 graphs) loses 8, so the
+// next eight inserts go there (2 → 10 live), the ninth too (three equal
+// shards), and the tenth to shard 1 (10 against shard 0's 11).
+func TestShardedInsertRouting(t *testing.T) {
+	opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := pis.CreateSharded(dir, gen.Molecules(30, gen.Config{Seed: 91}), 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int32(0); id < 8; id++ {
+		if ok, err := db.Delete(id); !ok || err != nil {
+			t.Fatalf("Delete(%d): %v, %v", id, ok, err)
+		}
+	}
+	want := map[int32]int{} // id → shard it must land in
+	for i, g := range gen.Molecules(10, gen.Config{Seed: 92}) {
+		id, err := db.Insert(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = 0
+		if i == 9 {
+			want[id] = 1
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := segment.Config{Index: index.Options{Metric: pis.EdgeMutation}, CompactFraction: -1}
+	for i := 0; i < 3; i++ {
+		seg, err := segment.OpenDurable(store.ShardDir(dir, i), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, sh := range want {
+			if held := seg.Graph(id) != nil; held != (sh == i) {
+				t.Errorf("shard %d holds insert %d: %v, want it in shard %d", i, id, held, sh)
+			}
+		}
+		seg.Close()
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"pis/internal/mining"
 	"pis/internal/segment"
 	"pis/internal/shard"
+	"pis/internal/store"
 )
 
 // querySurface is every search entry *pis.Database and *pis.ClusterNode
@@ -80,14 +81,19 @@ func TestOneQuerySurface(t *testing.T) {
 	}
 	for _, n := range []int{1, 3} {
 		dir := filepath.Join(t.TempDir(), "db")
-		d, err := shard.New(graphs, n, feats, cfg)
-		if err != nil {
-			t.Fatal(err)
+		for i, r := range shard.Split(len(graphs), n) {
+			seg, err := segment.New(graphs[r.Start:r.End], int32(r.Start), feats, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.Persist(store.ShardDir(dir, i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := d.Persist(dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Close(); err != nil {
+		if err := store.WriteRootManifest(dir, n); err != nil {
 			t.Fatal(err)
 		}
 		db, err := pis.Open(dir, opts)
