@@ -126,10 +126,10 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 	}
 
 	ranges := shard.Split(len(copts.Graphs), copts.Shards)
-	// Mined over the whole of Graphs, so every node derives the same
-	// features; only a shard that must be bootstrapped asks for them, and
-	// the node mines at most once.
-	feats := sync.OnceValues(func() ([]mining.Feature, error) { return mineFeatures(copts.Graphs, opts) })
+	// Selected over the prefix of all of Graphs, so every node derives the
+	// same features; only a shard that must be bootstrapped asks for them,
+	// and the node mines at most once.
+	feats := sync.OnceValues(func() ([]mining.Feature, error) { return mining.Select(copts.Graphs, opts.MaxFragmentEdges) })
 	bootCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, idx := range owned {

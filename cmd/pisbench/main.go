@@ -30,7 +30,6 @@ func main() {
 		queries  = flag.Int("queries", 200, "queries in the measured workload")
 		seed     = flag.Int64("seed", 1, "seed for generation and sampling")
 		maxFrag  = flag.Int("maxfrag", 5, "max indexed fragment size (edges) of the mined features")
-		support  = flag.Float64("minsupport", 0, "feature mining min support fraction (0 = default 0.05); lower mines more features")
 		jsonOut  = flag.String("json", "", "write the machine-readable report to this file")
 		qEdges   = flag.Int("bench-edges", 16, "query size (edges) of the measured workload")
 		bSigma   = flag.Float64("bench-sigma", 2, "σ of the measured workload")
@@ -40,8 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := harness.Config{DBSize: *n, Seed: *seed, Queries: *queries, MaxFragmentEdges: *maxFrag,
-		MinSupportFraction: *support}
+	cfg := harness.Config{DBSize: *n, Seed: *seed, Queries: *queries, MaxFragmentEdges: *maxFrag}
 	start := time.Now()
 	rep, err := harness.MeasureLarge(cfg, *qEdges, *bSigma, harness.LargeOptions{
 		Corpus:             *corpus,

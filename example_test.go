@@ -33,10 +33,7 @@ func Example() {
 		triangleWithTail(1, 1, 2),
 		triangleWithTail(1, 2, 2),
 	}
-	db, err := pis.New(graphs, pis.Options{
-		MinSupportFraction: 0.01, // tiny demo database
-		MaxFragmentEdges:   3,
-	})
+	db, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -59,7 +56,7 @@ func ExampleDatabase_SearchKNN() {
 		triangleWithTail(1, 1, 2),
 		triangleWithTail(2, 2, 2),
 	}
-	db, err := pis.New(graphs, pis.Options{MinSupportFraction: 0.01, MaxFragmentEdges: 3})
+	db, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -83,7 +80,7 @@ func ExampleDatabase_SearchTraced() {
 		triangleWithTail(1, 2, 2),
 		triangleWithTail(2, 2, 2),
 	}
-	opts := pis.Options{MinSupportFraction: 0.01, MaxFragmentEdges: 3}
+	opts := pis.Options{MaxFragmentEdges: 3}
 	for _, shards := range []int{1, 2} {
 		db, err := pis.NewSharded(graphs, shards, opts)
 		if err != nil {

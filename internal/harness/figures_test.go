@@ -41,11 +41,11 @@ func TestPaperFigures(t *testing.T) {
 		t.Skip("builds four indexes over 600 graphs")
 	}
 	cfg := Config{DBSize: 600, Seed: 1, Queries: 40, MaxFragmentEdges: 5}
-	env, err := BuildEnv(cfg)
+	env, err := BuildEnv(cfg, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig12, err := Figure12(cfg)
+	fig12, err := Figure12(cfg, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +75,20 @@ func TestPaperFigures(t *testing.T) {
 }
 
 // BuildEnv generates the database and builds the index once; figures share
-// it (except Figure 12, which rebuilds with different fragment sizes).
-func BuildEnv(cfg Config) (*Env, error) {
+// it (except Figure 12, which rebuilds with different fragment sizes). It
+// mines with the paper's parameters, every frequent structure of 2 to
+// MaxFragmentEdges edges at 5 % support over the first sample graphs,
+// universal ones included, so the figures measure the paper's index, not
+// the database's feature policy.
+func BuildEnv(cfg Config, sample int) (*Env, error) {
 	cfg = cfg.normalized()
 	start := time.Now()
 	db := chem.Generate(cfg.DBSize, chem.Config{Seed: cfg.Seed})
 	feats, err := mining.Mine(db, mining.Options{
 		MaxEdges:           cfg.MaxFragmentEdges,
-		MinEdges:           cfg.MinFragmentEdges,
-		MinSupportFraction: cfg.MinSupportFraction,
-		SampleSize:         cfg.MiningSample,
+		MinEdges:           2,
+		MinSupportFraction: 0.05,
+		SampleSize:         sample,
 	})
 	if err != nil {
 		return nil, err
@@ -325,7 +329,7 @@ func Figure11(env *Env) Figure {
 // Figure12 — pruning vs maximum indexed fragment size ∈ {4,5,6}, σ=2, Q16.
 // Each size gets its own index; queries and bucketing use each index's own
 // topoPrune filter, which is how the paper's per-size curves are read.
-func Figure12(cfg Config) (Figure, error) {
+func Figure12(cfg Config, sample int) (Figure, error) {
 	cfg = cfg.normalized()
 	qsSeed := cfg.Seed + 1
 	f := Figure{ID: "Figure 12", Title: "Performance vs. Fragment Size (σ=2, Q16)"}
@@ -346,7 +350,7 @@ func Figure12(cfg Config) (Figure, error) {
 	for si, size := range sizes {
 		c := cfg
 		c.MaxFragmentEdges = size
-		env, err := BuildEnv(c)
+		env, err := BuildEnv(c, sample)
 		if err != nil {
 			return Figure{}, err
 		}

@@ -23,11 +23,9 @@ type Config struct {
 	Seed    int64 // drives generation and query sampling
 	Queries int   // queries per query set (default 120)
 
-	// Index construction.
-	MaxFragmentEdges   int     // paper sweeps 4-6 (Figure 12); default 5
-	MinFragmentEdges   int     // smallest indexed structure; default 2
-	MinSupportFraction float64 // feature min support; default 0.05
-	MiningSample       int     // graphs mined for features; default 300
+	// MaxFragmentEdges bounds the indexed structures (default 5; Figure 12
+	// sweeps 4-6). MeasureLarge selects features by mining.Select.
+	MaxFragmentEdges int
 }
 
 // normalized fills defaults.
@@ -40,15 +38,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxFragmentEdges <= 0 {
 		c.MaxFragmentEdges = 5
-	}
-	if c.MinFragmentEdges <= 0 {
-		c.MinFragmentEdges = 2
-	}
-	if c.MinSupportFraction <= 0 {
-		c.MinSupportFraction = 0.05
-	}
-	if c.MiningSample <= 0 {
-		c.MiningSample = 300
 	}
 	return c
 }

@@ -9,15 +9,17 @@ import (
 	"time"
 )
 
-// tinyConfig keeps unit tests fast; TestPaperFigures and pisbench run
-// larger scales.
+// tinyConfig and tinySample, the graphs mined for features, keep unit
+// tests fast; TestPaperFigures and pisbench run larger scales.
 func tinyConfig() Config {
-	return Config{DBSize: 250, Seed: 42, Queries: 30, MaxFragmentEdges: 4, MiningSample: 100}
+	return Config{DBSize: 250, Seed: 42, Queries: 30, MaxFragmentEdges: 4}
 }
+
+const tinySample = 100
 
 func buildTiny(t *testing.T) *Env {
 	t.Helper()
-	env, err := BuildEnv(tinyConfig())
+	env, err := BuildEnv(tinyConfig(), tinySample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +292,7 @@ func TestFigure12SmallScale(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.Queries = 15
-	f, err := Figure12(cfg)
+	f, err := Figure12(cfg, tinySample)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,11 @@ type LargeOptions struct {
 func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (BenchReport, error) {
 	cfg = cfg.normalized()
 
-	// Mining sample: the stream's prefix. Mining needs a representative
-	// subset, never the whole database.
+	// Mining sample: the stream's prefix, as much of it as mining.Select
+	// reads, never the whole database.
 	var sample []*graph.Graph
 	if lo.Corpus != "" {
-		n, s, err := scanCorpus(lo.Corpus, cfg.MiningSample)
+		n, s, err := scanCorpus(lo.Corpus, mining.SelectSample)
 		if err != nil {
 			return BenchReport{}, err
 		}
@@ -63,15 +63,10 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 		}
 		cfg.DBSize, sample = n, s
 	} else {
-		sample = chem.Generate(min(cfg.MiningSample, cfg.DBSize), chem.Config{Seed: cfg.Seed})
+		sample = chem.Generate(min(mining.SelectSample, cfg.DBSize), chem.Config{Seed: cfg.Seed})
 	}
 	mineStart := time.Now()
-	feats, err := mining.Mine(sample, mining.Options{
-		MaxEdges:           cfg.MaxFragmentEdges,
-		MinEdges:           cfg.MinFragmentEdges,
-		MinSupportFraction: cfg.MinSupportFraction,
-		SampleSize:         len(sample),
-	})
+	feats, err := mining.Select(sample, cfg.MaxFragmentEdges)
 	if err != nil {
 		return BenchReport{}, err
 	}

@@ -159,9 +159,6 @@ func scaffold(features []mining.Feature, opts Options) (*Index, error) {
 	if opts.Metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
 	}
-	if len(features) == 0 {
-		return nil, fmt.Errorf("index: no features")
-	}
 	maxE := 0
 	for _, f := range features {
 		if f.Edges > maxE {

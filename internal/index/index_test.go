@@ -128,9 +128,16 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	db := []*graph.Graph{randomMolecule(rand.New(rand.NewSource(1)), 5)}
-	if _, err := Build(db, nil, Options{Metric: distance.EdgeMutation{}}); err == nil {
-		t.Error("empty feature set accepted")
+	rng := rand.New(rand.NewSource(1))
+	db := []*graph.Graph{randomMolecule(rng, 5), randomMolecule(rng, 6), randomMolecule(rng, 7)}
+	// An empty feature set is legal: the index holds no class, so its
+	// structural candidates are every live graph.
+	x, err := Build(db, nil, Options{Metric: distance.EdgeMutation{}})
+	if err != nil {
+		t.Fatalf("empty feature set refused: %v", err)
+	}
+	if got := x.Candidates(nil, nil, (*Tombstones)(nil).WithSet(1)); len(x.Classes()) != 0 || !slices.Equal(got, []int32{0, 2}) {
+		t.Errorf("featureless index: %d classes, candidates %v, want 0 and every live graph [0 2]", len(x.Classes()), got)
 	}
 	feats, _ := mining.Mine(db, mining.Options{MaxEdges: 2})
 	if _, err := Build(db, feats, Options{}); err == nil {

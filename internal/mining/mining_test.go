@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pis/internal/canon"
@@ -156,4 +157,45 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestSelect: Select is Mine's frequent skeletons of 2 to maxEdges edges
+// over a 300-graph prefix, in Mine's order, less exactly those every
+// sampled graph holds; a sample that shares every skeleton selects none,
+// and that is not an error.
+func TestSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := make([]*graph.Graph, 400)
+	for i := range db {
+		db[i] = randomMolecule(rng, 6+rng.Intn(6))
+	}
+	mined, err := Mine(db, Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, f := range mined {
+		if f.Support != 300 {
+			want = append(want, f.Key)
+		}
+	}
+	if len(want) == 0 || len(want) == len(mined) {
+		t.Fatalf("%d of %d mined features are universal; the fixture must have both kinds", len(mined)-len(want), len(mined))
+	}
+	got, err := Select(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(got))
+	for i, f := range got {
+		keys[i] = f.Key
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("Select kept %d features %q, want Mine's %d non-universal ones in order %q", len(keys), keys, len(want), want)
+	}
+
+	rings := []*graph.Graph{cycleG(6), cycleG(6), cycleG(6)}
+	if feats, err := Select(rings, 4); err != nil || len(feats) != 0 {
+		t.Errorf("a sample sharing every skeleton: Select = %d features, %v; want none and no error", len(feats), err)
+	}
 }

@@ -64,7 +64,7 @@ func sameAsFresh(t *testing.T, what string, seg *segment.Segment, live map[int32
 			t.Fatalf("%s: id %d is live but was deleted", what, id)
 		}
 	}
-	fresh, err := pis.New(survivors, pis.Options{MaxFragmentEdges: 3, MinSupportFraction: 0.1})
+	fresh, err := pis.New(survivors, pis.Options{MaxFragmentEdges: 3})
 	if err != nil {
 		t.Fatalf("%s: fresh build: %v", what, err)
 	}

@@ -125,11 +125,13 @@ type Options struct {
 	Metric Metric
 
 	// MaxFragmentEdges bounds indexed structure size (default 5; the paper
-	// sweeps 4-6 in Figure 12). Like MinSupportFraction, it acts when the
-	// database's features are mined, at creation; Open ignores both.
+	// sweeps 4-6 in Figure 12). It acts when the database's features are
+	// selected, at creation, by the database's one feature policy
+	// (mining.Select): the label-free skeletons of up to MaxFragmentEdges
+	// edges frequent in a prefix sample of the graphs, less those every
+	// sampled graph holds. The set may be empty; the database then
+	// answers by prescreen and verification alone. Open ignores it.
 	MaxFragmentEdges int
-	// MinSupportFraction is the mining support threshold (default 0.05).
-	MinSupportFraction float64
 
 	// PlannerOff disables the cost-based query planner: every usable
 	// fragment's σ range query runs in enumeration order, exactly the
@@ -171,34 +173,6 @@ type Options struct {
 	// are byte-identical to the heap index. With MappedIndex set, Close
 	// unmaps the index, so queries must stop before Close.
 	MappedIndex bool
-}
-
-// Mining constants: features have at least minFragmentEdges edges and are
-// mined on a prefix sample of at most miningSample graphs. Postings always
-// cover the full database.
-const (
-	minFragmentEdges = 2
-	miningSample     = 300
-)
-
-// mineFeatures selects the database's one feature set (the paper's §4,
-// step 1) over the first miningSample graphs. It runs once per database,
-// at creation; every shard and replica indexes under its result, and
-// compactions keep the features their index carries.
-func mineFeatures(graphs []*Graph, opts Options) ([]mining.Feature, error) {
-	feats, err := mining.Mine(graphs, mining.Options{
-		MaxEdges:           opts.MaxFragmentEdges,
-		MinEdges:           minFragmentEdges,
-		MinSupportFraction: opts.MinSupportFraction,
-		SampleSize:         miningSample,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pis: mining features: %w", err)
-	}
-	if len(feats) == 0 {
-		return nil, fmt.Errorf("pis: no features met the support threshold; lower MinSupportFraction")
-	}
-	return feats, nil
 }
 
 // Database is an indexed graph database answering SSSD queries, held as
@@ -264,9 +238,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxFragmentEdges <= 0 {
 		o.MaxFragmentEdges = 5
 	}
-	if o.MinSupportFraction <= 0 {
-		o.MinSupportFraction = 0.05
-	}
 	if o.CompactFraction == 0 {
 		o.CompactFraction = 0.25
 	}
@@ -293,10 +264,11 @@ func New(graphs []*Graph, opts Options) (*Database, error) {
 	return NewSharded(graphs, 1, opts)
 }
 
-// NewSharded mines the database's features once, over a prefix sample
-// of graphs, then splits graphs into nShards contiguous shards and builds
-// every shard's fragment index under those features concurrently (one
-// goroutine per shard, each building on GOMAXPROCS workers). With one
+// NewSharded selects the database's features once, over a prefix sample
+// of graphs (see MaxFragmentEdges), then splits graphs into nShards
+// contiguous shards and builds every shard's fragment index under those
+// features concurrently (one goroutine per shard, each building on
+// GOMAXPROCS workers). With one
 // shard the sample is the one New has always mined. nShards is clamped
 // to len(graphs).
 func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
@@ -310,9 +282,9 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	feats, err := mineFeatures(graphs, opts)
+	feats, err := mining.Select(graphs, opts.MaxFragmentEdges)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pis: mining features: %w", err)
 	}
 	cfg := opts.segmentConfig()
 	ranges := shard.Split(len(graphs), nShards)
@@ -414,8 +386,8 @@ func StoreExists(dir string) bool {
 // metric, and the index must carry the fingerprint of the recovered
 // graphs; PlannerOff, QueryTimeout and CompactFraction are honored from
 // opts. Every shard keeps the features its store holds, so
-// MaxFragmentEdges and MinSupportFraction are ignored. Ids resume past
-// every id ever assigned, so a recovered database never reuses one.
+// MaxFragmentEdges is ignored. Ids resume past every id ever assigned,
+// so a recovered database never reuses one.
 func Open(dir string, opts Options) (*Database, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -695,7 +667,11 @@ func (db *Database) PlannerState() []PlannerCell {
 // IndexStats summarizes the fragment index and its mutation overlay. Its
 // JSON form is the "index" object of pisserved's /stats and /compact.
 type IndexStats struct {
-	Features int `json:"features"` // selected structure features (equivalence classes)
+	// Features counts the database's selected structure features
+	// (equivalence classes), the one set every shard indexes under; a
+	// skeleton every sampled graph holds is not selected. It may be 0,
+	// when the database answers by prescreen and verification alone.
+	Features int `json:"features"`
 	// Fragments counts the (label sequence, graph) pairs the index stores:
 	// a sequence that occurs several times inside one graph counts once
 	// for it.

@@ -498,7 +498,10 @@ func TestInFlightLimit(t *testing.T) {
 // plan summary.
 func TestPlannerStats(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	q := sampleQuery(t, 13)
+	// Queries 13 and 14 hold only classes every graph holds, which the
+	// database does not index; 15 is the first whose search materializes
+	// fragments.
+	q := sampleQuery(t, 15)
 	req := SearchRequest{Query: EncodeGraph(q), Sigma: 2}
 
 	var resp SearchResponse

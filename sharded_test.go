@@ -148,15 +148,12 @@ func shapeFamilies(n int, seed int64) []*pis.Graph {
 	return graphs
 }
 
-// featureSetOpts is what a database with MaxFragmentEdges 4 mines with:
-// pis's minimum feature size, default support and prefix sample.
-var featureSetOpts = mining.Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300}
-
-// wholeInputClassKeys returns the keys of one mining over the whole
-// input's prefix, in order: the class list every shard must carry.
+// wholeInputClassKeys returns the keys of one selection over the whole
+// input's prefix at MaxFragmentEdges 4, in order: the class list every
+// shard must carry.
 func wholeInputClassKeys(t *testing.T, graphs []*pis.Graph) []string {
 	t.Helper()
-	feats, err := mining.Mine(graphs, featureSetOpts)
+	feats, err := mining.Select(graphs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
