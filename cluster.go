@@ -129,7 +129,7 @@ func StartClusterNode(copts ClusterOptions) (*ClusterNode, error) {
 	// Selected over the prefix of all of Graphs, so every node derives the
 	// same features; only a shard that must be bootstrapped asks for them,
 	// and the node mines at most once.
-	feats := sync.OnceValues(func() ([]mining.Feature, error) { return mining.Select(copts.Graphs, opts.MaxFragmentEdges) })
+	feats := sync.OnceValues(func() ([]mining.Feature, error) { return selectFeatures(copts.Graphs, opts.MaxFragmentEdges) })
 	bootCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	for _, idx := range owned {

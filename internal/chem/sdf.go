@@ -213,19 +213,3 @@ func (r *SDFReader) Next() (*graph.Graph, error) {
 	}
 	return g, nil
 }
-
-// ReadSDF parses every record of an SD stream; name labels errors.
-func ReadSDF(r io.Reader, name string) ([]*graph.Graph, error) {
-	sr := NewSDFReader(r, name)
-	var out []*graph.Graph
-	for {
-		g, err := sr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-}

@@ -61,22 +61,6 @@ func (r *SMILESReader) Next() (*graph.Graph, error) {
 	}
 }
 
-// ReadSMILES parses every line of a SMILES stream; name labels errors.
-func ReadSMILES(r io.Reader, name string) ([]*graph.Graph, error) {
-	sr := NewSMILESReader(r, name)
-	var out []*graph.Graph
-	for {
-		g, err := sr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, g)
-	}
-}
-
 // smilesAtom is one parsed atom: its graph vertex (-1 for a stripped
 // explicit hydrogen), its label, and whether it was written lowercase
 // (aromatic).

@@ -38,7 +38,7 @@ type peer struct {
 	idle []*pconn
 
 	rpcSeconds *obs.Histogram
-	rpcErrors  *obs.LabeledCounter
+	rpcErrors  *obs.Counter
 }
 
 type pconn struct {

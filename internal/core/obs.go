@@ -15,7 +15,7 @@ import (
 var (
 	queriesTotal = obs.Default().CounterVec(
 		"pis_queries_total",
-		"Completed searches by pipeline (pis, naive, topoprune).",
+		"Completed searches by pipeline (pis, naive).",
 		"method")
 	stageSeconds = obs.Default().HistogramVec(
 		"pis_query_stage_seconds",
@@ -55,7 +55,6 @@ var (
 var (
 	mQueriesPIS    = queriesTotal.With("pis")
 	mQueriesNaive  = queriesTotal.With("naive")
-	mQueriesTopo   = queriesTotal.With("topoprune")
 	mStagePlan     = stageSeconds.With("plan")
 	mStageFilter   = stageSeconds.With("filter")
 	mStageVerify   = stageSeconds.With("verify")
@@ -72,7 +71,7 @@ var (
 )
 
 // record publishes one finished query's Stats into the registry.
-func (st *Stats) record(queries *obs.LabeledCounter) {
+func (st *Stats) record(queries *obs.Counter) {
 	queries.Inc()
 	mStagePlan.Observe(st.PlanTime.Seconds())
 	mStageFilter.Observe(st.FilterTime.Seconds())

@@ -5,10 +5,13 @@
 //
 // Every layer of the engine — core search stages, index range queries,
 // segment compactions, WAL appends in the store, HTTP routes in the
-// server — records into the shared Default registry, and every consumer
-// (GET /metrics, the structured block in /stats, pisbench's
-// report) reads back out of it, so production metrics and benchmark
-// numbers come from one set of instruments and can never drift apart.
+// server — records into the shared Default registry. GET /metrics
+// renders it, the benchmark in bench/ reads its numbers back from there,
+// and /stats reads its memo, compaction and observability blocks out of
+// it. The requests, mutations and planner blocks of /stats are not read
+// from the registry: each Server counts those itself (endpointMetrics,
+// countMutation and recordPlan in package server), so they cover one
+// server where the registry's series cover the process.
 //
 // Design constraints, in order:
 //
@@ -16,11 +19,13 @@
 //     histogram Observe is a branch-free bucket search over a small
 //     fixed bound slice plus two atomic adds. No locks, no maps, no
 //     allocation after registration.
-//   - Idempotent registration. Counter/Gauge/Histogram return the
-//     existing metric when the name is already registered (with the
-//     same type — a kind mismatch panics), so package-level metric
-//     variables and repeatedly constructed servers share one instrument
-//     the way Prometheus client libraries do. GaugeFunc re-registration
+//   - One family per name. A name registers one family: a kind, one
+//     label, and a child per label value in creation order. An
+//     unlabeled metric is its family's one child, the value "".
+//     Registering a name again returns the existing family (a kind or
+//     label mismatch panics), so package-level metric variables and
+//     repeatedly constructed servers share one instrument the way
+//     Prometheus client libraries do. GaugeFunc re-registration
 //     replaces the callback: the newest owner of a scrape-time value
 //     wins.
 //   - No dependencies. The exposition format is written by hand; it is
@@ -59,12 +64,8 @@ var SizeBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
 }
 
-// metric is one named instrument; write emits its exposition lines
-// (HELP/TYPE header plus one or more samples).
-type metric interface {
-	metricName() string
-	write(w *bufio.Writer)
-}
+// metric is one registered family; write emits its exposition lines.
+type metric interface{ write(w *bufio.Writer) }
 
 // Registry holds named metrics and renders them in Prometheus text
 // exposition format. The zero value is not usable; use NewRegistry or
@@ -86,21 +87,6 @@ var defaultRegistry = NewRegistry()
 // into and every exporter reads from.
 func Default() *Registry { return defaultRegistry }
 
-// lookup returns the existing metric under name, registering the one
-// built by mk otherwise. A name registered as a different concrete type
-// panics: two packages disagree about what the metric is.
-func (r *Registry) lookup(name string, mk func() metric) metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		return m
-	}
-	m := mk()
-	r.byName[name] = m
-	r.ordered = append(r.ordered, m)
-	return m
-}
-
 // WritePrometheus renders every registered metric in text exposition
 // format, in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -114,24 +100,185 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// --- counter ---
+// --- families ---
+
+// instrument is a family's child type. sample writes the child's sample
+// lines; pair is its label pair (label="value"), empty in an unlabeled
+// family.
+type instrument interface {
+	*Counter | *Gauge | *Histogram | *gaugeFunc
+	sample(w *bufio.Writer, name, pair string)
+}
+
+// family is one named metric of one kind: its help text, exposition
+// type, one label ("" for an unlabeled metric, whose one child has the
+// value "") and its children in creation order.
+type family[C instrument] struct {
+	name, help, typ, label string
+	newChild               func() C
+
+	mu       sync.Mutex
+	index    map[string]int // label value -> position in values and children
+	values   []string
+	children []C
+}
+
+// register returns the family registered under name, creating it if
+// needed. Registering a name again returns the existing family, so
+// package-level metric variables and repeatedly constructed servers
+// share one instrument; a name already registered as another kind or
+// with another label panics, because two packages disagree about what
+// the metric is.
+func register[C instrument](r *Registry, name, help, typ, label string, newChild func() C) *family[C] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.byName[name]; ok {
+		f, ok := m.(*family[C])
+		if !ok || f.label != label {
+			panic(fmt.Sprintf("obs: %s is already registered as another kind, or with a label other than %q", name, label))
+		}
+		return f
+	}
+	f := &family[C]{name: name, help: help, typ: typ, label: label, newChild: newChild, index: make(map[string]int)}
+	r.byName[name] = f
+	r.ordered = append(r.ordered, f)
+	return f
+}
+
+// With returns the child for one label value, creating it if needed.
+// Hold on to the result; the lookup takes the family lock.
+func (f *family[C]) With(value string) C {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i, ok := f.index[value]
+	if !ok {
+		i = len(f.children)
+		f.index[value] = i
+		f.values = append(f.values, value)
+		f.children = append(f.children, f.newChild())
+	}
+	return f.children[i]
+}
+
+// write emits the family's header and its children's samples. A
+// histogram family is followed by the counter family name_clipped_total,
+// the samples above its largest bound: a quantile that falls among them
+// reads as that bound, so a non-zero value says the histogram's upper
+// quantiles are underestimates.
+func (f *family[C]) write(w *bufio.Writer) {
+	f.mu.Lock()
+	values, children := f.values, f.children // append-only: the prefix is stable
+	f.mu.Unlock()
+	header(w, f.name, f.help, f.typ)
+	for i, c := range children {
+		c.sample(w, f.name, f.pair(values[i]))
+	}
+	if f.typ != "histogram" {
+		return
+	}
+	header(w, f.name+"_clipped_total", "samples above the largest bucket bound of "+f.name, "counter")
+	for i, c := range children {
+		h := any(c).(*Histogram)
+		fmt.Fprintf(w, "%s_clipped_total%s %d\n", f.name, braces(f.pair(values[i])), h.counts[len(h.bounds)].Load())
+	}
+}
+
+// pair renders one child's label pair, or "" in an unlabeled family.
+func (f *family[C]) pair(value string) string {
+	if f.label == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s=%q", f.label, value)
+}
+
+// braces wraps a label pair into a label set; no pair, no set.
+func braces(pair string) string {
+	if pair == "" {
+		return ""
+	}
+	return "{" + pair + "}"
+}
+
+// CounterVec is a family of counters distinguished by one label.
+type CounterVec struct{ *family[*Counter] }
+
+// GaugeVec is a family of gauges distinguished by one label, for values
+// that exist per peer, shard or resource and are discovered at runtime.
+type GaugeVec = family[*Gauge]
+
+// HistogramVec is a family of histograms distinguished by one label,
+// sharing bucket bounds.
+type HistogramVec = family[*Histogram]
+
+// Counter returns the unlabeled counter registered under name, creating
+// it if needed. Counter names should end in _total.
+func (r *Registry) Counter(name, help string) *Counter {
+	return r.CounterVec(name, help, "").With("")
+}
+
+// CounterVec returns the one-label counter family registered under
+// name, creating it if needed.
+func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+	return &CounterVec{register(r, name, help, "counter", label, func() *Counter { return new(Counter) })}
+}
+
+// Value returns the current count for one label value: 0, and no new
+// series, when the child was never created.
+func (v *CounterVec) Value(value string) int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if i, ok := v.index[value]; ok {
+		return v.children[i].Value()
+	}
+	return 0
+}
+
+// Gauge returns the unlabeled gauge registered under name, creating it
+// if needed.
+func (r *Registry) Gauge(name, help string) *Gauge { return r.GaugeVec(name, help, "").With("") }
+
+// GaugeVec returns the one-label gauge family registered under name,
+// creating it if needed.
+func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
+	return register(r, name, help, "gauge", label, func() *Gauge { return new(Gauge) })
+}
+
+// GaugeFunc registers a callback-backed gauge sampled at scrape time.
+// Re-registering the same name replaces the callback — the newest owner
+// of the underlying value (for instance the most recently constructed
+// server) wins.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	g := register(r, name, help, "gauge", "", func() *gaugeFunc { return &gaugeFunc{fn: fn} }).With("")
+	g.mu.Lock()
+	g.fn = fn
+	g.mu.Unlock()
+}
+
+// Histogram returns the unlabeled histogram registered under name,
+// creating it with the given bucket upper bounds (ascending; +Inf is
+// implicit; nil means LatencyBuckets) if needed.
+func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	return r.HistogramVec(name, help, "", buckets).With("")
+}
+
+// HistogramVec returns the one-label histogram family registered under
+// name, creating it with the given bucket bounds if needed.
+func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
+	if len(buckets) == 0 {
+		buckets = LatencyBuckets
+	}
+	if !sort.Float64sAreSorted(buckets) {
+		panic(fmt.Sprintf("obs: histogram %s buckets are not ascending", name))
+	}
+	return register(r, name, help, "histogram", label, func() *Histogram {
+		return &Histogram{bounds: buckets, counts: make([]atomic.Uint64, len(buckets)+1)}
+	})
+}
+
+// --- instruments ---
 
 // Counter is a monotonically increasing value.
-type Counter struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// Counter returns the counter registered under name, creating it if
-// needed. Counter names should end in _total.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.lookup(name, func() metric { return &Counter{name: name, help: help} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a counter", name, m))
-	}
-	return c
-}
+type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n (n must be >= 0).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -142,104 +289,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) metricName() string { return c.name }
-
-func (c *Counter) write(w *bufio.Writer) {
-	header(w, c.name, c.help, "counter")
-	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
+func (c *Counter) sample(w *bufio.Writer, name, pair string) {
+	fmt.Fprintf(w, "%s%s %d\n", name, braces(pair), c.v.Load())
 }
-
-// --- counter vec ---
-
-// CounterVec is a family of counters distinguished by one label.
-type CounterVec struct {
-	name, help, label string
-
-	mu       sync.Mutex
-	children map[string]*vecCounter // label value -> counter
-	order    []string
-}
-
-type vecCounter struct{ v atomic.Int64 }
-
-// CounterVec returns the one-label counter family registered under
-// name, creating it if needed.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	m := r.lookup(name, func() metric {
-		return &CounterVec{name: name, help: help, label: label, children: make(map[string]*vecCounter)}
-	})
-	v, ok := m.(*CounterVec)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a counter vec", name, m))
-	}
-	return v
-}
-
-// With returns the child counter for one label value. Hold on to the
-// result; the lookup takes the family lock.
-func (v *CounterVec) With(value string) *LabeledCounter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[value]
-	if !ok {
-		c = &vecCounter{}
-		v.children[value] = c
-		v.order = append(v.order, value)
-	}
-	return &LabeledCounter{c: c}
-}
-
-// Value returns the current count for one label value (0 when the child
-// was never created).
-func (v *CounterVec) Value(value string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[value]; ok {
-		return c.v.Load()
-	}
-	return 0
-}
-
-// LabeledCounter is one child of a CounterVec.
-type LabeledCounter struct{ c *vecCounter }
-
-// Add increments the child by n.
-func (l *LabeledCounter) Add(n int64) { l.c.v.Add(n) }
-
-// Inc increments the child by one.
-func (l *LabeledCounter) Inc() { l.c.v.Add(1) }
-
-// Value returns the child's current count.
-func (l *LabeledCounter) Value() int64 { return l.c.v.Load() }
-
-func (v *CounterVec) metricName() string { return v.name }
-
-func (v *CounterVec) write(w *bufio.Writer) {
-	header(w, v.name, v.help, "counter")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, val := range v.order {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, val, v.children[val].v.Load())
-	}
-}
-
-// --- gauge ---
 
 // Gauge is a value that can go up and down, stored as a float64.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.lookup(name, func() metric { return &Gauge{name: name, help: help} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a gauge", name, m))
-	}
-	return g
-}
+type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
@@ -257,89 +312,31 @@ func (g *Gauge) Add(d float64) {
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) write(w *bufio.Writer) {
-	header(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
+func (g *Gauge) sample(w *bufio.Writer, name, pair string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, braces(pair), formatFloat(g.Value()))
 }
-
-// --- gauge func ---
 
 // gaugeFunc samples a value at scrape time via a callback.
 type gaugeFunc struct {
-	name, help string
-
 	mu sync.Mutex
 	fn func() float64
 }
 
-// GaugeFunc registers a callback-backed gauge sampled at scrape time.
-// Re-registering the same name replaces the callback — the newest owner
-// of the underlying value (for instance the most recently constructed
-// server) wins.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	m := r.lookup(name, func() metric { return &gaugeFunc{name: name, help: help} })
-	g, ok := m.(*gaugeFunc)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a gauge func", name, m))
-	}
-	g.mu.Lock()
-	g.fn = fn
-	g.mu.Unlock()
-}
-
-func (g *gaugeFunc) metricName() string { return g.name }
-
-func (g *gaugeFunc) write(w *bufio.Writer) {
+func (g *gaugeFunc) sample(w *bufio.Writer, name, pair string) {
 	g.mu.Lock()
 	fn := g.fn
 	g.mu.Unlock()
-	if fn == nil {
-		return
-	}
-	header(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(fn()))
+	fmt.Fprintf(w, "%s%s %s\n", name, braces(pair), formatFloat(fn()))
 }
-
-// --- histogram ---
 
 // Histogram is a fixed-bucket distribution with atomic bucket counts
 // and an atomically accumulated sum. Buckets are cumulative only at
 // exposition time; internally each count covers one interval, so
 // Observe touches exactly one bucket.
 type Histogram struct {
-	name, help string
-	label, lv  string // optional single label pair ("" = none)
-	bounds     []float64
-	counts     []atomic.Uint64 // len(bounds)+1; last = +Inf overflow
-	sumBits    atomic.Uint64
-}
-
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds (ascending; +Inf is implicit) if
-// needed.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	m := r.lookup(name, func() metric { return newHistogram(name, help, "", "", buckets) })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a histogram", name, m))
-	}
-	return h
-}
-
-func newHistogram(name, help, label, lv string, buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		buckets = LatencyBuckets
-	}
-	if !sort.Float64sAreSorted(buckets) {
-		panic(fmt.Sprintf("obs: histogram %s buckets are not ascending", name))
-	}
-	return &Histogram{
-		name: name, help: help, label: label, lv: lv,
-		bounds: buckets,
-		counts: make([]atomic.Uint64, len(buckets)+1),
-	}
+	bounds  []float64
+	counts  []atomic.Uint64 // len(bounds)+1; last = +Inf overflow
+	sumBits atomic.Uint64
 }
 
 // Observe records one value.
@@ -377,52 +374,24 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // so far; see HistogramSnapshot.Quantile.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
-func (h *Histogram) metricName() string { return h.name }
-
-func (h *Histogram) write(w *bufio.Writer) {
-	header(w, h.name, h.help, "histogram")
-	h.writeSamples(w)
-	clippedHeader(w, h.name)
-	h.writeClipped(w)
-}
-
-// clippedHeader opens the counter family that goes with every histogram:
-// name_clipped_total, the samples above its largest bound. A quantile
-// that falls among them reads as that bound, so a non-zero value says the
-// histogram's upper quantiles are underestimates.
-func clippedHeader(w *bufio.Writer, name string) {
-	header(w, name+"_clipped_total", "samples above the largest bucket bound of "+name, "counter")
-}
-
-func (h *Histogram) writeClipped(w *bufio.Writer) {
-	labels := ""
-	if h.label != "" {
-		labels = fmt.Sprintf("{%s=%q}", h.label, h.lv)
-	}
-	fmt.Fprintf(w, "%s_clipped_total%s %d\n", h.name, labels, h.counts[len(h.bounds)].Load())
-}
-
-// writeSamples emits the cumulative bucket/sum/count lines (no header),
-// shared with HistogramVec.
-func (h *Histogram) writeSamples(w *bufio.Writer) {
+// sample emits the cumulative bucket, sum and count lines; the bucket
+// bound joins the child's label pair inside one label set.
+func (h *Histogram) sample(w *bufio.Writer, name, pair string) {
 	prefix := ""
-	if h.label != "" {
-		prefix = fmt.Sprintf("%s=%q,", h.label, h.lv)
+	if pair != "" {
+		prefix = pair + ","
 	}
 	cum := uint64(0)
-	for i, b := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", h.name, prefix, formatFloat(b), cum)
+		le := math.Inf(1)
+		if i < len(h.bounds) {
+			le = h.bounds[i]
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, prefix, formatFloat(le), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", h.name, prefix, cum)
-	if h.label != "" {
-		fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", h.name, h.label, h.lv, formatFloat(math.Float64frombits(h.sumBits.Load())))
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", h.name, h.label, h.lv, cum)
-	} else {
-		fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(math.Float64frombits(h.sumBits.Load())))
-		fmt.Fprintf(w, "%s_count %d\n", h.name, cum)
-	}
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braces(pair), formatFloat(math.Float64frombits(h.sumBits.Load())))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braces(pair), cum)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -486,64 +455,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*(rank-prev)/float64(c)
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// --- histogram vec ---
-
-// HistogramVec is a family of histograms distinguished by one label,
-// sharing bucket bounds.
-type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-	order    []string
-}
-
-// HistogramVec returns the one-label histogram family registered under
-// name, creating it if needed.
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	m := r.lookup(name, func() metric {
-		if len(buckets) == 0 {
-			buckets = LatencyBuckets
-		}
-		return &HistogramVec{name: name, help: help, label: label, bounds: buckets, children: make(map[string]*Histogram)}
-	})
-	v, ok := m.(*HistogramVec)
-	if !ok {
-		panic(fmt.Sprintf("obs: %s is already registered as a %T, not a histogram vec", name, m))
-	}
-	return v
-}
-
-// With returns the child histogram for one label value. Hold on to the
-// result; the lookup takes the family lock.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[value]
-	if !ok {
-		h = newHistogram(v.name, v.help, v.label, value, v.bounds)
-		v.children[value] = h
-		v.order = append(v.order, value)
-	}
-	return h
-}
-
-func (v *HistogramVec) metricName() string { return v.name }
-
-func (v *HistogramVec) write(w *bufio.Writer) {
-	header(w, v.name, v.help, "histogram")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, val := range v.order {
-		v.children[val].writeSamples(w)
-	}
-	clippedHeader(w, v.name)
-	for _, val := range v.order {
-		v.children[val].writeClipped(w)
-	}
 }
 
 // --- exposition helpers ---

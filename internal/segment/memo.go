@@ -18,6 +18,7 @@ package segment
 
 import (
 	"cmp"
+	"container/list"
 	"context"
 	"math"
 	"slices"
@@ -74,10 +75,14 @@ func (k memoKey) size(e *memoEntry) (n int64) {
 	return n
 }
 
-// memo is a byte-bounded map of entries, safe for concurrent use.
+// memo is a byte-bounded map of entries, safe for concurrent use. It
+// evicts the query put least recently first, so which queries stay
+// resident depends on the reads alone.
 type memo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*memoEntry
+	order   list.List                 // the keys of entries, least recently put first
+	at      map[memoKey]*list.Element // each key's place in order
 	bytes   int64
 }
 
@@ -89,10 +94,11 @@ func (m *memo) get(k memoKey) *memoEntry {
 }
 
 // put links e in front of the entries of k's query within budget bytes,
-// evicting other queries to make room. Among entries of e's k, e replaces
-// each that is neither newer nor wider, and is dropped when one is at
-// least as new and as wide and differs; an entry larger than the whole
-// budget is not admitted.
+// evicting the queries put least recently to make room, and moves the
+// query to the back of the eviction order. Among entries of e's k, e
+// replaces each that is neither newer nor wider, and is dropped when one
+// is at least as new and as wide and differs; an entry larger than the
+// whole budget is not admitted.
 func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	k = memoKey{q: k.q}
 	if k.size(e) > budget {
@@ -114,17 +120,21 @@ func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	}
 	m.bytes -= k.size(old)
 	delete(m.entries, k)
-	for vk, ve := range m.entries {
-		if m.bytes+k.size(e) <= budget {
-			break
-		}
-		m.bytes -= vk.size(ve)
+	if at := m.at[k]; at != nil {
+		m.order.Remove(at)
+	}
+	for m.bytes+k.size(e) > budget {
+		vk := m.order.Remove(m.order.Front()).(memoKey)
+		m.bytes -= vk.size(m.entries[vk])
 		delete(m.entries, vk)
+		delete(m.at, vk)
 	}
 	if m.entries == nil {
 		m.entries = make(map[memoKey]*memoEntry)
+		m.at = make(map[memoKey]*list.Element)
 	}
 	m.entries[k] = e
+	m.at[k] = m.order.PushBack(k)
 	m.bytes += k.size(e)
 	mMemoBytes.Add(float64(m.bytes - before))
 }
@@ -134,7 +144,8 @@ func (m *memo) clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mMemoBytes.Add(float64(-m.bytes))
-	m.entries, m.bytes = nil, 0
+	m.entries, m.at, m.bytes = nil, nil, 0
+	m.order.Init()
 }
 
 // live reports whether the graph with global id is live in the snapshot.

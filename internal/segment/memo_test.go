@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -20,9 +21,16 @@ func TestMemoByteBound(t *testing.T) {
 	if m.get(big) != nil || m.bytes != 0 {
 		t.Fatalf("an entry larger than the budget was admitted (%d bytes held)", m.bytes)
 	}
+	var order []memoKey          // the queries put, least recently put first
+	answers := map[memoKey]int{} // each query's entry size, in answers
 	for i := 0; i < 200; i++ {
 		k := memoKey{q: fmt.Sprintf("q%03d", i)}
-		m.put(k, testEntry(i%40, 0), budget)
+		if i%10 == 9 { // put the least recently put resident again, at its size
+			k = order[len(order)-len(m.entries)]
+		} else {
+			answers[k] = i % 40
+		}
+		m.put(k, testEntry(answers[k], 0), budget)
 		if m.bytes > budget {
 			t.Fatalf("after %d puts the memo holds %d bytes, budget %d", i+1, m.bytes, budget)
 		}
@@ -35,6 +43,23 @@ func TestMemoByteBound(t *testing.T) {
 		}
 		if sum != m.bytes {
 			t.Fatalf("after %d puts the memo accounts %d bytes, its entries add up to %d", i+1, m.bytes, sum)
+		}
+		// The resident queries are the newest ones that fit.
+		order = append(slices.DeleteFunc(order, func(o memoKey) bool { return o == k }), k)
+		want, held := 0, int64(0)
+		for j := len(order) - 1; j >= 0; j-- {
+			if held += order[j].size(testEntry(answers[order[j]], 0)); held > budget {
+				break
+			}
+			want++
+		}
+		for _, q := range order[len(order)-want:] {
+			if m.entries[q] == nil {
+				t.Fatalf("after %d puts %s is evicted, but it is among the %d newest queries, which fit", i+1, q.q, want)
+			}
+		}
+		if len(m.entries) != want {
+			t.Fatalf("after %d puts the memo holds %d queries, want the newest %d that fit", i+1, len(m.entries), want)
 		}
 	}
 	if len(m.entries) < 2 {

@@ -130,7 +130,8 @@ type Options struct {
 	// (mining.Select): the label-free skeletons of up to MaxFragmentEdges
 	// edges frequent in a prefix sample of the graphs, less those every
 	// sampled graph holds. The set may be empty; the database then
-	// answers by prescreen and verification alone. Open ignores it.
+	// answers by prescreen and verification alone. It must be at least 2,
+	// the size of the smallest skeleton indexed. Open ignores it.
 	MaxFragmentEdges int
 
 	// PlannerOff disables the cost-based query planner: every usable
@@ -257,6 +258,15 @@ func (o Options) segmentConfig() segment.Config {
 	}
 }
 
+// selectFeatures runs the database's one feature policy, mining.Select,
+// whose smallest skeleton has 2 edges.
+func selectFeatures(graphs []*Graph, maxEdges int) ([]mining.Feature, error) {
+	if maxEdges < 2 {
+		return nil, fmt.Errorf("MaxFragmentEdges must be at least 2, got %d", maxEdges)
+	}
+	return mining.Select(graphs, maxEdges)
+}
+
 // New indexes the given graphs as one shard. The slice is retained; do
 // not mutate the graphs afterwards. Graph i gets id i; later Inserts
 // continue from len(graphs).
@@ -282,9 +292,9 @@ func NewSharded(graphs []*Graph, nShards int, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pis: %w", err)
 	}
-	feats, err := mining.Select(graphs, opts.MaxFragmentEdges)
+	feats, err := selectFeatures(graphs, opts.MaxFragmentEdges)
 	if err != nil {
-		return nil, fmt.Errorf("pis: mining features: %w", err)
+		return nil, fmt.Errorf("pis: %w", err)
 	}
 	cfg := opts.segmentConfig()
 	ranges := shard.Split(len(graphs), nShards)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pis"
@@ -101,6 +102,22 @@ func TestPublicAPIGraphBuilder(t *testing.T) {
 func TestPublicAPIValidation(t *testing.T) {
 	if _, err := pis.New(nil, pis.Options{}); err == nil {
 		t.Error("empty database accepted")
+	}
+	// Features are selected by creation and by a cluster bootstrap; both
+	// refuse a fragment bound below the 2-edge skeletons, by its name.
+	graphs := chem.Generate(20, chem.Config{Seed: 2})
+	const refusal = "MaxFragmentEdges must be at least 2, got 1"
+	if _, err := pis.New(graphs, pis.Options{MaxFragmentEdges: 1}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("New with MaxFragmentEdges 1: err = %v, want %q", err, refusal)
+	}
+	addrs := clusterAddrs(t, 1)
+	cn, err := pis.StartClusterNode(pis.ClusterOptions{Self: addrs[0], Peers: addrs, Shards: 1, Replication: 1,
+		Graphs: graphs, Options: pis.Options{MaxFragmentEdges: 1}, PingInterval: -1})
+	if err == nil {
+		cn.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Errorf("cluster bootstrap with MaxFragmentEdges 1: err = %v, want %q", err, refusal)
 	}
 }
 
