@@ -159,30 +159,21 @@ func min(a, b int) int {
 	return b
 }
 
-// TestSelect: Select is Mine's frequent skeletons of 2 to maxEdges edges
-// over a 300-graph prefix, in Mine's order, less exactly those every
-// sampled graph holds; a sample that shares every skeleton selects none,
-// and that is not an error.
-func TestSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	db := make([]*graph.Graph, 400)
-	for i := range db {
-		db[i] = randomMolecule(rng, 6+rng.Intn(6))
+func starG(leaves int) *graph.Graph {
+	b := graph.NewBuilder(leaves+1, leaves)
+	for i := 0; i <= leaves; i++ {
+		b.AddVertex(0)
 	}
-	mined, err := Mine(db, Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05, SampleSize: 300})
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i <= leaves; i++ {
+		b.AddEdge(0, int32(i), 0)
 	}
-	var want []string
-	for _, f := range mined {
-		if f.Support != 300 {
-			want = append(want, f.Key)
-		}
-	}
-	if len(want) == 0 || len(want) == len(mined) {
-		t.Fatalf("%d of %d mined features are universal; the fixture must have both kinds", len(mined)-len(want), len(mined))
-	}
-	got, err := Select(db, 4)
+	return b.MustBuild()
+}
+
+// selectKeys is Select's result as keys, failing the test on an error.
+func selectKeys(t *testing.T, graphs []*graph.Graph) []string {
+	t.Helper()
+	got, err := Select(graphs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +181,68 @@ func TestSelect(t *testing.T) {
 	for i, f := range got {
 		keys[i] = f.Key
 	}
-	if !slices.Equal(keys, want) {
-		t.Errorf("Select kept %d features %q, want Mine's %d non-universal ones in order %q", len(keys), keys, len(want), want)
+	return keys
+}
+
+// TestSelect: Select is Mine's frequent skeletons of 2 to maxEdges edges
+// over a 300-graph prefix, in Mine's order, less exactly those fewer than
+// 3 sampled graphs lack (⌈1 %⌉ of 300); below 100 sampled graphs, less
+// only those every sampled graph holds. A sample that shares every
+// skeleton selects none, and that is not an error.
+func TestSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := make([]*graph.Graph, 400)
+	for i := range db {
+		db[i] = randomMolecule(rng, 6+rng.Intn(6))
+	}
+	// Stars lack the 3-edge path every random tree of the fixture holds:
+	// two in the 300-graph sample, one in its first 50 graphs.
+	db[0], db[150] = starG(6), starG(5)
+	path3 := canon.StructureKey(pathG(3))
+
+	// kept mines the first n graphs and keeps the skeletons at least
+	// minLacking of them lack; lacks counts the mined skeletons by how
+	// many sampled graphs lack them.
+	kept := func(n, minLacking int) (want []string, lacks map[string]int) {
+		mined, err := Mine(db[:n], Options{MaxEdges: 4, MinEdges: 2, MinSupportFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lacks = map[string]int{}
+		for _, f := range mined {
+			lacks[f.Key] = n - f.Support
+			if n-f.Support >= minLacking {
+				want = append(want, f.Key)
+			}
+		}
+		return want, lacks
+	}
+
+	want, lacks := kept(300, 3)
+	if lacks[path3] != 2 {
+		t.Fatalf("the 3-edge path is lacked by %d sampled graphs, want 2", lacks[path3])
+	}
+	var universal, rare int
+	for _, l := range lacks {
+		if l == 0 {
+			universal++
+		} else if l >= 3 {
+			rare++
+		}
+	}
+	if universal == 0 || rare == 0 {
+		t.Fatalf("lacked-by counts %v: the fixture needs a skeleton every sampled graph holds and one 3 or more lack", lacks)
+	}
+	if got := selectKeys(t, db); !slices.Equal(got, want) {
+		t.Errorf("Select kept %d features %q, want the %d of Mine's that 3 or more of 300 lack, in order %q", len(got), got, len(want), want)
+	}
+
+	want, lacks = kept(50, 1)
+	if lacks[path3] != 1 {
+		t.Fatalf("the 3-edge path is lacked by %d of the first 50 graphs, want 1", lacks[path3])
+	}
+	if got := selectKeys(t, db[:50]); !slices.Equal(got, want) || !slices.Contains(got, path3) {
+		t.Errorf("a 50-graph sample: Select kept %q, want the %d of Mine's not all 50 hold, the 3-edge path among them, in order %q", got, len(want), want)
 	}
 
 	rings := []*graph.Graph{cycleG(6), cycleG(6), cycleG(6)}

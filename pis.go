@@ -128,8 +128,8 @@ type Options struct {
 	// sweeps 4-6 in Figure 12). It acts when the database's features are
 	// selected, at creation, by the database's one feature policy
 	// (mining.Select): the label-free skeletons of up to MaxFragmentEdges
-	// edges frequent in a prefix sample of the graphs, less those every
-	// sampled graph holds. The set may be empty; the database then
+	// edges frequent in a prefix sample of the graphs, less those fewer
+	// than 1 % of the sample lack. The set may be empty; the database then
 	// answers by prescreen and verification alone. It must be at least 2,
 	// the size of the smallest skeleton indexed. Open ignores it.
 	MaxFragmentEdges int
@@ -679,8 +679,8 @@ func (db *Database) PlannerState() []PlannerCell {
 type IndexStats struct {
 	// Features counts the database's selected structure features
 	// (equivalence classes), the one set every shard indexes under; a
-	// skeleton every sampled graph holds is not selected. It may be 0,
-	// when the database answers by prescreen and verification alone.
+	// skeleton fewer than 1 % of the sample lack is not selected. It may
+	// be 0, when the database answers by prescreen and verification alone.
 	Features int `json:"features"`
 	// Fragments counts the (label sequence, graph) pairs the index stores:
 	// a sequence that occurs several times inside one graph counts once
