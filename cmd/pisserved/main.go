@@ -100,11 +100,10 @@ func main() {
 		QueryTimeout:     *qTimeout,
 		CompactFraction:  *compact,
 	}
+	sc := serveConfig{addr: *addr, inflight: *inflight, maxQueue: *maxQueue, quWait: *quWait,
+		shutdown: *shutdown, slowQuery: *slowQuery, qlogSize: *qlogSize, debugAddr: *debugAddr}
 	if clusterMode {
-		runCluster(*clusterAddr, *clusterPeers, *shards, *replication, *dataDir, *dbPath, *genN, *seed, opts,
-			serveConfig{addr: *addr, inflight: *inflight, maxQueue: *maxQueue,
-				quWait: *quWait, shutdown: *shutdown, slowQuery: *slowQuery, qlogSize: *qlogSize,
-				debugAddr: *debugAddr})
+		runCluster(*clusterAddr, *clusterPeers, *shards, *replication, *dataDir, loadGraphs(*dbPath, *genN, *seed), opts, sc)
 		return
 	}
 
@@ -124,20 +123,7 @@ func main() {
 		log.Printf("recovered %d graphs in %d shards from %s in %v (replayed %d WAL records, dropped %d torn bytes)",
 			db.Len(), db.NumShards(), *dataDir, time.Since(start), d.ReplayedRecords, d.RecoveryDroppedBytes)
 	default:
-		var graphs []*pis.Graph
-		if *dbPath != "" {
-			f, err := os.Open(*dbPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			graphs, err = pis.ReadDatabase(f)
-			f.Close()
-			if err != nil {
-				log.Fatalf("reading database: %v", err)
-			}
-		} else {
-			graphs = gen.Molecules(*genN, gen.Config{Seed: *seed})
-		}
+		graphs := loadGraphs(*dbPath, *genN, *seed)
 		log.Printf("database: %d graphs", len(graphs))
 		db, err = buildDatabase(graphs, *shards, opts, *dataDir)
 		if err != nil {
@@ -148,9 +134,28 @@ func main() {
 	st := db.Stats()
 	log.Printf("index: %d shards, %d features, %d fragments", db.NumShards(), st.Features, st.Fragments)
 
-	serve(db, serveConfig{addr: *addr, inflight: *inflight, maxQueue: *maxQueue,
-		quWait: *quWait, shutdown: *shutdown, slowQuery: *slowQuery, qlogSize: *qlogSize,
-		debugAddr: *debugAddr})
+	serve(db, sc)
+}
+
+// loadGraphs reads the -db file, or generates -gen molecules; nil when
+// neither is given.
+func loadGraphs(dbPath string, genN int, seed int64) []*pis.Graph {
+	if dbPath == "" {
+		if genN == 0 {
+			return nil
+		}
+		return gen.Molecules(genN, gen.Config{Seed: seed})
+	}
+	f, err := os.Open(dbPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	graphs, err := pis.ReadDatabase(f)
+	if err != nil {
+		log.Fatalf("reading database: %v", err)
+	}
+	return graphs
 }
 
 // serveConfig carries the HTTP-serving flags shared by single-process
@@ -197,30 +202,14 @@ func serve(backend server.Backend, sc serveConfig) {
 // a shard-RPC server for the shards the placement map assigns it, plus
 // a coordinator that routes this node's HTTP traffic to the whole
 // cluster. Every node must be started with the same -cluster-peers,
-// -shards, and -replication values (and the same -db/-gen source when
-// bootstrapping); each node needs its own -data-dir.
-func runCluster(self, peerList string, shards, replication int, dataDir, dbPath string, genN int, seed int64, opts pis.Options, sc serveConfig) {
+// -shards, and -replication values (and the same -db/-gen source,
+// graphs, when bootstrapping); each node needs its own -data-dir.
+func runCluster(self, peerList string, shards, replication int, dataDir string, graphs []*pis.Graph, opts pis.Options, sc serveConfig) {
 	var peers []string
 	for _, p := range strings.Split(peerList, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
 		}
-	}
-	var graphs []*pis.Graph
-	switch {
-	case dbPath != "":
-		f, err := os.Open(dbPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var rerr error
-		graphs, rerr = pis.ReadDatabase(f)
-		f.Close()
-		if rerr != nil {
-			log.Fatalf("reading database: %v", rerr)
-		}
-	case genN != 0:
-		graphs = gen.Molecules(genN, gen.Config{Seed: seed})
 	}
 	start := time.Now()
 	cn, err := pis.StartClusterNode(pis.ClusterOptions{

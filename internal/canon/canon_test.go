@@ -44,7 +44,10 @@ func permute(g *graph.Graph, rng *rand.Rand) *graph.Graph {
 	for _, old := range perm {
 		b.AddWeightedVertex(g.VLabelAt(old), g.VWeightAt(old))
 	}
-	edges := append([]graph.Edge(nil), g.Edges()...)
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, e)
+	}
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for _, e := range edges {
 		b.AddWeightedEdge(inv[e.U], inv[e.V], e.Label, e.Weight)
@@ -270,6 +273,12 @@ func TestGraphKey(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a second GraphKey of the same graph allocates %.0f times: not memoized", allocs)
 	}
+}
+
+// StructureKey returns the class key of g's skeleton.
+func StructureKey(g *graph.Graph) string {
+	code, _ := MinCode(g.Skeleton())
+	return code.Key()
 }
 
 func TestStructureKeyIgnoresLabels(t *testing.T) {

@@ -61,7 +61,8 @@ func graphKey(g *graph.Graph) string {
 // Only labels, weights and structure decide it, so isomorphic graphs get
 // the same colours.
 func (s *keyScratch) refine(g *graph.Graph) int {
-	n, m, edges := g.N(), g.M(), g.Edges()
+	n, m := g.N(), g.M()
+	edges, ew := graph.Records(g)
 	s.col, s.next, s.ec = resize(s.col, n), resize(s.next, n), resize(s.ec, m)
 	s.vs, s.off = resize(s.vs, max(n, m)), resize(s.off, n)
 	for i := range s.vs {
@@ -69,7 +70,7 @@ func (s *keyScratch) refine(g *graph.Graph) int {
 	}
 	part(s.vs[:m], 0, s.ec, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(edges[a].Label, edges[b].Label),
-			cmp.Compare(math.Float64bits(edges[a].Weight), math.Float64bits(edges[b].Weight)))
+			cmp.Compare(math.Float64bits(graph.WeightAt(ew, int(a))), math.Float64bits(graph.WeightAt(ew, int(b)))))
 	})
 	for i := range n {
 		s.vs[i] = int32(i)
@@ -159,6 +160,7 @@ func (s *keyScratch) write(g *graph.Graph, kind byte) string {
 	}
 	b := append(s.buf[:0], kind)
 	adj, nbrV, nbrE := g.Adjacency()
+	edges, ew := graph.Records(g)
 	for p, v := range s.vs[:g.N()] {
 		b = binary.AppendUvarint(b, uint64(g.VLabelAt(int(v))))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.VWeightAt(int(v))))
@@ -171,9 +173,9 @@ func (s *keyScratch) write(g *graph.Graph, kind byte) string {
 		slices.Sort(later)
 		b = binary.AppendUvarint(b, uint64(len(later)))
 		for _, x := range later {
-			e := g.EdgeAt(int(uint32(x)))
-			b = binary.AppendUvarint(binary.AppendUvarint(b, x>>32), uint64(e.Label))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Weight))
+			e := uint32(x)
+			b = binary.AppendUvarint(binary.AppendUvarint(b, x>>32), uint64(edges[e].Label))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(graph.WeightAt(ew, int(e))))
 		}
 		s.words = later[:0]
 	}

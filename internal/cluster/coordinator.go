@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -79,9 +80,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HedgeCap <= 0 {
 		cfg.HedgeCap = time.Second
 	}
-	if cfg.PingInterval == 0 {
-		cfg.PingInterval = time.Second
-	}
+	cfg.PingInterval = cmp.Or(cfg.PingInterval, time.Second)
 	if cfg.StatsTimeout <= 0 {
 		cfg.StatsTimeout = 2 * time.Second
 	}
@@ -265,18 +264,14 @@ func (c *Coordinator) Insert(ctx context.Context, g *graph.Graph) (int32, error)
 			continue
 		}
 		if err := ps.call(ctx, opInsert, req, nil); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 			ps.markStale()
 			continue
 		}
 		acks++
 	}
 	if acks == 0 {
-		if firstErr == nil {
-			firstErr = ErrUnavailable
-		}
+		firstErr = cmp.Or(firstErr, ErrUnavailable)
 		return 0, fmt.Errorf("cluster: insert to shard %d: %w", sh, firstErr)
 	}
 	c.nextID.Store(id + 1)
@@ -305,9 +300,7 @@ func (c *Coordinator) Delete(ctx context.Context, id int32) (bool, error) {
 			return sr.Err()
 		})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 			ps.markStale()
 			continue
 		}
@@ -315,9 +308,7 @@ func (c *Coordinator) Delete(ctx context.Context, id int32) (bool, error) {
 		found = found || f
 	}
 	if reached == 0 {
-		if firstErr == nil {
-			firstErr = ErrUnavailable
-		}
+		firstErr = cmp.Or(firstErr, ErrUnavailable)
 		return false, fmt.Errorf("cluster: delete %d: %w", id, firstErr)
 	}
 	if found {
@@ -343,9 +334,7 @@ func (c *Coordinator) Graph(ctx context.Context, id int32) (*graph.Graph, error)
 			return derr
 		})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
 		tried++

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoding flags.
@@ -29,11 +30,8 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	if g.vweights != nil {
 		flags |= binHasVWeights
 	}
-	for _, e := range g.edges {
-		if e.Weight != 0 {
-			flags |= binHasEWeights
-			break
-		}
+	if slices.ContainsFunc(g.eweights, func(w float64) bool { return w != 0 }) {
+		flags |= binHasEWeights
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(g.N()))
@@ -52,8 +50,8 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(e.Label))
 	}
 	if flags&binHasEWeights != 0 {
-		for _, e := range g.edges {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Weight))
+		for _, w := range g.eweights {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
 		}
 	}
 	return dst
@@ -88,27 +86,33 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 	if n > uint64(len(b)) || m > uint64(len(b))/3 {
 		return fail("counts exceed payload")
 	}
-	g := &Graph{vlabels: make([]VLabel, n)}
-	for i := range g.vlabels {
+	vl := make([]VLabel, n)
+	for i := range vl {
 		l, k := binary.Uvarint(b)
 		if k <= 0 || l > math.MaxUint16 {
 			return fail("vertex label")
 		}
-		g.vlabels[i] = VLabel(l)
+		vl[i] = VLabel(l)
 		b = b[k:]
 	}
-	if flags&binHasVWeights != 0 {
-		if len(b) < 8*int(n) {
-			return fail("vertex weights")
+	// weights reads k float64s if flags has flag; false when b is short.
+	weights := func(flag byte, k uint64) ([]float64, bool) {
+		if flags&flag == 0 || uint64(len(b))/8 < k {
+			return nil, flags&flag == 0
 		}
-		g.vweights = make([]float64, n)
-		for i := range g.vweights {
-			g.vweights[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		w := make([]float64, k)
+		for i := range w {
+			w[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		b = b[8*int(n):]
+		b = b[8*k:]
+		return w, true
 	}
-	g.edges = make([]Edge, m)
-	for i := range g.edges {
+	vw, ok := weights(binHasVWeights, n)
+	if !ok {
+		return fail("vertex weights")
+	}
+	es := make([]EdgeRec, m)
+	for i := range es {
 		u, ku := binary.Uvarint(b)
 		b = b[max(ku, 0):]
 		v, kv := binary.Uvarint(b)
@@ -121,18 +125,13 @@ func DecodeBinary(b []byte) (*Graph, []byte, error) {
 		if u >= v || v >= n {
 			return nil, nil, fmt.Errorf("graph: invalid binary edge (%d,%d) in %d-vertex graph", u, v, n)
 		}
-		g.edges[i] = Edge{U: int32(u), V: int32(v), Label: ELabel(l)}
+		es[i] = EdgeRec{U: int32(u), V: int32(v), Label: ELabel(l)}
 	}
-	if flags&binHasEWeights != 0 {
-		if len(b) < 8*int(m) {
-			return fail("edge weights")
-		}
-		for i := range g.edges {
-			g.edges[i].Weight = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-		b = b[8*int(m):]
+	ew, ok := weights(binHasEWeights, m)
+	if !ok {
+		return fail("edge weights")
 	}
-	g.link()
+	g := layout(vl, vw, es, ew, nil)
 	if err := g.checkSimple(); err != nil {
 		return nil, nil, err
 	}

@@ -138,8 +138,9 @@ func TestIncidentEdgesAscending(t *testing.T) {
 	laidOut := func(name string, g *Graph) {
 		t.Helper()
 		n, m := g.N(), g.M()
-		if len(g.off) != n+1 || g.off[0] != 0 || int(g.off[n]) != 2*m || len(g.nbrE) != 2*m || len(g.nbrV) != 2*m {
-			t.Fatalf("%s: n=%d m=%d but off=%v, %d edge slots, %d neighbor slots", name, n, m, g.off, len(g.nbrE), len(g.nbrV))
+		off, nbrV, nbrE := g.Adjacency()
+		if len(off) != n+1 || off[0] != 0 || int(off[n]) != 2*m || len(nbrE) != 2*m || len(nbrV) != 2*m {
+			t.Fatalf("%s: n=%d m=%d but off=%v, %d edge slots, %d neighbor slots", name, n, m, off, len(nbrE), len(nbrV))
 		}
 		for v := 0; v < n; v++ {
 			inc := g.IncidentEdges(v)
@@ -150,12 +151,12 @@ func TestIncidentEdgesAscending(t *testing.T) {
 				if i > 0 && inc[i-1] >= e {
 					t.Fatalf("%s: IncidentEdges(%d) = %v, not ascending", name, v, inc)
 				}
-				s := int(g.off[v]) + i
+				s := int(off[v]) + i
 				if ed := g.EdgeAt(int(e)); ed.U != int32(v) && ed.V != int32(v) {
 					t.Fatalf("%s: slot %d of vertex %d holds edge %d = %v, not incident", name, s, v, e, ed)
 				}
-				if g.nbrV[s] != g.Other(int(e), int32(v)) {
-					t.Fatalf("%s: nbrV[%d] = %d, Other(%d, %d) = %d", name, s, g.nbrV[s], e, v, g.Other(int(e), int32(v)))
+				if nbrV[s] != g.Other(int(e), int32(v)) {
+					t.Fatalf("%s: nbrV[%d] = %d, Other(%d, %d) = %d", name, s, nbrV[s], e, v, g.Other(int(e), int32(v)))
 				}
 			}
 		}

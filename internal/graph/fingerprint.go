@@ -22,7 +22,7 @@
 // Every test is conservative: a rejected graph provably has d(Q, G) > σ,
 // so the prescreen never changes answers, only skips branch-and-bound
 // work. The fingerprint is a pure function of the graph and costs about a
-// microsecond, so every constructor fills it (link, Relabel): no Graph
+// microsecond, so every constructor fills it (layout): no Graph
 // exists without one, and no image or snapshot stores it. The second
 // prescreen tier, the invariants (invariants.go), costs some 30 times as
 // much and stays lazy.
@@ -40,14 +40,15 @@ const (
 	fpVertexBuckets = 16
 )
 
-// FP is the prescreen fingerprint of one graph. Counters saturate at
-// their type maximum, which only ever weakens (never invalidates) the
-// derived bounds.
+// FP is the prescreen fingerprint of one graph, 64 bytes. Counters
+// saturate at 255, which only ever weakens (never invalidates) the
+// derived bounds: a query within a host's counts stays within them, and a
+// saturated deficit is never larger than the true one.
 type FP struct {
 	NV, NE  int32
-	DegTail [fpDegTail]uint16
-	ELab    [fpEdgeBuckets]uint16
-	VLab    [fpVertexBuckets]uint16
+	DegTail [fpDegTail]uint8
+	ELab    [fpEdgeBuckets]uint8
+	VLab    [fpVertexBuckets]uint8
 }
 
 // labelBucket mixes a label into one of n buckets. Fibonacci hashing
@@ -56,8 +57,8 @@ func labelBucket(l uint32, n uint32) uint32 {
 	return (l * 2654435761) >> 7 % n
 }
 
-func satInc(c *uint16) {
-	if *c != ^uint16(0) {
+func satInc(c *uint8) {
+	if *c != ^uint8(0) {
 		*c++
 	}
 }
@@ -69,17 +70,13 @@ func (g *Graph) FP() *FP { return &g.fp }
 // edges and adjacency are in place.
 func computeFP(g *Graph) FP {
 	fp := FP{NV: int32(g.N()), NE: int32(g.M())}
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
-		if d > fpDegTail {
-			d = fpDegTail
-		}
-		for k := 0; k < d; k++ {
+	for v, l := range g.vlabels {
+		for k := range min(g.Degree(v), fpDegTail) {
 			satInc(&fp.DegTail[k])
 		}
-		satInc(&fp.VLab[labelBucket(uint32(g.VLabelAt(v)), fpVertexBuckets)])
+		satInc(&fp.VLab[labelBucket(uint32(l), fpVertexBuckets)])
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		satInc(&fp.ELab[labelBucket(uint32(e.Label), fpEdgeBuckets)])
 	}
 	return fp
@@ -111,7 +108,7 @@ func newQueryFP(fp FP, vFloor, eFloor float64) QueryFP {
 		qfp.eOcc |= uint32(min(n, 1)) << b
 	}
 	for b, n := range fp.VLab {
-		qfp.vOcc |= min(n, 1) << b
+		qfp.vOcc |= uint16(min(n, 1)) << b
 	}
 	return qfp
 }

@@ -83,14 +83,14 @@ func admissibleFull(qfp *QueryFP, g *FP, sigma float64) bool {
 // randomFP draws a fingerprint whose counters are mostly small, often
 // zero and sometimes saturated, with degree tails that only fall.
 func randomFP(rng *rand.Rand) FP {
-	count := func() uint16 {
+	count := func() uint8 {
 		switch rng.Intn(8) {
 		case 0, 1:
 			return 0
 		case 3:
-			return ^uint16(0)
+			return ^uint8(0)
 		}
-		return uint16(rng.Intn(6))
+		return uint8(rng.Intn(6))
 	}
 	var fp FP
 	fp.NV, fp.NE = int32(rng.Intn(40)), int32(rng.Intn(50))
@@ -128,7 +128,7 @@ func TestAdmissibleMatchesFullScan(t *testing.T) {
 			g.ELab[rng.Intn(fpEdgeBuckets)] = 0
 			g.VLab[rng.Intn(fpVertexBuckets)] = 0
 			k := rng.Intn(fpDegTail)
-			g.DegTail[k] = uint16(rng.Intn(int(g.DegTail[k]) + 1))
+			g.DegTail[k] = uint8(rng.Intn(int(g.DegTail[k]) + 1))
 		}
 		for _, sigma := range []float64{0, 0.5, 1, 2, 4} {
 			want := admissibleFull(&qfp, &g, sigma)

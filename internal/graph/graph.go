@@ -10,8 +10,12 @@ package graph
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
 // VLabel is a vertex label. The zero value is a valid "blank" label;
@@ -29,16 +33,26 @@ type Edge struct {
 	Weight float64
 }
 
+// EdgeRec is an Edge as a Graph stores it, 12 bytes: the weights, if
+// any, sit in a column of their own (Records).
+type EdgeRec struct {
+	U, V  int32
+	Label ELabel
+}
+
 // Graph is an immutable labeled undirected graph. Construct one with a
-// Builder; the zero Graph is a valid empty graph.
+// Builder; the zero Graph is a valid empty graph. Every array it holds is
+// exactly as long as its content (layout).
 type Graph struct {
 	vlabels  []VLabel
-	vweights []float64
-	edges    []Edge
-	// Adjacency in CSR form, three pieces of one array filled by link: the
+	vweights []float64 // nil when the graph carries no vertex weights
+	edges    []EdgeRec
+	eweights []float64 // nil exactly when every edge weight's bits are zero
+	// adj is the adjacency in CSR form, three pieces of one array filled by
+	// link: off (n+1 slots), then nbrE, then nbrV (2m slots each). The
 	// neighbors of v sit in slots off[v]..off[v+1], ascending by edge
 	// index; nbrE[s] is the incident edge, nbrV[s] its other endpoint.
-	off, nbrE, nbrV []int32
+	adj []int32
 	// fp is the prescreen fingerprint (see FP), filled by every
 	// constructor.
 	fp FP
@@ -76,43 +90,99 @@ func (g *Graph) M() int { return len(g.edges) }
 func (g *Graph) VLabelAt(v int) VLabel { return g.vlabels[v] }
 
 // VWeightAt returns the weight of vertex v (0 when weights are unused).
-func (g *Graph) VWeightAt(v int) float64 {
-	if g.vweights == nil {
-		return 0
-	}
-	return g.vweights[v]
+func (g *Graph) VWeightAt(v int) float64 { return WeightAt(g.vweights, v) }
+
+// EdgeAt returns edge e by index, its weight read from the weight column.
+func (g *Graph) EdgeAt(e int) Edge {
+	r := g.edges[e]
+	return Edge{U: r.U, V: r.V, Label: r.Label, Weight: WeightAt(g.eweights, e)}
 }
 
-// EdgeAt returns edge e by index.
-func (g *Graph) EdgeAt(e int) Edge { return g.edges[e] }
+// Edges yields every edge with its index, ascending.
+func (g *Graph) Edges() iter.Seq2[int, Edge] {
+	return func(yield func(int, Edge) bool) {
+		for e := 0; e < len(g.edges) && yield(e, g.EdgeAt(e)); e++ {
+		}
+	}
+}
 
-// Edges returns the edge slice. Callers must not modify it.
-func (g *Graph) Edges() []Edge { return g.edges }
+// Records returns g's edge records and its edge weights, both indexed like
+// EdgeAt, for kernels that read them in place; the weights are nil when
+// every one's bits are zero. Callers must not modify them.
+func Records(g *Graph) ([]EdgeRec, []float64) { return g.edges, g.eweights }
+
+// WeightAt returns weight i of a weight column, 0 when the column is nil.
+func WeightAt(ws []float64, i int) float64 {
+	if ws == nil {
+		return 0
+	}
+	return ws[i]
+}
+
+// HeapBytes returns the heap g holds: its header, its arrays (an
+// adjacency shared with Relabel's copies counts for each) and its cached
+// invariants, as asked for, not rounded up to allocation size classes.
+func HeapBytes(g *Graph) int {
+	n := int(unsafe.Sizeof(*g)) + 2*len(g.vlabels) + 8*len(g.vweights) +
+		12*len(g.edges) + 8*len(g.eweights) + 4*len(g.adj)
+	if g.inv.Load() != nil {
+		n += 4 * invWords(g.N(), g.M())
+	}
+	return n
+}
 
 // IncidentEdges returns the indices of edges incident to v, ascending.
 // Callers must not modify the returned slice.
 func (g *Graph) IncidentEdges(v int) []int32 {
-	lo, hi := g.off[v], g.off[v+1]
-	return g.nbrE[lo:hi:hi]
+	off, _, nbrE := g.Adjacency()
+	return nbrE[off[v]:off[v+1]:off[v+1]]
 }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
+func (g *Graph) Degree(v int) int { return int(g.adj[v+1] - g.adj[v]) }
 
 // Adjacency returns the CSR arrays themselves, for kernels that walk them
 // in place: v's slots are off[v]..off[v+1] (len(off) is N()+1, or 0 for the
 // zero Graph), nbrV[s] the neighbor and nbrE[s] the edge reaching it.
 // Callers must not modify them.
-func (g *Graph) Adjacency() (off, nbrV, nbrE []int32) { return g.off, g.nbrV, g.nbrE }
+func (g *Graph) Adjacency() (off, nbrV, nbrE []int32) {
+	k, m := min(len(g.vlabels)+1, len(g.adj)), 2*len(g.edges) // k = 0 for the zero Graph
+	return g.adj[:k:k], g.adj[k+m:], g.adj[k : k+m : k+m]
+}
 
-// link lays out the adjacency of g.edges over len(g.vlabels) vertices and
-// then fills the fingerprint. Slots fill in edge order, so every vertex's
-// run ascends by edge index — the invariant the constructors rely on
-// instead of sorting. Endpoints must already be in range.
+// layout is every constructor's last step: the graph over vertex labels
+// vl and weights vw (nil for none), edge records es and weights ew, each
+// array exactly as long as its content (adopted if so, else copied), ew
+// nil when every weight's bits are zero, and the fingerprint filled. adj
+// is the adjacency a copy shares with its source (Relabel), else nil.
+func layout(vl []VLabel, vw []float64, es []EdgeRec, ew []float64, adj []int32) *Graph {
+	if !slices.ContainsFunc(ew, func(w float64) bool { return math.Float64bits(w) != 0 }) {
+		ew = nil
+	}
+	g := &Graph{vlabels: exact(vl), vweights: exact(vw), edges: exact(es), eweights: exact(ew), adj: adj}
+	if adj == nil {
+		g.link()
+	}
+	g.fp = computeFP(g)
+	return g
+}
+
+// exact returns s when its capacity is its length, else a copy whose is.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
+}
+
+// link lays out the adjacency of g.edges over len(g.vlabels) vertices.
+// Slots fill in edge order, so every vertex's run ascends by edge index —
+// the invariant the constructors rely on instead of sorting. Endpoints
+// must already be in range.
 func (g *Graph) link() {
 	n, m := len(g.vlabels), len(g.edges)
-	buf := make([]int32, n+1+4*m)
-	off, nbrE, nbrV := buf[:n+1:n+1], buf[n+1:n+1+2*m:n+1+2*m], buf[n+1+2*m:]
+	g.adj = make([]int32, n+1+4*m)
+	off, nbrV, nbrE := g.Adjacency()
 	for _, e := range g.edges {
 		off[e.U+1]++
 		off[e.V+1]++
@@ -130,8 +200,6 @@ func (g *Graph) link() {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	g.off, g.nbrE, g.nbrV = off, nbrE, nbrV
-	g.fp = computeFP(g)
 }
 
 // Other returns the endpoint of edge e that is not v.
@@ -153,9 +221,10 @@ func (g *Graph) EdgeBetween(u, v int32) int {
 	if g.Degree(int(a)) > g.Degree(int(b)) {
 		a, b = b, a
 	}
-	for s := g.off[a]; s < g.off[a+1]; s++ {
-		if g.nbrV[s] == b {
-			return int(g.nbrE[s])
+	off, nbrV, nbrE := g.Adjacency()
+	for s := off[a]; s < off[a+1]; s++ {
+		if nbrV[s] == b {
+			return int(nbrE[s])
 		}
 	}
 	return -1
@@ -168,6 +237,7 @@ func (g *Graph) Connected() bool {
 	if n <= 1 {
 		return true
 	}
+	off, nbrV, _ := g.Adjacency()
 	seen := make([]bool, n)
 	stack := []int32{0}
 	seen[0] = true
@@ -175,7 +245,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.nbrV[g.off[v]:g.off[v+1]] {
+		for _, w := range nbrV[off[v]:off[v+1]] {
 			if !seen[w] {
 				seen[w] = true
 				count++
@@ -188,15 +258,7 @@ func (g *Graph) Connected() bool {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		vlabels: append([]VLabel(nil), g.vlabels...),
-		edges:   append([]Edge(nil), g.edges...),
-	}
-	if g.vweights != nil {
-		c.vweights = append([]float64(nil), g.vweights...)
-	}
-	c.link()
-	return c
+	return layout(slices.Clone(g.vlabels), slices.Clone(g.vweights), slices.Clone(g.edges), slices.Clone(g.eweights), nil)
 }
 
 // Skeleton returns a copy of g with every vertex and edge label zeroed and
@@ -208,12 +270,11 @@ func (g *Graph) Skeleton() *Graph { return g.Relabel(make([]VLabel, g.N()), make
 // vl[v] and edge e label el[e]. The copy keeps vl and shares g's
 // adjacency, which is label-independent.
 func (g *Graph) Relabel(vl []VLabel, el []ELabel) *Graph {
-	c := &Graph{vlabels: vl, edges: make([]Edge, g.M()), off: g.off, nbrE: g.nbrE, nbrV: g.nbrV}
+	es := make([]EdgeRec, g.M())
 	for i, e := range g.edges {
-		c.edges[i] = Edge{U: e.U, V: e.V, Label: el[i]}
+		es[i] = EdgeRec{U: e.U, V: e.V, Label: el[i]}
 	}
-	c.fp = computeFP(c)
-	return c
+	return layout(vl, nil, es, nil, g.adj)
 }
 
 // String renders a compact human-readable form, stable across runs.
@@ -235,7 +296,8 @@ func (g *Graph) String() string {
 type Builder struct {
 	vlabels  []VLabel
 	vweights []float64
-	edges    []Edge
+	edges    []EdgeRec
+	eweights []float64
 	err      error
 }
 
@@ -243,7 +305,7 @@ type Builder struct {
 func NewBuilder(n, m int) *Builder {
 	return &Builder{
 		vlabels: make([]VLabel, 0, n),
-		edges:   make([]Edge, 0, m),
+		edges:   make([]EdgeRec, 0, m),
 	}
 }
 
@@ -290,7 +352,7 @@ func (b *Builder) AddWeightedEdge(u, v int32, l ELabel, w float64) {
 		b.err = fmt.Errorf("graph: edge (%d,%d) references unknown vertex", u, v)
 		return
 	}
-	b.edges = append(b.edges, Edge{U: u, V: v, Label: l, Weight: w})
+	b.edges, b.eweights = append(b.edges, EdgeRec{U: u, V: v, Label: l}), append(b.eweights, w)
 }
 
 // Build finalizes the graph. It returns an error for self loops, duplicate
@@ -299,8 +361,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{vlabels: b.vlabels, vweights: b.vweights, edges: b.edges}
-	g.link()
+	g := layout(b.vlabels, b.vweights, b.edges, b.eweights, nil)
 	if err := g.checkSimple(); err != nil {
 		return nil, err
 	}
@@ -311,9 +372,10 @@ func (b *Builder) Build() (*Graph, error) {
 // duplicate edge repeats a neighbor in its endpoints' runs: met[w] is v+1
 // once w has been met in v's.
 func (g *Graph) checkSimple() error {
+	off, nbrV, _ := g.Adjacency()
 	met := make([]int32, g.N())
 	for v := range met {
-		for _, w := range g.nbrV[g.off[v]:g.off[v+1]] {
+		for _, w := range nbrV[off[v]:off[v+1]] {
 			if met[w] == int32(v+1) {
 				return fmt.Errorf("graph: duplicate edge (%d,%d)", min(int32(v), w), max(int32(v), w))
 			}

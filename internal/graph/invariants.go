@@ -216,6 +216,7 @@ type annotator struct {
 // so in a sparse graph it hardly leaves the cycles it reports.
 func (a *annotator) source(s int32) {
 	g, sc := a.g, a.sc
+	off, nbrV, _ := g.Adjacency()
 	dist, queue := sc.dist, append(sc.queue[:0], s)
 	dist[s] = 0
 	var balls [maxRadius + 1]uint32 // vertices at exactly distance d
@@ -227,7 +228,7 @@ func (a *annotator) source(s int32) {
 			continue
 		}
 		a.budget -= g.Degree(int(v))
-		for _, u := range g.nbrV[g.off[v]:g.off[v+1]] {
+		for _, u := range nbrV[off[v]:off[v+1]] {
 			if dist[u] < 0 {
 				dist[u] = d + 1
 				queue = append(queue, u)
@@ -259,8 +260,9 @@ func (a *annotator) walk(v int32, d int) {
 	if a.budget < 0 {
 		return
 	}
-	for s := g.off[v]; s < g.off[v+1]; s++ {
-		e, u := g.nbrE[s], g.nbrV[s]
+	off, nbrV, nbrE := g.Adjacency()
+	for s := off[v]; s < off[v+1]; s++ {
+		e, u := nbrE[s], nbrV[s]
 		if u == a.s {
 			if d >= 2 {
 				bit := uint8(1) << (d + 1 - minCycle)

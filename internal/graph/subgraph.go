@@ -15,7 +15,7 @@ type Fragment struct {
 func (f Fragment) Vertices() []int32 {
 	out := make([]int32, 0, len(f.Edges)+1)
 	for _, e := range f.Edges {
-		ed := f.Host.EdgeAt(int(e))
+		ed := f.Host.edges[e]
 		for _, v := range [2]int32{ed.U, ed.V} {
 			if !slices.Contains(out, v) {
 				out = append(out, v)
@@ -35,28 +35,27 @@ func (f Fragment) Vertices() []int32 {
 // The construction bypasses Builder validation: fragment edges come from
 // the host, so they are already loop-free, distinct, and endpoint-valid.
 func (f Fragment) Extract() (g *Graph, vmap []int32, emap []int32) {
-	verts := f.Vertices()
-	g = &Graph{
-		vlabels: make([]VLabel, len(verts)),
-		edges:   make([]Edge, len(f.Edges)),
+	verts, h := f.Vertices(), f.Host
+	es := gather(h.edges, f.Edges)
+	for i, e := range es {
+		u, _ := slices.BinarySearch(verts, e.U)
+		v, _ := slices.BinarySearch(verts, e.V)
+		es[i].U, es[i].V = int32(min(u, v)), int32(max(u, v))
 	}
-	if f.Host.vweights != nil {
-		g.vweights = make([]float64, len(verts))
-	}
-	for i, hv := range verts {
-		g.vlabels[i] = f.Host.VLabelAt(int(hv))
-		if g.vweights != nil {
-			g.vweights[i] = f.Host.VWeightAt(int(hv))
-		}
-	}
-	for i, he := range f.Edges {
-		ed := f.Host.EdgeAt(int(he))
-		u, _ := slices.BinarySearch(verts, ed.U)
-		v, _ := slices.BinarySearch(verts, ed.V)
-		g.edges[i] = Edge{U: int32(min(u, v)), V: int32(max(u, v)), Label: ed.Label, Weight: ed.Weight}
-	}
-	g.link()
+	g = layout(gather(h.vlabels, verts), gather(h.vweights, verts), es, gather(h.eweights, f.Edges), nil)
 	return g, verts, append([]int32(nil), f.Edges...)
+}
+
+// gather returns src[idx[0]], src[idx[1]], …, or nil for a nil src.
+func gather[T any](src []T, idx []int32) []T {
+	if src == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = src[j]
+	}
+	return out
 }
 
 // EnumerateConnectedSubgraphs calls fn with every connected edge-subgraph
@@ -88,7 +87,7 @@ func EnumerateConnectedSubgraphs(g *Graph, maxEdges int, fn func(edges []int32) 
 		// greater than the anchor, not already in, not excluded.
 		var frontier []int32
 		for _, e := range cur {
-			ed := g.EdgeAt(int(e))
+			ed := g.edges[e]
 			for _, end := range [2]int32{ed.U, ed.V} {
 				for _, ne := range g.IncidentEdges(int(end)) {
 					if ne > anchor && !inSub[ne] && !excluded[ne] && !slices.Contains(frontier, ne) {
@@ -142,7 +141,7 @@ func RandomConnectedSubgraph(g *Graph, m int, intn func(n int) int) []int32 {
 		var frontier []int32
 		fseen := map[int32]bool{}
 		for _, e := range edges {
-			ed := g.EdgeAt(int(e))
+			ed := g.edges[e]
 			for _, end := range [2]int32{ed.U, ed.V} {
 				for _, ne := range g.IncidentEdges(int(end)) {
 					if !in[ne] && !fseen[ne] {

@@ -100,7 +100,10 @@ type node struct {
 	tu canon.Tuple // a root's, J = 0, places DFS id 0
 	// deg is the least degree a class below gives DFS id tu.J: a graph
 	// vertex with fewer neighbours cannot play it.
-	deg   int
+	deg int
+	// conds are the symmetry-breaking conditions (a, b) with b = tu.J that
+	// every class below shares: none emits DFS id a placed above tu.J.
+	conds [][2]int32
 	class *Class
 	kids  []*node
 }
@@ -122,15 +125,21 @@ func (x *Index) plant() {
 			i := slices.IndexFunc(n.kids, func(k *node) bool { return k.tu == tu })
 			if i < 0 {
 				i = len(n.kids)
-				n.kids = append(n.kids, &node{tu: tu, deg: deg})
+				n.kids = append(n.kids, &node{tu: tu, deg: deg, conds: placed(c.conds, tu)})
 			}
 			n = n.kids[i]
 			n.deg = min(n.deg, deg)
-			p.kids = []*node{{tu: tu, deg: deg}}
+			n.conds = slices.DeleteFunc(n.conds, func(cd [2]int32) bool { return !slices.Contains(c.conds, cd) })
+			p.kids = []*node{{tu: tu, deg: deg, conds: placed(c.conds, tu)}}
 			p = p.kids[0]
 		}
 		n.class, p.class = c, c
 	}
+}
+
+// placed returns the conds whose later DFS id tuple tu places.
+func placed(conds [][2]int32, tu canon.Tuple) [][2]int32 {
+	return slices.DeleteFunc(slices.Clone(conds), func(p [2]int32) bool { return !tu.Forward() || p[1] != tu.J })
 }
 
 // symmetryConditions returns pairs (a, b) that, of the embeddings of a
@@ -168,6 +177,7 @@ type walker struct {
 	fs  *FragmentScratch // where a query's fragments go
 	ops *graphOps        // where a build's go; with fs nil too, the walk stops at the first class found
 
+	sym             bool    // the walk emits (fs or ops set): check nodes' conds
 	off, nbrV, nbrE []int32 // the graph's adjacency (graph.Graph.Adjacency)
 	// mask and cmask hold the cycle lengths per graph edge and per code
 	// tuple, on a class path only: a build does not pay for the graph's
@@ -190,7 +200,7 @@ func (w *walker) run(x *Index, g *graph.Graph, c *Class, fs *FragmentScratch, op
 		// masks are exact.
 		root, mask, cmask = c.path, g.Invariants().EdgeMasks(), c.Structure.Invariants().EdgeMasks()
 	}
-	w.x, w.g, w.fs, w.ops, w.mask, w.cmask = x, g, fs, ops, mask, cmask
+	w.x, w.g, w.fs, w.ops, w.mask, w.cmask, w.sym = x, g, fs, ops, mask, cmask, fs != nil || ops != nil
 	w.off, w.nbrV, w.nbrE = g.Adjacency()
 	// An embedding places each DFS id on its own vertex and each tuple on
 	// its own edge, so no walk goes deeper than the graph is large.
@@ -228,8 +238,8 @@ func (w *walker) walk(n *node, t int) bool {
 		fwd, a := tu.Forward(), w.assign[tu.I]
 		for s, hi := w.off[a], w.off[a+1]; s < hi; s++ {
 			v, e := w.nbrV[s], w.nbrE[s]
-			if fwd && (w.used[v] || int(w.off[v+1]-w.off[v]) < k.deg) || !fwd && v != w.assign[tu.J] ||
-				w.cmask != nil && w.cmask[t]&^w.mask[e] != 0 {
+			if fwd && (w.used[v] || int(w.off[v+1]-w.off[v]) < k.deg || w.sym && w.breaks(k, v)) ||
+				!fwd && v != w.assign[tu.J] || w.cmask != nil && w.cmask[t]&^w.mask[e] != 0 {
 				continue
 			}
 			w.edges[t] = e
@@ -248,6 +258,17 @@ func (w *walker) walk(n *node, t int) bool {
 		}
 	}
 	return true
+}
+
+// breaks reports whether placing k's DFS id on vertex v fails one of k's
+// conds, so that no class below emits the embedding.
+func (w *walker) breaks(k *node, v int32) bool {
+	for _, p := range k.conds {
+		if w.assign[p[0]] > v {
+			return true
+		}
+	}
+	return false
 }
 
 // emit hands on the embedding of class c the walker holds, if it is the

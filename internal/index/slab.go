@@ -249,12 +249,12 @@ func (x *Index) appendKey(dst []uint64, host *graph.Graph, c *Class, verts, edge
 			dst = append(dst, uint64(host.VLabelAt(int(v))))
 		}
 	}
+	recs, ew := graph.Records(host)
 	for _, he := range edges {
-		e := host.EdgeAt(int(he))
 		if x.weights {
-			dst = append(dst, math.Float64bits(e.Weight))
+			dst = append(dst, math.Float64bits(graph.WeightAt(ew, int(he))))
 		} else {
-			dst = append(dst, uint64(e.Label))
+			dst = append(dst, uint64(recs[he].Label))
 		}
 	}
 	return dst

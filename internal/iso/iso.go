@@ -119,6 +119,7 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 	visited := v.assign[:n]
 	clear(visited)
 	steps, back := v.steps[:0], v.back[:0]
+	edges, eweights := graph.Records(p)
 	add := func(pv, anchor int32) {
 		st := step{pv: pv, anchor: anchor, degree: int32(p.Degree(int(pv))),
 			vlabel: p.VLabelAt(int(pv)), vweight: p.VWeightAt(int(pv))}
@@ -128,7 +129,7 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 		lo := len(back)
 		for _, e := range p.IncidentEdges(int(pv)) {
 			if v.floor > 0 {
-				st.labels = countLabel(st.labels, p.EdgeAt(int(e)).Label)
+				st.labels = countLabel(st.labels, edges[e].Label)
 			}
 			w := p.Other(int(e), pv)
 			if visited[w] == 0 {
@@ -137,8 +138,7 @@ func (v *Verifier) compile(p *graph.Graph, constrained bool, rank []uint64) {
 			if w == anchor {
 				st.anchorBack = len(back) - lo
 			}
-			pe := p.EdgeAt(int(e))
-			be := backEdge{to: w, label: pe.Label, weight: pe.Weight}
+			be := backEdge{to: w, label: edges[e].Label, weight: graph.WeightAt(eweights, int(e))}
 			if masks != nil {
 				be.mask = masks[e]
 			}
@@ -296,7 +296,8 @@ func (v *Verifier) bind(g *graph.Graph) {
 		}
 		labels := v.labels[:n]
 		clear(labels)
-		for _, e := range g.Edges() {
+		edges, _ := graph.Records(g)
+		for _, e := range edges {
 			labels[e.U] = countLabel(labels[e.U], e.Label)
 			labels[e.V] = countLabel(labels[e.V], e.Label)
 		}
@@ -483,11 +484,11 @@ func (v *Verifier) labelsFit(q uint64, hv int32, acc float64) bool {
 // that order bit for bit.
 func (v *Verifier) try(k int, st *step, hv, anchorE int32, acc float64) {
 	g := v.g
+	edges, ew := graph.Records(g)
 	add := 0.0
 	if !v.blind {
 		add = v.metric.VertexCost(st.vlabel, st.vweight, g.VLabelAt(int(hv)), g.VWeightAt(int(hv)))
 	}
-	edges := g.Edges()
 	for i := range st.back {
 		be := &st.back[i]
 		he := anchorE
@@ -499,8 +500,7 @@ func (v *Verifier) try(k int, st *step, hv, anchorE int32, acc float64) {
 		if be.mask&^v.emask[he] != 0 {
 			return
 		}
-		e := &edges[he]
-		add += v.metric.EdgeCost(be.label, be.weight, e.Label, e.Weight)
+		add += v.metric.EdgeCost(be.label, be.weight, edges[he].Label, graph.WeightAt(ew, int(he)))
 	}
 	next := acc + add
 	if next > v.limit || next >= v.best {

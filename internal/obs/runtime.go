@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"runtime/metrics"
+	"slices"
 )
 
 // ProcessStats is a point-in-time sample of Go runtime telemetry, the
@@ -25,29 +26,17 @@ var processSamples = []metrics.Sample{
 // total is estimated from the pause-duration histogram (count times
 // bucket midpoint), which is accurate to within a bucket width.
 func ReadProcessStats() ProcessStats {
-	samples := make([]metrics.Sample, len(processSamples))
-	copy(samples, processSamples)
+	samples := slices.Clone(processSamples)
 	metrics.Read(samples)
-	var out ProcessStats
-	for _, s := range samples {
-		switch s.Name {
-		case "/sched/goroutines:goroutines":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.Goroutines = int(s.Value.Uint64())
-			}
-		case "/memory/classes/heap/objects:bytes":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.HeapBytes = s.Value.Uint64()
-			}
-		case "/gc/cycles/total:gc-cycles":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.GCCycles = s.Value.Uint64()
-			}
-		case "/gc/pauses:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				out.GCPauseTotalMS = histogramTotal(s.Value.Float64Histogram()) * 1000
-			}
+	u := func(i int) uint64 {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			return samples[i].Value.Uint64()
 		}
+		return 0
+	}
+	out := ProcessStats{Goroutines: int(u(0)), HeapBytes: u(1), GCCycles: u(2)}
+	if v := samples[3].Value; v.Kind() == metrics.KindFloat64Histogram {
+		out.GCPauseTotalMS = histogramTotal(v.Float64Histogram()) * 1000
 	}
 	return out
 }

@@ -766,11 +766,16 @@ func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 
 // IndexStats returns the base index counters and the heap the index holds
 // beside its class stores, with the fingerprints of the base and delta
-// graphs as its FingerprintBytes.
+// graphs as its FingerprintBytes and the graphs as its GraphBytes.
 func (s *Segment) IndexStats() (index.Stats, index.Memory) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	m := s.idx.Memory()
 	m.FingerprintBytes = int(unsafe.Sizeof(graph.FP{})) * (len(s.base) + len(s.delta))
+	for _, gs := range [2][]*graph.Graph{s.base, s.delta} {
+		for _, g := range gs {
+			m.GraphBytes += graph.HeapBytes(g)
+		}
+	}
 	return s.idx.Stats(), m
 }

@@ -29,6 +29,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -154,9 +155,7 @@ func existsFS(fs FS, dir string) bool {
 // initial (snapshot, WAL) pair; a crash before that leaves no MANIFEST,
 // so a later OpenWith fails cleanly and the caller rebuilds.
 func CreateFS(dir string, fs FS) (*Store, error) {
-	if fs == nil {
-		fs = OSFS
-	}
+	fs = cmp.Or(fs, OSFS)
 	if existsFS(fs, dir) {
 		return nil, fmt.Errorf("store: %s already holds a segment store", dir)
 	}
@@ -184,10 +183,7 @@ type OpenOptions struct {
 // is immediately writable. The metric must match the one the index was
 // built with.
 func OpenWith(dir string, metric distance.Metric, o OpenOptions) (*Store, *Snapshot, []Record, error) {
-	fs := o.FS
-	if fs == nil {
-		fs = OSFS
-	}
+	fs := cmp.Or(o.FS, OSFS)
 	snapName, walName, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, nil, nil, err

@@ -34,6 +34,7 @@
 package pis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -233,15 +234,11 @@ func eachShard(n int, f func(i int) error) error {
 // withDefaults fills the zero-value construction knobs with the paper's
 // defaults and rejects a cost matrix with a negative or NaN cost.
 func (o Options) withDefaults() (Options, error) {
-	if o.Metric == nil {
-		o.Metric = EdgeMutation
-	}
+	o.Metric = cmp.Or(o.Metric, EdgeMutation)
 	if o.MaxFragmentEdges <= 0 {
 		o.MaxFragmentEdges = 5
 	}
-	if o.CompactFraction == 0 {
-		o.CompactFraction = 0.25
-	}
+	o.CompactFraction = cmp.Or(o.CompactFraction, 0.25)
 	if m, ok := o.Metric.(*distance.Matrix); ok {
 		return o, m.Validate()
 	}
@@ -703,6 +700,9 @@ type IndexStats struct {
 	// fingerprints the base and delta graphs carry (graph.FP).
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
+	// GraphBytes is the heap the base and delta graphs hold, their cached
+	// invariants included (graph.HeapBytes); a ClusterNode reports 0.
+	GraphBytes int `json:"graph_bytes"`
 }
 
 // Stats sums the per-shard index counters. Features counts the feature
@@ -719,6 +719,7 @@ func (db *Database) Stats() IndexStats {
 		out.StoreBytes += m.StoreBytes
 		out.BitmapBytes += m.BitmapBytes
 		out.FingerprintBytes += m.FingerprintBytes
+		out.GraphBytes += m.GraphBytes
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"pis"
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/graph"
 )
 
 // buildPublicDB assembles a small database through the public API only.
@@ -143,10 +144,18 @@ func TestPublicAPIStats(t *testing.T) {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	// One bit per feature per graph in whole words (80 graphs: two), and
-	// one 120-byte fingerprint per graph — resident whether the index is on
+	// one 64-byte fingerprint per graph — resident whether the index is on
 	// the heap, mapped, or behind a cluster node's RPC.
-	if st.BitmapBytes != st.Features*16 || st.FingerprintBytes != 80*120 {
+	if st.BitmapBytes != st.Features*16 || st.FingerprintBytes != 80*64 {
 		t.Fatalf("%d features over 80 graphs: %d bitmap bytes, %d fingerprint bytes", st.Features, st.BitmapBytes, st.FingerprintBytes)
+	}
+	// The database holds the graphs it was given, and reports their heap.
+	graphBytes := 0
+	for _, g := range graphs {
+		graphBytes += graph.HeapBytes(g)
+	}
+	if st.GraphBytes != graphBytes || graphBytes <= st.FingerprintBytes {
+		t.Fatalf("graph bytes %d, the graphs hold %d", st.GraphBytes, graphBytes)
 	}
 	// The class stores are on the heap of a heap index and in the mapping
 	// of a mapped one: the one figure residency changes.
@@ -162,7 +171,9 @@ func TestPublicAPIStats(t *testing.T) {
 	if got := mapped.Stats(); got != heap {
 		t.Fatalf("mapped stats %+v, heap %+v", got, st)
 	}
+	// A cluster node's status frame carries no graph bytes.
 	cn := startTestCluster(t, clusterAddrs(t, 1), 1, 1, nil, graphs)[0]
+	st.GraphBytes = 0
 	if got := cn.Stats(); got != st {
 		t.Fatalf("cluster node stats %+v, database %+v", got, st)
 	}

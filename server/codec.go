@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"pis"
+	"pis/internal/graph"
 )
 
 // VertexJSON is one labeled (optionally weighted) vertex.
@@ -51,9 +52,9 @@ func EncodeGraph(g *pis.Graph) GraphJSON {
 	for v := 0; v < g.N(); v++ {
 		out.Vertices[v] = VertexJSON{Label: uint16(g.VLabelAt(v)), Weight: g.VWeightAt(v)}
 	}
-	for e := 0; e < g.M(); e++ {
-		ed := g.EdgeAt(e)
-		out.Edges[e] = EdgeJSON{U: ed.U, V: ed.V, Label: uint16(ed.Label), Weight: ed.Weight}
+	edges, ew := graph.Records(g)
+	for e, ed := range edges {
+		out.Edges[e] = EdgeJSON{U: ed.U, V: ed.V, Label: uint16(ed.Label), Weight: graph.WeightAt(ew, e)}
 	}
 	return out
 }

@@ -192,12 +192,7 @@ type ObservabilityJSON struct {
 }
 
 // RuntimeStatsJSON is the process-level telemetry block of /stats.
-type RuntimeStatsJSON struct {
-	Goroutines     int     `json:"goroutines"`
-	HeapBytes      uint64  `json:"heap_bytes"`
-	GCCycles       uint64  `json:"gc_cycles"`
-	GCPauseTotalMS float64 `json:"gc_pause_total_ms"`
-}
+type RuntimeStatsJSON = obs.ProcessStats
 
 func (s *Server) observabilityStats() ObservabilityJSON {
 	reg := obs.Default()
@@ -212,15 +207,5 @@ func (s *Server) observabilityStats() ObservabilityJSON {
 		SlowQueryThresholdMS: obs.MS(s.cfg.SlowQueryThreshold),
 		TracedQueries:        mTracedQueries.Value(),
 		QueryLogEntries:      s.qlog.Len(),
-	}
-}
-
-func runtimeStats() RuntimeStatsJSON {
-	ps := obs.ReadProcessStats()
-	return RuntimeStatsJSON{
-		Goroutines:     ps.Goroutines,
-		HeapBytes:      ps.HeapBytes,
-		GCCycles:       ps.GCCycles,
-		GCPauseTotalMS: ps.GCPauseTotalMS,
 	}
 }

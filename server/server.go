@@ -24,6 +24,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -197,10 +198,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("server: Backend is required")
 	}
-	qlogSize := cfg.QueryLogSize
-	if qlogSize == 0 {
-		qlogSize = defaultQueryLogSize
-	}
+	qlogSize := cmp.Or(cfg.QueryLogSize, defaultQueryLogSize)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -929,7 +927,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		InFlightLimit: s.cfg.MaxInFlight,
 		UptimeMS:      msSince(s.start),
 		Observability: s.observabilityStats(),
-		Runtime:       runtimeStats(),
+		Runtime:       obs.ReadProcessStats(),
 	}
 	if cb, ok := s.backend.(clusterBackend); ok {
 		ov := cb.Overview()
