@@ -44,6 +44,15 @@ func (sw *SectionWriter) Len() int { return len(sw.buf) }
 // U8 appends one byte.
 func (sw *SectionWriter) U8(v byte) { sw.buf = append(sw.buf, v) }
 
+// Bool appends v as one byte, 1 or 0, as SectionReader.Bool reads it.
+func (sw *SectionWriter) Bool(v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	sw.U8(b)
+}
+
 // U32 appends a little-endian uint32.
 func (sw *SectionWriter) U32(v uint32) { sw.buf = binary.LittleEndian.AppendUint32(sw.buf, v) }
 

@@ -369,3 +369,9 @@ func collectExtensions(g *graph.Graph, st *state, emit func(candidate)) {
 		}
 	}
 }
+
+// StructureKey is a convenience returning the class key of g's skeleton.
+func StructureKey(g *graph.Graph) string {
+	code, _ := MinCode(g.Skeleton())
+	return code.Key()
+}

@@ -275,12 +275,6 @@ func TestGraphKey(t *testing.T) {
 	}
 }
 
-// StructureKey returns the class key of g's skeleton.
-func StructureKey(g *graph.Graph) string {
-	code, _ := MinCode(g.Skeleton())
-	return code.Key()
-}
-
 func TestStructureKeyIgnoresLabels(t *testing.T) {
 	if StructureKey(cycle(5, 1, 2)) != StructureKey(cycle(5, 9, 4)) {
 		t.Error("structure key depends on labels")

@@ -59,30 +59,51 @@ func bondLabel(t int) (graph.ELabel, bool) {
 	return 0, false
 }
 
+// lines scans a corpus file line by line and counts the lines for error
+// positions: the SMILES and SDF readers both read through it.
+type lines struct {
+	sc     *bufio.Scanner
+	name   string
+	line   int  // 1-based line number of the most recently read line
+	failed bool // end has reported the scanner's error
+}
+
+func newLines(r io.Reader, name string) lines {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	return lines{sc: sc, name: name}
+}
+
+// next returns the next line, or false at the end of the input.
+func (l *lines) next() (string, bool) {
+	if !l.sc.Scan() {
+		return "", false
+	}
+	l.line++
+	return l.sc.Text(), true
+}
+
+// end is a reader's error at the end of the input: the scanner's error,
+// positioned, the first time there is one, else io.EOF.
+func (l *lines) end() error {
+	if err := l.sc.Err(); err != nil && !l.failed {
+		l.failed = true
+		return fmt.Errorf("%s:%d: %w", l.name, l.line, err)
+	}
+	return io.EOF
+}
+
 // SDFReader decodes one molecule per Next call. Errors carry
 // "<name>:<line>: record <n>:" positions.
 type SDFReader struct {
-	sc     *bufio.Scanner
-	name   string
-	line   int // 1-based line number of the most recently read line
+	lines
 	record int // 1-based record number of the record being parsed
-	done   bool
 }
 
 // NewSDFReader reads SD records from r; name labels error positions
 // (typically the file path).
 func NewSDFReader(r io.Reader, name string) *SDFReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	return &SDFReader{sc: sc, name: name}
-}
-
-func (r *SDFReader) next() (string, bool) {
-	if !r.sc.Scan() {
-		return "", false
-	}
-	r.line++
-	return r.sc.Text(), true
+	return &SDFReader{lines: newLines(r, name)}
 }
 
 func (r *SDFReader) errf(format string, args ...any) error {
@@ -107,26 +128,17 @@ func field(line string, start, end, idx int) string {
 
 // Next returns the next molecule, or io.EOF after the last record.
 func (r *SDFReader) Next() (*graph.Graph, error) {
-	if r.done {
-		return nil, io.EOF
-	}
-	// Skip blank lines between records; EOF here is a clean end.
-	var header string
+	// Skip blank lines between records; EOF here is a clean end. The
+	// first line that is not blank is the molecule's name, unused.
 	for {
 		ln, ok := r.next()
 		if !ok {
-			r.done = true
-			if err := r.sc.Err(); err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", r.name, r.line, err)
-			}
-			return nil, io.EOF
+			return nil, r.end()
 		}
 		if strings.TrimSpace(ln) != "" {
-			header = ln
 			break
 		}
 	}
-	_ = header // molecule name; unused
 	r.record++
 	for i := 0; i < 2; i++ { // program + comment header lines
 		if _, ok := r.next(); !ok {
@@ -194,12 +206,7 @@ func (r *SDFReader) Next() (*graph.Graph, error) {
 	// Skip properties and data fields to the record delimiter. EOF before
 	// "$$$$" is tolerated for the final record (many tools omit it).
 	for {
-		ln, ok := r.next()
-		if !ok {
-			r.done = true
-			break
-		}
-		if strings.HasPrefix(ln, "$$$$") {
+		if ln, ok := r.next(); !ok || strings.HasPrefix(ln, "$$$$") {
 			break
 		}
 	}

@@ -10,7 +10,6 @@
 package chem
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -19,35 +18,21 @@ import (
 )
 
 // SMILESReader decodes one molecule per non-comment line.
-type SMILESReader struct {
-	sc   *bufio.Scanner
-	name string
-	line int
-	done bool
-}
+type SMILESReader struct{ lines }
 
 // NewSMILESReader reads SMILES lines from r; name labels error positions.
 func NewSMILESReader(r io.Reader, name string) *SMILESReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	return &SMILESReader{sc: sc, name: name}
+	return &SMILESReader{newLines(r, name)}
 }
 
 // Next returns the next molecule, or io.EOF after the last line.
 func (r *SMILESReader) Next() (*graph.Graph, error) {
-	if r.done {
-		return nil, io.EOF
-	}
 	for {
-		if !r.sc.Scan() {
-			r.done = true
-			if err := r.sc.Err(); err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", r.name, r.line, err)
-			}
-			return nil, io.EOF
+		ln, ok := r.next()
+		if !ok {
+			return nil, r.end()
 		}
-		r.line++
-		ln := strings.TrimSpace(r.sc.Text())
+		ln = strings.TrimSpace(ln)
 		if ln == "" || strings.HasPrefix(ln, "#") {
 			continue
 		}

@@ -24,7 +24,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -80,7 +79,9 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HedgeCap <= 0 {
 		cfg.HedgeCap = time.Second
 	}
-	cfg.PingInterval = cmp.Or(cfg.PingInterval, time.Second)
+	if cfg.PingInterval == 0 {
+		cfg.PingInterval = time.Second
+	}
 	if cfg.StatsTimeout <= 0 {
 		cfg.StatsTimeout = 2 * time.Second
 	}
@@ -182,17 +183,14 @@ func (c *Coordinator) initFromPeers() error {
 	reachable := 0
 	var total int64
 	counted := make(map[int]bool)
-	for _, addr := range c.peerAddrs {
-		ps := c.peers[addr]
-		ns, err := c.nodeState(ps)
-		if err != nil {
-			ps.up.Store(false)
+	for _, p := range c.probePeers(nil) {
+		p.ps.up.Store(p.ok)
+		if !p.ok {
 			continue
 		}
 		reachable++
-		ps.up.Store(true)
-		ps.epoch.Store(ns.Epoch)
-		for _, st := range ns.Shards {
+		p.ps.epoch.Store(p.ns.Epoch)
+		for _, st := range p.ns.Shards {
 			if st.MaxID > maxID {
 				maxID = st.MaxID
 			}
@@ -256,23 +254,8 @@ func (c *Coordinator) Insert(ctx context.Context, g *graph.Graph) (int32, error)
 	req := apUv(nil, uint64(sh))
 	req = apU32(req, uint32(id))
 	req = apGraph(req, g)
-	rs := c.searchers[sh].(*remoteShard)
-	acks := 0
-	var firstErr error
-	for _, ps := range rs.replicas {
-		if ps.stale.Load() {
-			continue
-		}
-		if err := ps.call(ctx, opInsert, req, nil); err != nil {
-			firstErr = cmp.Or(firstErr, err)
-			ps.markStale()
-			continue
-		}
-		acks++
-	}
-	if acks == 0 {
-		firstErr = cmp.Or(firstErr, ErrUnavailable)
-		return 0, fmt.Errorf("cluster: insert to shard %d: %w", sh, firstErr)
+	if err := mutate(ctx, c.searchers[sh].(*remoteShard).replicas, opInsert, req, nil); err != nil {
+		return 0, fmt.Errorf("cluster: insert to shard %d: %w", sh, err)
 	}
 	c.nextID.Store(id + 1)
 	c.cachedLen.Add(1)
@@ -287,34 +270,47 @@ func (c *Coordinator) Delete(ctx context.Context, id int32) (bool, error) {
 	defer c.mutMu.Unlock()
 	req := apU32(nil, uint32(id))
 	found := false
-	reached := 0
-	var firstErr error
-	for _, addr := range c.peerAddrs {
-		ps := c.peers[addr]
-		if ps.stale.Load() {
-			continue
-		}
-		var f bool
-		err := ps.call(ctx, opDelete, req, func(sr *binio.SectionReader) error {
-			f = sr.U8() != 0
-			return sr.Err()
-		})
-		if err != nil {
-			firstErr = cmp.Or(firstErr, err)
-			ps.markStale()
-			continue
-		}
-		reached++
+	err := mutate(ctx, c.orderedPeers(), opDelete, req, func(sr *binio.SectionReader) error {
+		f := sr.U8() != 0
 		found = found || f
-	}
-	if reached == 0 {
-		firstErr = cmp.Or(firstErr, ErrUnavailable)
-		return false, fmt.Errorf("cluster: delete %d: %w", id, firstErr)
+		return sr.Err()
+	})
+	if err != nil {
+		return false, fmt.Errorf("cluster: delete %d: %w", id, err)
 	}
 	if found {
 		c.cachedLen.Add(-1)
 	}
 	return found, nil
+}
+
+// mutate sends one mutation to every peer of peers not marked stale,
+// reading each answer with dec, and marks stale each peer that fails. It
+// fails, with the first failure or ErrUnavailable, only when no peer
+// acknowledged.
+func mutate(ctx context.Context, peers []*peerState, op byte, req []byte, dec func(*binio.SectionReader) error) error {
+	acks := 0
+	var firstErr error
+	for _, ps := range peers {
+		if ps.stale.Load() {
+			continue
+		}
+		if err := ps.call(ctx, op, req, dec); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			ps.markStale()
+			continue
+		}
+		acks++
+	}
+	if acks > 0 {
+		return nil
+	}
+	if firstErr == nil {
+		firstErr = ErrUnavailable
+	}
+	return firstErr
 }
 
 // Graph fetches one graph by global id from whichever readable peer
@@ -334,7 +330,9 @@ func (c *Coordinator) Graph(ctx context.Context, id int32) (*graph.Graph, error)
 			return derr
 		})
 		if err != nil {
-			firstErr = cmp.Or(firstErr, err)
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
 		tried++
@@ -432,22 +430,7 @@ func (c *Coordinator) healthLoop() {
 // lag, the cached length, and stale-peer readmission. The health loop
 // calls it periodically; tests call it directly.
 func (c *Coordinator) CheckPeers() {
-	type probe struct {
-		ps *peerState
-		ns nodeState
-		ok bool
-	}
-	probes := make([]probe, len(c.peerAddrs))
-	var wg sync.WaitGroup
-	for i, addr := range c.peerAddrs {
-		wg.Add(1)
-		go func(i int, ps *peerState) {
-			defer wg.Done()
-			ns, err := c.nodeState(ps)
-			probes[i] = probe{ps: ps, ns: ns, ok: err == nil}
-		}(i, c.peers[addr])
-	}
-	wg.Wait()
+	probes := c.probePeers(nil)
 
 	// Freshest view of each shard among readable, reachable replicas.
 	maxSeq := make(map[int]uint64)

@@ -14,9 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,15 +93,7 @@ func (n *Node) Shard(idx int) *segment.Segment {
 func (n *Node) Shards() (idxs []int, segs []*segment.Segment) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for idx := range n.segs {
-		idxs = append(idxs, idx)
-	}
-	// Insertion into the map is unordered; report ascending.
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
+	idxs = slices.Sorted(maps.Keys(n.segs))
 	for _, idx := range idxs {
 		segs = append(segs, n.segs[idx])
 	}
@@ -392,11 +386,7 @@ func (n *Node) handleDelete(sr *binio.SectionReader, sw *binio.SectionWriter) er
 			break // global ids are unique across shards
 		}
 	}
-	if found {
-		sw.U8(1)
-	} else {
-		sw.U8(0)
-	}
+	sw.Bool(found)
 	return nil
 }
 

@@ -55,6 +55,35 @@ type Overview struct {
 	PoisonReason    string
 }
 
+// probe is one peer's opStats answer; ok is false when the peer failed
+// or was not asked.
+type probe struct {
+	ps *peerState
+	ns nodeState
+	ok bool
+}
+
+// probePeers asks every peer that ask admits (every peer, for a nil ask)
+// for its state, concurrently.
+func (c *Coordinator) probePeers(ask func(*peerState) bool) []probe {
+	probes := make([]probe, len(c.peerAddrs))
+	var wg sync.WaitGroup
+	for i, addr := range c.peerAddrs {
+		p := &probes[i]
+		if p.ps = c.peers[addr]; ask != nil && !ask(p.ps) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ns, err := c.nodeState(p.ps)
+			p.ns, p.ok = ns, err == nil
+		}()
+	}
+	wg.Wait()
+	return probes
+}
+
 // Overview polls every readable peer and aggregates. Unreachable peers
 // are skipped; the result covers whatever subset answered.
 func (c *Coordinator) Overview(ctx context.Context) Overview {
@@ -64,27 +93,8 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 		Replication: c.cfg.Replication,
 		Durable:     true,
 	}
-	type probe struct {
-		ns nodeState
-		ok bool
-	}
-	probes := make([]probe, len(c.peerAddrs))
-	var wg sync.WaitGroup
-	for i, addr := range c.peerAddrs {
-		ps := c.peers[addr]
-		if !ps.readable() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ps *peerState) {
-			defer wg.Done()
-			ns, err := c.nodeState(ps)
-			probes[i] = probe{ns: ns, ok: err == nil}
-		}(i, ps)
-	}
-	wg.Wait()
 	best := make(map[int]shardState)
-	for _, p := range probes {
+	for _, p := range c.probePeers((*peerState).readable) {
 		if !p.ok {
 			continue
 		}

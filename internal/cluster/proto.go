@@ -157,11 +157,7 @@ func writeStats(sw *binio.SectionWriter, s *core.Stats) {
 	sw.Varint(int64(s.PlanTime))
 	sw.Varint(int64(s.FilterTime))
 	sw.Varint(int64(s.VerifyTime))
-	if s.Partial {
-		sw.U8(1)
-	} else {
-		sw.U8(0)
-	}
+	sw.Bool(s.Partial)
 }
 
 func readStats(sr *binio.SectionReader, s *core.Stats) {
@@ -243,11 +239,7 @@ func writeShardState(sw *binio.SectionWriter, st *shardState) {
 	sw.Varint(st.LastCheckpoint)
 	sw.Varint(int64(st.ReplayedRecords))
 	sw.Varint(st.DroppedBytes)
-	if st.Poisoned {
-		sw.U8(1)
-	} else {
-		sw.U8(0)
-	}
+	sw.Bool(st.Poisoned)
 	sw.Uvarint(uint64(len(st.PoisonReason)))
 	sw.Bytes([]byte(st.PoisonReason))
 }

@@ -21,7 +21,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -158,7 +157,9 @@ func hedged[T any](r *remoteShard, ctx context.Context, op byte, req []byte, dec
 			if cerr := ctx.Err(); cerr != nil {
 				return zero, cerr // the caller gave up; not a replica's fault
 			}
-			firstErr = cmp.Or(firstErr, a.err)
+			if firstErr == nil {
+				firstErr = a.err
+			}
 			if _, remote := a.err.(*remoteError); !remote {
 				a.ps.up.Store(false) // transport failure: deprioritize the peer
 			}

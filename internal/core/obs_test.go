@@ -30,10 +30,7 @@ func TestTraceSpansSumToWallTime(t *testing.T) {
 		if len(sp.Children) != 3 {
 			t.Fatalf("want plan/filter/verify children, got %d", len(sp.Children))
 		}
-		sum := 0.0
-		for _, c := range sp.Children {
-			sum += c.DurationMS
-		}
+		sum := sp.ChildSum()
 		if sum > sp.DurationMS*1.001 {
 			t.Fatalf("children sum %.4fms exceeds wall %.4fms", sum, sp.DurationMS)
 		}
@@ -83,8 +80,9 @@ func TestSearchRecordsMetrics(t *testing.T) {
 	if got := queriesTotal.Value("pis") - before; got != 5 {
 		t.Fatalf("pis_queries_total advanced by %d, want 5", got)
 	}
-	if n := stageSeconds.With("verify").Snapshot().Count() - stagesBefore.Count(); n != 5 {
-		t.Fatalf("verify stage histogram recorded %d observations, want 5", n)
+	diff := stageSeconds.With("verify").Snapshot().Sub(stagesBefore)
+	if diff.Count() != 5 {
+		t.Fatalf("verify stage histogram recorded %d observations, want 5", diff.Count())
 	}
 }
 

@@ -1,18 +1,19 @@
-// Filesystem seam: every disk operation the store performs goes through
-// the FS interface, with OSFS (the real os package calls) as the default.
+// Package fsys is the filesystem seam of everything that writes to disk:
+// the durable store's snapshots, logs and manifests and the index images
+// go through an FS, with OS (the real os package calls) as the default.
 // Production code never notices the indirection; fault-injection tests
 // swap in internal/faultfs to fail the nth fsync, tear a write short, or
 // delay operations, turning "what if the disk dies mid-append" from a
 // thought experiment into a deterministic unit test.
-
-package store
+package fsys
 
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
-// File is the store's view of one open file. *os.File satisfies it.
+// File is the view of one open file. *os.File satisfies it.
 type File interface {
 	io.Reader
 	io.Writer
@@ -25,9 +26,9 @@ type File interface {
 	Truncate(size int64) error
 }
 
-// FS abstracts the filesystem operations the store performs. All methods
-// mirror the os package functions of the same name. Implementations must
-// be safe for concurrent use (the os package is).
+// FS abstracts the filesystem operations. All methods mirror the os
+// package functions of the same name. Implementations must be safe for
+// concurrent use (the os package is).
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	Stat(name string) (os.FileInfo, error)
@@ -40,8 +41,8 @@ type FS interface {
 	Truncate(name string, size int64) error
 }
 
-// OSFS is the real filesystem: every method is the matching os call.
-var OSFS FS = osFS{}
+// OS is the real filesystem: every method is the matching os call.
+var OS FS = osFS{}
 
 type osFS struct{}
 
@@ -56,3 +57,34 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+
+// WriteFileAtomic writes name under dir via a temp file: content, fsync,
+// rename, directory fsync. Readers see the old file or the new one,
+// never a partial write.
+func WriteFileAtomic(fs FS, dir, name string, write func(w io.Writer) error) error {
+	tmp, err := fs.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer fs.Remove(tmp.Name()) // no-op after a successful rename
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	d, err := fs.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

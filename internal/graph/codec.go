@@ -40,16 +40,13 @@ func WriteDB(w io.Writer, graphs []*Graph) error {
 	return bw.Flush()
 }
 
-// recordInts is how many integers follow a record's tag: a vertex's id
-// and label, an edge's endpoints and label. A weight may follow them.
-var recordInts = map[string]int{"v": 2, "e": 3}
-
 // ReadDB parses a transaction-format stream into graphs.
 func ReadDB(r io.Reader) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var graphs []*Graph
 	var b *Builder
+	line := 0
 	flush := func() error {
 		if b == nil {
 			return nil
@@ -59,51 +56,66 @@ func ReadDB(r io.Reader) ([]*Graph, error) {
 			return fmt.Errorf("graph %d: %w", len(graphs), err)
 		}
 		graphs = append(graphs, g)
+		b = nil
 		return nil
 	}
-	for line := 1; sc.Scan(); line++ {
-		f := strings.Fields(sc.Text())
-		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+	for sc.Scan() {
+		line++
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		ints := recordInts[f[0]]
-		switch {
-		case f[0] == "t":
+		switch fields[0] {
+		case "t":
 			if err := flush(); err != nil {
 				return nil, err
 			}
 			b = NewBuilder(32, 32)
-			continue
-		case ints == 0:
-			return nil, fmt.Errorf("line %d: unknown record %q", line, f[0])
-		case b == nil:
-			return nil, fmt.Errorf("line %d: %q record before 't'", line, f[0])
-		case len(f) <= ints:
-			return nil, fmt.Errorf("line %d: malformed record %q", line, sc.Text())
-		}
-		var x [3]int
-		for i := range ints {
-			var err error
-			if x[i], err = strconv.Atoi(f[1+i]); err != nil {
-				return nil, fmt.Errorf("line %d: bad declaration %q", line, sc.Text())
+		case "v":
+			if b == nil {
+				return nil, fmt.Errorf("line %d: vertex before 't'", line)
 			}
-		}
-		w, weighted := 0.0, len(f) > 1+ints
-		if weighted {
-			var err error
-			if w, err = strconv.ParseFloat(f[1+ints], 64); err != nil {
-				return nil, fmt.Errorf("line %d: bad weight: %v", line, err)
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("line %d: malformed vertex", line)
 			}
-		}
-		switch {
-		case f[0] == "e":
-			b.AddWeightedEdge(int32(x[0]), int32(x[1]), ELabel(x[2]), w)
-		case x[0] != b.N():
-			return nil, fmt.Errorf("line %d: bad vertex declaration %q", line, sc.Text())
-		case weighted:
-			b.AddWeightedVertex(VLabel(x[1]), w)
+			id, err1 := strconv.Atoi(fields[1])
+			lab, err2 := strconv.Atoi(fields[2])
+			if err1 != nil || err2 != nil || id != b.N() {
+				return nil, fmt.Errorf("line %d: bad vertex declaration %q", line, sc.Text())
+			}
+			if len(fields) >= 4 {
+				w, err := strconv.ParseFloat(fields[3], 64)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: bad vertex weight: %v", line, err)
+				}
+				b.AddWeightedVertex(VLabel(lab), w)
+			} else {
+				b.AddVertex(VLabel(lab))
+			}
+		case "e":
+			if b == nil {
+				return nil, fmt.Errorf("line %d: edge before 't'", line)
+			}
+			if len(fields) < 4 {
+				return nil, fmt.Errorf("line %d: malformed edge", line)
+			}
+			u, err1 := strconv.Atoi(fields[1])
+			v, err2 := strconv.Atoi(fields[2])
+			lab, err3 := strconv.Atoi(fields[3])
+			if err1 != nil || err2 != nil || err3 != nil {
+				return nil, fmt.Errorf("line %d: bad edge declaration %q", line, sc.Text())
+			}
+			w := 0.0
+			if len(fields) >= 5 {
+				var err error
+				w, err = strconv.ParseFloat(fields[4], 64)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: bad edge weight: %v", line, err)
+				}
+			}
+			b.AddWeightedEdge(int32(u), int32(v), ELabel(lab), w)
 		default:
-			b.AddVertex(VLabel(x[1]))
+			return nil, fmt.Errorf("line %d: unknown record %q", line, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {

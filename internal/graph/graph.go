@@ -352,7 +352,13 @@ func (b *Builder) AddWeightedEdge(u, v int32, l ELabel, w float64) {
 		b.err = fmt.Errorf("graph: edge (%d,%d) references unknown vertex", u, v)
 		return
 	}
-	b.edges, b.eweights = append(b.edges, EdgeRec{U: u, V: v, Label: l}), append(b.eweights, w)
+	b.edges = append(b.edges, EdgeRec{U: u, V: v, Label: l})
+	if b.eweights == nil && math.Float64bits(w) != 0 {
+		b.eweights = make([]float64, len(b.edges)-1, cap(b.edges))
+	}
+	if b.eweights != nil {
+		b.eweights = append(b.eweights, w)
+	}
 }
 
 // Build finalizes the graph. It returns an error for self loops, duplicate

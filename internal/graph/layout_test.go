@@ -76,6 +76,35 @@ func TestConstructorsLayOutExactly(t *testing.T) {
 	}
 }
 
+// TestBuilderWeightColumnIsLazy: a builder starts its edge-weight column
+// at the first weight with a non-zero bit, so an unweighted build
+// allocates none, and a column started late reads zero for the edges
+// added before it.
+func TestBuilderWeightColumnIsLazy(t *testing.T) {
+	b := NewBuilder(4, 3)
+	for range 4 {
+		b.AddVertex(0)
+	}
+	b.AddEdge(0, 1, 0)
+	b.AddWeightedEdge(1, 2, 0, 0)
+	if b.eweights != nil {
+		t.Fatalf("zero weights started a column: %v", b.eweights)
+	}
+	b.AddWeightedEdge(2, 3, 0, 1.5)
+	if len(b.eweights) != 3 || cap(b.eweights) != cap(b.edges) {
+		t.Fatalf("column len %d cap %d, edges cap %d", len(b.eweights), cap(b.eweights), cap(b.edges))
+	}
+	g := b.MustBuild()
+	for e, w := range []float64{0, 0, 1.5} {
+		if got := g.EdgeAt(e).Weight; got != w {
+			t.Errorf("edge %d weight %v, want %v", e, got, w)
+		}
+	}
+	if n := spare(g); n != 0 {
+		t.Errorf("%d spare slots", n)
+	}
+}
+
 // TestFPSaturatedHostAdmitsItsSubgraphs: a host with more than 255 edges
 // in one label bucket and more than 255 vertices of each degree tail
 // saturates its 8-bit counters, and still admits every subgraph of its

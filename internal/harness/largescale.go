@@ -13,6 +13,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -121,7 +122,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	// the heap.
 	var db []*graph.Graph
 	if lo.Corpus != "" {
-		if db, err = loadCorpus(lo.Corpus); err != nil {
+		if _, db, err = scanCorpus(lo.Corpus, math.MaxInt); err != nil {
 			return BenchReport{}, err
 		}
 	} else {
@@ -221,8 +222,9 @@ func openCorpus(path string) (graphStream, io.Closer, error) {
 	return nil, nil, fmt.Errorf("corpus %s: unknown extension (want .sdf/.sd/.mol or .smi/.smiles/.txt)", path)
 }
 
-// scanCorpus counts the corpus and keeps its first sampleCap molecules
-// for feature mining, without materializing the rest.
+// scanCorpus counts the corpus and keeps its first sampleCap molecules:
+// a mining sample without materializing the rest, or, with no cap, the
+// whole corpus for the query phase.
 func scanCorpus(path string, sampleCap int) (int, []*graph.Graph, error) {
 	gs, closer, err := openCorpus(path)
 	if err != nil {
@@ -243,27 +245,6 @@ func scanCorpus(path string, sampleCap int) (int, []*graph.Graph, error) {
 			sample = append(sample, g)
 		}
 		n++
-	}
-}
-
-// loadCorpus materializes the whole corpus (the query phase needs the
-// graphs for verification).
-func loadCorpus(path string) ([]*graph.Graph, error) {
-	gs, closer, err := openCorpus(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	var db []*graph.Graph
-	for {
-		g, err := gs.Next()
-		if err == io.EOF {
-			return db, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		db = append(db, g)
 	}
 }
 

@@ -77,10 +77,9 @@ type Memory struct {
 	StoreBytes  int // class entry blocks: the image's slab, 0 when mapped
 	BitmapBytes int // class bitmaps: classes × graphs / 8, 0 before Pair
 	// FingerprintBytes is the prescreen fingerprints of the graphs the
-	// index serves (graph.FP), GraphBytes the graphs that carry them
-	// (graph.HeapBytes): the segment fills both, counting its delta
-	// graphs too. Index.Memory leaves them 0.
-	FingerprintBytes, GraphBytes int
+	// index serves, which the graphs carry (graph.FP): the segment fills
+	// it, counting its delta graphs too. Index.Memory leaves it 0.
+	FingerprintBytes int
 }
 
 // Memory reports x's class store and bitmap bytes.

@@ -69,12 +69,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 
 	"pis/internal/binio"
 	"pis/internal/canon"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/mmapio"
 )
@@ -224,38 +224,8 @@ func (x *Index) Save(w io.Writer) error {
 
 // WriteMapped saves the index to path atomically and durably, ready for
 // OpenMapped (zero-copy) or Load (heap).
-func (x *Index) WriteMapped(path string) error { return writeFileAtomic(path, x.Save) }
-
-// writeFileAtomic writes path via a temp file in the same directory:
-// content, fsync, rename, directory fsync. Readers see the old file or
-// the new one, never a partial write.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // no-op after a successful rename
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+func (x *Index) WriteMapped(path string) error {
+	return fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save)
 }
 
 // writeV3Image assembles the image: magic, header, directory, padding,

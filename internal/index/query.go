@@ -177,7 +177,6 @@ type walker struct {
 	fs  *FragmentScratch // where a query's fragments go
 	ops *graphOps        // where a build's go; with fs nil too, the walk stops at the first class found
 
-	sym             bool    // the walk emits (fs or ops set): check nodes' conds
 	off, nbrV, nbrE []int32 // the graph's adjacency (graph.Graph.Adjacency)
 	// mask and cmask hold the cycle lengths per graph edge and per code
 	// tuple, on a class path only: a build does not pay for the graph's
@@ -200,7 +199,7 @@ func (w *walker) run(x *Index, g *graph.Graph, c *Class, fs *FragmentScratch, op
 		// masks are exact.
 		root, mask, cmask = c.path, g.Invariants().EdgeMasks(), c.Structure.Invariants().EdgeMasks()
 	}
-	w.x, w.g, w.fs, w.ops, w.mask, w.cmask, w.sym = x, g, fs, ops, mask, cmask, fs != nil || ops != nil
+	w.x, w.g, w.fs, w.ops, w.mask, w.cmask = x, g, fs, ops, mask, cmask
 	w.off, w.nbrV, w.nbrE = g.Adjacency()
 	// An embedding places each DFS id on its own vertex and each tuple on
 	// its own edge, so no walk goes deeper than the graph is large.
@@ -238,7 +237,7 @@ func (w *walker) walk(n *node, t int) bool {
 		fwd, a := tu.Forward(), w.assign[tu.I]
 		for s, hi := w.off[a], w.off[a+1]; s < hi; s++ {
 			v, e := w.nbrV[s], w.nbrE[s]
-			if fwd && (w.used[v] || int(w.off[v+1]-w.off[v]) < k.deg || w.sym && w.breaks(k, v)) ||
+			if fwd && (w.used[v] || int(w.off[v+1]-w.off[v]) < k.deg || w.breaks(k, v)) ||
 				!fwd && v != w.assign[tu.J] || w.cmask != nil && w.cmask[t]&^w.mask[e] != 0 {
 				continue
 			}

@@ -23,6 +23,7 @@ import (
 	"runtime/debug"
 	"slices"
 
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
@@ -139,7 +140,7 @@ func buildStreaming(src GraphSource, n int, features []mining.Feature, opts Opti
 
 	x.dbSize, x.fingerprint = n, fpr.Sum()
 	hdr := x.header(slabLen)
-	return res, writeFileAtomic(path, func(w io.Writer) error {
+	return res, fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), func(w io.Writer) error {
 		return writeV3Image(w, hdr, dir, io.NewSectionReader(slabFile, 0, int64(slabLen)))
 	})
 }

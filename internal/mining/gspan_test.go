@@ -159,7 +159,7 @@ func TestGSpanRespectsMaxEdges(t *testing.T) {
 func TestGSpanFindsRings(t *testing.T) {
 	db := []*graph.Graph{cycleG(6), cycleG(6), cycleG(5), pathG(6)}
 	feats := GSpan(db, GSpanOptions{MinSupport: 2, MaxEdges: 6, Skeleton: true})
-	hexKey := structureKey(cycleG(6))
+	hexKey := canon.StructureKey(cycleG(6))
 	found := false
 	for _, f := range feats {
 		if f.Key == hexKey {

@@ -10,12 +10,6 @@ import (
 	"pis/internal/iso"
 )
 
-// structureKey returns the class key of g's skeleton.
-func structureKey(g *graph.Graph) string {
-	code, _ := canon.MinCode(g.Skeleton())
-	return code.Key()
-}
-
 func cycleG(n int) *graph.Graph {
 	b := graph.NewBuilder(n, n)
 	for i := 0; i < n; i++ {
@@ -60,17 +54,17 @@ func TestMineFindsExpectedStructures(t *testing.T) {
 		byKey[f.Key] = f
 	}
 	// A single edge appears in all 4 graphs.
-	edgeKey := structureKey(pathG(1))
+	edgeKey := canon.StructureKey(pathG(1))
 	if f, ok := byKey[edgeKey]; !ok || f.Support != 4 {
 		t.Errorf("single edge feature missing or wrong support: %+v", byKey[edgeKey])
 	}
 	// The hexagon appears in exactly 2 graphs of 4: support fraction 0.5.
-	hexKey := structureKey(cycleG(6))
+	hexKey := canon.StructureKey(cycleG(6))
 	if f, ok := byKey[hexKey]; !ok || f.Support != 2 {
 		t.Errorf("hexagon feature missing or wrong support: got %+v", byKey[hexKey])
 	}
 	// The pentagon appears once: below min support.
-	pentKey := structureKey(cycleG(5))
+	pentKey := canon.StructureKey(cycleG(5))
 	if _, ok := byKey[pentKey]; ok {
 		t.Error("pentagon kept despite support below threshold")
 	}
@@ -204,7 +198,7 @@ func TestSelect(t *testing.T) {
 	// Stars lack the 3-edge path every random tree of the fixture holds:
 	// two in the 300-graph sample, one in its first 50 graphs.
 	db[0], db[150] = starG(6), starG(5)
-	path3 := structureKey(pathG(3))
+	path3 := canon.StructureKey(pathG(3))
 
 	// kept mines the first n graphs and keeps the skeletons at least
 	// minLacking of them lack; lacks counts the mined skeletons by how

@@ -410,6 +410,16 @@ func (s HistogramSnapshot) Count() uint64 {
 	return n
 }
 
+// Sub returns the distribution observed between the earlier snapshot
+// old and this one, for scoping quantiles to one measured workload.
+func (s HistogramSnapshot) Sub(old HistogramSnapshot) HistogramSnapshot {
+	out := HistogramSnapshot{Bounds: s.Bounds, Counts: make([]uint64, len(s.Counts)), Sum: s.Sum - old.Sum}
+	for i := range s.Counts {
+		out.Counts[i] = s.Counts[i] - old.Counts[i]
+	}
+	return out
+}
+
 // Quantile estimates the q-quantile (0 < q <= 1) by linear
 // interpolation inside the bucket holding the target rank. Values in
 // the +Inf overflow bucket report the largest finite bound — an

@@ -261,25 +261,6 @@ func sortFloats(v []float64) {
 	}
 }
 
-// Sub returns the distribution observed between the earlier snapshot
-// old and this one.
-func (s HistogramSnapshot) Sub(old HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Bounds: s.Bounds, Counts: make([]uint64, len(s.Counts)), Sum: s.Sum - old.Sum}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] - old.Counts[i]
-	}
-	return out
-}
-
-// ChildSum returns the summed duration of the direct children.
-func (s *Span) ChildSum() float64 {
-	var sum float64
-	for _, c := range s.Children {
-		sum += c.DurationMS
-	}
-	return sum
-}
-
 func TestHistogramSnapshotSub(t *testing.T) {
 	h := newHistogram("q", "", "", "", []float64{1, 10})
 	h.Observe(0.5)

@@ -29,6 +29,16 @@ func (s *Span) Child(name string, durationMS float64) *Span {
 	return c
 }
 
+// ChildSum returns the summed duration of the direct children, for
+// sanity checks that a parent accounts for its parts.
+func (s *Span) ChildSum() float64 {
+	var sum float64
+	for _, c := range s.Children {
+		sum += c.DurationMS
+	}
+	return sum
+}
+
 // Trace collects the span tree of one traced query. Whether a query is
 // traced rides its context: the caller attaches a Trace with WithTrace,
 // the layer that answers the query finds it with TraceFrom and stores

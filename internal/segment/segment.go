@@ -766,16 +766,27 @@ func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 
 // IndexStats returns the base index counters and the heap the index holds
 // beside its class stores, with the fingerprints of the base and delta
-// graphs as its FingerprintBytes and the graphs as its GraphBytes.
+// graphs as its FingerprintBytes.
 func (s *Segment) IndexStats() (index.Stats, index.Memory) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	m := s.idx.Memory()
 	m.FingerprintBytes = int(unsafe.Sizeof(graph.FP{})) * (len(s.base) + len(s.delta))
-	for _, gs := range [2][]*graph.Graph{s.base, s.delta} {
+	return s.idx.Stats(), m
+}
+
+// GraphBytes returns the heap the base and delta graphs hold
+// (graph.HeapBytes). It walks every graph, outside the lock: inserts only
+// append past the slices it reads, and compaction replaces them.
+func (s *Segment) GraphBytes() int {
+	s.mu.RLock()
+	graphs := [2][]*graph.Graph{s.base, s.delta}
+	s.mu.RUnlock()
+	n := 0
+	for _, gs := range graphs {
 		for _, g := range gs {
-			m.GraphBytes += graph.HeapBytes(g)
+			n += graph.HeapBytes(g)
 		}
 	}
-	return s.idx.Stats(), m
+	return n
 }

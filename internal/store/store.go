@@ -29,7 +29,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,9 +43,20 @@ import (
 
 	"pis/internal/binio"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/index"
 )
+
+// File and FS are the filesystem seam every disk operation of the store
+// goes through (package fsys); OSFS, the default, is the real one.
+type (
+	File = fsys.File
+	FS   = fsys.FS
+)
+
+// OSFS is the real filesystem: every method is the matching os call.
+var OSFS = fsys.OS
 
 const (
 	manifestName  = "MANIFEST"
@@ -155,7 +165,9 @@ func existsFS(fs FS, dir string) bool {
 // initial (snapshot, WAL) pair; a crash before that leaves no MANIFEST,
 // so a later OpenWith fails cleanly and the caller rebuilds.
 func CreateFS(dir string, fs FS) (*Store, error) {
-	fs = cmp.Or(fs, OSFS)
+	if fs == nil {
+		fs = OSFS
+	}
 	if existsFS(fs, dir) {
 		return nil, fmt.Errorf("store: %s already holds a segment store", dir)
 	}
@@ -183,7 +195,10 @@ type OpenOptions struct {
 // is immediately writable. The metric must match the one the index was
 // built with.
 func OpenWith(dir string, metric distance.Metric, o OpenOptions) (*Store, *Snapshot, []Record, error) {
-	fs := cmp.Or(o.FS, OSFS)
+	fs := o.FS
+	if fs == nil {
+		fs = OSFS
+	}
 	snapName, walName, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, nil, nil, err
@@ -373,11 +388,11 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	// so OpenWith can memory-map it or decode it onto the heap as each
 	// open chooses.
 	idxFile := idxFileName(seq)
-	if err := writeFileAtomic(s.fsOrOS(), s.dir, idxFile, snap.Index.Save); err != nil {
+	if err := fsys.WriteFileAtomic(s.fsOrOS(), s.dir, idxFile, snap.Index.Save); err != nil {
 		return s.poisonLocked("writing index file", err)
 	}
 	var snapBytes int64
-	if err := writeFileAtomic(s.fsOrOS(), s.dir, snapName, func(w io.Writer) error {
+	if err := fsys.WriteFileAtomic(s.fsOrOS(), s.dir, snapName, func(w io.Writer) error {
 		cw := &countingWriter{w: w}
 		err := writeSnapshot(cw, snap, seq, idxFile)
 		snapBytes = cw.n
@@ -393,7 +408,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 		wal.Close()
 		return s.poisonLocked("syncing wal", err)
 	}
-	if err := writeFileAtomic(s.fsOrOS(), s.dir, manifestName, func(w io.Writer) error {
+	if err := fsys.WriteFileAtomic(s.fsOrOS(), s.dir, manifestName, func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s\nsnapshot %s\nwal %s\n", manifestMagic, snapName, walName)
 		return err
 	}); err != nil {
@@ -721,41 +736,6 @@ func nextRecord(data []byte, off int64) (ri RecordInfo, end int64, ok bool) {
 	return ri, off + int64(n) + 8, true
 }
 
-// writeFileAtomic writes name under dir via a temp file: content, fsync,
-// rename, directory fsync. Readers see the old file or the new one,
-// never a partial write.
-func writeFileAtomic(fs FS, dir, name string, write func(w io.Writer) error) error {
-	tmp, err := fs.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer fs.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(fs, dir)
-}
-
-func syncDir(fs FS, dir string) error {
-	d, err := fs.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // --- root manifest: the shard layout above the per-segment stores ---
 
 const (
@@ -784,7 +764,7 @@ func WriteRootManifest(root string, shards int) error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return writeFileAtomic(OSFS, root, manifestName, func(w io.Writer) error {
+	return fsys.WriteFileAtomic(OSFS, root, manifestName, func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s\nshards %d\n", rootManifestMagic, shards)
 		return err
 	})

@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"pis/internal/fsys"
 )
 
 // TransferState names the files a full store transfer must copy: the
@@ -123,7 +125,7 @@ func (in *Install) Commit(manifest []byte) error {
 			return fmt.Errorf("store: manifest names unstaged file %s: %w", name, err)
 		}
 	}
-	if err := writeFileAtomic(in.fs, in.dir, manifestName, func(w io.Writer) error {
+	if err := fsys.WriteFileAtomic(in.fs, in.dir, manifestName, func(w io.Writer) error {
 		_, err := w.Write(manifest)
 		return err
 	}); err != nil {

@@ -34,7 +34,6 @@
 package pis
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -234,11 +233,15 @@ func eachShard(n int, f func(i int) error) error {
 // withDefaults fills the zero-value construction knobs with the paper's
 // defaults and rejects a cost matrix with a negative or NaN cost.
 func (o Options) withDefaults() (Options, error) {
-	o.Metric = cmp.Or(o.Metric, EdgeMutation)
+	if o.Metric == nil {
+		o.Metric = EdgeMutation
+	}
 	if o.MaxFragmentEdges <= 0 {
 		o.MaxFragmentEdges = 5
 	}
-	o.CompactFraction = cmp.Or(o.CompactFraction, 0.25)
+	if o.CompactFraction == 0 {
+		o.CompactFraction = 0.25
+	}
 	if m, ok := o.Metric.(*distance.Matrix); ok {
 		return o, m.Validate()
 	}
@@ -719,7 +722,7 @@ func (db *Database) Stats() IndexStats {
 		out.StoreBytes += m.StoreBytes
 		out.BitmapBytes += m.BitmapBytes
 		out.FingerprintBytes += m.FingerprintBytes
-		out.GraphBytes += m.GraphBytes
+		out.GraphBytes += seg.GraphBytes()
 	}
 	return out
 }

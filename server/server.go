@@ -24,7 +24,6 @@ package server
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -198,7 +197,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("server: Backend is required")
 	}
-	qlogSize := cmp.Or(cfg.QueryLogSize, defaultQueryLogSize)
+	qlogSize := cfg.QueryLogSize
+	if qlogSize == 0 {
+		qlogSize = defaultQueryLogSize
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()

@@ -257,7 +257,7 @@ func TestShardedStatsSumShards(t *testing.T) {
 		want.StoreBytes += m.StoreBytes
 		want.BitmapBytes += m.BitmapBytes
 		want.FingerprintBytes += m.FingerprintBytes
-		want.GraphBytes += m.GraphBytes
+		want.GraphBytes += seg.GraphBytes()
 		st, _ := seg.StoreStats()
 		wal += int64(st.Recovery.ReplayedRecords)
 		seg.Close()
