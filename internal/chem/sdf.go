@@ -1,7 +1,7 @@
 // SDF (MDL SD file) corpus loader. Parses the V2000 connection table of
 // each record into a labeled graph over the package's atom/bond label
-// spaces, streaming record by record so a multi-gigabyte screen file can
-// feed an out-of-core index build without ever being held in memory.
+// spaces, record by record, so a reader never holds more than one record's
+// text.
 //
 // The parser is deliberately narrow: counts line, atom block (element
 // symbol only — coordinates, charges and isotopes are ignored), bond

@@ -10,6 +10,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"slices"
 )
@@ -19,6 +20,26 @@ const (
 	binHasVWeights = 1 << 0 // vertex weight slab present
 	binHasEWeights = 1 << 1 // edge weight slab present
 )
+
+// Fingerprint hashes the full contents of an ordered graph set (labels,
+// weights, edge structure, graph order) into a 64-bit value that is never
+// zero, so zero can mean "no fingerprint recorded": the set size, then
+// each graph's binary encoding behind its length. A persisted index
+// carries the fingerprint of the set it was built over; loading it
+// against any other set fails instead of silently returning wrong
+// answers.
+func Fingerprint(graphs []*Graph) uint64 {
+	h := fnv.New64a()
+	size := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64), uint64(len(graphs)))
+	h.Write(size)
+	var buf []byte
+	for _, g := range graphs {
+		buf = g.AppendBinary(buf[:0])
+		h.Write(binary.AppendUvarint(size[:0], uint64(len(buf))))
+		h.Write(buf)
+	}
+	return max(h.Sum64(), 1)
+}
 
 // AppendBinary appends the binary encoding of g to dst and returns the
 // extended slice. Layout: flags byte, uvarint n and m, n vertex-label

@@ -313,21 +313,19 @@ func NewBuilder(n, m int) *Builder {
 func (b *Builder) N() int { return len(b.vlabels) }
 
 // AddVertex appends a vertex with the given label and returns its id.
-func (b *Builder) AddVertex(l VLabel) int32 {
-	b.vlabels = append(b.vlabels, l)
-	if b.vweights != nil {
-		b.vweights = append(b.vweights, 0)
-	}
-	return int32(len(b.vlabels) - 1)
-}
+func (b *Builder) AddVertex(l VLabel) int32 { return b.AddWeightedVertex(l, 0) }
 
-// AddWeightedVertex appends a vertex carrying a weight.
+// AddWeightedVertex appends a vertex carrying a weight. The weight column
+// starts at the first weight whose bits are not zero, so a graph whose
+// vertex weights are all zero carries none.
 func (b *Builder) AddWeightedVertex(l VLabel, w float64) int32 {
-	if b.vweights == nil {
-		b.vweights = make([]float64, len(b.vlabels))
-	}
 	b.vlabels = append(b.vlabels, l)
-	b.vweights = append(b.vweights, w)
+	if b.vweights == nil && math.Float64bits(w) != 0 {
+		b.vweights = make([]float64, len(b.vlabels)-1, cap(b.vlabels))
+	}
+	if b.vweights != nil {
+		b.vweights = append(b.vweights, w)
+	}
 	return int32(len(b.vlabels) - 1)
 }
 
@@ -376,10 +374,15 @@ func (b *Builder) Build() (*Graph, error) {
 
 // checkSimple refuses a linked graph in which an edge repeats another. A
 // duplicate edge repeats a neighbor in its endpoints' runs: met[w] is v+1
-// once w has been met in v's.
+// once w has been met in v's. A graph of up to 64 vertices keeps met on
+// the stack.
 func (g *Graph) checkSimple() error {
 	off, nbrV, _ := g.Adjacency()
-	met := make([]int32, g.N())
+	var buf [64]int32
+	met := buf[:min(g.N(), len(buf))]
+	if g.N() > len(buf) {
+		met = make([]int32, g.N())
+	}
 	for v := range met {
 		for _, w := range nbrV[off[v]:off[v+1]] {
 			if met[w] == int32(v+1) {

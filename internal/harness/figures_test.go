@@ -74,6 +74,14 @@ func TestPaperFigures(t *testing.T) {
 	}
 }
 
+// Env is a built environment: database plus one index.
+type Env struct {
+	Config   Config
+	DB       []*graph.Graph
+	Features []mining.Feature
+	Index    *index.Index
+}
+
 // BuildEnv generates the database and builds the index once; figures share
 // it (except Figure 12, which rebuilds with different fragment sizes). It
 // mines with the paper's parameters, every frequent structure of 2 to
@@ -82,7 +90,6 @@ func TestPaperFigures(t *testing.T) {
 // the database's feature policy.
 func BuildEnv(cfg Config, sample int) (*Env, error) {
 	cfg = cfg.normalized()
-	start := time.Now()
 	db := chem.Generate(cfg.DBSize, chem.Config{Seed: cfg.Seed})
 	feats, err := mining.Mine(db, mining.Options{
 		MaxEdges:           cfg.MaxFragmentEdges,
@@ -97,7 +104,7 @@ func BuildEnv(cfg Config, sample int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Config: cfg, DB: db, Features: feats, Index: idx, BuildDur: time.Since(start)}, nil
+	return &Env{Config: cfg, DB: db, Features: feats, Index: idx}, nil
 }
 
 // Bucket is one Yt query group of the paper.

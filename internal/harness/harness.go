@@ -1,21 +1,13 @@
-// Package harness measures the PIS pipeline out of core: MeasureLarge
-// streams a synthetic or SDF/SMILES database through the chunked build
-// into an index file, opens it memory-mapped and times a query workload
-// against it, and Measure reports that workload as a BenchReport, the
-// row cmd/pisbench prints for LARGE.md.
+// Package harness measures the PIS pipeline at scale: MeasureLarge builds
+// a durable store over a synthetic or SDF/SMILES database with
+// pis.Create, reopens it with pis.Open (index memory-mapped) and times a
+// query workload through the reopened Database, and Measure reports that
+// workload as a BenchReport, the row cmd/pisbench prints for LARGE.md.
 //
 // The paper's evaluation (§7, Figures 8-12, and its filter-timing claim)
 // lives in this package's tests: go test ./internal/harness -run
 // TestPaperFigures -v prints the six tables.
 package harness
-
-import (
-	"time"
-
-	"pis/internal/graph"
-	"pis/internal/index"
-	"pis/internal/mining"
-)
 
 // Config scales an experiment run.
 type Config struct {
@@ -40,13 +32,4 @@ func (c Config) normalized() Config {
 		c.MaxFragmentEdges = 5
 	}
 	return c
-}
-
-// Env is a built environment: database plus one index.
-type Env struct {
-	Config   Config
-	DB       []*graph.Graph
-	Features []mining.Feature
-	Index    *index.Index
-	BuildDur time.Duration
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pis"
+	"pis/internal/chem"
 )
 
 // tinyConfig and tinySample, the graphs mined for features, keep unit
@@ -186,38 +189,48 @@ func TestFilterTiming(t *testing.T) {
 	}
 }
 
+// TestMeasureLargeSynthetic: MeasureLarge builds a store, reopens it and
+// answers through it as SearchNaive does. Its temporary store is gone
+// afterwards; a DataDir store stays and reopens.
 func TestMeasureLargeSynthetic(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Queries = 12
-	// A small build memory limit makes the build fold the stream in
-	// several chunks and merge them, the path a 500k build takes.
-	rep, err := MeasureLarge(cfg, 16, 2, LargeOptions{BuildMemLimitBytes: 2 << 20})
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	rep, err := MeasureLarge(cfg, 16, 2, LargeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DBSize != cfg.DBSize || rep.Queries != cfg.Queries {
-		t.Fatalf("report covers %d graphs / %d queries", rep.DBSize, rep.Queries)
+	if rep.DBSize != cfg.DBSize || rep.Queries != cfg.Queries || rep.LiveGraphs != cfg.DBSize {
+		t.Fatalf("report covers %d graphs / %d queries, %d live", rep.DBSize, rep.Queries, rep.LiveGraphs)
 	}
-	if rep.StreamSpillRuns < 2 {
-		t.Errorf("a 2 MiB build memory limit left the build in %d chunk", rep.StreamSpillRuns)
+	if rep.AvgAnswers <= 0 || rep.QueriesPerSec <= 0 {
+		t.Errorf("answers %v a query at %v q/s", rep.AvgAnswers, rep.QueriesPerSec)
 	}
-	if rep.RawPostingBytes <= 0 {
-		t.Error("no raw posting volume reported")
+	if rep.OracleQueries != oracleQueries || rep.OracleMismatches != 0 {
+		t.Errorf("%d of %d queries answered unlike SearchNaive", rep.OracleMismatches, rep.OracleQueries)
 	}
-	if rep.AvgAnswers <= 0 {
-		t.Error("mapped queries returned no answers")
+	if rep.OpenMS <= 0 || rep.BuildMS <= 0 || rep.IndexBytes <= 0 {
+		t.Errorf("open %v ms, build %v ms, %d index bytes", rep.OpenMS, rep.BuildMS, rep.IndexBytes)
 	}
-	if rep.QueriesPerSec <= 0 {
-		t.Error("no throughput measured")
+	if _, err := os.Stat("/proc/self/status"); err == nil && (rep.BuildPeakRSSMB <= 0 || rep.PeakRSSMB <= 0) {
+		t.Errorf("peak RSS not captured despite /proc being available: %v MiB after the build, %v at the end", rep.BuildPeakRSSMB, rep.PeakRSSMB)
 	}
-	if rep.IndexOpenMSMapped <= 0 || rep.IndexOpenMSHeap <= 0 || rep.IndexPairMS <= 0 {
-		t.Errorf("open timings missing: mapped %v heap %v pair %v", rep.IndexOpenMSMapped, rep.IndexOpenMSHeap, rep.IndexPairMS)
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("the temporary store was left behind: %v", left)
 	}
-	if _, err := os.Stat("/proc/self/status"); err == nil && (rep.BuildPeakRSSMB <= 0 || rep.MiningPeakRSSMB <= 0) {
-		t.Errorf("peak RSS not captured despite /proc being available: %v MiB after mining, %v after the build", rep.MiningPeakRSSMB, rep.BuildPeakRSSMB)
+
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := MeasureLarge(cfg, 16, 2, LargeOptions{DataDir: dir}); err != nil {
+		t.Fatal(err)
 	}
-	if rep.MiningMS <= 0 {
-		t.Error("mining time not captured")
+	db, err := pis.Open(dir, pis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Len() != cfg.DBSize {
+		t.Fatalf("the kept store reopens with %d graphs, want %d", db.Len(), cfg.DBSize)
 	}
 }
 
@@ -226,8 +239,11 @@ func TestMeasureLargeSynthetic(t *testing.T) {
 // that query's time, which is also the stage mean.
 func TestMeasureStageQuantilesExact(t *testing.T) {
 	env := buildTiny(t)
-	env.Config.Queries = 1
-	rep := Measure(env, 8, 1)
+	db, err := pis.New(env.DB, pis.Options{MaxFragmentEdges: env.Config.MaxFragmentEdges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Measure(db, chem.SampleQueries(env.DB, 1, 8, 1), 1)
 	for _, st := range []struct {
 		name string
 		q    StageQuantiles
@@ -256,30 +272,12 @@ func TestCorpusSource(t *testing.T) {
 	if err := os.WriteFile(smi, []byte("CCO\nc1ccccc1 benzene\nCCC\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, sample, err := scanCorpus(smi, 2)
+	graphs, err := scanCorpus(smi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 || len(sample) != 2 {
-		t.Fatalf("scanCorpus = %d molecules, %d sampled; want 3, 2", n, len(sample))
-	}
-	src, stop, err := buildSource(Config{}, LargeOptions{Corpus: smi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
-		}
-		got++
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Fatalf("corpus source yielded %d graphs, want 3", got)
+	if len(graphs) != 3 {
+		t.Fatalf("scanCorpus read %d molecules, want 3", len(graphs))
 	}
 	if _, _, err := openCorpus(filepath.Join(dir, "tiny.xyz")); err == nil {
 		t.Fatal("unknown extension accepted")

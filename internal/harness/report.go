@@ -1,22 +1,20 @@
 // Machine-readable benchmark report. pisbench -json writes one of these
-// so the out-of-core profile (build time and memory, per-stage filtering
-// cost, candidates per stage, throughput) can be checked without parsing
-// text output.
+// so the large-scale profile (build time and memory, open time, per-stage
+// filtering cost, candidates per stage, throughput) can be checked without
+// parsing text output.
 
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
-	"os"
 	"runtime"
 	"slices"
 	"time"
 
-	"pis/internal/chem"
+	"pis"
 	"pis/internal/core"
-	"pis/internal/index"
+	"pis/internal/graph"
 )
 
 // BenchReport is the serialized outcome of one timed workload.
@@ -73,51 +71,33 @@ type BenchReport struct {
 	FilterQuantiles StageQuantiles `json:"filter_quantiles_ms"`
 	VerifyQuantiles StageQuantiles `json:"verify_quantiles_ms"`
 
-	// Allocation profile of the serial query loop (heap allocations the
-	// flat candidate pipeline is meant to keep near zero).
+	// Allocation profile of the query loop (heap allocations the flat
+	// candidate pipeline is meant to keep near zero).
 	AvgAllocsPerQuery  float64 `json:"avg_allocs_per_query"`
 	AvgAllocKBPerQuery float64 `json:"avg_alloc_kb_per_query"`
 
-	// End-to-end throughput (filter + verify, serial).
+	// End-to-end throughput (filter + verify, one query at a time, each
+	// verifying on GOMAXPROCS workers).
 	TotalMS       float64 `json:"total_ms"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
 
-	// Restart economics of the durable store: serializing the index as
-	// its PISIDX3 image (IndexSaveMS, IndexBytes), decoding it back onto
-	// the heap (IndexLoadMS), and how that compares to mining + building
-	// from scratch (LoadVsBuildSpeedup = BuildMS / IndexLoadMS).
-	IndexSaveMS        float64 `json:"index_save_ms"`
-	IndexLoadMS        float64 `json:"index_load_ms"`
-	IndexBytes         int     `json:"index_bytes"`
-	LoadVsBuildSpeedup float64 `json:"load_vs_build_speedup"`
+	// Oracle: LiveGraphs is the measured database's Len, and of the first
+	// OracleQueries measured queries, OracleMismatches answered other ids
+	// than SearchNaive, which verifies every graph.
+	LiveGraphs       int `json:"live_graphs"`
+	OracleQueries    int `json:"oracle_queries"`
+	OracleMismatches int `json:"oracle_mismatches"`
 
-	// Out-of-core profile. PeakRSSMB is the process high-water mark at
-	// the end of the measurement (0 where /proc is unavailable); the
-	// open timings compare demand-paged mmap against decoding the same
-	// image onto the heap (IndexOpenMSHeap is IndexLoadMS under its
-	// out-of-core name). The remaining fields are filled only by
-	// MeasureLarge: IndexPairMS is the wall time of Pair on the freshly
-	// built, mapped index, which lays out the class bitmaps from the entry
-	// runs (so open plus Pair is what readies an image), MiningMS is the
-	// wall time of feature mining and
-	// MiningPeakRSSMB the high-water mark right after it, BuildPeakRSSMB
-	// the high-water mark right after the streaming build — before the
-	// query phase materializes the graphs — RawPostingBytes is the
-	// uncompressed volume of the stored entries (StreamResult) that a heap
-	// build would have held resident,
-	// the denominator of the build's RSS budget, and StreamSpillRuns /
-	// StreamSpillBytes count the chunks the build folded and the bytes
-	// of the run files it wrote for them.
-	PeakRSSMB         float64 `json:"peak_rss_mb"`
-	IndexOpenMSMapped float64 `json:"index_open_ms_mapped"`
-	IndexOpenMSHeap   float64 `json:"index_open_ms_heap"`
-	IndexPairMS       float64 `json:"index_pair_ms,omitempty"`
-	MiningMS          float64 `json:"mining_ms,omitempty"`
-	MiningPeakRSSMB   float64 `json:"mining_peak_rss_mb,omitempty"`
-	BuildPeakRSSMB    float64 `json:"build_peak_rss_mb,omitempty"`
-	RawPostingBytes   int64   `json:"raw_posting_bytes,omitempty"`
-	StreamSpillRuns   int     `json:"stream_spill_runs,omitempty"`
-	StreamSpillBytes  int64   `json:"stream_spill_bytes,omitempty"`
+	// Store profile, filled by MeasureLarge. BuildPeakRSSMB is the process
+	// high-water mark right after pis.Create, OpenMS the wall time of the
+	// pis.Open that reopens the store (snapshot decode, index mapping and
+	// pairing), IndexBytes the size of the index side files it maps, and
+	// PeakRSSMB the high-water mark once the measured loop ends (0 where
+	// /proc is unavailable).
+	BuildPeakRSSMB float64 `json:"build_peak_rss_mb,omitempty"`
+	OpenMS         float64 `json:"open_ms,omitempty"`
+	IndexBytes     int     `json:"index_bytes,omitempty"`
+	PeakRSSMB      float64 `json:"peak_rss_mb"`
 }
 
 // StageQuantiles summarizes one stage's latency distribution in
@@ -139,55 +119,43 @@ func stageQuantiles(times []time.Duration) StageQuantiles {
 	return StageQuantiles{P50: at(50), P95: at(95), P99: at(99)}
 }
 
-// Measure runs the full pipeline (filter + verification) over a sampled
-// query workload and aggregates per-stage counters and timings.
-// queryEdges is clamped to the largest database graph — SampleQueries
-// retries until it has enough queries, so an unsatisfiable size would
-// spin forever.
-func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
-	cfg := env.Config
-	maxM := 0
-	for _, g := range env.DB {
-		if g.M() > maxM {
-			maxM = g.M()
-		}
-	}
-	if queryEdges > maxM {
-		queryEdges = maxM
-	}
-	qs := chem.SampleQueries(env.DB, cfg.Queries, queryEdges, cfg.Seed+7)
-	// VerifyWorkers: 1 keeps the loop fully serial so the per-query
-	// allocation and stage-time numbers measure the pipeline itself, not
-	// worker-pool spawning or parallel wall-time effects.
-	s := core.NewSearcher(env.DB, env.Index, core.Options{VerifyWorkers: 1})
-	ist := env.Index.Stats()
+// oracleQueries is how many of the measured queries Measure checks
+// against SearchNaive.
+const oracleQueries = 3
+
+// Measure runs the queries through db.Search, one at a time, and
+// aggregates per-stage counters and timings. Then, outside the timed and
+// allocation-counted loop and after the peak RSS is read, it checks the
+// first oracleQueries answer sets against db.SearchNaive.
+func Measure(db *pis.Database, qs []*graph.Graph, sigma float64) BenchReport {
+	st := db.Stats()
 	rep := BenchReport{
-		DBSize:           cfg.DBSize,
-		Seed:             cfg.Seed,
-		Queries:          len(qs),
-		QueryEdges:       queryEdges,
-		Sigma:            sigma,
-		MaxFragmentEdges: cfg.MaxFragmentEdges,
-		Features:         len(env.Features),
-		BuildMS:          ms(env.BuildDur),
-		Fragments:        ist.Fragments,
-		Sequences:        ist.Sequences,
+		Queries:    len(qs),
+		Sigma:      sigma,
+		Features:   st.Features,
+		Fragments:  st.Fragments,
+		Sequences:  st.Sequences,
+		LiveGraphs: db.Len(),
 	}
 	plan := make([]time.Duration, 0, len(qs))
 	filter := make([]time.Duration, 0, len(qs))
 	verify := make([]time.Duration, 0, len(qs))
+	var first [][]int32
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
 	var agg core.Stats
 	answers := 0
 	for _, q := range qs {
-		r := s.Search(q, sigma)
+		r := db.Search(q, sigma)
 		agg.Add(r.Stats)
 		answers += len(r.Answers)
 		plan = append(plan, r.Stats.PlanTime)
 		filter = append(filter, r.Stats.FilterTime)
 		verify = append(verify, r.Stats.VerifyTime)
+		if len(first) < oracleQueries {
+			first = append(first, r.Answers)
+		}
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
@@ -215,51 +183,15 @@ func Measure(env *Env, queryEdges int, sigma float64) BenchReport {
 	rep.AvgAllocKBPerQuery = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / 1024 / n
 	rep.TotalMS = ms(wall)
 	rep.QueriesPerSec = n / wall.Seconds()
-
-	measureRestart(env.Index, &rep)
 	rep.PeakRSSMB = peakRSSMB()
-	return rep
-}
 
-// measureRestart times what a restart pays through the durable store
-// instead of re-mining + rebuilding: the index is saved once (a PISIDX3
-// image), and that one image is opened both ways — mmap (directory decode
-// only, slabs demand-paged) and full heap decode. The heap decode is both
-// index_load_ms and index_open_ms_heap: with one format they are the
-// same measurement. Failures leave the fields 0.
-func measureRestart(x *index.Index, rep *BenchReport) {
-	metric := x.Options().Metric
-	var image bytes.Buffer
-	start := time.Now()
-	if err := x.Save(&image); err != nil {
-		return
-	}
-	rep.IndexSaveMS = ms(time.Since(start))
-	rep.IndexBytes = image.Len()
-
-	start = time.Now()
-	if _, err := index.LoadBytes(image.Bytes(), metric); err == nil {
-		rep.IndexLoadMS = ms(time.Since(start))
-		rep.IndexOpenMSHeap = rep.IndexLoadMS
-		if rep.IndexLoadMS > 0 {
-			rep.LoadVsBuildSpeedup = rep.BuildMS / rep.IndexLoadMS
+	for i, answers := range first {
+		rep.OracleQueries++
+		if !slices.Equal(answers, db.SearchNaive(qs[i], sigma).Answers) {
+			rep.OracleMismatches++
 		}
 	}
-
-	f, err := os.CreateTemp("", "pis-bench-*.pisidx3")
-	if err != nil {
-		return
-	}
-	defer os.Remove(f.Name())
-	_, err = f.Write(image.Bytes())
-	if cerr := f.Close(); err != nil || cerr != nil {
-		return
-	}
-	start = time.Now()
-	if mx, err := index.OpenMapped(f.Name(), metric); err == nil {
-		rep.IndexOpenMSMapped = ms(time.Since(start))
-		mx.Close()
-	}
+	return rep
 }
 
 // WriteJSON writes the report, indented, to w.

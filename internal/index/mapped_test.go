@@ -12,22 +12,7 @@ import (
 
 	"pis/internal/distance"
 	"pis/internal/graph"
-	"pis/internal/mining"
 )
-
-type sliceSource struct {
-	db []*graph.Graph
-	i  int
-}
-
-func (s *sliceSource) Next() (*graph.Graph, bool) {
-	if s.i >= len(s.db) {
-		return nil, false
-	}
-	g := s.db[s.i]
-	s.i++
-	return g, true
-}
 
 // queriesEqual asserts that every range query over a few query graphs
 // answers identically (ids and distances) on a and b.
@@ -109,30 +94,6 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	if hs, ms := hx.Stats(), mx.Stats(); hs != ms {
 		t.Fatalf("stats mismatch: heap %+v mapped %+v", hs, ms)
 	}
-
-	// Leg 3: streaming build over the same graphs → mapped open.
-	feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spath := filepath.Join(dir, "stream.pisidx3")
-	resStream, err := buildStreaming(&sliceSource{db: db}, len(db), feats,
-		Options{Metric: metric}, spath, 1<<12) // a tiny bound: many chunk runs
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resStream.SpillRuns < 2 {
-		t.Fatalf("stream result %+v: expected more than one chunk run", resStream)
-	}
-	sx, err := OpenMapped(spath, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sx.Close()
-	if sx.Fingerprint() != x.Fingerprint() {
-		t.Fatalf("streaming fingerprint %x vs build %x", sx.Fingerprint(), x.Fingerprint())
-	}
-	queriesEqual(t, "streamed-vs-build", sx, x, db)
 
 	// Paired, mapped and heap classes hold the same graphs.
 	if err := mx.Pair(db); err != nil {
@@ -346,27 +307,6 @@ func offsetIn(outer, sub []byte) int {
 		}
 	}
 	return -1
-}
-
-// TestStreamingRejectsShortSource: a source that ends before the
-// declared size, or runs on past it, must fail, not silently produce a
-// partial index.
-func TestStreamingRejectsShortSource(t *testing.T) {
-	metric := distance.EdgeMutation{}
-	_, db := buildSmall(t, metric, 3, 10)
-	feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.pisidx3")
-	_, err = BuildStreaming(&sliceSource{db: db[:5]}, len(db), feats, Options{Metric: metric}, path)
-	if err == nil || !strings.Contains(err.Error(), "ended after") {
-		t.Fatalf("short source not rejected: %v", err)
-	}
-	_, err = buildStreaming(&sliceSource{db: db}, 5, feats, Options{Metric: metric}, path, 1)
-	if err == nil || !strings.Contains(err.Error(), "more than the declared") {
-		t.Fatalf("long source not rejected: %v", err)
-	}
 }
 
 // MappedPath returns the backing file of a mapped index ("" when not

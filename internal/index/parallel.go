@@ -39,20 +39,12 @@ func BuildParallel(db []*graph.Graph, features []mining.Feature, opts Options, w
 }
 
 // foldAndSeal folds the fragments of db[from:] into the class stores
-// (graphs below from are in them already, see Rebase) and seals the index
+// under their positions in db, on workers goroutines (<= 0: GOMAXPROCS;
+// graphs below from are in them already, see Rebase), and seals the index
 // over db: entry blocks, planner statistics, class bitmaps.
 func (x *Index) foldAndSeal(db []*graph.Graph, from, workers int) {
 	x.dbSize = len(db)
 	x.fingerprint = graph.Fingerprint(db)
-	x.fold(db, from, workers)
-	x.finalize()
-	x.computeStats()
-	x.pair(db)
-}
-
-// fold folds the fragments of db[from:] into the class stores under their
-// positions in db, on workers goroutines (<= 0: GOMAXPROCS).
-func (x *Index) fold(db []*graph.Graph, from, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -63,9 +55,12 @@ func (x *Index) fold(db []*graph.Graph, from, workers int) {
 			ops = x.computeOps(ops, db[id], &fs)
 			x.apply(int32(id), ops)
 		}
-		return
+	} else {
+		x.foldParallel(db, from, workers)
 	}
-	x.foldParallel(db, from, workers)
+	x.finalize()
+	x.computeStats()
+	x.pair(db)
 }
 
 // foldParallel computes the ops of every graph from id from on, on workers

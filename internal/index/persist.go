@@ -48,7 +48,7 @@
 // lcp byte per entry and one uint32 run end per entry (slab.go).
 //
 // Entries are sorted (label keys lexicographically, weight keys
-// numerically), so Save and the chunked streaming build lay out identical
+// numerically), so every build over the same graphs lays out identical
 // blocks.
 //
 // An image may come from outside the process (a copied store, a side
@@ -100,17 +100,6 @@ const (
 	kindWeights       = 6
 )
 
-// header is the image header Save and BuildStreaming write for x, over a
-// slab of slabLen bytes.
-func (x *Index) header(slabLen uint64) v3Header {
-	kind := byte(kindLabels)
-	if x.weights {
-		kind = kindWeights
-	}
-	return v3Header{kind: kind, vertexBlind: distance.IgnoresVertices(x.opts.Metric), maxEdges: x.opts.MaxFragmentEdges,
-		dbSize: x.dbSize, fingerprint: x.fingerprint, nClasses: len(x.list), slabLen: slabLen}
-}
-
 // v3SlabAlign page-aligns the slab so mapped block reads never straddle
 // the header region and the kernel can fault slab pages independently.
 const v3SlabAlign = 4096
@@ -143,58 +132,6 @@ type v3DirClass struct {
 // offset/length/CRC triples. It bounds the header's class count.
 const v3DirClassMinBytes = 7 + statsHistBuckets + 2*(8+8+4)
 
-// v3SlabWriter accumulates one class's blocks into the slab, tracking
-// offset and CRC per block so directory entries can be staged without
-// buffering block bytes beyond the writer's own buffering.
-type v3SlabWriter struct {
-	w   io.Writer
-	off uint64
-	crc uint32
-	buf []byte
-	err error
-}
-
-func (s *v3SlabWriter) beginBlock() (startOff uint64) { s.crc = 0; return s.off }
-
-func (s *v3SlabWriter) flushBuf() {
-	if len(s.buf) == 0 || s.err != nil {
-		return
-	}
-	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf)
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
-	}
-	s.off += uint64(len(s.buf))
-	s.buf = s.buf[:0]
-}
-
-func (s *v3SlabWriter) uvarint(v uint64) {
-	s.buf = binary.AppendUvarint(s.buf, v)
-	if len(s.buf) >= 1<<16 {
-		s.flushBuf()
-	}
-}
-
-func (s *v3SlabWriter) bytes(b []byte) {
-	s.buf = append(s.buf, b...)
-	if len(s.buf) >= 1<<16 {
-		s.flushBuf()
-	}
-}
-
-// endBlock flushes pending bytes and returns the block's length and CRC.
-func (s *v3SlabWriter) endBlock(startOff uint64) (length uint64, crc uint32) {
-	s.flushBuf()
-	return s.off - startOff, s.crc
-}
-
-// ids appends an ascending id list as first + gaps.
-func (s *v3SlabWriter) ids(ids []int32) {
-	if s.buf = appendIDs(s.buf, ids); len(s.buf) >= 1<<16 {
-		s.flushBuf()
-	}
-}
-
 // Save writes the index to w as a PISIDX3 image: the class blocks it
 // holds, heap or mapped alike, behind a directory encoded here. An index
 // opened from an older layout and not yet paired writes back the image it
@@ -204,22 +141,23 @@ func (x *Index) Save(w io.Writer) error {
 		_, err := w.Write(x.image)
 		return err
 	}
-	var slab bytes.Buffer
-	sw := &v3SlabWriter{w: &slab}
-	dir := make([]v3DirClass, 0, len(x.list))
-	for _, c := range x.list {
-		dc := v3DirClass{code: c.Code, vOff: c.vOff, entCount: c.ents.n()}
-		dc.entOff = sw.beginBlock()
+	var slab []byte
+	dir := make([]v3DirClass, len(x.list))
+	for i, c := range x.list {
+		off := len(slab)
 		for _, col := range [][]byte{c.ents.ids, c.ents.keys, c.ents.lcp, c.ents.ends} {
-			sw.bytes(col)
+			slab = append(slab, col...)
 		}
-		dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
-		dir = append(dir, dc)
+		dir[i] = v3DirClass{code: c.Code, vOff: c.vOff, entCount: c.ents.n(),
+			entOff: uint64(off), entLen: uint64(len(slab) - off), entCRC: crc32.ChecksumIEEE(slab[off:])}
 	}
-	if sw.err != nil {
-		return sw.err
+	kind := byte(kindLabels)
+	if x.weights {
+		kind = kindWeights
 	}
-	return writeV3Image(w, x.header(uint64(slab.Len())), dir, &slab)
+	hdr := v3Header{kind: kind, vertexBlind: distance.IgnoresVertices(x.opts.Metric), maxEdges: x.opts.MaxFragmentEdges,
+		dbSize: x.dbSize, fingerprint: x.fingerprint, nClasses: len(x.list), slabLen: uint64(len(slab))}
+	return writeV3Image(w, hdr, dir, slab)
 }
 
 // WriteMapped saves the index to path atomically and durably, ready for
@@ -231,7 +169,7 @@ func (x *Index) WriteMapped(path string) error {
 // writeV3Image assembles the image: magic, header, directory, padding,
 // slab. hdr.slabOff is computed here; hdr.slabLen must be set by the
 // caller.
-func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab io.Reader) error {
+func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab []byte) error {
 	encodeHeader := func(h v3Header) []byte {
 		var buf bytes.Buffer
 		sw := binio.NewSectionWriter(&buf)
@@ -299,7 +237,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab io.Reader) e
 	if _, err := w.Write(make([]byte, int(hdr.slabOff)-preSlab)); err != nil {
 		return err
 	}
-	_, err := io.Copy(w, slab)
+	_, err := w.Write(slab)
 	return err
 }
 
@@ -576,8 +514,8 @@ func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Inde
 	return x, nil
 }
 
-// LoadBytes decodes an image written by Save, WriteMapped or
-// BuildStreaming into an ordinary heap index. The metric must match the
+// LoadBytes decodes an image written by Save or WriteMapped into an
+// ordinary heap index. The metric must match the
 // one used at build time (at minimum its vertex-blindness and whether it
 // reads labels or weights must agree). Callers attach the index to a
 // graph set (Pair) only after checking DBSize and Fingerprint against the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -270,7 +271,7 @@ func oversizedImages(t testing.TB) map[string][]byte {
 	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 3}
 	craft := func(hdr v3Header) []byte {
 		var buf bytes.Buffer
-		if err := writeV3Image(&buf, hdr, nil, bytes.NewReader(nil)); err != nil {
+		if err := writeV3Image(&buf, hdr, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -289,16 +290,12 @@ func oversizedImages(t testing.TB) map[string][]byte {
 // 0, in a database of MaxInt32 graphs.
 func unboundedGraphCountImage(t testing.TB) []byte {
 	t.Helper()
-	var slab bytes.Buffer
-	sw := &v3SlabWriter{w: &slab}
-	dc := v3DirClass{code: canon.Code{{I: 0, J: 1}}, entCount: 1}
-	dc.entOff = sw.beginBlock()
-	sw.uvarint(0)                         // the run: graph 0
-	sw.bytes([]byte{0, 0, 0, 1, 0, 0, 0}) // the edge label, the lcp, the run's end
-	dc.entLen, dc.entCRC = sw.endBlock(dc.entOff)
-	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(slab.Len())}
+	// The run (graph 0), the edge label, the lcp, the run's end.
+	slab := []byte{0, 0, 0, 0, 1, 0, 0, 0}
+	dc := v3DirClass{code: canon.Code{{I: 0, J: 1}}, entCount: 1, entLen: uint64(len(slab)), entCRC: crc32.ChecksumIEEE(slab)}
+	hdr := v3Header{kind: kindLabels, vertexBlind: true, maxEdges: 1, dbSize: math.MaxInt32, nClasses: 1, slabLen: uint64(len(slab))}
 	var buf bytes.Buffer
-	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, &slab); err != nil {
+	if err := writeV3Image(&buf, hdr, []v3DirClass{dc}, slab); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -339,14 +336,12 @@ func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 }
 
 // TestSaveImagesByteIdentical: one format, one image. Saving a heap
-// index, saving the mapped index opened from that image, WriteMapped, and
-// the streaming build over the same graphs all produce the same bytes, with
-// no fingerprint section, for every metric, at chunks of one graph, of about seven, and of the whole
-// database — so a key's id run spans chunks, and a class is empty in some
-// chunk.
+// index, saving the mapped index opened from that image, WriteMapped and
+// saving the index LoadBytes decodes from it all produce the same bytes,
+// with no fingerprint section, for every metric.
 func TestSaveImagesByteIdentical(t *testing.T) {
 	for _, tc := range metricCases {
-		x, db := buildSmall(t, tc.metric, 23, 30)
+		x, _ := buildSmall(t, tc.metric, 23, 30)
 		heap, _ := imageBytes(t, x)
 		checkNoSection(t, heap)
 		dir := t.TempDir()
@@ -377,65 +372,14 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		if reloaded, _ := imageBytes(t, hx); !bytes.Equal(heap, reloaded) {
 			t.Fatalf("%s: Save of the reloaded index differs", tc.name)
 		}
-		feats, err := mining.Mine(db, mining.Options{MaxEdges: 3, MinSupportFraction: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		elems := 0
-		for _, g := range db {
-			elems += g.N() + g.M()
-		}
-		for _, graphs := range []int{1, 7, len(db)} {
-			chunkBytes := int64(graphs*elems/len(db)) * foldBytesPerElement
-			if graphs == 1 {
-				chunkBytes = 1
-			}
-			spath := filepath.Join(dir, fmt.Sprintf("stream-%d.pisidx3", graphs))
-			res, err := buildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath, chunkBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantRuns := (len(db) + graphs - 1) / graphs; graphs != 7 && res.SpillRuns != wantRuns || graphs == 7 && (res.SpillRuns < 3 || res.SpillRuns > 8) {
-				t.Fatalf("%s: chunks of about %d graphs wrote %d runs", tc.name, graphs, res.SpillRuns)
-			}
-			streamed, err := os.ReadFile(spath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(heap, streamed) {
-				t.Fatalf("%s: streaming build in chunks of about %d graphs differs from Save", tc.name, graphs)
-			}
-		}
-		spans, _ := chunkCoverage(x, 7)
-		_, empty := chunkCoverage(x, 1)
-		if !spans || !empty {
-			t.Fatalf("%s: a key spans chunks of 7 graphs: %v, a class is empty in a one-graph chunk: %v", tc.name, spans, empty)
-		}
 	}
-}
-
-// chunkCoverage reports whether some key of x holds graphs of two chunks
-// of the given size, and whether some class holds no graph of one chunk.
-func chunkCoverage(x *Index, graphs int) (spans, empty bool) {
-	for _, c := range x.Classes() {
-		c.eachEntry(func(_ []uint64, run []int32) {
-			spans = spans || run[0]/int32(graphs) != run[len(run)-1]/int32(graphs)
-		})
-		seen := make(map[int32]bool)
-		for _, id := range x.Candidates(nil, []*Class{c}, nil) {
-			seen[id/int32(graphs)] = true
-		}
-		empty = empty || len(seen) < (x.DBSize()+graphs-1)/graphs
-	}
-	return spans, empty
 }
 
 // TestImageBytesPinned: the bytes of an image are a compatibility surface
 // (stores on disk, side files shipped between cluster peers). These are
 // the sha256 of the images the last commit with per-class tries and
 // R-trees wrote over the same corpus and options; a deliberate format
-// change updates them. The streaming build's image is the in-memory
-// build's, so one pin covers both. The three
+// change updates them. The three
 // label images were re-pinned once since, when the directory's per-class
 // count became stored (key, graph) pairs instead of fragment occurrences:
 // the directory section differs in that one uvarint per class. All eight
@@ -488,17 +432,6 @@ func TestImageBytesPinned(t *testing.T) {
 		image, _ := imageBytes(t, x)
 		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
 			t.Errorf("%s: in-memory build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
-		}
-		spath := filepath.Join(t.TempDir(), "stream.pisidx3")
-		if _, err := BuildStreaming(&sliceSource{db: db}, len(db), feats, Options{Metric: tc.metric}, spath); err != nil {
-			t.Fatal(err)
-		}
-		image, err = os.ReadFile(spath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(image))[:16]; got != tc.heap {
-			t.Errorf("%s: streaming build image sha256 %s…, pinned %s…", tc.name, got, tc.heap)
 		}
 	}
 }

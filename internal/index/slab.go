@@ -45,8 +45,7 @@ import (
 //	      ends
 //
 // Only the id column varies in width, so the other three are located from
-// the block's end by the entry count, and a writer can stream the id runs
-// as it goes and append the fixed columns when the class ends.
+// the block's end by the entry count.
 type entries struct {
 	ids, keys, lcp, ends []byte
 	keyLen, width        int

@@ -497,8 +497,11 @@ func ParseManifest(data []byte) (snapName, walName string, err error) {
 // snapChunk bounds one snapshot section payload. Graph sets larger than
 // this span several sections, each with its own checksum, so a
 // many-gigabyte database stays well under the per-section cap and a
-// checkpoint written is always a checkpoint loadable.
-const snapChunk = 64 << 20
+// checkpoint written is always a checkpoint loadable. The section buffer
+// is reused section to section, so it bounds the writer's memory too: at
+// 64 MiB, growing the buffer by append allocated some 300 MB per
+// checkpoint of a 500k-graph shard.
+const snapChunk = 4 << 20
 
 // writeSnapshot serializes snap: magic, then a header section followed
 // by base graphs / tombstones / delta graphs, each spread over one or

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pis/internal/chem"
+	"pis/internal/graph"
 )
 
 // FuzzDecodeRequest holds readRequest to encoding/json's Decoder on
@@ -106,6 +107,37 @@ func TestCanonicalBodiesTakeFastPath(t *testing.T) {
 				t.Errorf("%T body scanned to %+v, want %+v", body, got, body)
 			}
 		}
+	}
+}
+
+// TestDecodeGraphCarriesNoZeroWeights: a JSON graph with no weights decodes
+// to a graph with no weight column, so its binary form — what the WAL, the
+// snapshot and a replica frame hold — has a zero flags byte. A weight
+// column encoded all zero, as inserts were before, still decodes.
+func TestDecodeGraphCarriesNoZeroWeights(t *testing.T) {
+	var req InsertRequest
+	body := `{"graph":{"vertices":[{"label":0},{"label":1}],"edges":[{"u":0,"v":1,"label":2}]}}`
+	if err := readRequest([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	g, err := DecodeGraph(req.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := g.AppendBinary(nil)
+	if enc[0] != 0 {
+		t.Fatalf("flags byte %#x, want 0", enc[0])
+	}
+	// Flag bit 0 and two zero vertex weights after the labels.
+	old := append([]byte{1}, enc[1:5]...)
+	old = append(old, make([]byte, 16)...)
+	old = append(old, enc[5:]...)
+	back, _, err := graph.DecodeBinary(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.N() != 2 || back.M() != 1 || back.VWeightAt(1) != 0 {
+		t.Fatalf("zero-weight encoding decoded to %d vertices, %d edges", back.N(), back.M())
 	}
 }
 
