@@ -1,9 +1,8 @@
 // Command pisbench measures PIS at scale: it builds a durable store over
-// the database with pis.Create, reopens it with pis.Open (index
-// memory-mapped) and measures the standard workload through the reopened
-// Database — the store `pisserved -data-dir` opens. It prints the run as a
-// row of LARGE.md's table, checks the run's invariants and exits 1 when
-// one fails:
+// the database with pis.Create, reopens it with pis.Open and measures
+// the standard workload through the reopened Database — the store
+// `pisserved -data-dir` opens. It prints the run as a row of LARGE.md's
+// table, checks the run's invariants and exits 1 when one fails:
 //
 //	pisbench -n 20000 -queries 25 -json large.json
 //	pisbench -corpus screen.sdf -data-dir screen.store -json BENCH_corpus.json

@@ -12,6 +12,7 @@ import (
 
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/mining"
@@ -35,7 +36,7 @@ func newMolFixture(t testing.TB, n int) molFixture {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "idx.pisidx3")
-	if err := heap.WriteMapped(path); err != nil {
+	if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), heap.Save); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := index.OpenMapped(path, metric)

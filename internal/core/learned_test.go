@@ -10,6 +10,7 @@ import (
 
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/index"
 	"pis/internal/iso"
@@ -55,7 +56,7 @@ func newMoleculeFixture(t *testing.T, mapped bool) moleculeFixture {
 	}
 	if mapped {
 		path := filepath.Join(t.TempDir(), "idx.pisidx3")
-		if err := idx.WriteMapped(path); err != nil {
+		if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), idx.Save); err != nil {
 			t.Fatal(err)
 		}
 		if idx, err = index.OpenMapped(path, metric); err != nil {

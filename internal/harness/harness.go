@@ -1,8 +1,8 @@
 // Package harness measures the PIS pipeline at scale: MeasureLarge builds
 // a durable store over a synthetic or SDF/SMILES database with
-// pis.Create, reopens it with pis.Open (index memory-mapped) and times a
-// query workload through the reopened Database, and Measure reports that
-// workload as a BenchReport, the row cmd/pisbench prints for LARGE.md.
+// pis.Create, reopens it with pis.Open and times a query workload through
+// the reopened Database, and Measure reports that workload as a
+// BenchReport, the row cmd/pisbench prints for LARGE.md.
 //
 // The paper's evaluation (§7, Figures 8-12, and its filter-timing claim)
 // lives in this package's tests: go test ./internal/harness -run

@@ -1,8 +1,8 @@
 // Large-scale benchmark path. MeasureLarge builds a durable store with
 // pis.Create — over the synthetic molecules or a real SDF/SMILES corpus —
-// closes it, reopens it with pis.Open, the index memory-mapped, and
-// measures the standard workload through the reopened Database: the store
-// `pisserved -data-dir` opens, searched the way it searches. The queries
+// closes it, reopens it with pis.Open and measures the standard workload
+// through the reopened Database: the store `pisserved -data-dir` opens,
+// searched the way it searches. The queries
 // are sampled before the build, so the graph slice the build took can be
 // dropped before the reopen.
 
@@ -34,7 +34,7 @@ type LargeOptions struct {
 	DataDir string
 }
 
-// MeasureLarge creates the store, reopens it mapped, and measures.
+// MeasureLarge creates the store, reopens it, and measures.
 func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (BenchReport, error) {
 	cfg = cfg.normalized()
 	var graphs []*graph.Graph
@@ -84,7 +84,7 @@ func MeasureLarge(cfg Config, queryEdges int, sigma float64, lo LargeOptions) (B
 	debug.FreeOSMemory()
 
 	start = time.Now()
-	db, err = pis.Open(dir, pis.Options{MappedIndex: true})
+	db, err = pis.Open(dir, pis.Options{})
 	if err != nil {
 		return BenchReport{}, err
 	}

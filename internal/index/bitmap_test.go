@@ -194,7 +194,7 @@ func TestSignatureImageOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 		if x.Stats() != fresh.Stats() || x.Memory().BitmapBytes != fresh.Memory().BitmapBytes {
-			t.Fatalf("mapped=%v: stats %+v bitmaps %d B, fresh build %+v %d B", x.IsMapped(), x.Stats(), x.Memory().BitmapBytes, fresh.Stats(), fresh.Memory().BitmapBytes)
+			t.Fatalf("mapped=%v: stats %+v bitmaps %d B, fresh build %+v %d B", x.mapping != nil, x.Stats(), x.Memory().BitmapBytes, fresh.Stats(), fresh.Memory().BitmapBytes)
 		}
 		for trial := 0; trial < 60; trial++ {
 			var mine, theirs []*Class
@@ -204,18 +204,18 @@ func TestSignatureImageOpens(t *testing.T) {
 				}
 			}
 			if got, want := x.Candidates(nil, mine, nil), fresh.Candidates(nil, theirs, nil); !slices.Equal(got, want) {
-				t.Fatalf("mapped=%v: %d classes give candidates %v, fresh build %v", x.IsMapped(), len(mine), got, want)
+				t.Fatalf("mapped=%v: %d classes give candidates %v, fresh build %v", x.mapping != nil, len(mine), got, want)
 			}
 		}
 		for _, q := range db[:6] {
 			qfs, fqfs := x.QueryFragments(q), fresh.QueryFragments(q)
 			if len(qfs) != len(fqfs) || len(qfs) == 0 {
-				t.Fatalf("mapped=%v: %d query fragments, fresh build %d", x.IsMapped(), len(qfs), len(fqfs))
+				t.Fatalf("mapped=%v: %d query fragments, fresh build %d", x.mapping != nil, len(qfs), len(fqfs))
 			}
 			for i := 0; i < len(qfs); i += 1 + len(qfs)/8 {
 				for _, sigma := range []float64{0, 1, 2} {
 					if got, want := x.RangeQuery(qfs[i], sigma), fresh.RangeQuery(fqfs[i], sigma); !reflect.DeepEqual(got, want) {
-						t.Fatalf("mapped=%v σ=%v: range list %v, fresh build %v", x.IsMapped(), sigma, got, want)
+						t.Fatalf("mapped=%v σ=%v: range list %v, fresh build %v", x.mapping != nil, sigma, got, want)
 					}
 				}
 			}

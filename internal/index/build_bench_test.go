@@ -7,6 +7,7 @@ import (
 
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/mining"
 )
 
@@ -57,7 +58,7 @@ func BenchmarkPair(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "idx.pisidx3")
-	if err := x.WriteMapped(path); err != nil {
+	if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save); err != nil {
 		b.Fatal(err)
 	}
 	image, err := os.ReadFile(path)

@@ -20,6 +20,7 @@ import (
 	"pis/internal/canon"
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
@@ -45,7 +46,7 @@ func newMolFixture(t testing.TB, metric distance.Metric, n int) molFixture {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "idx.pisidx3")
-	if err := heap.WriteMapped(path); err != nil {
+	if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), heap.Save); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenMapped(path, metric)

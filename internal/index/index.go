@@ -117,12 +117,11 @@ type Index struct {
 	paired bool
 
 	// mapping backs an index opened with OpenMapped; nil for a heap index.
-	// mappedPath remembers the backing file, and inMapping that the class
-	// bytes are slices of the mapping — no longer so once Pair has rebuilt
-	// an older image's classes on the heap.
-	mapping    *mmapio.Mapping
-	mappedPath string
-	inMapping  bool
+	// inMapping records that the class bytes are slices of the mapping —
+	// no longer so once Pair has rebuilt an older image's classes on the
+	// heap.
+	mapping   *mmapio.Mapping
+	inMapping bool
 	// image is the file an image of an older layout was opened from: its
 	// classes start empty, Save writes these bytes back, and Pair rebuilds
 	// the classes from the graphs (persist.go).

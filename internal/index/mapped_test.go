@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 )
 
@@ -60,7 +61,7 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	x, db := buildSmall(t, metric, 17, 40)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "idx.pisidx3")
-	if err := x.WriteMapped(path); err != nil {
+	if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,8 +71,8 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 		t.Fatal(err)
 	}
 	defer mx.Close()
-	if !mx.IsMapped() || mx.MappedPath() != path {
-		t.Fatalf("IsMapped=%v MappedPath=%q", mx.IsMapped(), mx.MappedPath())
+	if mx.mapping == nil {
+		t.Fatal("OpenMapped returned a heap index")
 	}
 	if mx.Fingerprint() != x.Fingerprint() {
 		t.Fatalf("fingerprint %x vs %x", mx.Fingerprint(), x.Fingerprint())
@@ -87,7 +88,7 @@ func testMappedDifferential(t *testing.T, metric distance.Metric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hx.IsMapped() {
+	if hx.mapping != nil {
 		t.Fatal("Load returned a mapped index")
 	}
 	queriesEqual(t, "heapload-vs-mapped", hx, mx, db)
@@ -221,7 +222,7 @@ func TestMappedCorruption(t *testing.T) {
 	x, _ := buildSmall(t, metric, 5, 25)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "idx.pisidx3")
-	if err := x.WriteMapped(path); err != nil {
+	if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save); err != nil {
 		t.Fatal(err)
 	}
 	clean, err := os.ReadFile(path)
@@ -259,7 +260,7 @@ func TestMappedCorruption(t *testing.T) {
 		return d
 	}
 
-	names := []string{"mapped header", "mapped directory"}
+	names := []string{"image header", "image directory"}
 	for i, sec := range sections {
 		mid := (sec[0] + sec[1]) / 2
 		expectFail(names[i]+" bitflip", flip(mid), names[i])
@@ -290,7 +291,7 @@ func TestMappedCorruption(t *testing.T) {
 	// Truncations at every section boundary and inside the slab.
 	expectFail("truncated before directory", clean[:sections[0][1]+4], "directory")
 	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "directory")
-	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped slab: truncated")
+	expectFail("truncated after the directory", clean[:sections[1][1]+4], "image slab: truncated")
 	expectFail("truncated mid-slab", clean[:slabOff+(len(clean)-slabOff)/2], "truncated")
 	expectFail("truncated before slab", clean[:slabOff], "truncated")
 }
@@ -308,7 +309,3 @@ func offsetIn(outer, sub []byte) int {
 	}
 	return -1
 }
-
-// MappedPath returns the backing file of a mapped index ("" when not
-// mapped).
-func (x *Index) MappedPath() string { return x.mappedPath }

@@ -10,13 +10,13 @@
 //
 //	"PISIDX3\n"
 //	header section     entry kind, vertex-blindness, maxFragmentEdges, dbSize,
-//	                   db fingerprint, class count, a retired width (0),
-//	                   a retired fingerprint-section flag (0), slab offset +
+//	                   db fingerprint, class count, an obsolete width (0),
+//	                   an obsolete fingerprint-section flag (0), slab offset +
 //	                   length
-//	directory section  per class: canonical code, vOff, five retired slots
+//	directory section  per class: canonical code, vOff, five obsolete slots
 //	                   (stored pairs; a posting block's count, offset,
 //	                   length and CRC), entry count/offset/length/CRC,
-//	                   retired planner stats
+//	                   obsolete planner stats
 //	zero padding       to the page-aligned slab offset
 //	slab               per class: its entry block
 //
@@ -36,7 +36,7 @@
 // the planner stats are rebuilt by the reader, a class's graph set is read
 // off its entries' id runs at Pair, and the per-graph prescreen
 // fingerprints are carried by the graphs themselves (graph.FP). The
-// directory keeps its retired slots so every kind has one layout; this
+// directory keeps its obsolete slots so every kind has one layout; this
 // version writes 0 there and never reads them. Images of earlier versions
 // carry the fingerprints in a section between the directory and the
 // padding, with the header's flag at 1; the reader finds the slab by its
@@ -69,12 +69,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"path/filepath"
 
 	"pis/internal/binio"
 	"pis/internal/canon"
 	"pis/internal/distance"
-	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/mmapio"
 )
@@ -116,7 +114,7 @@ type v3Header struct {
 	slabLen     uint64
 }
 
-// v3DirClass is one decoded (or staged) directory entry, less its retired
+// v3DirClass is one decoded (or staged) directory entry, less its obsolete
 // slots.
 type v3DirClass struct {
 	code     canon.Code
@@ -160,12 +158,6 @@ func (x *Index) Save(w io.Writer) error {
 	return writeV3Image(w, hdr, dir, slab)
 }
 
-// WriteMapped saves the index to path atomically and durably, ready for
-// OpenMapped (zero-copy) or Load (heap).
-func (x *Index) WriteMapped(path string) error {
-	return fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save)
-}
-
 // writeV3Image assembles the image: magic, header, directory, padding,
 // slab. hdr.slabOff is computed here; hdr.slabLen must be set by the
 // caller.
@@ -184,8 +176,8 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab []byte) erro
 		sw.Uvarint(uint64(h.dbSize))
 		sw.U64(h.fingerprint)
 		sw.Uvarint(uint64(h.nClasses))
-		sw.Uvarint(0) // retired: the class signature width of older images
-		sw.U8(0)      // retired: older images flag a fingerprint section
+		sw.Uvarint(0) // obsolete: the class signature width of older images
+		sw.U8(0)      // obsolete: older images flag a fingerprint section
 		sw.U64(h.slabOff)
 		sw.U64(h.slabLen)
 		if err := sw.Flush(); err != nil {
@@ -207,8 +199,8 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab []byte) erro
 			dsw.Uvarint(uint64(t.LJ))
 		}
 		dsw.Uvarint(uint64(dc.vOff))
-		dsw.Uvarint(0) // retired: stored pairs
-		dsw.Uvarint(0) // retired: a posting block's count, offset, length, CRC
+		dsw.Uvarint(0) // obsolete: stored pairs
+		dsw.Uvarint(0) // obsolete: a posting block's count, offset, length, CRC
 		dsw.U64(0)
 		dsw.U64(0)
 		dsw.U32(0)
@@ -217,7 +209,7 @@ func writeV3Image(w io.Writer, hdr v3Header, dir []v3DirClass, slab []byte) erro
 		dsw.U64(dc.entLen)
 		dsw.U32(dc.entCRC)
 		for range 2 + statsHistBuckets {
-			dsw.Uvarint(0) // retired: planner stats
+			dsw.Uvarint(0) // obsolete: planner stats
 		}
 	}
 	if err := dsw.Flush(); err != nil {
@@ -256,49 +248,49 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, e
 	}
 	sr := binio.NewSectionReader(bytes.NewReader(data[len(persistMagic):]))
 	if err := sr.Next(); err != nil {
-		return fail("mapped header: %w", err)
+		return fail("image header: %w", err)
 	}
 	hdr.kind = sr.U8()
 	hdr.vertexBlind = sr.U8() != 0
 	maxEdges, dbSize := sr.Uvarint(), sr.Uvarint()
 	hdr.fingerprint = sr.U64()
-	nClasses, retired := sr.Uvarint(), sr.Uvarint()
+	nClasses, sigWidth := sr.Uvarint(), sr.Uvarint()
 	sr.U8() // the fingerprint-section flag: the section is never read
 	hdr.slabOff = sr.U64()
 	hdr.slabLen = sr.U64()
 	if err := sr.Err(); err != nil {
-		return fail("mapped header: %w", err)
+		return fail("image header: %w", err)
 	}
 	if hdr.vertexBlind != distance.IgnoresVertices(metric) {
 		return fail("metric vertex-blindness disagrees with the saved index")
 	}
 	if hdr.kind > kindWeights {
-		return fail("mapped header: unknown kind %d", hdr.kind)
+		return fail("image header: unknown kind %d", hdr.kind)
 	}
 	weights := hdr.kind == kindOldWeights || hdr.kind == kindPostedWeights || hdr.kind == kindWeights
 	if weights != distance.ReadsWeights(metric) {
 		return fail("metric reads labels where the saved index stores weights, or the reverse")
 	}
-	if hdr.kind >= kindPostedLabels && retired != 0 {
-		return fail("mapped header: signature width %d in a layout that has none", retired)
+	if hdr.kind >= kindPostedLabels && sigWidth != 0 {
+		return fail("image header: signature width %d in a layout that has none", sigWidth)
 	}
 	// Graph ids are int32 and every later count is bounded against a
 	// section's bytes, so nothing legitimate exceeds MaxInt32.
 	for _, v := range []uint64{maxEdges, dbSize, nClasses} {
 		if v > math.MaxInt32 {
-			return fail("mapped header: count %d out of range", v)
+			return fail("image header: count %d out of range", v)
 		}
 	}
 	hdr.maxEdges, hdr.dbSize, hdr.nClasses = int(maxEdges), int(dbSize), int(nClasses)
 
 	if err := sr.Next(); err != nil {
 		if err == io.EOF {
-			return fail("mapped directory: missing (file truncated at the section boundary)")
+			return fail("image directory: missing (file truncated at the section boundary)")
 		}
-		return fail("mapped directory: %w", err)
+		return fail("image directory: %w", err)
 	}
 	if hdr.nClasses > sr.Remaining()/v3DirClassMinBytes {
-		return fail("mapped directory: header claims %d classes, the %d-byte section cannot hold them", hdr.nClasses, sr.Remaining())
+		return fail("image directory: header claims %d classes, the %d-byte section cannot hold them", hdr.nClasses, sr.Remaining())
 	}
 	dir := make([]v3DirClass, 0, hdr.nClasses)
 	for ci := 0; ci < hdr.nClasses; ci++ {
@@ -327,14 +319,14 @@ func parseV3Meta(data []byte, metric distance.Metric) (v3Header, []v3DirClass, e
 		dc.entLen = sr.U64()
 		dc.entCRC = sr.U32()
 		for range 2 + statsHistBuckets {
-			sr.Uvarint() // retired: planner stats, which computeStats computes
+			sr.Uvarint() // obsolete: planner stats, which computeStats computes
 		}
 		if err := sr.Err(); err != nil {
-			return fail("mapped directory: class %d/%d: %w", ci, hdr.nClasses, err)
+			return fail("image directory: class %d/%d: %w", ci, hdr.nClasses, err)
 		}
 		// Every stored entry occupies at least one byte of its block.
 		if entCount > dc.entLen {
-			return fail("mapped directory: class %d/%d: %d entries in a %d-byte block",
+			return fail("image directory: class %d/%d: %d entries in a %d-byte block",
 				ci, hdr.nClasses, entCount, dc.entLen)
 		}
 		dc.entCount = int(entCount)
@@ -392,7 +384,7 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		return nil, err
 	}
 	if hdr.slabOff+hdr.slabLen < hdr.slabOff || hdr.slabOff+hdr.slabLen > uint64(len(data)) {
-		return nil, fmt.Errorf("index: mapped slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
+		return nil, fmt.Errorf("index: image slab: truncated (file %d bytes, slab needs %d)", len(data), hdr.slabOff+hdr.slabLen)
 	}
 	x := &Index{
 		opts: Options{
@@ -411,7 +403,7 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 	for i, dc := range dir {
 		cg, err := codeGraph(dc.code)
 		if err != nil {
-			return nil, fmt.Errorf("index: mapped directory: class %d: %w", i, err)
+			return nil, fmt.Errorf("index: image directory: class %d: %w", i, err)
 		}
 		minCode, embs := canon.MinCode(cg)
 		wantVOff := cg.N()
@@ -420,7 +412,7 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		}
 		key := dc.code.Key()
 		if minCode.Compare(dc.code) != 0 || seen[key] || dc.vOff != wantVOff {
-			return nil, fmt.Errorf("index: mapped directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
+			return nil, fmt.Errorf("index: image directory: class %d: code is not canonical, repeats an earlier class, or stores %d vertex positions where the metric needs %d", i, dc.vOff, wantVOff)
 		}
 		c := newClass(i, key, dc.code, cg, embs, dc.vOff)
 		seen[key] = true
@@ -431,21 +423,21 @@ func decodeV3(data []byte, metric distance.Metric, heap bool) (*Index, error) {
 		}
 		off, end := dc.entOff, dc.entOff+dc.entLen
 		if end < off || end > uint64(len(slab)) {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: truncated (slab %d bytes, block needs %d)", i, len(slab), end)
+			return nil, fmt.Errorf("index: image slab: class %d entry block: truncated (slab %d bytes, block needs %d)", i, len(slab), end)
 		}
 		b := slab[off:end:end]
 		if got := crc32.ChecksumIEEE(b); got != dc.entCRC {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: checksum mismatch (stored %08x, computed %08x)", i, dc.entCRC, got)
+			return nil, fmt.Errorf("index: image slab: class %d entry block: checksum mismatch (stored %08x, computed %08x)", i, dc.entCRC, got)
 		}
 		if heap {
 			b = bytes.Clone(b)
 		}
 		var ok bool
 		if c.ents, ok = splitEntries(b, dc.entCount, c.ents); !ok {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: %d bytes cannot hold %d entries", i, len(b), dc.entCount)
+			return nil, fmt.Errorf("index: image slab: class %d entry block: %d bytes cannot hold %d entries", i, len(b), dc.entCount)
 		}
 		if !x.checkBlocks(c) {
-			return nil, fmt.Errorf("index: mapped slab: class %d entry block: malformed (an id outside the %d-graph database or out of order, a run that does not end where its entry says, or an lcp byte that is not its key's)", i, hdr.dbSize)
+			return nil, fmt.Errorf("index: image slab: class %d entry block: malformed (an id outside the %d-graph database or out of order, a run that does not end where its entry says, or an lcp byte that is not its key's)", i, hdr.dbSize)
 		}
 	}
 	x.plant()
@@ -483,9 +475,11 @@ func (x *Index) checkBlocks(c *Class) bool {
 // OpenMapped opens an index file through a memory mapping: the directory
 // (class keys and offsets) is decoded onto the heap, entry blocks stay in
 // the mapping and are read there at query time; Pair adds the class
-// bitmaps, on the heap. Every block is checksummed and walked here, so corruption fails at open with
-// the damaged section named instead of surfacing as wrong answers later.
-// The caller owns the returned index's Close.
+// bitmaps, on the heap. Every block is checksummed and walked here, so
+// corruption fails at open with the damaged section named instead of
+// surfacing as wrong answers later. The caller owns the returned index's
+// Close. A database never maps its index: bench/'s range-query timing is
+// the one caller.
 func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 	if metric == nil {
 		return nil, fmt.Errorf("index: Metric is required")
@@ -499,7 +493,6 @@ func OpenMapped(path string, metric distance.Metric) (*Index, error) {
 		m.Close()
 		return nil, err
 	}
-	x.mappedPath = path
 	return x, nil
 }
 
@@ -514,7 +507,7 @@ func openV3(data []byte, metric distance.Metric, mapping *mmapio.Mapping) (*Inde
 	return x, nil
 }
 
-// LoadBytes decodes an image written by Save or WriteMapped into an
+// LoadBytes decodes an image written by Save into an
 // ordinary heap index. The metric must match the
 // one used at build time (at minimum its vertex-blindness and whether it
 // reads labels or weights must agree). Callers attach the index to a
@@ -594,9 +587,6 @@ func (c *blockCursor) idList(dst []int32) []int32 {
 }
 
 func (c *blockCursor) done() bool { return c.bad || c.pos >= len(c.b) }
-
-// IsMapped reports whether the index was opened through a mapping.
-func (x *Index) IsMapped() bool { return x.mapping != nil }
 
 // Close releases the mapping of a mapped index; a heap index is a no-op.
 // No query may be in flight or issued afterwards.

@@ -15,6 +15,7 @@ import (
 	"pis/internal/canon"
 	"pis/internal/chem"
 	"pis/internal/distance"
+	"pis/internal/fsys"
 	"pis/internal/graph"
 	"pis/internal/mining"
 )
@@ -327,17 +328,18 @@ func TestOpenIgnoresHeaderGraphCount(t *testing.T) {
 			t.Fatalf("crafted image opened as %d graphs, %+v", x.DBSize(), x.Stats())
 		}
 		if x.Memory().BitmapBytes != 0 {
-			t.Fatalf("mapped=%v: %d bitmap bytes before Pair", x.IsMapped(), x.Memory().BitmapBytes)
+			t.Fatalf("mapped=%v: %d bitmap bytes before Pair", x.mapping != nil, x.Memory().BitmapBytes)
 		}
 		if err := x.Pair(make([]*graph.Graph, 1)); err == nil || x.Memory().BitmapBytes != 0 {
-			t.Fatalf("mapped=%v: Pair with one graph: err %v, %d bitmap bytes", x.IsMapped(), err, x.Memory().BitmapBytes)
+			t.Fatalf("mapped=%v: Pair with one graph: err %v, %d bitmap bytes", x.mapping != nil, err, x.Memory().BitmapBytes)
 		}
 	}
 }
 
 // TestSaveImagesByteIdentical: one format, one image. Saving a heap
-// index, saving the mapped index opened from that image, WriteMapped and
-// saving the index LoadBytes decodes from it all produce the same bytes,
+// index, saving the mapped index opened from that image, the side file
+// the store writes and saving the index LoadBytes decodes from it all
+// produce the same bytes,
 // with no fingerprint section, for every metric.
 func TestSaveImagesByteIdentical(t *testing.T) {
 	for _, tc := range metricCases {
@@ -346,7 +348,7 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 		checkNoSection(t, heap)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "idx.pisidx3")
-		if err := x.WriteMapped(path); err != nil {
+		if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save); err != nil {
 			t.Fatal(err)
 		}
 		file, err := os.ReadFile(path)
@@ -354,7 +356,7 @@ func TestSaveImagesByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(heap, file) {
-			t.Fatalf("%s: WriteMapped file differs from Save", tc.name)
+			t.Fatalf("%s: the written file differs from Save", tc.name)
 		}
 		mx, err := OpenMapped(path, tc.metric)
 		if err != nil {
@@ -453,7 +455,7 @@ func TestStoreBytesIsSlab(t *testing.T) {
 		x, _ := buildSmall(t, tc.metric, 23, 30)
 		want := slabLen(x)
 		path := filepath.Join(t.TempDir(), "idx.pisidx3")
-		if err := x.WriteMapped(path); err != nil {
+		if err := fsys.WriteFileAtomic(fsys.OS, filepath.Dir(path), filepath.Base(path), x.Save); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)

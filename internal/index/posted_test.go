@@ -14,7 +14,7 @@ import (
 // Images of kinds 3 and 4 follow every class's entry block with a posting
 // block: the graphs of the entry runs once more, as the first id and then
 // the gaps. Readers no longer read it. These helpers decode an image with
-// every directory slot, the retired ones too, so tests can read those
+// every directory slot, the obsolete ones too, so tests can read those
 // blocks, craft images that carry them, and plant values in the slots.
 
 // rawClass is one directory entry, every slot as stored.

@@ -355,7 +355,7 @@ func TestParentImagesOpen(t *testing.T) {
 			raw := readRaw(t, data)
 			for _, x := range []*Index{hx, mx} {
 				if (raw.kind >= kindPostedLabels) != (x.image == nil && x.Stats().Fragments > 0) {
-					t.Fatalf("mapped=%v: a kind %d image opened with %d stored pairs before Pair", x.IsMapped(), raw.kind, x.Stats().Fragments)
+					t.Fatalf("mapped=%v: a kind %d image opened with %d stored pairs before Pair", x.mapping != nil, raw.kind, x.Stats().Fragments)
 				}
 			}
 			for _, x := range []*Index{hx, mx} {
@@ -370,7 +370,7 @@ func TestParentImagesOpen(t *testing.T) {
 					for i, c := range x.Classes() {
 						want := blockGraphs(raw.dir[i].postings)
 						if got := x.Candidates(nil, []*Class{c}, nil); len(want) == 0 || !slices.Equal(got, want) {
-							t.Fatalf("mapped=%v class %d: bitmap %v, posting block %v", x.IsMapped(), i, got, want)
+							t.Fatalf("mapped=%v class %d: bitmap %v, posting block %v", x.mapping != nil, i, got, want)
 						}
 					}
 				}
@@ -389,11 +389,11 @@ func TestParentImagesOpen(t *testing.T) {
 							want := rangeOracle(qfs[i], q, db, tc.metric, sigma)
 							got := x.RangeQuery(qfs[i], sigma)
 							if len(got) != len(want) {
-								t.Fatalf("mapped=%v σ=%v: %d graphs, oracle %d", x.IsMapped(), sigma, len(got), len(want))
+								t.Fatalf("mapped=%v σ=%v: %d graphs, oracle %d", x.mapping != nil, sigma, len(got), len(want))
 							}
 							for id, d := range want {
 								if diff := got[id] - d; diff > 1e-9 || diff < -1e-9 {
-									t.Fatalf("mapped=%v σ=%v: graph %d at %v, oracle %v", x.IsMapped(), sigma, id, got[id], d)
+									t.Fatalf("mapped=%v σ=%v: graph %d at %v, oracle %v", x.mapping != nil, sigma, id, got[id], d)
 								}
 							}
 							compared += len(want)

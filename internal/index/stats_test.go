@@ -86,7 +86,7 @@ func TestPersistStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenIgnoresStoredStats: the directory's retired slots for the
+// TestOpenIgnoresStoredStats: the directory's obsolete slots for the
 // planner stats and the stored pair count are not read. A checksum-valid
 // image whose directory claims -1 sequences, -3 sampled pairs and 2^40
 // stored pairs for every class opens with the stats and counts a build

@@ -6,9 +6,7 @@
 //
 // A Mapping is read-only and safe for concurrent readers. Close releases
 // the mapping; the caller must guarantee no reader still holds a slice
-// into Data() when it does — the index layer retires superseded mappings
-// and only closes them when the whole segment shuts down, precisely so
-// snapshot-consistent queries never race an munmap.
+// into Data() when it does. index.OpenMapped is the only caller.
 package mmapio
 
 import (

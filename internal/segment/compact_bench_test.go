@@ -11,8 +11,8 @@ import (
 
 // BenchmarkCompact prices one compaction on the shape the benchmark's
 // `mutating` workload compacts at (1,300 indexed molecules, a delta of 340,
-// a tenth of both tombstoned; pis's default mining options), from a heap
-// and from a mapped index. Every compaction is a merge (index.Rebase).
+// a tenth of both tombstoned; pis's default mining options). Every
+// compaction is a merge (index.Rebase).
 func BenchmarkCompact(b *testing.B) {
 	const nBase, nDelta = 1300, 340
 	all := chem.Generate(nBase+nDelta, chem.Config{Seed: 1})
@@ -20,58 +20,39 @@ func BenchmarkCompact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mapped := range []bool{false, true} {
-		cfg := Config{
-			Index:           index.Options{Metric: distance.EdgeMutation{}},
-			CompactFraction: -1,
-			MappedIndex:     mapped,
-		}
-		first, err := New(all[:nBase], 0, feats, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		residency := "heap"
-		if mapped {
-			residency = "mapped"
-		}
-		b.Run(residency+"/merge", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// A fresh segment over the one prepared index; never
-				// closed, so that index outlives it.
-				seg, err := fromIndex(first.base, first.ids, first.idx, cfg)
-				if err != nil {
+	cfg := Config{
+		Index:           index.Options{Metric: distance.EdgeMutation{}},
+		CompactFraction: -1,
+	}
+	first, err := New(all[:nBase], 0, feats, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			// A fresh segment over the one prepared index, which a
+			// compaction only reads.
+			seg := fromIndex(first.base, first.ids, first.idx, cfg)
+			for j, g := range all[nBase:] {
+				if _, err := seg.Insert(g, int32(nBase+j)); err != nil {
 					b.Fatal(err)
-				}
-				for j, g := range all[nBase:] {
-					if _, err := seg.Insert(g, int32(nBase+j)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for id := int32(0); id < nBase+nDelta; id += 10 {
-					if ok, err := seg.Delete(id); !ok || err != nil {
-						b.Fatal(ok, err)
-					}
-				}
-				b.StartTimer()
-				if err := seg.Compact(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if seg.DeltaLen() != 0 || len(seg.base) != (nBase+nDelta)/10*9 {
-					b.Fatalf("compacted to %d graphs, delta %d", len(seg.base), seg.DeltaLen())
-				}
-				for _, r := range seg.retired {
-					if r != first.idx {
-						r.Close()
-					}
-				}
-				if seg.idx.IsMapped() {
-					seg.idx.Close()
 				}
 			}
-		})
-		first.Close()
-	}
+			for id := int32(0); id < nBase+nDelta; id += 10 {
+				if ok, err := seg.Delete(id); !ok || err != nil {
+					b.Fatal(ok, err)
+				}
+			}
+			b.StartTimer()
+			if err := seg.Compact(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if seg.DeltaLen() != 0 || len(seg.base) != (nBase+nDelta)/10*9 {
+				b.Fatalf("compacted to %d graphs, delta %d", len(seg.base), seg.DeltaLen())
+			}
+		}
+	})
 }

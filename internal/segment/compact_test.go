@@ -105,16 +105,15 @@ func sameAsFresh(t *testing.T, what string, seg *segment.Segment, live map[int32
 func TestMergedCompactionsDifferential(t *testing.T) {
 	const nBase, wantCompactions = 20, 7
 	for _, tc := range []struct {
-		name            string
-		mapped, durable bool
+		name    string
+		durable bool
 	}{
-		{"heap", false, false},
-		{"mapped durable", true, true},
+		{"heap", false},
+		{"durable", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := segConfig(nil)
 			cfg.CompactFraction = 0.25
-			cfg.MappedIndex = tc.mapped
 			graphs := segGraphs(nBase, 23)
 			rng := rand.New(rand.NewSource(23))
 			for len(graphs) < 400 {

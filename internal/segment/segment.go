@@ -74,16 +74,6 @@ type Config struct {
 	// len(delta) > CompactFraction * len(base). <= 0 disables the trigger;
 	// Compact can still be called explicitly.
 	CompactFraction float64
-	// MappedIndex serves the base index memory-mapped from its on-disk
-	// image instead of heap-resident: builds and compactions save the
-	// index and reopen it through index.OpenMapped, OpenDurable maps the
-	// snapshot's index side file directly, and only the class directory
-	// and bitmaps live on the heap — the entry slab stays in the page cache.
-	// Residency is a per-open choice: the store's files are the same
-	// either way, and so are the answers. With MappedIndex set, Close
-	// also unmaps the index, so the segment must not serve queries after
-	// Close.
-	MappedIndex bool
 	// FS routes the backing store's disk operations; nil means the real
 	// filesystem. Fault-injection tests swap in internal/faultfs here.
 	FS store.FS
@@ -135,11 +125,6 @@ type Segment struct {
 	st *store.Store
 	// memo remembers what reads answered (memo.go).
 	memo memo
-	// retired holds mapped indexes replaced by compaction. In-flight
-	// queries run lock-free against the snapshot they took, so an old
-	// mapping cannot be unmapped at swap time; it is parked here and
-	// closed at Close, when no query can still reference it.
-	retired []*index.Index
 }
 
 // New indexes graphs under feats and returns a segment whose global ids
@@ -153,7 +138,7 @@ func New(graphs []*graph.Graph, startID int32, feats []mining.Feature, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("building index: %w", err)
 	}
-	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg)
+	return fromIndex(graphs, sequentialIDs(startID, len(graphs)), idx, cfg), nil
 }
 
 // Persist attaches a new backing store at dir to an in-memory segment,
@@ -201,7 +186,7 @@ func (s *Segment) AbandonStore() {
 // acknowledged pre-crash state. A torn WAL tail is dropped and reported
 // in StoreStats().Recovery.
 func OpenDurable(dir string, cfg Config) (*Segment, error) {
-	st, snap, recs, err := store.OpenWith(dir, cfg.Index.Metric, store.OpenOptions{FS: cfg.FS, MappedIndex: cfg.MappedIndex})
+	st, snap, recs, err := store.OpenFS(dir, cfg.Index.Metric, cfg.FS)
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +198,7 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 		st.Close()
 		return nil, fmt.Errorf("segment: snapshot index fingerprint %016x does not match its graphs (%016x)", snap.Index.Fingerprint(), fp)
 	}
-	s, err := fromIndex(snap.Base, snap.BaseIDs, snap.Index, cfg)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
+	s := fromIndex(snap.Base, snap.BaseIDs, snap.Index, cfg)
 	s.delta = snap.Delta
 	s.deltaIDs = snap.DeltaIDs
 	if snap.NextID-1 > s.maxID {
@@ -261,40 +242,7 @@ func sequentialIDs(start int32, n int) []int32 {
 	return ids
 }
 
-// mapIndex saves a heap-built index and reopens the image
-// memory-mapped. The image goes to an unlinked temp file: the
-// mapping pins the inode, so the file needs no lifecycle of its own —
-// closing the mapping frees the disk space. Durable segments re-persist
-// the image into a store-owned side file at the next snapshot.
-func mapIndex(idx *index.Index, cfg Config) (*index.Index, error) {
-	if idx.IsMapped() {
-		return idx, nil
-	}
-	f, err := os.CreateTemp("", "pis-idx-*.pisidx3")
-	if err != nil {
-		return nil, fmt.Errorf("segment: mapping index: %w", err)
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-	if err := idx.WriteMapped(path); err != nil {
-		return nil, fmt.Errorf("segment: mapping index: %w", err)
-	}
-	mx, err := index.OpenMapped(path, cfg.Index.Metric)
-	if err != nil {
-		return nil, fmt.Errorf("segment: mapping index: %w", err)
-	}
-	return mx, nil
-}
-
-func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (*Segment, error) {
-	if cfg.MappedIndex {
-		mx, err := mapIndex(idx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		idx = mx
-	}
+func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) *Segment {
 	maxID := int32(-1)
 	if len(ids) > 0 {
 		maxID = ids[len(ids)-1] // ids are ascending
@@ -308,7 +256,7 @@ func fromIndex(base []*graph.Graph, ids []int32, idx *index.Index, cfg Config) (
 		maxID: maxID,
 	}
 	s.nlive.Store(int32(len(base)))
-	return s, nil
+	return s
 }
 
 // snapshot is one consistent read view: taken under RLock, used lock-free.
@@ -609,23 +557,11 @@ func (s *Segment) MaxID() int32 {
 	return s.maxID
 }
 
-// Close releases the backing store (no-op for in-memory segments) and,
-// for a MappedIndex segment, unmaps the live and retired index mappings.
-// Without MappedIndex the segment keeps answering queries after Close;
-// with it, queries must stop first. Further mutations fail either way.
+// Close releases the backing store (no-op for in-memory segments). The
+// segment keeps answering reads after Close; a durable segment's
+// mutations fail, since its store is closed.
 func (s *Segment) Close() error {
-	s.mu.Lock()
-	retired := s.retired
-	s.retired = nil
-	idx := s.idx
-	s.mu.Unlock()
 	s.memo.clear()
-	for _, r := range retired {
-		r.Close()
-	}
-	if idx != nil && idx.IsMapped() {
-		idx.Close()
-	}
 	if s.st == nil {
 		return nil
 	}
@@ -688,14 +624,6 @@ func (s *Segment) compactLocked() error {
 	idx, err := index.Rebase(s.idx, remap, survivors, carried, 0)
 	if err != nil {
 		return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)
-	}
-	if s.cfg.MappedIndex {
-		if idx, err = mapIndex(idx, s.cfg); err != nil {
-			return fmt.Errorf("segment: compacting %d graphs: %w", len(survivors), err)
-		}
-		// The outgoing mapping may still back queries that snapshotted
-		// before this compaction; park it for Close instead of unmapping.
-		s.retired = append(s.retired, s.idx)
 	}
 	mCompactCarried.Add(int64(carried))
 	mCompactEnumerated.Add(int64(len(survivors) - carried))

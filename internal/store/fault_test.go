@@ -123,7 +123,7 @@ func TestWALFsyncFailurePoisonsStore(t *testing.T) {
 
 	// Recovery over the same directory with a healthy filesystem sees
 	// exactly the acknowledged prefix: the un-acked insert is gone.
-	st2, snap, recs, err := store.OpenWith(dir, distance.EdgeMutation{}, store.OpenOptions{})
+	st2, snap, recs, err := store.OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTornWALWriteDropsTornTail(t *testing.T) {
 	}
 	st.Close()
 
-	st2, _, recs, err := store.OpenWith(dir, distance.EdgeMutation{}, store.OpenOptions{})
+	st2, _, recs, err := store.OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSnapshotWriteFailurePoisons(t *testing.T) {
 
 	// The failed snapshot never became visible: recovery uses the old
 	// snapshot plus the acked WAL record.
-	_, snap2, recs, err := store.OpenWith(dir, distance.EdgeMutation{}, store.OpenOptions{})
+	_, snap2, recs, err := store.OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestStoreChaosAckedPrefix(t *testing.T) {
 			}
 			st.Close() // may fail under chaos; recovery must not care
 
-			_, _, recs, err := store.OpenWith(dir, distance.EdgeMutation{}, store.OpenOptions{})
+			_, _, recs, err := store.OpenFS(dir, distance.EdgeMutation{}, nil)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}

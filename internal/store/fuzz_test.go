@@ -106,7 +106,7 @@ func loadBounded(t *testing.T, dir string, data []byte, sideLoad uint64) error {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	snap, _, err := loadSnapshot(OSFS, path, distance.EdgeMutation{}, false)
+	snap, _, err := loadSnapshot(OSFS, path, distance.EdgeMutation{})
 	runtime.ReadMemStats(&after)
 	if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(allocPerByte*len(data)+readOverhead)+sideLoad; alloc > bound {
 		t.Fatalf("reading a %d-byte snapshot allocated %d, bound %d", len(data), alloc, bound)

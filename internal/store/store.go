@@ -163,7 +163,7 @@ func existsFS(fs FS, dir string) bool {
 // CreateFS prepares dir for a new segment store on fs (nil means OSFS).
 // The store is not readable until the first WriteSnapshot establishes the
 // initial (snapshot, WAL) pair; a crash before that leaves no MANIFEST,
-// so a later OpenWith fails cleanly and the caller rebuilds.
+// so a later OpenFS fails cleanly and the caller rebuilds.
 func CreateFS(dir string, fs FS) (*Store, error) {
 	if fs == nil {
 		fs = OSFS
@@ -177,25 +177,13 @@ func CreateFS(dir string, fs FS) (*Store, error) {
 	return &Store{dir: dir, fs: fs}, nil
 }
 
-// OpenOptions tunes OpenWith.
-type OpenOptions struct {
-	// FS routes disk operations; nil means the real filesystem.
-	FS FS
-	// MappedIndex memory-maps the snapshot's index side file instead of
-	// decoding it onto the heap. It requires the real filesystem; with an
-	// injected FS the side file is read through the FS and decoded onto
-	// the heap as usual.
-	MappedIndex bool
-}
-
-// OpenWith recovers the segment state from dir: the newest valid
-// snapshot plus the decoded valid prefix of its WAL, in append order. A
-// torn or corrupt log tail is truncated away (and reported in
-// Stats().Recovery); the WAL is then reopened for appends, so the store
-// is immediately writable. The metric must match the one the index was
-// built with.
-func OpenWith(dir string, metric distance.Metric, o OpenOptions) (*Store, *Snapshot, []Record, error) {
-	fs := o.FS
+// OpenFS recovers the segment state from dir on fs (nil means OSFS):
+// the newest valid snapshot plus the decoded valid prefix of its WAL, in
+// append order. A torn or corrupt log tail is truncated away (and
+// reported in Stats().Recovery); the WAL is then reopened for appends, so
+// the store is immediately writable. The metric must match the one the
+// index was built with.
+func OpenFS(dir string, metric distance.Metric, fs FS) (*Store, *Snapshot, []Record, error) {
 	if fs == nil {
 		fs = OSFS
 	}
@@ -203,7 +191,7 @@ func OpenWith(dir string, metric distance.Metric, o OpenOptions) (*Store, *Snaps
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	snap, seq, err := loadSnapshot(fs, filepath.Join(dir, snapName), metric, o.MappedIndex && fs == OSFS)
+	snap, seq, err := loadSnapshot(fs, filepath.Join(dir, snapName), metric)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("store: snapshot %s: %w", snapName, err)
 	}
@@ -384,9 +372,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	seq := s.seq + 1
 	snapName := fmt.Sprintf("snap-%06d.pissnap", seq)
 	walName := fmt.Sprintf("wal-%06d", seq)
-	// The index lives in its own side file, named by the snapshot header,
-	// so OpenWith can memory-map it or decode it onto the heap as each
-	// open chooses.
+	// The index lives in its own side file, named by the snapshot header.
 	idxFile := idxFileName(seq)
 	if err := fsys.WriteFileAtomic(s.fsOrOS(), s.dir, idxFile, snap.Index.Save); err != nil {
 		return s.poisonLocked("writing index file", err)
@@ -566,9 +552,8 @@ func writeSnapshot(w io.Writer, snap *Snapshot, seq uint64, idxFile string) erro
 }
 
 // loadSnapshot reads and verifies one snapshot file and its index side
-// file. mapped asks for the side file to be memory-mapped rather than
-// heap-decoded; it must only be set when fs is the real filesystem.
-func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Snapshot, uint64, error) {
+// file, which it decodes onto the heap.
+func loadSnapshot(fs FS, path string, metric distance.Metric) (*Snapshot, uint64, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -636,14 +621,9 @@ func loadSnapshot(fs FS, path string, metric distance.Metric, mapped bool) (*Sna
 		return nil, 0, err
 	}
 
-	ip := filepath.Join(filepath.Dir(path), idxFile)
-	if mapped {
-		snap.Index, err = index.OpenMapped(ip, metric)
-	} else {
-		var data []byte
-		if data, err = fs.ReadFile(ip); err == nil {
-			snap.Index, err = index.LoadBytes(data, metric)
-		}
+	idxData, err := fs.ReadFile(filepath.Join(filepath.Dir(path), idxFile))
+	if err == nil {
+		snap.Index, err = index.LoadBytes(idxData, metric)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("index file %s: %w", idxFile, err)

@@ -93,7 +93,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	st.Close()
 
-	st2, snap, recs, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
+	st2, snap, recs, err := OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestStoreCheckpointResetsWAL(t *testing.T) {
 	}
 	st.Close()
 
-	_, snap2, recs, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
+	_, snap2, recs, err := OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStoreTornAndCorruptTail(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cdir, "wal-000001"), mutate(append([]byte(nil), clean...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st2, _, recs, err := OpenWith(cdir, distance.EdgeMutation{}, OpenOptions{})
+		st2, _, recs, err := OpenFS(cdir, distance.EdgeMutation{}, nil)
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", name, err)
 		}
@@ -245,8 +245,7 @@ func TestStoreTornAndCorruptTail(t *testing.T) {
 // idx-<seq>.pisidx3 side file. Damage there — a bit flip inside each
 // metadata section and at the edges and middle of the slab, truncation at
 // every section boundary and inside the slab, the file missing — must
-// fail Open, heap and mapped alike, naming the file and the damaged
-// section.
+// fail Open, naming the file and the damaged section.
 func TestSnapshotIndexFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	graphs, idx := testState(t, 12, 7)
@@ -283,15 +282,13 @@ func TestSnapshotIndexFileCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mapped := range []bool{false, true} {
-			st, _, _, err := OpenWith(cdir, distance.EdgeMutation{}, OpenOptions{MappedIndex: mapped})
-			if err == nil {
-				st.Close()
-				t.Fatalf("%s (mapped=%v): damage not detected", name, mapped)
-			}
-			if !strings.Contains(err.Error(), "index file "+idxName) || !strings.Contains(err.Error(), wantSub) {
-				t.Fatalf("%s (mapped=%v): error %q does not name the file and %q", name, mapped, err, wantSub)
-			}
+		st, _, _, err := OpenFS(cdir, distance.EdgeMutation{}, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("%s: damage not detected", name)
+		}
+		if !strings.Contains(err.Error(), "index file "+idxName) || !strings.Contains(err.Error(), wantSub) {
+			t.Fatalf("%s: error %q does not name the file and %q", name, err, wantSub)
 		}
 	}
 	flip := func(pos int) []byte {
@@ -300,18 +297,18 @@ func TestSnapshotIndexFileCorruption(t *testing.T) {
 		return d
 	}
 
-	for i, want := range []string{"mapped header", "mapped directory"} {
+	for i, want := range []string{"image header", "image directory"} {
 		expectFail(want+" bit flip", flip((sections[i][0]+sections[i][1])/2), want)
 	}
 	for _, pos := range []int{slabOff, (slabOff + len(clean)) / 2, len(clean) - 1} {
 		expectFail("slab bit flip", flip(pos), "block: checksum mismatch")
 	}
-	expectFail("truncated after the header", clean[:sections[0][1]+4], "mapped directory")
-	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "mapped directory")
-	expectFail("truncated after the directory", clean[:sections[1][1]+4], "mapped slab: truncated")
-	expectFail("truncated mid-padding", clean[:(sections[1][1]+4+slabOff)/2], "mapped slab: truncated")
-	expectFail("truncated before the slab", clean[:slabOff], "mapped slab: truncated")
-	expectFail("truncated mid-slab", clean[:(slabOff+len(clean))/2], "mapped slab: truncated")
+	expectFail("truncated after the header", clean[:sections[0][1]+4], "image directory")
+	expectFail("truncated mid-directory", clean[:(sections[1][0]+sections[1][1])/2], "image directory")
+	expectFail("truncated after the directory", clean[:sections[1][1]+4], "image slab: truncated")
+	expectFail("truncated mid-padding", clean[:(sections[1][1]+4+slabOff)/2], "image slab: truncated")
+	expectFail("truncated before the slab", clean[:slabOff], "image slab: truncated")
+	expectFail("truncated mid-slab", clean[:(slabOff+len(clean))/2], "image slab: truncated")
 	expectFail("empty file", []byte{}, "not a PISIDX3 image")
 	expectFail("file missing", nil, "")
 }
@@ -341,7 +338,7 @@ func TestOpenRejectsEmbeddedIndexSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "snap-000001.pissnap"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{})
+	_, _, _, err := OpenFS(dir, distance.EdgeMutation{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "embeds an index; rebuild") {
 		t.Fatalf("Open of an embedded-index snapshot: %v", err)
 	}
@@ -392,15 +389,13 @@ func TestStoreRefusesNonPlainFileNames(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "snap-000001.pissnap"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mapped := range []bool{false, true} {
-		st, _, _, err := OpenWith(dir, distance.EdgeMutation{}, OpenOptions{MappedIndex: mapped})
-		if err == nil {
-			st.Close()
-			t.Fatalf("mapped=%v: Open accepted a snapshot whose index file is \"..\"", mapped)
-		}
-		if !strings.Contains(err.Error(), `header: index file name ".."`) {
-			t.Fatalf("mapped=%v: error %q does not name the header", mapped, err)
-		}
+	st, _, _, err := OpenFS(dir, distance.EdgeMutation{}, nil)
+	if err == nil {
+		st.Close()
+		t.Fatal("Open accepted a snapshot whose index file is \"..\"")
+	}
+	if !strings.Contains(err.Error(), `header: index file name ".."`) {
+		t.Fatalf("error %q does not name the header", err)
 	}
 }
 
@@ -470,7 +465,7 @@ func FuzzReadRootManifest(f *testing.F) {
 }
 
 func TestOpenRejectsMissingStore(t *testing.T) {
-	if _, _, _, err := OpenWith(t.TempDir(), distance.EdgeMutation{}, OpenOptions{}); err == nil {
+	if _, _, _, err := OpenFS(t.TempDir(), distance.EdgeMutation{}, nil); err == nil {
 		t.Fatal("Open of an empty directory succeeded")
 	}
 }

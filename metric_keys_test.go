@@ -30,34 +30,28 @@ func metricKeyCases() map[string]pis.Metric {
 }
 
 // TestEveryMetricSearchesExactly: on the weighted molecule corpus Search
-// returns SearchNaive's answers and distances under every exported metric,
-// from a heap index and from a mapped one.
+// returns SearchNaive's answers and distances under every exported metric.
 func TestEveryMetricSearchesExactly(t *testing.T) {
 	molecules := gen.Molecules(300, gen.Config{Seed: 2, Weighted: true})
 	queries := gen.Queries(molecules, 20, 8, 4)
 	for name, metric := range metricKeyCases() {
-		for _, mapped := range []bool{false, true} {
-			db, err := pis.New(molecules, pis.Options{Metric: metric, MappedIndex: mapped})
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers := 0
-			for _, sigma := range []float64{0, 0.05, 1} {
-				for qi, q := range queries {
-					got, want := db.Search(q, sigma), db.SearchNaive(q, sigma)
-					if !slices.Equal(got.Answers, want.Answers) || !slices.Equal(got.Distances, want.Distances) {
-						t.Fatalf("%s mapped=%v σ=%v query %d: Search %v %v, SearchNaive %v %v",
-							name, mapped, sigma, qi, got.Answers, got.Distances, want.Answers, want.Distances)
-					}
-					answers += len(want.Answers)
+		db, err := pis.New(molecules, pis.Options{Metric: metric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := 0
+		for _, sigma := range []float64{0, 0.05, 1} {
+			for qi, q := range queries {
+				got, want := db.Search(q, sigma), db.SearchNaive(q, sigma)
+				if !slices.Equal(got.Answers, want.Answers) || !slices.Equal(got.Distances, want.Distances) {
+					t.Fatalf("%s σ=%v query %d: Search %v %v, SearchNaive %v %v",
+						name, sigma, qi, got.Answers, got.Distances, want.Answers, want.Distances)
 				}
+				answers += len(want.Answers)
 			}
-			if answers < 3*len(queries) {
-				t.Fatalf("%s mapped=%v: only %d answers compared", name, mapped, answers)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if answers < 3*len(queries) {
+			t.Fatalf("%s: only %d answers compared", name, answers)
 		}
 	}
 }
@@ -86,8 +80,8 @@ func TestLinearDistancePrunesByDefault(t *testing.T) {
 }
 
 // TestStoreRejectsMetricOfOtherKeyType: a store written under a label
-// metric opened under a weight metric (and the reverse) is an error, heap
-// and mapped, not answers priced on the wrong element.
+// metric opened under a weight metric (and the reverse) is an error, not
+// answers priced on the wrong element.
 func TestStoreRejectsMetricOfOtherKeyType(t *testing.T) {
 	molecules := gen.Molecules(40, gen.Config{Seed: 2, Weighted: true})
 	for _, tc := range []struct {
@@ -105,11 +99,9 @@ func TestStoreRejectsMetricOfOtherKeyType(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, mapped := range []bool{false, true} {
-			if db, err := pis.Open(dir, pis.Options{Metric: tc.opened, MappedIndex: mapped}); err == nil {
-				db.Close()
-				t.Errorf("%s, mapped=%v: Open succeeded", tc.name, mapped)
-			}
+		if db, err := pis.Open(dir, pis.Options{Metric: tc.opened}); err == nil {
+			db.Close()
+			t.Errorf("%s: Open succeeded", tc.name)
 		}
 		db, err = pis.Open(dir, pis.Options{Metric: tc.written})
 		if err != nil {

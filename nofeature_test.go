@@ -63,55 +63,53 @@ func checkNoFeatures(t *testing.T, stage string, s searcher, oracle *pis.Databas
 
 // TestNoFeatureDatabase: graphs that share every skeleton select no
 // feature, and such a database answers exactly by prescreen and
-// verification alone, heap-resident and mapped, on one shard and two,
-// through insert, delete, compaction, checkpoint and reopen.
+// verification alone, on one shard and two, through insert, delete,
+// compaction, checkpoint and reopen.
 func TestNoFeatureDatabase(t *testing.T) {
 	rings, extra, queries := noFeatureQueries(t)
-	for _, mapped := range []bool{false, true} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("mapped=%v/shards=%d", mapped, shards), func(t *testing.T) {
-				opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1, MappedIndex: mapped}
-				dir := filepath.Join(t.TempDir(), "db")
-				db, err := pis.CreateSharded(dir, rings, shards, opts)
-				if err != nil {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
+			dir := filepath.Join(t.TempDir(), "db")
+			db, err := pis.CreateSharded(dir, rings, shards, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string, live int) {
+				t.Helper()
+				if db.Len() != live {
+					t.Fatalf("%s: %d live graphs, want %d", stage, db.Len(), live)
+				}
+				checkNoFeatures(t, stage, db, db, queries)
+			}
+			check("created", 3)
+			for _, g := range extra {
+				if _, err := db.Insert(g); err != nil {
 					t.Fatal(err)
 				}
-				check := func(stage string, live int) {
-					t.Helper()
-					if db.Len() != live {
-						t.Fatalf("%s: %d live graphs, want %d", stage, db.Len(), live)
-					}
-					checkNoFeatures(t, stage, db, db, queries)
-				}
-				check("created", 3)
-				for _, g := range extra {
-					if _, err := db.Insert(g); err != nil {
-						t.Fatal(err)
-					}
-				}
-				check("inserted", 5)
-				if ok, err := db.Delete(1); err != nil || !ok {
-					t.Fatalf("delete 1: %v, %v", ok, err)
-				}
-				check("deleted", 4)
-				if err := db.Compact(); err != nil {
-					t.Fatal(err)
-				}
-				check("compacted", 4)
-				if err := db.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				check("checkpointed", 4)
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if db, err = pis.Open(dir, opts); err != nil {
-					t.Fatal(err)
-				}
-				defer db.Close()
-				check("reopened", 4)
-			})
-		}
+			}
+			check("inserted", 5)
+			if ok, err := db.Delete(1); err != nil || !ok {
+				t.Fatalf("delete 1: %v, %v", ok, err)
+			}
+			check("deleted", 4)
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted", 4)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check("checkpointed", 4)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = pis.Open(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			check("reopened", 4)
+		})
 	}
 }
 

@@ -162,17 +162,11 @@ type Options struct {
 	// compaction (Compact can still be called explicitly).
 	CompactFraction float64
 
-	// MappedIndex serves the fragment index memory-mapped from its
-	// on-disk image (the PISIDX3 layout) instead of heap-resident: builds
-	// and compactions write the index to disk and reopen it through mmap,
-	// and Open maps the snapshot's index side file directly. The class
-	// entry blocks are the same bytes either way and are read by the same
-	// scan; mapped, they stay in the kernel page cache and are
-	// demand-paged, so the index can exceed RAM, while the directory and
-	// the class bitmaps stay on the heap. A durable store holds
-	// the same files either way, so each Open may choose afresh. Answers
-	// are byte-identical to the heap index. With MappedIndex set, Close
-	// unmaps the index, so queries must stop before Close.
+	// MappedIndex is read by nothing: a database holds its index on the
+	// heap, decoded from the store's side file at Open.
+	//
+	// Deprecated: MappedIndex is ignored; it stays so existing callers
+	// still compile.
 	MappedIndex bool
 }
 
@@ -254,7 +248,6 @@ func (o Options) segmentConfig() segment.Config {
 		Index:           index.Options{Metric: o.Metric},
 		Core:            core.Options{PlannerOff: o.PlannerOff},
 		CompactFraction: o.CompactFraction,
-		MappedIndex:     o.MappedIndex,
 	}
 }
 
@@ -390,14 +383,12 @@ func StoreExists(dir string) bool {
 // Per shard the newest valid snapshot is loaded (no re-mining), the
 // WAL's valid prefix is replayed, and a torn final record — a crash
 // mid-write of a mutation that was never acknowledged — is dropped. The
-// snapshot's index side file is decoded onto the heap, or memory-mapped
-// when opts.MappedIndex is set: residency is chosen per Open, whatever
-// the store was created with. opts.Metric must match the build-time
-// metric, and the index must carry the fingerprint of the recovered
-// graphs; PlannerOff, QueryTimeout and CompactFraction are honored from
-// opts. Every shard keeps the features its store holds, so
-// MaxFragmentEdges is ignored. Ids resume past every id ever assigned,
-// so a recovered database never reuses one.
+// snapshot's index side file is decoded onto the heap. opts.Metric must
+// match the build-time metric, and the index must carry the fingerprint
+// of the recovered graphs; PlannerOff, QueryTimeout and CompactFraction
+// are honored from opts. Every shard keeps the features its store holds,
+// so MaxFragmentEdges is ignored. Ids resume past every id ever
+// assigned, so a recovered database never reuses one.
 func Open(dir string, opts Options) (*Database, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -557,8 +548,8 @@ func (db *Database) Checkpoint() error {
 // durable reports whether the database has backing stores.
 func (db *Database) durable() bool { return db.segs[0].Durable() }
 
-// Close releases the backing stores' file handles (a no-op for an
-// in-memory database). Queries keep working; mutations fail afterwards.
+// Close releases the backing stores' file handles. Queries keep working;
+// a durable database's mutations fail afterwards, an in-memory one's not.
 func (db *Database) Close() error {
 	var first error
 	for _, seg := range db.segs {
@@ -692,12 +683,11 @@ type IndexStats struct {
 	Delta      int `json:"delta"`
 	Tombstones int `json:"tombstones"`
 	// StoreBytes is the class entry blocks the index holds on the heap,
-	// summed over the shards: the slab of its image, 0 under MappedIndex,
-	// where those bytes stay in the mapping.
+	// summed over the shards: the slab of its image, byte for byte.
 	StoreBytes int `json:"store_bytes"`
 	// BitmapBytes and FingerprintBytes are heap beside the stored
-	// sequences, summed over the shards — resident under MappedIndex too,
-	// and not part of the index file: the class bitmaps the structural
+	// sequences, summed over the shards, and not part of the index file:
+	// the class bitmaps the structural
 	// intersection ANDs (features × graphs / 8 per shard), read off the
 	// entry blocks' id runs when an index is opened, and the prescreen
 	// fingerprints the base and delta graphs carry (graph.FP).

@@ -2,7 +2,10 @@ package pis_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -144,8 +147,8 @@ func TestPublicAPIStats(t *testing.T) {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	// One bit per feature per graph in whole words (80 graphs: two), and
-	// one 64-byte fingerprint per graph — resident whether the index is on
-	// the heap, mapped, or behind a cluster node's RPC.
+	// one 64-byte fingerprint per graph — resident whether the index is
+	// local or behind a cluster node's RPC.
 	if st.BitmapBytes != st.Features*16 || st.FingerprintBytes != 80*64 {
 		t.Fatalf("%d features over 80 graphs: %d bitmap bytes, %d fingerprint bytes", st.Features, st.BitmapBytes, st.FingerprintBytes)
 	}
@@ -157,19 +160,30 @@ func TestPublicAPIStats(t *testing.T) {
 	if st.GraphBytes != graphBytes || graphBytes <= st.FingerprintBytes {
 		t.Fatalf("graph bytes %d, the graphs hold %d", st.GraphBytes, graphBytes)
 	}
-	// The class stores are on the heap of a heap index and in the mapping
-	// of a mapped one: the one figure residency changes.
-	if st.StoreBytes == 0 {
-		t.Fatalf("a heap index reports no class store bytes: %+v", st)
+	// The class stores are on the heap: the slab of the index image, byte
+	// for byte, whatever the options. MappedIndex is read by nothing, so a
+	// store created with it reports the stats of the in-memory database.
+	opts := clusterTestOpts
+	opts.MappedIndex = true
+	dir := t.TempDir()
+	durable, err := pis.Create(dir, graphs, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mopts := clusterTestOpts
-	mopts.MappedIndex = true
-	mapped, _ := buildPublicDB(t, 80, mopts)
-	defer mapped.Close()
-	heap := st
-	heap.StoreBytes = 0
-	if got := mapped.Stats(); got != heap {
-		t.Fatalf("mapped stats %+v, heap %+v", got, st)
+	defer durable.Close()
+	if got := durable.Stats(); got != st {
+		t.Fatalf("stats of a store created with MappedIndex %+v, in-memory %+v", got, st)
+	}
+	// The image opens with the magic and the header section, [u32
+	// length][payload][u32 CRC], whose payload ends with the slab's offset
+	// and length.
+	img, err := os.ReadFile(filepath.Join(dir, "shard-000", "idx-000001.pisidx3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := 8 + 4 + int(binary.LittleEndian.Uint32(img[8:]))
+	if slab := binary.LittleEndian.Uint64(img[hdrEnd-8:]); slab == 0 || uint64(st.StoreBytes) != slab {
+		t.Fatalf("store bytes %d, the image's slab %d", st.StoreBytes, slab)
 	}
 	// A cluster node's status frame carries no graph bytes.
 	cn := startTestCluster(t, clusterAddrs(t, 1), 1, 1, nil, graphs)[0]

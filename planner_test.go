@@ -12,8 +12,8 @@ import (
 // Planner differential property tests at the public API: a database
 // searched with the cost-based planner (the default) must answer Search
 // and SearchKNN exactly like one running exhaustive fragment expansion
-// (PlannerOff), across shardings, class vocabularies, index residencies,
-// and live mutation interleavings. Both databases see the identical
+// (PlannerOff), across shardings, class vocabularies, key metrics and
+// live mutation interleavings. Both databases see the identical
 // mutation sequence, so global ids agree and results compare entry for
 // entry.
 
@@ -21,9 +21,9 @@ func plannerOptionPairs() []pis.Options {
 	base := pis.Options{MaxFragmentEdges: 4, CompactFraction: -1}
 	small := base
 	small.MaxFragmentEdges = 3 // fewer, smaller classes to rank and skip
-	mapped := base
-	mapped.MappedIndex = true // class statistics read off the mapped image
-	return []pis.Options{base, small, mapped}
+	full := base
+	full.Metric = pis.FullMutation // keys carry vertex labels too
+	return []pis.Options{base, small, full}
 }
 
 type plannerPair struct {

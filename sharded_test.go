@@ -168,7 +168,7 @@ func wholeInputClassKeys(t *testing.T, graphs []*pis.Graph) []string {
 // shard store at dir.
 func storeClassKeys(t *testing.T, dir string) []string {
 	t.Helper()
-	st, snap, _, err := store.OpenWith(dir, pis.EdgeMutation, store.OpenOptions{})
+	st, snap, _, err := store.OpenFS(dir, pis.EdgeMutation, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
