@@ -242,12 +242,7 @@ func (m *mol) openSite() int32 {
 func generateOne(rng *rand.Rand, cfg Config) *graph.Graph {
 	target := int(math.Exp(math.Log(float64(cfg.MeanVertices)) - cfg.SizeSigma*cfg.SizeSigma/2 +
 		rng.NormFloat64()*cfg.SizeSigma))
-	if target < cfg.MinVertices {
-		target = cfg.MinVertices
-	}
-	if target > cfg.MaxVertices {
-		target = cfg.MaxVertices
-	}
+	target = min(max(target, cfg.MinVertices), cfg.MaxVertices)
 	m := &mol{seen: map[[2]int32]bool{}, rng: rng, cfg: cfg, target: target}
 
 	// Seed unit: usually a ring, sometimes a chain.
@@ -361,12 +356,7 @@ func Summarize(db []*graph.Graph) Stats {
 	for _, g := range db {
 		s.AvgVertices += float64(g.N())
 		s.AvgEdges += float64(g.M())
-		if g.N() > s.MaxVertices {
-			s.MaxVertices = g.N()
-		}
-		if g.M() > s.MaxEdges {
-			s.MaxEdges = g.M()
-		}
+		s.MaxVertices, s.MaxEdges = max(s.MaxVertices, g.N()), max(s.MaxEdges, g.M())
 		for v := 0; v < g.N(); v++ {
 			s.AtomCounts[g.VLabelAt(v)]++
 		}

@@ -9,24 +9,30 @@ import (
 	"pis/internal/graph"
 )
 
-// A reader may allocate allocPerByte per input byte beyond readerOverhead,
-// which covers its line scanner's initial buffer and fixed state.
+// A reader may allocate allocPerByte per input byte and allocPerMolecule
+// per molecule it returns beyond readerOverhead, which covers its line
+// scanner's initial buffer and fixed state. The molecule term is what a
+// one-atom molecule costs whatever its line's length: 100,000 lines of
+// "C" (200,000 bytes) allocate 44.6 MB, 446 B a molecule, against the
+// 12.8 MB the byte term allows.
 const (
-	allocPerByte   = 64
-	readerOverhead = 256 << 10
+	allocPerByte     = 64
+	allocPerMolecule = 512
+	readerOverhead   = 256 << 10
 )
 
 // readBounded runs read over input and fails unless it allocated within
 // the bound above and returned an error or graphs no larger than the input
-// in vertices and edges. It returns read's error.
+// in vertices and edges. It returns read's error. A reader that fails
+// returns no molecule, so only the byte term bounds it.
 func readBounded(t *testing.T, input []byte, read func(io.Reader, string) ([]*graph.Graph, error)) error {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	gs, err := read(bytes.NewReader(input), "fuzz")
 	runtime.ReadMemStats(&after)
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(allocPerByte*len(input)+readerOverhead) {
-		t.Fatalf("reading %d bytes allocated %d", len(input), alloc)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(allocPerByte*len(input)+allocPerMolecule*len(gs)+readerOverhead) {
+		t.Fatalf("reading %d bytes into %d molecules allocated %d", len(input), len(gs), alloc)
 	}
 	for i, g := range gs {
 		if err == nil && (g.N() > len(input) || g.M() > len(input)) {
@@ -53,6 +59,34 @@ func TestSDFCountBombBounded(t *testing.T) {
 func TestSMILESChainBounded(t *testing.T) {
 	line := append(bytes.Repeat([]byte("N"), 3975), '\n')
 	if err := readBounded(t, line, ReadSMILES); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSMILESManyShortLinesBounded: 100,000 lines of "C" read into as
+// many molecules within the bound. Each molecule's objects cost more than
+// 64 B per byte of its two-byte line, so the bound holds only through its
+// per-molecule term.
+func TestSMILESManyShortLinesBounded(t *testing.T) {
+	input := bytes.Repeat([]byte("C\n"), 100000)
+	gs, err := ReadSMILES(bytes.NewReader(input), "lines")
+	if err != nil || len(gs) != 100000 {
+		t.Fatalf("%d molecules, error %v; want 100,000", len(gs), err)
+	}
+	if err := readBounded(t, input, ReadSMILES); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSDFManyShortRecordsBounded: 10,000 minimal SD records of one carbon
+// each read into as many molecules within the same bound.
+func TestSDFManyShortRecordsBounded(t *testing.T) {
+	input := bytes.Repeat([]byte("m\n\n\n  1  0\n0 0 0 C\n$$$$\n"), 10000)
+	gs, err := ReadSDF(bytes.NewReader(input), "records")
+	if err != nil || len(gs) != 10000 {
+		t.Fatalf("%d molecules, error %v; want 10,000", len(gs), err)
+	}
+	if err := readBounded(t, input, ReadSDF); err != nil {
 		t.Fatal(err)
 	}
 }

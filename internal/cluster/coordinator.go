@@ -191,9 +191,7 @@ func (c *Coordinator) initFromPeers() error {
 		reachable++
 		p.ps.epoch.Store(p.ns.Epoch)
 		for _, st := range p.ns.Shards {
-			if st.MaxID > maxID {
-				maxID = st.MaxID
-			}
+			maxID = max(maxID, st.MaxID)
 			if !counted[st.Shard] {
 				counted[st.Shard] = true
 				total += int64(st.Live)
@@ -403,13 +401,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 		return c.cfg.HedgeDefault
 	}
 	d := time.Duration(snap.Quantile(0.95) * hedgeMultiplier * float64(time.Second))
-	if d < c.cfg.HedgeFloor {
-		d = c.cfg.HedgeFloor
-	}
-	if d > c.cfg.HedgeCap {
-		d = c.cfg.HedgeCap
-	}
-	return d
+	return min(max(d, c.cfg.HedgeFloor), c.cfg.HedgeCap)
 }
 
 func (c *Coordinator) healthLoop() {
@@ -439,9 +431,7 @@ func (c *Coordinator) CheckPeers() {
 			continue
 		}
 		for _, st := range p.ns.Shards {
-			if st.MutSeq > maxSeq[st.Shard] {
-				maxSeq[st.Shard] = st.MutSeq
-			}
+			maxSeq[st.Shard] = max(maxSeq[st.Shard], st.MutSeq)
 		}
 	}
 
@@ -494,9 +484,7 @@ func (c *Coordinator) CheckPeers() {
 			continue
 		}
 		for _, st := range p.ns.Shards {
-			if st.MaxID > maxID {
-				maxID = st.MaxID
-			}
+			maxID = max(maxID, st.MaxID)
 		}
 	}
 	if maxID >= 0 {
@@ -562,10 +550,7 @@ func (c *Coordinator) refShardSeq(s int, exclude *peerState) (uint64, bool) {
 		if err != nil || !has {
 			continue
 		}
-		found = true
-		if seq > best {
-			best = seq
-		}
+		found, best = true, max(best, seq)
 	}
 	return best, found
 }

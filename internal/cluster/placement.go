@@ -20,12 +20,7 @@ import (
 // decides who serves a shard when hedging and failover have no say.
 // The result is independent of the order peers are listed in.
 func Place(nShards int, peers []string, replication int) [][]string {
-	if replication < 1 {
-		replication = 1
-	}
-	if replication > len(peers) {
-		replication = len(peers)
-	}
+	replication = min(max(replication, 1), len(peers))
 	out := make([][]string, nShards)
 	type scored struct {
 		peer  string

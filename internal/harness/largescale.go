@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
 
@@ -144,24 +143,13 @@ func scanCorpus(path string) ([]*graph.Graph, error) {
 // MiB. Returns 0 where /proc is unavailable; the report fields then read
 // as absent.
 func peakRSSMB() float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
+	data, _ := os.ReadFile("/proc/self/status")
 	for _, ln := range strings.Split(string(data), "\n") {
-		v, ok := strings.CutPrefix(ln, "VmHWM:")
-		if !ok {
-			continue
+		if v, ok := strings.CutPrefix(ln, "VmHWM:"); ok {
+			var kb float64
+			fmt.Sscan(v, &kb) // "  12345 kB"; 0 if unparsable
+			return kb / 1024
 		}
-		fields := strings.Fields(v)
-		if len(fields) == 0 {
-			return 0
-		}
-		kb, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return 0
-		}
-		return kb / 1024
 	}
 	return 0
 }

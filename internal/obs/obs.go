@@ -430,13 +430,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
+	rank := min(max(q, 0), 1) * float64(total)
 	cum := 0.0
 	for i, c := range s.Counts {
 		prev := cum

@@ -11,3 +11,7 @@ func ClassKeys(s *Segment) []string {
 	}
 	return keys
 }
+
+// MemoFloorBytes is the result memo's budget for a segment of fewer than
+// MemoFloorBytes/64 graphs.
+const MemoFloorBytes = memoFloorBytes

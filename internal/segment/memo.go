@@ -11,8 +11,15 @@
 // graphs above the mark verify, for any read within the radius where the
 // entry holds every graph (read). A read stores that as a new immutable
 // entry at its own snapshot's mark and uses none from a snapshot ahead of
-// its own. The memo survives compaction, belongs to one Segment value (a
-// recovered or new segment starts cold) and is bounded in bytes.
+// its own. The memo survives compaction and belongs to one Segment value
+// (a recovered or new segment starts cold).
+//
+// It holds 64 bytes per graph of the segment, at least 1 MiB. A query's
+// first entry waits on probation, at most an eighth of that, and a later
+// read of the query (hit, covered, fallback or miss) moves its entries to
+// protected, so on distinct-query traffic answers no read comes back to
+// leave first and reused ones stay; pis_result_memo_evictions_total counts
+// what each list lost.
 
 package segment
 
@@ -38,7 +45,7 @@ const (
 	// at n=1k and tens of megabytes at n=500k.
 	memoFloorBytes    = 1 << 20
 	memoBytesPerGraph = 64
-	memoEntryOverhead = 160 // entry struct, slice headers, map slot
+	memoEntryOverhead = 160 // entry struct, slice headers, map slot, list element
 )
 
 // memoKey names one read: a threshold search at sigma (k = 0), or a kNN
@@ -75,30 +82,68 @@ func (k memoKey) size(e *memoEntry) (n int64) {
 	return n
 }
 
-// memo is a byte-bounded map of entries, safe for concurrent use. It
-// evicts the query put least recently first, so which queries stay
-// resident depends on the reads alone.
-type memo struct {
-	mu      sync.Mutex
-	entries map[memoKey]*memoEntry
-	order   list.List                 // the keys of entries, least recently put first
-	at      map[memoKey]*list.Element // each key's place in order
-	bytes   int64
+// The memo's two lists (see the file comment).
+const probation, protected = 0, 1
+
+// memoSlot is a resident query: its entries and its place on a list.
+type memoSlot struct {
+	e    *memoEntry
+	at   *list.Element
+	list int // probation or protected
 }
 
-// get returns the first entry of k's query.
+// memo is a byte-bounded map of entries, safe for concurrent use. It
+// evicts the query put least recently on probation first, then on
+// protected, so which queries stay resident depends on the reads alone.
+type memo struct {
+	mu      sync.Mutex
+	entries map[memoKey]memoSlot
+	lists   [2]list.List // the keys on each list, least recently put first
+	held    [2]int64     // the bytes each list's entries account for
+	bytes   int64        // held[probation] + held[protected]
+}
+
+// get returns the first entry of k's query, moving the query to the
+// back of protected if it waits on probation.
 func (m *memo) get(k memoKey) *memoEntry {
+	k = memoKey{q: k.q}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entries[memoKey{q: k.q}]
+	s := m.entries[k]
+	if s.e != nil && s.list == probation {
+		m.unlink(k)
+		m.link(k, s.e, protected)
+	}
+	return s.e
+}
+
+// unlink removes k's query.
+func (m *memo) unlink(k memoKey) {
+	if s, ok := m.entries[k]; ok {
+		m.lists[s.list].Remove(s.at)
+		m.held[s.list] -= k.size(s.e)
+		m.bytes -= k.size(s.e)
+		delete(m.entries, k)
+	}
+}
+
+// link stores e as k's entries at the back of list l.
+func (m *memo) link(k memoKey, e *memoEntry, l int) {
+	if m.entries == nil {
+		m.entries = make(map[memoKey]memoSlot)
+	}
+	m.entries[k] = memoSlot{e, m.lists[l].PushBack(k), l}
+	m.held[l] += k.size(e)
+	m.bytes += k.size(e)
 }
 
 // put links e in front of the entries of k's query within budget bytes,
-// evicting the queries put least recently to make room, and moves the
-// query to the back of the eviction order. Among entries of e's k, e
+// evicting to make room, and moves the query to the back of protected,
+// or of probation if it was not resident. Among entries of e's k, e
 // replaces each that is neither newer nor wider, and is dropped when one
 // is at least as new and as wide and differs; an entry larger than the
-// whole budget is not admitted.
+// whole budget, or than probation's share when it would wait there, is
+// not admitted.
 func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	k = memoKey{q: k.q}
 	if k.size(e) > budget {
@@ -106,7 +151,7 @@ func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	before, old := m.bytes, m.entries[k]
+	before, old := m.bytes, m.entries[k].e
 	for o := old; o != nil; o = o.next {
 		if o.k != e.k || o.mark > e.mark && o.radius < e.radius || o.mark < e.mark && o.radius > e.radius {
 			c := *o // stored entries are immutable: relink a copy
@@ -118,24 +163,22 @@ func (m *memo) put(k memoKey, e *memoEntry, budget int64) {
 	if k.size(e) > budget {
 		e.next = nil
 	}
-	m.bytes -= k.size(old)
-	delete(m.entries, k)
-	if at := m.at[k]; at != nil {
-		m.order.Remove(at)
+	l, size := protected, k.size(e)
+	if old == nil {
+		if l = probation; size > budget/8 {
+			return
+		}
 	}
-	for m.bytes+k.size(e) > budget {
-		vk := m.order.Remove(m.order.Front()).(memoKey)
-		m.bytes -= vk.size(m.entries[vk])
-		delete(m.entries, vk)
-		delete(m.at, vk)
+	m.unlink(k)
+	for m.bytes+size > budget || l == probation && m.held[probation]+size > budget/8 {
+		from := probation
+		if m.lists[probation].Len() == 0 {
+			from = protected
+		}
+		m.unlink(m.lists[from].Front().Value.(memoKey))
+		mMemoEvictions[from].Inc()
 	}
-	if m.entries == nil {
-		m.entries = make(map[memoKey]*memoEntry)
-		m.at = make(map[memoKey]*list.Element)
-	}
-	m.entries[k] = e
-	m.at[k] = m.order.PushBack(k)
-	m.bytes += k.size(e)
+	m.link(k, e, l)
 	mMemoBytes.Add(float64(m.bytes - before))
 }
 
@@ -144,8 +187,7 @@ func (m *memo) clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mMemoBytes.Add(float64(-m.bytes))
-	m.entries, m.at, m.bytes = nil, nil, 0
-	m.order.Init()
+	m.entries, m.lists, m.held, m.bytes = nil, [2]list.List{}, [2]int64{}, 0
 }
 
 // live reports whether the graph with global id is live in the snapshot.

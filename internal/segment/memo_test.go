@@ -12,7 +12,10 @@ func testEntry(answers int, mark int32) *memoEntry {
 
 // TestMemoByteBound: the memo is bounded in bytes, not entries. An entry
 // larger than the whole budget is not admitted, and admitting one that
-// fits evicts others until the total is back under the budget.
+// fits evicts others until the total is back under the budget. A query's
+// first entry waits on probation, within an eighth of the budget; a get
+// or a second put moves the query to protected, and eviction takes the
+// oldest probation entry first.
 func TestMemoByteBound(t *testing.T) {
 	const budget = 4096
 	m := new(memo)
@@ -21,49 +24,95 @@ func TestMemoByteBound(t *testing.T) {
 	if m.get(big) != nil || m.bytes != 0 {
 		t.Fatalf("an entry larger than the budget was admitted (%d bytes held)", m.bytes)
 	}
-	var order []memoKey          // the queries put, least recently put first
+	mid := memoKey{q: "mid"}
+	if m.put(mid, testEntry(budget/8/12, 0), budget); m.entries[mid].e != nil {
+		t.Fatalf("a first entry larger than probation's share was admitted (%d bytes held)", m.bytes)
+	}
+	var lists [2][]memoKey       // the model: each list's queries, least recently put first
+	var evicted [2]int64         // and how many each list lost
 	answers := map[memoKey]int{} // each query's entry size, in answers
-	for i := 0; i < 200; i++ {
+	evictions := [2]int64{mMemoEvictions[probation].Value(), mMemoEvictions[protected].Value()}
+	size := func(k memoKey) int64 { return k.size(testEntry(answers[k], 0)) }
+	held := func(l int) (n int64) {
+		for _, k := range lists[l] {
+			n += size(k)
+		}
+		return n
+	}
+	for i := 0; i < 305; i++ {
 		k := memoKey{q: fmt.Sprintf("q%03d", i)}
-		if i%10 == 9 { // put the least recently put resident again, at its size
-			k = order[len(order)-len(m.entries)]
-		} else {
-			answers[k] = i % 40
+		to := probation
+		switch {
+		case i%10 == 9 && len(lists[probation]) > 0: // read a query waiting on probation
+			k = lists[probation][0]
+			lists[probation] = lists[probation][1:]
+			lists[protected] = append(lists[protected], k)
+			if m.get(k) == nil {
+				t.Fatalf("step %d: %s is not resident", i, k.q)
+			}
+		case i%10 == 4 && len(lists[protected]) > 0: // put the least recently put protected query again, at its size
+			k = lists[protected][0]
+			to = protected
+		default:
+			answers[k] = i % 25
 		}
-		m.put(k, testEntry(answers[k], 0), budget)
+		if m.entries[k].e == nil || i%10 != 9 { // a put: of a new query, or of a resident one again
+			for l := range lists {
+				if j := slices.Index(lists[l], k); j >= 0 {
+					lists[l], to = slices.Delete(lists[l], j, j+1), protected
+				}
+			}
+			for held(probation)+held(protected)+size(k) > budget || to == probation && held(probation)+size(k) > budget/8 {
+				from := probation
+				if len(lists[probation]) == 0 {
+					from = protected
+				}
+				lists[from] = lists[from][1:]
+				evicted[from]++
+			}
+			lists[to] = append(lists[to], k)
+			m.put(k, testEntry(answers[k], 0), budget)
+		}
 		if m.bytes > budget {
-			t.Fatalf("after %d puts the memo holds %d bytes, budget %d", i+1, m.bytes, budget)
+			t.Fatalf("after %d steps the memo holds %d bytes, budget %d", i+1, m.bytes, budget)
 		}
-		if m.get(k) == nil {
-			t.Fatalf("put %d: the entry just stored is not resident", i)
+		if m.held[probation] > budget/8 {
+			t.Fatalf("after %d steps probation holds %d bytes, its share is %d", i+1, m.held[probation], budget/8)
+		}
+		if m.entries[k].e == nil {
+			t.Fatalf("step %d: the entry just stored is not resident", i)
 		}
 		var sum int64
-		for k, e := range m.entries {
-			sum += k.size(e)
+		for k, s := range m.entries {
+			sum += k.size(s.e)
 		}
-		if sum != m.bytes {
-			t.Fatalf("after %d puts the memo accounts %d bytes, its entries add up to %d", i+1, m.bytes, sum)
+		if sum != m.bytes || m.held[probation]+m.held[protected] != m.bytes {
+			t.Fatalf("after %d steps the memo accounts %d bytes (%v by list), its entries add up to %d", i+1, m.bytes, m.held, sum)
 		}
-		// The resident queries are the newest ones that fit.
-		order = append(slices.DeleteFunc(order, func(o memoKey) bool { return o == k }), k)
-		want, held := 0, int64(0)
-		for j := len(order) - 1; j >= 0; j-- {
-			if held += order[j].size(testEntry(answers[order[j]], 0)); held > budget {
-				break
+		// The resident queries, and their order on each list, are the model's.
+		for l := range lists {
+			var got []memoKey
+			for at := m.lists[l].Front(); at != nil; at = at.Next() {
+				got = append(got, at.Value.(memoKey))
+				if s := m.entries[got[len(got)-1]]; s.at != at || s.list != l {
+					t.Fatalf("after %d steps %s's slot does not name its place on list %d", i+1, got[len(got)-1].q, l)
+				}
 			}
-			want++
-		}
-		for _, q := range order[len(order)-want:] {
-			if m.entries[q] == nil {
-				t.Fatalf("after %d puts %s is evicted, but it is among the %d newest queries, which fit", i+1, q.q, want)
+			if !slices.Equal(got, lists[l]) {
+				t.Fatalf("after %d steps list %d holds %v, want %v", i+1, l, got, lists[l])
 			}
 		}
-		if len(m.entries) != want {
-			t.Fatalf("after %d puts the memo holds %d queries, want the newest %d that fit", i+1, len(m.entries), want)
+		if len(m.entries) != len(lists[probation])+len(lists[protected]) {
+			t.Fatalf("after %d steps the memo holds %d queries, its lists %d", i+1, len(m.entries), len(lists[probation])+len(lists[protected]))
 		}
 	}
-	if len(m.entries) < 2 {
-		t.Fatalf("eviction emptied the memo: %d entries left under a budget for a dozen", len(m.entries))
+	if len(lists[probation]) == 0 || len(lists[protected]) < 2 {
+		t.Fatalf("eviction emptied a list: %d queries on probation, %d protected", len(lists[probation]), len(lists[protected]))
+	}
+	for l, n := range evicted {
+		if got := mMemoEvictions[l].Value() - evictions[l]; n == 0 || got != n {
+			t.Fatalf("list %d: pis_result_memo_evictions_total advanced by %d, the model evicted %d (want some)", l, got, n)
+		}
 	}
 	before := mMemoBytes.Value()
 	m.clear()

@@ -44,7 +44,12 @@ var (
 	mMemoRefreshed = obs.Default().Counter(
 		"pis_result_memo_refreshed_graphs_total",
 		"Graphs verified by result-memo hits to catch up with inserts.")
-	mMemoBytes = obs.Default().Gauge(
+	memoEvictions = obs.Default().CounterVec(
+		"pis_result_memo_evictions_total",
+		"Queries the result memos evicted to make room, by the list they left: probation = answered once and never read again, protected = read again, then lost to pressure.",
+		"list")
+	mMemoEvictions = [2]*obs.Counter{memoEvictions.With("probation"), memoEvictions.With("protected")}
+	mMemoBytes     = obs.Default().Gauge(
 		"pis_result_memo_bytes",
 		"Bytes the result memos of this process's open segments account for.")
 )

@@ -201,13 +201,9 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 	s := fromIndex(snap.Base, snap.BaseIDs, snap.Index, cfg)
 	s.delta = snap.Delta
 	s.deltaIDs = snap.DeltaIDs
-	if snap.NextID-1 > s.maxID {
-		s.maxID = snap.NextID - 1
-	}
+	s.maxID = max(s.maxID, snap.NextID-1)
 	for _, id := range snap.DeltaIDs {
-		if id > s.maxID {
-			s.maxID = id
-		}
+		s.maxID = max(s.maxID, id)
 	}
 	for _, gid := range snap.Tombs {
 		if local, ok := localOf(s.ids, s.deltaIDs, gid); ok {
@@ -219,9 +215,7 @@ func OpenDurable(dir string, cfg Config) (*Segment, error) {
 		case store.OpInsert:
 			s.delta = append(s.delta, rec.Graph)
 			s.deltaIDs = append(s.deltaIDs, rec.ID)
-			if rec.ID > s.maxID {
-				s.maxID = rec.ID
-			}
+			s.maxID = max(s.maxID, rec.ID)
 		case store.OpDelete:
 			if local, ok := localOf(s.ids, s.deltaIDs, rec.ID); ok {
 				s.tombs = s.tombs.WithSet(local)

@@ -22,12 +22,7 @@ type Range struct{ Start, End int }
 // Split divides n graphs into k contiguous ranges whose sizes differ by at
 // most one. k is clamped to [1, n]; every range is non-empty.
 func Split(n, k int) []Range {
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
+	k = min(max(k, 1), n)
 	out := make([]Range, k)
 	for i := 0; i < k; i++ {
 		out[i] = Range{Start: i * n / k, End: (i + 1) * n / k}

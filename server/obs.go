@@ -81,11 +81,6 @@ func (s *Server) registerGauges() {
 	obs.RegisterProcessMetrics(reg)
 }
 
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	MetricsHandler().ServeHTTP(w, r)
-}
-
 // MetricsHandler returns a standalone handler for the process-wide metric
 // registry in Prometheus text exposition format. It serves the same data
 // as GET /metrics on the query port; pisserved mounts it on the

@@ -92,6 +92,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE pis_result_memo_lookups_total counter",
 		"# TYPE pis_result_memo_refreshed_graphs_total counter",
 		"# TYPE pis_result_memo_bytes gauge",
+		`pis_result_memo_evictions_total{list="probation"}`,
+		`pis_result_memo_evictions_total{list="protected"}`,
 		"# TYPE pis_index_range_queries_total counter",
 		"# TYPE pis_graphs_live gauge",
 		"# TYPE pis_goroutines gauge",

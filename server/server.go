@@ -237,7 +237,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /compact", s.instrument("compact", true, s.handleCompact))
 	s.mux.HandleFunc("POST /checkpoint", s.instrument("checkpoint", true, s.handleCheckpoint))
 	s.mux.HandleFunc("GET /stats", s.instrument("stats", false, s.handleStats))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", MetricsHandler())
 	s.mux.HandleFunc("GET /debug/queries", s.instrument("debug_queries", false, s.handleDebugQueries))
 	// Liveness stays HTTP 200 by default even when the store is
 	// poisoned: the process is healthy and still answers queries; the
