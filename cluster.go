@@ -290,48 +290,18 @@ func (cn *ClusterNode) Checkpoint() error {
 	return cn.co.Checkpoint(ctx)
 }
 
-// Stats aggregates index statistics over one replica of each covered
-// shard (replicas are interchangeable, so one copy represents a shard).
-func (cn *ClusterNode) Stats() IndexStats {
-	ov := cn.overview()
-	return IndexStats{
-		Features:   ov.Classes,
-		Fragments:  ov.Fragments,
-		Sequences:  ov.Sequences,
-		Delta:      ov.Delta,
-		Tombstones: ov.Tombstones,
+// Stats sums index statistics over one replica of each covered shard
+// (replicas are interchangeable, so one copy represents a shard), as a
+// Database sums its shards; GraphBytes is 0, since no graph is walked.
+func (cn *ClusterNode) Stats() IndexStats { return indexStats(cn.co.Overview().Total) }
 
-		StoreBytes:       ov.Memory.StoreBytes,
-		BitmapBytes:      ov.Memory.BitmapBytes,
-		FingerprintBytes: ov.Memory.FingerprintBytes,
-	}
-}
-
-// Durability aggregates durability state across the cluster: totals
-// over one replica per shard, the oldest snapshot sequence, and any
-// replica's poisoning.
-func (cn *ClusterNode) Durability() DurabilityStats {
-	ov := cn.overview()
-	d := DurabilityStats{
-		Durable:              ov.Durable,
-		WALRecords:           ov.WALRecords,
-		WALBytes:             ov.WALBytes,
-		SnapshotSeq:          ov.SnapshotSeq,
-		Checkpoints:          ov.Checkpoints,
-		ReplayedRecords:      ov.ReplayedRecords,
-		RecoveryDroppedBytes: ov.DroppedBytes,
-		Poisoned:             ov.Poisoned,
-		PoisonReason:         ov.PoisonReason,
-	}
-	if ov.LastCheckpoint > 0 {
-		d.LastCheckpoint = time.Unix(0, ov.LastCheckpoint)
-	}
-	return d
-}
+// Durability sums durability state over one replica of each covered
+// shard, as a Database sums its shards.
+func (cn *ClusterNode) Durability() DurabilityStats { return durability(cn.co.Overview().Total) }
 
 // Overview returns the coordinator's cluster-wide view: peers up,
-// shards covered, and the aggregated index/durability state.
-func (cn *ClusterNode) Overview() ClusterOverview { return cn.overview() }
+// shards covered, and the shards' summed card.
+func (cn *ClusterNode) Overview() ClusterOverview { return cn.co.Overview() }
 
 // NumShards returns the cluster's global shard count.
 func (cn *ClusterNode) NumShards() int { return cn.co.NumShards() }
@@ -339,12 +309,6 @@ func (cn *ClusterNode) NumShards() int { return cn.co.NumShards() }
 // ClusterOverview is the coordinator's aggregate cluster view; see
 // ClusterNode.Overview.
 type ClusterOverview = cluster.Overview
-
-func (cn *ClusterNode) overview() ClusterOverview {
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	return cn.co.Overview(ctx)
-}
 
 // CheckPeers runs one synchronous health sweep (reachability, replica
 // lag, stale-replica readmission). The background loop does this on

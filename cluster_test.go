@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -472,6 +473,78 @@ func TestClusterMemoAcrossKillAndCatchUp(t *testing.T) {
 
 	if memoHits() == hits0 {
 		t.Fatal("no replica ever answered from its result memo")
+	}
+}
+
+// TestClusterReportsWhatDatabaseReports: a cluster and a sharded
+// database over the same graphs, given the same inserts and deletes,
+// report the same index figures, and after a reopen that has not
+// checkpointed the same durability figures: both sum one card per shard
+// by one rule. Only GraphBytes differs, a walk a ClusterNode does not do.
+func TestClusterReportsWhatDatabaseReports(t *testing.T) {
+	graphs := gen.Molecules(60, gen.Config{Seed: 31})
+	extra := gen.Molecules(66, gen.Config{Seed: 32})[60:]
+	dbDir := filepath.Join(t.TempDir(), "db")
+	db, err := pis.CreateSharded(dbDir, graphs, 3, clusterTestOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	addrs := clusterAddrs(t, 3)
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	nodes := startTestCluster(t, addrs, 3, 2, dirs, graphs)
+	for i, g := range extra {
+		want, err := db.Insert(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := nodes[0].Insert(g); err != nil || got != want {
+			t.Fatalf("cluster insert %d: id %d, %v; the database gave id %d", i, got, err, want)
+		}
+	}
+	for _, id := range []int32{4, 33, 61} {
+		want, err := db.Delete(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := nodes[2].Delete(id); err != nil || got != want {
+			t.Fatalf("cluster delete %d: %v, %v; the database found it: %v", id, got, err, want)
+		}
+	}
+	sameStats := func(when string, cn *pis.ClusterNode) {
+		t.Helper()
+		got, want := cn.Stats(), db.Stats()
+		if got.GraphBytes != 0 || want.GraphBytes == 0 {
+			t.Errorf("%s: graph bytes %d through the cluster, %d in the database; want 0 and more", when, got.GraphBytes, want.GraphBytes)
+		}
+		want.GraphBytes = 0
+		if got != want || want.Delta != 6 || want.Tombstones != 3 {
+			t.Errorf("%s: cluster Stats() = %+v, database %+v (6 delta, 3 tombstones)", when, got, want)
+		}
+	}
+	sameStats("after the mutations", nodes[1])
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cn := range nodes {
+		if err := cn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db, err = pis.Open(dbDir, clusterTestOpts); err != nil {
+		t.Fatal(err)
+	}
+	nodes = startTestCluster(t, addrs, 3, 2, dirs, graphs)
+	sameStats("reopened", nodes[0])
+	got, want := nodes[0].Durability(), db.Durability()
+	if !want.Durable || want.WALRecords != 9 || want.ReplayedRecords != 9 || !want.LastCheckpoint.IsZero() {
+		t.Fatalf("reopened database Durability() = %+v, want 9 WAL records replayed and no checkpoint", want)
+	}
+	if got.Durable != want.Durable || got.WALRecords != want.WALRecords || got.WALBytes != want.WALBytes ||
+		got.SnapshotSeq != want.SnapshotSeq || got.ReplayedRecords != want.ReplayedRecords ||
+		got.LastCheckpoint.IsZero() != want.LastCheckpoint.IsZero() {
+		t.Errorf("reopened cluster Durability() = %+v, database %+v", got, want)
 	}
 }
 

@@ -329,6 +329,50 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	}
 }
 
+// TestBroadcast: Compact and Checkpoint on a healthy cluster succeed and
+// reach every replica, and with every peer down they fail with
+// ErrUnavailable.
+func TestBroadcast(t *testing.T) {
+	graphs := testGraphs(16, 31)
+	segA := durableSegment(t, filepath.Join(t.TempDir(), "a"), graphs, 0)
+	defer segA.Close()
+	segB := durableSegment(t, filepath.Join(t.TempDir(), "b"), graphs, 0)
+	defer segB.Close()
+	nodeA, nodeB := startNode(t, segA), startNode(t, segB)
+
+	co, err := Connect(Config{Peers: []string{nodeA.Addr(), nodeB.Addr()}, Shards: 1, Replication: 2, PingInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx := context.Background()
+
+	if _, err := co.Insert(ctx, testGraph(rand.New(rand.NewSource(3)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Compact(ctx); err != nil {
+		t.Fatalf("Compact on a healthy cluster: %v", err)
+	}
+	if err := co.Checkpoint(ctx); err != nil {
+		t.Fatalf("Checkpoint on a healthy cluster: %v", err)
+	}
+	for name, seg := range map[string]*segment.Segment{"A": segA, "B": segB} {
+		if st := seg.Stats(); st.Delta != 0 || st.Store.Checkpoints == 0 {
+			t.Errorf("replica %s: delta %d, checkpoints %d after the broadcasts; want 0 and > 0",
+				name, st.Delta, st.Store.Checkpoints)
+		}
+	}
+
+	nodeA.Close()
+	nodeB.Close()
+	if err := co.Compact(ctx); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Compact with every peer down: %v, want ErrUnavailable", err)
+	}
+	if err := co.Checkpoint(ctx); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Checkpoint with every peer down: %v, want ErrUnavailable", err)
+	}
+}
+
 // tarpitCluster serves one shard over graphs from two replicas, the
 // preferred one a tarpit (accepts connections, never answers), so a
 // query's hedge fires and the real replica wins. It returns the
@@ -380,11 +424,7 @@ func tarpitCluster(t *testing.T, graphs []*graph.Graph) (*Coordinator, *segment.
 	t.Cleanup(func() { node.Close() })
 	node.SetShard(0, seg)
 
-	co, err := Connect(Config{
-		Peers: addrs, Shards: 1, Replication: 2,
-		PingInterval: -1, StatsTimeout: 200 * time.Millisecond,
-		HedgeDefault: 2 * time.Millisecond, HedgeFloor: time.Millisecond, HedgeCap: 5 * time.Millisecond,
-	})
+	co, err := Connect(Config{Peers: addrs, Shards: 1, Replication: 2, PingInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,7 @@ import (
 
 	"pis/internal/binio"
 	"pis/internal/graph"
+	"pis/internal/segment"
 	"pis/internal/shard"
 )
 
@@ -50,18 +51,22 @@ type Config struct {
 	Shards int
 	// Replication is the replica count per shard, clamped to len(Peers).
 	Replication int
-
-	// HedgeDefault is the hedge delay used until the search-RPC
-	// histogram has enough observations for a p95 (default 25ms).
-	HedgeDefault time.Duration
-	// HedgeFloor and HedgeCap clamp the derived delay (defaults 2ms, 1s).
-	HedgeFloor, HedgeCap time.Duration
 	// PingInterval paces the health loop (default 1s; < 0 disables it,
 	// for tests that drive CheckPeers by hand).
 	PingInterval time.Duration
-	// StatsTimeout bounds health-loop and aggregation RPCs (default 2s).
-	StatsTimeout time.Duration
 }
+
+// The hedge delay is hedgeDefault until the search-RPC histogram holds
+// enough observations for a p95, then hedgeMultiplier times that p95
+// clamped to [hedgeFloor, hedgeCap]. statsTimeout bounds every opStats
+// call: the health sweep, an overview, readmission and catch-up.
+const (
+	hedgeDefault    = 25 * time.Millisecond
+	hedgeFloor      = 2 * time.Millisecond
+	hedgeCap        = time.Second
+	hedgeMultiplier = 2
+	statsTimeout    = 2 * time.Second
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
@@ -70,20 +75,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	if cfg.HedgeDefault <= 0 {
-		cfg.HedgeDefault = 25 * time.Millisecond
-	}
-	if cfg.HedgeFloor <= 0 {
-		cfg.HedgeFloor = 2 * time.Millisecond
-	}
-	if cfg.HedgeCap <= 0 {
-		cfg.HedgeCap = time.Second
-	}
 	if cfg.PingInterval == 0 {
 		cfg.PingInterval = time.Second
-	}
-	if cfg.StatsTimeout <= 0 {
-		cfg.StatsTimeout = 2 * time.Second
 	}
 	return cfg
 }
@@ -139,11 +132,11 @@ type Coordinator struct {
 	closed  bool
 }
 
-// Connect builds a coordinator over the peers and probes them once.
-// Unreachable peers are tolerated (they may still be booting — the
-// health loop admits them when they appear); Connect fails only if no
-// peer at all is reachable, since the id counter needs at least one
-// node's view of the database.
+// Connect builds a coordinator over the peers and runs the first health
+// sweep (CheckPeers), which seeds the id counter. Unreachable peers are
+// tolerated (they may still be booting — the health loop admits them
+// when they appear); Connect fails only if no peer at all is reachable,
+// since the id counter needs at least one node's view of the database.
 func Connect(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Peers) == 0 {
@@ -166,56 +159,14 @@ func Connect(cfg Config) (*Coordinator, error) {
 		}
 		c.searchers = append(c.searchers, &remoteShard{co: c, idx: s, replicas: reps})
 	}
-	if err := c.initFromPeers(); err != nil {
-		return nil, err
+	if c.CheckPeers() == 0 {
+		return nil, fmt.Errorf("cluster: no peer reachable (tried %d)", len(c.peerAddrs))
 	}
 	if cfg.PingInterval > 0 {
 		c.wg.Add(1)
 		go c.healthLoop()
 	}
 	return c, nil
-}
-
-// initFromPeers probes every peer and seeds the id counter from the
-// largest id any reachable node has ever assigned.
-func (c *Coordinator) initFromPeers() error {
-	maxID := int32(-1)
-	reachable := 0
-	var total int64
-	counted := make(map[int]bool)
-	for _, p := range c.probePeers(nil) {
-		p.ps.up.Store(p.ok)
-		if !p.ok {
-			continue
-		}
-		reachable++
-		p.ps.epoch.Store(p.ns.Epoch)
-		for _, st := range p.ns.Shards {
-			maxID = max(maxID, st.MaxID)
-			if !counted[st.Shard] {
-				counted[st.Shard] = true
-				total += int64(st.Live)
-			}
-		}
-	}
-	if reachable == 0 {
-		return fmt.Errorf("cluster: no peer reachable (tried %d)", len(c.peerAddrs))
-	}
-	c.nextID.Store(maxID + 1)
-	c.cachedLen.Store(total)
-	return nil
-}
-
-func (c *Coordinator) nodeState(ps *peerState) (nodeState, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
-	defer cancel()
-	var ns nodeState
-	err := ps.call(ctx, opStats, nil, func(sr *binio.SectionReader) error {
-		var derr error
-		ns, derr = readNodeState(sr)
-		return derr
-	})
-	return ns, err
 }
 
 // Close stops the health loop and drops pooled connections.
@@ -391,17 +342,14 @@ func (c *Coordinator) orderedPeers() []*peerState {
 	return append(up, down...)
 }
 
-// hedgeMultiplier scales the observed search-RPC p95 into the hedge delay.
-const hedgeMultiplier = 2
-
 // hedgeDelay derives the hedge trigger from the live search-RPC p95.
 func (c *Coordinator) hedgeDelay() time.Duration {
 	snap := mSearchRPCSeconds.Snapshot()
 	if snap.Count() < 20 {
-		return c.cfg.HedgeDefault
+		return hedgeDefault
 	}
 	d := time.Duration(snap.Quantile(0.95) * hedgeMultiplier * float64(time.Second))
-	return min(max(d, c.cfg.HedgeFloor), c.cfg.HedgeCap)
+	return min(max(d, hedgeFloor), hedgeCap)
 }
 
 func (c *Coordinator) healthLoop() {
@@ -419,9 +367,10 @@ func (c *Coordinator) healthLoop() {
 }
 
 // CheckPeers probes every peer once, refreshing reachability, replica
-// lag, the cached length, and stale-peer readmission. The health loop
-// calls it periodically; tests call it directly.
-func (c *Coordinator) CheckPeers() {
+// lag, the cached length, the id counter and stale-peer readmission, and
+// returns how many readable peers are up. Connect runs the first sweep, the
+// health loop the rest; tests call it directly.
+func (c *Coordinator) CheckPeers() int {
 	probes := c.probePeers(nil)
 
 	// Freshest view of each shard among readable, reachable replicas.
@@ -436,8 +385,9 @@ func (c *Coordinator) CheckPeers() {
 	}
 
 	upCount := 0
-	var total int64
-	counted := make(map[int]bool)
+	var counted segment.Stats // one readable replica of each shard
+	seen := make(map[int]bool)
+	maxID := int32(-1)
 	for _, p := range probes {
 		ps := p.ps
 		if !p.ok {
@@ -455,38 +405,30 @@ func (c *Coordinator) CheckPeers() {
 		}
 		var lag uint64
 		for _, st := range p.ns.Shards {
-			if m := maxSeq[st.Shard]; m > st.MutSeq && m-st.MutSeq > lag {
-				lag = m - st.MutSeq
+			if m := maxSeq[st.Shard]; m > st.MutSeq {
+				lag = max(lag, m-st.MutSeq)
 			}
+			maxID = max(maxID, st.MaxID)
 		}
 		mReplicaLag.With(ps.addr).Set(float64(lag))
 		if ps.readable() && ps.up.Load() {
 			upCount++
 			for _, st := range p.ns.Shards {
-				if !counted[st.Shard] {
-					counted[st.Shard] = true
-					total += int64(st.Live)
+				if !seen[st.Shard] {
+					seen[st.Shard] = true
+					counted.Add(st.Shard, st.Stats)
 				}
 			}
 		}
 	}
 	mPeersUp.Set(float64(upCount))
-	if len(counted) == c.cfg.Shards {
-		c.cachedLen.Store(total)
+	if len(seen) == c.cfg.Shards {
+		c.cachedLen.Store(int64(counted.Live))
 	}
 
 	// Re-seed the id counter from the largest id any peer has assigned:
-	// the Connect-time probe may have run while some peers were still
-	// booting, under-counting the id space. Only ever raises.
-	maxID := int32(-1)
-	for _, p := range probes {
-		if !p.ok {
-			continue
-		}
-		for _, st := range p.ns.Shards {
-			maxID = max(maxID, st.MaxID)
-		}
-	}
+	// an earlier sweep may have run while some peers were still booting,
+	// under-counting the id space. Only ever raises.
 	if maxID >= 0 {
 		c.mutMu.Lock()
 		if next := maxID + 1; next > c.nextID.Load() {
@@ -494,63 +436,49 @@ func (c *Coordinator) CheckPeers() {
 		}
 		c.mutMu.Unlock()
 	}
+	return upCount
 }
 
 // tryReadmit rejoins a restarted stale peer iff, with mutations frozen,
-// every shard it hosts matches the freshest readable replica's sequence
-// number. Equality under the mutation lock is exact equality: nothing
-// can be applied while the check runs, and once readmitted the peer
-// receives every subsequent mutation.
+// every shard it hosts matches the sequence number of the freshest other
+// readable replica; a shard no other replica answers for passes, since
+// the candidate is the best copy there is. Equality under the mutation
+// lock is exact equality: nothing can be applied while the check runs,
+// and once readmitted the peer receives every subsequent mutation.
 func (c *Coordinator) tryReadmit(cand *peerState) {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
-	ns, err := c.nodeState(cand)
-	if err != nil {
+	// Ask only the candidate and the other replicas of the shards it
+	// hosts, so a peer that shares none of them, answering or not, holds
+	// no mutation up.
+	replicas := make(map[*peerState]bool)
+	for _, s := range Owned(c.placement, cand.addr) {
+		for _, addr := range c.placement[s] {
+			replicas[c.peers[addr]] = true
+		}
+	}
+	var own *nodeState
+	ref := make(map[int]uint64)
+	probes := c.probePeers(func(ps *peerState) bool { return ps == cand || replicas[ps] && ps.readable() })
+	for i, p := range probes {
+		switch {
+		case !p.ok:
+		case p.ps == cand:
+			own = &probes[i].ns
+		default:
+			for _, st := range p.ns.Shards {
+				ref[st.Shard] = max(ref[st.Shard], st.MutSeq)
+			}
+		}
+	}
+	if own == nil {
 		return
 	}
-	for _, st := range ns.Shards {
-		ref, ok := c.refShardSeq(st.Shard, cand)
-		if !ok {
-			// No other replica to compare against: the candidate is the
-			// best copy there is.
-			continue
-		}
-		if st.MutSeq != ref {
+	for _, st := range own.Shards {
+		if seq, ok := ref[st.Shard]; ok && st.MutSeq != seq {
 			return // still catching up; try again next sweep
 		}
 	}
 	cand.stale.Store(false)
 	cand.up.Store(true)
-}
-
-// refShardSeq asks the freshest non-stale replica of shard s (excluding
-// the candidate) for its sequence number.
-func (c *Coordinator) refShardSeq(s int, exclude *peerState) (uint64, bool) {
-	if s < 0 || s >= len(c.placement) {
-		return 0, false
-	}
-	best := uint64(0)
-	found := false
-	for _, addr := range c.placement[s] {
-		ps := c.peers[addr]
-		if ps == exclude || ps.stale.Load() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
-		var seq uint64
-		var has bool
-		err := ps.call(ctx, opShardState, apUv(nil, uint64(s)), func(sr *binio.SectionReader) error {
-			has = sr.U8() != 0
-			if has {
-				seq = sr.U64()
-			}
-			return sr.Err()
-		})
-		cancel()
-		if err != nil || !has {
-			continue
-		}
-		found, best = true, max(best, seq)
-	}
-	return best, found
 }

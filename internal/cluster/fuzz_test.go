@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"pis/internal/binio"
 	"pis/internal/core"
@@ -34,8 +36,8 @@ var frameCodecs = []struct {
 }
 
 // allocPerByte bounds what a decode may allocate per payload byte. The
-// widest expansion is a node state's: a 184-byte shardState per 10 bytes
-// the count check lets it claim, in a slice append may have doubled.
+// widest expansion is a node state's: a shardState per minCardBytes the
+// count check lets it claim, in a slice append may have doubled.
 const allocPerByte = 64
 
 // framePayload returns the section payload write produces.
@@ -113,8 +115,42 @@ func realFrames(f *testing.F) [][][]byte {
 	return [][][]byte{
 		{frame(res, 0), frame(core.Result{}, 0)},
 		{frame(ns, 1), frame([]core.Neighbor(nil), 1)},
-		{framePayload(f, node.writeState), frame(nodeState{Epoch: -7}, 2)},
+		{framePayload(f, node.writeState), frame(nodeState{Epoch: -7}, 2), frame(poisonedNodeState(), 2)},
 		{frame(graphs[9], 3), frame(weighted, 3)},
+	}
+}
+
+// poisonedNodeState is a node hosting two durable shards with poisoned
+// stores, one checkpointed and one not since it was opened: the card
+// fields a healthy node's state leaves at zero.
+func poisonedNodeState() nodeState {
+	card := segment.Stats{MutSeq: 9, Live: 7, MaxID: 12, Delta: 2, Tombstones: 1, Durable: true}
+	card.Store.WALRecords, card.Store.WALBytes, card.Store.SnapshotSeq = 3, 250, 4
+	card.Store.Recovery.ReplayedRecords = 2
+	card.Store.Poisoned, card.Store.PoisonReason = true, "wal: fsync: input/output error"
+	never := card
+	card.Store.Checkpoints, card.Store.LastCheckpoint = 1, time.Unix(1_700_000_000, 123_456_789)
+	return nodeState{Epoch: 5, Shards: []shardState{{Shard: 1, Stats: card}, {Shard: 4, Stats: never}}}
+}
+
+// TestCardCrossesTheWire: a card decodes to what was encoded, a zero
+// LastCheckpoint included, and the zero card's encoding is minCardBytes
+// long, the count check's bound.
+func TestCardCrossesTheWire(t *testing.T) {
+	want := poisonedNodeState()
+	got, err := readNodeState(frameSection(t, framePayload(t, func(sw *binio.SectionWriter) { writeNodeState(sw, &want) })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Shards) != 2 || !got.Shards[0].Store.LastCheckpoint.Equal(want.Shards[0].Store.LastCheckpoint) || !got.Shards[1].Store.LastCheckpoint.IsZero() {
+		t.Fatalf("last checkpoints decode as %+v, want %v and the zero time", got.Shards, want.Shards[0].Store.LastCheckpoint)
+	}
+	got.Shards[0].Store.LastCheckpoint = want.Shards[0].Store.LastCheckpoint
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, encoded %+v", got, want)
+	}
+	if n := len(framePayload(t, func(sw *binio.SectionWriter) { writeShardState(sw, &shardState{}) })); n != minCardBytes {
+		t.Fatalf("the zero card encodes to %d bytes, minCardBytes is %d", n, minCardBytes)
 	}
 }
 

@@ -206,8 +206,6 @@ func (n *Node) serveOne(ctx context.Context, op byte, c net.Conn, sr *binio.Sect
 		if err = endOfRequest(sr); err == nil {
 			err = n.forEachShard((*segment.Segment).Checkpoint)
 		}
-	case opShardState:
-		err = n.handleShardState(sr, sw)
 	case opWALAfter:
 		err = n.handleWALAfter(sr, sw)
 	default:
@@ -424,48 +422,9 @@ func (n *Node) writeState(sw *binio.SectionWriter) {
 	idxs, segs := n.Shards()
 	ns := nodeState{Epoch: n.epoch}
 	for i, seg := range segs {
-		st := shardState{
-			Shard:  idxs[i],
-			MutSeq: seg.MutSeq(),
-			Live:   seg.Live(),
-			MaxID:  seg.MaxID(),
-			Delta:  seg.DeltaLen(),
-			Tombs:  seg.Tombstoned(),
-		}
-		is, im := seg.IndexStats()
-		st.Classes, st.Frags, st.Seqs = is.Classes, is.Fragments, is.Sequences
-		st.Store, st.Bitmap, st.FPs = im.StoreBytes, im.BitmapBytes, im.FingerprintBytes
-		if ss, ok := seg.StoreStats(); ok {
-			st.WALRecords = ss.WALRecords
-			st.WALBytes = ss.WALBytes
-			st.SnapshotSeq = ss.SnapshotSeq
-			st.Checkpoints = ss.Checkpoints
-			if !ss.LastCheckpoint.IsZero() {
-				st.LastCheckpoint = ss.LastCheckpoint.UnixNano()
-			}
-			st.ReplayedRecords = ss.Recovery.ReplayedRecords
-			st.DroppedBytes = ss.Recovery.DroppedBytes
-			st.Poisoned = ss.Poisoned
-			st.PoisonReason = ss.PoisonReason
-		}
-		ns.Shards = append(ns.Shards, st)
+		ns.Shards = append(ns.Shards, shardState{Shard: idxs[i], Stats: seg.Stats()})
 	}
 	writeNodeState(sw, &ns)
-}
-
-func (n *Node) handleShardState(sr *binio.SectionReader, sw *binio.SectionWriter) error {
-	idx := int(sr.Uvarint())
-	if err := endOfRequest(sr); err != nil {
-		return err
-	}
-	seg := n.Shard(idx)
-	if seg == nil {
-		sw.U8(0)
-		return nil
-	}
-	sw.U8(1)
-	sw.U64(seg.MutSeq())
-	return nil
 }
 
 func (n *Node) handleWALAfter(sr *binio.SectionReader, sw *binio.SectionWriter) error {

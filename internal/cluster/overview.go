@@ -1,19 +1,21 @@
-// Cluster-wide aggregation: one Overview rolls every node's per-shard
-// state up into the same index/durability shape the single-process
-// database reports, so /stats against a coordinator reads like /stats
-// against a local database — plus the cluster block (peers up, shards
-// covered). Each shard is counted once, from its freshest reachable
-// replica; replicas are interchangeable by construction, so "freshest
-// reachable" and "any readable copy" only differ while a mutation or
-// catch-up is actually in flight.
+// Cluster-wide aggregation: one Overview sums every shard's card with
+// segment.Stats.Add, the rule the single-process database sums its
+// shards by, so /stats against a coordinator reads like /stats against a
+// local database — plus the cluster block (peers up, shards covered).
+// Each shard is counted once, from its freshest reachable replica;
+// replicas are interchangeable by construction, so "freshest reachable"
+// and "any readable copy" only differ while a mutation or catch-up is
+// actually in flight.
 
 package cluster
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
 
-	"pis/internal/index"
+	"pis/internal/segment"
 )
 
 // Overview is the coordinator's aggregate view of the cluster.
@@ -26,33 +28,9 @@ type Overview struct {
 	Shards         int
 	CoveredShards  int
 	Replication    int
-
-	// Index totals, summed over one replica of each covered shard, except
-	// Classes: the shards share one feature set, so it is the largest
-	// shard's class count.
-	Live       int
-	Classes    int
-	Fragments  int
-	Sequences  int
-	Delta      int
-	Tombstones int
-	Memory     index.Memory
-
-	// Durability totals. Durable reports whether every counted shard
-	// has a checkpointed store behind it; SnapshotSeq is the lowest
-	// (oldest) shard snapshot sequence, the conservative answer to "how
-	// far back might recovery reach". A poisoned replica poisons the
-	// aggregate, carrying the first reason seen.
-	Durable         bool
-	WALRecords      int64
-	WALBytes        int64
-	SnapshotSeq     uint64
-	Checkpoints     int64
-	LastCheckpoint  int64 // unix nanos of the oldest per-shard newest checkpoint
-	ReplayedRecords int
-	DroppedBytes    int64
-	Poisoned        bool
-	PoisonReason    string
+	// Total sums the cards of one replica of each covered shard
+	// (segment.Stats.Add); it is the zero card when none is covered.
+	Total segment.Stats
 }
 
 // probe is one peer's opStats answer; ok is false when the peer failed
@@ -76,7 +54,7 @@ func (c *Coordinator) probePeers(ask func(*peerState) bool) []probe {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ns, err := c.nodeState(p.ps)
+			ns, err := p.ps.state(context.Background())
 			p.ns, p.ok = ns, err == nil
 		}()
 	}
@@ -86,14 +64,13 @@ func (c *Coordinator) probePeers(ask func(*peerState) bool) []probe {
 
 // Overview polls every readable peer and aggregates. Unreachable peers
 // are skipped; the result covers whatever subset answered.
-func (c *Coordinator) Overview(ctx context.Context) Overview {
+func (c *Coordinator) Overview() Overview {
 	ov := Overview{
 		Peers:       len(c.peerAddrs),
 		Shards:      c.cfg.Shards,
 		Replication: c.cfg.Replication,
-		Durable:     true,
 	}
-	best := make(map[int]shardState)
+	best := make(map[int]segment.Stats)
 	for _, p := range c.probePeers((*peerState).readable) {
 		if !p.ok {
 			continue
@@ -101,47 +78,13 @@ func (c *Coordinator) Overview(ctx context.Context) Overview {
 		ov.PeersUp++
 		for _, st := range p.ns.Shards {
 			if prev, seen := best[st.Shard]; !seen || st.MutSeq > prev.MutSeq {
-				best[st.Shard] = st
+				best[st.Shard] = st.Stats
 			}
 		}
 	}
 	ov.CoveredShards = len(best)
-	if len(best) == 0 {
-		ov.Durable = false
-		return ov
-	}
-	first := true
-	for _, st := range best {
-		ov.Live += st.Live
-		ov.Classes = max(ov.Classes, st.Classes)
-		ov.Fragments += st.Frags
-		ov.Sequences += st.Seqs
-		ov.Delta += st.Delta
-		ov.Tombstones += st.Tombs
-		ov.Memory.StoreBytes += st.Store
-		ov.Memory.BitmapBytes += st.Bitmap
-		ov.Memory.FingerprintBytes += st.FPs
-		ov.WALRecords += st.WALRecords
-		ov.WALBytes += st.WALBytes
-		ov.Checkpoints += st.Checkpoints
-		ov.ReplayedRecords += st.ReplayedRecords
-		ov.DroppedBytes += st.DroppedBytes
-		// A store always has snapshot seq >= 1 once persisted; 0 marks an
-		// in-memory replica, which makes the cluster non-durable.
-		if st.SnapshotSeq == 0 {
-			ov.Durable = false
-		}
-		if first || st.SnapshotSeq < ov.SnapshotSeq {
-			ov.SnapshotSeq = st.SnapshotSeq
-		}
-		if first || st.LastCheckpoint < ov.LastCheckpoint {
-			ov.LastCheckpoint = st.LastCheckpoint
-		}
-		if st.Poisoned && !ov.Poisoned {
-			ov.Poisoned = true
-			ov.PoisonReason = st.PoisonReason
-		}
-		first = false
+	for _, sh := range slices.Sorted(maps.Keys(best)) {
+		ov.Total.Add(sh, best[sh])
 	}
 	return ov
 }

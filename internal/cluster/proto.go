@@ -28,6 +28,7 @@ import (
 	"pis/internal/binio"
 	"pis/internal/core"
 	"pis/internal/graph"
+	"pis/internal/segment"
 )
 
 const (
@@ -40,7 +41,6 @@ const (
 	opGraph
 	opCompact
 	opCheckpoint
-	opShardState
 	opWALAfter
 	opFetchFiles
 )
@@ -194,78 +194,69 @@ func readNeighbors(sr *binio.SectionReader) ([]core.Neighbor, error) {
 	return out, sr.Err()
 }
 
-// shardState is one shard replica's identity card, served by opStats
-// (all local shards) and opShardState (one shard): everything the
-// coordinator needs for /stats aggregation, replica-lag gauges, and
-// catch-up decisions.
+// shardState is one shard replica's card (segment.Stats) as opStats
+// carries it: what the coordinator sums for /stats, compares for replica
+// lag and readmission, and what catch-up picks its source by.
 type shardState struct {
-	Shard   int
-	MutSeq  uint64
-	Live    int
-	MaxID   int32
-	Classes int
-	Frags   int
-	Seqs    int
-	Delta   int
-	Tombs   int
-	// Store, Bitmap and FPs are the bytes of index.Memory.
-	Store  int
-	Bitmap int
-	FPs    int
-
-	WALRecords      int64
-	WALBytes        int64
-	SnapshotSeq     uint64
-	Checkpoints     int64
-	LastCheckpoint  int64 // unix nanos, 0 = never
-	ReplayedRecords int
-	DroppedBytes    int64
-	Poisoned        bool
-	PoisonReason    string
+	Shard int
+	segment.Stats
 }
 
+// minCardBytes is the shortest encoding of a shardState: MutSeq and
+// SnapshotSeq take 8 bytes each, every other field at least 1.
+const minCardBytes = 36
+
 func writeShardState(sw *binio.SectionWriter, st *shardState) {
+	ss := &st.Store
 	sw.Uvarint(uint64(st.Shard))
 	sw.U64(st.MutSeq)
-	sw.Varint(int64(st.Live))
 	sw.Varint(int64(st.MaxID))
-	for _, v := range []int{st.Classes, st.Frags, st.Seqs, st.Delta, st.Tombs, st.Store, st.Bitmap, st.FPs} {
+	for _, v := range []int{st.Live, st.Delta, st.Tombstones, st.Index.Classes, st.Index.Fragments, st.Index.Sequences,
+		st.Memory.StoreBytes, st.Memory.BitmapBytes, st.Memory.FingerprintBytes, ss.Recovery.ReplayedRecords} {
 		sw.Varint(int64(v))
 	}
-	sw.Varint(st.WALRecords)
-	sw.Varint(st.WALBytes)
-	sw.U64(st.SnapshotSeq)
-	sw.Varint(st.Checkpoints)
-	sw.Varint(st.LastCheckpoint)
-	sw.Varint(int64(st.ReplayedRecords))
-	sw.Varint(st.DroppedBytes)
-	sw.Bool(st.Poisoned)
-	sw.Uvarint(uint64(len(st.PoisonReason)))
-	sw.Bytes([]byte(st.PoisonReason))
+	sw.Bool(st.Durable)
+	sw.Varint(ss.WALRecords)
+	sw.Varint(ss.WALBytes)
+	sw.U64(ss.SnapshotSeq)
+	sw.Varint(ss.Checkpoints)
+	// Never checkpointed travels as 0: the zero time's UnixNano overflows.
+	var last int64
+	if !ss.LastCheckpoint.IsZero() {
+		last = ss.LastCheckpoint.UnixNano()
+	}
+	sw.Varint(last)
+	sw.Varint(ss.Recovery.DroppedBytes)
+	sw.Bool(ss.Poisoned)
+	sw.Uvarint(uint64(len(ss.PoisonReason)))
+	sw.Bytes([]byte(ss.PoisonReason))
 }
 
 func readShardState(sr *binio.SectionReader) shardState {
 	var st shardState
+	ss := &st.Store
 	st.Shard = int(sr.Uvarint())
 	st.MutSeq = sr.U64()
-	st.Live = int(sr.Varint())
 	maxID := sr.Varint()
 	if maxID < math.MinInt32 || maxID > math.MaxInt32 {
 		sr.Malformed("max id")
 	}
 	st.MaxID = int32(maxID)
-	for _, p := range []*int{&st.Classes, &st.Frags, &st.Seqs, &st.Delta, &st.Tombs, &st.Store, &st.Bitmap, &st.FPs} {
+	for _, p := range []*int{&st.Live, &st.Delta, &st.Tombstones, &st.Index.Classes, &st.Index.Fragments, &st.Index.Sequences,
+		&st.Memory.StoreBytes, &st.Memory.BitmapBytes, &st.Memory.FingerprintBytes, &ss.Recovery.ReplayedRecords} {
 		*p = int(sr.Varint())
 	}
-	st.WALRecords = sr.Varint()
-	st.WALBytes = sr.Varint()
-	st.SnapshotSeq = sr.U64()
-	st.Checkpoints = sr.Varint()
-	st.LastCheckpoint = sr.Varint()
-	st.ReplayedRecords = int(sr.Varint())
-	st.DroppedBytes = sr.Varint()
-	st.Poisoned = sr.Bool()
-	st.PoisonReason = string(sr.Bytes(int(sr.Uvarint())))
+	st.Durable = sr.Bool()
+	ss.WALRecords = sr.Varint()
+	ss.WALBytes = sr.Varint()
+	ss.SnapshotSeq = sr.U64()
+	ss.Checkpoints = sr.Varint()
+	if last := sr.Varint(); last != 0 {
+		ss.LastCheckpoint = time.Unix(0, last)
+	}
+	ss.Recovery.DroppedBytes = sr.Varint()
+	ss.Poisoned = sr.Bool()
+	ss.PoisonReason = string(sr.Bytes(int(sr.Uvarint())))
 	return st
 }
 
@@ -286,9 +277,21 @@ func writeNodeState(sw *binio.SectionWriter, ns *nodeState) {
 func readNodeState(sr *binio.SectionReader) (nodeState, error) {
 	var ns nodeState
 	ns.Epoch = sr.Varint()
-	n := sr.Count(10, "shard state list")
+	n := sr.Count(minCardBytes, "shard state list")
 	for i := 0; i < n; i++ {
 		ns.Shards = append(ns.Shards, readShardState(sr))
 	}
 	return ns, sr.Err()
+}
+
+// state asks p for its node state, giving it statsTimeout at most.
+func (p *peer) state(ctx context.Context) (nodeState, error) {
+	ctx, cancel := context.WithTimeout(ctx, statsTimeout)
+	defer cancel()
+	var ns nodeState
+	err := p.call(ctx, opStats, nil, func(sr *binio.SectionReader) (err error) {
+		ns, err = readNodeState(sr)
+		return err
+	})
+	return ns, err
 }

@@ -117,20 +117,14 @@ func freshestPeer(ctx context.Context, peers []*peer, idx int) (*peer, uint64) {
 	var best *peer
 	var bestSeq uint64
 	for _, p := range peers {
-		var seq uint64
-		var has bool
-		err := p.call(ctx, opShardState, apUv(nil, uint64(idx)), func(sr *binio.SectionReader) error {
-			has = sr.U8() != 0
-			if has {
-				seq = sr.U64()
-			}
-			return sr.Err()
-		})
-		if err != nil || !has {
+		ns, err := p.state(ctx)
+		if err != nil {
 			continue
 		}
-		if best == nil || seq > bestSeq {
-			best, bestSeq = p, seq
+		for _, st := range ns.Shards {
+			if st.Shard == idx && (best == nil || st.MutSeq > bestSeq) {
+				best, bestSeq = p, st.MutSeq
+			}
 		}
 	}
 	return best, bestSeq

@@ -50,8 +50,8 @@ func BenchmarkCompact(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if seg.DeltaLen() != 0 || len(seg.base) != (nBase+nDelta)/10*9 {
-				b.Fatalf("compacted to %d graphs, delta %d", len(seg.base), seg.DeltaLen())
+			if d := seg.Stats().Delta; d != 0 || len(seg.base) != (nBase+nDelta)/10*9 {
+				b.Fatalf("compacted to %d graphs, delta %d", len(seg.base), d)
 			}
 		}
 	})

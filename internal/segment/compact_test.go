@@ -212,8 +212,8 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 				if got := segment.ClassKeys(seg); !slices.Equal(got, classes) {
 					t.Fatalf("compaction %d (%d survivors) changed the class list: %d classes at New, %d now", compactions, len(live), len(classes), len(got))
 				}
-				if seg.DeltaLen() != 0 || seg.Tombstoned() != 0 {
-					t.Fatalf("compaction %d left delta %d, tombstones %d", compactions, seg.DeltaLen(), seg.Tombstoned())
+				if st := seg.Stats(); st.Delta != 0 || st.Tombstones != 0 {
+					t.Fatalf("compaction %d left delta %d, tombstones %d", compactions, st.Delta, st.Tombstones)
 				}
 				answers += sameAsFresh(t, fmt.Sprintf("after compaction %d", compactions), seg, live, queries)
 			}
@@ -244,7 +244,7 @@ func TestMergedCompactionsDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st, _ := seg.StoreStats(); st.Recovery.ReplayedRecords != 0 {
+				if st := seg.Stats().Store; st.Recovery.ReplayedRecords != 0 {
 					t.Fatalf("reopen replayed %d WAL records, want a bare snapshot", st.Recovery.ReplayedRecords)
 				}
 				if got := segment.ClassKeys(seg); !slices.Equal(got, classes) {

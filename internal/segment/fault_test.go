@@ -109,7 +109,7 @@ func TestSegmentWALPoisoningReadOnly(t *testing.T) {
 	if _, err := seg.Delete(5); !errors.Is(err, store.ErrPoisoned) {
 		t.Fatalf("delete after poisoning = %v, want ErrPoisoned", err)
 	}
-	if st, ok := seg.StoreStats(); !ok || !st.Poisoned {
+	if st := seg.Stats(); !st.Durable || !st.Store.Poisoned {
 		t.Fatalf("store stats not poisoned: %+v", st)
 	}
 
@@ -134,7 +134,7 @@ func TestSegmentWALPoisoningReadOnly(t *testing.T) {
 		t.Fatalf("recovered live=%d graph3=%v graph10=%v graph11=%v; want acked prefix only",
 			seg2.Live(), seg2.Graph(3) != nil, seg2.Graph(10) != nil, seg2.Graph(11) != nil)
 	}
-	if _, err := seg2.Insert(segGraph(rng), seg2.MaxID()+1); err != nil {
+	if _, err := seg2.Insert(segGraph(rng), seg2.Stats().MaxID+1); err != nil {
 		t.Fatalf("recovered segment rejects mutations: %v", err)
 	}
 }

@@ -184,7 +184,7 @@ func (s *Segment) AbandonStore() {
 // recovered graphs) and the WAL's valid prefix is replayed — inserts
 // land in the delta, deletes become tombstones — reproducing the exact
 // acknowledged pre-crash state. A torn WAL tail is dropped and reported
-// in StoreStats().Recovery.
+// in Stats().Store.Recovery.
 func OpenDurable(dir string, cfg Config) (*Segment, error) {
 	st, snap, recs, err := store.OpenFS(dir, cfg.Index.Metric, cfg.FS)
 	if err != nil {
@@ -474,18 +474,6 @@ func (s *Segment) Checkpoint() error {
 	return s.st.WriteSnapshot(s.snapshotStateLocked())
 }
 
-// Durable reports whether the segment has a backing store.
-func (s *Segment) Durable() bool { return s.st != nil }
-
-// StoreStats returns the backing store's durability counters; ok is
-// false for an in-memory segment.
-func (s *Segment) StoreStats() (st store.Stats, ok bool) {
-	if s.st == nil {
-		return store.Stats{}, false
-	}
-	return s.st.Stats(), true
-}
-
 // MutSeq returns the segment's mutation sequence number: the count of
 // acknowledged mutations ever applied, durable across restarts. Replica
 // catch-up compares two replicas' MutSeqs to pick WAL shipping (the gap
@@ -540,15 +528,6 @@ func (s *Segment) TransferState() (ts *store.TransferState, dir string, err erro
 		return nil, "", err
 	}
 	return ts, s.st.Dir(), nil
-}
-
-// MaxID returns the largest global id ever assigned through this
-// segment (-1 when none), so an owner can restore its id counter after
-// recovery without risking reuse.
-func (s *Segment) MaxID() int32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.maxID
 }
 
 // Close releases the backing store (no-op for in-memory segments). The
@@ -632,21 +611,6 @@ func (s *Segment) compactLocked() error {
 // segments is not blocked by a WAL fsync in progress on this one.
 func (s *Segment) Live() int { return int(s.nlive.Load()) }
 
-// DeltaLen returns the number of unindexed delta graphs (including
-// tombstoned ones; they vanish at the next compaction).
-func (s *Segment) DeltaLen() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.delta)
-}
-
-// Tombstoned returns the number of deleted-but-not-compacted graphs.
-func (s *Segment) Tombstoned() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tombs.Count()
-}
-
 // Graph returns the live graph with the given global id, or nil.
 func (s *Segment) Graph(id int32) *graph.Graph {
 	s.mu.RLock()
@@ -686,15 +650,97 @@ func (s *Segment) LearnedSurvival() []core.SurvivalCell {
 	return s.snapshot().srch.LearnedSurvival()
 }
 
-// IndexStats returns the base index counters and the heap the index holds
-// beside its class stores, with the fingerprints of the base and delta
-// graphs as its FingerprintBytes.
-func (s *Segment) IndexStats() (index.Stats, index.Memory) {
+// Stats is one segment's card: every figure it reports about itself,
+// read at one instant. Add sums cards into a zero Stats, the empty
+// roll-up.
+type Stats struct {
+	MutSeq uint64 // see MutSeq
+	Live   int
+	// MaxID is the largest global id ever assigned through the segment,
+	// so an owner can restore its id counter without risking reuse.
+	MaxID int32
+	// Delta counts inserted graphs not yet folded into the index
+	// (tombstoned ones included); Tombstones counts deleted graphs not
+	// yet compacted away.
+	Delta      int
+	Tombstones int
+	Index      index.Stats
+	// Memory is the heap the index holds beside its class stores, with
+	// the fingerprints of the base and delta graphs as FingerprintBytes.
+	Memory index.Memory
+	// Durable reports a backing store, and Store is its counters (zero
+	// for an in-memory segment).
+	Durable bool
+	Store   store.Stats
+
+	added bool // false marks the empty roll-up
+}
+
+// Stats returns the segment's card, read under one lock so that its
+// figures describe one state.
+func (s *Segment) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m := s.idx.Memory()
-	m.FingerprintBytes = int(unsafe.Sizeof(graph.FP{})) * (len(s.base) + len(s.delta))
-	return s.idx.Stats(), m
+	st := Stats{
+		MutSeq:     s.mutSeq,
+		Live:       int(s.nlive.Load()),
+		MaxID:      s.maxID,
+		Delta:      len(s.delta),
+		Tombstones: s.tombs.Count(),
+		Index:      s.idx.Stats(),
+		Memory:     s.idx.Memory(),
+		Durable:    s.st != nil,
+	}
+	st.Memory.FingerprintBytes = int(unsafe.Sizeof(graph.FP{})) * (len(s.base) + len(s.delta))
+	if s.st != nil {
+		st.Store = s.st.Stats()
+	}
+	return st
+}
+
+// Add folds shard's card o into s. It is the one roll-up of several
+// shards, a database's or a cluster's: counts and bytes sum; Index.Classes
+// is the larger, since the shards share one feature set, and so is MaxID;
+// the sum is durable when every shard is, and its snapshot sequence and
+// last checkpoint are the oldest shard's (a zero LastCheckpoint, never,
+// is the oldest), the conservative answer to how stale recovery could be;
+// and the first poisoned shard names the cause, as "shard N: reason".
+// MutSeq and Store.Recovery.SnapshotSeq place one shard in its own
+// history, so the roll-up leaves them zero.
+func (s *Stats) Add(shard int, o Stats) {
+	if o.Store.Poisoned {
+		o.Store.PoisonReason = fmt.Sprintf("shard %d: %s", shard, o.Store.PoisonReason)
+	}
+	if !s.added {
+		*s = o
+		s.MutSeq, s.Store.Recovery.SnapshotSeq = 0, 0
+		s.added = true
+		return
+	}
+	s.Live += o.Live
+	s.MaxID = max(s.MaxID, o.MaxID)
+	s.Delta += o.Delta
+	s.Tombstones += o.Tombstones
+	s.Index.Classes = max(s.Index.Classes, o.Index.Classes)
+	s.Index.Fragments += o.Index.Fragments
+	s.Index.Sequences += o.Index.Sequences
+	s.Memory.StoreBytes += o.Memory.StoreBytes
+	s.Memory.BitmapBytes += o.Memory.BitmapBytes
+	s.Memory.FingerprintBytes += o.Memory.FingerprintBytes
+	s.Durable = s.Durable && o.Durable
+	a, b := &s.Store, &o.Store
+	a.WALRecords += b.WALRecords
+	a.WALBytes += b.WALBytes
+	a.SnapshotSeq = min(a.SnapshotSeq, b.SnapshotSeq)
+	a.Checkpoints += b.Checkpoints
+	if b.LastCheckpoint.Before(a.LastCheckpoint) {
+		a.LastCheckpoint = b.LastCheckpoint
+	}
+	a.Recovery.ReplayedRecords += b.Recovery.ReplayedRecords
+	a.Recovery.DroppedBytes += b.Recovery.DroppedBytes
+	if b.Poisoned && !a.Poisoned {
+		a.Poisoned, a.PoisonReason = true, b.PoisonReason
+	}
 }
 
 // GraphBytes returns the heap the base and delta graphs hold

@@ -414,7 +414,7 @@ func Open(dir string, opts Options) (*Database, error) {
 	}
 	nextID := int32(0)
 	for _, seg := range segs {
-		nextID = max(nextID, seg.MaxID()+1)
+		nextID = max(nextID, seg.Stats().MaxID+1)
 	}
 	return newDatabase(segs, nextID, opts), nil
 }
@@ -546,7 +546,7 @@ func (db *Database) Checkpoint() error {
 }
 
 // durable reports whether the database has backing stores.
-func (db *Database) durable() bool { return db.segs[0].Durable() }
+func (db *Database) durable() bool { return db.segs[0].Stats().Durable }
 
 // Close releases the backing stores' file handles. Queries keep working;
 // a durable database's mutations fail afterwards, an in-memory one's not.
@@ -585,41 +585,61 @@ type DurabilityStats struct {
 	RecoveryDroppedBytes int64
 	// Poisoned is true after a disk fault put the store (any shard's)
 	// into read-only mode: mutations fail with ErrStorePoisoned, queries
-	// keep answering from memory. PoisonReason describes the first fault.
+	// keep answering from memory. PoisonReason names the first poisoned
+	// shard and its fault ("shard N: ...").
 	Poisoned     bool
 	PoisonReason string
 }
 
-// Durability reports the backing store's counters aggregated across
-// shards; Durable is false for an in-memory database. Counts sum; the
-// snapshot sequence and last checkpoint are the oldest shard's, the
-// conservative answer to "how stale could recovery be"; one poisoned
-// shard makes the database read-only for inserts, since routing cannot
-// promise to avoid it, and the first one names the cause.
-func (db *Database) Durability() DurabilityStats {
-	var d DurabilityStats
+// Durability reports the backing store's counters summed over the
+// shards by segment.Stats.Add; Durable is false for an in-memory
+// database. Counts sum; the snapshot sequence and last checkpoint are the
+// oldest shard's, the conservative answer to "how stale could recovery
+// be"; one poisoned shard makes the database read-only for inserts, since
+// routing cannot promise to avoid it, and the first one names the cause.
+func (db *Database) Durability() DurabilityStats { return durability(db.total()) }
+
+// total sums the shards' cards.
+func (db *Database) total() segment.Stats {
+	var t segment.Stats
 	for i, seg := range db.segs {
-		s, ok := seg.StoreStats()
-		if !ok {
-			return DurabilityStats{}
-		}
-		d.WALRecords += s.WALRecords
-		d.WALBytes += s.WALBytes
-		d.Checkpoints += s.Checkpoints
-		d.ReplayedRecords += s.Recovery.ReplayedRecords
-		d.RecoveryDroppedBytes += s.Recovery.DroppedBytes
-		if i == 0 || s.SnapshotSeq < d.SnapshotSeq {
-			d.SnapshotSeq = s.SnapshotSeq
-		}
-		if i == 0 || s.LastCheckpoint.Before(d.LastCheckpoint) {
-			d.LastCheckpoint = s.LastCheckpoint
-		}
-		if s.Poisoned && !d.Poisoned {
-			d.Poisoned, d.PoisonReason = true, fmt.Sprintf("shard %d: %s", i, s.PoisonReason)
-		}
+		t.Add(i, seg.Stats())
 	}
-	d.Durable = true
-	return d
+	return t
+}
+
+// durability and indexStats are the public forms of a summed card, the
+// one pair of conversions a Database and a ClusterNode report through.
+func durability(t segment.Stats) DurabilityStats {
+	if !t.Durable {
+		return DurabilityStats{}
+	}
+	s := &t.Store
+	return DurabilityStats{
+		Durable:              true,
+		WALRecords:           s.WALRecords,
+		WALBytes:             s.WALBytes,
+		SnapshotSeq:          s.SnapshotSeq,
+		Checkpoints:          s.Checkpoints,
+		LastCheckpoint:       s.LastCheckpoint,
+		ReplayedRecords:      s.Recovery.ReplayedRecords,
+		RecoveryDroppedBytes: s.Recovery.DroppedBytes,
+		Poisoned:             s.Poisoned,
+		PoisonReason:         s.PoisonReason,
+	}
+}
+
+func indexStats(t segment.Stats) IndexStats {
+	return IndexStats{
+		Features:         t.Index.Classes,
+		Fragments:        t.Index.Fragments,
+		Sequences:        t.Index.Sequences,
+		Delta:            t.Delta,
+		Tombstones:       t.Tombstones,
+		StoreBytes:       t.Memory.StoreBytes,
+		BitmapBytes:      t.Memory.BitmapBytes,
+		FingerprintBytes: t.Memory.FingerprintBytes,
+	}
 }
 
 // SearchNaive verifies every graph; the reference answer. The query must
@@ -700,18 +720,10 @@ type IndexStats struct {
 
 // Stats sums the per-shard index counters. Features counts the feature
 // set the shards share, once: it is the largest shard's class count.
+// GraphBytes walks every graph, which no other report does.
 func (db *Database) Stats() IndexStats {
-	var out IndexStats
+	out := indexStats(db.total())
 	for _, seg := range db.segs {
-		s, m := seg.IndexStats()
-		out.Features = max(out.Features, s.Classes)
-		out.Fragments += s.Fragments
-		out.Sequences += s.Sequences
-		out.Delta += seg.DeltaLen()
-		out.Tombstones += seg.Tombstoned()
-		out.StoreBytes += m.StoreBytes
-		out.BitmapBytes += m.BitmapBytes
-		out.FingerprintBytes += m.FingerprintBytes
 		out.GraphBytes += seg.GraphBytes()
 	}
 	return out

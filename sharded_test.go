@@ -245,21 +245,20 @@ func TestShardedStatsSumShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, m := seg.IndexStats()
-		if i > 0 && s.Classes != want.Features {
-			t.Fatalf("shard %d has %d classes, shard 0 %d: not one shared set", i, s.Classes, want.Features)
+		st := seg.Stats()
+		if i > 0 && st.Index.Classes != want.Features {
+			t.Fatalf("shard %d has %d classes, shard 0 %d: not one shared set", i, st.Index.Classes, want.Features)
 		}
-		want.Features = s.Classes
-		want.Fragments += s.Fragments
-		want.Sequences += s.Sequences
-		want.Delta += seg.DeltaLen()
-		want.Tombstones += seg.Tombstoned()
-		want.StoreBytes += m.StoreBytes
-		want.BitmapBytes += m.BitmapBytes
-		want.FingerprintBytes += m.FingerprintBytes
+		want.Features = st.Index.Classes
+		want.Fragments += st.Index.Fragments
+		want.Sequences += st.Index.Sequences
+		want.Delta += st.Delta
+		want.Tombstones += st.Tombstones
+		want.StoreBytes += st.Memory.StoreBytes
+		want.BitmapBytes += st.Memory.BitmapBytes
+		want.FingerprintBytes += st.Memory.FingerprintBytes
 		want.GraphBytes += seg.GraphBytes()
-		st, _ := seg.StoreStats()
-		wal += int64(st.Recovery.ReplayedRecords)
+		wal += int64(st.Store.Recovery.ReplayedRecords)
 		seg.Close()
 	}
 	// The graphs' heap counts the invariants the search cached, which the
