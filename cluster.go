@@ -290,25 +290,23 @@ func (cn *ClusterNode) Checkpoint() error {
 	return cn.co.Checkpoint(ctx)
 }
 
-// Stats sums index statistics over one replica of each covered shard
-// (replicas are interchangeable, so one copy represents a shard), as a
-// Database sums its shards; GraphBytes is 0, since no graph is walked.
-func (cn *ClusterNode) Stats() IndexStats { return indexStats(cn.co.Overview().Total) }
+// Stats runs one cluster overview: one status RPC to every readable
+// peer, whose cards (the freshest replica of each covered shard; replicas
+// are interchangeable) sum as a Database sums its shards, beside the
+// membership. No graph is walked.
+func (cn *ClusterNode) Stats() Stats {
+	m, total := cn.co.Overview()
+	out := statsOf(total)
+	out.Cluster = &m
+	return out
+}
 
-// Durability sums durability state over one replica of each covered
-// shard, as a Database sums its shards.
-func (cn *ClusterNode) Durability() DurabilityStats { return durability(cn.co.Overview().Total) }
-
-// Overview returns the coordinator's cluster-wide view: peers up,
-// shards covered, and the shards' summed card.
-func (cn *ClusterNode) Overview() ClusterOverview { return cn.co.Overview() }
+// ClusterStats is a cluster node's membership: peers, shards covered by a
+// readable replica and the replica count (see cluster.Membership).
+type ClusterStats = cluster.Membership
 
 // NumShards returns the cluster's global shard count.
 func (cn *ClusterNode) NumShards() int { return cn.co.NumShards() }
-
-// ClusterOverview is the coordinator's aggregate cluster view; see
-// ClusterNode.Overview.
-type ClusterOverview = cluster.Overview
 
 // CheckPeers runs one synchronous health sweep (reachability, replica
 // lag, stale-replica readmission). The background loop does this on

@@ -278,7 +278,7 @@ func TestClusterQuorumLoss(t *testing.T) {
 	if !errors.Is(err, pis.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
-	ov := cn.Overview()
+	ov := cn.Stats().Cluster
 	if ov.CoveredShards >= ov.Shards {
 		t.Errorf("overview reports full coverage (%d/%d) during quorum loss", ov.CoveredShards, ov.Shards)
 	}
@@ -480,7 +480,8 @@ func TestClusterMemoAcrossKillAndCatchUp(t *testing.T) {
 // database over the same graphs, given the same inserts and deletes,
 // report the same index figures, and after a reopen that has not
 // checkpointed the same durability figures: both sum one card per shard
-// by one rule. Only GraphBytes differs, a walk a ClusterNode does not do.
+// by one rule. Only the cluster block differs, and the graph walk
+// (Database.GraphBytes) a ClusterNode does not do.
 func TestClusterReportsWhatDatabaseReports(t *testing.T) {
 	graphs := gen.Molecules(60, gen.Config{Seed: 31})
 	extra := gen.Molecules(66, gen.Config{Seed: 32})[60:]
@@ -513,11 +514,14 @@ func TestClusterReportsWhatDatabaseReports(t *testing.T) {
 	}
 	sameStats := func(when string, cn *pis.ClusterNode) {
 		t.Helper()
-		got, want := cn.Stats(), db.Stats()
-		if got.GraphBytes != 0 || want.GraphBytes == 0 {
-			t.Errorf("%s: graph bytes %d through the cluster, %d in the database; want 0 and more", when, got.GraphBytes, want.GraphBytes)
+		gotAll, wantAll := cn.Stats(), db.Stats()
+		if gotAll.Cluster == nil || wantAll.Cluster != nil {
+			t.Errorf("%s: cluster block %+v through the cluster, %+v in the database; want one and none", when, gotAll.Cluster, wantAll.Cluster)
 		}
-		want.GraphBytes = 0
+		if n := db.GraphBytes(); n == 0 {
+			t.Errorf("%s: graph bytes %d in the database; want more", when, n)
+		}
+		got, want := gotAll.Index, wantAll.Index
 		if got != want || want.Delta != 6 || want.Tombstones != 3 {
 			t.Errorf("%s: cluster Stats() = %+v, database %+v (6 delta, 3 tombstones)", when, got, want)
 		}
@@ -537,14 +541,14 @@ func TestClusterReportsWhatDatabaseReports(t *testing.T) {
 	}
 	nodes = startTestCluster(t, addrs, 3, 2, dirs, graphs)
 	sameStats("reopened", nodes[0])
-	got, want := nodes[0].Durability(), db.Durability()
+	got, want := nodes[0].Stats().Durability, db.Stats().Durability
 	if !want.Durable || want.WALRecords != 9 || want.ReplayedRecords != 9 || !want.LastCheckpoint.IsZero() {
-		t.Fatalf("reopened database Durability() = %+v, want 9 WAL records replayed and no checkpoint", want)
+		t.Fatalf("reopened database Stats().Durability = %+v, want 9 WAL records replayed and no checkpoint", want)
 	}
 	if got.Durable != want.Durable || got.WALRecords != want.WALRecords || got.WALBytes != want.WALBytes ||
 		got.SnapshotSeq != want.SnapshotSeq || got.ReplayedRecords != want.ReplayedRecords ||
 		got.LastCheckpoint.IsZero() != want.LastCheckpoint.IsZero() {
-		t.Errorf("reopened cluster Durability() = %+v, database %+v", got, want)
+		t.Errorf("reopened cluster Stats().Durability = %+v, database %+v", got, want)
 	}
 }
 
@@ -568,7 +572,7 @@ func TestClusterBootstrapSharesOneFeatureSet(t *testing.T) {
 	}
 	dirs := []string{t.TempDir(), t.TempDir()}
 	nodes := startTestCluster(t, addrs, len(placement), 1, dirs, graphs)
-	if got := nodes[0].Stats().Features; got != len(want) {
+	if got := nodes[0].Stats().Index.Features; got != len(want) {
 		t.Errorf("cluster Stats().Features = %d, want the %d features of the set", got, len(want))
 	}
 	for _, cn := range nodes {

@@ -119,7 +119,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := db.Durability()
+		d := db.Stats().Durability
 		log.Printf("recovered %d graphs in %d shards from %s in %v (replayed %d WAL records, dropped %d torn bytes)",
 			db.Len(), db.NumShards(), *dataDir, time.Since(start), d.ReplayedRecords, d.RecoveryDroppedBytes)
 	default:
@@ -131,7 +131,7 @@ func main() {
 		}
 	}
 	defer db.Close()
-	st := db.Stats()
+	st := db.Stats().Index
 	log.Printf("index: %d shards, %d features, %d fragments", db.NumShards(), st.Features, st.Fragments)
 
 	serve(db, sc)
@@ -225,9 +225,9 @@ func runCluster(self, peerList string, shards, replication int, dataDir string, 
 		log.Fatal(err)
 	}
 	defer cn.Close()
-	ov := cn.Overview()
+	c := cn.Stats().Cluster
 	log.Printf("cluster node %s up in %v: %d peers (%d up), %d shards (%d covered), replication %d",
-		self, time.Since(start), ov.Peers, ov.PeersUp, ov.Shards, ov.CoveredShards, ov.Replication)
+		self, time.Since(start), c.Peers, c.PeersUp, c.Shards, c.CoveredShards, c.Replication)
 	serve(cn, sc)
 }
 

@@ -27,7 +27,6 @@ type durableDB interface {
 	mutableDB
 	Checkpoint() error
 	Close() error
-	Durability() pis.DurabilityStats
 }
 
 // crashCopy snapshots the store directory as-is — the moral equivalent
@@ -223,7 +222,7 @@ func runTornTail(t *testing.T, dir string, db durableDB, nShards, damageShard in
 		// A truncation at a record boundary leaves a shorter but valid
 		// log — nothing to drop; only mid-record damage leaves a garbage
 		// tail that recovery must discard and report.
-		if d := crashed.Durability(); garbageTail && d.RecoveryDroppedBytes == 0 {
+		if d := crashed.Stats().Durability; garbageTail && d.RecoveryDroppedBytes == 0 {
 			t.Errorf("%s: recovery reported no dropped bytes despite a damaged tail", name)
 		}
 	}
@@ -312,7 +311,7 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 	if err := db.Checkpoint(); err != pis.ErrNotDurable {
 		t.Fatalf("Checkpoint on in-memory db: %v, want ErrNotDurable", err)
 	}
-	if d := db.Durability(); d.Durable {
+	if d := db.Stats().Durability; d.Durable {
 		t.Fatal("in-memory database claims to be durable")
 	}
 	pool := gen.Molecules(4, gen.Config{Seed: 95})
@@ -337,7 +336,7 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 	if err := db.Persist(dir); err == nil {
 		t.Fatal("second Persist succeeded")
 	}
-	if d := db.Durability(); !d.Durable || d.SnapshotSeq != 1 {
+	if d := db.Stats().Durability; !d.Durable || d.SnapshotSeq != 1 {
 		t.Fatalf("after Persist: %+v", d)
 	}
 	// Mutations after Persist are WAL-logged.
@@ -350,7 +349,7 @@ func TestDurabilityPersistThenOpen(t *testing.T) {
 
 	re := reopen(t, dir, opts)
 	defer re.Close()
-	if d := re.Durability(); d.ReplayedRecords != 1 {
+	if d := re.Stats().Durability; d.ReplayedRecords != 1 {
 		t.Fatalf("recovery replayed %d records, want 1", d.ReplayedRecords)
 	}
 	checkEquivalence(t, rand.New(rand.NewSource(21)), re, m, opts)
@@ -435,7 +434,7 @@ func TestPersistFailureRollsBack(t *testing.T) {
 		if err := db.Persist(bad); err == nil {
 			t.Fatalf("shards=%d: Persist over an unwritable root manifest succeeded", shards)
 		}
-		if db.Durability().Durable {
+		if db.Stats().Durability.Durable {
 			t.Fatalf("shards=%d: database is half-durable after a failed Persist", shards)
 		}
 		for i := 0; i < shards; i++ {

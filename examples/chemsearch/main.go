@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
+	st := db.Stats().Index
 	fmt.Printf("indexed in %v: %d features, %d fragments, %d sequences\n\n",
 		time.Since(start).Round(time.Millisecond), st.Features, st.Fragments, st.Sequences)
 

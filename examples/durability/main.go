@@ -68,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer re.Close()
-	d := re.Durability()
+	d := re.Stats().Durability
 	fmt.Printf("recovered %d graphs (replayed %d WAL records, %d torn bytes dropped)\n",
 		re.Len(), d.ReplayedRecords, d.RecoveryDroppedBytes)
 
@@ -84,6 +84,6 @@ func main() {
 	if err := re.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpointed: wal_records=%d snapshot_seq=%d\n",
-		re.Durability().WALRecords, re.Durability().SnapshotSeq)
+	d = re.Stats().Durability
+	fmt.Printf("checkpointed: wal_records=%d snapshot_seq=%d\n", d.WALRecords, d.SnapshotSeq)
 }

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
+	st := db.Stats().Index
 	fmt.Printf("index: %d classes, %d fragment weight vectors\n\n", st.Features, st.Sequences)
 
 	queries := gen.Queries(molecules, 5, 8, 77)

@@ -27,13 +27,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pis/internal/binio"
 	"pis/internal/graph"
-	"pis/internal/segment"
 	"pis/internal/shard"
 )
 
@@ -372,58 +372,44 @@ func (c *Coordinator) healthLoop() {
 // health loop the rest; tests call it directly.
 func (c *Coordinator) CheckPeers() int {
 	probes := c.probePeers(nil)
-
-	// Freshest view of each shard among readable, reachable replicas.
-	maxSeq := make(map[int]uint64)
-	for _, p := range probes {
-		if !p.ok || !p.ps.readable() {
-			continue
-		}
-		for _, st := range p.ns.Shards {
-			maxSeq[st.Shard] = max(maxSeq[st.Shard], st.MutSeq)
-		}
-	}
-
-	upCount := 0
-	var counted segment.Stats // one readable replica of each shard
-	seen := make(map[int]bool)
-	maxID := int32(-1)
 	for _, p := range probes {
 		ps := p.ps
 		if !p.ok {
 			ps.up.Store(false)
-			mReplicaLag.With(ps.addr).Set(-1)
 			continue
 		}
 		ps.epoch.Store(p.ns.Epoch)
-		if ps.stale.Load() {
-			if p.ns.Epoch != ps.staleAtEpoch.Load() {
-				c.tryReadmit(ps)
-			}
-		} else {
+		if !ps.stale.Load() {
 			ps.up.Store(true)
+		} else if p.ns.Epoch != ps.staleAtEpoch.Load() {
+			c.tryReadmit(ps)
+		}
+	}
+
+	// Lag and the cached length read each shard's freshest readable card.
+	best := freshest(probes, (*peerState).readable)
+	upCount := 0
+	maxID := int32(-1)
+	for _, p := range probes {
+		if !p.ok {
+			mReplicaLag.With(p.ps.addr).Set(-1)
+			continue
 		}
 		var lag uint64
 		for _, st := range p.ns.Shards {
-			if m := maxSeq[st.Shard]; m > st.MutSeq {
+			if m := best[st.Shard].MutSeq; m > st.MutSeq {
 				lag = max(lag, m-st.MutSeq)
 			}
 			maxID = max(maxID, st.MaxID)
 		}
-		mReplicaLag.With(ps.addr).Set(float64(lag))
-		if ps.readable() && ps.up.Load() {
+		mReplicaLag.With(p.ps.addr).Set(float64(lag))
+		if p.ps.readable() && p.ps.up.Load() {
 			upCount++
-			for _, st := range p.ns.Shards {
-				if !seen[st.Shard] {
-					seen[st.Shard] = true
-					counted.Add(st.Shard, st.Stats)
-				}
-			}
 		}
 	}
 	mPeersUp.Set(float64(upCount))
-	if len(seen) == c.cfg.Shards {
-		c.cachedLen.Store(int64(counted.Live))
+	if len(best) == c.cfg.Shards {
+		c.cachedLen.Store(int64(sum(best).Live))
 	}
 
 	// Re-seed the id counter from the largest id any peer has assigned:
@@ -457,25 +443,14 @@ func (c *Coordinator) tryReadmit(cand *peerState) {
 			replicas[c.peers[addr]] = true
 		}
 	}
-	var own *nodeState
-	ref := make(map[int]uint64)
 	probes := c.probePeers(func(ps *peerState) bool { return ps == cand || replicas[ps] && ps.readable() })
-	for i, p := range probes {
-		switch {
-		case !p.ok:
-		case p.ps == cand:
-			own = &probes[i].ns
-		default:
-			for _, st := range p.ns.Shards {
-				ref[st.Shard] = max(ref[st.Shard], st.MutSeq)
-			}
-		}
-	}
-	if own == nil {
+	i := slices.IndexFunc(probes, func(p probe) bool { return p.ps == cand })
+	if !probes[i].ok {
 		return
 	}
-	for _, st := range own.Shards {
-		if seq, ok := ref[st.Shard]; ok && st.MutSeq != seq {
+	ref := freshest(probes, func(ps *peerState) bool { return ps != cand })
+	for _, st := range probes[i].ns.Shards {
+		if r, ok := ref[st.Shard]; ok && st.MutSeq != r.MutSeq {
 			return // still catching up; try again next sweep
 		}
 	}

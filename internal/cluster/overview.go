@@ -2,10 +2,10 @@
 // segment.Stats.Add, the rule the single-process database sums its
 // shards by, so /stats against a coordinator reads like /stats against a
 // local database — plus the cluster block (peers up, shards covered).
-// Each shard is counted once, from its freshest reachable replica;
-// replicas are interchangeable by construction, so "freshest reachable"
-// and "any readable copy" only differ while a mutation or catch-up is
-// actually in flight.
+// Each shard is counted once, from its freshest reachable replica (the
+// one rule, freshest, by which the health sweep and readmission pick a
+// card too); replicas are interchangeable, so "freshest" and "any" only
+// differ while a mutation or catch-up is actually in flight.
 
 package cluster
 
@@ -18,19 +18,16 @@ import (
 	"pis/internal/segment"
 )
 
-// Overview is the coordinator's aggregate view of the cluster.
-type Overview struct {
-	// Peers and PeersUp count cluster membership vs. reachability;
-	// Shards and CoveredShards count the keyspace vs. how much of it at
-	// least one readable replica answered for. CoveredShards < Shards
-	// means queries are failing with ErrUnavailable right now.
-	Peers, PeersUp int
-	Shards         int
-	CoveredShards  int
-	Replication    int
-	// Total sums the cards of one replica of each covered shard
-	// (segment.Stats.Add); it is the zero card when none is covered.
-	Total segment.Stats
+// Membership is the cluster as one coordinator sees it, pis.ClusterStats.
+// Peers and PeersUp count membership vs. reachability; Shards and
+// CoveredShards the keyspace vs. the shards some readable replica answered
+// for: fewer means queries are failing with ErrUnavailable right now.
+type Membership struct {
+	Peers         int `json:"peers"`
+	PeersUp       int `json:"peers_up"`
+	Shards        int `json:"shards"`
+	CoveredShards int `json:"covered_shards"`
+	Replication   int `json:"replication"`
 }
 
 // probe is one peer's opStats answer; ok is false when the peer failed
@@ -62,29 +59,43 @@ func (c *Coordinator) probePeers(ask func(*peerState) bool) []probe {
 	return probes
 }
 
-// Overview polls every readable peer and aggregates. Unreachable peers
-// are skipped; the result covers whatever subset answered.
-func (c *Coordinator) Overview() Overview {
-	ov := Overview{
-		Peers:       len(c.peerAddrs),
-		Shards:      c.cfg.Shards,
-		Replication: c.cfg.Replication,
-	}
+// freshest is the one rule a shard's card is picked by: among the probes
+// that answered and whose peer admit accepts, each shard's card from the
+// replica with the highest mutation sequence.
+func freshest(probes []probe, admit func(*peerState) bool) map[int]segment.Stats {
 	best := make(map[int]segment.Stats)
-	for _, p := range c.probePeers((*peerState).readable) {
-		if !p.ok {
+	for _, p := range probes {
+		if !p.ok || !admit(p.ps) {
 			continue
 		}
-		ov.PeersUp++
 		for _, st := range p.ns.Shards {
 			if prev, seen := best[st.Shard]; !seen || st.MutSeq > prev.MutSeq {
 				best[st.Shard] = st.Stats
 			}
 		}
 	}
-	ov.CoveredShards = len(best)
-	for _, sh := range slices.Sorted(maps.Keys(best)) {
-		ov.Total.Add(sh, best[sh])
+	return best
+}
+
+// sum adds up one card per shard in shard order.
+func sum(cards map[int]segment.Stats) segment.Stats {
+	var t segment.Stats
+	for _, sh := range slices.Sorted(maps.Keys(cards)) {
+		t.Add(sh, cards[sh])
 	}
-	return ov
+	return t
+}
+
+// Overview polls every readable peer once and returns the membership and
+// the sum of each covered shard's freshest card (zero when none is).
+func (c *Coordinator) Overview() (Membership, segment.Stats) {
+	probes := c.probePeers((*peerState).readable)
+	best := freshest(probes, (*peerState).readable)
+	m := Membership{Peers: len(c.peerAddrs), Shards: c.cfg.Shards, CoveredShards: len(best), Replication: c.cfg.Replication}
+	for _, p := range probes {
+		if p.ok {
+			m.PeersUp++
+		}
+	}
+	return m, sum(best)
 }

@@ -128,7 +128,7 @@ const oracleQueries = 3
 // allocation-counted loop and after the peak RSS is read, it checks the
 // first oracleQueries answer sets against db.SearchNaive.
 func Measure(db *pis.Database, qs []*graph.Graph, sigma float64) BenchReport {
-	st := db.Stats()
+	st := db.Stats().Index
 	rep := BenchReport{
 		Queries:    len(qs),
 		Sigma:      sigma,

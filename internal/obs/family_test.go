@@ -21,12 +21,12 @@ func newHistogram(name, help, label, value string, buckets []float64) *Histogram
 func TestRegistrationMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("pis_stage_total", "", "stage")
-	r.GaugeFunc("pis_live", "", func() float64 { return 1 })
+	r.GaugeGroup(func() []float64 { return []float64{1} }, GaugeSpec{"pis_live", ""})
 	for name, try := range map[string]func(){
-		"unlabeled counter":     func() { r.Counter("pis_stage_total", "") },
-		"other label":           func() { r.CounterVec("pis_stage_total", "", "tier") },
-		"histogram":             func() { r.HistogramVec("pis_stage_total", "", "stage", nil) },
-		"gauge over gauge func": func() { r.Gauge("pis_live", "") },
+		"unlabeled counter":      func() { r.Counter("pis_stage_total", "") },
+		"other label":            func() { r.CounterVec("pis_stage_total", "", "tier") },
+		"histogram":              func() { r.HistogramVec("pis_stage_total", "", "stage", nil) },
+		"gauge over gauge group": func() { r.Gauge("pis_live", "") },
 	} {
 		func() {
 			defer func() {
@@ -85,6 +85,14 @@ func TestFamilyConcurrentWithAndWrite(t *testing.T) {
 			}
 		}()
 	}
+	// A newer owner rebinds a gauge group while scrapes sample it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			r.GaugeGroup(func() []float64 { return []float64{float64(i), 1} }, GaugeSpec{"pis_rebound", ""}, GaugeSpec{"pis_rebound_too", ""})
+		}
+	}()
 	wg.Wait()
 	close(stop)
 	if err := <-rendered; err != nil {

@@ -28,7 +28,7 @@ func TestExpositionGolden(t *testing.T) {
 	gv := r.GaugeVec("pis_golden_lag", "A gauge family.", "peer")
 	gv.With("10.0.0.1:7000").Set(-1)
 	gv.With("10.0.0.2:7000").Set(12)
-	r.GaugeFunc("pis_golden_func", "A scrape-time gauge.", func() float64 { return 1e6 })
+	r.GaugeGroup(func() []float64 { return []float64{1e6} }, GaugeSpec{"pis_golden_func", "A scrape-time gauge."})
 
 	h := r.Histogram("pis_golden_seconds", `Escaped help: a \ backslash
 and a newline.`, []float64{0.001, 0.01, 0.1})

@@ -25,9 +25,9 @@
 //     Registering a name again returns the existing family (a kind or
 //     label mismatch panics), so package-level metric variables and
 //     repeatedly constructed servers share one instrument the way
-//     Prometheus client libraries do. GaugeFunc re-registration
-//     replaces the callback: the newest owner of a scrape-time value
-//     wins.
+//     Prometheus client libraries do. GaugeGroup re-registration
+//     rebinds its gauges to the new callback: the newest owner of a
+//     scrape-time value wins.
 //   - No dependencies. The exposition format is written by hand; it is
 //     a stable, line-oriented text format.
 package obs
@@ -65,7 +65,14 @@ var SizeBuckets = []float64{
 }
 
 // metric is one registered family; write emits its exposition lines.
-type metric interface{ write(w *bufio.Writer) }
+type metric interface{ write(w *scrape) }
+
+// scrape is one exposition pass: its writer, and the values of each gauge
+// group sampled so far, so a group's callback runs once a scrape.
+type scrape struct {
+	*bufio.Writer
+	groups map[*gaugeGroup][]float64
+}
 
 // Registry holds named metrics and renders them in Prometheus text
 // exposition format. The zero value is not usable; use NewRegistry or
@@ -93,11 +100,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	ms := append([]metric(nil), r.ordered...)
 	r.mu.Unlock()
-	bw := bufio.NewWriter(w)
+	sc := &scrape{Writer: bufio.NewWriter(w), groups: make(map[*gaugeGroup][]float64)}
 	for _, m := range ms {
-		m.write(bw)
+		m.write(sc)
 	}
-	return bw.Flush()
+	return sc.Flush()
 }
 
 // --- families ---
@@ -106,8 +113,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // lines; pair is its label pair (label="value"), empty in an unlabeled
 // family.
 type instrument interface {
-	*Counter | *Gauge | *Histogram | *gaugeFunc
-	sample(w *bufio.Writer, name, pair string)
+	*Counter | *Gauge | *Histogram | *grouped
+	sample(w *scrape, name, pair string)
 }
 
 // family is one named metric of one kind: its help text, exposition
@@ -165,7 +172,7 @@ func (f *family[C]) With(value string) C {
 // the samples above its largest bound: a quantile that falls among them
 // reads as that bound, so a non-zero value says the histogram's upper
 // quantiles are underestimates.
-func (f *family[C]) write(w *bufio.Writer) {
+func (f *family[C]) write(w *scrape) {
 	f.mu.Lock()
 	values, children := f.values, f.children // append-only: the prefix is stable
 	f.mu.Unlock()
@@ -243,15 +250,22 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return register(r, name, help, "gauge", label, func() *Gauge { return new(Gauge) })
 }
 
-// GaugeFunc registers a callback-backed gauge sampled at scrape time.
-// Re-registering the same name replaces the callback — the newest owner
-// of the underlying value (for instance the most recently constructed
-// server) wins.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	g := register(r, name, help, "gauge", "", func() *gaugeFunc { return &gaugeFunc{fn: fn} }).With("")
-	g.mu.Lock()
-	g.fn = fn
-	g.mu.Unlock()
+// GaugeSpec names one gauge of a GaugeGroup.
+type GaugeSpec struct{ Name, Help string }
+
+// GaugeGroup registers scrape-time gauges read from one source: a scrape
+// calls sample once, at the first of the gauges it writes, and writes
+// sample's i-th value as gauges[i]. Registering a name again rebinds it
+// to the new group — the newest owner of the underlying value (for
+// instance the most recently constructed server) wins.
+func (r *Registry) GaugeGroup(sample func() []float64, gauges ...GaugeSpec) {
+	grp := &gaugeGroup{sample: sample}
+	for i, spec := range gauges {
+		c := register(r, spec.Name, spec.Help, "gauge", "", func() *grouped { return &grouped{grp: grp, i: i} }).With("")
+		c.mu.Lock()
+		c.grp, c.i = grp, i
+		c.mu.Unlock()
+	}
 }
 
 // Histogram returns the unlabeled histogram registered under name,
@@ -289,7 +303,7 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) sample(w *bufio.Writer, name, pair string) {
+func (c *Counter) sample(w *scrape, name, pair string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, braces(pair), c.v.Load())
 }
 
@@ -312,21 +326,30 @@ func (g *Gauge) Add(d float64) {
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) sample(w *bufio.Writer, name, pair string) {
+func (g *Gauge) sample(w *scrape, name, pair string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, braces(pair), formatFloat(g.Value()))
 }
 
-// gaugeFunc samples a value at scrape time via a callback.
-type gaugeFunc struct {
-	mu sync.Mutex
-	fn func() float64
+// gaugeGroup is one GaugeGroup registration's callback.
+type gaugeGroup struct{ sample func() []float64 }
+
+// grouped is one gauge of a group: the group's i-th value.
+type grouped struct {
+	mu  sync.Mutex
+	grp *gaugeGroup
+	i   int
 }
 
-func (g *gaugeFunc) sample(w *bufio.Writer, name, pair string) {
+func (g *grouped) sample(w *scrape, name, pair string) {
 	g.mu.Lock()
-	fn := g.fn
+	grp, i := g.grp, g.i
 	g.mu.Unlock()
-	fmt.Fprintf(w, "%s%s %s\n", name, braces(pair), formatFloat(fn()))
+	vals, ok := w.groups[grp]
+	if !ok {
+		vals = grp.sample()
+		w.groups[grp] = vals
+	}
+	fmt.Fprintf(w, "%s%s %s\n", name, braces(pair), formatFloat(vals[i]))
 }
 
 // Histogram is a fixed-bucket distribution with atomic bucket counts
@@ -376,7 +399,7 @@ func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q
 
 // sample emits the cumulative bucket, sum and count lines; the bucket
 // bound joins the child's label pair inside one label set.
-func (h *Histogram) sample(w *bufio.Writer, name, pair string) {
+func (h *Histogram) sample(w *scrape, name, pair string) {
 	prefix := ""
 	if pair != "" {
 		prefix = pair + ","
@@ -453,7 +476,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // --- exposition helpers ---
 
-func header(w *bufio.Writer, name, help, typ string) {
+func header(w io.Writer, name, help, typ string) {
 	if help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n", name, sanitizeHelp(help))
 	}

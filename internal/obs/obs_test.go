@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -61,7 +62,7 @@ func TestCounterVec(t *testing.T) {
 	}
 }
 
-func TestGaugeAndGaugeFunc(t *testing.T) {
+func TestGaugeAndGaugeGroup(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("pis_gauge", "g")
 	g.Set(2.5)
@@ -69,15 +70,44 @@ func TestGaugeAndGaugeFunc(t *testing.T) {
 		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 	val := 7.0
-	r.GaugeFunc("pis_gf", "gf", func() float64 { return val })
+	r.GaugeGroup(func() []float64 { return []float64{val} }, GaugeSpec{"pis_gf", "gf"})
 	// Re-registration replaces the callback.
-	r.GaugeFunc("pis_gf", "gf", func() float64 { return val * 2 })
+	r.GaugeGroup(func() []float64 { return []float64{val * 2} }, GaugeSpec{"pis_gf", "gf"})
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "pis_gf 14") {
-		t.Errorf("gauge func not replaced:\n%s", sb.String())
+		t.Errorf("gauge group not replaced:\n%s", sb.String())
+	}
+}
+
+// TestGaugeGroupSampledOncePerScrape: a group's callback runs once a
+// scrape, however many of its gauges the scrape writes and whatever sits
+// between them, and each gauge writes its own value of that one sample.
+func TestGaugeGroupSampledOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.GaugeGroup(func() []float64 {
+		calls++
+		return []float64{float64(calls), float64(10 * calls)}
+	}, GaugeSpec{"pis_a", "a"}, GaugeSpec{"pis_b", "b"})
+	r.Counter("pis_between_total", "registered between the group and its rebinding")
+	// Rebinding one gauge of the group moves it to the newest group.
+	r.GaugeGroup(func() []float64 { return []float64{-1} }, GaugeSpec{"pis_b", "b"})
+	for scrape := 1; scrape <= 3; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if calls != scrape {
+			t.Fatalf("after %d scrapes the callback ran %d times", scrape, calls)
+		}
+		for _, want := range []string{fmt.Sprintf("pis_a %d\n", scrape), "pis_b -1\n"} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("scrape %d lacks %q:\n%s", scrape, want, sb.String())
+			}
+		}
 	}
 }
 

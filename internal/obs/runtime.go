@@ -42,20 +42,17 @@ func ReadProcessStats() ProcessStats {
 }
 
 // RegisterProcessMetrics registers scrape-time gauges exposing the Go
-// runtime telemetry of ReadProcessStats on r. Safe to call repeatedly.
+// runtime telemetry of ReadProcessStats on r, read once a scrape. Safe to
+// call repeatedly.
 func RegisterProcessMetrics(r *Registry) {
-	r.GaugeFunc("pis_goroutines",
-		"Live goroutines in the process.",
-		func() float64 { return float64(ReadProcessStats().Goroutines) })
-	r.GaugeFunc("pis_heap_bytes",
-		"Bytes of live heap objects.",
-		func() float64 { return float64(ReadProcessStats().HeapBytes) })
-	r.GaugeFunc("pis_gc_cycles_total",
-		"Completed GC cycles since process start.",
-		func() float64 { return float64(ReadProcessStats().GCCycles) })
-	r.GaugeFunc("pis_gc_pause_seconds_total",
-		"Estimated total stop-the-world GC pause time since process start.",
-		func() float64 { return ReadProcessStats().GCPauseTotalMS / 1000 })
+	r.GaugeGroup(func() []float64 {
+		ps := ReadProcessStats()
+		return []float64{float64(ps.Goroutines), float64(ps.HeapBytes), float64(ps.GCCycles), ps.GCPauseTotalMS / 1000}
+	},
+		GaugeSpec{"pis_goroutines", "Live goroutines in the process."},
+		GaugeSpec{"pis_heap_bytes", "Bytes of live heap objects."},
+		GaugeSpec{"pis_gc_cycles_total", "Completed GC cycles since process start."},
+		GaugeSpec{"pis_gc_pause_seconds_total", "Estimated total stop-the-world GC pause time since process start."})
 }
 
 // histogramTotal estimates the sum of all observations in a

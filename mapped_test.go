@@ -51,7 +51,7 @@ func TestMappedDurableReopen(t *testing.T) {
 				}
 				m.live[id] = g
 			}
-			if d := db.Stats().Delta; d >= 10 {
+			if d := db.Stats().Index.Delta; d >= 10 {
 				t.Fatalf("%d delta graphs after 10 inserts: no automatic compaction ran", d)
 			}
 			for _, id := range []int32{3, 7, 26} {

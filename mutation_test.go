@@ -32,7 +32,7 @@ type mutableDB interface {
 	SearchContext(ctx context.Context, q *pis.Graph, sigma float64) (pis.Result, error)
 	SearchKNN(q *pis.Graph, k int, maxSigma float64) []pis.Neighbor
 	SearchBatch(queries []*pis.Graph, sigma float64, workers int) []pis.Result
-	Stats() pis.IndexStats
+	Stats() pis.Stats
 }
 
 // mutationModel mirrors the expected database contents by stable id.
@@ -201,7 +201,7 @@ func runMutationDifferential(t *testing.T, seed int64, db mutableDB, initial []*
 	if err := db.Compact(); err != nil {
 		t.Fatalf("final Compact: %v", err)
 	}
-	if st := db.Stats(); st.Delta != 0 || st.Tombstones != 0 {
+	if st := db.Stats().Index; st.Delta != 0 || st.Tombstones != 0 {
 		t.Fatalf("after Compact: delta=%d tombstones=%d, want 0/0", st.Delta, st.Tombstones)
 	}
 	checkEquivalence(t, rng, db, m, opts)
@@ -292,7 +292,7 @@ func TestAutoCompactionTriggers(t *testing.T) {
 		if _, err := db.Insert(g); err != nil {
 			t.Fatal(err)
 		}
-		st := db.Stats()
+		st := db.Stats().Index
 		if st.Delta > 0 {
 			sawDelta = true
 		}

@@ -38,14 +38,14 @@ func noFeatureQueries(t *testing.T) (rings, extra, queries []*pis.Graph) {
 // *pis.Database and *pis.ClusterNode both have.
 type searcher interface {
 	querySurface
-	Stats() pis.IndexStats
+	Stats() pis.Stats
 }
 
 // checkNoFeatures asserts that s indexes no class and that every Search
 // and SearchKNN over queries equals oracle's verification of every graph.
 func checkNoFeatures(t *testing.T, stage string, s searcher, oracle *pis.Database, queries []*pis.Graph) {
 	t.Helper()
-	if f := s.Stats().Features; f != 0 {
+	if f := s.Stats().Index.Features; f != 0 {
 		t.Fatalf("%s: %d features, want none", stage, f)
 	}
 	for qi, q := range queries {

@@ -20,8 +20,9 @@
 // For large databases, NewSharded partitions the graphs into contiguous
 // shards indexed and searched in parallel — the same Database type, with
 // the same answers — and the server package plus the pisserved command
-// expose a database over an HTTP JSON API with a canonical-query result
-// cache.
+// expose a database over an HTTP JSON API. Repeated queries are answered
+// by each shard's result memo, keyed by the query's canonical form, so an
+// isomorphic repeat in any vertex order hits it too.
 //
 // Databases are durable when rooted in a data directory with Create /
 // CreateSharded (or upgraded in place with Persist): every Insert and
@@ -591,46 +592,45 @@ type DurabilityStats struct {
 	PoisonReason string
 }
 
-// Durability reports the backing store's counters summed over the
-// shards by segment.Stats.Add; Durable is false for an in-memory
-// database. Counts sum; the snapshot sequence and last checkpoint are the
+// Stats is a backend's status: its shards' cards, each read under one
+// lock and summed by one rule (segment.Stats.Add). Reading it is
+// O(shards); no figure walks the graphs, as Database.GraphBytes does.
+type Stats struct {
+	Index      IndexStats
+	Durability DurabilityStats
+	// Cluster is a ClusterNode's membership; nil on a Database.
+	Cluster *ClusterStats
+}
+
+// Stats reads every shard's card once and sums them. Counts and bytes
+// sum; Features is the largest shard's class count, the one feature set
+// the shards share; the snapshot sequence and last checkpoint are the
 // oldest shard's, the conservative answer to "how stale could recovery
 // be"; one poisoned shard makes the database read-only for inserts, since
 // routing cannot promise to avoid it, and the first one names the cause.
-func (db *Database) Durability() DurabilityStats { return durability(db.total()) }
-
-// total sums the shards' cards.
-func (db *Database) total() segment.Stats {
+func (db *Database) Stats() Stats {
 	var t segment.Stats
 	for i, seg := range db.segs {
 		t.Add(i, seg.Stats())
 	}
-	return t
+	return statsOf(t)
 }
 
-// durability and indexStats are the public forms of a summed card, the
-// one pair of conversions a Database and a ClusterNode report through.
-func durability(t segment.Stats) DurabilityStats {
-	if !t.Durable {
-		return DurabilityStats{}
+// GraphBytes returns the heap the base and delta graphs of every shard
+// hold, cached invariants included (graph.HeapBytes): a walk over every
+// graph, O(graphs), which is why Stats leaves it out.
+func (db *Database) GraphBytes() int {
+	n := 0
+	for _, seg := range db.segs {
+		n += seg.GraphBytes()
 	}
-	s := &t.Store
-	return DurabilityStats{
-		Durable:              true,
-		WALRecords:           s.WALRecords,
-		WALBytes:             s.WALBytes,
-		SnapshotSeq:          s.SnapshotSeq,
-		Checkpoints:          s.Checkpoints,
-		LastCheckpoint:       s.LastCheckpoint,
-		ReplayedRecords:      s.Recovery.ReplayedRecords,
-		RecoveryDroppedBytes: s.Recovery.DroppedBytes,
-		Poisoned:             s.Poisoned,
-		PoisonReason:         s.PoisonReason,
-	}
+	return n
 }
 
-func indexStats(t segment.Stats) IndexStats {
-	return IndexStats{
+// statsOf is the public form of a summed card, the one conversion a
+// Database and a ClusterNode report through.
+func statsOf(t segment.Stats) Stats {
+	out := Stats{Index: IndexStats{
 		Features:         t.Index.Classes,
 		Fragments:        t.Index.Fragments,
 		Sequences:        t.Index.Sequences,
@@ -639,7 +639,23 @@ func indexStats(t segment.Stats) IndexStats {
 		StoreBytes:       t.Memory.StoreBytes,
 		BitmapBytes:      t.Memory.BitmapBytes,
 		FingerprintBytes: t.Memory.FingerprintBytes,
+	}}
+	if t.Durable {
+		s := &t.Store
+		out.Durability = DurabilityStats{
+			Durable:              true,
+			WALRecords:           s.WALRecords,
+			WALBytes:             s.WALBytes,
+			SnapshotSeq:          s.SnapshotSeq,
+			Checkpoints:          s.Checkpoints,
+			LastCheckpoint:       s.LastCheckpoint,
+			ReplayedRecords:      s.Recovery.ReplayedRecords,
+			RecoveryDroppedBytes: s.Recovery.DroppedBytes,
+			Poisoned:             s.Poisoned,
+			PoisonReason:         s.PoisonReason,
+		}
 	}
+	return out
 }
 
 // SearchNaive verifies every graph; the reference answer. The query must
@@ -685,8 +701,10 @@ func (db *Database) PlannerState() []PlannerCell {
 	return out
 }
 
-// IndexStats summarizes the fragment index and its mutation overlay. Its
-// JSON form is the "index" object of pisserved's /stats and /compact.
+// IndexStats summarizes the fragment index and its mutation overlay, every
+// figure a field of each shard's card, so reading it is O(shards). Its
+// JSON form is the "index" object of pisserved's /stats and /compact,
+// which add graph_bytes (Database.GraphBytes).
 type IndexStats struct {
 	// Features counts the database's selected structure features
 	// (equivalence classes), the one set every shard indexes under; a
@@ -713,20 +731,6 @@ type IndexStats struct {
 	// fingerprints the base and delta graphs carry (graph.FP).
 	BitmapBytes      int `json:"bitmap_bytes"`
 	FingerprintBytes int `json:"fingerprint_bytes"`
-	// GraphBytes is the heap the base and delta graphs hold, their cached
-	// invariants included (graph.HeapBytes); a ClusterNode reports 0.
-	GraphBytes int `json:"graph_bytes"`
-}
-
-// Stats sums the per-shard index counters. Features counts the feature
-// set the shards share, once: it is the largest shard's class count.
-// GraphBytes walks every graph, which no other report does.
-func (db *Database) Stats() IndexStats {
-	out := indexStats(db.total())
-	for _, seg := range db.segs {
-		out.GraphBytes += seg.GraphBytes()
-	}
-	return out
 }
 
 // ReadDatabase loads graphs in the line-oriented transaction format

@@ -217,7 +217,7 @@ type DeleteResponse struct {
 // CompactResponse is the body returned by POST /compact.
 type CompactResponse struct {
 	Graphs    int            `json:"graphs"`
-	Index     pis.IndexStats `json:"index"`
+	Index     IndexStatsJSON `json:"index"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 

@@ -102,7 +102,7 @@ func TestDurableServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if d := re.Durability(); d.ReplayedRecords != 2 {
+	if d := re.Stats().Durability; d.ReplayedRecords != 2 {
 		t.Fatalf("recovery replayed %d records, want 2 (insert + delete)", d.ReplayedRecords)
 	}
 	s2, err := New(Config{Backend: re})

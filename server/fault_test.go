@@ -253,8 +253,10 @@ func TestQueryTimeoutMapsTo504(t *testing.T) {
 // rejected with pis.ErrStorePoisoned, reads keep working.
 type poisonedBackend struct{ Backend }
 
-func (p poisonedBackend) Durability() pis.DurabilityStats {
-	return pis.DurabilityStats{Durable: true, Poisoned: true, PoisonReason: "wal fsync: injected fault"}
+func (p poisonedBackend) Stats() pis.Stats {
+	st := p.Backend.Stats()
+	st.Durability = pis.DurabilityStats{Durable: true, Poisoned: true, PoisonReason: "wal fsync: injected fault"}
+	return st
 }
 
 func (p poisonedBackend) Insert(g *pis.Graph) (int32, error) {

@@ -1,8 +1,8 @@
 // Server-side observability: global HTTP metrics, the Prometheus
 // exposition endpoint, the /debug/queries ring buffer, and the
-// slow-query log. The per-server counters in /stats (endpointMetrics,
-// planner, mutations) are unchanged; the obs registry is the shared,
-// process-wide view that pisbench and every Server instance feed alike.
+// slow-query log. Each Server counts the requests, planner and mutations
+// blocks of /stats itself; the obs registry is the shared, process-wide
+// view that pisbench and every Server instance feed alike.
 
 package server
 
@@ -58,26 +58,21 @@ func traceRequested(r *http.Request) bool {
 }
 
 // registerGauges (re-)binds the scrape-time gauges to this server's
-// backend. With several servers in one process the most
-// recently constructed one owns the gauges; counters and histograms are
-// shared by all.
+// backend as one group: a scrape reads its status once and walks no
+// graph. With several servers in one process the most recently
+// constructed one owns the gauges; counters and histograms are shared.
 func (s *Server) registerGauges() {
 	reg := obs.Default()
-	reg.GaugeFunc("pis_graphs_live",
-		"Live (non-tombstoned) graphs in the database.",
-		func() float64 { return float64(s.backend.Len()) })
-	reg.GaugeFunc("pis_delta_graphs",
-		"Inserted graphs not yet folded into the index.",
-		func() float64 { return float64(s.backend.Stats().Delta) })
-	reg.GaugeFunc("pis_tombstoned_graphs",
-		"Deleted graphs awaiting compaction.",
-		func() float64 { return float64(s.backend.Stats().Tombstones) })
-	reg.GaugeFunc("pis_wal_records",
-		"Acknowledged mutations in the active WALs, not yet snapshotted (0 for in-memory databases).",
-		func() float64 { return float64(s.backend.Durability().WALRecords) })
-	reg.GaugeFunc("pis_wal_live_bytes",
-		"Bytes in the active WALs (0 for in-memory databases).",
-		func() float64 { return float64(s.backend.Durability().WALBytes) })
+	reg.GaugeGroup(func() []float64 {
+		st := s.backend.Stats()
+		return []float64{float64(s.backend.Len()), float64(st.Index.Delta), float64(st.Index.Tombstones),
+			float64(st.Durability.WALRecords), float64(st.Durability.WALBytes)}
+	},
+		obs.GaugeSpec{Name: "pis_graphs_live", Help: "Live (non-tombstoned) graphs in the database."},
+		obs.GaugeSpec{Name: "pis_delta_graphs", Help: "Inserted graphs not yet folded into the index."},
+		obs.GaugeSpec{Name: "pis_tombstoned_graphs", Help: "Deleted graphs awaiting compaction."},
+		obs.GaugeSpec{Name: "pis_wal_records", Help: "Acknowledged mutations in the active WALs, not yet snapshotted (0 for in-memory databases)."},
+		obs.GaugeSpec{Name: "pis_wal_live_bytes", Help: "Bytes in the active WALs (0 for in-memory databases)."})
 	obs.RegisterProcessMetrics(reg)
 }
 

@@ -473,8 +473,8 @@ func TestPlannerChoicesVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, Config{Backend: db})
-	var _ plannerBackend = db
-	var _ plannerBackend = (*pis.Database)(nil)
+	var _ localBackend = db
+	var _ localBackend = (*pis.Database)(nil)
 
 	traced := 0
 	for _, q := range gen.Queries(graphs, 6, 10, 30) {

@@ -64,12 +64,19 @@ type Backend interface {
 	SearchContext(ctx context.Context, q *pis.Graph, sigma float64) (pis.Result, error)
 	SearchBatchContext(ctx context.Context, queries []*pis.Graph, sigma float64, workers int) ([]pis.Result, error)
 	SearchKNNContext(ctx context.Context, q *pis.Graph, k int, maxSigma float64) ([]pis.Neighbor, error)
-	Stats() pis.IndexStats
+	Stats() pis.Stats // one status read: once a request or a scrape
 	Insert(g *pis.Graph) (int32, error)
 	Delete(id int32) (bool, error)
 	Compact() error
 	Checkpoint() error
-	Durability() pis.DurabilityStats
+}
+
+// localBackend is what a backend whose graphs and planners live in this
+// process (*pis.Database) adds: the walk over its graphs, which only
+// /stats and /compact pay for, and the planners' learned state.
+type localBackend interface {
+	GraphBytes() int
+	PlannerState() []pis.PlannerCell
 }
 
 // Config configures a Server. Per-request choices stay with the
@@ -249,20 +256,19 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		strict := r.URL.Query().Get("strict") == "1"
-		if cb, ok := s.backend.(clusterBackend); ok {
-			if ov := cb.Overview(); ov.CoveredShards < ov.Shards {
-				// Some shard has no live replica: queries are failing with
-				// 503 right now, so the node is degraded even though the
-				// process itself is healthy.
-				if strict {
-					w.WriteHeader(http.StatusServiceUnavailable)
-				}
-				fmt.Fprintf(w, "degraded: %d of %d shards have no live replica (%d/%d peers up)\n",
-					ov.Shards-ov.CoveredShards, ov.Shards, ov.PeersUp, ov.Peers)
-				return
+		st := s.backend.Stats()
+		if c := st.Cluster; c != nil && c.CoveredShards < c.Shards {
+			// Some shard has no live replica: queries are failing with
+			// 503 right now, so the node is degraded even though the
+			// process itself is healthy.
+			if strict {
+				w.WriteHeader(http.StatusServiceUnavailable)
 			}
+			fmt.Fprintf(w, "degraded: %d of %d shards have no live replica (%d/%d peers up)\n",
+				c.Shards-c.CoveredShards, c.Shards, c.PeersUp, c.Peers)
+			return
 		}
-		if d := s.backend.Durability(); d.Poisoned {
+		if d := st.Durability; d.Poisoned {
 			if strict {
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
@@ -729,9 +735,24 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, CompactResponse{
 		Graphs:    s.backend.Len(),
-		Index:     s.backend.Stats(),
+		Index:     s.indexJSON(s.backend.Stats().Index),
 		ElapsedMS: msSince(start),
 	})
+}
+
+// IndexStatsJSON is the "index" object of /stats and /compact: the summed
+// index figures, and the heap the graphs hold (0 on a cluster node).
+type IndexStatsJSON struct {
+	pis.IndexStats
+	GraphBytes int `json:"graph_bytes"`
+}
+
+func (s *Server) indexJSON(ix pis.IndexStats) IndexStatsJSON {
+	out := IndexStatsJSON{IndexStats: ix}
+	if lb, ok := s.backend.(localBackend); ok {
+		out.GraphBytes = lb.GraphBytes()
+	}
+	return out
 }
 
 // handleCheckpoint flushes the backend's state to a fresh snapshot. It
@@ -750,7 +771,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	s.mutations.Checkpoints++
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, CheckpointResponse{
-		Durability: encodeDurability(s.backend.Durability()),
+		Durability: encodeDurability(s.backend.Stats().Durability),
 		ElapsedMS:  msSince(start),
 	})
 }
@@ -834,13 +855,6 @@ type PlannerStatsJSON struct {
 	LearnedSurvival []pis.PlannerCell `json:"learned_survival,omitempty"`
 }
 
-// plannerBackend is the optional backend surface for the planner's
-// learned state; *pis.Database implements it, a cluster node's planners
-// live on the shard nodes.
-type plannerBackend interface {
-	PlannerState() []pis.PlannerCell
-}
-
 // MemoStatsJSON reports the result memos of this process's segments (the
 // pis_result_memo_* metrics; on a cluster node, its own shard replicas):
 // lookups by outcome, one per segment read, the graphs reads verified to
@@ -875,13 +889,13 @@ type EndpointStatsJSON struct {
 type ServerStats struct {
 	Graphs        int                          `json:"graphs"`
 	Shards        int                          `json:"shards"`
-	Index         pis.IndexStats               `json:"index"`
+	Index         IndexStatsJSON               `json:"index"`
 	Memo          MemoStatsJSON                `json:"memo"`
 	Planner       PlannerStatsJSON             `json:"planner"`
 	Mutations     MutationStatsJSON            `json:"mutations"`
 	Compaction    CompactionStatsJSON          `json:"compaction"`
 	Durability    *DurabilityStatsJSON         `json:"durability,omitempty"`
-	Cluster       *ClusterStatsJSON            `json:"cluster,omitempty"`
+	Cluster       *pis.ClusterStats            `json:"cluster,omitempty"`
 	Requests      map[string]EndpointStatsJSON `json:"requests"`
 	InFlightLimit int                          `json:"inflight_limit,omitempty"`
 	UptimeMS      float64                      `json:"uptime_ms"`
@@ -889,29 +903,14 @@ type ServerStats struct {
 	Runtime       RuntimeStatsJSON             `json:"runtime"`
 }
 
-// clusterBackend is the extra surface a replicated backend
-// (*pis.ClusterNode) exposes; single-process backends lack it.
-type clusterBackend interface {
-	Overview() pis.ClusterOverview
-}
-
-// ClusterStatsJSON is the /stats cluster block, present only when the
-// backend is a cluster node.
-type ClusterStatsJSON struct {
-	Peers         int `json:"peers"`
-	PeersUp       int `json:"peers_up"`
-	Shards        int `json:"shards"`
-	CoveredShards int `json:"covered_shards"`
-	Replication   int `json:"replication"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reg := obs.Default()
 	lookups := reg.CounterVec("pis_result_memo_lookups_total", "", "outcome")
+	st := s.backend.Stats()
 	out := ServerStats{
 		Graphs: s.backend.Len(),
 		Shards: s.backend.NumShards(),
-		Index:  s.backend.Stats(),
+		Index:  s.indexJSON(st.Index),
 		Memo: MemoStatsJSON{
 			Hits:            lookups.Value("hit"),
 			Covered:         lookups.Value("covered"),
@@ -924,22 +923,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CarriedGraphs:    reg.Counter("pis_compaction_carried_graphs_total", "").Value(),
 			EnumeratedGraphs: reg.Counter("pis_compaction_enumerated_graphs_total", "").Value(),
 		},
-		Durability:    encodeDurability(s.backend.Durability()),
+		Durability:    encodeDurability(st.Durability),
+		Cluster:       st.Cluster,
 		Requests:      make(map[string]EndpointStatsJSON),
 		InFlightLimit: s.cfg.MaxInFlight,
 		UptimeMS:      msSince(s.start),
 		Observability: s.observabilityStats(),
 		Runtime:       obs.ReadProcessStats(),
-	}
-	if cb, ok := s.backend.(clusterBackend); ok {
-		ov := cb.Overview()
-		out.Cluster = &ClusterStatsJSON{
-			Peers:         ov.Peers,
-			PeersUp:       ov.PeersUp,
-			Shards:        ov.Shards,
-			CoveredShards: ov.CoveredShards,
-			Replication:   ov.Replication,
-		}
 	}
 	s.mu.Lock()
 	out.Mutations = s.mutations
@@ -956,8 +946,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.Requests[name] = e
 	}
 	s.mu.Unlock()
-	if pb, ok := s.backend.(plannerBackend); ok {
-		out.Planner.LearnedSurvival = pb.PlannerState()
+	if lb, ok := s.backend.(localBackend); ok {
+		out.Planner.LearnedSurvival = lb.PlannerState()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
