@@ -57,7 +57,7 @@ func main() {
 		dbPath   = flag.String("db", "", "database file (transaction format)")
 		genN     = flag.Int("gen", 0, "instead of -db, generate this many synthetic molecules")
 		seed     = flag.Int64("seed", 1, "seed for -gen")
-		shards   = flag.Int("shards", 1, "number of contiguous index shards (ignored when -data-dir already holds a store)")
+		shards   = flag.Int("shards", 0, "number of contiguous index shards; 0 means 1, or one per peer in cluster mode (ignored when -data-dir already holds a store)")
 		maxFrag  = flag.Int("maxfrag", 5, "maximum indexed fragment size (edges) (ignored when -data-dir already holds a store)")
 		inflight = flag.Int("inflight", 0, "max concurrently executing query requests (0 = unlimited)")
 		maxQueue = flag.Int("max-queue", 0, "max query requests waiting for an -inflight slot before shedding with 429 (0 = 4x inflight, negative = no queue)")
@@ -125,7 +125,7 @@ func main() {
 	default:
 		graphs := loadGraphs(*dbPath, *genN, *seed)
 		log.Printf("database: %d graphs", len(graphs))
-		db, err = buildDatabase(graphs, *shards, opts, *dataDir)
+		db, err = buildDatabase(graphs, max(*shards, 1), opts, *dataDir)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -95,6 +95,17 @@ func TestPlacementProperties(t *testing.T) {
 			counts[r]++
 		}
 	}
+	// Each shard lists first the peer of its set that the fewest earlier
+	// shards list first, the higher score on a tie.
+	prefers := map[string]int{}
+	for s, reps := range p {
+		for _, r := range reps[1:] {
+			if pr, p0 := prefers[r], prefers[reps[0]]; pr < p0 || pr == p0 && rendezvousScore(s, r) > rendezvousScore(s, reps[0]) {
+				t.Errorf("shard %d prefers %s (%d earlier shards) over %s (%d)", s, reps[0], p0, r, pr)
+			}
+		}
+		prefers[reps[0]]++
+	}
 	// Deterministic and order-independent of the peer list.
 	shuffled := []string{"c:1", "a:1", "d:1", "b:1"}
 	p2 := Place(16, shuffled, 2)
@@ -305,8 +316,13 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	defer co.Close()
 	ctx := context.Background()
 
-	// Kill one replica: queries must fail over to the survivor.
-	nodeB.Close()
+	// Kill the shard's preferred replica, which every read goes to first:
+	// queries must fail over to the survivor.
+	preferred, survivor := nodeA, nodeB
+	if co.searchers[0].(*remoteShard).replicas[0].addr == nodeB.Addr() {
+		preferred, survivor = nodeB, nodeA
+	}
+	preferred.Close()
 	failovers := mFailovers.Value() + mHedges.Value()
 	for i := 0; i < 4; i++ {
 		if _, err := shard.FanOutSearch(ctx, co.Searchers(), graphs[i], 1); err != nil {
@@ -318,7 +334,7 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	}
 
 	// Kill the second: quorum loss.
-	nodeA.Close()
+	survivor.Close()
 	lost := mQuorumLost.Value()
 	_, err = shard.FanOutSearch(ctx, co.Searchers(), graphs[0], 1)
 	if !errors.Is(err, ErrUnavailable) {
@@ -326,6 +342,141 @@ func TestQuorumLossAndFailover(t *testing.T) {
 	}
 	if mQuorumLost.Value() == lost {
 		t.Error("quorum loss not recorded")
+	}
+}
+
+// TestReadAffinity: on a 3-node cluster of 3 shards held twice, every
+// read of a shard goes to its preferred replica, the first of its set, so
+// a repeated query is answered from that replica's memo; two coordinators
+// given the peers in different orders prefer alike; a preferred replica
+// marked down gets reads again once a health sweep finds it up; and with
+// it dead, reads move to the other replica and stay exact. Only hedges
+// (fired when a read outlasts the p95-derived delay) may read elsewhere.
+func TestReadAffinity(t *testing.T) {
+	const shards, perShard, n = 3, 12, 6
+	graphs := testGraphs(shards*perShard, 41)
+	var nodes []*Node
+	var addrs []string
+	for range 3 {
+		nodes = append(nodes, startNode(t))
+		addrs = append(addrs, nodes[len(nodes)-1].Addr())
+	}
+	local := make([]shard.Searcher, shards) // the single-process oracle
+	for s, set := range Place(shards, addrs, 2) {
+		part := graphs[s*perShard : (s+1)*perShard]
+		feats := testFeatures(t, part)
+		for i := range len(set) + 1 {
+			seg, err := segment.New(part, int32(s*perShard), feats, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { seg.Close() })
+			if i == len(set) {
+				local[s] = seg
+			} else {
+				nodes[slices.Index(addrs, set[i])].SetShard(s, seg)
+			}
+		}
+	}
+	connect := func(peers []string) *Coordinator {
+		co, err := Connect(Config{Peers: peers, Shards: shards, Replication: 2, PingInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(co.Close)
+		return co
+	}
+	reversedAddrs := slices.Clone(addrs)
+	slices.Reverse(reversedAddrs)
+	co, reversed := connect(addrs), connect(reversedAddrs)
+	order := func(co *Coordinator, s int) (out []string) {
+		for _, ps := range co.searchers[s].(*remoteShard).replicas {
+			out = append(out, ps.addr)
+		}
+		return out
+	}
+	prefers := make([]int, len(addrs)) // shards each peer serves reads of
+	for s := range shards {
+		if a, b := order(co, s), order(reversed, s); !slices.Equal(a, b) {
+			t.Errorf("shard %d: replica order %v, %v with the peers reversed", s, a, b)
+		}
+		prefers[slices.Index(addrs, order(co, s)[0])]++
+	}
+
+	ctx := context.Background()
+	// reads runs n exact searches and returns the successful RPCs each
+	// peer served and the hedges fired meanwhile.
+	reads := func(from int) ([]int, int) {
+		count := func() (c []int) {
+			for _, addr := range addrs {
+				c = append(c, int(mRPCSeconds.With(addr).Snapshot().Count()))
+			}
+			return c
+		}
+		before, hedges := count(), mHedges.Value()
+		for i := range n {
+			q := graphs[(from+i)%len(graphs)]
+			want, err := shard.FanOutSearch(ctx, local, q, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := shard.FanOutSearch(ctx, co.Searchers(), q, 2)
+			if err != nil {
+				t.Fatalf("search %d: %v", from+i, err)
+			}
+			if !reflect.DeepEqual(got.Answers, want.Answers) || !reflect.DeepEqual(got.Distances, want.Distances) {
+				t.Errorf("search %d: got %v/%v want %v/%v", from+i, got.Answers, got.Distances, want.Answers, want.Distances)
+			}
+		}
+		served := count()
+		for i := range served {
+			served[i] -= before[i]
+		}
+		return served, int(mHedges.Value() - hedges)
+	}
+	// offPreference sums how far each peer's reads are from its share. A
+	// hedge moves at most two reads.
+	offPreference := func(served []int) (off int) {
+		for i := range served {
+			off += max(served[i]-n*prefers[i], n*prefers[i]-served[i])
+		}
+		return off
+	}
+
+	// A hedge that wins the first read of graphs[0] cancels the preferred
+	// replica's attempt before it fills its memo, so count hedges from here.
+	h := mHedges.Value()
+	if served, hedges := reads(0); offPreference(served) > 2*hedges {
+		t.Fatalf("peers %v served %v shard reads over %d searches, want %v each times the shards they prefer %v (%d hedges)",
+			addrs, served, n, n, prefers, hedges)
+	}
+	// Read again, the replica that answered first answers from its memo.
+	res, err := shard.FanOutSearch(ctx, co.Searchers(), graphs[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (res.Stats.MemoHits != shards || res.Stats.Verified != 0) && mHedges.Value() == h {
+		t.Errorf("repeated search: %d memo hits and %d verified, want %d and 0", res.Stats.MemoHits, res.Stats.Verified, shards)
+	}
+
+	victim := slices.Index(addrs, order(co, 0)[0])
+	co.peers[addrs[victim]].up.Store(false)
+	if served, hedges := reads(n); served[victim] > hedges {
+		t.Errorf("peer %s, marked down, served %d reads (%d hedges)", addrs[victim], served[victim], hedges)
+	}
+	co.CheckPeers()
+	if served, hedges := reads(2 * n); offPreference(served) > 2*hedges {
+		t.Errorf("after the health sweep peers served %v, want %v times %v (%d hedges)", served, n, prefers, hedges)
+	}
+
+	nodes[victim].Close()
+	served, _ := reads(3 * n)
+	total := 0
+	for _, c := range served {
+		total += c
+	}
+	if served[victim] != 0 || total < n*shards {
+		t.Errorf("with %s dead, peers served %v, want 0 there and at least %d in all", addrs[victim], served, n*shards)
 	}
 }
 

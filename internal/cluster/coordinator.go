@@ -112,7 +112,7 @@ type Coordinator struct {
 	cfg       Config
 	placement [][]string
 	peers     map[string]*peerState
-	peerAddrs []string // sorted-stable iteration order (= cfg.Peers order)
+	all       []*peerState // every peer, in cfg.Peers order
 	searchers []shard.Searcher
 
 	// mutMu serializes every mutation cluster-wide, pinning a single
@@ -146,11 +146,11 @@ func Connect(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		placement: Place(cfg.Shards, cfg.Peers, cfg.Replication),
 		peers:     make(map[string]*peerState, len(cfg.Peers)),
-		peerAddrs: cfg.Peers,
 		stop:      make(chan struct{}),
 	}
 	for _, addr := range cfg.Peers {
 		c.peers[addr] = &peerState{peer: newPeer(addr)}
+		c.all = append(c.all, c.peers[addr])
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		reps := make([]*peerState, len(c.placement[s]))
@@ -160,7 +160,7 @@ func Connect(cfg Config) (*Coordinator, error) {
 		c.searchers = append(c.searchers, &remoteShard{co: c, idx: s, replicas: reps})
 	}
 	if c.CheckPeers() == 0 {
-		return nil, fmt.Errorf("cluster: no peer reachable (tried %d)", len(c.peerAddrs))
+		return nil, fmt.Errorf("cluster: no peer reachable (tried %d)", len(c.all))
 	}
 	if cfg.PingInterval > 0 {
 		c.wg.Add(1)
@@ -219,7 +219,7 @@ func (c *Coordinator) Delete(ctx context.Context, id int32) (bool, error) {
 	defer c.mutMu.Unlock()
 	req := apU32(nil, uint32(id))
 	found := false
-	err := mutate(ctx, c.orderedPeers(), opDelete, req, func(sr *binio.SectionReader) error {
+	err := mutate(ctx, upFirst(c.all), opDelete, req, func(sr *binio.SectionReader) error {
 		f := sr.U8() != 0
 		found = found || f
 		return sr.Err()
@@ -268,7 +268,7 @@ func (c *Coordinator) Graph(ctx context.Context, id int32) (*graph.Graph, error)
 	req := apU32(nil, uint32(id))
 	var firstErr error
 	tried := 0
-	for _, ps := range c.orderedPeers() {
+	for _, ps := range upFirst(c.all) {
 		var g *graph.Graph
 		err := ps.call(ctx, opGraph, req, func(sr *binio.SectionReader) error {
 			if sr.U8() == 0 {
@@ -308,13 +308,12 @@ func (c *Coordinator) Checkpoint(ctx context.Context) error { return c.broadcast
 func (c *Coordinator) broadcast(ctx context.Context, op byte) error {
 	reached := 0
 	var errs []error
-	for _, addr := range c.peerAddrs {
-		ps := c.peers[addr]
+	for _, ps := range c.all {
 		if ps.stale.Load() {
 			continue
 		}
 		if err := ps.call(ctx, op, nil, nil); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
+			errs = append(errs, fmt.Errorf("%s: %w", ps.addr, err))
 			continue
 		}
 		reached++
@@ -325,11 +324,13 @@ func (c *Coordinator) broadcast(ctx context.Context, op byte) error {
 	return errors.Join(errs...)
 }
 
-// orderedPeers lists readable peers, up ones first.
-func (c *Coordinator) orderedPeers() []*peerState {
+// upFirst ranks peers for one read: the up ones first, then the down
+// ones as a last resort (our view may be old; a dead one fails the dial
+// fast), each in the order given. Stale peers never serve, so a down
+// shard replica gets reads again once the health loop marks it up.
+func upFirst(peers []*peerState) []*peerState {
 	var up, down []*peerState
-	for _, addr := range c.peerAddrs {
-		ps := c.peers[addr]
+	for _, ps := range peers {
 		if !ps.readable() {
 			continue
 		}

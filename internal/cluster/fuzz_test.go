@@ -154,6 +154,31 @@ func TestCardCrossesTheWire(t *testing.T) {
 	}
 }
 
+// TestResultCrossesTheWire: a search result whose every Stats field is
+// non-zero decodes to what was encoded. The fields are set by reflection,
+// so a Stats field the codec does not carry fails here.
+func TestResultCrossesTheWire(t *testing.T) {
+	want := core.Result{Answers: []int32{3, 9}, Distances: []float64{0.5, 2.25}, Candidates: []int32{3, 4, 9}}
+	st := reflect.ValueOf(&want.Stats).Elem()
+	for i := range st.NumField() {
+		switch f := st.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i+1) * 1000)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Stats.%s is a %s, which this test cannot set", st.Type().Field(i).Name, f.Kind())
+		}
+	}
+	got, err := readResult(frameSection(t, framePayload(t, func(sw *binio.SectionWriter) { writeResult(sw, &want) })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, encoded %+v", got.Stats, want.Stats)
+	}
+}
+
 // FuzzClusterFrames feeds arbitrary section payloads to the decoders of
 // the shard-RPC wire format (results, kNN neighbours, node state, graphs).
 // Each call must return an error or decode a value that the matching

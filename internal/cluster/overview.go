@@ -41,11 +41,11 @@ type probe struct {
 // probePeers asks every peer that ask admits (every peer, for a nil ask)
 // for its state, concurrently.
 func (c *Coordinator) probePeers(ask func(*peerState) bool) []probe {
-	probes := make([]probe, len(c.peerAddrs))
+	probes := make([]probe, len(c.all))
 	var wg sync.WaitGroup
-	for i, addr := range c.peerAddrs {
+	for i, ps := range c.all {
 		p := &probes[i]
-		if p.ps = c.peers[addr]; ask != nil && !ask(p.ps) {
+		if p.ps = ps; ask != nil && !ask(ps) {
 			continue
 		}
 		wg.Add(1)
@@ -91,7 +91,7 @@ func sum(cards map[int]segment.Stats) segment.Stats {
 func (c *Coordinator) Overview() (Membership, segment.Stats) {
 	probes := c.probePeers((*peerState).readable)
 	best := freshest(probes, (*peerState).readable)
-	m := Membership{Peers: len(c.peerAddrs), Shards: c.cfg.Shards, CoveredShards: len(best), Replication: c.cfg.Replication}
+	m := Membership{Peers: len(c.all), Shards: c.cfg.Shards, CoveredShards: len(best), Replication: c.cfg.Replication}
 	for _, p := range probes {
 		if p.ok {
 			m.PeersUp++

@@ -14,14 +14,17 @@ import (
 	"sort"
 )
 
-// Place assigns each of nShards shards an ordered replica set of
-// min(replication, len(peers)) peers. The first entry is the shard's
-// top-scoring peer; readers rotate through the set, so the order only
-// decides who serves a shard when hedging and failover have no say.
-// The result is independent of the order peers are listed in.
+// Place assigns each of nShards shards an ordered replica set of the
+// min(replication, len(peers)) top-scoring peers. The first entry is the
+// shard's preferred replica, which serves its reads while it is up: walking
+// the shards in order, a shard prefers the peer of its set that the fewest
+// earlier shards prefer, the higher score on a tie. The rest follow by
+// score; they serve hedges and failover. The result is independent of the
+// order peers are listed in.
 func Place(nShards int, peers []string, replication int) [][]string {
 	replication = min(max(replication, 1), len(peers))
 	out := make([][]string, nShards)
+	prefers := make(map[string]int, len(peers))
 	type scored struct {
 		peer  string
 		score uint64
@@ -37,9 +40,18 @@ func Place(nShards int, peers []string, replication int) [][]string {
 			}
 			return ranked[i].peer < ranked[j].peer // total order even on hash ties
 		})
-		set := make([]string, replication)
-		for i := range set {
-			set[i] = ranked[i].peer
+		p := 0
+		for i := range replication {
+			if prefers[ranked[i].peer] < prefers[ranked[p].peer] {
+				p = i
+			}
+		}
+		prefers[ranked[p].peer]++
+		set := []string{ranked[p].peer}
+		for i := range replication {
+			if i != p {
+				set = append(set, ranked[i].peer)
+			}
 		}
 		out[s] = set
 	}

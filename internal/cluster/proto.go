@@ -145,33 +145,39 @@ func readI32s(sr *binio.SectionReader) []int32 {
 	return out
 }
 
+// statsFields lists the Stats counters and times in wire order. The
+// writer and the reader both walk it, so a field crosses both ways or
+// not at all.
+func statsFields(s *core.Stats) ([]*int, []*time.Duration) {
+	return []*int{
+			&s.QueryFragments, &s.UsedFragments, &s.ExpandedFragments,
+			&s.PartitionSize, &s.StructCandidates, &s.RangeCandidates,
+			&s.DistCandidates, &s.PrescreenRejects, &s.InvariantRejects,
+			&s.VerifyCacheHits, &s.Verified, &s.VerifyNodes,
+			&s.MemoHits, &s.Refreshed,
+		},
+		[]*time.Duration{&s.PlanTime, &s.FilterTime, &s.VerifyTime}
+}
+
 func writeStats(sw *binio.SectionWriter, s *core.Stats) {
-	for _, v := range []int{
-		s.QueryFragments, s.UsedFragments, s.ExpandedFragments,
-		s.PartitionSize, s.StructCandidates, s.RangeCandidates,
-		s.DistCandidates, s.PrescreenRejects, s.InvariantRejects,
-		s.VerifyCacheHits, s.Verified, s.VerifyNodes,
-	} {
-		sw.Varint(int64(v))
+	ints, times := statsFields(s)
+	for _, p := range ints {
+		sw.Varint(int64(*p))
 	}
-	sw.Varint(int64(s.PlanTime))
-	sw.Varint(int64(s.FilterTime))
-	sw.Varint(int64(s.VerifyTime))
+	for _, p := range times {
+		sw.Varint(int64(*p))
+	}
 	sw.Bool(s.Partial)
 }
 
 func readStats(sr *binio.SectionReader, s *core.Stats) {
-	for _, p := range []*int{
-		&s.QueryFragments, &s.UsedFragments, &s.ExpandedFragments,
-		&s.PartitionSize, &s.StructCandidates, &s.RangeCandidates,
-		&s.DistCandidates, &s.PrescreenRejects, &s.InvariantRejects,
-		&s.VerifyCacheHits, &s.Verified, &s.VerifyNodes,
-	} {
+	ints, times := statsFields(s)
+	for _, p := range ints {
 		*p = int(sr.Varint())
 	}
-	s.PlanTime = time.Duration(sr.Varint())
-	s.FilterTime = time.Duration(sr.Varint())
-	s.VerifyTime = time.Duration(sr.Varint())
+	for _, p := range times {
+		*p = time.Duration(sr.Varint())
+	}
 	s.Partial = sr.Bool()
 }
 

@@ -4,8 +4,11 @@
 // from "single process" only in where each shard's answer is computed —
 // never in how answers are merged.
 //
-// Each query walks the replica set with two escapes from a slow or dead
-// replica:
+// Each query starts on the shard's preferred replica, the first of the
+// set (Place orders it), so the filtering and verification state a read
+// leaves behind (the result memo, the invariants annotations, the range
+// scratch) fills on one replica of each shard, not on all of them. Two
+// escapes from a slow or dead replica walk on to the rest of the set:
 //
 //   - hedge: when the first attempt is still running after a delay
 //     derived from the live search-RPC p95, the same query is issued to
@@ -23,7 +26,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pis/internal/binio"
@@ -35,29 +37,7 @@ import (
 type remoteShard struct {
 	co       *Coordinator
 	idx      int
-	replicas []*peerState
-	rr       atomic.Uint64 // rotates the preferred replica per query
-}
-
-// ordered ranks replicas for one query: up peers first (rotated for
-// load spread), then currently-down peers as a last resort (our view
-// may be old; a dead one fails the dial fast). Stale peers never serve.
-func (r *remoteShard) ordered() []*peerState {
-	rot := int(r.rr.Add(1) - 1)
-	var up, down []*peerState
-	n := len(r.replicas)
-	for i := 0; i < n; i++ {
-		ps := r.replicas[(rot+i)%n]
-		if !ps.readable() {
-			continue
-		}
-		if ps.up.Load() {
-			up = append(up, ps)
-		} else {
-			down = append(down, ps)
-		}
-	}
-	return append(up, down...)
+	replicas []*peerState // the preferred replica first, then rendezvous rank
 }
 
 // SearchCtx implements shard.Searcher over the wire. Whether the query is
@@ -96,7 +76,7 @@ func (r *remoteShard) SearchKNNCtx(ctx context.Context, q *graph.Graph, k int, m
 // goroutine outlives the call beyond its own RPC teardown.
 func hedged[T any](r *remoteShard, ctx context.Context, op byte, req []byte, decode func(*binio.SectionReader) (T, error)) (T, error) {
 	var zero T
-	reps := r.ordered()
+	reps := upFirst(r.replicas)
 	if len(reps) == 0 {
 		return zero, fmt.Errorf("cluster: shard %d: %w", r.idx, ErrUnavailable)
 	}
